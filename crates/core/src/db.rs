@@ -174,12 +174,7 @@ impl Db {
                 crate::gc::GcConfig {
                     vsst_target: opts.vsst_target_size,
                     batch_files: opts.gc_batch_files,
-                    validate_mode: opts.gc_validate_mode,
                     threads: opts.gc_threads,
-                    // Auto resolves here, once, against the machine; the
-                    // GC executor only ever sees a concrete setting.
-                    pipeline: opts.gc_pipeline.resolved(),
-                    pipeline_batch: opts.gc_pipeline_batch,
                 },
                 opts.lsm_options().table_options(),
                 vstore.clone(),
@@ -594,21 +589,15 @@ impl Db {
 
     /// Dry-run the GC-Lookup validation phase over one value file without
     /// moving data: reports how many of its records are still live.
-    /// `mode` overrides the configured [`crate::GcValidateMode`] (useful
-    /// for diagnostics and benchmarking the modes against each other).
-    pub fn gc_validate_file(
-        &self,
-        file: u64,
-        mode: Option<crate::GcValidateMode>,
-    ) -> Result<crate::GcValidationReport> {
+    pub fn gc_validate_file(&self, file: u64) -> Result<crate::GcValidationReport> {
         let inner = &self.inner;
         match &inner.gc {
             Some(gc) => {
                 let _g = inner.gc_lock.lock();
-                gc.validate_file(&inner.lsm, file, mode)
+                gc.validate_file(&inner.lsm, file)
             }
-            None => Err(Error::internal(
-                "engine mode has no value separation to validate".to_string(),
+            None => Err(Error::invalid_argument(
+                "engine mode has no value separation to validate",
             )),
         }
     }
@@ -851,6 +840,13 @@ mod tests {
         let mut v = vec![(i % 251) as u8; len];
         v[0] = (i >> 8) as u8;
         v
+    }
+
+    #[test]
+    fn gc_validate_file_without_separation_is_invalid_argument() {
+        let db = Db::open(small_opts(EngineMode::Rocks)).unwrap();
+        let err = db.gc_validate_file(1).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err:?}");
     }
 
     #[test]

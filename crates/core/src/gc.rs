@@ -33,45 +33,32 @@
 //! | **Write** | step ④ | survivors are rewritten hot/cold-routed, batched through `VWriter::add_batch` (blocks built per batch, not per record) |
 //! | **Write-Index** | Titan only | new addresses are pushed back through the write path |
 //!
-//! With [`GcPipeline::On`], steps ②–④ additionally *overlap*: the
-//! pending set is split into contiguous sorted batches and threaded
-//! through a bounded-channel executor (`gc_exec`), so batch *k+1*
-//! validates while batch *k* fetches and batch *k−1* writes. `Off` runs
-//! the identical stage closures sequentially; both settings produce
-//! bit-identical value files, file numbers, and [`GcOutcome`]s
-//! (asserted by `tests/integration_gc_pipeline.rs`), and per-stage
-//! queue/overlap counters land in [`GcStats`].
+//! Steps ②–④ of a no-writeback job *overlap* once the job is larger
+//! than one batch: the sorted pending set is split into contiguous
+//! batches of `gc_exec::PIPELINE_BATCH` records and threaded through a
+//! bounded-channel executor (`gc_exec`), so batch *k+1* validates while
+//! batch *k* fetches and batch *k−1* writes. A job that fits in one batch
+//! runs the same three stage closures inline. Batch boundaries never
+//! show in the output: value files, file numbers, and [`GcOutcome`]s are
+//! a function of the op sequence alone (asserted by
+//! `tests/integration_gc_pipeline.rs`), and per-stage queue/overlap
+//! counters land in [`GcStats`].
 //!
-//! The paper's Fig. 10 profiles GC-Lookup — historically one serial
-//! `get_at` point query per record per read point — as the dominant GC
-//! cost. This module therefore runs the phase through a batched
-//! validation engine with three interchangeable modes
-//! ([`GcValidateMode`]):
-//!
-//! * **Point** — the baseline: serial point lookups, exactly the paper's
-//!   profiled behaviour.
-//! * **Merge** (*merge-validate*) — the batch is sorted by user key (the
-//!   fetch phase wants that order anyway) and resolved with **one
-//!   co-sequential sweep of a pinned LSM iterator per read point**
-//!   ([`scavenger_lsm::BatchSweep`]), turning `O(N · cost(get))` into a
-//!   single merged forward pass that amortizes version pinning,
-//!   table-handle lookups, and block-cache accesses.
-//! * **Parallel** — the sorted batch is partitioned into contiguous key
-//!   ranges across a pool of `gc_threads` scoped worker threads, each
-//!   resolving its range with private sweeps over one shared pinned view
-//!   (concurrent lookups without per-key version-mutex or table-cache
-//!   contention).
-//!
-//! `Auto` picks per batch. All three modes are observationally
-//! equivalent (asserted by `tests/integration_gc_validation.rs`) and
-//! feed per-mode counters into [`GcStats`].
+//! The paper's Fig. 10 profiles GC-Lookup — one serial `get_at` point
+//! query per record per read point — as the dominant GC cost. Here the
+//! phase is one function, `GcRunner::validate_items`: the batch is
+//! sorted by user key (the fetch phase wants that order anyway) and
+//! resolved with **one co-sequential sweep of a pinned LSM iterator per
+//! read point** ([`scavenger_lsm::BatchSweep`]), turning
+//! `O(N · cost(get))` into a single merged forward pass that amortizes
+//! version pinning, table-handle lookups, and block-cache accesses. The
+//! paper's point-lookup loop survives only as the oracle of
+//! `tests/integration_gc_validation.rs`, which holds the sweep's
+//! verdicts to it.
 
 use crate::dropcache::DropCache;
-use crate::gc_exec::{self, RouteWriters};
-use crate::options::{
-    Features, GcPipeline, GcScheme, GcValidateMode, VFormat, AUTO_MERGE_VALIDATE_MIN,
-    AUTO_PARALLEL_VALIDATE_MIN,
-};
+use crate::gc_exec::{self, RouteWriters, PIPELINE_BATCH};
+use crate::options::{Features, GcScheme, VFormat};
 use crate::stats::GcStats;
 use crate::vstore::vtable::{parse_record_key, VReader};
 use crate::vstore::ValueStore;
@@ -96,8 +83,6 @@ pub struct GcValidationReport {
     pub records: u64,
     /// Records still referenced from some read point.
     pub valid: u64,
-    /// The concrete validation mode that ran.
-    pub mode: GcValidateMode,
 }
 
 /// Result of one GC job.
@@ -118,16 +103,9 @@ pub struct GcConfig {
     pub vsst_target: u64,
     /// Max candidate files merged per GC job.
     pub batch_files: usize,
-    /// How GC-Lookup validates candidate records.
-    pub validate_mode: GcValidateMode,
-    /// Worker threads for parallel validation and parallel file I/O
-    /// (Fetch fan-out, Titan Read scans).
+    /// Worker threads for parallel file I/O (Fetch fan-out, Titan Read
+    /// scans).
     pub threads: usize,
-    /// Whether the Validate / Fetch / Write stages overlap (see
-    /// [`GcPipeline`]).
-    pub pipeline: GcPipeline,
-    /// Records per pipeline batch when the pipeline is on.
-    pub pipeline_batch: usize,
 }
 
 /// Drives GC jobs for one engine.
@@ -178,15 +156,14 @@ struct ValItem {
 }
 
 /// Everything the GC-Lookup stage needs, pinned once per job and handed
-/// to whichever thread runs the stage (the caller in sequential mode,
-/// the validate stage worker in pipelined mode).
+/// to whichever thread runs the stage (the caller for a one-batch job,
+/// the validate stage worker otherwise).
 ///
 /// The [`BatchReader`] doubles as the job's read-point pin: it registers
 /// its sequence *before* [`Lsm::read_points`] scans the registry (see
 /// [`GcRunner::read_points`]), and materializes the memtable snapshots
 /// exactly once per job instead of once per validation call.
 struct ValidateCtx<'a> {
-    lsm: &'a Lsm,
     reader: &'a BatchReader,
     read_points: &'a [SeqNo],
 }
@@ -246,22 +223,6 @@ impl GcRunner {
         (reader, pts)
     }
 
-    /// Resolve `Auto` to a concrete mode for a batch of `n` records.
-    fn resolve_mode(&self, n: usize) -> GcValidateMode {
-        match self.cfg.validate_mode {
-            GcValidateMode::Auto => {
-                if n >= AUTO_MERGE_VALIDATE_MIN {
-                    GcValidateMode::Merge
-                } else if self.cfg.threads > 1 && n >= AUTO_PARALLEL_VALIDATE_MIN {
-                    GcValidateMode::Parallel
-                } else {
-                    GcValidateMode::Point
-                }
-            }
-            m => m,
-        }
-    }
-
     /// Does `result` (the visible version of item `i` at one read point)
     /// keep the item alive?
     ///
@@ -276,7 +237,7 @@ impl GcRunner {
         item: &ValItem,
         i: usize,
         require_seq_match: bool,
-        check_ref: &(dyn Fn(usize, &ValueRef) -> bool + Sync),
+        check_ref: &dyn Fn(usize, &ValueRef) -> bool,
     ) -> bool {
         if let LsmReadResult::Found {
             seq: s,
@@ -294,9 +255,9 @@ impl GcRunner {
     }
 
     /// The GC-Lookup phase: decide for every pending record whether any
-    /// read point still references it. Dispatches to the configured
-    /// validation mode (see the module docs); all modes return identical
-    /// verdicts.
+    /// read point still references it. The batch is visited in user-key
+    /// order by one co-sequential sweep of the job's pinned
+    /// [`BatchReader`] per read point.
     ///
     /// Returns one bool per item, in input order.
     fn validate_items(
@@ -304,59 +265,12 @@ impl GcRunner {
         cx: &ValidateCtx<'_>,
         items: &[ValItem],
         require_seq_match: bool,
-        check_ref: &(dyn Fn(usize, &ValueRef) -> bool + Sync),
-        mode: GcValidateMode,
+        check_ref: &dyn Fn(usize, &ValueRef) -> bool,
     ) -> Result<Vec<bool>> {
         if items.is_empty() {
             return Ok(Vec::new());
         }
         self.stats.validate_batches.fetch_add(1, Ordering::Relaxed);
-        match mode {
-            GcValidateMode::Auto => unreachable!("resolve_mode() produces concrete modes"),
-            GcValidateMode::Point => self.validate_point(cx, items, require_seq_match, check_ref),
-            GcValidateMode::Merge => self.validate_merge(cx, items, require_seq_match, check_ref),
-            GcValidateMode::Parallel => {
-                self.validate_parallel(cx, items, require_seq_match, check_ref)
-            }
-        }
-    }
-
-    /// Baseline: one serial point lookup per record per read point.
-    fn validate_point(
-        &self,
-        cx: &ValidateCtx<'_>,
-        items: &[ValItem],
-        require_seq_match: bool,
-        check_ref: &(dyn Fn(usize, &ValueRef) -> bool + Sync),
-    ) -> Result<Vec<bool>> {
-        let mut valid = vec![false; items.len()];
-        let mut lookups = 0u64;
-        for (i, item) in items.iter().enumerate() {
-            for &pt in cx.read_points {
-                lookups += 1;
-                let r = cx.lsm.get_at(&item.ukey, pt)?;
-                if Self::verdict(&r, item, i, require_seq_match, check_ref) {
-                    valid[i] = true;
-                    break;
-                }
-            }
-        }
-        self.stats
-            .validate_point_lookups
-            .fetch_add(lookups, Ordering::Relaxed);
-        Ok(valid)
-    }
-
-    /// Merge-validate: sort the batch by user key and resolve it with one
-    /// co-sequential sweep of the job's pinned [`BatchReader`] per read
-    /// point.
-    fn validate_merge(
-        &self,
-        cx: &ValidateCtx<'_>,
-        items: &[ValItem],
-        require_seq_match: bool,
-        check_ref: &(dyn Fn(usize, &ValueRef) -> bool + Sync),
-    ) -> Result<Vec<bool>> {
         let mut order: Vec<usize> = (0..items.len()).collect();
         order.sort_by(|&a, &b| items[a].ukey.cmp(&items[b].ukey));
         let mut valid = vec![false; items.len()];
@@ -384,85 +298,9 @@ impl GcRunner {
         Ok(valid)
     }
 
-    /// Worker-pool validation: sort the batch, partition it into
-    /// contiguous key ranges across `gc_threads` scoped threads, and have
-    /// each worker resolve its range with per-worker co-sequential sweeps
-    /// over one shared pinned view (one sweep per read point per worker).
-    ///
-    /// Each lookup is a seek-or-step on a private iterator, so workers
-    /// never contend on the version mutex or table-cache lock the way
-    /// concurrent `get_at` calls do. Per-worker counters are merged into
-    /// [`GcStats`] after the join.
-    fn validate_parallel(
-        &self,
-        cx: &ValidateCtx<'_>,
-        items: &[ValItem],
-        require_seq_match: bool,
-        check_ref: &(dyn Fn(usize, &ValueRef) -> bool + Sync),
-    ) -> Result<Vec<bool>> {
-        let threads = self.cfg.threads.clamp(1, items.len());
-        if threads == 1 {
-            return self.validate_merge(cx, items, require_seq_match, check_ref);
-        }
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_by(|&a, &b| items[a].ukey.cmp(&items[b].ukey));
-        let read_points = cx.read_points;
-        let chunk = order.len().div_ceil(threads);
-        let ranges: Vec<&[usize]> = order.chunks(chunk).collect();
-        let worker_results = gc_exec::parallel_map_ordered(
-            &ranges,
-            threads,
-            &self.stats.validate_parallel_jobs,
-            |range: &&[usize]| {
-                let mut local: Vec<(usize, bool)> = range.iter().map(|&i| (i, false)).collect();
-                let mut stats = scavenger_lsm::SweepStats::default();
-                for &pt in read_points {
-                    let mut sweep = cx.reader.sweep(pt)?;
-                    for slot in local.iter_mut() {
-                        if slot.1 {
-                            continue;
-                        }
-                        let item = &items[slot.0];
-                        let r = sweep.next_visible(&item.ukey)?;
-                        if Self::verdict(&r, item, slot.0, require_seq_match, check_ref) {
-                            slot.1 = true;
-                        }
-                    }
-                    let s = sweep.stats();
-                    stats.steps += s.steps;
-                    stats.seeks += s.seeks;
-                }
-                Ok((local, stats))
-            },
-        )?;
-        let mut valid = vec![false; items.len()];
-        for (local, s) in worker_results {
-            for (i, ok) in local {
-                valid[i] = ok;
-            }
-            self.stats
-                .validate_sweeps
-                .fetch_add(read_points.len() as u64, Ordering::Relaxed);
-            self.stats
-                .validate_sweep_steps
-                .fetch_add(s.steps, Ordering::Relaxed);
-            self.stats
-                .validate_sweep_seeks
-                .fetch_add(s.seeks, Ordering::Relaxed);
-        }
-        Ok(valid)
-    }
-
     /// Dry-run the GC-Lookup phase over every record of value file `file`
-    /// without moving any data: how many records are still live? Used by
-    /// diagnostics and the `gc_validate` microbenchmark to exercise one
-    /// validation mode in isolation.
-    pub fn validate_file(
-        &self,
-        lsm: &Lsm,
-        file: u64,
-        mode: Option<GcValidateMode>,
-    ) -> Result<GcValidationReport> {
+    /// without moving any data: how many records are still live?
+    pub fn validate_file(&self, lsm: &Lsm, file: u64) -> Result<GcValidationReport> {
         let meta = self
             .vstore
             .meta(file)
@@ -493,24 +331,21 @@ impl GcRunner {
         }
         let (reader, read_points) = self.read_points(lsm);
         let cx = ValidateCtx {
-            lsm,
             reader: &reader,
             read_points: &read_points,
         };
-        let mode = mode.unwrap_or_else(|| self.resolve_mode(items.len()));
         // Record identity must mirror the scheme's own GC (see
         // `verdict()`): keyed for no-writeback, `(file, offset)` for
         // write-back, where rewritten index entries carry fresh seqs.
         let keyed = |_i: usize, r: &ValueRef| self.vstore.resolves_to(r.file, file);
         let addressed = |i: usize, r: &ValueRef| r.file == file && r.offset == offsets[i];
         let verdicts = match self.features.gc {
-            GcScheme::Writeback => self.validate_items(&cx, &items, false, &addressed, mode)?,
-            _ => self.validate_items(&cx, &items, true, &keyed, mode)?,
+            GcScheme::Writeback => self.validate_items(&cx, &items, false, &addressed)?,
+            _ => self.validate_items(&cx, &items, true, &keyed)?,
         };
         Ok(GcValidationReport {
             records: items.len() as u64,
             valid: verdicts.iter().filter(|&&v| v).count() as u64,
-            mode,
         })
     }
 
@@ -557,8 +392,8 @@ impl GcRunner {
         // Sort the whole pending set by internal key up front: validation
         // verdicts are order-independent, the Fetch phase wants this
         // order anyway, and the pipeline's batches must be contiguous
-        // sorted ranges so that batched and sequential execution write
-        // records — and roll value files — at identical boundaries.
+        // sorted ranges so that records are written — and value files
+        // rolled — at boundaries the batch size cannot move.
         pending.sort_by(|a, b| cmp_internal(&a.ikey, &b.ikey));
         self.stats
             .read_ns
@@ -570,12 +405,9 @@ impl GcRunner {
         // ---- GC-Lookup / Fetch / Write (Fig. 8 steps ②–④) ----
         // The reader pin stays alive until the job commits: every version
         // it protects is either rewritten or reachable through
-        // inheritance. The same three stage closures run either
-        // sequentially (pipeline Off) or overlapped over bounded channels
-        // (On); both orders are bit-identical (see `crate::gc_exec`).
+        // inheritance.
         let (reader, read_points) = self.read_points(lsm);
         let cx = ValidateCtx {
-            lsm,
             reader: &reader,
             read_points: &read_points,
         };
@@ -591,61 +423,50 @@ impl GcRunner {
         );
         let mut rewritten: u64 = 0;
 
-        if !pending.is_empty() {
-            let validate_stage = |batch: Vec<Pending>| -> Result<Vec<Pending>> {
-                let t = Instant::now();
-                let out = self.validate_pending(&cx, batch);
-                self.stats
-                    .lookup_ns
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                out
-            };
-            let fetch_stage = |valid: Vec<Pending>| -> Result<Vec<(Vec<u8>, Bytes)>> {
-                let t = Instant::now();
-                let out = self.fetch_values(&readers, valid);
-                self.stats
-                    .read_ns
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                out
-            };
-            let route_writers_ref = &mut route_writers;
-            let rewritten_ref = &mut rewritten;
-            let write_stage = move |materialized: Vec<(Vec<u8>, Bytes)>| -> Result<()> {
-                let t = Instant::now();
-                *rewritten_ref += materialized.len() as u64;
-                let out = self.write_routed(route_writers_ref, &materialized);
-                self.stats
-                    .write_ns
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                out
-            };
-
-            if self.cfg.pipeline == GcPipeline::On {
-                let batch = self.cfg.pipeline_batch.max(1);
-                let mut chunks: Vec<Vec<Pending>> =
-                    Vec::with_capacity(pending.len().div_ceil(batch));
-                let mut it = pending.into_iter();
-                loop {
-                    let chunk: Vec<Pending> = it.by_ref().take(batch).collect();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    chunks.push(chunk);
-                }
-                gc_exec::run_overlapped(
-                    chunks,
-                    validate_stage,
-                    fetch_stage,
-                    write_stage,
-                    &self.stats,
-                )?;
-            } else {
-                let mut write_stage = write_stage;
-                let valid = validate_stage(pending)?;
-                let materialized = fetch_stage(valid)?;
-                write_stage(materialized)?;
+        let validate_stage = |batch: Vec<Pending>| -> Result<Vec<Pending>> {
+            let t = Instant::now();
+            let out = self.validate_pending(&cx, batch);
+            self.stats
+                .lookup_ns
+                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            out
+        };
+        let fetch_stage = |valid: Vec<Pending>| -> Result<Vec<(Vec<u8>, Bytes)>> {
+            let t = Instant::now();
+            let out = self.fetch_values(&readers, valid);
+            self.stats
+                .read_ns
+                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            out
+        };
+        let route_writers_ref = &mut route_writers;
+        let rewritten_ref = &mut rewritten;
+        let write_stage = move |materialized: Vec<(Vec<u8>, Bytes)>| -> Result<()> {
+            let t = Instant::now();
+            *rewritten_ref += materialized.len() as u64;
+            let out = self.write_routed(route_writers_ref, &materialized);
+            self.stats
+                .write_ns
+                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            out
+        };
+        let mut chunks: Vec<Vec<Pending>> =
+            Vec::with_capacity(pending.len().div_ceil(PIPELINE_BATCH));
+        let mut it = pending.into_iter();
+        loop {
+            let chunk: Vec<Pending> = it.by_ref().take(PIPELINE_BATCH).collect();
+            if chunk.is_empty() {
+                break;
             }
+            chunks.push(chunk);
         }
+        gc_exec::run_overlapped(
+            chunks,
+            validate_stage,
+            fetch_stage,
+            write_stage,
+            &self.stats,
+        )?;
         let outputs = route_writers.finish()?;
 
         // ---- Commit: inheritance instead of index rewrites (§II-B) ----
@@ -700,8 +521,7 @@ impl GcRunner {
         // Keyed identity: alive if some read point's visible reference
         // resolves (through inheritance) to the record's source file.
         let check = |i: usize, r: &ValueRef| self.vstore.resolves_to(r.file, sources[i]);
-        let verdicts =
-            self.validate_items(cx, &items, true, &check, self.resolve_mode(items.len()))?;
+        let verdicts = self.validate_items(cx, &items, true, &check)?;
         let valid: Vec<Pending> = batch
             .into_iter()
             .zip(&verdicts)
@@ -741,7 +561,7 @@ impl GcRunner {
         let fills = gc_exec::parallel_map_ordered(
             &jobs,
             self.cfg.threads,
-            &self.stats.fetch_parallel_jobs,
+            &self.stats,
             |(file, handles)| {
                 let reader = &readers[file];
                 match reader {
@@ -883,7 +703,7 @@ impl GcRunner {
         let scans = gc_exec::parallel_map_ordered(
             &candidate_files,
             self.cfg.threads,
-            &self.stats.fetch_parallel_jobs,
+            &self.stats,
             |&file| {
                 let reader = self.vstore.gc_reader(file)?;
                 Ok(reader
@@ -908,7 +728,6 @@ impl GcRunner {
         let t_lookup = Instant::now();
         let (reader, read_points) = self.read_points(lsm);
         let cx = ValidateCtx {
-            lsm,
             reader: &reader,
             read_points: &read_points,
         };
@@ -927,8 +746,7 @@ impl GcRunner {
         // Address identity (Titan): alive if some read point's visible
         // reference still points at this exact `(file, offset)`.
         let check = |i: usize, r: &ValueRef| r.file == addrs[i].0 && r.offset == addrs[i].1;
-        let verdicts =
-            self.validate_items(&cx, &items, false, &check, self.resolve_mode(items.len()))?;
+        let verdicts = self.validate_items(&cx, &items, false, &check)?;
         let valid: Vec<(u64, crate::vstore::vtable::BlobRecord)> = records
             .into_iter()
             .zip(&verdicts)

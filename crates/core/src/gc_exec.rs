@@ -16,20 +16,20 @@
 //!   in job order, so callers merge them deterministically regardless of
 //!   thread scheduling. Used by the Fetch phase (step ③, one job per
 //!   source value file) and by Titan's full-file Read phase (step ①).
-//! * **Inter-stage overlap** — [`run_overlapped`] threads batches
-//!   through the ② → ③ → ④ stages over bounded channels, so batch *k+1*
-//!   validates while batch *k* fetches and batch *k−1* writes. Enabled by
-//!   [`GcPipeline::On`](crate::options::GcPipeline::On); `Off` runs the
-//!   exact same stage closures sequentially on the caller's thread, which
-//!   is why the two modes produce **bit-identical** outputs (asserted by
-//!   `tests/integration_gc_pipeline.rs`).
+//! * **Inter-stage overlap** — [`run_overlapped`] threads batches of
+//!   [`PIPELINE_BATCH`] records through the ② → ③ → ④ stages over
+//!   bounded channels, so batch *k+1* validates while batch *k* fetches
+//!   and batch *k−1* writes. A job of one batch has nothing to overlap
+//!   and runs the same stage closures inline on the caller's thread.
 //!
 //! Determinism rules the whole design: batches are contiguous ranges of
 //! the *globally sorted* pending set, channels deliver them in order, a
 //! single write stage consumes them in order, and [`RouteWriters`] makes
 //! the same per-record rollover decisions as a serial `add` loop — so
-//! every mode writes byte-identical value files, allocates the same file
-//! numbers, and reports the same [`GcOutcome`](crate::gc::GcOutcome).
+//! neither the batch size nor thread scheduling can change the bytes of
+//! a value file, the file numbers allocated, or the reported
+//! [`GcOutcome`](crate::gc::GcOutcome) (asserted by
+//! `tests/integration_gc_pipeline.rs`).
 //!
 //! [`RouteWriters`] also owns the output-file invariant: a writer (and
 //! its file number) is allocated only when a record is about to be
@@ -48,6 +48,11 @@ use scavenger_util::ikey::SeqNo;
 use scavenger_util::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+
+/// Records per pipeline batch. Smaller batches overlap sooner but
+/// amortize less of the per-batch sweep set-up; most jobs (≈158 records
+/// on the `update_gc` benchmark) fit in one batch and run inline.
+pub(crate) const PIPELINE_BATCH: usize = 1024;
 
 /// Bounded depth of each inter-stage queue. Depth 1 would serialize
 /// producer and consumer on every handoff; depth 2 absorbs one batch of
@@ -90,6 +95,9 @@ fn feed<T>(tx: &SyncSender<Result<T>>, item: Result<T>, stats: &GcStats) -> bool
 /// write stage consumes batches in input order — overlap changes
 /// wall-clock, never output. The first stage error wins; downstream
 /// stages forward it and skip their work, upstream stages stop producing.
+///
+/// With at most one input there is nothing to overlap: the stages run
+/// inline on the caller's thread and the pipeline counters stay put.
 pub(crate) fn run_overlapped<A, B, C, FV, FF, FW>(
     inputs: Vec<A>,
     validate: FV,
@@ -105,6 +113,12 @@ where
     FF: Fn(B) -> Result<C> + Send,
     FW: FnMut(C) -> Result<()> + Send,
 {
+    if inputs.len() <= 1 {
+        for input in inputs {
+            write(fetch(validate(input)?)?)?;
+        }
+        return Ok(());
+    }
     stats.pipeline_jobs.fetch_add(1, Ordering::Relaxed);
     stats
         .pipeline_batches
@@ -176,12 +190,11 @@ where
 /// returning results **in input order** (worker scheduling never leaks
 /// into the output). Falls back to an inline loop when parallelism
 /// cannot help; each parallel worker dispatched is counted into
-/// `dispatched` (e.g. [`GcStats::fetch_parallel_jobs`] for file I/O,
-/// [`GcStats::validate_parallel_jobs`] for GC-Lookup workers).
+/// [`GcStats::fetch_parallel_jobs`].
 pub(crate) fn parallel_map_ordered<T, R, F>(
     jobs: &[T],
     threads: usize,
-    dispatched: &AtomicU64,
+    stats: &GcStats,
     f: F,
 ) -> Result<Vec<R>>
 where
@@ -200,7 +213,9 @@ where
             .chunks(chunk)
             .map(|range| scope.spawn(move || range.iter().map(f).collect::<Result<Vec<R>>>()))
             .collect();
-        dispatched.fetch_add(handles.len() as u64, Ordering::Relaxed);
+        stats
+            .fetch_parallel_jobs
+            .fetch_add(handles.len() as u64, Ordering::Relaxed);
         handles
             .into_iter()
             .map(|h| {
@@ -375,6 +390,30 @@ mod tests {
     }
 
     #[test]
+    fn single_batch_runs_inline() {
+        let stats = GcStats::default();
+        let caller = std::thread::current().id();
+        let mut seen = Vec::new();
+        run_overlapped(
+            vec![7u64],
+            |x| {
+                assert_eq!(std::thread::current().id(), caller);
+                Ok(x * 2)
+            },
+            |x| Ok(x + 1),
+            |x| {
+                seen.push(x);
+                Ok(())
+            },
+            &stats,
+        )
+        .unwrap();
+        assert_eq!(seen, [15]);
+        assert_eq!(stats.pipeline_jobs.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.pipeline_batches.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
     fn overlapped_propagates_first_error_and_stops_writes() {
         let stats = GcStats::default();
         let inputs: Vec<u64> = (0..20).collect();
@@ -427,10 +466,8 @@ mod tests {
     fn parallel_map_matches_serial_order() {
         let stats = GcStats::default();
         let jobs: Vec<u64> = (0..37).collect();
-        let serial =
-            parallel_map_ordered(&jobs, 1, &stats.fetch_parallel_jobs, |&x| Ok(x * 3)).unwrap();
-        let parallel =
-            parallel_map_ordered(&jobs, 4, &stats.fetch_parallel_jobs, |&x| Ok(x * 3)).unwrap();
+        let serial = parallel_map_ordered(&jobs, 1, &stats, |&x| Ok(x * 3)).unwrap();
+        let parallel = parallel_map_ordered(&jobs, 4, &stats, |&x| Ok(x * 3)).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(stats.fetch_parallel_jobs.load(Ordering::Relaxed), 4);
     }
@@ -439,7 +476,7 @@ mod tests {
     fn parallel_map_surfaces_errors() {
         let stats = GcStats::default();
         let jobs: Vec<u64> = (0..16).collect();
-        let err = parallel_map_ordered(&jobs, 4, &stats.fetch_parallel_jobs, |&x| {
+        let err = parallel_map_ordered(&jobs, 4, &stats, |&x| {
             if x == 11 {
                 Err(Error::internal("fetch boom"))
             } else {

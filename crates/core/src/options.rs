@@ -170,84 +170,6 @@ impl Features {
     }
 }
 
-/// How the GC validates candidate records against the index LSM-tree
-/// (the *GC-Lookup* phase, paper Fig. 8 step ② / Fig. 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GcValidateMode {
-    /// Pick per batch: merge-validate for large batches, the parallel
-    /// worker pool for smaller ones (when `gc_threads > 1`), point
-    /// lookups otherwise.
-    Auto,
-    /// One serial point lookup per record per read point — the baseline
-    /// the paper profiles as the dominant GC cost.
-    Point,
-    /// Sort the batch by key and resolve it with one co-sequential sweep
-    /// of a pinned LSM iterator per read point, amortizing version
-    /// pinning, table-handle, and block-cache accesses.
-    Merge,
-    /// Partition the sorted batch into contiguous key ranges across a
-    /// pool of `gc_threads` scoped worker threads, each sweeping its
-    /// range over a shared pinned view of the tree.
-    Parallel,
-}
-
-/// Whether a GC job overlaps its Validate / Fetch / Write stages
-/// (Fig. 8 steps ② / ③ / ④) across threads.
-///
-/// All settings produce **bit-identical GC outputs** (same value-file
-/// bytes, file numbers, and `GcOutcome`) — the choice only moves
-/// wall-clock time, so [`Auto`](GcPipeline::Auto) can pick per machine
-/// without changing results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GcPipeline {
-    /// Decide at [`Db::open`](crate::db::Db::open) from the hardware
-    /// (the default). Decision rule: the pipeline pays a fixed thread +
-    /// channel overhead that only real parallelism recoups, so `Auto`
-    /// resolves to [`On`](GcPipeline::On) when
-    /// [`std::thread::available_parallelism`] reports **two or more**
-    /// cores, and to [`Off`](GcPipeline::Off) on a single core (where
-    /// the stages would just time-slice one CPU and the overhead is pure
-    /// loss — see `BENCH_gc_pipeline.json`, recorded on a 1-core
-    /// container at 1.03×).
-    Auto,
-    /// Run the stages sequentially on the GC thread — the equivalence
-    /// baseline.
-    Off,
-    /// Three-stage bounded-channel pipeline over batches of
-    /// [`gc_pipeline_batch`](Options::gc_pipeline_batch) records: batch
-    /// *k+1* validates while batch *k* fetches and batch *k−1* writes.
-    On,
-}
-
-impl GcPipeline {
-    /// Resolve [`Auto`](GcPipeline::Auto) against the machine: `On` with
-    /// ≥ 2 available cores, `Off` otherwise. Explicit settings pass
-    /// through unchanged. Never returns `Auto`.
-    pub fn resolved(self) -> GcPipeline {
-        match self {
-            GcPipeline::Auto => {
-                let cores = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                if cores >= 2 {
-                    GcPipeline::On
-                } else {
-                    GcPipeline::Off
-                }
-            }
-            other => other,
-        }
-    }
-}
-
-/// Batch size at or above which [`GcValidateMode::Auto`] switches from the
-/// worker pool to merge-validate.
-pub const AUTO_MERGE_VALIDATE_MIN: usize = 256;
-
-/// Batch size at or above which [`GcValidateMode::Auto`] engages the
-/// parallel worker pool instead of serial point lookups.
-pub const AUTO_PARALLEL_VALIDATE_MIN: usize = 32;
-
 /// Options for opening a [`Db`](crate::db::Db).
 #[derive(Clone)]
 pub struct Options {
@@ -275,46 +197,22 @@ pub struct Options {
     /// needs many I/O bytes per reclaimed byte). Manual `run_gc` and
     /// throttle-driven GC are not paced.
     pub gc_bandwidth_factor: f64,
-    /// How GC-Lookup validates candidate records (see [`GcValidateMode`]).
-    pub gc_validate_mode: GcValidateMode,
-    /// Worker threads for [`GcValidateMode::Parallel`] validation (and the
-    /// `Auto` mode's small-batch path), for fanning the GC Fetch phase's
-    /// per-file coalesced reads out across source files, for Titan's
-    /// full-file Read scans, and for [`DbShards`](crate::DbShards)'
-    /// cross-shard maintenance fan-out. `1` disables the pool and makes
-    /// maintenance fully sequential (deterministic).
+    /// Worker threads for fanning the GC Fetch phase's per-file coalesced
+    /// reads out across source files, for Titan's full-file Read scans,
+    /// and for [`DbShards`](crate::DbShards)' cross-shard maintenance
+    /// fan-out. `1` disables the pool and makes maintenance fully
+    /// sequential. GC outputs do not depend on it.
     ///
     /// ```
     /// use scavenger::{Db, EngineMode, MemEnv, Options};
     ///
     /// let mut opts = Options::new(MemEnv::shared(), "gc-threads-demo", EngineMode::Scavenger);
-    /// opts.gc_threads = 1; // serial GC I/O + validation, e.g. for reproducible accounting
+    /// opts.gc_threads = 1; // serial GC I/O, e.g. for reproducible accounting
     /// let db = Db::open(opts).unwrap();
     /// db.put(b"k", vec![0u8; 2048]).unwrap();
     /// db.flush().unwrap();
     /// ```
     pub gc_threads: usize,
-    /// Whether GC jobs overlap their Validate / Fetch / Write stages
-    /// (see [`GcPipeline`]); resolved against the machine at
-    /// [`Db::open`](crate::db::Db::open). All pipeline settings produce
-    /// bit-identical GC outputs; `On` trades threads for wall-clock.
-    /// Default [`GcPipeline::Auto`]: `On` when two or more cores are
-    /// available, `Off` on a single core (the decision rule is spelled
-    /// out on [`GcPipeline::Auto`]).
-    ///
-    /// ```
-    /// use scavenger::{EngineMode, GcPipeline, MemEnv, Options};
-    ///
-    /// let opts = Options::new(MemEnv::shared(), "pipeline-demo", EngineMode::Scavenger);
-    /// assert_eq!(opts.gc_pipeline, GcPipeline::Auto);
-    /// // Auto never reaches the GC executor: Db::open resolves it to a
-    /// // concrete setting based on available parallelism.
-    /// assert_ne!(opts.gc_pipeline.resolved(), GcPipeline::Auto);
-    /// ```
-    pub gc_pipeline: GcPipeline,
-    /// Records per pipeline batch when [`gc_pipeline`](Options::gc_pipeline)
-    /// is `On`. Smaller batches overlap sooner but amortize less.
-    pub gc_pipeline_batch: usize,
     /// DropCache capacity in keys (paper: ~32 B/key; §III-B3).
     pub dropcache_keys: usize,
     /// Space limit in bytes; `None` disables space-aware throttling
@@ -455,32 +353,11 @@ macro_rules! knob_setters {
             self
         }
 
-        /// How GC-Lookup validates candidate records.
-        #[must_use]
-        pub fn gc_validate_mode(mut self, v: crate::options::GcValidateMode) -> Self {
-            self.$($path).+.gc_validate_mode = v;
-            self
-        }
-
-        /// Worker threads for parallel GC validation/IO and cross-shard
+        /// Worker threads for parallel GC file I/O and cross-shard
         /// maintenance fan-out.
         #[must_use]
         pub fn gc_threads(mut self, v: usize) -> Self {
             self.$($path).+.gc_threads = v;
-            self
-        }
-
-        /// Whether GC jobs overlap their Validate / Fetch / Write stages.
-        #[must_use]
-        pub fn gc_pipeline(mut self, v: crate::options::GcPipeline) -> Self {
-            self.$($path).+.gc_pipeline = v;
-            self
-        }
-
-        /// Records per pipeline batch when the GC pipeline is on.
-        #[must_use]
-        pub fn gc_pipeline_batch(mut self, v: usize) -> Self {
-            self.$($path).+.gc_pipeline_batch = v;
             self
         }
 
@@ -632,11 +509,11 @@ pub(crate) use knob_setters;
 /// to go straight to a [`Db`](crate::Db).
 ///
 /// ```
-/// use scavenger::{EngineMode, GcPipeline, MemEnv, Options};
+/// use scavenger::{EngineMode, MemEnv, Options};
 ///
 /// let db = Options::builder(MemEnv::shared(), "builder-demo", EngineMode::Scavenger)
 ///     .memtable_size(64 * 1024)
-///     .gc_pipeline(GcPipeline::Off)
+///     .gc_threads(1)
 ///     .space_limit(Some(64 * 1024 * 1024))
 ///     .open()
 ///     .unwrap();
@@ -696,10 +573,7 @@ impl Options {
             gc_batch_files: 4,
             auto_gc: true,
             gc_bandwidth_factor: 1.0,
-            gc_validate_mode: GcValidateMode::Auto,
             gc_threads: 4,
-            gc_pipeline: GcPipeline::Auto,
-            gc_pipeline_batch: 1024,
             dropcache_keys: 64 * 1024,
             space_limit: None,
             throttle_gc_factor: 0.25,
@@ -808,29 +682,7 @@ mod tests {
         assert_eq!(o.level_multiplier, 10);
         assert_eq!(o.bloom_bits_per_key, 10);
         assert!(o.space_limit.is_none());
-        assert_eq!(o.gc_validate_mode, GcValidateMode::Auto);
         assert!(o.gc_threads >= 1);
-        assert_eq!(
-            o.gc_pipeline,
-            GcPipeline::Auto,
-            "pipeline overlap is machine-keyed by default"
-        );
-        assert!(o.gc_pipeline_batch >= 1);
-    }
-
-    #[test]
-    fn gc_pipeline_auto_resolves_to_concrete_setting() {
-        // The concrete answer depends on the machine, but Auto must never
-        // leak through to the GC executor, and explicit settings must
-        // pass through unchanged.
-        let r = GcPipeline::Auto.resolved();
-        assert!(matches!(r, GcPipeline::On | GcPipeline::Off));
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert_eq!(r == GcPipeline::On, cores >= 2, "decision rule: ≥2 cores");
-        assert_eq!(GcPipeline::Off.resolved(), GcPipeline::Off);
-        assert_eq!(GcPipeline::On.resolved(), GcPipeline::On);
     }
 
     #[test]

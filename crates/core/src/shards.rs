@@ -301,7 +301,7 @@ impl DbShards {
     /// data.
     pub fn open(opts: ShardedOptions) -> Result<DbShards> {
         if opts.num_shards == 0 || opts.num_shards > 256 {
-            return Err(Error::internal(format!(
+            return Err(Error::invalid_argument(format!(
                 "num_shards must be in 1..=256, got {}",
                 opts.num_shards
             )));
@@ -313,7 +313,7 @@ impl DbShards {
         let meta = if env.file_exists(&meta_path) {
             let stored = ShardMeta::decode(&env.read_file(&meta_path, IoClass::Other)?)?;
             if stored.shards != opts.num_shards {
-                return Err(Error::internal(format!(
+                return Err(Error::invalid_argument(format!(
                     "store was created with {} shards, reopened with {} — \
                      hash routing would move keys away from their data",
                     stored.shards, opts.num_shards
@@ -508,10 +508,9 @@ impl DbShards {
                 ValueType::Value => per_shard[s].put(&e.key, e.value.clone()),
                 ValueType::Deletion => per_shard[s].delete(&e.key),
                 ValueType::ValueRef => {
-                    return Err(Error::internal(
+                    return Err(Error::invalid_argument(
                         "value references are engine-internal and cannot be routed \
-                         through a sharded write"
-                            .to_string(),
+                         through a sharded write",
                     ))
                 }
             }
@@ -1217,5 +1216,33 @@ mod tests {
         let db2 = db.clone();
         db.put("k", Bytes::from_static(b"v")).unwrap();
         assert_eq!(db2.get("k").unwrap().unwrap(), Bytes::from_static(b"v"));
+    }
+
+    #[test]
+    fn shard_count_out_of_range_is_invalid_argument() {
+        for n in [0, 257] {
+            let err = DbShards::open(small_sharded("shards-range", n))
+                .err()
+                .expect("out-of-range shard count must refuse to open");
+            assert!(matches!(err, Error::InvalidArgument(_)), "{n}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn value_ref_in_sharded_batch_is_invalid_argument() {
+        let db = DbShards::open(small_sharded("shards-vref", 2)).unwrap();
+        let mut b = WriteBatch::new();
+        b.put("k", Bytes::from_static(b"v"));
+        b.put_ref(
+            "r",
+            scavenger_util::ikey::ValueRef {
+                file: 1,
+                size: 1,
+                offset: 0,
+            },
+        );
+        let err = db.write(b).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err:?}");
+        assert!(db.get("k").unwrap().is_none(), "nothing was applied");
     }
 }

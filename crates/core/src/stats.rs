@@ -28,27 +28,24 @@ pub struct GcStats {
     /// Bytes of garbage reclaimed (file bytes deleted minus bytes
     /// rewritten).
     pub reclaimed_bytes: AtomicU64,
-    /// Validation batches executed (one per GC job phase).
+    /// Validation batches executed (one per pipeline batch; one per job
+    /// for write-back GC).
     pub validate_batches: AtomicU64,
-    /// Serial or parallel point lookups issued during validation.
-    pub validate_point_lookups: AtomicU64,
     /// Co-sequential merge sweeps run (batches × read points).
     pub validate_sweeps: AtomicU64,
     /// Forward iterator steps taken by merge sweeps.
     pub validate_sweep_steps: AtomicU64,
     /// Full merged re-seeks taken by merge sweeps.
     pub validate_sweep_seeks: AtomicU64,
-    /// Worker tasks dispatched by parallel validation.
-    pub validate_parallel_jobs: AtomicU64,
     /// Worker tasks dispatched by parallel GC file I/O (the Fetch phase's
     /// per-file fan-out and Titan's full-file Read scans).
     pub fetch_parallel_jobs: AtomicU64,
     /// Record batches staged through `VWriter::add_batch` by the Write
     /// phase's route writers.
     pub write_batches: AtomicU64,
-    /// GC jobs executed through the overlapped pipeline executor.
+    /// GC jobs larger than one batch, whose stages ran overlapped.
     pub pipeline_jobs: AtomicU64,
-    /// Record batches pushed through the pipeline stages.
+    /// Record batches pushed through the overlapped stages.
     pub pipeline_batches: AtomicU64,
     /// Stage executions that began while another pipeline stage was
     /// mid-batch — the direct measure of stage overlap.
@@ -72,11 +69,9 @@ impl GcStats {
             records_valid: self.records_valid.load(Ordering::Relaxed),
             reclaimed_bytes: self.reclaimed_bytes.load(Ordering::Relaxed),
             validate_batches: self.validate_batches.load(Ordering::Relaxed),
-            validate_point_lookups: self.validate_point_lookups.load(Ordering::Relaxed),
             validate_sweeps: self.validate_sweeps.load(Ordering::Relaxed),
             validate_sweep_steps: self.validate_sweep_steps.load(Ordering::Relaxed),
             validate_sweep_seeks: self.validate_sweep_seeks.load(Ordering::Relaxed),
-            validate_parallel_jobs: self.validate_parallel_jobs.load(Ordering::Relaxed),
             fetch_parallel_jobs: self.fetch_parallel_jobs.load(Ordering::Relaxed),
             write_batches: self.write_batches.load(Ordering::Relaxed),
             pipeline_jobs: self.pipeline_jobs.load(Ordering::Relaxed),
@@ -110,25 +105,21 @@ pub struct GcStepTimes {
     pub reclaimed_bytes: u64,
     /// Validation batches executed.
     pub validate_batches: u64,
-    /// Point lookups issued during validation (serial + parallel).
-    pub validate_point_lookups: u64,
     /// Co-sequential merge sweeps run.
     pub validate_sweeps: u64,
     /// Forward iterator steps taken by merge sweeps.
     pub validate_sweep_steps: u64,
     /// Full merged re-seeks taken by merge sweeps.
     pub validate_sweep_seeks: u64,
-    /// Worker tasks dispatched by parallel validation.
-    pub validate_parallel_jobs: u64,
     /// Worker tasks dispatched by parallel GC file I/O (Fetch fan-out and
     /// Titan Read scans).
     pub fetch_parallel_jobs: u64,
     /// Record batches staged through `VWriter::add_batch` by the Write
     /// phase.
     pub write_batches: u64,
-    /// GC jobs executed through the overlapped pipeline executor.
+    /// GC jobs larger than one batch, whose stages ran overlapped.
     pub pipeline_jobs: u64,
-    /// Record batches pushed through the pipeline stages.
+    /// Record batches pushed through the overlapped stages.
     pub pipeline_batches: u64,
     /// Stage executions that overlapped another stage.
     pub pipeline_overlaps: u64,
@@ -174,11 +165,9 @@ impl GcStepTimes {
             records_valid,
             reclaimed_bytes,
             validate_batches,
-            validate_point_lookups,
             validate_sweeps,
             validate_sweep_steps,
             validate_sweep_seeks,
-            validate_parallel_jobs,
             fetch_parallel_jobs,
             write_batches,
             pipeline_jobs,
@@ -196,11 +185,9 @@ impl GcStepTimes {
         self.records_valid += records_valid;
         self.reclaimed_bytes += reclaimed_bytes;
         self.validate_batches += validate_batches;
-        self.validate_point_lookups += validate_point_lookups;
         self.validate_sweeps += validate_sweeps;
         self.validate_sweep_steps += validate_sweep_steps;
         self.validate_sweep_seeks += validate_sweep_seeks;
-        self.validate_parallel_jobs += validate_parallel_jobs;
         self.fetch_parallel_jobs += fetch_parallel_jobs;
         self.write_batches += write_batches;
         self.pipeline_jobs += pipeline_jobs;
@@ -224,9 +211,6 @@ impl GcStepTimes {
             validate_batches: self
                 .validate_batches
                 .saturating_sub(earlier.validate_batches),
-            validate_point_lookups: self
-                .validate_point_lookups
-                .saturating_sub(earlier.validate_point_lookups),
             validate_sweeps: self.validate_sweeps.saturating_sub(earlier.validate_sweeps),
             validate_sweep_steps: self
                 .validate_sweep_steps
@@ -234,9 +218,6 @@ impl GcStepTimes {
             validate_sweep_seeks: self
                 .validate_sweep_seeks
                 .saturating_sub(earlier.validate_sweep_seeks),
-            validate_parallel_jobs: self
-                .validate_parallel_jobs
-                .saturating_sub(earlier.validate_parallel_jobs),
             fetch_parallel_jobs: self
                 .fetch_parallel_jobs
                 .saturating_sub(earlier.fetch_parallel_jobs),

@@ -361,11 +361,10 @@ impl Lsm {
     /// Rebuild the pinned-read bundle from the live structures and
     /// install it. This is the *full rebuild* path: it re-reads the
     /// active memtable, the immutable list, and the current version
-    /// under their respective locks. Used at open/recovery (when no
-    /// bundle exists yet to copy from) and as the reference
-    /// implementation when [`LsmOptions::cow_superversion`] is off; every
-    /// steady-state mutation goes through the copy-on-write installers
-    /// below instead, which swap only the member they changed.
+    /// under their respective locks. Used at open/recovery, when no
+    /// bundle exists yet to copy from; every steady-state mutation goes
+    /// through the copy-on-write installers below instead, which swap
+    /// only the member they changed.
     fn install_superversion(&self) {
         // Rebuild under the install lock so a slower concurrent installer
         // cannot overwrite this (newer) bundle with an older one.
@@ -401,9 +400,6 @@ impl Lsm {
     /// version-swap installer may advance before or after this (both
     /// orders yield consistent bundles).
     fn install_sv_rotated(&self, fresh: Arc<Memtable>, frozen: Arc<Memtable>) {
-        if !self.inner.opts.cow_superversion {
-            return self.install_superversion();
-        }
         let _install = self.inner.sv_install.lock();
         let old = self.inner.sv.read().clone();
         let mut imms = Vec::with_capacity(old.imms.len() + 1);
@@ -423,9 +419,6 @@ impl Lsm {
     /// nor doubled. The version is re-read from the version set under the
     /// install lock so concurrent version installs can never regress.
     fn install_sv_flushed(&self, flushed: &Arc<Memtable>) {
-        if !self.inner.opts.cow_superversion {
-            return self.install_superversion();
-        }
         let _install = self.inner.sv_install.lock();
         let old = self.inner.sv.read().clone();
         let imms: Vec<Arc<Memtable>> = old
@@ -448,9 +441,6 @@ impl Lsm {
     /// not passed in, so two racing version installers always converge on
     /// the newest version regardless of install order.
     fn install_sv_version(&self) {
-        if !self.inner.opts.cow_superversion {
-            return self.install_superversion();
-        }
         let _install = self.inner.sv_install.lock();
         let old = self.inner.sv.read().clone();
         let version = self.inner.vset.lock().current();
@@ -1025,39 +1015,13 @@ impl Lsm {
     }
 
     /// Pin the current state into a reusable [`BatchReader`] for batched,
-    /// co-sequential point lookups (the GC's merge-validate path). The
+    /// co-sequential point lookups (the GC-Lookup path). The
     /// reader owns a registered view: concurrent writes after this call
     /// are not observed, and the versions visible at its sequence survive
     /// concurrent flush/compaction/GC — exactly the consistency a GC
     /// validation batch wants.
     pub fn batch_reader(&self) -> BatchReader {
         BatchReader::new(self.view())
-    }
-
-    /// Batched point lookups: the visible version of every key in
-    /// `sorted_ukeys` (which MUST be in ascending user-key order) at each
-    /// sequence in `read_points`, via one co-sequential sweep per read
-    /// point. Returns one row per read point, each with one
-    /// [`LsmReadResult`] per key. Equivalent to calling
-    /// [`get_at`](Lsm::get_at) for every `(key, point)` pair, but
-    /// amortizes version pinning, iterator construction, and block
-    /// accesses across the whole batch.
-    pub fn validate_batch(
-        &self,
-        sorted_ukeys: &[&[u8]],
-        read_points: &[SeqNo],
-    ) -> Result<Vec<Vec<LsmReadResult>>> {
-        let reader = self.batch_reader();
-        let mut out = Vec::with_capacity(read_points.len());
-        for &pt in read_points {
-            let mut sweep = reader.sweep(pt)?;
-            let mut row = Vec::with_capacity(sorted_ukeys.len());
-            for &k in sorted_ukeys {
-                row.push(sweep.next_visible(k)?);
-            }
-            out.push(row);
-        }
-        Ok(out)
     }
 
     /// Take a read snapshot: an RAII handle owning a registered view.
@@ -2179,9 +2143,9 @@ mod tests {
         assert_eq!(db.last_sequence(), before);
     }
 
-    /// Batched co-sequential lookups must agree with point `get_at` for
-    /// every key at every read point, across memtable, L0, and deeper
-    /// levels, including tombstones and absent keys.
+    /// A co-sequential [`BatchReader::sweep`] must agree with point
+    /// `get_at` for every key at every read point, across memtable, L0,
+    /// and deeper levels, including tombstones and absent keys.
     #[test]
     fn validate_batch_matches_point_gets() {
         let db = open(test_opts("db"));
@@ -2209,13 +2173,13 @@ mod tests {
         keys.sort();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
         let points = [snap_seq, latest];
-        let rows = db.validate_batch(&refs, &points).unwrap();
-        assert_eq!(rows.len(), 2);
-        for (row, &pt) in rows.iter().zip(points.iter()) {
-            assert_eq!(row.len(), refs.len());
-            for (k, got) in refs.iter().zip(row.iter()) {
+        let reader = db.batch_reader();
+        for pt in points {
+            let mut sweep = reader.sweep(pt).unwrap();
+            for k in &refs {
+                let got = sweep.next_visible(k).unwrap();
                 let want = db.get_at(k, pt).unwrap();
-                assert_eq!(*got, want, "key {:?} at {pt}", String::from_utf8_lossy(k));
+                assert_eq!(got, want, "key {:?} at {pt}", String::from_utf8_lossy(k));
             }
         }
     }
@@ -2330,59 +2294,56 @@ mod tests {
     /// After any quiescent sequence of mutations, the installed bundle
     /// must mirror the live structures exactly (same `Arc`s) — i.e. the
     /// copy-on-write install chain converges on precisely the bundle a
-    /// full rebuild would produce. Checked for both install modes.
+    /// full rebuild would produce.
     #[test]
     fn cow_install_mirrors_live_structures() {
-        for cow in [true, false] {
-            let mut o = test_opts("db");
-            o.cow_superversion = cow;
-            let db = open(o);
-            let check = |db: &Lsm, stage: &str| {
-                let sv = db.inner.sv.read().clone();
-                assert!(
-                    Arc::ptr_eq(&sv.mem, &db.inner.mem.read()),
-                    "cow={cow} {stage}: active memtable diverged"
-                );
-                let imms = db.inner.imms.read();
-                assert_eq!(sv.imms.len(), imms.len(), "cow={cow} {stage}: imm count");
-                for (got, want) in sv.imms.iter().zip(imms.iter().rev()) {
-                    assert!(
-                        Arc::ptr_eq(got, &want.mem),
-                        "cow={cow} {stage}: imm order diverged"
-                    );
-                }
-                drop(imms);
-                assert!(
-                    Arc::ptr_eq(&sv.version, &db.inner.vset.lock().current()),
-                    "cow={cow} {stage}: SST version diverged"
-                );
-            };
-            check(&db, "fresh");
-            for round in 0..5 {
-                for i in 0..120 {
-                    put(&db, &format!("key{i:03}"), &format!("r{round}-{i}"));
-                }
-                check(&db, "after writes");
-                db.flush().unwrap();
-                check(&db, "after flush");
+        let db = open(test_opts("db"));
+        let check = |db: &Lsm, stage: &str| {
+            let sv = db.inner.sv.read().clone();
+            assert!(
+                Arc::ptr_eq(&sv.mem, &db.inner.mem.read()),
+                "{stage}: active memtable diverged"
+            );
+            let imms = db.inner.imms.read();
+            assert_eq!(sv.imms.len(), imms.len(), "{stage}: imm count");
+            for (got, want) in sv.imms.iter().zip(imms.iter().rev()) {
+                assert!(Arc::ptr_eq(got, &want.mem), "{stage}: imm order diverged");
             }
-            db.compact_until_stable().unwrap();
-            check(&db, "after compaction");
-            db.force_compact_once().unwrap();
-            check(&db, "after forced compaction");
+            drop(imms);
+            assert!(
+                Arc::ptr_eq(&sv.version, &db.inner.vset.lock().current()),
+                "{stage}: SST version diverged"
+            );
+        };
+        check(&db, "fresh");
+        for round in 0..5 {
+            for i in 0..120 {
+                put(&db, &format!("key{i:03}"), &format!("r{round}-{i}"));
+            }
+            check(&db, "after writes");
+            db.flush().unwrap();
+            check(&db, "after flush");
         }
+        db.compact_until_stable().unwrap();
+        check(&db, "after compaction");
+        db.force_compact_once().unwrap();
+        check(&db, "after forced compaction");
     }
 
-    /// The CoW install path and the full-rebuild path must be
-    /// observationally identical: same reads, same scans, same file
-    /// layout, under an op mix that exercises rotation, flush,
-    /// compaction, trivial moves, and long-lived views.
+    /// The CoW install path and a full rebuild must be observationally
+    /// identical: same reads, same scans, same file layout, under an op
+    /// mix that exercises rotation, flush, compaction, trivial moves,
+    /// and long-lived views. The reference run replaces the installed
+    /// bundle with a full rebuild before every read.
     #[test]
     fn cow_install_is_equivalent_to_rebuild() {
-        let run = |cow: bool| {
-            let mut o = test_opts(if cow { "db-cow" } else { "db-rebuild" });
-            o.cow_superversion = cow;
-            let db = open(o);
+        let run = |rebuild: bool| {
+            let db = open(test_opts(if rebuild { "db-rebuild" } else { "db-cow" }));
+            let reference = |db: &Lsm| {
+                if rebuild {
+                    db.install_superversion();
+                }
+            };
             let mut pinned = Vec::new();
             for round in 0..6 {
                 for i in 0..150 {
@@ -2393,10 +2354,12 @@ mod tests {
                         del(&db, &format!("key{i:04}"));
                     }
                 }
+                reference(&db);
                 pinned.push(db.view());
                 db.flush().unwrap();
             }
             db.compact_until_stable().unwrap();
+            reference(&db);
             // Latest reads.
             let mut latest = Vec::new();
             for i in 0..150 {
@@ -2426,7 +2389,7 @@ mod tests {
             drop(pinned);
             (latest, scanned, epochs, layout)
         };
-        assert_eq!(run(true), run(false));
+        assert_eq!(run(false), run(true));
     }
 
     /// Dense batches advance by stepping, not re-seeking every key.

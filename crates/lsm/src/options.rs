@@ -81,14 +81,6 @@ pub struct LsmOptions {
     /// Value-store hook invoked by flush and compaction (KV separation,
     /// drop observation, BlobDB-style relocation). `None` = vanilla LSM.
     pub value_hook: Option<Arc<dyn ValueHook>>,
-    /// Install superversions copy-on-write: each structural mutation
-    /// swaps only the member it changed (active memtable, immutable
-    /// list, or SST version) into a new bundle cloned from the current
-    /// one, instead of rebuilding the whole bundle from the live
-    /// structures under their locks. Produces bit-identical bundles;
-    /// `false` selects the full-rebuild reference path (kept for
-    /// equivalence tests and the install-cost microbench).
-    pub cow_superversion: bool,
     /// Change-data-capture WAL retention budget, in bytes. Closed WAL
     /// segments are catalogued for subscriber catch-up instead of
     /// deleted, up to this many bytes of *speculative* history (history
@@ -129,7 +121,6 @@ impl LsmOptions {
             bg_retry_limit: 3,
             bg_retry_base: std::time::Duration::from_millis(10),
             value_hook: None,
-            cow_superversion: true,
             cdc_retention: 0,
             cdc_ring_bytes: 1024 * 1024,
         }

@@ -8,9 +8,68 @@ use scavenger::{
     Db, DbShards, Engine, EngineMode, MemEnv, Options, ShardedOptions, WriteBatch, WriteOptions,
     WriteReceipt,
 };
-use scavenger_env::{EnvRef, FaultEnv, FaultKind, FaultOp, FaultRule, Trigger};
+use scavenger_env::{
+    Env, EnvRef, FaultEnv, FaultKind, FaultOp, FaultRule, IoClass, IoStats, RandomAccessFile,
+    Trigger, WritableFile,
+};
+use scavenger_util::Result;
 use scavenger_workload::crash::{self, CrashOp, Model};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
+
+/// `MemEnv` whose `sync()` takes as long as a fast device's: a group
+/// leader is then off the CPU mid-commit while the next writers arrive,
+/// so commit groups form from queueing, not from how many cores the
+/// scheduler has to hand out.
+struct SlowSyncEnv(EnvRef);
+
+struct SlowSyncFile(Box<dyn WritableFile>);
+
+impl WritableFile for SlowSyncFile {
+    fn append(&mut self, data: &[u8]) -> Result<()> {
+        self.0.append(data)
+    }
+    fn sync(&mut self) -> Result<()> {
+        std::thread::sleep(Duration::from_micros(200));
+        self.0.sync()
+    }
+    fn len(&self) -> u64 {
+        self.0.len()
+    }
+}
+
+impl Env for SlowSyncEnv {
+    fn new_writable(&self, path: &str, class: IoClass) -> Result<Box<dyn WritableFile>> {
+        Ok(Box::new(SlowSyncFile(self.0.new_writable(path, class)?)))
+    }
+    fn open_random_access(&self, path: &str, class: IoClass) -> Result<Arc<dyn RandomAccessFile>> {
+        self.0.open_random_access(path, class)
+    }
+    fn read_file(&self, path: &str, class: IoClass) -> Result<scavenger::Bytes> {
+        self.0.read_file(path, class)
+    }
+    fn remove_file(&self, path: &str) -> Result<()> {
+        self.0.remove_file(path)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        self.0.rename(from, to)
+    }
+    fn file_exists(&self, path: &str) -> bool {
+        self.0.file_exists(path)
+    }
+    fn file_size(&self, path: &str) -> Result<u64> {
+        self.0.file_size(path)
+    }
+    fn list_prefix(&self, prefix: &str) -> Result<Vec<String>> {
+        self.0.list_prefix(prefix)
+    }
+    fn create_dir_all(&self, path: &str) -> Result<()> {
+        self.0.create_dir_all(path)
+    }
+    fn io_stats(&self) -> Arc<IoStats> {
+        self.0.io_stats()
+    }
+}
 
 fn plain_opts(env: EnvRef) -> Options {
     let mut o = Options::new(env, "db", EngineMode::Scavenger);
@@ -36,7 +95,7 @@ fn small_opts(env: EnvRef) -> Options {
 /// batches with alternating sync, and verify receipts and data; returns
 /// the final stats for contention assertions.
 fn stress_round(threads: usize, per_thread: usize) -> scavenger::DbStats {
-    let env: EnvRef = MemEnv::shared();
+    let env: EnvRef = Arc::new(SlowSyncEnv(MemEnv::shared()));
     let db = Db::open(plain_opts(env)).unwrap();
     let barrier = Barrier::new(threads);
     let receipts: Vec<(usize, usize, bool, WriteReceipt)> = std::thread::scope(|s| {
@@ -109,16 +168,7 @@ fn stress_round(threads: usize, per_thread: usize) -> scavenger::DbStats {
 }
 
 fn assert_contention_forms_groups(threads: usize, per_thread: usize) {
-    // Grouping is probabilistic (a leader must be mid-commit while
-    // another writer arrives), so allow a few fresh rounds before
-    // declaring the path serialized; one round virtually always does it.
-    let mut stats = stress_round(threads, per_thread);
-    for _ in 0..2 {
-        if stats.group_commit_groups < stats.group_commit_batches {
-            break;
-        }
-        stats = stress_round(threads, per_thread);
-    }
+    let stats = stress_round(threads, per_thread);
     assert!(
         stats.group_commit_groups < stats.group_commit_batches,
         "{threads} contending writers never shared a commit group \

@@ -409,7 +409,11 @@ fn reopen_with_wrong_shard_count_is_refused() {
         EngineMode::Scavenger,
         8,
     ));
-    assert!(err.is_err(), "shard-count mismatch must refuse to open");
+    let err = err.err().expect("shard-count mismatch must refuse to open");
+    assert!(
+        matches!(err, scavenger_util::Error::InvalidArgument(_)),
+        "a wrong shard count is the caller's mistake: {err:?}"
+    );
     // The original count still works.
     let db = DbShards::open(sharded_opts(env, "countdb", EngineMode::Scavenger, 4)).unwrap();
     assert_eq!(
