@@ -1,8 +1,8 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
 //! Each `src/bin/figNN_*.rs` binary runs the corresponding experiment at a
-//! laptop-scale configuration (see DESIGN.md §6 for the paper→scaled
-//! mapping) and prints the same rows/series the paper reports. Pass
+//! laptop-scale configuration (ARCHITECTURE.md "Configuration" has the
+//! paper→scaled mapping) and prints the same rows/series the paper reports. Pass
 //! `--scale F` to grow the dataset by `F×` and `--seed N` for a different
 //! deterministic seed.
 //!
@@ -167,7 +167,8 @@ impl Scale {
     }
 }
 
-/// Build engine options scaled per DESIGN.md §6.
+/// Build engine options at the scaled sizes (ARCHITECTURE.md
+/// "Configuration").
 pub fn build_options(
     spec: &EngineSpec,
     env: EnvRef,

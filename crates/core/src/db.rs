@@ -1,8 +1,8 @@
 //! The public engine facade: opens the index LSM-tree, value store, GC
 //! runner, and throttle as one database.
 
-use crate::dropcache::DropCache;
-use crate::gc::{GcOutcome, GcRunner};
+use crate::dropcache::{DropCache, DROPCACHE_KEYS};
+use crate::gc::{GcOutcome, GcRunner, GC_THRESHOLD};
 use crate::hook::{EngineHook, HookConfig};
 use crate::options::{EngineMode, GcScheme, Options};
 use crate::stats::{DbStats, GcStats, SpaceBreakdown};
@@ -18,6 +18,7 @@ use scavenger_lsm::{Lsm, LsmReadResult, ValueEditBundle, WriteBatch};
 use scavenger_table::btable::BlockCache;
 use scavenger_util::ikey::{SeqNo, ValueRef, ValueType};
 use scavenger_util::{Error, Result};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One entry produced by a range scan.
@@ -48,10 +49,23 @@ pub(crate) struct DbInner {
     txn: TxnCounters,
     /// Incremental space-usage counter over this store's directory,
     /// maintained by a [`UsageEnv`] layer wrapped around the
-    /// environment at open. `None` only when the opener installed its
-    /// own `space_usage` source (a [`DbShards`](crate::DbShards) set
-    /// sums per-shard trackers instead).
+    /// environment at open. `None` for a [`DbShards`](crate::DbShards)
+    /// member, whose [`SetWiring`] brings the set-wide usage source.
     space_tracker: Option<Arc<SpaceTracker>>,
+    /// The usage the throttle compares against the limit when this
+    /// engine is a shard-set member: the sum over every member.
+    set_usage: Option<SpaceUsageFn>,
+}
+
+/// Sums the footprint of every member of a shard set.
+pub(crate) type SpaceUsageFn = Arc<dyn Fn() -> u64 + Send + Sync>;
+
+/// What [`DbShards::open`](crate::DbShards::open) hands each member so
+/// the §III-D limit is one global budget: the shared throttle (limit +
+/// counters) and the usage source summing all members.
+pub(crate) struct SetWiring {
+    pub(crate) throttle: Arc<Throttle>,
+    pub(crate) usage: SpaceUsageFn,
 }
 
 impl DbInner {
@@ -91,14 +105,18 @@ pub struct Db {
 
 impl Db {
     /// Open (or recover) a database.
-    pub fn open(mut opts: Options) -> Result<Db> {
+    pub fn open(opts: Options) -> Result<Db> {
+        Db::open_member(opts, None)
+    }
+
+    /// [`Db::open`], optionally as a member of a shard set.
+    pub(crate) fn open_member(mut opts: Options, set: Option<SetWiring>) -> Result<Db> {
         // Meter this store's directory once at open, then keep the
         // usage current incrementally as the env layer sees appends,
         // deletes, and renames — space-aware admission (§III-D) reads
-        // an atomic instead of walking O(files) per write. Skipped when
-        // the opener brings its own usage source (shard sets install a
-        // tracker-summing closure).
-        let space_tracker = if opts.space_usage.is_none() {
+        // an atomic instead of walking O(files) per write. Skipped for
+        // a set member: the set's usage source sums per-shard trackers.
+        let space_tracker = if set.is_none() {
             let (env, tracker) = UsageEnv::wrap(opts.env.clone(), &format!("{}/", opts.dir))?;
             opts.env = env;
             Some(tracker)
@@ -120,7 +138,7 @@ impl Db {
             ValueStore::new(opts.env.clone(), opts.dir.clone(), cache.clone())
                 .with_cache_namespace(cache_ns),
         );
-        let dropcache = Arc::new(DropCache::new(opts.dropcache_keys));
+        let dropcache = Arc::new(DropCache::new(DROPCACHE_KEYS));
         let gc_stats = Arc::new(GcStats::default());
 
         let mut lsm_opts = opts.lsm_options();
@@ -132,7 +150,6 @@ impl Db {
                     env: opts.env.clone(),
                     dir: opts.dir.clone(),
                     features: opts.features,
-                    sep_threshold: opts.sep_threshold,
                     vsst_target: opts.vsst_target_size,
                     table_opts: lsm_opts.table_options(),
                 },
@@ -184,10 +201,10 @@ impl Db {
         } else {
             None
         };
-        let throttle = opts
-            .shared_throttle
-            .clone()
-            .unwrap_or_else(|| Arc::new(Throttle::new(opts.space_limit, opts.throttle_gc_factor)));
+        let (throttle, set_usage) = match set {
+            Some(SetWiring { throttle, usage }) => (throttle, Some(usage)),
+            None => (Arc::new(Throttle::new(opts.space_limit)), None),
+        };
 
         Ok(Db {
             inner: Arc::new(DbInner {
@@ -203,6 +220,7 @@ impl Db {
                 cache,
                 txn: TxnCounters::default(),
                 space_tracker,
+                set_usage,
             }),
         })
     }
@@ -293,11 +311,11 @@ impl Db {
     }
 
     /// The usage the throttle compares against the space limit: this
-    /// engine's own footprint, unless the opener installed a shared
-    /// source (a [`DbShards`](crate::DbShards) set sums every shard so
-    /// one budget covers the whole store).
+    /// engine's own footprint, or for a [`DbShards`](crate::DbShards)
+    /// member the sum over every shard (one budget covers the whole
+    /// store).
     fn throttled_usage(&self) -> u64 {
-        if let Some(usage) = &self.inner.opts.space_usage {
+        if let Some(usage) = &self.inner.set_usage {
             return usage();
         }
         if let Some(tracker) = &self.inner.space_tracker {
@@ -350,7 +368,7 @@ impl Db {
             return Ok(());
         }
         inner.throttle.note_activation();
-        let aggressive = inner.throttle.aggressive_threshold(inner.opts.gc_threshold);
+        let aggressive = Throttle::aggressive_threshold(GC_THRESHOLD);
         for _ in 0..MAX_THROTTLE_ROUNDS {
             let reclaimable = self.throttled_usage().saturating_sub(self.pinned_bytes());
             if !inner.throttle.over_limit(reclaimable) {
@@ -413,7 +431,7 @@ impl Db {
             let before = inner.opts.env.io_stats().snapshot();
             let ran = {
                 let _g = inner.gc_lock.lock();
-                gc.run_once(&inner.lsm, inner.opts.gc_threshold)?
+                gc.run_once(&inner.lsm, GC_THRESHOLD)?
             };
             if ran.is_none() {
                 return Ok(());
@@ -570,9 +588,9 @@ impl Db {
         self.post_write_maintenance()
     }
 
-    /// Run one GC job at the configured threshold.
+    /// Run one GC job at [`GC_THRESHOLD`].
     pub fn run_gc(&self) -> Result<Option<GcOutcome>> {
-        self.run_gc_at(self.inner.opts.gc_threshold)
+        self.run_gc_at(GC_THRESHOLD)
     }
 
     /// Run one GC job at an explicit threshold.
@@ -675,6 +693,7 @@ impl Db {
         let counters = inner.lsm.counters();
         let (pinned_views, live_snapshots) = inner.lsm.read_point_counts();
         let cdc = inner.lsm.change_log().stats();
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         DbStats {
             io: inner.opts.env.io_stats().snapshot(),
             gc: inner.gc_stats.snapshot(),
@@ -684,39 +703,22 @@ impl Db {
             value_store_bytes: inner.vstore.total_bytes(),
             value_files: inner.vstore.all_files().len() as u64,
             cache_hit_ratio: inner.cache.hit_ratio(),
-            flushes: counters.flushes.load(std::sync::atomic::Ordering::Relaxed),
-            compactions: counters
-                .compactions
-                .load(std::sync::atomic::Ordering::Relaxed),
-            merge_drops: counters
-                .merge_drops
-                .load(std::sync::atomic::Ordering::Relaxed),
+            flushes: load(&counters.flushes),
+            compactions: load(&counters.compactions),
+            merge_drops: load(&counters.merge_drops),
+            write_stalls: load(&counters.stalls),
             throttle_stalls: inner.throttle.activation_count(),
             oldest_read_point: inner.lsm.oldest_read_point(),
             pinned_views: pinned_views as u64,
             live_snapshots: live_snapshots as u64,
-            bg_errors: counters
-                .bg_errors
-                .load(std::sync::atomic::Ordering::Relaxed),
-            bg_retries: counters
-                .bg_retries
-                .load(std::sync::atomic::Ordering::Relaxed),
+            bg_errors: load(&counters.bg_errors),
+            bg_retries: load(&counters.bg_retries),
             degraded: inner.lsm.is_degraded(),
-            wal_tail_corruptions: counters
-                .wal_tail_corruptions
-                .load(std::sync::atomic::Ordering::Relaxed),
-            group_commit_groups: counters
-                .group_commit_groups
-                .load(std::sync::atomic::Ordering::Relaxed),
-            group_commit_batches: counters
-                .group_commit_batches
-                .load(std::sync::atomic::Ordering::Relaxed),
-            group_commit_max_group: counters
-                .group_commit_max_group
-                .load(std::sync::atomic::Ordering::Relaxed),
-            group_commit_fsyncs_saved: counters
-                .group_commit_fsyncs_saved
-                .load(std::sync::atomic::Ordering::Relaxed),
+            wal_tail_corruptions: load(&counters.wal_tail_corruptions),
+            group_commit_groups: load(&counters.group_commit_groups),
+            group_commit_batches: load(&counters.group_commit_batches),
+            group_commit_max_group: load(&counters.group_commit_max_group),
+            group_commit_fsyncs_saved: load(&counters.group_commit_fsyncs_saved),
             txn_commits: inner.txn.commits(),
             txn_conflicts: inner.txn.conflicts(),
             // Single-handle stores never touch the 2PC coordinator.

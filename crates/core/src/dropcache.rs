@@ -19,6 +19,10 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+/// DropCache capacity, in keys, of every engine (§III-B3; ~32 B/key, so
+/// about 2 MiB). A constant, not an option: no experiment sizes it.
+pub const DROPCACHE_KEYS: usize = 64 * 1024;
+
 /// Capacity at which [`DropCache::new`] starts sharding. Below this a
 /// single shard preserves exact global LRU order (and the tiny caches used
 /// in tests/experiments); above it, contention matters more than strict

@@ -39,10 +39,9 @@
 //! }
 //!
 //! let single = Db::open(Options::new(MemEnv::shared(), "e1", EngineMode::Scavenger)).unwrap();
-//! let sharded = ShardedOptions::builder(MemEnv::shared(), "e2", EngineMode::Scavenger)
-//!     .num_shards(2)
-//!     .open()
-//!     .unwrap();
+//! let mut opts = ShardedOptions::new(MemEnv::shared(), "e2", EngineMode::Scavenger);
+//! opts.num_shards = 2;
+//! let sharded = DbShards::open(opts).unwrap();
 //! churn(&single).unwrap();
 //! churn(&sharded).unwrap();
 //! ```
@@ -206,10 +205,9 @@ pub trait KvRead {
 ///     db.delete(b"a")
 /// }
 ///
-/// let db = ShardedOptions::builder(MemEnv::shared(), "kvwrite-doc", EngineMode::Scavenger)
-///     .num_shards(2)
-///     .open()
-///     .unwrap();
+/// let mut opts = ShardedOptions::new(MemEnv::shared(), "kvwrite-doc", EngineMode::Scavenger);
+/// opts.num_shards = 2;
+/// let db = DbShards::open(opts).unwrap();
 /// assert!(bulk(&db).unwrap().synced);
 /// assert!(db.get("a").unwrap().is_none());
 /// ```

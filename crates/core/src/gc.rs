@@ -72,9 +72,16 @@ use scavenger_table::KeyCmp;
 use scavenger_util::ikey::{cmp_internal, SeqNo, ValueRef, ValueType};
 use scavenger_util::{Error, Result};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Garbage ratio at which a value file becomes a GC candidate (paper
+/// §IV-A: 0.2). A constant, not an option: the experiments move the
+/// space *limit* (which lowers the effective threshold through
+/// [`THROTTLE_GC_FACTOR`](crate::throttle::THROTTLE_GC_FACTOR)), never
+/// this; tests that need another value call
+/// [`Db::run_gc_at`](crate::Db::run_gc_at).
+pub const GC_THRESHOLD: f64 = 0.2;
 
 /// Outcome of a dry-run [`GcRunner::validate_file`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,7 +277,7 @@ impl GcRunner {
         if items.is_empty() {
             return Ok(Vec::new());
         }
-        self.stats.validate_batches.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(|g| g.validate_batches += 1);
         let mut order: Vec<usize> = (0..items.len()).collect();
         order.sort_by(|&a, &b| items[a].ukey.cmp(&items[b].ukey));
         let mut valid = vec![false; items.len()];
@@ -287,13 +294,11 @@ impl GcRunner {
                 }
             }
             let s = sweep.stats();
-            self.stats.validate_sweeps.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .validate_sweep_steps
-                .fetch_add(s.steps, Ordering::Relaxed);
-            self.stats
-                .validate_sweep_seeks
-                .fetch_add(s.seeks, Ordering::Relaxed);
+            self.stats.add(|g| {
+                g.validate_sweeps += 1;
+                g.validate_sweep_steps += s.steps;
+                g.validate_sweep_seeks += s.seeks;
+            });
         }
         Ok(valid)
     }
@@ -395,12 +400,10 @@ impl GcRunner {
         // sorted ranges so that records are written — and value files
         // rolled — at boundaries the batch size cannot move.
         pending.sort_by(|a, b| cmp_internal(&a.ikey, &b.ikey));
-        self.stats
-            .read_ns
-            .fetch_add(t_read.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.stats
-            .records_scanned
-            .fetch_add(pending.len() as u64, Ordering::Relaxed);
+        self.stats.add(|g| {
+            g.read_ns += t_read.elapsed().as_nanos() as u64;
+            g.records_scanned += pending.len() as u64;
+        });
 
         // ---- GC-Lookup / Fetch / Write (Fig. 8 steps ②–④) ----
         // The reader pin stays alive until the job commits: every version
@@ -427,16 +430,14 @@ impl GcRunner {
             let t = Instant::now();
             let out = self.validate_pending(&cx, batch);
             self.stats
-                .lookup_ns
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                .add(|g| g.lookup_ns += t.elapsed().as_nanos() as u64);
             out
         };
         let fetch_stage = |valid: Vec<Pending>| -> Result<Vec<(Vec<u8>, Bytes)>> {
             let t = Instant::now();
             let out = self.fetch_values(&readers, valid);
             self.stats
-                .read_ns
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                .add(|g| g.read_ns += t.elapsed().as_nanos() as u64);
             out
         };
         let route_writers_ref = &mut route_writers;
@@ -446,8 +447,7 @@ impl GcRunner {
             *rewritten_ref += materialized.len() as u64;
             let out = self.write_routed(route_writers_ref, &materialized);
             self.stats
-                .write_ns
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                .add(|g| g.write_ns += t.elapsed().as_nanos() as u64);
             out
         };
         let mut chunks: Vec<Vec<Pending>> =
@@ -488,13 +488,11 @@ impl GcRunner {
             self.vstore.delete_file(file, format);
         }
 
-        self.stats.runs.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .files_collected
-            .fetch_add(candidate_files.len() as u64, Ordering::Relaxed);
-        self.stats
-            .reclaimed_bytes
-            .fetch_add(deleted_bytes.saturating_sub(new_bytes), Ordering::Relaxed);
+        self.stats.add(|g| {
+            g.runs += 1;
+            g.files_collected += candidate_files.len() as u64;
+            g.reclaimed_bytes += deleted_bytes.saturating_sub(new_bytes);
+        });
         Ok(Some(GcOutcome {
             files_collected: candidate_files.len(),
             records_rewritten: rewritten,
@@ -527,9 +525,7 @@ impl GcRunner {
             .zip(&verdicts)
             .filter_map(|(rec, &ok)| ok.then_some(rec))
             .collect();
-        self.stats
-            .records_valid
-            .fetch_add(valid.len() as u64, Ordering::Relaxed);
+        self.stats.add(|g| g.records_valid += valid.len() as u64);
         Ok(valid)
     }
 
@@ -717,12 +713,10 @@ impl GcRunner {
         for scan in scans {
             records.extend(scan);
         }
-        self.stats
-            .read_ns
-            .fetch_add(t_read.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.stats
-            .records_scanned
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        self.stats.add(|g| {
+            g.read_ns += t_read.elapsed().as_nanos() as u64;
+            g.records_scanned += records.len() as u64;
+        });
 
         // ---- GC-Lookup: validate the batch against the index ----
         let t_lookup = Instant::now();
@@ -752,12 +746,10 @@ impl GcRunner {
             .zip(&verdicts)
             .filter_map(|(rec, &ok)| ok.then_some(rec))
             .collect();
-        self.stats
-            .lookup_ns
-            .fetch_add(t_lookup.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.stats
-            .records_valid
-            .fetch_add(valid.len() as u64, Ordering::Relaxed);
+        self.stats.add(|g| {
+            g.lookup_ns += t_lookup.elapsed().as_nanos() as u64;
+            g.records_valid += valid.len() as u64;
+        });
 
         // ---- Write: rewrite valid values into fresh blob files (step
         // ④), batched through the route writers. Writers (and their file
@@ -804,8 +796,7 @@ impl GcRunner {
             new_files = writers.finish()?;
         }
         self.stats
-            .write_ns
-            .fetch_add(t_write.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            .add(|g| g.write_ns += t_write.elapsed().as_nanos() as u64);
 
         // ---- Commit the new files *before* writing back any address
         // that points into them. The manifest edit is fsynced, so by the
@@ -841,8 +832,7 @@ impl GcRunner {
             lsm.write_guarded(&scavenger_lsm::WriteOptions::default(), &guarded)?;
         }
         self.stats
-            .write_index_ns
-            .fetch_add(t_wi.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            .add(|g| g.write_index_ns += t_wi.elapsed().as_nanos() as u64);
 
         // ---- Queue deletion ----
         // The collected files are only *queued* for deletion behind a
@@ -860,13 +850,11 @@ impl GcRunner {
         drop(reader);
         self.reap_deferred(lsm)?;
 
-        self.stats.runs.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .files_collected
-            .fetch_add(candidate_files.len() as u64, Ordering::Relaxed);
-        self.stats
-            .reclaimed_bytes
-            .fetch_add(deleted_bytes.saturating_sub(new_bytes), Ordering::Relaxed);
+        self.stats.add(|g| {
+            g.runs += 1;
+            g.files_collected += candidate_files.len() as u64;
+            g.reclaimed_bytes += deleted_bytes.saturating_sub(new_bytes);
+        });
         Ok(Some(GcOutcome {
             files_collected: candidate_files.len(),
             records_rewritten: rewritten,

@@ -64,7 +64,7 @@ pub(crate) const PIPELINE_DEPTH: usize = 2;
 /// stage is currently mid-batch.
 fn stage_enter(active: &AtomicU64, stats: &GcStats) {
     if active.fetch_add(1, Ordering::SeqCst) > 0 {
-        stats.pipeline_overlaps.fetch_add(1, Ordering::Relaxed);
+        stats.add(|g| g.pipeline_overlaps += 1);
     }
 }
 
@@ -80,7 +80,7 @@ fn feed<T>(tx: &SyncSender<Result<T>>, item: Result<T>, stats: &GcStats) -> bool
     match tx.try_send(item) {
         Ok(()) => keep_going,
         Err(TrySendError::Full(item)) => {
-            stats.pipeline_backpressure.fetch_add(1, Ordering::Relaxed);
+            stats.add(|g| g.pipeline_backpressure += 1);
             tx.send(item).is_ok() && keep_going
         }
         Err(TrySendError::Disconnected(_)) => false,
@@ -119,10 +119,10 @@ where
         }
         return Ok(());
     }
-    stats.pipeline_jobs.fetch_add(1, Ordering::Relaxed);
-    stats
-        .pipeline_batches
-        .fetch_add(inputs.len() as u64, Ordering::Relaxed);
+    stats.add(|g| {
+        g.pipeline_jobs += 1;
+        g.pipeline_batches += inputs.len() as u64;
+    });
     let active = AtomicU64::new(0);
     let mut first_err: Option<Error> = None;
     std::thread::scope(|scope| {
@@ -213,9 +213,7 @@ where
             .chunks(chunk)
             .map(|range| scope.spawn(move || range.iter().map(f).collect::<Result<Vec<R>>>()))
             .collect();
-        stats
-            .fetch_parallel_jobs
-            .fetch_add(handles.len() as u64, Ordering::Relaxed);
+        stats.add(|g| g.fetch_parallel_jobs += handles.len() as u64);
         handles
             .into_iter()
             .map(|h| {
@@ -288,7 +286,7 @@ impl<'a> RouteWriters<'a> {
         if recs.is_empty() {
             return Ok(Vec::new());
         }
-        self.stats.write_batches.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(|g| g.write_batches += 1);
         let mut out = Vec::with_capacity(recs.len());
         let mut rest = recs;
         while !rest.is_empty() {
@@ -385,8 +383,8 @@ mod tests {
         .unwrap();
         let expected: Vec<u64> = (0..50).map(|x| x * 2 + 1).collect();
         assert_eq!(seen, expected);
-        assert_eq!(stats.pipeline_jobs.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.pipeline_batches.load(Ordering::Relaxed), 50);
+        assert_eq!(stats.snapshot().pipeline_jobs, 1);
+        assert_eq!(stats.snapshot().pipeline_batches, 50);
     }
 
     #[test]
@@ -409,8 +407,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(seen, [15]);
-        assert_eq!(stats.pipeline_jobs.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.pipeline_batches.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.snapshot().pipeline_jobs, 0);
+        assert_eq!(stats.snapshot().pipeline_batches, 0);
     }
 
     #[test]
@@ -469,7 +467,7 @@ mod tests {
         let serial = parallel_map_ordered(&jobs, 1, &stats, |&x| Ok(x * 3)).unwrap();
         let parallel = parallel_map_ordered(&jobs, 4, &stats, |&x| Ok(x * 3)).unwrap();
         assert_eq!(serial, parallel);
-        assert_eq!(stats.fetch_parallel_jobs.load(Ordering::Relaxed), 4);
+        assert_eq!(stats.snapshot().fetch_parallel_jobs, 4);
     }
 
     #[test]

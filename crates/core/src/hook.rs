@@ -3,7 +3,7 @@
 //!
 //! One hook serves every separated mode; feature flags select behaviour:
 //!
-//! * **Flush sessions** move values ≥ `sep_threshold` into value files
+//! * **Flush sessions** move values ≥ [`SEP_THRESHOLD`] into value files
 //!   (vSSTs or blob logs), replacing them with references. With hotness
 //!   enabled (§III-B3), keys found in the DropCache go to *hot* files,
 //!   everything else to *cold* files.
@@ -53,6 +53,12 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
+/// KV-separation threshold in bytes: values at least this large leave
+/// the index tree at flush (paper §IV-A: 512 B). A constant, not an
+/// option — the experiments vary the value-size *mix* around it, never
+/// the threshold.
+pub const SEP_THRESHOLD: usize = 512;
+
 /// Shared configuration for hook sessions.
 pub struct HookConfig {
     /// Environment.
@@ -61,8 +67,6 @@ pub struct HookConfig {
     pub dir: String,
     /// Feature set.
     pub features: Features,
-    /// Separation threshold in bytes.
-    pub sep_threshold: usize,
     /// Target value-file size.
     pub vsst_target: u64,
     /// Table options for value tables.
@@ -139,7 +143,6 @@ impl ValueHook for EngineHook {
             env: self.cfg.env.clone(),
             dir: self.cfg.dir.clone(),
             features: self.cfg.features,
-            sep_threshold: self.cfg.sep_threshold,
             vsst_target: self.cfg.vsst_target,
             table_opts: self.value_table_opts(),
             kind,
@@ -178,7 +181,6 @@ struct SeparationSession {
     env: EnvRef,
     dir: String,
     features: Features,
-    sep_threshold: usize,
     vsst_target: u64,
     table_opts: TableOptions,
     kind: JobKind,
@@ -282,7 +284,7 @@ impl ValueSession for SeparationSession {
             ValueType::Value
                 if self.features.separate
                     && self.kind == JobKind::Flush
-                    && value.len() >= self.sep_threshold =>
+                    && value.len() >= SEP_THRESHOLD =>
             {
                 let route = if self.features.hotness && self.dropcache.contains(user_key) {
                     HOT
@@ -323,14 +325,14 @@ impl ValueSession for SeparationSession {
                         .insert(old.file, self.vstore.gc_reader(old.file)?);
                 }
                 let old_value = self.relocation_readers[&old.file].read_at(old.offset, old.size)?;
-                self.gc_stats
-                    .read_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let read_ns = t0.elapsed().as_nanos() as u64;
                 let t1 = Instant::now();
                 let (file, rec) = self.write_value(COLD, user_key, seq, &old_value)?;
-                self.gc_stats
-                    .write_ns
-                    .fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let write_ns = t1.elapsed().as_nanos() as u64;
+                self.gc_stats.add(|g| {
+                    g.read_ns += read_ns;
+                    g.write_ns += write_ns;
+                });
                 self.charge_garbage(&old);
                 let vref = ValueRef {
                     file,
@@ -408,7 +410,6 @@ mod tests {
                 env,
                 dir: "db".into(),
                 features,
-                sep_threshold: 512,
                 vsst_target: 1 << 20,
                 table_opts: TableOptions::default(),
             },
@@ -645,7 +646,6 @@ mod tests {
                 env,
                 dir: "db".into(),
                 features: scavenger_features(),
-                sep_threshold: 512,
                 vsst_target: 1 << 20,
                 table_opts: TableOptions::default(),
             },

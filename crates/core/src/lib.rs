@@ -82,7 +82,7 @@ pub use db::{Db, DbScanIter, ScanEntry};
 pub use dropcache::DropCache;
 pub use engine::{Engine, GcReport, KvRead, KvWrite, Maintenance, PinnedReader};
 pub use gc::{GcOutcome, GcValidationReport};
-pub use options::{EngineMode, Features, GcScheme, Options, OptionsBuilder, SpaceUsageFn, VFormat};
+pub use options::{EngineMode, Features, GcScheme, Options, VFormat};
 pub use shards::{DbShards, ShardedOptions, ShardedOptionsBuilder, ShardsSnapshot, ShardsView};
 pub use stats::{DbStats, GcStats, GcStepTimes, SpaceBreakdown};
 pub use throttle::Throttle;

@@ -1,16 +1,20 @@
 //! Engine configuration: modes, feature toggles, and tuning knobs.
+//!
+//! [`Options`] holds only what some benchmark workload, test or figure
+//! binary actually varies (ARCHITECTURE.md "Configuration" lists who
+//! moves each field). Parameters nothing ever moved are constants next
+//! to the code that reads them: [`SEP_THRESHOLD`](crate::hook::SEP_THRESHOLD),
+//! [`GC_THRESHOLD`](crate::gc::GC_THRESHOLD),
+//! [`DROPCACHE_KEYS`](crate::dropcache::DROPCACHE_KEYS),
+//! [`THROTTLE_GC_FACTOR`](crate::throttle::THROTTLE_GC_FACTOR), and in
+//! the index tree `L0_TRIGGER`, `BLOCK_SIZE`, `BLOOM_BITS_PER_KEY`
+//! ([`scavenger_lsm::options`]) and `LEVEL_MULTIPLIER`
+//! ([`scavenger_lsm::compaction`]).
 
-use crate::throttle::Throttle;
 use scavenger_env::EnvRef;
 use scavenger_lsm::KTableFormat;
 use scavenger_table::btable::BlockCache;
 use std::sync::Arc;
-
-/// A shared source of the space usage the §III-D throttle compares
-/// against [`Options::space_limit`]. [`DbShards`](crate::DbShards)
-/// installs one that sums every shard's footprint, so the limit is
-/// enforced globally.
-pub type SpaceUsageFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// The five engine designs the paper compares (§IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,7 +85,8 @@ pub enum GcScheme {
 /// toggle these directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Features {
-    /// Separate values ≥ `sep_threshold` into the value store at flush.
+    /// Separate values ≥ [`SEP_THRESHOLD`](crate::hook::SEP_THRESHOLD)
+    /// into the value store at flush.
     pub separate: bool,
     /// Value-file format.
     pub vformat: VFormat,
@@ -181,12 +186,8 @@ pub struct Options {
     pub mode: EngineMode,
     /// Feature toggles (defaults to `Features::for_mode(mode)`).
     pub features: Features,
-    /// KV-separation threshold in bytes (paper: 512 B).
-    pub sep_threshold: usize,
     /// Target value-SST size (paper: 256 MB; scaled default 1 MiB).
     pub vsst_target_size: u64,
-    /// Garbage-ratio threshold that triggers GC (paper: 0.2).
-    pub gc_threshold: f64,
     /// Max candidate files merged per GC job.
     pub gc_batch_files: usize,
     /// Run GC automatically on the write path when candidates exist.
@@ -213,8 +214,6 @@ pub struct Options {
     /// db.flush().unwrap();
     /// ```
     pub gc_threads: usize,
-    /// DropCache capacity in keys (paper: ~32 B/key; §III-B3).
-    pub dropcache_keys: usize,
     /// Space limit in bytes; `None` disables space-aware throttling
     /// (paper §III-D). When set, a write that finds the store over the
     /// limit triggers aggressive reclamation — GC at a lowered threshold
@@ -230,27 +229,14 @@ pub struct Options {
     /// assert_eq!(db.stats().throttle_stalls, 0); // far under the quota
     /// ```
     pub space_limit: Option<u64>,
-    /// When throttling, GC threshold is multiplied by this factor
-    /// (aggressive reclamation, §III-D).
-    pub throttle_gc_factor: f64,
     /// Memtable size.
     pub memtable_size: usize,
-    /// L0 file-count compaction trigger.
-    pub l0_trigger: usize,
     /// Base level target bytes (compensated units in Scavenger mode).
     pub base_level_bytes: u64,
-    /// Inter-level multiplier (paper: 10).
-    pub level_multiplier: u64,
     /// Key-SST target size.
     pub ksst_target_size: u64,
-    /// Block size.
-    pub block_size: usize,
-    /// Bloom bits per key (paper: 10).
-    pub bloom_bits_per_key: usize,
     /// Block cache capacity (paper: 1% of dataset).
     pub block_cache_bytes: usize,
-    /// Write WAL records.
-    pub wal: bool,
     /// Run background work inline (deterministic) or on threads.
     pub inline_background: bool,
     /// How many times a *transient* background failure (flush,
@@ -269,16 +255,6 @@ pub struct Options {
     /// (16-way-sharded) cache so one memory budget covers the whole
     /// sharded store; standalone engines leave it `None`.
     pub block_cache: Option<Arc<BlockCache>>,
-    /// Share this throttle (limit + counters) instead of creating one per
-    /// engine, so activations and reclamation accounting aggregate across
-    /// a shard set. Leave `None` for a standalone engine.
-    pub shared_throttle: Option<Arc<Throttle>>,
-    /// Space-usage source the throttle compares against
-    /// [`space_limit`](Options::space_limit). `None` measures this
-    /// engine's own directory; [`DbShards`](crate::DbShards) installs a
-    /// closure summing all shard directories so the limit is one global
-    /// budget.
-    pub space_usage: Option<SpaceUsageFn>,
     /// Change-data-capture WAL retention budget, in bytes. Closed WAL
     /// segments are kept on disk for change-stream catch-up instead of
     /// being deleted, up to this many bytes of *speculative* history.
@@ -295,313 +271,31 @@ pub struct Options {
     pub cdc_ring_bytes: u64,
 }
 
-/// Generates the shared per-engine knob setters for the two typed
-/// builders ([`OptionsBuilder`] and
-/// [`ShardedOptionsBuilder`](crate::ShardedOptionsBuilder)): both carry
-/// the exact same setter set, applied at different field paths, so the
-/// growing knob list is declared once instead of accreting positional
-/// constructors or diverging hand-mirrored builders.
-macro_rules! knob_setters {
-    ([$($path:tt).+]) => {
-        /// Feature toggles (ablations override the mode's defaults).
-        #[must_use]
-        pub fn features(mut self, v: crate::options::Features) -> Self {
-            self.$($path).+.features = v;
-            self
-        }
-
-        /// KV-separation threshold in bytes (paper: 512 B).
-        #[must_use]
-        pub fn sep_threshold(mut self, v: usize) -> Self {
-            self.$($path).+.sep_threshold = v;
-            self
-        }
-
-        /// Target value-SST size.
-        #[must_use]
-        pub fn vsst_target_size(mut self, v: u64) -> Self {
-            self.$($path).+.vsst_target_size = v;
-            self
-        }
-
-        /// Garbage-ratio threshold that triggers GC (paper: 0.2).
-        #[must_use]
-        pub fn gc_threshold(mut self, v: f64) -> Self {
-            self.$($path).+.gc_threshold = v;
-            self
-        }
-
-        /// Max candidate files merged per GC job.
-        #[must_use]
-        pub fn gc_batch_files(mut self, v: usize) -> Self {
-            self.$($path).+.gc_batch_files = v;
-            self
-        }
-
-        /// Run GC automatically on the write path when candidates exist.
-        #[must_use]
-        pub fn auto_gc(mut self, v: bool) -> Self {
-            self.$($path).+.auto_gc = v;
-            self
-        }
-
-        /// Auto-GC bandwidth budget as a multiple of foreground write
-        /// bytes.
-        #[must_use]
-        pub fn gc_bandwidth_factor(mut self, v: f64) -> Self {
-            self.$($path).+.gc_bandwidth_factor = v;
-            self
-        }
-
-        /// Worker threads for parallel GC file I/O and cross-shard
-        /// maintenance fan-out.
-        #[must_use]
-        pub fn gc_threads(mut self, v: usize) -> Self {
-            self.$($path).+.gc_threads = v;
-            self
-        }
-
-        /// DropCache capacity in keys (§III-B3).
-        #[must_use]
-        pub fn dropcache_keys(mut self, v: usize) -> Self {
-            self.$($path).+.dropcache_keys = v;
-            self
-        }
-
-        /// Space limit in bytes; `None` disables §III-D throttling. For a
-        /// sharded store this is the **global** budget.
-        #[must_use]
-        pub fn space_limit(mut self, v: Option<u64>) -> Self {
-            self.$($path).+.space_limit = v;
-            self
-        }
-
-        /// GC-threshold multiplier while throttling (§III-D).
-        #[must_use]
-        pub fn throttle_gc_factor(mut self, v: f64) -> Self {
-            self.$($path).+.throttle_gc_factor = v;
-            self
-        }
-
-        /// Memtable size in bytes.
-        #[must_use]
-        pub fn memtable_size(mut self, v: usize) -> Self {
-            self.$($path).+.memtable_size = v;
-            self
-        }
-
-        /// L0 file-count compaction trigger.
-        #[must_use]
-        pub fn l0_trigger(mut self, v: usize) -> Self {
-            self.$($path).+.l0_trigger = v;
-            self
-        }
-
-        /// Base level target bytes.
-        #[must_use]
-        pub fn base_level_bytes(mut self, v: u64) -> Self {
-            self.$($path).+.base_level_bytes = v;
-            self
-        }
-
-        /// Inter-level size multiplier (paper: 10).
-        #[must_use]
-        pub fn level_multiplier(mut self, v: u64) -> Self {
-            self.$($path).+.level_multiplier = v;
-            self
-        }
-
-        /// Key-SST target size.
-        #[must_use]
-        pub fn ksst_target_size(mut self, v: u64) -> Self {
-            self.$($path).+.ksst_target_size = v;
-            self
-        }
-
-        /// Block size in bytes.
-        #[must_use]
-        pub fn block_size(mut self, v: usize) -> Self {
-            self.$($path).+.block_size = v;
-            self
-        }
-
-        /// Bloom bits per key (paper: 10).
-        #[must_use]
-        pub fn bloom_bits_per_key(mut self, v: usize) -> Self {
-            self.$($path).+.bloom_bits_per_key = v;
-            self
-        }
-
-        /// Block cache capacity in bytes.
-        #[must_use]
-        pub fn block_cache_bytes(mut self, v: usize) -> Self {
-            self.$($path).+.block_cache_bytes = v;
-            self
-        }
-
-        /// Write WAL records.
-        #[must_use]
-        pub fn wal(mut self, v: bool) -> Self {
-            self.$($path).+.wal = v;
-            self
-        }
-
-        /// Run background work inline (deterministic) or on threads.
-        #[must_use]
-        pub fn inline_background(mut self, v: bool) -> Self {
-            self.$($path).+.inline_background = v;
-            self
-        }
-
-        /// Transient background-failure retries before the engine
-        /// degrades to read-only mode.
-        #[must_use]
-        pub fn bg_retry_limit(mut self, v: usize) -> Self {
-            self.$($path).+.bg_retry_limit = v;
-            self
-        }
-
-        /// Base delay of the exponential backoff between background
-        /// retries.
-        #[must_use]
-        pub fn bg_retry_base(mut self, v: std::time::Duration) -> Self {
-            self.$($path).+.bg_retry_base = v;
-            self
-        }
-
-        /// Change-data-capture WAL retention budget in bytes (`0`
-        /// disables speculative retention; subscriber-pinned history is
-        /// always kept).
-        #[must_use]
-        pub fn cdc_retention(mut self, v: u64) -> Self {
-            self.$($path).+.cdc_retention = v;
-            self
-        }
-
-        /// Byte budget of the in-memory change-event ring.
-        #[must_use]
-        pub fn cdc_ring_bytes(mut self, v: u64) -> Self {
-            self.$($path).+.cdc_ring_bytes = v;
-            self
-        }
-
-        /// Share this block cache instead of creating one per engine.
-        /// (On a sharded store this becomes the one cache every shard
-        /// uses.)
-        #[must_use]
-        pub fn block_cache(
-            mut self,
-            v: Option<std::sync::Arc<scavenger_table::btable::BlockCache>>,
-        ) -> Self {
-            self.$($path).+.block_cache = v;
-            self
-        }
-    };
-}
-pub(crate) use knob_setters;
-
-/// Typed builder for [`Options`], created by [`Options::builder`].
-///
-/// Every tuning knob gets a named setter (shared, macro-generated, with
-/// the sharded builder), so configuration reads as a fluent chain and
-/// new knobs never extend a positional constructor. Finish with
-/// [`build`](OptionsBuilder::build) — or [`open`](OptionsBuilder::open)
-/// to go straight to a [`Db`](crate::Db).
-///
-/// ```
-/// use scavenger::{EngineMode, MemEnv, Options};
-///
-/// let db = Options::builder(MemEnv::shared(), "builder-demo", EngineMode::Scavenger)
-///     .memtable_size(64 * 1024)
-///     .gc_threads(1)
-///     .space_limit(Some(64 * 1024 * 1024))
-///     .open()
-///     .unwrap();
-/// db.put(b"k", vec![0u8; 2048]).unwrap();
-/// assert_eq!(db.get(b"k").unwrap().unwrap().len(), 2048);
-/// ```
-#[derive(Clone)]
-pub struct OptionsBuilder {
-    opts: Options,
-}
-
-impl OptionsBuilder {
-    knob_setters!([opts]);
-
-    // The two cross-engine sharing hooks live only on the single-engine
-    // builder: [`DbShards`](crate::DbShards) installs its own shared
-    // throttle and set-wide usage source on every shard at open, so a
-    // sharded builder offering these setters would silently discard the
-    // caller's value.
-
-    /// Share this throttle (limit + counters) across engines.
-    #[must_use]
-    pub fn shared_throttle(mut self, v: Option<Arc<Throttle>>) -> Self {
-        self.opts.shared_throttle = v;
-        self
-    }
-
-    /// Space-usage source the throttle compares against the limit.
-    #[must_use]
-    pub fn space_usage(mut self, v: Option<SpaceUsageFn>) -> Self {
-        self.opts.space_usage = v;
-        self
-    }
-
-    /// Finish the chain: the configured [`Options`].
-    pub fn build(self) -> Options {
-        self.opts
-    }
-
-    /// Build and open a [`Db`](crate::Db) in one step.
-    pub fn open(self) -> scavenger_util::Result<crate::db::Db> {
-        crate::db::Db::open(self.build())
-    }
-}
-
 impl Options {
-    /// Scaled defaults (DESIGN.md §6) for the given mode.
+    /// Scaled defaults for the given mode: the paper's §IV-A setup with
+    /// every size divided by ~256 (ARCHITECTURE.md "Configuration").
     pub fn new(env: EnvRef, dir: impl Into<String>, mode: EngineMode) -> Options {
         Options {
             env,
             dir: dir.into(),
             mode,
             features: Features::for_mode(mode),
-            sep_threshold: 512,
             vsst_target_size: 1024 * 1024,
-            gc_threshold: 0.2,
             gc_batch_files: 4,
             auto_gc: true,
             gc_bandwidth_factor: 1.0,
             gc_threads: 4,
-            dropcache_keys: 64 * 1024,
             space_limit: None,
-            throttle_gc_factor: 0.25,
             memtable_size: 256 * 1024,
-            l0_trigger: 4,
             base_level_bytes: 4 * 1024 * 1024,
-            level_multiplier: 10,
             ksst_target_size: 256 * 1024,
-            block_size: 4096,
-            bloom_bits_per_key: 10,
             block_cache_bytes: 1024 * 1024,
-            wal: true,
             inline_background: true,
             bg_retry_limit: 3,
             bg_retry_base: std::time::Duration::from_millis(10),
             block_cache: None,
-            shared_throttle: None,
-            space_usage: None,
             cdc_retention: 0,
             cdc_ring_bytes: 1024 * 1024,
-        }
-    }
-
-    /// Typed builder over [`Options::new`]: the same scaled defaults,
-    /// with every knob settable by name (see [`OptionsBuilder`]).
-    pub fn builder(env: EnvRef, dir: impl Into<String>, mode: EngineMode) -> OptionsBuilder {
-        OptionsBuilder {
-            opts: Options::new(env, dir, mode),
         }
     }
 
@@ -610,14 +304,9 @@ impl Options {
     pub(crate) fn lsm_options(&self) -> scavenger_lsm::LsmOptions {
         let mut o = scavenger_lsm::LsmOptions::new(self.env.clone(), self.dir.clone());
         o.memtable_size = self.memtable_size;
-        o.l0_trigger = self.l0_trigger;
         o.base_level_bytes = self.base_level_bytes;
-        o.level_multiplier = self.level_multiplier;
         o.target_file_size = self.ksst_target_size;
-        o.block_size = self.block_size;
-        o.bloom_bits_per_key = self.bloom_bits_per_key;
         o.block_cache_bytes = self.block_cache_bytes;
-        o.wal = self.wal;
         o.compensated = self.features.compensated;
         o.ktable_format = if self.features.dtable_index {
             KTableFormat::DTable
@@ -676,11 +365,15 @@ mod tests {
 
     #[test]
     fn paper_constants_are_defaults() {
+        assert_eq!(crate::hook::SEP_THRESHOLD, 512);
+        assert_eq!(crate::gc::GC_THRESHOLD, 0.2);
+        assert_eq!(crate::dropcache::DROPCACHE_KEYS, 64 * 1024);
+        assert_eq!(crate::throttle::THROTTLE_GC_FACTOR, 0.25);
+        assert_eq!(scavenger_lsm::compaction::LEVEL_MULTIPLIER, 10);
         let o = Options::new(MemEnv::shared(), "db", EngineMode::Scavenger);
-        assert_eq!(o.sep_threshold, 512);
-        assert!((o.gc_threshold - 0.2).abs() < 1e-9);
-        assert_eq!(o.level_multiplier, 10);
-        assert_eq!(o.bloom_bits_per_key, 10);
+        let l = o.lsm_options();
+        assert_eq!((l.l0_trigger, l.block_size), (4, 4096));
+        assert_eq!(l.table_options().bloom_bits_per_key, 10);
         assert!(o.space_limit.is_none());
         assert!(o.gc_threads >= 1);
     }

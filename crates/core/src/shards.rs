@@ -44,10 +44,10 @@
 //! Single-shard batches skip the coordinator entirely — the common case
 //! pays zero extra I/O.
 
-use crate::db::{Db, DbScanIter, ScanEntry};
+use crate::db::{Db, DbScanIter, ScanEntry, SetWiring, SpaceUsageFn};
 use crate::engine::GcReport;
-use crate::options::{knob_setters, Options};
-use crate::stats::{DbStats, GcStepTimes, SpaceBreakdown};
+use crate::options::Options;
+use crate::stats::{DbStats, SpaceBreakdown};
 use crate::throttle::Throttle;
 use crate::txn::{Coordinator, TxnCounters};
 use crate::view::{ReadOptions, ReadPin, ReadView, Snapshot, WriteOptions, WriteReceipt};
@@ -95,20 +95,22 @@ impl ShardedOptions {
         }
     }
 
-    /// Typed builder over [`ShardedOptions::new`] — the sharded twin of
-    /// [`Options::builder`](crate::Options::builder), carrying the same
-    /// per-shard knob setters plus the shard-layer ones.
+    /// Builder for the shard-layer settings over [`ShardedOptions::new`].
+    /// Per-shard knobs are plain fields of [`Options`]: set them on an
+    /// `Options` value and hand it over with
+    /// [`base`](ShardedOptionsBuilder::base).
     ///
     /// ```
-    /// use scavenger::{DbShards, EngineMode, MemEnv, ShardedOptions};
+    /// use scavenger::{EngineMode, MemEnv, Options, ShardedOptions, ShardedOptionsBuilder};
     ///
-    /// let db: DbShards = ShardedOptions::builder(MemEnv::shared(), "sb-demo", EngineMode::Scavenger)
-    ///     .num_shards(2)
-    ///     .gc_threads(2)
-    ///     .memtable_size(32 * 1024)
-    ///     .open()
-    ///     .unwrap();
+    /// let env = MemEnv::shared();
+    /// let mut base = Options::new(env.clone(), "sb-demo", EngineMode::Scavenger);
+    /// base.gc_threads = 2;
+    /// base.memtable_size = 32 * 1024;
+    /// let b: ShardedOptionsBuilder = ShardedOptions::builder(env, "sb-demo", EngineMode::Scavenger);
+    /// let db = b.base(base).num_shards(2).open().unwrap();
     /// assert_eq!(db.num_shards(), 2);
+    /// assert_eq!(db.shard(0).options().memtable_size, 32 * 1024);
     /// ```
     pub fn builder(
         env: scavenger_env::EnvRef,
@@ -121,12 +123,10 @@ impl ShardedOptions {
     }
 }
 
-/// Typed builder for [`ShardedOptions`], created by
-/// [`ShardedOptions::builder`]. Shard-layer knobs
-/// ([`num_shards`](ShardedOptionsBuilder::num_shards),
-/// [`route_seed`](ShardedOptionsBuilder::route_seed)) live next to the
-/// full per-shard knob set (applied to [`ShardedOptions::base`]), so a
-/// sharded store is configured in one fluent chain ending in
+/// Builder for [`ShardedOptions`]: exactly the shard-layer settings
+/// ([`base`](ShardedOptionsBuilder::base),
+/// [`num_shards`](ShardedOptionsBuilder::num_shards),
+/// [`route_seed`](ShardedOptionsBuilder::route_seed)), ending in
 /// [`build`](ShardedOptionsBuilder::build) or
 /// [`open`](ShardedOptionsBuilder::open).
 #[derive(Clone)]
@@ -149,22 +149,13 @@ impl ShardedOptionsBuilder {
         self
     }
 
-    /// Replace the whole per-shard base [`Options`] at once. This
-    /// overwrites **every** per-shard knob, including any set earlier
-    /// in the chain — when combining it with the individual setters
-    /// below, call `base(...)` *first* and tweak fields after. Note
-    /// that [`DbShards::open`] installs its own shared throttle and
-    /// set-wide space-usage source on every shard, so
-    /// `shared_throttle` / `space_usage` carried by `base` are
-    /// overwritten (which is also why this builder has no setters for
-    /// them).
+    /// The per-shard base [`Options`]; its `dir` is the store's root and
+    /// its `space_limit` the global budget.
     #[must_use]
     pub fn base(mut self, base: Options) -> Self {
         self.sharded.base = base;
         self
     }
-
-    knob_setters!([sharded.base]);
 
     /// Finish the chain: the configured [`ShardedOptions`].
     pub fn build(self) -> ShardedOptions {
@@ -349,10 +340,7 @@ impl DbShards {
                 opts.base.block_cache_bytes.max(4096),
             ))
         });
-        let throttle = Arc::new(Throttle::new(
-            opts.base.space_limit,
-            opts.base.throttle_gc_factor,
-        ));
+        let throttle = Arc::new(Throttle::new(opts.base.space_limit));
         let shard_prefixes: Vec<String> = (0..meta.shards)
             .map(|i| format!("{}/", shard_dir(&root, i)))
             .collect();
@@ -371,8 +359,7 @@ impl DbShards {
             shard_envs.push(shard_env);
             trackers.push(tracker);
         }
-        let space_usage: crate::options::SpaceUsageFn =
-            Arc::new(move || trackers.iter().map(|t| t.total()).sum());
+        let usage: SpaceUsageFn = Arc::new(move || trackers.iter().map(|t| t.total()).sum());
 
         let mut shards = Vec::with_capacity(meta.shards);
         for shard_env in shard_envs {
@@ -384,9 +371,11 @@ impl DbShards {
             // shard's traffic (the shared env keeps the global totals).
             shard_opts.env = shard_env;
             shard_opts.block_cache = Some(cache.clone());
-            shard_opts.shared_throttle = Some(throttle.clone());
-            shard_opts.space_usage = Some(space_usage.clone());
-            shards.push(Db::open(shard_opts)?);
+            let set = SetWiring {
+                throttle: throttle.clone(),
+                usage: usage.clone(),
+            };
+            shards.push(Db::open_member(shard_opts, Some(set))?);
         }
 
         // All shards are open: complete any multi-shard batch whose 2PC
@@ -734,142 +723,26 @@ impl DbShards {
     }
 
     /// Aggregate statistics across the whole shard set — the sharded
-    /// analogue of [`Db::stats`]: counters, space, and I/O sum over
-    /// shards (each shard runs under its own
+    /// analogue of [`Db::stats`]: every shard's snapshot folded by
+    /// `DbStats::merge` (each shard runs under its own
     /// [`MeteredEnv`](scavenger_env::MeteredEnv), so `io` is true
-    /// shard-set attribution rather than the env-global snapshot), the
-    /// throttle counter is read once from the shared throttle, the
-    /// cache hit ratio comes from the shared block cache,
-    /// `index_space_amp` is the ksst-byte-weighted mean, and
-    /// `oldest_read_point` is the minimum across shards (sequences are
-    /// per-shard, so it is a conservative "oldest anywhere" gauge).
+    /// shard-set attribution rather than the env-global snapshot; only
+    /// the SHARDS meta-file I/O escapes it), then the state that lives
+    /// at the set level added on top.
     pub fn stats(&self) -> DbStats {
-        let per_shard = self.shard_stats();
-        let mut gc = GcStepTimes::default();
-        let mut space = SpaceBreakdown::default();
-        let mut exposed_garbage_bytes = 0;
-        let mut value_store_bytes = 0;
-        let mut value_files = 0;
-        let mut flushes = 0;
-        let mut compactions = 0;
-        let mut merge_drops = 0;
-        let mut pinned_views = 0;
-        let mut live_snapshots = 0;
-        let mut bg_errors = 0;
-        let mut bg_retries = 0;
-        let mut degraded = false;
-        let mut wal_tail_corruptions = 0;
-        let mut group_commit_groups = 0;
-        let mut group_commit_batches = 0;
-        let mut group_commit_max_group = 0;
-        let mut group_commit_fsyncs_saved = 0;
-        let mut oldest_read_point = None;
-        let mut amp_weighted = 0.0;
-        let mut amp_weight = 0u64;
-        let mut cdc_events_published = 0;
-        let mut cdc_subscribers = 0;
-        let mut cdc_retained_wal_bytes = 0;
-        let mut cdc_lag_seqs = 0;
-        let mut cdc_catchup_reads = 0;
-        let mut pinned_bytes = 0;
-        let mut io = scavenger_env::IoStatsSnapshot::default();
-        for s in &per_shard {
-            io.accumulate(&s.io);
-            gc.accumulate(&s.gc);
-            space.accumulate(&s.space);
-            exposed_garbage_bytes += s.exposed_garbage_bytes;
-            value_store_bytes += s.value_store_bytes;
-            value_files += s.value_files;
-            flushes += s.flushes;
-            compactions += s.compactions;
-            merge_drops += s.merge_drops;
-            pinned_views += s.pinned_views;
-            live_snapshots += s.live_snapshots;
-            bg_errors += s.bg_errors;
-            bg_retries += s.bg_retries;
-            degraded |= s.degraded;
-            wal_tail_corruptions += s.wal_tail_corruptions;
-            group_commit_groups += s.group_commit_groups;
-            group_commit_batches += s.group_commit_batches;
-            group_commit_max_group = group_commit_max_group.max(s.group_commit_max_group);
-            group_commit_fsyncs_saved += s.group_commit_fsyncs_saved;
-            oldest_read_point = match (oldest_read_point, s.oldest_read_point) {
-                (Some(a), Some(b)) => Some(std::cmp::min(a, b)),
-                (a, b) => a.or(b),
-            };
-            amp_weighted += s.index_space_amp * s.space.ksst_bytes as f64;
-            amp_weight += s.space.ksst_bytes;
-            cdc_events_published += s.cdc_events_published;
-            cdc_subscribers += s.cdc_subscribers;
-            cdc_retained_wal_bytes += s.cdc_retained_wal_bytes;
-            // Max, not sum: per-shard sequences are independent
-            // namespaces, so "how far behind is the slowest subscriber"
-            // is the worst shard, not an addition across them.
-            cdc_lag_seqs = cdc_lag_seqs.max(s.cdc_lag_seqs);
-            cdc_catchup_reads += s.cdc_catchup_reads;
-            pinned_bytes += s.pinned_bytes;
-        }
-        // Reuse the per-shard breakdowns computed above instead of
-        // re-walking every shard directory through self.space(); only
-        // the root-level files (routing meta, coordinator log) are
-        // added on top.
-        space.other_bytes += self.root_file_bytes();
-        DbStats {
-            // Sum of the per-shard metered counters — true shard-set
-            // attribution, not the env-global snapshot (which also
-            // counts whatever else shares the env). Only the SHARDS
-            // meta-file I/O escapes attribution, by construction.
-            io,
-            gc,
-            space,
-            index_space_amp: if amp_weight == 0 {
-                1.0
-            } else {
-                amp_weighted / amp_weight as f64
-            },
-            exposed_garbage_bytes,
-            value_store_bytes,
-            value_files,
-            cache_hit_ratio: self.inner.cache.hit_ratio(),
-            flushes,
-            compactions,
-            merge_drops,
-            throttle_stalls: self.inner.throttle.activation_count(),
-            oldest_read_point,
-            pinned_views,
-            live_snapshots,
-            bg_errors,
-            bg_retries,
-            degraded,
-            wal_tail_corruptions,
-            group_commit_groups,
-            group_commit_batches,
-            // Max, not sum: the gauge answers "largest group anywhere",
-            // and per-shard groups never merge across shards.
-            group_commit_max_group,
-            group_commit_fsyncs_saved,
-            // Transactions commit at the shard-set level, so the
-            // per-shard counters summed above are zero by construction
-            // — these come straight from the set-level state.
-            txn_commits: self.inner.txn.commits(),
-            txn_conflicts: self.inner.txn.conflicts(),
-            txn_2pc_commits: self
-                .inner
-                .coord
-                .commits
-                .load(std::sync::atomic::Ordering::Relaxed),
-            txn_2pc_rollforwards: self
-                .inner
-                .coord
-                .rollforwards
-                .load(std::sync::atomic::Ordering::Relaxed),
-            cdc_events_published,
-            cdc_subscribers,
-            cdc_retained_wal_bytes,
-            cdc_lag_seqs,
-            cdc_catchup_reads,
-            pinned_bytes,
-        }
+        let inner = &self.inner;
+        let mut s = DbStats::merge(&self.shard_stats());
+        // Reuses the per-shard breakdowns instead of re-walking every
+        // shard directory through self.space().
+        s.space.other_bytes += self.root_file_bytes();
+        // Transactions commit at the set level (the per-shard counters
+        // merged above are zero by construction), and only the set has
+        // a 2PC coordinator.
+        s.txn_commits += inner.txn.commits();
+        s.txn_conflicts += inner.txn.conflicts();
+        s.txn_2pc_commits += inner.coord.commits.load(Ordering::Relaxed);
+        s.txn_2pc_rollforwards += inner.coord.rollforwards.load(Ordering::Relaxed);
+        s
     }
 
     /// Aggregate on-disk space across every shard (plus the root-level

@@ -1,130 +1,88 @@
 //! Engine statistics: GC step breakdown (paper Fig. 3), space breakdown,
 //! and the aggregate snapshot the experiment harness consumes.
+//!
+//! Every counter is listed once per struct: the two all-`u64` structs
+//! come from `counter_struct!` (field list → struct + field-wise
+//! combinator), and [`DbStats`]' scalar series come from one table that
+//! carries each field's cross-shard fold rule and its Prometheus
+//! exposition, so adding a counter is one line here plus the line in
+//! [`Db::stats`](crate::Db::stats) that reads it.
 
+use parking_lot::Mutex;
+use scavenger_env::io_stats::{ClassSnapshot, ALL_IO_CLASSES};
 use scavenger_env::IoStatsSnapshot;
 use scavenger_util::ikey::SeqNo;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Accumulated per-step GC cost. The four steps are exactly the paper's
-/// (§II-C): Read, GC-Lookup, Write, Write-Index.
-#[derive(Debug, Default)]
-pub struct GcStats {
-    /// Wall nanoseconds in the Read step.
-    pub read_ns: AtomicU64,
-    /// Wall nanoseconds in the GC-Lookup step.
-    pub lookup_ns: AtomicU64,
-    /// Wall nanoseconds in the Write step.
-    pub write_ns: AtomicU64,
-    /// Wall nanoseconds in the Write-Index step (Titan only).
-    pub write_index_ns: AtomicU64,
-    /// GC jobs run.
-    pub runs: AtomicU64,
-    /// Value files collected.
-    pub files_collected: AtomicU64,
-    /// Records examined.
-    pub records_scanned: AtomicU64,
-    /// Records found valid and rewritten.
-    pub records_valid: AtomicU64,
-    /// Bytes of garbage reclaimed (file bytes deleted minus bytes
-    /// rewritten).
-    pub reclaimed_bytes: AtomicU64,
-    /// Validation batches executed (one per pipeline batch; one per job
-    /// for write-back GC).
-    pub validate_batches: AtomicU64,
-    /// Co-sequential merge sweeps run (batches × read points).
-    pub validate_sweeps: AtomicU64,
-    /// Forward iterator steps taken by merge sweeps.
-    pub validate_sweep_steps: AtomicU64,
-    /// Full merged re-seeks taken by merge sweeps.
-    pub validate_sweep_seeks: AtomicU64,
-    /// Worker tasks dispatched by parallel GC file I/O (the Fetch phase's
-    /// per-file fan-out and Titan's full-file Read scans).
-    pub fetch_parallel_jobs: AtomicU64,
-    /// Record batches staged through `VWriter::add_batch` by the Write
-    /// phase's route writers.
-    pub write_batches: AtomicU64,
-    /// GC jobs larger than one batch, whose stages ran overlapped.
-    pub pipeline_jobs: AtomicU64,
-    /// Record batches pushed through the overlapped stages.
-    pub pipeline_batches: AtomicU64,
-    /// Stage executions that began while another pipeline stage was
-    /// mid-batch — the direct measure of stage overlap.
-    pub pipeline_overlaps: AtomicU64,
-    /// Inter-stage handoffs that found the downstream queue full
-    /// (backpressure from a slower stage).
-    pub pipeline_backpressure: AtomicU64,
-}
-
-impl GcStats {
-    /// Point-in-time copy.
-    pub fn snapshot(&self) -> GcStepTimes {
-        GcStepTimes {
-            read_ns: self.read_ns.load(Ordering::Relaxed),
-            lookup_ns: self.lookup_ns.load(Ordering::Relaxed),
-            write_ns: self.write_ns.load(Ordering::Relaxed),
-            write_index_ns: self.write_index_ns.load(Ordering::Relaxed),
-            runs: self.runs.load(Ordering::Relaxed),
-            files_collected: self.files_collected.load(Ordering::Relaxed),
-            records_scanned: self.records_scanned.load(Ordering::Relaxed),
-            records_valid: self.records_valid.load(Ordering::Relaxed),
-            reclaimed_bytes: self.reclaimed_bytes.load(Ordering::Relaxed),
-            validate_batches: self.validate_batches.load(Ordering::Relaxed),
-            validate_sweeps: self.validate_sweeps.load(Ordering::Relaxed),
-            validate_sweep_steps: self.validate_sweep_steps.load(Ordering::Relaxed),
-            validate_sweep_seeks: self.validate_sweep_seeks.load(Ordering::Relaxed),
-            fetch_parallel_jobs: self.fetch_parallel_jobs.load(Ordering::Relaxed),
-            write_batches: self.write_batches.load(Ordering::Relaxed),
-            pipeline_jobs: self.pipeline_jobs.load(Ordering::Relaxed),
-            pipeline_batches: self.pipeline_batches.load(Ordering::Relaxed),
-            pipeline_overlaps: self.pipeline_overlaps.load(Ordering::Relaxed),
-            pipeline_backpressure: self.pipeline_backpressure.load(Ordering::Relaxed),
+/// Declares a `Copy` struct of plain `u64` counters. The invocation is
+/// the only place the fields are listed; `zip` combines two values field
+/// by field (sum, saturating difference, …).
+macro_rules! counter_struct {
+    ($(#[$meta:meta])* $name:ident { $($(#[$doc:meta])* $field:ident,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: u64,)*
         }
-    }
+
+        impl $name {
+            fn zip(&self, other: &$name, f: impl Fn(u64, u64) -> u64) -> $name {
+                $name {
+                    $($field: f(self.$field, other.$field),)*
+                }
+            }
+        }
+    };
 }
 
-/// Snapshot of [`GcStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcStepTimes {
-    /// Read-step nanoseconds.
-    pub read_ns: u64,
-    /// GC-Lookup-step nanoseconds.
-    pub lookup_ns: u64,
-    /// Write-step nanoseconds.
-    pub write_ns: u64,
-    /// Write-Index-step nanoseconds.
-    pub write_index_ns: u64,
-    /// GC jobs run.
-    pub runs: u64,
-    /// Files collected.
-    pub files_collected: u64,
-    /// Records examined.
-    pub records_scanned: u64,
-    /// Records rewritten.
-    pub records_valid: u64,
-    /// Garbage bytes reclaimed.
-    pub reclaimed_bytes: u64,
-    /// Validation batches executed.
-    pub validate_batches: u64,
-    /// Co-sequential merge sweeps run.
-    pub validate_sweeps: u64,
-    /// Forward iterator steps taken by merge sweeps.
-    pub validate_sweep_steps: u64,
-    /// Full merged re-seeks taken by merge sweeps.
-    pub validate_sweep_seeks: u64,
-    /// Worker tasks dispatched by parallel GC file I/O (Fetch fan-out and
-    /// Titan Read scans).
-    pub fetch_parallel_jobs: u64,
-    /// Record batches staged through `VWriter::add_batch` by the Write
-    /// phase.
-    pub write_batches: u64,
-    /// GC jobs larger than one batch, whose stages ran overlapped.
-    pub pipeline_jobs: u64,
-    /// Record batches pushed through the overlapped stages.
-    pub pipeline_batches: u64,
-    /// Stage executions that overlapped another stage.
-    pub pipeline_overlaps: u64,
-    /// Handoffs that hit a full inter-stage queue (backpressure).
-    pub pipeline_backpressure: u64,
+counter_struct! {
+    /// Accumulated per-step GC cost. The four steps are exactly the
+    /// paper's (§II-C): Read, GC-Lookup, Write, Write-Index.
+    GcStepTimes {
+        /// Wall nanoseconds in the Read step.
+        read_ns,
+        /// Wall nanoseconds in the GC-Lookup step.
+        lookup_ns,
+        /// Wall nanoseconds in the Write step.
+        write_ns,
+        /// Wall nanoseconds in the Write-Index step (Titan only).
+        write_index_ns,
+        /// GC jobs run.
+        runs,
+        /// Value files collected.
+        files_collected,
+        /// Records examined.
+        records_scanned,
+        /// Records found valid and rewritten.
+        records_valid,
+        /// Bytes of garbage reclaimed (file bytes deleted minus bytes
+        /// rewritten).
+        reclaimed_bytes,
+        /// Validation batches executed (one per pipeline batch; one per
+        /// job for write-back GC).
+        validate_batches,
+        /// Co-sequential merge sweeps run (batches × read points).
+        validate_sweeps,
+        /// Forward iterator steps taken by merge sweeps.
+        validate_sweep_steps,
+        /// Full merged re-seeks taken by merge sweeps.
+        validate_sweep_seeks,
+        /// Worker tasks dispatched by parallel GC file I/O (the Fetch
+        /// phase's per-file fan-out and Titan's full-file Read scans).
+        fetch_parallel_jobs,
+        /// Record batches staged through `VWriter::add_batch` by the
+        /// Write phase's route writers.
+        write_batches,
+        /// GC jobs larger than one batch, whose stages ran overlapped.
+        pipeline_jobs,
+        /// Record batches pushed through the overlapped stages.
+        pipeline_batches,
+        /// Stage executions that began while another pipeline stage was
+        /// mid-batch — the direct measure of stage overlap.
+        pipeline_overlaps,
+        /// Inter-stage handoffs that found the downstream queue full
+        /// (backpressure from a slower stage).
+        pipeline_backpressure,
+    }
 }
 
 impl GcStepTimes {
@@ -148,107 +106,50 @@ impl GcStepTimes {
         )
     }
 
-    /// Add `other`'s counters into `self` — used by
-    /// [`DbShards::stats`](crate::DbShards::stats) to fold per-shard GC
-    /// breakdowns into one set-wide snapshot. The exhaustive
-    /// destructuring (no `..`) makes the compiler flag any field added
-    /// to the struct but forgotten here.
+    /// Add `other`'s counters into `self`.
     pub fn accumulate(&mut self, other: &GcStepTimes) {
-        let GcStepTimes {
-            read_ns,
-            lookup_ns,
-            write_ns,
-            write_index_ns,
-            runs,
-            files_collected,
-            records_scanned,
-            records_valid,
-            reclaimed_bytes,
-            validate_batches,
-            validate_sweeps,
-            validate_sweep_steps,
-            validate_sweep_seeks,
-            fetch_parallel_jobs,
-            write_batches,
-            pipeline_jobs,
-            pipeline_batches,
-            pipeline_overlaps,
-            pipeline_backpressure,
-        } = *other;
-        self.read_ns += read_ns;
-        self.lookup_ns += lookup_ns;
-        self.write_ns += write_ns;
-        self.write_index_ns += write_index_ns;
-        self.runs += runs;
-        self.files_collected += files_collected;
-        self.records_scanned += records_scanned;
-        self.records_valid += records_valid;
-        self.reclaimed_bytes += reclaimed_bytes;
-        self.validate_batches += validate_batches;
-        self.validate_sweeps += validate_sweeps;
-        self.validate_sweep_steps += validate_sweep_steps;
-        self.validate_sweep_seeks += validate_sweep_seeks;
-        self.fetch_parallel_jobs += fetch_parallel_jobs;
-        self.write_batches += write_batches;
-        self.pipeline_jobs += pipeline_jobs;
-        self.pipeline_batches += pipeline_batches;
-        self.pipeline_overlaps += pipeline_overlaps;
-        self.pipeline_backpressure += pipeline_backpressure;
+        *self = self.zip(other, |a, b| a + b);
     }
 
     /// `self - earlier`, saturating.
     pub fn delta(&self, earlier: &GcStepTimes) -> GcStepTimes {
-        GcStepTimes {
-            read_ns: self.read_ns.saturating_sub(earlier.read_ns),
-            lookup_ns: self.lookup_ns.saturating_sub(earlier.lookup_ns),
-            write_ns: self.write_ns.saturating_sub(earlier.write_ns),
-            write_index_ns: self.write_index_ns.saturating_sub(earlier.write_index_ns),
-            runs: self.runs.saturating_sub(earlier.runs),
-            files_collected: self.files_collected.saturating_sub(earlier.files_collected),
-            records_scanned: self.records_scanned.saturating_sub(earlier.records_scanned),
-            records_valid: self.records_valid.saturating_sub(earlier.records_valid),
-            reclaimed_bytes: self.reclaimed_bytes.saturating_sub(earlier.reclaimed_bytes),
-            validate_batches: self
-                .validate_batches
-                .saturating_sub(earlier.validate_batches),
-            validate_sweeps: self.validate_sweeps.saturating_sub(earlier.validate_sweeps),
-            validate_sweep_steps: self
-                .validate_sweep_steps
-                .saturating_sub(earlier.validate_sweep_steps),
-            validate_sweep_seeks: self
-                .validate_sweep_seeks
-                .saturating_sub(earlier.validate_sweep_seeks),
-            fetch_parallel_jobs: self
-                .fetch_parallel_jobs
-                .saturating_sub(earlier.fetch_parallel_jobs),
-            write_batches: self.write_batches.saturating_sub(earlier.write_batches),
-            pipeline_jobs: self.pipeline_jobs.saturating_sub(earlier.pipeline_jobs),
-            pipeline_batches: self
-                .pipeline_batches
-                .saturating_sub(earlier.pipeline_batches),
-            pipeline_overlaps: self
-                .pipeline_overlaps
-                .saturating_sub(earlier.pipeline_overlaps),
-            pipeline_backpressure: self
-                .pipeline_backpressure
-                .saturating_sub(earlier.pipeline_backpressure),
-        }
+        self.zip(earlier, u64::saturating_sub)
     }
 }
 
-/// Where the engine's bytes live on disk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpaceBreakdown {
-    /// Key SSTs (the index LSM-tree).
-    pub ksst_bytes: u64,
-    /// Value SSTs / blob logs.
-    pub value_bytes: u64,
-    /// Write-ahead logs.
-    pub wal_bytes: u64,
-    /// Manifest + CURRENT.
-    pub manifest_bytes: u64,
-    /// Anything else.
-    pub other_bytes: u64,
+/// The live GC accumulator shared by the GC runner, its executor and
+/// the BlobDB relocation hook: one [`GcStepTimes`] behind a lock.
+/// Writers call `add` once per batch or per job, never
+/// per record, so the lock is off every hot loop.
+#[derive(Debug, Default)]
+pub struct GcStats(Mutex<GcStepTimes>);
+
+impl GcStats {
+    /// Apply `f` to the accumulated counters.
+    pub(crate) fn add(&self, f: impl FnOnce(&mut GcStepTimes)) {
+        f(&mut self.0.lock())
+    }
+
+    /// Point-in-time copy.
+    pub fn snapshot(&self) -> GcStepTimes {
+        *self.0.lock()
+    }
+}
+
+counter_struct! {
+    /// Where the engine's bytes live on disk.
+    SpaceBreakdown {
+        /// Key SSTs (the index LSM-tree).
+        ksst_bytes,
+        /// Value SSTs / blob logs.
+        value_bytes,
+        /// Write-ahead logs.
+        wal_bytes,
+        /// Manifest + CURRENT.
+        manifest_bytes,
+        /// Anything else.
+        other_bytes,
+    }
 }
 
 impl SpaceBreakdown {
@@ -257,144 +158,298 @@ impl SpaceBreakdown {
         self.ksst_bytes + self.value_bytes + self.wal_bytes + self.manifest_bytes + self.other_bytes
     }
 
-    /// Add `other`'s per-category bytes into `self` — used by
-    /// [`DbShards`](crate::DbShards) to fold per-shard breakdowns into
-    /// one set-wide total. Exhaustively destructured (no `..`) so a new
-    /// category cannot be silently dropped from aggregation.
+    /// Add `other`'s per-category bytes into `self`.
     pub fn accumulate(&mut self, other: &SpaceBreakdown) {
-        let SpaceBreakdown {
-            ksst_bytes,
-            value_bytes,
-            wal_bytes,
-            manifest_bytes,
-            other_bytes,
-        } = *other;
-        self.ksst_bytes += ksst_bytes;
-        self.value_bytes += value_bytes;
-        self.wal_bytes += wal_bytes;
-        self.manifest_bytes += manifest_bytes;
-        self.other_bytes += other_bytes;
+        *self = self.zip(other, |a, b| a + b);
     }
 }
 
-/// Aggregate engine statistics for the harness.
-#[derive(Debug, Clone)]
-pub struct DbStats {
-    /// Per-class I/O counters.
-    pub io: IoStatsSnapshot,
-    /// GC step breakdown.
-    pub gc: GcStepTimes,
-    /// On-disk space breakdown.
-    pub space: SpaceBreakdown,
-    /// Index LSM-tree space amplification (paper Eq. 1).
-    pub index_space_amp: f64,
+// Fold rules for the scalar table below: how one field of several
+// members' snapshots becomes the set-wide value.
+fn sum(values: impl Iterator<Item = u64>) -> u64 {
+    values.sum()
+}
+fn max(values: impl Iterator<Item = u64>) -> u64 {
+    values.max().unwrap_or(0)
+}
+/// The same for the composite fields, which bring their own `accumulate`.
+fn fold<T: Default>(parts: &[DbStats], add: impl Fn(&mut T, &DbStats)) -> T {
+    let mut acc = T::default();
+    for p in parts {
+        add(&mut acc, p);
+    }
+    acc
+}
+
+/// Declares [`DbStats`] from its scalar table. One line per `u64` series:
+/// `field: fold-rule, "prometheus_name", "kind", "help";` — the struct
+/// field, its place in [`DbStats::merge`] and its `/metrics` series are
+/// all generated from that line, so none of the three can be forgotten.
+/// The composite fields (I/O, GC, space, the two ratios, the read-point
+/// gauge, the degraded flag) are written out by hand in each spot.
+macro_rules! db_stats {
+    ($($(#[$doc:meta])* $field:ident: $fold:ident, $name:literal, $kind:literal, $help:literal;)*) => {
+        /// Aggregate engine statistics for the harness.
+        #[derive(Debug, Clone)]
+        pub struct DbStats {
+            /// Per-class I/O counters.
+            pub io: IoStatsSnapshot,
+            /// GC step breakdown.
+            pub gc: GcStepTimes,
+            /// On-disk space breakdown.
+            pub space: SpaceBreakdown,
+            /// Index LSM-tree space amplification (paper Eq. 1).
+            pub index_space_amp: f64,
+            /// Block cache hit ratio.
+            pub cache_hit_ratio: f64,
+            /// The oldest registered read point (gauge), or `None` when
+            /// no reader is in flight. Everything visible at this
+            /// sequence is preserved: compaction keeps the pinned
+            /// versions, no-writeback GC validates against it, Titan's
+            /// write-back GC holds collected blob files in its deferred
+            /// queue until no read point predates the relocation, and
+            /// BlobDB defers exhausted-file reaping entirely while it is
+            /// `Some`. A value that stays old for a long time is the
+            /// signature of a leaked view/snapshot — space cannot be
+            /// reclaimed past it, which space-aware throttling (§III-D)
+            /// will eventually surface as activations that cannot get
+            /// back under the limit.
+            pub oldest_read_point: Option<SeqNo>,
+            /// True while the engine is in read-only degraded mode after
+            /// a permanent background failure; writes fail fast with
+            /// [`Error::ReadOnlyMode`](scavenger_util::Error::ReadOnlyMode)
+            /// until `resume()` clears the condition. For a
+            /// [`DbShards`](crate::DbShards) set this is the OR across
+            /// shards.
+            pub degraded: bool,
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl DbStats {
+            /// Fold the members' snapshots into one set-wide snapshot.
+            /// Counters, space and I/O sum; "largest anywhere" gauges and
+            /// counters every member reads from shared state take the
+            /// max; `degraded` is the OR; `oldest_read_point` the minimum
+            /// of the `Some`s (sequences are per-member, so it is a
+            /// conservative "oldest anywhere"); `index_space_amp` the
+            /// ksst-byte-weighted mean (1.0 for an empty set).
+            pub(crate) fn merge(parts: &[DbStats]) -> DbStats {
+                let ksst = sum(parts.iter().map(|s| s.space.ksst_bytes));
+                let amp_weighted = parts
+                    .iter()
+                    .map(|s| s.index_space_amp * s.space.ksst_bytes as f64);
+                DbStats {
+                    io: fold(parts, |a: &mut IoStatsSnapshot, s| a.accumulate(&s.io)),
+                    gc: fold(parts, |a: &mut GcStepTimes, s| a.accumulate(&s.gc)),
+                    space: fold(parts, |a: &mut SpaceBreakdown, s| a.accumulate(&s.space)),
+                    index_space_amp: if ksst == 0 {
+                        1.0
+                    } else {
+                        amp_weighted.sum::<f64>() / ksst as f64
+                    },
+                    // Members of a set share one block cache and all
+                    // report its ratio.
+                    cache_hit_ratio: parts.iter().map(|s| s.cache_hit_ratio).fold(0.0, f64::max),
+                    oldest_read_point: parts.iter().filter_map(|s| s.oldest_read_point).min(),
+                    degraded: parts.iter().any(|s| s.degraded),
+                    $($field: $fold(parts.iter().map(|s| s.$field)),)*
+                }
+            }
+
+            /// Every engine series of this snapshot except per-class I/O
+            /// (see [`io_prom_rows`], which callers label per member),
+            /// with `labels` appended to each.
+            pub fn prom_rows(&self, labels: &str) -> Vec<PromRow> {
+                // No `..`: a field added to the struct by hand has to be
+                // named here, next to the reminder that it needs a series
+                // in `composite_rows`.
+                let DbStats {
+                    io: _,
+                    gc: _,
+                    space: _,
+                    index_space_amp: _,
+                    cache_hit_ratio: _,
+                    oldest_read_point: _,
+                    degraded: _,
+                    $($field,)*
+                } = self;
+                let mut rows = composite_rows(self, labels);
+                $(rows.push(($name, $kind, $help, labels.to_string(), *$field as f64));)*
+                rows
+            }
+        }
+    };
+}
+
+db_stats! {
     /// Total exposed garbage bytes in the value store.
-    pub exposed_garbage_bytes: u64,
+    exposed_garbage_bytes: sum, "scavenger_exposed_garbage_bytes", "gauge", "Exposed garbage bytes in the value store.";
     /// Total value bytes in live value files.
-    pub value_store_bytes: u64,
+    value_store_bytes: sum, "scavenger_value_store_bytes", "gauge", "Value bytes in live value files.";
     /// Live value files.
-    pub value_files: u64,
-    /// Block cache hit ratio.
-    pub cache_hit_ratio: f64,
+    value_files: sum, "scavenger_value_files", "gauge", "Live value files.";
     /// Flushes.
-    pub flushes: u64,
+    flushes: sum, "scavenger_flushes_total", "counter", "Memtable flushes completed.";
     /// Compactions.
-    pub compactions: u64,
+    compactions: sum, "scavenger_compactions_total", "counter", "Compactions completed.";
     /// Entries dropped by merges.
-    pub merge_drops: u64,
+    merge_drops: sum, "scavenger_merge_drops_total", "counter", "Entries dropped by flush and compaction merges.";
+    /// Writers that stalled on the immutable-memtable backlog (threaded
+    /// background mode only; an inline engine flushes on the writer's
+    /// own stack and never stalls).
+    write_stalls: sum, "scavenger_write_stalls_total", "counter", "Writers stalled on the immutable-memtable backlog.";
     /// Write-path throttle activations (space-aware throttling, §III-D).
     /// When the engine is a [`DbShards`](crate::DbShards) member, the
     /// counter is shared — every shard reports the set-wide total.
-    pub throttle_stalls: u64,
-    /// The oldest registered read point (gauge), or `None` when no
-    /// reader is in flight. Everything visible at this sequence is
-    /// preserved: compaction keeps the pinned versions, no-writeback GC
-    /// validates against it, Titan's write-back GC holds collected blob
-    /// files in its deferred queue until no read point predates the
-    /// relocation, and BlobDB defers exhausted-file reaping entirely
-    /// while it is `Some`. A value that stays old for a long time is the
-    /// signature of a leaked view/snapshot — space cannot be reclaimed
-    /// past it, which space-aware throttling (§III-D) will eventually
-    /// surface as activations that cannot get back under the limit.
-    pub oldest_read_point: Option<SeqNo>,
+    throttle_stalls: max, "scavenger_throttle_stalls_total", "counter", "Space-throttle activations on the write path.";
     /// Pinned transient views currently registered (gauge): in-flight
     /// `get`s/scans, live [`ReadView`](crate::ReadView)s, and GC
     /// validation readers.
-    pub pinned_views: u64,
+    pinned_views: sum, "scavenger_pinned_views", "gauge", "Transient read views currently registered.";
     /// User [`Snapshot`](crate::Snapshot)s currently registered (gauge).
     /// Beyond pinning versions like any read point, snapshots gate
     /// Titan's whole-job GC deferral.
-    pub live_snapshots: u64,
+    live_snapshots: sum, "scavenger_live_snapshots", "gauge", "User snapshots currently registered.";
     /// Background jobs that exhausted their transient-failure retries (or
     /// failed permanently) and degraded the engine to read-only mode.
-    pub bg_errors: u64,
+    bg_errors: sum, "scavenger_bg_errors_total", "counter", "Background jobs that degraded the engine to read-only.";
     /// Transient background-job failures that were retried with backoff
     /// (see `Options::bg_retry_limit` / `Options::bg_retry_base`).
-    pub bg_retries: u64,
-    /// True while the engine is in read-only degraded mode after a
-    /// permanent background failure; writes fail fast with
-    /// [`Error::ReadOnlyMode`](scavenger_util::Error::ReadOnlyMode) until
-    /// `resume()` clears the condition. For a [`DbShards`](crate::DbShards)
-    /// set this is the OR across shards.
-    pub degraded: bool,
+    bg_retries: sum, "scavenger_bg_retries_total", "counter", "Transient background failures retried.";
     /// WAL files whose tail was found torn/corrupt during recovery; the
     /// intact record prefix was replayed and the rest discarded.
-    pub wal_tail_corruptions: u64,
+    wal_tail_corruptions: sum, "scavenger_wal_tail_corruptions_total", "counter", "WAL files recovered with a torn tail.";
     /// Commit groups formed by the group-commit write path (each group is
     /// one WAL record, one memtable pass, and at most one fsync).
-    pub group_commit_groups: u64,
+    group_commit_groups: sum, "scavenger_group_commit_groups_total", "counter", "Commit groups written.";
     /// Writer batches committed through those groups. Equal to
     /// `group_commit_groups` when writers never contend; greater under
     /// concurrency.
-    pub group_commit_batches: u64,
-    /// Largest number of batches ever merged into a single group.
-    pub group_commit_max_group: u64,
+    group_commit_batches: sum, "scavenger_group_commit_batches_total", "counter", "Writer batches committed through groups.";
+    /// Largest number of batches ever merged into a single group (max
+    /// across shards: groups never merge across them).
+    group_commit_max_group: max, "scavenger_group_commit_max_group", "gauge", "Largest commit group so far.";
     /// Fsyncs elided by riding a group leader's sync: for every synced
     /// group this grows by `sync_riders - 1`.
-    pub group_commit_fsyncs_saved: u64,
+    group_commit_fsyncs_saved: sum, "scavenger_group_commit_fsyncs_saved_total", "counter", "Fsyncs elided by riding a group leader's sync.";
     /// Optimistic transactions committed through this handle (validated
     /// read set, batch applied). For a [`DbShards`](crate::DbShards) set
     /// this sums the set-level commits with any per-shard commits.
-    pub txn_commits: u64,
+    txn_commits: sum, "scavenger_txn_commits_total", "counter", "Optimistic transactions committed.";
     /// Optimistic transactions rejected at commit-time validation: a
     /// read-set key was overwritten after the transaction's read point.
-    pub txn_conflicts: u64,
+    txn_conflicts: sum, "scavenger_txn_conflicts_total", "counter", "Optimistic transactions rejected at validation.";
     /// Multi-shard batches committed through the two-phase coordinator
     /// log (prepare + commit records). Always 0 on a single
-    /// [`Db`](crate::Db);
-    /// single-shard batches bypass the coordinator entirely.
-    pub txn_2pc_commits: u64,
+    /// [`Db`](crate::Db); single-shard batches bypass the coordinator
+    /// entirely.
+    txn_2pc_commits: sum, "scavenger_txn_2pc_commits_total", "counter", "Multi-shard batches committed through the 2PC log.";
     /// Prepared-but-uncommitted coordinator transactions rolled forward
     /// during recovery (crash between prepare and the last shard apply).
-    pub txn_2pc_rollforwards: u64,
+    txn_2pc_rollforwards: sum, "scavenger_txn_2pc_rollforwards_total", "counter", "Prepared 2PC batches rolled forward at recovery.";
     /// Change events published to the CDC ring at group-commit apply
     /// time (counter; includes internal relocation events the
     /// subscriber API filters out).
-    pub cdc_events_published: u64,
+    cdc_events_published: sum, "scavenger_cdc_events_published_total", "counter", "Change events published to the CDC ring.";
     /// Registered change-stream cursors (gauge). For a
     /// [`DbShards`](crate::DbShards) set this sums per-shard cursors,
     /// so one merged subscription counts once per shard.
-    pub cdc_subscribers: u64,
+    cdc_subscribers: sum, "scavenger_cdc_subscribers", "gauge", "Registered change-stream cursors.";
     /// WAL bytes retained beyond the durability horizon for change-
     /// stream catch-up — the CDC share of [`DbStats::pinned_bytes`].
-    pub cdc_retained_wal_bytes: u64,
+    cdc_retained_wal_bytes: sum, "scavenger_cdc_retained_wal_bytes", "gauge", "WAL bytes retained for change-stream catch-up.";
     /// How far the slowest registered subscriber trails the commit head
-    /// in sequence numbers (gauge; max across shards, 0 when caught up
-    /// or no subscribers).
-    pub cdc_lag_seqs: u64,
+    /// in sequence numbers (gauge; 0 when caught up or no subscribers).
+    /// Max across shards, not sum: per-shard sequences are independent
+    /// namespaces, so the slowest subscriber is the worst shard.
+    cdc_lag_seqs: max, "scavenger_cdc_lag_seqs", "gauge", "Sequences the slowest subscriber trails the head by.";
     /// Cursor polls served from retained WAL segments rather than the
     /// in-memory ring (counter) — nonzero means subscribers fell behind
     /// the ring and took the catch-up path.
-    pub cdc_catchup_reads: u64,
+    cdc_catchup_reads: sum, "scavenger_cdc_catchup_reads_total", "counter", "Cursor polls served from retained WAL segments.";
     /// Bytes the engine is currently holding *only* because something
     /// pins them — WAL history retained for change streams plus value
     /// files whose reclamation is deferred by read points (gauge).
     /// Space-aware throttling (§III-D) discounts these: reclamation
     /// cannot get rid of them, so stalling writers on them is pointless.
-    pub pinned_bytes: u64,
+    pinned_bytes: sum, "scavenger_pinned_bytes", "gauge", "Bytes held only because a subscriber or read point pins them.";
 }
 
 // ---------------- Prometheus exposition ----------------
+
+/// One exposition sample: `(name, kind, help, labels, value)`, where
+/// `labels` is the raw label-pair string (`""` for none).
+pub type PromRow = (&'static str, &'static str, &'static str, String, f64);
+
+/// `a,b`, or whichever side is non-empty.
+fn join_labels(a: &str, b: &str) -> String {
+    match (a.is_empty(), b.is_empty()) {
+        (_, true) => a.to_string(),
+        (true, _) => b.to_string(),
+        _ => format!("{a},{b}"),
+    }
+}
+
+/// The hand-written half of [`DbStats::prom_rows`]: the fields that are
+/// not one `u64` → one series.
+fn composite_rows(s: &DbStats, labels: &str) -> Vec<PromRow> {
+    let (gc, space, oldest) = (&s.gc, &s.space, s.oldest_read_point);
+    const STEP: &str = "GC wall seconds by step (paper Fig. 3).";
+    const SPACE: &str = "On-disk bytes by file kind.";
+    #[rustfmt::skip]
+    let table = [
+        ("scavenger_gc_runs_total", "counter", "GC jobs run.", "", gc.runs as f64),
+        ("scavenger_gc_files_collected_total", "counter", "Value files collected by GC.", "", gc.files_collected as f64),
+        ("scavenger_gc_records_scanned_total", "counter", "Records examined by GC.", "", gc.records_scanned as f64),
+        ("scavenger_gc_records_valid_total", "counter", "Records GC found valid and rewrote.", "", gc.records_valid as f64),
+        ("scavenger_gc_reclaimed_bytes_total", "counter", "Garbage bytes reclaimed by GC.", "", gc.reclaimed_bytes as f64),
+        ("scavenger_gc_step_seconds_total", "counter", STEP, "step=\"read\"", gc.read_ns as f64 / 1e9),
+        ("scavenger_gc_step_seconds_total", "counter", STEP, "step=\"lookup\"", gc.lookup_ns as f64 / 1e9),
+        ("scavenger_gc_step_seconds_total", "counter", STEP, "step=\"write\"", gc.write_ns as f64 / 1e9),
+        ("scavenger_gc_step_seconds_total", "counter", STEP, "step=\"write_index\"", gc.write_index_ns as f64 / 1e9),
+        ("scavenger_space_bytes", "gauge", SPACE, "kind=\"ksst\"", space.ksst_bytes as f64),
+        ("scavenger_space_bytes", "gauge", SPACE, "kind=\"value\"", space.value_bytes as f64),
+        ("scavenger_space_bytes", "gauge", SPACE, "kind=\"wal\"", space.wal_bytes as f64),
+        ("scavenger_space_bytes", "gauge", SPACE, "kind=\"manifest\"", space.manifest_bytes as f64),
+        ("scavenger_space_bytes", "gauge", SPACE, "kind=\"other\"", space.other_bytes as f64),
+        ("scavenger_index_space_amp", "gauge", "Index LSM-tree space amplification (paper Eq. 1).", "", s.index_space_amp),
+        ("scavenger_cache_hit_ratio", "gauge", "Block cache hit ratio.", "", s.cache_hit_ratio),
+        // Absent ⇒ no reader in flight; presence + value lets a scraper
+        // tell "no pin" from "pinned at sequence 0".
+        ("scavenger_oldest_read_point_present", "gauge", "1 while any read point is registered.", "", oldest.is_some() as u8 as f64),
+        ("scavenger_oldest_read_point", "gauge", "Oldest registered read point (0 when none).", "", oldest.unwrap_or(0) as f64),
+        ("scavenger_degraded", "gauge", "1 while the engine is read-only after a background failure.", "", s.degraded as u8 as f64),
+    ];
+    table
+        .into_iter()
+        .map(|(name, kind, help, own, value)| (name, kind, help, join_labels(own, labels), value))
+        .collect()
+}
+
+/// Per-[`IoClass`](scavenger_env::IoClass) I/O series for `parts` — one
+/// `(labels, snapshot)` pair per member, e.g. `shard="2"` — grouped by
+/// metric name so each gets one header however many members report.
+pub fn io_prom_rows(parts: &[(String, IoStatsSnapshot)]) -> Vec<PromRow> {
+    type Get = fn(&ClassSnapshot) -> u64;
+    #[rustfmt::skip]
+    let metrics: &[(&str, &str, Get)] = &[
+        ("scavenger_io_read_bytes_total", "Bytes read, by I/O class.", |c| c.read_bytes),
+        ("scavenger_io_read_ops_total", "Read operations, by I/O class.", |c| c.read_ops),
+        ("scavenger_io_write_bytes_total", "Bytes written, by I/O class.", |c| c.write_bytes),
+        ("scavenger_io_write_ops_total", "Write operations, by I/O class.", |c| c.write_ops),
+    ];
+    let mut rows = Vec::with_capacity(4 * parts.len() * ALL_IO_CLASSES.len());
+    for &(name, help, get) in metrics {
+        for (labels, io) in parts {
+            for class in ALL_IO_CLASSES {
+                let own = format!("class=\"{}\"", class.label());
+                let value = get(&io.class(class)) as f64;
+                rows.push((name, "counter", help, join_labels(&own, labels), value));
+            }
+        }
+    }
+    rows
+}
 
 /// Append one metric line in Prometheus text exposition format:
 /// `name{labels} value`. `labels` is the raw label-pair string (e.g.
@@ -421,238 +476,28 @@ pub fn prom_header(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
-/// Append per-[`IoClass`](scavenger_env::IoClass) I/O counters in
-/// exposition format, one series per class, with `extra_labels`
-/// (e.g. `r#"shard="2""#`) appended to each class label.
-pub fn render_io_prometheus(out: &mut String, io: &IoStatsSnapshot, extra_labels: &str) {
-    for class in scavenger_env::io_stats::ALL_IO_CLASSES {
-        let c = io.class(class);
-        let labels = if extra_labels.is_empty() {
-            format!("class=\"{}\"", class.label())
-        } else {
-            format!("class=\"{}\",{extra_labels}", class.label())
-        };
-        prom_line(
-            out,
-            "scavenger_io_read_bytes_total",
-            &labels,
-            c.read_bytes as f64,
-        );
-        prom_line(
-            out,
-            "scavenger_io_read_ops_total",
-            &labels,
-            c.read_ops as f64,
-        );
-        prom_line(
-            out,
-            "scavenger_io_write_bytes_total",
-            &labels,
-            c.write_bytes as f64,
-        );
-        prom_line(
-            out,
-            "scavenger_io_write_ops_total",
-            &labels,
-            c.write_ops as f64,
-        );
+/// Append `rows` in text exposition format: the one loop behind every
+/// `/metrics` series. A metric's header is written once, before its
+/// first sample, so the rows of one metric must be adjacent.
+pub fn render_rows<L: AsRef<str>>(out: &mut String, rows: &[(&str, &str, &str, L, f64)]) {
+    let mut last = "";
+    for (name, kind, help, labels, value) in rows {
+        if *name != last {
+            prom_header(out, name, kind, help);
+            last = name;
+        }
+        prom_line(out, name, labels.as_ref(), *value);
     }
 }
 
 impl DbStats {
     /// Render this snapshot in Prometheus text exposition format,
-    /// appending `labels` to every series. Covers the per-class I/O
-    /// counters, the GC step breakdown, the space breakdown, and every
-    /// scalar gauge — the engine half of a `/metrics` scrape (the
-    /// server layer adds its own connection/latency series on top).
+    /// appending `labels` to every series: the per-class I/O counters,
+    /// the GC step breakdown, the space breakdown, and every scalar.
     pub fn render_prometheus(&self, out: &mut String, labels: &str) {
-        let DbStats {
-            io,
-            gc,
-            space,
-            index_space_amp,
-            exposed_garbage_bytes,
-            value_store_bytes,
-            value_files,
-            cache_hit_ratio,
-            flushes,
-            compactions,
-            merge_drops,
-            throttle_stalls,
-            oldest_read_point,
-            pinned_views,
-            live_snapshots,
-            bg_errors,
-            bg_retries,
-            degraded,
-            wal_tail_corruptions,
-            group_commit_groups,
-            group_commit_batches,
-            group_commit_max_group,
-            group_commit_fsyncs_saved,
-            txn_commits,
-            txn_conflicts,
-            txn_2pc_commits,
-            txn_2pc_rollforwards,
-            cdc_events_published,
-            cdc_subscribers,
-            cdc_retained_wal_bytes,
-            cdc_lag_seqs,
-            cdc_catchup_reads,
-            pinned_bytes,
-        } = self;
-        render_io_prometheus(out, io, labels);
-        let g = |out: &mut String, name: &str, v: f64| prom_line(out, name, labels, v);
-        g(out, "scavenger_gc_runs_total", gc.runs as f64);
-        g(
-            out,
-            "scavenger_gc_files_collected_total",
-            gc.files_collected as f64,
-        );
-        g(
-            out,
-            "scavenger_gc_records_scanned_total",
-            gc.records_scanned as f64,
-        );
-        g(
-            out,
-            "scavenger_gc_records_valid_total",
-            gc.records_valid as f64,
-        );
-        g(
-            out,
-            "scavenger_gc_reclaimed_bytes_total",
-            gc.reclaimed_bytes as f64,
-        );
-        for (step, ns) in [
-            ("read", gc.read_ns),
-            ("lookup", gc.lookup_ns),
-            ("write", gc.write_ns),
-            ("write_index", gc.write_index_ns),
-        ] {
-            let step_labels = if labels.is_empty() {
-                format!("step=\"{step}\"")
-            } else {
-                format!("step=\"{step}\",{labels}")
-            };
-            prom_line(
-                out,
-                "scavenger_gc_step_seconds_total",
-                &step_labels,
-                ns as f64 / 1e9,
-            );
-        }
-        for (kind, bytes) in [
-            ("ksst", space.ksst_bytes),
-            ("value", space.value_bytes),
-            ("wal", space.wal_bytes),
-            ("manifest", space.manifest_bytes),
-            ("other", space.other_bytes),
-        ] {
-            let kind_labels = if labels.is_empty() {
-                format!("kind=\"{kind}\"")
-            } else {
-                format!("kind=\"{kind}\",{labels}")
-            };
-            prom_line(out, "scavenger_space_bytes", &kind_labels, bytes as f64);
-        }
-        g(out, "scavenger_index_space_amp", *index_space_amp);
-        g(
-            out,
-            "scavenger_exposed_garbage_bytes",
-            *exposed_garbage_bytes as f64,
-        );
-        g(
-            out,
-            "scavenger_value_store_bytes",
-            *value_store_bytes as f64,
-        );
-        g(out, "scavenger_value_files", *value_files as f64);
-        g(out, "scavenger_cache_hit_ratio", *cache_hit_ratio);
-        g(out, "scavenger_flushes_total", *flushes as f64);
-        g(out, "scavenger_compactions_total", *compactions as f64);
-        g(out, "scavenger_merge_drops_total", *merge_drops as f64);
-        g(
-            out,
-            "scavenger_throttle_stalls_total",
-            *throttle_stalls as f64,
-        );
-        // Absent ⇒ no reader in flight; emit presence + value so a
-        // scraper can tell "no pin" from "pinned at sequence 0".
-        g(
-            out,
-            "scavenger_oldest_read_point_present",
-            if oldest_read_point.is_some() {
-                1.0
-            } else {
-                0.0
-            },
-        );
-        g(
-            out,
-            "scavenger_oldest_read_point",
-            oldest_read_point.unwrap_or(0) as f64,
-        );
-        g(out, "scavenger_pinned_views", *pinned_views as f64);
-        g(out, "scavenger_live_snapshots", *live_snapshots as f64);
-        g(out, "scavenger_bg_errors_total", *bg_errors as f64);
-        g(out, "scavenger_bg_retries_total", *bg_retries as f64);
-        g(out, "scavenger_degraded", if *degraded { 1.0 } else { 0.0 });
-        g(
-            out,
-            "scavenger_wal_tail_corruptions_total",
-            *wal_tail_corruptions as f64,
-        );
-        g(
-            out,
-            "scavenger_group_commit_groups_total",
-            *group_commit_groups as f64,
-        );
-        g(
-            out,
-            "scavenger_group_commit_batches_total",
-            *group_commit_batches as f64,
-        );
-        g(
-            out,
-            "scavenger_group_commit_max_group",
-            *group_commit_max_group as f64,
-        );
-        g(
-            out,
-            "scavenger_group_commit_fsyncs_saved_total",
-            *group_commit_fsyncs_saved as f64,
-        );
-        g(out, "scavenger_txn_commits_total", *txn_commits as f64);
-        g(out, "scavenger_txn_conflicts_total", *txn_conflicts as f64);
-        g(
-            out,
-            "scavenger_txn_2pc_commits_total",
-            *txn_2pc_commits as f64,
-        );
-        g(
-            out,
-            "scavenger_txn_2pc_rollforwards_total",
-            *txn_2pc_rollforwards as f64,
-        );
-        g(
-            out,
-            "scavenger_cdc_events_published_total",
-            *cdc_events_published as f64,
-        );
-        g(out, "scavenger_cdc_subscribers", *cdc_subscribers as f64);
-        g(
-            out,
-            "scavenger_cdc_retained_wal_bytes",
-            *cdc_retained_wal_bytes as f64,
-        );
-        g(out, "scavenger_cdc_lag_seqs", *cdc_lag_seqs as f64);
-        g(
-            out,
-            "scavenger_cdc_catchup_reads_total",
-            *cdc_catchup_reads as f64,
-        );
-        g(out, "scavenger_pinned_bytes", *pinned_bytes as f64);
+        let mut rows = io_prom_rows(&[(labels.to_string(), self.io)]);
+        rows.extend(self.prom_rows(labels));
+        render_rows(out, &rows);
     }
 }
 
@@ -689,7 +534,7 @@ mod tests {
             runs: 2,
             ..Default::default()
         };
-        let b = GcStepTimes {
+        let mut b = GcStepTimes {
             read_ns: 250,
             runs: 5,
             ..Default::default()
@@ -697,6 +542,9 @@ mod tests {
         let d = b.delta(&a);
         assert_eq!(d.read_ns, 150);
         assert_eq!(d.runs, 3);
+        assert_eq!(a.delta(&b).read_ns, 0, "saturating");
+        b.accumulate(&a);
+        assert_eq!((b.read_ns, b.runs), (350, 7));
     }
 
     #[test]
@@ -722,22 +570,25 @@ mod tests {
     #[test]
     fn io_render_emits_every_class_with_extra_labels() {
         let io = IoStatsSnapshot::default();
+        let rows = io_prom_rows(&[("shard=\"1\"".to_string(), io)]);
         let mut out = String::new();
-        render_io_prometheus(&mut out, &io, "shard=\"1\"");
+        render_rows(&mut out, &rows);
         assert!(out.contains("scavenger_io_read_bytes_total{class=\"wal\",shard=\"1\"} 0"));
         assert!(out.contains("class=\"gc-write\""));
-        assert_eq!(
-            out.lines().count(),
-            4 * scavenger_env::io_stats::NUM_IO_CLASSES
-        );
+        let samples = out.lines().filter(|l| !l.starts_with('#')).count();
+        assert_eq!(samples, 4 * scavenger_env::io_stats::NUM_IO_CLASSES);
+        // One header per metric name, not per class or member.
+        assert_eq!(out.matches("# TYPE ").count(), 4);
     }
 
     #[test]
-    fn gc_stats_atomics_accumulate() {
+    fn gc_stats_add_accumulates() {
         let g = GcStats::default();
-        g.read_ns.fetch_add(10, Ordering::Relaxed);
-        g.read_ns.fetch_add(5, Ordering::Relaxed);
-        g.runs.fetch_add(1, Ordering::Relaxed);
+        g.add(|t| t.read_ns += 10);
+        g.add(|t| {
+            t.read_ns += 5;
+            t.runs += 1;
+        });
         let s = g.snapshot();
         assert_eq!(s.read_ns, 15);
         assert_eq!(s.runs, 1);

@@ -11,14 +11,12 @@
 //! candidate exists yet.
 //!
 //! One `Throttle` can be **shared across engines**: a
-//! [`DbShards`](crate::DbShards) set hands every shard the same instance
-//! (via [`Options::shared_throttle`](crate::Options::shared_throttle))
-//! together with a usage source summing all shard footprints
-//! ([`Options::space_usage`](crate::Options::space_usage)), so the limit
-//! is one global budget and the counters aggregate set-wide. A shard
-//! that finds the store over budget reclaims *locally* until the global
-//! total is back under — each shard polices its own garbage, but they
-//! answer to one quota.
+//! [`DbShards`](crate::DbShards) set opens every shard with the same
+//! instance together with a usage source summing all shard footprints,
+//! so the limit is one global budget and the counters aggregate
+//! set-wide. A shard that finds the store over budget reclaims
+//! *locally* until the global total is back under — each shard polices
+//! its own garbage, but they answer to one quota.
 //!
 //! A caveat the stats gauges make visible: reclamation cannot drain past
 //! the oldest registered read point
@@ -34,10 +32,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// live data simply exceeds the quota).
 pub const MAX_THROTTLE_ROUNDS: usize = 12;
 
+/// While throttling, the GC threshold is multiplied by this factor
+/// (aggressive reclamation, §III-D).
+pub const THROTTLE_GC_FACTOR: f64 = 0.25;
+
 /// Space-limit policy + counters.
 pub struct Throttle {
     limit: Option<u64>,
-    gc_factor: f64,
     /// Times the write path entered throttling.
     pub activations: AtomicU64,
     /// Aggressive GC rounds executed.
@@ -50,10 +51,9 @@ pub struct Throttle {
 
 impl Throttle {
     /// Create a policy; `limit = None` disables throttling.
-    pub fn new(limit: Option<u64>, gc_factor: f64) -> Self {
+    pub fn new(limit: Option<u64>) -> Self {
         Throttle {
             limit,
-            gc_factor: gc_factor.clamp(0.01, 1.0),
             activations: AtomicU64::new(0),
             gc_rounds: AtomicU64::new(0),
             forced_compactions: AtomicU64::new(0),
@@ -72,8 +72,8 @@ impl Throttle {
     }
 
     /// The lowered GC threshold used while throttled.
-    pub fn aggressive_threshold(&self, base: f64) -> f64 {
-        (base * self.gc_factor).max(0.01)
+    pub fn aggressive_threshold(base: f64) -> f64 {
+        (base * THROTTLE_GC_FACTOR).max(0.01)
     }
 
     /// Record one throttle activation.
@@ -93,29 +93,27 @@ mod tests {
 
     #[test]
     fn disabled_throttle_never_limits() {
-        let t = Throttle::new(None, 0.25);
+        let t = Throttle::new(None);
         assert!(!t.over_limit(u64::MAX));
         assert_eq!(t.limit(), None);
     }
 
     #[test]
     fn over_limit_is_strict() {
-        let t = Throttle::new(Some(1000), 0.25);
+        let t = Throttle::new(Some(1000));
         assert!(!t.over_limit(1000));
         assert!(t.over_limit(1001));
     }
 
     #[test]
     fn aggressive_threshold_scales_and_floors() {
-        let t = Throttle::new(Some(1000), 0.25);
-        assert!((t.aggressive_threshold(0.2) - 0.05).abs() < 1e-9);
-        let t = Throttle::new(Some(1000), 0.0); // clamped
-        assert!(t.aggressive_threshold(0.2) >= 0.01);
+        assert!((Throttle::aggressive_threshold(0.2) - 0.05).abs() < 1e-9);
+        assert_eq!(Throttle::aggressive_threshold(0.0), 0.01);
     }
 
     #[test]
     fn counters_accumulate() {
-        let t = Throttle::new(Some(10), 0.5);
+        let t = Throttle::new(Some(10));
         t.note_activation();
         t.note_activation();
         assert_eq!(t.activation_count(), 2);

@@ -47,11 +47,16 @@ fn level_units(version: &Version, level: usize, compensated: bool) -> u64 {
     }
 }
 
+/// Size ratio between adjacent levels (paper §IV-A: 10, RocksDB's
+/// `max_bytes_for_level_multiplier`). A constant, not an option: no
+/// experiment in the paper or workload in this repo moves it.
+pub const LEVEL_MULTIPLIER: u64 = 10;
+
 /// Compute dynamic level targets from the bottommost level's actual size.
 pub fn compute_targets(version: &Version, opts: &LsmOptions) -> LevelTargets {
     let num_levels = opts.num_levels;
     let last = num_levels - 1;
-    let mult = opts.level_multiplier.max(2);
+    let mult = LEVEL_MULTIPLIER;
     let base = opts.base_level_bytes.max(1);
     let mut targets = vec![0u64; num_levels];
     // The last level's "target" is its actual size: it is never a

@@ -61,6 +61,10 @@ pub struct GuardedWrite {
     pub replacement: ValueRef,
 }
 
+/// Immutable memtables a threaded-mode writer tolerates before it
+/// stalls for the flusher (RocksDB's `max_write_buffer_number - 1`).
+pub const MAX_IMM_MEMTABLES: usize = 2;
+
 struct WriterState {
     wal: Option<LogWriter>,
     wal_number: u64,
@@ -139,8 +143,6 @@ pub struct LsmCounters {
     pub flushes: AtomicU64,
     /// Compactions completed (excluding trivial moves).
     pub compactions: AtomicU64,
-    /// Trivial moves applied.
-    pub trivial_moves: AtomicU64,
     /// Writer stalls (threaded mode).
     pub stalls: AtomicU64,
     /// Entries dropped by merges (exposed garbage events).
@@ -698,21 +700,19 @@ impl Lsm {
             merged.append(b);
             batch_ends.push(base + merged.count() as u64 - 1);
         }
-        if self.inner.opts.wal {
-            if ws.wal_poisoned {
-                self.rotate_poisoned_wal(ws)?;
-            }
-            if let Some(wal) = ws.wal.as_mut() {
-                wal.add_record(&merged.encode(base))?;
-                if sync {
-                    if let Err(e) = wal.sync() {
-                        // fsyncgate: this WAL's unsynced tail may never
-                        // reach disk even if a later fsync "succeeds".
-                        // Poison the file; the next write rotates away
-                        // from it instead of retrying the sync.
-                        ws.wal_poisoned = true;
-                        return Err(e);
-                    }
+        if ws.wal_poisoned {
+            self.rotate_poisoned_wal(ws)?;
+        }
+        if let Some(wal) = ws.wal.as_mut() {
+            wal.add_record(&merged.encode(base))?;
+            if sync {
+                if let Err(e) = wal.sync() {
+                    // fsyncgate: this WAL's unsynced tail may never
+                    // reach disk even if a later fsync "succeeds".
+                    // Poison the file; the next write rotates away
+                    // from it instead of retrying the sync.
+                    ws.wal_poisoned = true;
+                    return Err(e);
                 }
             }
         }
@@ -793,10 +793,7 @@ impl Lsm {
         let fresh = Arc::new(Memtable::new());
         *self.inner.mem.write() = fresh.clone();
         self.install_sv_rotated(fresh, cur);
-        if self.inner.opts.wal {
-            self.fresh_wal_locked(ws)?;
-        }
-        Ok(())
+        self.fresh_wal_locked(ws)
     }
 
     /// Point the writer at a brand-new WAL file (and clear any poison).
@@ -846,7 +843,7 @@ impl Lsm {
         }
         let mut guard = self.inner.stall_lock.lock();
         let mut stalled = false;
-        while self.inner.imms.read().len() > self.inner.opts.max_imm_memtables
+        while self.inner.imms.read().len() > MAX_IMM_MEMTABLES
             && !self.inner.closed.load(Ordering::SeqCst)
         {
             if !stalled {
@@ -1225,10 +1222,6 @@ impl Lsm {
                 edit.added.push((c.output_level, (**f).clone()));
                 self.inner.vset.lock().log_and_apply(edit)?;
                 self.install_sv_version();
-                self.inner
-                    .counters
-                    .trivial_moves
-                    .fetch_add(1, Ordering::Relaxed);
                 Ok(true)
             }
             Some(c) => {
@@ -1338,10 +1331,6 @@ impl Lsm {
             edit.added.push((c.output_level, (**f).clone()));
             self.inner.vset.lock().log_and_apply(edit)?;
             self.install_sv_version();
-            self.inner
-                .counters
-                .trivial_moves
-                .fetch_add(1, Ordering::Relaxed);
             return Ok(true);
         }
         self.run_compaction(&version, &c)?;
@@ -1568,9 +1557,6 @@ impl Lsm {
     }
 
     fn start_fresh_wal(&self) -> Result<()> {
-        if !self.inner.opts.wal {
-            return Ok(());
-        }
         let n = self.inner.file_counter.fetch_add(1, Ordering::SeqCst);
         let f = self
             .inner

@@ -27,6 +27,15 @@ pub enum BackgroundMode {
     Threaded,
 }
 
+/// Default L0 file count that triggers an L0 → base-level compaction
+/// (RocksDB's `level0_file_num_compaction_trigger`, which the paper's
+/// §IV-A setup leaves at 4).
+pub const L0_TRIGGER: usize = 4;
+/// Default key-SST data block size (paper §IV-A: 4 KB).
+pub const BLOCK_SIZE: usize = 4096;
+/// Bloom-filter bits per key for every key SST (paper §IV-A: 10).
+pub const BLOOM_BITS_PER_KEY: usize = 10;
+
 /// Options for opening an [`Lsm`](crate::db::Lsm).
 #[derive(Clone)]
 pub struct LsmOptions {
@@ -41,16 +50,12 @@ pub struct LsmOptions {
     /// `max_bytes_for_level_base`: target size of the base level
     /// (interpreted in *compensated* units when `compensated` is set).
     pub base_level_bytes: u64,
-    /// Inter-level size multiplier (paper default: 10).
-    pub level_multiplier: u64,
     /// Number of levels (RocksDB default: 7).
     pub num_levels: usize,
     /// Target key-SST file size for compaction outputs.
     pub target_file_size: u64,
     /// Data block size for key SSTs.
     pub block_size: usize,
-    /// Bloom bits per key.
-    pub bloom_bits_per_key: usize,
     /// Key SST format.
     pub ktable_format: KTableFormat,
     /// Score compaction by compensated size (paper §III-C) instead of raw
@@ -65,12 +70,8 @@ pub struct LsmOptions {
     pub cache_namespace: u64,
     /// Block cache capacity when `block_cache` is `None`.
     pub block_cache_bytes: usize,
-    /// Write WAL records (disable only for bulk loads in tests).
-    pub wal: bool,
     /// Background execution mode.
     pub background: BackgroundMode,
-    /// Max immutable memtables before writes stall (Threaded mode).
-    pub max_imm_memtables: usize,
     /// How many times a *transient* background-job failure (flush,
     /// compaction) is retried before the engine degrades to read-only
     /// mode. Permanent failures (e.g. corruption) degrade immediately.
@@ -97,27 +98,24 @@ pub struct LsmOptions {
 }
 
 impl LsmOptions {
-    /// Reasonable scaled-down defaults (see DESIGN.md §6) on the given env.
+    /// Scaled-down defaults (sizes are the paper's §IV-A setup divided
+    /// by ~256; see ARCHITECTURE.md "Configuration") on the given env.
     pub fn new(env: EnvRef, dir: impl Into<String>) -> Self {
         LsmOptions {
             env,
             dir: dir.into(),
             memtable_size: 256 * 1024,
-            l0_trigger: 4,
+            l0_trigger: L0_TRIGGER,
             base_level_bytes: 4 * 1024 * 1024,
-            level_multiplier: 10,
             num_levels: 7,
             target_file_size: 256 * 1024,
-            block_size: 4096,
-            bloom_bits_per_key: 10,
+            block_size: BLOCK_SIZE,
             ktable_format: KTableFormat::BTable,
             compensated: false,
             block_cache: None,
             cache_namespace: 0,
             block_cache_bytes: 1024 * 1024,
-            wal: true,
             background: BackgroundMode::Inline,
-            max_imm_memtables: 2,
             bg_retry_limit: 3,
             bg_retry_base: std::time::Duration::from_millis(10),
             value_hook: None,
@@ -131,7 +129,7 @@ impl LsmOptions {
         scavenger_table::btable::TableOptions {
             block_size: self.block_size,
             restart_interval: 16,
-            bloom_bits_per_key: self.bloom_bits_per_key,
+            bloom_bits_per_key: BLOOM_BITS_PER_KEY,
             cmp: scavenger_table::KeyCmp::Internal,
             index_partition_size: 2048,
         }
@@ -147,10 +145,11 @@ mod tests {
     fn defaults_are_scaled_per_design_doc() {
         let opts = LsmOptions::new(MemEnv::shared(), "db");
         assert_eq!(opts.memtable_size, 256 * 1024);
-        assert_eq!(opts.level_multiplier, 10);
+        assert_eq!(crate::compaction::LEVEL_MULTIPLIER, 10);
         assert_eq!(opts.num_levels, 7);
-        assert_eq!(opts.l0_trigger, 4);
-        assert!(opts.wal);
+        assert_eq!((opts.l0_trigger, L0_TRIGGER), (4, 4));
+        assert_eq!((opts.block_size, BLOCK_SIZE), (4096, 4096));
+        assert_eq!(crate::db::MAX_IMM_MEMTABLES, 2);
         assert_eq!(opts.background, BackgroundMode::Inline);
         assert_eq!(opts.table_options().bloom_bits_per_key, 10);
     }

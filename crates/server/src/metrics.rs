@@ -3,14 +3,14 @@
 //! [`ServerMetrics`] is the service layer's own telemetry — connection
 //! accounting, rate-limit and slow-query counters, per-op latency
 //! histograms. [`render_metrics`] stitches it together with the
-//! engine's [`DbStats`] exposition (including
+//! engine's [`DbStats`](scavenger::DbStats) exposition (including
 //! per-shard I/O attribution from `Maintenance::per_shard_stats`) into
 //! the single text page served on the `/metrics` HTTP listener and the
 //! `Stats` wire request.
 
 use parking_lot::Mutex;
-use scavenger::stats::{prom_header, prom_line, render_io_prometheus};
-use scavenger::{DbStats, Maintenance};
+use scavenger::stats::{io_prom_rows, prom_header, prom_line, render_rows};
+use scavenger::Maintenance;
 use scavenger_util::hist::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -71,131 +71,29 @@ impl ServerMetrics {
 
     /// Append the service-layer series to a Prometheus page.
     pub fn render(&self, out: &mut String, pinned: usize, change_streams: usize) {
-        prom_header(
-            out,
-            "scavenger_server_connections_total",
-            "counter",
-            "Connections accepted since start.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_connections_total",
-            "",
-            self.conns_total.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_connections_active",
-            "gauge",
-            "Connections currently open.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_connections_active",
-            "",
-            self.conns_active.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_connections_rejected_total",
-            "counter",
-            "Connections refused at accept time by the connection cap.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_connections_rejected_total",
-            "",
-            self.conns_rejected.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_rate_limited_total",
-            "counter",
-            "Requests rejected by a token bucket.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_rate_limited_total",
-            "",
-            self.rate_limited.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_slow_queries_total",
-            "counter",
-            "Requests slower than the slow-query threshold.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_slow_queries_total",
-            "",
-            self.slow_queries.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_requests_total",
-            "counter",
-            "Requests answered, by outcome.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_requests_total",
-            "outcome=\"ok\"",
-            self.requests_ok.load(Ordering::Relaxed) as f64,
-        );
-        prom_line(
-            out,
-            "scavenger_server_requests_total",
-            "outcome=\"error\"",
-            self.requests_err.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_pin_misses_total",
-            "counter",
-            "Pinned reads that named an unknown or expired snapshot id.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_pin_misses_total",
-            "",
-            self.pin_misses.load(Ordering::Relaxed) as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_pinned_snapshots",
-            "gauge",
-            "Snapshots currently held in the server pin table.",
-        );
-        prom_line(out, "scavenger_server_pinned_snapshots", "", pinned as f64);
-        prom_header(
-            out,
-            "scavenger_server_change_streams",
-            "gauge",
-            "Change streams currently held in the server stream table.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_change_streams",
-            "",
-            change_streams as f64,
-        );
-        prom_header(
-            out,
-            "scavenger_server_cdc_events_streamed_total",
-            "counter",
-            "Change events delivered in ChangeChunk frames.",
-        );
-        prom_line(
-            out,
-            "scavenger_server_cdc_events_streamed_total",
-            "",
-            self.cdc_events_streamed.load(Ordering::Relaxed) as f64,
-        );
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
+        const REQUESTS: &str = "Requests answered, by outcome.";
+        #[rustfmt::skip]
+        let table = [
+            ("scavenger_server_connections_total", "counter", "Connections accepted since start.", "", load(&self.conns_total)),
+            ("scavenger_server_connections_active", "gauge", "Connections currently open.", "", load(&self.conns_active)),
+            ("scavenger_server_connections_rejected_total", "counter", "Connections refused at accept time by the connection cap.", "", load(&self.conns_rejected)),
+            ("scavenger_server_rate_limited_total", "counter", "Requests rejected by a token bucket.", "", load(&self.rate_limited)),
+            ("scavenger_server_slow_queries_total", "counter", "Requests slower than the slow-query threshold.", "", load(&self.slow_queries)),
+            ("scavenger_server_requests_total", "counter", REQUESTS, "outcome=\"ok\"", load(&self.requests_ok)),
+            ("scavenger_server_requests_total", "counter", REQUESTS, "outcome=\"error\"", load(&self.requests_err)),
+            ("scavenger_server_pin_misses_total", "counter", "Pinned reads that named an unknown or expired snapshot id.", "", load(&self.pin_misses)),
+            ("scavenger_server_pinned_snapshots", "gauge", "Snapshots currently held in the server pin table.", "", pinned as f64),
+            ("scavenger_server_change_streams", "gauge", "Change streams currently held in the server stream table.", "", change_streams as f64),
+            ("scavenger_server_cdc_events_streamed_total", "counter", "Change events delivered in ChangeChunk frames.", "", load(&self.cdc_events_streamed)),
+        ];
+        render_rows(out, &table);
 
+        // One summary family: quantiles, then `_count` / `_sum`, per op.
+        let name = "scavenger_server_op_latency_us";
         prom_header(
             out,
-            "scavenger_server_op_latency_us",
+            name,
             "summary",
             "Per-op request latency in microseconds.",
         );
@@ -205,56 +103,40 @@ impl ServerMetrics {
                 continue;
             }
             for (q, p) in [("0.5", 50.0), ("0.99", 99.0)] {
-                prom_line(
-                    out,
-                    "scavenger_server_op_latency_us",
-                    &format!("op=\"{op}\",quantile=\"{q}\""),
-                    h.percentile(p),
-                );
+                let labels = format!("op=\"{op}\",quantile=\"{q}\"");
+                prom_line(out, name, &labels, h.percentile(p));
             }
-            prom_line(
-                out,
-                "scavenger_server_op_latency_us_count",
-                &format!("op=\"{op}\""),
-                h.count() as f64,
-            );
-            prom_line(
-                out,
-                "scavenger_server_op_latency_us_sum",
-                &format!("op=\"{op}\""),
-                h.sum() as f64,
-            );
+            let op_label = format!("op=\"{op}\"");
+            prom_line(out, &format!("{name}_count"), &op_label, h.count() as f64);
+            prom_line(out, &format!("{name}_sum"), &op_label, h.sum() as f64);
         }
     }
 }
 
-/// Render the full `/metrics` page: engine stats (aggregate), per-shard
-/// I/O attribution, and service-layer counters.
+/// Render the full `/metrics` page: the engine's aggregate series, I/O
+/// attributed per shard (never also as an unlabelled aggregate, which
+/// `sum by (class)` would double-count; an unsharded engine reports a
+/// single `shard="0"`), and the service-layer counters.
 pub fn render_metrics<E: Maintenance>(
     engine: &E,
     metrics: &ServerMetrics,
     pinned: usize,
     change_streams: usize,
 ) -> String {
-    let mut out = String::new();
-    let stats: DbStats = engine.stats();
-    stats.render_prometheus(&mut out, "");
-
-    // Per-shard I/O: one series set per member, labelled by shard
-    // index. For an unsharded engine this is a single shard="0" set
-    // mirroring the aggregate.
+    let mut rows = engine.stats().prom_rows("");
     let shards = engine.per_shard_stats();
-    prom_header(
-        &mut out,
+    rows.push((
         "scavenger_shard_count",
         "gauge",
         "Members reporting per-shard statistics.",
-    );
-    prom_line(&mut out, "scavenger_shard_count", "", shards.len() as f64);
-    for (i, s) in shards.iter().enumerate() {
-        render_io_prometheus(&mut out, &s.io, &format!("shard=\"{i}\""));
-    }
-
+        String::new(),
+        shards.len() as f64,
+    ));
+    let io = shards.iter().enumerate();
+    let io: Vec<_> = io.map(|(i, s)| (format!("shard=\"{i}\""), s.io)).collect();
+    rows.extend(io_prom_rows(&io));
+    let mut out = String::new();
+    render_rows(&mut out, &rows);
     metrics.render(&mut out, pinned, change_streams);
     out
 }

@@ -8,16 +8,16 @@
 //!
 //! Run with: `cargo run --release --example hot_cold_gc`
 
-use scavenger::{EngineMode, IoClass, MemEnv, Options};
+use scavenger::{Db, EngineMode, IoClass, MemEnv, Options};
 use scavenger_env::EnvRef;
 
 fn main() -> scavenger::Result<()> {
     let env: EnvRef = MemEnv::shared();
-    let db = Options::builder(env.clone(), "db", EngineMode::Scavenger)
-        .memtable_size(64 * 1024)
-        .base_level_bytes(256 * 1024)
-        .auto_gc(false) // run GC by hand below so we can observe it
-        .open()?;
+    let mut opts = Options::new(env.clone(), "db", EngineMode::Scavenger);
+    opts.memtable_size = 64 * 1024;
+    opts.base_level_bytes = 256 * 1024;
+    opts.auto_gc = false; // run GC by hand below so we can observe it
+    let db = Db::open(opts)?;
 
     // 200 cold keys, written once.
     for i in 0..200 {

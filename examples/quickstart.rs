@@ -6,7 +6,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use scavenger::{Engine, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, WriteOptions};
+use scavenger::{
+    Db, DbShards, Engine, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, WriteOptions,
+};
 
 /// Written once against the trait surface; works on `Db`, `DbShards`,
 /// and any future backend. The `Engine` bound is shorthand for
@@ -94,19 +96,19 @@ fn tour<E: Engine>(db: &E, label: &str) -> scavenger::Result<()> {
 
 fn main() -> scavenger::Result<()> {
     // An in-memory environment keeps the example self-contained; swap in
-    // `FsEnv::new("/tmp/scavenger-demo")?` for real files. The typed
-    // builder names every knob — no positional constructors.
-    let single = Options::builder(MemEnv::shared(), "quickstart-db", EngineMode::Scavenger)
-        .auto_gc(false) // the tour drives GC explicitly
-        .open()?;
+    // `FsEnv::new("/tmp/scavenger-demo")?` for real files. Every knob
+    // is a public field of `Options`, set after `Options::new`.
+    let mut opts = Options::new(MemEnv::shared(), "quickstart-db", EngineMode::Scavenger);
+    opts.auto_gc = false; // the tour drives GC explicitly
+    let single = Db::open(opts)?;
     tour(&single, "single engine (Db)")?;
 
     // Same tour, zero new code: a 4-shard store behind the same traits.
-    let sharded =
-        ShardedOptions::builder(MemEnv::shared(), "quickstart-shards", EngineMode::Scavenger)
-            .num_shards(4)
-            .auto_gc(false)
-            .open()?;
+    let mut opts =
+        ShardedOptions::new(MemEnv::shared(), "quickstart-shards", EngineMode::Scavenger);
+    opts.num_shards = 4;
+    opts.base.auto_gc = false;
+    let sharded = DbShards::open(opts)?;
     tour(&sharded, "sharded engine (DbShards, 4 shards)")?;
     Ok(())
 }

@@ -8,15 +8,14 @@ use scavenger::{DbShards, EngineMode, EnvRef, MemEnv, ShardedOptions};
 
 fn main() -> scavenger::Result<()> {
     let env: EnvRef = MemEnv::shared();
-    // The typed builder covers the shard-layer knobs and every per-shard
-    // engine knob in one chain; small files so the example generates
-    // real flush/GC work.
-    let opts = ShardedOptions::builder(env.clone(), "sharded-demo", EngineMode::Scavenger)
-        .num_shards(4)
-        .memtable_size(32 * 1024)
-        .vsst_target_size(64 * 1024)
-        .auto_gc(false)
-        .build();
+    // Shard-layer settings sit on `ShardedOptions`, per-shard engine
+    // knobs on its `base`; small files so the example generates real
+    // flush/GC work.
+    let mut opts = ShardedOptions::new(env.clone(), "sharded-demo", EngineMode::Scavenger);
+    opts.num_shards = 4;
+    opts.base.memtable_size = 32 * 1024;
+    opts.base.vsst_target_size = 64 * 1024;
+    opts.base.auto_gc = false;
 
     let db = DbShards::open(opts.clone())?;
     println!(

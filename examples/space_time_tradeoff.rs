@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example space_time_tradeoff`
 
-use scavenger::{DeviceModel, EngineMode, MemEnv, Options};
+use scavenger::{Db, DeviceModel, EngineMode, MemEnv, Options};
 use scavenger_env::EnvRef;
 
 fn main() -> scavenger::Result<()> {
@@ -20,10 +20,10 @@ fn main() -> scavenger::Result<()> {
 
     for mode in EngineMode::ALL {
         let env: EnvRef = MemEnv::shared();
-        let db = Options::builder(env.clone(), "db", mode)
-            .memtable_size(64 * 1024)
-            .base_level_bytes(256 * 1024)
-            .open()?;
+        let mut opts = Options::new(env.clone(), "db", mode);
+        opts.memtable_size = 64 * 1024;
+        opts.base_level_bytes = 256 * 1024;
+        let db = Db::open(opts)?;
 
         // Load.
         for i in 0..num_keys {

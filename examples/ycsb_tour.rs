@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example ycsb_tour`
 
 use scavenger::{
-    EngineMode, KvRead, KvWrite, Maintenance, MemEnv, Options, ReadOptions, ShardedOptions,
-    WriteOptions,
+    Db, DbShards, EngineMode, KvRead, KvWrite, Maintenance, MemEnv, Options, ReadOptions,
+    ShardedOptions, WriteOptions,
 };
 use scavenger_env::EnvRef;
 
@@ -106,20 +106,20 @@ fn run_tour<E: KvRead + KvWrite + Maintenance>(db: &E, n: u64) -> scavenger::Res
 
 fn main() -> scavenger::Result<()> {
     let env: EnvRef = MemEnv::shared();
-    let db = Options::builder(env, "db", EngineMode::Scavenger)
-        .memtable_size(128 * 1024)
-        .base_level_bytes(512 * 1024)
-        .open()?;
+    let mut opts = Options::new(env, "db", EngineMode::Scavenger);
+    opts.memtable_size = 128 * 1024;
+    opts.base_level_bytes = 512 * 1024;
+    let db = Db::open(opts)?;
     println!("=== single engine (Db) ===");
     run_tour(&db, 1_000)?;
 
     // Identical adapter + tour on a sharded store: the trait surface is
     // the whole integration contract.
-    let sharded = ShardedOptions::builder(MemEnv::shared(), "db-shards", EngineMode::Scavenger)
-        .num_shards(4)
-        .memtable_size(128 * 1024)
-        .base_level_bytes(512 * 1024)
-        .open()?;
+    let mut opts = ShardedOptions::new(MemEnv::shared(), "db-shards", EngineMode::Scavenger);
+    opts.num_shards = 4;
+    opts.base.memtable_size = 128 * 1024;
+    opts.base.base_level_bytes = 512 * 1024;
+    let sharded = DbShards::open(opts)?;
     println!("\n=== sharded engine (DbShards, 4 shards) ===");
     run_tour(&sharded, 1_000)?;
     Ok(())

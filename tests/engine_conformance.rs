@@ -23,27 +23,25 @@ fn value(i: usize, len: usize) -> Vec<u8> {
     v
 }
 
+fn small_options(dir: &str, mode: EngineMode) -> Options {
+    let mut o = Options::new(MemEnv::shared(), dir, mode);
+    o.memtable_size = 8 * 1024;
+    o.vsst_target_size = 32 * 1024;
+    o.base_level_bytes = 64 * 1024;
+    o.ksst_target_size = 16 * 1024;
+    o.auto_gc = false;
+    o
+}
+
 fn single(dir: &str, mode: EngineMode) -> Db {
-    Options::builder(MemEnv::shared(), dir, mode)
-        .memtable_size(8 * 1024)
-        .vsst_target_size(32 * 1024)
-        .base_level_bytes(64 * 1024)
-        .ksst_target_size(16 * 1024)
-        .auto_gc(false)
-        .open()
-        .unwrap()
+    Db::open(small_options(dir, mode)).unwrap()
 }
 
 fn sharded(dir: &str, mode: EngineMode) -> DbShards {
-    ShardedOptions::builder(MemEnv::shared(), dir, mode)
-        .num_shards(4)
-        .memtable_size(8 * 1024)
-        .vsst_target_size(32 * 1024)
-        .base_level_bytes(64 * 1024)
-        .ksst_target_size(16 * 1024)
-        .auto_gc(false)
-        .open()
-        .unwrap()
+    let mut o = ShardedOptions::new(MemEnv::shared(), dir, mode);
+    o.base = small_options(dir, mode);
+    o.num_shards = 4;
+    DbShards::open(o).unwrap()
 }
 
 /// Everything the generic driver can observe about an engine: latest

@@ -49,23 +49,23 @@ fn value(i: usize, len: usize) -> Vec<u8> {
     v
 }
 
+fn small_options(env: EnvRef, dir: &str) -> Options {
+    let mut o = Options::new(env, dir, EngineMode::Scavenger);
+    o.memtable_size = 8 * 1024;
+    o.vsst_target_size = 32 * 1024;
+    o.auto_gc = false;
+    o
+}
+
 fn single(env: EnvRef, dir: &str) -> Db {
-    Options::builder(env, dir, EngineMode::Scavenger)
-        .memtable_size(8 * 1024)
-        .vsst_target_size(32 * 1024)
-        .auto_gc(false)
-        .open()
-        .unwrap()
+    Db::open(small_options(env, dir)).unwrap()
 }
 
 fn sharded(env: EnvRef, dir: &str) -> DbShards {
-    ShardedOptions::builder(env, dir, EngineMode::Scavenger)
-        .num_shards(3)
-        .memtable_size(8 * 1024)
-        .vsst_target_size(32 * 1024)
-        .auto_gc(false)
-        .open()
-        .unwrap()
+    let mut o = ShardedOptions::new(env.clone(), dir, EngineMode::Scavenger);
+    o.base = small_options(env, dir);
+    o.num_shards = 3;
+    DbShards::open(o).unwrap()
 }
 
 fn load<E: Engine>(db: &E, n: usize) {

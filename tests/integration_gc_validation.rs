@@ -240,7 +240,7 @@ fn snapshot_pinned_records_survive_in_all_modes() {
             db.flush().unwrap();
         }
         db.compact_all().unwrap();
-        gc_wave_against_oracle(&db, db.options().gc_threshold);
+        gc_wave_against_oracle(&db, scavenger::gc::GC_THRESHOLD);
         assert_eq!(
             db.get_with(&ReadOptions::pinned(&snap), "pinned")
                 .unwrap()

@@ -509,18 +509,16 @@ where
 // ---------------- instantiations ----------------
 
 fn open_db(env: scavenger::EnvRef, dir: &str) -> Db {
-    Options::builder(env, dir, EngineMode::Scavenger)
-        .memtable_size(32 * 1024)
-        .open()
-        .unwrap()
+    let mut o = Options::new(env, dir, EngineMode::Scavenger);
+    o.memtable_size = 32 * 1024;
+    Db::open(o).unwrap()
 }
 
 fn open_shards(env: scavenger::EnvRef, dir: &str) -> DbShards {
-    ShardedOptions::builder(env, dir, EngineMode::Scavenger)
-        .num_shards(4)
-        .memtable_size(32 * 1024)
-        .open()
-        .unwrap()
+    let mut o = ShardedOptions::new(env, dir, EngineMode::Scavenger);
+    o.num_shards = 4;
+    o.base.memtable_size = 32 * 1024;
+    DbShards::open(o).unwrap()
 }
 
 #[test]

@@ -461,6 +461,84 @@ fn space_budget_is_global_across_shards() {
     );
 }
 
+/// `DbShards::stats` is every shard's snapshot folded field by field,
+/// plus the state that lives at the set level. One field of every fold
+/// rule is recomputed here from `shard_stats()` on a store that has
+/// flushed, collected garbage, throttled, committed transactions (one of
+/// them across shards), and holds a snapshot and a lagging subscriber.
+#[test]
+fn stats_fold_per_shard_values_by_rule() {
+    use scavenger::{ChangeSubscriber, SubscribeFrom, Transactional};
+    let env: EnvRef = MemEnv::shared();
+    let mut o = sharded_opts(env.clone(), "fold", EngineMode::Scavenger, 4);
+    o.base.space_limit = Some(900 * 1024);
+    let db = DbShards::open(o).unwrap();
+    let _feed = db.subscribe_changes(SubscribeFrom::Oldest).unwrap();
+    for round in 0..16 {
+        for i in 0..96 {
+            db.put(format!("key{i:02}"), value(round + i, 2048))
+                .unwrap();
+        }
+    }
+    db.flush().unwrap();
+    db.run_gc_until_clean().unwrap();
+    let mut txn = db.begin();
+    for i in 0..8 {
+        txn.put(format!("txn{i}"), value(i, 64));
+    }
+    txn.commit().unwrap();
+    let snap = db.snapshot();
+    db.put("after-snap", value(1, 64)).unwrap();
+
+    let per = db.shard_stats();
+    let s = db.stats();
+    let sum = |f: fn(&scavenger::DbStats) -> u64| per.iter().map(f).sum::<u64>();
+    let max = |f: fn(&scavenger::DbStats) -> u64| per.iter().map(f).max().unwrap();
+
+    // Sum.
+    assert!(s.flushes >= 4 && s.gc.records_scanned > 0);
+    assert_eq!(s.flushes, sum(|p| p.flushes));
+    assert_eq!(s.gc.records_scanned, sum(|p| p.gc.records_scanned));
+    let wal = scavenger::IoClass::Wal;
+    assert_eq!(
+        s.io.class(wal).write_bytes,
+        sum(|p| p.io.class(scavenger::IoClass::Wal).write_bytes)
+    );
+    // Max: the largest group anywhere; the slowest subscriber's lag in
+    // its own shard's sequence space (nothing was polled, so it is > 0).
+    assert_eq!(s.group_commit_max_group, max(|p| p.group_commit_max_group));
+    assert!(s.cdc_lag_seqs > 0);
+    assert_eq!(s.cdc_lag_seqs, max(|p| p.cdc_lag_seqs));
+    assert!(s.cdc_lag_seqs < sum(|p| p.cdc_lag_seqs));
+    // Or.
+    assert!(!s.degraded && per.iter().all(|p| !p.degraded));
+    // Minimum of the `Some`s.
+    let oldest = per.iter().filter_map(|p| p.oldest_read_point).min();
+    assert!(oldest.is_some(), "the snapshot pins every shard");
+    assert_eq!(s.oldest_read_point, oldest);
+    assert_eq!(s.live_snapshots, 4);
+    // Mean weighted by key-SST bytes.
+    let ksst = sum(|p| p.space.ksst_bytes);
+    let weighted: f64 = per
+        .iter()
+        .map(|p| p.index_space_amp * p.space.ksst_bytes as f64)
+        .sum();
+    assert!(ksst > 0);
+    assert!((s.index_space_amp - weighted / ksst as f64).abs() < 1e-9);
+    // Set level: the shared throttle, the set's own transaction
+    // counters, the 2PC coordinator.
+    assert!(s.throttle_stalls > 0, "the 900 KiB budget must have bitten");
+    assert_eq!(s.throttle_stalls, db.throttle().activation_count());
+    assert_eq!(sum(|p| p.txn_commits), 0, "commits count at the set");
+    assert_eq!((s.txn_commits, s.txn_2pc_commits), (1, 1));
+    // Root-level files are nobody's shard: they land in `other_bytes`.
+    let root = env.file_size("fold/SHARDS").unwrap() + env.file_size("fold/COORDLOG").unwrap();
+    assert!(root > 0);
+    assert_eq!(s.space.other_bytes, sum(|p| p.space.other_bytes) + root);
+    assert_eq!(s.space, db.space());
+    drop(snap);
+}
+
 /// Pinned-read-point gauges: views and snapshots show up in stats while
 /// registered and disappear on drop.
 #[test]

@@ -16,7 +16,7 @@
 //! so the suite stays quick in smoke runs; CI's multicore job runs the
 //! full shape.
 
-use scavenger::{Engine, EngineMode, MemEnv, Options, ShardedOptions, Transactional};
+use scavenger::{Db, DbShards, Engine, EngineMode, MemEnv, Options, ShardedOptions, Transactional};
 use std::collections::BTreeMap;
 
 const KEYS: u32 = 8;
@@ -163,9 +163,8 @@ fn forced_conflict<E: Engine + Transactional>(db: &E, label: &str) {
 
 #[test]
 fn txn_stress_single_db() {
-    let db = Options::builder(MemEnv::shared(), "txn-stress-db", EngineMode::Scavenger)
-        .open()
-        .unwrap();
+    let opts = Options::new(MemEnv::shared(), "txn-stress-db", EngineMode::Scavenger);
+    let db = Db::open(opts).unwrap();
     let (_, twopc) = stress(&db, "Db");
     assert_eq!(twopc, 0, "a single Db never needs the 2PC coordinator");
     forced_conflict(&db, "Db");
@@ -173,10 +172,10 @@ fn txn_stress_single_db() {
 
 #[test]
 fn txn_stress_4shard_dbshards() {
-    let db = ShardedOptions::builder(MemEnv::shared(), "txn-stress-shards", EngineMode::Scavenger)
-        .num_shards(4)
-        .open()
-        .unwrap();
+    let mut opts =
+        ShardedOptions::new(MemEnv::shared(), "txn-stress-shards", EngineMode::Scavenger);
+    opts.num_shards = 4;
+    let db = DbShards::open(opts).unwrap();
     let (_, twopc) = stress(&db, "DbShards");
     assert!(
         twopc > 0,
