@@ -32,6 +32,10 @@
 //!   exactly. A multi-shard transactional batch is split across shards
 //!   by 2PC; its events carry the coordinator's transaction id
 //!   ([`ChangeRecord::txn_id`]) so a consumer can regroup the slices.
+//!   The id is a best-effort hint, not a boundary to rely on: WAL
+//!   catch-up drops it, and entries that 2PC roll-forward re-applies
+//!   (after a crash, or to finish a batch whose shard apply failed)
+//!   surface once, at the sequence of the re-apply, untagged.
 //!
 //! # Resume tokens
 //!
@@ -100,8 +104,11 @@ pub struct ChangeRecord {
     /// Transaction id, when the write committed through the 2PC
     /// coordinator (multi-shard batches): every slice of one
     /// transaction carries the same id, so a consumer can regroup
-    /// them. `None` for plain writes and for events reconstructed from
-    /// WAL catch-up (the WAL does not encode ids).
+    /// them. `None` for plain writes, for events reconstructed from
+    /// WAL catch-up (the WAL does not encode ids), and for entries the
+    /// coordinator re-applied to complete a batch — at open after a
+    /// crash, or after a failed shard apply: one re-apply group per
+    /// shard may mix several batches, so it carries no marks.
     pub txn_id: Option<u64>,
 }
 

@@ -144,6 +144,12 @@ impl Db {
         let mut lsm_opts = opts.lsm_options();
         lsm_opts.block_cache = Some(cache.clone());
         lsm_opts.cache_namespace = cache_ns;
+        if set.is_some() {
+            // A set member elides no tombstone — not even in the
+            // WAL-recovery flush inside `Lsm::open` — until the set's 2PC
+            // roll-forward has judged every prepare against this shard.
+            lsm_opts.tombstone_hold = 0;
+        }
         let hook = if opts.features.separate {
             let h = Arc::new(EngineHook::new(
                 HookConfig {

@@ -243,16 +243,18 @@ pub trait KvWrite {
     /// splits it by routing: a batch whose keys all land on one shard
     /// takes that shard's fast path (one WAL record, zero extra I/O),
     /// while a multi-shard batch goes through the set's two-phase
-    /// commit coordinator — a synced `Prepare` record carrying the full
-    /// redo payload, the per-shard sub-batch commits (forced durable),
-    /// then a `Commit` record. Recovery replays the coordinator log and
-    /// rolls committed-but-unapplied sub-batches forward, so a crash at
-    /// any point surfaces the whole batch or none of it.
+    /// commit coordinator — one fsynced `Prepare` record carrying the
+    /// full redo payload, which is the batch's durable copy, then the
+    /// per-shard sub-batch commits, unsynced. The coordinator log is
+    /// retired only after a barrier has synced every shard's WAL, and
+    /// recovery rolls every `Prepare` still in it forward, so a crash
+    /// at any point surfaces the whole batch or none of it — and the
+    /// whole of it once acknowledged.
     ///
-    /// The price of that guarantee: a multi-shard batch is always
-    /// synced (its receipt reports `synced = true` even under
-    /// `sync = false` options), and its receipt aggregates `seq` as the
-    /// maximum across touched shards with `group_len` summed. A
+    /// The price of that guarantee is that one fsync: a multi-shard
+    /// batch pays it even under `sync = false` options (its receipt
+    /// reports `synced = true`), and its receipt aggregates `seq` as
+    /// the maximum across touched shards with `group_len` summed. A
     /// single-target batch (and every write on a single [`Db`]) keeps
     /// the requested sync behavior unchanged.
     fn write_with(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<WriteReceipt>;

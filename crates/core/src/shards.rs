@@ -37,12 +37,12 @@
 //! ordering as a store without a global sequence can promise —
 //! single-key consistency is exactly [`Db`]'s.
 //!
-//! Multi-shard batch writes are **crash-atomic across shards**: a
-//! two-phase-commit coordinator log at the store root records the full
-//! redo payload before any shard is touched, and recovery at open rolls
-//! prepared-but-uncommitted batches forward (see [`crate::txn`]).
-//! Single-shard batches skip the coordinator entirely — the common case
-//! pays zero extra I/O.
+//! Multi-shard batch writes are **crash-atomic across shards** for one
+//! fsync: a two-phase-commit coordinator log at the store root records
+//! the full redo payload, fsynced, before any shard is touched; the
+//! shards then apply unsynced, and recovery at open rolls every prepare
+//! still in the log forward (see [`crate::txn`]). Single-shard batches
+//! skip the coordinator entirely — the common case pays zero extra I/O.
 
 use crate::db::{Db, DbScanIter, ScanEntry, SetWiring, SpaceUsageFn};
 use crate::engine::GcReport;
@@ -258,6 +258,15 @@ impl ShardsInner {
     }
 }
 
+impl Drop for ShardsInner {
+    /// Clean close: retire the coordinator log (best effort — after a
+    /// simulated crash every handle is fenced), so the next open finds
+    /// no prepare to judge.
+    fn drop(&mut self) {
+        let _ = self.coord.retire(&self.shards);
+    }
+}
+
 /// A sharded Scavenger store: one handle over `N` hash-partitioned
 /// [`Db`] shards (cheaply cloneable).
 ///
@@ -378,9 +387,9 @@ impl DbShards {
             shards.push(Db::open_member(shard_opts, Some(set))?);
         }
 
-        // All shards are open: complete any multi-shard batch whose 2PC
-        // prepare is durable but whose commit never landed (crash
-        // mid-fan-out), then start a fresh coordinator log. The
+        // All shards are open: roll forward every multi-shard batch
+        // whose 2PC prepare is still in the coordinator log (a shard may
+        // have lost its unsynced apply), then start a fresh log. The
         // coordinator writes through the root usage wrapper so its log
         // bytes count toward the global budget.
         let coord = Coordinator::open(&root_env, &root, &shards)?;
@@ -475,19 +484,20 @@ impl DbShards {
     /// through that shard's write path directly — the fast path, zero
     /// coordination I/O. A batch spanning **multiple** shards commits
     /// through the two-phase-commit coordinator: the full redo payload
-    /// is fsynced to the coordinator log before any shard is touched,
-    /// every sub-batch is applied with a forced WAL sync, and recovery
-    /// at the next open rolls a prepared-but-uncommitted batch forward
-    /// — so a crash can never surface half the batch durably.
+    /// is fsynced to the coordinator log before any shard is touched —
+    /// the batch's one fsync and its durable copy — every sub-batch is
+    /// then applied unsynced, and recovery at the next open rolls every
+    /// prepare still in the log forward — so a crash can never surface
+    /// half the batch, and never loses an acknowledged one.
     ///
     /// The returned [`WriteReceipt`] is an aggregate over the touched
     /// shards: sequences are per-shard namespaces, so `seq` and
     /// `group_len` are maxima/sums across sub-batch receipts. A
-    /// multi-shard receipt always reports `synced == true` (the 2PC
-    /// commit record asserts every part is durable, so shard syncs are
-    /// forced regardless of `opts.sync`); a single-shard receipt
-    /// reports whatever its shard's commit did. An empty batch returns
-    /// an inert receipt (`group_len == 0`, `synced == false`).
+    /// multi-shard receipt always reports `synced == true` (the prepare
+    /// is fsynced regardless of `opts.sync`: atomicity needs it durable
+    /// before the first apply); a single-shard receipt reports whatever
+    /// its shard's commit did. An empty batch returns an inert receipt
+    /// (`group_len == 0`, `synced == false`).
     pub fn write_with(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<WriteReceipt> {
         let n = self.inner.meta.shards;
         let mut per_shard: Vec<WriteBatch> = (0..n).map(|_| WriteBatch::new()).collect();
@@ -636,13 +646,20 @@ impl DbShards {
 
     // ---------------- maintenance ----------------
 
-    /// Flush every shard (fanned across the maintenance pool).
+    /// Flush every shard (fanned across the maintenance pool), then
+    /// retire the 2PC coordinator log: every batch it vouches for is in
+    /// the shards' SSTs now.
     pub fn flush(&self) -> Result<()> {
-        self.for_each_shard(|db| db.flush()).map(|_| ())
+        self.for_each_shard(|db| db.flush())?;
+        self.inner.coord.retire(&self.inner.shards)
     }
 
-    /// Compact every shard until stable (fanned across the pool).
+    /// Compact every shard until stable (fanned across the pool). The
+    /// coordinator log is retired first if it can be, so no prepare left
+    /// over from earlier commits holds tombstones back from this
+    /// compaction; if it cannot, they are merely kept a while longer.
     pub fn compact_all(&self) -> Result<()> {
+        let _ = self.inner.coord.retire(&self.inner.shards);
         self.for_each_shard(|db| db.compact_all()).map(|_| ())
     }
 

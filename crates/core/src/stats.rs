@@ -344,8 +344,9 @@ db_stats! {
     /// [`Db`](crate::Db); single-shard batches bypass the coordinator
     /// entirely.
     txn_2pc_commits: sum, "scavenger_txn_2pc_commits_total", "counter", "Multi-shard batches committed through the 2PC log.";
-    /// Prepared-but-uncommitted coordinator transactions rolled forward
-    /// during recovery (crash between prepare and the last shard apply).
+    /// Prepared 2PC batches that had at least one entry re-applied: at
+    /// recovery (a shard lost its unsynced apply), or in-process when a
+    /// failed shard apply was completed.
     txn_2pc_rollforwards: sum, "scavenger_txn_2pc_rollforwards_total", "counter", "Prepared 2PC batches rolled forward at recovery.";
     /// Change events published to the CDC ring at group-commit apply
     /// time (counter; includes internal relocation events the

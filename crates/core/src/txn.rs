@@ -16,20 +16,35 @@
 //!    the transaction against current state.
 //!
 //! 2. **`Coordinator`** — the two-phase-commit log that makes a
-//!    multi-shard [`DbShards`] batch crash-atomic. A
+//!    multi-shard [`DbShards`] batch crash-atomic for **one fsync**. A
 //!    `Prepare` record carrying the full redo payload (per-shard
 //!    sub-batch bytes + CRC digest + the shard's sequence floor) is
-//!    fsynced *before* any shard write; each shard sub-batch is then
-//!    applied with a forced WAL sync; finally a `Commit` record is
-//!    appended without sync (losing it is safe — see below). Recovery at
-//!    [`DbShards::open`](crate::DbShards::open) replays the log:
-//!    prepared-but-uncommitted transactions **roll forward**, re-applying
-//!    each entry only if the key has no durable version newer than the
-//!    prepare-time floor (a newer version means the entry was already
-//!    applied, or was legally superseded by a later write — either way
-//!    re-applying would resurrect stale data). Torn or corrupt records
-//!    describe transactions whose prepare never became durable, i.e.
-//!    nothing was applied — they are discarded.
+//!    fsynced *before* any shard write, and that record *is* the batch's
+//!    durable copy: each shard sub-batch is then applied unsynced. A
+//!    prepare may be forgotten only after a **barrier** — every shard's
+//!    WAL synced with no apply in flight — followed by replacing the log
+//!    with an empty one; it runs each time the log passes 1 MiB, and
+//!    when the store is flushed, compacted or closed. Recovery at
+//!    [`DbShards::open`](crate::DbShards::open) **rolls forward** every
+//!    prepare still in the log, in log order, re-applying each entry
+//!    only if the key has no version newer than the prepare-time floor
+//!    (a newer version means the entry already landed, or was legally
+//!    superseded by a later write — either way re-applying would
+//!    resurrect stale data), then runs the barrier itself before the log
+//!    goes. A later *delete* is such a version only while its tombstone
+//!    exists, so the shards hold back tombstone elision for as long as a
+//!    prepare is in the log. There is no commit record: nothing cheaper
+//!    than the barrier can vouch that a shard's unsynced apply survived.
+//!    Torn or corrupt records describe transactions whose prepare never
+//!    became durable, i.e. nothing was applied and nobody was told
+//!    otherwise — they are discarded. A failed append or fsync poisons
+//!    the log handle: that commit fails, and the next one waits out any
+//!    commit still applying, runs the barrier and starts a fresh log
+//!    first (a torn record would hide every later prepare from recovery;
+//!    a failed fsync is never retried). A failed *shard apply* fails its
+//!    commit and the batch is completed, under the same guard, as soon as
+//!    the shard takes writes again. ARCHITECTURE.md "Transactions &
+//!    two-phase commit" has the full durability argument.
 //!
 //! The coordinator log lives at `<root>/COORDLOG` so fault-injection
 //! rules can target it by substring.
@@ -39,7 +54,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_lsm::wal::{read_all_records, LogWriter};
 use scavenger_lsm::WriteBatch;
@@ -47,7 +62,7 @@ use scavenger_util::coding::{
     get_fixed32, get_fixed64, get_length_prefixed_slice, get_varint32, put_fixed32, put_fixed64,
     put_length_prefixed_slice, put_varint32,
 };
-use scavenger_util::ikey::{SeqNo, ValueType};
+use scavenger_util::ikey::{SeqNo, ValueType, MAX_SEQNO};
 use scavenger_util::{crc32c, Error, Result};
 
 use crate::db::{Db, ScanEntry};
@@ -360,12 +375,12 @@ impl TxnCounters {
 /// is substring-targetable by fault-injection rules (`"COORD"`).
 pub(crate) const COORD_LOG: &str = "COORDLOG";
 
-/// Rotate (truncate) the coordinator log once it exceeds this size and
-/// no transaction is in flight.
+/// The barrier cadence under load: once the coordinator log exceeds this
+/// size and no apply is in flight, the shards are synced and the log is
+/// replaced by an empty one.
 const COORD_ROTATE_BYTES: u64 = 1 << 20;
 
 const PREPARE_TAG: u8 = 1;
-const COMMIT_TAG: u8 = 2;
 
 /// One shard's slice of a prepared multi-shard transaction.
 #[derive(Debug)]
@@ -385,12 +400,6 @@ struct PrepareRecord {
     parts: Vec<PreparedPart>,
 }
 
-#[derive(Debug)]
-enum CoordRecord {
-    Prepare(PrepareRecord),
-    Commit(u64),
-}
-
 fn encode_prepare(txn_id: u64, parts: &[(usize, WriteBatch)], floors: &[SeqNo]) -> Vec<u8> {
     let mut buf = vec![PREPARE_TAG];
     put_fixed64(&mut buf, txn_id);
@@ -405,102 +414,114 @@ fn encode_prepare(txn_id: u64, parts: &[(usize, WriteBatch)], floors: &[SeqNo]) 
     buf
 }
 
-fn encode_commit(txn_id: u64) -> Vec<u8> {
-    let mut buf = vec![COMMIT_TAG];
-    put_fixed64(&mut buf, txn_id);
-    buf
-}
-
-fn decode_record(mut src: &[u8]) -> Result<CoordRecord> {
+fn decode_prepare(mut src: &[u8]) -> Result<PrepareRecord> {
     let (&tag, rest) = src
         .split_first()
         .ok_or_else(|| Error::corruption("empty coordinator record"))?;
+    if tag != PREPARE_TAG {
+        return Err(Error::corruption(format!(
+            "unknown coordinator record tag {tag}"
+        )));
+    }
     src = rest;
-    match tag {
-        PREPARE_TAG => {
-            let txn_id = get_fixed64(&mut src)?;
-            let n = get_varint32(&mut src)? as usize;
-            let mut parts = Vec::with_capacity(n);
-            for _ in 0..n {
-                let shard = get_varint32(&mut src)? as usize;
-                let floor = get_fixed64(&mut src)?;
-                let digest = get_fixed32(&mut src)?;
-                let bytes = get_length_prefixed_slice(&mut src)?;
-                if crc32c::value(bytes) != digest {
-                    return Err(Error::corruption(format!(
-                        "coordinator prepare {txn_id}: sub-batch digest mismatch"
-                    )));
-                }
-                let (_, batch) = WriteBatch::decode(bytes)?;
-                parts.push(PreparedPart {
-                    shard,
-                    floor,
-                    batch,
-                });
-            }
-            Ok(CoordRecord::Prepare(PrepareRecord { txn_id, parts }))
+    let txn_id = get_fixed64(&mut src)?;
+    let n = get_varint32(&mut src)? as usize;
+    let mut parts = Vec::with_capacity(n);
+    for _ in 0..n {
+        let shard = get_varint32(&mut src)? as usize;
+        let floor = get_fixed64(&mut src)?;
+        let digest = get_fixed32(&mut src)?;
+        let bytes = get_length_prefixed_slice(&mut src)?;
+        if crc32c::value(bytes) != digest {
+            return Err(Error::corruption(format!(
+                "coordinator prepare {txn_id}: sub-batch digest mismatch"
+            )));
         }
-        COMMIT_TAG => Ok(CoordRecord::Commit(get_fixed64(&mut src)?)),
-        other => Err(Error::corruption(format!(
-            "unknown coordinator record tag {other}"
-        ))),
+        let (_, batch) = WriteBatch::decode(bytes)?;
+        parts.push(PreparedPart {
+            shard,
+            floor,
+            batch,
+        });
+    }
+    Ok(PrepareRecord { txn_id, parts })
+}
+
+/// The barrier: make every write the shards have applied durable in the
+/// shards themselves (one fsync per shard with an unsynced WAL tail),
+/// after which no prepare in the coordinator log is needed any more.
+fn barrier(shards: &[Db]) -> Result<()> {
+    shards.iter().try_for_each(|db| db.lsm().sync_wal())
+}
+
+/// Move every shard's tombstone hold: to its current sequence — at or
+/// below every floor the log is about to record — when a log takes its
+/// first prepare, away when the log is retired. While a prepare is in
+/// the log no shard elides a tombstone newer than the prepare's floor,
+/// so the roll-forward guard can always tell "deleted since" from
+/// "never landed".
+fn hold_tombstones(shards: &[Db], held: bool) {
+    for lsm in shards.iter().map(Db::lsm) {
+        lsm.hold_tombstones_above(if held { lsm.last_sequence() } else { MAX_SEQNO });
     }
 }
 
 struct CoordState {
     log: LogWriter,
     next_txn: u64,
-    /// Prepared-but-not-yet-resolved transactions. The log only rotates
-    /// when this is zero, so rotation never drops a live prepare.
+    /// Prepares whose applies are in flight. The log is only replaced
+    /// when this is zero, so the barrier never drops a prepare that is
+    /// still some shard's only copy.
     outstanding: usize,
+    /// Prepares with a failed shard apply: the caller got the error and
+    /// the batch is part-applied. They are completed under the
+    /// roll-forward guard before the log is retired, or by the next open.
+    failed: Vec<PrepareRecord>,
+    /// An append or fsync on `log` failed. A torn record hides every
+    /// later one from recovery and a failed fsync is never retried, so
+    /// the next prepare must go to a fresh log.
+    poisoned: bool,
 }
 
 /// The `DbShards` two-phase-commit coordinator: owns the coordinator
-/// log and drives prepare → per-shard apply → commit for multi-shard
-/// batches, plus roll-forward recovery at open.
+/// log and drives prepare → per-shard apply for multi-shard batches,
+/// the barrier that retires the log, and roll-forward recovery at open.
 pub(crate) struct Coordinator {
     env: EnvRef,
     path: String,
     state: Mutex<CoordState>,
+    /// Signalled when `outstanding` reaches zero.
+    drained: Condvar,
     /// Multi-shard batches committed through the 2PC path.
     pub commits: AtomicU64,
-    /// Prepared transactions completed by roll-forward at open.
+    /// Prepares that had at least one entry re-applied, at open or when
+    /// a failed apply was completed.
     pub rollforwards: AtomicU64,
 }
 
 impl Coordinator {
-    /// Recover any outstanding prepared transactions against `shards`
-    /// (which must already be open), then start a fresh coordinator
+    /// Roll every prepare still in the log forward against `shards`
+    /// (which must already be open), then start an empty coordinator
     /// log. Called from `DbShards::open`.
     pub fn open(env: &EnvRef, root: &str, shards: &[Db]) -> Result<Coordinator> {
         let path = format!("{root}/{COORD_LOG}");
-        let rollforwards = AtomicU64::new(0);
+        let mut rollforwards = 0;
         if env.file_exists(&path) {
-            let data = env.read_file(&path, IoClass::Wal)?;
-            let (records, _torn_tail) = read_all_records(data);
-            let mut prepared: BTreeMap<u64, PrepareRecord> = BTreeMap::new();
-            for rec in &records {
-                match decode_record(rec) {
-                    Ok(CoordRecord::Prepare(p)) => {
-                        prepared.insert(p.txn_id, p);
-                    }
-                    Ok(CoordRecord::Commit(id)) => {
-                        prepared.remove(&id);
-                    }
-                    // A torn or corrupt record describes a transaction
-                    // whose prepare never became durable — nothing was
-                    // applied to any shard, so discarding it preserves
-                    // all-or-nothing.
-                    Err(_) => {}
-                }
-            }
-            for p in prepared.values() {
-                Self::roll_forward(shards, p)?;
-                rollforwards.fetch_add(1, Ordering::Relaxed);
-            }
-            env.remove_file(&path)?;
+            let (records, _torn_tail) = read_all_records(env.read_file(&path, IoClass::Wal)?);
+            // A torn or corrupt record is a prepare whose fsync never
+            // returned: it was not acknowledged and nothing of it was
+            // applied, so skipping it preserves all-or-nothing.
+            let prepares: Vec<PrepareRecord> = records
+                .iter()
+                .filter_map(|rec| decode_prepare(rec).ok())
+                .collect();
+            rollforwards = Self::roll_forward(shards, &prepares)?;
         }
+        // Creation truncates: the old log goes only now, after
+        // roll-forward's barrier. Members opened with every tombstone
+        // held; with the log empty the hold can go.
         let log = LogWriter::new(env.new_writable(&path, IoClass::Wal)?);
+        hold_tombstones(shards, false);
         Ok(Coordinator {
             env: env.clone(),
             path,
@@ -508,69 +529,96 @@ impl Coordinator {
                 log,
                 next_txn: 1,
                 outstanding: 0,
+                failed: Vec::new(),
+                poisoned: false,
             }),
+            drained: Condvar::new(),
             commits: AtomicU64::new(0),
-            rollforwards,
+            rollforwards: AtomicU64::new(rollforwards),
         })
     }
 
-    /// Complete a prepared transaction found in the log at open: apply
-    /// each sub-batch entry whose key has no durable version newer than
-    /// the prepare-time floor. A newer version means the entry already
-    /// landed before the crash (the common case) or was superseded by a
-    /// later durable write — re-applying would resurrect stale data.
-    fn roll_forward(shards: &[Db], p: &PrepareRecord) -> Result<()> {
-        let opts = WriteOptions {
-            sync: true,
-            disable_throttle: true,
-            txn_id: Some(p.txn_id),
-        };
-        for part in &p.parts {
-            let db = shards.get(part.shard).ok_or_else(|| {
-                Error::corruption(format!(
-                    "coordinator prepare {} references shard {} of {}",
-                    p.txn_id,
-                    part.shard,
-                    shards.len()
-                ))
-            })?;
-            let mut redo = WriteBatch::new();
-            for e in part.batch.entries() {
-                let newer = db
-                    .lsm()
-                    .latest_seq(&e.key)?
-                    .is_some_and(|seq| seq > part.floor);
-                if newer {
-                    continue;
-                }
-                match e.vtype {
-                    ValueType::Value => redo.put(&e.key, e.value.clone()),
-                    ValueType::Deletion => redo.delete(&e.key),
-                    ValueType::ValueRef => {
-                        return Err(Error::corruption(
-                            "coordinator log contains a value-reference entry",
-                        ))
+    /// Complete `prepares` — the log's at open, or the ones whose apply
+    /// failed, before the log is retired — in log order: re-apply each
+    /// entry whose key has no version newer than the prepare-time floor.
+    /// A newer version (a tombstone counts: the hold keeps it) means the
+    /// entry already landed or was superseded by a later write —
+    /// re-applying would resurrect stale data. Ends in the barrier.
+    ///
+    /// Every guard is evaluated against the state the shards recovered
+    /// to, *before* anything is re-applied, and each shard's re-applies
+    /// go in as one batch — one WAL record, so a crash mid-recovery
+    /// leaves all of them or none. Applying prepare by prepare would let
+    /// an earlier prepare's re-apply (at a fresh sequence, above every
+    /// floor in the log) masquerade as a newer version of the same key
+    /// and suppress a later prepare's entry that was lost with it.
+    ///
+    /// Returns how many prepares had at least one entry re-applied.
+    fn roll_forward(shards: &[Db], prepares: &[PrepareRecord]) -> Result<u64> {
+        let mut redo: Vec<WriteBatch> = shards.iter().map(|_| WriteBatch::new()).collect();
+        let mut rolled = 0;
+        for p in prepares {
+            let mut reapplied = false;
+            for part in &p.parts {
+                let db = shards.get(part.shard).ok_or_else(|| {
+                    Error::corruption(format!(
+                        "coordinator prepare {} references shard {} of {}",
+                        p.txn_id,
+                        part.shard,
+                        shards.len()
+                    ))
+                })?;
+                for e in part.batch.entries() {
+                    let newer = db
+                        .lsm()
+                        .latest_seq(&e.key)?
+                        .is_some_and(|seq| seq > part.floor);
+                    if newer {
+                        continue;
                     }
+                    match e.vtype {
+                        ValueType::Value => redo[part.shard].put(&e.key, e.value.clone()),
+                        ValueType::Deletion => redo[part.shard].delete(&e.key),
+                        ValueType::ValueRef => {
+                            return Err(Error::corruption(
+                                "coordinator log contains a value-reference entry",
+                            ))
+                        }
+                    }
+                    reapplied = true;
                 }
             }
-            if !redo.is_empty() {
-                db.write_with(&opts, redo)?;
+            rolled += u64::from(reapplied);
+        }
+        let opts = WriteOptions {
+            sync: false,
+            disable_throttle: true,
+            txn_id: None,
+        };
+        for (db, batch) in shards.iter().zip(redo) {
+            if !batch.is_empty() {
+                db.write_with(&opts, batch)?;
             }
         }
-        Ok(())
+        barrier(shards)?;
+        Ok(rolled)
     }
 
-    /// Commit a multi-shard batch (≥ 2 non-empty parts) atomically:
-    /// fsync a prepare record carrying the full redo payload, apply
-    /// each sub-batch to its shard with a forced WAL sync, then append
-    /// an (unsynced) commit record. If a shard apply fails, the error
-    /// is surfaced and the prepare stays outstanding — the next open
-    /// rolls the batch forward, so the write's fate is *indeterminate
-    /// until restart*, never partially durable forever.
+    /// Commit a multi-shard batch (≥ 2 non-empty parts) atomically with
+    /// exactly one fsync: a prepare record carrying the full redo
+    /// payload is fsynced to the coordinator log, then each sub-batch is
+    /// applied to its shard *unsynced*. The fsynced prepare is the
+    /// batch's durability record — which is why a multi-shard receipt
+    /// reports `synced = true` whatever `opts.sync` says — until a
+    /// later barrier makes the shards' own copies durable and retires
+    /// the log.
     ///
-    /// Shard syncs are forced regardless of `opts.sync` because the
-    /// commit record asserts "every part is durable"; this is why a
-    /// multi-shard receipt always reports `synced = true`.
+    /// If a shard apply fails, the error is surfaced and the prepare
+    /// joins `failed`: the batch is completed as soon as the shard takes
+    /// writes again (tried now, after every later commit, and at
+    /// [`retire`](Self::retire)) or by the next open, so the write's fate
+    /// is *indeterminate*, never partially applied for good. Once every
+    /// part has landed nothing can fail the call.
     pub fn commit(
         &self,
         shards: &[Db],
@@ -581,56 +629,62 @@ impl Coordinator {
             parts.len() >= 2,
             "single-shard batches skip the coordinator"
         );
-        let txn_id;
+        let (txn_id, rec);
         {
             let mut st = self.state.lock();
+            // A poisoned log takes no more prepares, and cannot be
+            // replaced while it is an in-flight batch's only copy.
+            while st.poisoned && st.outstanding > 0 {
+                self.drained.wait(&mut st);
+            }
+            if st.poisoned {
+                self.barrier_and_rotate(&mut st, shards)?;
+            }
+            if st.log.is_empty() {
+                hold_tombstones(shards, true);
+            }
             txn_id = st.next_txn;
             st.next_txn += 1;
             let floors: Vec<SeqNo> = parts
                 .iter()
                 .map(|(s, _)| shards[*s].lsm().last_sequence())
                 .collect();
-            let rec = encode_prepare(txn_id, &parts, &floors);
-            st.log.add_record(&rec)?;
-            st.log.sync()?;
+            rec = encode_prepare(txn_id, &parts, &floors);
+            if let Err(e) = st.log.add_record(&rec).and_then(|()| st.log.sync()) {
+                st.poisoned = true;
+                return Err(e);
+            }
             st.outstanding += 1;
         }
         let shard_opts = WriteOptions {
-            sync: true,
+            sync: false,
             disable_throttle: opts.disable_throttle,
             txn_id: Some(txn_id),
         };
-        let mut seq = 0;
-        let mut group_len = 0;
-        let mut apply_err: Option<Error> = None;
-        for (shard, batch) in parts {
-            match shards[shard].write_with(&shard_opts, batch) {
-                Ok(r) => {
-                    seq = seq.max(r.seq);
-                    group_len += r.group_len;
-                }
-                Err(e) => {
-                    apply_err = Some(e);
-                    break;
-                }
-            }
-        }
+        let applied: Result<(SeqNo, u64)> =
+            parts
+                .into_iter()
+                .try_fold((0, 0), |(seq, group_len), (shard, batch)| {
+                    let r = shards[shard].write_with(&shard_opts, batch)?;
+                    Ok((seq.max(r.seq), group_len + r.group_len))
+                });
         {
             let mut st = self.state.lock();
             st.outstanding -= 1;
-            if apply_err.is_none() {
-                // Losing this record is safe: roll-forward is idempotent
-                // under the per-key floor guard. So it rides the next
-                // prepare's fsync instead of paying its own.
-                st.log.add_record(&encode_commit(txn_id))?;
-                if st.outstanding == 0 && st.log.len() > COORD_ROTATE_BYTES {
-                    self.rotate_locked(&mut st)?;
+            if applied.is_err() {
+                st.failed
+                    .push(decode_prepare(&rec).expect("a record just encoded decodes"));
+            }
+            if st.outstanding == 0 {
+                self.drained.notify_all();
+                if st.log.len() > COORD_ROTATE_BYTES || !st.failed.is_empty() {
+                    // Best effort — this batch's fate is settled. On
+                    // failure the log, and every prepare in it, stays.
+                    let _ = self.barrier_and_rotate(&mut st, shards);
                 }
             }
         }
-        if let Some(e) = apply_err {
-            return Err(e);
-        }
+        let (seq, group_len) = applied?;
         self.commits.fetch_add(1, Ordering::Relaxed);
         Ok(WriteReceipt {
             seq,
@@ -639,13 +693,34 @@ impl Coordinator {
         })
     }
 
-    /// Replace the log with an empty one. Only legal with zero
-    /// outstanding prepares: every record is then resolved history, and
-    /// a crash between delete and recreate just means an absent log at
-    /// the next open (treated as empty).
-    fn rotate_locked(&self, st: &mut CoordState) -> Result<()> {
-        self.env.remove_file(&self.path)?;
+    /// Retire the log now unless a commit is mid-apply: `DbShards` calls
+    /// this when it flushes, before it compacts and when the last handle
+    /// drops, so an idle store does not carry prepares (and the tombstone
+    /// hold) until another mebibyte of commits, and a clean reopen finds
+    /// nothing to roll forward.
+    pub fn retire(&self, shards: &[Db]) -> Result<()> {
+        let mut st = self.state.lock();
+        let empty = st.log.is_empty() && !st.poisoned && st.failed.is_empty();
+        if empty || st.outstanding > 0 {
+            return Ok(());
+        }
+        self.barrier_and_rotate(&mut st, shards)
+    }
+
+    /// Complete the failed prepares and run the barrier, then replace
+    /// the log with an empty one and release the tombstone hold: every
+    /// record is history the shards now hold durably themselves. Only
+    /// with nothing outstanding. Creation truncates, so there is no step
+    /// between "old log" and "empty log" to crash in, and a failure
+    /// leaves the old log (and the poison flag) in place.
+    fn barrier_and_rotate(&self, st: &mut CoordState, shards: &[Db]) -> Result<()> {
+        debug_assert_eq!(st.outstanding, 0);
+        let redone = Self::roll_forward(shards, &st.failed)?;
+        self.rollforwards.fetch_add(redone, Ordering::Relaxed);
+        st.failed.clear();
         st.log = LogWriter::new(self.env.new_writable(&self.path, IoClass::Wal)?);
+        st.poisoned = false;
+        hold_tombstones(shards, false);
         Ok(())
     }
 }
@@ -667,27 +742,15 @@ mod tests {
     fn prepare_record_roundtrip() {
         let parts = sample_parts();
         let rec = encode_prepare(42, &parts, &[17, 900]);
-        match decode_record(&rec).unwrap() {
-            CoordRecord::Prepare(p) => {
-                assert_eq!(p.txn_id, 42);
-                assert_eq!(p.parts.len(), 2);
-                assert_eq!(p.parts[0].shard, 0);
-                assert_eq!(p.parts[0].floor, 17);
-                assert_eq!(p.parts[0].batch.count(), 2);
-                assert_eq!(p.parts[1].shard, 3);
-                assert_eq!(p.parts[1].floor, 900);
-                assert_eq!(p.parts[1].batch.entries()[0].key, b"gamma");
-            }
-            CoordRecord::Commit(_) => panic!("decoded as commit"),
-        }
-    }
-
-    #[test]
-    fn commit_record_roundtrip() {
-        match decode_record(&encode_commit(7)).unwrap() {
-            CoordRecord::Commit(id) => assert_eq!(id, 7),
-            CoordRecord::Prepare(_) => panic!("decoded as prepare"),
-        }
+        let p = decode_prepare(&rec).unwrap();
+        assert_eq!(p.txn_id, 42);
+        assert_eq!(p.parts.len(), 2);
+        assert_eq!(p.parts[0].shard, 0);
+        assert_eq!(p.parts[0].floor, 17);
+        assert_eq!(p.parts[0].batch.count(), 2);
+        assert_eq!(p.parts[1].shard, 3);
+        assert_eq!(p.parts[1].floor, 900);
+        assert_eq!(p.parts[1].batch.entries()[0].key, b"gamma");
     }
 
     #[test]
@@ -698,13 +761,16 @@ mod tests {
         let mut bad = rec.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0xff;
-        let err = decode_record(&bad).unwrap_err();
+        let err = decode_prepare(&bad).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)), "got {err}");
     }
 
     #[test]
     fn unknown_tag_is_rejected() {
-        assert!(decode_record(&[9, 0, 0]).is_err());
-        assert!(decode_record(&[]).is_err());
+        // 2 was the `Commit` tag of logs written before prepares became
+        // the durability record; such records are skipped like any other.
+        assert!(decode_prepare(&[2, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
+        assert!(decode_prepare(&[9, 0, 0]).is_err());
+        assert!(decode_prepare(&[]).is_err());
     }
 }

@@ -54,6 +54,7 @@ impl WritableFile for FsWritable {
 
     fn sync(&mut self) -> Result<()> {
         self.file.sync_data()?;
+        self.stats.record_sync(self.class);
         Ok(())
     }
 

@@ -71,6 +71,7 @@ struct ClassCounters {
     read_ops: AtomicU64,
     write_bytes: AtomicU64,
     write_ops: AtomicU64,
+    syncs: AtomicU64,
 }
 
 /// Thread-safe I/O counters, one set per [`IoClass`].
@@ -99,6 +100,13 @@ impl IoStats {
         c.write_ops.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Charge one durability sync to `class`.
+    pub fn record_sync(&self, class: IoClass) {
+        self.classes[class as usize]
+            .syncs
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Capture a point-in-time snapshot of all counters.
     pub fn snapshot(&self) -> IoStatsSnapshot {
         let mut snap = IoStatsSnapshot::default();
@@ -108,6 +116,7 @@ impl IoStats {
                 read_ops: c.read_ops.load(Ordering::Relaxed),
                 write_bytes: c.write_bytes.load(Ordering::Relaxed),
                 write_ops: c.write_ops.load(Ordering::Relaxed),
+                syncs: c.syncs.load(Ordering::Relaxed),
             };
         }
         snap
@@ -125,6 +134,8 @@ pub struct ClassSnapshot {
     pub write_bytes: u64,
     /// Write operations.
     pub write_ops: u64,
+    /// Durability syncs (fsyncs) that returned success.
+    pub syncs: u64,
 }
 
 /// A point-in-time copy of [`IoStats`], supporting deltas and totals.
@@ -157,6 +168,9 @@ impl IoStatsSnapshot {
                 write_ops: self.classes[i]
                     .write_ops
                     .saturating_sub(earlier.classes[i].write_ops),
+                syncs: self.classes[i]
+                    .syncs
+                    .saturating_sub(earlier.classes[i].syncs),
             };
         }
         out
@@ -172,11 +186,13 @@ impl IoStatsSnapshot {
                 read_ops,
                 write_bytes,
                 write_ops,
+                syncs,
             } = other.classes[i];
             self.classes[i].read_bytes += read_bytes;
             self.classes[i].read_ops += read_ops;
             self.classes[i].write_bytes += write_bytes;
             self.classes[i].write_ops += write_ops;
+            self.classes[i].syncs += syncs;
         }
     }
 
@@ -198,6 +214,11 @@ impl IoStatsSnapshot {
     /// Total write operations across all classes.
     pub fn total_write_ops(&self) -> u64 {
         self.classes.iter().map(|c| c.write_ops).sum()
+    }
+
+    /// Total durability syncs across all classes.
+    pub fn total_syncs(&self) -> u64 {
+        self.classes.iter().map(|c| c.syncs).sum()
     }
 }
 

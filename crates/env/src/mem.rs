@@ -115,6 +115,7 @@ impl WritableFile for MemWritable {
 
     fn sync(&mut self) -> Result<()> {
         self.flush_buf();
+        self.stats.record_sync(self.class);
         Ok(())
     }
 

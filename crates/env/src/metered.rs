@@ -54,7 +54,9 @@ impl WritableFile for MeteredWritable {
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.inner.sync()
+        self.inner.sync()?;
+        self.stats.record_sync(self.class);
+        Ok(())
     }
 
     fn len(&self) -> u64 {

@@ -85,7 +85,9 @@ pub struct WriteReceipt {
     /// True when an fsync covered this write before it was
     /// acknowledged — either requested by this writer or ridden for
     /// free on a `sync = true` group member that committed after it in
-    /// the same WAL record.
+    /// the same WAL record. On a multi-shard `DbShards` batch the fsync
+    /// is the coordinator log's: the write is durable through its
+    /// `Prepare` record, not through the shard WALs it landed in.
     pub synced: bool,
 }
 

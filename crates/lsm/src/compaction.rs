@@ -388,15 +388,17 @@ pub struct JobOutput {
 /// snapshot-aware deduplication and tombstone elision, route entries
 /// through the value session, and write rolled output tables.
 ///
-/// `snapshots` must be sorted ascending. `may_exist_below(ukey)` reports
-/// whether any level below the output could hold the key (tombstones are
-/// only elided when it returns false and `bottommost` is true).
+/// `snapshots` must be sorted ascending. `elide_upto` is `None` unless
+/// the output is the bottommost populated level; `Some(s)` lets a
+/// tombstone vanish when its sequence is at most `s` (the engine's
+/// tombstone hold) and `may_exist_below(ukey)` — whether any level below
+/// the output could hold the key — returns false.
 #[allow(clippy::too_many_arguments)]
 pub fn run_output_job(
     opts: &LsmOptions,
     input: &mut dyn InternalIterator,
     snapshots: &[SeqNo],
-    bottommost: bool,
+    elide_upto: Option<SeqNo>,
     may_exist_below: &dyn Fn(&[u8]) -> bool,
     mut session: Box<dyn ValueSession>,
     alloc: &dyn Fn() -> u64,
@@ -439,9 +441,9 @@ pub fn run_output_job(
         }
         // Obsolete-tombstone elision: the oldest kept entry, if it is a
         // tombstone at the bottom with nothing beneath, can vanish.
-        if bottommost {
+        if let Some(upto) = elide_upto {
             if let Some((seq, ValueType::Deletion, _)) = kept.last().cloned() {
-                if !may_exist_below(ukey) {
+                if seq <= upto && !may_exist_below(ukey) {
                     kept.pop();
                     stats.entries_dropped += 1;
                     session.drop_entry(
@@ -529,6 +531,15 @@ mod tests {
         snapshots: &[SeqNo],
         bottommost: bool,
     ) -> JobOutput {
+        run_held(o, entries, snapshots, bottommost.then_some(MAX_SEQNO))
+    }
+
+    fn run_held(
+        o: &LsmOptions,
+        entries: Vec<(Vec<u8>, Bytes)>,
+        snapshots: &[SeqNo],
+        elide_upto: Option<SeqNo>,
+    ) -> JobOutput {
         let counter = AtomicU64::new(1);
         let alloc = || counter.fetch_add(1, Ordering::SeqCst);
         let mut input = VecIter::new(entries);
@@ -536,7 +547,7 @@ mod tests {
             o,
             &mut input,
             snapshots,
-            bottommost,
+            elide_upto,
             &|_| false,
             Box::new(PassthroughSession),
             &alloc,
@@ -650,6 +661,31 @@ mod tests {
     }
 
     #[test]
+    fn tombstone_above_the_hold_is_kept_at_bottom() {
+        let o = opts();
+        let out = run_held(
+            &o,
+            vec![
+                e("a", 9, ValueType::Deletion, ""),
+                e("a", 5, ValueType::Value, "a5"),
+                e("b", 4, ValueType::Deletion, ""),
+                e("b", 2, ValueType::Value, "b2"),
+            ],
+            &[],
+            Some(6),
+        );
+        // b's tombstone (4 <= 6) vanishes with the value it shadows; a's
+        // (9 > 6) survives, alone.
+        assert_eq!(out.stats.entries_out, 1);
+        let entries = read_all(&o, &out.files[0]);
+        let p = parse_internal_key(&entries[0].0).unwrap();
+        assert_eq!(
+            (p.user_key, p.seq, p.vtype),
+            (&b"a"[..], 9, ValueType::Deletion)
+        );
+    }
+
+    #[test]
     fn outputs_roll_at_target_size_with_disjoint_ranges() {
         let mut o = opts();
         o.target_file_size = 2048;
@@ -711,7 +747,7 @@ mod tests {
             &o,
             &mut input,
             &[],
-            true,
+            Some(MAX_SEQNO),
             &|_| false,
             Box::new(Recorder {
                 drops: drops.clone(),

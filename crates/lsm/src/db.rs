@@ -68,8 +68,9 @@ pub const MAX_IMM_MEMTABLES: usize = 2;
 struct WriterState {
     wal: Option<LogWriter>,
     wal_number: u64,
-    /// A `sync()` on the current WAL failed. fsyncgate semantics: the
-    /// unsynced tail of that file can no longer be trusted to become
+    /// An append or `sync()` on the current WAL failed. A torn append
+    /// hides every later record from recovery, and after a failed fsync
+    /// (fsyncgate) the unsynced tail can no longer be trusted to become
     /// durable, so the writer must rotate to a fresh WAL before
     /// accepting new records — never retry the fsync and report success.
     wal_poisoned: bool,
@@ -128,6 +129,10 @@ struct GroupState {
 struct ImmEntry {
     mem: Arc<Memtable>,
     wal_number: u64,
+    /// The WAL covering this memtable was durable to its last record
+    /// when it was closed. False only after a WAL fault: then nothing
+    /// short of flushing this memtable makes its entries durable.
+    wal_durable: bool,
 }
 
 #[derive(Default)]
@@ -218,6 +223,9 @@ struct Inner {
     /// and subscriber registry (see [`crate::changelog`]).
     cdc: Arc<crate::changelog::ChangeLog>,
     closed: AtomicBool,
+    /// Flush and compaction never elide a tombstone newer than this
+    /// sequence (see [`Lsm::hold_tombstones_above`]).
+    tombstone_hold: AtomicU64,
 }
 
 /// Allocates file numbers from the shared counter.
@@ -298,6 +306,7 @@ impl Lsm {
             degraded: AtomicBool::new(false),
             pending_deletions: Mutex::new(Vec::new()),
             closed: AtomicBool::new(false),
+            tombstone_hold: AtomicU64::new(opts.tombstone_hold),
             vset: Mutex::new(vset),
             opts,
         });
@@ -351,6 +360,25 @@ impl Lsm {
     /// Last committed sequence number.
     pub fn last_sequence(&self) -> SeqNo {
         self.inner.seq.load(Ordering::SeqCst)
+    }
+
+    /// Keep every tombstone newer than `seq`: until the hold is moved,
+    /// flush and compaction do not elide them even at the bottom of the
+    /// tree, so [`latest_seq`](Lsm::latest_seq) keeps answering "deleted
+    /// at sequence s" rather than "never written". `MAX_SEQNO` releases
+    /// the hold. The two-phase-commit coordinator holds each shard at the
+    /// floor of the oldest prepare in its log: roll-forward tells a
+    /// superseded entry from a lost one by that answer.
+    ///
+    /// A job reads the hold after its inputs are fixed, so a hold set at
+    /// the current last sequence also binds jobs already running: their
+    /// inputs hold nothing newer.
+    pub fn hold_tombstones_above(&self, seq: SeqNo) {
+        self.inner.tombstone_hold.store(seq, Ordering::SeqCst);
+    }
+
+    fn tombstone_hold(&self) -> SeqNo {
+        self.inner.tombstone_hold.load(Ordering::SeqCst)
     }
 
     /// The live version (file layout).
@@ -701,20 +729,18 @@ impl Lsm {
             batch_ends.push(base + merged.count() as u64 - 1);
         }
         if ws.wal_poisoned {
-            self.rotate_poisoned_wal(ws)?;
+            self.rotate_memtable(ws)?;
         }
         if let Some(wal) = ws.wal.as_mut() {
-            wal.add_record(&merged.encode(base))?;
-            if sync {
-                if let Err(e) = wal.sync() {
-                    // fsyncgate: this WAL's unsynced tail may never
-                    // reach disk even if a later fsync "succeeds".
-                    // Poison the file; the next write rotates away
-                    // from it instead of retrying the sync.
-                    ws.wal_poisoned = true;
-                    return Err(e);
-                }
+            if let Err(e) = wal.add_record(&merged.encode(base)) {
+                // A torn record ends the log for recovery: anything
+                // appended after it would be unreachable.
+                ws.wal_poisoned = true;
+                return Err(e);
             }
+        }
+        if sync {
+            Self::sync_live_wal(ws)?;
         }
         let mem = self.inner.mem.read().clone();
         for (i, e) in merged.entries().iter().enumerate() {
@@ -776,6 +802,16 @@ impl Lsm {
         }
     }
 
+    /// Freeze the active memtable onto the immutable list and point the
+    /// writer at a fresh WAL. A no-op on an empty memtable unless the
+    /// live WAL is poisoned, which is always abandoned (never fsynced
+    /// again): the frozen memtable holds everything it covered, so a
+    /// flush persists that to SSTs.
+    ///
+    /// The closing WAL's unsynced tail is synced first, so WAL
+    /// durability is a prefix of commit order *across* files: no record
+    /// in a newer WAL can survive a crash that loses an older one. The
+    /// 2PC barrier ([`sync_wal`](Lsm::sync_wal)) relies on it.
     fn rotate_memtable(&self, ws: &mut WriterState) -> Result<()> {
         // Register the active memtable as immutable BEFORE swapping it
         // out, so no state ever lacks the entries. Readers pin complete
@@ -784,15 +820,20 @@ impl Lsm {
         // new active memtable before readers can see it.
         let cur = self.inner.mem.read().clone();
         if cur.is_empty() {
-            return Ok(());
+            if !ws.wal_poisoned {
+                return Ok(());
+            }
+        } else {
+            let wal_durable = Self::sync_live_wal(ws).is_ok();
+            self.inner.imms.write().push(ImmEntry {
+                mem: cur.clone(),
+                wal_number: ws.wal_number,
+                wal_durable,
+            });
+            let fresh = Arc::new(Memtable::new());
+            *self.inner.mem.write() = fresh.clone();
+            self.install_sv_rotated(fresh, cur);
         }
-        self.inner.imms.write().push(ImmEntry {
-            mem: cur.clone(),
-            wal_number: ws.wal_number,
-        });
-        let fresh = Arc::new(Memtable::new());
-        *self.inner.mem.write() = fresh.clone();
-        self.install_sv_rotated(fresh, cur);
         self.fresh_wal_locked(ws)
     }
 
@@ -819,22 +860,36 @@ impl Lsm {
         Ok(())
     }
 
-    /// Recover from a poisoned WAL (failed `sync()`): freeze the active
-    /// memtable — it holds everything the old WAL covered, so a flush
-    /// will persist it to SSTs — and rotate to a fresh WAL file. The
-    /// poisoned handle is abandoned, never fsynced again.
-    fn rotate_poisoned_wal(&self, ws: &mut WriterState) -> Result<()> {
-        let cur = self.inner.mem.read().clone();
-        if !cur.is_empty() {
-            self.inner.imms.write().push(ImmEntry {
-                mem: cur.clone(),
-                wal_number: ws.wal_number,
-            });
-            let fresh = Arc::new(Memtable::new());
-            *self.inner.mem.write() = fresh.clone();
-            self.install_sv_rotated(fresh, cur);
+    /// Fsync the live WAL's unsynced tail (free when there is none). A
+    /// failure — now or earlier — poisons the file: its tail may never
+    /// reach disk even if a later fsync "succeeds" (fsyncgate), so the
+    /// next write rotates away from it instead of retrying.
+    fn sync_live_wal(ws: &mut WriterState) -> Result<()> {
+        if ws.wal_poisoned {
+            return Err(Error::io("WAL poisoned by an earlier append/fsync failure"));
         }
-        self.fresh_wal_locked(ws)
+        if let Some(wal) = ws.wal.as_mut() {
+            if let Err(e) = wal.sync() {
+                ws.wal_poisoned = true;
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Make every write committed so far durable: one fsync of the live
+    /// WAL's unsynced tail (closed WALs were synced when they were
+    /// closed), free when there is none. After a WAL fault that fsync
+    /// proves nothing, so the affected memtables are flushed instead.
+    pub fn sync_wal(&self) -> Result<()> {
+        {
+            let mut ws = self.inner.writer.lock();
+            let faulted = ws.wal_poisoned || self.inner.imms.read().iter().any(|i| !i.wal_durable);
+            if !faulted && Self::sync_live_wal(&mut ws).is_ok() {
+                return Ok(());
+            }
+        }
+        self.flush()
     }
 
     fn maybe_stall(&self) {
@@ -1251,7 +1306,7 @@ impl Lsm {
             }
         };
         let version = self.current_version();
-        let bottommost = version.total_files() == 0;
+        let elide_upto = (version.total_files() == 0).then(|| self.tombstone_hold());
         let session = self.session_for(JobKind::Flush)?;
         let snapshots = self.read_points();
         let counter = self.inner.file_counter.clone();
@@ -1261,7 +1316,7 @@ impl Lsm {
             &self.inner.opts,
             &mut input,
             &snapshots,
-            bottommost,
+            elide_upto,
             &|_| false,
             session,
             &alloc,
@@ -1370,7 +1425,7 @@ impl Lsm {
             &self.inner.opts,
             &mut input,
             &snapshots,
-            c.bottommost,
+            c.bottommost.then(|| self.tombstone_hold()),
             &may_exist_below,
             session,
             &alloc,
@@ -1530,6 +1585,7 @@ impl Lsm {
                     self.inner.imms.write().push(ImmEntry {
                         mem: Arc::new(mem),
                         wal_number: *n,
+                        wal_durable: true,
                     });
                     // Flush synchronously so recovery is complete when
                     // open returns.
@@ -1980,6 +2036,136 @@ mod tests {
         // First write survives; the torn one is gone.
         assert_eq!(get_str(&db, "a"), Some("1".into()));
         assert_eq!(get_str(&db, "b"), None);
+    }
+
+    /// A `FaultEnv` that cuts exactly at the durable watermark, a store
+    /// on it that never rotates on its own, and an unsynced put.
+    fn fault_rig() -> (Arc<scavenger_env::FaultEnv>, LsmOptions) {
+        let fault = scavenger_env::FaultEnv::wrap(MemEnv::shared(), 7);
+        fault.set_torn_tail(false);
+        let mut o = LsmOptions::new(fault.clone(), "db");
+        o.memtable_size = 1 << 20;
+        (fault, o)
+    }
+
+    fn put_nosync(db: &Lsm, k: &str, v: &str) -> Result<WriteReceipt> {
+        let mut b = WriteBatch::new();
+        b.put(k.as_bytes(), Bytes::copy_from_slice(v.as_bytes()));
+        db.write_opts(&WriteOptions::with_sync(false), b)
+    }
+
+    fn fault_rule(
+        op: scavenger_env::FaultOp,
+        path: &str,
+        nth: u64,
+        kind: scavenger_env::FaultKind,
+    ) -> scavenger_env::FaultRule {
+        scavenger_env::FaultRule {
+            op,
+            path_contains: Some(path.into()),
+            trigger: scavenger_env::Trigger::Nth(nth),
+            kind,
+            one_shot: true,
+        }
+    }
+
+    #[test]
+    fn closing_a_wal_makes_its_unsynced_tail_durable() {
+        use scavenger_env::{FaultKind, FaultOp};
+        let (fault, mut o) = fault_rig();
+        o.memtable_size = 4 * 1024;
+        let db = open(o.clone());
+        // Power goes as the flush behind the first rotation opens its
+        // SST: the frozen memtable exists nowhere but in the closed WAL.
+        fault.add_rule(fault_rule(FaultOp::Open, ".sst", 1, FaultKind::Crash));
+        let mut written = 0;
+        while put_nosync(&db, &format!("k{written:03}"), &"v".repeat(200)).is_ok() {
+            written += 1;
+        }
+        assert!(fault.crashed() && written > 0);
+        drop(db);
+        fault.heal();
+        let db = open(o);
+        // The put that observed the crash had landed too.
+        for i in 0..=written {
+            assert!(get_str(&db, &format!("k{i:03}")).is_some(), "k{i:03} lost");
+        }
+    }
+
+    #[test]
+    fn torn_wal_append_is_never_appended_behind() {
+        use scavenger_env::{FaultKind, FaultOp};
+        let (fault, o) = fault_rig();
+        let db = open(o.clone());
+        put(&db, "before", "1");
+        // Header whole, payload torn: recovery stops reading this WAL here.
+        fault.add_rule(fault_rule(FaultOp::Write, ".log", 2, FaultKind::Torn));
+        assert!(put_nosync(&db, "torn", "x").is_err());
+        put(&db, "after", "2");
+        fault.crash();
+        drop(db);
+        fault.heal();
+        let db = open(o);
+        assert_eq!(get_str(&db, "before"), Some("1".into()));
+        assert_eq!(get_str(&db, "torn"), None);
+        assert_eq!(get_str(&db, "after"), Some("2".into()), "synced and acked");
+    }
+
+    #[test]
+    fn held_tombstones_outlive_flush_compaction_and_the_recovery_flush() {
+        let mut o = test_opts("held");
+        o.tombstone_hold = 0;
+        let db = open(o.clone());
+        put(&db, "k", "v");
+        del(&db, "k");
+        // Reopen: the recovery flush goes into an empty tree.
+        drop(db);
+        let db = open(o);
+        assert_eq!(db.latest_seq(b"k").unwrap(), Some(2), "held at open");
+        put(&db, "pad", "x");
+        db.flush().unwrap();
+        while db.force_compact_once().unwrap() {}
+        assert_eq!(db.latest_seq(b"k").unwrap(), Some(2), "held at the bottom");
+        // Moving the hold frees older tombstones and keeps newer ones.
+        db.hold_tombstones_above(db.last_sequence());
+        put(&db, "j", "v");
+        del(&db, "j");
+        db.flush().unwrap();
+        while db.force_compact_once().unwrap() {}
+        assert!(db.latest_seq(b"j").unwrap().is_some(), "above the hold");
+        db.hold_tombstones_above(scavenger_util::ikey::MAX_SEQNO);
+        put(&db, "i", "v");
+        del(&db, "i");
+        db.flush().unwrap();
+        while db.force_compact_once().unwrap() {}
+        assert_eq!(db.latest_seq(b"i").unwrap(), None, "released");
+    }
+
+    #[test]
+    fn sync_wal_is_one_fsync_or_after_a_wal_fault_a_flush() {
+        use scavenger_env::{FaultKind, FaultOp};
+        let (fault, o) = fault_rig();
+        let db = open(o.clone());
+        let syncs = || fault.io_stats().snapshot().total_syncs();
+        put_nosync(&db, "a", "1").unwrap();
+        let s0 = syncs();
+        db.sync_wal().unwrap();
+        db.sync_wal().unwrap();
+        assert_eq!(syncs() - s0, 1, "a clean WAL costs nothing to sync");
+
+        // The fsync fails: no later fsync of that file proves anything,
+        // so the memtable it covered goes to an SST instead.
+        put_nosync(&db, "b", "2").unwrap();
+        fault.add_rule(fault_rule(FaultOp::Sync, ".log", 1, FaultKind::Fail));
+        let flushes = db.counters().flushes.load(Ordering::Relaxed);
+        db.sync_wal().unwrap();
+        assert_eq!(db.counters().flushes.load(Ordering::Relaxed), flushes + 1);
+        fault.crash();
+        drop(db);
+        fault.heal();
+        let db = open(o);
+        assert_eq!(get_str(&db, "a"), Some("1".into()));
+        assert_eq!(get_str(&db, "b"), Some("2".into()));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::hooks::ValueHook;
 use scavenger_env::EnvRef;
 use scavenger_table::btable::BlockCache;
+use scavenger_util::ikey::{SeqNo, MAX_SEQNO};
 use std::sync::Arc;
 
 /// Format used for key SSTs.
@@ -95,6 +96,13 @@ pub struct LsmOptions {
     /// falls below the ring's floor catches up from retained WAL
     /// segments.
     pub cdc_ring_bytes: u64,
+    /// Initial tombstone hold (see
+    /// [`Lsm::hold_tombstones_above`](crate::db::Lsm::hold_tombstones_above)):
+    /// flush and compaction — including the WAL-recovery flush inside
+    /// `open` — never elide a tombstone newer than this sequence.
+    /// `MAX_SEQNO` (the default) holds nothing; a shard-set member opens
+    /// at `0` until the set's 2PC roll-forward has run.
+    pub tombstone_hold: SeqNo,
 }
 
 impl LsmOptions {
@@ -121,6 +129,7 @@ impl LsmOptions {
             value_hook: None,
             cdc_retention: 0,
             cdc_ring_bytes: 1024 * 1024,
+            tombstone_hold: MAX_SEQNO,
         }
     }
 

@@ -32,6 +32,8 @@ pub struct LogWriter {
     file: Box<dyn WritableFile>,
     block_offset: usize,
     syncs: u64,
+    /// Bytes were appended since the last successful sync.
+    dirty: bool,
 }
 
 impl LogWriter {
@@ -41,11 +43,13 @@ impl LogWriter {
             file,
             block_offset: 0,
             syncs: 0,
+            dirty: false,
         }
     }
 
     /// Append one record, fragmenting across blocks as needed.
     pub fn add_record(&mut self, payload: &[u8]) -> Result<()> {
+        self.dirty = true;
         let mut left = payload;
         let mut begin = true;
         loop {
@@ -87,10 +91,16 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Durably sync the log.
+    /// Durably sync the log. Free when nothing was appended since the
+    /// last successful sync, so callers that need "everything so far is
+    /// durable" (WAL close, the 2PC barrier) pay only for an unsynced tail.
     pub fn sync(&mut self) -> Result<()> {
+        if !self.dirty {
+            return Ok(());
+        }
         self.file.sync()?;
         self.syncs += 1;
+        self.dirty = false;
         Ok(())
     }
 

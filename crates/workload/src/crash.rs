@@ -206,9 +206,11 @@ pub fn durable_floor(ops: &[CrashOp], acked: usize) -> usize {
             // itself mutates nothing, so covering `i` is equivalent
             // and keeps the arithmetic uniform.
             CrashOp::Flush => floor = i + 1,
-            // Txn batches are always applied with `sync = true` (and
-            // the 2PC path forces a sync regardless), so an ack makes
-            // the whole prefix durable like any synced write.
+            // Txn batches are always applied with `sync = true`, so on
+            // the single-WAL engines this floor is for an ack makes the
+            // whole prefix durable like any synced write. (A sharded
+            // store's 2PC batch is durable through the coordinator log
+            // and syncs no shard WAL; its harness checks per key.)
             CrashOp::TxnBatch { .. } => floor = i + 1,
             _ => {}
         }
