@@ -755,21 +755,60 @@ impl Db {
     }
 }
 
+/// Most rows one look-ahead batch resolves: the ceiling of the ramp
+/// (1, 2, 4 …) that plain [`Iterator::next`] climbs, and the chunk
+/// [`DbScanIter::collect_n`] works in.
+pub const SCAN_BATCH_ROWS: usize = 256;
+
+/// Separated-value bytes after which a look-ahead batch stops pulling
+/// index entries (it always takes at least one row).
+pub const SCAN_BATCH_BYTES: u64 = 1 << 20;
+
 /// Scan iterator resolving separated values. Carries the pinned view it
 /// was opened from (when opened through the view API), so both index
 /// entries and their separated values stay resolvable for the whole
 /// scan.
 ///
+/// # Value look-ahead
+///
+/// Rows are resolved a batch at a time, not one dependent random read
+/// per row: the iterator pulls the next index entries,
+/// [locates](ValueStore::locate) every separated value, fetches them per
+/// value file with neighbouring records coalesced into one I/O
+/// ([`ValueStore::fetch`]), and yields the rows in key order. How far it
+/// looks ahead is private to the iterator:
+///
+/// * plain [`Iterator::next`] climbs a ramp — batches of 1, 2, 4 … rows
+///   up to [`SCAN_BATCH_ROWS`] rows or [`SCAN_BATCH_BYTES`] of separated
+///   values — so a scan abandoned after a few rows resolved at most
+///   about as many again;
+/// * [`collect_n(limit)`](DbScanIter::collect_n) resolves exactly the
+///   rows it returns (in chunks of at most `SCAN_BATCH_ROWS`), never one
+///   more.
+///
+/// # Errors
+///
 /// Implements [`Iterator`] over `Result<ScanEntry>`, so the whole
 /// adapter toolbox applies (`take`, `map`, `collect::<Result<Vec<_>>>`).
-/// After yielding an error the iterator is *fused*: every subsequent
-/// `next` returns `None` — a scan cannot resume past a failed resolve.
-/// [`next_entry`](DbScanIter::next_entry) and
-/// [`collect_n`](DbScanIter::collect_n) are thin wrappers over the
-/// `Iterator` impl.
+/// Every row resolved before a failing one is yielded first; then the
+/// error, once; after that the iterator is *fused* and every `next`
+/// returns `None` — a scan cannot resume past a failed resolve. (When a
+/// batch fails, its rows are re-resolved one by one to find that
+/// prefix.) [`next_entry`](DbScanIter::next_entry) is a thin wrapper
+/// over the `Iterator` impl.
 pub struct DbScanIter {
     inner: scavenger_lsm::ScanIter,
     db: Arc<DbInner>,
+    /// The current look-ahead batch: resolved rows not yet yielded.
+    ready: std::vec::IntoIter<ScanEntry>,
+    /// What ended the look-ahead; surfaces once `ready` has drained.
+    failed: Option<Error>,
+    /// Rows the next ramp batch resolves.
+    ramp: usize,
+    /// Rows the ramp may still resolve ahead of demand, when a caller
+    /// that knows its own limit set one (see
+    /// [`limit_lookahead`](Self::limit_lookahead)).
+    budget: Option<usize>,
     done: bool,
 }
 
@@ -778,30 +817,112 @@ impl DbScanIter {
         DbScanIter {
             inner,
             db,
+            ready: Vec::new().into_iter(),
+            failed: None,
+            ramp: 1,
+            budget: None,
             done: false,
         }
     }
 
-    /// Advance the underlying index iterator and resolve the entry's
-    /// value through the value store.
-    fn resolve_next(&mut self) -> Result<Option<ScanEntry>> {
-        match self.inner.next_entry()? {
-            Some(e) => {
-                let value = match e.vtype {
-                    ValueType::Value => e.value,
-                    ValueType::ValueRef => {
-                        let vref = ValueRef::decode(&e.value)?;
-                        self.db.vstore.read_ref(&e.user_key, e.seq, &vref)?
+    /// Cap the rows the ramp resolves from here on (`None` lifts the
+    /// cap): the sharded merge's `collect_n(limit)` needs at most `limit`
+    /// rows from any one shard.
+    pub(crate) fn limit_lookahead(&mut self, rows: Option<usize>) {
+        self.budget = rows;
+    }
+
+    /// Pull up to `rows` index entries (fewer once [`SCAN_BATCH_BYTES`]
+    /// of separated values are pending) and resolve them. Returns the
+    /// rows that resolved, in key order; whatever stopped the batch
+    /// short — end of range excepted — is left in `failed`.
+    fn fill(&mut self, rows: usize) -> Vec<ScanEntry> {
+        let mut batch: Vec<ScanEntry> = Vec::with_capacity(rows);
+        // The batch's separated rows: (index in `batch`, seq, reference).
+        // Until resolved, such a row's `value` holds the encoded reference.
+        let mut separated: Vec<(usize, SeqNo, ValueRef)> = Vec::new();
+        let mut bytes = 0u64;
+        while batch.len() < rows && bytes < SCAN_BATCH_BYTES {
+            let e = match self.inner.next() {
+                None => break,
+                Some(Err(e)) => {
+                    self.failed = Some(e);
+                    break;
+                }
+                Some(Ok(e)) => e,
+            };
+            match e.vtype {
+                ValueType::Value => {}
+                ValueType::ValueRef => match ValueRef::decode(&e.value) {
+                    Ok(vref) => {
+                        bytes += u64::from(vref.size);
+                        separated.push((batch.len(), e.seq, vref));
                     }
-                    ValueType::Deletion => return Err(Error::internal("tombstone in scan output")),
-                };
-                Ok(Some(ScanEntry {
-                    key: e.user_key,
-                    value,
-                }))
+                    Err(err) => {
+                        self.failed = Some(err);
+                        break;
+                    }
+                },
+                ValueType::Deletion => {
+                    self.failed = Some(Error::internal("tombstone in scan output"));
+                    break;
+                }
             }
-            None => Ok(None),
+            batch.push(ScanEntry {
+                key: e.user_key,
+                value: e.value,
+            });
         }
+        if let Err((row, e)) = self.resolve(&mut batch, &separated) {
+            batch.truncate(row);
+            self.failed = Some(e);
+        }
+        batch
+    }
+
+    /// Replace the encoded reference of every separated row with its
+    /// value: one [`locate`](ValueStore::locate) per row, then one
+    /// coalesced [`fetch`](ValueStore::fetch) for the lot. A lone
+    /// separated row gains nothing from batching, and a failed batch
+    /// falls back to the same row-by-row path, which finds the first row
+    /// that cannot be resolved (returned with its error).
+    fn resolve(
+        &self,
+        batch: &mut [ScanEntry],
+        separated: &[(usize, SeqNo, ValueRef)],
+    ) -> std::result::Result<(), (usize, Error)> {
+        let vstore = &self.db.vstore;
+        if separated.len() > 1 {
+            let fetched = separated
+                .iter()
+                .map(|(row, seq, vref)| vstore.locate(&batch[*row].key, *seq, vref))
+                .collect::<Result<Vec<_>>>()
+                .and_then(|locs| vstore.fetch(&locs));
+            if let Ok(values) = fetched {
+                for ((row, ..), value) in separated.iter().zip(values) {
+                    batch[*row].value = value;
+                }
+                return Ok(());
+            }
+        }
+        for (row, seq, vref) in separated {
+            match vstore.read_ref(&batch[*row].key, *seq, vref) {
+                Ok(value) => batch[*row].value = value,
+                Err(e) => return Err((*row, e)),
+            }
+        }
+        Ok(())
+    }
+
+    /// The next ramp step (1, 2, 4 … [`SCAN_BATCH_ROWS`]), within the
+    /// look-ahead budget when one is set.
+    fn ramp_step(&mut self) -> usize {
+        let step = self.ramp.min(self.budget.unwrap_or(usize::MAX)).max(1);
+        self.ramp = (self.ramp * 2).min(SCAN_BATCH_ROWS);
+        if let Some(b) = &mut self.budget {
+            *b = b.saturating_sub(step);
+        }
+        step
     }
 
     /// Next entry, or `None` at the end of the range (thin wrapper over
@@ -810,10 +931,38 @@ impl DbScanIter {
         self.next().transpose()
     }
 
-    /// Collect up to `limit` entries (thin wrapper over the [`Iterator`]
-    /// impl).
+    /// Collect up to `limit` entries. Unlike `take(limit)` this tells the
+    /// iterator how many rows are wanted, so their values are fetched in
+    /// one coalesced batch (chunks of [`SCAN_BATCH_ROWS`] for a large
+    /// `limit`) and **no value beyond the returned rows is read**. An
+    /// error drops the rows collected so far, like `collect` into a
+    /// `Result`; one that lies beyond the `limit`-th row waits for the
+    /// next pull.
     pub fn collect_n(&mut self, limit: usize) -> Result<Vec<ScanEntry>> {
-        self.by_ref().take(limit).collect()
+        if self.done {
+            return Ok(Vec::new());
+        }
+        // Rows an earlier look-ahead already resolved come first.
+        let mut out: Vec<ScanEntry> = self.ready.by_ref().take(limit).collect();
+        while out.len() < limit && self.failed.is_none() {
+            let batch = self.fill((limit - out.len()).min(SCAN_BATCH_ROWS));
+            if batch.is_empty() && self.failed.is_none() {
+                self.done = true; // end of range
+                return Ok(out);
+            }
+            if out.is_empty() {
+                out = batch;
+            } else {
+                out.extend(batch);
+            }
+        }
+        if out.len() < limit {
+            if let Some(e) = self.failed.take() {
+                self.done = true;
+                return Err(e);
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -824,7 +973,14 @@ impl Iterator for DbScanIter {
         if self.done {
             return None;
         }
-        let pulled = self.resolve_next();
+        if self.ready.len() == 0 && self.failed.is_none() {
+            let rows = self.ramp_step();
+            self.ready = self.fill(rows).into_iter();
+        }
+        let pulled = match self.ready.next() {
+            Some(e) => Ok(Some(e)),
+            None => self.failed.take().map_or(Ok(None), Err),
+        };
         scavenger_util::iter::fuse(&mut self.done, pulled)
     }
 }

@@ -49,10 +49,10 @@
 //! ## How a new backend plugs in
 //!
 //! Implement the three traits (plus [`PinnedReader`] for its view and
-//! snapshot types, and `Iterator<Item = Result<ScanEntry>>` for its scan
-//! iterator), and add [`ReadPin`](crate::ReadPin) variants + `From`
-//! impls for the new pinned surfaces (the enum is `#[non_exhaustive]`,
-//! so that is an additive, non-breaking change in `view.rs`). Every
+//! snapshot types, and [`ScanIterator`] for its scan iterator), and add
+//! [`ReadPin`](crate::ReadPin) variants + `From` impls for the new
+//! pinned surfaces (the enum is `#[non_exhaustive]`, so that is an
+//! additive, non-breaking change in `view.rs`). Every
 //! generic consumer — the conformance suite in
 //! `tests/engine_conformance.rs`, the bench harness's `EngineKvStore`
 //! adapter, the examples — then runs against it unchanged. The traits
@@ -117,6 +117,30 @@ impl From<Option<GcOutcome>> for GcReport {
     }
 }
 
+/// The scan-iterator surface both handles share: an [`Iterator`] over
+/// `Result<ScanEntry>` plus [`collect_n`](ScanIterator::collect_n), the
+/// bounded pull. The iterators resolve separated values a look-ahead
+/// batch at a time; `take(n)` cannot tell them how many rows the caller
+/// wants, `collect_n(n)` does — so generic code with a row limit (the
+/// wire server's `Scan`) resolves exactly the rows it sends.
+pub trait ScanIterator: Iterator<Item = Result<ScanEntry>> {
+    /// Collect up to `limit` entries, reading no value beyond them. An
+    /// error drops the rows collected so far.
+    fn collect_n(&mut self, limit: usize) -> Result<Vec<ScanEntry>>;
+}
+
+impl ScanIterator for DbScanIter {
+    fn collect_n(&mut self, limit: usize) -> Result<Vec<ScanEntry>> {
+        DbScanIter::collect_n(self, limit)
+    }
+}
+
+impl ScanIterator for ShardsScanIter {
+    fn collect_n(&mut self, limit: usize) -> Result<Vec<ScanEntry>> {
+        ShardsScanIter::collect_n(self, limit)
+    }
+}
+
 /// A pinned read surface — a view or snapshot of either engine flavor.
 /// Everything readable *through a pin* goes through this trait, so
 /// generic code can hold an epoch and read it without knowing whether
@@ -124,7 +148,7 @@ impl From<Option<GcOutcome>> for GcReport {
 pub trait PinnedReader {
     /// Scan iterator over this pin (same type as the owning engine's
     /// [`KvRead::Iter`]).
-    type Iter: Iterator<Item = Result<ScanEntry>>;
+    type Iter: ScanIterator;
 
     /// Value of `key` at the pin, or `None` if absent/deleted there.
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>>;
@@ -164,7 +188,7 @@ pub trait KvRead {
     /// RAII snapshot type (participates in snapshot-gated GC policy).
     type Snap: PinnedReader<Iter = Self::Iter>;
     /// Range-scan iterator type.
-    type Iter: Iterator<Item = Result<ScanEntry>>;
+    type Iter: ScanIterator;
 
     /// Latest value of `key`, or `None` if absent/deleted.
     fn get(&self, key: &[u8]) -> Result<Option<Bytes>>;

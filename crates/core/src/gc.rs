@@ -60,18 +60,19 @@ use crate::dropcache::DropCache;
 use crate::gc_exec::{self, RouteWriters, PIPELINE_BATCH};
 use crate::options::{Features, GcScheme, VFormat};
 use crate::stats::GcStats;
-use crate::vstore::vtable::{parse_record_key, VReader};
+use crate::vstore::fetch::{self, Want};
+use crate::vstore::vtable::{parse_record_key, VReader, ValueAt};
 use crate::vstore::ValueStore;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::EnvRef;
 use scavenger_lsm::{BatchReader, GuardedWrite, Lsm, LsmReadResult, ValueEditBundle};
 use scavenger_table::btable::TableOptions;
-use scavenger_table::handle::BlockHandle;
+use scavenger_table::rtable::Coalesce;
 use scavenger_table::KeyCmp;
 use scavenger_util::ikey::{cmp_internal, SeqNo, ValueRef, ValueType};
 use scavenger_util::{Error, Result};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -151,9 +152,9 @@ struct Pending {
 enum Loc {
     /// Value already in memory (full-file scan, TerarkDB-style Read).
     Inline(Bytes),
-    /// Only the record handle is known (Lazy Read); the value is fetched
-    /// after validation.
-    Handle(BlockHandle),
+    /// Only the record's location is known (Lazy Read); the value is
+    /// fetched after validation.
+    Lazy(ValueAt),
 }
 
 /// One record's identity inside a validation batch.
@@ -380,7 +381,7 @@ impl GcRunner {
                     pending.push(Pending {
                         ikey,
                         source: meta.file,
-                        loc: Loc::Handle(handle),
+                        loc: Loc::Lazy(ValueAt::Record(handle)),
                     });
                 }
             } else {
@@ -530,59 +531,50 @@ impl GcRunner {
     }
 
     /// The Fetch phase (the lazy part of Lazy Read, step ③) for one batch
-    /// of surviving records: inline values pass through; handle-locations
-    /// are grouped per source file (BTreeMap order keeps the I/O trace
-    /// deterministic), coalesced, and fanned out across the `gc_threads`
-    /// pool — one job per file, results merged back in file order.
+    /// of surviving records: inline values pass through; Lazy-Read
+    /// handles go to the value store's shared [`fetch`](fetch::fetch) —
+    /// grouped per source file, sorted by offset, coalesced under the
+    /// S-RH readahead span when `features.gc_readahead` is on — with the
+    /// per-file jobs fanned out across the `gc_threads` pool and merged
+    /// back in file order.
     fn fetch_values(
         &self,
         readers: &HashMap<u64, VReader>,
         valid: Vec<Pending>,
     ) -> Result<Vec<(Vec<u8>, Bytes)>> {
-        let mut materialized: Vec<(Vec<u8>, Bytes)> = Vec::with_capacity(valid.len());
-        let mut by_file: BTreeMap<u64, Vec<(usize, BlockHandle)>> = BTreeMap::new();
-        for (i, rec) in valid.iter().enumerate() {
-            match &rec.loc {
-                Loc::Inline(v) => materialized.push((rec.ikey.clone(), v.clone())),
-                Loc::Handle(h) => {
-                    by_file.entry(rec.source).or_default().push((i, *h));
-                    materialized.push((rec.ikey.clone(), Bytes::new()));
-                }
-            }
-        }
-        let mut jobs: Vec<(u64, Vec<(usize, BlockHandle)>)> = by_file.into_iter().collect();
-        for (_, handles) in jobs.iter_mut() {
-            handles.sort_by_key(|(_, h)| h.offset);
-        }
-        let fills = gc_exec::parallel_map_ordered(
-            &jobs,
-            self.cfg.threads,
-            &self.stats,
-            |(file, handles)| {
-                let reader = &readers[file];
-                match reader {
-                    VReader::R(r) => {
-                        let hs: Vec<BlockHandle> = handles.iter().map(|(_, h)| *h).collect();
-                        let recs = r.read_records(&hs, self.features.gc_readahead)?;
-                        Ok(handles
-                            .iter()
-                            .zip(recs)
-                            .map(|((idx, _), (_, value))| (*idx, value))
-                            .collect::<Vec<_>>())
-                    }
-                    _ => handles
-                        .iter()
-                        .map(|(idx, h)| reader.read_record(*h).map(|(_, v)| (*idx, v)))
-                        .collect(),
-                }
-            },
-        )?;
-        for file_fills in fills {
-            for (idx, value) in file_fills {
-                materialized[idx].1 = value;
-            }
-        }
-        Ok(materialized)
+        let wants: Vec<Want<'_>> = valid
+            .iter()
+            .filter_map(|rec| match &rec.loc {
+                Loc::Inline(_) => None,
+                Loc::Lazy(at) => Some(Want {
+                    file: rec.source,
+                    reader: &readers[&rec.source],
+                    at,
+                    ikey: &rec.ikey,
+                }),
+            })
+            .collect();
+        let limits = if self.features.gc_readahead {
+            Coalesce::READAHEAD
+        } else {
+            Coalesce::NONE
+        };
+        let mut fetched = fetch::fetch(&wants, limits, &|n, run| {
+            let jobs: Vec<usize> = (0..n).collect();
+            gc_exec::parallel_map_ordered(&jobs, self.cfg.threads, &self.stats, |&j| run(j))
+        })?
+        .into_iter();
+        drop(wants);
+        Ok(valid
+            .into_iter()
+            .map(|rec| match rec.loc {
+                Loc::Inline(value) => (rec.ikey, value),
+                Loc::Lazy(_) => (
+                    rec.ikey,
+                    fetched.next().expect("one fetched value per lazy record"),
+                ),
+            })
+            .collect())
     }
 
     /// The Write phase (step ④) for one batch: hot/cold-route each record

@@ -80,7 +80,7 @@ pub use changes::{
 };
 pub use db::{Db, DbScanIter, ScanEntry};
 pub use dropcache::DropCache;
-pub use engine::{Engine, GcReport, KvRead, KvWrite, Maintenance, PinnedReader};
+pub use engine::{Engine, GcReport, KvRead, KvWrite, Maintenance, PinnedReader, ScanIterator};
 pub use gc::{GcOutcome, GcValidationReport};
 pub use options::{EngineMode, Features, GcScheme, Options, VFormat};
 pub use shards::{DbShards, ShardedOptions, ShardedOptionsBuilder, ShardsSnapshot, ShardsView};

@@ -892,17 +892,22 @@ impl ShardsSnapshot {
 /// iterator deterministic even under a buggy router.
 ///
 /// Implements [`Iterator`] over `Result<ScanEntry>` with the same
-/// contract as [`DbScanIter`]: after yielding an error the iterator is
-/// fused. [`next_entry`](ShardsScanIter::next_entry) and
-/// [`collect_n`](ShardsScanIter::collect_n) are thin wrappers over the
+/// contract as [`DbScanIter`]: every resolved entry is yielded before an
+/// error, the error once, then the iterator is fused. (A shard's error
+/// surfaces when the merge next needs a row from that shard — right
+/// after the last row that shard resolved, even if other shards still
+/// hold smaller keys.) Value look-ahead rides on the per-shard
+/// iterators (each climbs its own ramp);
+/// [`next_entry`](ShardsScanIter::next_entry) is a thin wrapper over the
 /// `Iterator` impl.
 pub struct ShardsScanIter {
     iters: Vec<DbScanIter>,
     heads: Vec<Option<ScanEntry>>,
-    /// A refill failure noticed *after* a head was popped: the popped
-    /// entry is delivered first, then this error surfaces on the next
-    /// pull — an already-resolved entry is never dropped.
-    pending_err: Option<Error>,
+    /// Shard whose head was handed out last. Its refill waits for the
+    /// next pull, so the merge resolves nothing past the last entry it
+    /// yields, and a refill failure surfaces *after* that entry instead
+    /// of replacing it.
+    refill: Option<usize>,
     done: bool,
 }
 
@@ -915,18 +920,16 @@ impl ShardsScanIter {
         Ok(ShardsScanIter {
             iters,
             heads,
-            pending_err: None,
+            refill: None,
             done: false,
         })
     }
 
-    /// Pick the smallest head, yield it, and refill from its shard. A
-    /// failed refill is deferred behind the popped entry (see
-    /// `pending_err`), matching the single-engine behavior of yielding
-    /// every successfully resolved entry before the error.
+    /// Refill the head consumed by the previous pull, then pick and
+    /// yield the smallest head.
     fn merge_next(&mut self) -> Result<Option<ScanEntry>> {
-        if let Some(e) = self.pending_err.take() {
-            return Err(e);
+        if let Some(i) = self.refill.take() {
+            self.heads[i] = self.iters[i].next_entry()?;
         }
         let mut min: Option<usize> = None;
         for (i, head) in self.heads.iter().enumerate() {
@@ -937,17 +940,10 @@ impl ShardsScanIter {
                 };
             }
         }
-        match min {
-            Some(i) => {
-                let out = self.heads[i].take();
-                match self.iters[i].next_entry() {
-                    Ok(head) => self.heads[i] = head,
-                    Err(e) => self.pending_err = Some(e),
-                }
-                Ok(out)
-            }
-            None => Ok(None),
-        }
+        Ok(min.and_then(|i| {
+            self.refill = Some(i);
+            self.heads[i].take()
+        }))
     }
 
     /// Next entry in global key order, or `None` when every shard is
@@ -956,10 +952,20 @@ impl ShardsScanIter {
         self.next().transpose()
     }
 
-    /// Collect up to `limit` entries (thin wrapper over the [`Iterator`]
-    /// impl).
+    /// Collect up to `limit` entries. No shard can contribute more than
+    /// `limit` of them, so for the duration of the call every per-shard
+    /// iterator's look-ahead budget is capped at `limit` rows: a small
+    /// `limit` on a wide store resolves a few rows per shard, not a full
+    /// ramp on each.
     pub fn collect_n(&mut self, limit: usize) -> Result<Vec<ScanEntry>> {
-        self.by_ref().take(limit).collect()
+        for it in &mut self.iters {
+            it.limit_lookahead(Some(limit));
+        }
+        let out = self.by_ref().take(limit).collect();
+        for it in &mut self.iters {
+            it.limit_lookahead(None);
+        }
+        out
     }
 }
 

@@ -7,23 +7,26 @@
 //! ratio-triggered GC consumes this accounting; the experiment harness
 //! reads it to reproduce Figures 5 and 18.
 
+pub(crate) mod fetch;
 pub mod inherit;
 pub mod vtable;
 
 use crate::options::VFormat;
 use bytes::Bytes;
+use fetch::Want;
 use inherit::InheritForest;
 use parking_lot::RwLock;
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_lsm::{NewValueFile, ValueEditBundle};
 use scavenger_table::btable::BlockCache;
 use scavenger_table::props::TableType;
-use scavenger_util::ikey::{SeqNo, ValueRef};
+use scavenger_table::rtable::{Coalesce, COALESCE_SPAN};
+use scavenger_util::ikey::{make_internal_key, SeqNo, ValueRef, ValueType};
 use scavenger_util::{Error, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vtable::{vfile_path, VReader};
+use vtable::{vfile_path, VReader, ValueAt};
 
 /// Metadata for one value file.
 #[derive(Debug)]
@@ -102,6 +105,38 @@ pub fn new_value_file_record(
         value_bytes: info.value_bytes,
         hot,
         format: format_tag(format),
+    }
+}
+
+/// What a foreground scan lets share one value-file I/O: records that
+/// are adjacent or separated by at most a few dead neighbours (GC
+/// rewrites survivors in key order, so a key range's rows sit nearly
+/// side by side in each file). The gap is small on purpose — read bytes
+/// stay flat — where GC's [`Coalesce::READAHEAD`] reads through anything
+/// inside its span.
+pub const SCAN_COALESCE: Coalesce = Coalesce {
+    max_gap: 4 * 1024,
+    max_span: COALESCE_SPAN,
+};
+
+/// A value reference resolved by [`ValueStore::locate`]: the live file
+/// that holds the value now, an open foreground reader for it, and where
+/// in the file the value sits. Holding the reader keeps the file's bytes
+/// reachable even if a GC retires it before the fetch.
+pub struct ValueLoc {
+    /// The file holding the value: the referenced one, or the heir that
+    /// inherited the record.
+    pub file: u64,
+    reader: Arc<VReader>,
+    at: ValueAt,
+    /// Exact internal key of the record (empty for blob addresses).
+    ikey: Vec<u8>,
+}
+
+impl ValueLoc {
+    /// Fetch this one value: a single read, no batching overhead.
+    pub fn fetch(&self) -> Result<Bytes> {
+        self.reader.fetch_one(&self.at, &self.ikey)
     }
 }
 
@@ -324,30 +359,49 @@ impl ValueStore {
         )
     }
 
-    /// Resolve and read the value behind a reference.
+    /// **Locate**: resolve a reference to the live file and in-file
+    /// location that hold its value right now, reading no record bytes
+    /// (BTables excepted — see [`ValueAt::Cached`]).
     ///
-    /// * Address-based formats (blob logs) read `(offset, size)` directly.
-    /// * Keyed formats resolve the stored file through the inheritance
-    ///   forest and probe each leaf (bloom-guarded) for the exact
-    ///   `(user_key, seq)` version.
-    pub fn read_ref(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<Bytes> {
-        // A concurrent GC can retire a file between our resolution and the
-        // read; on that narrow race, re-resolve once (the inheritance
-        // forest already knows the file's heirs).
-        match self.read_ref_once(user_key, seq, vref) {
-            Err(Error::NotFound(_)) => self.read_ref_once(user_key, seq, vref),
+    /// * Address-based formats (blob logs) use `(offset, size)` as stored.
+    /// * Keyed formats try the referenced file, then the leaves of its
+    ///   subtree in the inheritance forest; each candidate costs one
+    ///   bloom probe and, if that passes, one cached index-partition
+    ///   lookup for the exact `(user_key, seq)` version.
+    ///
+    /// A concurrent GC can retire a file between the resolution and the
+    /// reader open; on that narrow race the resolution runs once more
+    /// (the forest already knows the file's heirs).
+    pub fn locate(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<ValueLoc> {
+        match self.locate_once(user_key, seq, vref) {
+            Err(Error::NotFound(_)) => self.locate_once(user_key, seq, vref),
             other => other,
         }
     }
 
-    fn read_ref_once(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<Bytes> {
+    fn locate_once(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<ValueLoc> {
+        let loc = |file, reader, at, ikey| ValueLoc {
+            file,
+            reader,
+            at,
+            ikey,
+        };
         // Fast path: the file is live (no GC touched it).
-        if let Some(meta) = self.meta(vref.file) {
+        let live = self.meta(vref.file);
+        if let Some(meta) = &live {
             if meta.format == VFormat::BlobLog {
-                return self.reader(vref.file)?.read_at(vref.offset, vref.size);
+                let at = ValueAt::Blob {
+                    offset: vref.offset,
+                    size: vref.size,
+                };
+                return Ok(loc(vref.file, self.reader(vref.file)?, at, Vec::new()));
             }
-            if let Some(v) = self.reader(vref.file)?.get_exact(user_key, seq)? {
-                return Ok(v);
+        }
+        let ikey = make_internal_key(user_key, seq, ValueType::Value);
+        if live.is_some() {
+            let reader = self.reader(vref.file)?;
+            if let Some(at) = reader.locate(&ikey)? {
+                return Ok(loc(vref.file, reader, at, ikey));
             }
             // Keyed file is live but lacks the record — fall through to
             // resolution (the file may predate a merged-GC output).
@@ -357,11 +411,8 @@ impl ValueStore {
                 continue;
             }
             let reader = self.reader(leaf)?;
-            if !reader.may_contain(user_key) {
-                continue;
-            }
-            if let Some(v) = reader.get_exact(user_key, seq)? {
-                return Ok(v);
+            if let Some(at) = reader.locate(&ikey)? {
+                return Ok(loc(leaf, reader, at, ikey));
             }
         }
         Err(Error::corruption(format!(
@@ -369,6 +420,33 @@ impl ValueStore {
             vref.file,
             user_key.len()
         )))
+    }
+
+    /// **Fetch** a batch of located values, returned in input order:
+    /// grouped per file, sorted by offset, neighbours under
+    /// [`SCAN_COALESCE`] read in one I/O — the scan iterator's
+    /// look-ahead. (GC step ③ runs the same grouping and coalescing loop
+    /// over its Lazy-Read handles, under its own limits.)
+    pub fn fetch(&self, locs: &[ValueLoc]) -> Result<Vec<Bytes>> {
+        let wants: Vec<Want<'_>> = locs
+            .iter()
+            .map(|l| Want {
+                file: l.file,
+                reader: &l.reader,
+                at: &l.at,
+                ikey: &l.ikey,
+            })
+            .collect();
+        fetch::fetch(&wants, SCAN_COALESCE, &fetch::inline)
+    }
+
+    /// Resolve and read the value behind a reference:
+    /// [`locate`](Self::locate) plus a fetch of one — the same bloom
+    /// probe, index-partition lookup and single record read (CRC-verified,
+    /// its key checked against `(user_key, seq)`) a point read always
+    /// cost, with no batch plumbing in between.
+    pub fn read_ref(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<Bytes> {
+        self.locate(user_key, seq, vref)?.fetch()
     }
 
     /// Delete the disk file behind a removed value file.

@@ -20,7 +20,7 @@ use scavenger_env::{EnvRef, IoClass, RandomAccessFile, WritableFile};
 use scavenger_lsm::filename::{blob_path, value_table_path};
 use scavenger_table::btable::{BTableBuilder, BTableReader, BlockCache, TableOptions};
 use scavenger_table::handle::BlockHandle;
-use scavenger_table::rtable::{RTableBuilder, RTableReader};
+use scavenger_table::rtable::{read_coalesced, Coalesce, RTableBuilder, RTableReader};
 use scavenger_table::KeyCmp;
 use scavenger_util::coding::{get_varint32, put_varint32};
 use scavenger_util::ikey::{extract_user_key, make_internal_key, SeqNo, ValueType};
@@ -319,6 +319,45 @@ pub struct BlobRecord {
     pub value_offset: u64,
 }
 
+/// Where one value sits inside its file, as [`VReader::locate`] (or a
+/// blob address, or a Lazy-Read index entry) found it.
+#[derive(Debug, Clone)]
+pub enum ValueAt {
+    /// An RTable record: read, CRC-verified and key-checked at fetch.
+    Record(BlockHandle),
+    /// Value bytes inside a blob log.
+    Blob {
+        /// Offset of the value within the file.
+        offset: u64,
+        /// Value size in bytes.
+        size: u32,
+    },
+    /// A BTable value: its (sparse-indexed) data block came through the
+    /// block cache during the lookup, so the value is already in hand.
+    Cached(Bytes),
+}
+
+impl ValueAt {
+    /// File offset the fetch starts at — the sort key for coalescing.
+    pub fn offset(&self) -> u64 {
+        match self {
+            ValueAt::Record(h) => h.offset,
+            ValueAt::Blob { offset, .. } => *offset,
+            ValueAt::Cached(_) => 0,
+        }
+    }
+}
+
+/// The value of a fetched record, once its key is the one asked for.
+fn record_value(ikey: &[u8], (key, value): (Bytes, Bytes)) -> Result<Bytes> {
+    if key[..] != *ikey {
+        return Err(Error::corruption(
+            "value record key does not match its index entry",
+        ));
+    }
+    Ok(value)
+}
+
 /// A value-file reader of any format.
 pub enum VReader {
     /// RecordBasedTable reader.
@@ -356,26 +395,70 @@ impl VReader {
         })
     }
 
-    /// Bloom check on a user key (always true for blob logs).
-    pub fn may_contain(&self, user_key: &[u8]) -> bool {
+    /// **Locate** the exact version `ikey` in a keyed table without
+    /// reading its record: one bloom probe, then one index lookup through
+    /// the block cache. `None` when this file does not hold it.
+    pub fn locate(&self, ikey: &[u8]) -> Result<Option<ValueAt>> {
         match self {
-            VReader::R(r) => r.may_contain(user_key),
-            VReader::B(r) => r.may_contain(user_key),
-            VReader::Blob(_) => true,
+            VReader::R(r) => Ok(r.find_exact(ikey)?.map(ValueAt::Record)),
+            VReader::B(r) => Ok(match r.get(ikey)? {
+                Some((k, v)) if k == ikey => Some(ValueAt::Cached(v)),
+                _ => None,
+            }),
+            VReader::Blob(_) => Err(Error::invalid_argument("keyed lookup on a blob log")),
         }
     }
 
-    /// Exact keyed lookup of version `(user_key, seq)` (table formats).
-    pub fn get_exact(&self, user_key: &[u8], seq: SeqNo) -> Result<Option<Bytes>> {
-        let target = make_internal_key(user_key, seq, ValueType::Value);
-        let got = match self {
-            VReader::R(r) => r.get(&target)?,
-            VReader::B(r) => r.get(&target)?,
-            VReader::Blob(_) => return Err(Error::invalid_argument("keyed lookup on a blob log")),
-        };
-        match got {
-            Some((k, v)) if k == target => Ok(Some(v)),
-            _ => Ok(None),
+    /// **Fetch** one located value: a single record read, CRC-verified,
+    /// its key checked against `ikey`.
+    pub fn fetch_one(&self, at: &ValueAt, ikey: &[u8]) -> Result<Bytes> {
+        match (self, at) {
+            (VReader::R(r), ValueAt::Record(h)) => record_value(ikey, r.read_record(*h)?),
+            (VReader::Blob(_), ValueAt::Blob { offset, size }) => self.read_at(*offset, *size),
+            (VReader::B(_), ValueAt::Cached(v)) => Ok(v.clone()),
+            _ => Err(Error::internal(
+                "value location does not match its file format",
+            )),
+        }
+    }
+
+    /// **Fetch** many located values of this file, returned in input
+    /// order. Neighbouring RTable records and blob values that `limits`
+    /// allows share one I/O ([`read_coalesced`]; pass them sorted by
+    /// [`ValueAt::offset`]); every RTable record is still CRC-verified and
+    /// key-checked on its own. BTable values came through the block cache
+    /// at locate time and cost nothing here.
+    pub fn fetch(&self, wants: &[(&ValueAt, &[u8])], limits: Coalesce) -> Result<Vec<Bytes>> {
+        let mismatch = || Error::internal("value location does not match its file format");
+        match self {
+            VReader::R(r) => {
+                let handles = wants
+                    .iter()
+                    .map(|(at, _)| match at {
+                        ValueAt::Record(h) => Ok(*h),
+                        _ => Err(mismatch()),
+                    })
+                    .collect::<Result<Vec<BlockHandle>>>()?;
+                r.read_records(&handles, limits)?
+                    .into_iter()
+                    .zip(wants)
+                    .map(|(rec, (_, ikey))| record_value(ikey, rec))
+                    .collect()
+            }
+            VReader::Blob(r) => {
+                let ranges = wants
+                    .iter()
+                    .map(|(at, _)| match at {
+                        ValueAt::Blob { offset, size } => Ok((*offset, u64::from(*size))),
+                        _ => Err(mismatch()),
+                    })
+                    .collect::<Result<Vec<(u64, u64)>>>()?;
+                read_coalesced(r.file.as_ref(), &ranges, limits)
+            }
+            VReader::B(_) => wants
+                .iter()
+                .map(|(at, ikey)| self.fetch_one(at, ikey))
+                .collect(),
         }
     }
 
@@ -430,22 +513,6 @@ impl VReader {
         match self {
             VReader::R(r) => r.read_index(),
             _ => Err(Error::invalid_argument("lazy read requires an RTable")),
-        }
-    }
-
-    /// Fetch one record by handle (RTable).
-    pub fn read_record(&self, handle: BlockHandle) -> Result<(Vec<u8>, Bytes)> {
-        match self {
-            VReader::R(r) => r.read_record(handle),
-            _ => Err(Error::invalid_argument("record read requires an RTable")),
-        }
-    }
-
-    /// Underlying file length.
-    pub fn file_len(&self) -> u64 {
-        match self {
-            VReader::Blob(r) => r.file.len(),
-            VReader::R(_) | VReader::B(_) => 0,
         }
     }
 }
@@ -551,14 +618,45 @@ mod tests {
                     let got = r.read_at(rec.offset, rec.size).unwrap();
                     assert_eq!(&got[..], value.as_slice());
                 }
-            }
-            _ => {
-                for (key, seq, value, _) in &recs {
-                    let got = r.get_exact(key.as_bytes(), *seq).unwrap().unwrap();
+                let ats: Vec<ValueAt> = recs
+                    .iter()
+                    .map(|(_, _, _, rec)| ValueAt::Blob {
+                        offset: rec.offset,
+                        size: rec.size,
+                    })
+                    .collect();
+                let wants: Vec<(&ValueAt, &[u8])> = ats.iter().map(|a| (a, &[][..])).collect();
+                let batch = r.fetch(&wants, Coalesce::READAHEAD).unwrap();
+                for (got, (_, _, value, _)) in batch.iter().zip(&recs) {
                     assert_eq!(&got[..], value.as_slice());
                 }
-                // Wrong seq -> miss.
-                assert!(r.get_exact(recs[0].0.as_bytes(), 1).unwrap().is_none());
+            }
+            _ => {
+                let ikeys: Vec<Vec<u8>> = recs
+                    .iter()
+                    .map(|(k, s, _, _)| make_internal_key(k.as_bytes(), *s, ValueType::Value))
+                    .collect();
+                let ats: Vec<ValueAt> = ikeys
+                    .iter()
+                    .map(|ik| r.locate(ik).unwrap().expect("stored version"))
+                    .collect();
+                for ((at, ik), (_, _, value, _)) in ats.iter().zip(&ikeys).zip(&recs) {
+                    assert_eq!(&r.fetch_one(at, ik).unwrap()[..], value.as_slice());
+                }
+                // The batched fetch returns the same values, in input order.
+                let wants: Vec<(&ValueAt, &[u8])> =
+                    ats.iter().zip(&ikeys).map(|(a, k)| (a, &k[..])).collect();
+                let batch = r.fetch(&wants, Coalesce::READAHEAD).unwrap();
+                for (got, (_, _, value, _)) in batch.iter().zip(&recs) {
+                    assert_eq!(&got[..], value.as_slice());
+                }
+                // Wrong seq -> miss; a record fetched under the wrong key
+                // is rejected.
+                let wrong = make_internal_key(recs[0].0.as_bytes(), 1, ValueType::Value);
+                assert!(r.locate(&wrong).unwrap().is_none());
+                if format == VFormat::RTable {
+                    assert!(r.fetch_one(&ats[0], &wrong).is_err());
+                }
             }
         }
         // GC scan sees everything in order.
@@ -644,9 +742,9 @@ mod tests {
         let r = VReader::open(&env, "db", 2, 0, VFormat::RTable, None, IoClass::GcRead).unwrap();
         let idx = r.read_lazy_index().unwrap();
         assert_eq!(idx.len(), 1);
-        let (k, v) = r.read_record(idx[0].1).unwrap();
-        let (uk, seq) = parse_record_key(&k).unwrap();
+        let (uk, seq) = parse_record_key(&idx[0].0).unwrap();
         assert_eq!((uk, seq), (b"k".as_slice(), 1));
+        let v = r.fetch_one(&ValueAt::Record(idx[0].1), &idx[0].0).unwrap();
         assert_eq!(v.len(), 4096);
     }
 

@@ -36,7 +36,8 @@ use crate::rate_limit::TokenBucket;
 use parking_lot::Mutex;
 use scavenger::{
     Bytes, ChangeOp, ChangeRecord, ChangeStream, ChangeSubscriber, Engine, PinnedReader,
-    ResumeToken, SubscribeFrom, Transaction, Transactional, WriteBatch, WriteOptions, WriteReceipt,
+    ResumeToken, ScanIterator, SubscribeFrom, Transaction, Transactional, WriteBatch, WriteOptions,
+    WriteReceipt,
 };
 use scavenger_util::{Error, Result};
 use std::io::{ErrorKind, Read, Write};
@@ -815,11 +816,15 @@ fn txn_gone(m: &ServerMetrics, id: u64) -> Response {
 /// error frame (clients treat it as terminating the scan). Every chunk
 /// after the first takes a fresh rate-limit token; exhaustion ends the
 /// scan with a `RATE_LIMITED` error frame.
+///
+/// Rows are pulled a chunk at a time through
+/// [`ScanIterator::collect_n`], never more than `limit` still allows,
+/// so the engine resolves exactly the rows that go on the wire.
 fn stream_scan<E: ServeEngine>(
     stream: &mut TcpStream,
     shared: &Shared<E>,
     conn_bucket: &TokenBucket,
-    iter: E::Iter,
+    mut iter: E::Iter,
     limit: u32,
 ) -> bool
 where
@@ -828,61 +833,48 @@ where
 {
     let m = &shared.metrics;
     let chunk_cap = shared.cfg.scan_chunk.max(1);
-    let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut remaining = if limit == 0 { u64::MAX } else { limit as u64 };
+    let mut remaining = if limit == 0 {
+        usize::MAX
+    } else {
+        limit as usize
+    };
     let mut first_chunk = true;
-    for entry in iter {
-        if remaining == 0 {
-            break;
-        }
-        match entry {
-            Ok(e) => {
-                entries.push((e.key, e.value.as_ref().to_vec()));
-                remaining -= 1;
-                if entries.len() >= chunk_cap {
-                    if !first_chunk && !take_chunk_token(shared, conn_bucket) {
-                        m.rate_limited.fetch_add(1, Ordering::Relaxed);
-                        m.requests_err.fetch_add(1, Ordering::Relaxed);
-                        return send(
-                            stream,
-                            &Response::error(WireCode::RateLimited, "rate limit exceeded mid-scan"),
-                        )
-                        .is_ok();
-                    }
-                    first_chunk = false;
-                    let chunk = Response::ScanChunk {
-                        entries: std::mem::take(&mut entries),
-                        last: false,
-                    };
-                    if send(stream, &chunk).is_err() {
-                        return false;
-                    }
-                }
-            }
+    loop {
+        let rows = match iter.collect_n(remaining.min(chunk_cap)) {
+            Ok(rows) => rows,
             Err(e) => {
                 m.requests_err.fetch_add(1, Ordering::Relaxed);
                 return send(stream, &Response::from_error(&e)).is_ok();
             }
+        };
+        remaining -= rows.len();
+        // A short chunk — range exhausted or limit reached — is the last.
+        let last = rows.len() < chunk_cap;
+        if !first_chunk && !take_chunk_token(shared, conn_bucket) {
+            m.rate_limited.fetch_add(1, Ordering::Relaxed);
+            m.requests_err.fetch_add(1, Ordering::Relaxed);
+            return send(
+                stream,
+                &Response::error(WireCode::RateLimited, "rate limit exceeded mid-scan"),
+            )
+            .is_ok();
+        }
+        first_chunk = false;
+        let chunk = Response::ScanChunk {
+            entries: rows
+                .into_iter()
+                .map(|e| (e.key, e.value.as_ref().to_vec()))
+                .collect(),
+            last,
+        };
+        if send(stream, &chunk).is_err() {
+            return false;
+        }
+        if last {
+            m.requests_ok.fetch_add(1, Ordering::Relaxed);
+            return true;
         }
     }
-    if !first_chunk && !take_chunk_token(shared, conn_bucket) {
-        m.rate_limited.fetch_add(1, Ordering::Relaxed);
-        m.requests_err.fetch_add(1, Ordering::Relaxed);
-        return send(
-            stream,
-            &Response::error(WireCode::RateLimited, "rate limit exceeded mid-scan"),
-        )
-        .is_ok();
-    }
-    m.requests_ok.fetch_add(1, Ordering::Relaxed);
-    send(
-        stream,
-        &Response::ScanChunk {
-            entries,
-            last: true,
-        },
-    )
-    .is_ok()
 }
 
 /// Put one committed change event on the wire.

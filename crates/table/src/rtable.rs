@@ -19,7 +19,7 @@
 //! in-block search.
 
 use crate::block::{Block, BlockBuilder};
-use crate::blockio::{read_block, stage_block, write_block, BLOCK_TRAILER_LEN};
+use crate::blockio::{read_block, stage_block, verify_block, write_block, BLOCK_TRAILER_LEN};
 use crate::btable::{
     read_footer, BlockCache, BlockFetcher, BuiltTable, PropsTracker, TableOptions,
 };
@@ -255,19 +255,113 @@ fn read_dense_index(
     Ok(out)
 }
 
-/// Decode a record payload into `(key, value)`.
-pub fn decode_record(payload: &Bytes) -> Result<(Vec<u8>, Bytes)> {
+/// Decode a record payload into `(key, value)`, both zero-copy slices
+/// of `payload`.
+pub fn decode_record(payload: &Bytes) -> Result<(Bytes, Bytes)> {
     let mut cur = &payload[..];
-    let key = get_length_prefixed_slice(&mut cur)?.to_vec();
-    let value = get_length_prefixed_slice(&mut cur)?;
-    let vlen = value.len();
+    let klen = get_length_prefixed_slice(&mut cur)?.len();
+    let key_end = payload.len() - cur.len();
+    let vlen = get_length_prefixed_slice(&mut cur)?.len();
     if !cur.is_empty() {
         return Err(Error::corruption("trailing bytes in rtable record"));
     }
-    // `cur` is empty, so the value is exactly the payload's last `vlen` bytes;
-    // slice it zero-copy instead of copying.
+    // `cur` is empty, so the value is exactly the payload's last `vlen`
+    // bytes, and the key the `klen` bytes before `key_end`.
     let value_off = payload.len() - vlen;
-    Ok((key, payload.slice(value_off..)))
+    Ok((
+        payload.slice(key_end - klen..key_end),
+        payload.slice(value_off..),
+    ))
+}
+
+/// How far apart two wanted byte ranges may sit and still share one I/O
+/// in [`read_coalesced`]. The caller states its policy: GC step ③ reads
+/// through anything inside the S-RH span, a foreground scan merges only
+/// neighbours so its read bytes stay flat.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Coalesce {
+    /// Most unwanted bytes a span reads through to reach the next range.
+    pub max_gap: u64,
+    /// Most bytes one I/O fetches (a single range larger than this is
+    /// still read whole).
+    pub max_span: u64,
+}
+
+impl Coalesce {
+    /// One I/O per range.
+    pub const NONE: Coalesce = Coalesce {
+        max_gap: 0,
+        max_span: 0,
+    };
+    /// The paper's GC readahead (S-RH): every range that ends within
+    /// [`COALESCE_SPAN`] of the span's first byte rides along, whatever
+    /// lies between.
+    pub const READAHEAD: Coalesce = Coalesce {
+        max_gap: u64::MAX,
+        max_span: COALESCE_SPAN,
+    };
+}
+
+/// Read the `(offset, len)` byte ranges of `file`, fetching neighbours
+/// that `limits` allows in one I/O — the one coalescing loop behind GC
+/// Lazy-Read fetches, scan look-ahead and blob-log value reads. Returns
+/// one buffer per range, in input order (zero-copy slices of the span
+/// they were read in). Ranges should arrive sorted by offset: one that
+/// starts before the current span simply opens a new span.
+///
+/// Records never overlap on disk, so a range that starts inside the
+/// span and ends past it can only come from a corrupt index: it is
+/// reported as [`Error::Corruption`], never sliced out of range.
+pub fn read_coalesced(
+    file: &dyn RandomAccessFile,
+    ranges: &[(u64, u64)],
+    limits: Coalesce,
+) -> Result<Vec<Bytes>> {
+    let end_of = |&(offset, len): &(u64, u64)| {
+        offset
+            .checked_add(len)
+            .ok_or_else(|| Error::corruption("record range overflows the file offset space"))
+    };
+    let mut out = Vec::with_capacity(ranges.len());
+    let mut i = 0;
+    while i < ranges.len() {
+        let start = ranges[i].0;
+        let mut end = end_of(&ranges[i])?;
+        let mut j = i + 1;
+        while j < ranges.len() {
+            let offset = ranges[j].0;
+            let next_end = end_of(&ranges[j])?;
+            if offset < start {
+                break;
+            }
+            if offset < end {
+                // A repeat of (or a range inside) what the span already
+                // covers is served from it; its own checksum decides.
+                if next_end > end {
+                    return Err(Error::corruption(format!(
+                        "overlapping record ranges at offset {offset}"
+                    )));
+                }
+            } else if offset - end <= limits.max_gap && next_end - start <= limits.max_span {
+                end = next_end;
+            } else {
+                break;
+            }
+            j += 1;
+        }
+        let span = usize::try_from(end - start)
+            .map_err(|_| Error::corruption("record range exceeds addressable memory"))?;
+        let buf = file.read_at(start, span)?;
+        if buf.len() != span {
+            return Err(Error::corruption("short coalesced read"));
+        }
+        for &(offset, len) in &ranges[i..j] {
+            let at = (offset - start) as usize;
+            out.push(buf.slice(at..at + len as usize));
+        }
+        i = j;
+    }
+    Ok(out)
 }
 
 /// An open RecordBasedTable.
@@ -327,35 +421,11 @@ impl RTableReader {
         }
     }
 
-    /// Find the record handle of the first index entry with key
-    /// `>= target`, without reading any record bytes.
-    pub fn find_record(&self, target: &[u8]) -> Result<Option<(Vec<u8>, BlockHandle)>> {
-        let mut top = self.top_index.iter(self.cmp);
-        top.seek(target);
-        while top.valid() {
-            let part_handle = BlockHandle::decode_exact(&top.value())?;
-            let part = self
-                .fetcher
-                .fetch(part_handle, BlockKind::Index, CachePriority::High)?;
-            let mut it = part.iter(self.cmp);
-            it.seek(target);
-            if it.valid() {
-                let rec = BlockHandle::decode_exact(&it.value())?;
-                return Ok(Some((it.key().to_vec(), rec)));
-            }
-            top.next();
-        }
-        Ok(None)
-    }
-
-    /// Read and decode the record at `handle`.
-    pub fn read_record(&self, handle: BlockHandle) -> Result<(Vec<u8>, Bytes)> {
-        let payload = read_block(self.fetcher.file.as_ref(), handle)?;
-        decode_record(&payload)
-    }
-
-    /// Point lookup: first record with key `>= target` (bloom-guarded).
-    pub fn get(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Bytes)>> {
+    /// Handle of the record stored under exactly `target`, reading no
+    /// record bytes: one bloom probe, then one index-partition lookup
+    /// (through the block cache). The partition whose last key is the
+    /// first `>= target` is the only one that can hold it.
+    pub fn find_exact(&self, target: &[u8]) -> Result<Option<BlockHandle>> {
         let ukey = match self.cmp {
             KeyCmp::Internal => extract_user_key(target),
             KeyCmp::Bytewise => target,
@@ -363,10 +433,27 @@ impl RTableReader {
         if !self.may_contain(ukey) {
             return Ok(None);
         }
-        match self.find_record(target)? {
-            Some((_, handle)) => self.read_record(handle).map(Some),
-            None => Ok(None),
+        let mut top = self.top_index.iter(self.cmp);
+        top.seek(target);
+        if !top.valid() {
+            return Ok(None);
         }
+        let part_handle = BlockHandle::decode_exact(&top.value())?;
+        let part = self
+            .fetcher
+            .fetch(part_handle, BlockKind::Index, CachePriority::High)?;
+        let mut it = part.iter(self.cmp);
+        it.seek(target);
+        if it.valid() && it.key() == target {
+            return BlockHandle::decode_exact(&it.value()).map(Some);
+        }
+        Ok(None)
+    }
+
+    /// Read and decode the record at `handle`.
+    pub fn read_record(&self, handle: BlockHandle) -> Result<(Bytes, Bytes)> {
+        let payload = read_block(self.fetcher.file.as_ref(), handle)?;
+        decode_record(&payload)
     }
 
     /// **Lazy Read** (paper Fig. 8 step ①): return every key in the file
@@ -382,49 +469,24 @@ impl RTableReader {
         )
     }
 
-    /// Fetch many records by handle. With `coalesce`, handles within
-    /// `COALESCE_SPAN` of each other are fetched in one I/O (the paper's
-    /// GC readahead, S-RH); records are verified individually either way.
-    /// Handles must be sorted by offset for coalescing to help.
+    /// Fetch many records by handle through [`read_coalesced`]: handles
+    /// that `limits` lets share a span are fetched in one I/O, and every
+    /// record is CRC-verified and decoded individually either way.
+    /// Handles must be sorted by offset for coalescing to help (an
+    /// out-of-order handle just starts a new span).
     pub fn read_records(
         &self,
         handles: &[BlockHandle],
-        coalesce: bool,
-    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
+        limits: Coalesce,
+    ) -> Result<Vec<(Bytes, Bytes)>> {
+        let ranges: Vec<(u64, u64)> = handles
+            .iter()
+            .map(|h| (h.offset, h.size.saturating_add(BLOCK_TRAILER_LEN as u64)))
+            .collect();
+        let raws = read_coalesced(self.fetcher.file.as_ref(), &ranges, limits)?;
         let mut out = Vec::with_capacity(handles.len());
-        if !coalesce {
-            for h in handles {
-                out.push(self.read_record(*h)?);
-            }
-            return Ok(out);
-        }
-        let mut i = 0;
-        while i < handles.len() {
-            // Grow a span of nearby records.
-            let start = handles[i].offset;
-            let mut j = i;
-            let mut end = handles[i].offset + handles[i].size + BLOCK_TRAILER_LEN as u64;
-            while j + 1 < handles.len() {
-                let next = handles[j + 1];
-                let next_end = next.offset + next.size + BLOCK_TRAILER_LEN as u64;
-                if next.offset >= end && next_end - start <= COALESCE_SPAN {
-                    end = next_end;
-                    j += 1;
-                } else if next.offset < end {
-                    // Overlapping/duplicate handle: keep within span.
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            let buf = self.fetcher.file.read_at(start, (end - start) as usize)?;
-            for h in &handles[i..=j] {
-                let off = (h.offset - start) as usize;
-                let raw = buf.slice(off..off + h.size as usize + BLOCK_TRAILER_LEN);
-                let payload = crate::blockio::verify_block(&raw, *h)?;
-                out.push(decode_record(&payload)?);
-            }
-            i = j + 1;
+        for (raw, h) in raws.iter().zip(handles) {
+            out.push(decode_record(&verify_block(raw, *h)?)?);
         }
         Ok(out)
     }
@@ -455,15 +517,15 @@ pub struct RTableIter {
     cmp: KeyCmp,
     entries: Option<Vec<(Vec<u8>, BlockHandle)>>,
     pos: usize,
-    current: Option<(Vec<u8>, Bytes)>,
+    current: Option<(Bytes, Bytes)>,
     coalesce: bool,
     /// `(file_offset, bytes)` of a read-ahead span covering ≥1 records.
     buffer: Option<(u64, Bytes)>,
     error: Option<Error>,
 }
 
-/// Max bytes fetched per coalesced read.
-const COALESCE_SPAN: u64 = 256 * 1024;
+/// Max bytes fetched per readahead I/O (the paper's S-RH span).
+pub const COALESCE_SPAN: u64 = 256 * 1024;
 
 impl RTableIter {
     fn ensure_index(&mut self) {
@@ -509,7 +571,7 @@ impl RTableIter {
             let (off, buf) = self.buffer.as_ref().unwrap();
             let start = (handle.offset - off) as usize;
             let raw = buf.slice(start..start + total as usize);
-            match crate::blockio::verify_block(&raw, handle) {
+            match verify_block(&raw, handle) {
                 Ok(p) => p,
                 Err(e) => {
                     self.error = Some(e);
@@ -527,7 +589,7 @@ impl RTableIter {
         };
         match decode_record(&payload) {
             Ok((k, v)) => {
-                debug_assert_eq!(k, key);
+                debug_assert_eq!(k[..], key[..]);
                 self.current = Some((k, v));
             }
             Err(e) => self.error = Some(e),
@@ -620,6 +682,12 @@ mod tests {
         RTableReader::open(file, 7, None, KeyCmp::Bytewise).unwrap()
     }
 
+    /// Point lookup the way the value store does it: locate, then fetch.
+    fn get(r: &RTableReader, key: &[u8]) -> Option<(Bytes, Bytes)> {
+        let handle = r.find_exact(key).unwrap()?;
+        Some(r.read_record(handle).unwrap())
+    }
+
     #[test]
     fn build_get_roundtrip() {
         let env = MemEnv::new();
@@ -629,11 +697,11 @@ mod tests {
         assert_eq!(built.props.table_type, TableType::RTable);
         let r = open(&env, "v.vsst");
         for (k, v) in &es {
-            let (fk, fv) = r.get(k).unwrap().expect("record");
-            assert_eq!(&fk, k);
+            let (fk, fv) = get(&r, k).expect("record");
+            assert_eq!(&fk[..], k.as_slice());
             assert_eq!(&fv[..], v.as_slice());
         }
-        assert!(r.get(b"zzzz").unwrap().is_none());
+        assert!(get(&r, b"zzzz").is_none());
     }
 
     #[test]
@@ -805,8 +873,8 @@ mod tests {
         let mut handles: Vec<BlockHandle> = index.iter().step_by(3).map(|(_, h)| *h).collect();
         handles.sort_by_key(|h| h.offset);
         let a = &r;
-        let individual = a.read_records(&handles, false).unwrap();
-        let coalesced = a.read_records(&handles, true).unwrap();
+        let individual = a.read_records(&handles, Coalesce::NONE).unwrap();
+        let coalesced = a.read_records(&handles, Coalesce::READAHEAD).unwrap();
         assert_eq!(individual.len(), coalesced.len());
         for (x, y) in individual.iter().zip(coalesced.iter()) {
             assert_eq!(x.0, y.0);
@@ -814,9 +882,9 @@ mod tests {
         }
         // Coalescing must use strictly fewer read ops.
         let before = env.io_stats().snapshot();
-        a.read_records(&handles, false).unwrap();
+        a.read_records(&handles, Coalesce::NONE).unwrap();
         let mid = env.io_stats().snapshot();
-        a.read_records(&handles, true).unwrap();
+        a.read_records(&handles, Coalesce::READAHEAD).unwrap();
         let after = env.io_stats().snapshot();
         let ind_ops = mid.delta(&before).total_read_ops();
         let coa_ops = after.delta(&mid).total_read_ops();
@@ -824,6 +892,98 @@ mod tests {
             coa_ops < ind_ops,
             "coalesced {coa_ops} vs individual {ind_ops}"
         );
+    }
+
+    #[test]
+    fn find_exact_matches_only_the_stored_key() {
+        let env = MemEnv::new();
+        let es = entries(300, 64);
+        build(&env, "v.vsst", &es);
+        let r = open(&env, "v.vsst");
+        let index = r.read_index().unwrap();
+        for (k, h) in &index {
+            assert_eq!(r.find_exact(k).unwrap(), Some(*h));
+        }
+        // Between two stored keys, before the first and past the last.
+        assert_eq!(r.find_exact(b"user0000505").unwrap(), None);
+        assert_eq!(r.find_exact(b"a").unwrap(), None);
+        assert_eq!(r.find_exact(b"zzzz").unwrap(), None);
+    }
+
+    /// The gap / span limits decide what shares an I/O: neighbours merge
+    /// under a small gap, a far record does not, and nothing merges past
+    /// the span.
+    #[test]
+    fn coalesce_limits_bound_gap_and_span() {
+        let env = MemEnv::new();
+        let es = entries(64, 1000);
+        build(&env, "v.vsst", &es);
+        let r = open(&env, "v.vsst");
+        let index = r.read_index().unwrap();
+        let read_ops = |picks: &[usize], limits: Coalesce| {
+            let handles: Vec<BlockHandle> = picks.iter().map(|&i| index[i].1).collect();
+            let before = env.io_stats().snapshot();
+            let recs = r.read_records(&handles, limits).unwrap();
+            for (rec, &i) in recs.iter().zip(picks) {
+                assert_eq!(rec.0, es[i].0);
+                assert_eq!(&rec.1[..], es[i].1.as_slice());
+            }
+            let d = env.io_stats().snapshot().delta(&before);
+            (d.total_read_ops(), d.total_read_bytes())
+        };
+        let near = Coalesce {
+            max_gap: 2048,
+            max_span: COALESCE_SPAN,
+        };
+        // 0,1,2 are adjacent; 4 sits one record (~1 KiB) further; 40 is far.
+        let (ops, bytes) = read_ops(&[0, 1, 2, 4, 40], near);
+        assert_eq!(ops, 2, "one span for 0..=4, one read for 40");
+        let (_, exact) = read_ops(&[0, 1, 2, 4, 40], Coalesce::NONE);
+        let gap = index[3].1.size + BLOCK_TRAILER_LEN as u64;
+        assert!(
+            bytes > exact && bytes <= exact + gap + 64,
+            "only the one skipped record is read through: {bytes} vs {exact}"
+        );
+        // A span limit splits an otherwise adjacent run.
+        let tight = Coalesce {
+            max_gap: u64::MAX,
+            max_span: 2500,
+        };
+        assert_eq!(read_ops(&[0, 1, 2, 3], tight).0, 2);
+        assert_eq!(read_ops(&[0, 1, 2, 3], Coalesce::NONE).0, 4);
+        // Unsorted handles still read correctly, one span each.
+        assert_eq!(read_ops(&[5, 4, 3], near).0, 3);
+    }
+
+    /// Hand-built handles that overlap (a corrupt index) must come back
+    /// as `Corruption`, not as an out-of-range slice.
+    #[test]
+    fn overlapping_handles_are_corruption_not_a_panic() {
+        let env = MemEnv::new();
+        let es = entries(8, 200);
+        build(&env, "v.vsst", &es);
+        let r = open(&env, "v.vsst");
+        let index = r.read_index().unwrap();
+        let (a, b) = (index[0].1, index[1].1);
+        // Starts inside `a`'s bytes, ends past them.
+        let straddle = BlockHandle::new(a.offset + 10, a.size + 50);
+        for limits in [Coalesce::READAHEAD, Coalesce::NONE] {
+            let err = r.read_records(&[a, straddle, b], limits).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{limits:?}: {err}");
+        }
+        // Contained in `a`: in range, so its own checksum rejects it.
+        let inside = BlockHandle::new(a.offset + 10, 20);
+        let err = r
+            .read_records(&[a, inside], Coalesce::READAHEAD)
+            .unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
+        // An exact repeat is harmless.
+        let twice = r.read_records(&[a, a, b], Coalesce::READAHEAD).unwrap();
+        assert_eq!(twice[0], twice[1]);
+        // An offset + size that overflows is caught before any read.
+        let huge = BlockHandle::new(u64::MAX - 2, 100);
+        let err = r.read_records(&[huge], Coalesce::NONE).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
     }
 
     proptest::proptest! {
@@ -848,8 +1008,9 @@ mod tests {
             let file = env.open_random_access("p.vsst", IoClass::FgValueRead).unwrap();
             let r = RTableReader::open(file, 1, None, KeyCmp::Bytewise).unwrap();
             for (k, v) in &es {
-                let (fk, fv) = r.get(k).unwrap().unwrap();
-                proptest::prop_assert_eq!(&fk, k);
+                let h = r.find_exact(k).unwrap().unwrap();
+                let (fk, fv) = r.read_record(h).unwrap();
+                proptest::prop_assert_eq!(&fk[..], k.as_slice());
                 proptest::prop_assert_eq!(&fv[..], v.as_slice());
             }
             let idx = r.read_index().unwrap();
@@ -863,7 +1024,7 @@ mod tests {
         build(&env, "v.vsst", &[]);
         let r = open(&env, "v.vsst");
         assert!(r.read_index().unwrap().is_empty());
-        assert!(r.get(b"x").unwrap().is_none());
+        assert!(get(&r, b"x").is_none());
         let mut it = r.iter(false);
         it.seek_to_first();
         assert!(!it.valid());

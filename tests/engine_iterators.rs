@@ -8,34 +8,26 @@
 use scavenger::shards::ShardsScanIter;
 use scavenger::{
     Db, DbScanIter, DbShards, Engine, EngineMode, EnvRef, MemEnv, Options, Result, ScanEntry,
-    ShardedOptions,
+    ScanIterator, ShardedOptions,
 };
 
-/// Test-local bridge over the two concrete iterators' legacy entry
-/// points, so the generic contract check can compare them against the
-/// `Iterator` surface on both handle types.
-trait EntryIter: Iterator<Item = Result<ScanEntry>> {
+/// Test-local bridge over the two concrete iterators' `next_entry`
+/// wrapper, so the generic contract check can compare it (and
+/// `ScanIterator::collect_n`) against the `Iterator` surface on both
+/// handle types.
+trait EntryIter: ScanIterator {
     fn entry(&mut self) -> Result<Option<ScanEntry>>;
-    fn first_n(&mut self, n: usize) -> Result<Vec<ScanEntry>>;
 }
 
 impl EntryIter for DbScanIter {
     fn entry(&mut self) -> Result<Option<ScanEntry>> {
         DbScanIter::next_entry(self)
     }
-
-    fn first_n(&mut self, n: usize) -> Result<Vec<ScanEntry>> {
-        DbScanIter::collect_n(self, n)
-    }
 }
 
 impl EntryIter for ShardsScanIter {
     fn entry(&mut self) -> Result<Option<ScanEntry>> {
         ShardsScanIter::next_entry(self)
-    }
-
-    fn first_n(&mut self, n: usize) -> Result<Vec<ScanEntry>> {
-        ShardsScanIter::collect_n(self, n)
     }
 }
 
@@ -124,7 +116,7 @@ where
     assert_eq!(next.key, key(2).into_bytes());
 
     // collect_n is equivalent to take+collect on a fresh iterator.
-    let via_collect_n = db.scan(b"", None).unwrap().first_n(7).unwrap();
+    let via_collect_n = db.scan(b"", None).unwrap().collect_n(7).unwrap();
     let via_take: Vec<ScanEntry> = db
         .scan(b"", None)
         .unwrap()
@@ -132,6 +124,21 @@ where
         .collect::<Result<_>>()
         .unwrap();
     assert_eq!(via_collect_n, via_take);
+
+    // collect_n after a partial `next()` continues where it left off,
+    // collect_n(0) consumes nothing, and past the end it returns the
+    // remainder, then nothing.
+    let all: Vec<ScanEntry> = db.scan(b"", None).unwrap().collect::<Result<_>>().unwrap();
+    assert_eq!(all.len(), 60);
+    let mut it = db.scan(b"", None).unwrap();
+    let mut got = vec![it.next().unwrap().unwrap(), it.next().unwrap().unwrap()];
+    assert!(it.collect_n(0).unwrap().is_empty());
+    got.extend(it.collect_n(20).unwrap());
+    got.push(it.next().unwrap().unwrap());
+    got.extend(it.collect_n(1000).unwrap());
+    assert_eq!(got, all);
+    assert!(it.collect_n(5).unwrap().is_empty());
+    assert!(it.next().is_none());
 
     // next_entry is a thin wrapper over Iterator::next.
     let mut a = db.scan(b"key0005", Some(b"key0008")).unwrap();
@@ -198,6 +205,57 @@ fn errored_db_iterator_yields_err_then_fuses() {
     // A fresh iterator errors again through next_entry/collect_n too.
     assert!(db.scan(b"", None).unwrap().next_entry().is_err());
     assert!(db.scan(b"", None).unwrap().collect_n(5).is_err());
+}
+
+/// Value look-ahead never resolves past what the caller asked for.
+/// Rows 0..10 live in intact value files; every file behind rows 10..
+/// is deleted. `collect_n(10)` and ten `next()`s must not notice; the
+/// error waits for row 10, and the rows before it in the failing batch
+/// are still delivered.
+#[test]
+fn lookahead_never_resolves_past_the_requested_rows() {
+    let env: EnvRef = MemEnv::shared();
+    let db = single(env.clone(), "iter-lookahead");
+    load(&db, 10);
+    let intact = env.list_prefix("iter-lookahead/").unwrap();
+    for i in 10..40 {
+        db.put(key(i).as_bytes(), value(i, 1024)).unwrap();
+    }
+    db.flush().unwrap();
+    let mut removed = 0;
+    for f in env.list_prefix("iter-lookahead/").unwrap() {
+        if f.ends_with(".vsst") && !intact.contains(&f) {
+            env.remove_file(&f).unwrap();
+            removed += 1;
+        }
+    }
+    assert!(
+        removed > 0,
+        "the second flush must have created value files"
+    );
+
+    let ten = db.scan(b"", None).unwrap().collect_n(10).unwrap();
+    assert_eq!(ten.len(), 10);
+    assert_eq!(ten[9].key, key(9).into_bytes());
+    assert!(db.scan(b"", None).unwrap().collect_n(11).is_err());
+
+    // The ramp's fourth batch (rows 7..15) straddles the boundary: rows
+    // 7, 8, 9 come out, then the error, then nothing.
+    let mut it = db.scan(b"", None).unwrap();
+    for i in 0..10 {
+        assert_eq!(it.next().unwrap().unwrap().key, key(i).into_bytes());
+    }
+    assert!(matches!(it.next(), Some(Err(_))));
+    assert!(it.next().is_none());
+    assert!(it.collect_n(3).unwrap().is_empty());
+
+    // A collect_n that stops short of the bad rows leaves the iterator
+    // usable up to them.
+    let mut it = db.scan(b"", None).unwrap();
+    assert_eq!(it.collect_n(4).unwrap().len(), 4);
+    assert_eq!(it.collect_n(6).unwrap().len(), 6);
+    assert!(it.collect_n(1).is_err());
+    assert!(it.next().is_none());
 }
 
 /// A refill failure after a head has been popped must not drop the

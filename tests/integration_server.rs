@@ -506,6 +506,63 @@ where
     handle.shutdown_and_wait();
 }
 
+/// A wire `Scan` with `limit = N` must resolve exactly N rows: the
+/// stream is pulled in bounded chunks (`collect_n`), so the engine's
+/// value look-ahead never fetches row N + 1. Proven from the bytes the
+/// scan reads out of the value files (`FgValueRead`), which for N
+/// adjacent equal-sized records is N records exactly.
+#[test]
+fn scan_limit_resolves_exactly_limit_rows() {
+    const CHUNK: usize = 8;
+    let env = MemEnv::shared();
+    let mut o = Options::new(env, "scan-limit", EngineMode::Scavenger);
+    o.memtable_size = 1 << 20;
+    let db = Db::open(o).unwrap();
+    for i in 0..64u32 {
+        db.put(format!("row{i:03}"), vec![i as u8; 1500]).unwrap();
+    }
+    db.flush().unwrap();
+    assert_eq!(db.value_store().all_files().len(), 1);
+    let value_bytes = |f: &mut dyn FnMut()| {
+        let io = || db.options().env.io_stats().snapshot();
+        let before = io();
+        f();
+        io().delta(&before)
+            .class(scavenger::IoClass::FgValueRead)
+            .read_bytes
+    };
+    // Warm up: open the reader, cache the index partitions.
+    assert_eq!(db.scan(b"", None).unwrap().count(), 64);
+
+    let cfg = ServerConfig {
+        scan_chunk: CHUNK,
+        ..small_cfg()
+    };
+    let handle = Server::start(db.clone(), cfg).expect("start server");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for n in [1usize, CHUNK, CHUNK + 3] {
+        let engine_n = value_bytes(&mut || {
+            assert_eq!(
+                db.scan(b"row", None).unwrap().collect_n(n).unwrap().len(),
+                n
+            );
+        });
+        let engine_n_plus_1 = value_bytes(&mut || {
+            db.scan(b"row", None).unwrap().collect_n(n + 1).unwrap();
+        });
+        assert!(engine_n > 0 && engine_n < engine_n_plus_1);
+        let wire = value_bytes(&mut || {
+            let rows = client.scan(None, b"row", None, n as u32).unwrap();
+            assert_eq!(rows.len(), n);
+        });
+        assert_eq!(
+            wire, engine_n,
+            "limit = {n}: the server resolved more rows than it sent"
+        );
+    }
+    handle.shutdown_and_wait();
+}
+
 // ---------------- instantiations ----------------
 
 fn open_db(env: scavenger::EnvRef, dir: &str) -> Db {
