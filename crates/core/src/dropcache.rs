@@ -10,8 +10,7 @@
 //! per byte of GC I/O while leaving cold data untouched.
 //!
 //! The cache stores only keys (~32 B/key per the paper) and serves no
-//! foreground requests. For larger deployments the paper suggests a
-//! CuckooFilter; [`CuckooDropFilter`] provides that variant.
+//! foreground requests.
 
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -152,68 +151,6 @@ impl DropCache {
     }
 }
 
-/// A space-efficient probabilistic alternative to [`DropCache`]: a small
-/// cuckoo filter over key fingerprints (paper §III-B3 suggests this for
-/// large datasets). False positives cause harmless extra "hot"
-/// classifications; false negatives do not occur for resident items.
-pub struct CuckooDropFilter {
-    buckets: Mutex<Vec<[u16; 4]>>,
-    num_buckets: usize,
-}
-
-impl CuckooDropFilter {
-    /// Create a filter sized for roughly `capacity` keys.
-    pub fn new(capacity: usize) -> Self {
-        let num_buckets = (capacity / 4 + 1).next_power_of_two();
-        CuckooDropFilter {
-            buckets: Mutex::new(vec![[0u16; 4]; num_buckets]),
-            num_buckets,
-        }
-    }
-
-    fn fingerprint_and_buckets(&self, key: &[u8]) -> (u16, usize, usize) {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        let hv = h.finish();
-        let fp = ((hv >> 48) as u16).max(1); // 0 means empty slot
-        let b1 = (hv as usize) & (self.num_buckets - 1);
-        let mut h2 = DefaultHasher::new();
-        fp.hash(&mut h2);
-        let b2 = (b1 ^ (h2.finish() as usize)) & (self.num_buckets - 1);
-        (fp, b1, b2)
-    }
-
-    /// Insert a key's fingerprint (evicting a random victim on overflow,
-    /// which only ages out old entries — acceptable for a hotness hint).
-    pub fn insert(&self, key: &[u8]) {
-        let (fp, b1, b2) = self.fingerprint_and_buckets(key);
-        let mut buckets = self.buckets.lock();
-        for b in [b1, b2] {
-            for slot in buckets[b].iter_mut() {
-                if *slot == 0 || *slot == fp {
-                    *slot = fp;
-                    return;
-                }
-            }
-        }
-        // Both buckets full: displace a pseudo-random victim from b1.
-        let victim = (fp as usize) % 4;
-        buckets[b1][victim] = fp;
-    }
-
-    /// May the filter contain this key?
-    pub fn contains(&self, key: &[u8]) -> bool {
-        let (fp, b1, b2) = self.fingerprint_and_buckets(key);
-        let buckets = self.buckets.lock();
-        buckets[b1].contains(&fp) || buckets[b2].contains(&fp)
-    }
-
-    /// Approximate memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.num_buckets * 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,39 +235,5 @@ mod tests {
             .filter(|i| c.contains(format!("k{i}").as_bytes()))
             .count();
         assert!(present >= 48, "most keys resident: {present}");
-    }
-
-    #[test]
-    fn cuckoo_no_false_negatives_when_resident() {
-        let f = CuckooDropFilter::new(1000);
-        for i in 0..500u64 {
-            f.insert(format!("key-{i}").as_bytes());
-        }
-        let present = (0..500u64)
-            .filter(|i| f.contains(format!("key-{i}").as_bytes()))
-            .count();
-        // A few insertions may have displaced fingerprints; nearly all stay.
-        assert!(present >= 490, "present: {present}");
-    }
-
-    #[test]
-    fn cuckoo_low_false_positive_rate() {
-        let f = CuckooDropFilter::new(4096);
-        for i in 0..2000u64 {
-            f.insert(format!("key-{i}").as_bytes());
-        }
-        let fp = (10_000..20_000u64)
-            .filter(|i| f.contains(format!("key-{i}").as_bytes()))
-            .count();
-        let rate = fp as f64 / 10_000.0;
-        assert!(rate < 0.05, "fp rate {rate}");
-    }
-
-    #[test]
-    fn cuckoo_memory_is_compact() {
-        let f = CuckooDropFilter::new(64 * 1024);
-        // 2 bytes per slot, 4 slots per bucket: far below 32 B/key.
-        assert!(f.memory_bytes() <= 64 * 1024 * 4);
-        assert!(f.memory_bytes() < 64 * 1024 * 32);
     }
 }

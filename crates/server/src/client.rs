@@ -49,16 +49,36 @@ impl Client {
         }
     }
 
-    fn expect_done(resp: Response) -> Result<()> {
+    /// Unwrap a reply: `pick` takes the expected variant apart (or
+    /// hands anything else back), an error frame becomes its typed
+    /// [`Error`], and any other variant is an internal error.
+    fn expect<T>(
+        resp: Response,
+        pick: impl FnOnce(Response) -> std::result::Result<T, Response>,
+    ) -> Result<T> {
         match resp {
-            Response::Done => Ok(()),
             Response::Err { code, message } => Err(code.to_error(&message)),
-            other => Err(Error::internal(format!("unexpected response {other:?}"))),
+            other => pick(other)
+                .map_err(|other| Error::internal(format!("unexpected response {other:?}"))),
         }
     }
 
+    fn expect_done(resp: Response) -> Result<()> {
+        Self::expect(resp, |r| match r {
+            Response::Done => Ok(()),
+            r => Err(r),
+        })
+    }
+
+    fn expect_value(resp: Response) -> Result<Option<Vec<u8>>> {
+        Self::expect(resp, |r| match r {
+            Response::Value { value } => Ok(value),
+            r => Err(r),
+        })
+    }
+
     fn expect_written(resp: Response) -> Result<WriteReceipt> {
-        match resp {
+        Self::expect(resp, |r| match r {
             Response::Written {
                 seq,
                 group_len,
@@ -68,18 +88,16 @@ impl Client {
                 group_len,
                 synced,
             }),
-            Response::Err { code, message } => Err(code.to_error(&message)),
-            other => Err(Error::internal(format!("unexpected response {other:?}"))),
-        }
+            r => Err(r),
+        })
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<()> {
-        match self.request(&Request::Ping)? {
+        Self::expect(self.request(&Request::Ping)?, |r| match r {
             Response::Pong => Ok(()),
-            Response::Err { code, message } => Err(code.to_error(&message)),
-            other => Err(Error::internal(format!("unexpected response {other:?}"))),
-        }
+            r => Err(r),
+        })
     }
 
     /// Point lookup against the latest state.
@@ -93,14 +111,8 @@ impl Client {
     }
 
     fn get_impl(&mut self, snap: Option<u64>, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.request(&Request::Get {
-            snap,
-            key: key.to_vec(),
-        })? {
-            Response::Value { value } => Ok(value),
-            Response::Err { code, message } => Err(code.to_error(&message)),
-            other => Err(Error::internal(format!("unexpected response {other:?}"))),
-        }
+        let key = key.to_vec();
+        Self::expect_value(self.request(&Request::Get { snap, key })?)
     }
 
     /// Insert or overwrite one key (durable: `sync = true`).
@@ -164,28 +176,23 @@ impl Client {
         )?;
         let mut out = Vec::new();
         loop {
-            match self.read_response()? {
-                Response::ScanChunk { entries, last } => {
-                    out.extend(entries);
-                    if last {
-                        return Ok(out);
-                    }
-                }
-                Response::Err { code, message } => return Err(code.to_error(&message)),
-                other => {
-                    return Err(Error::internal(format!("unexpected response {other:?}")));
-                }
+            let (entries, last) = Self::expect(self.read_response()?, |r| match r {
+                Response::ScanChunk { entries, last } => Ok((entries, last)),
+                r => Err(r),
+            })?;
+            out.extend(entries);
+            if last {
+                return Ok(out);
             }
         }
     }
 
     /// Open a server-side snapshot; returns its id.
     pub fn snap_open(&mut self) -> Result<u64> {
-        match self.request(&Request::SnapOpen)? {
+        Self::expect(self.request(&Request::SnapOpen)?, |r| match r {
             Response::SnapId { id } => Ok(id),
-            Response::Err { code, message } => Err(code.to_error(&message)),
-            other => Err(Error::internal(format!("unexpected response {other:?}"))),
-        }
+            r => Err(r),
+        })
     }
 
     /// Close a server-side snapshot.
@@ -203,25 +210,23 @@ impl Client {
     /// Run one GC pass; returns `(jobs, files_collected,
     /// records_rewritten, bytes_reclaimed)`.
     pub fn run_gc(&mut self) -> Result<(u32, u64, u64, u64)> {
-        match self.request(&Request::RunGc)? {
+        Self::expect(self.request(&Request::RunGc)?, |r| match r {
             Response::GcDone {
                 jobs,
                 files_collected,
                 records_rewritten,
                 bytes_reclaimed,
             } => Ok((jobs, files_collected, records_rewritten, bytes_reclaimed)),
-            Response::Err { code, message } => Err(code.to_error(&message)),
-            other => Err(Error::internal(format!("unexpected response {other:?}"))),
-        }
+            r => Err(r),
+        })
     }
 
     /// Fetch the Prometheus exposition text over the data plane.
     pub fn stats(&mut self) -> Result<String> {
-        match self.request(&Request::Stats)? {
+        Self::expect(self.request(&Request::Stats)?, |r| match r {
             Response::Stats { text } => Ok(text),
-            Response::Err { code, message } => Err(code.to_error(&message)),
-            other => Err(Error::internal(format!("unexpected response {other:?}"))),
-        }
+            r => Err(r),
+        })
     }
 
     /// Ask the server to begin its graceful shutdown.
@@ -237,23 +242,16 @@ impl Client {
     /// server's `pin_ttl` it expires (discarding its buffered writes)
     /// and further ops report `PIN_EXPIRED`.
     pub fn txn_begin(&mut self) -> Result<u64> {
-        match self.request(&Request::TxnBegin)? {
+        Self::expect(self.request(&Request::TxnBegin)?, |r| match r {
             Response::TxnId { id } => Ok(id),
-            Response::Err { code, message } => Err(code.to_error(&message)),
-            other => Err(Error::internal(format!("unexpected response {other:?}"))),
-        }
+            r => Err(r),
+        })
     }
 
     /// Read a key inside a transaction (joins its read set).
     pub fn txn_get(&mut self, txn: u64, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.request(&Request::TxnGet {
-            txn,
-            key: key.to_vec(),
-        })? {
-            Response::Value { value } => Ok(value),
-            Response::Err { code, message } => Err(code.to_error(&message)),
-            other => Err(Error::internal(format!("unexpected response {other:?}"))),
-        }
+        let key = key.to_vec();
+        Self::expect_value(self.request(&Request::TxnGet { txn, key })?)
     }
 
     /// Buffer a put inside a transaction.
@@ -303,11 +301,13 @@ impl Client {
     /// further polls report `PIN_EXPIRED` — re-subscribe with the last
     /// resume token to continue without loss.
     pub fn subscribe_changes(&mut self, from: SubscribeSpec) -> Result<u64> {
-        match self.request(&Request::SubscribeChanges { from })? {
-            Response::StreamId { id } => Ok(id),
-            Response::Err { code, message } => Err(code.to_error(&message)),
-            other => Err(Error::internal(format!("unexpected response {other:?}"))),
-        }
+        Self::expect(
+            self.request(&Request::SubscribeChanges { from })?,
+            |r| match r {
+                Response::StreamId { id } => Ok(id),
+                r => Err(r),
+            },
+        )
     }
 
     /// Drain pending changes from a stream, collecting the chunked
@@ -325,7 +325,7 @@ impl Client {
             lag: 0,
         };
         loop {
-            match self.read_response()? {
+            let last = Self::expect(self.read_response()?, |r| match r {
                 Response::ChangeChunk {
                     events,
                     resume,
@@ -335,14 +335,12 @@ impl Client {
                     batch.events.extend(events);
                     batch.resume = resume;
                     batch.lag = lag;
-                    if last {
-                        return Ok(batch);
-                    }
+                    Ok(last)
                 }
-                Response::Err { code, message } => return Err(code.to_error(&message)),
-                other => {
-                    return Err(Error::internal(format!("unexpected response {other:?}")));
-                }
+                r => Err(r),
+            })?;
+            if last {
+                return Ok(batch);
             }
         }
     }

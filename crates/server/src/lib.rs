@@ -5,16 +5,20 @@
 //! it a service. One generic [`Server`] hosts any engine handle —
 //! a single [`Db`](scavenger::Db) or a sharded
 //! [`DbShards`](scavenger::DbShards), chosen at startup — behind a
-//! hand-rolled length-prefixed binary protocol on plain TCP
+//! table-driven length-prefixed binary protocol on plain TCP
 //! (`std::net` + threads; the workspace builds without a registry, so
 //! there is no async runtime or protobuf to lean on).
 //!
 //! Module map:
 //!
-//! - [`protocol`] — frame codec, request/response types, and the
-//!   exhaustive [`Error`](scavenger_util::Error) → [`WireCode`]
-//!   mapping (typed errors on the wire, including `DEGRADED` for a
-//!   read-only engine).
+//! - [`protocol`] — the wire spec: one message table per direction
+//!   (opcode, label, admission class and fields in wire order, one row
+//!   per op), framing, and the exhaustive
+//!   [`Error`](scavenger_util::Error) → [`WireCode`] mapping (typed
+//!   errors on the wire, including `DEGRADED` for a read-only engine).
+//! - `codec` (private) — the field codecs and the `macro_rules!` that
+//!   turn those tables into the enums, `encode` / `decode`, labels and
+//!   property-test strategies.
 //! - [`service`] — the server itself: accept loop, connection cap,
 //!   token-bucket rate limiting, slow-query log, pin-table-backed
 //!   snapshots, graceful drain, and the `/metrics` HTTP listener.
@@ -27,6 +31,8 @@
 #![deny(missing_docs)]
 
 pub mod client;
+#[macro_use]
+mod codec;
 pub mod metrics;
 pub mod pins;
 pub mod protocol;

@@ -3,7 +3,9 @@
 //! Two buckets gate every request: a **global** bucket shared by all
 //! connections (protects the engine) and a **per-connection** bucket
 //! (protects other clients from one noisy neighbour). A request must
-//! take a token from both; failing either returns a typed
+//! take a token from both — the connection's first, the global one
+//! second, so requests a connection sends over its own limit never
+//! drain the global bucket; failing either returns a typed
 //! `RATE_LIMITED` wire error immediately — the server never queues or
 //! sleeps on behalf of a throttled client, so a throttled connection
 //! cannot occupy a thread that compliant ones need.

@@ -12,9 +12,10 @@
 //! 1. **Connection cap** — at accept time, a connection over
 //!    [`ServerConfig::max_conns`] gets a typed `CONN_LIMIT` error
 //!    frame and is closed; it never reaches a worker thread.
-//! 2. **Rate limiting** — every data op takes a token from the global
-//!    bucket *and* the connection's own bucket; an empty bucket means
-//!    an immediate `RATE_LIMITED` error frame (no queueing, no sleep).
+//! 2. **Rate limiting** — every data op ([`Request::is_data_op`]) takes
+//!    a token from the connection's own bucket, then from the global
+//!    one; an empty bucket means an immediate `RATE_LIMITED` error
+//!    frame (no queueing, no sleep).
 //! 3. **Slow-query log** — any request slower than
 //!    [`ServerConfig::slow_query_threshold`] is logged to stderr with
 //!    its op, key size, and latency, and counted in `/metrics`.
@@ -29,13 +30,13 @@
 use crate::metrics::{render_metrics, ServerMetrics};
 use crate::pins::PinTable;
 use crate::protocol::{
-    write_frame, FrameBuffer, Request, Response, SubscribeSpec, WireChange, WireCode,
+    write_frame, BatchOp, FrameBuffer, Request, Response, SubscribeSpec, WireChange, WireCode,
     DEFAULT_MAX_FRAME,
 };
 use crate::rate_limit::TokenBucket;
 use parking_lot::Mutex;
 use scavenger::{
-    Bytes, ChangeOp, ChangeRecord, ChangeStream, ChangeSubscriber, Engine, PinnedReader,
+    Bytes, ChangeOp, ChangeRecord, ChangeStream, ChangeSubscriber, Engine, KvRead, PinnedReader,
     ResumeToken, ScanIterator, SubscribeFrom, Transaction, Transactional, WriteBatch, WriteOptions,
     WriteReceipt,
 };
@@ -53,18 +54,26 @@ use std::time::{Duration, Instant};
 /// snapshots, transaction views, and change streams that may live in
 /// the shared pin tables.
 pub trait ServeEngine:
-    Engine + Transactional + ChangeSubscriber + Clone + Send + Sync + 'static
-where
-    Self::Snap: Send + Sync,
-    Self::View: Send,
+    Engine
+    + KvRead<Snap: Send + Sync, View: Send>
+    + Transactional
+    + ChangeSubscriber
+    + Clone
+    + Send
+    + Sync
+    + 'static
 {
 }
 
-impl<E> ServeEngine for E
-where
-    E: Engine + Transactional + ChangeSubscriber + Clone + Send + Sync + 'static,
-    E::Snap: Send + Sync,
-    E::View: Send,
+impl<E> ServeEngine for E where
+    E: Engine
+        + KvRead<Snap: Send + Sync, View: Send>
+        + Transactional
+        + ChangeSubscriber
+        + Clone
+        + Send
+        + Sync
+        + 'static
 {
 }
 
@@ -118,11 +127,7 @@ impl Default for ServerConfig {
 /// How often idle loops re-check the shutdown flag.
 const POLL_TICK: Duration = Duration::from_millis(20);
 
-struct Shared<E: ServeEngine>
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+struct Shared<E: ServeEngine> {
     engine: E,
     cfg: ServerConfig,
     metrics: Arc<ServerMetrics>,
@@ -211,11 +216,7 @@ pub struct Server;
 impl Server {
     /// Bind the listeners and spawn the accept loop. Returns once the
     /// server is ready to take connections.
-    pub fn start<E: ServeEngine>(engine: E, cfg: ServerConfig) -> Result<ServerHandle>
-    where
-        E::Snap: Send + Sync,
-        E::View: Send,
-    {
+    pub fn start<E: ServeEngine>(engine: E, cfg: ServerConfig) -> Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -276,11 +277,7 @@ impl Server {
     }
 }
 
-fn accept_loop<E: ServeEngine>(listener: TcpListener, shared: Arc<Shared<E>>)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn accept_loop<E: ServeEngine>(listener: TcpListener, shared: Arc<Shared<E>>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -348,11 +345,7 @@ fn reject_conn(mut stream: TcpStream) {
     let _ = write_frame(&mut stream, &payload);
 }
 
-fn serve_conn<E: ServeEngine>(mut stream: TcpStream, shared: &Shared<E>)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn serve_conn<E: ServeEngine>(mut stream: TcpStream, shared: &Shared<E>) {
     if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
         return;
     }
@@ -417,44 +410,86 @@ fn send(stream: &mut TcpStream, resp: &Response) -> Result<()> {
     write_frame(stream, &resp.encode())
 }
 
-/// Put the engine's [`WriteReceipt`] on the wire.
-fn written(r: WriteReceipt) -> Response {
-    Response::Written {
-        seq: r.seq,
-        group_len: r.group_len,
-        synced: r.synced,
+impl From<WriteReceipt> for Response {
+    fn from(r: WriteReceipt) -> Response {
+        Response::Written {
+            seq: r.seq,
+            group_len: r.group_len,
+            synced: r.synced,
+        }
     }
 }
 
-/// True if this op consumes rate-limit tokens (the data plane; control
-/// and observability ops stay reachable on a saturated server).
-fn is_data_op(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Get { .. }
-            | Request::Put { .. }
-            | Request::Delete { .. }
-            | Request::Write { .. }
-            | Request::Scan { .. }
-            | Request::TxnGet { .. }
-            | Request::TxnPut { .. }
-            | Request::TxnDelete { .. }
-            | Request::TxnCommit { .. }
-            | Request::SubscribeChanges { .. }
-            | Request::PollChanges { .. }
+impl From<Option<Bytes>> for Response {
+    fn from(value: Option<Bytes>) -> Response {
+        Response::Value {
+            value: value.map(|b| b.as_ref().to_vec()),
+        }
+    }
+}
+
+impl From<()> for Response {
+    fn from((): ()) -> Response {
+        Response::Done
+    }
+}
+
+/// The reply to an engine call: its success value put on the wire
+/// through the `From` impls above, or the typed error frame.
+fn reply<T: Into<Response>>(result: Result<T>) -> Response {
+    match result {
+        Ok(v) => v.into(),
+        Err(e) => Response::from_error(&e),
+    }
+}
+
+/// Typed `PIN_EXPIRED` reply for a snapshot, transaction or change
+/// stream id that is unknown, TTL-expired, or already closed.
+fn pin_gone(m: &ServerMetrics, kind: &str, id: u64) -> Response {
+    m.pin_misses.fetch_add(1, Ordering::Relaxed);
+    Response::error(
+        WireCode::PinExpired,
+        format!("{kind} {id} unknown, expired, or already closed"),
     )
 }
 
-/// Charge one streamed-chunk frame against both buckets. The request's
-/// own admission token covers the first chunk; every further `ScanChunk`
-/// or `ChangeChunk` frame pays separately, so a single request cannot
-/// smuggle an unbounded reply past the rate limiter.
-fn take_chunk_token<E: ServeEngine>(shared: &Shared<E>, conn_bucket: &TokenBucket) -> bool
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
-    shared.global_bucket.try_take() && conn_bucket.try_take()
+/// Count the request's outcome and send its single reply frame.
+fn finish(m: &ServerMetrics, stream: &mut TcpStream, resp: Response) -> bool {
+    let outcome = match resp {
+        Response::Err { .. } => &m.requests_err,
+        _ => &m.requests_ok,
+    };
+    outcome.fetch_add(1, Ordering::Relaxed);
+    send(stream, &resp).is_ok()
+}
+
+impl<E: ServeEngine> Shared<E> {
+    /// Charge one rate-limit token: the connection's own bucket first,
+    /// the global one second, so whatever a connection sends over its
+    /// own limit is refused without costing the other connections a
+    /// global token. A data op pays on admission, which covers its first
+    /// reply frame; every further `ScanChunk` or `ChangeChunk` frame
+    /// pays again, so a single request cannot smuggle an unbounded
+    /// reply past the rate limiter.
+    fn admit(&self, conn_bucket: &TokenBucket) -> bool {
+        conn_bucket.try_take() && self.global_bucket.try_take()
+    }
+
+    /// Run `f` on a live server-side transaction.
+    fn with_txn(&self, id: u64, f: impl FnOnce(&mut Transaction<E>) -> Response) -> Response {
+        let cell = self.txns.get(id);
+        let live = cell.and_then(|cell| cell.lock().as_mut().map(f));
+        live.unwrap_or_else(|| pin_gone(&self.metrics, "transaction", id))
+    }
+
+    /// Take a transaction out of its cell (commit and rollback consume
+    /// it), then drop the table entry; a concurrent request for the
+    /// same id resolves to a typed error.
+    fn take_txn(&self, id: u64) -> Option<Transaction<E>> {
+        let t = self.txns.get(id).and_then(|cell| cell.lock().take())?;
+        self.txns.close(id);
+        Some(t)
+    }
 }
 
 /// Handle one request; returns `false` when the connection should
@@ -464,20 +499,12 @@ fn handle_request<E: ServeEngine>(
     shared: &Shared<E>,
     conn_bucket: &TokenBucket,
     req: Request,
-) -> bool
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+) -> bool {
     let m = &shared.metrics;
-    if is_data_op(&req) && !(shared.global_bucket.try_take() && conn_bucket.try_take()) {
+    if req.is_data_op() && !shared.admit(conn_bucket) {
         m.rate_limited.fetch_add(1, Ordering::Relaxed);
-        m.requests_err.fetch_add(1, Ordering::Relaxed);
-        return send(
-            stream,
-            &Response::error(WireCode::RateLimited, "rate limit exceeded"),
-        )
-        .is_ok();
+        let resp = Response::error(WireCode::RateLimited, "rate limit exceeded");
+        return finish(m, stream, resp);
     }
 
     let label = req.label();
@@ -510,8 +537,7 @@ fn request_key_bytes(req: &Request) -> usize {
         Request::Write { ops, .. } => ops
             .iter()
             .map(|op| match op {
-                crate::protocol::BatchOp::Put { key, .. }
-                | crate::protocol::BatchOp::Delete { key } => key.len(),
+                BatchOp::Put { key, .. } | BatchOp::Delete { key } => key.len(),
             })
             .sum(),
         Request::Scan { lo, .. } => lo.len(),
@@ -524,80 +550,34 @@ fn dispatch<E: ServeEngine>(
     shared: &Shared<E>,
     conn_bucket: &TokenBucket,
     req: Request,
-) -> bool
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+) -> bool {
     let m = &shared.metrics;
-    let ok = |resp: Response, stream: &mut TcpStream| {
-        if matches!(resp, Response::Err { .. }) {
-            m.requests_err.fetch_add(1, Ordering::Relaxed);
-        } else {
-            m.requests_ok.fetch_add(1, Ordering::Relaxed);
-        }
-        send(stream, &resp).is_ok()
-    };
-
-    match req {
-        Request::Ping => ok(Response::Pong, stream),
-        Request::Get { snap, key } => {
-            let result = match snap {
-                None => shared.engine.get(&key),
-                Some(id) => match shared.pins.get(id) {
-                    Some(s) => s.get(&key),
-                    None => {
-                        m.pin_misses.fetch_add(1, Ordering::Relaxed);
-                        return ok(
-                            Response::error(
-                                WireCode::PinExpired,
-                                format!("snapshot {id} unknown or expired"),
-                            ),
-                            stream,
-                        );
-                    }
-                },
-            };
-            let resp = match result {
-                Ok(v) => Response::Value {
-                    value: v.map(|b| b.as_ref().to_vec()),
-                },
-                Err(e) => Response::from_error(&e),
-            };
-            ok(resp, stream)
-        }
+    let engine = &shared.engine;
+    let resp = match req {
+        Request::Ping => Response::Pong,
+        Request::Get { snap: None, key } => reply(engine.get(&key)),
+        Request::Get {
+            snap: Some(id),
+            key,
+        } => match shared.pins.get(id) {
+            Some(s) => reply(s.get(&key)),
+            None => pin_gone(m, "snapshot", id),
+        },
         Request::Put { key, value, sync } => {
-            let opts = WriteOptions::with_sync(sync);
-            let resp = match shared.engine.put_with(&opts, &key, Bytes::from(value)) {
-                Ok(r) => written(r),
-                Err(e) => Response::from_error(&e),
-            };
-            ok(resp, stream)
+            reply(engine.put_with(&WriteOptions::with_sync(sync), &key, Bytes::from(value)))
         }
         Request::Delete { key, sync } => {
-            let opts = WriteOptions::with_sync(sync);
-            let resp = match shared.engine.delete_with(&opts, &key) {
-                Ok(r) => written(r),
-                Err(e) => Response::from_error(&e),
-            };
-            ok(resp, stream)
+            reply(engine.delete_with(&WriteOptions::with_sync(sync), &key))
         }
         Request::Write { ops, sync } => {
             let mut batch = WriteBatch::new();
             for op in ops {
                 match op {
-                    crate::protocol::BatchOp::Put { key, value } => {
-                        batch.put(key, Bytes::from(value))
-                    }
-                    crate::protocol::BatchOp::Delete { key } => batch.delete(key),
+                    BatchOp::Put { key, value } => batch.put(key, Bytes::from(value)),
+                    BatchOp::Delete { key } => batch.delete(key),
                 }
             }
-            let opts = WriteOptions::with_sync(sync);
-            let resp = match shared.engine.write_with(&opts, batch) {
-                Ok(r) => written(r),
-                Err(e) => Response::from_error(&e),
-            };
-            ok(resp, stream)
+            reply(engine.write_with(&WriteOptions::with_sync(sync), batch))
         }
         Request::Scan {
             snap,
@@ -605,210 +585,93 @@ where
             hi,
             limit,
         } => {
-            let hi_ref = hi.as_deref();
             let iter = match snap {
-                None => shared.engine.scan(&lo, hi_ref),
+                None => engine.scan(&lo, hi.as_deref()),
                 Some(id) => match shared.pins.get(id) {
-                    Some(s) => s.scan(&lo, hi_ref),
-                    None => {
-                        m.pin_misses.fetch_add(1, Ordering::Relaxed);
-                        return ok(
-                            Response::error(
-                                WireCode::PinExpired,
-                                format!("snapshot {id} unknown or expired"),
-                            ),
-                            stream,
-                        );
-                    }
+                    Some(s) => s.scan(&lo, hi.as_deref()),
+                    None => return finish(m, stream, pin_gone(m, "snapshot", id)),
                 },
             };
-            let iter = match iter {
-                Ok(it) => it,
-                Err(e) => return ok(Response::from_error(&e), stream),
-            };
-            stream_scan(stream, shared, conn_bucket, iter, limit)
+            match iter {
+                Ok(it) => return stream_scan(stream, shared, conn_bucket, it, limit),
+                Err(e) => Response::from_error(&e),
+            }
         }
-        Request::SnapOpen => {
-            let id = shared.pins.open(shared.engine.snapshot());
-            ok(Response::SnapId { id }, stream)
-        }
+        Request::SnapOpen => Response::SnapId {
+            id: shared.pins.open(engine.snapshot()),
+        },
         Request::SnapClose { id } => {
-            let resp = if shared.pins.close(id) {
+            if shared.pins.close(id) {
                 Response::Done
             } else {
-                m.pin_misses.fetch_add(1, Ordering::Relaxed);
-                Response::error(
-                    WireCode::PinExpired,
-                    format!("snapshot {id} unknown or expired"),
-                )
-            };
-            ok(resp, stream)
+                pin_gone(m, "snapshot", id)
+            }
         }
-        Request::Flush => {
-            let resp = match shared.engine.flush() {
-                Ok(()) => Response::Done,
-                Err(e) => Response::from_error(&e),
-            };
-            ok(resp, stream)
-        }
-        Request::RunGc => {
-            let resp = match shared.engine.run_gc() {
-                Ok(report) => {
-                    let agg = report.aggregate();
-                    Response::GcDone {
-                        jobs: report.jobs() as u32,
-                        files_collected: agg.files_collected as u64,
-                        records_rewritten: agg.records_rewritten,
-                        bytes_reclaimed: agg.bytes_reclaimed,
-                    }
-                }
-                Err(e) => Response::from_error(&e),
-            };
-            ok(resp, stream)
-        }
-        Request::Stats => {
-            let text = render_metrics(
-                &shared.engine,
-                &shared.metrics,
-                shared.pins.len(),
-                shared.streams.len(),
-            );
-            ok(Response::Stats { text }, stream)
-        }
+        Request::Flush => reply(engine.flush()),
+        Request::RunGc => reply(engine.run_gc().map(|report| {
+            let agg = report.aggregate();
+            Response::GcDone {
+                jobs: report.jobs() as u32,
+                files_collected: agg.files_collected as u64,
+                records_rewritten: agg.records_rewritten,
+                bytes_reclaimed: agg.bytes_reclaimed,
+            }
+        })),
+        Request::Stats => Response::Stats {
+            text: render_metrics(engine, m, shared.pins.len(), shared.streams.len()),
+        },
         Request::Shutdown => {
-            let sent = ok(Response::Done, stream);
+            finish(m, stream, Response::Done);
             shared.shutdown.store(true, Ordering::SeqCst);
-            let _ = sent;
-            false
+            return false;
         }
-        Request::TxnBegin => {
-            let id = shared.txns.open(Mutex::new(Some(shared.engine.begin())));
-            ok(Response::TxnId { id }, stream)
-        }
-        Request::TxnGet { txn, key } => {
-            let resp = match shared.txns.get(txn) {
-                Some(cell) => match cell.lock().as_mut() {
-                    Some(t) => match t.get(&key) {
-                        Ok(v) => Response::Value {
-                            value: v.map(|b| b.as_ref().to_vec()),
-                        },
-                        Err(e) => Response::from_error(&e),
-                    },
-                    None => txn_gone(m, txn),
-                },
-                None => txn_gone(m, txn),
-            };
-            ok(resp, stream)
-        }
-        Request::TxnPut { txn, key, value } => {
-            let resp = match shared.txns.get(txn) {
-                Some(cell) => match cell.lock().as_mut() {
-                    Some(t) => {
-                        t.put(key, Bytes::from(value));
-                        Response::Done
-                    }
-                    None => txn_gone(m, txn),
-                },
-                None => txn_gone(m, txn),
-            };
-            ok(resp, stream)
-        }
-        Request::TxnDelete { txn, key } => {
-            let resp = match shared.txns.get(txn) {
-                Some(cell) => match cell.lock().as_mut() {
-                    Some(t) => {
-                        t.delete(key);
-                        Response::Done
-                    }
-                    None => txn_gone(m, txn),
-                },
-                None => txn_gone(m, txn),
-            };
-            ok(resp, stream)
-        }
-        Request::TxnCommit { txn, sync } => {
-            // Take ownership out of the cell (commit consumes the
-            // transaction), then drop the table entry; a concurrent
-            // request for the same id resolves to a typed error.
-            let taken = shared.txns.get(txn).and_then(|cell| cell.lock().take());
-            let resp = match taken {
-                Some(t) => {
-                    shared.txns.close(txn);
-                    let opts = WriteOptions::with_sync(sync);
-                    match t.commit_with(&opts) {
-                        Ok(r) => written(r),
-                        Err(e) => Response::from_error(&e),
-                    }
-                }
-                None => txn_gone(m, txn),
-            };
-            ok(resp, stream)
-        }
-        Request::TxnRollback { txn } => {
-            let taken = shared.txns.get(txn).and_then(|cell| cell.lock().take());
-            let resp = match taken {
-                Some(t) => {
-                    shared.txns.close(txn);
-                    t.rollback();
-                    Response::Done
-                }
-                None => txn_gone(m, txn),
-            };
-            ok(resp, stream)
-        }
+        Request::TxnBegin => Response::TxnId {
+            id: shared.txns.open(Mutex::new(Some(engine.begin()))),
+        },
+        Request::TxnGet { txn, key } => shared.with_txn(txn, |t| reply(t.get(&key))),
+        Request::TxnPut { txn, key, value } => shared.with_txn(txn, |t| {
+            t.put(key, Bytes::from(value));
+            Response::Done
+        }),
+        Request::TxnDelete { txn, key } => shared.with_txn(txn, |t| {
+            t.delete(key);
+            Response::Done
+        }),
+        Request::TxnCommit { txn, sync } => match shared.take_txn(txn) {
+            Some(t) => reply(t.commit_with(&WriteOptions::with_sync(sync))),
+            None => pin_gone(m, "transaction", txn),
+        },
+        Request::TxnRollback { txn } => match shared.take_txn(txn) {
+            Some(t) => {
+                t.rollback();
+                Response::Done
+            }
+            None => pin_gone(m, "transaction", txn),
+        },
         Request::SubscribeChanges { from } => {
             let from = match from {
-                SubscribeSpec::Oldest => SubscribeFrom::Oldest,
-                SubscribeSpec::Latest => SubscribeFrom::Latest,
-                SubscribeSpec::Token(raw) => match ResumeToken::decode(&raw) {
-                    Ok(t) => SubscribeFrom::Token(t),
-                    Err(e) => return ok(Response::from_error(&e), stream),
-                },
+                SubscribeSpec::Oldest => Ok(SubscribeFrom::Oldest),
+                SubscribeSpec::Latest => Ok(SubscribeFrom::Latest),
+                SubscribeSpec::Token(raw) => ResumeToken::decode(&raw).map(SubscribeFrom::Token),
             };
-            let resp = match shared.engine.subscribe_changes(from) {
-                Ok(s) => Response::StreamId {
-                    id: shared.streams.open(Mutex::new(s)),
-                },
-                Err(e) => Response::from_error(&e),
-            };
-            ok(resp, stream)
+            let opened = from.and_then(|from| engine.subscribe_changes(from));
+            reply(opened.map(|s| Response::StreamId {
+                id: shared.streams.open(Mutex::new(s)),
+            }))
         }
         Request::PollChanges { stream: sid, max } => match shared.streams.get(sid) {
-            Some(cell) => stream_changes(stream, shared, conn_bucket, &cell, max),
-            None => {
-                m.pin_misses.fetch_add(1, Ordering::Relaxed);
-                ok(
-                    Response::error(
-                        WireCode::PinExpired,
-                        format!("change stream {sid} unknown or expired"),
-                    ),
-                    stream,
-                )
-            }
+            Some(cell) => return stream_changes(stream, shared, conn_bucket, &cell, max),
+            None => pin_gone(m, "change stream", sid),
         },
         Request::CloseStream { stream: sid } => {
-            let resp = if shared.streams.close(sid) {
+            if shared.streams.close(sid) {
                 Response::Done
             } else {
-                m.pin_misses.fetch_add(1, Ordering::Relaxed);
-                Response::error(
-                    WireCode::PinExpired,
-                    format!("change stream {sid} unknown or expired"),
-                )
-            };
-            ok(resp, stream)
+                pin_gone(m, "change stream", sid)
+            }
         }
-    }
-}
-
-/// Typed error for a transaction id that is unknown, TTL-expired, or
-/// already committed/rolled back.
-fn txn_gone(m: &ServerMetrics, id: u64) -> Response {
-    m.pin_misses.fetch_add(1, Ordering::Relaxed);
-    Response::error(
-        WireCode::PinExpired,
-        format!("transaction {id} unknown, expired, or already resolved"),
-    )
+    };
+    finish(m, stream, resp)
 }
 
 /// Stream a scan as chunked frames; the final chunk carries
@@ -826,11 +689,7 @@ fn stream_scan<E: ServeEngine>(
     conn_bucket: &TokenBucket,
     mut iter: E::Iter,
     limit: u32,
-) -> bool
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+) -> bool {
     let m = &shared.metrics;
     let chunk_cap = shared.cfg.scan_chunk.max(1);
     let mut remaining = if limit == 0 {
@@ -842,22 +701,15 @@ where
     loop {
         let rows = match iter.collect_n(remaining.min(chunk_cap)) {
             Ok(rows) => rows,
-            Err(e) => {
-                m.requests_err.fetch_add(1, Ordering::Relaxed);
-                return send(stream, &Response::from_error(&e)).is_ok();
-            }
+            Err(e) => return finish(m, stream, Response::from_error(&e)),
         };
         remaining -= rows.len();
         // A short chunk — range exhausted or limit reached — is the last.
         let last = rows.len() < chunk_cap;
-        if !first_chunk && !take_chunk_token(shared, conn_bucket) {
+        if !first_chunk && !shared.admit(conn_bucket) {
             m.rate_limited.fetch_add(1, Ordering::Relaxed);
-            m.requests_err.fetch_add(1, Ordering::Relaxed);
-            return send(
-                stream,
-                &Response::error(WireCode::RateLimited, "rate limit exceeded mid-scan"),
-            )
-            .is_ok();
+            let resp = Response::error(WireCode::RateLimited, "rate limit exceeded mid-scan");
+            return finish(m, stream, resp);
         }
         first_chunk = false;
         let chunk = Response::ScanChunk {
@@ -908,11 +760,7 @@ fn stream_changes<E: ServeEngine>(
     conn_bucket: &TokenBucket,
     cell: &Mutex<E::Stream>,
     max: u32,
-) -> bool
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+) -> bool {
     let m = &shared.metrics;
     let chunk_cap = shared.cfg.scan_chunk.max(1);
     let mut remaining = if max == 0 { u64::MAX } else { max as u64 };
@@ -922,7 +770,7 @@ where
         // Charge *before* polling: a rejected chunk must not consume
         // events from the stream's cursor, or they would be lost — the
         // stream keeps its position and the client re-polls later.
-        if !first_chunk && !take_chunk_token(shared, conn_bucket) {
+        if !first_chunk && !shared.admit(conn_bucket) {
             m.rate_limited.fetch_add(1, Ordering::Relaxed);
             let trunc = Response::ChangeChunk {
                 events: Vec::new(),
@@ -939,10 +787,7 @@ where
         let take = chunk_cap.min(remaining.min(usize::MAX as u64) as usize);
         let events = match s.poll_changes(take) {
             Ok(v) => v,
-            Err(e) => {
-                m.requests_err.fetch_add(1, Ordering::Relaxed);
-                return send(stream, &Response::from_error(&e)).is_ok();
-            }
+            Err(e) => return finish(m, stream, Response::from_error(&e)),
         };
         remaining -= events.len() as u64;
         let last = events.len() < take || remaining == 0;
@@ -967,11 +812,7 @@ where
 
 // ---------------- metrics endpoint ----------------
 
-fn metrics_loop<E: ServeEngine>(listener: TcpListener, shared: Arc<Shared<E>>)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn metrics_loop<E: ServeEngine>(listener: TcpListener, shared: Arc<Shared<E>>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => serve_metrics_conn(stream, &shared),
@@ -983,11 +824,7 @@ where
 
 /// Answer one HTTP/1.0 request on the metrics listener. Only
 /// `GET /metrics` exists; everything else is a 404.
-fn serve_metrics_conn<E: ServeEngine>(mut stream: TcpStream, shared: &Shared<E>)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn serve_metrics_conn<E: ServeEngine>(mut stream: TcpStream, shared: &Shared<E>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut buf = [0u8; 4096];

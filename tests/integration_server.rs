@@ -563,6 +563,43 @@ fn scan_limit_resolves_exactly_limit_rows() {
     handle.shutdown_and_wait();
 }
 
+/// What a connection sends over its *own* limit must be refused without
+/// costing the other connections a global token: the per-connection
+/// bucket is charged first, the global one second. Both refill rates are
+/// negligible (0.001/s), so the bursts are the whole budget: A gets its
+/// 5, then B still finds 5 of the global 10 waiting.
+#[test]
+fn noisy_neighbour_cannot_drain_global_bucket() {
+    let cfg = ServerConfig {
+        conn_rate: 0.001,
+        conn_burst: 5.0,
+        global_rate: 0.001,
+        global_burst: 10.0,
+        ..small_cfg()
+    };
+    let db = open_db(MemEnv::shared(), "srv-noisy");
+    let handle = Server::start(db, cfg).expect("start server");
+    let admitted = |client: &mut Client, gets: usize| {
+        let mut ok = 0;
+        for _ in 0..gets {
+            match client.get(b"k") {
+                Ok(_) => ok += 1,
+                Err(e) => assert!(is_rate_limited(&e), "unexpected error class: {e}"),
+            }
+        }
+        ok
+    };
+    let mut noisy = Client::connect(handle.addr()).unwrap();
+    assert_eq!(admitted(&mut noisy, 100), 5, "A's own burst");
+    let mut quiet = Client::connect(handle.addr()).unwrap();
+    assert_eq!(
+        admitted(&mut quiet, 5),
+        5,
+        "A's 95 refused requests drained the global bucket"
+    );
+    handle.shutdown_and_wait();
+}
+
 // ---------------- instantiations ----------------
 
 fn open_db(env: scavenger::EnvRef, dir: &str) -> Db {
