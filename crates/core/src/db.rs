@@ -153,8 +153,6 @@ impl Db {
         let hook = if opts.features.separate {
             let h = Arc::new(EngineHook::new(
                 HookConfig {
-                    env: opts.env.clone(),
-                    dir: opts.dir.clone(),
                     features: opts.features,
                     vsst_target: opts.vsst_target_size,
                     table_opts: lsm_opts.table_options(),
@@ -191,8 +189,6 @@ impl Db {
 
         let gc = if opts.features.separate {
             Some(GcRunner::new(
-                opts.env.clone(),
-                opts.dir.clone(),
                 opts.features,
                 crate::gc::GcConfig {
                     vsst_target: opts.vsst_target_size,

@@ -30,7 +30,7 @@
 //! | **Read**   | step ① | value-file keys (Lazy Read) or whole records are loaded into the pending batch; Titan's full-file scans fan out across the `gc_threads` pool |
 //! | **GC-Lookup** | step ② | every pending record is validated against the index LSM-tree at each read point |
 //! | **Fetch** | step ③ | surviving values are fetched (lazy); per-file coalesced reads fan out across the `gc_threads` pool, merged in deterministic file order |
-//! | **Write** | step ④ | survivors are rewritten hot/cold-routed, batched through `VWriter::add_batch` (blocks built per batch, not per record) |
+//! | **Write** | step ④ | survivors are appended one by one to the job's `RouteWriters` (`vstore::route`), which routes hot/cold, rolls files at the size target and deletes its files if the job fails |
 //! | **Write-Index** | Titan only | new addresses are pushed back through the write path |
 //!
 //! Steps ②–④ of a no-writeback job *overlap* once the job is larger
@@ -57,19 +57,19 @@
 //! verdicts to it.
 
 use crate::dropcache::DropCache;
-use crate::gc_exec::{self, RouteWriters, PIPELINE_BATCH};
+use crate::gc_exec::{self, PIPELINE_BATCH};
 use crate::options::{Features, GcScheme, VFormat};
 use crate::stats::GcStats;
 use crate::vstore::fetch::{self, Want};
+use crate::vstore::route::{Route, RouteWriters};
 use crate::vstore::vtable::{parse_record_key, VReader, ValueAt};
 use crate::vstore::ValueStore;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use scavenger_env::EnvRef;
+use scavenger_env::IoClass;
 use scavenger_lsm::{BatchReader, GuardedWrite, Lsm, LsmReadResult, ValueEditBundle};
 use scavenger_table::btable::TableOptions;
 use scavenger_table::rtable::Coalesce;
-use scavenger_table::KeyCmp;
 use scavenger_util::ikey::{cmp_internal, SeqNo, ValueRef, ValueType};
 use scavenger_util::{Error, Result};
 use std::collections::HashMap;
@@ -118,8 +118,6 @@ pub struct GcConfig {
 
 /// Drives GC jobs for one engine.
 pub struct GcRunner {
-    env: EnvRef,
-    dir: String,
     features: Features,
     cfg: GcConfig,
     table_opts: TableOptions,
@@ -178,10 +176,7 @@ struct ValidateCtx<'a> {
 
 impl GcRunner {
     /// Create a runner.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
-        env: EnvRef,
-        dir: impl Into<String>,
         features: Features,
         cfg: GcConfig,
         table_opts: TableOptions,
@@ -190,14 +185,9 @@ impl GcRunner {
         stats: Arc<GcStats>,
     ) -> Self {
         GcRunner {
-            env,
-            dir: dir.into(),
             features,
             cfg,
-            table_opts: TableOptions {
-                cmp: KeyCmp::Internal,
-                ..table_opts
-            },
+            table_opts,
             vstore,
             dropcache,
             stats,
@@ -214,6 +204,19 @@ impl GcRunner {
             GcScheme::NoWriteback => self.gc_no_writeback(lsm, threshold),
             GcScheme::Writeback => self.gc_writeback(lsm, threshold),
         }
+    }
+
+    /// The job's output files (step ④ **Write**), charged to GC write I/O.
+    fn route_writers(&self, lsm: &Lsm) -> RouteWriters {
+        RouteWriters::new(
+            &self.vstore,
+            self.features,
+            self.table_opts.clone(),
+            self.cfg.vsst_target,
+            IoClass::GcWrite,
+            lsm.file_alloc(),
+            &self.dropcache,
+        )
     }
 
     /// Read points for validity, pinned for the duration of the job.
@@ -415,16 +418,7 @@ impl GcRunner {
             reader: &reader,
             read_points: &read_points,
         };
-        let alloc = lsm.file_alloc();
-        let mut route_writers = RouteWriters::new(
-            &self.env,
-            &self.dir,
-            self.features.vformat,
-            self.table_opts.clone(),
-            alloc.as_ref(),
-            self.cfg.vsst_target,
-            &self.stats,
-        );
+        let mut route_writers = self.route_writers(lsm);
         let mut rewritten: u64 = 0;
 
         let validate_stage = |batch: Vec<Pending>| -> Result<Vec<Pending>> {
@@ -446,7 +440,11 @@ impl GcRunner {
         let write_stage = move |materialized: Vec<(Vec<u8>, Bytes)>| -> Result<()> {
             let t = Instant::now();
             *rewritten_ref += materialized.len() as u64;
-            let out = self.write_routed(route_writers_ref, &materialized);
+            let out = materialized.iter().try_for_each(|(ikey, value)| {
+                let (ukey, seq) = parse_record_key(ikey)?;
+                route_writers_ref.add(Route::ByHotness, ukey, seq, value)?;
+                Ok(())
+            });
             self.stats
                 .add(|g| g.write_ns += t.elapsed().as_nanos() as u64);
             out
@@ -575,31 +573,6 @@ impl GcRunner {
                 ),
             })
             .collect())
-    }
-
-    /// The Write phase (step ④) for one batch: hot/cold-route each record
-    /// and append per-route runs through the batched route writers.
-    fn write_routed(
-        &self,
-        writers: &mut RouteWriters<'_>,
-        materialized: &[(Vec<u8>, Bytes)],
-    ) -> Result<()> {
-        let mut run: Vec<(&[u8], SeqNo, &[u8])> = Vec::new();
-        let mut run_route = 0usize;
-        for (ikey, value) in materialized {
-            let (ukey, seq) = parse_record_key(ikey)?;
-            let route = usize::from(self.features.hotness && self.dropcache.contains(ukey));
-            if route != run_route && !run.is_empty() {
-                writers.write_batch(run_route, &run)?;
-                run.clear();
-            }
-            run_route = route;
-            run.push((ukey, seq, value));
-        }
-        if !run.is_empty() {
-            writers.write_batch(run_route, &run)?;
-        }
-        Ok(())
     }
 
     // ---------------- Titan ----------------
@@ -744,49 +717,31 @@ impl GcRunner {
         });
 
         // ---- Write: rewrite valid values into fresh blob files (step
-        // ④), batched through the route writers. Writers (and their file
-        // numbers) are allocated lazily, so an all-dead candidate set
-        // allocates nothing and a rollover landing exactly on the last
-        // record never leaves an empty trailing file behind ----
+        // ④, `features.vformat` being a blob log wherever write-back
+        // runs), always cold. Writers (and their file numbers) are
+        // allocated lazily, so an all-dead candidate set allocates
+        // nothing ----
         let t_write = Instant::now();
-        let alloc = lsm.file_alloc();
-        let mut guarded: Vec<GuardedWrite> = Vec::new();
-        let mut new_files = Vec::new();
-        if !valid.is_empty() {
-            let mut writers = RouteWriters::new(
-                &self.env,
-                &self.dir,
-                VFormat::BlobLog,
-                self.table_opts.clone(),
-                alloc.as_ref(),
-                self.cfg.vsst_target,
-                &self.stats,
-            );
-            let mut recs: Vec<(&[u8], SeqNo, &[u8])> = Vec::with_capacity(valid.len());
-            for (_, rec) in &valid {
-                let (ukey, seq) = parse_record_key(&rec.ikey)?;
-                recs.push((ukey, seq, &rec.value));
-            }
-            let written = writers.write_batch(0, &recs)?;
-            debug_assert_eq!(written.len(), valid.len());
-            for (((source, rec), (file, w)), &(ukey, _, _)) in valid.iter().zip(&written).zip(&recs)
-            {
-                guarded.push(GuardedWrite {
-                    key: ukey.to_vec(),
-                    expected: ValueRef {
-                        file: *source,
-                        size: rec.value.len() as u32,
-                        offset: rec.value_offset,
-                    },
-                    replacement: ValueRef {
-                        file: *file,
-                        size: w.size,
-                        offset: w.offset,
-                    },
-                });
-            }
-            new_files = writers.finish()?;
+        let mut writers = self.route_writers(lsm);
+        let mut guarded: Vec<GuardedWrite> = Vec::with_capacity(valid.len());
+        for (source, rec) in &valid {
+            let (ukey, seq) = parse_record_key(&rec.ikey)?;
+            let (file, w) = writers.add(Route::Cold, ukey, seq, &rec.value)?;
+            guarded.push(GuardedWrite {
+                key: ukey.to_vec(),
+                expected: ValueRef {
+                    file: *source,
+                    size: rec.value.len() as u32,
+                    offset: rec.value_offset,
+                },
+                replacement: ValueRef {
+                    file,
+                    size: w.size,
+                    offset: w.offset,
+                },
+            });
         }
+        let new_files = writers.finish()?;
         self.stats
             .add(|g| g.write_ns += t_write.elapsed().as_nanos() as u64);
 

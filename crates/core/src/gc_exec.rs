@@ -7,7 +7,7 @@
 //! | step ① **Read**      | load value-file keys (Lazy Read) or whole records | [`parallel_map_ordered`] fans per-file scans across the `gc_threads` pool |
 //! | step ② **GC-Lookup** | validate every pending record against the index   | the *validate* stage of [`run_overlapped`] |
 //! | step ③ **Fetch**     | read the surviving values                         | the *fetch* stage; per-file coalesced reads fan out via [`parallel_map_ordered`] |
-//! | step ④ **Write**     | rewrite survivors, hot/cold routed                | the *write* stage; [`RouteWriters`] batches records per route via `VWriter::add_batch` |
+//! | step ④ **Write**     | rewrite survivors, hot/cold routed                | the *write* stage; one [`RouteWriters::add`] per survivor |
 //!
 //! Two orthogonal levers are provided:
 //!
@@ -23,28 +23,19 @@
 //!   and runs the same stage closures inline on the caller's thread.
 //!
 //! Determinism rules the whole design: batches are contiguous ranges of
-//! the *globally sorted* pending set, channels deliver them in order, a
-//! single write stage consumes them in order, and [`RouteWriters`] makes
-//! the same per-record rollover decisions as a serial `add` loop — so
-//! neither the batch size nor thread scheduling can change the bytes of
-//! a value file, the file numbers allocated, or the reported
+//! the *globally sorted* pending set, channels deliver them in order, and
+//! a single write stage consumes them in order, appending record by
+//! record to the job's [`RouteWriters`] — so neither the batch size nor
+//! thread scheduling can change the bytes of a value file, the file
+//! numbers allocated, or the reported
 //! [`GcOutcome`](crate::gc::GcOutcome) (asserted by
-//! `tests/integration_gc_pipeline.rs`).
+//! `tests/integration_gc_pipeline.rs` and the frozen bytes of
+//! `tests/integration_value_files.rs`).
 //!
-//! [`RouteWriters`] also owns the output-file invariant: a writer (and
-//! its file number) is allocated only when a record is about to be
-//! staged, and a finished writer that somehow holds zero records is
-//! deleted rather than surfaced — no GC path can emit an empty
-//! `NewValueFile`.
+//! [`RouteWriters`]: crate::vstore::route::RouteWriters
+//! [`RouteWriters::add`]: crate::vstore::route::RouteWriters::add
 
-use crate::options::VFormat;
 use crate::stats::GcStats;
-use crate::vstore::new_value_file_record;
-use crate::vstore::vtable::{vfile_path, VWriter, WrittenRecord};
-use scavenger_env::{EnvRef, IoClass};
-use scavenger_lsm::{FileNumAlloc, NewValueFile};
-use scavenger_table::btable::TableOptions;
-use scavenger_util::ikey::SeqNo;
 use scavenger_util::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
@@ -229,141 +220,9 @@ where
     Ok(out)
 }
 
-/// Hot/cold-routed value-file writers for the GC Write phase (Fig. 8
-/// step ④): route 0 is cold, route 1 hot. Records are appended in batches
-/// through [`VWriter::add_batch`], rolling to a fresh file at exactly the
-/// per-record boundaries a serial `add` loop would pick (so batched and
-/// record-at-a-time execution emit byte-identical files).
-///
-/// Writers are created lazily — a file number is allocated only once a
-/// record is about to be staged — and [`finish`](Self::finish) never
-/// emits an empty [`NewValueFile`]: a zero-record writer's file is
-/// deleted instead of surfaced.
-pub(crate) struct RouteWriters<'a> {
-    env: &'a EnvRef,
-    dir: &'a str,
-    format: VFormat,
-    table_opts: TableOptions,
-    alloc: &'a dyn FileNumAlloc,
-    target: u64,
-    stats: &'a GcStats,
-    writers: [Option<(u64, VWriter)>; 2],
-    outputs: Vec<NewValueFile>,
-}
-
-impl<'a> RouteWriters<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        env: &'a EnvRef,
-        dir: &'a str,
-        format: VFormat,
-        table_opts: TableOptions,
-        alloc: &'a dyn FileNumAlloc,
-        target: u64,
-        stats: &'a GcStats,
-    ) -> Self {
-        RouteWriters {
-            env,
-            dir,
-            format,
-            table_opts,
-            alloc,
-            target: target.max(1),
-            stats,
-            writers: [None, None],
-            outputs: Vec::new(),
-        }
-    }
-
-    /// Append `recs` to the given route in order, returning each record's
-    /// `(file, address)`. Rolls to a new file whenever the staged size
-    /// crosses the target — mid-batch when necessary.
-    pub(crate) fn write_batch(
-        &mut self,
-        route: usize,
-        recs: &[(&[u8], SeqNo, &[u8])],
-    ) -> Result<Vec<(u64, WrittenRecord)>> {
-        if recs.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.stats.add(|g| g.write_batches += 1);
-        let mut out = Vec::with_capacity(recs.len());
-        let mut rest = recs;
-        while !rest.is_empty() {
-            let slot = &mut self.writers[route];
-            if slot.is_none() {
-                let file = self.alloc.next_file_number();
-                let w = VWriter::create(
-                    self.env,
-                    self.dir,
-                    file,
-                    self.format,
-                    self.table_opts.clone(),
-                    IoClass::GcWrite,
-                )?;
-                *slot = Some((file, w));
-            }
-            let (file, w) = slot.as_mut().expect("writer just ensured");
-            let file = *file;
-            let (written, consumed) = w.add_batch(rest, Some(self.target))?;
-            debug_assert!(consumed > 0, "add_batch must make progress");
-            out.extend(written.into_iter().map(|r| (file, r)));
-            rest = &rest[consumed..];
-            if w.estimated_size() >= self.target {
-                self.rotate(route)?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Close the route's current writer, surfacing it as a
-    /// [`NewValueFile`] — or deleting the file if it holds no records (a
-    /// `NewValueFile` with zero entries must never reach the manifest).
-    fn rotate(&mut self, route: usize) -> Result<()> {
-        let Some((file, w)) = self.writers[route].take() else {
-            return Ok(());
-        };
-        if w.num_entries() == 0 {
-            let _ = self
-                .env
-                .remove_file(&vfile_path(self.dir, file, self.format));
-            return Ok(());
-        }
-        let info = w.finish()?;
-        self.outputs
-            .push(new_value_file_record(file, info, route == 1, self.format));
-        Ok(())
-    }
-
-    /// Finish both routes and return every output file, in write order.
-    pub(crate) fn finish(mut self) -> Result<Vec<NewValueFile>> {
-        for route in 0..self.writers.len() {
-            self.rotate(route)?;
-        }
-        Ok(self.outputs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scavenger_env::MemEnv;
-    use scavenger_table::KeyCmp;
-
-    struct CountingAlloc(AtomicU64);
-
-    impl FileNumAlloc for CountingAlloc {
-        fn next_file_number(&self) -> u64 {
-            self.0.fetch_add(1, Ordering::SeqCst) + 1
-        }
-    }
-
-    fn table_opts() -> TableOptions {
-        TableOptions {
-            cmp: KeyCmp::Internal,
-            ..TableOptions::default()
-        }
-    }
 
     #[test]
     fn overlapped_preserves_input_order() {
@@ -483,94 +342,5 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.to_string().contains("fetch boom"), "{err}");
-    }
-
-    #[test]
-    fn route_writers_allocate_nothing_without_records() {
-        let env: EnvRef = MemEnv::shared();
-        let alloc = CountingAlloc(AtomicU64::new(0));
-        let stats = GcStats::default();
-        let rw = RouteWriters::new(
-            &env,
-            "db",
-            VFormat::RTable,
-            table_opts(),
-            &alloc,
-            1 << 20,
-            &stats,
-        );
-        let outputs = rw.finish().unwrap();
-        assert!(outputs.is_empty());
-        assert_eq!(
-            alloc.0.load(Ordering::SeqCst),
-            0,
-            "no file number may be allocated before a record exists"
-        );
-        assert!(env.list_prefix("db/").unwrap().is_empty());
-    }
-
-    #[test]
-    fn route_writers_roll_over_and_never_emit_empty_files() {
-        let env: EnvRef = MemEnv::shared();
-        let alloc = CountingAlloc(AtomicU64::new(0));
-        let stats = GcStats::default();
-        let mut rw = RouteWriters::new(
-            &env,
-            "db",
-            VFormat::RTable,
-            table_opts(),
-            &alloc,
-            4 * 1024,
-            &stats,
-        );
-        let recs: Vec<(Vec<u8>, SeqNo, Vec<u8>)> = (0..40u64)
-            .map(|i| (format!("k{i:04}").into_bytes(), i + 1, vec![3u8; 512]))
-            .collect();
-        let refs: Vec<(&[u8], SeqNo, &[u8])> = recs
-            .iter()
-            .map(|(k, s, v)| (k.as_slice(), *s, v.as_slice()))
-            .collect();
-        let written = rw.write_batch(0, &refs).unwrap();
-        assert_eq!(written.len(), recs.len());
-        let outputs = rw.finish().unwrap();
-        assert!(outputs.len() > 1, "rollover must split the batch");
-        assert!(
-            outputs.iter().all(|f| f.entries > 0),
-            "no empty NewValueFile"
-        );
-        assert_eq!(
-            outputs.iter().map(|f| f.entries).sum::<u64>(),
-            recs.len() as u64
-        );
-        // Every allocated file number surfaced as an output: the rollover
-        // path never allocates a number it then abandons.
-        assert_eq!(alloc.0.load(Ordering::SeqCst) as usize, outputs.len());
-        // Addresses returned per record point into the file that actually
-        // holds the record.
-        for (file, _) in &written {
-            assert!(outputs.iter().any(|f| f.file == *file));
-        }
-    }
-
-    #[test]
-    fn route_writers_keep_routes_independent() {
-        let env: EnvRef = MemEnv::shared();
-        let alloc = CountingAlloc(AtomicU64::new(0));
-        let stats = GcStats::default();
-        let mut rw = RouteWriters::new(
-            &env,
-            "db",
-            VFormat::RTable,
-            table_opts(),
-            &alloc,
-            1 << 20,
-            &stats,
-        );
-        rw.write_batch(0, &[(b"cold", 1, &[1u8; 64][..])]).unwrap();
-        rw.write_batch(1, &[(b"hot", 2, &[2u8; 64][..])]).unwrap();
-        let outputs = rw.finish().unwrap();
-        assert_eq!(outputs.len(), 2);
-        assert!(!outputs[0].hot && outputs[1].hot);
-        assert!(outputs.iter().all(|f| f.entries == 1));
     }
 }

@@ -19,14 +19,13 @@
 use crate::dropcache::DropCache;
 use crate::options::{Features, GcScheme};
 use crate::stats::GcStats;
-use crate::vstore::vtable::{VWriter, WrittenRecord};
-use crate::vstore::{new_value_file_record, ValueStore};
+use crate::vstore::route::{Route, RouteWriters};
+use crate::vstore::ValueStore;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use scavenger_env::{EnvRef, IoClass};
+use scavenger_env::IoClass;
 use scavenger_lsm::{DropCause, FileNumAlloc, JobKind, ValueEditBundle, ValueHook, ValueSession};
 use scavenger_table::btable::TableOptions;
-use scavenger_table::KeyCmp;
 use scavenger_util::ikey::{SeqNo, ValueRef, ValueType};
 use scavenger_util::Result;
 use std::collections::{HashMap, HashSet};
@@ -61,10 +60,6 @@ pub const SEP_THRESHOLD: usize = 512;
 
 /// Shared configuration for hook sessions.
 pub struct HookConfig {
-    /// Environment.
-    pub env: EnvRef,
-    /// Directory prefix.
-    pub dir: String,
     /// Feature set.
     pub features: Features,
     /// Target value-file size.
@@ -110,13 +105,6 @@ impl EngineHook {
     pub fn go_live(&self) -> Vec<ValueEditBundle> {
         self.replay_buffer.lock().take().unwrap_or_default()
     }
-
-    fn value_table_opts(&self) -> TableOptions {
-        TableOptions {
-            cmp: KeyCmp::Internal,
-            ..self.cfg.table_opts.clone()
-        }
-    }
 }
 
 impl ValueHook for EngineHook {
@@ -138,20 +126,26 @@ impl ValueHook for EngineHook {
             HashSet::new()
         };
         let salt = self.session_counter.fetch_add(1, Ordering::Relaxed);
+        let class = match kind {
+            JobKind::Flush => IoClass::Flush,
+            JobKind::Compaction { .. } => IoClass::GcWrite,
+        };
         Ok(Box::new(SeparationSession {
             relocation_salt: salt,
-            env: self.cfg.env.clone(),
-            dir: self.cfg.dir.clone(),
             features: self.cfg.features,
-            vsst_target: self.cfg.vsst_target,
-            table_opts: self.value_table_opts(),
             kind,
-            alloc,
+            out: RouteWriters::new(
+                &self.vstore,
+                self.cfg.features,
+                self.cfg.table_opts.clone(),
+                self.cfg.vsst_target,
+                class,
+                alloc,
+                &self.dropcache,
+            ),
             vstore: self.vstore.clone(),
             dropcache: self.dropcache.clone(),
             gc_stats: self.gc_stats.clone(),
-            writers: [None, None],
-            outputs: Vec::new(),
             garbage: HashMap::new(),
             relocation_targets,
             relocation_readers: HashMap::new(),
@@ -173,24 +167,15 @@ impl ValueHook for EngineHook {
     }
 }
 
-const COLD: usize = 0;
-const HOT: usize = 1;
-
 struct SeparationSession {
     relocation_salt: u64,
-    env: EnvRef,
-    dir: String,
     features: Features,
-    vsst_target: u64,
-    table_opts: TableOptions,
     kind: JobKind,
-    alloc: Arc<dyn FileNumAlloc>,
+    /// The job's value files (flush separation, BlobDB relocation).
+    out: RouteWriters,
     vstore: Arc<ValueStore>,
     dropcache: Arc<DropCache>,
     gc_stats: Arc<GcStats>,
-    /// Open writers: `[cold, hot]`.
-    writers: [Option<(u64, VWriter)>; 2],
-    outputs: Vec<scavenger_lsm::NewValueFile>,
     /// file → (bytes, entries) exposed by drops in this job.
     garbage: HashMap<u64, (u64, u64)>,
     relocation_targets: HashSet<u64>,
@@ -198,62 +183,6 @@ struct SeparationSession {
 }
 
 impl SeparationSession {
-    fn io_class(&self) -> IoClass {
-        match self.kind {
-            JobKind::Flush => IoClass::Flush,
-            JobKind::Compaction { .. } => IoClass::GcWrite,
-        }
-    }
-
-    fn write_value(
-        &mut self,
-        route: usize,
-        user_key: &[u8],
-        seq: SeqNo,
-        value: &[u8],
-    ) -> Result<(u64, WrittenRecord)> {
-        if self.writers[route].is_none() {
-            let file = self.alloc.next_file_number();
-            let w = VWriter::create(
-                &self.env,
-                &self.dir,
-                file,
-                self.features.vformat,
-                self.table_opts.clone(),
-                self.io_class(),
-            )?;
-            self.writers[route] = Some((file, w));
-        }
-        let (file, w) = self.writers[route].as_mut().unwrap();
-        let rec = w.add(user_key, seq, value)?;
-        let file = *file;
-        if w.estimated_size() >= self.vsst_target {
-            self.roll(route)?;
-        }
-        Ok((file, rec))
-    }
-
-    fn roll(&mut self, route: usize) -> Result<()> {
-        if let Some((file, w)) = self.writers[route].take() {
-            if w.num_entries() == 0 {
-                let _ = self.env.remove_file(&crate::vstore::vtable::vfile_path(
-                    &self.dir,
-                    file,
-                    self.features.vformat,
-                ));
-                return Ok(());
-            }
-            let info = w.finish()?;
-            self.outputs.push(new_value_file_record(
-                file,
-                info,
-                route == HOT,
-                self.features.vformat,
-            ));
-        }
-        Ok(())
-    }
-
     fn charge_garbage(&mut self, vref: &ValueRef) {
         // Attribute to the live holder if resolvable now; the apply-side
         // fallback re-resolves if this file dies before commit.
@@ -286,12 +215,7 @@ impl ValueSession for SeparationSession {
                     && self.kind == JobKind::Flush
                     && value.len() >= SEP_THRESHOLD =>
             {
-                let route = if self.features.hotness && self.dropcache.contains(user_key) {
-                    HOT
-                } else {
-                    COLD
-                };
-                let (file, rec) = self.write_value(route, user_key, seq, &value)?;
+                let (file, rec) = self.out.add(Route::ByHotness, user_key, seq, &value)?;
                 let vref = ValueRef {
                     file,
                     size: rec.size,
@@ -327,7 +251,7 @@ impl ValueSession for SeparationSession {
                 let old_value = self.relocation_readers[&old.file].read_at(old.offset, old.size)?;
                 let read_ns = t0.elapsed().as_nanos() as u64;
                 let t1 = Instant::now();
-                let (file, rec) = self.write_value(COLD, user_key, seq, &old_value)?;
+                let (file, rec) = self.out.add(Route::Cold, user_key, seq, &old_value)?;
                 let write_ns = t1.elapsed().as_nanos() as u64;
                 self.gc_stats.add(|g| {
                     g.read_ns += read_ns;
@@ -363,19 +287,18 @@ impl ValueSession for SeparationSession {
         }
     }
 
-    fn finish(mut self: Box<Self>) -> Result<ValueEditBundle> {
-        self.roll(COLD)?;
-        self.roll(HOT)?;
+    fn finish(self: Box<Self>) -> Result<ValueEditBundle> {
+        let SeparationSession { out, garbage, .. } = *self;
+        let new_files = out.finish()?;
         // Deterministic bundle: `HashMap` drain order would reshuffle the
         // manifest record (and every downstream charge order) per run.
-        let mut garbage: Vec<(u64, u64, u64)> = self
-            .garbage
-            .drain()
+        let mut garbage: Vec<(u64, u64, u64)> = garbage
+            .into_iter()
             .map(|(file, (bytes, entries))| (file, bytes, entries))
             .collect();
         garbage.sort_unstable_by_key(|(file, _, _)| *file);
         Ok(ValueEditBundle {
-            new_files: std::mem::take(&mut self.outputs),
+            new_files,
             deleted_files: Vec::new(),
             inherits: Vec::new(),
             garbage,
@@ -386,7 +309,7 @@ impl ValueSession for SeparationSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scavenger_env::MemEnv;
+    use scavenger_env::{EnvRef, MemEnv};
     use scavenger_table::btable::BlockCache;
     use std::sync::atomic::AtomicU64;
 
@@ -407,8 +330,6 @@ mod tests {
         let dropcache = Arc::new(DropCache::new(1024));
         let hook = EngineHook::new(
             HookConfig {
-                env,
-                dir: "db".into(),
                 features,
                 vsst_target: 1 << 20,
                 table_opts: TableOptions::default(),
@@ -643,8 +564,6 @@ mod tests {
         ));
         let hook = EngineHook::new(
             HookConfig {
-                env,
-                dir: "db".into(),
                 features: scavenger_features(),
                 vsst_target: 1 << 20,
                 table_opts: TableOptions::default(),

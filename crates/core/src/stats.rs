@@ -69,9 +69,6 @@ counter_struct! {
         /// Worker tasks dispatched by parallel GC file I/O (the Fetch
         /// phase's per-file fan-out and Titan's full-file Read scans).
         fetch_parallel_jobs,
-        /// Record batches staged through `VWriter::add_batch` by the
-        /// Write phase's route writers.
-        write_batches,
         /// GC jobs larger than one batch, whose stages ran overlapped.
         pipeline_jobs,
         /// Record batches pushed through the overlapped stages.

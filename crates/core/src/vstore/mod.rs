@@ -6,9 +6,14 @@
 //! index entries have already been merged away by compaction. The
 //! ratio-triggered GC consumes this accounting; the experiment harness
 //! reads it to reproduce Figures 5 and 18.
+//!
+//! It is also the only place a value file is written: every producer
+//! (flush, BlobDB relocation, both GC schemes) appends through
+//! `route::RouteWriters`, the one caller of [`vtable::VWriter::create`].
 
 pub(crate) mod fetch;
 pub mod inherit;
+pub(crate) mod route;
 pub mod vtable;
 
 use crate::options::VFormat;

@@ -109,62 +109,6 @@ impl VWriter {
         }
     }
 
-    /// Append a batch of records keyed by `(user_key, seq)` with one
-    /// staged file append per batch: blocks are built once per batch
-    /// instead of once per [`add`](Self::add), while the on-disk bytes
-    /// (and therefore record addresses) stay identical to repeated `add`
-    /// calls. Keys must arrive in internal-key order for table formats.
-    ///
-    /// When `target` is set, the batch stops as soon as the staged file
-    /// size — the exact value [`estimated_size`](Self::estimated_size)
-    /// would report after that record — reaches it, reproducing the
-    /// per-record rollover decision of the `add` loop it replaces.
-    /// Returns the written records plus how many inputs were consumed
-    /// (always ≥ 1 for a non-empty batch); the caller finishes the file
-    /// and retries the remainder on a fresh writer.
-    pub fn add_batch(
-        &mut self,
-        recs: &[(&[u8], SeqNo, &[u8])],
-        target: Option<u64>,
-    ) -> Result<(Vec<WrittenRecord>, usize)> {
-        let ikeys: Vec<Vec<u8>> = recs
-            .iter()
-            .map(|&(ukey, seq, _)| make_internal_key(ukey, seq, ValueType::Value))
-            .collect();
-        let pairs: Vec<(&[u8], &[u8])> = ikeys
-            .iter()
-            .zip(recs)
-            .map(|(ikey, &(_, _, value))| (ikey.as_slice(), value))
-            .collect();
-        match self {
-            VWriter::R(b) => {
-                let (handles, consumed) = b.add_batch(&pairs, target)?;
-                let written = handles
-                    .into_iter()
-                    .zip(recs)
-                    .map(|(h, &(_, _, value))| WrittenRecord {
-                        offset: h.offset,
-                        size: value.len() as u32,
-                    })
-                    .collect();
-                Ok((written, consumed))
-            }
-            VWriter::B(b) => {
-                let (offsets, consumed) = b.add_batch(&pairs, target)?;
-                let written = offsets
-                    .into_iter()
-                    .zip(recs)
-                    .map(|(offset, &(_, _, value))| WrittenRecord {
-                        offset,
-                        size: value.len() as u32,
-                    })
-                    .collect();
-                Ok((written, consumed))
-            }
-            VWriter::Blob(b) => b.add_batch(&pairs, target),
-        }
-    }
-
     /// Bytes written so far.
     pub fn estimated_size(&self) -> u64 {
         match self {
@@ -185,25 +129,16 @@ impl VWriter {
 
     /// Finish the file.
     pub fn finish(self) -> Result<VFileInfo> {
-        match self {
-            VWriter::R(b) => {
-                let built = b.finish()?;
-                Ok(VFileInfo {
-                    size: built.file_size,
-                    entries: built.props.num_entries,
-                    value_bytes: built.props.raw_value_bytes,
-                })
-            }
-            VWriter::B(b) => {
-                let built = b.finish()?;
-                Ok(VFileInfo {
-                    size: built.file_size,
-                    entries: built.props.num_entries,
-                    value_bytes: built.props.raw_value_bytes,
-                })
-            }
-            VWriter::Blob(b) => b.finish(),
-        }
+        let built = match self {
+            VWriter::R(b) => b.finish()?,
+            VWriter::B(b) => b.finish()?,
+            VWriter::Blob(b) => return b.finish(),
+        };
+        Ok(VFileInfo {
+            size: built.file_size,
+            entries: built.props.num_entries,
+            value_bytes: built.props.raw_value_bytes,
+        })
     }
 }
 
@@ -243,48 +178,6 @@ impl BlobLogWriter {
             offset: value_offset,
             size: value.len() as u32,
         })
-    }
-
-    /// Append a batch of `(internal_key, value)` records with one staged
-    /// file append, stopping early once the staged log size reaches
-    /// `target` (see [`VWriter::add_batch`]). Byte layout and value
-    /// addresses are identical to repeated [`add`](Self::add) calls.
-    pub fn add_batch(
-        &mut self,
-        recs: &[(&[u8], &[u8])],
-        target: Option<u64>,
-    ) -> Result<(Vec<WrittenRecord>, usize)> {
-        let base = self.file.len();
-        let mut buf: Vec<u8> = Vec::new();
-        let mut written = Vec::with_capacity(recs.len());
-        let mut consumed = 0usize;
-        for &(ikey, value) in recs {
-            let mut header = Vec::with_capacity(10 + ikey.len());
-            put_varint32(&mut header, ikey.len() as u32);
-            put_varint32(&mut header, value.len() as u32);
-            header.extend_from_slice(ikey);
-            let value_offset = base + buf.len() as u64 + header.len() as u64;
-            buf.extend_from_slice(&header);
-            buf.extend_from_slice(value);
-            let crc = crc32c::extend(crc32c::value(ikey), value);
-            buf.extend_from_slice(&crc.to_le_bytes());
-            self.entries += 1;
-            self.value_bytes += value.len() as u64;
-            written.push(WrittenRecord {
-                offset: value_offset,
-                size: value.len() as u32,
-            });
-            consumed += 1;
-            if let Some(t) = target {
-                if base + buf.len() as u64 >= t {
-                    break;
-                }
-            }
-        }
-        if !buf.is_empty() {
-            self.file.append(&buf)?;
-        }
-        Ok((written, consumed))
     }
 
     /// Bytes written so far.
@@ -746,116 +639,6 @@ mod tests {
         assert_eq!((uk, seq), (b"k".as_slice(), 1));
         let v = r.fetch_one(&ValueAt::Record(idx[0].1), &idx[0].0).unwrap();
         assert_eq!(v.len(), 4096);
-    }
-
-    /// `add_batch` must produce byte-identical files (and identical
-    /// record addresses) to per-record `add` in every format — GC modes
-    /// mixing the two paths rely on this for bit-identical outcomes.
-    #[test]
-    fn add_batch_matches_per_add_bytes() {
-        for format in [VFormat::RTable, VFormat::BTable, VFormat::BlobLog] {
-            let env: EnvRef = MemEnv::shared();
-            let recs: Vec<(Vec<u8>, SeqNo, Vec<u8>)> = (0..200u64)
-                .map(|i| {
-                    (
-                        format!("key{i:05}").into_bytes(),
-                        500 + i,
-                        vec![(i % 251) as u8; 100 + (i as usize % 900)],
-                    )
-                })
-                .collect();
-            let mut one = VWriter::create(&env, "db", 1, format, table_opts(), IoClass::Flush)
-                .expect("create per-add writer");
-            let mut single = Vec::new();
-            for (k, s, v) in &recs {
-                single.push(one.add(k, *s, v).unwrap());
-            }
-            let info_one = one.finish().unwrap();
-
-            let mut two = VWriter::create(&env, "db", 2, format, table_opts(), IoClass::Flush)
-                .expect("create batched writer");
-            let mut batched = Vec::new();
-            // Uneven batch sizes so partition/data-block flushes land
-            // mid-batch as well as on batch boundaries.
-            let mut rest: &[(Vec<u8>, SeqNo, Vec<u8>)] = &recs;
-            for chunk in [7usize, 64, 1, 128] {
-                let take = chunk.min(rest.len());
-                let refs: Vec<(&[u8], SeqNo, &[u8])> = rest[..take]
-                    .iter()
-                    .map(|(k, s, v)| (k.as_slice(), *s, v.as_slice()))
-                    .collect();
-                let (w, consumed) = two.add_batch(&refs, None).unwrap();
-                assert_eq!(consumed, take, "no target -> whole batch consumed");
-                batched.extend(w);
-                rest = &rest[take..];
-            }
-            let refs: Vec<(&[u8], SeqNo, &[u8])> = rest
-                .iter()
-                .map(|(k, s, v)| (k.as_slice(), *s, v.as_slice()))
-                .collect();
-            let (w, _) = two.add_batch(&refs, None).unwrap();
-            batched.extend(w);
-            let info_two = two.finish().unwrap();
-
-            assert_eq!(single, batched, "{format:?}: record addresses diverge");
-            assert_eq!(info_one.size, info_two.size, "{format:?}");
-            assert_eq!(info_one.entries, info_two.entries, "{format:?}");
-            let p1 = vfile_path("db", 1, format);
-            let p2 = vfile_path("db", 2, format);
-            let f1 = env.open_random_access(&p1, IoClass::GcRead).unwrap();
-            let f2 = env.open_random_access(&p2, IoClass::GcRead).unwrap();
-            assert_eq!(f1.len(), f2.len(), "{format:?}: file sizes diverge");
-            let b1 = f1.read_at(0, f1.len() as usize).unwrap();
-            let b2 = f2.read_at(0, f2.len() as usize).unwrap();
-            assert_eq!(b1, b2, "{format:?}: file bytes diverge");
-        }
-    }
-
-    /// With a `target`, `add_batch` consumes records up to and including
-    /// the one that crosses it — the same rollover boundary a per-record
-    /// `add` + `estimated_size` loop would pick.
-    #[test]
-    fn add_batch_honors_size_target() {
-        for format in [VFormat::RTable, VFormat::BTable, VFormat::BlobLog] {
-            let env: EnvRef = MemEnv::shared();
-            let recs: Vec<(Vec<u8>, SeqNo, Vec<u8>)> = (0..50u64)
-                .map(|i| (format!("k{i:04}").into_bytes(), i + 1, vec![7u8; 512]))
-                .collect();
-            let refs: Vec<(&[u8], SeqNo, &[u8])> = recs
-                .iter()
-                .map(|(k, s, v)| (k.as_slice(), *s, v.as_slice()))
-                .collect();
-            let target = 4 * 1024u64;
-            let mut w = VWriter::create(&env, "db", 9, format, table_opts(), IoClass::Flush)
-                .expect("create writer");
-            let (written, consumed) = w.add_batch(&refs, Some(target)).unwrap();
-            assert_eq!(written.len(), consumed);
-            assert!(consumed >= 1, "{format:?}: must make progress");
-            assert!(
-                consumed < recs.len(),
-                "{format:?}: target must stop the batch early"
-            );
-            assert!(
-                w.estimated_size() >= target,
-                "{format:?}: stopped only once the target was reached"
-            );
-            // Replaying the same records through per-record adds must pick
-            // the identical rollover record.
-            let mut per = VWriter::create(&env, "db", 10, format, table_opts(), IoClass::Flush)
-                .expect("create per-add writer");
-            let mut per_consumed = 0usize;
-            for (k, s, v) in &recs {
-                per.add(k, *s, v).unwrap();
-                per_consumed += 1;
-                if per.estimated_size() >= target {
-                    break;
-                }
-            }
-            assert_eq!(
-                consumed, per_consumed,
-                "{format:?}: rollover point diverges"
-            );
-        }
     }
 
     #[test]

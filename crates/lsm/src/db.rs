@@ -533,8 +533,7 @@ impl Lsm {
                 synced: false,
             });
         }
-        self.check_bg_error()?;
-        self.maybe_stall();
+        self.admit()?;
         let member = Arc::new(GroupMember::new(batch, opts.sync, opts.txn_id));
         let mut st = self.inner.group.lock();
         st.queue.push(member.clone());
@@ -602,8 +601,7 @@ impl Lsm {
     /// atomic with the apply, so the whole read-check-write runs under
     /// the writer lock as a group of one.
     pub fn write_guarded(&self, opts: &WriteOptions, writes: &[GuardedWrite]) -> Result<usize> {
-        self.check_bg_error()?;
-        self.maybe_stall();
+        self.admit()?;
         let applied;
         {
             let mut ws = self.inner.writer.lock();
@@ -664,8 +662,7 @@ impl Lsm {
         batch: WriteBatch,
         reads: &[(Vec<u8>, SeqNo)],
     ) -> Result<WriteReceipt> {
-        self.check_bg_error()?;
-        self.maybe_stall();
+        self.admit()?;
         let receipt;
         {
             let mut ws = self.inner.writer.lock();
@@ -892,6 +889,16 @@ impl Lsm {
         self.flush()
     }
 
+    /// Admission, shared by every write entry point: refuse while the
+    /// engine is degraded, wait out an immutable-memtable backlog, and
+    /// refuse again if the engine degraded during the wait — a writer
+    /// woken by [`enter_degraded`](Lsm::enter_degraded) must not commit.
+    fn admit(&self) -> Result<()> {
+        self.check_bg_error()?;
+        self.maybe_stall();
+        self.check_bg_error()
+    }
+
     fn maybe_stall(&self) {
         if self.inner.opts.background != BackgroundMode::Threaded {
             return;
@@ -900,6 +907,7 @@ impl Lsm {
         let mut stalled = false;
         while self.inner.imms.read().len() > MAX_IMM_MEMTABLES
             && !self.inner.closed.load(Ordering::SeqCst)
+            && !self.inner.degraded.load(Ordering::SeqCst)
         {
             if !stalled {
                 stalled = true;

@@ -13,29 +13,19 @@ pub const BLOCK_TRAILER_LEN: usize = 5;
 /// the byte exists so compression can be added without a format break.
 pub const BLOCK_TYPE_RAW: u8 = 0;
 
-/// Append a block to `file`, returning its handle.
+/// Append a block (`payload ++ trailer`) to `file` in one write,
+/// returning its handle.
 pub fn write_block(file: &mut dyn WritableFile, payload: &[u8]) -> Result<BlockHandle> {
-    let mut buf = Vec::with_capacity(payload.len() + BLOCK_TRAILER_LEN);
-    let handle = stage_block(&mut buf, file.len(), payload);
-    file.append(&buf)?;
-    Ok(handle)
-}
-
-/// Encode a block (`payload ++ trailer`) into `buf` without touching the
-/// file, returning the handle the block will have once `buf` is appended
-/// to a file whose current length is `base`. Batched writers stage many
-/// blocks this way and issue one `append` per batch instead of one (or
-/// two) per block; the resulting file bytes are identical to repeated
-/// [`write_block`] calls.
-pub fn stage_block(buf: &mut Vec<u8>, base: u64, payload: &[u8]) -> BlockHandle {
-    let offset = base + buf.len() as u64;
+    let handle = BlockHandle::new(file.len(), payload.len() as u64);
     let mut trailer = [0u8; BLOCK_TRAILER_LEN];
     trailer[0] = BLOCK_TYPE_RAW;
     let crc = crc32c::extend(crc32c::value(payload), &trailer[..1]);
     trailer[1..].copy_from_slice(&crc32c::mask(crc).to_le_bytes());
+    let mut buf = Vec::with_capacity(payload.len() + BLOCK_TRAILER_LEN);
     buf.extend_from_slice(payload);
     buf.extend_from_slice(&trailer);
-    BlockHandle::new(offset, payload.len() as u64)
+    file.append(&buf)?;
+    Ok(handle)
 }
 
 /// Read and verify the block at `handle`.

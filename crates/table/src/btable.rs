@@ -12,11 +12,12 @@
 //! index, paper §III-B1).
 
 use crate::block::{Block, BlockBuilder, BlockIter};
-use crate::blockio::{read_block, stage_block, write_block};
+use crate::blockio::{read_block, write_block};
 use crate::cache::{CacheKey, CachePriority, LruCache};
 use crate::filter::{BloomBuilder, BloomReader};
-use crate::handle::{BlockHandle, Footer, FOOTER_LEN};
-use crate::props::{meta_keys, metaindex, TableProps, TableType, ValueDep};
+use crate::handle::BlockHandle;
+use crate::props::{meta_keys, TableProps, TableType, ValueDep};
+use crate::tail::{read_tail, write_tail};
 use crate::{BlockKind, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
@@ -184,78 +185,13 @@ impl BTableBuilder {
     }
 
     fn flush_data_block(&mut self) -> Result<()> {
-        let mut buf = Vec::new();
-        let base = self.file.len();
-        self.stage_data_block(&mut buf, base);
-        if buf.is_empty() {
+        if self.data.is_empty() {
             return Ok(());
         }
-        self.file.append(&buf)
-    }
-
-    /// Stage the pending data block into `buf` (see [`stage_block`]); a
-    /// no-op when the block is empty.
-    fn stage_data_block(&mut self, buf: &mut Vec<u8>, base: u64) {
-        if self.data.is_empty() {
-            return;
-        }
         let last_key = self.data.last_key().to_vec();
-        let payload = self.data.finish();
-        let handle = stage_block(buf, base, &payload);
+        let handle = write_block(self.file.as_mut(), &self.data.finish())?;
         self.index.add(&last_key, &handle.encode());
-    }
-
-    /// Append a batch of entries with **one** file `append`: data blocks
-    /// that fill up mid-batch are built and staged into a single buffer,
-    /// amortizing the per-block I/O of [`add`](Self::add) while keeping
-    /// the on-disk bytes identical to repeated `add` calls.
-    ///
-    /// When `target` is set, the batch stops early once the staged table
-    /// size (what [`estimated_size`](Self::estimated_size) would report
-    /// after that entry) reaches it, mirroring the per-record rollover
-    /// check callers perform with `add`. Returns each consumed entry's
-    /// informational offset (the staged size before the entry, matching
-    /// `add`'s `estimated_size()` convention) plus how many input entries
-    /// were consumed (always ≥ 1 for a non-empty batch).
-    pub fn add_batch(
-        &mut self,
-        recs: &[(&[u8], &[u8])],
-        target: Option<u64>,
-    ) -> Result<(Vec<u64>, usize)> {
-        let base = self.file.len();
-        let mut buf: Vec<u8> = Vec::new();
-        let mut offsets = Vec::with_capacity(recs.len());
-        let mut consumed = 0usize;
-        for &(key, value) in recs {
-            debug_assert!(
-                self.data.is_empty() || self.opts.cmp.cmp(self.data.last_key(), key).is_lt(),
-                "keys must be added in strictly increasing order"
-            );
-            offsets.push(base + buf.len() as u64 + self.data.size_estimate() as u64);
-            if self.smallest.is_none() {
-                self.smallest = Some(key.to_vec());
-            }
-            self.largest.clear();
-            self.largest.extend_from_slice(key);
-            self.bloom.add_key(self.user_key(key));
-            self.tracker.observe(key, value);
-            self.data.add(key, value);
-            self.num_entries += 1;
-            if self.data.size_estimate() >= self.opts.block_size {
-                self.stage_data_block(&mut buf, base);
-            }
-            consumed += 1;
-            if let Some(t) = target {
-                let staged = base + buf.len() as u64 + self.data.size_estimate() as u64;
-                if staged >= t {
-                    break;
-                }
-            }
-        }
-        if !buf.is_empty() {
-            self.file.append(&buf)?;
-        }
-        Ok((offsets, consumed))
+        Ok(())
     }
 
     /// Number of entries added so far.
@@ -272,28 +208,18 @@ impl BTableBuilder {
     /// index / footer.
     pub fn finish(mut self) -> Result<BuiltTable> {
         self.flush_data_block()?;
-        let filter_handle = write_block(self.file.as_mut(), &self.bloom.finish())?;
         let props = self.tracker.finish();
-        let props_handle = write_block(self.file.as_mut(), &props.encode())?;
-        let meta = metaindex::encode(&[
-            (meta_keys::FILTER, filter_handle),
-            (meta_keys::PROPS, props_handle),
-        ]);
-        let metaindex_handle = write_block(self.file.as_mut(), &meta)?;
-        let index_payload = self.index.finish();
-        let index_handle = write_block(self.file.as_mut(), &index_payload)?;
-        let footer = Footer {
-            metaindex: metaindex_handle,
-            index: index_handle,
-        };
-        self.file.append(&footer.encode())?;
-        self.file.sync()?;
-        Ok(BuiltTable {
-            file_size: self.file.len(),
-            smallest: self.smallest.unwrap_or_default(),
-            largest: self.largest,
+        write_tail(
+            self.file,
+            &[
+                (meta_keys::FILTER, self.bloom.finish()),
+                (meta_keys::PROPS, props.encode()),
+            ],
+            &self.index.finish(),
             props,
-        })
+            self.smallest,
+            self.largest,
+        )
     }
 }
 
@@ -341,16 +267,6 @@ pub(crate) fn kind_tag(kind: BlockKind) -> u8 {
     }
 }
 
-/// Read the footer of any table file.
-pub(crate) fn read_footer(file: &dyn RandomAccessFile) -> Result<Footer> {
-    let len = file.len();
-    if len < FOOTER_LEN as u64 {
-        return Err(Error::corruption("file too small for footer"));
-    }
-    let raw = file.read_at(len - FOOTER_LEN as u64, FOOTER_LEN)?;
-    Footer::decode(&raw)
-}
-
 /// An open BlockBasedTable.
 pub struct BTableReader {
     fetcher: BlockFetcher,
@@ -369,26 +285,17 @@ impl BTableReader {
         cache: Option<Arc<BlockCache>>,
         cmp: KeyCmp,
     ) -> Result<BTableReader> {
-        let footer = read_footer(file.as_ref())?;
-        let fetcher = BlockFetcher {
-            file,
-            cache,
-            file_number,
-        };
-        let index = Block::new(read_block(fetcher.file.as_ref(), footer.index)?)?;
-        let meta = metaindex::decode(&read_block(fetcher.file.as_ref(), footer.metaindex)?)?;
-        let props_handle = metaindex::find(&meta, meta_keys::PROPS)
-            .ok_or_else(|| Error::corruption("missing props block"))?;
-        let props = TableProps::decode(&read_block(fetcher.file.as_ref(), props_handle)?)?;
-        let filter = match metaindex::find(&meta, meta_keys::FILTER) {
-            Some(h) => Some(read_block(fetcher.file.as_ref(), h)?),
-            None => None,
-        };
+        let tail = read_tail(file.as_ref())?;
+        let filter = tail.meta_block(file.as_ref(), meta_keys::FILTER)?;
         Ok(BTableReader {
-            fetcher,
-            index,
+            fetcher: BlockFetcher {
+                file,
+                cache,
+                file_number,
+            },
+            index: tail.index,
             filter,
-            props,
+            props: tail.props,
             cmp,
         })
     }

@@ -22,14 +22,14 @@
 //! even when a key alternates between inline and separated values.
 
 use crate::block::Block;
-use crate::blockio::{read_block, write_block};
+use crate::blockio::write_block;
 use crate::btable::{
-    read_footer, BlockCache, BlockFetcher, BuiltTable, PropsTracker, TableOptions, TwoLevelIter,
+    BlockCache, BlockFetcher, BuiltTable, PropsTracker, TableOptions, TwoLevelIter,
 };
 use crate::cache::CachePriority;
 use crate::filter::{BloomBuilder, BloomReader};
-use crate::handle::Footer;
-use crate::props::{meta_keys, metaindex, TableProps, TableType};
+use crate::props::{meta_keys, TableProps, TableType};
+use crate::tail::{read_tail, write_tail};
 use crate::{BlockKind, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
@@ -160,33 +160,20 @@ impl DTableBuilder {
     pub fn finish(mut self) -> Result<BuiltTable> {
         self.kv.flush(self.file.as_mut())?;
         self.kf.flush(self.file.as_mut())?;
-        let kv_filter = write_block(self.file.as_mut(), &self.kv.bloom.finish())?;
-        let kf_filter = write_block(self.file.as_mut(), &self.kf.bloom.finish())?;
         let props = self.tracker.finish();
-        let props_handle = write_block(self.file.as_mut(), &props.encode())?;
-        let kf_index_payload = self.kf.index.finish();
-        let kf_index = write_block(self.file.as_mut(), &kf_index_payload)?;
-        let meta = metaindex::encode(&[
-            (meta_keys::FILTER_KV, kv_filter),
-            (meta_keys::FILTER_KF, kf_filter),
-            (meta_keys::PROPS, props_handle),
-            (meta_keys::KF_INDEX, kf_index),
-        ]);
-        let metaindex_handle = write_block(self.file.as_mut(), &meta)?;
-        let kv_index_payload = self.kv.index.finish();
-        let kv_index = write_block(self.file.as_mut(), &kv_index_payload)?;
-        let footer = Footer {
-            metaindex: metaindex_handle,
-            index: kv_index,
-        };
-        self.file.append(&footer.encode())?;
-        self.file.sync()?;
-        Ok(BuiltTable {
-            file_size: self.file.len(),
-            smallest: self.smallest.unwrap_or_default(),
-            largest: self.largest,
+        write_tail(
+            self.file,
+            &[
+                (meta_keys::FILTER_KV, self.kv.bloom.finish()),
+                (meta_keys::FILTER_KF, self.kf.bloom.finish()),
+                (meta_keys::PROPS, props.encode()),
+                (meta_keys::KF_INDEX, self.kf.index.finish()),
+            ],
+            &self.kv.index.finish(),
             props,
-        })
+            self.smallest,
+            self.largest,
+        )
     }
 }
 
@@ -207,38 +194,24 @@ impl DTableReader {
         file_number: u64,
         cache: Option<Arc<BlockCache>>,
     ) -> Result<DTableReader> {
-        let footer = read_footer(file.as_ref())?;
-        let fetcher = BlockFetcher {
-            file,
-            cache,
-            file_number,
-        };
-        let kv_index = Block::new(read_block(fetcher.file.as_ref(), footer.index)?)?;
-        let meta = metaindex::decode(&read_block(fetcher.file.as_ref(), footer.metaindex)?)?;
-        let props_handle = metaindex::find(&meta, meta_keys::PROPS)
-            .ok_or_else(|| Error::corruption("missing props block"))?;
-        let props = TableProps::decode(&read_block(fetcher.file.as_ref(), props_handle)?)?;
-        if props.table_type != TableType::DTable {
+        let tail = read_tail(file.as_ref())?;
+        if tail.props.table_type != TableType::DTable {
             return Err(Error::corruption("not a DTable file"));
         }
-        let kf_index_handle = metaindex::find(&meta, meta_keys::KF_INDEX)
+        let kf_index = tail
+            .meta_block(file.as_ref(), meta_keys::KF_INDEX)?
             .ok_or_else(|| Error::corruption("missing kf index"))?;
-        let kf_index = Block::new(read_block(fetcher.file.as_ref(), kf_index_handle)?)?;
-        let kv_filter = match metaindex::find(&meta, meta_keys::FILTER_KV) {
-            Some(h) => Some(read_block(fetcher.file.as_ref(), h)?),
-            None => None,
-        };
-        let kf_filter = match metaindex::find(&meta, meta_keys::FILTER_KF) {
-            Some(h) => Some(read_block(fetcher.file.as_ref(), h)?),
-            None => None,
-        };
         Ok(DTableReader {
-            fetcher,
-            kv_index,
-            kf_index,
-            kv_filter,
-            kf_filter,
-            props,
+            kf_index: Block::new(kf_index)?,
+            kv_filter: tail.meta_block(file.as_ref(), meta_keys::FILTER_KV)?,
+            kf_filter: tail.meta_block(file.as_ref(), meta_keys::FILTER_KF)?,
+            kv_index: tail.index,
+            props: tail.props,
+            fetcher: BlockFetcher {
+                file,
+                cache,
+                file_number,
+            },
         })
     }
 

@@ -21,7 +21,8 @@
 //! points), [`filter`] (bloom), [`handle`] (handles + footer), [`cache`]
 //! (sharded two-priority LRU, mirroring RocksDB's high-pri pool), [`props`]
 //! (table properties incl. the value-dependency list that powers
-//! compensated-size compaction), and [`blockio`] (checksummed block I/O).
+//! compensated-size compaction), [`blockio`] (checksummed block I/O), and
+//! `tail` (the metaindex / index / footer envelope all three formats end in).
 
 pub mod block;
 pub mod blockio;
@@ -32,6 +33,7 @@ pub mod filter;
 pub mod handle;
 pub mod props;
 pub mod rtable;
+mod tail;
 
 use std::cmp::Ordering;
 

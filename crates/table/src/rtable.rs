@@ -19,14 +19,13 @@
 //! in-block search.
 
 use crate::block::{Block, BlockBuilder};
-use crate::blockio::{read_block, stage_block, verify_block, write_block, BLOCK_TRAILER_LEN};
-use crate::btable::{
-    read_footer, BlockCache, BlockFetcher, BuiltTable, PropsTracker, TableOptions,
-};
+use crate::blockio::{read_block, verify_block, write_block, BLOCK_TRAILER_LEN};
+use crate::btable::{BlockCache, BlockFetcher, BuiltTable, PropsTracker, TableOptions};
 use crate::cache::CachePriority;
 use crate::filter::{BloomBuilder, BloomReader};
-use crate::handle::{BlockHandle, Footer};
-use crate::props::{meta_keys, metaindex, TableProps, TableType};
+use crate::handle::BlockHandle;
+use crate::props::{meta_keys, TableProps, TableType};
+use crate::tail::{read_tail, write_tail};
 use crate::{BlockKind, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
@@ -104,86 +103,15 @@ impl RTableBuilder {
     }
 
     fn flush_partition(&mut self) -> Result<()> {
-        let mut buf = Vec::new();
-        let base = self.file.len();
-        self.stage_partition(&mut buf, base);
-        if buf.is_empty() {
-            return Ok(());
-        }
-        self.file.append(&buf)
-    }
-
-    /// Stage the pending index partition into `buf` (see
-    /// [`stage_block`]); a no-op when the partition is empty.
-    fn stage_partition(&mut self, buf: &mut Vec<u8>, base: u64) {
         if self.partition.is_empty() {
-            return;
+            return Ok(());
         }
         let last_key = self.partition.last_key().to_vec();
         let payload = self.partition.finish();
         self.index_bytes += (payload.len() + BLOCK_TRAILER_LEN) as u64;
-        let handle = stage_block(buf, base, &payload);
+        let handle = write_block(self.file.as_mut(), &payload)?;
         self.top_index.add(&last_key, &handle.encode());
-    }
-
-    /// Append a batch of records with **one** file `append`: every record
-    /// block (and any index partition that fills up mid-batch) is staged
-    /// into a single buffer, so the per-record I/O of [`add`](Self::add)
-    /// is amortized across the batch while the on-disk bytes stay
-    /// identical to repeated `add` calls.
-    ///
-    /// When `target` is set, the batch stops early once the staged table
-    /// size (the exact value [`estimated_size`](Self::estimated_size)
-    /// would report after that record) reaches it — mirroring the
-    /// per-record rollover check callers perform with `add`. Returns the
-    /// record handles plus how many input records were consumed (always
-    /// ≥ 1 for a non-empty batch).
-    pub fn add_batch(
-        &mut self,
-        recs: &[(&[u8], &[u8])],
-        target: Option<u64>,
-    ) -> Result<(Vec<BlockHandle>, usize)> {
-        let base = self.file.len();
-        let mut buf: Vec<u8> = Vec::new();
-        let mut handles = Vec::with_capacity(recs.len());
-        let mut consumed = 0usize;
-        for &(key, value) in recs {
-            debug_assert!(
-                self.partition.is_empty()
-                    || self.opts.cmp.cmp(self.partition.last_key(), key).is_lt(),
-                "keys must be added in strictly increasing order"
-            );
-            if self.smallest.is_none() {
-                self.smallest = Some(key.to_vec());
-            }
-            self.largest.clear();
-            self.largest.extend_from_slice(key);
-            self.bloom.add_key(self.user_key(key));
-            self.tracker.observe(key, value);
-
-            let mut record = Vec::with_capacity(key.len() + value.len() + 8);
-            put_length_prefixed_slice(&mut record, key);
-            put_length_prefixed_slice(&mut record, value);
-            let handle = stage_block(&mut buf, base, &record);
-
-            self.partition.add(key, &handle.encode());
-            self.num_entries += 1;
-            if self.partition.size_estimate() >= self.opts.index_partition_size {
-                self.stage_partition(&mut buf, base);
-            }
-            handles.push(handle);
-            consumed += 1;
-            if let Some(t) = target {
-                let staged = base + buf.len() as u64 + self.partition.size_estimate() as u64;
-                if staged >= t {
-                    break;
-                }
-            }
-        }
-        if !buf.is_empty() {
-            self.file.append(&buf)?;
-        }
-        Ok((handles, consumed))
+        Ok(())
     }
 
     /// Number of records added so far.
@@ -199,29 +127,18 @@ impl RTableBuilder {
     /// Finish the table.
     pub fn finish(mut self) -> Result<BuiltTable> {
         self.flush_partition()?;
-        let filter_handle = write_block(self.file.as_mut(), &self.bloom.finish())?;
         let props = self.tracker.finish();
-        let props_handle = write_block(self.file.as_mut(), &props.encode())?;
-        let meta = metaindex::encode(&[
-            (meta_keys::FILTER, filter_handle),
-            (meta_keys::PROPS, props_handle),
-        ]);
-        let metaindex_handle = write_block(self.file.as_mut(), &meta)?;
-        let top_payload = self.top_index.finish();
-        self.index_bytes += (top_payload.len() + BLOCK_TRAILER_LEN) as u64;
-        let index_handle = write_block(self.file.as_mut(), &top_payload)?;
-        let footer = Footer {
-            metaindex: metaindex_handle,
-            index: index_handle,
-        };
-        self.file.append(&footer.encode())?;
-        self.file.sync()?;
-        Ok(BuiltTable {
-            file_size: self.file.len(),
-            smallest: self.smallest.unwrap_or_default(),
-            largest: self.largest,
+        write_tail(
+            self.file,
+            &[
+                (meta_keys::FILTER, self.bloom.finish()),
+                (meta_keys::PROPS, props.encode()),
+            ],
+            &self.top_index.finish(),
             props,
-        })
+            self.smallest,
+            self.largest,
+        )
     }
 
     /// Bytes spent on index partitions so far — the dense-index overhead
@@ -381,29 +298,20 @@ impl RTableReader {
         cache: Option<Arc<BlockCache>>,
         cmp: KeyCmp,
     ) -> Result<RTableReader> {
-        let footer = read_footer(file.as_ref())?;
-        let fetcher = BlockFetcher {
-            file,
-            cache,
-            file_number,
-        };
-        let top_index = Block::new(read_block(fetcher.file.as_ref(), footer.index)?)?;
-        let meta = metaindex::decode(&read_block(fetcher.file.as_ref(), footer.metaindex)?)?;
-        let props_handle = metaindex::find(&meta, meta_keys::PROPS)
-            .ok_or_else(|| Error::corruption("missing props block"))?;
-        let props = TableProps::decode(&read_block(fetcher.file.as_ref(), props_handle)?)?;
-        let filter = match metaindex::find(&meta, meta_keys::FILTER) {
-            Some(h) => Some(read_block(fetcher.file.as_ref(), h)?),
-            None => None,
-        };
-        if props.table_type != TableType::RTable {
+        let tail = read_tail(file.as_ref())?;
+        let filter = tail.meta_block(file.as_ref(), meta_keys::FILTER)?;
+        if tail.props.table_type != TableType::RTable {
             return Err(Error::corruption("not an RTable file"));
         }
         Ok(RTableReader {
-            fetcher,
-            top_index,
+            fetcher: BlockFetcher {
+                file,
+                cache,
+                file_number,
+            },
+            top_index: tail.index,
             filter,
-            props,
+            props: tail.props,
             cmp,
         })
     }

@@ -425,3 +425,148 @@ fn no_crash_cycle_loses_nothing() {
     assert_eq!(recovered, crash::apply_ops(&ops));
     let _ = Arc::clone(&fault); // keep the env alive to the end
 }
+
+/// Value files on disk that the value store has not registered.
+fn unregistered_value_files(env: &EnvRef, db: &Db) -> Vec<String> {
+    let live = db.value_store().live_file_numbers();
+    env.list_prefix("db/")
+        .unwrap()
+        .into_iter()
+        .filter(|p| {
+            p.strip_prefix("db/")
+                .and_then(|n| n.strip_suffix(".vsst").or_else(|| n.strip_suffix(".blob")))
+                .is_some_and(|n| !live.contains(&n.parse().unwrap()))
+        })
+        .collect()
+}
+
+/// One memtable of separated values, flushed only when asked, into
+/// value files small enough that a flush (or a GC job) writes several.
+fn one_flush_opts(env: EnvRef) -> Options {
+    let mut o = Options::new(env, "db", EngineMode::Scavenger);
+    o.memtable_size = 1 << 20;
+    o.vsst_target_size = 64 * 1024;
+    o.auto_gc = false;
+    o.bg_retry_base = std::time::Duration::from_millis(1);
+    o
+}
+
+/// A flush that fails after writing its value files and succeeds on the
+/// retry must not leave the first attempt's files behind: nothing
+/// registers them, so GC never sees them and only the next open would
+/// delete them, while the throttle counts their bytes.
+#[test]
+fn retried_flush_leaves_no_unregistered_value_files() {
+    let fault = FaultEnv::wrap(MemEnv::shared(), 0x1eaf);
+    let env: EnvRef = fault.clone();
+    let db = Db::open(one_flush_opts(env.clone())).unwrap();
+    for i in 0..200u32 {
+        db.put(crash::key_bytes(i), crash::value_bytes(i, 1, 2048))
+            .unwrap();
+    }
+    fault.add_rule(FaultRule {
+        op: FaultOp::Write,
+        path_contains: Some(".sst".to_string()),
+        trigger: Trigger::Always,
+        kind: FaultKind::Fail,
+        one_shot: true,
+    });
+    db.flush().expect("the retry succeeds");
+    assert!(db.stats().bg_retries >= 1, "the first attempt must fail");
+    assert!(!db.value_store().live_file_numbers().is_empty());
+    assert_eq!(unregistered_value_files(&env, &db), Vec::<String>::new());
+    for i in 0..200u32 {
+        assert_eq!(
+            db.get(crash::key_bytes(i)).unwrap().unwrap(),
+            bytes::Bytes::from(crash::value_bytes(i, 1, 2048))
+        );
+    }
+}
+
+/// The GC twin: a job whose write stage fails part-way has finished
+/// some output files and half-written another; none of them reaches the
+/// manifest, so none may stay on disk — and the next job still collects.
+#[test]
+fn failed_gc_write_stage_leaves_no_unregistered_value_files() {
+    let fault = FaultEnv::wrap(MemEnv::shared(), 0x1eb0);
+    let env: EnvRef = fault.clone();
+    let mut o = one_flush_opts(env.clone());
+    o.vsst_target_size = 16 * 1024;
+    o.gc_batch_files = 32;
+    let db = Db::open(o).unwrap();
+    for i in 0..200u32 {
+        db.put(crash::key_bytes(i), crash::value_bytes(i, 1, 2048))
+            .unwrap();
+    }
+    db.flush().unwrap();
+    for i in (0..200u32).step_by(2) {
+        db.put(crash::key_bytes(i), crash::value_bytes(i, 2, 2048))
+            .unwrap();
+    }
+    db.flush().unwrap();
+    // Merge the two runs so the overwritten versions are exposed.
+    while db.lsm().force_compact_once().unwrap() {}
+
+    fault.add_rule(FaultRule {
+        op: FaultOp::Write,
+        path_contains: Some(".vsst".to_string()),
+        trigger: Trigger::Nth(20),
+        kind: FaultKind::Fail,
+        one_shot: true,
+    });
+    db.run_gc().expect_err("the write stage must hit the fault");
+    assert_eq!(unregistered_value_files(&env, &db), Vec::<String>::new());
+
+    assert!(db.run_gc_until_clean().unwrap() > 0, "a clean job collects");
+    assert_eq!(unregistered_value_files(&env, &db), Vec::<String>::new());
+    for i in 0..200u32 {
+        let version = if i % 2 == 0 { 2 } else { 1 };
+        assert_eq!(
+            db.get(crash::key_bytes(i)).unwrap().unwrap(),
+            bytes::Bytes::from(crash::value_bytes(i, version, 2048))
+        );
+    }
+}
+
+/// A writer already waiting on the immutable-memtable backlog when the
+/// background thread gives up must be woken and fail with the typed
+/// error, not wait for a `resume()` nobody may ever call. The retry
+/// backoff (1.5 s in total) is what orders the two events: the writer
+/// needs a few milliseconds to pile up three memtables while the
+/// background thread sleeps between attempts.
+#[test]
+fn writer_stalled_when_engine_degrades_fails_fast() {
+    let fault = FaultEnv::wrap(MemEnv::shared(), 0x57a1);
+    let env: EnvRef = fault.clone();
+    let mut o = small_opts(env, EngineMode::Scavenger);
+    o.inline_background = false;
+    o.bg_retry_limit = 4;
+    o.bg_retry_base = std::time::Duration::from_millis(100);
+    let db = Db::open(o).unwrap();
+    fault.add_rule(FaultRule {
+        path_contains: Some(".sst".to_string()),
+        ..FaultRule::fail(FaultOp::Write)
+    });
+    let (tx, rx) = std::sync::mpsc::channel();
+    let writer = {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            for i in 0u32.. {
+                if let Err(e) = db.put(crash::key_bytes(i % 64), crash::value_bytes(i, 1, 700)) {
+                    tx.send(e).unwrap();
+                    return;
+                }
+            }
+        })
+    };
+    let err = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a stalled writer must be woken when the engine degrades");
+    assert!(err.is_read_only(), "got {err}");
+    assert!(db.is_degraded());
+    assert!(
+        db.stats().write_stalls >= 1,
+        "the writer must have been stalled when the engine degraded"
+    );
+    writer.join().unwrap();
+}

@@ -42,7 +42,6 @@ fn golden_stats() -> DbStats {
             validate_sweep_steps: 112,
             validate_sweep_seeks: 113,
             fetch_parallel_jobs: 114,
-            write_batches: 115,
             pipeline_jobs: 116,
             pipeline_batches: 117,
             pipeline_overlaps: 118,
