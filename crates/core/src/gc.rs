@@ -18,8 +18,12 @@
 //!   as garbage ([`exhausted`](crate::vstore::VsstMeta::is_exhausted)).
 //!
 //! Every phase is wall-clock timed into [`GcStats`], reproducing the
-//! paper's Figure 3 latency breakdown, and all I/O is charged to
-//! `IoClass::GcRead` / `IoClass::GcWrite` for Figure 12(c).
+//! paper's Figure 3 latency breakdown. Value-file I/O — steps ①, ③ and
+//! ④ — is charged to `IoClass::GcRead` / `IoClass::GcWrite` for Figure
+//! 12(c). Step ② is not: GC-Lookup reads the index through the table
+//! cache's shared readers, whose handles are opened as
+//! `IoClass::FgIndexRead`, so its key-SST reads are counted there (on a
+//! workload with no foreground reads, all of `FgIndexRead` is GC-Lookup).
 //!
 //! # The validation pipeline (GC-Lookup, Fig. 8 step ② / Fig. 10)
 //!
@@ -48,11 +52,19 @@
 //! query per record per read point — as the dominant GC cost. Here the
 //! phase is one function, `GcRunner::validate_items`: the batch is
 //! sorted by user key (the fetch phase wants that order anyway) and
-//! resolved with **one co-sequential sweep of a pinned LSM iterator per
-//! read point** ([`scavenger_lsm::BatchSweep`]), turning
-//! `O(N · cost(get))` into a single merged forward pass that amortizes
-//! version pinning, table-handle lookups, and block-cache accesses. The
-//! paper's point-lookup loop survives only as the oracle of
+//! resolved with **one co-sequential sweep of the pinned tree's index
+//! entries per read point** ([`scavenger_lsm::BatchSweep`]): memtables
+//! complete, a DTable as its KF stream alone (§III-B2), a BTable whole.
+//! A record `(ukey, seq)` is live at read point `pt` ⇔ the newest index
+//! entry `<= pt` is a reference that passes the scheme's identity check,
+//! **and** no inline version of `ukey` with `found_seq < s <= pt` exists
+//! in any KV stream of the pinned version — asked only after the first
+//! half passed, per key SST covering `ukey`, as one bloom-guarded point
+//! search of the KV stream. So a dead record costs KF entries out of
+//! high-priority-cached KF blocks and nothing else, and the inline small
+//! values are never paged through the block cache to be skipped. A read
+//! or checksum failure in either half fails the job. The paper's
+//! point-lookup loop survives only as the oracle of
 //! `tests/integration_gc_validation.rs`, which holds the sweep's
 //! verdicts to it.
 
@@ -67,10 +79,10 @@ use crate::vstore::ValueStore;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::IoClass;
-use scavenger_lsm::{BatchReader, GuardedWrite, Lsm, LsmReadResult, ValueEditBundle};
+use scavenger_lsm::{BatchReader, GuardedWrite, Lsm, ValueEditBundle};
 use scavenger_table::btable::TableOptions;
 use scavenger_table::rtable::Coalesce;
-use scavenger_util::ikey::{cmp_internal, SeqNo, ValueRef, ValueType};
+use scavenger_util::ikey::{cmp_internal, SeqNo, ValueRef};
 use scavenger_util::{Error, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -234,41 +246,19 @@ impl GcRunner {
         (reader, pts)
     }
 
-    /// Does `result` (the visible version of item `i` at one read point)
-    /// keep the item alive?
+    /// The GC-Lookup phase: decide for every pending record whether any
+    /// read point still references it. The batch is visited in user-key
+    /// order by one co-sequential sweep of the job's pinned
+    /// [`BatchReader`] per read point; each verdict is the sweep's
+    /// [`is_live`](scavenger_lsm::BatchSweep::is_live) under the scheme's
+    /// record identity.
     ///
     /// `require_seq_match` is true for keyed (no-writeback) schemes, where
     /// record identity is `(user_key, seq)`. Address-based write-back GC
     /// (Titan) must NOT match sequences: its write-back re-inserts index
     /// entries under fresh sequence numbers while the relocated blob
     /// record keeps the original one — there, `(file, offset)` is the
-    /// record's identity.
-    fn verdict(
-        result: &LsmReadResult,
-        item: &ValItem,
-        i: usize,
-        require_seq_match: bool,
-        check_ref: &dyn Fn(usize, &ValueRef) -> bool,
-    ) -> bool {
-        if let LsmReadResult::Found {
-            seq: s,
-            vtype: ValueType::ValueRef,
-            value,
-        } = result
-        {
-            if !require_seq_match || *s == item.seq {
-                if let Ok(r) = ValueRef::decode(value) {
-                    return check_ref(i, &r);
-                }
-            }
-        }
-        false
-    }
-
-    /// The GC-Lookup phase: decide for every pending record whether any
-    /// read point still references it. The batch is visited in user-key
-    /// order by one co-sequential sweep of the job's pinned
-    /// [`BatchReader`] per read point.
+    /// record's identity, which `check_ref` tests.
     ///
     /// Returns one bool per item, in input order.
     fn validate_items(
@@ -292,10 +282,9 @@ impl GcRunner {
                     continue;
                 }
                 let item = &items[i];
-                let r = sweep.next_visible(&item.ukey)?;
-                if Self::verdict(&r, item, i, require_seq_match, check_ref) {
-                    valid[i] = true;
-                }
+                valid[i] = sweep.is_live(&item.ukey, &|seq, r| {
+                    (!require_seq_match || seq == item.seq) && check_ref(i, r)
+                })?;
             }
             let s = sweep.stats();
             self.stats.add(|g| {
@@ -344,7 +333,7 @@ impl GcRunner {
             read_points: &read_points,
         };
         // Record identity must mirror the scheme's own GC (see
-        // `verdict()`): keyed for no-writeback, `(file, offset)` for
+        // `validate_items`): keyed for no-writeback, `(file, offset)` for
         // write-back, where rewritten index entries carry fresh seqs.
         let keyed = |_i: usize, r: &ValueRef| self.vstore.resolves_to(r.file, file);
         let addressed = |i: usize, r: &ValueRef| r.file == file && r.offset == offsets[i];

@@ -95,8 +95,11 @@ pub struct Features {
     /// **R**: Lazy Read — GC reads the RTable's dense index first and
     /// fetches only valid values (§III-B1). Requires `VFormat::RTable`.
     pub lazy_read: bool,
-    /// **L**: Index-record separation — key SSTs are DTables, so
-    /// GC-Lookups touch only high-priority-cached KF blocks (§III-B2).
+    /// **L**: Index-record separation — key SSTs are DTables (§III-B2).
+    /// A GC-Lookup iterates their KF streams only, through
+    /// high-priority-cached KF blocks; it reads a KV block only to ask
+    /// whether a reference it would keep is shadowed by a newer inline
+    /// version (one bloom-guarded point search per covering file).
     pub dtable_index: bool,
     /// **W**: Hotness-aware writing — DropCache-guided hot/cold vSST
     /// routing at flush and GC (§III-B3).

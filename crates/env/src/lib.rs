@@ -16,6 +16,9 @@
 //! * [`MeteredEnv`] — a transparent wrapper charging all I/O through it
 //!   to a private counter set; the sharded engine uses one per shard so
 //!   I/O can be attributed shard-by-shard instead of env-globally.
+//! * [`ReadaheadFile`] — a wrapper over one open file, not an env: a
+//!   one-shot forward scan (a compaction input) reads it in device-sized
+//!   spans plus one tail read instead of block by block.
 //! * [`UsageEnv`] — a transparent wrapper maintaining a live
 //!   [`SpaceTracker`] byte counter per file prefix, so the §III-D space
 //!   throttle admits writes with one atomic load instead of an O(files)
@@ -31,6 +34,7 @@ pub mod fs;
 pub mod io_stats;
 pub mod mem;
 pub mod metered;
+pub mod readahead;
 pub mod usage;
 
 use bytes::Bytes;
@@ -43,6 +47,7 @@ pub use fs::FsEnv;
 pub use io_stats::{IoClass, IoStats, IoStatsSnapshot};
 pub use mem::MemEnv;
 pub use metered::MeteredEnv;
+pub use readahead::ReadaheadFile;
 pub use usage::{SpaceTracker, UsageEnv};
 
 /// An append-only file being written (WAL, SST under construction, manifest).

@@ -14,7 +14,7 @@ use crate::hooks::{FileNumAlloc, JobKind, PassthroughSession, ValueSession};
 use crate::iter::{InternalIterator, MergingIter, TableEntryIter, VecIter};
 use crate::memtable::Memtable;
 use crate::options::{BackgroundMode, LsmOptions};
-use crate::tcache::{open_ktable, TableCache};
+use crate::tcache::{ktable_from_file, TableCache};
 use crate::version::{Version, VersionEdit, VersionSet};
 use crate::view::{
     latest_version_seq, read_superversion, scan_superversion, BatchReader, LsmView, ReadPointKind,
@@ -23,8 +23,9 @@ use crate::view::{
 use crate::wal::LogWriter;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
-use scavenger_env::IoClass;
+use scavenger_env::{IoClass, ReadaheadFile};
 use scavenger_table::btable::BlockCache;
+use scavenger_table::cache::cache_file_id;
 use scavenger_util::ikey::{SeqNo, ValueRef, ValueType};
 use scavenger_util::{Error, Result};
 use std::collections::HashSet;
@@ -64,6 +65,13 @@ pub struct GuardedWrite {
 /// Immutable memtables a threaded-mode writer tolerates before it
 /// stalls for the flusher (RocksDB's `max_write_buffer_number - 1`).
 pub const MAX_IMM_MEMTABLES: usize = 2;
+
+/// Forward read-ahead span of a compaction input (RocksDB's
+/// `compaction_readahead_size`): large enough that the device model's
+/// per-op cost stops dominating a sequential scan, small next to a
+/// compaction's other buffers. A constant, not an option — nothing
+/// varies it.
+const COMPACTION_READAHEAD: usize = 256 * 1024;
 
 struct WriterState {
     wal: Option<LogWriter>,
@@ -1405,16 +1413,19 @@ impl Lsm {
     fn run_compaction(&self, version: &Arc<Version>, c: &Compaction) -> Result<()> {
         // Open compaction-class readers (bypassing the table cache so
         // foreground I/O accounting stays clean; compaction reads do not
-        // pollute the block cache, like RocksDB's fill_cache=false).
+        // pollute the block cache, like RocksDB's fill_cache=false). Each
+        // input is walked once, front to back, so it is read in
+        // device-sized ops: one tail read at open, then forward spans.
+        let opts = &self.inner.opts;
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
         for f in c.inputs_lo.iter().chain(c.inputs_hi.iter()) {
-            let t = Arc::new(open_ktable(
-                &self.inner.opts.env,
-                &self.inner.opts.dir,
-                f.file_number,
-                self.inner.opts.cache_namespace,
+            let file = opts
+                .env
+                .open_random_access(&table_path(&opts.dir, f.file_number), IoClass::Compaction)?;
+            let t = Arc::new(ktable_from_file(
+                Arc::new(ReadaheadFile::open(file, COMPACTION_READAHEAD)?),
+                cache_file_id(opts.cache_namespace, f.file_number),
                 None,
-                IoClass::Compaction,
             )?);
             children.push(Box::new(TableEntryIter::new(t)));
         }
@@ -1739,6 +1750,8 @@ impl Drop for Lsm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iter::BatchSweep;
+    use crate::options::KTableFormat;
     use scavenger_env::{Env, MemEnv};
 
     fn test_opts(dir: &str) -> LsmOptions {
@@ -1757,6 +1770,19 @@ mod tests {
     fn put(db: &Lsm, k: &str, v: &str) {
         let mut b = WriteBatch::new();
         b.put(k.as_bytes(), Bytes::copy_from_slice(v.as_bytes()));
+        db.write(b).unwrap();
+    }
+
+    fn put_ref(db: &Lsm, k: &str, offset: u64) {
+        let mut b = WriteBatch::new();
+        b.put_ref(
+            k.as_bytes(),
+            ValueRef {
+                file: 7,
+                size: 4096,
+                offset,
+            },
+        );
         db.write(b).unwrap();
     }
 
@@ -2323,43 +2349,156 @@ mod tests {
         assert_eq!(db.last_sequence(), before);
     }
 
-    /// A co-sequential [`BatchReader::sweep`] must agree with point
-    /// `get_at` for every key at every read point, across memtable, L0,
-    /// and deeper levels, including tombstones and absent keys.
+    /// What `BatchSweep::is_live` must reproduce: the version of `k`
+    /// visible at `pt` through a point lookup of the pinned view, if it is
+    /// a reference.
+    fn point_visible_ref(reader: &BatchReader, k: &[u8], pt: SeqNo) -> Option<(SeqNo, ValueRef)> {
+        match reader.view().get_at(k, pt).unwrap() {
+            LsmReadResult::Found {
+                seq,
+                vtype: ValueType::ValueRef,
+                value,
+            } => Some((seq, ValueRef::decode(&value).unwrap())),
+            _ => None,
+        }
+    }
+
+    /// The reference the sweep calls live for `k` (identity check: accept
+    /// anything, remember what was offered).
+    fn sweep_visible_ref(sweep: &mut BatchSweep, k: &[u8]) -> Option<(SeqNo, ValueRef)> {
+        let offered = std::cell::Cell::new(None);
+        let live = sweep
+            .is_live(k, &|seq, r| {
+                offered.set(Some((seq, *r)));
+                true
+            })
+            .unwrap();
+        offered.get().filter(|_| live)
+    }
+
+    /// A co-sequential [`BatchReader::sweep`] must reach the verdict of a
+    /// point `get_at` for every key at every read point, across memtable,
+    /// L0 and deeper levels, over references, inline values (which a
+    /// DTable keeps out of the sweep), tombstones and absent keys.
     #[test]
     fn validate_batch_matches_point_gets() {
-        let db = open(test_opts("db"));
-        // Several generations, forcing data into multiple levels.
-        for round in 0..4 {
-            for i in 0..150 {
-                put(&db, &format!("key{i:04}"), &format!("r{round}-{i}"));
+        for format in [KTableFormat::BTable, KTableFormat::DTable] {
+            let mut o = test_opts("db");
+            o.ktable_format = format;
+            let db = open(o);
+            // Several generations, forcing data into multiple levels; the
+            // last one lands in L0 after the others were compacted, so a
+            // third of its inline values shadow an older level's refs.
+            for round in 0..5u64 {
+                for i in 0..150u64 {
+                    let k = format!("key{i:04}");
+                    if (i + round) % 3 == 0 {
+                        put(&db, &k, &format!("r{round}-{i}"));
+                    } else {
+                        put_ref(&db, &k, round * 1000 + i);
+                    }
+                }
+                db.flush().unwrap();
             }
-            db.flush().unwrap();
-        }
-        let snap_seq = db.last_sequence();
-        for i in (0..150).step_by(3) {
-            put(&db, &format!("key{i:04}"), "fresh");
-        }
-        for i in (0..150).step_by(7) {
-            del(&db, &format!("key{i:04}"));
-        }
-        // Leave some writes unflushed so the memtable participates.
-        let latest = db.last_sequence();
+            let snap = db.snapshot();
+            for i in (0..150).step_by(3) {
+                put(&db, &format!("key{i:04}"), "fresh");
+            }
+            for i in (0..150).step_by(7) {
+                del(&db, &format!("key{i:04}"));
+            }
+            // Leave some writes unflushed so the memtable participates.
+            let latest = db.last_sequence();
 
-        let mut keys: Vec<Vec<u8>> = (0..150)
-            .map(|i| format!("key{i:04}").into_bytes())
-            .collect();
-        keys.push(b"absent-key".to_vec());
-        keys.sort();
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let points = [snap_seq, latest];
-        let reader = db.batch_reader();
-        for pt in points {
-            let mut sweep = reader.sweep(pt).unwrap();
-            for k in &refs {
-                let got = sweep.next_visible(k).unwrap();
-                let want = db.get_at(k, pt).unwrap();
-                assert_eq!(got, want, "key {:?} at {pt}", String::from_utf8_lossy(k));
+            let mut keys: Vec<Vec<u8>> = (0..150)
+                .map(|i| format!("key{i:04}").into_bytes())
+                .collect();
+            keys.push(b"absent-key".to_vec());
+            keys.sort();
+            let reader = db.batch_reader();
+            for pt in [snap.sequence(), latest] {
+                let mut sweep = reader.sweep(pt).unwrap();
+                let mut live = 0;
+                for k in &keys {
+                    let got = sweep_visible_ref(&mut sweep, k);
+                    let want = point_visible_ref(&reader, k, pt);
+                    assert_eq!(
+                        got,
+                        want,
+                        "{format:?} key {:?} at {pt}",
+                        String::from_utf8_lossy(k)
+                    );
+                    live += usize::from(got.is_some());
+                }
+                assert!(live > 20, "{format:?}: only {live} live refs at {pt}");
+            }
+        }
+    }
+
+    /// One step of [`prop_sweep_verdict_equals_point_lookup`]'s history.
+    #[derive(Debug, Clone, Copy)]
+    enum TreeOp {
+        Inline(u8),
+        Ref(u8),
+        Delete(u8),
+        Flush,
+        Compact,
+        Snapshot,
+    }
+
+    fn tree_op() -> impl proptest::strategy::Strategy<Value = TreeOp> {
+        use proptest::prelude::*;
+        (0u8..12, 0u8..6).prop_map(|(kind, key)| match kind {
+            0..=2 => TreeOp::Inline(key),
+            3..=6 => TreeOp::Ref(key),
+            7 => TreeOp::Delete(key),
+            8..=9 => TreeOp::Flush,
+            10 => TreeOp::Compact,
+            _ => TreeOp::Snapshot,
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// Random DTable trees under snapshots: keys flip between inline
+        /// and separated values, so newer inline versions sit in the
+        /// memtable, in a shallower level than the reference, or — pinned
+        /// by a snapshot — in the very kSST that holds it. For every
+        /// `(ukey, seq, read point)` the sweep's verdict equals the point
+        /// lookup's.
+        #[test]
+        fn prop_sweep_verdict_equals_point_lookup(
+            ops in proptest::collection::vec(tree_op(), 1..60),
+        ) {
+            let mut o = test_opts("db");
+            o.ktable_format = KTableFormat::DTable;
+            let db = open(o);
+            let key = |k: u8| format!("key{k}");
+            let mut seqs: Vec<(u8, SeqNo)> = Vec::new();
+            let mut snaps = Vec::new();
+            for (n, op) in ops.iter().enumerate() {
+                match *op {
+                    TreeOp::Inline(k) => put(&db, &key(k), &format!("inline-{n}")),
+                    TreeOp::Ref(k) => put_ref(&db, &key(k), n as u64),
+                    TreeOp::Delete(k) => del(&db, &key(k)),
+                    TreeOp::Flush => db.flush().unwrap(),
+                    TreeOp::Compact => db.compact_until_stable().unwrap(),
+                    TreeOp::Snapshot => snaps.push(db.snapshot()),
+                }
+                if let TreeOp::Inline(k) | TreeOp::Ref(k) | TreeOp::Delete(k) = *op {
+                    seqs.push((k, db.last_sequence()));
+                }
+            }
+            seqs.sort_unstable();
+            let reader = db.batch_reader();
+            for pt in db.read_points() {
+                let mut sweep = reader.sweep(pt).unwrap();
+                for &(k, seq) in &seqs {
+                    let ukey = key(k).into_bytes();
+                    let want = point_visible_ref(&reader, &ukey, pt).is_some_and(|(s, _)| s == seq);
+                    let got = sweep.is_live(&ukey, &|s, _| s == seq).unwrap();
+                    proptest::prop_assert_eq!(got, want, "{} seq {} at {}", key(k), seq, pt);
+                }
             }
         }
     }
@@ -2369,18 +2508,13 @@ mod tests {
     #[test]
     fn batch_reader_pins_view() {
         let db = open(test_opts("db"));
-        put(&db, "k", "old");
+        put_ref(&db, "k", 1);
         let seq = db.last_sequence();
         let reader = db.batch_reader();
-        put(&db, "k", "new");
+        put_ref(&db, "k", 2);
         let mut sweep = reader.sweep(db.last_sequence()).unwrap();
-        match sweep.next_visible(b"k").unwrap() {
-            LsmReadResult::Found { value, seq: s, .. } => {
-                assert_eq!(&value[..], b"old");
-                assert_eq!(s, seq);
-            }
-            other => panic!("{other:?}"),
-        }
+        let (s, r) = sweep_visible_ref(&mut sweep, b"k").expect("pinned ref");
+        assert_eq!((s, r.offset), (seq, 1));
     }
 
     /// A view pinned before rotation + flush + compaction still reads
@@ -2572,12 +2706,66 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    /// A compaction reads each input in device-sized ops — one tail
+    /// read, then forward spans — and every byte exactly once, whichever
+    /// table format interleaves however many streams.
+    #[test]
+    fn compaction_reads_inputs_in_spans_not_blocks() {
+        for format in [KTableFormat::BTable, KTableFormat::DTable] {
+            let env = MemEnv::shared();
+            let mut o = LsmOptions::new(env.clone(), "db");
+            o.ktable_format = format;
+            o.memtable_size = 4 << 20;
+            o.target_file_size = 4 << 20;
+            let db = open(o);
+            // One input of several spans, then small ones up to the L0
+            // trigger; a third of the entries are references.
+            let mut input_bytes = 0;
+            let mut max_reads = 0;
+            for (round, keys) in [6000u64, 100, 100, 100].into_iter().enumerate() {
+                for i in 0..keys {
+                    let k = format!("key{i:05}");
+                    if i % 3 == 0 {
+                        put_ref(&db, &k, i);
+                    } else {
+                        put(&db, &k, &format!("{round}-{i}-").repeat(30));
+                    }
+                }
+                let before = env.io_stats().snapshot();
+                db.flush().unwrap();
+                let d = env.io_stats().snapshot().delta(&before);
+                let size = d.class(IoClass::Flush).write_bytes;
+                input_bytes += size;
+                max_reads += 1 + size.div_ceil(COMPACTION_READAHEAD as u64);
+                let compacted = d.class(IoClass::Compaction);
+                if round < 3 {
+                    assert_eq!(compacted.read_ops, 0, "{format:?}: compacted early");
+                    continue;
+                }
+                assert!(input_bytes > 2 * COMPACTION_READAHEAD as u64);
+                assert_eq!(compacted.read_bytes, input_bytes, "{format:?}");
+                assert!(
+                    compacted.read_ops <= max_reads,
+                    "{format:?}: {} reads of {input_bytes} bytes in 4 files",
+                    compacted.read_ops
+                );
+            }
+            for i in (0..6000).step_by(97) {
+                let got = db.get(format!("key{i:05}").as_bytes()).unwrap();
+                assert!(
+                    matches!(got, LsmReadResult::Found { .. }),
+                    "{format:?} key {i}"
+                );
+            }
+        }
+    }
+
     /// Dense batches advance by stepping, not re-seeking every key.
     #[test]
     fn sweep_steps_instead_of_seeking_dense_batches() {
         let db = open(test_opts("db"));
         for i in 0..400 {
-            put(&db, &format!("key{i:04}"), "value-payload");
+            put_ref(&db, &format!("key{i:04}"), i);
         }
         db.flush().unwrap();
         db.compact_until_stable().unwrap();
@@ -2587,10 +2775,7 @@ mod tests {
         let reader = db.batch_reader();
         let mut sweep = reader.sweep(db.last_sequence()).unwrap();
         for k in &keys {
-            match sweep.next_visible(k).unwrap() {
-                LsmReadResult::Found { .. } => {}
-                other => panic!("{other:?}"),
-            }
+            assert!(sweep.is_live(k, &|_, _| true).unwrap());
         }
         let stats = sweep.stats();
         assert!(

@@ -2,10 +2,11 @@
 //! N-way merging, and the user-facing visibility iterator.
 
 use crate::tcache::{KTableIter, TableCache};
-use crate::version::FileMetaData;
+use crate::version::{FileMetaData, Version};
 use bytes::Bytes;
 use scavenger_util::ikey::{
-    cmp_internal, extract_user_key, make_internal_key, parse_internal_key, SeqNo, ValueType,
+    cmp_internal, extract_user_key, make_internal_key, parse_internal_key, SeqNo, ValueRef,
+    ValueType,
 };
 use scavenger_util::{Error, Result};
 use std::cmp::Ordering;
@@ -95,9 +96,19 @@ pub struct TableEntryIter {
 }
 
 impl TableEntryIter {
-    /// Create from a cached table reader.
+    /// Iterate every entry of a cached table reader.
     pub fn new(table: Arc<crate::tcache::KTable>) -> Self {
         let iter = table.iter();
+        TableEntryIter {
+            _table: table,
+            iter,
+        }
+    }
+
+    /// Iterate only the table's index entries
+    /// ([`KTable::index_iter`](crate::tcache::KTable::index_iter)).
+    pub fn index_only(table: Arc<crate::tcache::KTable>) -> Self {
+        let iter = table.index_iter();
         TableEntryIter {
             _table: table,
             iter,
@@ -136,6 +147,9 @@ pub struct LevelIter {
     /// When `false`, files are opened detached (one-shot readers that
     /// bypass the reader and block caches — `fill_cache = false` scans).
     fill_cache: bool,
+    /// When `true`, each file shows only its index entries
+    /// ([`TableEntryIter::index_only`]) — the GC-Lookup sweep.
+    index_only: bool,
     file_idx: usize,
     cur: Option<TableEntryIter>,
     error: Option<Error>,
@@ -158,9 +172,18 @@ impl LevelIter {
             files,
             tcache,
             fill_cache,
+            index_only: false,
             file_idx: 0,
             cur: None,
             error: None,
+        }
+    }
+
+    /// Like [`new`](LevelIter::new), over the files' index entries only.
+    pub fn index_only(files: Vec<Arc<FileMetaData>>, tcache: Arc<TableCache>) -> Self {
+        LevelIter {
+            index_only: true,
+            ..Self::new(files, tcache)
         }
     }
 
@@ -177,6 +200,7 @@ impl LevelIter {
             self.tcache.get_detached(file_number)
         };
         match table {
+            Ok(t) if self.index_only => self.cur = Some(TableEntryIter::index_only(t)),
             Ok(t) => self.cur = Some(TableEntryIter::new(t)),
             Err(e) => self.error = Some(e),
         }
@@ -445,20 +469,41 @@ pub struct SweepStats {
 }
 
 /// How many forward `next()` steps a sweep takes toward the next target
-/// before falling back to a full merged seek. Small enough that sparse
-/// batches degrade to seek cost, large enough that dense batches (the GC
-/// validating a whole value file) walk the tree sequentially.
+/// before falling back to a full merged seek. A step moves one child over
+/// one index entry — in a DTable a KF entry out of a cached KF block — and
+/// a seek repositions every child, so the limit only trades CPU: sparse
+/// batches degrade to seek cost, dense batches (the GC validating a whole
+/// value file) walk the index sequentially.
 const SWEEP_STEP_LIMIT: usize = 16;
 
-/// One co-sequential validation sweep over a merged view of the tree at a
-/// fixed read point (paper Fig. 10: the *GC-Lookup* phase, batched).
+/// One co-sequential GC-Lookup sweep over the **index entries** of a
+/// pinned tree at a fixed read point (paper Fig. 10, batched; §III-B2).
 ///
-/// Callers present user keys in **ascending order**; the sweep advances a
-/// single pinned [`MergingIter`] forward, stepping when the next target is
-/// near and seeking when it is far, so an entire batch is resolved with
-/// one logical pass instead of one full point lookup per key.
+/// The merged iterator holds the memtables complete and, per key SST,
+/// only what [`KTable::index_iter`](crate::tcache::KTable::index_iter)
+/// shows: a DTable contributes its KF stream (references and tombstones),
+/// so the sweep never pages inline small values through the block cache.
+/// It therefore does **not** answer "what does `get_at` return"; it
+/// answers the one question GC asks, [`is_live`](BatchSweep::is_live),
+/// by this rule:
+///
+/// > a record `(ukey, seq)` is live at read point `pt` ⇔ the newest index
+/// > entry `<= pt` is a reference that passes the caller's identity check,
+/// > **and** no inline version of `ukey` with `found_seq < s <= pt` exists
+/// > in any KV stream of the pinned version.
+///
+/// The second half is asked only after the first passed: per file whose
+/// user-key range covers `ukey`, one bloom-guarded point search of the KV
+/// stream ([`KTable::get_inline`](crate::tcache::KTable::get_inline)).
+///
+/// Callers present user keys in **ascending order**; the sweep advances
+/// forward only, stepping when the next target is near and seeking when
+/// it is far, so an entire batch is resolved in one logical pass.
 pub struct BatchSweep {
     iter: MergingIter,
+    /// The pinned file layout and its readers, for the inline check.
+    version: Arc<Version>,
+    tcache: Arc<TableCache>,
     read_seq: SeqNo,
     started: bool,
     stats: SweepStats,
@@ -467,10 +512,18 @@ pub struct BatchSweep {
 }
 
 impl BatchSweep {
-    /// Wrap a merged iterator; visibility is capped at `read_seq`.
-    pub fn new(children: Vec<Box<dyn InternalIterator>>, read_seq: SeqNo) -> Self {
+    /// Sweep `children` — the memtables and the index entries of every
+    /// file of `version`, newest source first — capped at `read_seq`.
+    pub(crate) fn new(
+        children: Vec<Box<dyn InternalIterator>>,
+        version: Arc<Version>,
+        tcache: Arc<TableCache>,
+        read_seq: SeqNo,
+    ) -> Self {
         BatchSweep {
             iter: MergingIter::new(children),
+            version,
+            tcache,
             read_seq,
             started: false,
             stats: SweepStats::default(),
@@ -479,11 +532,19 @@ impl BatchSweep {
         }
     }
 
-    /// The visible version of `ukey` at this sweep's read point — the same
-    /// answer as a point `get_at(ukey, read_seq)`, resolved forward-only.
+    /// Is the version of `ukey` visible at this sweep's read point a
+    /// reference that `is_record(seq, ref)` accepts — the verdict a point
+    /// `get_at(ukey, read_seq)` followed by the same check would reach?
+    ///
+    /// Any read or corruption error is returned: a failed KV-stream read
+    /// never reads as "not shadowed".
     ///
     /// `ukey` must be `>=` every key previously passed to this sweep.
-    pub fn next_visible(&mut self, ukey: &[u8]) -> Result<crate::db::LsmReadResult> {
+    pub fn is_live(
+        &mut self,
+        ukey: &[u8],
+        is_record: &dyn Fn(SeqNo, &ValueRef) -> bool,
+    ) -> Result<bool> {
         #[cfg(debug_assertions)]
         {
             debug_assert!(
@@ -493,50 +554,58 @@ impl BatchSweep {
             self.last_key = ukey.to_vec();
         }
         let target = make_internal_key(ukey, self.read_seq, ValueType::ValueRef);
-        if !self.started {
-            self.iter.seek(&target);
-            self.started = true;
-            self.stats.seeks += 1;
-        } else {
-            let mut stepped = 0usize;
-            loop {
-                if !self.iter.valid() {
-                    // Forward-only and exhausted: nothing at or after
-                    // `target` exists in the pinned view.
-                    break;
-                }
-                if cmp_internal(self.iter.key(), &target) != Ordering::Less {
-                    break;
-                }
-                if stepped >= SWEEP_STEP_LIMIT {
-                    self.iter.seek(&target);
-                    self.stats.seeks += 1;
-                    break;
-                }
-                self.iter.next();
-                stepped += 1;
-            }
-            self.stats.steps += stepped as u64;
-        }
+        self.advance_to(&target);
         // An errored child reports !valid and the merge silently skips it,
         // which could surface a stale older version from another source as
         // the visible one. Propagate errors before trusting the position —
         // a GC acting on a stale verdict would delete live data.
         self.iter.status()?;
-        if self.iter.valid() {
-            let parsed = parse_internal_key(self.iter.key())?;
-            if parsed.user_key == ukey {
-                return Ok(match parsed.vtype {
-                    ValueType::Deletion => crate::db::LsmReadResult::Deleted,
-                    t => crate::db::LsmReadResult::Found {
-                        seq: parsed.seq,
-                        vtype: t,
-                        value: self.iter.value(),
-                    },
-                });
+        if !self.iter.valid() {
+            return Ok(false);
+        }
+        let found = parse_internal_key(self.iter.key())?;
+        if found.user_key != ukey || found.vtype != ValueType::ValueRef {
+            return Ok(false);
+        }
+        if !is_record(found.seq, &ValueRef::decode(&self.iter.value())?) {
+            return Ok(false);
+        }
+        // The found entry's seq, not the record's: under address identity
+        // (Titan) a written-back entry carries a fresh one.
+        let above = found.seq;
+        for f in self.version.files_covering(ukey) {
+            let table = self.tcache.get(f.file_number)?;
+            if let Some((ikey, _)) = table.get_inline(&target)? {
+                let inline = parse_internal_key(&ikey)?;
+                if inline.user_key == ukey && inline.seq > above {
+                    return Ok(false);
+                }
             }
         }
-        Ok(crate::db::LsmReadResult::NotFound)
+        Ok(true)
+    }
+
+    /// Move the merged iterator forward to the first entry `>= target`.
+    fn advance_to(&mut self, target: &[u8]) {
+        if !self.started {
+            self.iter.seek(target);
+            self.started = true;
+            self.stats.seeks += 1;
+            return;
+        }
+        let mut stepped = 0usize;
+        // Forward-only: once exhausted, nothing at or after `target`
+        // exists in the pinned view.
+        while self.iter.valid() && cmp_internal(self.iter.key(), target) == Ordering::Less {
+            if stepped >= SWEEP_STEP_LIMIT {
+                self.iter.seek(target);
+                self.stats.seeks += 1;
+                break;
+            }
+            self.iter.next();
+            stepped += 1;
+        }
+        self.stats.steps += stepped as u64;
     }
 
     /// Iterator statistics accumulated so far.

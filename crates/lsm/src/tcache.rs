@@ -8,7 +8,7 @@ use crate::filename::table_path;
 use crate::options::LsmOptions;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use scavenger_env::{EnvRef, IoClass};
+use scavenger_env::{EnvRef, IoClass, RandomAccessFile};
 use scavenger_table::btable::{BTableReader, BlockCache};
 use scavenger_table::cache::cache_file_id;
 use scavenger_table::dtable::{DTableIter, DTableReader};
@@ -58,13 +58,34 @@ impl KTable {
             KTable::D(t) => KTableIter::D(t.iter()),
         }
     }
+
+    /// Iterate the table's **index entries** — references and tombstones
+    /// — in internal-key order: a DTable's KF stream alone. A BTable has
+    /// one stream, so its inline entries come along and
+    /// [`get_inline`](KTable::get_inline) has nothing left to add.
+    pub fn index_iter(&self) -> KTableIter {
+        match self {
+            KTable::B(t) => KTableIter::B(t.iter()),
+            KTable::D(t) => KTableIter::B(t.kf_iter()),
+        }
+    }
+
+    /// The first inline entry `>= target` that
+    /// [`index_iter`](KTable::index_iter) does not show: a point search
+    /// of a DTable's KV stream, `None` for a BTable.
+    pub fn get_inline(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Bytes)>> {
+        match self {
+            KTable::B(_) => Ok(None),
+            KTable::D(t) => t.get_inline(target),
+        }
+    }
 }
 
 /// Iterator over a [`KTable`].
 #[allow(clippy::large_enum_variant)]
 pub enum KTableIter {
-    /// BTable two-level iterator.
-    B(scavenger_table::btable::BTableIter),
+    /// One two-level stream: a whole BTable, or a DTable's KF stream.
+    B(scavenger_table::btable::TwoLevelIter),
     /// DTable merged-stream iterator.
     D(DTableIter),
 }
@@ -139,9 +160,17 @@ pub fn open_ktable(
     cache: Option<Arc<BlockCache>>,
     class: IoClass,
 ) -> Result<KTable> {
-    let path = table_path(dir, file_number);
-    let file = env.open_random_access(&path, class)?;
-    let cache_id = cache_file_id(cache_ns, file_number);
+    let file = env.open_random_access(&table_path(dir, file_number), class)?;
+    ktable_from_file(file, cache_file_id(cache_ns, file_number), cache)
+}
+
+/// [`open_ktable`] over an already-open file (a compaction input behind
+/// its read-ahead wrapper).
+pub fn ktable_from_file(
+    file: Arc<dyn RandomAccessFile>,
+    cache_id: u64,
+    cache: Option<Arc<BlockCache>>,
+) -> Result<KTable> {
     // Try DTable first: its open validates the table type cheaply.
     match DTableReader::open(file.clone(), cache_id, cache.clone()) {
         Ok(t) => Ok(KTable::D(t)),

@@ -353,6 +353,23 @@ impl Version {
             .collect()
     }
 
+    /// The files whose user-key range covers `ukey`, newest source first:
+    /// every such L0 file (newest first), then at most one file per
+    /// deeper level — the walk of a point lookup.
+    pub fn files_covering<'a>(
+        &'a self,
+        ukey: &'a [u8],
+    ) -> impl Iterator<Item = &'a Arc<FileMetaData>> + 'a {
+        let (l0, deeper) = self.levels.split_first().expect("a version has levels");
+        let deeper = deeper.iter().filter_map(move |files| {
+            let idx = files.partition_point(|f| extract_user_key(&f.largest) < ukey);
+            files.get(idx)
+        });
+        l0.iter()
+            .chain(deeper)
+            .filter(move |f| f.user_range_contains(ukey))
+    }
+
     /// True if any file *below* `level` could contain `ukey` — used to
     /// decide whether a bottom-level tombstone may be dropped.
     pub fn key_may_exist_below(&self, level: usize, ukey: &[u8]) -> bool {

@@ -385,28 +385,10 @@ pub(crate) fn read_superversion(
             MemGet::NotFound => {}
         }
     }
-    let version = &sv.version;
     let target = make_internal_key(key, read_seq, ValueType::ValueRef);
-    // L0: newest file first.
-    for f in &version.levels[0] {
-        if !f.user_range_contains(key) {
-            continue;
-        }
+    for f in sv.version.files_covering(key) {
         if let Some(r) = table_get(tcache, f.file_number, &target, key, fill_cache)? {
             return Ok(r);
-        }
-    }
-    for level in 1..version.levels.len() {
-        let files = &version.levels[level];
-        if files.is_empty() {
-            continue;
-        }
-        let idx =
-            files.partition_point(|f| scavenger_util::ikey::extract_user_key(&f.largest) < key);
-        if idx < files.len() && files[idx].user_range_contains(key) {
-            if let Some(r) = table_get(tcache, files[idx].file_number, &target, key, fill_cache)? {
-                return Ok(r);
-            }
         }
     }
     Ok(LsmReadResult::NotFound)
@@ -435,27 +417,10 @@ pub(crate) fn latest_version_seq(
             MemGet::NotFound => {}
         }
     }
-    let version = &sv.version;
     let target = make_internal_key(key, read_seq, ValueType::ValueRef);
-    for f in &version.levels[0] {
-        if !f.user_range_contains(key) {
-            continue;
-        }
+    for f in sv.version.files_covering(key) {
         if let Some(seq) = table_version_seq(tcache, f.file_number, &target, key)? {
             return Ok(Some(seq));
-        }
-    }
-    for level in 1..version.levels.len() {
-        let files = &version.levels[level];
-        if files.is_empty() {
-            continue;
-        }
-        let idx =
-            files.partition_point(|f| scavenger_util::ikey::extract_user_key(&f.largest) < key);
-        if idx < files.len() && files[idx].user_range_contains(key) {
-            if let Some(seq) = table_version_seq(tcache, files[idx].file_number, &target, key)? {
-                return Ok(Some(seq));
-            }
         }
     }
     Ok(None)
@@ -605,14 +570,17 @@ impl Iterator for ScanIter {
 /// A shared, sorted memtable snapshot pinned by a [`BatchReader`].
 type PinnedMemtable = Arc<Vec<(Vec<u8>, Bytes)>>;
 
-/// A pinned, registered view of the tree materialized for batched,
-/// co-sequential point lookups: any number of [`BatchSweep`]s can be
-/// opened cheaply — one per GC read point. Produced by
+/// A pinned, registered view of the tree materialized for GC-Lookup:
+/// any number of [`BatchSweep`]s can be opened cheaply — one per GC read
+/// point — each a co-sequential pass over the memtables and the tree's
+/// index entries. Produced by
 /// [`Lsm::batch_reader`](crate::db::Lsm::batch_reader).
 ///
 /// Built on an [`LsmView`], so the sweep sources are pinned *and* the
 /// view's sequence is registered as a read point for the reader's whole
-/// lifetime (the GC validation pipeline relies on this).
+/// lifetime (the GC validation pipeline relies on this). The pinned
+/// version is also what a sweep's inline check searches, so both halves
+/// of a verdict see the same files.
 ///
 /// A `BatchReader` is `Send + Sync` (asserted by a compile-time test):
 /// a GC job builds one reader up front and hands it to stage workers —
@@ -636,8 +604,10 @@ impl BatchReader {
         BatchReader { mem, imms, view }
     }
 
-    /// Open a sweep of the pinned view at `read_seq`. Children are built
-    /// newest-source-first so merged ties resolve like a point lookup.
+    /// Open a GC-Lookup sweep of the pinned view at `read_seq`. Children
+    /// are built newest-source-first so merged ties resolve like a point
+    /// lookup: the memtables complete, every key SST as its index entries
+    /// only (see [`BatchSweep`] for what that leaves to the inline check).
     pub fn sweep(&self, read_seq: SeqNo) -> Result<BatchSweep> {
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
         children.push(Box::new(VecIter::from_shared(self.mem.clone())));
@@ -646,20 +616,25 @@ impl BatchReader {
         }
         let version = &self.view.sv.version;
         for f in &version.levels[0] {
-            children.push(Box::new(TableEntryIter::new(
+            children.push(Box::new(TableEntryIter::index_only(
                 self.view.tcache.get(f.file_number)?,
             )));
         }
         for level in 1..version.levels.len() {
             let files = &version.levels[level];
             if !files.is_empty() {
-                children.push(Box::new(LevelIter::new(
+                children.push(Box::new(LevelIter::index_only(
                     files.clone(),
                     self.view.tcache.clone(),
                 )));
             }
         }
-        Ok(BatchSweep::new(children, read_seq))
+        Ok(BatchSweep::new(
+            children,
+            version.clone(),
+            self.view.tcache.clone(),
+            read_seq,
+        ))
     }
 
     /// The pinned file-layout version (kept alive while sweeps run).

@@ -277,18 +277,7 @@ impl DTableReader {
             target,
             ukey,
         )?;
-        // Fast path: if the KF stream produced an exact user-key match we
-        // still need the KV candidate only if it could hold a *newer*
-        // version of the same user key; the bloom check makes this cheap
-        // for keys that never stored inline values.
-        let kv = self.search_stream(
-            &self.kv_index,
-            &self.kv_filter,
-            BlockKind::Data,
-            CachePriority::Low,
-            target,
-            ukey,
-        )?;
+        let kv = self.get_inline(target)?;
         Ok(match (kf, kv) {
             (Some(a), Some(b)) => {
                 if KeyCmp::Internal.cmp(&a.0, &b.0) == Ordering::Greater {
@@ -301,17 +290,40 @@ impl DTableReader {
         })
     }
 
+    /// Point search of the KV stream alone: the first **inline** entry
+    /// with internal key `>= target`, bloom-guarded (`FILTER_KV`) and
+    /// fetched at low cache priority. This is the "is the reference
+    /// shadowed by a newer inline version?" half of a GC-Lookup, whose
+    /// sweep iterates [`kf_iter`](DTableReader::kf_iter) only.
+    pub fn get_inline(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Bytes)>> {
+        self.search_stream(
+            &self.kv_index,
+            &self.kv_filter,
+            BlockKind::Data,
+            CachePriority::Low,
+            target,
+            extract_user_key(target),
+        )
+    }
+
+    /// Iterate the KF stream alone — references and tombstones, the
+    /// table's *index entries* — through high-priority-cached KF blocks.
+    /// No KV block is touched.
+    pub fn kf_iter(&self) -> TwoLevelIter {
+        TwoLevelIter::new(
+            self.fetcher.clone(),
+            self.kf_index.clone(),
+            KeyCmp::Internal,
+            BlockKind::KeyFile,
+            CachePriority::High,
+        )
+    }
+
     /// Iterate both streams merged in internal-key order. The iterator is
     /// self-contained (owns its fetchers).
     pub fn iter(&self) -> DTableIter {
         DTableIter {
-            kf: TwoLevelIter::new(
-                self.fetcher.clone(),
-                self.kf_index.clone(),
-                KeyCmp::Internal,
-                BlockKind::KeyFile,
-                CachePriority::High,
-            ),
+            kf: self.kf_iter(),
             kv: TwoLevelIter::new(
                 self.fetcher.clone(),
                 self.kv_index.clone(),

@@ -3,15 +3,21 @@
 //! of the paper's profiled baseline — one serial `get_at` per record per
 //! read point, written out below from public API only — for keyed
 //! identity (Scavenger, TerarkDB) and `(file, offset)` identity (Titan),
-//! under overwrites, deletes, snapshots pinning old versions, and
-//! inheritance chains built by repeated GC.
+//! under overwrites, deletes, snapshots pinning old versions, keys that
+//! flip between inline and separated values, and inheritance chains built
+//! by repeated GC. Then the two properties the point-lookup loop does not
+//! have: GC-Lookup reads a DTable's KF stream only (as a byte count), and
+//! a fault in its one KV-stream read fails the job, not the data.
 
 use scavenger::vstore::vtable::parse_record_key;
 use scavenger::{Db, EngineMode, GcValidationReport, MemEnv, Options, ReadOptions, Snapshot};
-use scavenger_env::EnvRef;
+use scavenger_env::{Env, EnvRef, FaultEnv, FaultOp, FaultRule, IoClass};
+use scavenger_lsm::filename::table_path;
 use scavenger_lsm::LsmReadResult;
 use scavenger_util::ikey::{ValueRef, ValueType};
+use scavenger_util::Error;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn opts(env: EnvRef, mode: EngineMode) -> Options {
     let mut o = Options::new(env, "db", mode);
@@ -151,21 +157,34 @@ fn assert_reads_match(
     }
 }
 
+/// A value under `SEP_THRESHOLD`: stored inline in the key SST — in a
+/// DTable's KV stream, which the GC-Lookup sweep does not iterate.
+const INLINE: usize = 100;
+/// A separated value.
+const LARGE: usize = 2048;
+
 /// One full workload: load, overwrite (hot skew), delete, snapshot-pin,
-/// then GC to a fixed point — twice, so the second wave validates records
-/// that already live behind inheritance edges.
+/// keys flipping between inline and separated values, then GC to a fixed
+/// point — twice, so the second wave validates records that already live
+/// behind inheritance edges.
 fn assert_gc_matches_oracle(mode: EngineMode) {
     let env: EnvRef = MemEnv::shared();
     let db = Db::open(opts(env, mode)).unwrap();
     let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-    let put = |model: &mut BTreeMap<String, Vec<u8>>, i: usize, tag: usize| {
-        let (k, v) = (format!("key{i:03}"), value(tag, 2048));
+    let put = |model: &mut BTreeMap<String, Vec<u8>>, i: usize, tag: usize, len: usize| {
+        let (k, v) = (format!("key{i:03}"), value(tag, len));
         db.put(&k, v.clone()).unwrap();
         model.insert(k, v);
     };
+    let delete = |model: &mut BTreeMap<String, Vec<u8>>, i: usize| {
+        let k = format!("key{i:03}");
+        db.delete(&k).unwrap();
+        model.remove(&k);
+    };
 
+    // Every tenth key starts inline and turns separated in the rounds.
     for i in 0..120 {
-        put(&mut model, i, i);
+        put(&mut model, i, i, if i % 10 == 7 { INLINE } else { LARGE });
     }
     db.flush().unwrap();
     // Snapshot pins the loaded versions. Titan defers GC entirely while
@@ -175,17 +194,43 @@ fn assert_gc_matches_oracle(mode: EngineMode) {
     // Overwrites: hot head of the keyspace, several rounds.
     for round in 1..=3 {
         for i in 0..60 {
-            put(&mut model, i, round * 1000 + i);
+            put(&mut model, i, round * 1000 + i, LARGE);
         }
         db.flush().unwrap();
     }
     for i in (90..120).step_by(2) {
-        let k = format!("key{i:03}");
-        db.delete(&k).unwrap();
-        model.remove(&k);
+        delete(&mut model, i);
+    }
+    db.flush().unwrap();
+    // The last round's references are what the latest read point sees
+    // and no snapshot pins. Shadow thirty of them with a newer inline
+    // version or a tombstone; the reference stays the newest *index
+    // entry*, so only the inline check can call its record dead:
+    // (c) inline in the same kSST as the reference — a snapshot pins
+    // both through the compaction, and is gone before GC looks;
+    let both = db.snapshot();
+    for i in 0..10 {
+        put(&mut model, i, 4000 + i, INLINE);
     }
     db.flush().unwrap();
     db.compact_all().unwrap();
+    drop(both);
+    // (b) inline in a shallower level than the reference, next to
+    // tombstones over references;
+    for i in 10..20 {
+        put(&mut model, i, 5000 + i, INLINE);
+    }
+    for i in 25..28 {
+        delete(&mut model, i);
+    }
+    db.flush().unwrap();
+    // (a) inline, and a tombstone, still in the memtable.
+    for i in 20..25 {
+        put(&mut model, i, 6000 + i, INLINE);
+    }
+    for i in 28..30 {
+        delete(&mut model, i);
+    }
 
     // First GC wave: collects original files, building inheritance edges.
     let first = gc_wave_against_oracle(&db, 0.05);
@@ -193,7 +238,7 @@ fn assert_gc_matches_oracle(mode: EngineMode) {
     // More churn on top of GC outputs, then a second wave so validation
     // must resolve through inheritance chains.
     for i in 0..40 {
-        put(&mut model, i, 7000 + i);
+        put(&mut model, i, 7000 + i, LARGE);
     }
     db.flush().unwrap();
     db.compact_all().unwrap();
@@ -354,4 +399,193 @@ fn dry_run_uses_address_identity_for_writeback() {
         "relocated records must all be live despite fresh index seqs"
     );
     assert_eq!(rep, oracle_validate(&db, newest));
+}
+
+/// `FgIndexRead` traffic of a dry-run GC-Lookup over every value file of
+/// a store opened cold (empty table cache, empty block cache), and the
+/// live records it found.
+fn cold_lookup(env: &Arc<MemEnv>, o: &Options) -> (scavenger_env::io_stats::ClassSnapshot, u64) {
+    let db = Db::open(o.clone()).unwrap();
+    let before = env.io_stats().snapshot();
+    let live = db
+        .value_store()
+        .all_files()
+        .iter()
+        .map(|m| db.gc_validate_file(m.file).unwrap().valid)
+        .sum();
+    let d = env.io_stats().snapshot().delta(&before);
+    (d.class(IoClass::FgIndexRead), live)
+}
+
+/// §III-B2 as a count. A quarter of the keys hold separated values, the
+/// rest inline ones that fill the key SSTs' KV blocks. GC-Lookup of the
+/// separated records reads the KF stream and the tables' metadata — not
+/// the KV blocks — and, once some of those keys have a newer inline
+/// version in one file, at most one KV block per such record on top.
+#[test]
+fn gc_lookup_reads_the_kf_stream_not_the_kv_blocks() {
+    const KEYS: usize = 800;
+    const INLINE_LEN: usize = 400;
+    const SHADOWED: usize = 20;
+    let env = MemEnv::shared();
+    let mut o = opts(env.clone(), EngineMode::Scavenger);
+    o.memtable_size = 4 << 20;
+    o.vsst_target_size = 8 << 20;
+    let separated = |i: usize| i.is_multiple_of(4);
+    let (refs, ksst_bytes) = {
+        let db = Db::open(o.clone()).unwrap();
+        for i in 0..KEYS {
+            let len = if separated(i) { LARGE } else { INLINE_LEN };
+            db.put(format!("key{i:04}"), value(i, len)).unwrap();
+        }
+        db.flush().unwrap();
+        db.compact_all().unwrap();
+        let version = db.lsm().current_version();
+        let ksst_bytes: u64 = version.levels.iter().flatten().map(|f| f.file_size).sum();
+        (
+            (0..KEYS).filter(|&i| separated(i)).count() as u64,
+            ksst_bytes,
+        )
+    };
+    let inline_payload = (KEYS as u64 - refs) * INLINE_LEN as u64;
+
+    let (clean, live) = cold_lookup(&env, &o);
+    assert_eq!(live, refs, "every separated record is live");
+    assert!(
+        clean.read_bytes <= ksst_bytes - inline_payload / 2,
+        "GC-Lookup of {refs} ref records read {} of {ksst_bytes} key-SST bytes, \
+         {inline_payload} of them inline values it has no use for",
+        clean.read_bytes
+    );
+
+    // A newer inline version of a few separated keys, in one L0 file.
+    {
+        let db = Db::open(o.clone()).unwrap();
+        for i in (0..KEYS).filter(|&i| separated(i)).take(SHADOWED) {
+            db.put(format!("key{i:04}"), value(9000 + i, INLINE))
+                .unwrap();
+        }
+        db.flush().unwrap();
+    }
+    let (shadowed, live) = cold_lookup(&env, &o);
+    assert_eq!(
+        live,
+        refs - SHADOWED as u64,
+        "inline versions shadow their refs"
+    );
+    // Opening the new DTable: footer, index, metaindex, props, KF index,
+    // two filters. Its KF stream is empty.
+    const OPEN_READS: u64 = 7;
+    assert!(
+        shadowed.read_ops <= clean.read_ops + OPEN_READS + SHADOWED as u64,
+        "{SHADOWED} shadowed records cost {} reads over {}",
+        shadowed.read_ops,
+        clean.read_ops
+    );
+}
+
+/// How the inline check's read goes wrong in
+/// [`fault_in_inline_check_fails_the_job_not_the_data`].
+#[derive(Debug, Clone, Copy)]
+enum KvFault {
+    ReadError,
+    FlippedByte,
+}
+
+/// The second half of the rule reads a KV block; when that read fails or
+/// the block is corrupt, the verdict is unknown — never "not shadowed".
+/// The job must fail whole: no candidate deleted, no output left behind
+/// (an earlier batch of the same job has already written some), and the
+/// next clean job reaches the oracle's verdict.
+#[test]
+fn fault_in_inline_check_fails_the_job_not_the_data() {
+    const KEYS: usize = 1100; // more than one GC pipeline batch
+    const SHADOWED: std::ops::Range<usize> = 1080..1100; // in the last batch
+    for fault in [KvFault::ReadError, KvFault::FlippedByte] {
+        let mem = MemEnv::shared();
+        let env = FaultEnv::wrap(mem.clone(), 21);
+        let mut o = opts(env.clone(), EngineMode::Scavenger);
+        o.memtable_size = 8 << 20;
+        o.vsst_target_size = 8 << 20;
+        o.base_level_bytes = 64 << 20;
+        let db = Db::open(o).unwrap();
+        let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let put = |model: &mut BTreeMap<String, Vec<u8>>, i: usize, tag: usize, len: usize| {
+            let (k, v) = (format!("key{i:04}"), value(tag, len));
+            db.put(&k, v.clone()).unwrap();
+            model.insert(k, v);
+        };
+        for i in 0..KEYS {
+            put(&mut model, i, i, 600);
+        }
+        db.flush().unwrap();
+        // Expose garbage in the loaded value file so it is a candidate:
+        // enough flushes for an L0 compaction, the only kind this tree
+        // (see `base_level_bytes` above) ever runs.
+        for round in 0..4 {
+            for i in round * 50..(round + 1) * 50 {
+                put(&mut model, i, 2000 + i, 600);
+            }
+            db.flush().unwrap();
+        }
+        db.compact_all().unwrap();
+        // Inline versions over the last keys' refs, alone in a key SST.
+        for i in SHADOWED {
+            put(&mut model, i, 3000 + i, INLINE);
+        }
+        db.flush().unwrap();
+        // That file holds the inline versions and nothing else.
+        let version = db.lsm().current_version();
+        let inline_file = version
+            .levels
+            .iter()
+            .flatten()
+            .find(|f| f.num_entries == SHADOWED.len() as u64 && f.user_range_contains(b"key1080"))
+            .expect("the flush of the inline versions is a file of its own");
+        let inline_path = table_path("db", inline_file.file_number);
+        // Open that file's reader without caching any of its blocks (an
+        // absent key inside its range), so the fault below can only hit
+        // the inline check's KV-block read.
+        assert_eq!(db.get("key1085x").unwrap(), None);
+
+        let candidates: Vec<u64> = db
+            .value_store()
+            .gc_candidates(0.05)
+            .iter()
+            .map(|m| m.file)
+            .collect();
+        assert!(!candidates.is_empty(), "{fault:?}: nothing to collect");
+        let files_before = mem.list_prefix("db/").unwrap();
+        match fault {
+            KvFault::ReadError => env.add_rule(FaultRule {
+                path_contains: Some(inline_path.clone()),
+                ..FaultRule::fail(FaultOp::Read)
+            }),
+            KvFault::FlippedByte => mem.corrupt_byte(&inline_path, 10).unwrap(),
+        }
+        let err = db.run_gc_at(0.05).expect_err("the job must fail");
+        match fault {
+            KvFault::ReadError => assert!(matches!(err, Error::Io(_)), "{err}"),
+            KvFault::FlippedByte => assert!(matches!(err, Error::Corruption(_)), "{err}"),
+        }
+        assert!(
+            db.stats().gc.pipeline_jobs > 0,
+            "{fault:?}: the job must span batches for an output to exist when it fails"
+        );
+        assert_eq!(
+            mem.list_prefix("db/").unwrap(),
+            files_before,
+            "{fault:?}: a failed job deleted a candidate or left an output"
+        );
+        for f in &candidates {
+            assert!(db.value_store().meta(*f).is_some(), "{fault:?}: file {f}");
+        }
+
+        match fault {
+            KvFault::ReadError => env.clear_rules(),
+            KvFault::FlippedByte => mem.corrupt_byte(&inline_path, 10).unwrap(),
+        }
+        assert!(gc_wave_against_oracle(&db, 0.05) > 0, "{fault:?}");
+        assert_reads_match(&db, &model, None);
+    }
 }
