@@ -78,7 +78,7 @@ impl EngineSpec {
         }
     }
 
-    /// A custom feature set with a label (ablations, S-RH, …).
+    /// A custom feature set with a label (ablations, …).
     pub fn custom(label: &str, mode: EngineMode, features: Features) -> Self {
         EngineSpec {
             label: label.to_string(),

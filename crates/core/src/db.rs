@@ -422,7 +422,10 @@ impl Db {
     }
 
     /// Auto-GC under the bandwidth budget: run jobs while candidates exist
-    /// and credits remain, charging each job's GC read+write bytes.
+    /// and credits remain, charging each job what it reports
+    /// ([`GcOutcome::io_bytes`]) — so a job is charged once, to the
+    /// engine that ran it, whoever else was doing GC I/O on the env
+    /// meanwhile.
     fn run_paced_gc(&self) -> Result<()> {
         let inner = &self.inner;
         let Some(gc) = &inner.gc else { return Ok(()) };
@@ -430,18 +433,12 @@ impl Db {
             if *inner.gc_credits.lock() <= 0 {
                 return Ok(());
             }
-            let before = inner.opts.env.io_stats().snapshot();
             let ran = {
                 let _g = inner.gc_lock.lock();
                 gc.run_once(&inner.lsm, GC_THRESHOLD)?
             };
-            if ran.is_none() {
-                return Ok(());
-            }
-            let d = inner.opts.env.io_stats().snapshot().delta(&before);
-            let cost = d.class(scavenger_env::IoClass::GcRead).read_bytes
-                + d.class(scavenger_env::IoClass::GcWrite).write_bytes;
-            *inner.gc_credits.lock() -= cost as i64;
+            let Some(job) = ran else { return Ok(()) };
+            *inner.gc_credits.lock() -= job.io_bytes() as i64;
         }
     }
 
@@ -1164,6 +1161,11 @@ mod tests {
     fn scavenger_gc_does_lazy_read() {
         let mut o = small_opts(EngineMode::Scavenger);
         o.auto_gc = false;
+        // One ~200 KiB value file per round: a file shorter than the
+        // 16 KiB tail prefetch is read whole by its open, and would say
+        // nothing about Lazy Read.
+        o.memtable_size = 1 << 20;
+        o.vsst_target_size = 256 * 1024;
         let db = Db::open(o).unwrap();
         for round in 0..4 {
             for i in 0..50 {
@@ -1177,18 +1179,17 @@ mod tests {
         let io_before = db.options().env.io_stats().snapshot();
         let outcome = db.run_gc().unwrap();
         let io_after = db.options().env.io_stats().snapshot();
-        if let Some(out) = outcome {
-            assert!(out.files_collected > 0);
-            let d = io_after.delta(&io_before);
-            let gc_read = d.class(scavenger_env::IoClass::GcRead).read_bytes;
-            // Lazy read: GC read bytes must be far below the bytes of the
-            // collected files (which are mostly garbage values we skip).
-            assert!(gc_read > 0);
-            assert!(
-                gc_read < out.bytes_reclaimed + out.records_rewritten * 4096,
-                "gc_read {gc_read} should not re-read entire files"
-            );
-        }
+        let out = outcome.expect("three dead files to collect");
+        assert!(out.files_collected > 0);
+        let d = io_after.delta(&io_before);
+        let gc_read = d.class(scavenger_env::IoClass::GcRead).read_bytes;
+        // Lazy read: GC read bytes must be far below the bytes of the
+        // collected files (which are mostly garbage values we skip).
+        assert!(gc_read > 0);
+        assert!(
+            gc_read * 4 < out.bytes_reclaimed + out.records_rewritten * 4096,
+            "gc_read {gc_read} should not re-read entire files"
+        );
     }
 
     #[test]
@@ -1395,5 +1396,83 @@ mod tests {
                 Bytes::from(value(i, 8192))
             );
         }
+    }
+
+    /// Overwrite `keys` keys `rounds` times through `Db::write`; returns
+    /// the pacing credits those writes were granted.
+    fn churn(db: &Db, prefix: &str, keys: usize, rounds: usize) -> i64 {
+        let mut granted = 0i64;
+        for round in 0..rounds {
+            for i in 0..keys {
+                let mut b = WriteBatch::new();
+                b.put(format!("{prefix}{i:03}"), value(round + i, 2048));
+                granted += (b.byte_size() as f64 * db.options().gc_bandwidth_factor) as i64;
+                db.write(b).unwrap();
+            }
+        }
+        granted
+    }
+
+    /// Credits granted minus credits left: what paced GC charged.
+    fn charged(db: &Db, granted: i64) -> u64 {
+        assert!(granted < 64 * 1024 * 1024, "the credit cap must not bind");
+        (granted - *db.inner.gc_credits.lock()) as u64
+    }
+
+    /// Two engines on one env: a paced job is charged what it reports,
+    /// so the neighbour's GC traffic — which the env-wide `GcRead` /
+    /// `GcWrite` counters cannot tell from its own — costs it nothing.
+    #[test]
+    fn paced_gc_is_not_charged_for_a_neighbours_gc() {
+        let env = MemEnv::shared();
+        let open = |dir: &str, auto_gc: bool| {
+            let mut o = small_opts(EngineMode::Scavenger);
+            o.env = env.clone();
+            o.dir = dir.to_string();
+            o.auto_gc = auto_gc;
+            Db::open(o).unwrap()
+        };
+        let (noisy, paced) = (open("noisy", false), open("paced", true));
+        let noisy_granted = churn(&noisy, "key", 64, 24);
+        noisy.compact_all().unwrap();
+        assert!(!noisy.value_store().gc_candidates(GC_THRESHOLD).is_empty());
+
+        let start = std::sync::Barrier::new(2);
+        let granted = std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                assert!(noisy.run_gc_until_clean().unwrap() > 0);
+            });
+            start.wait();
+            churn(&paced, "key", 64, 24)
+        });
+        let jobs = paced.stats().gc;
+        assert!(jobs.runs > 0, "the paced engine must have run GC");
+        assert_eq!(charged(&paced, granted), jobs.requested_bytes);
+        assert_eq!(charged(&noisy, noisy_granted), 0, "manual GC is not paced");
+    }
+
+    /// Four writers pacing one engine: a thread that waited for `gc_lock`
+    /// while another ran a job must not pay for that job too — the total
+    /// charge is the sum of the jobs' own `io_bytes`.
+    #[test]
+    fn concurrent_writers_charge_each_gc_job_once() {
+        let db = Db::open(small_opts(EngineMode::Scavenger)).unwrap();
+        let start = std::sync::Barrier::new(4);
+        let granted: i64 = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..4)
+                .map(|t| {
+                    let (db, start) = (&db, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        churn(db, &format!("w{t}-"), 32, 24)
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        let jobs = db.stats().gc;
+        assert!(jobs.runs > 4, "paced GC must have run: {}", jobs.runs);
+        assert_eq!(charged(&db, granted), jobs.requested_bytes);
     }
 }

@@ -98,14 +98,16 @@ impl GcReport {
         self.outcomes.iter().filter(|o| o.is_some()).count()
     }
 
-    /// Sum of all outcomes — files collected, records rewritten, and
-    /// bytes reclaimed across the whole handle.
+    /// Sum of all outcomes — files collected, records rewritten, bytes
+    /// reclaimed, read and written across the whole handle.
     pub fn aggregate(&self) -> GcOutcome {
         let mut total = GcOutcome::default();
         for o in self.outcomes.iter().flatten() {
             total.files_collected += o.files_collected;
             total.records_rewritten += o.records_rewritten;
             total.bytes_reclaimed += o.bytes_reclaimed;
+            total.bytes_read += o.bytes_read;
+            total.bytes_written += o.bytes_written;
         }
         total
     }
@@ -610,12 +612,16 @@ mod tests {
                     files_collected: 2,
                     records_rewritten: 10,
                     bytes_reclaimed: 4096,
+                    bytes_read: 300,
+                    bytes_written: 200,
                 }),
                 None,
                 Some(GcOutcome {
                     files_collected: 1,
                     records_rewritten: 5,
                     bytes_reclaimed: 1024,
+                    bytes_read: 30,
+                    bytes_written: 20,
                 }),
             ],
         };
@@ -625,6 +631,7 @@ mod tests {
         assert_eq!(total.files_collected, 3);
         assert_eq!(total.records_rewritten, 15);
         assert_eq!(total.bytes_reclaimed, 5120);
+        assert_eq!(total.io_bytes(), 550);
 
         let via_from: GcReport = Some(GcOutcome::default()).into();
         assert_eq!(via_from.jobs(), 1);

@@ -31,9 +31,9 @@
 //!
 //! | phase | Fig. 8 | what happens here |
 //! |---|---|---|
-//! | **Read**   | step ① | value-file keys (Lazy Read) or whole records are loaded into the pending batch; Titan's full-file scans fan out across the `gc_threads` pool |
+//! | **Read**   | step ① | value-file keys (Lazy Read: one tail read to open the RTable, then its index partitions) or whole records (the file walked once in 256 KiB spans) are loaded into the pending batch; Titan's full-file scans fan out across the `gc_threads` pool |
 //! | **GC-Lookup** | step ② | every pending record is validated against the index LSM-tree at each read point |
-//! | **Fetch** | step ③ | surviving values are fetched (lazy); per-file coalesced reads fan out across the `gc_threads` pool, merged in deterministic file order |
+//! | **Fetch** | step ③ | surviving values are fetched (lazy), survivors within [`GC_COALESCE`] of each other in one I/O; the per-file reads fan out across the `gc_threads` pool, merged in deterministic file order |
 //! | **Write** | step ④ | survivors are appended one by one to the job's `RouteWriters` (`vstore::route`), which routes hot/cold, rolls files at the size target and deletes its files if the job fails |
 //! | **Write-Index** | Titan only | new addresses are pushed back through the write path |
 //!
@@ -75,13 +75,12 @@ use crate::stats::GcStats;
 use crate::vstore::fetch::{self, Want};
 use crate::vstore::route::{Route, RouteWriters};
 use crate::vstore::vtable::{parse_record_key, VReader, ValueAt};
-use crate::vstore::ValueStore;
+use crate::vstore::{ValueStore, GC_COALESCE};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::IoClass;
 use scavenger_lsm::{BatchReader, GuardedWrite, Lsm, ValueEditBundle};
 use scavenger_table::btable::TableOptions;
-use scavenger_table::rtable::Coalesce;
 use scavenger_util::ikey::{cmp_internal, SeqNo, ValueRef};
 use scavenger_util::{Error, Result};
 use std::collections::HashMap;
@@ -114,6 +113,25 @@ pub struct GcOutcome {
     pub records_rewritten: u64,
     /// Bytes freed: deleted file sizes minus new file sizes.
     pub bytes_reclaimed: u64,
+    /// Bytes the job *asked* its candidate files for: per file Lazy Read
+    /// opened, its tail blocks, the index partitions walked and the
+    /// surviving records fetched; the whole size of a file that was
+    /// scanned. Not in it: what rode along — the rest of a tail
+    /// prefetch, the dead records a coalesced fetch reads through. How
+    /// reads are batched is the device's business, what the job needed
+    /// is the policy's.
+    pub bytes_read: u64,
+    /// Bytes of the value files the job wrote.
+    pub bytes_written: u64,
+}
+
+impl GcOutcome {
+    /// What paced auto-GC charges this job against the budget
+    /// [`Options::gc_bandwidth_factor`](crate::Options::gc_bandwidth_factor)
+    /// grants: the bytes it asked for plus the bytes it wrote.
+    pub fn io_bytes(&self) -> u64 {
+        self.bytes_read + self.bytes_written
+    }
 }
 
 /// Tuning knobs for the GC runner.
@@ -167,6 +185,10 @@ enum Loc {
     Lazy(ValueAt),
 }
 
+/// What the Fetch stage hands the Write stage: `(internal key, value)`
+/// per survivor, and the record bytes it asked the source files for.
+type Fetched = (Vec<(Vec<u8>, Bytes)>, u64);
+
 /// One record's identity inside a validation batch.
 struct ValItem {
     ukey: Vec<u8>,
@@ -216,6 +238,17 @@ impl GcRunner {
             GcScheme::NoWriteback => self.gc_no_writeback(lsm, threshold),
             GcScheme::Writeback => self.gc_writeback(lsm, threshold),
         }
+    }
+
+    /// Count a committed job into the stats.
+    fn job_done(&self, job: GcOutcome) -> GcOutcome {
+        self.stats.add(|g| {
+            g.runs += 1;
+            g.files_collected += job.files_collected as u64;
+            g.reclaimed_bytes += job.bytes_reclaimed;
+            g.requested_bytes += job.io_bytes();
+        });
+        job
     }
 
     /// The job's output files (step ④ **Write**), charged to GC write I/O.
@@ -303,14 +336,13 @@ impl GcRunner {
             .vstore
             .meta(file)
             .ok_or_else(|| Error::not_found(format!("value file {file}")))?;
-        let reader = self.vstore.gc_reader(file)?;
         let mut items: Vec<ValItem> = Vec::new();
         let mut offsets: Vec<u64> = Vec::new();
         // Write-back identity is `(file, offset)`, so its records must be
-        // materialized via `scan_all` (the lazy index carries no offsets).
+        // materialized via a full scan (the lazy index carries no offsets).
         let need_addresses = self.features.gc == GcScheme::Writeback;
         if !need_addresses && self.features.lazy_read && meta.format == VFormat::RTable {
-            for (ikey, _) in reader.read_lazy_index()? {
+            for (ikey, _) in self.vstore.gc_reader(file)?.read_lazy_index()? {
                 let (u, s) = parse_record_key(&ikey)?;
                 items.push(ValItem {
                     ukey: u.to_vec(),
@@ -318,7 +350,7 @@ impl GcRunner {
                 });
             }
         } else {
-            for rec in reader.scan_all()? {
+            for rec in self.vstore.gc_scan(file)? {
                 let (u, s) = parse_record_key(&rec.ikey)?;
                 items.push(ValItem {
                     ukey: u.to_vec(),
@@ -366,9 +398,11 @@ impl GcRunner {
         let t_read = Instant::now();
         let mut readers: HashMap<u64, VReader> = HashMap::new();
         let mut pending: Vec<Pending> = Vec::new();
+        let mut bytes_read: u64 = 0;
         for meta in &candidates {
-            let reader = self.vstore.gc_reader(meta.file)?;
             if self.features.lazy_read && meta.format == VFormat::RTable {
+                let reader = self.vstore.gc_reader(meta.file)?;
+                bytes_read += reader.lazy_index_bytes()?;
                 for (ikey, handle) in reader.read_lazy_index()? {
                     pending.push(Pending {
                         ikey,
@@ -376,8 +410,10 @@ impl GcRunner {
                         loc: Loc::Lazy(ValueAt::Record(handle)),
                     });
                 }
+                readers.insert(meta.file, reader);
             } else {
-                for rec in reader.scan_all()? {
+                bytes_read += meta.size;
+                for rec in self.vstore.gc_scan(meta.file)? {
                     pending.push(Pending {
                         ikey: rec.ikey,
                         source: meta.file,
@@ -385,7 +421,6 @@ impl GcRunner {
                     });
                 }
             }
-            readers.insert(meta.file, reader);
         }
         // Sort the whole pending set by internal key up front: validation
         // verdicts are order-independent, the Fetch phase wants this
@@ -417,7 +452,7 @@ impl GcRunner {
                 .add(|g| g.lookup_ns += t.elapsed().as_nanos() as u64);
             out
         };
-        let fetch_stage = |valid: Vec<Pending>| -> Result<Vec<(Vec<u8>, Bytes)>> {
+        let fetch_stage = |valid: Vec<Pending>| -> Result<Fetched> {
             let t = Instant::now();
             let out = self.fetch_values(&readers, valid);
             self.stats
@@ -426,9 +461,11 @@ impl GcRunner {
         };
         let route_writers_ref = &mut route_writers;
         let rewritten_ref = &mut rewritten;
-        let write_stage = move |materialized: Vec<(Vec<u8>, Bytes)>| -> Result<()> {
+        let bytes_read_ref = &mut bytes_read;
+        let write_stage = move |(materialized, fetched_bytes): Fetched| -> Result<()> {
             let t = Instant::now();
             *rewritten_ref += materialized.len() as u64;
+            *bytes_read_ref += fetched_bytes;
             let out = materialized.iter().try_for_each(|(ikey, value)| {
                 let (ukey, seq) = parse_record_key(ikey)?;
                 route_writers_ref.add(Route::ByHotness, ukey, seq, value)?;
@@ -476,16 +513,13 @@ impl GcRunner {
             self.vstore.delete_file(file, format);
         }
 
-        self.stats.add(|g| {
-            g.runs += 1;
-            g.files_collected += candidate_files.len() as u64;
-            g.reclaimed_bytes += deleted_bytes.saturating_sub(new_bytes);
-        });
-        Ok(Some(GcOutcome {
+        Ok(Some(self.job_done(GcOutcome {
             files_collected: candidate_files.len(),
             records_rewritten: rewritten,
             bytes_reclaimed: deleted_bytes.saturating_sub(new_bytes),
-        }))
+            bytes_read,
+            bytes_written: new_bytes,
+        })))
     }
 
     /// GC-Lookup (step ②) over one batch of pending records (keyed
@@ -520,15 +554,15 @@ impl GcRunner {
     /// The Fetch phase (the lazy part of Lazy Read, step ③) for one batch
     /// of surviving records: inline values pass through; Lazy-Read
     /// handles go to the value store's shared [`fetch`](fetch::fetch) —
-    /// grouped per source file, sorted by offset, coalesced under the
-    /// S-RH readahead span when `features.gc_readahead` is on — with the
-    /// per-file jobs fanned out across the `gc_threads` pool and merged
-    /// back in file order.
+    /// grouped per source file, sorted by offset, survivors within
+    /// [`GC_COALESCE`] of each other sharing one I/O — with the per-file
+    /// jobs fanned out across the `gc_threads` pool and merged back in
+    /// file order.
     fn fetch_values(
         &self,
         readers: &HashMap<u64, VReader>,
         valid: Vec<Pending>,
-    ) -> Result<Vec<(Vec<u8>, Bytes)>> {
+    ) -> Result<Fetched> {
         let wants: Vec<Want<'_>> = valid
             .iter()
             .filter_map(|rec| match &rec.loc {
@@ -541,18 +575,14 @@ impl GcRunner {
                 }),
             })
             .collect();
-        let limits = if self.features.gc_readahead {
-            Coalesce::READAHEAD
-        } else {
-            Coalesce::NONE
-        };
-        let mut fetched = fetch::fetch(&wants, limits, &|n, run| {
+        let asked: u64 = wants.iter().map(|w| w.at.fetch_len()).sum();
+        let mut fetched = fetch::fetch(&wants, GC_COALESCE, &|n, run| {
             let jobs: Vec<usize> = (0..n).collect();
             gc_exec::parallel_map_ordered(&jobs, self.cfg.threads, &self.stats, |&j| run(j))
         })?
         .into_iter();
         drop(wants);
-        Ok(valid
+        let records = valid
             .into_iter()
             .map(|rec| match rec.loc {
                 Loc::Inline(value) => (rec.ikey, value),
@@ -561,7 +591,8 @@ impl GcRunner {
                     fetched.next().expect("one fetched value per lazy record"),
                 ),
             })
-            .collect())
+            .collect();
+        Ok((records, asked))
     }
 
     // ---------------- Titan ----------------
@@ -655,9 +686,9 @@ impl GcRunner {
             self.cfg.threads,
             &self.stats,
             |&file| {
-                let reader = self.vstore.gc_reader(file)?;
-                Ok(reader
-                    .scan_all()?
+                Ok(self
+                    .vstore
+                    .gc_scan(file)?
                     .into_iter()
                     .map(|rec| (file, rec))
                     .collect::<Vec<_>>())
@@ -786,15 +817,12 @@ impl GcRunner {
         drop(reader);
         self.reap_deferred(lsm)?;
 
-        self.stats.add(|g| {
-            g.runs += 1;
-            g.files_collected += candidate_files.len() as u64;
-            g.reclaimed_bytes += deleted_bytes.saturating_sub(new_bytes);
-        });
-        Ok(Some(GcOutcome {
+        Ok(Some(self.job_done(GcOutcome {
             files_collected: candidate_files.len(),
             records_rewritten: rewritten,
             bytes_reclaimed: deleted_bytes.saturating_sub(new_bytes),
-        }))
+            bytes_read: deleted_bytes,
+            bytes_written: new_bytes,
+        })))
     }
 }

@@ -82,7 +82,11 @@ pub enum GcScheme {
 }
 
 /// Individual design features; ablation experiments (paper Fig. 16/17)
-/// toggle these directly.
+/// toggle these directly. How GC *batches* its reads is not one of them:
+/// every mode fetches survivors under
+/// [`GC_COALESCE`](crate::vstore::GC_COALESCE) and walks whole files in
+/// [`COALESCE_SPAN`](scavenger_table::rtable::COALESCE_SPAN) spans (the
+/// paper's S-RH, §IV-A, for all — an engine-fair device-sized I/O).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Features {
     /// Separate values ≥ [`SEP_THRESHOLD`](crate::hook::SEP_THRESHOLD)
@@ -106,9 +110,6 @@ pub struct Features {
     pub hotness: bool,
     /// **C**: Space-aware compaction by compensated size (§III-C).
     pub compensated: bool,
-    /// Readahead (coalesced record fetches) during GC value reads — the
-    /// paper's S-RH variant. Disabled by default for fairness (§IV-A).
-    pub gc_readahead: bool,
 }
 
 impl Features {
@@ -123,7 +124,6 @@ impl Features {
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
-                gc_readahead: false,
             },
             EngineMode::BlobDb => Features {
                 separate: true,
@@ -133,7 +133,6 @@ impl Features {
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
-                gc_readahead: false,
             },
             EngineMode::Titan => Features {
                 separate: true,
@@ -143,7 +142,6 @@ impl Features {
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
-                gc_readahead: false,
             },
             EngineMode::Terark => Features {
                 separate: true,
@@ -153,7 +151,6 @@ impl Features {
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
-                gc_readahead: false,
             },
             EngineMode::Scavenger => Features {
                 separate: true,
@@ -163,7 +160,6 @@ impl Features {
                 dtable_index: true,
                 hotness: true,
                 compensated: true,
-                gc_readahead: false,
             },
         }
     }
@@ -198,8 +194,12 @@ pub struct Options {
     /// Auto-GC bandwidth budget as a multiple of foreground write bytes
     /// (GC shares the device with foreground traffic; the paper's
     /// baselines fall behind garbage generation exactly because their GC
-    /// needs many I/O bytes per reclaimed byte). Manual `run_gc` and
-    /// throttle-driven GC are not paced.
+    /// needs many I/O bytes per reclaimed byte). Each paced job is
+    /// charged [`GcOutcome::io_bytes`](crate::GcOutcome::io_bytes) — the
+    /// bytes it asked for and wrote, as the job itself reports them, not
+    /// the env-wide counters (which other engines on the same env share)
+    /// and not the dead bytes a coalesced read rides through. Manual
+    /// `run_gc` and throttle-driven GC are not paced.
     pub gc_bandwidth_factor: f64,
     /// Worker threads for fanning the GC Fetch phase's per-file coalesced
     /// reads out across source files, for Titan's full-file Read scans,
@@ -355,7 +355,6 @@ mod tests {
         let s = Features::for_mode(EngineMode::Scavenger);
         assert_eq!(s.vformat, VFormat::RTable);
         assert!(s.lazy_read && s.dtable_index && s.hotness && s.compensated);
-        assert!(!s.gc_readahead, "readahead off by default for fairness");
     }
 
     #[test]

@@ -57,6 +57,11 @@ counter_struct! {
         /// Bytes of garbage reclaimed (file bytes deleted minus bytes
         /// rewritten).
         reclaimed_bytes,
+        /// Bytes GC jobs asked their candidate files for plus bytes they
+        /// wrote (Σ [`GcOutcome::io_bytes`](crate::GcOutcome::io_bytes))
+        /// — the pacing charge's unit; the env's `GcRead` counters also
+        /// hold what rode along in coalesced reads.
+        requested_bytes,
         /// Validation batches executed (one per pipeline batch; one per
         /// job for write-back GC).
         validate_batches,

@@ -16,11 +16,14 @@
 
 use crate::options::VFormat;
 use bytes::Bytes;
-use scavenger_env::{EnvRef, IoClass, RandomAccessFile, WritableFile};
+use scavenger_env::{EnvRef, IoClass, RandomAccessFile, ReadaheadFile, WritableFile};
 use scavenger_lsm::filename::{blob_path, value_table_path};
+use scavenger_table::blockio::BLOCK_TRAILER_LEN;
 use scavenger_table::btable::{BTableBuilder, BTableReader, BlockCache, TableOptions};
 use scavenger_table::handle::BlockHandle;
-use scavenger_table::rtable::{read_coalesced, Coalesce, RTableBuilder, RTableReader};
+use scavenger_table::rtable::{
+    read_coalesced, Coalesce, RTableBuilder, RTableReader, COALESCE_SPAN,
+};
 use scavenger_table::KeyCmp;
 use scavenger_util::coding::{get_varint32, put_varint32};
 use scavenger_util::ikey::{extract_user_key, make_internal_key, SeqNo, ValueType};
@@ -239,6 +242,15 @@ impl ValueAt {
             ValueAt::Cached(_) => 0,
         }
     }
+
+    /// Bytes a fetch of this value asks its file for.
+    pub fn fetch_len(&self) -> u64 {
+        match self {
+            ValueAt::Record(h) => h.size.saturating_add(BLOCK_TRAILER_LEN as u64),
+            ValueAt::Blob { size, .. } => u64::from(*size),
+            ValueAt::Cached(_) => 0,
+        }
+    }
 }
 
 /// The value of a fetched record, once its key is the one asked for.
@@ -274,8 +286,17 @@ impl VReader {
         cache: Option<Arc<BlockCache>>,
         class: IoClass,
     ) -> Result<VReader> {
-        let path = vfile_path(dir, file, format);
-        let f = env.open_random_access(&path, class)?;
+        let f = env.open_random_access(&vfile_path(dir, file, format), class)?;
+        Self::from_file(f, file, cache_ns, format, cache)
+    }
+
+    fn from_file(
+        f: Arc<dyn RandomAccessFile>,
+        file: u64,
+        cache_ns: u64,
+        format: VFormat,
+        cache: Option<Arc<BlockCache>>,
+    ) -> Result<VReader> {
         let cache_id = scavenger_table::cache::cache_file_id(cache_ns, file);
         Ok(match format {
             VFormat::RTable => {
@@ -286,6 +307,31 @@ impl VReader {
             }
             VFormat::BlobLog => VReader::Blob(BlobLogReader::new(f)),
         })
+    }
+
+    /// GC full scan (the "Read" step of every scheme but Lazy Read):
+    /// every record of `file` with its value, charging the whole file in
+    /// device-sized reads. A BTable or blob log is walked once, front to
+    /// back, so it is opened behind a [`ReadaheadFile`] (one tail read,
+    /// then [`COALESCE_SPAN`] spans). An RTable's index partitions sit
+    /// *between* its records — walking them first would leave that
+    /// forward window at the end of the file — so it takes the dense
+    /// index and then every record through [`read_coalesced`], which
+    /// comes to the same span-sized reads.
+    pub fn scan_file(
+        env: &EnvRef,
+        dir: &str,
+        file: u64,
+        cache_ns: u64,
+        format: VFormat,
+        cache: Option<Arc<BlockCache>>,
+        class: IoClass,
+    ) -> Result<Vec<BlobRecord>> {
+        let mut f = env.open_random_access(&vfile_path(dir, file, format), class)?;
+        if format != VFormat::RTable {
+            f = Arc::new(ReadaheadFile::open(f, COALESCE_SPAN as usize)?);
+        }
+        Self::from_file(f, file, cache_ns, format, cache)?.scan_all()
     }
 
     /// **Locate** the exact version `ikey` in a keyed table without
@@ -363,8 +409,10 @@ impl VReader {
         }
     }
 
-    /// GC full scan: every record with its value (charges the whole file).
-    pub fn scan_all(&self) -> Result<Vec<BlobRecord>> {
+    /// Every record with its value, in file order — the body of
+    /// [`scan_file`](Self::scan_file), which opens the file the way this
+    /// walk wants it read.
+    fn scan_all(&self) -> Result<Vec<BlobRecord>> {
         match self {
             VReader::Blob(r) => r.scan_all(),
             VReader::B(r) => {
@@ -383,19 +431,19 @@ impl VReader {
                 Ok(out)
             }
             VReader::R(r) => {
-                let mut out = Vec::new();
-                let mut it = r.iter(false);
-                it.seek_to_first();
-                while it.valid() {
-                    out.push(BlobRecord {
-                        ikey: it.key().to_vec(),
-                        value: it.value(),
-                        value_offset: 0,
-                    });
-                    it.next();
-                }
-                it.status()?;
-                Ok(out)
+                let (ikeys, handles): (Vec<_>, Vec<_>) = r.read_index()?.into_iter().unzip();
+                let records = r.read_records(&handles, super::GC_COALESCE)?;
+                ikeys
+                    .into_iter()
+                    .zip(records)
+                    .map(|(ikey, rec)| {
+                        Ok(BlobRecord {
+                            value: record_value(&ikey, rec)?,
+                            ikey,
+                            value_offset: 0,
+                        })
+                    })
+                    .collect()
             }
         }
     }
@@ -405,6 +453,16 @@ impl VReader {
     pub fn read_lazy_index(&self) -> Result<Vec<(Vec<u8>, BlockHandle)>> {
         match self {
             VReader::R(r) => r.read_index(),
+            _ => Err(Error::invalid_argument("lazy read requires an RTable")),
+        }
+    }
+
+    /// Bytes opening this reader and
+    /// [`read_lazy_index`](Self::read_lazy_index) ask the file for: the
+    /// table's tail blocks and its index partitions. RTables only.
+    pub fn lazy_index_bytes(&self) -> Result<u64> {
+        match self {
+            VReader::R(r) => Ok(r.open_bytes() + r.index_bytes()?),
             _ => Err(Error::invalid_argument("lazy read requires an RTable")),
         }
     }
@@ -423,34 +481,34 @@ impl BlobLogReader {
 
     /// Sequentially parse the whole log (the GC "Read" step for
     /// BlobDB/Titan — this is the expensive full-file read the paper's
-    /// Lazy Read eliminates). Reads are issued in 4 KiB chunks, modelling
-    /// the paper's readahead-disabled GC configuration (§IV-A).
+    /// Lazy Read eliminates). Each record is two reads of the file as
+    /// handed to [`new`](Self::new) — its length header, then key, value
+    /// and CRC — so the I/O size is the file's: [`VReader::scan_file`]
+    /// opens the log behind a [`ReadaheadFile`], which serves both out of
+    /// [`COALESCE_SPAN`] spans.
     pub fn scan_all(&self) -> Result<Vec<BlobRecord>> {
-        const CHUNK: usize = 4096;
-        let len = self.file.len() as usize;
-        let mut raw = Vec::with_capacity(len);
-        let mut off = 0usize;
-        while off < len {
-            let n = CHUNK.min(len - off);
-            raw.extend_from_slice(&self.file.read_at(off as u64, n)?);
-            off += n;
-        }
-        let data = bytes::Bytes::from(raw);
+        /// Two max-length varint32s.
+        const MAX_HEADER: u64 = 10;
+        let len = self.file.len();
         let mut out = Vec::new();
-        let mut cur = &data[..];
-        let mut consumed = 0usize;
-        while !cur.is_empty() {
-            let before = cur.len();
+        let mut off = 0u64;
+        while off < len {
+            let head = self.file.read_at(off, MAX_HEADER.min(len - off) as usize)?;
+            let mut cur = &head[..];
             let klen = get_varint32(&mut cur)? as usize;
             let vlen = get_varint32(&mut cur)? as usize;
-            let header = before - cur.len();
-            if cur.len() < klen + vlen + 4 {
+            let body_off = off + (head.len() - cur.len()) as u64;
+            let body_len = klen + vlen + 4;
+            if len - body_off < body_len as u64 {
                 return Err(Error::corruption("truncated blob record"));
             }
-            let ikey = cur[..klen].to_vec();
-            let value_off = consumed + header + klen;
-            let value = data.slice(value_off..value_off + vlen);
-            let stored = u32::from_le_bytes(cur[klen + vlen..klen + vlen + 4].try_into().unwrap());
+            let body = self.file.read_at(body_off, body_len)?;
+            if body.len() != body_len {
+                return Err(Error::corruption("short blob record read"));
+            }
+            let ikey = body[..klen].to_vec();
+            let value = body.slice(klen..klen + vlen);
+            let stored = u32::from_le_bytes(body[klen + vlen..].try_into().unwrap());
             let actual = crc32c::extend(crc32c::value(&ikey), &value);
             if stored != actual {
                 return Err(Error::corruption("blob record checksum mismatch"));
@@ -458,10 +516,9 @@ impl BlobLogReader {
             out.push(BlobRecord {
                 ikey,
                 value,
-                value_offset: value_off as u64,
+                value_offset: body_off + klen as u64,
             });
-            cur = &cur[klen + vlen + 4..];
-            consumed += header + klen + vlen + 4;
+            off = body_off + body_len as u64;
         }
         Ok(out)
     }
@@ -519,7 +576,7 @@ mod tests {
                     })
                     .collect();
                 let wants: Vec<(&ValueAt, &[u8])> = ats.iter().map(|a| (a, &[][..])).collect();
-                let batch = r.fetch(&wants, Coalesce::READAHEAD).unwrap();
+                let batch = r.fetch(&wants, crate::vstore::GC_COALESCE).unwrap();
                 for (got, (_, _, value, _)) in batch.iter().zip(&recs) {
                     assert_eq!(&got[..], value.as_slice());
                 }
@@ -539,7 +596,7 @@ mod tests {
                 // The batched fetch returns the same values, in input order.
                 let wants: Vec<(&ValueAt, &[u8])> =
                     ats.iter().zip(&ikeys).map(|(a, k)| (a, &k[..])).collect();
-                let batch = r.fetch(&wants, Coalesce::READAHEAD).unwrap();
+                let batch = r.fetch(&wants, crate::vstore::GC_COALESCE).unwrap();
                 for (got, (_, _, value, _)) in batch.iter().zip(&recs) {
                     assert_eq!(&got[..], value.as_slice());
                 }

@@ -285,7 +285,7 @@ impl BTableReader {
         cache: Option<Arc<BlockCache>>,
         cmp: KeyCmp,
     ) -> Result<BTableReader> {
-        let tail = read_tail(file.as_ref())?;
+        let mut tail = read_tail(file.as_ref())?;
         let filter = tail.meta_block(file.as_ref(), meta_keys::FILTER)?;
         Ok(BTableReader {
             fetcher: BlockFetcher {

@@ -194,7 +194,7 @@ impl DTableReader {
         file_number: u64,
         cache: Option<Arc<BlockCache>>,
     ) -> Result<DTableReader> {
-        let tail = read_tail(file.as_ref())?;
+        let mut tail = read_tail(file.as_ref())?;
         if tail.props.table_type != TableType::DTable {
             return Err(Error::corruption("not a DTable file"));
         }

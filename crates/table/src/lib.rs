@@ -22,7 +22,8 @@
 //! (sharded two-priority LRU, mirroring RocksDB's high-pri pool), [`props`]
 //! (table properties incl. the value-dependency list that powers
 //! compensated-size compaction), [`blockio`] (checksummed block I/O), and
-//! `tail` (the metaindex / index / footer envelope all three formats end in).
+//! `tail` (the metaindex / index / footer envelope all three formats end
+//! in, opened with one read of the file's last [`TAIL_PREFETCH`] bytes).
 
 pub mod block;
 pub mod blockio;
@@ -34,6 +35,8 @@ pub mod handle;
 pub mod props;
 pub mod rtable;
 mod tail;
+
+pub use tail::TAIL_PREFETCH;
 
 use std::cmp::Ordering;
 

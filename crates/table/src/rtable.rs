@@ -193,8 +193,8 @@ pub fn decode_record(payload: &Bytes) -> Result<(Bytes, Bytes)> {
 
 /// How far apart two wanted byte ranges may sit and still share one I/O
 /// in [`read_coalesced`]. The caller states its policy: GC step ③ reads
-/// through anything inside the S-RH span, a foreground scan merges only
-/// neighbours so its read bytes stay flat.
+/// through a few dead records to reach the next survivor, a foreground
+/// scan merges only neighbours so its read bytes stay flat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Coalesce {
     /// Most unwanted bytes a span reads through to reach the next range.
@@ -204,20 +204,8 @@ pub struct Coalesce {
     pub max_span: u64,
 }
 
-impl Coalesce {
-    /// One I/O per range.
-    pub const NONE: Coalesce = Coalesce {
-        max_gap: 0,
-        max_span: 0,
-    };
-    /// The paper's GC readahead (S-RH): every range that ends within
-    /// [`COALESCE_SPAN`] of the span's first byte rides along, whatever
-    /// lies between.
-    pub const READAHEAD: Coalesce = Coalesce {
-        max_gap: u64::MAX,
-        max_span: COALESCE_SPAN,
-    };
-}
+/// Max bytes fetched per coalesced I/O (the paper's S-RH span).
+pub const COALESCE_SPAN: u64 = 256 * 1024;
 
 /// Read the `(offset, len)` byte ranges of `file`, fetching neighbours
 /// that `limits` allows in one I/O — the one coalescing loop behind GC
@@ -288,6 +276,7 @@ pub struct RTableReader {
     filter: Option<Bytes>,
     props: TableProps,
     cmp: KeyCmp,
+    open_bytes: u64,
 }
 
 impl RTableReader {
@@ -298,7 +287,7 @@ impl RTableReader {
         cache: Option<Arc<BlockCache>>,
         cmp: KeyCmp,
     ) -> Result<RTableReader> {
-        let tail = read_tail(file.as_ref())?;
+        let mut tail = read_tail(file.as_ref())?;
         let filter = tail.meta_block(file.as_ref(), meta_keys::FILTER)?;
         if tail.props.table_type != TableType::RTable {
             return Err(Error::corruption("not an RTable file"));
@@ -313,7 +302,15 @@ impl RTableReader {
             filter,
             props: tail.props,
             cmp,
+            open_bytes: tail.asked,
         })
+    }
+
+    /// Bytes [`open`](Self::open) asked the file for — footer, top
+    /// index, metaindex, properties and filter with their trailers —
+    /// however many the tail prefetch moved to serve them.
+    pub fn open_bytes(&self) -> u64 {
+        self.open_bytes
     }
 
     /// Table properties.
@@ -377,6 +374,21 @@ impl RTableReader {
         )
     }
 
+    /// Bytes [`read_index`](Self::read_index) asks the file for: every
+    /// index partition with its trailer. Costs no I/O (the top index is
+    /// pinned); GC's pacing charge uses it.
+    pub fn index_bytes(&self) -> Result<u64> {
+        let mut total = 0u64;
+        let mut top = self.top_index.iter(self.cmp);
+        top.seek_to_first();
+        while top.valid() {
+            let part = BlockHandle::decode_exact(&top.value())?;
+            total = total.saturating_add(part.size.saturating_add(BLOCK_TRAILER_LEN as u64));
+            top.next();
+        }
+        Ok(total)
+    }
+
     /// Fetch many records by handle through [`read_coalesced`]: handles
     /// that `limits` lets share a span are fetched in one I/O, and every
     /// record is CRC-verified and decoded individually either way.
@@ -399,11 +411,12 @@ impl RTableReader {
         Ok(out)
     }
 
-    /// Full scan in key order. Reads the dense index lazily and fetches
-    /// each record. `coalesce` hands adjacent records to the reader in one
-    /// I/O (the paper's readahead toggle, S-RH). The iterator owns its
-    /// fetcher, so it carries no lifetime.
-    pub fn iter(&self, coalesce: bool) -> RTableIter {
+    /// Full scan in key order: the dense index is read on first use,
+    /// then one read per record. (A caller that wants the whole file,
+    /// like GC, reads the index and hands every handle to
+    /// [`read_records`](Self::read_records) instead.) The iterator owns
+    /// its fetcher, so it carries no lifetime.
+    pub fn iter(&self) -> RTableIter {
         RTableIter {
             fetcher: self.fetcher.clone(),
             top_index: self.top_index.clone(),
@@ -411,8 +424,6 @@ impl RTableReader {
             entries: None,
             pos: 0,
             current: None,
-            coalesce,
-            buffer: None,
             error: None,
         }
     }
@@ -426,14 +437,8 @@ pub struct RTableIter {
     entries: Option<Vec<(Vec<u8>, BlockHandle)>>,
     pos: usize,
     current: Option<(Bytes, Bytes)>,
-    coalesce: bool,
-    /// `(file_offset, bytes)` of a read-ahead span covering ≥1 records.
-    buffer: Option<(u64, Bytes)>,
     error: Option<Error>,
 }
-
-/// Max bytes fetched per readahead I/O (the paper's S-RH span).
-pub const COALESCE_SPAN: u64 = 256 * 1024;
 
 impl RTableIter {
     fn ensure_index(&mut self) {
@@ -455,44 +460,11 @@ impl RTableIter {
             return;
         }
         let (key, handle) = entries[self.pos].clone();
-        let total = handle.size + BLOCK_TRAILER_LEN as u64;
-        let payload = if self.coalesce {
-            // Serve from the readahead buffer, refilling as needed.
-            let hit = self
-                .buffer
-                .as_ref()
-                .map(|(off, buf)| {
-                    handle.offset >= *off && handle.offset + total <= *off + buf.len() as u64
-                })
-                .unwrap_or(false);
-            if !hit {
-                let span_end = (handle.offset + COALESCE_SPAN).min(self.fetcher.file.len());
-                let len = (span_end - handle.offset).max(total) as usize;
-                match self.fetcher.file.read_at(handle.offset, len) {
-                    Ok(buf) => self.buffer = Some((handle.offset, buf)),
-                    Err(e) => {
-                        self.error = Some(e);
-                        return;
-                    }
-                }
-            }
-            let (off, buf) = self.buffer.as_ref().unwrap();
-            let start = (handle.offset - off) as usize;
-            let raw = buf.slice(start..start + total as usize);
-            match verify_block(&raw, handle) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
-                }
-            }
-        } else {
-            match read_block(self.fetcher.file.as_ref(), handle) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
-                }
+        let payload = match read_block(self.fetcher.file.as_ref(), handle) {
+            Ok(p) => p,
+            Err(e) => {
+                self.error = Some(e);
+                return;
             }
         };
         match decode_record(&payload) {
@@ -669,26 +641,46 @@ mod tests {
         );
     }
 
+    /// One read per range, and the S-RH policy: anything inside the span.
+    const PER_RECORD: Coalesce = Coalesce {
+        max_gap: 0,
+        max_span: 0,
+    };
+    const ANY_GAP: Coalesce = Coalesce {
+        max_gap: u64::MAX,
+        max_span: COALESCE_SPAN,
+    };
+
+    /// The two ways to read a whole file — the iterator and the dense
+    /// index handed to `read_records` — yield the same records in order.
     #[test]
     fn iter_scans_in_order_both_modes() {
         let env = MemEnv::new();
         let es = entries(150, 512);
         build(&env, "v.vsst", &es);
         let r = open(&env, "v.vsst");
-        for coalesce in [false, true] {
-            let mut it = r.iter(coalesce);
-            it.seek_to_first();
-            for (k, v) in &es {
-                assert!(it.valid(), "coalesce={coalesce}");
-                assert_eq!(it.key(), k.as_slice());
-                assert_eq!(&it.value()[..], v.as_slice());
-                it.next();
-            }
-            assert!(!it.valid());
-            it.status().unwrap();
+        let mut it = r.iter();
+        it.seek_to_first();
+        for (k, v) in &es {
+            assert!(it.valid());
+            assert_eq!(it.key(), k.as_slice());
+            assert_eq!(&it.value()[..], v.as_slice());
+            it.next();
+        }
+        assert!(!it.valid());
+        it.status().unwrap();
+
+        let handles: Vec<BlockHandle> = r.read_index().unwrap().iter().map(|(_, h)| *h).collect();
+        let batched = r.read_records(&handles, ANY_GAP).unwrap();
+        assert_eq!(batched.len(), es.len());
+        for ((k, v), (ek, ev)) in batched.iter().zip(&es) {
+            assert_eq!(&k[..], ek.as_slice());
+            assert_eq!(&v[..], ev.as_slice());
         }
     }
 
+    /// Reading every record of a file through `read_records` costs a
+    /// fraction of the iterator's one read per record.
     #[test]
     fn coalesced_iteration_uses_fewer_read_ops() {
         let env = MemEnv::new();
@@ -697,7 +689,7 @@ mod tests {
         let r = open(&env, "v.vsst");
 
         let before = env.io_stats().snapshot();
-        let mut it = r.iter(false);
+        let mut it = r.iter();
         it.seek_to_first();
         while it.valid() {
             it.next();
@@ -705,11 +697,8 @@ mod tests {
         let per_record = env.io_stats().snapshot().delta(&before);
 
         let before = env.io_stats().snapshot();
-        let mut it = r.iter(true);
-        it.seek_to_first();
-        while it.valid() {
-            it.next();
-        }
+        let handles: Vec<BlockHandle> = r.read_index().unwrap().iter().map(|(_, h)| *h).collect();
+        assert_eq!(r.read_records(&handles, ANY_GAP).unwrap().len(), 400);
         let coalesced = env.io_stats().snapshot().delta(&before);
 
         assert!(
@@ -727,7 +716,7 @@ mod tests {
         let es = entries(100, 32);
         build(&env, "v.vsst", &es);
         let r = open(&env, "v.vsst");
-        let mut it = r.iter(false);
+        let mut it = r.iter();
         it.seek(b"user000050");
         assert!(it.valid());
         assert_eq!(it.key(), b"user000050");
@@ -781,8 +770,8 @@ mod tests {
         let mut handles: Vec<BlockHandle> = index.iter().step_by(3).map(|(_, h)| *h).collect();
         handles.sort_by_key(|h| h.offset);
         let a = &r;
-        let individual = a.read_records(&handles, Coalesce::NONE).unwrap();
-        let coalesced = a.read_records(&handles, Coalesce::READAHEAD).unwrap();
+        let individual = a.read_records(&handles, PER_RECORD).unwrap();
+        let coalesced = a.read_records(&handles, ANY_GAP).unwrap();
         assert_eq!(individual.len(), coalesced.len());
         for (x, y) in individual.iter().zip(coalesced.iter()) {
             assert_eq!(x.0, y.0);
@@ -790,9 +779,9 @@ mod tests {
         }
         // Coalescing must use strictly fewer read ops.
         let before = env.io_stats().snapshot();
-        a.read_records(&handles, Coalesce::NONE).unwrap();
+        a.read_records(&handles, PER_RECORD).unwrap();
         let mid = env.io_stats().snapshot();
-        a.read_records(&handles, Coalesce::READAHEAD).unwrap();
+        a.read_records(&handles, ANY_GAP).unwrap();
         let after = env.io_stats().snapshot();
         let ind_ops = mid.delta(&before).total_read_ops();
         let coa_ops = after.delta(&mid).total_read_ops();
@@ -846,7 +835,7 @@ mod tests {
         // 0,1,2 are adjacent; 4 sits one record (~1 KiB) further; 40 is far.
         let (ops, bytes) = read_ops(&[0, 1, 2, 4, 40], near);
         assert_eq!(ops, 2, "one span for 0..=4, one read for 40");
-        let (_, exact) = read_ops(&[0, 1, 2, 4, 40], Coalesce::NONE);
+        let (_, exact) = read_ops(&[0, 1, 2, 4, 40], PER_RECORD);
         let gap = index[3].1.size + BLOCK_TRAILER_LEN as u64;
         assert!(
             bytes > exact && bytes <= exact + gap + 64,
@@ -858,7 +847,7 @@ mod tests {
             max_span: 2500,
         };
         assert_eq!(read_ops(&[0, 1, 2, 3], tight).0, 2);
-        assert_eq!(read_ops(&[0, 1, 2, 3], Coalesce::NONE).0, 4);
+        assert_eq!(read_ops(&[0, 1, 2, 3], PER_RECORD).0, 4);
         // Unsorted handles still read correctly, one span each.
         assert_eq!(read_ops(&[5, 4, 3], near).0, 3);
     }
@@ -875,22 +864,20 @@ mod tests {
         let (a, b) = (index[0].1, index[1].1);
         // Starts inside `a`'s bytes, ends past them.
         let straddle = BlockHandle::new(a.offset + 10, a.size + 50);
-        for limits in [Coalesce::READAHEAD, Coalesce::NONE] {
+        for limits in [ANY_GAP, PER_RECORD] {
             let err = r.read_records(&[a, straddle, b], limits).unwrap_err();
             assert!(matches!(err, Error::Corruption(_)), "{limits:?}: {err}");
         }
         // Contained in `a`: in range, so its own checksum rejects it.
         let inside = BlockHandle::new(a.offset + 10, 20);
-        let err = r
-            .read_records(&[a, inside], Coalesce::READAHEAD)
-            .unwrap_err();
+        let err = r.read_records(&[a, inside], ANY_GAP).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)), "{err}");
         // An exact repeat is harmless.
-        let twice = r.read_records(&[a, a, b], Coalesce::READAHEAD).unwrap();
+        let twice = r.read_records(&[a, a, b], ANY_GAP).unwrap();
         assert_eq!(twice[0], twice[1]);
         // An offset + size that overflows is caught before any read.
         let huge = BlockHandle::new(u64::MAX - 2, 100);
-        let err = r.read_records(&[huge], Coalesce::NONE).unwrap_err();
+        let err = r.read_records(&[huge], PER_RECORD).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)), "{err}");
     }
 
@@ -933,7 +920,7 @@ mod tests {
         let r = open(&env, "v.vsst");
         assert!(r.read_index().unwrap().is_empty());
         assert!(get(&r, b"x").is_none());
-        let mut it = r.iter(false);
+        let mut it = r.iter();
         it.seek_to_first();
         assert!(!it.valid());
     }

@@ -25,7 +25,7 @@ use scavenger::{
     Db, DbShards, Engine, EngineMode, KvRead, Maintenance, MemEnv, Options, ShardedOptions,
     WriteOptions,
 };
-use scavenger_env::{EnvRef, FaultEnv, FaultKind, FaultOp, FaultRule, Trigger};
+use scavenger_env::{Env, EnvRef, FaultEnv, FaultKind, FaultOp, FaultRule, Trigger};
 use scavenger_workload::crash::{self, CrashOp, Model};
 use std::sync::Arc;
 
@@ -524,6 +524,76 @@ fn failed_gc_write_stage_leaves_no_unregistered_value_files() {
         assert_eq!(
             db.get(crash::key_bytes(i)).unwrap().unwrap(),
             bytes::Bytes::from(crash::value_bytes(i, version, 2048))
+        );
+    }
+}
+
+/// 2,400 separated records in 16 KiB value files, every other key
+/// overwritten and the garbage exposed: the first GC job spans three
+/// pipeline batches, so it has written output by the time its last
+/// batch is fetched.
+fn three_batch_gc_job(env: EnvRef) -> Db {
+    let mut o = one_flush_opts(env);
+    o.memtable_size = 4 << 20;
+    o.vsst_target_size = 16 * 1024;
+    o.gc_batch_files = 256;
+    let db = Db::open(o).unwrap();
+    for i in 0..2400u32 {
+        db.put(crash::key_bytes(i), crash::value_bytes(i, 1, 600))
+            .unwrap();
+    }
+    db.flush().unwrap();
+    for i in (0..2400u32).step_by(2) {
+        db.put(crash::key_bytes(i), crash::value_bytes(i, 2, 600))
+            .unwrap();
+    }
+    db.flush().unwrap();
+    while db.lsm().force_compact_once().unwrap() {}
+    db
+}
+
+/// The read-side twin: a device error in step ③ — the last coalesced
+/// fetch of a job whose earlier batches are already written — fails the
+/// job with the env's error and leaves none of its output behind.
+#[test]
+fn failed_gc_fetch_stage_leaves_no_unregistered_value_files() {
+    // The job's value-file reads, counted on a clean twin: opens and
+    // index partitions first, then the fetches, batch by batch.
+    let clean = MemEnv::shared();
+    let twin = three_batch_gc_job(clean.clone());
+    let before = clean.io_stats().snapshot();
+    let outcome = twin.run_gc().unwrap().expect("a candidate");
+    assert!(outcome.records_rewritten > 1024, "more than one batch");
+    let reads = clean
+        .io_stats()
+        .snapshot()
+        .delta(&before)
+        .class(scavenger::IoClass::GcRead)
+        .read_ops;
+
+    let fault = FaultEnv::wrap(MemEnv::shared(), 0x1eb1);
+    let env: EnvRef = fault.clone();
+    let db = three_batch_gc_job(env.clone());
+    let files_before = db.value_store().live_file_numbers();
+    fault.add_rule(FaultRule {
+        op: FaultOp::Read,
+        path_contains: Some(".vsst".to_string()),
+        trigger: Trigger::Nth(reads),
+        kind: FaultKind::Fail,
+        one_shot: true,
+    });
+    let err = db.run_gc().expect_err("the fetch stage must hit the fault");
+    assert!(matches!(err, scavenger::Error::Io(_)), "{err}");
+    assert_eq!(db.value_store().live_file_numbers(), files_before);
+    assert_eq!(unregistered_value_files(&env, &db), Vec::<String>::new());
+
+    assert_eq!(db.run_gc().unwrap(), Some(outcome), "a clean job collects");
+    assert_eq!(unregistered_value_files(&env, &db), Vec::<String>::new());
+    for i in 0..2400u32 {
+        let version = if i % 2 == 0 { 2 } else { 1 };
+        assert_eq!(
+            db.get(crash::key_bytes(i)).unwrap().unwrap(),
+            bytes::Bytes::from(crash::value_bytes(i, version, 600))
         );
     }
 }

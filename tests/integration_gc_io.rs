@@ -1,0 +1,320 @@
+//! Exact device I/O of a GC job, on `MemEnv`: one tail read per file
+//! opened, survivors fetched in spans ([`GC_COALESCE`]) or whole files
+//! walked in spans (`ReadaheadFile`), Lazy Read still paying only for
+//! what lives — and the faults that can hide inside the bigger reads.
+//!
+//! Every count is asserted for `gc_threads` 1 and 4: the per-file fetch
+//! jobs fan out over the pool, the I/O they issue must not depend on it.
+
+use scavenger::vstore::vtable::{vfile_path, VReader};
+use scavenger::vstore::GC_COALESCE;
+use scavenger::{Db, EngineMode, Env, Error, GcOutcome, IoClass, MemEnv, Options, VFormat};
+use scavenger_env::io_stats::ClassSnapshot;
+use scavenger_env::EnvRef;
+use scavenger_table::handle::BlockHandle;
+use scavenger_table::TAIL_PREFETCH;
+
+const VLEN: usize = 16_000;
+
+fn opts(env: EnvRef, mode: EngineMode, threads: usize) -> Options {
+    let mut o = Options::new(env, "db", mode);
+    o.memtable_size = 64 << 20; // flush only when asked
+    o.vsst_target_size = 8 << 20; // one value file per flush
+    o.auto_gc = false;
+    o.gc_threads = threads;
+    o
+}
+
+fn key(i: usize) -> String {
+    format!("key{i:06}")
+}
+
+fn value(i: usize, stamp: u8) -> Vec<u8> {
+    let mut v = vec![stamp; VLEN];
+    v[..8].copy_from_slice(&(i as u64).to_le_bytes());
+    v
+}
+
+/// `n` separated values in one value file, then a second version of
+/// every key `dead` selects in another, merged so the first file's
+/// garbage is exposed. Returns the first file's number.
+fn load(db: &Db, n: usize, dead: impl Fn(usize) -> bool) -> u64 {
+    for i in 0..n {
+        db.put(key(i), value(i, 1)).unwrap();
+    }
+    db.flush().unwrap();
+    let files = db.value_store().live_file_numbers();
+    assert_eq!(files.len(), 1, "one value file per flush");
+    for i in (0..n).filter(|&i| dead(i)) {
+        db.put(key(i), value(i, 2)).unwrap();
+    }
+    db.flush().unwrap();
+    while db.lsm().force_compact_once().unwrap() {}
+    files[0]
+}
+
+fn check_values(db: &Db, n: usize, dead: impl Fn(usize) -> bool) {
+    for i in 0..n {
+        let stamp = if dead(i) { 2 } else { 1 };
+        assert_eq!(db.get(key(i)).unwrap().unwrap(), value(i, stamp), "key {i}");
+    }
+}
+
+/// Run one GC job; its outcome and the `GcRead` ops and bytes it cost.
+fn gc_job(db: &Db, env: &MemEnv) -> (GcOutcome, ClassSnapshot) {
+    let before = env.io_stats().snapshot();
+    let outcome = db.run_gc().unwrap().expect("a candidate");
+    let d = env.io_stats().snapshot().delta(&before);
+    (outcome, d.class(IoClass::GcRead))
+}
+
+/// The dense index of RTable `file`, the number of reads (= index
+/// partitions) an uncached reader pays for it, and the bytes opening the
+/// table and walking the index ask for.
+fn dense_index(env: &EnvRef, file: u64) -> (Vec<(Vec<u8>, BlockHandle)>, u64, u64) {
+    let reader = VReader::open(
+        env,
+        "db",
+        file,
+        0,
+        VFormat::RTable,
+        None,
+        IoClass::FgValueRead,
+    )
+    .unwrap();
+    let VReader::R(r) = &reader else {
+        panic!("file {file} is not an RTable")
+    };
+    let before = env.io_stats().snapshot();
+    let index = r.read_index().unwrap();
+    let d = env.io_stats().snapshot().delta(&before);
+    let c = d.class(IoClass::FgValueRead);
+    assert_eq!(c.read_bytes, r.index_bytes().unwrap());
+    assert!(r.open_bytes() > 48 && r.open_bytes() < TAIL_PREFETCH as u64);
+    (index, c.read_ops, reader.lazy_index_bytes().unwrap())
+}
+
+/// A 2 MiB file with every other record live: each mode reads it in
+/// device-sized ops — 1 tail read, the index partitions (Lazy Read
+/// only), and one read per 256 KiB of file.
+#[test]
+fn half_live_file_is_read_in_spans_in_every_mode() {
+    const N: usize = 128;
+    let dead = |i: usize| i % 2 == 1;
+    let mut outcomes = Vec::new();
+    for mode in [EngineMode::Scavenger, EngineMode::Terark, EngineMode::Titan] {
+        for threads in [1, 4] {
+            let env = MemEnv::shared();
+            let eref: EnvRef = env.clone();
+            let db = Db::open(opts(eref.clone(), mode, threads)).unwrap();
+            let file = load(&db, N, dead);
+            let meta = db.value_store().meta(file).unwrap();
+            assert!(meta.size > 2_000_000 && meta.size < (2 << 20) + 65_536);
+            let spans = meta.size.div_ceil(GC_COALESCE.max_span);
+            let (partitions, index_bytes) = match mode {
+                EngineMode::Scavenger => {
+                    let (_, partitions, asked) = dense_index(&eref, file);
+                    (partitions, asked)
+                }
+                _ => (0, 0),
+            };
+
+            let before = db.value_store().live_file_numbers();
+            let (outcome, io) = gc_job(&db, &env);
+            assert_eq!(outcome.files_collected, 1, "{mode:?}");
+            assert_eq!(outcome.records_rewritten, (N / 2) as u64, "{mode:?}");
+            assert!(
+                io.read_ops <= 1 + partitions + spans,
+                "{mode:?}/{threads}: {} GcRead ops for 1 tail + {partitions} partitions + {spans} spans",
+                io.read_ops
+            );
+            // What the job reports is what it needed, not what the
+            // device moved: Lazy Read asked for the tail blocks, the
+            // index and the live half, a full scan for the file.
+            let live_bytes = (N / 2) as u64 * (VLEN as u64 + 30);
+            match mode {
+                EngineMode::Scavenger => {
+                    assert!(outcome.bytes_read >= index_bytes + (N / 2 * VLEN) as u64);
+                    assert!(outcome.bytes_read <= index_bytes + live_bytes);
+                    assert!(io.read_bytes > outcome.bytes_read, "gaps ride along");
+                }
+                _ => {
+                    assert_eq!(outcome.bytes_read, meta.size);
+                    assert_eq!(io.read_bytes, meta.size, "every byte once");
+                }
+            }
+            let written: u64 = db
+                .value_store()
+                .all_files()
+                .iter()
+                .filter(|m| !before.contains(&m.file))
+                .map(|m| m.size)
+                .sum();
+            assert_eq!(outcome.bytes_written, written, "{mode:?}");
+            check_values(&db, N, dead);
+            outcomes.push((mode, outcome, io));
+        }
+    }
+    // `gc_threads` changes neither the outcome nor the I/O.
+    for pair in outcomes.chunks(2) {
+        assert_eq!(pair[0], pair[1]);
+    }
+}
+
+/// Lazy Read's point survives the coalescing: one live record of 100
+/// costs the tail, the index and about that record — not the file.
+#[test]
+fn mostly_dead_file_costs_its_live_bytes() {
+    const N: usize = 100;
+    let dead = |i: usize| i != 40;
+    for threads in [1, 4] {
+        let env = MemEnv::shared();
+        let eref: EnvRef = env.clone();
+        let db = Db::open(opts(eref.clone(), EngineMode::Scavenger, threads)).unwrap();
+        let file = load(&db, N, dead);
+        let (index, partitions, index_bytes) = dense_index(&eref, file);
+        let record = index[40].1.size + 5;
+
+        let (outcome, io) = gc_job(&db, &env);
+        assert_eq!(outcome.records_rewritten, 1);
+        assert_eq!(io.read_ops, 1 + partitions + 1, "tail, index, one record");
+        assert!(
+            io.read_bytes < 2 * (TAIL_PREFETCH as u64 + index_bytes + record),
+            "{} bytes read for one {record}-byte record",
+            io.read_bytes
+        );
+        assert_eq!(outcome.bytes_read, index_bytes + record);
+        check_values(&db, N, dead);
+    }
+}
+
+/// BlobDB relocates inside compaction with one exact read per value: no
+/// tail (a blob log has none), no read-ahead.
+#[test]
+fn blobdb_relocation_reads_exactly_the_values_it_moves() {
+    let env = MemEnv::shared();
+    let mut o = opts(env.clone(), EngineMode::BlobDb, 1);
+    o.memtable_size = 256 * 1024;
+    o.base_level_bytes = 256 * 1024;
+    let db = Db::open(o).unwrap();
+    for round in 0..6u8 {
+        for i in 0..200 {
+            if round == 0 || i % 3 != 0 {
+                db.put(key(i), value(i, round)).unwrap();
+            }
+        }
+        db.flush().unwrap();
+        db.compact_all().unwrap();
+    }
+    let gc = env.io_stats().snapshot().class(IoClass::GcRead);
+    assert!(gc.read_ops > 0, "the workload must relocate something");
+    assert_eq!(gc.read_bytes, gc.read_ops * VLEN as u64);
+}
+
+/// The records of `file` GC will keep (`live`) and drop, by offset.
+fn record_offsets(env: &EnvRef, file: u64, dead: impl Fn(usize) -> bool) -> (Vec<u64>, Vec<u64>) {
+    let (index, _, _) = dense_index(env, file);
+    let mut live = Vec::new();
+    let mut gone = Vec::new();
+    for (i, (_, h)) in index.iter().enumerate() {
+        if dead(i) {
+            gone.push(h.offset);
+        } else {
+            live.push(h.offset);
+        }
+    }
+    (live, gone)
+}
+
+/// A flipped byte in a dead record a span reads through is nobody's
+/// business; one in a live record of the same span fails the job with
+/// that record's checksum error, and nothing is written.
+#[test]
+fn corruption_in_a_span_is_charged_to_the_record_it_hits() {
+    const N: usize = 64;
+    let dead = |i: usize| i % 2 == 1;
+    let env = MemEnv::shared();
+    let eref: EnvRef = env.clone();
+    let db = Db::open(opts(eref.clone(), EngineMode::Scavenger, 1)).unwrap();
+    let file = load(&db, N, dead);
+    let path = vfile_path("db", file, VFormat::RTable);
+    let (live, gone) = record_offsets(&eref, file, dead);
+
+    // Record 3 is dead and sits between live 2 and live 4.
+    env.corrupt_byte(&path, gone[1] + 100).unwrap();
+    let files_before = db.value_store().live_file_numbers();
+    // Record 4 rides in the same span, right after that gap.
+    env.corrupt_byte(&path, live[2] + 100).unwrap();
+    let err = db.run_gc().unwrap_err();
+    let at = format!("block checksum mismatch at offset {}", live[2]);
+    assert!(
+        matches!(&err, Error::Corruption(m) if *m == at),
+        "expected {at:?}, got {err}"
+    );
+    assert_eq!(db.value_store().live_file_numbers(), files_before);
+
+    // Heal the live record (the flip is its own inverse): the job now
+    // goes through, dead gap still corrupt.
+    env.corrupt_byte(&path, live[2] + 100).unwrap();
+    let (outcome, _) = gc_job(&db, &env);
+    assert_eq!(outcome.records_rewritten, (N / 2) as u64);
+    check_values(&db, N, dead);
+}
+
+/// The whole-file walkers verify every record they hand on, out of the
+/// read-ahead buffer as out of a 4 KiB chunk.
+#[test]
+fn corruption_inside_a_scanned_span_fails_the_scan() {
+    for mode in [EngineMode::Terark, EngineMode::Titan] {
+        let env = MemEnv::shared();
+        let db = Db::open(opts(env.clone(), mode, 1)).unwrap();
+        let file = load(&db, 64, |i| i % 2 == 1);
+        let format = db.value_store().meta(file).unwrap().format;
+        env.corrupt_byte(&vfile_path("db", file, format), 300_000)
+            .unwrap();
+        let err = db.run_gc().unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{mode:?}: {err}");
+    }
+}
+
+/// Same workload, same bytes: what GC leaves behind — and what it read
+/// to get there — does not depend on how the fetch jobs were scheduled
+/// (the frozen fixture of `integration_value_files.rs` holds the output
+/// bytes themselves).
+#[test]
+fn outcomes_and_io_do_not_depend_on_gc_threads() {
+    const N: usize = 300;
+    let dead = |i: usize| !i.is_multiple_of(3);
+    let run = |threads: usize| {
+        let env = MemEnv::shared();
+        let mut o = opts(env.clone(), EngineMode::Scavenger, threads);
+        o.vsst_target_size = 256 * 1024;
+        o.gc_batch_files = 8;
+        let db = Db::open(o).unwrap();
+        for i in 0..N {
+            db.put(key(i), value(i, 1)).unwrap();
+        }
+        db.flush().unwrap();
+        for i in (0..N).filter(|&i| dead(i)) {
+            db.put(key(i), value(i, 2)).unwrap();
+        }
+        db.flush().unwrap();
+        while db.lsm().force_compact_once().unwrap() {}
+        let mut outcomes = Vec::new();
+        while let Some(o) = db.run_gc().unwrap() {
+            outcomes.push(o);
+        }
+        check_values(&db, N, dead);
+        let files: Vec<(u64, u64, u64)> = db
+            .value_store()
+            .all_files()
+            .iter()
+            .map(|m| (m.file, m.entries, m.size))
+            .collect();
+        let io = env.io_stats().snapshot().class(IoClass::GcRead);
+        (outcomes, files, io)
+    };
+    let serial = run(1);
+    assert!(serial.0.len() >= 2, "several jobs of several files each");
+    assert_eq!(serial, run(4));
+}

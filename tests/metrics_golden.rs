@@ -37,6 +37,7 @@ fn golden_stats() -> DbStats {
             records_scanned: 107,
             records_valid: 108,
             reclaimed_bytes: 109,
+            requested_bytes: 115,
             validate_batches: 110,
             validate_sweeps: 111,
             validate_sweep_steps: 112,
