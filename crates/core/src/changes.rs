@@ -6,8 +6,8 @@
 //!
 //! [`ChangeSubscriber`] is a separate capability trait next to the
 //! [`Engine`](crate::Engine) triple (the same pattern as
-//! [`Transactional`](crate::Transactional)): both handles implement it
-//! with their own stream type, and generic code takes a
+//! [`Transactional`](crate::Transactional)): the handle implements it
+//! with one stream type, [`DbChangeStream`], and generic code takes a
 //! `ChangeSubscriber` bound when it tails changes. A stream is pulled,
 //! not pushed — [`ChangeStream::poll_changes`] returns the next batch
 //! of committed events and advances the cursor, so the caller (a wire
@@ -26,10 +26,10 @@
 //!   through this API. Subscribers see logical operations only:
 //!   [`ChangeOp::Put`] and [`ChangeOp::Delete`].
 //! * **Across shards**, sequences are per-shard namespaces, so there
-//!   is no single commit order to reproduce. The merged stream
-//!   interleaves shards deterministically by `(seq, shard)` over the
-//!   events pending at each poll and preserves each shard's order
-//!   exactly. A multi-shard transactional batch is split across shards
+//!   is no single commit order to reproduce. The stream merges one
+//!   cursor per shard, interleaving deterministically by `(seq, shard)`
+//!   over the events pending at each poll, and preserves each shard's
+//!   order exactly — on a plain store it is the one cursor's history. A multi-shard transactional batch is split across shards
 //!   by 2PC; its events carry the coordinator's transaction id
 //!   ([`ChangeRecord::txn_id`]) so a consumer can regroup the slices.
 //!   The id is a best-effort hint, not a boundary to rely on: WAL
@@ -73,7 +73,6 @@
 //! ```
 
 use crate::db::Db;
-use crate::shards::DbShards;
 use bytes::Bytes;
 use scavenger_lsm::{ChangeCursor, ChangeEvent};
 use scavenger_util::coding::{get_fixed32, get_fixed64, put_fixed32, put_fixed64};
@@ -93,7 +92,7 @@ pub enum ChangeOp {
 /// One committed logical change, as delivered to a subscriber.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChangeRecord {
-    /// Shard the write committed on (`0` on a single [`Db`]).
+    /// Shard the write committed on (`0` on a plain store).
     pub shard: usize,
     /// The operation's sequence number in its shard's commit order.
     pub seq: SeqNo,
@@ -304,69 +303,16 @@ impl std::fmt::Debug for ShardFeed {
     }
 }
 
-/// [`ChangeStream`] of a single [`Db`].
-#[derive(Debug)]
-pub struct DbChangeStream {
-    feed: ShardFeed,
-}
-
-impl ChangeStream for DbChangeStream {
-    fn poll_changes(&mut self, max: usize) -> Result<Vec<ChangeRecord>> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            self.feed.refill()?;
-            match self.feed.buf.pop_front() {
-                Some(r) => out.push(r),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
-
-    fn resume_token(&self) -> ResumeToken {
-        ResumeToken::new(vec![self.feed.next_seq()])
-    }
-
-    fn lag(&self) -> u64 {
-        self.feed.lag()
-    }
-}
-
-impl ChangeSubscriber for Db {
-    type Stream = DbChangeStream;
-
-    fn subscribe_changes(&self, from: SubscribeFrom) -> Result<DbChangeStream> {
-        let log = self.lsm().change_log();
-        let cursor = match from {
-            SubscribeFrom::Oldest => log.subscribe_oldest()?,
-            SubscribeFrom::Latest => log.subscribe_tail()?,
-            SubscribeFrom::Token(t) => {
-                let pos = t.shard_positions();
-                if pos.len() != 1 {
-                    return Err(Error::invalid_argument(format!(
-                        "resume token is for a {}-shard store, this handle has 1",
-                        pos.len()
-                    )));
-                }
-                log.subscribe_from(pos[0])?
-            }
-        };
-        Ok(DbChangeStream {
-            feed: ShardFeed::new(0, cursor),
-        })
-    }
-}
-
-/// [`ChangeStream`] of a [`DbShards`]: one cursor per shard, merged
+/// The [`ChangeStream`] of a [`Db`]: one cursor per shard, merged
 /// deterministically by `(seq, shard)` over the events pending at each
 /// poll. Each shard's substream is exactly its committed history, in
 /// order, gap-free.
 #[derive(Debug)]
-pub struct ShardsChangeStream {
+pub struct DbChangeStream {
     feeds: Vec<ShardFeed>,
 }
 
-impl ChangeStream for ShardsChangeStream {
+impl ChangeStream for DbChangeStream {
     fn poll_changes(&mut self, max: usize) -> Result<Vec<ChangeRecord>> {
         let mut out = Vec::new();
         while out.len() < max {
@@ -403,46 +349,31 @@ impl ChangeStream for ShardsChangeStream {
     }
 }
 
-impl ChangeSubscriber for DbShards {
-    type Stream = ShardsChangeStream;
+impl ChangeSubscriber for Db {
+    type Stream = DbChangeStream;
 
-    fn subscribe_changes(&self, from: SubscribeFrom) -> Result<ShardsChangeStream> {
+    fn subscribe_changes(&self, from: SubscribeFrom) -> Result<DbChangeStream> {
         let n = self.num_shards();
-        let mut feeds = Vec::with_capacity(n);
-        match from {
-            SubscribeFrom::Oldest => {
-                for i in 0..n {
-                    feeds.push(ShardFeed::new(
-                        i,
-                        self.shard(i).lsm().change_log().subscribe_oldest()?,
-                    ));
-                }
-            }
-            SubscribeFrom::Latest => {
-                for i in 0..n {
-                    feeds.push(ShardFeed::new(
-                        i,
-                        self.shard(i).lsm().change_log().subscribe_tail()?,
-                    ));
-                }
-            }
-            SubscribeFrom::Token(t) => {
-                let pos = t.shard_positions();
-                if pos.len() != n {
-                    return Err(Error::invalid_argument(format!(
-                        "resume token is for a {}-shard store, this handle has {n}",
-                        pos.len()
-                    )));
-                }
-                for (i, &p) in pos.iter().enumerate() {
-                    feeds.push(ShardFeed::new(
-                        i,
-                        self.shard(i).lsm().change_log().subscribe_from(p)?,
-                    ));
-                }
+        if let SubscribeFrom::Token(t) = &from {
+            if t.shard_positions().len() != n {
+                return Err(Error::invalid_argument(format!(
+                    "resume token is for a {}-shard store, this handle has {n}",
+                    t.shard_positions().len()
+                )));
             }
         }
-        Ok(ShardsChangeStream { feeds })
+        let feeds = (0..n).map(|i| {
+            let log = self.shard(i).lsm().change_log();
+            let cursor = match &from {
+                SubscribeFrom::Oldest => log.subscribe_oldest()?,
+                SubscribeFrom::Latest => log.subscribe_tail()?,
+                SubscribeFrom::Token(t) => log.subscribe_from(t.shard_positions()[i])?,
+            };
+            Ok(ShardFeed::new(i, cursor))
+        });
+        Ok(DbChangeStream {
+            feeds: feeds.collect::<Result<_>>()?,
+        })
     }
 }
 
@@ -543,7 +474,7 @@ mod tests {
         let mut o = ShardedOptions::new(MemEnv::shared(), "chg-shards", EngineMode::Scavenger);
         o.num_shards = 4;
         o.base.memtable_size = 8 * 1024;
-        let db = DbShards::open(o).unwrap();
+        let db = Db::open(o).unwrap();
         let mut s = db.subscribe_changes(SubscribeFrom::Oldest).unwrap();
 
         // Single-key writes land on one shard each.
@@ -601,10 +532,9 @@ mod tests {
     fn streams_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<DbChangeStream>();
-        assert_send::<ShardsChangeStream>();
     }
 
-    /// Generic code can tail either handle through the trait bound.
+    /// Generic code tails a store of any size through the trait bound.
     #[test]
     fn trait_is_generic_over_both_handles() {
         fn tail<E: ChangeSubscriber>(db: &E) -> Vec<ChangeRecord> {
@@ -614,7 +544,7 @@ mod tests {
         let single = db("chg-generic-single");
         single.put("k", vec![1u8; 64]).unwrap();
         assert_eq!(tail(&single).len(), 1);
-        let sharded = DbShards::open(ShardedOptions::new(
+        let sharded = Db::open(ShardedOptions::new(
             MemEnv::shared(),
             "chg-generic-sharded",
             EngineMode::Scavenger,

@@ -1,24 +1,33 @@
-//! The public engine facade: opens the index LSM-tree, value store, GC
-//! runner, and throttle as one database.
+//! The engine handle: a set of [`Shard`] members behind one routing
+//! rule. A plain store is the set of one, living at `dir` itself; a
+//! sharded store (see [`crate::shards`]) has N members under
+//! `dir/shard-NNN`. Every engine trait is implemented once, here, for
+//! both sizes.
+//!
+//! * **Writes** route by key. A batch whose keys all land on one member
+//!   commits through that member unchanged; one that spans members goes
+//!   through the two-phase-commit coordinator (see [`crate::txn`]).
+//! * **Reads** route too: [`get`](Db::get) asks the owning member, a
+//!   [`ReadView`] / [`Snapshot`] pins one registered view per member,
+//!   and [`DbScanIter`] merges the members' scans in key order.
+//! * **Maintenance** fans out across members on up to
+//!   [`gc_threads`](crate::Options::gc_threads) workers, and
+//!   [`stats`](Db::stats) folds the members' snapshots.
 
-use crate::dropcache::{DropCache, DROPCACHE_KEYS};
-use crate::gc::{GcOutcome, GcRunner, GC_THRESHOLD};
-use crate::hook::{EngineHook, HookConfig};
-use crate::options::{EngineMode, GcScheme, Options};
-use crate::stats::{DbStats, GcStats, SpaceBreakdown};
-use crate::throttle::{Throttle, MAX_THROTTLE_ROUNDS};
-use crate::txn::TxnCounters;
+use crate::engine::GcReport;
+use crate::shard::{Shard, ShardScan};
+use crate::stats::{DbStats, SpaceBreakdown};
+use crate::throttle::Throttle;
+use crate::txn::Coordinator;
 use crate::view::{ReadOptions, ReadPin, ReadView, Snapshot, WriteOptions, WriteReceipt};
-use crate::vstore::ValueStore;
+use crate::{EngineMode, Options};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use scavenger_env::usage::{SpaceTracker, UsageEnv};
-use scavenger_lsm::filename::{parse_path, FileKind};
-use scavenger_lsm::{Lsm, LsmReadResult, ValueEditBundle, WriteBatch};
+use scavenger_lsm::WriteBatch;
 use scavenger_table::btable::BlockCache;
-use scavenger_util::ikey::{SeqNo, ValueRef, ValueType};
+use scavenger_util::ikey::ValueType;
 use scavenger_util::{Error, Result};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One entry produced by a range scan.
@@ -31,200 +40,101 @@ pub struct ScanEntry {
 }
 
 pub(crate) struct DbInner {
-    opts: Options,
-    lsm: Lsm,
-    vstore: Arc<ValueStore>,
-    dropcache: Arc<DropCache>,
-    gc: Option<GcRunner>,
-    gc_stats: Arc<GcStats>,
-    /// Shared with sibling shards when opened through
-    /// [`DbShards`](crate::DbShards), so limit + counters are global.
-    throttle: Arc<Throttle>,
-    /// Serializes GC jobs and exhausted-file reaping.
-    gc_lock: Mutex<()>,
-    /// Byte credits for paced auto-GC (see `Options::gc_bandwidth_factor`).
-    gc_credits: Mutex<i64>,
-    cache: Arc<BlockCache>,
-    /// Optimistic-transaction commit/conflict counters.
-    txn: TxnCounters,
-    /// Incremental space-usage counter over this store's directory,
-    /// maintained by a [`UsageEnv`] layer wrapped around the
-    /// environment at open. `None` for a [`DbShards`](crate::DbShards)
-    /// member, whose [`SetWiring`] brings the set-wide usage source.
-    space_tracker: Option<Arc<SpaceTracker>>,
-    /// The usage the throttle compares against the limit when this
-    /// engine is a shard-set member: the sum over every member.
-    set_usage: Option<SpaceUsageFn>,
-}
-
-/// Sums the footprint of every member of a shard set.
-pub(crate) type SpaceUsageFn = Arc<dyn Fn() -> u64 + Send + Sync>;
-
-/// What [`DbShards::open`](crate::DbShards::open) hands each member so
-/// the §III-D limit is one global budget: the shared throttle (limit +
-/// counters) and the usage source summing all members.
-pub(crate) struct SetWiring {
-    pub(crate) throttle: Arc<Throttle>,
-    pub(crate) usage: SpaceUsageFn,
+    /// The caller's options; `dir` is the root, `env` the root's
+    /// usage-tracked env.
+    pub(crate) opts: Options,
+    pub(crate) shards: Vec<Shard>,
+    /// The routing-hash seed (unused by a set of one).
+    pub(crate) seed: u64,
+    /// Two-phase-commit log for multi-shard batches; `None` for a plain
+    /// store, which has nothing to coordinate.
+    pub(crate) coord: Option<Coordinator>,
+    /// Serializes transaction commits: validation and apply happen
+    /// under it, so committed transactions serialize against each
+    /// other even when they span shards.
+    pub(crate) txn_lock: Mutex<()>,
+    /// Transactions that passed validation and committed.
+    pub(crate) txn_commits: AtomicU64,
+    /// Transactions rejected at commit time with [`Error::TxnConflict`].
+    pub(crate) txn_conflicts: AtomicU64,
 }
 
 impl DbInner {
-    /// Resolve an index read result into the user value, fetching
-    /// separated values through the value store.
-    pub(crate) fn resolve_read(&self, key: &[u8], r: LsmReadResult) -> Result<Option<Bytes>> {
-        match r {
-            LsmReadResult::NotFound | LsmReadResult::Deleted => Ok(None),
-            LsmReadResult::Found {
-                vtype: ValueType::Value,
-                value,
-                ..
-            } => Ok(Some(value)),
-            LsmReadResult::Found {
-                vtype: ValueType::ValueRef,
-                seq,
-                value,
-            } => {
-                let vref = ValueRef::decode(&value)?;
-                Ok(Some(self.vstore.read_ref(key, seq, &vref)?))
-            }
-            LsmReadResult::Found {
-                vtype: ValueType::Deletion,
-                ..
-            } => Err(Error::internal(
-                "tombstone escaped the read path".to_string(),
-            )),
+    /// The member `key` routes to — without hashing in a set of one.
+    pub(crate) fn shard_of(&self, key: &[u8]) -> usize {
+        match self.shards.len() {
+            1 => 0,
+            n => crate::shards::route(self.seed, key, n),
+        }
+    }
+
+    /// The member every key routes to, or `None` when they span several
+    /// (no key at all routes to member 0).
+    pub(crate) fn owner<'k>(&self, mut keys: impl Iterator<Item = &'k [u8]>) -> Option<usize> {
+        if self.shards.len() == 1 {
+            return Some(0);
+        }
+        let first = keys.next().map_or(0, |k| self.shard_of(k));
+        keys.all(|k| self.shard_of(k) == first).then_some(first)
+    }
+}
+
+impl Drop for DbInner {
+    /// Clean close: retire the coordinator log (best effort — after a
+    /// simulated crash every handle is fenced), so the next open finds
+    /// no prepare to judge.
+    fn drop(&mut self) {
+        if let Some(coord) = &self.coord {
+            let _ = coord.retire(&self.shards);
         }
     }
 }
 
-/// A Scavenger database handle (cheaply cloneable).
+/// A Scavenger database handle (cheaply cloneable): one [`Shard`] for a
+/// plain store, N hash-partitioned ones for a sharded store, opened by
+/// [`Db::open`].
 #[derive(Clone)]
 pub struct Db {
-    inner: Arc<DbInner>,
+    pub(crate) inner: Arc<DbInner>,
 }
 
 impl Db {
-    /// Open (or recover) a database.
-    pub fn open(opts: Options) -> Result<Db> {
-        Db::open_member(opts, None)
+    // ---------------- routing ----------------
+
+    /// Number of members (1 for a plain store).
+    pub fn num_shards(&self) -> usize {
+        self.inner.shards.len()
     }
 
-    /// [`Db::open`], optionally as a member of a shard set.
-    pub(crate) fn open_member(mut opts: Options, set: Option<SetWiring>) -> Result<Db> {
-        // Meter this store's directory once at open, then keep the
-        // usage current incrementally as the env layer sees appends,
-        // deletes, and renames — space-aware admission (§III-D) reads
-        // an atomic instead of walking O(files) per write. Skipped for
-        // a set member: the set's usage source sums per-shard trackers.
-        let space_tracker = if set.is_none() {
-            let (env, tracker) = UsageEnv::wrap(opts.env.clone(), &format!("{}/", opts.dir))?;
-            opts.env = env;
-            Some(tracker)
-        } else {
-            None
-        };
-        let cache = opts.block_cache.clone().unwrap_or_else(|| {
-            Arc::new(BlockCache::with_capacity(opts.block_cache_bytes.max(4096)))
-        });
-        // A shared cache means sibling stores whose file numbers collide
-        // (shards all allocate from 1): namespace this store's cache keys
-        // so one shard can never serve another's cached blocks.
-        let cache_ns = if opts.block_cache.is_some() {
-            scavenger_table::cache::new_cache_namespace()
-        } else {
-            0
-        };
-        let vstore = Arc::new(
-            ValueStore::new(opts.env.clone(), opts.dir.clone(), cache.clone())
-                .with_cache_namespace(cache_ns),
-        );
-        let dropcache = Arc::new(DropCache::new(DROPCACHE_KEYS));
-        let gc_stats = Arc::new(GcStats::default());
+    /// The routing-hash seed (persisted for a sharded store).
+    pub fn route_seed(&self) -> u64 {
+        self.inner.seed
+    }
 
-        let mut lsm_opts = opts.lsm_options();
-        lsm_opts.block_cache = Some(cache.clone());
-        lsm_opts.cache_namespace = cache_ns;
-        if set.is_some() {
-            // A set member elides no tombstone — not even in the
-            // WAL-recovery flush inside `Lsm::open` — until the set's 2PC
-            // roll-forward has judged every prepare against this shard.
-            lsm_opts.tombstone_hold = 0;
-        }
-        let hook = if opts.features.separate {
-            let h = Arc::new(EngineHook::new(
-                HookConfig {
-                    features: opts.features,
-                    vsst_target: opts.vsst_target_size,
-                    table_opts: lsm_opts.table_options(),
-                },
-                vstore.clone(),
-                dropcache.clone(),
-                gc_stats.clone(),
-            ));
-            lsm_opts.value_hook = Some(h.clone());
-            Some(h)
-        } else {
-            None
-        };
+    /// The member `key` routes to — stable across reopen.
+    pub fn shard_of(&self, key: impl AsRef<[u8]>) -> usize {
+        self.inner.shard_of(key.as_ref())
+    }
 
-        let (lsm, replay) = Lsm::open(lsm_opts)?;
+    /// Member `index`: the experiment accessors ([`Shard::lsm`],
+    /// [`Shard::value_store`], [`Shard::run_gc_at`], …) live there.
+    pub fn shard(&self, index: usize) -> &Shard {
+        &self.inner.shards[index]
+    }
 
-        // Restore the value store: manifest history first, then anything
-        // committed during WAL recovery (buffered by the hook).
-        let apply = |bundle: &ValueEditBundle| {
-            let removed = vstore.apply_bundle(bundle);
-            for (file, format) in removed {
-                vstore.delete_file(file, format);
-            }
-        };
-        for bundle in &replay {
-            apply(bundle);
-        }
-        if let Some(h) = &hook {
-            for bundle in h.go_live() {
-                apply(&bundle);
-            }
-        }
-        vstore.delete_orphans()?;
+    fn member(&self, key: &[u8]) -> &Shard {
+        &self.inner.shards[self.inner.shard_of(key)]
+    }
 
-        let gc = if opts.features.separate {
-            Some(GcRunner::new(
-                opts.features,
-                crate::gc::GcConfig {
-                    vsst_target: opts.vsst_target_size,
-                    batch_files: opts.gc_batch_files,
-                    threads: opts.gc_threads,
-                },
-                opts.lsm_options().table_options(),
-                vstore.clone(),
-                dropcache.clone(),
-                gc_stats.clone(),
-            ))
-        } else {
-            None
-        };
-        let (throttle, set_usage) = match set {
-            Some(SetWiring { throttle, usage }) => (throttle, Some(usage)),
-            None => (Arc::new(Throttle::new(opts.space_limit)), None),
-        };
+    /// The block cache every member reads through.
+    pub fn block_cache(&self) -> &Arc<BlockCache> {
+        &self.inner.shards[0].inner.cache
+    }
 
-        Ok(Db {
-            inner: Arc::new(DbInner {
-                opts,
-                lsm,
-                vstore,
-                dropcache,
-                gc,
-                gc_stats,
-                throttle,
-                gc_lock: Mutex::new(()),
-                gc_credits: Mutex::new(0),
-                cache,
-                txn: TxnCounters::default(),
-                space_tracker,
-                set_usage,
-            }),
-        })
+    /// The space throttle every member admits writes through (global
+    /// limit + counters).
+    pub fn throttle(&self) -> &Arc<Throttle> {
+        &self.inner.shards[0].inner.throttle
     }
 
     // ---------------- writes ----------------
@@ -265,257 +175,88 @@ impl Db {
 
     /// Apply a batch atomically with explicit options: `sync = false`
     /// skips the per-write WAL fsync, `disable_throttle = true` bypasses
-    /// space-aware admission throttling. The returned [`WriteReceipt`]
-    /// reports the batch's commit point, its group-commit company, and
-    /// whether an fsync covered it.
+    /// space-aware admission throttling. A batch whose keys all land on
+    /// one member commits there untouched; one that spans members goes
+    /// through the two-phase-commit coordinator (see
+    /// [`KvWrite::write_with`](crate::KvWrite::write_with) for the
+    /// atomicity and receipt rules). Value references are
+    /// engine-internal: a batch carrying one is refused with
+    /// [`Error::InvalidArgument`] and nothing is written.
     pub fn write_with(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<WriteReceipt> {
-        if !opts.disable_throttle {
-            self.enforce_space_limit()?;
-        }
-        let credit = (batch.byte_size() as f64 * self.inner.opts.gc_bandwidth_factor) as i64;
-        let receipt = self.inner.lsm.write_opts(opts, batch)?;
-        {
-            let mut c = self.inner.gc_credits.lock();
-            // Cap the accumulator so an idle period cannot bank unbounded
-            // GC bandwidth.
-            *c = (*c + credit).min(64 * 1024 * 1024);
-        }
-        self.post_write_maintenance()?;
-        Ok(receipt)
-    }
-
-    /// Validate a transaction's read set under the LSM writer lock and,
-    /// if every read is still current, commit its write buffer through
-    /// the group-commit path. Backing for
-    /// [`Transactional::txn_commit`](crate::Transactional).
-    pub(crate) fn txn_commit_raw(
-        &self,
-        reads: &[(Vec<u8>, SeqNo)],
-        batch: WriteBatch,
-        opts: &WriteOptions,
-    ) -> Result<WriteReceipt> {
-        if !opts.disable_throttle {
-            self.enforce_space_limit()?;
-        }
-        match self.inner.lsm.write_validated(opts, batch, reads) {
-            Ok(receipt) => {
-                self.inner.txn.committed();
-                self.post_write_maintenance()?;
-                Ok(receipt)
-            }
-            Err(e) => {
-                if e.is_txn_conflict() {
-                    self.inner.txn.conflicted();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// The usage the throttle compares against the space limit: this
-    /// engine's own footprint, or for a [`DbShards`](crate::DbShards)
-    /// member the sum over every shard (one budget covers the whole
-    /// store).
-    fn throttled_usage(&self) -> u64 {
-        if let Some(usage) = &self.inner.set_usage {
-            return usage();
-        }
-        if let Some(tracker) = &self.inner.space_tracker {
-            return tracker.total();
-        }
-        self.space().total()
-    }
-
-    /// Bytes held only because something pins them: WAL history
-    /// retained for registered change-stream subscribers, plus (under
-    /// BlobDB's compaction-triggered scheme) exhausted value files
-    /// whose reaping is deferred while a read point is live. Reclaiming
-    /// cannot free these — the throttle discounts them when deciding
-    /// whether stalling writers can still help.
-    pub fn pinned_bytes(&self) -> u64 {
         let inner = &self.inner;
-        let mut pinned = inner.lsm.change_log().pinned_bytes();
-        if inner.opts.features.gc == GcScheme::CompactionTriggered
-            && inner.lsm.oldest_read_point().is_some()
+        if batch
+            .entries()
+            .iter()
+            .any(|e| e.vtype == ValueType::ValueRef)
         {
-            pinned += inner
-                .vstore
-                .all_files()
-                .iter()
-                .filter(|m| m.is_exhausted())
-                .map(|m| m.size)
-                .sum::<u64>();
+            return Err(Error::invalid_argument(
+                "value references are engine-internal and cannot be written through a handle",
+            ));
         }
-        pinned
-    }
-
-    /// Space-aware throttling (paper §III-D): before admitting a write,
-    /// reclaim aggressively while over the limit.
-    fn enforce_space_limit(&self) -> Result<()> {
-        let inner = &self.inner;
-        if inner.throttle.limit().is_none() {
-            return Ok(());
+        if let Some(i) = inner.owner(batch.entries().iter().map(|e| &e.key[..])) {
+            return inner.shards[i].commit(opts, batch, None);
         }
-        if !inner.throttle.over_limit(self.throttled_usage()) {
-            return Ok(());
-        }
-        // Discount pinned bytes (CDC-retained WAL history, read-point-
-        // deferred blob files): reclamation cannot touch them, so when
-        // the *reclaimable* footprint is under the limit, stalling
-        // writers on GC rounds would burn I/O for nothing.
-        if !inner
-            .throttle
-            .over_limit(self.throttled_usage().saturating_sub(self.pinned_bytes()))
-        {
-            return Ok(());
-        }
-        inner.throttle.note_activation();
-        let aggressive = Throttle::aggressive_threshold(GC_THRESHOLD);
-        for _ in 0..MAX_THROTTLE_ROUNDS {
-            let reclaimable = self.throttled_usage().saturating_sub(self.pinned_bytes());
-            if !inner.throttle.over_limit(reclaimable) {
-                return Ok(());
-            }
-            let mut progressed = false;
-            if let Some(gc) = &inner.gc {
-                let _g = inner.gc_lock.lock();
-                if gc.run_once(&inner.lsm, aggressive)?.is_some() {
-                    inner
-                        .throttle
-                        .gc_rounds
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    progressed = true;
-                }
-            }
-            self.reap_exhausted()?;
-            if !progressed {
-                // No GC candidate yet: force compaction to expose hidden
-                // garbage, then try again.
-                if inner.lsm.force_compact_once()? {
-                    inner
-                        .throttle
-                        .forced_compactions
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                } else {
-                    break;
-                }
+        let mut parts: Vec<WriteBatch> = inner.shards.iter().map(|_| WriteBatch::new()).collect();
+        for e in batch.entries() {
+            let part = &mut parts[inner.shard_of(&e.key)];
+            match e.vtype {
+                ValueType::Deletion => part.delete(&e.key),
+                _ => part.put(&e.key, e.value.clone()),
             }
         }
-        if inner
-            .throttle
-            .over_limit(self.throttled_usage().saturating_sub(self.pinned_bytes()))
-        {
-            inner
-                .throttle
-                .unresolved
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    fn post_write_maintenance(&self) -> Result<()> {
-        self.reap_exhausted()?;
-        if self.inner.opts.auto_gc {
-            self.run_paced_gc()?;
-        }
-        Ok(())
-    }
-
-    /// Auto-GC under the bandwidth budget: run jobs while candidates exist
-    /// and credits remain, charging each job what it reports
-    /// ([`GcOutcome::io_bytes`]) — so a job is charged once, to the
-    /// engine that ran it, whoever else was doing GC I/O on the env
-    /// meanwhile.
-    fn run_paced_gc(&self) -> Result<()> {
-        let inner = &self.inner;
-        let Some(gc) = &inner.gc else { return Ok(()) };
-        loop {
-            if *inner.gc_credits.lock() <= 0 {
-                return Ok(());
-            }
-            let ran = {
-                let _g = inner.gc_lock.lock();
-                gc.run_once(&inner.lsm, GC_THRESHOLD)?
-            };
-            let Some(job) = ran else { return Ok(()) };
-            *inner.gc_credits.lock() -= job.io_bytes() as i64;
-        }
-    }
-
-    /// BlobDB reclamation: delete blob files whose every record has been
-    /// exposed ("exhausted through compaction", §II-C).
-    ///
-    /// Deferred while *any* read point is registered: an in-flight view
-    /// may hold a pre-relocation superversion whose index entries still
-    /// address the exhausted file, and relocation happens inside
-    /// compaction without advancing the sequence — so no sequence
-    /// comparison can tell a safe reader from an endangered one. A
-    /// reader registered after this check pins the current (post-
-    /// relocation) superversion and is safe. Exhaustion is monotonic, so
-    /// deferred files are reaped on a later quiet pass.
-    fn reap_exhausted(&self) -> Result<()> {
-        let inner = &self.inner;
-        if inner.opts.features.gc != GcScheme::CompactionTriggered {
-            return Ok(());
-        }
-        let _g = inner.gc_lock.lock();
-        if inner.lsm.oldest_read_point().is_some() {
-            return Ok(());
-        }
-        let exhausted = inner.vstore.exhausted_files();
-        if exhausted.is_empty() {
-            return Ok(());
-        }
-        let bundle = ValueEditBundle {
-            deleted_files: exhausted,
-            ..Default::default()
-        };
-        inner.lsm.apply_value_edit(bundle.clone())?;
-        let removed = inner.vstore.apply_bundle(&bundle);
-        for (file, format) in removed {
-            inner.vstore.delete_file(file, format);
-        }
-        Ok(())
+        let parts = parts
+            .into_iter()
+            .enumerate()
+            .filter(|(_, b)| !b.is_empty())
+            .collect();
+        let coord = inner
+            .coord
+            .as_ref()
+            .expect("a set of several has a coordinator");
+        coord.commit(&inner.shards, parts, opts)
     }
 
     // ---------------- reads ----------------
 
-    /// Latest value of `key`, or `None` if absent/deleted.
-    ///
-    /// Single-pass and strictly consistent: the read goes through a
-    /// transient pinned [`ReadView`], so the index version it observes
-    /// and the value it resolves belong to the same point in time even
-    /// under concurrent flush/compaction/GC. (Earlier versions re-read
-    /// the index up to three times to paper over values retired between
-    /// the index lookup and the fetch.)
+    /// Latest value of `key`, or `None` if absent/deleted: one lookup on
+    /// the owning member, through a transient pinned view (see
+    /// [`Shard::get`]).
     pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Option<Bytes>> {
         let key = key.as_ref();
-        self.inner
-            .lsm
-            .get_resolved(key, |r| self.inner.resolve_read(key, r))
+        self.member(key).get(key)
     }
 
-    /// Value of `key` as seen by `opts`: through the pinned view or
-    /// snapshot in [`ReadOptions::pin`] (latest otherwise), with
-    /// per-call cache control. A sharded pin
-    /// ([`ReadPin::ShardsView`] /
-    /// [`ReadPin::ShardsSnapshot`]) is
-    /// an error on a single-engine handle.
+    /// The view `pin` names, `None` for the latest state. A pin taken
+    /// from another handle is refused: it would read that other store.
+    fn pinned<'p>(&self, pin: ReadPin<'p>) -> Result<Option<&'p ReadView>> {
+        let view = match pin {
+            ReadPin::Latest => return Ok(None),
+            ReadPin::View(v) => v,
+            ReadPin::Snapshot(s) => &s.view,
+        };
+        if !Arc::ptr_eq(&view.db.inner, &self.inner) {
+            return Err(Error::invalid_argument(
+                "the pin was taken from another handle",
+            ));
+        }
+        Ok(Some(view))
+    }
+
+    /// Value of `key` as seen by `opts`: through the view or snapshot in
+    /// [`ReadOptions::pin`], or without one on the owning member alone,
+    /// with per-call cache control.
     pub fn get_with(&self, opts: &ReadOptions<'_>, key: impl AsRef<[u8]>) -> Result<Option<Bytes>> {
         let key = key.as_ref();
-        match opts.pin {
-            ReadPin::View(v) => v.get_opt(key, opts.fill_cache),
-            ReadPin::Snapshot(s) => s.view().get_opt(key, opts.fill_cache),
-            ReadPin::Latest => self.view().get_opt(key, opts.fill_cache),
-            ReadPin::ShardsView(_) | ReadPin::ShardsSnapshot(_) => Err(Error::invalid_argument(
-                "sharded pin passed to a single-engine read",
-            )),
+        match self.pinned(opts.pin)? {
+            Some(view) => view.get_opt(key, opts.fill_cache),
+            None => self.member(key).view().get_opt(key, opts.fill_cache),
         }
     }
 
-    /// Take a pinned, registered [`ReadView`] at the latest sequence.
-    /// All reads through it are strictly consistent for its lifetime:
-    /// writes, flushes, compactions, and GC committed after creation are
+    /// Take a pinned, registered [`ReadView`] at the latest state: one
+    /// view per member, taken at this call. All reads through it are
+    /// strictly consistent per member for its lifetime: writes,
+    /// flushes, compactions, and GC committed after creation are
     /// invisible, and every version it can see stays resolvable.
     ///
     /// ```
@@ -531,19 +272,20 @@ impl Db {
     /// ```
     pub fn view(&self) -> ReadView {
         ReadView {
-            view: self.inner.lsm.view(),
-            db: self.inner.clone(),
+            members: self.inner.shards.iter().map(Shard::view).collect(),
+            db: self.clone(),
         }
     }
 
     /// Take a consistent snapshot: an RAII handle owning a registered
-    /// view. Read through it with [`Snapshot::get`] / [`Snapshot::scan`];
-    /// dropping it unregisters the sequence.
+    /// view per member, which also gates snapshot-aware GC policy (e.g.
+    /// Titan's defer-while-snapshots-exist rule). Dropping it
+    /// unregisters every member's read point.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             view: ReadView {
-                view: self.inner.lsm.snapshot_view(),
-                db: self.inner.clone(),
+                members: self.inner.shards.iter().map(Shard::snapshot_view).collect(),
+                db: self.clone(),
             },
         }
     }
@@ -558,104 +300,110 @@ impl Db {
     /// Range scan as seen by `opts`: bounds come from
     /// [`lower_bound`](ReadOptions::lower_bound) /
     /// [`upper_bound`](ReadOptions::upper_bound), the read point from
-    /// [`ReadOptions::pin`] (latest otherwise). A sharded pin is an
-    /// error on a single-engine handle.
+    /// [`ReadOptions::pin`] (latest otherwise).
     pub fn scan_with(&self, opts: &ReadOptions<'_>) -> Result<DbScanIter> {
         let lo = opts.lower_bound.as_deref().unwrap_or(b"");
         let hi = opts.upper_bound.as_deref();
-        match opts.pin {
-            ReadPin::View(v) => v.scan_opt(lo, hi, opts.fill_cache),
-            ReadPin::Snapshot(s) => s.view().scan_opt(lo, hi, opts.fill_cache),
-            ReadPin::Latest => self.view().scan_opt(lo, hi, opts.fill_cache),
-            ReadPin::ShardsView(_) | ReadPin::ShardsSnapshot(_) => Err(Error::invalid_argument(
-                "sharded pin passed to a single-engine scan",
-            )),
+        match self.pinned(opts.pin)? {
+            Some(view) => view.scan_opt(lo, hi, opts.fill_cache),
+            None => self.view().scan_opt(lo, hi, opts.fill_cache),
         }
     }
 
     // ---------------- maintenance ----------------
 
-    /// Flush the memtable and drain background work.
+    /// Flush every member, then retire the 2PC coordinator log: every
+    /// batch it vouches for is in the members' SSTs now.
     pub fn flush(&self) -> Result<()> {
-        self.inner.lsm.flush()?;
-        self.post_write_maintenance()
+        self.for_each_shard(Shard::flush)?;
+        match &self.inner.coord {
+            Some(coord) => coord.retire(&self.inner.shards),
+            None => Ok(()),
+        }
     }
 
-    /// Compact until every level score is under 1.
+    /// Compact every member until every level score is under 1. The
+    /// coordinator log is retired first if it can be, so no prepare left
+    /// over from earlier commits holds tombstones back from this
+    /// compaction; if it cannot, they are merely kept a while longer.
     pub fn compact_all(&self) -> Result<()> {
-        self.inner.lsm.compact_until_stable()?;
-        self.post_write_maintenance()
-    }
-
-    /// Run one GC job at [`GC_THRESHOLD`].
-    pub fn run_gc(&self) -> Result<Option<GcOutcome>> {
-        self.run_gc_at(GC_THRESHOLD)
-    }
-
-    /// Run one GC job at an explicit threshold.
-    pub fn run_gc_at(&self, threshold: f64) -> Result<Option<GcOutcome>> {
-        let inner = &self.inner;
-        match &inner.gc {
-            Some(gc) => {
-                let _g = inner.gc_lock.lock();
-                gc.run_once(&inner.lsm, threshold)
-            }
-            None => Ok(None),
+        if let Some(coord) = &self.inner.coord {
+            let _ = coord.retire(&self.inner.shards);
         }
+        self.for_each_shard(Shard::compact_all).map(|_| ())
     }
 
-    /// Dry-run the GC-Lookup validation phase over one value file without
-    /// moving data: reports how many of its records are still live.
-    pub fn gc_validate_file(&self, file: u64) -> Result<crate::GcValidationReport> {
-        let inner = &self.inner;
-        match &inner.gc {
-            Some(gc) => {
-                let _g = inner.gc_lock.lock();
-                gc.validate_file(&inner.lsm, file)
-            }
-            None => Err(Error::invalid_argument(
-                "engine mode has no value separation to validate",
-            )),
-        }
+    /// Run one GC job per member at
+    /// [`GC_THRESHOLD`](crate::gc::GC_THRESHOLD); the [`GcReport`] holds
+    /// each member's outcome, indexed by shard.
+    pub fn run_gc(&self) -> Result<GcReport> {
+        Ok(GcReport {
+            outcomes: self.for_each_shard(|s| s.run_gc_at(crate::gc::GC_THRESHOLD))?,
+        })
     }
 
-    /// Run GC jobs until no candidate crosses the threshold.
+    /// Run GC on every member until no candidate crosses the threshold.
+    /// Returns the total number of jobs.
     pub fn run_gc_until_clean(&self) -> Result<usize> {
-        let mut jobs = 0;
-        while self.run_gc()?.is_some() {
-            jobs += 1;
-            if jobs > 1024 {
-                return Err(Error::internal("runaway GC loop"));
-            }
-        }
-        Ok(jobs)
+        Ok(self
+            .for_each_shard(Shard::run_gc_until_clean)?
+            .into_iter()
+            .sum())
     }
 
     /// Recover from read-only degraded mode after a permanent background
-    /// failure: re-verify (and if needed rewrite) the manifest, delete
-    /// orphan value files left behind by a crashed GC write stage, clear
-    /// the stored background error, and re-enable writes. Returns an
-    /// error — leaving the engine degraded — if verification fails.
+    /// failure: every member re-verifies (and if needed rewrites) its
+    /// manifest, deletes orphan value files left behind by a crashed GC
+    /// write stage, clears its stored background error, and re-enables
+    /// writes. The first member whose verification fails aborts the
+    /// sweep with its error, leaving it degraded.
     pub fn resume(&self) -> Result<()> {
-        self.inner.lsm.resume()?;
-        self.inner.vstore.delete_orphans()?;
-        Ok(())
+        self.for_each_shard(Shard::resume).map(|_| ())
     }
 
-    /// True while the engine is in read-only degraded mode (writes fail
-    /// fast with [`Error::ReadOnlyMode`]; see [`Db::resume`]).
+    /// True while any member is in read-only degraded mode (writes to
+    /// it fail fast with [`Error::ReadOnlyMode`]; see [`Db::resume`]).
     pub fn is_degraded(&self) -> bool {
-        self.inner.lsm.is_degraded()
+        self.inner.shards.iter().any(Shard::is_degraded)
     }
 
-    /// The background error that degraded the engine, if any.
-    pub fn background_error(&self) -> Option<Error> {
-        self.inner.lsm.background_error()
+    /// Run `f` over every member, fanning across up to
+    /// [`gc_threads`](crate::Options::gc_threads) scoped workers;
+    /// `gc_threads = 1` and a set of one degenerate to a sequential
+    /// sweep. Results are returned in shard order; the first error wins.
+    fn for_each_shard<R, F>(&self, f: F) -> Result<Vec<R>>
+    where
+        R: Send,
+        F: Fn(&Shard) -> Result<R> + Sync,
+    {
+        let shards = &self.inner.shards;
+        let workers = self.inner.opts.gc_threads.clamp(1, shards.len());
+        if workers == 1 {
+            return shards.iter().map(f).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<Result<R>>>> =
+            shards.iter().map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::SeqCst);
+                    if i >= shards.len() {
+                        break;
+                    }
+                    *slots[i].lock() = Some(f(&shards[i]));
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("worker filled every slot"))
+            .collect()
     }
 
     // ---------------- introspection ----------------
 
-    /// The engine options.
+    /// The options the store was opened with (`dir` is its root).
     pub fn options(&self) -> &Options {
         &self.inner.opts
     }
@@ -665,119 +413,84 @@ impl Db {
         self.inner.opts.mode
     }
 
-    /// On-disk space breakdown.
-    pub fn space(&self) -> SpaceBreakdown {
+    /// Per-member statistics, indexed by shard (each member of a set of
+    /// several counts its own I/O through a metered env).
+    pub fn shard_stats(&self) -> Vec<DbStats> {
+        self.inner.shards.iter().map(Shard::stats).collect()
+    }
+
+    /// Aggregate statistics: every member's snapshot folded field by
+    /// field (a set of one reports its member's bit for bit), then the state that lives at the set level — transaction
+    /// counters, the 2PC coordinator, the root-level files — added on
+    /// top.
+    pub fn stats(&self) -> DbStats {
         let inner = &self.inner;
-        let mut s = SpaceBreakdown::default();
-        let prefix = format!("{}/", inner.opts.dir);
-        if let Ok(files) = inner.opts.env.list_prefix(&prefix) {
-            for p in files {
-                let size = inner.opts.env.file_size(&p).unwrap_or(0);
-                match parse_path(&inner.opts.dir, &p) {
-                    Some((FileKind::Table, _)) => s.ksst_bytes += size,
-                    Some((FileKind::ValueTable | FileKind::BlobLog, _)) => s.value_bytes += size,
-                    Some((FileKind::Wal, _)) => s.wal_bytes += size,
-                    Some((FileKind::Manifest | FileKind::Current, _)) => s.manifest_bytes += size,
-                    None => s.other_bytes += size,
-                }
-            }
+        let mut s = DbStats::merge(&self.shard_stats());
+        s.space.other_bytes += self.root_file_bytes();
+        s.txn_commits += inner.txn_commits.load(Ordering::Relaxed);
+        s.txn_conflicts += inner.txn_conflicts.load(Ordering::Relaxed);
+        if let Some(coord) = &inner.coord {
+            s.txn_2pc_commits += coord.commits.load(Ordering::Relaxed);
+            s.txn_2pc_rollforwards += coord.rollforwards.load(Ordering::Relaxed);
         }
         s
     }
 
-    /// Aggregate statistics snapshot.
-    pub fn stats(&self) -> DbStats {
-        let inner = &self.inner;
-        let version = inner.lsm.current_version();
-        let counters = inner.lsm.counters();
-        let (pinned_views, live_snapshots) = inner.lsm.read_point_counts();
-        let cdc = inner.lsm.change_log().stats();
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        DbStats {
-            io: inner.opts.env.io_stats().snapshot(),
-            gc: inner.gc_stats.snapshot(),
-            space: self.space(),
-            index_space_amp: version.index_space_amp(),
-            exposed_garbage_bytes: inner.vstore.total_exposed_bytes(),
-            value_store_bytes: inner.vstore.total_bytes(),
-            value_files: inner.vstore.all_files().len() as u64,
-            cache_hit_ratio: inner.cache.hit_ratio(),
-            flushes: load(&counters.flushes),
-            compactions: load(&counters.compactions),
-            merge_drops: load(&counters.merge_drops),
-            write_stalls: load(&counters.stalls),
-            throttle_stalls: inner.throttle.activation_count(),
-            oldest_read_point: inner.lsm.oldest_read_point(),
-            pinned_views: pinned_views as u64,
-            live_snapshots: live_snapshots as u64,
-            bg_errors: load(&counters.bg_errors),
-            bg_retries: load(&counters.bg_retries),
-            degraded: inner.lsm.is_degraded(),
-            wal_tail_corruptions: load(&counters.wal_tail_corruptions),
-            group_commit_groups: load(&counters.group_commit_groups),
-            group_commit_batches: load(&counters.group_commit_batches),
-            group_commit_max_group: load(&counters.group_commit_max_group),
-            group_commit_fsyncs_saved: load(&counters.group_commit_fsyncs_saved),
-            txn_commits: inner.txn.commits(),
-            txn_conflicts: inner.txn.conflicts(),
-            // Single-handle stores never touch the 2PC coordinator.
-            txn_2pc_commits: 0,
-            txn_2pc_rollforwards: 0,
-            cdc_events_published: cdc.events_published,
-            cdc_subscribers: cdc.subscribers,
-            cdc_retained_wal_bytes: cdc.retained_wal_bytes,
-            cdc_lag_seqs: cdc.lag_seqs,
-            cdc_catchup_reads: cdc.catchup_reads,
-            pinned_bytes: self.pinned_bytes(),
+    /// On-disk space breakdown across every member (plus, for a sharded
+    /// store, the root-level routing meta and coordinator log under
+    /// `other_bytes`).
+    pub fn space(&self) -> SpaceBreakdown {
+        let mut total = SpaceBreakdown::default();
+        for s in &self.inner.shards {
+            total.accumulate(&s.space());
         }
+        total.other_bytes += self.root_file_bytes();
+        total
     }
 
-    /// The underlying index LSM-tree (exposed for experiments/tests).
-    pub fn lsm(&self) -> &Lsm {
-        &self.inner.lsm
-    }
-
-    /// The value store (exposed for experiments/tests).
-    pub fn value_store(&self) -> &Arc<ValueStore> {
-        &self.inner.vstore
-    }
-
-    /// The DropCache (exposed for experiments/tests).
-    pub fn drop_cache(&self) -> &Arc<DropCache> {
-        &self.inner.dropcache
+    /// Bytes of the store-level files a sharded store keeps at its root
+    /// (the `SHARDS` routing meta and the 2PC coordinator log).
+    fn root_file_bytes(&self) -> u64 {
+        if self.inner.coord.is_none() {
+            return 0;
+        }
+        let (env, root) = (&self.inner.opts.env, &self.inner.opts.dir);
+        [crate::shards::META_FILE, crate::txn::COORD_LOG]
+            .iter()
+            .map(|f| env.file_size(&format!("{root}/{f}")).unwrap_or(0))
+            .sum()
     }
 }
 
-/// Most rows one look-ahead batch resolves: the ceiling of the ramp
-/// (1, 2, 4 …) that plain [`Iterator::next`] climbs, and the chunk
-/// [`DbScanIter::collect_n`] works in.
-pub const SCAN_BATCH_ROWS: usize = 256;
-
-/// Separated-value bytes after which a look-ahead batch stops pulling
-/// index entries (it always takes at least one row).
-pub const SCAN_BATCH_BYTES: u64 = 1 << 20;
-
-/// Scan iterator resolving separated values. Carries the pinned view it
-/// was opened from (when opened through the view API), so both index
-/// entries and their separated values stay resolvable for the whole
-/// scan.
+/// Scan iterator resolving separated values: a k-way ordered merge over
+/// one scan per member, each carrying the pinned view it was opened
+/// from, so both index entries and their separated values stay
+/// resolvable for the whole scan.
+///
+/// Hash partitioning makes the member streams *disjoint* (a user key
+/// lives on exactly one member), so merging is a pure smallest-head pick
+/// — ties (impossible by construction) go to the lowest shard index.
+/// A set of one has nothing to merge: its scan is the member's, read for
+/// read.
 ///
 /// # Value look-ahead
 ///
-/// Rows are resolved a batch at a time, not one dependent random read
-/// per row: the iterator pulls the next index entries,
-/// [locates](ValueStore::locate) every separated value, fetches them per
-/// value file with neighbouring records coalesced into one I/O
-/// ([`ValueStore::fetch`]), and yields the rows in key order. How far it
-/// looks ahead is private to the iterator:
+/// Rows are resolved a batch at a time per member, not one dependent
+/// random read per row: a member pulls its next index entries,
+/// [locates](crate::vstore::ValueStore::locate) every separated value,
+/// fetches them per value file with neighbouring records coalesced into
+/// one I/O ([`ValueStore::fetch`](crate::vstore::ValueStore::fetch)), and
+/// yields the rows in key order. How far it looks ahead is private to
+/// the iterator:
 ///
 /// * plain [`Iterator::next`] climbs a ramp — batches of 1, 2, 4 … rows
-///   up to [`SCAN_BATCH_ROWS`] rows or [`SCAN_BATCH_BYTES`] of separated
+///   up to [`SCAN_BATCH_ROWS`](crate::shard::SCAN_BATCH_ROWS) rows or
+///   [`SCAN_BATCH_BYTES`](crate::shard::SCAN_BATCH_BYTES) of separated
 ///   values — so a scan abandoned after a few rows resolved at most
 ///   about as many again;
 /// * [`collect_n(limit)`](DbScanIter::collect_n) resolves exactly the
-///   rows it returns (in chunks of at most `SCAN_BATCH_ROWS`), never one
-///   more.
+///   rows it returns on a set of one (in chunks of at most
+///   `SCAN_BATCH_ROWS`), and at most `limit` rows per member otherwise.
 ///
 /// # Errors
 ///
@@ -787,135 +500,51 @@ pub const SCAN_BATCH_BYTES: u64 = 1 << 20;
 /// error, once; after that the iterator is *fused* and every `next`
 /// returns `None` — a scan cannot resume past a failed resolve. (When a
 /// batch fails, its rows are re-resolved one by one to find that
-/// prefix.) [`next_entry`](DbScanIter::next_entry) is a thin wrapper
-/// over the `Iterator` impl.
+/// prefix; a member's error surfaces when the merge next needs a row
+/// from that member.) [`next_entry`](DbScanIter::next_entry) is a thin
+/// wrapper over the `Iterator` impl.
 pub struct DbScanIter {
-    inner: scavenger_lsm::ScanIter,
-    db: Arc<DbInner>,
-    /// The current look-ahead batch: resolved rows not yet yielded.
-    ready: std::vec::IntoIter<ScanEntry>,
-    /// What ended the look-ahead; surfaces once `ready` has drained.
-    failed: Option<Error>,
-    /// Rows the next ramp batch resolves.
-    ramp: usize,
-    /// Rows the ramp may still resolve ahead of demand, when a caller
-    /// that knows its own limit set one (see
-    /// [`limit_lookahead`](Self::limit_lookahead)).
-    budget: Option<usize>,
+    members: Vec<ShardScan>,
+    /// Each member's smallest row not yet handed out.
+    heads: Vec<Option<ScanEntry>>,
+    /// Members whose head the next pull must fetch first: every member
+    /// at the start, then the one handed out last — so the merge
+    /// resolves nothing past the last entry it yields, and a failure
+    /// surfaces *after* that entry instead of replacing it.
+    refill: Vec<usize>,
     done: bool,
 }
 
 impl DbScanIter {
-    pub(crate) fn new(inner: scavenger_lsm::ScanIter, db: Arc<DbInner>) -> DbScanIter {
+    pub(crate) fn new(members: Vec<ShardScan>) -> DbScanIter {
         DbScanIter {
-            inner,
-            db,
-            ready: Vec::new().into_iter(),
-            failed: None,
-            ramp: 1,
-            budget: None,
+            heads: members.iter().map(|_| None).collect(),
+            refill: (0..members.len()).collect(),
+            members,
             done: false,
         }
     }
 
-    /// Cap the rows the ramp resolves from here on (`None` lifts the
-    /// cap): the sharded merge's `collect_n(limit)` needs at most `limit`
-    /// rows from any one shard.
-    pub(crate) fn limit_lookahead(&mut self, rows: Option<usize>) {
-        self.budget = rows;
-    }
-
-    /// Pull up to `rows` index entries (fewer once [`SCAN_BATCH_BYTES`]
-    /// of separated values are pending) and resolve them. Returns the
-    /// rows that resolved, in key order; whatever stopped the batch
-    /// short — end of range excepted — is left in `failed`.
-    fn fill(&mut self, rows: usize) -> Vec<ScanEntry> {
-        let mut batch: Vec<ScanEntry> = Vec::with_capacity(rows);
-        // The batch's separated rows: (index in `batch`, seq, reference).
-        // Until resolved, such a row's `value` holds the encoded reference.
-        let mut separated: Vec<(usize, SeqNo, ValueRef)> = Vec::new();
-        let mut bytes = 0u64;
-        while batch.len() < rows && bytes < SCAN_BATCH_BYTES {
-            let e = match self.inner.next() {
-                None => break,
-                Some(Err(e)) => {
-                    self.failed = Some(e);
-                    break;
-                }
-                Some(Ok(e)) => e,
-            };
-            match e.vtype {
-                ValueType::Value => {}
-                ValueType::ValueRef => match ValueRef::decode(&e.value) {
-                    Ok(vref) => {
-                        bytes += u64::from(vref.size);
-                        separated.push((batch.len(), e.seq, vref));
-                    }
-                    Err(err) => {
-                        self.failed = Some(err);
-                        break;
-                    }
-                },
-                ValueType::Deletion => {
-                    self.failed = Some(Error::internal("tombstone in scan output"));
-                    break;
-                }
-            }
-            batch.push(ScanEntry {
-                key: e.user_key,
-                value: e.value,
+    /// Refill the heads consumed since the previous pull, then pick and
+    /// yield the smallest head.
+    fn merge_next(&mut self) -> Result<Option<ScanEntry>> {
+        while let Some(i) = self.refill.pop() {
+            self.heads[i] = self.members[i].next_entry()?;
+        }
+        let heads = &self.heads;
+        let min = (0..heads.len())
+            .filter(|&i| heads[i].is_some())
+            .min_by(|&a, &b| {
+                heads[a]
+                    .as_ref()
+                    .unwrap()
+                    .key
+                    .cmp(&heads[b].as_ref().unwrap().key)
             });
-        }
-        if let Err((row, e)) = self.resolve(&mut batch, &separated) {
-            batch.truncate(row);
-            self.failed = Some(e);
-        }
-        batch
-    }
-
-    /// Replace the encoded reference of every separated row with its
-    /// value: one [`locate`](ValueStore::locate) per row, then one
-    /// coalesced [`fetch`](ValueStore::fetch) for the lot. A lone
-    /// separated row gains nothing from batching, and a failed batch
-    /// falls back to the same row-by-row path, which finds the first row
-    /// that cannot be resolved (returned with its error).
-    fn resolve(
-        &self,
-        batch: &mut [ScanEntry],
-        separated: &[(usize, SeqNo, ValueRef)],
-    ) -> std::result::Result<(), (usize, Error)> {
-        let vstore = &self.db.vstore;
-        if separated.len() > 1 {
-            let fetched = separated
-                .iter()
-                .map(|(row, seq, vref)| vstore.locate(&batch[*row].key, *seq, vref))
-                .collect::<Result<Vec<_>>>()
-                .and_then(|locs| vstore.fetch(&locs));
-            if let Ok(values) = fetched {
-                for ((row, ..), value) in separated.iter().zip(values) {
-                    batch[*row].value = value;
-                }
-                return Ok(());
-            }
-        }
-        for (row, seq, vref) in separated {
-            match vstore.read_ref(&batch[*row].key, *seq, vref) {
-                Ok(value) => batch[*row].value = value,
-                Err(e) => return Err((*row, e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// The next ramp step (1, 2, 4 … [`SCAN_BATCH_ROWS`]), within the
-    /// look-ahead budget when one is set.
-    fn ramp_step(&mut self) -> usize {
-        let step = self.ramp.min(self.budget.unwrap_or(usize::MAX)).max(1);
-        self.ramp = (self.ramp * 2).min(SCAN_BATCH_ROWS);
-        if let Some(b) = &mut self.budget {
-            *b = b.saturating_sub(step);
-        }
-        step
+        Ok(min.and_then(|i| {
+            self.refill.push(i);
+            self.heads[i].take()
+        }))
     }
 
     /// Next entry, or `None` at the end of the range (thin wrapper over
@@ -926,36 +555,23 @@ impl DbScanIter {
 
     /// Collect up to `limit` entries. Unlike `take(limit)` this tells the
     /// iterator how many rows are wanted, so their values are fetched in
-    /// one coalesced batch (chunks of [`SCAN_BATCH_ROWS`] for a large
-    /// `limit`) and **no value beyond the returned rows is read**. An
-    /// error drops the rows collected so far, like `collect` into a
-    /// `Result`; one that lies beyond the `limit`-th row waits for the
-    /// next pull.
+    /// coalesced batches and **no value beyond the returned rows is
+    /// read** on a set of one; on a set of several no member resolves
+    /// more than `limit` rows. An error drops the rows collected so far,
+    /// like `collect` into a `Result`; one that lies beyond the
+    /// `limit`-th row waits for the next pull.
     pub fn collect_n(&mut self, limit: usize) -> Result<Vec<ScanEntry>> {
-        if self.done {
-            return Ok(Vec::new());
+        if let [only] = &mut self.members[..] {
+            return only.collect_n(limit);
         }
-        // Rows an earlier look-ahead already resolved come first.
-        let mut out: Vec<ScanEntry> = self.ready.by_ref().take(limit).collect();
-        while out.len() < limit && self.failed.is_none() {
-            let batch = self.fill((limit - out.len()).min(SCAN_BATCH_ROWS));
-            if batch.is_empty() && self.failed.is_none() {
-                self.done = true; // end of range
-                return Ok(out);
-            }
-            if out.is_empty() {
-                out = batch;
-            } else {
-                out.extend(batch);
-            }
+        for it in &mut self.members {
+            it.limit_lookahead(Some(limit));
         }
-        if out.len() < limit {
-            if let Some(e) = self.failed.take() {
-                self.done = true;
-                return Err(e);
-            }
+        let out = self.by_ref().take(limit).collect();
+        for it in &mut self.members {
+            it.limit_lookahead(None);
         }
-        Ok(out)
+        out
     }
 }
 
@@ -963,17 +579,13 @@ impl Iterator for DbScanIter {
     type Item = Result<ScanEntry>;
 
     fn next(&mut self) -> Option<Result<ScanEntry>> {
+        if let [only] = &mut self.members[..] {
+            return only.next();
+        }
         if self.done {
             return None;
         }
-        if self.ready.len() == 0 && self.failed.is_none() {
-            let rows = self.ramp_step();
-            self.ready = self.fill(rows).into_iter();
-        }
-        let pulled = match self.ready.next() {
-            Some(e) => Ok(Some(e)),
-            None => self.failed.take().map_or(Ok(None), Err),
-        };
+        let pulled = self.merge_next();
         scavenger_util::iter::fuse(&mut self.done, pulled)
     }
 }
@@ -981,6 +593,8 @@ impl Iterator for DbScanIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gc::GC_THRESHOLD;
+    use crate::Transactional;
     use scavenger_env::MemEnv;
 
     fn small_opts(mode: EngineMode) -> Options {
@@ -1002,7 +616,7 @@ mod tests {
     #[test]
     fn gc_validate_file_without_separation_is_invalid_argument() {
         let db = Db::open(small_opts(EngineMode::Rocks)).unwrap();
-        let err = db.gc_validate_file(1).unwrap_err();
+        let err = db.shard(0).gc_validate_file(1).unwrap_err();
         assert!(matches!(err, Error::InvalidArgument(_)), "{err:?}");
     }
 
@@ -1030,7 +644,7 @@ mod tests {
             }
             assert!(db.get("absent").unwrap().is_none());
             // Separated modes must have created value files.
-            let has_vfiles = !db.value_store().all_files().is_empty();
+            let has_vfiles = !db.shard(0).value_store().all_files().is_empty();
             assert_eq!(has_vfiles, mode != EngineMode::Rocks, "{mode:?}");
         }
     }
@@ -1147,7 +761,7 @@ mod tests {
             db.flush().unwrap();
         }
         // Standalone GC does nothing in BlobDB mode.
-        assert!(db.run_gc().unwrap().is_none());
+        assert!(!db.run_gc().unwrap().ran());
         db.compact_all().unwrap();
         for i in 0..40 {
             assert_eq!(
@@ -1177,7 +791,7 @@ mod tests {
         db.compact_all().unwrap();
 
         let io_before = db.options().env.io_stats().snapshot();
-        let outcome = db.run_gc().unwrap();
+        let outcome = db.shard(0).run_gc_at(GC_THRESHOLD).unwrap();
         let io_after = db.options().env.io_stats().snapshot();
         let out = outcome.expect("three dead files to collect");
         assert!(out.files_collected > 0);
@@ -1364,7 +978,11 @@ mod tests {
         db.flush().unwrap();
         // After drops have been observed, hot keys should be in the cache.
         let hot_in_cache = (0..8)
-            .filter(|i| db.drop_cache().contains(format!("hot{i:02}").as_bytes()))
+            .filter(|i| {
+                db.shard(0)
+                    .drop_cache()
+                    .contains(format!("hot{i:02}").as_bytes())
+            })
             .count();
         assert!(hot_in_cache >= 6, "hot keys detected: {hot_in_cache}/8");
         // And subsequent flushes should produce hot-marked files.
@@ -1375,7 +993,7 @@ mod tests {
             }
         }
         db.flush().unwrap();
-        let any_hot = db.value_store().all_files().iter().any(|m| m.hot);
+        let any_hot = db.shard(0).value_store().all_files().iter().any(|m| m.hot);
         assert!(any_hot, "hot vSSTs should exist");
     }
 
@@ -1387,9 +1005,9 @@ mod tests {
         }
         db.flush().unwrap();
         db.compact_all().unwrap();
-        assert!(db.value_store().all_files().is_empty());
+        assert!(db.shard(0).value_store().all_files().is_empty());
         assert_eq!(db.space().value_bytes, 0);
-        assert!(db.run_gc().unwrap().is_none());
+        assert!(!db.run_gc().unwrap().ran());
         for i in (0..100).step_by(7) {
             assert_eq!(
                 db.get(format!("key{i:03}")).unwrap().unwrap(),
@@ -1416,7 +1034,7 @@ mod tests {
     /// Credits granted minus credits left: what paced GC charged.
     fn charged(db: &Db, granted: i64) -> u64 {
         assert!(granted < 64 * 1024 * 1024, "the credit cap must not bind");
-        (granted - *db.inner.gc_credits.lock()) as u64
+        (granted - *db.shard(0).inner.gc_credits.lock()) as u64
     }
 
     /// Two engines on one env: a paced job is charged what it reports,
@@ -1435,7 +1053,11 @@ mod tests {
         let (noisy, paced) = (open("noisy", false), open("paced", true));
         let noisy_granted = churn(&noisy, "key", 64, 24);
         noisy.compact_all().unwrap();
-        assert!(!noisy.value_store().gc_candidates(GC_THRESHOLD).is_empty());
+        assert!(!noisy
+            .shard(0)
+            .value_store()
+            .gc_candidates(GC_THRESHOLD)
+            .is_empty());
 
         let start = std::sync::Barrier::new(2);
         let granted = std::thread::scope(|s| {
@@ -1474,5 +1096,24 @@ mod tests {
         let jobs = db.stats().gc;
         assert!(jobs.runs > 4, "paced GC must have run: {}", jobs.runs);
         assert_eq!(charged(&db, granted), jobs.requested_bytes);
+    }
+
+    /// A transaction commits through the same member primitive as a
+    /// plain write, so it earns the same GC credit: a store that only
+    /// ever commits transactions still runs paced GC.
+    #[test]
+    fn transactions_earn_gc_credit() {
+        let db = Db::open(small_opts(EngineMode::Scavenger)).unwrap();
+        assert!(db.options().auto_gc && db.options().space_limit.is_none());
+        for round in 0..24 {
+            for i in 0..64 {
+                let mut txn = db.begin();
+                txn.put(format!("key{i:03}"), value(round + i, 2048));
+                txn.commit().unwrap();
+            }
+        }
+        let s = db.stats();
+        assert_eq!(s.txn_commits, 24 * 64);
+        assert!(s.gc.runs > 0, "paced GC never ran on a txn-only store");
     }
 }

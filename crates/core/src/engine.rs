@@ -1,31 +1,29 @@
-//! One engine surface: the trait-based API unifying [`Db`] and
-//! [`DbShards`].
+//! One engine surface: the trait-based API of the engine handle
+//! [`Db`], of every size.
 //!
 //! The paper's core claim is comparative — five
-//! [`EngineMode`](crate::EngineMode)s on one substrate — and the engine grows backends the same way: a single
-//! store, a hash-sharded set, and whatever comes next (WAL-time
-//! separation, revisited trade-off knobs) should all serve the same
-//! tests, benches, and applications. These traits are that contract:
+//! [`EngineMode`](crate::EngineMode)s on one substrate — and the engine
+//! serves one substrate the same way: a plain store and a hash-sharded
+//! set are one type, [`Db`] (a plain store is its one-member case), so
+//! tests, benches, and applications written against these traits run on
+//! both by construction:
 //!
 //! * [`KvRead`] — point/range reads, pinned views, snapshots. The
 //!   associated types [`View`](KvRead::View) / [`Snap`](KvRead::Snap) /
-//!   [`Iter`](KvRead::Iter) name each backend's concrete read surfaces
-//!   ([`ReadView`]/[`Snapshot`]/[`DbScanIter`] for [`Db`];
-//!   [`ShardsView`]/[`ShardsSnapshot`]/[`ShardsScanIter`] for
-//!   [`DbShards`]), and [`PinnedReader`] lets generic code read through
-//!   either.
+//!   [`Iter`](KvRead::Iter) name the concrete read surfaces
+//!   ([`ReadView`] / [`Snapshot`] / [`DbScanIter`]), and
+//!   [`PinnedReader`] lets generic code read through either pin.
 //! * [`KvWrite`] — puts, deletes, and atomic batches with
 //!   [`WriteOptions`].
 //! * [`Maintenance`] — flush/compaction/GC plus the stats and space
-//!   introspection the harness consumes; [`GcReport`] normalizes the
-//!   single-engine and fan-out GC result shapes.
+//!   introspection the harness consumes; [`GcReport`] holds one GC
+//!   outcome per member.
 //! * [`Engine`] — umbrella alias for `KvRead + KvWrite + Maintenance`
 //!   (blanket-implemented).
 //!
-//! Per-call options are shared, not mirrored: one [`ReadOptions`] whose
-//! [`ReadPin`](crate::ReadPin) enum covers both engines' pinned
-//! surfaces, one [`WriteOptions`]. A generic function needs no
-//! per-backend code at all:
+//! Per-call options are shared: one [`ReadOptions`] whose
+//! [`ReadPin`](crate::ReadPin) names a view or snapshot of the handle,
+//! one [`WriteOptions`]. A generic function needs no per-size code:
 //!
 //! ```
 //! use scavenger::{Db, DbShards, Engine, EngineMode, MemEnv, Options, ShardedOptions};
@@ -48,47 +46,36 @@
 //!
 //! ## How a new backend plugs in
 //!
-//! Implement the three traits (plus [`PinnedReader`] for its view and
-//! snapshot types, and [`ScanIterator`] for its scan iterator), and add
-//! [`ReadPin`](crate::ReadPin) variants + `From` impls for the new
-//! pinned surfaces (the enum is `#[non_exhaustive]`, so that is an
-//! additive, non-breaking change in `view.rs`). Every
+//! Every trait here has exactly one implementation, on [`Db`], and every
 //! generic consumer — the conformance suite in
 //! `tests/engine_conformance.rs`, the bench harness's `EngineKvStore`
-//! adapter, the examples — then runs against it unchanged. The traits
-//! are object-safe (asserted by a compile-time test below), so `dyn`
-//! dispatch over heterogeneous backends works too.
+//! adapter, the server, the examples — is written against it. A new
+//! way to store a key range (WAL-time separation, a remote member, …)
+//! therefore plugs in *below* the handle, as a new kind of member that
+//! the set routes to, and inherits views, snapshots, scans,
+//! transactions, change streams and maintenance fan-out unchanged. The
+//! traits are object-safe (asserted by a compile-time test below), so
+//! `dyn` dispatch works too.
 
 use crate::db::{Db, DbScanIter, ScanEntry};
 use crate::gc::GcOutcome;
-use crate::shards::{DbShards, ShardsScanIter, ShardsSnapshot, ShardsView};
 use crate::stats::{DbStats, SpaceBreakdown};
 use crate::view::{ReadOptions, ReadView, Snapshot, WriteOptions, WriteReceipt};
 use bytes::Bytes;
 use scavenger_lsm::WriteBatch;
 use scavenger_util::Result;
 
-/// Unified result of one [`Maintenance::run_gc`] call: per-engine GC
-/// outcomes, indexed by shard. A single [`Db`] reports one slot; a
-/// [`DbShards`] reports one per shard. This normalizes the historical
-/// asymmetry (`Option<GcOutcome>` vs `Vec<Option<GcOutcome>>`) so
-/// generic drivers never branch on the handle type.
+/// Result of one [`Maintenance::run_gc`] call: each member's GC
+/// outcome, indexed by shard (one slot for a plain store).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Each engine's outcome for this pass (`None` where no candidate
-    /// crossed the GC threshold), indexed by shard for a sharded store.
+    /// Each member's outcome for this pass (`None` where no candidate
+    /// crossed the GC threshold), indexed by shard.
     pub outcomes: Vec<Option<GcOutcome>>,
 }
 
 impl GcReport {
-    /// Wrap a single engine's outcome.
-    pub fn single(outcome: Option<GcOutcome>) -> GcReport {
-        GcReport {
-            outcomes: vec![outcome],
-        }
-    }
-
-    /// Did any engine run a GC job this pass?
+    /// Did any member run a GC job this pass?
     pub fn ran(&self) -> bool {
         self.outcomes.iter().any(|o| o.is_some())
     }
@@ -113,16 +100,9 @@ impl GcReport {
     }
 }
 
-impl From<Option<GcOutcome>> for GcReport {
-    fn from(outcome: Option<GcOutcome>) -> GcReport {
-        GcReport::single(outcome)
-    }
-}
-
-/// The scan-iterator surface both handles share: an [`Iterator`] over
-/// `Result<ScanEntry>` plus [`collect_n`](ScanIterator::collect_n), the
-/// bounded pull. The iterators resolve separated values a look-ahead
-/// batch at a time; `take(n)` cannot tell them how many rows the caller
+/// The scan-iterator surface: an [`Iterator`] over `Result<ScanEntry>`
+/// plus [`collect_n`](ScanIterator::collect_n), the bounded pull. The
+/// iterator resolves separated values a look-ahead batch at a time; `take(n)` cannot tell them how many rows the caller
 /// wants, `collect_n(n)` does — so generic code with a row limit (the
 /// wire server's `Scan`) resolves exactly the rows it sends.
 pub trait ScanIterator: Iterator<Item = Result<ScanEntry>> {
@@ -137,16 +117,9 @@ impl ScanIterator for DbScanIter {
     }
 }
 
-impl ScanIterator for ShardsScanIter {
-    fn collect_n(&mut self, limit: usize) -> Result<Vec<ScanEntry>> {
-        ShardsScanIter::collect_n(self, limit)
-    }
-}
-
-/// A pinned read surface — a view or snapshot of either engine flavor.
-/// Everything readable *through a pin* goes through this trait, so
-/// generic code can hold an epoch and read it without knowing whether
-/// one engine or a shard set is underneath.
+/// A pinned read surface — a view or a snapshot. Everything readable
+/// *through a pin* goes through this trait, so generic code can hold an
+/// epoch and read it without caring which kind of pin it holds.
 pub trait PinnedReader {
     /// Scan iterator over this pin (same type as the owning engine's
     /// [`KvRead::Iter`]).
@@ -166,9 +139,9 @@ pub trait PinnedReader {
 /// Every scan iterator is a real [`Iterator`] over
 /// `Result<`[`ScanEntry`]`>`; every pinned surface is a
 /// [`PinnedReader`]. Per-call knobs ride in the shared [`ReadOptions`]
-/// (whose [`pin`](ReadOptions::pin) accepts both engines' views and
-/// snapshots — passing the wrong flavor to a handle is an error, never
-/// silently ignored).
+/// (whose [`pin`](ReadOptions::pin) takes a view or snapshot of the same
+/// handle — a pin from another handle is an error, never a silent read
+/// of the wrong store).
 ///
 /// ```
 /// use scavenger::{Db, EngineMode, KvRead, MemEnv, Options, PinnedReader, ReadOptions};
@@ -264,14 +237,14 @@ pub trait KvWrite {
     ///
     /// # Atomicity
     ///
-    /// A batch is atomic on **both** handles, crashes included. A
-    /// single [`Db`] applies it in one WAL record. A [`DbShards`]
-    /// splits it by routing: a batch whose keys all land on one shard
-    /// takes that shard's fast path (one WAL record, zero extra I/O),
-    /// while a multi-shard batch goes through the set's two-phase
-    /// commit coordinator — one fsynced `Prepare` record carrying the
-    /// full redo payload, which is the batch's durable copy, then the
-    /// per-shard sub-batch commits, unsynced. The coordinator log is
+    /// A batch is atomic at every store size, crashes included. It
+    /// routes by key: a batch whose keys all land on one member — every
+    /// batch, on a plain store — commits there untouched, in one WAL
+    /// record with zero extra I/O, while a batch spanning members goes
+    /// through the set's two-phase commit coordinator — one fsynced
+    /// `Prepare` record carrying the full redo payload, which is the
+    /// batch's durable copy, then the per-shard sub-batch commits,
+    /// unsynced. The coordinator log is
     /// retired only after a barrier has synced every shard's WAL, and
     /// recovery rolls every `Prepare` still in it forward, so a crash
     /// at any point surfaces the whole batch or none of it — and the
@@ -281,8 +254,10 @@ pub trait KvWrite {
     /// batch pays it even under `sync = false` options (its receipt
     /// reports `synced = true`), and its receipt aggregates `seq` as
     /// the maximum across touched shards with `group_len` summed. A
-    /// single-target batch (and every write on a single [`Db`]) keeps
-    /// the requested sync behavior unchanged.
+    /// single-member batch keeps the requested sync behavior unchanged.
+    /// Value references are engine-internal: a batch carrying one is
+    /// refused with [`Error::InvalidArgument`](crate::Error) before
+    /// anything is written.
     fn write_with(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<WriteReceipt>;
 }
 
@@ -314,9 +289,7 @@ pub trait Maintenance {
     /// Compact until every level score is under 1.
     fn compact_all(&self) -> Result<()>;
 
-    /// Run one GC pass at the configured threshold: one job on a single
-    /// engine, one job per shard on a sharded one. The [`GcReport`]
-    /// normalizes both shapes.
+    /// Run one GC pass at the configured threshold: one job per member.
     fn run_gc(&self) -> Result<GcReport>;
 
     /// Run GC until no candidate crosses the threshold anywhere;
@@ -325,24 +298,19 @@ pub trait Maintenance {
 
     /// Recover from read-only degraded mode after a permanent
     /// background failure: re-verify the manifest, clean orphan value
-    /// files, clear the stored error, and re-enable writes (every
-    /// shard, for a sharded store). See [`Db::resume`].
+    /// files, clear the stored error, and re-enable writes on every
+    /// member. See [`Db::resume`].
     fn resume(&self) -> Result<()>;
 
-    /// Aggregate statistics snapshot (set-wide for a sharded store).
+    /// Aggregate statistics snapshot (set-wide).
     fn stats(&self) -> DbStats;
 
-    /// Per-member statistics, indexed by shard: one element for a
-    /// single engine, one per shard for a sharded store (each shard's
-    /// `io` counters are its own metered attribution). The metrics
-    /// exposition layer uses this to label series per shard without
-    /// knowing the handle type.
-    fn per_shard_stats(&self) -> Vec<DbStats> {
-        vec![self.stats()]
-    }
+    /// Per-member statistics, indexed by shard: one element for a plain
+    /// store. The metrics exposition layer labels series per shard with
+    /// it.
+    fn per_shard_stats(&self) -> Vec<DbStats>;
 
-    /// On-disk space breakdown (summed across shards for a sharded
-    /// store).
+    /// On-disk space breakdown (summed across members).
     fn space(&self) -> SpaceBreakdown;
 }
 
@@ -379,31 +347,7 @@ impl PinnedReader for Snapshot {
     }
 }
 
-impl PinnedReader for ShardsView {
-    type Iter = ShardsScanIter;
-
-    fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        ShardsView::get(self, key)
-    }
-
-    fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<ShardsScanIter> {
-        ShardsView::scan(self, lo, hi)
-    }
-}
-
-impl PinnedReader for ShardsSnapshot {
-    type Iter = ShardsScanIter;
-
-    fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        ShardsSnapshot::get(self, key)
-    }
-
-    fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<ShardsScanIter> {
-        ShardsSnapshot::scan(self, lo, hi)
-    }
-}
-
-// ---------------- Db ----------------
+// ---------------- the handle ----------------
 
 impl KvRead for Db {
     type View = ReadView;
@@ -459,7 +403,7 @@ impl Maintenance for Db {
     }
 
     fn run_gc(&self) -> Result<GcReport> {
-        Ok(GcReport::single(Db::run_gc(self)?))
+        Db::run_gc(self)
     }
 
     fn run_gc_until_clean(&self) -> Result<usize> {
@@ -474,88 +418,12 @@ impl Maintenance for Db {
         Db::stats(self)
     }
 
+    fn per_shard_stats(&self) -> Vec<DbStats> {
+        Db::shard_stats(self)
+    }
+
     fn space(&self) -> SpaceBreakdown {
         Db::space(self)
-    }
-}
-
-// ---------------- DbShards ----------------
-
-impl KvRead for DbShards {
-    type View = ShardsView;
-    type Snap = ShardsSnapshot;
-    type Iter = ShardsScanIter;
-
-    fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        DbShards::get(self, key)
-    }
-
-    fn get_with(&self, opts: &ReadOptions<'_>, key: &[u8]) -> Result<Option<Bytes>> {
-        DbShards::get_with(self, opts, key)
-    }
-
-    fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<ShardsScanIter> {
-        DbShards::scan(self, lo, hi)
-    }
-
-    fn scan_with(&self, opts: &ReadOptions<'_>) -> Result<ShardsScanIter> {
-        DbShards::scan_with(self, opts)
-    }
-
-    fn view(&self) -> ShardsView {
-        DbShards::view(self)
-    }
-
-    fn snapshot(&self) -> ShardsSnapshot {
-        DbShards::snapshot(self)
-    }
-}
-
-impl KvWrite for DbShards {
-    fn put_with(&self, opts: &WriteOptions, key: &[u8], value: Bytes) -> Result<WriteReceipt> {
-        DbShards::put_with(self, opts, key, value)
-    }
-
-    fn delete_with(&self, opts: &WriteOptions, key: &[u8]) -> Result<WriteReceipt> {
-        DbShards::delete_with(self, opts, key)
-    }
-
-    fn write_with(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<WriteReceipt> {
-        DbShards::write_with(self, opts, batch)
-    }
-}
-
-impl Maintenance for DbShards {
-    fn flush(&self) -> Result<()> {
-        DbShards::flush(self)
-    }
-
-    fn compact_all(&self) -> Result<()> {
-        DbShards::compact_all(self)
-    }
-
-    fn run_gc(&self) -> Result<GcReport> {
-        DbShards::run_gc(self)
-    }
-
-    fn run_gc_until_clean(&self) -> Result<usize> {
-        DbShards::run_gc_until_clean(self)
-    }
-
-    fn resume(&self) -> Result<()> {
-        DbShards::resume(self)
-    }
-
-    fn stats(&self) -> DbStats {
-        DbShards::stats(self)
-    }
-
-    fn per_shard_stats(&self) -> Vec<DbStats> {
-        DbShards::shard_stats(self)
-    }
-
-    fn space(&self) -> SpaceBreakdown {
-        DbShards::space(self)
     }
 }
 
@@ -576,7 +444,7 @@ mod tests {
         _maint: &dyn Maintenance,
         _read: &dyn KvRead<View = ReadView, Snap = Snapshot, Iter = DbScanIter>,
         _pin: &dyn PinnedReader<Iter = DbScanIter>,
-        _engine: &dyn Engine<View = ShardsView, Snap = ShardsSnapshot, Iter = ShardsScanIter>,
+        _engine: &dyn Engine<View = ReadView, Snap = Snapshot, Iter = DbScanIter>,
     ) {
     }
 
@@ -589,19 +457,17 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         fn assert_send<T: Send>() {}
         assert_send_sync::<Db>();
-        assert_send_sync::<DbShards>();
         assert_send_sync::<ReadView>();
         assert_send_sync::<Snapshot>();
-        assert_send_sync::<ShardsView>();
-        assert_send_sync::<ShardsSnapshot>();
         assert_send_sync::<GcReport>();
         assert_send::<DbScanIter>();
-        assert_send::<ShardsScanIter>();
     }
 
     #[test]
     fn gc_report_normalizes_shapes() {
-        let none = GcReport::single(None);
+        let none = GcReport {
+            outcomes: vec![None],
+        };
         assert!(!none.ran());
         assert_eq!(none.jobs(), 0);
         assert_eq!(none.aggregate(), GcOutcome::default());
@@ -632,13 +498,11 @@ mod tests {
         assert_eq!(total.records_rewritten, 15);
         assert_eq!(total.bytes_reclaimed, 5120);
         assert_eq!(total.io_bytes(), 550);
-
-        let via_from: GcReport = Some(GcOutcome::default()).into();
-        assert_eq!(via_from.jobs(), 1);
     }
 
-    /// One generic body, both engines: the blanket [`Engine`] bound is
-    /// enough to drive the full write/read/maintain cycle.
+    /// One generic body, a store of one and of four: the blanket
+    /// [`Engine`] bound is enough to drive the full write/read/maintain
+    /// cycle.
     #[test]
     fn generic_cycle_runs_on_both_handles() {
         fn cycle<E: Engine>(db: &E) {
@@ -677,7 +541,7 @@ mod tests {
         ))
         .unwrap();
         cycle(&single);
-        let sharded = DbShards::open(ShardedOptions::new(
+        let sharded = Db::open(ShardedOptions::new(
             MemEnv::shared(),
             "eng-sharded",
             EngineMode::Scavenger,

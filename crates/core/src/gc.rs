@@ -92,7 +92,7 @@ use std::time::Instant;
 /// space *limit* (which lowers the effective threshold through
 /// [`THROTTLE_GC_FACTOR`](crate::throttle::THROTTLE_GC_FACTOR)), never
 /// this; tests that need another value call
-/// [`Db::run_gc_at`](crate::Db::run_gc_at).
+/// [`Shard::run_gc_at`](crate::Shard::run_gc_at).
 pub const GC_THRESHOLD: f64 = 0.2;
 
 /// Outcome of a dry-run [`GcRunner::validate_file`] pass.

@@ -33,23 +33,24 @@
 //! assert!(db.get(b"tiny").unwrap().is_none());
 //! ```
 //!
-//! ## One engine surface
+//! ## One handle, one engine surface
 //!
-//! Every handle implements the trait triple in [`engine`] —
-//! [`KvRead`] / [`KvWrite`] / [`Maintenance`] (umbrella: [`Engine`]) —
-//! so tests, benches, and applications written against the traits run
-//! unchanged on a single [`Db`] or a sharded [`DbShards`]. Per-call
-//! options are shared: one [`ReadOptions`] (its [`ReadPin`] covers both
-//! engines' views and snapshots), one [`WriteOptions`], and a
-//! [`GcReport`] that normalizes single vs. fan-out GC results.
+//! [`Db`] is the only handle, and it implements the trait triple in
+//! [`engine`] — [`KvRead`] / [`KvWrite`] / [`Maintenance`] (umbrella:
+//! [`Engine`]) — plus [`Transactional`] and [`ChangeSubscriber`], once
+//! each. Per-call options are shared: one [`ReadOptions`] (its
+//! [`ReadPin`] names a view or snapshot), one [`WriteOptions`], and a
+//! [`GcReport`] with one GC outcome per member.
 //!
 //! ## Scaling out
 //!
-//! For multi-core write scaling, [`DbShards`] hash-partitions the key
-//! space across N independent engines behind the same API — one shared
-//! block cache, one global space budget, per-shard GC/compaction fanned
-//! across threads. Strict per-shard read consistency comes from the
-//! pinned-view machinery ([`Db::view`], [`Snapshot`], [`ReadOptions`]).
+//! A plain store is a [`Db`] of one [`Shard`]. For multi-core write
+//! scaling, [`Db::open`] with a [`ShardedOptions`] of N > 1 (the
+//! [`DbShards`] name is the same type) hash-partitions the key space
+//! across N members behind the same API — one shared block cache, one
+//! global space budget, per-shard GC/compaction fanned across threads.
+//! Strict per-shard read consistency comes from the pinned-view
+//! machinery ([`Db::view`], [`Snapshot`], [`ReadOptions`]).
 //!
 //! The repository-level `ARCHITECTURE.md` walks the full design: the
 //! trait-based API layer, the superversion read path and its
@@ -67,6 +68,7 @@ pub mod gc;
 pub(crate) mod gc_exec;
 pub mod hook;
 pub mod options;
+pub mod shard;
 pub mod shards;
 pub mod stats;
 pub mod throttle;
@@ -76,14 +78,15 @@ pub mod vstore;
 
 pub use changes::{
     ChangeOp, ChangeRecord, ChangeStream, ChangeSubscriber, DbChangeStream, ResumeToken,
-    ShardsChangeStream, SubscribeFrom,
+    SubscribeFrom,
 };
 pub use db::{Db, DbScanIter, ScanEntry};
 pub use dropcache::DropCache;
 pub use engine::{Engine, GcReport, KvRead, KvWrite, Maintenance, PinnedReader, ScanIterator};
 pub use gc::{GcOutcome, GcValidationReport};
 pub use options::{EngineMode, Features, GcScheme, Options, VFormat};
-pub use shards::{DbShards, ShardedOptions, ShardedOptionsBuilder, ShardsSnapshot, ShardsView};
+pub use shard::Shard;
+pub use shards::{DbShards, ShardedOptions, ShardedOptionsBuilder};
 pub use stats::{DbStats, GcStats, GcStepTimes, SpaceBreakdown};
 pub use throttle::Throttle;
 pub use txn::{Transaction, Transactional};

@@ -1,0 +1,789 @@
+//! One member of a [`Db`](crate::Db): the index LSM-tree, value store,
+//! GC runner and throttle wiring of one key range, and the one
+//! member-level commit every write goes through.
+//!
+//! A plain store is a set of one member living at `dir` itself; a
+//! sharded store has one member per `dir/shard-NNN`. Either way
+//! [`Db::shard`](crate::Db::shard) reaches a member, which is where the
+//! experiment accessors live ([`lsm`](Shard::lsm),
+//! [`value_store`](Shard::value_store), [`run_gc_at`](Shard::run_gc_at),
+//! …).
+
+use crate::db::ScanEntry;
+use crate::dropcache::{DropCache, DROPCACHE_KEYS};
+use crate::gc::{GcOutcome, GcRunner, GC_THRESHOLD};
+use crate::hook::{EngineHook, HookConfig};
+use crate::options::{GcScheme, Options};
+use crate::stats::{DbStats, GcStats, SpaceBreakdown};
+use crate::throttle::{Throttle, MAX_THROTTLE_ROUNDS};
+use crate::view::{WriteOptions, WriteReceipt};
+use crate::vstore::ValueStore;
+use bytes::Bytes;
+use parking_lot::Mutex;
+use scavenger_lsm::filename::{parse_path, FileKind};
+use scavenger_lsm::{Lsm, LsmReadResult, LsmView, ValueEditBundle, WriteBatch};
+use scavenger_table::btable::BlockCache;
+use scavenger_util::ikey::{SeqNo, ValueRef, ValueType};
+use scavenger_util::{Error, Result};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// The footprint the §III-D throttle compares against the limit: the
+/// member's own for a set of one, the sum over every member otherwise.
+pub(crate) type SpaceUsageFn = Arc<dyn Fn() -> u64 + Send + Sync>;
+
+/// What the set hands a member at open so the §III-D limit is one
+/// budget: the set's throttle and usage source, and whether a 2PC
+/// coordinator may need the member's tombstones at recovery.
+pub(crate) struct Wiring {
+    pub(crate) throttle: Arc<Throttle>,
+    pub(crate) usage: SpaceUsageFn,
+    pub(crate) coordinated: bool,
+}
+
+pub(crate) struct ShardInner {
+    opts: Options,
+    lsm: Lsm,
+    vstore: Arc<ValueStore>,
+    dropcache: Arc<DropCache>,
+    gc: Option<GcRunner>,
+    gc_stats: Arc<GcStats>,
+    /// The set's throttle: one limit and one set of counters.
+    pub(crate) throttle: Arc<Throttle>,
+    usage: SpaceUsageFn,
+    /// Serializes GC jobs and exhausted-file reaping.
+    gc_lock: Mutex<()>,
+    /// Byte credits for paced auto-GC (see `Options::gc_bandwidth_factor`).
+    pub(crate) gc_credits: Mutex<i64>,
+    /// One cache is shared by every member of a set.
+    pub(crate) cache: Arc<BlockCache>,
+}
+
+impl ShardInner {
+    /// Resolve an index read result into the user value, fetching
+    /// separated values through the value store.
+    fn resolve_read(&self, key: &[u8], r: LsmReadResult) -> Result<Option<Bytes>> {
+        match r {
+            LsmReadResult::NotFound | LsmReadResult::Deleted => Ok(None),
+            LsmReadResult::Found {
+                vtype: ValueType::Value,
+                value,
+                ..
+            } => Ok(Some(value)),
+            LsmReadResult::Found {
+                vtype: ValueType::ValueRef,
+                seq,
+                value,
+            } => {
+                let vref = ValueRef::decode(&value)?;
+                Ok(Some(self.vstore.read_ref(key, seq, &vref)?))
+            }
+            LsmReadResult::Found {
+                vtype: ValueType::Deletion,
+                ..
+            } => Err(Error::internal(
+                "tombstone escaped the read path".to_string(),
+            )),
+        }
+    }
+}
+
+/// One member of a [`Db`](crate::Db) (cheaply cloneable).
+#[derive(Clone)]
+pub struct Shard {
+    pub(crate) inner: Arc<ShardInner>,
+}
+
+impl Shard {
+    /// Open (or recover) the member at `opts.dir`. `opts.env` already
+    /// carries the set's usage tracking (and metering, for a set of
+    /// several).
+    pub(crate) fn open(opts: Options, wiring: Wiring) -> Result<Shard> {
+        let cache = opts.block_cache.clone().unwrap_or_else(|| {
+            Arc::new(BlockCache::with_capacity(opts.block_cache_bytes.max(4096)))
+        });
+        // A shared cache means sibling stores whose file numbers collide
+        // (shards all allocate from 1): namespace this store's cache keys
+        // so one shard can never serve another's cached blocks.
+        let cache_ns = if opts.block_cache.is_some() {
+            scavenger_table::cache::new_cache_namespace()
+        } else {
+            0
+        };
+        let vstore = Arc::new(
+            ValueStore::new(opts.env.clone(), opts.dir.clone(), cache.clone())
+                .with_cache_namespace(cache_ns),
+        );
+        let dropcache = Arc::new(DropCache::new(DROPCACHE_KEYS));
+        let gc_stats = Arc::new(GcStats::default());
+
+        let mut lsm_opts = opts.lsm_options();
+        lsm_opts.block_cache = Some(cache.clone());
+        lsm_opts.cache_namespace = cache_ns;
+        if wiring.coordinated {
+            // A coordinated member elides no tombstone — not even in the
+            // WAL-recovery flush inside `Lsm::open` — until the set's 2PC
+            // roll-forward has judged every prepare against this shard.
+            lsm_opts.tombstone_hold = 0;
+        }
+        let hook = if opts.features.separate {
+            let h = Arc::new(EngineHook::new(
+                HookConfig {
+                    features: opts.features,
+                    vsst_target: opts.vsst_target_size,
+                    table_opts: lsm_opts.table_options(),
+                },
+                vstore.clone(),
+                dropcache.clone(),
+                gc_stats.clone(),
+            ));
+            lsm_opts.value_hook = Some(h.clone());
+            Some(h)
+        } else {
+            None
+        };
+
+        let (lsm, replay) = Lsm::open(lsm_opts)?;
+
+        // Restore the value store: manifest history first, then anything
+        // committed during WAL recovery (buffered by the hook).
+        let apply = |bundle: &ValueEditBundle| {
+            let removed = vstore.apply_bundle(bundle);
+            for (file, format) in removed {
+                vstore.delete_file(file, format);
+            }
+        };
+        for bundle in &replay {
+            apply(bundle);
+        }
+        if let Some(h) = &hook {
+            for bundle in h.go_live() {
+                apply(&bundle);
+            }
+        }
+        vstore.delete_orphans()?;
+
+        let gc = if opts.features.separate {
+            Some(GcRunner::new(
+                opts.features,
+                crate::gc::GcConfig {
+                    vsst_target: opts.vsst_target_size,
+                    batch_files: opts.gc_batch_files,
+                    threads: opts.gc_threads,
+                },
+                opts.lsm_options().table_options(),
+                vstore.clone(),
+                dropcache.clone(),
+                gc_stats.clone(),
+            ))
+        } else {
+            None
+        };
+
+        Ok(Shard {
+            inner: Arc::new(ShardInner {
+                opts,
+                lsm,
+                vstore,
+                dropcache,
+                gc,
+                gc_stats,
+                throttle: wiring.throttle,
+                usage: wiring.usage,
+                gc_lock: Mutex::new(()),
+                gc_credits: Mutex::new(0),
+                cache,
+            }),
+        })
+    }
+
+    // ---------------- writes ----------------
+
+    /// The one member-level commit, shared by plain writes, transactions
+    /// and 2PC applies: throttle admission, the LSM call — through the
+    /// group-commit queue, or for a transaction's `reads` validated and
+    /// applied under the writer lock — the batch's GC credit, then
+    /// post-write maintenance.
+    pub(crate) fn commit(
+        &self,
+        opts: &WriteOptions,
+        batch: WriteBatch,
+        reads: Option<&[(Vec<u8>, SeqNo)]>,
+    ) -> Result<WriteReceipt> {
+        let inner = &self.inner;
+        if !opts.disable_throttle {
+            self.enforce_space_limit()?;
+        }
+        let credit = (batch.byte_size() as f64 * inner.opts.gc_bandwidth_factor) as i64;
+        let receipt = match reads {
+            None => inner.lsm.write_opts(opts, batch)?,
+            Some(reads) => inner.lsm.write_validated(opts, batch, reads)?,
+        };
+        {
+            let mut c = inner.gc_credits.lock();
+            // Cap the accumulator so an idle period cannot bank unbounded
+            // GC bandwidth.
+            *c = (*c + credit).min(64 * 1024 * 1024);
+        }
+        self.post_write_maintenance()?;
+        Ok(receipt)
+    }
+
+    /// Bytes held only because something pins them: WAL history
+    /// retained for registered change-stream subscribers, plus (under
+    /// BlobDB's compaction-triggered scheme) exhausted value files
+    /// whose reaping is deferred while a read point is live. Reclaiming
+    /// cannot free these — the throttle discounts them when deciding
+    /// whether stalling writers can still help.
+    pub fn pinned_bytes(&self) -> u64 {
+        let inner = &self.inner;
+        let mut pinned = inner.lsm.change_log().pinned_bytes();
+        if inner.opts.features.gc == GcScheme::CompactionTriggered
+            && inner.lsm.oldest_read_point().is_some()
+        {
+            pinned += inner
+                .vstore
+                .all_files()
+                .iter()
+                .filter(|m| m.is_exhausted())
+                .map(|m| m.size)
+                .sum::<u64>();
+        }
+        pinned
+    }
+
+    /// Space-aware throttling (paper §III-D): before admitting a write,
+    /// reclaim aggressively while over the limit.
+    fn enforce_space_limit(&self) -> Result<()> {
+        let inner = &self.inner;
+        if inner.throttle.limit().is_none() {
+            return Ok(());
+        }
+        if !inner.throttle.over_limit((inner.usage)()) {
+            return Ok(());
+        }
+        // Discount pinned bytes (CDC-retained WAL history, read-point-
+        // deferred blob files): reclamation cannot touch them, so when
+        // the *reclaimable* footprint is under the limit, stalling
+        // writers on GC rounds would burn I/O for nothing.
+        let reclaimable = || (inner.usage)().saturating_sub(self.pinned_bytes());
+        if !inner.throttle.over_limit(reclaimable()) {
+            return Ok(());
+        }
+        inner.throttle.note_activation();
+        let aggressive = Throttle::aggressive_threshold(GC_THRESHOLD);
+        for _ in 0..MAX_THROTTLE_ROUNDS {
+            if !inner.throttle.over_limit(reclaimable()) {
+                return Ok(());
+            }
+            let mut progressed = false;
+            if let Some(gc) = &inner.gc {
+                let _g = inner.gc_lock.lock();
+                if gc.run_once(&inner.lsm, aggressive)?.is_some() {
+                    inner.throttle.gc_rounds.fetch_add(1, Ordering::Relaxed);
+                    progressed = true;
+                }
+            }
+            self.reap_exhausted()?;
+            if !progressed {
+                // No GC candidate yet: force compaction to expose hidden
+                // garbage, then try again.
+                if inner.lsm.force_compact_once()? {
+                    inner
+                        .throttle
+                        .forced_compactions
+                        .fetch_add(1, Ordering::Relaxed);
+                } else {
+                    break;
+                }
+            }
+        }
+        if inner.throttle.over_limit(reclaimable()) {
+            inner.throttle.unresolved.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    fn post_write_maintenance(&self) -> Result<()> {
+        self.reap_exhausted()?;
+        if self.inner.opts.auto_gc {
+            self.run_paced_gc()?;
+        }
+        Ok(())
+    }
+
+    /// Auto-GC under the bandwidth budget: run jobs while candidates exist
+    /// and credits remain, charging each job what it reports
+    /// ([`GcOutcome::io_bytes`]) — so a job is charged once, to the
+    /// engine that ran it, whoever else was doing GC I/O on the env
+    /// meanwhile.
+    fn run_paced_gc(&self) -> Result<()> {
+        let inner = &self.inner;
+        let Some(gc) = &inner.gc else { return Ok(()) };
+        loop {
+            if *inner.gc_credits.lock() <= 0 {
+                return Ok(());
+            }
+            let ran = {
+                let _g = inner.gc_lock.lock();
+                gc.run_once(&inner.lsm, GC_THRESHOLD)?
+            };
+            let Some(job) = ran else { return Ok(()) };
+            *inner.gc_credits.lock() -= job.io_bytes() as i64;
+        }
+    }
+
+    /// BlobDB reclamation: delete blob files whose every record has been
+    /// exposed ("exhausted through compaction", §II-C).
+    ///
+    /// Deferred while *any* read point is registered: an in-flight view
+    /// may hold a pre-relocation superversion whose index entries still
+    /// address the exhausted file, and relocation happens inside
+    /// compaction without advancing the sequence — so no sequence
+    /// comparison can tell a safe reader from an endangered one. A
+    /// reader registered after this check pins the current (post-
+    /// relocation) superversion and is safe. Exhaustion is monotonic, so
+    /// deferred files are reaped on a later quiet pass.
+    fn reap_exhausted(&self) -> Result<()> {
+        let inner = &self.inner;
+        if inner.opts.features.gc != GcScheme::CompactionTriggered {
+            return Ok(());
+        }
+        let _g = inner.gc_lock.lock();
+        if inner.lsm.oldest_read_point().is_some() {
+            return Ok(());
+        }
+        let exhausted = inner.vstore.exhausted_files();
+        if exhausted.is_empty() {
+            return Ok(());
+        }
+        let bundle = ValueEditBundle {
+            deleted_files: exhausted,
+            ..Default::default()
+        };
+        inner.lsm.apply_value_edit(bundle.clone())?;
+        let removed = inner.vstore.apply_bundle(&bundle);
+        for (file, format) in removed {
+            inner.vstore.delete_file(file, format);
+        }
+        Ok(())
+    }
+
+    // ---------------- reads ----------------
+
+    /// Latest value of `key` in this member, or `None` if absent/deleted.
+    ///
+    /// Single-pass and strictly consistent: the read goes through a
+    /// transient pinned view, so the index version it observes and the
+    /// value it resolves belong to the same point in time even under
+    /// concurrent flush/compaction/GC.
+    pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Option<Bytes>> {
+        let key = key.as_ref();
+        self.inner
+            .lsm
+            .get_resolved(key, |r| self.inner.resolve_read(key, r))
+    }
+
+    /// A pinned, registered view at the latest sequence.
+    pub(crate) fn view(&self) -> ShardView {
+        ShardView {
+            view: self.inner.lsm.view(),
+            shard: self.inner.clone(),
+        }
+    }
+
+    /// A view registered as a snapshot (Titan's GC gate sees it).
+    pub(crate) fn snapshot_view(&self) -> ShardView {
+        ShardView {
+            view: self.inner.lsm.snapshot_view(),
+            shard: self.inner.clone(),
+        }
+    }
+
+    // ---------------- maintenance ----------------
+
+    /// Flush the memtable and drain background work.
+    pub(crate) fn flush(&self) -> Result<()> {
+        self.inner.lsm.flush()?;
+        self.post_write_maintenance()
+    }
+
+    /// Compact until every level score is under 1.
+    pub(crate) fn compact_all(&self) -> Result<()> {
+        self.inner.lsm.compact_until_stable()?;
+        self.post_write_maintenance()
+    }
+
+    /// Run one GC job at an explicit threshold (`None` when no value file
+    /// crosses it, or the mode separates nothing).
+    pub fn run_gc_at(&self, threshold: f64) -> Result<Option<GcOutcome>> {
+        let inner = &self.inner;
+        match &inner.gc {
+            Some(gc) => {
+                let _g = inner.gc_lock.lock();
+                gc.run_once(&inner.lsm, threshold)
+            }
+            None => Ok(None),
+        }
+    }
+
+    /// Run GC jobs until no candidate crosses [`GC_THRESHOLD`].
+    pub(crate) fn run_gc_until_clean(&self) -> Result<usize> {
+        let mut jobs = 0;
+        while self.run_gc_at(GC_THRESHOLD)?.is_some() {
+            jobs += 1;
+            if jobs > 1024 {
+                return Err(Error::internal("runaway GC loop"));
+            }
+        }
+        Ok(jobs)
+    }
+
+    /// Dry-run the GC-Lookup validation phase over one value file without
+    /// moving data: reports how many of its records are still live.
+    pub fn gc_validate_file(&self, file: u64) -> Result<crate::GcValidationReport> {
+        let inner = &self.inner;
+        match &inner.gc {
+            Some(gc) => {
+                let _g = inner.gc_lock.lock();
+                gc.validate_file(&inner.lsm, file)
+            }
+            None => Err(Error::invalid_argument(
+                "engine mode has no value separation to validate",
+            )),
+        }
+    }
+
+    /// Recover from read-only degraded mode: re-verify (and if needed
+    /// rewrite) the manifest, delete orphan value files left behind by a
+    /// crashed GC write stage, clear the stored background error, and
+    /// re-enable writes.
+    pub(crate) fn resume(&self) -> Result<()> {
+        self.inner.lsm.resume()?;
+        self.inner.vstore.delete_orphans()?;
+        Ok(())
+    }
+
+    /// True while the member is in read-only degraded mode.
+    pub(crate) fn is_degraded(&self) -> bool {
+        self.inner.lsm.is_degraded()
+    }
+
+    /// The background error that degraded the member, if any.
+    pub fn background_error(&self) -> Option<Error> {
+        self.inner.lsm.background_error()
+    }
+
+    // ---------------- introspection ----------------
+
+    /// The member's options (`dir` is its own directory).
+    pub fn options(&self) -> &Options {
+        &self.inner.opts
+    }
+
+    /// On-disk space breakdown of the member's directory.
+    pub(crate) fn space(&self) -> SpaceBreakdown {
+        let opts = &self.inner.opts;
+        let mut s = SpaceBreakdown::default();
+        if let Ok(files) = opts.env.list_prefix(&format!("{}/", opts.dir)) {
+            for p in files {
+                let size = opts.env.file_size(&p).unwrap_or(0);
+                match parse_path(&opts.dir, &p) {
+                    Some((FileKind::Table, _)) => s.ksst_bytes += size,
+                    Some((FileKind::ValueTable | FileKind::BlobLog, _)) => s.value_bytes += size,
+                    Some((FileKind::Wal, _)) => s.wal_bytes += size,
+                    Some((FileKind::Manifest | FileKind::Current, _)) => s.manifest_bytes += size,
+                    None => s.other_bytes += size,
+                }
+            }
+        }
+        s
+    }
+
+    /// The member's statistics. Transactions and the 2PC coordinator
+    /// live at the set, so their counters read zero here.
+    pub(crate) fn stats(&self) -> DbStats {
+        let inner = &self.inner;
+        let version = inner.lsm.current_version();
+        let counters = inner.lsm.counters();
+        let (pinned_views, live_snapshots) = inner.lsm.read_point_counts();
+        let cdc = inner.lsm.change_log().stats();
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        DbStats {
+            io: inner.opts.env.io_stats().snapshot(),
+            gc: inner.gc_stats.snapshot(),
+            space: self.space(),
+            index_space_amp: version.index_space_amp(),
+            exposed_garbage_bytes: inner.vstore.total_exposed_bytes(),
+            value_store_bytes: inner.vstore.total_bytes(),
+            value_files: inner.vstore.all_files().len() as u64,
+            cache_hit_ratio: inner.cache.hit_ratio(),
+            flushes: load(&counters.flushes),
+            compactions: load(&counters.compactions),
+            merge_drops: load(&counters.merge_drops),
+            write_stalls: load(&counters.stalls),
+            throttle_stalls: inner.throttle.activation_count(),
+            oldest_read_point: inner.lsm.oldest_read_point(),
+            pinned_views: pinned_views as u64,
+            live_snapshots: live_snapshots as u64,
+            bg_errors: load(&counters.bg_errors),
+            bg_retries: load(&counters.bg_retries),
+            degraded: inner.lsm.is_degraded(),
+            wal_tail_corruptions: load(&counters.wal_tail_corruptions),
+            group_commit_groups: load(&counters.group_commit_groups),
+            group_commit_batches: load(&counters.group_commit_batches),
+            group_commit_max_group: load(&counters.group_commit_max_group),
+            group_commit_fsyncs_saved: load(&counters.group_commit_fsyncs_saved),
+            txn_commits: 0,
+            txn_conflicts: 0,
+            txn_2pc_commits: 0,
+            txn_2pc_rollforwards: 0,
+            cdc_events_published: cdc.events_published,
+            cdc_subscribers: cdc.subscribers,
+            cdc_retained_wal_bytes: cdc.retained_wal_bytes,
+            cdc_lag_seqs: cdc.lag_seqs,
+            cdc_catchup_reads: cdc.catchup_reads,
+            pinned_bytes: self.pinned_bytes(),
+        }
+    }
+
+    /// The underlying index LSM-tree (exposed for experiments/tests).
+    pub fn lsm(&self) -> &Lsm {
+        &self.inner.lsm
+    }
+
+    /// The value store (exposed for experiments/tests).
+    pub fn value_store(&self) -> &Arc<ValueStore> {
+        &self.inner.vstore
+    }
+
+    /// The DropCache (exposed for experiments/tests).
+    pub fn drop_cache(&self) -> &Arc<DropCache> {
+        &self.inner.dropcache
+    }
+}
+
+/// One member's pinned view: an index-tree view plus the member that
+/// resolves its separated values. A [`ReadView`](crate::ReadView) holds
+/// one per member.
+pub(crate) struct ShardView {
+    view: LsmView,
+    shard: Arc<ShardInner>,
+}
+
+impl ShardView {
+    pub(crate) fn sequence(&self) -> SeqNo {
+        self.view.sequence()
+    }
+
+    pub(crate) fn get_opt(&self, key: &[u8], fill_cache: bool) -> Result<Option<Bytes>> {
+        let r = self.view.get_opt(key, fill_cache)?;
+        self.shard.resolve_read(key, r)
+    }
+
+    pub(crate) fn scan_opt(
+        &self,
+        lo: &[u8],
+        hi: Option<&[u8]>,
+        fill_cache: bool,
+    ) -> Result<ShardScan> {
+        Ok(ShardScan::new(
+            self.view.scan_opt(lo, hi, fill_cache)?,
+            self.shard.clone(),
+        ))
+    }
+}
+
+/// Most rows one look-ahead batch resolves: the ceiling of the ramp
+/// (1, 2, 4 …) that plain [`Iterator::next`] climbs, and the chunk
+/// [`DbScanIter::collect_n`](crate::DbScanIter::collect_n) works in.
+pub const SCAN_BATCH_ROWS: usize = 256;
+
+/// Separated-value bytes after which a look-ahead batch stops pulling
+/// index entries (it always takes at least one row).
+pub const SCAN_BATCH_BYTES: u64 = 1 << 20;
+
+/// One member's scan: index entries from its pinned view, separated
+/// values resolved a look-ahead batch at a time (the contract is on
+/// [`DbScanIter`](crate::DbScanIter)).
+pub(crate) struct ShardScan {
+    inner: scavenger_lsm::ScanIter,
+    shard: Arc<ShardInner>,
+    /// The current look-ahead batch: resolved rows not yet yielded.
+    ready: std::vec::IntoIter<ScanEntry>,
+    /// What ended the look-ahead; surfaces once `ready` has drained.
+    failed: Option<Error>,
+    /// Rows the next ramp batch resolves.
+    ramp: usize,
+    /// Rows the ramp may still resolve ahead of demand, when a caller
+    /// that knows its own limit set one (see
+    /// [`limit_lookahead`](Self::limit_lookahead)).
+    budget: Option<usize>,
+    done: bool,
+}
+
+impl ShardScan {
+    fn new(inner: scavenger_lsm::ScanIter, shard: Arc<ShardInner>) -> ShardScan {
+        ShardScan {
+            inner,
+            shard,
+            ready: Vec::new().into_iter(),
+            failed: None,
+            ramp: 1,
+            budget: None,
+            done: false,
+        }
+    }
+
+    /// Cap the rows the ramp resolves from here on (`None` lifts the
+    /// cap): the k-way merge's `collect_n(limit)` needs at most `limit`
+    /// rows from any one member.
+    pub(crate) fn limit_lookahead(&mut self, rows: Option<usize>) {
+        self.budget = rows;
+    }
+
+    /// Pull up to `rows` index entries (fewer once [`SCAN_BATCH_BYTES`]
+    /// of separated values are pending) and resolve them. Returns the
+    /// rows that resolved, in key order; whatever stopped the batch
+    /// short — end of range excepted — is left in `failed`.
+    fn fill(&mut self, rows: usize) -> Vec<ScanEntry> {
+        let mut batch: Vec<ScanEntry> = Vec::with_capacity(rows);
+        // The batch's separated rows: (index in `batch`, seq, reference).
+        // Until resolved, such a row's `value` holds the encoded reference.
+        let mut separated: Vec<(usize, SeqNo, ValueRef)> = Vec::new();
+        let mut bytes = 0u64;
+        while batch.len() < rows && bytes < SCAN_BATCH_BYTES {
+            let e = match self.inner.next() {
+                None => break,
+                Some(Err(e)) => {
+                    self.failed = Some(e);
+                    break;
+                }
+                Some(Ok(e)) => e,
+            };
+            match e.vtype {
+                ValueType::Value => {}
+                ValueType::ValueRef => match ValueRef::decode(&e.value) {
+                    Ok(vref) => {
+                        bytes += u64::from(vref.size);
+                        separated.push((batch.len(), e.seq, vref));
+                    }
+                    Err(err) => {
+                        self.failed = Some(err);
+                        break;
+                    }
+                },
+                ValueType::Deletion => {
+                    self.failed = Some(Error::internal("tombstone in scan output"));
+                    break;
+                }
+            }
+            batch.push(ScanEntry {
+                key: e.user_key,
+                value: e.value,
+            });
+        }
+        if let Err((row, e)) = self.resolve(&mut batch, &separated) {
+            batch.truncate(row);
+            self.failed = Some(e);
+        }
+        batch
+    }
+
+    /// Replace the encoded reference of every separated row with its
+    /// value: one [`locate`](ValueStore::locate) per row, then one
+    /// coalesced [`fetch`](ValueStore::fetch) for the lot. A lone
+    /// separated row gains nothing from batching, and a failed batch
+    /// falls back to the same row-by-row path, which finds the first row
+    /// that cannot be resolved (returned with its error).
+    fn resolve(
+        &self,
+        batch: &mut [ScanEntry],
+        separated: &[(usize, SeqNo, ValueRef)],
+    ) -> std::result::Result<(), (usize, Error)> {
+        let vstore = &self.shard.vstore;
+        if separated.len() > 1 {
+            let fetched = separated
+                .iter()
+                .map(|(row, seq, vref)| vstore.locate(&batch[*row].key, *seq, vref))
+                .collect::<Result<Vec<_>>>()
+                .and_then(|locs| vstore.fetch(&locs));
+            if let Ok(values) = fetched {
+                for ((row, ..), value) in separated.iter().zip(values) {
+                    batch[*row].value = value;
+                }
+                return Ok(());
+            }
+        }
+        for (row, seq, vref) in separated {
+            match vstore.read_ref(&batch[*row].key, *seq, vref) {
+                Ok(value) => batch[*row].value = value,
+                Err(e) => return Err((*row, e)),
+            }
+        }
+        Ok(())
+    }
+
+    /// The next ramp step (1, 2, 4 … [`SCAN_BATCH_ROWS`]), within the
+    /// look-ahead budget when one is set.
+    fn ramp_step(&mut self) -> usize {
+        let step = self.ramp.min(self.budget.unwrap_or(usize::MAX)).max(1);
+        self.ramp = (self.ramp * 2).min(SCAN_BATCH_ROWS);
+        if let Some(b) = &mut self.budget {
+            *b = b.saturating_sub(step);
+        }
+        step
+    }
+
+    pub(crate) fn next_entry(&mut self) -> Result<Option<ScanEntry>> {
+        self.next().transpose()
+    }
+
+    /// Collect up to `limit` entries, resolving exactly those rows (in
+    /// chunks of at most [`SCAN_BATCH_ROWS`]).
+    pub(crate) fn collect_n(&mut self, limit: usize) -> Result<Vec<ScanEntry>> {
+        if self.done {
+            return Ok(Vec::new());
+        }
+        // Rows an earlier look-ahead already resolved come first.
+        let mut out: Vec<ScanEntry> = self.ready.by_ref().take(limit).collect();
+        while out.len() < limit && self.failed.is_none() {
+            let batch = self.fill((limit - out.len()).min(SCAN_BATCH_ROWS));
+            if batch.is_empty() && self.failed.is_none() {
+                self.done = true; // end of range
+                return Ok(out);
+            }
+            if out.is_empty() {
+                out = batch;
+            } else {
+                out.extend(batch);
+            }
+        }
+        if out.len() < limit {
+            if let Some(e) = self.failed.take() {
+                self.done = true;
+                return Err(e);
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl Iterator for ShardScan {
+    type Item = Result<ScanEntry>;
+
+    fn next(&mut self) -> Option<Result<ScanEntry>> {
+        if self.done {
+            return None;
+        }
+        if self.ready.len() == 0 && self.failed.is_none() {
+            let rows = self.ramp_step();
+            self.ready = self.fill(rows).into_iter();
+        }
+        let pulled = match self.ready.next() {
+            Some(e) => Ok(Some(e)),
+            None => self.failed.take().map_or(Ok(None), Err),
+        };
+        scavenger_util::iter::fuse(&mut self.done, pulled)
+    }
+}

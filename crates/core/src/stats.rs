@@ -234,8 +234,12 @@ macro_rules! db_stats {
             /// max; `degraded` is the OR; `oldest_read_point` the minimum
             /// of the `Some`s (sequences are per-member, so it is a
             /// conservative "oldest anywhere"); `index_space_amp` the
-            /// ksst-byte-weighted mean (1.0 for an empty set).
+            /// ksst-byte-weighted mean (1.0 for an empty set). One part
+            /// is returned bit for bit: `(x * w) / w` is not always `x`.
             pub(crate) fn merge(parts: &[DbStats]) -> DbStats {
+                if let [one] = parts {
+                    return one.clone();
+                }
                 let ksst = sum(parts.iter().map(|s| s.space.ksst_bytes));
                 let amp_weighted = parts
                     .iter()
@@ -582,6 +586,29 @@ mod tests {
         assert_eq!(samples, 4 * scavenger_env::io_stats::NUM_IO_CLASSES);
         // One header per metric name, not per class or member.
         assert_eq!(out.matches("# TYPE ").count(), 4);
+    }
+
+    /// A plain store reports its one member's snapshot unchanged — even
+    /// an `index_space_amp` the weighted mean would not round-trip.
+    #[test]
+    fn merge_of_one_part_is_that_part() {
+        let mut s = DbStats::merge(&[]);
+        s.index_space_amp = 0.1;
+        s.space.ksst_bytes = 3;
+        s.flushes = 7;
+        s.oldest_read_point = Some(5);
+        let w = s.space.ksst_bytes as f64;
+        assert_ne!(
+            (s.index_space_amp * w) / w,
+            s.index_space_amp,
+            "the weight must not round-trip"
+        );
+        let merged = DbStats::merge(std::slice::from_ref(&s));
+        assert_eq!(
+            merged.index_space_amp.to_bits(),
+            s.index_space_amp.to_bits()
+        );
+        assert_eq!(format!("{merged:?}"), format!("{s:?}"));
     }
 
     #[test]

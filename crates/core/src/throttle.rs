@@ -10,8 +10,8 @@
 //! compactions to convert hidden garbage into exposed garbage when no GC
 //! candidate exists yet.
 //!
-//! One `Throttle` can be **shared across engines**: a
-//! [`DbShards`](crate::DbShards) set opens every shard with the same
+//! One `Throttle` is **shared across a store's members**: a sharded
+//! [`Db`](crate::Db) opens every shard with the same
 //! instance together with a usage source summing all shard footprints,
 //! so the limit is one global budget and the counters aggregate
 //! set-wide. A shard that finds the store over budget reclaims

@@ -5,18 +5,19 @@
 //!
 //! 1. **[`Transaction`]** — an optimistic-concurrency-control (OCC)
 //!    transaction generic over any [`Transactional`] engine handle
-//!    ([`Db`] or [`DbShards`]). Reads pin a
+//!    ([`Db`], of any size). Reads pin a
 //!    view at begin time and record a *read set* (key → the sequence the
 //!    view reads at); writes buffer locally and are invisible to other
 //!    readers until commit. Commit validates the read set — every read
 //!    key must still have no version newer than the transaction's read
 //!    point — and then applies the write buffer atomically through the
-//!    engine's write path. Validation failure surfaces as
+//!    engine's one commit rule (see [`Transactional`]). Validation
+//!    failure surfaces as
 //!    [`Error::TxnConflict`] with nothing written; the caller re-runs
 //!    the transaction against current state.
 //!
 //! 2. **`Coordinator`** — the two-phase-commit log that makes a
-//!    multi-shard [`DbShards`] batch crash-atomic for **one fsync**. A
+//!    multi-shard [`Db`] batch crash-atomic for **one fsync**. A
 //!    `Prepare` record carrying the full redo payload (per-shard
 //!    sub-batch bytes + CRC digest + the shard's sequence floor) is
 //!    fsynced *before* any shard write, and that record *is* the batch's
@@ -25,7 +26,7 @@
 //!    WAL synced with no apply in flight — followed by replacing the log
 //!    with an empty one; it runs each time the log passes 1 MiB, and
 //!    when the store is flushed, compacted or closed. Recovery at
-//!    [`DbShards::open`](crate::DbShards::open) **rolls forward** every
+//!    [`Db::open`] **rolls forward** every
 //!    prepare still in the log, in log order, re-applying each entry
 //!    only if the key has no version newer than the prepare-time floor
 //!    (a newer version means the entry already landed, or was legally
@@ -67,8 +68,8 @@ use scavenger_util::{crc32c, Error, Result};
 
 use crate::db::{Db, ScanEntry};
 use crate::engine::{KvRead, KvWrite, PinnedReader};
-use crate::shards::DbShards;
-use crate::view::{WriteOptions, WriteReceipt};
+use crate::shard::Shard;
+use crate::view::{ReadView, WriteOptions, WriteReceipt};
 
 // ---------------------------------------------------------------------------
 // Transactional trait + Transaction
@@ -76,12 +77,12 @@ use crate::view::{WriteOptions, WriteReceipt};
 
 /// Engines that support optimistic transactions.
 ///
-/// Implemented by [`Db`] and [`DbShards`];
-/// code written against this trait runs unchanged on both, like the
-/// rest of the [`Engine`](crate::Engine) surface. This is a separate
-/// trait (rather than methods on `KvWrite`) because [`Transaction`] is
-/// generic over the concrete handle — adding it to the object-safe
-/// trait triple would break `dyn Engine`.
+/// Implemented by [`Db`] at every size; code written against this trait
+/// is written against the one handle, like the rest of the
+/// [`Engine`](crate::Engine) surface. This is a separate trait (rather
+/// than methods on `KvWrite`) because [`Transaction`] is generic over
+/// the concrete handle — adding it to the object-safe trait triple would
+/// break `dyn Engine`.
 ///
 /// ## Isolation
 ///
@@ -96,11 +97,15 @@ use crate::view::{WriteOptions, WriteReceipt};
 /// itself, so phantoms (keys *inserted* into a scanned range after
 /// begin) are not detected.
 ///
-/// On [`DbShards`], commits are validated and applied under a global
-/// transaction mutex, so transactions serialize against each other;
-/// raw non-transactional writes racing a commit can land between
-/// validation and apply, exactly as they can on a single [`Db`]
-/// between any two independent writes.
+/// One commit rule covers every store size. Every commit takes the
+/// store's transaction lock, so transactions serialize against each
+/// other. A transaction whose reads and writes all route to one member —
+/// every transaction, on a plain store — is validated and applied under
+/// that member's writer lock, so it is serializable against raw writes
+/// too. One that spans members is validated against the owning members'
+/// latest sequences and then applied like any batch (2PC when its writes
+/// span members): a raw non-transactional write racing it can land
+/// between validation and apply.
 pub trait Transactional: KvRead + KvWrite + Clone {
     /// Begin an optimistic transaction: pins a view of the engine at
     /// the current sequence and returns an empty transaction against
@@ -127,8 +132,8 @@ pub trait Transactional: KvRead + KvWrite + Clone {
 }
 
 impl Transactional for Db {
-    fn txn_read_seq(view: &Self::View, _key: &[u8]) -> SeqNo {
-        view.sequence()
+    fn txn_read_seq(view: &ReadView, key: &[u8]) -> SeqNo {
+        view.sequence_for(key)
     }
 
     fn txn_commit(
@@ -137,23 +142,39 @@ impl Transactional for Db {
         batch: WriteBatch,
         opts: &WriteOptions,
     ) -> Result<WriteReceipt> {
-        self.txn_commit_raw(reads, batch, opts)
+        let inner = &self.inner;
+        let _commit = inner.txn_lock.lock();
+        let keys = reads.iter().map(|(k, _)| &k[..]);
+        let keys = keys.chain(batch.entries().iter().map(|e| &e.key[..]));
+        let committed = match inner.owner(keys) {
+            Some(i) => inner.shards[i].commit(opts, batch, Some(reads)),
+            None => validate(self, reads).and_then(|()| self.write_with(opts, batch)),
+        };
+        match &committed {
+            Ok(_) => inner.txn_commits.fetch_add(1, Ordering::Relaxed),
+            Err(e) if e.is_txn_conflict() => inner.txn_conflicts.fetch_add(1, Ordering::Relaxed),
+            Err(_) => 0,
+        };
+        committed
     }
 }
 
-impl Transactional for DbShards {
-    fn txn_read_seq(view: &Self::View, key: &[u8]) -> SeqNo {
-        view.read_seq_for(key)
+/// Check every read of a transaction spanning members against its
+/// owning member's latest sequence.
+fn validate(db: &Db, reads: &[(Vec<u8>, SeqNo)]) -> Result<()> {
+    for (key, read_seq) in reads {
+        let shard = db.shard_of(key);
+        if let Some(seq) = db.shard(shard).lsm().latest_seq(key)? {
+            if seq > *read_seq {
+                return Err(Error::txn_conflict(format!(
+                    "key {:?} was written at sequence {seq} on shard {shard}, after \
+                     the transaction's read point {read_seq}",
+                    String::from_utf8_lossy(key)
+                )));
+            }
+        }
     }
-
-    fn txn_commit(
-        &self,
-        reads: &[(Vec<u8>, SeqNo)],
-        batch: WriteBatch,
-        opts: &WriteOptions,
-    ) -> Result<WriteReceipt> {
-        self.txn_commit_raw(reads, batch, opts)
-    }
+    Ok(())
 }
 
 /// An optimistic transaction over an engine handle.
@@ -339,39 +360,11 @@ impl<E: Transactional> Transaction<E> {
     pub fn rollback(self) {}
 }
 
-/// Transaction counters shared by both engine handles (surfaced through
-/// [`DbStats`](crate::DbStats)).
-#[derive(Default)]
-pub(crate) struct TxnCounters {
-    /// Transactions that passed validation and committed.
-    pub commits: AtomicU64,
-    /// Transactions rejected at commit time with [`Error::TxnConflict`].
-    pub conflicts: AtomicU64,
-}
-
-impl TxnCounters {
-    pub fn committed(&self) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn conflicted(&self) {
-        self.conflicts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
-    }
-
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts.load(Ordering::Relaxed)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Two-phase-commit coordinator
 // ---------------------------------------------------------------------------
 
-/// File name of the coordinator log under the `DbShards` root. The name
+/// File name of the coordinator log under a sharded store's root. The name
 /// is substring-targetable by fault-injection rules (`"COORD"`).
 pub(crate) const COORD_LOG: &str = "COORDLOG";
 
@@ -385,7 +378,7 @@ const PREPARE_TAG: u8 = 1;
 /// One shard's slice of a prepared multi-shard transaction.
 #[derive(Debug)]
 struct PreparedPart {
-    /// Index into the `DbShards` shard vector.
+    /// Index into the store's shard vector.
     shard: usize,
     /// The shard's last sequence at prepare time. Roll-forward re-applies
     /// an entry only if its key has no version newer than this floor.
@@ -450,8 +443,8 @@ fn decode_prepare(mut src: &[u8]) -> Result<PrepareRecord> {
 /// The barrier: make every write the shards have applied durable in the
 /// shards themselves (one fsync per shard with an unsynced WAL tail),
 /// after which no prepare in the coordinator log is needed any more.
-fn barrier(shards: &[Db]) -> Result<()> {
-    shards.iter().try_for_each(|db| db.lsm().sync_wal())
+fn barrier(shards: &[Shard]) -> Result<()> {
+    shards.iter().try_for_each(|s| s.lsm().sync_wal())
 }
 
 /// Move every shard's tombstone hold: to its current sequence — at or
@@ -460,8 +453,8 @@ fn barrier(shards: &[Db]) -> Result<()> {
 /// the log no shard elides a tombstone newer than the prepare's floor,
 /// so the roll-forward guard can always tell "deleted since" from
 /// "never landed".
-fn hold_tombstones(shards: &[Db], held: bool) {
-    for lsm in shards.iter().map(Db::lsm) {
+fn hold_tombstones(shards: &[Shard], held: bool) {
+    for lsm in shards.iter().map(Shard::lsm) {
         lsm.hold_tombstones_above(if held { lsm.last_sequence() } else { MAX_SEQNO });
     }
 }
@@ -483,7 +476,7 @@ struct CoordState {
     poisoned: bool,
 }
 
-/// The `DbShards` two-phase-commit coordinator: owns the coordinator
+/// The sharded store's two-phase-commit coordinator: owns the coordinator
 /// log and drives prepare → per-shard apply for multi-shard batches,
 /// the barrier that retires the log, and roll-forward recovery at open.
 pub(crate) struct Coordinator {
@@ -502,8 +495,8 @@ pub(crate) struct Coordinator {
 impl Coordinator {
     /// Roll every prepare still in the log forward against `shards`
     /// (which must already be open), then start an empty coordinator
-    /// log. Called from `DbShards::open`.
-    pub fn open(env: &EnvRef, root: &str, shards: &[Db]) -> Result<Coordinator> {
+    /// log. Called from `Db::open`.
+    pub fn open(env: &EnvRef, root: &str, shards: &[Shard]) -> Result<Coordinator> {
         let path = format!("{root}/{COORD_LOG}");
         let mut rollforwards = 0;
         if env.file_exists(&path) {
@@ -554,7 +547,7 @@ impl Coordinator {
     /// and suppress a later prepare's entry that was lost with it.
     ///
     /// Returns how many prepares had at least one entry re-applied.
-    fn roll_forward(shards: &[Db], prepares: &[PrepareRecord]) -> Result<u64> {
+    fn roll_forward(shards: &[Shard], prepares: &[PrepareRecord]) -> Result<u64> {
         let mut redo: Vec<WriteBatch> = shards.iter().map(|_| WriteBatch::new()).collect();
         let mut rolled = 0;
         for p in prepares {
@@ -595,9 +588,9 @@ impl Coordinator {
             disable_throttle: true,
             txn_id: None,
         };
-        for (db, batch) in shards.iter().zip(redo) {
+        for (shard, batch) in shards.iter().zip(redo) {
             if !batch.is_empty() {
-                db.write_with(&opts, batch)?;
+                shard.commit(&opts, batch, None)?;
             }
         }
         barrier(shards)?;
@@ -621,7 +614,7 @@ impl Coordinator {
     /// part has landed nothing can fail the call.
     pub fn commit(
         &self,
-        shards: &[Db],
+        shards: &[Shard],
         parts: Vec<(usize, WriteBatch)>,
         opts: &WriteOptions,
     ) -> Result<WriteReceipt> {
@@ -665,7 +658,7 @@ impl Coordinator {
             parts
                 .into_iter()
                 .try_fold((0, 0), |(seq, group_len), (shard, batch)| {
-                    let r = shards[shard].write_with(&shard_opts, batch)?;
+                    let r = shards[shard].commit(&shard_opts, batch, None)?;
                     Ok((seq.max(r.seq), group_len + r.group_len))
                 });
         {
@@ -693,12 +686,12 @@ impl Coordinator {
         })
     }
 
-    /// Retire the log now unless a commit is mid-apply: `DbShards` calls
+    /// Retire the log now unless a commit is mid-apply: the store calls
     /// this when it flushes, before it compacts and when the last handle
     /// drops, so an idle store does not carry prepares (and the tombstone
     /// hold) until another mebibyte of commits, and a clean reopen finds
     /// nothing to roll forward.
-    pub fn retire(&self, shards: &[Db]) -> Result<()> {
+    pub fn retire(&self, shards: &[Shard]) -> Result<()> {
         let mut st = self.state.lock();
         let empty = st.log.is_empty() && !st.poisoned && st.failed.is_empty();
         if empty || st.outstanding > 0 {
@@ -713,7 +706,7 @@ impl Coordinator {
     /// with nothing outstanding. Creation truncates, so there is no step
     /// between "old log" and "empty log" to crash in, and a failure
     /// leaves the old log (and the poison flag) in place.
-    fn barrier_and_rotate(&self, st: &mut CoordState, shards: &[Db]) -> Result<()> {
+    fn barrier_and_rotate(&self, st: &mut CoordState, shards: &[Shard]) -> Result<()> {
         debug_assert_eq!(st.outstanding, 0);
         let redone = Self::roll_forward(shards, &st.failed)?;
         self.rollforwards.fetch_add(redone, Ordering::Relaxed);

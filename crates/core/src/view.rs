@@ -1,69 +1,67 @@
 //! Pinned read views and per-call read/write options — the public
 //! consistency surface of the engine.
 //!
-//! # Pinned reads only (the `get_at` / `scan_at` surface is gone)
+//! Every historical read goes through a *registered* pin (a bare
+//! sequence number pins nothing: an unregistered read point could see a
+//! version whose value a concurrent GC already retired):
 //!
-//! Earlier versions exposed snapshot reads as a bare sequence number:
-//! take a [`Snapshot`], then call `db.get_at(key, snapshot.sequence())`
-//! or `db.scan_at(lo, hi, snapshot.sequence())`. The sequence alone
-//! never pinned anything — reads walked the live structures, and an
-//! unregistered sequence could observe a version whose value a
-//! concurrent GC had already retired (the old `Db::get` papered over
-//! this with a retry loop). Those entry points have been removed; every
-//! historical read now goes through a *registered* pin:
-//!
-//! * [`Db::view`](crate::db::Db::view) returns a [`ReadView`] — an
-//!   atomically pinned superversion (active memtable + immutable
-//!   memtables + SST version + visible sequence) whose reads are
-//!   strictly consistent for the view's whole lifetime.
-//! * [`Snapshot`] is an RAII handle *owning* a registered view: call
-//!   [`Snapshot::get`] / [`Snapshot::scan`] directly, or pass the
-//!   snapshot to [`Db::get_with`](crate::db::Db::get_with) /
-//!   [`Db::scan_with`](crate::db::Db::scan_with) via
-//!   [`ReadPin::Snapshot`] (`ReadOptions::pinned(&snap)`). Dropping the
-//!   snapshot unregisters it.
-//! * Code that previously carried a `SeqNo` around should carry the
-//!   [`Snapshot`] (or [`ReadView`]) itself: the handle *is* the read
-//!   point, and holding it is what keeps every version it can see
-//!   resolvable. [`Snapshot::sequence`] remains available for
-//!   diagnostics and ordering comparisons.
-//! * [`ReadOptions`] / [`WriteOptions`] carry per-call knobs
-//!   ([`Db::get_with`](crate::db::Db::get_with),
-//!   [`Db::scan_with`](crate::db::Db::scan_with),
-//!   [`Db::put_with`](crate::db::Db::put_with),
-//!   [`Db::write_with`](crate::db::Db::write_with)); the plain
+//! * [`Db::view`](crate::db::Db::view) returns a [`ReadView`] — one
+//!   atomically pinned superversion per member (memtables, SST version
+//!   and visible sequence) whose reads are strictly consistent for the
+//!   view's whole lifetime.
+//! * [`Snapshot`] is an RAII handle *owning* a registered view: read it
+//!   directly, or pass it to [`Db::get_with`](crate::db::Db::get_with) /
+//!   [`Db::scan_with`](crate::db::Db::scan_with) as a [`ReadPin`]
+//!   (`ReadOptions::pinned(&snap)`). The handle *is* the read point, and
+//!   holding it is what keeps every version it can see resolvable.
+//! * [`ReadOptions`] / [`WriteOptions`] carry per-call knobs; the plain
 //!   `get`/`put`/`scan` entry points are thin wrappers over the
 //!   defaults. [`WriteOptions`] is defined in the LSM crate and
 //!   re-exported here: one write-options type travels from the server
 //!   wire protocol all the way to the WAL append, and every write
 //!   returns a [`WriteReceipt`] describing its commit group.
 
-use crate::db::{DbInner, DbScanIter};
-use crate::shards::{ShardsSnapshot, ShardsView};
+use crate::db::{Db, DbScanIter};
+use crate::shard::ShardView;
 use bytes::Bytes;
 use scavenger_util::ikey::SeqNo;
 use scavenger_util::Result;
-use std::sync::Arc;
 
 /// A pinned, strictly-consistent read view of the database.
 ///
-/// Created by [`Db::view`](crate::db::Db::view). The view pins one
-/// superversion of the index tree and registers its sequence as a read
-/// point, so for as long as it lives:
+/// Created by [`Db::view`](crate::db::Db::view): one pinned view per
+/// member, taken at that call. Each pins one superversion of its
+/// member's index tree and registers its sequence as a read point, so
+/// for as long as the view lives:
 ///
 /// * every read resolves against the same point-in-time state — writes,
 ///   flushes, and compactions committed after creation are invisible;
 /// * the garbage collector preserves every value version the view can
 ///   see (no dangling value references, no read retries).
+///
+/// Each member is strictly consistent for its own keys; the set is taken
+/// at one call site, which is as much cross-shard ordering as a store
+/// without a global sequence can promise.
 pub struct ReadView {
-    pub(crate) view: scavenger_lsm::LsmView,
-    pub(crate) db: Arc<DbInner>,
+    pub(crate) db: Db,
+    pub(crate) members: Vec<ShardView>,
 }
 
 impl ReadView {
-    /// The sequence this view reads at.
+    /// The sequence this view reads at: sequences are per member, so on
+    /// a store of several this is the newest member read point.
     pub fn sequence(&self) -> SeqNo {
-        self.view.sequence()
+        self.members
+            .iter()
+            .map(ShardView::sequence)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The read point a transaction's conflict check for `key` compares
+    /// against: the owning member's.
+    pub(crate) fn sequence_for(&self, key: &[u8]) -> SeqNo {
+        self.members[self.db.inner.shard_of(key)].sequence()
     }
 
     /// Value of `key` at the view, or `None` if absent/deleted.
@@ -72,13 +70,12 @@ impl ReadView {
     }
 
     pub(crate) fn get_opt(&self, key: &[u8], fill_cache: bool) -> Result<Option<Bytes>> {
-        let r = self.view.get_opt(key, fill_cache)?;
-        self.db.resolve_read(key, r)
+        self.members[self.db.inner.shard_of(key)].get_opt(key, fill_cache)
     }
 
     /// Range scan over `[lo, hi)` (unbounded when `hi` is `None`) at the
     /// view, resolving separated values. The iterator carries its own
-    /// pin and stays valid after the view is dropped.
+    /// pins and stays valid after the view is dropped.
     pub fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<DbScanIter> {
         self.scan_opt(lo, hi, true)
     }
@@ -89,16 +86,18 @@ impl ReadView {
         hi: Option<&[u8]>,
         fill_cache: bool,
     ) -> Result<DbScanIter> {
+        let members = self.members.iter();
         Ok(DbScanIter::new(
-            self.view.scan_opt(lo, hi, fill_cache)?,
-            self.db.clone(),
+            members
+                .map(|m| m.scan_opt(lo, hi, fill_cache))
+                .collect::<Result<_>>()?,
         ))
     }
 }
 
 /// A consistent point-in-time snapshot: an RAII handle owning a
 /// registered [`ReadView`]. Dropping the snapshot unregisters its
-/// sequence and releases the pinned structures.
+/// sequences and releases the pinned structures.
 ///
 /// Unlike a transient [`ReadView`], a snapshot also participates in
 /// snapshot-specific GC policy (e.g. Titan-style write-back GC defers
@@ -132,37 +131,19 @@ impl Snapshot {
 }
 
 /// The read point a [`ReadOptions`] call resolves against: the latest
-/// state, or one of the four pinned read surfaces — single-engine
-/// [`ReadView`] / [`Snapshot`], or their sharded counterparts
-/// [`ShardsView`] / [`ShardsSnapshot`].
-///
-/// One enum instead of per-engine option structs means a single
-/// [`ReadOptions`] type serves both [`Db`](crate::Db) and
-/// [`DbShards`](crate::DbShards) (the trait surface in
-/// [`engine`](crate::engine) depends on this). Passing a pin from the
-/// *other* engine flavor — a `ShardsView` to a `Db` read, or a plain
-/// `ReadView` to a sharded read — is reported as an error by the
-/// receiving engine, never silently ignored.
-///
-/// Marked `#[non_exhaustive]`: a new backend contributes its pinned
-/// surfaces as additional variants (plus `From` impls), which is an
-/// additive, non-breaking change — downstream matches must carry a
-/// wildcard arm and should treat unknown pins as the wrong flavor.
+/// state, a pinned [`ReadView`], or a [`Snapshot`]. A pin is only valid
+/// on the handle it was taken from; any other handle refuses it with
+/// [`Error::InvalidArgument`](scavenger_util::Error::InvalidArgument)
+/// rather than read a store it does not belong to.
 #[derive(Clone, Copy, Default)]
-#[non_exhaustive]
 pub enum ReadPin<'a> {
-    /// No pin: read through a fresh transient view at the latest
-    /// sequence.
+    /// No pin: read the latest state through a transient view.
     #[default]
     Latest,
-    /// Read through a pinned single-engine view.
+    /// Read through a pinned view.
     View(&'a ReadView),
-    /// Read at a single-engine snapshot.
+    /// Read at a snapshot.
     Snapshot(&'a Snapshot),
-    /// Read through a coordinated per-shard view set.
-    ShardsView(&'a ShardsView),
-    /// Read at a coordinated per-shard snapshot set.
-    ShardsSnapshot(&'a ShardsSnapshot),
 }
 
 impl<'a> From<&'a ReadView> for ReadPin<'a> {
@@ -177,22 +158,8 @@ impl<'a> From<&'a Snapshot> for ReadPin<'a> {
     }
 }
 
-impl<'a> From<&'a ShardsView> for ReadPin<'a> {
-    fn from(v: &'a ShardsView) -> Self {
-        ReadPin::ShardsView(v)
-    }
-}
-
-impl<'a> From<&'a ShardsSnapshot> for ReadPin<'a> {
-    fn from(s: &'a ShardsSnapshot) -> Self {
-        ReadPin::ShardsSnapshot(s)
-    }
-}
-
-/// Per-call read options for [`Db::get_with`](crate::db::Db::get_with),
-/// [`Db::scan_with`](crate::db::Db::scan_with), and their
-/// [`DbShards`](crate::DbShards) counterparts — one options type for
-/// every engine handle.
+/// Per-call read options for [`Db::get_with`](crate::db::Db::get_with)
+/// and [`Db::scan_with`](crate::db::Db::scan_with).
 ///
 /// The read point comes from [`pin`](ReadOptions::pin): latest state by
 /// default, or any of the pinned read surfaces via
@@ -217,8 +184,7 @@ impl<'a> From<&'a ShardsSnapshot> for ReadPin<'a> {
 /// assert_eq!(entries[0].key, b"key05");
 /// ```
 pub struct ReadOptions<'a> {
-    /// The read point: latest, or a pinned view/snapshot of either
-    /// engine flavor.
+    /// The read point: latest, or a pinned view/snapshot.
     pub pin: ReadPin<'a>,
     /// When `false`, the read bypasses the table-handle and block caches
     /// entirely (one-shot readers) so a scan of cold data cannot evict
@@ -246,8 +212,7 @@ impl Default for ReadOptions<'_> {
 }
 
 impl<'a> ReadOptions<'a> {
-    /// Options reading at `pin` — any of the four pinned read surfaces
-    /// converts:
+    /// Options reading at `pin` — a view or a snapshot converts:
     ///
     /// ```
     /// use scavenger::{Db, EngineMode, MemEnv, Options, ReadOptions};

@@ -4,12 +4,10 @@
 //! A [`MeteredEnv`] delegates every operation to an inner env but
 //! charges all bytes/ops flowing through it to a **private**
 //! [`IoStats`] instance (the inner env keeps counting too, so an
-//! env-global view stays intact). [`DbShards`] opens each shard under
-//! one of these so `stats().io` reports what *that shard* did instead
-//! of the env-global snapshot — the attribution the metrics endpoint
-//! needs to tell a GC-heavy shard from an idle one.
-//!
-//! [`DbShards`]: ../scavenger/struct.DbShards.html
+//! env-global view stays intact). A sharded `scavenger::Db` opens each
+//! shard under one of these so `stats().io` reports what *that shard*
+//! did instead of the env-global snapshot — the attribution the metrics
+//! endpoint needs to tell a GC-heavy shard from an idle one.
 
 use crate::io_stats::{IoClass, IoStats};
 use crate::{Env, EnvRef, RandomAccessFile, WritableFile};

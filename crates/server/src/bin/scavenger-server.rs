@@ -8,13 +8,12 @@
 //!     --slow-query-ms 100 --pin-ttl-secs 30
 //! ```
 //!
-//! `--shards 1` (the default) serves a single [`Db`]; anything higher
-//! serves a [`DbShards`] — same binary, same protocol, chosen through
-//! the one generic [`Server`] entry point. The process runs until a
-//! client sends the `Shutdown` request (the load generator's
-//! `--shutdown` flag, for instance), then drains and exits 0.
+//! `--shards N` opens a [`Db`] of N members (`1`, the default, is a
+//! plain store at the root) — one handle, one path into [`Server`]. The
+//! process runs until a client sends the `Shutdown` request (the load
+//! generator's `--shutdown` flag, for instance), then drains and exits 0.
 
-use scavenger::{Db, DbShards, EngineMode, FsEnv, Options, ShardedOptions};
+use scavenger::{Db, EngineMode, FsEnv, ShardedOptions};
 use scavenger_server::{Server, ServerConfig, ServerHandle};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -97,9 +96,6 @@ fn parse_args() -> Result<Args, String> {
     if args.data_dir.is_empty() {
         return Err(format!("--data-dir is required\n{USAGE}"));
     }
-    if args.shards == 0 {
-        return Err("--shards must be at least 1".to_string());
-    }
     Ok(args)
 }
 
@@ -110,15 +106,11 @@ const USAGE: &str = "usage: scavenger-server --data-dir DIR [--addr HOST:PORT] \
 
 fn start(args: &Args) -> scavenger::Result<ServerHandle> {
     let env = Arc::new(FsEnv::new(args.data_dir.clone())?);
-    if args.shards == 1 {
-        let db = Db::open(Options::new(env, "db", EngineMode::Scavenger))?;
-        Server::start(db, args.cfg.clone())
-    } else {
-        let mut opts = ShardedOptions::new(env, "db", EngineMode::Scavenger);
-        opts.num_shards = args.shards;
-        let db = DbShards::open(opts)?;
-        Server::start(db, args.cfg.clone())
-    }
+    let opts = ShardedOptions {
+        num_shards: args.shards,
+        ..ShardedOptions::new(env, "db", EngineMode::Scavenger)
+    };
+    Server::start(Db::open(opts)?, args.cfg.clone())
 }
 
 fn main() -> ExitCode {

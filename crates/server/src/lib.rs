@@ -2,9 +2,9 @@
 //! [`Engine`](scavenger::Engine) surface.
 //!
 //! The storage engine below this crate is a library; this crate makes
-//! it a service. One generic [`Server`] hosts any engine handle —
-//! a single [`Db`](scavenger::Db) or a sharded
-//! [`DbShards`](scavenger::DbShards), chosen at startup — behind a
+//! it a service. One generic [`Server`] hosts the engine handle — a
+//! [`Db`](scavenger::Db) of one shard or of several, chosen at
+//! startup — behind a
 //! table-driven length-prefixed binary protocol on plain TCP
 //! (`std::net` + threads; the workspace builds without a registry, so
 //! there is no async runtime or protobuf to lean on).

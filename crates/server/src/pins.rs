@@ -25,8 +25,8 @@ struct PinEntry<S> {
 
 /// Table of live server-side snapshots, keyed by wire id.
 ///
-/// Generic over the engine's snapshot type so one table serves both
-/// `Db` and `DbShards` behind the `Engine` trait.
+/// Generic over the engine's snapshot type (whatever `Engine::Snap`
+/// names), so the table never names the handle.
 pub struct PinTable<S> {
     inner: Mutex<PinTableInner<S>>,
     ttl: Duration,

@@ -1,8 +1,7 @@
 //! The TCP server: accept loop, connection threads, graceful drain.
 //!
-//! [`Server::start`] takes any engine handle behind the
-//! [`ServeEngine`] bound — [`Db`](scavenger::Db) and
-//! [`DbShards`](scavenger::DbShards) both qualify — and serves the
+//! [`Server::start`] takes an engine handle behind the [`ServeEngine`]
+//! bound — a [`Db`](scavenger::Db) of any size — and serves the
 //! framed protocol from [`crate::protocol`] on a TCP listener, with an
 //! optional second listener speaking just enough HTTP/1.0 to answer
 //! `GET /metrics` with Prometheus exposition text.

@@ -33,7 +33,11 @@ fn main() -> scavenger::Result<()> {
     db.compact_all()?;
 
     let detected = (0..10)
-        .filter(|i| db.drop_cache().contains(format!("hot{i:02}").as_bytes()))
+        .filter(|i| {
+            db.shard(0)
+                .drop_cache()
+                .contains(format!("hot{i:02}").as_bytes())
+        })
         .count();
     println!("DropCache learned {detected}/10 hot keys from compaction drops");
 
@@ -42,7 +46,7 @@ fn main() -> scavenger::Result<()> {
     let mut cold_garbage = 0.0;
     let mut hot_n = 0;
     let mut cold_n = 0;
-    for meta in db.value_store().all_files() {
+    for meta in db.shard(0).value_store().all_files() {
         if meta.hot {
             hot_garbage += meta.garbage_ratio();
             hot_n += 1;

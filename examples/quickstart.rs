@@ -1,8 +1,9 @@
 //! Quickstart: open a Scavenger database with the typed options
 //! builder, write, read, scan, delete, take pinned views/snapshots,
 //! and inspect the space statistics — then run the *same* generic code
-//! against a sharded store, because both handles implement the unified
-//! engine traits (`KvRead + KvWrite + Maintenance`).
+//! against a sharded store: a plain store and a sharded one are the same
+//! handle, `Db`, behind the engine traits (`KvRead + KvWrite +
+//! Maintenance`).
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -10,8 +11,7 @@ use scavenger::{
     Db, DbShards, Engine, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, WriteOptions,
 };
 
-/// Written once against the trait surface; works on `Db`, `DbShards`,
-/// and any future backend. The `Engine` bound is shorthand for
+/// Written once against the trait surface; works on a `Db` of any size. The `Engine` bound is shorthand for
 /// `KvRead + KvWrite + Maintenance`.
 fn tour<E: Engine>(db: &E, label: &str) -> scavenger::Result<()> {
     println!("=== {label} ===");
@@ -45,8 +45,8 @@ fn tour<E: Engine>(db: &E, label: &str) -> scavenger::Result<()> {
 
     // Force the pipeline end-to-end: flush -> compaction (exposes
     // garbage) -> GC (reclaims it). `run_gc` reports one outcome per
-    // shard through the unified `GcReport` (a single engine fills one
-    // slot), so this code never branches on the handle type.
+    // shard through the `GcReport` (a plain store fills one slot), so
+    // this code never branches on the store's size.
     db.flush()?;
     db.compact_all()?;
     let jobs = db.run_gc_until_clean()?;
@@ -101,7 +101,7 @@ fn main() -> scavenger::Result<()> {
     let mut opts = Options::new(MemEnv::shared(), "quickstart-db", EngineMode::Scavenger);
     opts.auto_gc = false; // the tour drives GC explicitly
     let single = Db::open(opts)?;
-    tour(&single, "single engine (Db)")?;
+    tour(&single, "plain store (Db, 1 shard)")?;
 
     // Same tour, zero new code: a 4-shard store behind the same traits.
     let mut opts =
@@ -109,6 +109,6 @@ fn main() -> scavenger::Result<()> {
     opts.num_shards = 4;
     opts.base.auto_gc = false;
     let sharded = DbShards::open(opts)?;
-    tour(&sharded, "sharded engine (DbShards, 4 shards)")?;
+    tour(&sharded, "sharded store (Db, 4 shards)")?;
     Ok(())
 }

@@ -1,4 +1,4 @@
-//! Sharded engine tour: open a 4-shard `DbShards`, watch keys route,
+//! Sharded store tour: open a 4-shard `Db` (`DbShards`), watch keys route,
 //! scan across shards in one global order, run per-shard GC through the
 //! maintenance fan-out, and verify routing survives a reopen.
 //!

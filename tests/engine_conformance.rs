@@ -1,8 +1,8 @@
 //! Generic engine-conformance suite: ONE test body, written purely
 //! against the trait surface (`KvRead + KvWrite + Maintenance`, i.e.
-//! [`Engine`]), instantiated for a single [`Db`] and a 4-shard
-//! [`DbShards`] across the Scavenger, Titan, and Terark modes. Both
-//! handles must produce identical observable results — gets, pinned
+//! [`Engine`]), instantiated for a plain [`Db`] and a 4-shard one
+//! ([`DbShards`] names the same type) across the Scavenger, Titan, and
+//! Terark modes. Both sizes must produce identical observable results — gets, pinned
 //! (view/snapshot) reads through the unified [`ReadOptions`], merged
 //! scan order and contents, and post-GC state — which is what makes the
 //! trait surface "write once, run on every backend".
@@ -259,26 +259,38 @@ fn conformance_db_and_4shard_dbshards_match() {
     }
 }
 
-/// Pins are typed: handing a pin from the other engine flavor to a
-/// handle is an error, never a silent misread.
+/// A pin belongs to the handle it was taken from: handing it to any
+/// other handle — same size or not — is an error, never a silent read of
+/// the other store.
 #[test]
-fn wrong_flavor_pins_are_rejected() {
-    let db = single("wrongpin-single", EngineMode::Scavenger);
-    let shards = sharded("wrongpin-sharded", EngineMode::Scavenger);
-    db.put("k", b"v".to_vec()).unwrap();
-    shards.put("k", b"v".to_vec()).unwrap();
-
-    let sview = shards.view();
-    let ssnap = shards.snapshot();
-    assert!(db.get_with(&ReadOptions::pinned(&sview), "k").is_err());
-    assert!(db.get_with(&ReadOptions::pinned(&ssnap), "k").is_err());
-    assert!(db.scan_with(&ReadOptions::pinned(&sview)).is_err());
-
-    let view = db.view();
-    let snap = db.snapshot();
-    assert!(shards.get_with(&ReadOptions::pinned(&view), "k").is_err());
-    assert!(shards.get_with(&ReadOptions::pinned(&snap), "k").is_err());
-    assert!(shards.scan_with(&ReadOptions::pinned(&view)).is_err());
+fn foreign_pins_are_rejected() {
+    let db = single("foreignpin-single", EngineMode::Scavenger);
+    let other = single("foreignpin-other", EngineMode::Scavenger);
+    let shards = sharded("foreignpin-sharded", EngineMode::Scavenger);
+    for h in [&db, &other, &shards] {
+        h.put("k", b"v".to_vec()).unwrap();
+    }
+    for (owner, stranger) in [(&db, &other), (&db, &shards), (&shards, &db)] {
+        let view = owner.view();
+        let snap = owner.snapshot();
+        assert!(stranger.get_with(&ReadOptions::pinned(&view), "k").is_err());
+        assert!(stranger.get_with(&ReadOptions::pinned(&snap), "k").is_err());
+        assert!(stranger.scan_with(&ReadOptions::pinned(&view)).is_err());
+        assert!(stranger.scan_with(&ReadOptions::pinned(&snap)).is_err());
+        // The owner reads through its own pins, and so does a clone.
+        let clone = owner.clone();
+        assert!(clone
+            .get_with(&ReadOptions::pinned(&view), "k")
+            .unwrap()
+            .is_some());
+        assert_eq!(
+            clone
+                .scan_with(&ReadOptions::pinned(&snap))
+                .unwrap()
+                .count(),
+            1
+        );
+    }
 }
 
 /// Everything the generic driver can observe about an engine's

@@ -1,35 +1,14 @@
-//! `Iterator` conformance for the engine scan iterators ([`DbScanIter`]
-//! and the sharded merge iterator): bound handling through the adapter
-//! toolbox, early termination via `take`, error propagation (an errored
-//! iterator yields `Some(Err)` once, then fuses to `None`), and
-//! `collect_n` / `next_entry` equivalence with the `Iterator` impl on
-//! both handle types.
+//! `Iterator` conformance for the engine scan iterator ([`DbScanIter`],
+//! on a plain store and as the k-way merge of a sharded one): bound
+//! handling through the adapter toolbox, early termination via `take`,
+//! error propagation (an errored iterator yields `Some(Err)` once, then
+//! fuses to `None`), and `collect_n` / `next_entry` equivalence with the
+//! `Iterator` impl at both store sizes.
 
-use scavenger::shards::ShardsScanIter;
 use scavenger::{
     Db, DbScanIter, DbShards, Engine, EngineMode, EnvRef, MemEnv, Options, Result, ScanEntry,
-    ScanIterator, ShardedOptions,
+    ShardedOptions,
 };
-
-/// Test-local bridge over the two concrete iterators' `next_entry`
-/// wrapper, so the generic contract check can compare it (and
-/// `ScanIterator::collect_n`) against the `Iterator` surface on both
-/// handle types.
-trait EntryIter: ScanIterator {
-    fn entry(&mut self) -> Result<Option<ScanEntry>>;
-}
-
-impl EntryIter for DbScanIter {
-    fn entry(&mut self) -> Result<Option<ScanEntry>> {
-        DbScanIter::next_entry(self)
-    }
-}
-
-impl EntryIter for ShardsScanIter {
-    fn entry(&mut self) -> Result<Option<ScanEntry>> {
-        ShardsScanIter::next_entry(self)
-    }
-}
 
 fn key(i: usize) -> String {
     format!("key{i:04}")
@@ -67,14 +46,10 @@ fn load<E: Engine>(db: &E, n: usize) {
     db.flush().unwrap();
 }
 
-/// Generic over both handles: iterator results honor scan bounds, agree
-/// with `collect_n` and `next_entry`, and `take` terminates early
-/// without draining the range.
-fn check_iterator_contract<E>(db: &E)
-where
-    E: Engine,
-    E::Iter: EntryIter,
-{
+/// At any store size: iterator results honor scan bounds, agree with
+/// `collect_n` and `next_entry`, and `take` terminates early without
+/// draining the range.
+fn check_iterator_contract(db: &Db) {
     load(db, 60);
 
     // Bounds: lower inclusive, upper exclusive, in global key order.
@@ -141,10 +116,10 @@ where
     assert!(it.next().is_none());
 
     // next_entry is a thin wrapper over Iterator::next.
-    let mut a = db.scan(b"key0005", Some(b"key0008")).unwrap();
+    let mut a: DbScanIter = db.scan(b"key0005", Some(b"key0008")).unwrap();
     let mut b = db.scan(b"key0005", Some(b"key0008")).unwrap();
     loop {
-        let ea = a.entry().unwrap();
+        let ea = a.next_entry().unwrap();
         let eb = b.next().transpose().unwrap();
         assert_eq!(ea, eb);
         if ea.is_none() {
@@ -152,7 +127,7 @@ where
         }
     }
     // Exhausted iterators stay exhausted through both surfaces.
-    assert!(a.entry().unwrap().is_none());
+    assert!(a.next_entry().unwrap().is_none());
     assert!(b.next().is_none());
 }
 
@@ -318,10 +293,10 @@ fn errored_shards_iterator_yields_err_then_fuses() {
     load(&db, 30);
     delete_value_files(&env, "iter-err-shards");
 
-    // The merge iterator primes one head per shard at construction, so
-    // with every shard broken the error can surface either at `scan`
-    // (priming) or at the first pull — both satisfy the contract; if an
-    // iterator was handed out, it must fuse after its first error.
+    // The merge iterator primes one head per shard on its first pull,
+    // so with every shard broken the error surfaces there (an error at
+    // `scan` would satisfy the contract too); if an iterator was handed
+    // out, it must fuse after its first error.
     match db.scan(b"", None) {
         Err(_) => {}
         Ok(mut it) => {

@@ -21,6 +21,7 @@
 //! (defaults: 200 cycles per engine × mode combination, seed
 //! `0xdecaf`), so CI can pin seeds and crank coverage.
 
+use scavenger::gc::GC_THRESHOLD;
 use scavenger::{
     Db, DbShards, Engine, EngineMode, KvRead, Maintenance, MemEnv, Options, ShardedOptions,
     WriteOptions,
@@ -344,7 +345,7 @@ fn degraded_mode_serves_reads_and_resume_restores_writes() {
         .put(crash::key_bytes(0), crash::value_bytes(0, 2, 700))
         .expect_err("writes must fail in degraded mode");
     assert!(werr.is_read_only(), "got {werr}");
-    assert!(db.background_error().is_some());
+    assert!(db.shard(0).background_error().is_some());
     assert_eq!(
         db.get(crash::key_bytes(5)).unwrap().unwrap(),
         bytes::Bytes::from(crash::value_bytes(5, 1, 700))
@@ -356,7 +357,7 @@ fn degraded_mode_serves_reads_and_resume_restores_writes() {
     fault.clear_rules();
     db.resume().expect("resume after the fault cleared");
     assert!(!db.is_degraded());
-    assert!(db.background_error().is_none());
+    assert!(db.shard(0).background_error().is_none());
     db.put(crash::key_bytes(0), crash::value_bytes(0, 3, 700))
         .unwrap();
     db.flush().unwrap();
@@ -428,7 +429,7 @@ fn no_crash_cycle_loses_nothing() {
 
 /// Value files on disk that the value store has not registered.
 fn unregistered_value_files(env: &EnvRef, db: &Db) -> Vec<String> {
-    let live = db.value_store().live_file_numbers();
+    let live = db.shard(0).value_store().live_file_numbers();
     env.list_prefix("db/")
         .unwrap()
         .into_iter()
@@ -473,7 +474,7 @@ fn retried_flush_leaves_no_unregistered_value_files() {
     });
     db.flush().expect("the retry succeeds");
     assert!(db.stats().bg_retries >= 1, "the first attempt must fail");
-    assert!(!db.value_store().live_file_numbers().is_empty());
+    assert!(!db.shard(0).value_store().live_file_numbers().is_empty());
     assert_eq!(unregistered_value_files(&env, &db), Vec::<String>::new());
     for i in 0..200u32 {
         assert_eq!(
@@ -505,7 +506,7 @@ fn failed_gc_write_stage_leaves_no_unregistered_value_files() {
     }
     db.flush().unwrap();
     // Merge the two runs so the overwritten versions are exposed.
-    while db.lsm().force_compact_once().unwrap() {}
+    while db.shard(0).lsm().force_compact_once().unwrap() {}
 
     fault.add_rule(FaultRule {
         op: FaultOp::Write,
@@ -548,7 +549,7 @@ fn three_batch_gc_job(env: EnvRef) -> Db {
             .unwrap();
     }
     db.flush().unwrap();
-    while db.lsm().force_compact_once().unwrap() {}
+    while db.shard(0).lsm().force_compact_once().unwrap() {}
     db
 }
 
@@ -562,7 +563,11 @@ fn failed_gc_fetch_stage_leaves_no_unregistered_value_files() {
     let clean = MemEnv::shared();
     let twin = three_batch_gc_job(clean.clone());
     let before = clean.io_stats().snapshot();
-    let outcome = twin.run_gc().unwrap().expect("a candidate");
+    let outcome = twin
+        .shard(0)
+        .run_gc_at(GC_THRESHOLD)
+        .unwrap()
+        .expect("a candidate");
     assert!(outcome.records_rewritten > 1024, "more than one batch");
     let reads = clean
         .io_stats()
@@ -574,7 +579,7 @@ fn failed_gc_fetch_stage_leaves_no_unregistered_value_files() {
     let fault = FaultEnv::wrap(MemEnv::shared(), 0x1eb1);
     let env: EnvRef = fault.clone();
     let db = three_batch_gc_job(env.clone());
-    let files_before = db.value_store().live_file_numbers();
+    let files_before = db.shard(0).value_store().live_file_numbers();
     fault.add_rule(FaultRule {
         op: FaultOp::Read,
         path_contains: Some(".vsst".to_string()),
@@ -584,10 +589,14 @@ fn failed_gc_fetch_stage_leaves_no_unregistered_value_files() {
     });
     let err = db.run_gc().expect_err("the fetch stage must hit the fault");
     assert!(matches!(err, scavenger::Error::Io(_)), "{err}");
-    assert_eq!(db.value_store().live_file_numbers(), files_before);
+    assert_eq!(db.shard(0).value_store().live_file_numbers(), files_before);
     assert_eq!(unregistered_value_files(&env, &db), Vec::<String>::new());
 
-    assert_eq!(db.run_gc().unwrap(), Some(outcome), "a clean job collects");
+    assert_eq!(
+        db.shard(0).run_gc_at(GC_THRESHOLD).unwrap(),
+        Some(outcome),
+        "a clean job collects"
+    );
     assert_eq!(unregistered_value_files(&env, &db), Vec::<String>::new());
     for i in 0..2400u32 {
         let version = if i % 2 == 0 { 2 } else { 1 };

@@ -6,6 +6,7 @@
 //! Every count is asserted for `gc_threads` 1 and 4: the per-file fetch
 //! jobs fan out over the pool, the I/O they issue must not depend on it.
 
+use scavenger::gc::GC_THRESHOLD;
 use scavenger::vstore::vtable::{vfile_path, VReader};
 use scavenger::vstore::GC_COALESCE;
 use scavenger::{Db, EngineMode, Env, Error, GcOutcome, IoClass, MemEnv, Options, VFormat};
@@ -43,13 +44,13 @@ fn load(db: &Db, n: usize, dead: impl Fn(usize) -> bool) -> u64 {
         db.put(key(i), value(i, 1)).unwrap();
     }
     db.flush().unwrap();
-    let files = db.value_store().live_file_numbers();
+    let files = db.shard(0).value_store().live_file_numbers();
     assert_eq!(files.len(), 1, "one value file per flush");
     for i in (0..n).filter(|&i| dead(i)) {
         db.put(key(i), value(i, 2)).unwrap();
     }
     db.flush().unwrap();
-    while db.lsm().force_compact_once().unwrap() {}
+    while db.shard(0).lsm().force_compact_once().unwrap() {}
     files[0]
 }
 
@@ -63,7 +64,11 @@ fn check_values(db: &Db, n: usize, dead: impl Fn(usize) -> bool) {
 /// Run one GC job; its outcome and the `GcRead` ops and bytes it cost.
 fn gc_job(db: &Db, env: &MemEnv) -> (GcOutcome, ClassSnapshot) {
     let before = env.io_stats().snapshot();
-    let outcome = db.run_gc().unwrap().expect("a candidate");
+    let outcome = db
+        .shard(0)
+        .run_gc_at(GC_THRESHOLD)
+        .unwrap()
+        .expect("a candidate");
     let d = env.io_stats().snapshot().delta(&before);
     (outcome, d.class(IoClass::GcRead))
 }
@@ -108,7 +113,7 @@ fn half_live_file_is_read_in_spans_in_every_mode() {
             let eref: EnvRef = env.clone();
             let db = Db::open(opts(eref.clone(), mode, threads)).unwrap();
             let file = load(&db, N, dead);
-            let meta = db.value_store().meta(file).unwrap();
+            let meta = db.shard(0).value_store().meta(file).unwrap();
             assert!(meta.size > 2_000_000 && meta.size < (2 << 20) + 65_536);
             let spans = meta.size.div_ceil(GC_COALESCE.max_span);
             let (partitions, index_bytes) = match mode {
@@ -119,7 +124,7 @@ fn half_live_file_is_read_in_spans_in_every_mode() {
                 _ => (0, 0),
             };
 
-            let before = db.value_store().live_file_numbers();
+            let before = db.shard(0).value_store().live_file_numbers();
             let (outcome, io) = gc_job(&db, &env);
             assert_eq!(outcome.files_collected, 1, "{mode:?}");
             assert_eq!(outcome.records_rewritten, (N / 2) as u64, "{mode:?}");
@@ -144,6 +149,7 @@ fn half_live_file_is_read_in_spans_in_every_mode() {
                 }
             }
             let written: u64 = db
+                .shard(0)
                 .value_store()
                 .all_files()
                 .iter()
@@ -242,7 +248,7 @@ fn corruption_in_a_span_is_charged_to_the_record_it_hits() {
 
     // Record 3 is dead and sits between live 2 and live 4.
     env.corrupt_byte(&path, gone[1] + 100).unwrap();
-    let files_before = db.value_store().live_file_numbers();
+    let files_before = db.shard(0).value_store().live_file_numbers();
     // Record 4 rides in the same span, right after that gap.
     env.corrupt_byte(&path, live[2] + 100).unwrap();
     let err = db.run_gc().unwrap_err();
@@ -251,7 +257,7 @@ fn corruption_in_a_span_is_charged_to_the_record_it_hits() {
         matches!(&err, Error::Corruption(m) if *m == at),
         "expected {at:?}, got {err}"
     );
-    assert_eq!(db.value_store().live_file_numbers(), files_before);
+    assert_eq!(db.shard(0).value_store().live_file_numbers(), files_before);
 
     // Heal the live record (the flip is its own inverse): the job now
     // goes through, dead gap still corrupt.
@@ -269,7 +275,7 @@ fn corruption_inside_a_scanned_span_fails_the_scan() {
         let env = MemEnv::shared();
         let db = Db::open(opts(env.clone(), mode, 1)).unwrap();
         let file = load(&db, 64, |i| i % 2 == 1);
-        let format = db.value_store().meta(file).unwrap().format;
+        let format = db.shard(0).value_store().meta(file).unwrap().format;
         env.corrupt_byte(&vfile_path("db", file, format), 300_000)
             .unwrap();
         let err = db.run_gc().unwrap_err();
@@ -299,13 +305,14 @@ fn outcomes_and_io_do_not_depend_on_gc_threads() {
             db.put(key(i), value(i, 2)).unwrap();
         }
         db.flush().unwrap();
-        while db.lsm().force_compact_once().unwrap() {}
+        while db.shard(0).lsm().force_compact_once().unwrap() {}
         let mut outcomes = Vec::new();
-        while let Some(o) = db.run_gc().unwrap() {
+        while let Some(o) = db.shard(0).run_gc_at(GC_THRESHOLD).unwrap() {
             outcomes.push(o);
         }
         check_values(&db, N, dead);
         let files: Vec<(u64, u64, u64)> = db
+            .shard(0)
             .value_store()
             .all_files()
             .iter()

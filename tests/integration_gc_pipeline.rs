@@ -7,6 +7,7 @@
 //! stages inline (one batch) or overlapped (several).
 
 use proptest::prelude::*;
+use scavenger::gc::GC_THRESHOLD;
 use scavenger::{Db, EngineMode, GcOutcome, MemEnv, Options};
 use scavenger_env::EnvRef;
 
@@ -52,7 +53,7 @@ fn load_big_job(db: &Db, n: usize, slices: usize) {
     db.flush().unwrap();
     db.compact_all().unwrap();
     let mut forced = 0;
-    while db.lsm().force_compact_once().unwrap() {
+    while db.shard(0).lsm().force_compact_once().unwrap() {
         forced += 1;
         assert!(forced < 1024, "runaway forced compaction");
     }
@@ -92,6 +93,7 @@ fn surviving_records(db: &Db, snap: Option<&scavenger::Snapshot>) -> Vec<Survivo
 
 fn value_file_set(db: &Db) -> FileSet {
     let mut files: FileSet = db
+        .shard(0)
         .value_store()
         .all_files()
         .iter()
@@ -129,7 +131,7 @@ fn run_workload(mode: EngineMode, threads: usize) -> (Vec<GcOutcome>, Vec<Surviv
     db.compact_all().unwrap();
 
     let mut outcomes = Vec::new();
-    while let Some(out) = db.run_gc_at(0.05).unwrap() {
+    while let Some(out) = db.shard(0).run_gc_at(0.05).unwrap() {
         outcomes.push(out);
         assert!(outcomes.len() < 256, "runaway GC");
     }
@@ -138,7 +140,7 @@ fn run_workload(mode: EngineMode, threads: usize) -> (Vec<GcOutcome>, Vec<Surviv
     }
     db.flush().unwrap();
     db.compact_all().unwrap();
-    while let Some(out) = db.run_gc_at(0.05).unwrap() {
+    while let Some(out) = db.shard(0).run_gc_at(0.05).unwrap() {
         outcomes.push(out);
         assert!(outcomes.len() < 256, "runaway GC");
     }
@@ -219,7 +221,11 @@ fn pipeline_counters_move_only_when_enabled() {
     let big = Db::open(big_job_opts(MemEnv::shared(), 4)).unwrap();
     let n = 6_000;
     load_big_job(&big, n, 3);
-    let out = big.run_gc().unwrap().expect("garbage is exposed");
+    let out = big
+        .shard(0)
+        .run_gc_at(GC_THRESHOLD)
+        .unwrap()
+        .expect("garbage is exposed");
     let gc = big.stats().gc;
     assert_eq!(gc.pipeline_jobs, 1, "a multi-batch job must overlap");
     assert!(
@@ -317,19 +323,20 @@ fn all_dead_candidates_never_emit_value_files() {
     db.flush().unwrap();
     db.compact_all().unwrap();
     let files_before: Vec<u64> = db
+        .shard(0)
         .value_store()
         .all_files()
         .iter()
         .map(|m| m.file)
         .collect();
-    let outcome = db.run_gc_at(0.95); // only all-dead files qualify
+    let outcome = db.shard(0).run_gc_at(0.95); // only all-dead files qualify
     if let Ok(Some(out)) = &outcome {
         assert_eq!(
             out.records_rewritten, 0,
             "an all-dead candidate set rewrites nothing"
         );
     }
-    let metas = db.value_store().all_files();
+    let metas = db.shard(0).value_store().all_files();
     assert!(
         metas.iter().all(|m| m.entries > 0),
         "no value file may be empty: {metas:?}"
@@ -366,7 +373,7 @@ fn rollover_at_job_end_leaves_no_empty_files() {
         }
         db.compact_all().unwrap();
         db.run_gc_until_clean().unwrap();
-        let metas = db.value_store().all_files();
+        let metas = db.shard(0).value_store().all_files();
         assert!(
             metas.iter().all(|m| m.entries > 0),
             "{mode:?}: empty value file surfaced"
@@ -448,7 +455,7 @@ fn replay(ops: &[Op], threads: usize) -> (Vec<GcOutcome>, Vec<Survivor>, FileSet
             Op::Flush => db.flush().unwrap(),
             Op::Compact => db.compact_all().unwrap(),
             Op::Gc => {
-                while let Some(out) = db.run_gc_at(0.05).unwrap() {
+                while let Some(out) = db.shard(0).run_gc_at(0.05).unwrap() {
                     outcomes.push(out);
                     assert!(outcomes.len() < 512, "runaway GC");
                 }

@@ -43,8 +43,8 @@ fn value(i: usize, len: usize) -> Vec<u8> {
 /// engines, and `(file, offset)` for Titan, whose write-back re-inserts
 /// index entries under fresh sequence numbers.
 fn oracle_validate(db: &Db, file: u64) -> GcValidationReport {
-    let lsm = db.lsm();
-    let vstore = db.value_store();
+    let lsm = db.shard(0).lsm();
+    let vstore = db.shard(0).value_store();
     // Pin the latest sequence first so it is among the read points, as
     // the GC's own reader does.
     let _pin = lsm.view();
@@ -85,9 +85,9 @@ fn oracle_validate(db: &Db, file: u64) -> GcValidationReport {
 fn gc_wave_against_oracle(db: &Db, threshold: f64) -> usize {
     let mut jobs = 0;
     loop {
-        for meta in db.value_store().all_files() {
+        for meta in db.shard(0).value_store().all_files() {
             assert_eq!(
-                db.gc_validate_file(meta.file).unwrap(),
+                db.shard(0).gc_validate_file(meta.file).unwrap(),
                 oracle_validate(db, meta.file),
                 "{:?}: dry-run verdict of file {} diverged from point lookups",
                 db.mode(),
@@ -95,8 +95,10 @@ fn gc_wave_against_oracle(db: &Db, threshold: f64) -> usize {
             );
         }
         // Titan defers the whole job while a snapshot exists.
-        let deferred = db.mode() == EngineMode::Titan && !db.lsm().snapshot_sequences().is_empty();
+        let deferred =
+            db.mode() == EngineMode::Titan && !db.shard(0).lsm().snapshot_sequences().is_empty();
         let candidates: Vec<u64> = db
+            .shard(0)
             .value_store()
             .gc_candidates(threshold)
             .iter()
@@ -111,7 +113,7 @@ fn gc_wave_against_oracle(db: &Db, threshold: f64) -> usize {
             .iter()
             .map(|&f| oracle_validate(db, f).valid)
             .sum();
-        let Some(out) = db.run_gc_at(threshold).unwrap() else {
+        let Some(out) = db.shard(0).run_gc_at(threshold).unwrap() else {
             assert!(
                 candidates.is_empty(),
                 "{:?}: GC skipped {candidates:?}",
@@ -325,13 +327,14 @@ fn dry_run_validation_agrees_across_modes() {
         db.compact_all().unwrap();
 
         let first = db
+            .shard(0)
             .value_store()
             .all_files()
             .iter()
             .map(|m| m.file)
             .min()
             .expect("value files exist");
-        let report = db.gc_validate_file(first).unwrap();
+        let report = db.shard(0).gc_validate_file(first).unwrap();
         assert_eq!(report, oracle_validate(&db, first), "{mode:?}");
         assert_eq!(report.records, 300, "{mode:?}");
         assert_eq!(
@@ -386,13 +389,14 @@ fn dry_run_uses_address_identity_for_writeback() {
     );
     // The newest blob file is a GC output holding only live records.
     let newest = db
+        .shard(0)
         .value_store()
         .all_files()
         .iter()
         .map(|m| m.file)
         .max()
         .expect("value files exist");
-    let rep = db.gc_validate_file(newest).unwrap();
+    let rep = db.shard(0).gc_validate_file(newest).unwrap();
     assert!(rep.records > 0);
     assert_eq!(
         rep.valid, rep.records,
@@ -408,10 +412,11 @@ fn cold_lookup(env: &Arc<MemEnv>, o: &Options) -> (scavenger_env::io_stats::Clas
     let db = Db::open(o.clone()).unwrap();
     let before = env.io_stats().snapshot();
     let live = db
+        .shard(0)
         .value_store()
         .all_files()
         .iter()
-        .map(|m| db.gc_validate_file(m.file).unwrap().valid)
+        .map(|m| db.shard(0).gc_validate_file(m.file).unwrap().valid)
         .sum();
     let d = env.io_stats().snapshot().delta(&before);
     (d.class(IoClass::FgIndexRead), live)
@@ -443,7 +448,7 @@ fn gc_lookup_reads_the_kf_stream_not_the_kv_blocks() {
         }
         db.flush().unwrap();
         db.compact_all().unwrap();
-        let version = db.lsm().current_version();
+        let version = db.shard(0).lsm().current_version();
         let ksst_bytes: u64 = version.levels.iter().flatten().map(|f| f.file_size).sum();
         (
             (0..KEYS).filter(|&i| separated(i)).count() as u64,
@@ -537,7 +542,7 @@ fn fault_in_inline_check_fails_the_job_not_the_data() {
         }
         db.flush().unwrap();
         // That file holds the inline versions and nothing else.
-        let version = db.lsm().current_version();
+        let version = db.shard(0).lsm().current_version();
         let inline_file = version
             .levels
             .iter()
@@ -551,6 +556,7 @@ fn fault_in_inline_check_fails_the_job_not_the_data() {
         assert_eq!(db.get("key1085x").unwrap(), None);
 
         let candidates: Vec<u64> = db
+            .shard(0)
             .value_store()
             .gc_candidates(0.05)
             .iter()
@@ -565,7 +571,7 @@ fn fault_in_inline_check_fails_the_job_not_the_data() {
             }),
             KvFault::FlippedByte => mem.corrupt_byte(&inline_path, 10).unwrap(),
         }
-        let err = db.run_gc_at(0.05).expect_err("the job must fail");
+        let err = db.shard(0).run_gc_at(0.05).expect_err("the job must fail");
         match fault {
             KvFault::ReadError => assert!(matches!(err, Error::Io(_)), "{err}"),
             KvFault::FlippedByte => assert!(matches!(err, Error::Corruption(_)), "{err}"),
@@ -580,7 +586,10 @@ fn fault_in_inline_check_fails_the_job_not_the_data() {
             "{fault:?}: a failed job deleted a candidate or left an output"
         );
         for f in &candidates {
-            assert!(db.value_store().meta(*f).is_some(), "{fault:?}: file {f}");
+            assert!(
+                db.shard(0).value_store().meta(*f).is_some(),
+                "{fault:?}: file {f}"
+            );
         }
 
         match fault {

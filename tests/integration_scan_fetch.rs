@@ -195,7 +195,11 @@ fn adjacent_store(n: usize, len: usize) -> Db {
         db.put(key(i), vec![(i % 251) as u8; len]).unwrap();
     }
     db.flush().unwrap();
-    assert_eq!(db.value_store().all_files().len(), 1, "one value file");
+    assert_eq!(
+        db.shard(0).value_store().all_files().len(),
+        1,
+        "one value file"
+    );
     assert_eq!(db.scan(b"", None).unwrap().count(), n);
     db
 }
@@ -214,7 +218,7 @@ fn adjacent_rows_share_reads_up_to_the_span() {
     const K: usize = 200;
     const LEN: usize = 2000;
     let db = adjacent_store(K, LEN);
-    let file = &db.value_store().all_files()[0];
+    let file = &db.shard(0).value_store().all_files()[0];
     // Mean on-disk record (key, lengths, value, CRC trailer): the file
     // minus its index and footer is a lower bound, the file an upper one.
     let record = file.size / K as u64;
@@ -263,6 +267,39 @@ fn collect_n_reads_no_more_value_bytes_than_gets() {
     }
 }
 
+/// A plain store's scan is its one member's scan, read for read: a
+/// 50-row window (the benchmark's `scan`) over rows spread across many
+/// value files issues exactly the value-file reads the single-engine
+/// iterator issued before the two handles became one — through
+/// `collect_n`, and through the `next()` ramp.
+#[test]
+fn one_member_scan_issues_the_single_engine_reads() {
+    let db = Db::open(small_opts(MemEnv::shared(), "exact", EngineMode::Scavenger)).unwrap();
+    for round in 0..3 {
+        for i in (0..300).filter(|i| i % 3 != round) {
+            db.put(key(i), value(i, round)).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    assert_eq!(db.scan(b"", None).unwrap().count(), 300);
+    let window = |lo: usize, collect: bool| {
+        value_reads(&db, || {
+            let mut it = db.scan(&key(lo), None).unwrap();
+            let rows = match collect {
+                true => it.collect_n(50).unwrap(),
+                false => it.take(50).collect::<Result<_>>().unwrap(),
+            };
+            assert_eq!(rows.len(), 50);
+        })
+        .0
+    };
+    let reads: Vec<u64> = [0, 97, 200]
+        .into_iter()
+        .flat_map(|lo| [window(lo, true), window(lo, false)])
+        .collect();
+    assert_eq!(reads, [4, 13, 6, 14, 4, 14]);
+}
+
 /// Keys `0..120` in three flushes of 40, so each third lives in its own
 /// value file; returns the path of the middle one.
 fn three_file_store(db: &Db) -> String {
@@ -272,7 +309,7 @@ fn three_file_store(db: &Db) -> String {
         }
         db.flush().unwrap();
     }
-    let files = db.value_store().all_files();
+    let files = db.shard(0).value_store().all_files();
     assert_eq!(files.len(), 3);
     vfile_path(&db.options().dir, files[1].file, files[1].format)
 }

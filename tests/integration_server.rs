@@ -522,7 +522,7 @@ fn scan_limit_resolves_exactly_limit_rows() {
         db.put(format!("row{i:03}"), vec![i as u8; 1500]).unwrap();
     }
     db.flush().unwrap();
-    assert_eq!(db.value_store().all_files().len(), 1);
+    assert_eq!(db.shard(0).value_store().all_files().len(), 1);
     let value_bytes = |f: &mut dyn FnMut()| {
         let io = || db.options().env.io_stats().snapshot();
         let before = io();

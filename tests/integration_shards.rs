@@ -1,11 +1,12 @@
 //! Sharded-engine equivalence and routing-stability suite.
 //!
-//! The contract under test: a 4-shard [`DbShards`] is observationally
-//! identical to a single [`Db`] — same gets, same merged scan order and
+//! The contract under test: a 4-shard [`Db`] is observationally
+//! identical to a plain one — same gets, same merged scan order and
 //! contents, same snapshot reads — under a random op sequence with
 //! flush/compaction/GC interleavings; routing is stable across reopen;
-//! cross-shard scans honor bound edges exactly; and the §III-D space
-//! budget is enforced globally across shards.
+//! neither layout opens as the other; cross-shard scans honor bound
+//! edges exactly; and the §III-D space budget is enforced globally
+//! across shards.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,149 +78,62 @@ type Observation = (
     Vec<(String, Option<Vec<u8>>)>,
 );
 
-/// Either engine behind the identical surface the replay exercises.
-enum Engine {
-    Single(Db),
-    Sharded(DbShards),
-}
-
-/// A snapshot handle from either engine.
-enum Snap {
-    Single(scavenger::Snapshot),
-    Sharded(scavenger::ShardsSnapshot),
-}
-
-impl Engine {
-    fn put(&self, k: String, v: Vec<u8>) {
-        match self {
-            Engine::Single(db) => db.put(k, v).map(|_| ()).unwrap(),
-            Engine::Sharded(db) => db.put(k, v).map(|_| ()).unwrap(),
-        }
-    }
-
-    fn delete(&self, k: String) {
-        match self {
-            Engine::Single(db) => db.delete(k).map(|_| ()).unwrap(),
-            Engine::Sharded(db) => db.delete(k).map(|_| ()).unwrap(),
-        }
-    }
-
-    fn flush(&self) {
-        match self {
-            Engine::Single(db) => db.flush().unwrap(),
-            Engine::Sharded(db) => db.flush().unwrap(),
-        }
-    }
-
-    fn compact(&self) {
-        match self {
-            Engine::Single(db) => db.compact_all().unwrap(),
-            Engine::Sharded(db) => {
-                db.compact_all().unwrap();
-            }
-        }
-    }
-
-    fn gc(&self) {
-        match self {
-            Engine::Single(db) => {
-                db.run_gc().unwrap();
-            }
-            Engine::Sharded(db) => {
-                db.run_gc().unwrap();
-            }
-        }
-    }
-
-    fn get(&self, k: String) -> Option<Vec<u8>> {
-        match self {
-            Engine::Single(db) => db.get(k).unwrap().map(|b| b.to_vec()),
-            Engine::Sharded(db) => db.get(k).unwrap().map(|b| b.to_vec()),
-        }
-    }
-
-    fn snapshot(&self) -> Snap {
-        match self {
-            Engine::Single(db) => Snap::Single(db.snapshot()),
-            Engine::Sharded(db) => Snap::Sharded(db.snapshot()),
-        }
-    }
-
-    fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut out = Vec::new();
-        match self {
-            Engine::Single(db) => {
-                let mut it = db.scan(lo, hi).unwrap();
-                while let Some(e) = it.next_entry().unwrap() {
-                    out.push((e.key, e.value.to_vec()));
-                }
-            }
-            Engine::Sharded(db) => {
-                let mut it = db.scan(lo, hi).unwrap();
-                while let Some(e) = it.next_entry().unwrap() {
-                    out.push((e.key, e.value.to_vec()));
-                }
-            }
-        }
-        out
-    }
-}
-
-impl Snap {
-    fn get(&self, k: String) -> Option<Vec<u8>> {
-        match self {
-            Snap::Single(s) => s.get(k).unwrap().map(|b| b.to_vec()),
-            Snap::Sharded(s) => s.get(k).unwrap().map(|b| b.to_vec()),
-        }
-    }
-}
-
-/// Replay `ops` against either engine, snapshotting at `snap_at` ops,
-/// and collect the full observable state.
-fn replay(db: &Engine, ops: &[Op], snap_at: usize) -> Observation {
+/// Replay `ops` against a store, snapshotting at `snap_at` ops, and
+/// collect the full observable state.
+fn replay(db: &Db, ops: &[Op], snap_at: usize) -> Observation {
     let mut snap = None;
     for (i, op) in ops.iter().enumerate() {
         if i == snap_at {
             snap = Some(db.snapshot());
         }
         match op {
-            Op::Put(k, len) => db.put(key(*k), value(*k + len, *len)),
-            Op::Delete(k) => db.delete(key(*k)),
-            Op::Flush => db.flush(),
-            Op::Compact => db.compact(),
-            Op::Gc => db.gc(),
+            Op::Put(k, len) => drop(db.put(key(*k), value(*k + len, *len)).unwrap()),
+            Op::Delete(k) => drop(db.delete(key(*k)).unwrap()),
+            Op::Flush => db.flush().unwrap(),
+            Op::Compact => db.compact_all().unwrap(),
+            Op::Gc => drop(db.run_gc().unwrap()),
         }
     }
-    let gets = (0..150).map(|i| (key(i), db.get(key(i)))).collect();
-    let full = db.scan(b"", None);
-    let bounded = db.scan(b"key0040", Some(b"key0090"));
+    let scan = |lo: &[u8], hi: Option<&[u8]>| {
+        let it = db.scan(lo, hi).unwrap();
+        it.map(|e| e.map(|e| (e.key, e.value.to_vec())))
+            .collect::<scavenger::Result<Vec<_>>>()
+            .unwrap()
+    };
+    let gets = (0..150)
+        .map(|i| (key(i), db.get(key(i)).unwrap().map(|b| b.to_vec())))
+        .collect();
     let snap_reads = match &snap {
-        Some(s) => (0..150).map(|i| (key(i), s.get(key(i)))).collect(),
+        Some(s) => (0..150)
+            .map(|i| (key(i), s.get(key(i)).unwrap().map(|b| b.to_vec())))
+            .collect(),
         None => Vec::new(),
     };
-    (gets, full, bounded, snap_reads)
+    (
+        gets,
+        scan(b"", None),
+        scan(b"key0040", Some(b"key0090")),
+        snap_reads,
+    )
 }
 
-fn replay_single(env: EnvRef, ops: &[Op], snap_at: usize, mode: EngineMode) -> Observation {
-    let db = Engine::Single(Db::open(single_opts(env, "single", mode)).unwrap());
-    replay(&db, ops, snap_at)
-}
-
-fn replay_sharded(
+/// Open a fresh store of `shards` members (1: a plain store) and replay.
+fn replay_on(
     env: EnvRef,
     ops: &[Op],
     snap_at: usize,
     mode: EngineMode,
     shards: usize,
 ) -> Observation {
-    let db = Engine::Sharded(DbShards::open(sharded_opts(env, "sharded", mode, shards)).unwrap());
+    let db = Db::open(sharded_opts(env, "replay", mode, shards)).unwrap();
+    assert_eq!(db.num_shards(), shards);
     replay(&db, ops, snap_at)
 }
 
-/// The acceptance equivalence suite: 4-shard DbShards must match a
-/// single Db result-for-result under random op sequences interleaving
-/// puts/deletes with flush, compaction, and GC, including reads through
-/// a snapshot taken mid-sequence.
+/// The acceptance equivalence suite: one type at two sizes — a store of
+/// four shards must match a plain store result-for-result under random
+/// op sequences interleaving puts/deletes with flush, compaction, and GC,
+/// including reads through a snapshot taken mid-sequence.
 #[test]
 fn four_shards_match_single_db_under_random_ops() {
     for (seed, mode) in [
@@ -229,8 +143,8 @@ fn four_shards_match_single_db_under_random_ops() {
         (14, EngineMode::Titan),
     ] {
         let ops = random_ops(seed, 400);
-        let single = replay_single(MemEnv::shared(), &ops, 200, mode);
-        let sharded = replay_sharded(MemEnv::shared(), &ops, 200, mode, 4);
+        let single = replay_on(MemEnv::shared(), &ops, 200, mode, 1);
+        let sharded = replay_on(MemEnv::shared(), &ops, 200, mode, 4);
         assert_eq!(single.0, sharded.0, "seed {seed} {mode:?}: gets diverged");
         assert_eq!(
             single.1, sharded.1,
@@ -416,6 +330,76 @@ fn reopen_with_wrong_shard_count_is_refused() {
     );
     // The original count still works.
     let db = DbShards::open(sharded_opts(env, "countdb", EngineMode::Scavenger, 4)).unwrap();
+    assert_eq!(
+        db.get("k").unwrap().unwrap(),
+        bytes::Bytes::from_static(b"v")
+    );
+}
+
+/// Every file under `prefix`, sorted.
+fn listing(env: &EnvRef, prefix: &str) -> Vec<String> {
+    let mut files = env.list_prefix(prefix).unwrap();
+    files.sort();
+    files
+}
+
+/// A plain open of a sharded root would create a fresh empty store
+/// beside the shards: it is refused, naming what the directory holds,
+/// and nothing is written.
+#[test]
+fn plain_open_of_a_sharded_root_is_refused() {
+    let env: EnvRef = MemEnv::shared();
+    let db = DbShards::open(sharded_opts(
+        env.clone(),
+        "layout-sh",
+        EngineMode::Scavenger,
+        4,
+    ))
+    .unwrap();
+    db.put("k", b"v".to_vec()).unwrap();
+    drop(db);
+    let files = listing(&env, "layout-sh/");
+    let err = Db::open(single_opts(env.clone(), "layout-sh", EngineMode::Scavenger))
+        .err()
+        .expect("a plain open of a sharded root must be refused");
+    assert!(
+        matches!(&err, scavenger_util::Error::InvalidArgument(m) if m.contains("4-shard")),
+        "{err:?}"
+    );
+    assert_eq!(listing(&env, "layout-sh/"), files);
+}
+
+/// A sharded open of a plain store's directory would write `SHARDS` and
+/// empty shards beside the data (and charge the old files to the space
+/// budget): it is refused, and nothing is written.
+#[test]
+fn sharded_open_of_a_plain_store_is_refused() {
+    let env: EnvRef = MemEnv::shared();
+    let db = Db::open(single_opts(
+        env.clone(),
+        "layout-plain",
+        EngineMode::Scavenger,
+    ))
+    .unwrap();
+    db.put("k", b"v".to_vec()).unwrap();
+    drop(db);
+    let files = listing(&env, "layout-plain/");
+    let err = DbShards::open(sharded_opts(
+        env.clone(),
+        "layout-plain",
+        EngineMode::Scavenger,
+        4,
+    ))
+    .err()
+    .expect("a sharded open of a plain store must be refused");
+    assert!(
+        matches!(&err, scavenger_util::Error::InvalidArgument(m) if m.contains("unsharded")),
+        "{err:?}"
+    );
+    assert_eq!(listing(&env, "layout-plain/"), files);
+    // The plain store is intact.
+    let db = Db::open(single_opts(env, "layout-plain", EngineMode::Scavenger)).unwrap();
+    assert_eq!(db.num_shards(), 1);
     assert_eq!(
         db.get("k").unwrap().unwrap(),
         bytes::Bytes::from_static(b"v")

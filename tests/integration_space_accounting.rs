@@ -64,7 +64,7 @@ fn gc_reduces_exposed_garbage_and_space() {
         );
         // After GC at threshold 0.2, no live file should exceed ~the
         // threshold by much.
-        for meta in db.value_store().all_files() {
+        for meta in db.shard(0).value_store().all_files() {
             assert!(
                 meta.garbage_ratio() < 0.5,
                 "{mode:?}: file {} ratio {}",
@@ -170,7 +170,7 @@ fn hot_files_accumulate_garbage_faster() {
         db.flush().unwrap();
     }
     db.compact_all().unwrap();
-    let files = db.value_store().all_files();
+    let files = db.shard(0).value_store().all_files();
     let avg = |hot: bool| {
         let v: Vec<f64> = files
             .iter()

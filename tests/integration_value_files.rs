@@ -15,6 +15,7 @@
 //! `BEGIN` / `END` markers, everything the current code renders. A
 //! changed line is an on-disk change, not a test to update.
 
+use scavenger::gc::GC_THRESHOLD;
 use scavenger::{Db, EngineMode, IoClass, MemEnv, Options};
 use scavenger_env::EnvRef;
 use scavenger_util::crc32c;
@@ -98,7 +99,7 @@ impl Render {
     /// `run_gc_until_clean`, spelled out so each outcome is rendered.
     fn gc_until_clean(&mut self, db: &Db) -> usize {
         let mut jobs = 0;
-        while let Some(o) = db.run_gc().unwrap() {
+        while let Some(o) = db.shard(0).run_gc_at(GC_THRESHOLD).unwrap() {
             jobs += 1;
             assert!(jobs < 1024, "{}: runaway GC", self.mode);
             writeln!(
@@ -174,7 +175,7 @@ fn render(mode: EngineMode) -> String {
     r.gc_until_clean(&db);
     r.checkpoint("final");
     if db.options().features.hotness {
-        let files = db.value_store().all_files();
+        let files = db.shard(0).value_store().all_files();
         assert!(files.iter().any(|m| m.hot) && files.iter().any(|m| !m.hot));
     }
     r.out

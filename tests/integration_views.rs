@@ -84,14 +84,20 @@ fn view_outlives_flush_compaction_and_gc() {
 fn snapshot_registers_and_unregisters_on_drop() {
     let db = Db::open(small_opts(EngineMode::Scavenger)).unwrap();
     db.put("a", value(1, 100)).unwrap();
-    assert!(db.lsm().snapshot_sequences().is_empty());
+    assert!(db.shard(0).lsm().snapshot_sequences().is_empty());
 
     let snap = db.snapshot();
-    assert_eq!(db.lsm().snapshot_sequences(), vec![snap.sequence()]);
+    assert_eq!(
+        db.shard(0).lsm().snapshot_sequences(),
+        vec![snap.sequence()]
+    );
     let snap2 = db.snapshot();
-    assert_eq!(db.lsm().snapshot_sequences().len(), 2);
+    assert_eq!(db.shard(0).lsm().snapshot_sequences().len(), 2);
     drop(snap2);
-    assert_eq!(db.lsm().snapshot_sequences(), vec![snap.sequence()]);
+    assert_eq!(
+        db.shard(0).lsm().snapshot_sequences(),
+        vec![snap.sequence()]
+    );
 
     db.put("a", value(2, 100)).unwrap();
     assert_eq!(snap.get("a").unwrap().unwrap(), value(1, 100));
@@ -99,7 +105,7 @@ fn snapshot_registers_and_unregisters_on_drop() {
     // An iterator opened from the snapshot's view survives the snapshot.
     let mut it = snap.scan(b"", None).unwrap();
     drop(snap);
-    assert!(db.lsm().snapshot_sequences().is_empty());
+    assert!(db.shard(0).lsm().snapshot_sequences().is_empty());
     let e = it.next_entry().unwrap().unwrap();
     assert_eq!(e.key, b"a");
     assert_eq!(e.value, value(1, 100));
@@ -111,15 +117,15 @@ fn snapshot_registers_and_unregisters_on_drop() {
 fn view_pins_register_as_read_points() {
     let db = Db::open(small_opts(EngineMode::Scavenger)).unwrap();
     db.put("k", value(1, 100)).unwrap();
-    assert!(db.lsm().oldest_read_point().is_none());
+    assert!(db.shard(0).lsm().oldest_read_point().is_none());
     let view = db.view();
-    assert_eq!(db.lsm().oldest_read_point(), Some(view.sequence()));
+    assert_eq!(db.shard(0).lsm().oldest_read_point(), Some(view.sequence()));
     assert!(
-        db.lsm().snapshot_sequences().is_empty(),
+        db.shard(0).lsm().snapshot_sequences().is_empty(),
         "a plain view is a pin, not a snapshot (Titan's gate must not see it)"
     );
     drop(view);
-    assert!(db.lsm().oldest_read_point().is_none());
+    assert!(db.shard(0).lsm().oldest_read_point().is_none());
 }
 
 /// `ReadOptions`: view/snapshot selection and scan bounds.
@@ -182,7 +188,7 @@ fn read_options_fill_cache_false_bypasses_caches() {
     db.flush().unwrap();
     db.compact_all().unwrap();
 
-    let cache = db.lsm().block_cache();
+    let cache = db.shard(0).lsm().block_cache();
     let cold = ReadOptions {
         fill_cache: false,
         ..ReadOptions::default()
@@ -366,6 +372,7 @@ fn titan_defers_blob_deletion_under_pinned_view() {
     }
     db.flush().unwrap();
     let old_files: Vec<u64> = db
+        .shard(0)
         .value_store()
         .all_files()
         .iter()
@@ -385,6 +392,7 @@ fn titan_defers_blob_deletion_under_pinned_view() {
     // default 0.2 threshold. (Old files holding only still-live records
     // stay below it and legitimately survive GC.)
     let candidates: Vec<u64> = db
+        .shard(0)
         .value_store()
         .all_files()
         .iter()
@@ -397,6 +405,7 @@ fn titan_defers_blob_deletion_under_pinned_view() {
     // candidates have nothing to write back and may be reaped at once —
     // no read point can resolve into them.)
     let mixed: Vec<u64> = db
+        .shard(0)
         .value_store()
         .all_files()
         .iter()
@@ -416,7 +425,9 @@ fn titan_defers_blob_deletion_under_pinned_view() {
     // keys 0..10 still address the collected files, which therefore must
     // linger (deferred) and keep resolving.
     assert!(
-        mixed.iter().all(|f| db.value_store().meta(*f).is_some()),
+        mixed
+            .iter()
+            .all(|f| db.shard(0).value_store().meta(*f).is_some()),
         "collected blob files must linger while a read point predates the barrier"
     );
     for i in 0..10 {
@@ -433,7 +444,7 @@ fn titan_defers_blob_deletion_under_pinned_view() {
     assert!(
         candidates
             .iter()
-            .all(|f| db.value_store().meta(*f).is_none()),
+            .all(|f| db.shard(0).value_store().meta(*f).is_none()),
         "deferred blob files must be reaped once no read point needs them"
     );
     // Live records were relocated and written back; everything reads.
