@@ -18,7 +18,7 @@ use crate::engine::GcReport;
 use crate::shard::{Shard, ShardScan};
 use crate::stats::{DbStats, SpaceBreakdown};
 use crate::throttle::Throttle;
-use crate::txn::Coordinator;
+use crate::txn::{Coordinator, InFlight};
 use crate::view::{ReadOptions, ReadPin, ReadView, Snapshot, WriteOptions, WriteReceipt};
 use crate::{EngineMode, Options};
 use bytes::Bytes;
@@ -49,10 +49,13 @@ pub(crate) struct DbInner {
     /// Two-phase-commit log for multi-shard batches; `None` for a plain
     /// store, which has nothing to coordinate.
     pub(crate) coord: Option<Coordinator>,
-    /// Serializes transaction commits: validation and apply happen
-    /// under it, so committed transactions serialize against each
-    /// other even when they span shards.
-    pub(crate) txn_lock: Mutex<()>,
+    /// The keys of every transaction and multi-member batch between
+    /// registration and the end of its apply. Its lock — the transaction
+    /// lock — covers only the wait for overlapping keys, a spanning
+    /// transaction's validation and the registration, so commits with
+    /// disjoint keys overlap their fsyncs and applies while overlapping
+    /// ones serialize.
+    pub(crate) in_flight: InFlight,
     /// Transactions that passed validation and committed.
     pub(crate) txn_commits: AtomicU64,
     /// Transactions rejected at commit time with [`Error::TxnConflict`].
@@ -76,6 +79,38 @@ impl DbInner {
         }
         let first = keys.next().map_or(0, |k| self.shard_of(k));
         keys.all(|k| self.shard_of(k) == first).then_some(first)
+    }
+
+    /// Commit a batch that may span members: through 2PC when its keys
+    /// land on several, else on the one member they land on (member 0
+    /// for an empty batch).
+    pub(crate) fn commit_split(
+        &self,
+        opts: &WriteOptions,
+        batch: WriteBatch,
+    ) -> Result<WriteReceipt> {
+        let mut parts: Vec<WriteBatch> = self.shards.iter().map(|_| WriteBatch::new()).collect();
+        for e in batch.entries() {
+            let part = &mut parts[self.shard_of(&e.key)];
+            match e.vtype {
+                ValueType::Deletion => part.delete(&e.key),
+                _ => part.put(&e.key, e.value.clone()),
+            }
+        }
+        let mut parts: Vec<(usize, WriteBatch)> = parts
+            .into_iter()
+            .enumerate()
+            .filter(|(_, b)| !b.is_empty())
+            .collect();
+        if parts.len() < 2 {
+            let (i, part) = parts.pop().unwrap_or((0, batch));
+            return self.shards[i].commit(opts, part, None);
+        }
+        let coord = self
+            .coord
+            .as_ref()
+            .expect("a set of several has a coordinator");
+        coord.commit(&self.shards, parts, opts)
     }
 }
 
@@ -179,9 +214,11 @@ impl Db {
     /// one member commits there untouched; one that spans members goes
     /// through the two-phase-commit coordinator (see
     /// [`KvWrite::write_with`](crate::KvWrite::write_with) for the
-    /// atomicity and receipt rules). Value references are
-    /// engine-internal: a batch carrying one is refused with
-    /// [`Error::InvalidArgument`] and nothing is written.
+    /// atomicity and receipt rules), after waiting out any transaction
+    /// or multi-member batch in flight on one of its keys — so two
+    /// batches on the same keys land in the same order on every member.
+    /// Value references are engine-internal: a batch carrying one is
+    /// refused with [`Error::InvalidArgument`] and nothing is written.
     pub fn write_with(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<WriteReceipt> {
         let inner = &self.inner;
         if batch
@@ -196,24 +233,9 @@ impl Db {
         if let Some(i) = inner.owner(batch.entries().iter().map(|e| &e.key[..])) {
             return inner.shards[i].commit(opts, batch, None);
         }
-        let mut parts: Vec<WriteBatch> = inner.shards.iter().map(|_| WriteBatch::new()).collect();
-        for e in batch.entries() {
-            let part = &mut parts[inner.shard_of(&e.key)];
-            match e.vtype {
-                ValueType::Deletion => part.delete(&e.key),
-                _ => part.put(&e.key, e.value.clone()),
-            }
-        }
-        let parts = parts
-            .into_iter()
-            .enumerate()
-            .filter(|(_, b)| !b.is_empty())
-            .collect();
-        let coord = inner
-            .coord
-            .as_ref()
-            .expect("a set of several has a coordinator");
-        coord.commit(&inner.shards, parts, opts)
+        let keys: Vec<&[u8]> = batch.entries().iter().map(|e| &e.key[..]).collect();
+        let _in_flight = inner.in_flight.enter(&keys, || Ok(()))?;
+        inner.commit_split(opts, batch)
     }
 
     // ---------------- reads ----------------

@@ -54,8 +54,7 @@ use crate::db::{Db, DbInner};
 use crate::options::Options;
 use crate::shard::{Shard, SpaceUsageFn, Wiring};
 use crate::throttle::Throttle;
-use crate::txn::Coordinator;
-use parking_lot::Mutex;
+use crate::txn::{Coordinator, InFlight};
 use scavenger_env::usage::UsageEnv;
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_lsm::filename::current_path;
@@ -335,7 +334,7 @@ impl Db {
                 shards,
                 seed,
                 coord,
-                txn_lock: Mutex::new(()),
+                in_flight: InFlight::default(),
                 txn_commits: AtomicU64::new(0),
                 txn_conflicts: AtomicU64::new(0),
             }),

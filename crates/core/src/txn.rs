@@ -21,11 +21,16 @@
 //!    `Prepare` record carrying the full redo payload (per-shard
 //!    sub-batch bytes + CRC digest + the shard's sequence floor) is
 //!    fsynced *before* any shard write, and that record *is* the batch's
-//!    durable copy: each shard sub-batch is then applied unsynced. A
-//!    prepare may be forgotten only after a **barrier** — every shard's
-//!    WAL synced with no apply in flight — followed by replacing the log
-//!    with an empty one; it runs each time the log passes 1 MiB, and
-//!    when the store is flushed, compacted or closed. Recovery at
+//!    durable copy: each shard sub-batch is then applied unsynced. The
+//!    log is written through the same group commit as a WAL
+//!    ([`GroupCommit`]): prepares queued behind a sync share the next
+//!    one, and no lock that another commit's bookkeeping needs is held
+//!    across it. A prepare may be forgotten only after a **barrier** —
+//!    every shard's WAL synced with no apply in flight — followed by
+//!    replacing the log with an empty one; it runs once the log passes
+//!    1 MiB (by the commit that drains the last apply, or else by the
+//!    next group before it appends), and when the store is flushed,
+//!    compacted or closed. Recovery at
 //!    [`Db::open`] **rolls forward** every
 //!    prepare still in the log, in log order, re-applying each entry
 //!    only if the key has no version newer than the prepare-time floor
@@ -39,18 +44,18 @@
 //!    Torn or corrupt records describe transactions whose prepare never
 //!    became durable, i.e. nothing was applied and nobody was told
 //!    otherwise — they are discarded. A failed append or fsync poisons
-//!    the log handle: that commit fails, and the next one waits out any
-//!    commit still applying, runs the barrier and starts a fresh log
-//!    first (a torn record would hide every later prepare from recovery;
-//!    a failed fsync is never retried). A failed *shard apply* fails its
-//!    commit and the batch is completed, under the same guard, as soon as
-//!    the shard takes writes again. ARCHITECTURE.md "Transactions &
+//!    the log handle: that group's commits fail, and the next group waits
+//!    out any commit still applying, runs the barrier and starts a fresh
+//!    log first (a torn record would hide every later prepare from
+//!    recovery; a failed fsync is never retried). A failed *shard apply*
+//!    fails its commit and the batch is completed, under the same guard,
+//!    as soon as the shard takes writes again. ARCHITECTURE.md "Transactions &
 //!    two-phase commit" has the full durability argument.
 //!
 //! The coordinator log lives at `<root>/COORDLOG` so fault-injection
 //! rules can target it by substring.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,7 +63,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_lsm::wal::{read_all_records, LogWriter};
-use scavenger_lsm::WriteBatch;
+use scavenger_lsm::{GroupCommit, GroupLeader, Logged, WriteBatch};
 use scavenger_util::coding::{
     get_fixed32, get_fixed64, get_length_prefixed_slice, get_varint32, put_fixed32, put_fixed64,
     put_length_prefixed_slice, put_varint32,
@@ -97,15 +102,18 @@ use crate::view::{ReadView, WriteOptions, WriteReceipt};
 /// itself, so phantoms (keys *inserted* into a scanned range after
 /// begin) are not detected.
 ///
-/// One commit rule covers every store size. Every commit takes the
-/// store's transaction lock, so transactions serialize against each
-/// other. A transaction whose reads and writes all route to one member —
-/// every transaction, on a plain store — is validated and applied under
-/// that member's writer lock, so it is serializable against raw writes
-/// too. One that spans members is validated against the owning members'
-/// latest sequences and then applied like any batch (2PC when its writes
-/// span members): a raw non-transactional write racing it can land
-/// between validation and apply.
+/// One commit rule covers every store size. Transactions whose keys
+/// overlap serialize; disjoint ones commit concurrently. A commit waits
+/// while any key it read or writes belongs to a commit still in flight,
+/// then registers its own keys until its apply is done — overlapping
+/// commits wait rather than abort, so blind writes still never conflict.
+/// A transaction whose reads and writes all route to one member — every
+/// transaction, on a plain store — is validated and applied under that
+/// member's writer lock, so it is serializable against raw writes too.
+/// One that spans members is validated against the owning members'
+/// latest sequences before it registers, and then applied like any
+/// batch (2PC when its writes span members): a raw single-member write
+/// racing it can land between validation and apply.
 pub trait Transactional: KvRead + KvWrite + Clone {
     /// Begin an optimistic transaction: pins a view of the engine at
     /// the current sequence and returns an empty transaction against
@@ -143,13 +151,22 @@ impl Transactional for Db {
         opts: &WriteOptions,
     ) -> Result<WriteReceipt> {
         let inner = &self.inner;
-        let _commit = inner.txn_lock.lock();
         let keys = reads.iter().map(|(k, _)| &k[..]);
-        let keys = keys.chain(batch.entries().iter().map(|e| &e.key[..]));
-        let committed = match inner.owner(keys) {
-            Some(i) => inner.shards[i].commit(opts, batch, Some(reads)),
-            None => validate(self, reads).and_then(|()| self.write_with(opts, batch)),
-        };
+        let keys: Vec<&[u8]> = keys
+            .chain(batch.entries().iter().map(|e| &e.key[..]))
+            .collect();
+        let owner = inner.owner(keys.iter().copied());
+        let committed = inner
+            .in_flight
+            .enter(&keys, || match owner {
+                Some(_) => Ok(()),
+                None => validate(self, reads),
+            })
+            // `_in_flight` keeps the keys registered until the apply returns.
+            .and_then(|_in_flight| match owner {
+                Some(i) => inner.shards[i].commit(opts, batch, Some(reads)),
+                None => inner.commit_split(opts, batch),
+            });
         match &committed {
             Ok(_) => inner.txn_commits.fetch_add(1, Ordering::Relaxed),
             Err(e) if e.is_txn_conflict() => inner.txn_conflicts.fetch_add(1, Ordering::Relaxed),
@@ -175,6 +192,53 @@ fn validate(db: &Db, reads: &[(Vec<u8>, SeqNo)]) -> Result<()> {
         }
     }
     Ok(())
+}
+
+/// The keys of every commit between its registration and the end of its
+/// apply: the store's transaction lock covers only the wait, a
+/// transaction's validation and the registration, so commits with
+/// disjoint keys overlap their fsyncs and applies, and overlapping ones
+/// run one after the other.
+#[derive(Default)]
+pub(crate) struct InFlight {
+    keys: Mutex<HashSet<Vec<u8>>>,
+    /// Signalled whenever a commit's keys leave the set.
+    released: Condvar,
+}
+
+/// A commit's keys, registered in [`InFlight`] until this drops.
+pub(crate) struct InFlightKeys<'a> {
+    set: &'a InFlight,
+    keys: Vec<Vec<u8>>,
+}
+
+impl InFlight {
+    /// Wait until none of `keys` is in flight, run `check` while no other
+    /// commit can register, and register `keys` unless it failed.
+    pub(crate) fn enter(
+        &self,
+        keys: &[&[u8]],
+        check: impl FnOnce() -> Result<()>,
+    ) -> Result<InFlightKeys<'_>> {
+        let mut set = self.keys.lock();
+        while keys.iter().any(|k| set.contains(*k)) {
+            self.released.wait(&mut set);
+        }
+        check()?;
+        let keys: Vec<Vec<u8>> = keys.iter().map(|k| k.to_vec()).collect();
+        set.extend(keys.iter().cloned());
+        Ok(InFlightKeys { set: self, keys })
+    }
+}
+
+impl Drop for InFlightKeys<'_> {
+    fn drop(&mut self) {
+        let mut set = self.set.keys.lock();
+        for k in &self.keys {
+            set.remove(k);
+        }
+        self.set.released.notify_all();
+    }
 }
 
 /// An optimistic transaction over an engine handle.
@@ -369,11 +433,29 @@ impl<E: Transactional> Transaction<E> {
 pub(crate) const COORD_LOG: &str = "COORDLOG";
 
 /// The barrier cadence under load: once the coordinator log exceeds this
-/// size and no apply is in flight, the shards are synced and the log is
-/// replaced by an empty one.
+/// size, the shards are synced and the log is replaced by an empty one as
+/// soon as no apply is in flight — by the commit whose apply was the last,
+/// or else by the next group, which waits for the applies to drain before
+/// it appends. So the log never exceeds this by more than one group.
 const COORD_ROTATE_BYTES: u64 = 1 << 20;
 
 const PREPARE_TAG: u8 = 1;
+
+/// One prepare as it waits in the coordinator log's commit queue: each
+/// part's shard and encoded sub-batch. The leader adds the txn id and
+/// floors.
+type Prepare = Vec<(usize, Vec<u8>)>;
+
+fn encode_parts(parts: &[(usize, WriteBatch)]) -> Prepare {
+    parts.iter().map(|(s, b)| (*s, b.encode(0))).collect()
+}
+
+/// What the leader hands back for a prepare it made durable.
+struct Prepared {
+    txn_id: u64,
+    /// The record as logged, kept in case an apply fails.
+    record: Vec<u8>,
+}
 
 /// One shard's slice of a prepared multi-shard transaction.
 #[derive(Debug)]
@@ -393,16 +475,15 @@ struct PrepareRecord {
     parts: Vec<PreparedPart>,
 }
 
-fn encode_prepare(txn_id: u64, parts: &[(usize, WriteBatch)], floors: &[SeqNo]) -> Vec<u8> {
+fn encode_prepare(txn_id: u64, parts: &[(usize, Vec<u8>)], floors: &[SeqNo]) -> Vec<u8> {
     let mut buf = vec![PREPARE_TAG];
     put_fixed64(&mut buf, txn_id);
     put_varint32(&mut buf, parts.len() as u32);
-    for ((shard, batch), floor) in parts.iter().zip(floors) {
+    for ((shard, bytes), floor) in parts.iter().zip(floors) {
         put_varint32(&mut buf, *shard as u32);
         put_fixed64(&mut buf, *floor);
-        let bytes = batch.encode(0);
-        put_fixed32(&mut buf, crc32c::value(&bytes));
-        put_length_prefixed_slice(&mut buf, &bytes);
+        put_fixed32(&mut buf, crc32c::value(bytes));
+        put_length_prefixed_slice(&mut buf, bytes);
     }
     buf
 }
@@ -459,21 +540,22 @@ fn hold_tombstones(shards: &[Shard], held: bool) {
     }
 }
 
+/// The coordinator's bookkeeping. Never held across an fsync; lock order
+/// is the log (the group's log lock) before this.
 struct CoordState {
-    log: LogWriter,
     next_txn: u64,
-    /// Prepares whose applies are in flight. The log is only replaced
-    /// when this is zero, so the barrier never drops a prepare that is
-    /// still some shard's only copy.
+    /// Prepares in the log whose applies are in flight. The log is only
+    /// replaced when this is zero, so the barrier never drops a prepare
+    /// that is still some shard's only copy.
     outstanding: usize,
+    /// The log's length after the last group, so a commit that drains
+    /// `outstanding` can tell whether the barrier is due without waiting
+    /// for the log lock.
+    log_bytes: u64,
     /// Prepares with a failed shard apply: the caller got the error and
     /// the batch is part-applied. They are completed under the
     /// roll-forward guard before the log is retired, or by the next open.
     failed: Vec<PrepareRecord>,
-    /// An append or fsync on `log` failed. A torn record hides every
-    /// later one from recovery and a failed fsync is never retried, so
-    /// the next prepare must go to a fresh log.
-    poisoned: bool,
 }
 
 /// The sharded store's two-phase-commit coordinator: owns the coordinator
@@ -482,6 +564,9 @@ struct CoordState {
 pub(crate) struct Coordinator {
     env: EnvRef,
     path: String,
+    /// The coordinator log behind its commit queue: a group is every
+    /// queued prepare appended in order, then one fsync.
+    log: GroupCommit<LogWriter, Prepare, Prepared>,
     state: Mutex<CoordState>,
     /// Signalled when `outstanding` reaches zero.
     drained: Condvar,
@@ -518,12 +603,12 @@ impl Coordinator {
         Ok(Coordinator {
             env: env.clone(),
             path,
+            log: GroupCommit::new(log),
             state: Mutex::new(CoordState {
-                log,
                 next_txn: 1,
                 outstanding: 0,
+                log_bytes: 0,
                 failed: Vec::new(),
-                poisoned: false,
             }),
             drained: Condvar::new(),
             commits: AtomicU64::new(0),
@@ -598,13 +683,16 @@ impl Coordinator {
     }
 
     /// Commit a multi-shard batch (≥ 2 non-empty parts) atomically with
-    /// exactly one fsync: a prepare record carrying the full redo
-    /// payload is fsynced to the coordinator log, then each sub-batch is
-    /// applied to its shard *unsynced*. The fsynced prepare is the
-    /// batch's durability record — which is why a multi-shard receipt
-    /// reports `synced = true` whatever `opts.sync` says — until a
-    /// later barrier makes the shards' own copies durable and retires
-    /// the log.
+    /// one fsync: a prepare record carrying the full redo payload is
+    /// fsynced to the coordinator log — together with every other prepare
+    /// queued behind the previous fsync — then each sub-batch is applied to
+    /// its shard *unsynced*. The fsynced prepare is the batch's durability
+    /// record — which is why a multi-shard receipt reports `synced = true`
+    /// whatever `opts.sync` says — until a later barrier makes the shards'
+    /// own copies durable and retires the log. The fsync runs under the
+    /// log lock only; the bookkeeping lock is taken for counter updates,
+    /// so a commit that has finished its applies never waits on another's
+    /// fsync to record it.
     ///
     /// If a shard apply fails, the error is surfaced and the prepare
     /// joins `failed`: the batch is completed as soon as the shard takes
@@ -622,33 +710,11 @@ impl Coordinator {
             parts.len() >= 2,
             "single-shard batches skip the coordinator"
         );
-        let (txn_id, rec);
-        {
-            let mut st = self.state.lock();
-            // A poisoned log takes no more prepares, and cannot be
-            // replaced while it is an in-flight batch's only copy.
-            while st.poisoned && st.outstanding > 0 {
-                self.drained.wait(&mut st);
-            }
-            if st.poisoned {
-                self.barrier_and_rotate(&mut st, shards)?;
-            }
-            if st.log.is_empty() {
-                hold_tombstones(shards, true);
-            }
-            txn_id = st.next_txn;
-            st.next_txn += 1;
-            let floors: Vec<SeqNo> = parts
-                .iter()
-                .map(|(s, _)| shards[*s].lsm().last_sequence())
-                .collect();
-            rec = encode_prepare(txn_id, &parts, &floors);
-            if let Err(e) = st.log.add_record(&rec).and_then(|()| st.log.sync()) {
-                st.poisoned = true;
-                return Err(e);
-            }
-            st.outstanding += 1;
-        }
+        let leader = Prepares {
+            coord: self,
+            shards,
+        };
+        let Prepared { txn_id, record } = self.log.commit(encode_parts(&parts), &leader).0?;
         let shard_opts = WriteOptions {
             sync: false,
             disable_throttle: opts.disable_throttle,
@@ -661,22 +727,7 @@ impl Coordinator {
                     let r = shards[shard].commit(&shard_opts, batch, None)?;
                     Ok((seq.max(r.seq), group_len + r.group_len))
                 });
-        {
-            let mut st = self.state.lock();
-            st.outstanding -= 1;
-            if applied.is_err() {
-                st.failed
-                    .push(decode_prepare(&rec).expect("a record just encoded decodes"));
-            }
-            if st.outstanding == 0 {
-                self.drained.notify_all();
-                if st.log.len() > COORD_ROTATE_BYTES || !st.failed.is_empty() {
-                    // Best effort — this batch's fate is settled. On
-                    // failure the log, and every prepare in it, stays.
-                    let _ = self.barrier_and_rotate(&mut st, shards);
-                }
-            }
-        }
+        self.finish(shards, applied.is_err().then_some(&record[..]));
         let (seq, group_len) = applied?;
         self.commits.fetch_add(1, Ordering::Relaxed);
         Ok(WriteReceipt {
@@ -686,18 +737,59 @@ impl Coordinator {
         })
     }
 
+    /// Take a commit's prepare off `outstanding` — into `failed` when an
+    /// apply failed — and, if that drained the last apply, run the
+    /// barrier when it is due. Best effort: this batch's fate is settled,
+    /// and on failure the log, and every prepare in it, stays.
+    fn finish(&self, shards: &[Shard], failed: Option<&[u8]>) {
+        let due = {
+            let mut st = self.state.lock();
+            st.outstanding -= 1;
+            if let Some(record) = failed {
+                st.failed
+                    .push(decode_prepare(record).expect("a record just encoded decodes"));
+            }
+            if st.outstanding > 0 {
+                return;
+            }
+            self.drained.notify_all();
+            st.log_bytes > COORD_ROTATE_BYTES || !st.failed.is_empty()
+        };
+        if due {
+            let mut log = self.log.lock();
+            let mut st = self.state.lock();
+            if st.outstanding == 0 && (log.log.len() > COORD_ROTATE_BYTES || !st.failed.is_empty())
+            {
+                let _ = self.barrier_and_rotate(&mut log, &mut st, shards);
+            }
+        }
+    }
+
     /// Retire the log now unless a commit is mid-apply: the store calls
     /// this when it flushes, before it compacts and when the last handle
     /// drops, so an idle store does not carry prepares (and the tombstone
     /// hold) until another mebibyte of commits, and a clean reopen finds
     /// nothing to roll forward.
     pub fn retire(&self, shards: &[Shard]) -> Result<()> {
+        let mut log = self.log.lock();
         let mut st = self.state.lock();
-        let empty = st.log.is_empty() && !st.poisoned && st.failed.is_empty();
+        let empty = log.log.is_empty() && !log.poisoned && st.failed.is_empty();
         if empty || st.outstanding > 0 {
             return Ok(());
         }
-        self.barrier_and_rotate(&mut st, shards)
+        self.barrier_and_rotate(&mut log, &mut st, shards)
+    }
+
+    /// Wait until no apply is in flight, then retire the log. Run by a
+    /// group's leader, holding the log lock, so no prepare can join the
+    /// log meanwhile; the applies it waits for need only the bookkeeping
+    /// lock to finish.
+    fn rotate_when_drained(&self, log: &mut Logged<LogWriter>, shards: &[Shard]) -> Result<()> {
+        let mut st = self.state.lock();
+        while st.outstanding > 0 {
+            self.drained.wait(&mut st);
+        }
+        self.barrier_and_rotate(log, &mut st, shards)
     }
 
     /// Complete the failed prepares and run the barrier, then replace
@@ -706,15 +798,78 @@ impl Coordinator {
     /// with nothing outstanding. Creation truncates, so there is no step
     /// between "old log" and "empty log" to crash in, and a failure
     /// leaves the old log (and the poison flag) in place.
-    fn barrier_and_rotate(&self, st: &mut CoordState, shards: &[Shard]) -> Result<()> {
+    fn barrier_and_rotate(
+        &self,
+        log: &mut Logged<LogWriter>,
+        st: &mut CoordState,
+        shards: &[Shard],
+    ) -> Result<()> {
         debug_assert_eq!(st.outstanding, 0);
         let redone = Self::roll_forward(shards, &st.failed)?;
         self.rollforwards.fetch_add(redone, Ordering::Relaxed);
         st.failed.clear();
-        st.log = LogWriter::new(self.env.new_writable(&self.path, IoClass::Wal)?);
-        st.poisoned = false;
+        log.log = LogWriter::new(self.env.new_writable(&self.path, IoClass::Wal)?);
+        log.poisoned = false;
+        st.log_bytes = 0;
         hold_tombstones(shards, false);
         Ok(())
+    }
+}
+
+/// The coordinator log's half of a group commit, for one store's members.
+struct Prepares<'a> {
+    coord: &'a Coordinator,
+    shards: &'a [Shard],
+}
+
+impl GroupLeader<LogWriter, Prepare, Prepared> for Prepares<'_> {
+    /// A poisoned log may be some in-flight batch's only copy: wait for
+    /// those applies, then run the barrier and start a fresh log.
+    fn rotate(&self, log: &mut Logged<LogWriter>) -> Result<()> {
+        self.coord.rotate_when_drained(log, self.shards)
+    }
+
+    /// Append every prepare in queue order, then sync once. Each prepare's
+    /// floors are read here, after the tombstone hold moved and before any
+    /// of its applies, and the prepares count as outstanding before the
+    /// log lock is released.
+    fn write(&self, log: &mut Logged<LogWriter>, prepares: Vec<Prepare>) -> Result<Vec<Prepared>> {
+        let (coord, shards) = (self.coord, self.shards);
+        if log.log.len() > COORD_ROTATE_BYTES {
+            // Overlapping commits may never leave `outstanding` at zero
+            // on their own; best effort, as in `finish`.
+            let _ = coord.rotate_when_drained(log, shards);
+        }
+        if log.log.is_empty() {
+            hold_tombstones(shards, true);
+        }
+        let first = {
+            let mut st = coord.state.lock();
+            let first = st.next_txn;
+            st.next_txn += prepares.len() as u64;
+            first
+        };
+        let prepared: Vec<Prepared> = (first..)
+            .zip(&prepares)
+            .map(|(txn_id, parts)| {
+                let floors: Vec<SeqNo> = parts
+                    .iter()
+                    .map(|(s, _)| shards[*s].lsm().last_sequence())
+                    .collect();
+                Prepared {
+                    txn_id,
+                    record: encode_prepare(txn_id, parts, &floors),
+                }
+            })
+            .collect();
+        for p in &prepared {
+            log.log.add_record(&p.record)?;
+        }
+        log.log.sync()?;
+        let mut st = coord.state.lock();
+        st.outstanding += prepared.len();
+        st.log_bytes = log.log.len();
+        Ok(prepared)
     }
 }
 
@@ -734,7 +889,7 @@ mod tests {
     #[test]
     fn prepare_record_roundtrip() {
         let parts = sample_parts();
-        let rec = encode_prepare(42, &parts, &[17, 900]);
+        let rec = encode_prepare(42, &encode_parts(&parts), &[17, 900]);
         let p = decode_prepare(&rec).unwrap();
         assert_eq!(p.txn_id, 42);
         assert_eq!(p.parts.len(), 2);
@@ -748,7 +903,7 @@ mod tests {
 
     #[test]
     fn corrupt_sub_batch_is_rejected() {
-        let rec = encode_prepare(1, &sample_parts(), &[0, 0]);
+        let rec = encode_prepare(1, &encode_parts(&sample_parts()), &[0, 0]);
         // Flip a byte in the tail (inside the last sub-batch payload):
         // the digest check must reject the whole record.
         let mut bad = rec.clone();

@@ -10,6 +10,7 @@
 use crate::batch::{WriteBatch, WriteOptions, WriteReceipt};
 use crate::compaction::{pick_compaction, run_output_job, Compaction, PickerState};
 use crate::filename::{parse_path, table_path, wal_path, FileKind};
+use crate::group::{GroupCommit, GroupLeader, Logged};
 use crate::hooks::{FileNumAlloc, JobKind, PassthroughSession, ValueSession};
 use crate::iter::{InternalIterator, MergingIter, TableEntryIter, VecIter};
 use crate::memtable::Memtable;
@@ -73,65 +74,47 @@ pub const MAX_IMM_MEMTABLES: usize = 2;
 /// varies it.
 const COMPACTION_READAHEAD: usize = 256 * 1024;
 
+/// The live WAL. Its poison flag ([`Logged::poisoned`]) is set after an
+/// append or `sync()` on it failed; the writer then rotates to a fresh
+/// WAL before accepting new records — the fsync is never retried.
 struct WriterState {
     wal: Option<LogWriter>,
     wal_number: u64,
-    /// An append or `sync()` on the current WAL failed. A torn append
-    /// hides every later record from recovery, and after a failed fsync
-    /// (fsyncgate) the unsynced tail can no longer be trusted to become
-    /// durable, so the writer must rotate to a fresh WAL before
-    /// accepting new records — never retry the fsync and report success.
-    wal_poisoned: bool,
 }
 
-/// One writer's slot in the commit queue: its batch (taken by the
-/// group leader), its durability request, and the result slot the
-/// leader fills before waking it.
-struct GroupMember {
-    batch: Mutex<Option<WriteBatch>>,
+/// The WAL's state behind the commit queue's log lock.
+type Writer = Logged<WriterState>;
+
+/// One writer's batch in the commit queue.
+struct QueuedWrite {
+    batch: WriteBatch,
     sync: bool,
     /// Change-stream transaction tag carried through from
     /// [`WriteOptions::txn_id`].
     txn_id: Option<u64>,
-    result: Mutex<Option<Result<WriteReceipt>>>,
 }
 
-impl GroupMember {
-    fn new(batch: WriteBatch, sync: bool, txn_id: Option<u64>) -> GroupMember {
-        GroupMember {
-            batch: Mutex::new(Some(batch)),
-            sync,
-            txn_id,
-            result: Mutex::new(None),
+impl QueuedWrite {
+    fn new(opts: &WriteOptions, batch: WriteBatch) -> QueuedWrite {
+        QueuedWrite {
+            batch,
+            sync: opts.sync,
+            txn_id: opts.txn_id,
         }
     }
-
-    fn take_batch(&self) -> WriteBatch {
-        self.batch
-            .lock()
-            .take()
-            .expect("group member's batch taken twice")
-    }
-
-    fn fill(&self, res: Result<WriteReceipt>) {
-        *self.result.lock() = Some(res);
-    }
-
-    fn take_result(&self) -> Option<Result<WriteReceipt>> {
-        self.result.lock().take()
-    }
 }
 
-/// The commit queue shared by all writers. The first writer to find no
-/// leader active becomes the leader: it drains the queue, commits every
-/// queued batch as one group (one WAL record, at most one fsync, one
-/// memtable pass), fills each member's result slot, and hands
-/// leadership off. Guarded by `Inner::group` with `Inner::group_cv` for
-/// follower wakeup.
-#[derive(Default)]
-struct GroupState {
-    queue: Vec<Arc<GroupMember>>,
-    leader_active: bool,
+/// The WAL's half of a group commit: a poisoned WAL is left behind by
+/// freezing the memtable it covered, and a group is
+/// [`commit_group`](Lsm::commit_group).
+impl GroupLeader<WriterState, QueuedWrite, WriteReceipt> for Lsm {
+    fn rotate(&self, ws: &mut Writer) -> Result<()> {
+        self.rotate_memtable(ws)
+    }
+
+    fn write(&self, ws: &mut Writer, writes: Vec<QueuedWrite>) -> Result<Vec<WriteReceipt>> {
+        self.commit_group(ws, writes)
+    }
 }
 
 struct ImmEntry {
@@ -186,7 +169,9 @@ pub struct LsmCounters {
 struct Inner {
     opts: LsmOptions,
     tcache: Arc<TableCache>,
-    writer: Mutex<WriterState>,
+    /// The WAL and its commit queue: every write reaches the WAL through
+    /// [`GroupCommit`], whose log lock is the writer lock.
+    wal: GroupCommit<WriterState, QueuedWrite, WriteReceipt>,
     mem: RwLock<Arc<Memtable>>,
     imms: RwLock<Vec<ImmEntry>>,
     vset: Mutex<VersionSet>,
@@ -206,11 +191,6 @@ struct Inner {
     /// panics on the missing registration). Held for the whole
     /// flush-until-quiet loop.
     bg_work: Mutex<()>,
-    /// The group-commit queue (see [`GroupState`]).
-    group: Mutex<GroupState>,
-    /// Wakes queued followers when a leader finishes a group (their
-    /// result slot is filled) or hands leadership off.
-    group_cv: Condvar,
     counters: LsmCounters,
     bg_signal: Mutex<BgSignal>,
     bg_cv: Condvar,
@@ -289,10 +269,9 @@ impl Lsm {
         let inner = Arc::new(Inner {
             tcache,
             cdc,
-            writer: Mutex::new(WriterState {
+            wal: GroupCommit::new(WriterState {
                 wal: None,
                 wal_number: 0,
-                wal_poisoned: false,
             }),
             mem: RwLock::new(Arc::new(Memtable::new())),
             imms: RwLock::new(Vec::new()),
@@ -300,8 +279,6 @@ impl Lsm {
             sv: RwLock::new(Arc::new(SuperVersion::empty(opts.num_levels))),
             sv_install: Mutex::new(()),
             bg_work: Mutex::new(()),
-            group: Mutex::new(GroupState::default()),
-            group_cv: Condvar::new(),
             seq,
             file_counter,
             picker: Mutex::new(PickerState::new(opts.num_levels)),
@@ -519,18 +496,15 @@ impl Lsm {
         self.write_opts(&WriteOptions::default(), batch)
     }
 
-    /// Apply a batch atomically through the group-commit queue.
+    /// Apply a batch atomically through the group-commit queue
+    /// ([`GroupCommit`]).
     ///
-    /// The writer enqueues its batch; the first writer to find no
-    /// leader active becomes the leader, drains the queue, and commits
-    /// every queued batch as one group: one WAL record covering all of
-    /// them, a single fsync if any member asked for `sync = true`, one
-    /// memtable pass, and contiguous per-batch sequence ranges.
-    /// Followers sleep until the leader fills their result slot.
-    ///
-    /// Failure is group-scoped: a failed WAL append or fsync fails
+    /// The leader commits every queued batch as one group: one WAL record
+    /// covering all of them, a single fsync if any member asked for
+    /// `sync = true`, one memtable pass, and contiguous per-batch sequence
+    /// ranges. Failure is group-scoped: a failed WAL append or fsync fails
     /// every member with the same error and poisons the WAL (the next
-    /// write rotates away from it — fsyncgate semantics, never retried).
+    /// group rotates away from it — fsyncgate semantics, never retried).
     /// Because the group is one WAL record, a crash tears it as a unit:
     /// recovery replays all of it or none of it.
     pub fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<WriteReceipt> {
@@ -542,58 +516,8 @@ impl Lsm {
             });
         }
         self.admit()?;
-        let member = Arc::new(GroupMember::new(batch, opts.sync, opts.txn_id));
-        let mut st = self.inner.group.lock();
-        st.queue.push(member.clone());
-        loop {
-            if let Some(res) = member.take_result() {
-                // A leader committed this batch while we waited; that
-                // leader also drives the background work.
-                drop(st);
-                return res;
-            }
-            if !st.leader_active {
-                break;
-            }
-            self.inner.group_cv.wait(&mut st);
-        }
-        // Become the leader: drain the queue (our own batch included)
-        // and commit it as one group.
-        st.leader_active = true;
-        let members: Vec<Arc<GroupMember>> = std::mem::take(&mut st.queue);
-        drop(st);
-
-        let outcome = {
-            let mut ws = self.inner.writer.lock();
-            let batches: Vec<WriteBatch> = members.iter().map(|m| m.take_batch()).collect();
-            let syncs: Vec<bool> = members.iter().map(|m| m.sync).collect();
-            let txn_ids: Vec<Option<u64>> = members.iter().map(|m| m.txn_id).collect();
-            self.commit_group(&mut ws, batches, &syncs, &txn_ids)
-        };
-        match outcome {
-            Ok(receipts) => {
-                for (m, r) in members.iter().zip(receipts) {
-                    m.fill(Ok(r));
-                }
-            }
-            Err(e) => {
-                // The whole group fails as a unit.
-                for m in &members {
-                    m.fill(Err(e.clone()));
-                }
-            }
-        }
-        {
-            let mut st = self.inner.group.lock();
-            st.leader_active = false;
-            // Wake committed followers and let one queued straggler
-            // take over as the next leader.
-            self.inner.group_cv.notify_all();
-        }
-        let res = member
-            .take_result()
-            .expect("leader's own batch must be committed with its group");
-        if res.is_ok() {
+        let (res, led) = self.inner.wal.commit(QueuedWrite::new(opts, batch), self);
+        if led && res.is_ok() {
             // Only the leader runs background work for the group;
             // followers are already gone with their receipts.
             self.after_write()?;
@@ -612,7 +536,7 @@ impl Lsm {
         self.admit()?;
         let applied;
         {
-            let mut ws = self.inner.writer.lock();
+            let mut ws = self.inner.wal.lock();
             let mut batch = WriteBatch::new();
             for w in writes {
                 // The writer lock is held: `get` sees the stable latest
@@ -633,7 +557,7 @@ impl Lsm {
             }
             applied = batch.count();
             if applied > 0 {
-                self.commit_group(&mut ws, vec![batch], &[opts.sync], &[opts.txn_id])?;
+                ws.write_group(self, vec![QueuedWrite::new(opts, batch)])?;
             }
         }
         if applied > 0 {
@@ -673,7 +597,7 @@ impl Lsm {
         self.admit()?;
         let receipt;
         {
-            let mut ws = self.inner.writer.lock();
+            let mut ws = self.inner.wal.lock();
             for (key, read_seq) in reads {
                 // The writer lock is held: `latest_seq` sees the stable
                 // newest version, and nothing can commit between the
@@ -697,7 +621,7 @@ impl Lsm {
                     synced: false,
                 });
             }
-            let receipts = self.commit_group(&mut ws, vec![batch], &[opts.sync], &[opts.txn_id])?;
+            let receipts = ws.write_group(self, vec![QueuedWrite::new(opts, batch)])?;
             receipt = receipts
                 .into_iter()
                 .next()
@@ -711,38 +635,29 @@ impl Lsm {
     /// single WAL record (so a torn tail drops the group as a unit),
     /// fsync once if any member requested it, apply to the memtable in
     /// one pass, and assign each batch its contiguous sequence range.
-    /// Returns one receipt per batch, in queue order.
-    fn commit_group(
-        &self,
-        ws: &mut WriterState,
-        batches: Vec<WriteBatch>,
-        syncs: &[bool],
-        txn_ids: &[Option<u64>],
-    ) -> Result<Vec<WriteReceipt>> {
-        debug_assert_eq!(batches.len(), syncs.len());
-        debug_assert_eq!(batches.len(), txn_ids.len());
-        if batches.is_empty() {
+    /// Returns one receipt per batch, in queue order. Reached only
+    /// through [`Logged::write_group`], which poisons the WAL if this
+    /// fails.
+    fn commit_group(&self, ws: &mut Writer, writes: Vec<QueuedWrite>) -> Result<Vec<WriteReceipt>> {
+        if writes.is_empty() {
             return Ok(Vec::new());
         }
         let base = self.inner.seq.load(Ordering::SeqCst) + 1;
-        let sync = syncs.iter().any(|s| *s);
-        let group_len = batches.len() as u64;
+        let sync = writes.iter().any(|w| w.sync);
+        let riders = writes.iter().filter(|w| w.sync).count() as u64;
+        let group_len = writes.len() as u64;
         let mut merged = WriteBatch::new();
-        let mut batch_ends = Vec::with_capacity(batches.len());
-        for b in batches {
-            merged.append(b);
+        let mut batch_ends = Vec::with_capacity(writes.len());
+        let mut txn_ids = Vec::with_capacity(writes.len());
+        for w in writes {
+            merged.append(w.batch);
             batch_ends.push(base + merged.count() as u64 - 1);
+            txn_ids.push(w.txn_id);
         }
-        if ws.wal_poisoned {
-            self.rotate_memtable(ws)?;
-        }
-        if let Some(wal) = ws.wal.as_mut() {
-            if let Err(e) = wal.add_record(&merged.encode(base)) {
-                // A torn record ends the log for recovery: anything
-                // appended after it would be unreachable.
-                ws.wal_poisoned = true;
-                return Err(e);
-            }
+        if let Some(wal) = ws.log.wal.as_mut() {
+            // A torn record ends the log for recovery: anything appended
+            // after it would be unreachable, so the failure poisons it.
+            wal.add_record(&merged.encode(base))?;
         }
         if sync {
             Self::sync_live_wal(ws)?;
@@ -777,7 +692,6 @@ impl Lsm {
         c.group_commit_max_group
             .fetch_max(group_len, Ordering::Relaxed);
         if sync {
-            let riders = syncs.iter().filter(|s| **s).count() as u64;
             c.group_commit_fsyncs_saved
                 .fetch_add(riders - 1, Ordering::Relaxed);
         }
@@ -817,7 +731,7 @@ impl Lsm {
     /// durability is a prefix of commit order *across* files: no record
     /// in a newer WAL can survive a crash that loses an older one. The
     /// 2PC barrier ([`sync_wal`](Lsm::sync_wal)) relies on it.
-    fn rotate_memtable(&self, ws: &mut WriterState) -> Result<()> {
+    fn rotate_memtable(&self, ws: &mut Writer) -> Result<()> {
         // Register the active memtable as immutable BEFORE swapping it
         // out, so no state ever lacks the entries. Readers pin complete
         // superversions, and the fresh bundle is installed below while
@@ -825,14 +739,14 @@ impl Lsm {
         // new active memtable before readers can see it.
         let cur = self.inner.mem.read().clone();
         if cur.is_empty() {
-            if !ws.wal_poisoned {
+            if !ws.poisoned {
                 return Ok(());
             }
         } else {
             let wal_durable = Self::sync_live_wal(ws).is_ok();
             self.inner.imms.write().push(ImmEntry {
                 mem: cur.clone(),
-                wal_number: ws.wal_number,
+                wal_number: ws.log.wal_number,
                 wal_durable,
             });
             let fresh = Arc::new(Memtable::new());
@@ -843,20 +757,21 @@ impl Lsm {
     }
 
     /// Point the writer at a brand-new WAL file (and clear any poison).
-    fn fresh_wal_locked(&self, ws: &mut WriterState) -> Result<()> {
+    fn fresh_wal_locked(&self, ws: &mut Writer) -> Result<()> {
         let closed = ws
+            .log
             .wal
             .as_ref()
-            .map(|w| (ws.wal_number, w.len(), ws.wal_poisoned));
+            .map(|w| (ws.log.wal_number, w.len(), ws.poisoned));
         let n = self.inner.file_counter.fetch_add(1, Ordering::SeqCst);
         let f = self
             .inner
             .opts
             .env
             .new_writable(&wal_path(&self.inner.opts.dir, n), IoClass::Wal)?;
-        ws.wal = Some(LogWriter::new(f));
-        ws.wal_number = n;
-        ws.wal_poisoned = false;
+        ws.log.wal = Some(LogWriter::new(f));
+        ws.log.wal_number = n;
+        ws.poisoned = false;
         // The old WAL becomes a retained catch-up segment (or is
         // released for deletion, per retention policy and subscribers).
         self.inner
@@ -869,13 +784,13 @@ impl Lsm {
     /// failure — now or earlier — poisons the file: its tail may never
     /// reach disk even if a later fsync "succeeds" (fsyncgate), so the
     /// next write rotates away from it instead of retrying.
-    fn sync_live_wal(ws: &mut WriterState) -> Result<()> {
-        if ws.wal_poisoned {
+    fn sync_live_wal(ws: &mut Writer) -> Result<()> {
+        if ws.poisoned {
             return Err(Error::io("WAL poisoned by an earlier append/fsync failure"));
         }
-        if let Some(wal) = ws.wal.as_mut() {
+        if let Some(wal) = ws.log.wal.as_mut() {
             if let Err(e) = wal.sync() {
-                ws.wal_poisoned = true;
+                ws.poisoned = true;
                 return Err(e);
             }
         }
@@ -888,8 +803,8 @@ impl Lsm {
     /// proves nothing, so the affected memtables are flushed instead.
     pub fn sync_wal(&self) -> Result<()> {
         {
-            let mut ws = self.inner.writer.lock();
-            let faulted = ws.wal_poisoned || self.inner.imms.read().iter().any(|i| !i.wal_durable);
+            let mut ws = self.inner.wal.lock();
+            let faulted = ws.poisoned || self.inner.imms.read().iter().any(|i| !i.wal_durable);
             if !faulted && Self::sync_live_wal(&mut ws).is_ok() {
                 return Ok(());
             }
@@ -1184,7 +1099,7 @@ impl Lsm {
     /// Force-flush the active memtable and wait until the tree is quiet.
     pub fn flush(&self) -> Result<()> {
         {
-            let mut ws = self.inner.writer.lock();
+            let mut ws = self.inner.wal.lock();
             self.rotate_memtable(&mut ws)?;
         }
         match self.inner.opts.background {
@@ -1355,7 +1270,7 @@ impl Lsm {
         let next_imm_wal = { self.inner.imms.read().get(1).map(|e| e.wal_number) };
         let next_needed = match next_imm_wal {
             Some(n) => n,
-            None => self.inner.writer.lock().wal_number,
+            None => self.inner.wal.lock().log.wal_number,
         };
         edit.log_number = Some(next_needed);
         self.inner.vset.lock().log_and_apply(edit)?;
@@ -1638,9 +1553,9 @@ impl Lsm {
             .opts
             .env
             .new_writable(&wal_path(&self.inner.opts.dir, n), IoClass::Wal)?;
-        let mut ws = self.inner.writer.lock();
-        ws.wal = Some(LogWriter::new(f));
-        ws.wal_number = n;
+        let mut ws = self.inner.wal.lock();
+        ws.log.wal = Some(LogWriter::new(f));
+        ws.log.wal_number = n;
         self.inner
             .cdc
             .rotate_live(None, n, self.inner.seq.load(Ordering::SeqCst) + 1);

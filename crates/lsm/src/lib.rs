@@ -25,6 +25,7 @@ pub mod changelog;
 pub mod compaction;
 pub mod db;
 pub mod filename;
+pub mod group;
 pub mod hooks;
 pub mod iter;
 pub mod memtable;
@@ -37,6 +38,7 @@ pub mod wal;
 pub use batch::{WriteBatch, WriteOptions, WriteReceipt};
 pub use changelog::{ChangeCursor, ChangeEvent, ChangeLog, ChangeLogStats};
 pub use db::{GuardedWrite, Lsm, LsmReadResult};
+pub use group::{GroupCommit, GroupLeader, Logged};
 pub use hooks::{
     DropCause, FileNumAlloc, JobKind, NewValueFile, ValueEditBundle, ValueHook, ValueSession,
 };
