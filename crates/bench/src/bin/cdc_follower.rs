@@ -1,9 +1,9 @@
 //! CDC follower benchmark: one writer, four tailing subscribers.
 //!
 //! Runs the [`scavenger_workload::follower`] three-phase workload
-//! (preload → parallel catch-up → live tail) against both engine
-//! handles — a single `Db` and a 4-shard `DbShards`, Scavenger mode —
-//! and writes `BENCH_cdc.json` at the workspace root:
+//! (preload → parallel catch-up → live tail) against a store of one
+//! shard and one of four, Scavenger mode — and writes `BENCH_cdc.json`
+//! at the workspace root:
 //!
 //! * `preload_kops` — uncontended writer throughput (the baseline the
 //!   ratios below are taken against, so host speed cancels);
@@ -18,8 +18,8 @@
 //! (default 4), `CDC_JSON` (output path).
 
 use scavenger::{
-    ChangeStream, ChangeSubscriber, Db, DbShards, Engine, EngineMode, MemEnv, Options,
-    ShardedOptions, SubscribeFrom, WriteOptions,
+    Db, DbChangeStream, DbShards, EngineMode, MemEnv, Options, ShardedOptions, SubscribeFrom,
+    WriteOptions,
 };
 use scavenger_util::Result;
 use scavenger_workload::follower::{
@@ -28,9 +28,9 @@ use scavenger_workload::follower::{
 use std::process::ExitCode;
 
 /// Adapter: an engine change stream as a workload [`ChangeTail`].
-struct EngineTail<S: ChangeStream>(S);
+struct EngineTail(DbChangeStream);
 
-impl<S: ChangeStream> ChangeTail for EngineTail<S> {
+impl ChangeTail for EngineTail {
     fn poll_tail(&mut self, max: usize) -> Result<(u64, u64)> {
         let events = self.0.poll_changes(max)?;
         Ok((events.len() as u64, self.0.lag()))
@@ -49,17 +49,14 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn bench_handle<H>(handle: &'static str, db: H, cfg: &FollowerConfig) -> Result<Row>
-where
-    H: Engine + ChangeSubscriber + Sync,
-{
+fn bench_handle(handle: &'static str, db: Db, cfg: &FollowerConfig) -> Result<Row> {
     let opts = WriteOptions::default();
     let writer = &db;
     let report = run_follower(
         cfg,
         move |op| {
             writer
-                .put_with(&opts, &follower_key(op), follower_value(op, 256).into())
+                .put_with(&opts, follower_key(op), follower_value(op, 256))
                 .map(|_| ())
         },
         || Ok(EngineTail(db.subscribe_changes(SubscribeFrom::Oldest)?)),

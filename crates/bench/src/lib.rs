@@ -12,7 +12,7 @@
 //!   primary, hardware-independent metric);
 //! * `wall MB/s` — wall-clock, for reference.
 
-use scavenger::{Db, DeviceModel, EngineMode, Features, IoStatsSnapshot, KvRead, KvWrite, Options};
+use scavenger::{Db, DeviceModel, EngineMode, Features, IoStatsSnapshot, Options};
 use scavenger_env::{EnvRef, MemEnv};
 use scavenger_util::Result;
 use scavenger_workload::dist::KeyDist;
@@ -21,13 +21,11 @@ use scavenger_workload::values::ValueGen;
 use scavenger_workload::ycsb::YcsbWorkload;
 use scavenger_workload::KvStore;
 
-/// Adapter: drive *any* unified-surface engine (`KvRead + KvWrite` — a
-/// [`Db`], a [`scavenger::DbShards`], or a future backend) through the
-/// workload crate's [`KvStore`]. Written once against the trait surface
-/// instead of per handle type.
-pub struct EngineKvStore<'a, E>(pub &'a E);
+/// Adapter: drive a [`Db`] of any size through the workload crate's
+/// [`KvStore`].
+pub struct DbKvStore<'a>(pub &'a Db);
 
-impl<E: KvRead + KvWrite> KvStore for EngineKvStore<'_, E> {
+impl KvStore for DbKvStore<'_> {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         self.0
             .put(key, scavenger::Bytes::copy_from_slice(value))
@@ -39,7 +37,7 @@ impl<E: KvRead + KvWrite> KvStore for EngineKvStore<'_, E> {
     }
 
     fn delete(&self, key: &[u8]) -> Result<()> {
-        KvWrite::delete(self.0, key).map(|_| ())
+        self.0.delete(key).map(|_| ())
     }
 
     fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
@@ -50,11 +48,6 @@ impl<E: KvRead + KvWrite> KvStore for EngineKvStore<'_, E> {
             .collect()
     }
 }
-
-/// The historical name for the single-engine adapter (used throughout
-/// the `fig*` binaries); now just the [`EngineKvStore`] instantiation
-/// for [`Db`].
-pub type DbKvStore<'a> = EngineKvStore<'a, Db>;
 
 /// An engine under test: a paper baseline or a custom feature set
 /// (ablations).
@@ -329,7 +322,7 @@ pub fn run_experiment(
     let space_limit = space_limit_factor.map(|f| (scale.dataset_bytes as f64 * f) as u64);
     let opts = build_options(spec, env.clone(), "bench-db", scale, space_limit);
     let db = Db::open(opts)?;
-    let store = EngineKvStore(&db);
+    let store = DbKvStore(&db);
     // Extra capacity for YCSB-D style growth is not needed here.
     let mut runner = Runner::new(n, value_gen, scale.seed);
 
@@ -404,7 +397,7 @@ pub fn run_ycsb(
     let space_limit = space_limit_factor.map(|f| (scale.dataset_bytes as f64 * f) as u64);
     let opts = build_options(spec, env.clone(), "bench-db", scale, space_limit);
     let db = Db::open(opts)?;
-    let store = EngineKvStore(&db);
+    let store = DbKvStore(&db);
     // Allow keyspace growth for insert-bearing workloads (D/E).
     let mut runner = Runner::new(n * 2, value_gen, scale.seed);
     runner.load(&store, n)?;
@@ -483,7 +476,7 @@ mod tests {
         let env: EnvRef = MemEnv::shared();
         let opts = Options::new(env, "db", EngineMode::Scavenger);
         let db = Db::open(opts).unwrap();
-        let store = EngineKvStore(&db);
+        let store = DbKvStore(&db);
         store.put(b"k", &vec![7u8; 2048]).unwrap();
         assert_eq!(store.get(b"k").unwrap().unwrap(), vec![7u8; 2048]);
         let rows = store.scan(b"", 10).unwrap();
@@ -568,7 +561,7 @@ mod titan_repro {
         let n = scale.num_keys(&value_gen);
         let opts = build_options(&spec, env.clone(), "db", &scale, None);
         let db = Db::open(opts).unwrap();
-        let store = EngineKvStore(&db);
+        let store = DbKvStore(&db);
         let mut runner = Runner::new(n, value_gen, scale.seed).with_verification();
         runner.load(&store, n).unwrap();
         db.flush().unwrap();

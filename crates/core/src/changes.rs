@@ -4,15 +4,11 @@
 //!
 //! # Surface
 //!
-//! [`ChangeSubscriber`] is a separate capability trait next to the
-//! [`Engine`](crate::Engine) triple (the same pattern as
-//! [`Transactional`](crate::Transactional)): the handle implements it
-//! with one stream type, [`DbChangeStream`], and generic code takes a
-//! `ChangeSubscriber` bound when it tails changes. A stream is pulled,
-//! not pushed — [`ChangeStream::poll_changes`] returns the next batch
-//! of committed events and advances the cursor, so the caller (a wire
-//! server, a follower workload, a test oracle) controls pacing and
-//! backpressure.
+//! [`Db::subscribe_changes`] opens a [`DbChangeStream`]. A stream is
+//! pulled, not pushed — [`DbChangeStream::poll_changes`] returns the
+//! next batch of committed events and advances the cursor, so the
+//! caller (a wire server, a follower workload, a test oracle) controls
+//! pacing and backpressure.
 //!
 //! # Ordering and completeness contract
 //!
@@ -39,7 +35,7 @@
 //!
 //! # Resume tokens
 //!
-//! [`ChangeStream::resume_token`] captures the stream's exact position
+//! [`DbChangeStream::resume_token`] captures the stream's exact position
 //! as a portable byte string (`"CDC1"` magic, shard count, one next
 //! sequence per shard). A new subscription via
 //! [`SubscribeFrom::Token`] continues precisely where the old stream
@@ -51,8 +47,7 @@
 //! been reclaimed fails loudly rather than silently skipping history.
 //!
 //! ```
-//! use scavenger::{ChangeOp, ChangeStream, ChangeSubscriber, Db, EngineMode, MemEnv, Options,
-//!                 SubscribeFrom};
+//! use scavenger::{ChangeOp, Db, EngineMode, MemEnv, Options, SubscribeFrom};
 //!
 //! let db = Db::open(Options::new(MemEnv::shared(), "cdc-demo", EngineMode::Scavenger)).unwrap();
 //! let mut stream = db.subscribe_changes(SubscribeFrom::Oldest).unwrap();
@@ -121,7 +116,7 @@ pub enum SubscribeFrom {
     /// call are delivered.
     Latest,
     /// The exact position captured by
-    /// [`ChangeStream::resume_token`] on an earlier stream. Fails if
+    /// [`DbChangeStream::resume_token`] on an earlier stream. Fails if
     /// that history has since been reclaimed (no silent skips) or if
     /// the token's shard count does not match the handle.
     Token(ResumeToken),
@@ -182,44 +177,6 @@ impl ResumeToken {
         }
         Ok(ResumeToken { shards })
     }
-}
-
-/// A pull-based subscription to committed changes. Obtained from
-/// [`ChangeSubscriber::subscribe_changes`]; dropping the stream
-/// unregisters its cursors (releasing any WAL history they pinned).
-pub trait ChangeStream: Send {
-    /// Deliver up to `max` pending changes, advancing the stream. An
-    /// empty result means the stream is caught up with the commit
-    /// head, not that it ended — poll again after more writes.
-    fn poll_changes(&mut self, max: usize) -> Result<Vec<ChangeRecord>>;
-
-    /// The stream's exact current position, as a token a later
-    /// [`SubscribeFrom::Token`] subscription continues from. Buffered
-    /// but undelivered events are *not* considered delivered: resuming
-    /// from the token re-delivers them.
-    fn resume_token(&self) -> ResumeToken;
-
-    /// How far the stream trails the commit head, in sequence numbers
-    /// (max across shards; `0` when fully caught up).
-    fn lag(&self) -> u64;
-}
-
-/// The subscription capability: engines that can serve ordered change
-/// streams. A separate trait (not part of [`Engine`](crate::Engine)) so
-/// the core triple stays `dyn`-compatible and backends without a WAL
-/// simply don't implement it.
-pub trait ChangeSubscriber {
-    /// This engine's stream type.
-    type Stream: ChangeStream;
-
-    /// Open a subscription starting at `from`.
-    ///
-    /// While the subscription lives, the engine retains every WAL
-    /// segment the cursor still needs — reclamation never deletes
-    /// history out from under a registered subscriber, at the price of
-    /// disk space accounted as pinned bytes toward the §III-D
-    /// throttle.
-    fn subscribe_changes(&self, from: SubscribeFrom) -> Result<Self::Stream>;
 }
 
 /// Events fetched per cursor poll while refilling a shard buffer.
@@ -303,17 +260,22 @@ impl std::fmt::Debug for ShardFeed {
     }
 }
 
-/// The [`ChangeStream`] of a [`Db`]: one cursor per shard, merged
+/// A pull-based subscription to a [`Db`]'s committed changes, opened by
+/// [`Db::subscribe_changes`]: one cursor per shard, merged
 /// deterministically by `(seq, shard)` over the events pending at each
 /// poll. Each shard's substream is exactly its committed history, in
-/// order, gap-free.
+/// order, gap-free. Dropping the stream unregisters its cursors
+/// (releasing any WAL history they pinned).
 #[derive(Debug)]
 pub struct DbChangeStream {
     feeds: Vec<ShardFeed>,
 }
 
-impl ChangeStream for DbChangeStream {
-    fn poll_changes(&mut self, max: usize) -> Result<Vec<ChangeRecord>> {
+impl DbChangeStream {
+    /// Deliver up to `max` pending changes, advancing the stream. An
+    /// empty result means the stream is caught up with the commit
+    /// head, not that it ended — poll again after more writes.
+    pub fn poll_changes(&mut self, max: usize) -> Result<Vec<ChangeRecord>> {
         let mut out = Vec::new();
         while out.len() < max {
             for feed in &mut self.feeds {
@@ -340,19 +302,30 @@ impl ChangeStream for DbChangeStream {
         Ok(out)
     }
 
-    fn resume_token(&self) -> ResumeToken {
+    /// The stream's exact current position, as a token a later
+    /// [`SubscribeFrom::Token`] subscription continues from. Buffered
+    /// but undelivered events are *not* considered delivered: resuming
+    /// from the token re-delivers them.
+    pub fn resume_token(&self) -> ResumeToken {
         ResumeToken::new(self.feeds.iter().map(|f| f.next_seq()).collect())
     }
 
-    fn lag(&self) -> u64 {
+    /// How far the stream trails the commit head, in sequence numbers
+    /// (max across shards; `0` when fully caught up).
+    pub fn lag(&self) -> u64 {
         self.feeds.iter().map(|f| f.lag()).max().unwrap_or(0)
     }
 }
 
-impl ChangeSubscriber for Db {
-    type Stream = DbChangeStream;
-
-    fn subscribe_changes(&self, from: SubscribeFrom) -> Result<DbChangeStream> {
+impl Db {
+    /// Open a subscription to committed changes starting at `from`.
+    ///
+    /// While the subscription lives, the engine retains every WAL
+    /// segment the cursor still needs — reclamation never deletes
+    /// history out from under a registered subscriber, at the price of
+    /// disk space accounted as pinned bytes toward the §III-D
+    /// throttle.
+    pub fn subscribe_changes(&self, from: SubscribeFrom) -> Result<DbChangeStream> {
         let n = self.num_shards();
         if let SubscribeFrom::Token(t) = &from {
             if t.shard_positions().len() != n {
@@ -534,10 +507,10 @@ mod tests {
         assert_send::<DbChangeStream>();
     }
 
-    /// Generic code tails a store of any size through the trait bound.
+    /// One tailing body serves a store of any size.
     #[test]
     fn trait_is_generic_over_both_handles() {
-        fn tail<E: ChangeSubscriber>(db: &E) -> Vec<ChangeRecord> {
+        fn tail(db: &Db) -> Vec<ChangeRecord> {
             let mut s = db.subscribe_changes(SubscribeFrom::Oldest).unwrap();
             s.poll_changes(1024).unwrap()
         }

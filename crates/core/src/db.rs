@@ -1,8 +1,8 @@
 //! The engine handle: a set of [`Shard`] members behind one routing
 //! rule. A plain store is the set of one, living at `dir` itself; a
 //! sharded store (see [`crate::shards`]) has N members under
-//! `dir/shard-NNN`. Every engine trait is implemented once, here, for
-//! both sizes.
+//! `dir/shard-NNN`. The whole engine surface is this one type's
+//! methods, the same at every size.
 //!
 //! * **Writes** route by key. A batch whose keys all land on one member
 //!   commits through that member unchanged; one that spans members goes
@@ -13,8 +13,37 @@
 //! * **Maintenance** fans out across members on up to
 //!   [`gc_threads`](crate::Options::gc_threads) workers, and
 //!   [`stats`](Db::stats) folds the members' snapshots.
+//!
+//! Code that takes a `&Db` needs no per-size code:
+//!
+//! ```
+//! use scavenger::{Db, DbShards, EngineMode, MemEnv, Options, ShardedOptions};
+//!
+//! fn churn(db: &Db) -> scavenger::Result<u64> {
+//!     db.put(b"k", vec![7u8; 2048])?;
+//!     db.flush()?;
+//!     db.compact_all()?;
+//!     let report = db.run_gc()?;
+//!     Ok(report.aggregate().bytes_reclaimed)
+//! }
+//!
+//! let single = Db::open(Options::new(MemEnv::shared(), "e1", EngineMode::Scavenger)).unwrap();
+//! let mut opts = ShardedOptions::new(MemEnv::shared(), "e2", EngineMode::Scavenger);
+//! opts.num_shards = 2;
+//! let sharded = DbShards::open(opts).unwrap();
+//! churn(&single).unwrap();
+//! churn(&sharded).unwrap();
+//! ```
+//!
+//! # How a new backend plugs in
+//!
+//! Below the handle. A new way to store a key range (WAL-time
+//! separation, a remote member, …) becomes a new kind of member that the
+//! set routes to, and inherits views, snapshots, scans, transactions,
+//! change streams and maintenance fan-out unchanged; the tests, the
+//! bench harness, the server and the examples keep taking a `&Db`.
 
-use crate::engine::GcReport;
+use crate::gc::GcReport;
 use crate::shard::{Shard, ShardScan};
 use crate::stats::{DbStats, SpaceBreakdown};
 use crate::throttle::Throttle;
@@ -210,15 +239,47 @@ impl Db {
 
     /// Apply a batch atomically with explicit options: `sync = false`
     /// skips the per-write WAL fsync, `disable_throttle = true` bypasses
-    /// space-aware admission throttling. A batch whose keys all land on
-    /// one member commits there untouched; one that spans members goes
-    /// through the two-phase-commit coordinator (see
-    /// [`KvWrite::write_with`](crate::KvWrite::write_with) for the
-    /// atomicity and receipt rules), after waiting out any transaction
-    /// or multi-member batch in flight on one of its keys — so two
-    /// batches on the same keys land in the same order on every member.
+    /// space-aware admission throttling. A batch that spans members
+    /// first waits out any transaction or multi-member batch in flight
+    /// on one of its keys — so two batches on the same keys land in the
+    /// same order on every member.
+    ///
+    /// ```
+    /// use scavenger::{DbShards, EngineMode, MemEnv, ShardedOptions, WriteBatch};
+    ///
+    /// let mut opts = ShardedOptions::new(MemEnv::shared(), "write-doc", EngineMode::Scavenger);
+    /// opts.num_shards = 2;
+    /// let db = DbShards::open(opts).unwrap();
+    /// let mut batch = WriteBatch::new();
+    /// batch.put("a", scavenger::Bytes::from(vec![1u8; 600]));
+    /// batch.put("b", scavenger::Bytes::from_static(b"inline"));
+    /// db.write(batch).unwrap(); // atomic even across shards
+    /// assert!(db.delete(b"a").unwrap().synced);
+    /// assert!(db.get("a").unwrap().is_none());
+    /// ```
+    ///
+    /// # Atomicity
+    ///
+    /// A batch is atomic at every store size, crashes included. It
+    /// routes by key: a batch whose keys all land on one member — every
+    /// batch, on a plain store — commits there untouched, in one WAL
+    /// record with zero extra I/O, while a batch spanning members goes
+    /// through the set's two-phase commit coordinator — one fsynced
+    /// `Prepare` record carrying the full redo payload, which is the
+    /// batch's durable copy, then the per-shard sub-batch commits,
+    /// unsynced. The coordinator log is retired only after a barrier has
+    /// synced every shard's WAL, and recovery rolls every `Prepare` still
+    /// in it forward, so a crash at any point surfaces the whole batch
+    /// or none of it — and the whole of it once acknowledged.
+    ///
+    /// The price of that guarantee is that one fsync: a multi-shard
+    /// batch pays it even under `sync = false` options (its receipt
+    /// reports `synced = true`), and its receipt aggregates `seq` as
+    /// the maximum across touched shards with `group_len` summed. A
+    /// single-member batch keeps the requested sync behavior unchanged.
     /// Value references are engine-internal: a batch carrying one is
-    /// refused with [`Error::InvalidArgument`] and nothing is written.
+    /// refused with [`Error::InvalidArgument`] before anything is
+    /// written.
     pub fn write_with(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<WriteReceipt> {
         let inner = &self.inner;
         if batch
@@ -315,6 +376,18 @@ impl Db {
     /// Range scan over `[lo, hi)` (unbounded when `hi` is `None`),
     /// resolving separated values, through a transient pinned view (the
     /// iterator owns the pin).
+    ///
+    /// ```
+    /// use scavenger::{Db, EngineMode, MemEnv, Options, ReadOptions};
+    ///
+    /// let db = Db::open(Options::new(MemEnv::shared(), "scan-doc", EngineMode::Scavenger)).unwrap();
+    /// db.put("a", vec![1u8; 600]).unwrap();
+    /// let view = db.view(); // pinned: later writes stay invisible
+    /// db.put("b", vec![2u8; 600]).unwrap();
+    /// assert_eq!(view.scan(b"", None).unwrap().count(), 1);
+    /// assert_eq!(db.scan(b"", None).unwrap().count(), 2);
+    /// assert!(db.get_with(&ReadOptions::default(), b"missing").unwrap().is_none());
+    /// ```
     pub fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<DbScanIter> {
         self.view().scan(lo, hi)
     }
@@ -358,6 +431,19 @@ impl Db {
     /// Run one GC job per member at
     /// [`GC_THRESHOLD`](crate::gc::GC_THRESHOLD); the [`GcReport`] holds
     /// each member's outcome, indexed by shard.
+    ///
+    /// ```
+    /// use scavenger::{Db, EngineMode, MemEnv, Options};
+    ///
+    /// let db = Db::open(Options::new(MemEnv::shared(), "gc-doc", EngineMode::Scavenger)).unwrap();
+    /// db.put("k", vec![3u8; 2048]).unwrap();
+    /// db.flush().unwrap();
+    /// db.compact_all().unwrap(); // exposes garbage
+    /// let report = db.run_gc().unwrap(); // one outcome slot per shard
+    /// assert_eq!(report.jobs(), report.outcomes.iter().flatten().count());
+    /// assert!(db.stats().flushes >= 1);
+    /// assert!(db.space().total() > 0);
+    /// ```
     pub fn run_gc(&self) -> Result<GcReport> {
         Ok(GcReport {
             outcomes: self.for_each_shard(|s| s.run_gc_at(crate::gc::GC_THRESHOLD))?,
@@ -1137,5 +1223,66 @@ mod tests {
         let s = db.stats();
         assert_eq!(s.txn_commits, 24 * 64);
         assert!(s.gc.runs > 0, "paced GC never ran on a txn-only store");
+    }
+
+    /// Compile-time Send + Sync assertions on every public surface: the
+    /// handle, pinned surfaces, and iterators all cross threads (the
+    /// maintenance fan-out, the server and the bench harness rely on it).
+    #[test]
+    fn surfaces_are_send_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        fn assert_send<T: Send>() {}
+        assert_send_sync::<Db>();
+        assert_send_sync::<ReadView>();
+        assert_send_sync::<Snapshot>();
+        assert_send_sync::<GcReport>();
+        assert_send::<DbScanIter>();
+        assert_send::<crate::Transaction>();
+        assert_send::<crate::DbChangeStream>();
+    }
+
+    /// One body, a store of one and of four: the full
+    /// write/read/maintain cycle through `&Db`.
+    #[test]
+    fn cycle_runs_on_both_sizes() {
+        fn cycle(db: &Db) {
+            for i in 0..30u32 {
+                db.put(format!("key{i:02}"), vec![i as u8; 1024]).unwrap();
+            }
+            db.flush().unwrap();
+            assert_eq!(
+                db.get(b"key07").unwrap().unwrap(),
+                Bytes::from(vec![7u8; 1024])
+            );
+            let view = db.view();
+            db.delete(b"key07").unwrap();
+            assert!(db.get(b"key07").unwrap().is_none());
+            assert_eq!(view.get(b"key07").unwrap().unwrap().len(), 1024);
+            let collected: Vec<ScanEntry> = db
+                .scan(b"key00", Some(b"key05"))
+                .unwrap()
+                .collect::<Result<_>>()
+                .unwrap();
+            assert_eq!(collected.len(), 5);
+            db.compact_all().unwrap();
+            let _ = db.run_gc().unwrap();
+            assert!(db.stats().flushes >= 1);
+            assert!(db.space().total() > 0);
+        }
+        let single = Db::open(Options::new(
+            MemEnv::shared(),
+            "eng-single",
+            EngineMode::Scavenger,
+        ))
+        .unwrap();
+        cycle(&single);
+        let sharded = Db::open(crate::ShardedOptions::new(
+            MemEnv::shared(),
+            "eng-sharded",
+            EngineMode::Scavenger,
+        ))
+        .unwrap();
+        assert_eq!(sharded.num_shards(), 4);
+        cycle(&sharded);
     }
 }

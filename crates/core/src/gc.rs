@@ -134,6 +134,41 @@ impl GcOutcome {
     }
 }
 
+/// Result of one [`Db::run_gc`](crate::Db::run_gc) call: each member's
+/// GC outcome, indexed by shard (one slot for a plain store).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GcReport {
+    /// Each member's outcome for this pass (`None` where no candidate
+    /// crossed the GC threshold), indexed by shard.
+    pub outcomes: Vec<Option<GcOutcome>>,
+}
+
+impl GcReport {
+    /// Did any member run a GC job this pass?
+    pub fn ran(&self) -> bool {
+        self.outcomes.iter().any(|o| o.is_some())
+    }
+
+    /// Number of GC jobs that actually ran.
+    pub fn jobs(&self) -> usize {
+        self.outcomes.iter().filter(|o| o.is_some()).count()
+    }
+
+    /// Sum of all outcomes — files collected, records rewritten, bytes
+    /// reclaimed, read and written across the whole handle.
+    pub fn aggregate(&self) -> GcOutcome {
+        let mut total = GcOutcome::default();
+        for o in self.outcomes.iter().flatten() {
+            total.files_collected += o.files_collected;
+            total.records_rewritten += o.records_rewritten;
+            total.bytes_reclaimed += o.bytes_reclaimed;
+            total.bytes_read += o.bytes_read;
+            total.bytes_written += o.bytes_written;
+        }
+        total
+    }
+}
+
 /// Tuning knobs for the GC runner.
 #[derive(Debug, Clone, Copy)]
 pub struct GcConfig {
@@ -824,5 +859,47 @@ impl GcRunner {
             bytes_read: deleted_bytes,
             bytes_written: new_bytes,
         })))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gc_report_normalizes_shapes() {
+        let none = GcReport {
+            outcomes: vec![None],
+        };
+        assert!(!none.ran());
+        assert_eq!(none.jobs(), 0);
+        assert_eq!(none.aggregate(), GcOutcome::default());
+
+        let fanout = GcReport {
+            outcomes: vec![
+                Some(GcOutcome {
+                    files_collected: 2,
+                    records_rewritten: 10,
+                    bytes_reclaimed: 4096,
+                    bytes_read: 300,
+                    bytes_written: 200,
+                }),
+                None,
+                Some(GcOutcome {
+                    files_collected: 1,
+                    records_rewritten: 5,
+                    bytes_reclaimed: 1024,
+                    bytes_read: 30,
+                    bytes_written: 20,
+                }),
+            ],
+        };
+        assert!(fanout.ran());
+        assert_eq!(fanout.jobs(), 2);
+        let total = fanout.aggregate();
+        assert_eq!(total.files_collected, 3);
+        assert_eq!(total.records_rewritten, 15);
+        assert_eq!(total.bytes_reclaimed, 5120);
+        assert_eq!(total.io_bytes(), 550);
     }
 }

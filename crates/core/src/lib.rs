@@ -35,12 +35,14 @@
 //!
 //! ## One handle, one engine surface
 //!
-//! [`Db`] is the only handle, and it implements the trait triple in
-//! [`engine`] — [`KvRead`] / [`KvWrite`] / [`Maintenance`] (umbrella:
-//! [`Engine`]) — plus [`Transactional`] and [`ChangeSubscriber`], once
-//! each. Per-call options are shared: one [`ReadOptions`] (its
-//! [`ReadPin`] names a view or snapshot), one [`WriteOptions`], and a
-//! [`GcReport`] with one GC outcome per member.
+//! [`Db`] is the only handle and the engine surface is its methods:
+//! reads and writes, maintenance, [`Db::subscribe_changes`], and
+//! [`Transactional::begin`]. The pinned read surfaces are [`ReadView`]
+//! and [`Snapshot`], scans yield a [`DbScanIter`], change streams are a
+//! [`DbChangeStream`] and transactions a [`Transaction`]. Per-call
+//! options are shared: one [`ReadOptions`] (its [`ReadPin`] names a
+//! view or snapshot), one [`WriteOptions`], and a [`GcReport`] with one
+//! GC outcome per member.
 //!
 //! ## Scaling out
 //!
@@ -53,7 +55,7 @@
 //! machinery ([`Db::view`], [`Snapshot`], [`ReadOptions`]).
 //!
 //! The repository-level `ARCHITECTURE.md` walks the full design: the
-//! trait-based API layer, the superversion read path and its
+//! API layer, the superversion read path and its
 //! copy-on-write installs, the staged GC pipeline, space-aware
 //! throttling, and the shard layer. `README.md` has the crate map and
 //! the benchmark baselines.
@@ -63,7 +65,6 @@
 pub mod changes;
 pub mod db;
 pub mod dropcache;
-pub mod engine;
 pub mod gc;
 pub(crate) mod gc_exec;
 pub mod hook;
@@ -76,14 +77,10 @@ pub mod txn;
 pub mod view;
 pub mod vstore;
 
-pub use changes::{
-    ChangeOp, ChangeRecord, ChangeStream, ChangeSubscriber, DbChangeStream, ResumeToken,
-    SubscribeFrom,
-};
+pub use changes::{ChangeOp, ChangeRecord, DbChangeStream, ResumeToken, SubscribeFrom};
 pub use db::{Db, DbScanIter, ScanEntry};
 pub use dropcache::DropCache;
-pub use engine::{Engine, GcReport, KvRead, KvWrite, Maintenance, PinnedReader, ScanIterator};
-pub use gc::{GcOutcome, GcValidationReport};
+pub use gc::{GcOutcome, GcReport, GcValidationReport};
 pub use options::{EngineMode, Features, GcScheme, Options, VFormat};
 pub use shard::Shard;
 pub use shards::{DbShards, ShardedOptions, ShardedOptionsBuilder};

@@ -4,17 +4,15 @@
 //! Two layers live here:
 //!
 //! 1. **[`Transaction`]** — an optimistic-concurrency-control (OCC)
-//!    transaction generic over any [`Transactional`] engine handle
-//!    ([`Db`], of any size). Reads pin a
-//!    view at begin time and record a *read set* (key → the sequence the
-//!    view reads at); writes buffer locally and are invisible to other
-//!    readers until commit. Commit validates the read set — every read
-//!    key must still have no version newer than the transaction's read
-//!    point — and then applies the write buffer atomically through the
-//!    engine's one commit rule (see [`Transactional`]). Validation
-//!    failure surfaces as
-//!    [`Error::TxnConflict`] with nothing written; the caller re-runs
-//!    the transaction against current state.
+//!    transaction on a [`Db`] of any size. Reads pin a view at begin
+//!    time and record a *read set* (key → the sequence the view reads
+//!    at); writes buffer locally and are invisible to other readers
+//!    until commit. Commit validates the read set — every read key must
+//!    still have no version newer than the transaction's read point —
+//!    and then applies the write buffer atomically through the store's
+//!    one commit rule (see [`Transactional`]). Validation failure
+//!    surfaces as [`Error::TxnConflict`] with nothing written; the
+//!    caller re-runs the transaction against current state.
 //!
 //! 2. **`Coordinator`** — the two-phase-commit log that makes a
 //!    multi-shard [`Db`] batch crash-atomic for **one fsync**. A
@@ -72,22 +70,21 @@ use scavenger_util::ikey::{SeqNo, ValueType, MAX_SEQNO};
 use scavenger_util::{crc32c, Error, Result};
 
 use crate::db::{Db, ScanEntry};
-use crate::engine::{KvRead, KvWrite, PinnedReader};
 use crate::shard::Shard;
 use crate::view::{ReadView, WriteOptions, WriteReceipt};
 
 // ---------------------------------------------------------------------------
-// Transactional trait + Transaction
+// Transactional + Transaction
 // ---------------------------------------------------------------------------
 
-/// Engines that support optimistic transactions.
+/// Optimistic transactions: [`begin`](Transactional::begin) on a [`Db`].
 ///
-/// Implemented by [`Db`] at every size; code written against this trait
-/// is written against the one handle, like the rest of the
-/// [`Engine`](crate::Engine) surface. This is a separate trait (rather
-/// than methods on `KvWrite`) because [`Transaction`] is generic over
-/// the concrete handle — adding it to the object-safe trait triple would
-/// break `dyn Engine`.
+/// This is the crate's one trait, with one implementation. It exists
+/// only because the benchmark harness
+/// (`benchmark/src/workloads/shards_txn.rs`) imports it and names it as
+/// a bound, and the harness changes only with the benchmark's
+/// definition. Delete it — `begin` becomes an inherent method of
+/// [`Db`] — in the `[benchmark]` PR of ROADMAP item 5.
 ///
 /// ## Isolation
 ///
@@ -114,37 +111,29 @@ use crate::view::{ReadView, WriteOptions, WriteReceipt};
 /// latest sequences before it registers, and then applied like any
 /// batch (2PC when its writes span members): a raw single-member write
 /// racing it can land between validation and apply.
-pub trait Transactional: KvRead + KvWrite + Clone {
-    /// Begin an optimistic transaction: pins a view of the engine at
+pub trait Transactional {
+    /// Begin an optimistic transaction: pins a view of the store at
     /// the current sequence and returns an empty transaction against
     /// it.
-    fn begin(&self) -> Transaction<Self> {
-        Transaction::new(self)
-    }
-
-    /// The sequence a commit-time conflict check for `key` compares
-    /// against under `view`. Implementation detail of [`Transaction`].
-    #[doc(hidden)]
-    fn txn_read_seq(view: &Self::View, key: &[u8]) -> SeqNo;
-
-    /// Validate `reads` against current state and, if every read is
-    /// still current, atomically apply `batch`. Implementation detail
-    /// of [`Transaction::commit_with`].
-    #[doc(hidden)]
-    fn txn_commit(
-        &self,
-        reads: &[(Vec<u8>, SeqNo)],
-        batch: WriteBatch,
-        opts: &WriteOptions,
-    ) -> Result<WriteReceipt>;
+    fn begin(&self) -> Transaction;
 }
 
 impl Transactional for Db {
-    fn txn_read_seq(view: &ReadView, key: &[u8]) -> SeqNo {
-        view.sequence_for(key)
+    fn begin(&self) -> Transaction {
+        Transaction {
+            db: self.clone(),
+            view: self.view(),
+            reads: BTreeMap::new(),
+            writes: BTreeMap::new(),
+        }
     }
+}
 
-    fn txn_commit(
+impl Db {
+    /// Validate `reads` against current state and, if every read is
+    /// still current, atomically apply `batch`: the commit of
+    /// [`Transaction::commit_with`].
+    pub(crate) fn txn_commit(
         &self,
         reads: &[(Vec<u8>, SeqNo)],
         batch: WriteBatch,
@@ -241,7 +230,7 @@ impl Drop for InFlightKeys<'_> {
     }
 }
 
-/// An optimistic transaction over an engine handle.
+/// An optimistic transaction on a [`Db`].
 ///
 /// Created by [`Transactional::begin`]. Reads ([`get`](Self::get),
 /// [`scan`](Self::scan)) see the engine as of begin time plus this
@@ -254,8 +243,7 @@ impl Drop for InFlightKeys<'_> {
 /// discards the buffer.
 ///
 /// ```
-/// use scavenger::{Db, EngineMode, Options, Transactional};
-/// use scavenger_env::MemEnv;
+/// use scavenger::{Db, EngineMode, MemEnv, Options, Transactional};
 ///
 /// let db = Db::open(Options::new(MemEnv::shared(), "txn-demo", EngineMode::Scavenger)).unwrap();
 /// db.put(b"balance", &b"100"[..]).unwrap();
@@ -267,9 +255,9 @@ impl Drop for InFlightKeys<'_> {
 /// txn.put(b"audit", &b"spent 10"[..]);
 /// txn.commit().unwrap(); // both keys land atomically, or neither
 /// ```
-pub struct Transaction<E: Transactional> {
-    engine: E,
-    view: E::View,
+pub struct Transaction {
+    db: Db,
+    view: ReadView,
     /// Key → the sequence the pinned view reads it at. Commit fails if
     /// any of these keys gains a newer version before validation.
     reads: BTreeMap<Vec<u8>, SeqNo>,
@@ -277,23 +265,14 @@ pub struct Transaction<E: Transactional> {
     writes: BTreeMap<Vec<u8>, Option<Bytes>>,
 }
 
-impl<E: Transactional> Transaction<E> {
-    fn new(engine: &E) -> Self {
-        Transaction {
-            engine: engine.clone(),
-            view: engine.view(),
-            reads: BTreeMap::new(),
-            writes: BTreeMap::new(),
-        }
-    }
-
+impl Transaction {
     /// Read `key`: the transaction's own buffered write if there is
     /// one, else the value at the transaction's read point. Either way
     /// the key joins the read set, so the commit fails if another
     /// writer changes it first.
     pub fn get(&mut self, key: impl AsRef<[u8]>) -> Result<Option<Bytes>> {
         let key = key.as_ref();
-        let seq = E::txn_read_seq(&self.view, key);
+        let seq = self.view.sequence_for(key);
         self.reads.entry(key.to_vec()).or_insert(seq);
         if let Some(buffered) = self.writes.get(key) {
             return Ok(buffered.clone());
@@ -345,7 +324,7 @@ impl<E: Transactional> Transaction<E> {
                 }
                 overlay.next();
             }
-            let seq = E::txn_read_seq(&self.view, &entry.key);
+            let seq = self.view.sequence_for(&entry.key);
             self.reads.entry(entry.key.clone()).or_insert(seq);
             if let Some((k, v)) = overlay.peek() {
                 if k.as_slice() == entry.key.as_slice() {
@@ -398,7 +377,7 @@ impl<E: Transactional> Transaction<E> {
     /// transaction commits trivially.
     pub fn commit_with(self, opts: &WriteOptions) -> Result<WriteReceipt> {
         let Transaction {
-            engine,
+            db,
             view,
             reads,
             writes,
@@ -415,7 +394,7 @@ impl<E: Transactional> Transaction<E> {
             }
         }
         let reads: Vec<(Vec<u8>, SeqNo)> = reads.into_iter().collect();
-        engine.txn_commit(&reads, batch, opts)
+        db.txn_commit(&reads, batch, opts)
     }
 
     /// Discard the transaction: buffered writes are dropped, nothing

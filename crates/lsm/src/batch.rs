@@ -26,8 +26,8 @@ use scavenger_util::{Error, Result};
 /// Per-call write options: the single options type carried from the
 /// server wire protocol down to the WAL append.
 ///
-/// Every write entry point — `Lsm::write_opts`, the engine facade's
-/// `put_with`/`delete_with`/`write_with`, the `KvWrite` trait, and the
+/// Every write entry point — `Lsm::write_opts`, the engine handle's
+/// `put_with`/`delete_with`/`write_with`, transaction commits, and the
 /// server's Put/Delete/Write requests — takes this struct; there are no
 /// bare-bool durability knobs anywhere on the write path.
 #[derive(Debug, Clone)]

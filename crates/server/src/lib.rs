@@ -1,8 +1,8 @@
-//! `scavenger-server`: the network service layer over the unified
-//! [`Engine`](scavenger::Engine) surface.
+//! `scavenger-server`: the network service layer over the engine
+//! handle [`Db`](scavenger::Db).
 //!
 //! The storage engine below this crate is a library; this crate makes
-//! it a service. One generic [`Server`] hosts the engine handle — a
+//! it a service. One [`Server`] hosts the engine handle — a
 //! [`Db`](scavenger::Db) of one shard or of several, chosen at
 //! startup — behind a
 //! table-driven length-prefixed binary protocol on plain TCP
@@ -44,4 +44,4 @@ pub use metrics::{render_metrics, ServerMetrics};
 pub use pins::PinTable;
 pub use protocol::{BatchOp, Request, Response, SubscribeSpec, WireChange, WireCode};
 pub use rate_limit::TokenBucket;
-pub use service::{scrape_metrics, ServeEngine, Server, ServerConfig, ServerHandle};
+pub use service::{scrape_metrics, Server, ServerConfig, ServerHandle};

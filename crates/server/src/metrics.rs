@@ -4,13 +4,13 @@
 //! accounting, rate-limit and slow-query counters, per-op latency
 //! histograms. [`render_metrics`] stitches it together with the
 //! engine's [`DbStats`](scavenger::DbStats) exposition (including
-//! per-shard I/O attribution from `Maintenance::per_shard_stats`) into
+//! per-shard I/O attribution from [`Db::shard_stats`]) into
 //! the single text page served on the `/metrics` HTTP listener and the
 //! `Stats` wire request.
 
 use parking_lot::Mutex;
 use scavenger::stats::{io_prom_rows, prom_header, prom_line, render_rows};
-use scavenger::Maintenance;
+use scavenger::Db;
 use scavenger_util::hist::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -117,14 +117,14 @@ impl ServerMetrics {
 /// attributed per shard (never also as an unlabelled aggregate, which
 /// `sum by (class)` would double-count; an unsharded engine reports a
 /// single `shard="0"`), and the service-layer counters.
-pub fn render_metrics<E: Maintenance>(
-    engine: &E,
+pub fn render_metrics(
+    engine: &Db,
     metrics: &ServerMetrics,
     pinned: usize,
     change_streams: usize,
 ) -> String {
     let mut rows = engine.stats().prom_rows("");
-    let shards = engine.per_shard_stats();
+    let shards = engine.shard_stats();
     rows.push((
         "scavenger_shard_count",
         "gauge",

@@ -25,8 +25,8 @@ struct PinEntry<S> {
 
 /// Table of live server-side snapshots, keyed by wire id.
 ///
-/// Generic over the engine's snapshot type (whatever `Engine::Snap`
-/// names), so the table never names the handle.
+/// Generic over what it holds: the server keeps one table each of
+/// snapshots, transactions and change streams.
 pub struct PinTable<S> {
     inner: Mutex<PinTableInner<S>>,
     ttl: Duration,

@@ -18,7 +18,7 @@
 //! code, but reordering a row is a wire-format change (the frozen-bytes
 //! test fails).
 //!
-//! Requests cover the whole [`Engine`](scavenger::Engine) trait surface
+//! Requests cover the whole [`Db`](scavenger::Db) surface
 //! — point ops, batches, bounded scans (streamed back in chunked
 //! frames), snapshot open/read/close against the server's pin table,
 //! and maintenance (flush, GC, stats, shutdown). Integers and length
@@ -236,7 +236,7 @@ wire_struct! {
 
 // Row format: `Variant = opcode, "label", class { fields in wire order }`.
 messages! {
-    /// A client request frame. Covers the full `Engine` trait surface.
+    /// A client request frame. Covers the full `Db` surface.
     pub enum Request ("request opcode") {
         /// Liveness probe.
         Ping = 0x01, "ping", control,

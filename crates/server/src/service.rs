@@ -1,10 +1,9 @@
 //! The TCP server: accept loop, connection threads, graceful drain.
 //!
-//! [`Server::start`] takes an engine handle behind the [`ServeEngine`]
-//! bound — a [`Db`](scavenger::Db) of any size — and serves the
-//! framed protocol from [`crate::protocol`] on a TCP listener, with an
-//! optional second listener speaking just enough HTTP/1.0 to answer
-//! `GET /metrics` with Prometheus exposition text.
+//! [`Server::start`] takes the engine handle — a [`Db`] of any size —
+//! and serves the framed protocol from [`crate::protocol`] on a TCP
+//! listener, with an optional second listener speaking just enough
+//! HTTP/1.0 to answer `GET /metrics` with Prometheus exposition text.
 //!
 //! Production behaviors, in the order a request meets them:
 //!
@@ -35,9 +34,8 @@ use crate::protocol::{
 use crate::rate_limit::TokenBucket;
 use parking_lot::Mutex;
 use scavenger::{
-    Bytes, ChangeOp, ChangeRecord, ChangeStream, ChangeSubscriber, Engine, KvRead, PinnedReader,
-    ResumeToken, ScanIterator, SubscribeFrom, Transaction, Transactional, WriteBatch, WriteOptions,
-    WriteReceipt,
+    Bytes, ChangeOp, ChangeRecord, Db, DbChangeStream, DbScanIter, ResumeToken, Snapshot,
+    SubscribeFrom, Transaction, Transactional, WriteBatch, WriteOptions, WriteReceipt,
 };
 use scavenger_util::{Error, Result};
 use std::io::{ErrorKind, Read, Write};
@@ -46,35 +44,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Engines the server can host: the full [`Engine`] surface plus
-/// optimistic transactions ([`Transactional`]) and change streams
-/// ([`ChangeSubscriber`]), cloneable across connection threads, with
-/// snapshots, transaction views, and change streams that may live in
-/// the shared pin tables.
-pub trait ServeEngine:
-    Engine
-    + KvRead<Snap: Send + Sync, View: Send>
-    + Transactional
-    + ChangeSubscriber
-    + Clone
-    + Send
-    + Sync
-    + 'static
-{
-}
-
-impl<E> ServeEngine for E where
-    E: Engine
-        + KvRead<Snap: Send + Sync, View: Send>
-        + Transactional
-        + ChangeSubscriber
-        + Clone
-        + Send
-        + Sync
-        + 'static
-{
-}
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -126,21 +95,21 @@ impl Default for ServerConfig {
 /// How often idle loops re-check the shutdown flag.
 const POLL_TICK: Duration = Duration::from_millis(20);
 
-struct Shared<E: ServeEngine> {
-    engine: E,
+struct Shared {
+    engine: Db,
     cfg: ServerConfig,
     metrics: Arc<ServerMetrics>,
-    pins: PinTable<E::Snap>,
+    pins: PinTable<Snapshot>,
     /// Server-side transactions, keyed like snapshots (clients cannot
     /// hold a [`Transaction`] across the network, so the server does).
     /// The inner `Option` lets commit/rollback *take* the transaction
     /// out while other requests still resolve the id to a typed error
     /// instead of a race.
-    txns: PinTable<Mutex<Option<Transaction<E>>>>,
+    txns: PinTable<Mutex<Option<Transaction>>>,
     /// Server-side change streams, keyed like snapshots. Each live
     /// stream pins retained WAL history in the engine, so the same TTL
     /// sweep that bounds abandoned snapshots bounds abandoned streams.
-    streams: PinTable<Mutex<E::Stream>>,
+    streams: PinTable<Mutex<DbChangeStream>>,
     global_bucket: TokenBucket,
     shutdown: Arc<AtomicBool>,
 }
@@ -215,7 +184,7 @@ pub struct Server;
 impl Server {
     /// Bind the listeners and spawn the accept loop. Returns once the
     /// server is ready to take connections.
-    pub fn start<E: ServeEngine>(engine: E, cfg: ServerConfig) -> Result<ServerHandle> {
+    pub fn start(engine: Db, cfg: ServerConfig) -> Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -276,7 +245,7 @@ impl Server {
     }
 }
 
-fn accept_loop<E: ServeEngine>(listener: TcpListener, shared: Arc<Shared<E>>) {
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -344,7 +313,7 @@ fn reject_conn(mut stream: TcpStream) {
     let _ = write_frame(&mut stream, &payload);
 }
 
-fn serve_conn<E: ServeEngine>(mut stream: TcpStream, shared: &Shared<E>) {
+fn serve_conn(mut stream: TcpStream, shared: &Shared) {
     if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
         return;
     }
@@ -462,7 +431,7 @@ fn finish(m: &ServerMetrics, stream: &mut TcpStream, resp: Response) -> bool {
     send(stream, &resp).is_ok()
 }
 
-impl<E: ServeEngine> Shared<E> {
+impl Shared {
     /// Charge one rate-limit token: the connection's own bucket first,
     /// the global one second, so whatever a connection sends over its
     /// own limit is refused without costing the other connections a
@@ -475,7 +444,7 @@ impl<E: ServeEngine> Shared<E> {
     }
 
     /// Run `f` on a live server-side transaction.
-    fn with_txn(&self, id: u64, f: impl FnOnce(&mut Transaction<E>) -> Response) -> Response {
+    fn with_txn(&self, id: u64, f: impl FnOnce(&mut Transaction) -> Response) -> Response {
         let cell = self.txns.get(id);
         let live = cell.and_then(|cell| cell.lock().as_mut().map(f));
         live.unwrap_or_else(|| pin_gone(&self.metrics, "transaction", id))
@@ -484,7 +453,7 @@ impl<E: ServeEngine> Shared<E> {
     /// Take a transaction out of its cell (commit and rollback consume
     /// it), then drop the table entry; a concurrent request for the
     /// same id resolves to a typed error.
-    fn take_txn(&self, id: u64) -> Option<Transaction<E>> {
+    fn take_txn(&self, id: u64) -> Option<Transaction> {
         let t = self.txns.get(id).and_then(|cell| cell.lock().take())?;
         self.txns.close(id);
         Some(t)
@@ -493,9 +462,9 @@ impl<E: ServeEngine> Shared<E> {
 
 /// Handle one request; returns `false` when the connection should
 /// close (shutdown request or write failure).
-fn handle_request<E: ServeEngine>(
+fn handle_request(
     stream: &mut TcpStream,
-    shared: &Shared<E>,
+    shared: &Shared,
     conn_bucket: &TokenBucket,
     req: Request,
 ) -> bool {
@@ -544,9 +513,9 @@ fn request_key_bytes(req: &Request) -> usize {
     }
 }
 
-fn dispatch<E: ServeEngine>(
+fn dispatch(
     stream: &mut TcpStream,
-    shared: &Shared<E>,
+    shared: &Shared,
     conn_bucket: &TokenBucket,
     req: Request,
 ) -> bool {
@@ -680,13 +649,13 @@ fn dispatch<E: ServeEngine>(
 /// scan with a `RATE_LIMITED` error frame.
 ///
 /// Rows are pulled a chunk at a time through
-/// [`ScanIterator::collect_n`], never more than `limit` still allows,
+/// [`DbScanIter::collect_n`], never more than `limit` still allows,
 /// so the engine resolves exactly the rows that go on the wire.
-fn stream_scan<E: ServeEngine>(
+fn stream_scan(
     stream: &mut TcpStream,
-    shared: &Shared<E>,
+    shared: &Shared,
     conn_bucket: &TokenBucket,
-    mut iter: E::Iter,
+    mut iter: DbScanIter,
     limit: u32,
 ) -> bool {
     let m = &shared.metrics;
@@ -703,8 +672,9 @@ fn stream_scan<E: ServeEngine>(
             Err(e) => return finish(m, stream, Response::from_error(&e)),
         };
         remaining -= rows.len();
-        // A short chunk — range exhausted or limit reached — is the last.
-        let last = rows.len() < chunk_cap;
+        // A short chunk (range exhausted) or the limit reached ends the
+        // scan: no empty trailing chunk, which would cost another token.
+        let last = rows.len() < chunk_cap || remaining == 0;
         if !first_chunk && !shared.admit(conn_bucket) {
             m.rate_limited.fetch_add(1, Ordering::Relaxed);
             let resp = Response::error(WireCode::RateLimited, "rate limit exceeded mid-scan");
@@ -753,11 +723,11 @@ fn wire_change(r: ChangeRecord) -> WireChange {
 /// *before* events leave the cursor, a throttled poll can never drop
 /// history (unlike a scan, a change stream is a position, not a
 /// request-scoped iterator, so truncation is lossless).
-fn stream_changes<E: ServeEngine>(
+fn stream_changes(
     stream: &mut TcpStream,
-    shared: &Shared<E>,
+    shared: &Shared,
     conn_bucket: &TokenBucket,
-    cell: &Mutex<E::Stream>,
+    cell: &Mutex<DbChangeStream>,
     max: u32,
 ) -> bool {
     let m = &shared.metrics;
@@ -811,7 +781,7 @@ fn stream_changes<E: ServeEngine>(
 
 // ---------------- metrics endpoint ----------------
 
-fn metrics_loop<E: ServeEngine>(listener: TcpListener, shared: Arc<Shared<E>>) {
+fn metrics_loop(listener: TcpListener, shared: Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => serve_metrics_conn(stream, &shared),
@@ -823,7 +793,7 @@ fn metrics_loop<E: ServeEngine>(listener: TcpListener, shared: Arc<Shared<E>>) {
 
 /// Answer one HTTP/1.0 request on the metrics listener. Only
 /// `GET /metrics` exists; everything else is a 404.
-fn serve_metrics_conn<E: ServeEngine>(mut stream: TcpStream, shared: &Shared<E>) {
+fn serve_metrics_conn(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut buf = [0u8; 4096];

@@ -25,9 +25,7 @@ pub mod ycsb;
 use scavenger_util::Result;
 
 /// Minimal store interface the workloads drive. The bench crate's
-/// `EngineKvStore` adapter implements it once, generically, for any
-/// engine behind scavenger's unified trait surface (`KvRead +
-/// KvWrite`): a single `Db`, a sharded `DbShards`, or a future backend.
+/// `DbKvStore` adapter implements it for a scavenger `Db` of any size.
 pub trait KvStore {
     /// Insert or overwrite.
     fn put(&self, key: &[u8], value: &[u8]) -> Result<()>;

@@ -1,25 +1,23 @@
 //! Quickstart: open a Scavenger database with the typed options
 //! builder, write, read, scan, delete, take pinned views/snapshots,
-//! and inspect the space statistics — then run the *same* generic code
-//! against a sharded store: a plain store and a sharded one are the same
-//! handle, `Db`, behind the engine traits (`KvRead + KvWrite +
-//! Maintenance`).
+//! and inspect the space statistics — then run the *same* code against
+//! a sharded store: a plain store and a sharded one are the same
+//! handle, `Db`.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use scavenger::{
-    Db, DbShards, Engine, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, WriteOptions,
+    Db, DbShards, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, WriteOptions,
 };
 
-/// Written once against the trait surface; works on a `Db` of any size. The `Engine` bound is shorthand for
-/// `KvRead + KvWrite + Maintenance`.
-fn tour<E: Engine>(db: &E, label: &str) -> scavenger::Result<()> {
+/// Written once; works on a `Db` of any size.
+fn tour(db: &Db, label: &str) -> scavenger::Result<()> {
     println!("=== {label} ===");
 
     // Small values stay inline in the index LSM-tree; values >= 512 B
     // are separated into value SSTs (RecordBasedTables).
-    db.put(b"config:theme", b"dark".to_vec().into())?;
-    db.put(b"blob:avatar", vec![0xAB; 16 * 1024].into())?;
+    db.put(b"config:theme", b"dark".to_vec())?;
+    db.put(b"blob:avatar", vec![0xAB; 16 * 1024])?;
 
     let theme = db.get(b"config:theme")?.expect("present");
     println!("config:theme = {:?}", std::str::from_utf8(&theme).unwrap());
@@ -38,7 +36,7 @@ fn tour<E: Engine>(db: &E, label: &str) -> scavenger::Result<()> {
         ..WriteOptions::default()
     };
     for version in 0..50u8 {
-        db.put_with(&bulk, b"blob:avatar", vec![version; 16 * 1024].into())?;
+        db.put_with(&bulk, b"blob:avatar", vec![version; 16 * 1024])?;
     }
     db.delete(b"config:theme")?;
     assert!(db.get(b"config:theme")?.is_none());
@@ -55,9 +53,7 @@ fn tour<E: Engine>(db: &E, label: &str) -> scavenger::Result<()> {
     println!("garbage collection ran {jobs} job(s)");
 
     // The snapshot still reads its epoch — strictly, with no retries:
-    // the GC preserved every version the snapshot can see. (Pinned
-    // surfaces implement the `PinnedReader` trait.)
-    use scavenger::PinnedReader;
+    // the GC preserved every version the snapshot can see.
     let old_avatar = snapshot.get(b"blob:avatar")?.expect("pinned");
     assert_eq!(old_avatar[0], 0xAB, "snapshot reads the pre-update value");
     let old_theme = snapshot.get(b"config:theme")?.expect("pinned");
@@ -103,7 +99,7 @@ fn main() -> scavenger::Result<()> {
     let single = Db::open(opts)?;
     tour(&single, "plain store (Db, 1 shard)")?;
 
-    // Same tour, zero new code: a 4-shard store behind the same traits.
+    // Same tour, zero new code: a 4-shard store is the same handle.
     let mut opts =
         ShardedOptions::new(MemEnv::shared(), "quickstart-shards", EngineMode::Scavenger);
     opts.num_shards = 4;

@@ -75,7 +75,7 @@ fn main() -> scavenger::Result<()> {
             s.gc.runs, s.gc.reclaimed_bytes, s.flushes
         );
     }
-    // One more pass through the unified GcReport: outcomes are indexed
+    // One more pass through the GcReport: outcomes are indexed
     // by shard, and the aggregate sums the whole set.
     let report = db.run_gc()?;
     println!(

@@ -1,27 +1,25 @@
 //! Run the six YCSB core workloads against a Scavenger database (paper
 //! §IV-C) and report per-workload throughput — then replay workload A
-//! on a sharded store through the *same* adapter, which is written once
-//! against the unified engine traits.
+//! on a sharded store through the *same* adapter, written once against
+//! the one handle type, `Db`.
 //!
 //! Run with: `cargo run --release --example ycsb_tour`
 
 use scavenger::{
-    Db, DbShards, EngineMode, KvRead, KvWrite, Maintenance, MemEnv, Options, ReadOptions,
-    ShardedOptions, WriteOptions,
+    Db, DbShards, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, WriteOptions,
 };
 use scavenger_env::EnvRef;
 
 // The workload crate drives any KvStore; examples implement the adapter
-// inline to show the full integration surface. Written against the
-// trait surface (`KvRead + KvWrite`), it serves a `Db`, a `DbShards`,
-// or any future backend unchanged. Every operation routes through the
+// inline to show the full integration surface. Written against `Db`,
+// it serves a store of any size unchanged. Every operation routes through the
 // explicit-options entry points: YCSB writes skip the per-write WAL
 // fsync (the benchmark measures engine throughput, not fsync latency)
 // and scans read through per-call options.
-struct Adapter<'a, E>(&'a E, WriteOptions);
+struct Adapter<'a>(&'a Db, WriteOptions);
 
-impl<'a, E: KvRead + KvWrite> Adapter<'a, E> {
-    fn new(db: &'a E) -> Self {
+impl<'a> Adapter<'a> {
+    fn new(db: &'a Db) -> Self {
         Adapter(
             db,
             WriteOptions {
@@ -37,11 +35,9 @@ use scavenger_workload::values::ValueGen;
 use scavenger_workload::ycsb::YcsbWorkload;
 use scavenger_workload::KvStore;
 
-impl<E: KvRead + KvWrite> KvStore for Adapter<'_, E> {
+impl KvStore for Adapter<'_> {
     fn put(&self, key: &[u8], value: &[u8]) -> scavenger::Result<()> {
-        self.0
-            .put_with(&self.1, key, value.to_vec().into())
-            .map(|_| ())
+        self.0.put_with(&self.1, key, value.to_vec()).map(|_| ())
     }
     fn get(&self, key: &[u8]) -> scavenger::Result<Option<Vec<u8>>> {
         Ok(self.0.get(key)?.map(|b| b.to_vec()))
@@ -63,8 +59,8 @@ impl<E: KvRead + KvWrite> KvStore for Adapter<'_, E> {
     }
 }
 
-/// The whole tour, generic over the engine: load, run A–F, report.
-fn run_tour<E: KvRead + KvWrite + Maintenance>(db: &E, n: u64) -> scavenger::Result<()> {
+/// The whole tour, at any store size: load, run A–F, report.
+fn run_tour(db: &Db, n: u64) -> scavenger::Result<()> {
     let store = Adapter::new(db);
     let mut runner = Runner::new(n * 2, ValueGen::mixed_8k(), 7).with_verification();
     println!("loading {n} keys (Mixed-8K values)...");
@@ -113,8 +109,8 @@ fn main() -> scavenger::Result<()> {
     println!("=== single engine (Db) ===");
     run_tour(&db, 1_000)?;
 
-    // Identical adapter + tour on a sharded store: the trait surface is
-    // the whole integration contract.
+    // Identical adapter + tour on a sharded store: it is the same
+    // handle type.
     let mut opts = ShardedOptions::new(MemEnv::shared(), "db-shards", EngineMode::Scavenger);
     opts.num_shards = 4;
     opts.base.memtable_size = 128 * 1024;

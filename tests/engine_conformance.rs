@@ -1,15 +1,13 @@
-//! Generic engine-conformance suite: ONE test body, written purely
-//! against the trait surface (`KvRead + KvWrite + Maintenance`, i.e.
-//! [`Engine`]), instantiated for a plain [`Db`] and a 4-shard one
-//! ([`DbShards`] names the same type) across the Scavenger, Titan, and
-//! Terark modes. Both sizes must produce identical observable results — gets, pinned
-//! (view/snapshot) reads through the unified [`ReadOptions`], merged
-//! scan order and contents, and post-GC state — which is what makes the
-//! trait surface "write once, run on every backend".
+//! Engine-conformance suite: ONE test body taking a `&Db`, run on a
+//! plain [`Db`] and a 4-shard one ([`DbShards`] names the same type)
+//! across the Scavenger, Titan, and Terark modes. Both sizes must
+//! produce identical observable results — gets, pinned (view/snapshot)
+//! reads through the unified [`ReadOptions`], merged scan order and
+//! contents, and post-GC state.
 
 use scavenger::{
-    Db, DbShards, Engine, EngineMode, MemEnv, Options, PinnedReader, ReadOptions, ReadPin,
-    ShardedOptions, Transactional, WriteBatch, WriteOptions,
+    Db, DbShards, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, Transactional,
+    WriteBatch, WriteOptions,
 };
 
 fn key(i: usize) -> String {
@@ -72,17 +70,11 @@ fn drain<I: Iterator<Item = scavenger::Result<scavenger::ScanEntry>>>(
     .collect()
 }
 
-/// The one generic suite. Every call in here goes through the trait
-/// surface; no `Db`-vs-`DbShards` branching anywhere.
-fn drive<E>(db: &E) -> Observation
-where
-    E: Engine,
-    for<'a> &'a E::View: Into<ReadPin<'a>>,
-    for<'a> &'a E::Snap: Into<ReadPin<'a>>,
-{
+/// The one suite: no branching on the store's size anywhere.
+fn drive(db: &Db) -> Observation {
     // Epoch 0: 80 keys, large enough to separate in KV-separated modes.
     for i in 0..80 {
-        db.put(key(i).as_bytes(), value(i, 2048).into()).unwrap();
+        db.put(key(i), value(i, 2048)).unwrap();
     }
     db.flush().unwrap();
 
@@ -91,12 +83,11 @@ where
     let snap = db.snapshot();
 
     // Churn: overwrites, deletes, and a mixed batch (split per shard on
-    // the sharded handle — per-shard atomicity documented on
-    // `KvWrite::write`), then expose garbage and collect it.
+    // the sharded handle — atomicity documented on `Db::write_with`),
+    // then expose garbage and collect it.
     for round in 1..=3 {
         for i in 0..80 {
-            db.put(key(i).as_bytes(), value(round * 100 + i, 2048).into())
-                .unwrap();
+            db.put(key(i), value(round * 100 + i, 2048)).unwrap();
         }
         db.flush().unwrap();
     }
@@ -113,8 +104,7 @@ where
         sync: false,
         ..WriteOptions::default()
     };
-    db.put_with(&nosync, key(216).as_bytes(), value(216, 700).into())
-        .unwrap();
+    db.put_with(&nosync, key(216), value(216, 700)).unwrap();
     db.flush().unwrap();
     db.compact_all().unwrap();
 
@@ -126,8 +116,8 @@ where
     assert_eq!(report.ran(), report.jobs() > 0);
     db.run_gc_until_clean().unwrap();
 
-    // The pinned epoch, read three ways per pin: directly through the
-    // `PinnedReader` surface, and via `get_with` through the `ReadPin`.
+    // The pinned epoch, read two ways per pin: directly through the
+    // view or snapshot, and via `get_with` through the `ReadPin`.
     let view_gets = (0..80)
         .map(|i| view.get(key(i).as_bytes()).unwrap().map(|b| b.to_vec()))
         .collect();
@@ -189,7 +179,7 @@ where
         })
         .collect();
 
-    // Introspection sanity through the Maintenance trait.
+    // Introspection sanity.
     let stats = db.stats();
     assert!(stats.flushes > 0, "flushes must be counted");
     assert!(stats.space.total() > 0, "stats.space must be populated");
@@ -294,8 +284,8 @@ fn foreign_pins_are_rejected() {
 }
 
 /// Everything the generic driver can observe about an engine's
-/// transaction surface. Same discipline as [`Observation`]: purely
-/// trait-level, no handle-specific branching.
+/// transaction surface. Same discipline as [`Observation`]: no
+/// size-specific branching.
 #[derive(Debug, PartialEq, Eq)]
 struct TxnObservation {
     /// Latest values after a committed multi-key transaction.
@@ -321,12 +311,9 @@ struct TxnObservation {
 /// The generic transaction suite: commit visibility, rollback
 /// invisibility, W-W and R-W conflicts, snapshot-isolation reads — one
 /// body for both handles.
-fn drive_txn<E>(db: &E) -> TxnObservation
-where
-    E: Engine + Transactional,
-{
+fn drive_txn(db: &Db) -> TxnObservation {
     for i in 0..20 {
-        db.put(key(i).as_bytes(), value(i, 256).into()).unwrap();
+        db.put(key(i), value(i, 256)).unwrap();
     }
     let base = db.stats();
 
@@ -370,7 +357,7 @@ where
     // with nothing written.
     let mut t = db.begin();
     let _ = t.get(key(3).as_bytes()).unwrap();
-    db.put(key(3).as_bytes(), value(9003, 256).into()).unwrap();
+    db.put(key(3), value(9003, 256)).unwrap();
     t.put(key(3).as_bytes(), value(7003, 256));
     t.put(key(103).as_bytes(), value(103, 256));
     let err = t.commit().expect_err("stale read-modify-write must abort");
@@ -400,8 +387,7 @@ where
     let mut t = db.begin();
     let pre = t.get(key(10).as_bytes()).unwrap();
     for i in 10..14 {
-        db.put(key(i).as_bytes(), value(8000 + i, 256).into())
-            .unwrap();
+        db.put(key(i), value(8000 + i, 256)).unwrap();
     }
     let mut si_reads = vec![pre];
     si_reads.push(t.get(key(10).as_bytes()).unwrap()); // begin-time, not 8010

@@ -6,7 +6,7 @@
 //! `Iterator` impl at both store sizes.
 
 use scavenger::{
-    Db, DbScanIter, DbShards, Engine, EngineMode, EnvRef, MemEnv, Options, Result, ScanEntry,
+    Db, DbScanIter, DbShards, EngineMode, EnvRef, MemEnv, Options, Result, ScanEntry,
     ShardedOptions,
 };
 
@@ -39,9 +39,9 @@ fn sharded(env: EnvRef, dir: &str) -> DbShards {
     DbShards::open(o).unwrap()
 }
 
-fn load<E: Engine>(db: &E, n: usize) {
+fn load(db: &Db, n: usize) {
     for i in 0..n {
-        db.put(key(i).as_bytes(), value(i, 1024).into()).unwrap();
+        db.put(key(i), value(i, 1024)).unwrap();
     }
     db.flush().unwrap();
 }

@@ -13,8 +13,7 @@
 
 use bytes::Bytes;
 use scavenger::{
-    ChangeStream, ChangeSubscriber, DbShards, EngineMode, MemEnv, ShardedOptions, SubscribeFrom,
-    WriteBatch, WriteOptions,
+    DbShards, EngineMode, MemEnv, ShardedOptions, SubscribeFrom, WriteBatch, WriteOptions,
 };
 use scavenger_env::{Env, EnvRef, FaultEnv, FaultKind, FaultOp, FaultRule, Trigger};
 use std::sync::Arc;

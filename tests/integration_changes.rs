@@ -20,8 +20,8 @@
 //!   after reopen.
 
 use scavenger::{
-    ChangeOp, ChangeRecord, ChangeStream, ChangeSubscriber, Db, DbShards, Engine, EngineMode,
-    MemEnv, Options, ShardedOptions, SubscribeFrom, WriteBatch, WriteOptions,
+    ChangeOp, ChangeRecord, Db, DbChangeStream, DbShards, EngineMode, MemEnv, Options,
+    ShardedOptions, SubscribeFrom, WriteBatch, WriteOptions,
 };
 use scavenger_env::EnvRef;
 use std::collections::HashMap;
@@ -44,13 +44,13 @@ fn val(i: u32, round: u32) -> Vec<u8> {
 /// Drive a deterministic churny workload: overwrite rounds, deletes,
 /// atomic batches, with flush + GC between rounds so history crosses
 /// WAL rotations, compactions, and value-log rewrites.
-fn churn<E: Engine>(db: &E, oracle: &mut Oracle, rounds: u32, keys: u32) {
+fn churn(db: &Db, oracle: &mut Oracle, rounds: u32, keys: u32) {
     let opts = WriteOptions::default();
     for round in 0..rounds {
         for i in 0..keys {
             let k = key(i);
             let v = val(i, round);
-            db.put_with(&opts, &k, v.clone().into()).unwrap();
+            db.put_with(&opts, &k, v.clone()).unwrap();
             oracle.entry(k).or_default().push(Some(v));
         }
         // Delete a sliding window of keys each round.
@@ -73,7 +73,7 @@ fn churn<E: Engine>(db: &E, oracle: &mut Oracle, rounds: u32, keys: u32) {
     }
 }
 
-fn drain<S: ChangeStream>(s: &mut S) -> Vec<ChangeRecord> {
+fn drain(s: &mut DbChangeStream) -> Vec<ChangeRecord> {
     let mut out = Vec::new();
     loop {
         let batch = s.poll_changes(173).unwrap();
@@ -140,10 +140,7 @@ fn sharded(env: EnvRef, dir: &str, mode: EngineMode) -> DbShards {
 /// through every flush/compaction/GC cycle, then replays the exact
 /// committed history — with `cdc_retention = 0`, only the registration
 /// keeps that WAL history alive.
-fn slow_subscriber_sees_exact_history<H>(db: &H)
-where
-    H: Engine + ChangeSubscriber,
-{
+fn slow_subscriber_sees_exact_history(db: &Db) {
     let mut early = db.subscribe_changes(SubscribeFrom::Oldest).unwrap();
     let mut oracle = Oracle::new();
     churn(db, &mut oracle, 6, 20);
@@ -154,10 +151,7 @@ where
 
 /// Stop mid-replay, throw the stream away, churn more, resume from the
 /// token: the concatenation is exactly the committed history.
-fn resume_token_survives_churn<H>(db: &H)
-where
-    H: Engine + ChangeSubscriber,
-{
+fn resume_token_survives_churn(db: &Db) {
     let mut oracle = Oracle::new();
     churn(db, &mut oracle, 3, 16);
 
@@ -238,11 +232,7 @@ fn resume_across_churn_shards() {
 /// the pre-crash head is exactly the synced committed history. Needs a
 /// speculative retention budget — subscriber registrations do not
 /// survive the process.
-fn crash_resume<H, F>(open: F, dir: &str)
-where
-    H: Engine + ChangeSubscriber,
-    F: Fn(EnvRef, &str) -> H,
-{
+fn crash_resume(open: impl Fn(EnvRef, &str) -> Db, dir: &str) {
     let env = MemEnv::shared();
     let mut oracle = Oracle::new();
     let head;
@@ -257,7 +247,7 @@ where
             for i in 0..12u32 {
                 let k = key(i);
                 let v = val(i, round);
-                db.put_with(&opts, &k, v.clone().into()).unwrap();
+                db.put_with(&opts, &k, v.clone()).unwrap();
                 oracle.entry(k).or_default().push(Some(v));
             }
             db.flush().unwrap();

@@ -22,10 +22,7 @@
 //! `0xdecaf`), so CI can pin seeds and crank coverage.
 
 use scavenger::gc::GC_THRESHOLD;
-use scavenger::{
-    Db, DbShards, Engine, EngineMode, KvRead, Maintenance, MemEnv, Options, ShardedOptions,
-    WriteOptions,
-};
+use scavenger::{Db, DbShards, EngineMode, MemEnv, Options, ShardedOptions, WriteOptions};
 use scavenger_env::{Env, EnvRef, FaultEnv, FaultKind, FaultOp, FaultRule, Trigger};
 use scavenger_workload::crash::{self, CrashOp, Model};
 use std::sync::Arc;
@@ -77,7 +74,7 @@ fn open_sharded(env: EnvRef, mode: EngineMode) -> scavenger::Result<DbShards> {
     DbShards::open(so)
 }
 
-fn apply_op<E: Engine>(db: &E, op: &CrashOp) -> scavenger::Result<()> {
+fn apply_op(db: &Db, op: &CrashOp) -> scavenger::Result<()> {
     match *op {
         CrashOp::Put {
             key,
@@ -90,8 +87,8 @@ fn apply_op<E: Engine>(db: &E, op: &CrashOp) -> scavenger::Result<()> {
                     sync,
                     ..Default::default()
                 },
-                &crash::key_bytes(key),
-                crash::value_bytes(key, stamp, len).into(),
+                crash::key_bytes(key),
+                crash::value_bytes(key, stamp, len),
             )
             .map(|_| ()),
         CrashOp::Delete { key, sync } => db
@@ -100,7 +97,7 @@ fn apply_op<E: Engine>(db: &E, op: &CrashOp) -> scavenger::Result<()> {
                     sync,
                     ..Default::default()
                 },
-                &crash::key_bytes(key),
+                crash::key_bytes(key),
             )
             .map(|_| ()),
         CrashOp::Flush => db.flush(),
@@ -125,7 +122,7 @@ fn apply_op<E: Engine>(db: &E, op: &CrashOp) -> scavenger::Result<()> {
     }
 }
 
-fn recovered_model<E: Engine>(db: &E, ctx: &str) -> Model {
+fn recovered_model(db: &Db, ctx: &str) -> Model {
     let mut m = Model::new();
     for entry in db
         .scan(b"", None)
@@ -158,7 +155,7 @@ const CRASH_POINTS: &[(FaultOp, &str)] = &[
     (FaultOp::Sync, "COORD"),
 ];
 
-fn run_cycle<E: Engine, O: Fn(EnvRef) -> scavenger::Result<E>>(
+fn run_cycle<O: Fn(EnvRef) -> scavenger::Result<Db>>(
     open: &O,
     per_key_only: bool,
     seed: u64,
@@ -367,9 +364,8 @@ fn degraded_mode_serves_reads_and_resume_restores_writes() {
     );
 }
 
-/// Same availability contract on the sharded handle, driven through the
-/// unified `Maintenance` trait (`resume` is part of the engine
-/// surface).
+/// Same availability contract on a sharded store: one `resume` clears
+/// every degraded shard.
 #[test]
 fn degraded_shard_set_resumes_through_the_trait() {
     let fault = FaultEnv::wrap(MemEnv::shared(), 0xfee2);
@@ -379,7 +375,7 @@ fn degraded_shard_set_resumes_through_the_trait() {
         db.put(crash::key_bytes(i), crash::value_bytes(i, 1, 700))
             .unwrap();
     }
-    Maintenance::flush(&db).unwrap();
+    db.flush().unwrap();
 
     fault.add_rule(FaultRule {
         op: FaultOp::Write,
@@ -391,20 +387,19 @@ fn degraded_shard_set_resumes_through_the_trait() {
     for i in 60..120u32 {
         let _ = db.put(crash::key_bytes(i), crash::value_bytes(i, 1, 700));
     }
-    let _ = Maintenance::flush(&db).expect_err("flush must fail under the fault");
+    let _ = db.flush().expect_err("flush must fail under the fault");
     assert!(db.is_degraded(), "at least one shard must be degraded");
     assert!(db.stats().degraded, "aggregate stats OR the shard gauges");
     // Reads still served (possibly minus the unsynced tail on the
     // degraded shard — but everything flushed earlier is there).
-    assert!(KvRead::scan(&db, b"", None).unwrap().count() >= 60);
+    assert!(db.scan(b"", None).unwrap().count() >= 60);
 
     fault.clear_rules();
-    let maint: &dyn Maintenance = &db;
-    maint.resume().expect("trait resume clears every shard");
+    db.resume().expect("resume clears every shard");
     assert!(!db.is_degraded());
     db.put(crash::key_bytes(0), crash::value_bytes(0, 9, 700))
         .unwrap();
-    Maintenance::flush(&db).unwrap();
+    db.flush().unwrap();
 }
 
 /// `heal()` without `crash()` must be a no-op on durability: a fault

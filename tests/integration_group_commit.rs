@@ -5,7 +5,7 @@
 //! with post-crash recovery still honoring the durable-floor oracle.
 
 use scavenger::{
-    Db, DbShards, Engine, EngineMode, MemEnv, Options, ShardedOptions, WriteBatch, WriteOptions,
+    Db, DbShards, EngineMode, MemEnv, Options, ShardedOptions, WriteBatch, WriteOptions,
     WriteReceipt,
 };
 use scavenger_env::{
@@ -298,7 +298,7 @@ fn fsync_failure_degrades_the_whole_group() {
     );
 }
 
-fn apply_op<E: Engine>(db: &E, op: &CrashOp) -> scavenger::Result<()> {
+fn apply_op(db: &Db, op: &CrashOp) -> scavenger::Result<()> {
     match *op {
         CrashOp::Put {
             key,
@@ -311,8 +311,8 @@ fn apply_op<E: Engine>(db: &E, op: &CrashOp) -> scavenger::Result<()> {
                     sync,
                     ..Default::default()
                 },
-                &crash::key_bytes(key),
-                crash::value_bytes(key, stamp, len).into(),
+                crash::key_bytes(key),
+                crash::value_bytes(key, stamp, len),
             )
             .map(|_| ()),
         CrashOp::Delete { key, sync } => db
@@ -321,7 +321,7 @@ fn apply_op<E: Engine>(db: &E, op: &CrashOp) -> scavenger::Result<()> {
                     sync,
                     ..Default::default()
                 },
-                &crash::key_bytes(key),
+                crash::key_bytes(key),
             )
             .map(|_| ()),
         CrashOp::Flush => db.flush(),
@@ -346,7 +346,7 @@ fn apply_op<E: Engine>(db: &E, op: &CrashOp) -> scavenger::Result<()> {
     }
 }
 
-fn recovered_model<E: Engine>(db: &E) -> Model {
+fn recovered_model(db: &Db) -> Model {
     let mut m = Model::new();
     for entry in db.scan(b"", None).expect("scan after recovery") {
         let e = entry.expect("scan entry after recovery");

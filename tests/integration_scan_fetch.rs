@@ -15,8 +15,8 @@
 use scavenger::vstore::vtable::vfile_path;
 use scavenger::vstore::SCAN_COALESCE;
 use scavenger::{
-    Bytes, Db, DbShards, Engine, EngineMode, EnvRef, IoClass, MemEnv, Options, PinnedReader,
-    Result, ScanEntry, ScanIterator, ShardedOptions,
+    Bytes, Db, DbShards, EngineMode, EnvRef, IoClass, MemEnv, Options, ReadOptions, ReadPin,
+    Result, ScanEntry, ShardedOptions,
 };
 use scavenger_env::fault::{FaultEnv, FaultOp, FaultRule};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,23 +50,26 @@ fn small_opts(env: EnvRef, dir: &str, mode: EngineMode) -> Options {
     o
 }
 
-/// `scan(lo, None)` through `reader` must equal `[get(k)]` for the keys
-/// `lo..`, row for row, under every way of consuming the iterator.
-fn assert_scan_equals_gets<R: PinnedReader>(reader: &R, n_keys: usize, what: &str)
-where
-    R::Iter: ScanIterator,
-{
+/// An unbounded scan from `lo` at `pin` must equal `[get(k)]` at `pin`
+/// for the keys `lo..`, row for row, under every way of consuming the
+/// iterator.
+fn assert_scan_equals_gets(db: &Db, pin: ReadPin<'_>, n_keys: usize, what: &str) {
     for lo in [0, n_keys / 3] {
         let expected: Vec<ScanEntry> = (lo..n_keys)
             .filter_map(|i| {
-                reader
-                    .get(&key(i))
+                db.get_with(&ReadOptions::pinned(pin), key(i))
                     .unwrap()
                     .map(|value| ScanEntry { key: key(i), value })
             })
             .collect();
         assert!(expected.len() > 60, "{what}: setup left too few rows");
-        let scan = || reader.scan(&key(lo), None).unwrap();
+        let scan = || {
+            let from_lo = ReadOptions {
+                lower_bound: Some(key(lo)),
+                ..ReadOptions::pinned(pin)
+            };
+            db.scan_with(&from_lo).unwrap()
+        };
 
         // One `next()` at a time, to the end.
         let all: Vec<ScanEntry> = scan().collect::<Result<_>>().unwrap();
@@ -99,49 +102,44 @@ where
     }
 }
 
-/// The engine is its own latest-state reader.
-struct Latest<'a, E: Engine>(&'a E);
-
-impl<E: Engine> PinnedReader for Latest<'_, E> {
-    type Iter = E::Iter;
-
-    fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        self.0.get(key)
-    }
-
-    fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<E::Iter> {
-        self.0.scan(lo, hi)
-    }
-}
-
 /// Load → snapshot → overwrite (and delete a few) → compact → GC, then
 /// hold scans to gets at the snapshot and at the latest state; drop the
 /// snapshot, GC again (Titan defers jobs while one exists), re-check.
-fn check_scan_equivalence<E: Engine>(db: &E, what: &str) {
+fn check_scan_equivalence(db: &Db, what: &str) {
     const N: usize = 240;
     for i in 0..N {
-        db.put(&key(i), value(i, 1).into()).unwrap();
+        db.put(key(i), value(i, 1)).unwrap();
     }
     db.flush().unwrap();
     let snap = db.snapshot();
     for round in 2..=4 {
         for i in (0..N).filter(|i| i % round != 1) {
-            db.put(&key(i), value(i, round).into()).unwrap();
+            db.put(key(i), value(i, round)).unwrap();
         }
         db.flush().unwrap();
     }
     for i in (0..N).step_by(17) {
-        db.delete(&key(i)).unwrap();
+        db.delete(key(i)).unwrap();
     }
     db.flush().unwrap();
     db.compact_all().unwrap();
     let jobs: usize = db.run_gc_until_clean().unwrap();
 
-    assert_scan_equals_gets(&snap, N, &format!("{what} @snapshot ({jobs} GC jobs)"));
-    assert_scan_equals_gets(&Latest(db), N, &format!("{what} @latest ({jobs} GC jobs)"));
+    assert_scan_equals_gets(
+        db,
+        ReadPin::Snapshot(&snap),
+        N,
+        &format!("{what} @snapshot ({jobs} GC jobs)"),
+    );
+    assert_scan_equals_gets(
+        db,
+        ReadPin::Latest,
+        N,
+        &format!("{what} @latest ({jobs} GC jobs)"),
+    );
     for i in (0..N).step_by(11) {
         assert_eq!(
-            snap.get(&key(i)).unwrap().unwrap(),
+            snap.get(key(i)).unwrap().unwrap(),
             Bytes::from(value(i, 1)),
             "{what}: snapshot lost key {i}"
         );
@@ -150,7 +148,8 @@ fn check_scan_equivalence<E: Engine>(db: &E, what: &str) {
     db.compact_all().unwrap();
     db.run_gc_until_clean().unwrap();
     assert_scan_equals_gets(
-        &Latest(db),
+        db,
+        ReadPin::Latest,
         N,
         &format!("{what} @latest after snapshot drop"),
     );

@@ -1,7 +1,7 @@
 //! End-to-end service-layer tests: real TCP connections against a
-//! [`Server`] hosting either engine handle — a single [`Db`] and a
-//! 4-shard [`DbShards`] — through ONE generic suite (the same
-//! write-once-run-anywhere discipline as `engine_conformance`).
+//! [`Server`] hosting a [`Db`] of one shard and of four
+//! ([`DbShards`]) through ONE suite (the same discipline as
+//! `engine_conformance`).
 //!
 //! Covered here, over actual sockets (no in-process shortcuts):
 //! acked-write durability across graceful shutdown + reopen with four
@@ -12,8 +12,8 @@
 
 use scavenger::{Bytes, Db, DbShards, EngineMode, MemEnv, Options, ShardedOptions, WriteOptions};
 use scavenger_server::{
-    is_pin_expired, is_rate_limited, scrape_metrics, Client, ServeEngine, Server, ServerConfig,
-    SubscribeSpec, WireChange,
+    is_pin_expired, is_rate_limited, scrape_metrics, Client, Server, ServerConfig, SubscribeSpec,
+    WireChange,
 };
 use scavenger_workload::ops::{AckOracle, ClientOp, OpMix, OpStream};
 use std::time::Duration;
@@ -51,11 +51,7 @@ fn drive(addr: std::net::SocketAddr, client_id: u64) -> AckOracle {
 
 /// Acked writes from 4 concurrent TCP clients must be readable from
 /// the reopened engine after a graceful shutdown.
-fn durability_across_shutdown<E: ServeEngine>(engine: E, reopen: impl FnOnce() -> E)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn durability_across_shutdown(engine: Db, reopen: impl FnOnce() -> Db) {
     let handle = Server::start(engine, small_cfg()).expect("start server");
     let addr = handle.addr();
     let workers: Vec<_> = (0..CLIENTS)
@@ -77,11 +73,7 @@ where
 
 /// A pinned snapshot must keep answering with its frozen state no
 /// matter how hard concurrent clients overwrite the same keys.
-fn snapshot_strict_consistency<E: ServeEngine>(engine: E)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn snapshot_strict_consistency(engine: Db) {
     let handle = Server::start(engine, small_cfg()).expect("start server");
     let addr = handle.addr();
     let mut setup = Client::connect(addr).unwrap();
@@ -140,11 +132,7 @@ where
 
 /// An empty token bucket must reject with a typed RATE_LIMITED error,
 /// and the connection must remain usable afterwards.
-fn rate_limiter_rejects<E: ServeEngine>(engine: E)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn rate_limiter_rejects(engine: Db) {
     let cfg = ServerConfig {
         global_rate: 20.0,
         global_burst: 5.0,
@@ -179,11 +167,7 @@ where
 }
 
 /// Idle pins expire after the TTL and come back as PIN_EXPIRED.
-fn pin_ttl_expires<E: ServeEngine>(engine: E)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn pin_ttl_expires(engine: Db) {
     let cfg = ServerConfig {
         pin_ttl: Duration::from_millis(100),
         ..small_cfg()
@@ -200,11 +184,7 @@ where
 }
 
 /// Connections beyond the cap get a typed CONN_LIMIT error frame.
-fn connection_cap_rejects<E: ServeEngine>(engine: E)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn connection_cap_rejects(engine: Db) {
     let cfg = ServerConfig {
         max_conns: 2,
         ..small_cfg()
@@ -236,11 +216,7 @@ where
 }
 
 /// The /metrics endpoint serves engine + per-shard + server series.
-fn metrics_endpoint_serves<E: ServeEngine>(engine: E, want_shards: usize)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn metrics_endpoint_serves(engine: Db, want_shards: usize) {
     let cfg = ServerConfig {
         metrics_addr: Some("127.0.0.1:0".to_string()),
         ..small_cfg()
@@ -305,11 +281,7 @@ fn assert_shard_ordered(events: &[WireChange]) {
 /// Subscribe-from-oldest replays exactly the committed history, a
 /// subsequent poll tails only new writes, and a closed stream id
 /// answers PIN_EXPIRED.
-fn change_stream_over_the_wire<E: ServeEngine>(engine: E)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn change_stream_over_the_wire(engine: Db) {
     let opts = WriteOptions::default();
     for i in 0..40u32 {
         engine
@@ -357,11 +329,7 @@ where
 
 /// A client that disconnects mid-stream resumes from its last chunk's
 /// token on a brand-new connection without losing or repeating events.
-fn change_stream_resumes_via_token<E: ServeEngine>(engine: E)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn change_stream_resumes_via_token(engine: Db) {
     let opts = WriteOptions::default();
     for i in 0..60u32 {
         engine
@@ -419,11 +387,7 @@ where
 /// of erroring — and because chunks are charged *before* events leave
 /// the cursor, patient re-polls still deliver every event exactly
 /// once. Scans pay per chunk too, and trip the usual RATE_LIMITED.
-fn change_chunks_pay_rate_tokens<E: ServeEngine>(engine: E)
-where
-    E::Snap: Send + Sync,
-    E::View: Send,
-{
+fn change_chunks_pay_rate_tokens(engine: Db) {
     let opts = WriteOptions::default();
     for i in 0..64u32 {
         engine
@@ -560,6 +524,31 @@ fn scan_limit_resolves_exactly_limit_rows() {
             "limit = {n}: the server resolved more rows than it sent"
         );
     }
+    handle.shutdown_and_wait();
+}
+
+/// A scan whose `limit` is a multiple of the chunk size ends with its
+/// last full chunk: the client gets its rows, and a connection whose
+/// bucket held exactly the one token the request paid is not charged
+/// for an empty trailing chunk.
+#[test]
+fn scan_limit_at_chunk_multiple_costs_one_token() {
+    let db = open_db(MemEnv::shared(), "srv-scan-chunk");
+    for i in 0..8u32 {
+        db.put(format!("row{i:03}"), vec![i as u8; 64]).unwrap();
+    }
+    let cfg = ServerConfig {
+        scan_chunk: 4,
+        conn_rate: 0.001,
+        conn_burst: 1.0,
+        ..small_cfg()
+    };
+    let handle = Server::start(db, cfg).expect("start server");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let rows = client
+        .scan(None, b"row", None, 4)
+        .expect("all rows delivered");
+    assert_eq!(rows.len(), 4);
     handle.shutdown_and_wait();
 }
 

@@ -452,7 +452,7 @@ fn space_budget_is_global_across_shards() {
 /// them across shards), and holds a snapshot and a lagging subscriber.
 #[test]
 fn stats_fold_per_shard_values_by_rule() {
-    use scavenger::{ChangeSubscriber, SubscribeFrom, Transactional};
+    use scavenger::{SubscribeFrom, Transactional};
     let env: EnvRef = MemEnv::shared();
     let mut o = sharded_opts(env.clone(), "fold", EngineMode::Scavenger, 4);
     o.base.space_limit = Some(900 * 1024);

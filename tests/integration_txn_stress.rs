@@ -16,7 +16,7 @@
 //! so the suite stays quick in smoke runs; CI's multicore job runs the
 //! full shape.
 
-use scavenger::{Db, DbShards, Engine, EngineMode, MemEnv, Options, ShardedOptions, Transactional};
+use scavenger::{Db, DbShards, EngineMode, MemEnv, Options, ShardedOptions, Transactional};
 use std::collections::BTreeMap;
 
 const KEYS: u32 = 8;
@@ -56,7 +56,7 @@ fn decode(v: &[u8]) -> u64 {
 /// One worker: commit `n` increment transactions, retrying each until
 /// it validates. Returns the committed `(key_a, key_b)` records and
 /// the number of conflicted (retried) commit attempts.
-fn worker<E: Engine + Transactional>(db: &E, seed: u64, n: usize) -> (Vec<(u32, u32)>, u64) {
+fn worker(db: &Db, seed: u64, n: usize) -> (Vec<(u32, u32)>, u64) {
     let mut rng = seed;
     let mut committed = Vec::with_capacity(n);
     let mut retries = 0u64;
@@ -83,9 +83,9 @@ fn worker<E: Engine + Transactional>(db: &E, seed: u64, n: usize) -> (Vec<(u32, 
     (committed, retries)
 }
 
-fn stress<E: Engine + Transactional + Send + Sync>(db: &E, label: &str) -> (u64, u64) {
+fn stress(db: &Db, label: &str) -> (u64, u64) {
     for k in 0..KEYS {
-        db.put(&key(k), 0u64.to_le_bytes().to_vec().into()).unwrap();
+        db.put(key(k), 0u64.to_le_bytes().to_vec()).unwrap();
     }
     let base = db.stats();
 
@@ -110,7 +110,7 @@ fn stress<E: Engine + Transactional + Send + Sync>(db: &E, label: &str) -> (u64,
         *model.get_mut(b).unwrap() += 1;
     }
     for (k, expect) in &model {
-        let got = decode(&db.get(&key(*k)).unwrap().expect("counter present"));
+        let got = decode(&db.get(key(*k)).unwrap().expect("counter present"));
         assert_eq!(
             got, *expect,
             "{label}: counter {k} diverged from sequential re-execution"
@@ -143,7 +143,7 @@ fn stress<E: Engine + Transactional + Send + Sync>(db: &E, label: &str) -> (u64,
 /// A deterministic interleaving that must conflict, so the suite never
 /// passes vacuously on a machine where the stress threads happened to
 /// serialize.
-fn forced_conflict<E: Engine + Transactional>(db: &E, label: &str) {
+fn forced_conflict(db: &Db, label: &str) {
     let before = db.stats().txn_conflicts;
     let mut t1 = db.begin();
     let v = decode(&t1.get(key(0)).unwrap().expect("counter seeded"));

@@ -166,14 +166,14 @@ fn server_metrics_page_matches_golden() {
     assert_eq!(page, fixture);
 }
 
-/// The whole `/metrics` page, on both handle types: every series typed
+/// The whole `/metrics` page, at both store sizes: every series typed
 /// once, none repeated, and I/O attributed per shard only — an
 /// unlabelled aggregate next to the `shard="i"` series would make
 /// `sum by (class)` double-count.
 #[test]
 fn full_page_is_typed_and_io_is_per_shard_only() {
     use scavenger::{Db, DbShards, EngineMode, MemEnv, Options, ShardedOptions};
-    fn check<E: scavenger::Maintenance>(engine: &E, shards: usize) {
+    fn check(engine: &Db, shards: usize) {
         let page = scavenger_server::render_metrics(engine, &ServerMetrics::new(), 0, 0);
         assert_typed_and_unique(&page);
         assert!(page.contains(&format!("scavenger_shard_count {shards}\n")));
