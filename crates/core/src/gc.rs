@@ -79,7 +79,7 @@ use crate::vstore::{ValueStore, GC_COALESCE};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::IoClass;
-use scavenger_lsm::{BatchReader, GuardedWrite, Lsm, ValueEditBundle};
+use scavenger_lsm::{BatchReader, GuardedWrite, Lsm, Precondition, ValueEditBundle, WriteBatch};
 use scavenger_table::btable::TableOptions;
 use scavenger_util::ikey::{cmp_internal, SeqNo, ValueRef};
 use scavenger_util::{Error, Result};
@@ -831,7 +831,11 @@ impl GcRunner {
         if !guarded.is_empty() {
             // Write-back is durability-critical (old value files are
             // queued for deletion below), so the default synced options.
-            lsm.write_guarded(&scavenger_lsm::WriteOptions::default(), &guarded)?;
+            lsm.write_checked(
+                &scavenger_lsm::WriteOptions::default(),
+                WriteBatch::new(),
+                Some(Precondition::Guarded(guarded)),
+            )?;
         }
         self.stats
             .add(|g| g.write_index_ns += t_wi.elapsed().as_nanos() as u64);

@@ -21,7 +21,7 @@ use crate::vstore::ValueStore;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_lsm::filename::{parse_path, FileKind};
-use scavenger_lsm::{Lsm, LsmReadResult, LsmView, ValueEditBundle, WriteBatch};
+use scavenger_lsm::{Lsm, LsmReadResult, LsmView, Precondition, ValueEditBundle, WriteBatch};
 use scavenger_table::btable::BlockCache;
 use scavenger_util::ikey::{SeqNo, ValueRef, ValueType};
 use scavenger_util::{Error, Result};
@@ -200,25 +200,22 @@ impl Shard {
     // ---------------- writes ----------------
 
     /// The one member-level commit, shared by plain writes, transactions
-    /// and 2PC applies: throttle admission, the LSM call — through the
-    /// group-commit queue, or for a transaction's `reads` validated and
-    /// applied under the writer lock — the batch's GC credit, then
-    /// post-write maintenance.
+    /// and 2PC applies: throttle admission, the LSM's group-commit queue —
+    /// whose leader checks a transaction's reads against the tree and the
+    /// writes queued ahead of it — the batch's GC credit, then post-write
+    /// maintenance.
     pub(crate) fn commit(
         &self,
         opts: &WriteOptions,
         batch: WriteBatch,
-        reads: Option<&[(Vec<u8>, SeqNo)]>,
+        check: Option<Precondition>,
     ) -> Result<WriteReceipt> {
         let inner = &self.inner;
         if !opts.disable_throttle {
             self.enforce_space_limit()?;
         }
         let credit = (batch.byte_size() as f64 * inner.opts.gc_bandwidth_factor) as i64;
-        let receipt = match reads {
-            None => inner.lsm.write_opts(opts, batch)?,
-            Some(reads) => inner.lsm.write_validated(opts, batch, reads)?,
-        };
+        let receipt = inner.lsm.write_checked(opts, batch, check)?;
         {
             let mut c = inner.gc_credits.lock();
             // Cap the accumulator so an idle period cannot bank unbounded

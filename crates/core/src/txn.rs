@@ -61,7 +61,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_lsm::wal::{read_all_records, LogWriter};
-use scavenger_lsm::{GroupCommit, GroupLeader, Logged, WriteBatch};
+use scavenger_lsm::{GroupCommit, GroupLeader, Logged, Precondition, WriteBatch};
 use scavenger_util::coding::{
     get_fixed32, get_fixed64, get_length_prefixed_slice, get_varint32, put_fixed32, put_fixed64,
     put_length_prefixed_slice, put_varint32,
@@ -105,8 +105,11 @@ use crate::view::{ReadView, WriteOptions, WriteReceipt};
 /// then registers its own keys until its apply is done — overlapping
 /// commits wait rather than abort, so blind writes still never conflict.
 /// A transaction whose reads and writes all route to one member — every
-/// transaction, on a plain store — is validated and applied under that
-/// member's writer lock, so it is serializable against raw writes too.
+/// transaction, on a plain store — joins that member's group-commit
+/// queue like any write, and the group's leader validates it against the
+/// tree and against the writes of the members queued ahead of it, under
+/// the WAL's lock, as it writes the group; so it is serializable against
+/// raw writes too, and it shares its group's WAL record and fsync.
 /// One that spans members is validated against the owning members'
 /// latest sequences before it registers, and then applied like any
 /// batch (2PC when its writes span members): a raw single-member write
@@ -135,7 +138,7 @@ impl Db {
     /// [`Transaction::commit_with`].
     pub(crate) fn txn_commit(
         &self,
-        reads: &[(Vec<u8>, SeqNo)],
+        reads: Vec<(Vec<u8>, SeqNo)>,
         batch: WriteBatch,
         opts: &WriteOptions,
     ) -> Result<WriteReceipt> {
@@ -145,17 +148,15 @@ impl Db {
             .chain(batch.entries().iter().map(|e| &e.key[..]))
             .collect();
         let owner = inner.owner(keys.iter().copied());
-        let committed = inner
-            .in_flight
-            .enter(&keys, || match owner {
-                Some(_) => Ok(()),
-                None => validate(self, reads),
-            })
-            // `_in_flight` keeps the keys registered until the apply returns.
-            .and_then(|_in_flight| match owner {
-                Some(i) => inner.shards[i].commit(opts, batch, Some(reads)),
-                None => inner.commit_split(opts, batch),
-            });
+        let entered = inner.in_flight.enter(&keys, || match owner {
+            Some(_) => Ok(()),
+            None => validate(self, &reads),
+        });
+        // `_in_flight` keeps the keys registered until the apply returns.
+        let committed = entered.and_then(|_in_flight| match owner {
+            Some(i) => inner.shards[i].commit(opts, batch, Some(Precondition::Reads(reads))),
+            None => inner.commit_split(opts, batch),
+        });
         match &committed {
             Ok(_) => inner.txn_commits.fetch_add(1, Ordering::Relaxed),
             Err(e) if e.is_txn_conflict() => inner.txn_conflicts.fetch_add(1, Ordering::Relaxed),
@@ -394,7 +395,7 @@ impl Transaction {
             }
         }
         let reads: Vec<(Vec<u8>, SeqNo)> = reads.into_iter().collect();
-        db.txn_commit(&reads, batch, opts)
+        db.txn_commit(reads, batch, opts)
     }
 
     /// Discard the transaction: buffered writes are dropped, nothing

@@ -92,6 +92,31 @@ pub struct Compaction {
 }
 
 impl Compaction {
+    /// Compact `inputs_lo` at `level` into `output_level`: the inputs
+    /// there are the files overlapping the user-key range of `inputs_lo`,
+    /// and the output is bottommost when no level below it holds data.
+    pub fn new(
+        version: &Version,
+        level: usize,
+        output_level: usize,
+        inputs_lo: Vec<Arc<FileMetaData>>,
+        score: f64,
+    ) -> Compaction {
+        let (lo, hi) = user_range_of(&inputs_lo);
+        let inputs_hi = version.overlapping_files(output_level, Some(&lo), Some(&hi));
+        let bottommost = version.levels[output_level + 1..]
+            .iter()
+            .all(|l| l.is_empty());
+        Compaction {
+            level,
+            output_level,
+            inputs_lo,
+            inputs_hi,
+            bottommost,
+            score,
+        }
+    }
+
     /// Total input bytes (raw).
     pub fn input_bytes(&self) -> u64 {
         self.inputs_lo
@@ -183,18 +208,13 @@ pub fn pick_compaction(
         if inputs_lo.is_empty() {
             return None;
         }
-        let output_level = targets.base_level;
-        let (lo, hi) = user_range_of(&inputs_lo);
-        let inputs_hi = version.overlapping_files(output_level, Some(&lo), Some(&hi));
-        let bottommost = (output_level + 1..opts.num_levels).all(|l| version.levels[l].is_empty());
-        return Some(Compaction {
-            level: 0,
-            output_level,
+        return Some(Compaction::new(
+            version,
+            0,
+            targets.base_level,
             inputs_lo,
-            inputs_hi,
-            bottommost,
             score,
-        });
+        ));
     }
 
     // Pick the victim file within the level.
@@ -219,17 +239,13 @@ pub fn pick_compaction(
     state.cursors[level] = victim.smallest.clone();
 
     let output_level = (level + 1).min(last);
-    let (lo, hi) = user_range_of(std::slice::from_ref(&victim));
-    let inputs_hi = version.overlapping_files(output_level, Some(&lo), Some(&hi));
-    let bottommost = (output_level + 1..opts.num_levels).all(|l| version.levels[l].is_empty());
-    Some(Compaction {
+    Some(Compaction::new(
+        version,
         level,
         output_level,
-        inputs_lo: vec![victim],
-        inputs_hi,
-        bottommost,
+        vec![victim],
         score,
-    })
+    ))
 }
 
 // One live builder per output job; the size gap between formats is fine.

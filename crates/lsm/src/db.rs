@@ -8,7 +8,7 @@
 //! the live structures.
 
 use crate::batch::{WriteBatch, WriteOptions, WriteReceipt};
-use crate::compaction::{pick_compaction, run_output_job, Compaction, PickerState};
+use crate::compaction::{compute_targets, pick_compaction, run_output_job, Compaction, PickerState};
 use crate::filename::{parse_path, table_path, wal_path, FileKind};
 use crate::group::{GroupCommit, GroupLeader, Logged};
 use crate::hooks::{FileNumAlloc, JobKind, PassthroughSession, ValueSession};
@@ -16,14 +16,14 @@ use crate::iter::{InternalIterator, MergingIter, TableEntryIter, VecIter};
 use crate::memtable::Memtable;
 use crate::options::{BackgroundMode, LsmOptions};
 use crate::tcache::{ktable_from_file, TableCache};
-use crate::version::{Version, VersionEdit, VersionSet};
+use crate::version::{Manifest, ManifestLeader, Version, VersionEdit, VersionSet};
 use crate::view::{
     latest_version_seq, read_superversion, scan_superversion, BatchReader, LsmView, ReadPointKind,
     ReadPointRegistry, ScanIter, Snapshot, SuperVersion,
 };
 use crate::wal::LogWriter;
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use scavenger_env::{IoClass, ReadaheadFile};
 use scavenger_table::btable::BlockCache;
 use scavenger_table::cache::cache_file_id;
@@ -63,6 +63,21 @@ pub struct GuardedWrite {
     pub replacement: ValueRef,
 }
 
+/// What a write must still find when its commit group is written. The
+/// WAL leader checks it under the log lock against the tree *and* the
+/// keys earlier members of the same group wrote, so nothing can land
+/// between the check and the write ([`Lsm::write_checked`]).
+#[derive(Debug, Clone)]
+pub enum Precondition {
+    /// An optimistic transaction's read set: no key may have a version —
+    /// write or tombstone — newer than the sequence it was read at. A
+    /// stale read rejects the whole batch with [`Error::TxnConflict`].
+    Reads(Vec<(Vec<u8>, SeqNo)>),
+    /// Titan's write-back (paper §II-B): each entry is put only while its
+    /// key still points at `expected`; the others are dropped.
+    Guarded(Vec<GuardedWrite>),
+}
+
 /// Immutable memtables a threaded-mode writer tolerates before it
 /// stalls for the flusher (RocksDB's `max_write_buffer_number - 1`).
 pub const MAX_IMM_MEMTABLES: usize = 2;
@@ -92,27 +107,23 @@ struct QueuedWrite {
     /// Change-stream transaction tag carried through from
     /// [`WriteOptions::txn_id`].
     txn_id: Option<u64>,
-}
-
-impl QueuedWrite {
-    fn new(opts: &WriteOptions, batch: WriteBatch) -> QueuedWrite {
-        QueuedWrite {
-            batch,
-            sync: opts.sync,
-            txn_id: opts.txn_id,
-        }
-    }
+    check: Option<Precondition>,
 }
 
 /// The WAL's half of a group commit: a poisoned WAL is left behind by
 /// freezing the memtable it covered, and a group is
-/// [`commit_group`](Lsm::commit_group).
-impl GroupLeader<WriterState, QueuedWrite, WriteReceipt> for Lsm {
+/// [`commit_group`](Lsm::commit_group). A member's receipt is an error
+/// when its precondition failed.
+impl GroupLeader<WriterState, QueuedWrite, Result<WriteReceipt>> for Lsm {
     fn rotate(&self, ws: &mut Writer) -> Result<()> {
         self.rotate_memtable(ws)
     }
 
-    fn write(&self, ws: &mut Writer, writes: Vec<QueuedWrite>) -> Result<Vec<WriteReceipt>> {
+    fn write(
+        &self,
+        ws: &mut Writer,
+        writes: Vec<QueuedWrite>,
+    ) -> Result<Vec<Result<WriteReceipt>>> {
         self.commit_group(ws, writes)
     }
 }
@@ -171,10 +182,11 @@ struct Inner {
     tcache: Arc<TableCache>,
     /// The WAL and its commit queue: every write reaches the WAL through
     /// [`GroupCommit`], whose log lock is the writer lock.
-    wal: GroupCommit<WriterState, QueuedWrite, WriteReceipt>,
+    wal: GroupCommit<WriterState, QueuedWrite, Result<WriteReceipt>>,
     mem: RwLock<Arc<Memtable>>,
     imms: RwLock<Vec<ImmEntry>>,
-    vset: Mutex<VersionSet>,
+    /// The version set behind the MANIFEST's commit queue.
+    manifest: Manifest,
     seq: Arc<AtomicU64>,
     file_counter: Arc<AtomicU64>,
     picker: Mutex<PickerState>,
@@ -292,7 +304,7 @@ impl Lsm {
             pending_deletions: Mutex::new(Vec::new()),
             closed: AtomicBool::new(false),
             tombstone_hold: AtomicU64::new(opts.tombstone_hold),
-            vset: Mutex::new(vset),
+            manifest: Manifest::new(vset),
             opts,
         });
 
@@ -368,7 +380,12 @@ impl Lsm {
 
     /// The live version (file layout).
     pub fn current_version(&self) -> Arc<Version> {
-        self.inner.vset.lock().current()
+        self.vset().log.current()
+    }
+
+    /// Lock the version set (waits out a MANIFEST sync in progress).
+    fn vset(&self) -> MutexGuard<'_, Logged<VersionSet>> {
+        self.inner.manifest.lock()
     }
 
     // ---------------- superversion ----------------
@@ -394,7 +411,7 @@ impl Lsm {
                 .rev()
                 .map(|e| e.mem.clone())
                 .collect();
-            let version = self.inner.vset.lock().current();
+            let version = self.vset().log.current();
             Arc::new(SuperVersion { mem, imms, version })
         };
         *self.inner.sv.write() = sv;
@@ -442,7 +459,7 @@ impl Lsm {
             .filter(|m| !Arc::ptr_eq(m, flushed))
             .cloned()
             .collect();
-        let version = self.inner.vset.lock().current();
+        let version = self.vset().log.current();
         *self.inner.sv.write() = Arc::new(SuperVersion {
             mem: old.mem.clone(),
             imms,
@@ -458,7 +475,7 @@ impl Lsm {
     fn install_sv_version(&self) {
         let _install = self.inner.sv_install.lock();
         let old = self.inner.sv.read().clone();
-        let version = self.inner.vset.lock().current();
+        let version = self.vset().log.current();
         *self.inner.sv.write() = Arc::new(SuperVersion {
             mem: old.mem.clone(),
             imms: old.imms.clone(),
@@ -508,7 +525,25 @@ impl Lsm {
     /// Because the group is one WAL record, a crash tears it as a unit:
     /// recovery replays all of it or none of it.
     pub fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<WriteReceipt> {
-        if batch.is_empty() {
+        self.write_checked(opts, batch, None)
+    }
+
+    /// [`write_opts`](Lsm::write_opts) with a [`Precondition`], checked
+    /// by the group's leader when the group is written, against the tree
+    /// and against the keys earlier members of the group wrote. A
+    /// transaction whose reads went stale gets [`Error::TxnConflict`] and
+    /// writes nothing; a guarded write-back writes only the entries whose
+    /// key still points at the expected reference. Either way the rest of
+    /// the group is written, and a member that ends up writing nothing —
+    /// a read-only transaction, a write-back whose every key moved on —
+    /// gets an inert receipt (`group_len` 0).
+    pub fn write_checked(
+        &self,
+        opts: &WriteOptions,
+        batch: WriteBatch,
+        check: Option<Precondition>,
+    ) -> Result<WriteReceipt> {
+        if batch.is_empty() && check.is_none() {
             return Ok(WriteReceipt {
                 seq: self.last_sequence(),
                 group_len: 0,
@@ -516,54 +551,21 @@ impl Lsm {
             });
         }
         self.admit()?;
-        let (res, led) = self.inner.wal.commit(QueuedWrite::new(opts, batch), self);
-        if led && res.is_ok() {
-            // Only the leader runs background work for the group;
-            // followers are already gone with their receipts.
-            self.after_write()?;
+        let before = self.last_sequence();
+        let write = QueuedWrite {
+            batch,
+            sync: opts.sync,
+            txn_id: opts.txn_id,
+            check,
+        };
+        let (res, led) = self.inner.wal.commit(write, self);
+        if led && self.last_sequence() > before {
+            // Only the leader runs background work for the group, and
+            // only when the group wrote something; followers are already
+            // gone with their receipts.
+            self.kick_background()?;
         }
-        res
-    }
-
-    /// Titan-style conditional write-back (paper §II-B): each entry is
-    /// applied only if the key's newest version is still a reference to
-    /// `expected`. Returns how many entries were applied.
-    ///
-    /// Guarded writes bypass the commit queue — the check must stay
-    /// atomic with the apply, so the whole read-check-write runs under
-    /// the writer lock as a group of one.
-    pub fn write_guarded(&self, opts: &WriteOptions, writes: &[GuardedWrite]) -> Result<usize> {
-        self.admit()?;
-        let applied;
-        {
-            let mut ws = self.inner.wal.lock();
-            let mut batch = WriteBatch::new();
-            for w in writes {
-                // The writer lock is held: `get` sees the stable latest
-                // version, and nothing can overwrite between check and
-                // apply.
-                if let LsmReadResult::Found {
-                    vtype: ValueType::ValueRef,
-                    value,
-                    ..
-                } = self.get(&w.key)?
-                {
-                    if let Ok(cur) = ValueRef::decode(&value) {
-                        if cur.file == w.expected.file && cur.offset == w.expected.offset {
-                            batch.put_ref(&w.key, w.replacement);
-                        }
-                    }
-                }
-            }
-            applied = batch.count();
-            if applied > 0 {
-                ws.write_group(self, vec![QueuedWrite::new(opts, batch)])?;
-            }
-        }
-        if applied > 0 {
-            self.after_write()?;
-        }
-        Ok(applied)
+        res?
     }
 
     /// Sequence of the newest version of `key` — **including
@@ -578,82 +580,159 @@ impl Lsm {
         latest_version_seq(&sv, &self.inner.tcache, key)
     }
 
-    /// Validated commit for optimistic transactions: atomically check
-    /// that every `(key, read_seq)` pair in `reads` is still current —
-    /// no version of `key` (write *or* tombstone) newer than `read_seq`
-    /// — and, only if all checks pass, commit `batch` through the WAL
-    /// and memtable. The whole check-then-commit runs under the writer
-    /// lock (a group of one, like [`write_guarded`](Lsm::write_guarded)),
-    /// so no write can interleave between validation and apply: commits
-    /// through this path are serializable with every other write.
-    ///
-    /// A stale read returns [`Error::TxnConflict`] and writes nothing.
-    pub fn write_validated(
+    /// The batch a checked write contributes to its group, or its
+    /// rejection. Runs under the writer lock, so the tree is stable;
+    /// `written` holds the keys earlier members of the group wrote,
+    /// which the tree does not show yet.
+    fn checked_batch(
         &self,
-        opts: &WriteOptions,
-        batch: WriteBatch,
-        reads: &[(Vec<u8>, SeqNo)],
-    ) -> Result<WriteReceipt> {
-        self.admit()?;
-        let receipt;
-        {
-            let mut ws = self.inner.wal.lock();
-            for (key, read_seq) in reads {
-                // The writer lock is held: `latest_seq` sees the stable
-                // newest version, and nothing can commit between the
-                // check and the apply below.
-                if let Some(seq) = self.latest_seq(key)? {
-                    if seq > *read_seq {
-                        return Err(Error::txn_conflict(format!(
-                            "key {:?} was written at sequence {seq}, after the \
-                             transaction's read point {read_seq}",
-                            String::from_utf8_lossy(key)
-                        )));
+        check: Precondition,
+        mut batch: WriteBatch,
+        written: &HashSet<Vec<u8>>,
+    ) -> Result<WriteBatch> {
+        match check {
+            Precondition::Reads(reads) => {
+                for (key, read_seq) in &reads {
+                    let when = if written.contains(key) {
+                        "earlier in its commit group".to_string()
+                    } else {
+                        match self.latest_seq(key)? {
+                            Some(seq) if seq > *read_seq => format!("at sequence {seq}"),
+                            _ => continue,
+                        }
+                    };
+                    return Err(Error::txn_conflict(format!(
+                        "key {:?} was written {when}, after the transaction's read point \
+                         {read_seq}",
+                        String::from_utf8_lossy(key)
+                    )));
+                }
+            }
+            Precondition::Guarded(writes) => {
+                for w in writes {
+                    if !written.contains(&w.key) && self.points_at(&w.key, &w.expected)? {
+                        batch.put_ref(&w.key, w.replacement);
                     }
                 }
             }
-            if batch.is_empty() {
-                // A read-only transaction: validation is the whole
-                // commit.
-                return Ok(WriteReceipt {
-                    seq: self.last_sequence(),
-                    group_len: 0,
-                    synced: false,
-                });
-            }
-            let receipts = ws.write_group(self, vec![QueuedWrite::new(opts, batch)])?;
-            receipt = receipts
-                .into_iter()
-                .next()
-                .expect("commit_group returns one receipt per batch");
         }
-        self.after_write()?;
-        Ok(receipt)
+        Ok(batch)
     }
 
-    /// Commit one group under the writer lock: merge the batches into a
+    /// True if the newest version of `key` is a reference to `expected`.
+    fn points_at(&self, key: &[u8], expected: &ValueRef) -> Result<bool> {
+        Ok(match self.get(key)? {
+            LsmReadResult::Found {
+                vtype: ValueType::ValueRef,
+                value,
+                ..
+            } => ValueRef::decode(&value)
+                .is_ok_and(|cur| cur.file == expected.file && cur.offset == expected.offset),
+            _ => false,
+        })
+    }
+
+    /// Commit one group under the writer lock: check each member's
+    /// precondition, merge the batches of the members that pass into a
     /// single WAL record (so a torn tail drops the group as a unit),
-    /// fsync once if any member requested it, apply to the memtable in
-    /// one pass, and assign each batch its contiguous sequence range.
-    /// Returns one receipt per batch, in queue order. Reached only
-    /// through [`Logged::write_group`], which poisons the WAL if this
-    /// fails.
-    fn commit_group(&self, ws: &mut Writer, writes: Vec<QueuedWrite>) -> Result<Vec<WriteReceipt>> {
-        if writes.is_empty() {
-            return Ok(Vec::new());
-        }
+    /// fsync once if any writing member requested it, apply to the
+    /// memtable in one pass, and assign each batch its contiguous
+    /// sequence range. Returns one receipt per member, in queue order; a
+    /// failed precondition is that member's error alone. Reached only
+    /// through the queue, which poisons the WAL if this fails.
+    fn commit_group(
+        &self,
+        ws: &mut Writer,
+        writes: Vec<QueuedWrite>,
+    ) -> Result<Vec<Result<WriteReceipt>>> {
         let base = self.inner.seq.load(Ordering::SeqCst) + 1;
-        let sync = writes.iter().any(|w| w.sync);
-        let riders = writes.iter().filter(|w| w.sync).count() as u64;
-        let group_len = writes.len() as u64;
+        // The keys the members admitted so far wrote; tracked only when
+        // some member's precondition must see them.
+        let mut written = writes
+            .iter()
+            .any(|w| w.check.is_some())
+            .then(HashSet::new);
         let mut merged = WriteBatch::new();
-        let mut batch_ends = Vec::with_capacity(writes.len());
-        let mut txn_ids = Vec::with_capacity(writes.len());
+        // Per member: the end of its sequence range and whether it wrote.
+        let mut ends: Vec<Result<(SeqNo, bool)>> = Vec::with_capacity(writes.len());
+        let mut marks: Vec<(SeqNo, Option<u64>)> = Vec::with_capacity(writes.len());
+        let (mut sync, mut riders) = (false, 0u64);
         for w in writes {
-            merged.append(w.batch);
-            batch_ends.push(base + merged.count() as u64 - 1);
-            txn_ids.push(w.txn_id);
+            let batch = match w.check {
+                None => w.batch,
+                Some(check) => {
+                    let earlier = written.as_ref().expect("tracked for checked groups");
+                    match self.checked_batch(check, w.batch, earlier) {
+                        Ok(batch) => batch,
+                        Err(e) => {
+                            ends.push(Err(e));
+                            continue;
+                        }
+                    }
+                }
+            };
+            let wrote = !batch.is_empty();
+            if wrote {
+                if let Some(keys) = written.as_mut() {
+                    keys.extend(batch.entries().iter().map(|e| e.key.clone()));
+                }
+                sync |= w.sync;
+                riders += u64::from(w.sync);
+                merged.append(batch);
+            }
+            let end = base + merged.count() as u64 - 1;
+            if wrote {
+                marks.push((end, w.txn_id));
+            }
+            ends.push(Ok((end, wrote)));
         }
+        let group_len = marks.len() as u64;
+        if group_len > 0 {
+            self.write_merged(ws, base, merged, sync, marks)?;
+            let c = &self.inner.counters;
+            c.group_commit_groups.fetch_add(1, Ordering::Relaxed);
+            c.group_commit_batches
+                .fetch_add(group_len, Ordering::Relaxed);
+            c.group_commit_max_group
+                .fetch_max(group_len, Ordering::Relaxed);
+            if sync {
+                c.group_commit_fsyncs_saved
+                    .fetch_add(riders - 1, Ordering::Relaxed);
+            }
+            if self.inner.mem.read().approx_size() >= self.inner.opts.memtable_size
+                && self.rotate_memtable(ws).is_err()
+            {
+                // The group is in the memtable, past the sequence counter,
+                // published and, if asked, synced: it committed, and
+                // failing it would have its callers retry batches that
+                // landed. The WAL it went to is poisoned instead, so the
+                // next group rotates before it writes.
+                ws.poisoned = true;
+            }
+        }
+        Ok(ends
+            .into_iter()
+            .map(|end| {
+                end.map(|(seq, wrote)| WriteReceipt {
+                    seq,
+                    group_len: if wrote { group_len } else { 0 },
+                    synced: wrote && sync,
+                })
+            })
+            .collect())
+    }
+
+    /// Append a group's merged batch to the WAL as one record, sync it
+    /// if asked, insert it into the memtable, advance the sequence and
+    /// publish it to the change stream.
+    fn write_merged(
+        &self,
+        ws: &mut Writer,
+        base: SeqNo,
+        merged: WriteBatch,
+        sync: bool,
+        marks: Vec<(SeqNo, Option<u64>)>,
+    ) -> Result<()> {
         if let Some(wal) = ws.log.wal.as_mut() {
             // A torn record ends the log for recovery: anything appended
             // after it would be unreachable, so the failure poisons it.
@@ -674,51 +753,30 @@ impl Lsm {
         // publish per group, in commit order (the writer lock is held),
         // after the sequence counter advanced so subscribers never see
         // events past the head. The merged batch is moved, not copied.
-        let marks: Vec<(SeqNo, Option<u64>)> = if txn_ids.iter().any(|t| t.is_some()) {
-            batch_ends
-                .iter()
-                .copied()
-                .zip(txn_ids.iter().copied())
-                .collect()
+        let marks = if marks.iter().any(|(_, t)| t.is_some()) {
+            marks
         } else {
             Vec::new()
         };
         self.inner.cdc.publish(base, merged, marks);
-
-        let c = &self.inner.counters;
-        c.group_commit_groups.fetch_add(1, Ordering::Relaxed);
-        c.group_commit_batches
-            .fetch_add(group_len, Ordering::Relaxed);
-        c.group_commit_max_group
-            .fetch_max(group_len, Ordering::Relaxed);
-        if sync {
-            c.group_commit_fsyncs_saved
-                .fetch_add(riders - 1, Ordering::Relaxed);
-        }
-
-        if mem.approx_size() >= self.inner.opts.memtable_size {
-            self.rotate_memtable(ws)?;
-        }
-        Ok(batch_ends
-            .into_iter()
-            .map(|seq| WriteReceipt {
-                seq,
-                group_len,
-                synced: sync,
-            })
-            .collect())
+        Ok(())
     }
 
-    fn after_write(&self) -> Result<()> {
+    /// Run background work after a write, a flush or a resume: inline,
+    /// on this thread, or by waking the background thread.
+    fn kick_background(&self) -> Result<()> {
         match self.inner.opts.background {
             BackgroundMode::Inline => self.run_background_with_retries(),
             BackgroundMode::Threaded => {
-                let mut sig = self.inner.bg_signal.lock();
-                sig.work_pending = true;
-                self.inner.bg_cv.notify_all();
+                self.wake_background();
                 Ok(())
             }
         }
+    }
+
+    fn wake_background(&self) {
+        self.inner.bg_signal.lock().work_pending = true;
+        self.inner.bg_cv.notify_all();
     }
 
     /// Freeze the active memtable onto the immutable list and point the
@@ -928,23 +986,20 @@ impl Lsm {
     }
 
     /// Leave read-only degraded mode after the underlying cause is
-    /// fixed: verify (and if needed repair) the manifest, clear the
-    /// error, and restart background work. Returns an error — and stays
-    /// degraded — if the manifest cannot be verified.
+    /// fixed: repair the manifest if a failed commit poisoned it (a fresh
+    /// file holding the full snapshot), verify it, clear the error, and
+    /// restart background work. Returns an error — and stays degraded —
+    /// if the manifest cannot be repaired or verified.
     pub fn resume(&self) -> Result<()> {
-        self.inner.vset.lock().verify_and_repair()?;
+        self.inner
+            .manifest
+            .lock_repaired(&ManifestLeader)?
+            .log
+            .verify()?;
         *self.inner.bg_error.lock() = None;
         self.inner.degraded.store(false, Ordering::SeqCst);
         self.inner.stall_cv.notify_all();
-        match self.inner.opts.background {
-            BackgroundMode::Inline => self.run_background_with_retries(),
-            BackgroundMode::Threaded => {
-                let mut sig = self.inner.bg_signal.lock();
-                sig.work_pending = true;
-                self.inner.bg_cv.notify_all();
-                Ok(())
-            }
-        }
+        self.kick_background()
     }
 
     // ---------------- read path ----------------
@@ -1102,26 +1157,17 @@ impl Lsm {
             let mut ws = self.inner.wal.lock();
             self.rotate_memtable(&mut ws)?;
         }
-        match self.inner.opts.background {
-            BackgroundMode::Inline => self.run_background_with_retries(),
-            BackgroundMode::Threaded => {
-                {
-                    let mut sig = self.inner.bg_signal.lock();
-                    sig.work_pending = true;
-                    self.inner.bg_cv.notify_all();
-                }
-                // Wait for the background thread to drain.
-                while !self.inner.imms.read().is_empty() {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    self.check_bg_error()?;
-                    // Re-signal in case the drain raced with our rotate.
-                    let mut sig = self.inner.bg_signal.lock();
-                    sig.work_pending = true;
-                    self.inner.bg_cv.notify_all();
-                }
-                Ok(())
+        self.kick_background()?;
+        if self.inner.opts.background == BackgroundMode::Threaded {
+            // Wait for the background thread to drain.
+            while !self.inner.imms.read().is_empty() {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                self.check_bg_error()?;
+                // Re-signal in case the drain raced with our rotate.
+                self.wake_background();
             }
         }
+        Ok(())
     }
 
     /// Run compactions until every level score is below 1.
@@ -1137,77 +1183,34 @@ impl Lsm {
     /// Returns false if only the bottommost level holds data.
     pub fn force_compact_once(&self) -> Result<bool> {
         let version = self.current_version();
-        let targets = crate::compaction::compute_targets(&version, &self.inner.opts);
-        let last = self.inner.opts.num_levels - 1;
+        let opts = &self.inner.opts;
         let pick = if version.num_files(0) > 0 {
-            let inputs_lo = version.levels[0].clone();
-            let output_level = targets.base_level;
-            let mut lo: Option<Vec<u8>> = None;
-            let mut hi: Option<Vec<u8>> = None;
-            for f in &inputs_lo {
-                let s = scavenger_util::ikey::extract_user_key(&f.smallest).to_vec();
-                let l = scavenger_util::ikey::extract_user_key(&f.largest).to_vec();
-                lo = Some(match lo {
-                    Some(c) if c <= s => c,
-                    _ => s,
-                });
-                hi = Some(match hi {
-                    Some(c) if c >= l => c,
-                    _ => l,
-                });
-            }
-            let inputs_hi = version.overlapping_files(output_level, lo.as_deref(), hi.as_deref());
-            let bottommost = (output_level + 1..self.inner.opts.num_levels)
-                .all(|l| version.levels[l].is_empty());
-            Some(Compaction {
-                level: 0,
-                output_level,
-                inputs_lo,
-                inputs_hi,
-                bottommost,
-                score: 0.0,
-            })
+            let output_level = compute_targets(&version, opts).base_level;
+            let inputs = version.levels[0].clone();
+            Some(Compaction::new(&version, 0, output_level, inputs, 0.0))
         } else {
             // Densest non-bottom level.
-            let source = (1..last)
+            (1..opts.num_levels - 1)
                 .filter(|&l| !version.levels[l].is_empty())
                 .max_by_key(|&l| {
-                    if self.inner.opts.compensated {
+                    if opts.compensated {
                         version.level_compensated(l)
                     } else {
                         version.level_bytes(l)
                     }
-                });
-            source.map(|level| {
-                let victim = version.levels[level]
-                    .iter()
-                    .max_by_key(|f| f.compensated_size())
-                    .cloned()
-                    .unwrap();
-                let output_level = level + 1;
-                let lo = scavenger_util::ikey::extract_user_key(&victim.smallest).to_vec();
-                let hi = scavenger_util::ikey::extract_user_key(&victim.largest).to_vec();
-                let inputs_hi = version.overlapping_files(output_level, Some(&lo), Some(&hi));
-                let bottommost = (output_level + 1..self.inner.opts.num_levels)
-                    .all(|l| version.levels[l].is_empty());
-                Compaction {
-                    level,
-                    output_level,
-                    inputs_lo: vec![victim],
-                    inputs_hi,
-                    bottommost,
-                    score: 0.0,
-                }
-            })
+                })
+                .map(|level| {
+                    let victim = version.levels[level]
+                        .iter()
+                        .max_by_key(|f| f.compensated_size())
+                        .cloned()
+                        .unwrap();
+                    Compaction::new(&version, level, level + 1, vec![victim], 0.0)
+                })
         };
         match pick {
             Some(c) if c.is_trivial_move() => {
-                let f = &c.inputs_lo[0];
-                let mut edit = VersionEdit::default();
-                edit.deleted.push((c.level, f.file_number));
-                edit.added.push((c.output_level, (**f).clone()));
-                self.inner.vset.lock().log_and_apply(edit)?;
-                self.install_sv_version();
+                self.trivial_move(&c)?;
                 Ok(true)
             }
             Some(c) => {
@@ -1216,6 +1219,17 @@ impl Lsm {
             }
             None => Ok(false),
         }
+    }
+
+    /// Apply a pick that needs no merge: its one input file changes level.
+    fn trivial_move(&self, c: &Compaction) -> Result<()> {
+        let f = &c.inputs_lo[0];
+        let mut edit = VersionEdit::default();
+        edit.deleted.push((c.level, f.file_number));
+        edit.added.push((c.output_level, (**f).clone()));
+        self.inner.manifest.log_and_apply(edit)?;
+        self.install_sv_version();
+        Ok(())
     }
 
     fn session_for(&self, kind: JobKind) -> Result<Box<dyn ValueSession>> {
@@ -1229,12 +1243,8 @@ impl Lsm {
     }
 
     fn flush_one_imm(&self) -> Result<bool> {
-        let (imm, wal_number) = {
-            let imms = self.inner.imms.read();
-            match imms.first() {
-                Some(e) => (e.mem.clone(), e.wal_number),
-                None => return Ok(false),
-            }
+        let Some(imm) = self.inner.imms.read().first().map(|e| e.mem.clone()) else {
+            return Ok(false);
         };
         let version = self.current_version();
         let elide_upto = (version.total_files() == 0).then(|| self.tombstone_hold());
@@ -1273,7 +1283,7 @@ impl Lsm {
             None => self.inner.wal.lock().log.wal_number,
         };
         edit.log_number = Some(next_needed);
-        self.inner.vset.lock().log_and_apply(edit)?;
+        self.inner.manifest.log_and_apply(edit)?;
         if let Some(h) = &self.inner.opts.value_hook {
             h.on_committed(&out.bundle);
         }
@@ -1292,7 +1302,6 @@ impl Lsm {
         // bundle; the filter inside is then a no-op and only the version
         // member advances.)
         self.install_sv_flushed(&imm);
-        let _ = wal_number;
         self.delete_obsolete_wals()?;
         self.inner.counters.flushes.fetch_add(1, Ordering::Relaxed);
         self.inner.stall_cv.notify_all();
@@ -1311,12 +1320,7 @@ impl Lsm {
         };
         if c.is_trivial_move() {
             drop(version);
-            let f = &c.inputs_lo[0];
-            let mut edit = VersionEdit::default();
-            edit.deleted.push((c.level, f.file_number));
-            edit.added.push((c.output_level, (**f).clone()));
-            self.inner.vset.lock().log_and_apply(edit)?;
-            self.install_sv_version();
+            self.trivial_move(&c)?;
             return Ok(true);
         }
         self.run_compaction(&version, &c)?;
@@ -1381,7 +1385,7 @@ impl Lsm {
             edit.added.push((c.output_level, f.clone()));
         }
         edit.value = out.bundle.clone();
-        self.inner.vset.lock().log_and_apply(edit)?;
+        self.inner.manifest.log_and_apply(edit)?;
         self.install_sv_version();
         if let Some(h) = &self.inner.opts.value_hook {
             h.on_committed(&out.bundle);
@@ -1407,7 +1411,7 @@ impl Lsm {
 
     /// Delete queued obsolete key SSTs that no live version references.
     fn purge_unreferenced_tables(&self) {
-        let referenced = self.inner.vset.lock().referenced_files();
+        let referenced = self.vset().log.referenced_files();
         let mut pending = self.inner.pending_deletions.lock();
         pending.retain(|n| {
             if referenced.contains(n) {
@@ -1431,7 +1435,7 @@ impl Lsm {
             value: bundle,
             ..VersionEdit::default()
         };
-        self.inner.vset.lock().log_and_apply(edit)?;
+        self.inner.manifest.log_and_apply(edit)?;
         self.install_sv_version();
         Ok(())
     }
@@ -1440,7 +1444,7 @@ impl Lsm {
 
     fn recover_wals(&self) -> Result<()> {
         let opts = &self.inner.opts;
-        let min_log = self.inner.vset.lock().log_number;
+        let min_log = self.vset().log.log_number;
         let retain = self.inner.cdc.retains_history();
         let mut wals: Vec<u64> = opts
             .env
@@ -1564,13 +1568,13 @@ impl Lsm {
             log_number: Some(n),
             ..VersionEdit::default()
         };
-        self.inner.vset.lock().log_and_apply(edit)?;
+        self.inner.manifest.log_and_apply(edit)?;
         Ok(())
     }
 
     fn delete_obsolete_wals(&self) -> Result<()> {
         let opts = &self.inner.opts;
-        let min_log = self.inner.vset.lock().log_number;
+        let min_log = self.vset().log.log_number;
         for p in opts.env.list_prefix(&format!("{}/", opts.dir))? {
             if let Some((FileKind::Wal, n)) = parse_path(&opts.dir, &p) {
                 // A WAL below the recovery floor may still be a
@@ -2177,10 +2181,12 @@ mod tests {
         db.write(b).unwrap();
         // k2 gets overwritten by the user before GC write-back.
         put(&db, "k2", "user-update");
-        let applied = db
-            .write_guarded(
+        let before = db.last_sequence();
+        let receipt = db
+            .write_checked(
                 &WriteOptions::default(),
-                &[
+                WriteBatch::new(),
+                Some(Precondition::Guarded(vec![
                     GuardedWrite {
                         key: b"k1".to_vec(),
                         expected: old_ref,
@@ -2191,10 +2197,10 @@ mod tests {
                         expected: old_ref,
                         replacement: new_ref,
                     },
-                ],
+                ])),
             )
             .unwrap();
-        assert_eq!(applied, 1, "only k1 still points at the old ref");
+        assert_eq!(receipt.seq, before + 1, "only k1 still points at the old ref");
         match db.get(b"k1").unwrap() {
             LsmReadResult::Found {
                 vtype: ValueType::ValueRef,
@@ -2540,7 +2546,7 @@ mod tests {
             }
             drop(imms);
             assert!(
-                Arc::ptr_eq(&sv.version, &db.inner.vset.lock().current()),
+                Arc::ptr_eq(&sv.version, &db.current_version()),
                 "{stage}: SST version diverged"
             );
         };

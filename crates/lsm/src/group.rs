@@ -1,23 +1,28 @@
 //! Group commit: the one leader/follower queue every log in the engine is
-//! written through — the LSM's WAL and the shard set's two-phase-commit
-//! coordinator log.
+//! written through — the LSM's WAL, its MANIFEST and the shard set's
+//! two-phase-commit coordinator log.
 //!
 //! A writer enqueues its entry; the first writer to find no leader active
 //! becomes the **leader**. It drains the queue (its own entry included),
 //! takes the log lock and hands every drained entry, in queue order, to one
-//! [`GroupLeader::write`] call — the log-specific work: for the WAL one
-//! merged record, a sync if any member asked and one memtable pass; for the
-//! coordinator log every prepare appended in order and one sync. It fills
-//! each member's result slot, steps down and wakes everyone; a queued
-//! straggler leads the next group. A writer that arrives while a group is
-//! syncing therefore waits for that sync once and rides the next one.
+//! [`GroupLeader::write`] call — the log-specific work: for the WAL each
+//! member's precondition checked, one merged record, a sync if any member
+//! asked and one memtable pass; for the MANIFEST each edit applied in
+//! order, one record per edit and one sync; for the coordinator log every
+//! prepare appended in order and one sync. It fills each member's result
+//! slot, steps down and wakes everyone; a queued straggler leads the next
+//! group. A writer that arrives while a group is syncing therefore waits
+//! for that sync once and rides the next one.
 //!
 //! Failure is group-scoped and follows the fsyncgate rule: a failed write
 //! fails every member of the group with the same error and **poisons** the
 //! log. A torn append hides every later record from recovery, and after a
 //! failed fsync the unsynced tail can never be trusted to reach disk, so a
 //! poisoned log takes no more records and is never synced again: the next
-//! group first has it [rotated](GroupLeader::rotate) to a fresh one.
+//! group first has it [rotated](GroupLeader::rotate) to a fresh one. A
+//! member whose receipt is itself a refusal — a transaction whose reads
+//! went stale, an edit that does not apply — is that member's outcome, not
+//! a group failure: the others are written and the log is not poisoned.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use scavenger_util::Result;
@@ -46,20 +51,23 @@ pub trait GroupLeader<L, E, R> {
 }
 
 impl<L> Logged<L> {
-    /// Write one group on the locked log under the poison rule: a
-    /// poisoned log is rotated first, and a failed write poisons it. The
-    /// queue's leader commits through here, and so does a caller that
-    /// holds the log lock for its own reasons (a check that must be atomic
-    /// with its write), as a group of one.
-    pub fn write_group<E, R>(
-        &mut self,
-        leader: &impl GroupLeader<L, E, R>,
-        entries: Vec<E>,
-    ) -> Result<Vec<R>> {
+    /// Rotate the log first if an earlier group poisoned it.
+    fn repair<E, R>(&mut self, leader: &impl GroupLeader<L, E, R>) -> Result<()> {
         if self.poisoned {
             leader.rotate(self)?;
             self.poisoned = false;
         }
+        Ok(())
+    }
+
+    /// Write one group on the locked log under the poison rule: a
+    /// poisoned log is rotated first, and a failed write poisons it.
+    fn write_group<E, R>(
+        &mut self,
+        leader: &impl GroupLeader<L, E, R>,
+        entries: Vec<E>,
+    ) -> Result<Vec<R>> {
+        self.repair(leader)?;
         let written = leader.write(self, entries);
         if written.is_err() {
             self.poisoned = true;
@@ -102,11 +110,21 @@ impl<L, E, R> GroupCommit<L, E, R> {
         }
     }
 
-    /// Lock the log for work outside the queue — a rotation, a barrier, a
-    /// group of one through [`Logged::write_group`]. Waits for a leader
-    /// that is writing a group.
+    /// Lock the log for work outside the queue — reading its state, a
+    /// rotation, a barrier. Waits for a leader that is writing a group.
     pub fn lock(&self) -> MutexGuard<'_, Logged<L>> {
         self.log.lock()
+    }
+
+    /// [`lock`](Self::lock) the log, rotating it first if a failed group
+    /// poisoned it — what the next group would do before it writes.
+    pub fn lock_repaired(
+        &self,
+        leader: &impl GroupLeader<L, E, R>,
+    ) -> Result<MutexGuard<'_, Logged<L>>> {
+        let mut log = self.log.lock();
+        log.repair(leader)?;
+        Ok(log)
     }
 
     /// Commit `entry` through the queue. Returns this member's receipt, or

@@ -37,7 +37,7 @@ pub mod wal;
 
 pub use batch::{WriteBatch, WriteOptions, WriteReceipt};
 pub use changelog::{ChangeCursor, ChangeEvent, ChangeLog, ChangeLogStats};
-pub use db::{GuardedWrite, Lsm, LsmReadResult};
+pub use db::{GuardedWrite, Lsm, LsmReadResult, Precondition};
 pub use group::{GroupCommit, GroupLeader, Logged};
 pub use hooks::{
     DropCause, FileNumAlloc, JobKind, NewValueFile, ValueEditBundle, ValueHook, ValueSession,

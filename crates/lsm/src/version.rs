@@ -4,7 +4,8 @@
 //! (which key SSTs live at which level). Mutations are expressed as
 //! [`VersionEdit`]s, logged to the MANIFEST (in the WAL record format) and
 //! applied copy-on-write to produce the next version — LevelDB's classic
-//! design.
+//! design. Edits reach the MANIFEST through its group-commit queue
+//! ([`Manifest`]): edits queued behind a sync share the next one.
 //!
 //! Version edits also carry **value-store records** (new/deleted value
 //! files, inheritance edges, exposed-garbage increments). The index LSM
@@ -12,6 +13,7 @@
 //! recovery they are replayed back to the value store in order.
 
 use crate::filename::{current_path, manifest_path};
+use crate::group::{GroupCommit, GroupLeader, Logged};
 use crate::hooks::{NewValueFile, ValueEditBundle};
 use crate::wal::{read_all_records, LogWriter};
 use scavenger_env::{EnvRef, IoClass};
@@ -396,7 +398,11 @@ impl Version {
     }
 }
 
-/// Owns the current [`Version`], the counters, and the manifest log.
+/// Owns the current [`Version`], the counters, and the manifest log. A
+/// failed manifest append or sync poisons it ([`Logged::poisoned`]): the
+/// unsynced tail of that file may never become durable even if a later
+/// fsync reports success, so the next group rotates to a fresh manifest
+/// file before committing anything else.
 pub struct VersionSet {
     env: EnvRef,
     dir: String,
@@ -408,11 +414,6 @@ pub struct VersionSet {
     pub log_number: u64,
     manifest: LogWriter,
     manifest_number: u64,
-    /// A manifest append or `sync()` failed. fsyncgate semantics: the
-    /// unsynced tail of that file may never become durable even if a
-    /// later fsync reports success, so the writer must rotate to a
-    /// fresh manifest file before committing anything else.
-    manifest_poisoned: bool,
     /// Every committed value-store bundle, in commit order — the same
     /// history a fresh open replays. Kept so a manifest rotation can
     /// rewrite a complete snapshot without consulting the value store.
@@ -482,33 +483,16 @@ impl VersionSet {
             old_manifest = Some((mpath, number));
         }
 
-        // Start a fresh manifest holding a snapshot of the recovered state
-        // plus the value-store history, then swing CURRENT.
-        let manifest_number = next_file;
-        next_file += 1;
-        let mpath = manifest_path(dir, manifest_number);
-        let mut manifest = LogWriter::new(env.new_writable(&mpath, IoClass::Manifest)?);
-        let mut snapshot = VersionEdit {
-            next_file_number: Some(next_file),
-            last_sequence: Some(last_seq),
-            log_number: Some(log_number),
-            ..VersionEdit::default()
-        };
-        for (level, files) in version.levels.iter().enumerate() {
-            for f in files {
-                snapshot.added.push((level, (**f).clone()));
-            }
-        }
-        manifest.add_record(&snapshot.encode())?;
-        for bundle in &value_replay {
-            let edit = VersionEdit {
-                value: bundle.clone(),
-                ..VersionEdit::default()
-            };
-            manifest.add_record(&edit.encode())?;
-        }
-        manifest.sync()?;
-        set_current(&env, dir, manifest_number)?;
+        let next_file = Arc::new(AtomicU64::new(next_file));
+        let (manifest, manifest_number) = write_snapshot(
+            &env,
+            dir,
+            &next_file,
+            last_seq,
+            log_number,
+            &version,
+            &value_replay,
+        )?;
         if let Some((old_path, _)) = old_manifest {
             let _ = env.remove_file(&old_path);
         }
@@ -524,12 +508,11 @@ impl VersionSet {
                 dir: dir.to_string(),
                 num_levels,
                 current,
-                next_file: Arc::new(AtomicU64::new(next_file)),
+                next_file,
                 last_seq: Arc::new(AtomicU64::new(last_seq)),
                 log_number,
                 manifest,
                 manifest_number,
-                manifest_poisoned: false,
                 value_history: value_replay.clone(),
                 live_versions,
             },
@@ -568,85 +551,34 @@ impl VersionSet {
         self.last_seq.load(Ordering::SeqCst)
     }
 
-    /// Log `edit` to the manifest and apply it to the current version.
-    ///
-    /// If a previous commit poisoned the manifest (failed append or
-    /// fsync), this first rotates to a fresh manifest file holding a
-    /// full snapshot — the poisoned file is abandoned, never fsynced
-    /// again, so a lying retried fsync can't silently commit its tail.
-    pub fn log_and_apply(&mut self, mut edit: VersionEdit) -> Result<Arc<Version>> {
-        if self.manifest_poisoned {
-            self.rotate_manifest()?;
-        }
-        edit.next_file_number = Some(self.next_file.load(Ordering::SeqCst));
-        edit.last_sequence = Some(self.last_seq.load(Ordering::SeqCst));
-        if let Some(n) = edit.log_number {
-            self.log_number = self.log_number.max(n);
-        }
-        let next = self.current.apply(&edit)?;
-        if let Err(e) = self
-            .manifest
-            .add_record(&edit.encode())
-            .and_then(|()| self.manifest.sync())
-        {
-            self.manifest_poisoned = true;
-            return Err(e);
-        }
-        self.current = Arc::new(next);
-        if !edit.value.is_empty() {
-            self.value_history.push(edit.value.clone());
-        }
-        self.live_versions.push(Arc::downgrade(&self.current));
-        self.live_versions.retain(|w| w.strong_count() > 0);
-        Ok(self.current.clone())
-    }
-
-    /// Abandon the current manifest file and start a fresh one holding a
-    /// full snapshot of the committed state (index layout, counters, and
-    /// the complete value-store history), then swing `CURRENT` to it and
-    /// delete the old file. Mirrors the fresh-manifest logic at open.
-    fn rotate_manifest(&mut self) -> Result<()> {
-        let number = self.next_file.fetch_add(1, Ordering::SeqCst);
-        let mpath = manifest_path(&self.dir, number);
-        let mut manifest = LogWriter::new(self.env.new_writable(&mpath, IoClass::Manifest)?);
-        let mut snapshot = VersionEdit {
-            next_file_number: Some(self.next_file.load(Ordering::SeqCst)),
-            last_sequence: Some(self.last_seq.load(Ordering::SeqCst)),
-            log_number: Some(self.log_number),
-            ..VersionEdit::default()
-        };
-        for (level, files) in self.current.levels.iter().enumerate() {
-            for f in files {
-                snapshot.added.push((level, (**f).clone()));
-            }
-        }
-        manifest.add_record(&snapshot.encode())?;
-        for bundle in &self.value_history {
-            let edit = VersionEdit {
-                value: bundle.clone(),
-                ..VersionEdit::default()
-            };
-            manifest.add_record(&edit.encode())?;
-        }
-        manifest.sync()?;
-        set_current(&self.env, &self.dir, number)?;
-        let old = manifest_path(&self.dir, self.manifest_number);
-        let _ = self.env.remove_file(&old);
+    /// Abandon the current manifest file for a fresh one holding a full
+    /// snapshot of the committed state, swing `CURRENT` to it and delete
+    /// the old file — the poisoned file is never fsynced again, so a
+    /// lying retried fsync can't silently commit its tail.
+    fn rotate(&mut self) -> Result<()> {
+        let (manifest, number) = write_snapshot(
+            &self.env,
+            &self.dir,
+            &self.next_file,
+            self.last_seq.load(Ordering::SeqCst),
+            self.log_number,
+            &self.current,
+            &self.value_history,
+        )?;
+        let _ = self
+            .env
+            .remove_file(&manifest_path(&self.dir, self.manifest_number));
         self.manifest = manifest;
         self.manifest_number = number;
-        self.manifest_poisoned = false;
         Ok(())
     }
 
-    /// Verify the on-disk manifest is consistent with this version set —
-    /// and repair it first (rotate away from a poisoned writer) if a
-    /// previous commit failed. Used by `resume()` before clearing a
-    /// degraded state: `CURRENT` must point at this manifest and every
-    /// record in it must decode and apply cleanly.
-    pub fn verify_and_repair(&mut self) -> Result<()> {
-        if self.manifest_poisoned {
-            self.rotate_manifest()?;
-        }
+    /// Verify the on-disk manifest is consistent with this version set:
+    /// `CURRENT` must point at this manifest and every record in it must
+    /// decode and apply cleanly. `resume()` runs this on a repaired
+    /// manifest ([`GroupCommit::lock_repaired`]) before clearing a
+    /// degraded state.
+    pub fn verify(&self) -> Result<()> {
         let cur = current_path(&self.dir);
         let name = String::from_utf8(self.env.read_file(&cur, IoClass::Manifest)?.to_vec())
             .map_err(|_| Error::corruption("CURRENT not utf-8"))?;
@@ -699,6 +631,111 @@ impl VersionSet {
     pub fn dir(&self) -> &str {
         &self.dir
     }
+}
+
+/// The MANIFEST behind its commit queue: every edit is committed through
+/// [`log_and_apply`](Manifest::log_and_apply), and everything else locks
+/// the version set it guards.
+pub type Manifest = GroupCommit<VersionSet, VersionEdit, Result<()>>;
+
+impl Manifest {
+    /// Log `edit` to the manifest and apply it to the current version,
+    /// through the commit queue. An edit that does not apply to the
+    /// version it lands on is refused alone; a failed append or sync
+    /// fails its whole group and poisons the manifest.
+    pub fn log_and_apply(&self, edit: VersionEdit) -> Result<()> {
+        self.commit(edit, &ManifestLeader).0?
+    }
+}
+
+/// The MANIFEST's half of a group commit.
+pub struct ManifestLeader;
+
+impl GroupLeader<VersionSet, VersionEdit, Result<()>> for ManifestLeader {
+    fn rotate(&self, m: &mut Logged<VersionSet>) -> Result<()> {
+        m.log.rotate()
+    }
+
+    /// Apply the edits in queue order, each on top of the last one that
+    /// applied, appending one record per applied edit; then sync once and
+    /// install the last version. An edit that does not apply is refused
+    /// before any of it is written.
+    fn write(&self, m: &mut Logged<VersionSet>, edits: Vec<VersionEdit>) -> Result<Vec<Result<()>>> {
+        let vs = &mut m.log;
+        let mut next = vs.current.clone();
+        let mut applied = Vec::with_capacity(edits.len());
+        let mut outcomes = Vec::with_capacity(edits.len());
+        for mut edit in edits {
+            edit.next_file_number = Some(vs.next_file.load(Ordering::SeqCst));
+            edit.last_sequence = Some(vs.last_seq.load(Ordering::SeqCst));
+            match next.apply(&edit) {
+                Ok(version) => {
+                    vs.manifest.add_record(&edit.encode())?;
+                    next = Arc::new(version);
+                    applied.push(edit);
+                    outcomes.push(Ok(()));
+                }
+                Err(e) => outcomes.push(Err(e)),
+            }
+        }
+        if applied.is_empty() {
+            return Ok(outcomes);
+        }
+        vs.manifest.sync()?;
+        for edit in applied {
+            if let Some(n) = edit.log_number {
+                vs.log_number = vs.log_number.max(n);
+            }
+            if !edit.value.is_empty() {
+                vs.value_history.push(edit.value);
+            }
+        }
+        vs.current = next;
+        vs.live_versions.push(Arc::downgrade(&vs.current));
+        vs.live_versions.retain(|w| w.strong_count() > 0);
+        Ok(outcomes)
+    }
+}
+
+/// Start a fresh manifest file holding a snapshot of the committed state
+/// — the index layout, the counters and the whole value-store history —
+/// and swing `CURRENT` to it. Returns the writer and the file's number.
+/// Open starts every manifest this way, and so does a rotation away from
+/// a poisoned one.
+fn write_snapshot(
+    env: &EnvRef,
+    dir: &str,
+    next_file: &AtomicU64,
+    last_seq: SeqNo,
+    log_number: u64,
+    version: &Version,
+    value_history: &[ValueEditBundle],
+) -> Result<(LogWriter, u64)> {
+    let number = next_file.fetch_add(1, Ordering::SeqCst);
+    let mpath = manifest_path(dir, number);
+    let mut manifest = LogWriter::new(env.new_writable(&mpath, IoClass::Manifest)?);
+    let mut snapshot = VersionEdit {
+        next_file_number: Some(next_file.load(Ordering::SeqCst)),
+        last_sequence: Some(last_seq),
+        log_number: Some(log_number),
+        ..VersionEdit::default()
+    };
+    for (level, files) in version.levels.iter().enumerate() {
+        for f in files {
+            snapshot.added.push((level, (**f).clone()));
+        }
+    }
+    manifest.add_record(&snapshot.encode())?;
+    for bundle in value_history {
+        let edit = VersionEdit {
+            value: bundle.clone(),
+            ..VersionEdit::default()
+        };
+        manifest.add_record(&edit.encode())?;
+    }
+    manifest.sync()?;
+    set_current(env, dir, number)?;
+    Ok((manifest, number))
 }
 
 fn set_current(env: &EnvRef, dir: &str, manifest_number: u64) -> Result<()> {
@@ -820,9 +857,9 @@ mod tests {
         let eref: EnvRef = env.clone();
         {
             let rec = VersionSet::open(eref.clone(), "db", 7).unwrap();
-            let mut vset = rec.vset;
+            let vset = Manifest::new(rec.vset);
             assert!(rec.value_replay.is_empty());
-            let n1 = vset.new_file_number();
+            let n1 = vset.lock().log.new_file_number();
             let mut edit = VersionEdit::default();
             edit.added.push((0, meta(n1, b"a", b"z")));
             edit.value.new_files.push(NewValueFile {
@@ -834,7 +871,7 @@ mod tests {
                 format: 1,
             });
             vset.log_and_apply(edit).unwrap();
-            vset.seq_counter().store(500, Ordering::SeqCst);
+            vset.lock().log.seq_counter().store(500, Ordering::SeqCst);
             let mut edit2 = VersionEdit::default();
             edit2.value.garbage.push((99, 3, 1));
             vset.log_and_apply(edit2).unwrap();
@@ -855,7 +892,7 @@ mod tests {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
         {
-            let mut vset = VersionSet::open(eref.clone(), "db", 7).unwrap().vset;
+            let vset = Manifest::new(VersionSet::open(eref.clone(), "db", 7).unwrap().vset);
             let mut edit = VersionEdit::default();
             edit.value.new_files.push(NewValueFile {
                 file: 5,
@@ -895,13 +932,13 @@ mod tests {
         let eref: EnvRef = env.clone();
         let manifest_path_str;
         {
-            let mut vset = VersionSet::open(eref.clone(), "db", 7).unwrap().vset;
-            manifest_path_str = manifest_path("db", vset.manifest_number());
+            let vset = Manifest::new(VersionSet::open(eref.clone(), "db", 7).unwrap().vset);
+            manifest_path_str = manifest_path("db", vset.lock().log.manifest_number());
             let mut e1 = VersionEdit::default();
-            e1.added.push((0, meta(vset.new_file_number(), b"a", b"m")));
+            e1.added.push((0, meta(vset.lock().log.new_file_number(), b"a", b"m")));
             vset.log_and_apply(e1).unwrap();
             let mut e2 = VersionEdit::default();
-            e2.added.push((0, meta(vset.new_file_number(), b"n", b"z")));
+            e2.added.push((0, meta(vset.lock().log.new_file_number(), b"n", b"z")));
             vset.log_and_apply(e2).unwrap();
         }
         // Tear the last few bytes of the manifest (crash mid-append).
