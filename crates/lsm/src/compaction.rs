@@ -39,7 +39,7 @@ pub struct LevelTargets {
 }
 
 /// Scoring units for `level`.
-fn level_units(version: &Version, level: usize, compensated: bool) -> u64 {
+pub(crate) fn level_units(version: &Version, level: usize, compensated: bool) -> u64 {
     if compensated {
         version.level_compensated(level)
     } else {

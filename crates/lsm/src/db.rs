@@ -8,7 +8,9 @@
 //! the live structures.
 
 use crate::batch::{WriteBatch, WriteOptions, WriteReceipt};
-use crate::compaction::{compute_targets, pick_compaction, run_output_job, Compaction, PickerState};
+use crate::compaction::{
+    compute_targets, level_units, pick_compaction, run_output_job, Compaction, PickerState,
+};
 use crate::filename::{parse_path, table_path, wal_path, FileKind};
 use crate::group::{GroupCommit, GroupLeader, Logged};
 use crate::hooks::{FileNumAlloc, JobKind, PassthroughSession, ValueSession};
@@ -648,10 +650,7 @@ impl Lsm {
         let base = self.inner.seq.load(Ordering::SeqCst) + 1;
         // The keys the members admitted so far wrote; tracked only when
         // some member's precondition must see them.
-        let mut written = writes
-            .iter()
-            .any(|w| w.check.is_some())
-            .then(HashSet::new);
+        let mut written = writes.iter().any(|w| w.check.is_some()).then(HashSet::new);
         let mut merged = WriteBatch::new();
         // Per member: the end of its sequence range and whether it wrote.
         let mut ends: Vec<Result<(SeqNo, bool)>> = Vec::with_capacity(writes.len());
@@ -1192,13 +1191,7 @@ impl Lsm {
             // Densest non-bottom level.
             (1..opts.num_levels - 1)
                 .filter(|&l| !version.levels[l].is_empty())
-                .max_by_key(|&l| {
-                    if opts.compensated {
-                        version.level_compensated(l)
-                    } else {
-                        version.level_bytes(l)
-                    }
-                })
+                .max_by_key(|&l| level_units(&version, l, opts.compensated))
                 .map(|level| {
                     let victim = version.levels[level]
                         .iter()
@@ -2200,7 +2193,11 @@ mod tests {
                 ])),
             )
             .unwrap();
-        assert_eq!(receipt.seq, before + 1, "only k1 still points at the old ref");
+        assert_eq!(
+            receipt.seq,
+            before + 1,
+            "only k1 still points at the old ref"
+        );
         match db.get(b"k1").unwrap() {
             LsmReadResult::Found {
                 vtype: ValueType::ValueRef,
@@ -2679,6 +2676,263 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Opening the fresh WAL behind a full memtable used to fail the group
+    /// that filled it after the group had landed, so a caller retrying a
+    /// non-idempotent batch applied it twice. The group keeps its
+    /// receipts; the WAL is poisoned and the next group rotates first.
+    #[test]
+    fn a_failed_wal_rotation_does_not_fail_the_group_that_landed() {
+        use scavenger_env::{FaultKind, FaultOp};
+        let (fault, mut o) = fault_rig();
+        o.memtable_size = 4 * 1024;
+        // The store opens the first WAL; the second opens when the
+        // memtable fills.
+        fault.add_rule(fault_rule(FaultOp::Open, ".log", 2, FaultKind::Fail));
+        let db = open(o.clone());
+        let write = |k: &str| {
+            let mut b = WriteBatch::new();
+            b.put(k.as_bytes(), Bytes::from(vec![b'v'; 200]));
+            db.write(b)
+        };
+        let mut n = 0;
+        while db.counters().flushes.load(Ordering::Relaxed) == 0 {
+            write(&format!("k{n:03}")).expect("the group that filled the memtable landed");
+            n += 1;
+        }
+        write("after").expect("the next group rotates the poisoned WAL first");
+        fault.crash();
+        drop(db);
+        fault.heal();
+        let db = open(o);
+        for i in 0..n {
+            assert!(get_str(&db, &format!("k{i:03}")).is_some(), "k{i:03} lost");
+        }
+        assert!(get_str(&db, "after").is_some());
+    }
+
+    /// What a [`GateEnv`] sync waits on: armed, parked, open.
+    #[derive(Default)]
+    struct Gate {
+        state: Mutex<(bool, bool, bool)>,
+        changed: Condvar,
+    }
+
+    /// `MemEnv` whose next WAL sync, once armed, parks until opened: a
+    /// test queues writers behind a group that is mid-fsync.
+    struct GateEnv {
+        inner: scavenger_env::EnvRef,
+        gate: Arc<Gate>,
+    }
+
+    struct GateFile {
+        inner: Box<dyn scavenger_env::WritableFile>,
+        wal: bool,
+        gate: Arc<Gate>,
+    }
+
+    impl scavenger_env::WritableFile for GateFile {
+        fn append(&mut self, data: &[u8]) -> Result<()> {
+            self.inner.append(data)
+        }
+        fn sync(&mut self) -> Result<()> {
+            let mut st = self.gate.state.lock();
+            if self.wal && st.0 {
+                *st = (false, true, false);
+                self.gate.changed.notify_all();
+                while !st.2 {
+                    self.gate.changed.wait(&mut st);
+                }
+            }
+            drop(st);
+            self.inner.sync()
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    impl Env for GateEnv {
+        fn new_writable(
+            &self,
+            path: &str,
+            class: IoClass,
+        ) -> Result<Box<dyn scavenger_env::WritableFile>> {
+            Ok(Box::new(GateFile {
+                inner: self.inner.new_writable(path, class)?,
+                wal: path.ends_with(".log"),
+                gate: self.gate.clone(),
+            }))
+        }
+        fn open_random_access(
+            &self,
+            path: &str,
+            class: IoClass,
+        ) -> Result<Arc<dyn scavenger_env::RandomAccessFile>> {
+            self.inner.open_random_access(path, class)
+        }
+        fn read_file(&self, path: &str, class: IoClass) -> Result<Bytes> {
+            self.inner.read_file(path, class)
+        }
+        fn remove_file(&self, path: &str) -> Result<()> {
+            self.inner.remove_file(path)
+        }
+        fn rename(&self, from: &str, to: &str) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn file_exists(&self, path: &str) -> bool {
+            self.inner.file_exists(path)
+        }
+        fn file_size(&self, path: &str) -> Result<u64> {
+            self.inner.file_size(path)
+        }
+        fn list_prefix(&self, prefix: &str) -> Result<Vec<String>> {
+            self.inner.list_prefix(prefix)
+        }
+        fn create_dir_all(&self, path: &str) -> Result<()> {
+            self.inner.create_dir_all(path)
+        }
+        fn io_stats(&self) -> Arc<scavenger_env::IoStats> {
+            self.inner.io_stats()
+        }
+    }
+
+    /// A store on a [`GateEnv`] whose memtable never fills.
+    fn gated() -> (Arc<GateEnv>, Lsm) {
+        let env = Arc::new(GateEnv {
+            inner: MemEnv::shared(),
+            gate: Arc::default(),
+        });
+        let mut o = LsmOptions::new(env.clone(), "db");
+        o.memtable_size = 1 << 20;
+        (env, open(o))
+    }
+
+    fn batch(k: &str, v: &str) -> WriteBatch {
+        let mut b = WriteBatch::new();
+        b.put(k.as_bytes(), Bytes::copy_from_slice(v.as_bytes()));
+        b
+    }
+
+    /// Wait up to ten seconds for `done`.
+    fn wait_for(done: impl Fn() -> bool) -> bool {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(std::time::Duration::from_micros(50));
+        }
+        true
+    }
+
+    /// Park a plain write's WAL sync, queue `members` behind it one at a
+    /// time and in order, then open the gate. Returns each member's
+    /// outcome.
+    fn queue_behind_a_parked_sync(
+        db: &Lsm,
+        env: &GateEnv,
+        members: Vec<(WriteBatch, Option<Precondition>)>,
+    ) -> Vec<Result<WriteReceipt>> {
+        env.gate.state.lock().0 = true;
+        std::thread::scope(|s| {
+            let first = s.spawn(|| db.write(batch("p0", "0")));
+            assert!(wait_for(|| env.gate.state.lock().1), "no sync parked");
+            let mut queued_in_order = true;
+            let members: Vec<_> = members
+                .into_iter()
+                .enumerate()
+                .map(|(i, (b, check))| {
+                    let h = s.spawn(move || db.write_checked(&WriteOptions::default(), b, check));
+                    queued_in_order &= wait_for(|| db.inner.wal.queued() == i + 1);
+                    h
+                })
+                .collect();
+            env.gate.state.lock().2 = true;
+            env.gate.changed.notify_all();
+            first.join().unwrap().unwrap();
+            assert!(queued_in_order, "a member did not queue behind the sync");
+            members.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// A transaction on one member no longer validates and fsyncs alone
+    /// under the writer lock: queued behind a sync with plain writes, it
+    /// commits in their group — one WAL record, one fsync.
+    #[test]
+    fn a_transaction_queued_behind_a_sync_shares_the_next_group() {
+        let (env, db) = gated();
+        put(&db, "k", "v");
+        let read_at = db.last_sequence();
+        let groups = || db.counters().group_commit_groups.load(Ordering::Relaxed);
+        let syncs = || env.io_stats().snapshot().class(IoClass::Wal).syncs;
+        let (groups0, syncs0) = (groups(), syncs());
+        let reads = Precondition::Reads(vec![(b"k".to_vec(), read_at)]);
+        let out = queue_behind_a_parked_sync(
+            &db,
+            &env,
+            vec![
+                (batch("p1", "1"), None),
+                (batch("t", "1"), Some(reads)),
+                (batch("p2", "2"), None),
+            ],
+        );
+        for r in &out {
+            assert_eq!(r.as_ref().unwrap().group_len, 3, "one group of three");
+        }
+        assert_eq!(groups() - groups0, 2, "the parked group, then one record");
+        assert_eq!(syncs() - syncs0, 2, "one fsync per group");
+        assert_eq!(get_str(&db, "t"), Some("1".into()));
+    }
+
+    /// A check sees the keys written by members queued ahead of it in its
+    /// own group, which the tree does not show yet: a transaction that
+    /// read `k` before a groupmate's put of `k` conflicts, and a
+    /// write-back of `k2` behind a groupmate's put of `k2` is dropped —
+    /// while the puts land.
+    #[test]
+    fn a_check_sees_the_writes_of_its_groupmates() {
+        let (env, db) = gated();
+        let old_ref = ValueRef {
+            file: 7,
+            size: 100,
+            offset: 40,
+        };
+        put(&db, "k", "v0");
+        let mut b = WriteBatch::new();
+        b.put_ref(b"k2", old_ref);
+        db.write(b).unwrap();
+        let read_at = db.last_sequence();
+        let write_back = Precondition::Guarded(vec![GuardedWrite {
+            key: b"k2".to_vec(),
+            expected: old_ref,
+            replacement: ValueRef {
+                file: 9,
+                size: 100,
+                offset: 0,
+            },
+        }]);
+        let out = queue_behind_a_parked_sync(
+            &db,
+            &env,
+            vec![
+                (batch("k", "v1"), None),
+                (
+                    batch("t", "1"),
+                    Some(Precondition::Reads(vec![(b"k".to_vec(), read_at)])),
+                ),
+                (batch("k2", "user"), None),
+                (WriteBatch::new(), Some(write_back)),
+            ],
+        );
+        assert_eq!(out[0].as_ref().unwrap().group_len, 2);
+        assert!(out[1].as_ref().unwrap_err().is_txn_conflict());
+        assert_eq!(out[2].as_ref().unwrap().group_len, 2);
+        assert_eq!(out[3].as_ref().unwrap().group_len, 0, "entry dropped");
+        assert_eq!(get_str(&db, "k"), Some("v1".into()));
+        assert_eq!(get_str(&db, "t"), None);
+        assert_eq!(get_str(&db, "k2"), Some("user".into()));
     }
 
     /// Dense batches advance by stepping, not re-seeking every key.

@@ -172,7 +172,7 @@ impl<L, E, R> GroupCommit<L, E, R> {
 
     /// Entries waiting for the next leader.
     #[cfg(test)]
-    fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.queue.lock().waiting.len()
     }
 }

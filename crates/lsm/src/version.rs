@@ -660,7 +660,11 @@ impl GroupLeader<VersionSet, VersionEdit, Result<()>> for ManifestLeader {
     /// applied, appending one record per applied edit; then sync once and
     /// install the last version. An edit that does not apply is refused
     /// before any of it is written.
-    fn write(&self, m: &mut Logged<VersionSet>, edits: Vec<VersionEdit>) -> Result<Vec<Result<()>>> {
+    fn write(
+        &self,
+        m: &mut Logged<VersionSet>,
+        edits: Vec<VersionEdit>,
+    ) -> Result<Vec<Result<()>>> {
         let vs = &mut m.log;
         let mut next = vs.current.clone();
         let mut applied = Vec::with_capacity(edits.len());
@@ -935,10 +939,12 @@ mod tests {
             let vset = Manifest::new(VersionSet::open(eref.clone(), "db", 7).unwrap().vset);
             manifest_path_str = manifest_path("db", vset.lock().log.manifest_number());
             let mut e1 = VersionEdit::default();
-            e1.added.push((0, meta(vset.lock().log.new_file_number(), b"a", b"m")));
+            e1.added
+                .push((0, meta(vset.lock().log.new_file_number(), b"a", b"m")));
             vset.log_and_apply(e1).unwrap();
             let mut e2 = VersionEdit::default();
-            e2.added.push((0, meta(vset.lock().log.new_file_number(), b"n", b"z")));
+            e2.added
+                .push((0, meta(vset.lock().log.new_file_number(), b"n", b"z")));
             vset.log_and_apply(e2).unwrap();
         }
         // Tear the last few bytes of the manifest (crash mid-append).

@@ -23,7 +23,7 @@
 
 use scavenger::gc::GC_THRESHOLD;
 use scavenger::{Db, DbShards, EngineMode, MemEnv, Options, ShardedOptions, WriteOptions};
-use scavenger_env::{Env, EnvRef, FaultEnv, FaultKind, FaultOp, FaultRule, Trigger};
+use scavenger_env::{Env, EnvRef, FaultEnv, FaultKind, FaultOp, FaultRule, IoClass, Trigger};
 use scavenger_workload::crash::{self, CrashOp, Model};
 use std::sync::Arc;
 
@@ -362,6 +362,80 @@ fn degraded_mode_serves_reads_and_resume_restores_writes() {
         db.get(crash::key_bytes(0)).unwrap().unwrap(),
         bytes::Bytes::from(crash::value_bytes(0, 3, 700))
     );
+}
+
+/// A failed MANIFEST sync fails the flush whose edit it carried and
+/// poisons the manifest; `resume()` then writes a fresh `MANIFEST-N`
+/// holding the full snapshot and value-store history, swings `CURRENT`
+/// to it and removes the poisoned file, and a reopen finds the same
+/// version, value store and data.
+#[test]
+fn a_poisoned_manifest_is_rewritten_whole_on_resume() {
+    let fault = FaultEnv::wrap(MemEnv::shared(), 0xfee3);
+    let env: EnvRef = fault.clone();
+    let mut o = small_opts(env.clone(), EngineMode::Scavenger);
+    o.bg_retry_limit = 0;
+    let db = Db::open(o.clone()).unwrap();
+    let current = || {
+        let name = env.read_file("db/CURRENT", IoClass::Manifest).unwrap();
+        format!("db/{}", String::from_utf8_lossy(&name).trim())
+    };
+    for i in 0..44u32 {
+        db.put(crash::key_bytes(i), crash::value_bytes(i, 1, 700))
+            .unwrap();
+        if i == 39 {
+            db.flush().unwrap();
+        }
+    }
+    let poisoned = current();
+    fault.add_rule(FaultRule {
+        op: FaultOp::Sync,
+        path_contains: Some("MANIFEST".to_string()),
+        trigger: Trigger::Nth(1),
+        kind: FaultKind::Fail,
+        one_shot: true,
+    });
+    db.flush().expect_err("the flush's manifest sync fails");
+    assert!(db.is_degraded());
+    assert_eq!(
+        current(),
+        poisoned,
+        "nothing rotates before the next commit"
+    );
+
+    db.resume().expect("resume rewrites the poisoned manifest");
+    let fresh = current();
+    assert_ne!(fresh, poisoned);
+    assert!(env.file_exists(&fresh));
+    assert!(
+        !env.file_exists(&poisoned),
+        "the poisoned manifest is removed"
+    );
+
+    let state = |db: &Db| {
+        let shard = db.shard(0);
+        let levels: Vec<Vec<u64>> = shard
+            .lsm()
+            .current_version()
+            .levels
+            .iter()
+            .map(|l| l.iter().map(|f| f.file_number).collect())
+            .collect();
+        let mut values: Vec<(u64, u64, u64)> = shard
+            .value_store()
+            .all_files()
+            .iter()
+            .map(|f| (f.file, f.size, f.entries))
+            .collect();
+        values.sort_unstable();
+        (levels, values, recovered_model(db, "manifest rewrite"))
+    };
+    let before = state(&db);
+    assert!(!before.1.is_empty(), "value files to recover");
+    assert_eq!(before.2.len(), 44);
+    drop(db);
+    let db = Db::open(o).unwrap();
+    assert_eq!(state(&db), before);
 }
 
 /// Same availability contract on a sharded store: one `resume` clears
