@@ -539,18 +539,30 @@ impl Lsm {
     /// the group is written, and a member that ends up writing nothing —
     /// a read-only transaction, a write-back whose every key moved on —
     /// gets an inert receipt (`group_len` 0).
+    ///
+    /// A read-only transaction does not queue: its validation is its whole
+    /// commit, made under the log lock, so it neither waits for the sync
+    /// of a group it adds nothing to nor fails on a poisoned WAL.
     pub fn write_checked(
         &self,
         opts: &WriteOptions,
         batch: WriteBatch,
         check: Option<Precondition>,
     ) -> Result<WriteReceipt> {
-        if batch.is_empty() && check.is_none() {
-            return Ok(WriteReceipt {
-                seq: self.last_sequence(),
-                group_len: 0,
-                synced: false,
-            });
+        let inert = |seq| WriteReceipt {
+            seq,
+            group_len: 0,
+            synced: false,
+        };
+        match check {
+            None if batch.is_empty() => return Ok(inert(self.last_sequence())),
+            Some(reads @ Precondition::Reads(_)) if batch.is_empty() => {
+                self.admit()?;
+                let _ws = self.inner.wal.lock();
+                self.checked_batch(reads, batch, &HashSet::new())?;
+                return Ok(inert(self.last_sequence()));
+            }
+            _ => {}
         }
         self.admit()?;
         let before = self.last_sequence();
@@ -2712,101 +2724,11 @@ mod tests {
         assert!(get_str(&db, "after").is_some());
     }
 
-    /// What a [`GateEnv`] sync waits on: armed, parked, open.
-    #[derive(Default)]
-    struct Gate {
-        state: Mutex<(bool, bool, bool)>,
-        changed: Condvar,
-    }
-
-    /// `MemEnv` whose next WAL sync, once armed, parks until opened: a
-    /// test queues writers behind a group that is mid-fsync.
-    struct GateEnv {
-        inner: scavenger_env::EnvRef,
-        gate: Arc<Gate>,
-    }
-
-    struct GateFile {
-        inner: Box<dyn scavenger_env::WritableFile>,
-        wal: bool,
-        gate: Arc<Gate>,
-    }
-
-    impl scavenger_env::WritableFile for GateFile {
-        fn append(&mut self, data: &[u8]) -> Result<()> {
-            self.inner.append(data)
-        }
-        fn sync(&mut self) -> Result<()> {
-            let mut st = self.gate.state.lock();
-            if self.wal && st.0 {
-                *st = (false, true, false);
-                self.gate.changed.notify_all();
-                while !st.2 {
-                    self.gate.changed.wait(&mut st);
-                }
-            }
-            drop(st);
-            self.inner.sync()
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-    }
-
-    impl Env for GateEnv {
-        fn new_writable(
-            &self,
-            path: &str,
-            class: IoClass,
-        ) -> Result<Box<dyn scavenger_env::WritableFile>> {
-            Ok(Box::new(GateFile {
-                inner: self.inner.new_writable(path, class)?,
-                wal: path.ends_with(".log"),
-                gate: self.gate.clone(),
-            }))
-        }
-        fn open_random_access(
-            &self,
-            path: &str,
-            class: IoClass,
-        ) -> Result<Arc<dyn scavenger_env::RandomAccessFile>> {
-            self.inner.open_random_access(path, class)
-        }
-        fn read_file(&self, path: &str, class: IoClass) -> Result<Bytes> {
-            self.inner.read_file(path, class)
-        }
-        fn remove_file(&self, path: &str) -> Result<()> {
-            self.inner.remove_file(path)
-        }
-        fn rename(&self, from: &str, to: &str) -> Result<()> {
-            self.inner.rename(from, to)
-        }
-        fn file_exists(&self, path: &str) -> bool {
-            self.inner.file_exists(path)
-        }
-        fn file_size(&self, path: &str) -> Result<u64> {
-            self.inner.file_size(path)
-        }
-        fn list_prefix(&self, prefix: &str) -> Result<Vec<String>> {
-            self.inner.list_prefix(prefix)
-        }
-        fn create_dir_all(&self, path: &str) -> Result<()> {
-            self.inner.create_dir_all(path)
-        }
-        fn io_stats(&self) -> Arc<scavenger_env::IoStats> {
-            self.inner.io_stats()
-        }
-    }
-
-    /// A store on a [`GateEnv`] whose memtable never fills.
-    fn gated() -> (Arc<GateEnv>, Lsm) {
-        let env = Arc::new(GateEnv {
-            inner: MemEnv::shared(),
-            gate: Arc::default(),
-        });
-        let mut o = LsmOptions::new(env.clone(), "db");
+    /// A store whose memtable never fills.
+    fn roomy() -> Lsm {
+        let mut o = LsmOptions::new(MemEnv::shared(), "db");
         o.memtable_size = 1 << 20;
-        (env, open(o))
+        open(o)
     }
 
     fn batch(k: &str, v: &str) -> WriteBatch {
@@ -2827,59 +2749,67 @@ mod tests {
         true
     }
 
-    /// Park a plain write's WAL sync, queue `members` behind it one at a
-    /// time and in order, then open the gate. Returns each member's
-    /// outcome.
-    fn queue_behind_a_parked_sync(
+    /// Hold the WAL's log lock, so the next leader parks before it writes;
+    /// queue `members` behind it one at a time and in order; let go.
+    /// Returns each member's outcome. Two plain writes race to lead: the
+    /// winner is a group of its own, the other queues first, so the
+    /// members share one group with that filler ahead of them.
+    ///
+    /// Only the queue's length (`GroupCommit::queued`) shows that a writer
+    /// has queued, and the order inside a group is what these tests stage,
+    /// so they are unit tests rather than integration tests.
+    fn queue_behind_a_parked_leader(
         db: &Lsm,
-        env: &GateEnv,
         members: Vec<(WriteBatch, Option<Precondition>)>,
     ) -> Vec<Result<WriteReceipt>> {
-        env.gate.state.lock().0 = true;
+        let held = db.inner.wal.lock();
         std::thread::scope(|s| {
-            let first = s.spawn(|| db.write(batch("p0", "0")));
-            assert!(wait_for(|| env.gate.state.lock().1), "no sync parked");
-            let mut queued_in_order = true;
+            let fillers = [
+                s.spawn(|| db.write(batch("p0", "0"))),
+                s.spawn(|| db.write(batch("p1", "1"))),
+            ];
+            let mut queued_in_order = wait_for(|| db.inner.wal.queued() == 1);
             let members: Vec<_> = members
                 .into_iter()
                 .enumerate()
                 .map(|(i, (b, check))| {
                     let h = s.spawn(move || db.write_checked(&WriteOptions::default(), b, check));
-                    queued_in_order &= wait_for(|| db.inner.wal.queued() == i + 1);
+                    queued_in_order &= wait_for(|| db.inner.wal.queued() == i + 2);
                     h
                 })
                 .collect();
-            env.gate.state.lock().2 = true;
-            env.gate.changed.notify_all();
-            first.join().unwrap().unwrap();
-            assert!(queued_in_order, "a member did not queue behind the sync");
+            drop(held);
+            for f in fillers {
+                f.join().unwrap().unwrap();
+            }
+            assert!(queued_in_order, "a member did not queue behind the leader");
             members.into_iter().map(|h| h.join().unwrap()).collect()
         })
     }
 
     /// A transaction on one member no longer validates and fsyncs alone
-    /// under the writer lock: queued behind a sync with plain writes, it
-    /// commits in their group — one WAL record, one fsync.
+    /// under the writer lock: queued with plain writes, it commits in
+    /// their group — one WAL record, one fsync.
     #[test]
-    fn a_transaction_queued_behind_a_sync_shares_the_next_group() {
-        let (env, db) = gated();
+    fn a_transaction_queued_with_plain_writes_shares_their_group() {
+        let db = roomy();
         put(&db, "k", "v");
         let read_at = db.last_sequence();
         let groups = || db.counters().group_commit_groups.load(Ordering::Relaxed);
-        let syncs = || env.io_stats().snapshot().class(IoClass::Wal).syncs;
+        let io = db.inner.opts.env.io_stats();
+        let syncs = || io.snapshot().class(IoClass::Wal).syncs;
         let (groups0, syncs0) = (groups(), syncs());
         let reads = Precondition::Reads(vec![(b"k".to_vec(), read_at)]);
-        let out = queue_behind_a_parked_sync(
+        let out = queue_behind_a_parked_leader(
             &db,
-            &env,
             vec![
-                (batch("p1", "1"), None),
-                (batch("t", "1"), Some(reads)),
                 (batch("p2", "2"), None),
+                (batch("t", "1"), Some(reads)),
+                (batch("p3", "3"), None),
             ],
         );
         for r in &out {
-            assert_eq!(r.as_ref().unwrap().group_len, 3, "one group of three");
+            assert_eq!(r.as_ref().unwrap().group_len, 4, "one group of four");
         }
         assert_eq!(groups() - groups0, 2, "the parked group, then one record");
         assert_eq!(syncs() - syncs0, 2, "one fsync per group");
@@ -2893,7 +2823,7 @@ mod tests {
     /// while the puts land.
     #[test]
     fn a_check_sees_the_writes_of_its_groupmates() {
-        let (env, db) = gated();
+        let db = roomy();
         let old_ref = ValueRef {
             file: 7,
             size: 100,
@@ -2913,9 +2843,8 @@ mod tests {
                 offset: 0,
             },
         }]);
-        let out = queue_behind_a_parked_sync(
+        let out = queue_behind_a_parked_leader(
             &db,
-            &env,
             vec![
                 (batch("k", "v1"), None),
                 (
@@ -2926,13 +2855,48 @@ mod tests {
                 (WriteBatch::new(), Some(write_back)),
             ],
         );
-        assert_eq!(out[0].as_ref().unwrap().group_len, 2);
+        assert_eq!(out[0].as_ref().unwrap().group_len, 3);
         assert!(out[1].as_ref().unwrap_err().is_txn_conflict());
-        assert_eq!(out[2].as_ref().unwrap().group_len, 2);
+        assert_eq!(out[2].as_ref().unwrap().group_len, 3);
         assert_eq!(out[3].as_ref().unwrap().group_len, 0, "entry dropped");
         assert_eq!(get_str(&db, "k"), Some("v1".into()));
         assert_eq!(get_str(&db, "t"), None);
         assert_eq!(get_str(&db, "k2"), Some("user".into()));
+    }
+
+    /// A read-only transaction's validation is its whole commit: it does
+    /// not queue, so a poisoned WAL that cannot be rotated does not fail
+    /// it, and a stale read still conflicts.
+    #[test]
+    fn a_read_only_transaction_commits_on_a_poisoned_wal() {
+        use scavenger_env::{FaultKind, FaultOp, FaultRule, Trigger};
+        let (fault, o) = fault_rig();
+        let db = open(o);
+        put(&db, "k", "v");
+        let read_at = db.last_sequence();
+        fault.add_rule(fault_rule(FaultOp::Sync, ".log", 1, FaultKind::Fail));
+        assert!(
+            db.write(batch("y", "1")).is_err(),
+            "the failed sync poisons the WAL"
+        );
+        fault.add_rule(FaultRule {
+            trigger: Trigger::Always,
+            one_shot: false,
+            ..fault_rule(FaultOp::Open, ".log", 1, FaultKind::Fail)
+        });
+        assert!(
+            db.write(batch("z", "1")).is_err(),
+            "the WAL cannot be rotated"
+        );
+        let read_only = |seq| {
+            db.write_checked(
+                &WriteOptions::default(),
+                WriteBatch::new(),
+                Some(Precondition::Reads(vec![(b"k".to_vec(), seq)])),
+            )
+        };
+        assert_eq!(read_only(read_at).unwrap().group_len, 0);
+        assert!(read_only(read_at - 1).unwrap_err().is_txn_conflict());
     }
 
     /// Dense batches advance by stepping, not re-seeking every key.
