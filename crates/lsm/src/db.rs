@@ -25,7 +25,7 @@ use crate::view::{
 };
 use crate::wal::LogWriter;
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use scavenger_env::{IoClass, ReadaheadFile};
 use scavenger_table::btable::BlockCache;
 use scavenger_table::cache::cache_file_id;
@@ -382,12 +382,7 @@ impl Lsm {
 
     /// The live version (file layout).
     pub fn current_version(&self) -> Arc<Version> {
-        self.vset().log.current()
-    }
-
-    /// Lock the version set (waits out a MANIFEST sync in progress).
-    fn vset(&self) -> MutexGuard<'_, Logged<VersionSet>> {
-        self.inner.manifest.lock()
+        self.inner.manifest.lock().log.current()
     }
 
     // ---------------- superversion ----------------
@@ -413,7 +408,7 @@ impl Lsm {
                 .rev()
                 .map(|e| e.mem.clone())
                 .collect();
-            let version = self.vset().log.current();
+            let version = self.current_version();
             Arc::new(SuperVersion { mem, imms, version })
         };
         *self.inner.sv.write() = sv;
@@ -461,7 +456,7 @@ impl Lsm {
             .filter(|m| !Arc::ptr_eq(m, flushed))
             .cloned()
             .collect();
-        let version = self.vset().log.current();
+        let version = self.current_version();
         *self.inner.sv.write() = Arc::new(SuperVersion {
             mem: old.mem.clone(),
             imms,
@@ -477,7 +472,7 @@ impl Lsm {
     fn install_sv_version(&self) {
         let _install = self.inner.sv_install.lock();
         let old = self.inner.sv.read().clone();
-        let version = self.vset().log.current();
+        let version = self.current_version();
         *self.inner.sv.write() = Arc::new(SuperVersion {
             mem: old.mem.clone(),
             imms: old.imms.clone(),
@@ -1416,7 +1411,7 @@ impl Lsm {
 
     /// Delete queued obsolete key SSTs that no live version references.
     fn purge_unreferenced_tables(&self) {
-        let referenced = self.vset().log.referenced_files();
+        let referenced = self.inner.manifest.lock().log.referenced_files();
         let mut pending = self.inner.pending_deletions.lock();
         pending.retain(|n| {
             if referenced.contains(n) {
@@ -1449,7 +1444,7 @@ impl Lsm {
 
     fn recover_wals(&self) -> Result<()> {
         let opts = &self.inner.opts;
-        let min_log = self.vset().log.log_number;
+        let min_log = self.inner.manifest.lock().log.log_number;
         let retain = self.inner.cdc.retains_history();
         let mut wals: Vec<u64> = opts
             .env
@@ -1579,7 +1574,7 @@ impl Lsm {
 
     fn delete_obsolete_wals(&self) -> Result<()> {
         let opts = &self.inner.opts;
-        let min_log = self.vset().log.log_number;
+        let min_log = self.inner.manifest.lock().log.log_number;
         for p in opts.env.list_prefix(&format!("{}/", opts.dir))? {
             if let Some((FileKind::Wal, n)) = parse_path(&opts.dir, &p) {
                 // A WAL below the recovery floor may still be a

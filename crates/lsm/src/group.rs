@@ -170,9 +170,7 @@ impl<L, E, R> GroupCommit<L, E, R> {
         (res, true)
     }
 
-    /// Entries waiting for the next leader. The WAL's unit tests in
-    /// `db.rs` read it too: it is the only sign that a writer has queued,
-    /// and they stage the order of members inside one group.
+    /// Entries waiting for the next leader.
     #[cfg(test)]
     pub(crate) fn queued(&self) -> usize {
         self.queue.lock().waiting.len()

@@ -412,7 +412,9 @@ pub struct VersionSet {
     last_seq: Arc<AtomicU64>,
     /// WALs numbered below this are obsolete.
     pub log_number: u64,
-    manifest: LogWriter,
+    /// The live manifest file; `None` only while [`open`](Self::open)
+    /// has yet to write the first one.
+    manifest: Option<LogWriter>,
     manifest_number: u64,
     /// Every committed value-store bundle, in commit order — the same
     /// history a fresh open replays. Kept so a manifest rotation can
@@ -440,7 +442,7 @@ impl VersionSet {
         let mut last_seq: SeqNo = 0;
         let mut log_number: u64 = 0;
         let mut value_replay: Vec<ValueEditBundle> = Vec::new();
-        let mut old_manifest: Option<(String, u64)> = None;
+        let mut manifest_number = 0;
 
         let cur = current_path(dir);
         if env.file_exists(&cur) {
@@ -480,21 +482,7 @@ impl VersionSet {
                     value_replay.push(edit.value.clone());
                 }
             }
-            old_manifest = Some((mpath, number));
-        }
-
-        let next_file = Arc::new(AtomicU64::new(next_file));
-        let (manifest, manifest_number) = write_snapshot(
-            &env,
-            dir,
-            &next_file,
-            last_seq,
-            log_number,
-            &version,
-            &value_replay,
-        )?;
-        if let Some((old_path, _)) = old_manifest {
-            let _ = env.remove_file(&old_path);
+            manifest_number = number;
         }
 
         // Track the initial version like every later one: a pinned read
@@ -502,22 +490,21 @@ impl VersionSet {
         // its files on disk until that view drops.
         let current = Arc::new(version);
         let live_versions = vec![Arc::downgrade(&current)];
-        Ok(RecoveredState {
-            vset: VersionSet {
-                env,
-                dir: dir.to_string(),
-                num_levels,
-                current,
-                next_file,
-                last_seq: Arc::new(AtomicU64::new(last_seq)),
-                log_number,
-                manifest,
-                manifest_number,
-                value_history: value_replay.clone(),
-                live_versions,
-            },
-            value_replay,
-        })
+        let mut vset = VersionSet {
+            env,
+            dir: dir.to_string(),
+            num_levels,
+            current,
+            next_file: Arc::new(AtomicU64::new(next_file)),
+            last_seq: Arc::new(AtomicU64::new(last_seq)),
+            log_number,
+            manifest: None,
+            manifest_number,
+            value_history: value_replay.clone(),
+            live_versions,
+        };
+        vset.rotate()?;
+        Ok(RecoveredState { vset, value_replay })
     }
 
     /// The live version.
@@ -551,24 +538,42 @@ impl VersionSet {
         self.last_seq.load(Ordering::SeqCst)
     }
 
-    /// Abandon the current manifest file for a fresh one holding a full
-    /// snapshot of the committed state, swing `CURRENT` to it and delete
-    /// the old file — the poisoned file is never fsynced again, so a
-    /// lying retried fsync can't silently commit its tail.
+    /// Start a fresh manifest file holding a snapshot of the committed
+    /// state — the index layout, the counters and the whole value-store
+    /// history — swing `CURRENT` to it and delete the old file. Open
+    /// starts every manifest this way, and so does the rotation away from
+    /// a poisoned one, which is never fsynced again: a lying retried fsync
+    /// can't silently commit its tail.
     fn rotate(&mut self) -> Result<()> {
-        let (manifest, number) = write_snapshot(
-            &self.env,
-            &self.dir,
-            &self.next_file,
-            self.last_seq.load(Ordering::SeqCst),
-            self.log_number,
-            &self.current,
-            &self.value_history,
-        )?;
-        let _ = self
-            .env
-            .remove_file(&manifest_path(&self.dir, self.manifest_number));
-        self.manifest = manifest;
+        let number = self.new_file_number();
+        let mpath = manifest_path(&self.dir, number);
+        let mut manifest = LogWriter::new(self.env.new_writable(&mpath, IoClass::Manifest)?);
+        let mut snapshot = VersionEdit {
+            next_file_number: Some(self.next_file.load(Ordering::SeqCst)),
+            last_sequence: Some(self.last_sequence()),
+            log_number: Some(self.log_number),
+            ..VersionEdit::default()
+        };
+        for (level, files) in self.current.levels.iter().enumerate() {
+            for f in files {
+                snapshot.added.push((level, (**f).clone()));
+            }
+        }
+        manifest.add_record(&snapshot.encode())?;
+        for bundle in &self.value_history {
+            let edit = VersionEdit {
+                value: bundle.clone(),
+                ..VersionEdit::default()
+            };
+            manifest.add_record(&edit.encode())?;
+        }
+        manifest.sync()?;
+        set_current(&self.env, &self.dir, number)?;
+        if self.manifest_number > 0 {
+            let old = manifest_path(&self.dir, self.manifest_number);
+            let _ = self.env.remove_file(&old);
+        }
+        self.manifest = Some(manifest);
         self.manifest_number = number;
         Ok(())
     }
@@ -666,6 +671,10 @@ impl GroupLeader<VersionSet, VersionEdit, Result<()>> for ManifestLeader {
         edits: Vec<VersionEdit>,
     ) -> Result<Vec<Result<()>>> {
         let vs = &mut m.log;
+        let manifest = vs
+            .manifest
+            .as_mut()
+            .expect("open writes the first manifest");
         let mut next = vs.current.clone();
         let mut applied = Vec::with_capacity(edits.len());
         let mut outcomes = Vec::with_capacity(edits.len());
@@ -674,7 +683,7 @@ impl GroupLeader<VersionSet, VersionEdit, Result<()>> for ManifestLeader {
             edit.last_sequence = Some(vs.last_seq.load(Ordering::SeqCst));
             match next.apply(&edit) {
                 Ok(version) => {
-                    vs.manifest.add_record(&edit.encode())?;
+                    manifest.add_record(&edit.encode())?;
                     next = Arc::new(version);
                     applied.push(edit);
                     outcomes.push(Ok(()));
@@ -685,7 +694,7 @@ impl GroupLeader<VersionSet, VersionEdit, Result<()>> for ManifestLeader {
         if applied.is_empty() {
             return Ok(outcomes);
         }
-        vs.manifest.sync()?;
+        manifest.sync()?;
         for edit in applied {
             if let Some(n) = edit.log_number {
                 vs.log_number = vs.log_number.max(n);
@@ -699,47 +708,6 @@ impl GroupLeader<VersionSet, VersionEdit, Result<()>> for ManifestLeader {
         vs.live_versions.retain(|w| w.strong_count() > 0);
         Ok(outcomes)
     }
-}
-
-/// Start a fresh manifest file holding a snapshot of the committed state
-/// — the index layout, the counters and the whole value-store history —
-/// and swing `CURRENT` to it. Returns the writer and the file's number.
-/// Open starts every manifest this way, and so does a rotation away from
-/// a poisoned one.
-fn write_snapshot(
-    env: &EnvRef,
-    dir: &str,
-    next_file: &AtomicU64,
-    last_seq: SeqNo,
-    log_number: u64,
-    version: &Version,
-    value_history: &[ValueEditBundle],
-) -> Result<(LogWriter, u64)> {
-    let number = next_file.fetch_add(1, Ordering::SeqCst);
-    let mpath = manifest_path(dir, number);
-    let mut manifest = LogWriter::new(env.new_writable(&mpath, IoClass::Manifest)?);
-    let mut snapshot = VersionEdit {
-        next_file_number: Some(next_file.load(Ordering::SeqCst)),
-        last_sequence: Some(last_seq),
-        log_number: Some(log_number),
-        ..VersionEdit::default()
-    };
-    for (level, files) in version.levels.iter().enumerate() {
-        for f in files {
-            snapshot.added.push((level, (**f).clone()));
-        }
-    }
-    manifest.add_record(&snapshot.encode())?;
-    for bundle in value_history {
-        let edit = VersionEdit {
-            value: bundle.clone(),
-            ..VersionEdit::default()
-        };
-        manifest.add_record(&edit.encode())?;
-    }
-    manifest.sync()?;
-    set_current(env, dir, number)?;
-    Ok((manifest, number))
 }
 
 fn set_current(env: &EnvRef, dir: &str, manifest_number: u64) -> Result<()> {
