@@ -109,7 +109,9 @@ use crate::view::{ReadView, WriteOptions, WriteReceipt};
 /// queue like any write, and the group's leader validates it against the
 /// tree and against the writes of the members queued ahead of it, under
 /// the WAL's lock, as it writes the group; so it is serializable against
-/// raw writes too, and it shares its group's WAL record and fsync.
+/// raw writes too, and it shares its group's WAL record and fsync. A
+/// read-only one has nothing to queue: it is validated under that lock
+/// and returns.
 /// One that spans members is validated against the owning members'
 /// latest sequences before it registers, and then applied like any
 /// batch (2PC when its writes span members): a raw single-member write

@@ -25,7 +25,7 @@
 //! a group failure: the others are written and the log is not poisoned.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use scavenger_util::Result;
+use scavenger_util::{Error, Result};
 use std::sync::Arc;
 
 /// A log and its poison flag, guarded by the group's log lock.
@@ -82,6 +82,29 @@ type Slot<R> = Arc<Mutex<Option<Result<R>>>>;
 struct Queue<E, R> {
     waiting: Vec<(E, Slot<R>)>,
     leader_active: bool,
+}
+
+/// The leader stepping down, on its way out of [`GroupCommit::commit`]
+/// even if its group write panicked: then every member still waiting gets
+/// an error rather than waiting on a leader that is gone, and the log,
+/// which may hold part of the group, is poisoned.
+struct StepDown<'a, L, E, R> {
+    group: &'a GroupCommit<L, E, R>,
+    slots: &'a [Slot<R>],
+}
+
+impl<L, E, R> Drop for StepDown<'_, L, E, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.group.log.lock().poisoned = true;
+            for s in self.slots {
+                s.lock()
+                    .get_or_insert_with(|| Err(Error::internal("the group's leader panicked")));
+            }
+        }
+        self.group.queue.lock().leader_active = false;
+        self.group.wake.notify_all();
+    }
 }
 
 /// A log of state `L` written through group commit: members bring
@@ -147,6 +170,10 @@ impl<L, E, R> GroupCommit<L, E, R> {
             std::mem::take(&mut q.waiting).into_iter().unzip();
         drop(q);
 
+        let step_down = StepDown {
+            group: self,
+            slots: &slots,
+        };
         let written = self.log.lock().write_group(leader, entries);
         match written {
             Ok(receipts) => {
@@ -161,8 +188,7 @@ impl<L, E, R> GroupCommit<L, E, R> {
                 }
             }
         }
-        self.queue.lock().leader_active = false;
-        self.wake.notify_all();
+        drop(step_down);
         let res = slot
             .lock()
             .take()
@@ -289,6 +315,48 @@ mod tests {
         assert_eq!(second, [1, 2, 3, 4, 5], "every queued member in one group");
         assert_eq!(log.log.syncs, 2, "one sync per group");
         assert!(!log.poisoned);
+    }
+
+    /// A leader that panics mid-group still steps down: its groupmates get
+    /// an error instead of waiting forever, the log is poisoned, and the
+    /// next group rotates it.
+    #[test]
+    fn a_leader_that_panics_steps_down_and_poisons_the_log() {
+        struct Panics;
+        impl GroupLeader<Seen, u32, u32> for Panics {
+            fn rotate(&self, _: &mut Logged<Seen>) -> Result<()> {
+                unreachable!("the log is not poisoned before the panic")
+            }
+            fn write(&self, _: &mut Logged<Seen>, _: Vec<u32>) -> Result<Vec<u32>> {
+                panic!("leader bug");
+            }
+        }
+        let group = &GroupCommit::new(Seen::default());
+        let gated = &Gated::new(None);
+        let outcomes: Vec<_> = std::thread::scope(|s| {
+            let first = s.spawn(|| group.commit(0, gated));
+            poll(|| gated.parked.load(Ordering::SeqCst));
+            let queued: Vec<_> = (1..=2)
+                .map(|i| s.spawn(move || group.commit(i, &Panics)))
+                .collect();
+            poll(|| group.queued() == 2);
+            gated.open();
+            assert_eq!(first.join().unwrap().0.unwrap(), 0);
+            queued.into_iter().map(|h| h.join()).collect()
+        });
+        assert_eq!(
+            outcomes.iter().filter(|o| o.is_err()).count(),
+            1,
+            "one leader panicked"
+        );
+        let (res, led) = outcomes.into_iter().find_map(|o| o.ok()).unwrap();
+        assert!(!led);
+        assert!(res.unwrap_err().to_string().contains("panicked"));
+        assert!(group.lock().poisoned);
+        let (res, led) = group.commit(3, gated);
+        assert!(led);
+        assert_eq!(res.unwrap(), 3);
+        assert_eq!(group.lock().log.rotations, 1);
     }
 
     #[test]
