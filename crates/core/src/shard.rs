@@ -61,8 +61,14 @@ pub(crate) struct ShardInner {
 
 impl ShardInner {
     /// Resolve an index read result into the user value, fetching
-    /// separated values through the value store.
-    fn resolve_read(&self, key: &[u8], r: LsmReadResult) -> Result<Option<Bytes>> {
+    /// separated values through the value store — and through the block
+    /// cache as `fill_cache` says.
+    fn resolve_read(
+        &self,
+        key: &[u8],
+        r: LsmReadResult,
+        fill_cache: bool,
+    ) -> Result<Option<Bytes>> {
         match r {
             LsmReadResult::NotFound | LsmReadResult::Deleted => Ok(None),
             LsmReadResult::Found {
@@ -76,7 +82,7 @@ impl ShardInner {
                 value,
             } => {
                 let vref = ValueRef::decode(&value)?;
-                Ok(Some(self.vstore.read_ref(key, seq, &vref)?))
+                Ok(Some(self.vstore.read_ref(key, seq, &vref, fill_cache)?))
             }
             LsmReadResult::Found {
                 vtype: ValueType::Deletion,
@@ -378,7 +384,7 @@ impl Shard {
         let key = key.as_ref();
         self.inner
             .lsm
-            .get_resolved(key, |r| self.inner.resolve_read(key, r))
+            .get_resolved(key, |r| self.inner.resolve_read(key, r, true))
     }
 
     /// A pinned, registered view at the latest sequence.
@@ -575,7 +581,7 @@ impl ShardView {
 
     pub(crate) fn get_opt(&self, key: &[u8], fill_cache: bool) -> Result<Option<Bytes>> {
         let r = self.view.get_opt(key, fill_cache)?;
-        self.shard.resolve_read(key, r)
+        self.shard.resolve_read(key, r, fill_cache)
     }
 
     pub(crate) fn scan_opt(
@@ -587,6 +593,7 @@ impl ShardView {
         Ok(ShardScan::new(
             self.view.scan_opt(lo, hi, fill_cache)?,
             self.shard.clone(),
+            fill_cache,
         ))
     }
 }
@@ -606,6 +613,9 @@ pub const SCAN_BATCH_BYTES: u64 = 1 << 20;
 pub(crate) struct ShardScan {
     inner: scavenger_lsm::ScanIter,
     shard: Arc<ShardInner>,
+    /// Whether locating a value inserts what it misses into the block
+    /// cache (value records are read around it either way).
+    fill_cache: bool,
     /// The current look-ahead batch: resolved rows not yet yielded.
     ready: std::vec::IntoIter<ScanEntry>,
     /// What ended the look-ahead; surfaces once `ready` has drained.
@@ -620,10 +630,11 @@ pub(crate) struct ShardScan {
 }
 
 impl ShardScan {
-    fn new(inner: scavenger_lsm::ScanIter, shard: Arc<ShardInner>) -> ShardScan {
+    fn new(inner: scavenger_lsm::ScanIter, shard: Arc<ShardInner>, fill_cache: bool) -> ShardScan {
         ShardScan {
             inner,
             shard,
+            fill_cache,
             ready: Vec::new().into_iter(),
             failed: None,
             ramp: 1,
@@ -692,7 +703,9 @@ impl ShardScan {
     /// coalesced [`fetch`](ValueStore::fetch) for the lot. A lone
     /// separated row gains nothing from batching, and a failed batch
     /// falls back to the same row-by-row path, which finds the first row
-    /// that cannot be resolved (returned with its error).
+    /// that cannot be resolved (returned with its error). Either way the
+    /// records are read around the block cache: a scan neither looks up
+    /// nor fills the values point reads cache.
     fn resolve(
         &self,
         batch: &mut [ScanEntry],
@@ -702,7 +715,9 @@ impl ShardScan {
         if separated.len() > 1 {
             let fetched = separated
                 .iter()
-                .map(|(row, seq, vref)| vstore.locate(&batch[*row].key, *seq, vref))
+                .map(|(row, seq, vref)| {
+                    vstore.locate(&batch[*row].key, *seq, vref, self.fill_cache)
+                })
                 .collect::<Result<Vec<_>>>()
                 .and_then(|locs| vstore.fetch(&locs));
             if let Ok(values) = fetched {
@@ -713,8 +728,11 @@ impl ShardScan {
             }
         }
         for (row, seq, vref) in separated {
-            match vstore.read_ref(&batch[*row].key, *seq, vref) {
-                Ok(value) => batch[*row].value = value,
+            let fetched = vstore
+                .locate(&batch[*row].key, *seq, vref, self.fill_cache)
+                .and_then(|loc| vstore.fetch(std::slice::from_ref(&loc)));
+            match fetched {
+                Ok(mut value) => batch[*row].value = value.remove(0),
                 Err(e) => return Err((*row, e)),
             }
         }

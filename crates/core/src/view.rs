@@ -186,9 +186,12 @@ impl<'a> From<&'a Snapshot> for ReadPin<'a> {
 pub struct ReadOptions<'a> {
     /// The read point: latest, or a pinned view/snapshot.
     pub pin: ReadPin<'a>,
-    /// When `false`, the read bypasses the table-handle and block caches
-    /// entirely (one-shot readers) so a scan of cold data cannot evict
-    /// the hot working set. Default `true`.
+    /// When `false`, the read inserts nothing into any cache, so a scan
+    /// of cold data cannot evict the hot working set: index tables are
+    /// read through one-shot readers around the table-handle and block
+    /// caches, and a separated value's index partition, value block or
+    /// record is served from the block cache if there but never inserted.
+    /// Default `true`.
     pub fill_cache: bool,
     /// Inclusive lower key bound for
     /// [`Db::scan_with`](crate::db::Db::scan_with); unbounded (`""`)

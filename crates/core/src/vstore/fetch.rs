@@ -3,7 +3,8 @@
 //! look-ahead (handles [`ValueStore::locate`](super::ValueStore::locate)
 //! found). One place groups the wanted values per file, orders them by
 //! offset and hands them to [`VReader::fetch`], whose single coalescing
-//! loop turns neighbouring records into one I/O.
+//! loop turns neighbouring records into one I/O. Both callers read around
+//! the block cache: only point reads cache values.
 
 use super::vtable::{VReader, ValueAt};
 use bytes::Bytes;
@@ -55,17 +56,9 @@ pub(crate) fn fetch(
         .collect();
     let run = |j: usize| {
         let job = jobs[j];
-        let first = &wants[job[0]];
-        if job.len() == 1 {
-            // Nothing to coalesce: skip the batch plumbing.
-            return first
-                .reader
-                .fetch_one(first.at, first.ikey)
-                .map(|v| vec![v]);
-        }
         let pairs: Vec<(&ValueAt, &[u8])> =
             job.iter().map(|&i| (wants[i].at, wants[i].ikey)).collect();
-        first.reader.fetch(&pairs, limits)
+        wants[job[0]].reader.fetch(&pairs, limits)
     };
     let fills = map_files(jobs.len(), &run)?;
     let mut out = vec![Bytes::new(); wants.len()];

@@ -151,13 +151,6 @@ pub struct ValueLoc {
     ikey: Vec<u8>,
 }
 
-impl ValueLoc {
-    /// Fetch this one value: a single read, no batching overhead.
-    pub fn fetch(&self) -> Result<Bytes> {
-        self.reader.fetch_one(&self.at, &self.ikey)
-    }
-}
-
 /// The value store.
 pub struct ValueStore {
     env: EnvRef,
@@ -399,7 +392,10 @@ impl ValueStore {
 
     /// **Locate**: resolve a reference to the live file and in-file
     /// location that hold its value right now, reading no record bytes
-    /// (BTables excepted — see [`ValueAt::Cached`]).
+    /// (BTables excepted — see [`ValueAt::Cached`]). Index partitions (and
+    /// BTable value blocks) come through the block cache; what misses is
+    /// inserted only when `fill_cache` (a `ReadOptions::fill_cache =
+    /// false` read fills nothing).
     ///
     /// * Address-based formats (blob logs) use `(offset, size)` as stored.
     /// * Keyed formats try the referenced file, then the leaves of its
@@ -410,14 +406,26 @@ impl ValueStore {
     /// A concurrent GC can retire a file between the resolution and the
     /// reader open; on that narrow race the resolution runs once more
     /// (the forest already knows the file's heirs).
-    pub fn locate(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<ValueLoc> {
-        match self.locate_once(user_key, seq, vref) {
-            Err(Error::NotFound(_)) => self.locate_once(user_key, seq, vref),
+    pub fn locate(
+        &self,
+        user_key: &[u8],
+        seq: SeqNo,
+        vref: &ValueRef,
+        fill_cache: bool,
+    ) -> Result<ValueLoc> {
+        match self.locate_once(user_key, seq, vref, fill_cache) {
+            Err(Error::NotFound(_)) => self.locate_once(user_key, seq, vref, fill_cache),
             other => other,
         }
     }
 
-    fn locate_once(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<ValueLoc> {
+    fn locate_once(
+        &self,
+        user_key: &[u8],
+        seq: SeqNo,
+        vref: &ValueRef,
+        fill_cache: bool,
+    ) -> Result<ValueLoc> {
         let loc = |file, reader, at, ikey| ValueLoc {
             file,
             reader,
@@ -438,7 +446,7 @@ impl ValueStore {
         let ikey = make_internal_key(user_key, seq, ValueType::Value);
         if live.is_some() {
             let reader = self.reader(vref.file)?;
-            if let Some(at) = reader.locate(&ikey)? {
+            if let Some(at) = reader.locate(&ikey, fill_cache)? {
                 return Ok(loc(vref.file, reader, at, ikey));
             }
             // Keyed file is live but lacks the record — fall through to
@@ -449,7 +457,7 @@ impl ValueStore {
                 continue;
             }
             let reader = self.reader(leaf)?;
-            if let Some(at) = reader.locate(&ikey)? {
+            if let Some(at) = reader.locate(&ikey, fill_cache)? {
                 return Ok(loc(leaf, reader, at, ikey));
             }
         }
@@ -462,9 +470,9 @@ impl ValueStore {
 
     /// **Fetch** a batch of located values, returned in input order:
     /// grouped per file, sorted by offset, neighbours under
-    /// [`SCAN_COALESCE`] read in one I/O — the scan iterator's
-    /// look-ahead. (GC step ③ runs the same grouping and coalescing loop
-    /// over its Lazy-Read handles, under its own limits.)
+    /// [`SCAN_COALESCE`] read in one I/O, around the block cache — the
+    /// scan iterator's look-ahead. (GC step ③ runs the same grouping and
+    /// coalescing loop over its Lazy-Read handles, under its own limits.)
     pub fn fetch(&self, locs: &[ValueLoc]) -> Result<Vec<Bytes>> {
         let wants: Vec<Want<'_>> = locs
             .iter()
@@ -478,13 +486,22 @@ impl ValueStore {
         fetch::fetch(&wants, SCAN_COALESCE, &fetch::inline)
     }
 
-    /// Resolve and read the value behind a reference:
-    /// [`locate`](Self::locate) plus a fetch of one — the same bloom
-    /// probe, index-partition lookup and single record read (CRC-verified,
-    /// its key checked against `(user_key, seq)`) a point read always
-    /// cost, with no batch plumbing in between.
-    pub fn read_ref(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<Bytes> {
-        self.locate(user_key, seq, vref)?.fetch()
+    /// Resolve and read the value behind a reference — a point read:
+    /// [`locate`](Self::locate) plus a fetch of one, with no batch
+    /// plumbing in between. The record (or blob value) is served from the
+    /// block cache, or read once — CRC-verified — and, with `fill_cache`,
+    /// inserted at [`CachePriority::Bottom`](scavenger_table::cache::CachePriority::Bottom),
+    /// so a repeat read of the same key costs no value I/O. Its key is
+    /// checked against `(user_key, seq)` on a hit too.
+    pub fn read_ref(
+        &self,
+        user_key: &[u8],
+        seq: SeqNo,
+        vref: &ValueRef,
+        fill_cache: bool,
+    ) -> Result<Bytes> {
+        let loc = self.locate(user_key, seq, vref, fill_cache)?;
+        loc.reader.fetch_one(&loc.at, &loc.ikey, fill_cache)
     }
 
     /// Delete the disk file behind a removed value file.
@@ -656,7 +673,10 @@ mod tests {
             size: rec.size,
             offset: rec.offset,
         };
-        assert_eq!(&vs.read_ref(b"k", 7, &vref).unwrap()[..], b"the-value");
+        assert_eq!(
+            &vs.read_ref(b"k", 7, &vref, true).unwrap()[..],
+            b"the-value"
+        );
 
         // GC moves contents to file 9; the stale ref still resolves.
         let mut w =
@@ -673,14 +693,17 @@ mod tests {
         for (f, fmt) in removed {
             vs.delete_file(f, fmt);
         }
-        assert_eq!(&vs.read_ref(b"k", 7, &vref).unwrap()[..], b"the-value");
+        assert_eq!(
+            &vs.read_ref(b"k", 7, &vref, true).unwrap()[..],
+            b"the-value"
+        );
         // A key that never existed: dangling.
         let bad = ValueRef {
             file: 5,
             size: 3,
             offset: 0,
         };
-        assert!(vs.read_ref(b"zz", 1, &bad).is_err());
+        assert!(vs.read_ref(b"zz", 1, &bad, true).is_err());
     }
 
     #[test]

@@ -19,12 +19,13 @@ use bytes::Bytes;
 use scavenger_env::{EnvRef, IoClass, RandomAccessFile, ReadaheadFile, WritableFile};
 use scavenger_lsm::filename::{blob_path, value_table_path};
 use scavenger_table::blockio::BLOCK_TRAILER_LEN;
-use scavenger_table::btable::{BTableBuilder, BTableReader, BlockCache, TableOptions};
+use scavenger_table::btable::{cached_read, BTableBuilder, BTableReader, BlockCache, TableOptions};
+use scavenger_table::cache::{CacheKey, CachePriority};
 use scavenger_table::handle::BlockHandle;
 use scavenger_table::rtable::{
     read_coalesced, Coalesce, RTableBuilder, RTableReader, COALESCE_SPAN,
 };
-use scavenger_table::KeyCmp;
+use scavenger_table::{BlockKind, KeyCmp};
 use scavenger_util::coding::{get_varint32, put_varint32};
 use scavenger_util::ikey::{extract_user_key, make_internal_key, SeqNo, ValueType};
 use scavenger_util::{crc32c, Error, Result};
@@ -274,9 +275,9 @@ pub enum VReader {
 }
 
 impl VReader {
-    /// Open `file` in `dir` for the given format; block fetches go through
-    /// `cache` (table formats only), keyed under the store's `cache_ns`
-    /// namespace (`0` for a private cache).
+    /// Open `file` in `dir` for the given format; cached reads go through
+    /// `cache`, keyed under the store's `cache_ns` namespace (`0` for a
+    /// private cache).
     pub fn open(
         env: &EnvRef,
         dir: &str,
@@ -305,7 +306,7 @@ impl VReader {
             VFormat::BTable => {
                 VReader::B(BTableReader::open(f, cache_id, cache, KeyCmp::Internal)?)
             }
-            VFormat::BlobLog => VReader::Blob(BlobLogReader::new(f)),
+            VFormat::BlobLog => VReader::Blob(BlobLogReader::new(f, cache_id, cache)),
         })
     }
 
@@ -313,47 +314,60 @@ impl VReader {
     /// every record of `file` with its value, charging the whole file in
     /// device-sized reads. A BTable or blob log is walked once, front to
     /// back, so it is opened behind a [`ReadaheadFile`] (one tail read,
-    /// then [`COALESCE_SPAN`] spans). An RTable's index partitions sit
+    /// then [`COALESCE_SPAN`] spans) and around the block cache: GC never
+    /// looks up or fills cached values. An RTable's index partitions sit
     /// *between* its records — walking them first would leave that
     /// forward window at the end of the file — so it takes the dense
-    /// index and then every record through [`read_coalesced`], which
-    /// comes to the same span-sized reads.
+    /// index (through `cache`) and then every record through
+    /// [`read_coalesced`], which comes to the same span-sized reads.
     pub fn scan_file(
         env: &EnvRef,
         dir: &str,
         file: u64,
         cache_ns: u64,
         format: VFormat,
-        cache: Option<Arc<BlockCache>>,
+        mut cache: Option<Arc<BlockCache>>,
         class: IoClass,
     ) -> Result<Vec<BlobRecord>> {
         let mut f = env.open_random_access(&vfile_path(dir, file, format), class)?;
         if format != VFormat::RTable {
             f = Arc::new(ReadaheadFile::open(f, COALESCE_SPAN as usize)?);
+            cache = None;
         }
         Self::from_file(f, file, cache_ns, format, cache)?.scan_all()
     }
 
     /// **Locate** the exact version `ikey` in a keyed table without
     /// reading its record: one bloom probe, then one index lookup through
-    /// the block cache. `None` when this file does not hold it.
-    pub fn locate(&self, ikey: &[u8]) -> Result<Option<ValueAt>> {
+    /// the block cache, whose misses are inserted only when `fill_cache`.
+    /// `None` when this file does not hold it. A BTable's data block holds
+    /// values, so it is inserted at [`CachePriority::Bottom`].
+    pub fn locate(&self, ikey: &[u8], fill_cache: bool) -> Result<Option<ValueAt>> {
         match self {
-            VReader::R(r) => Ok(r.find_exact(ikey)?.map(ValueAt::Record)),
-            VReader::B(r) => Ok(match r.get(ikey)? {
-                Some((k, v)) if k == ikey => Some(ValueAt::Cached(v)),
-                _ => None,
-            }),
+            VReader::R(r) => Ok(r.find_exact(ikey, fill_cache)?.map(ValueAt::Record)),
+            VReader::B(r) => Ok(
+                match r.get_with(ikey, fill_cache.then_some(CachePriority::Bottom))? {
+                    Some((k, v)) if k == ikey => Some(ValueAt::Cached(v)),
+                    _ => None,
+                },
+            ),
             VReader::Blob(_) => Err(Error::invalid_argument("keyed lookup on a blob log")),
         }
     }
 
-    /// **Fetch** one located value: a single record read, CRC-verified,
-    /// its key checked against `ikey`.
-    pub fn fetch_one(&self, at: &ValueAt, ikey: &[u8]) -> Result<Bytes> {
+    /// **Fetch** one located value for a point read: served from the
+    /// block cache, or a single read (an RTable record CRC-verified) that
+    /// enters the cache at [`CachePriority::Bottom`] when `fill_cache`.
+    /// The record's key is checked against `ikey` on a hit too. Scans and
+    /// GC use [`fetch`](Self::fetch), which reads around the cache.
+    pub fn fetch_one(&self, at: &ValueAt, ikey: &[u8], fill_cache: bool) -> Result<Bytes> {
         match (self, at) {
-            (VReader::R(r), ValueAt::Record(h)) => record_value(ikey, r.read_record(*h)?),
-            (VReader::Blob(_), ValueAt::Blob { offset, size }) => self.read_at(*offset, *size),
+            (VReader::R(r), ValueAt::Record(h)) => {
+                record_value(ikey, r.read_record(*h, fill_cache)?)
+            }
+            (VReader::Blob(r), ValueAt::Blob { offset, size }) => {
+                r.read_value(*offset, *size, fill_cache)
+            }
             (VReader::B(_), ValueAt::Cached(v)) => Ok(v.clone()),
             _ => Err(Error::internal(
                 "value location does not match its file format",
@@ -365,8 +379,9 @@ impl VReader {
     /// order. Neighbouring RTable records and blob values that `limits`
     /// allows share one I/O ([`read_coalesced`]; pass them sorted by
     /// [`ValueAt::offset`]); every RTable record is still CRC-verified and
-    /// key-checked on its own. BTable values came through the block cache
-    /// at locate time and cost nothing here.
+    /// key-checked on its own. Nothing here looks up or fills the block
+    /// cache; BTable values came through it at locate time and cost
+    /// nothing here.
     pub fn fetch(&self, wants: &[(&ValueAt, &[u8])], limits: Coalesce) -> Result<Vec<Bytes>> {
         let mismatch = || Error::internal("value location does not match its file format");
         match self {
@@ -396,12 +411,15 @@ impl VReader {
             }
             VReader::B(_) => wants
                 .iter()
-                .map(|(at, ikey)| self.fetch_one(at, ikey))
+                .map(|(at, _)| match at {
+                    ValueAt::Cached(v) => Ok(v.clone()),
+                    _ => Err(mismatch()),
+                })
                 .collect(),
         }
     }
 
-    /// Address-based value read (blob logs).
+    /// Address-based value read (blob logs), around the block cache.
     pub fn read_at(&self, offset: u64, size: u32) -> Result<Bytes> {
         match self {
             VReader::Blob(r) => r.file.read_at(offset, size as usize),
@@ -471,12 +489,35 @@ impl VReader {
 /// Reader over a blob log.
 pub struct BlobLogReader {
     file: Arc<dyn RandomAccessFile>,
+    /// Cache file id of the log (its number under the store's namespace).
+    cache_id: u64,
+    cache: Option<Arc<BlockCache>>,
 }
 
 impl BlobLogReader {
-    /// Wrap an open file.
-    pub fn new(file: Arc<dyn RandomAccessFile>) -> Self {
-        BlobLogReader { file }
+    /// Wrap an open file whose point reads go through `cache` under
+    /// `cache_id`.
+    pub fn new(
+        file: Arc<dyn RandomAccessFile>,
+        cache_id: u64,
+        cache: Option<Arc<BlockCache>>,
+    ) -> Self {
+        BlobLogReader {
+            file,
+            cache_id,
+            cache,
+        }
+    }
+
+    /// Point read of the `size` value bytes at `offset`, through the
+    /// block cache (a miss enters at [`CachePriority::Bottom`] when
+    /// `fill_cache`).
+    fn read_value(&self, offset: u64, size: u32, fill_cache: bool) -> Result<Bytes> {
+        let key = CacheKey::new(self.cache_id, offset, BlockKind::Data);
+        let fill = fill_cache.then_some(CachePriority::Bottom);
+        cached_read(self.cache.as_deref(), key, fill, || {
+            self.file.read_at(offset, size as usize)
+        })
     }
 
     /// Sequentially parse the whole log (the GC "Read" step for
@@ -588,10 +629,10 @@ mod tests {
                     .collect();
                 let ats: Vec<ValueAt> = ikeys
                     .iter()
-                    .map(|ik| r.locate(ik).unwrap().expect("stored version"))
+                    .map(|ik| r.locate(ik, true).unwrap().expect("stored version"))
                     .collect();
                 for ((at, ik), (_, _, value, _)) in ats.iter().zip(&ikeys).zip(&recs) {
-                    assert_eq!(&r.fetch_one(at, ik).unwrap()[..], value.as_slice());
+                    assert_eq!(&r.fetch_one(at, ik, true).unwrap()[..], value.as_slice());
                 }
                 // The batched fetch returns the same values, in input order.
                 let wants: Vec<(&ValueAt, &[u8])> =
@@ -603,9 +644,9 @@ mod tests {
                 // Wrong seq -> miss; a record fetched under the wrong key
                 // is rejected.
                 let wrong = make_internal_key(recs[0].0.as_bytes(), 1, ValueType::Value);
-                assert!(r.locate(&wrong).unwrap().is_none());
+                assert!(r.locate(&wrong, true).unwrap().is_none());
                 if format == VFormat::RTable {
-                    assert!(r.fetch_one(&ats[0], &wrong).is_err());
+                    assert!(r.fetch_one(&ats[0], &wrong, true).is_err());
                 }
             }
         }
@@ -694,7 +735,9 @@ mod tests {
         assert_eq!(idx.len(), 1);
         let (uk, seq) = parse_record_key(&idx[0].0).unwrap();
         assert_eq!((uk, seq), (b"k".as_slice(), 1));
-        let v = r.fetch_one(&ValueAt::Record(idx[0].1), &idx[0].0).unwrap();
+        let v = r
+            .fetch_one(&ValueAt::Record(idx[0].1), &idx[0].0, true)
+            .unwrap();
         assert_eq!(v.len(), 4096);
     }
 

@@ -26,8 +26,33 @@ use scavenger_util::{Error, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Shared block cache over parsed [`Block`]s.
-pub type BlockCache = LruCache<Block>;
+/// Shared block cache over CRC-verified payloads: blocks (parsed again on
+/// every hit, which costs a bounds check), RTable records and blob-log
+/// values.
+pub type BlockCache = LruCache<Bytes>;
+
+/// Serve `key` from `cache`, or `read` it and, when `fill` names a
+/// priority, insert it there — the one cache path of every block, record
+/// and value read. `fill = None` is a `fill_cache = false` read: a hit is
+/// served, a miss inserts nothing.
+pub fn cached_read(
+    cache: Option<&BlockCache>,
+    key: CacheKey,
+    fill: Option<CachePriority>,
+    read: impl FnOnce() -> Result<Bytes>,
+) -> Result<Bytes> {
+    let Some(cache) = cache else {
+        return read();
+    };
+    if let Some(hit) = cache.get(&key) {
+        return Ok(hit);
+    }
+    let payload = read()?;
+    if let Some(pri) = fill {
+        cache.insert(key, payload.clone(), payload.len(), pri);
+    }
+    Ok(payload)
+}
 
 /// Build-time options common to all table formats.
 #[derive(Debug, Clone)]
@@ -234,36 +259,28 @@ pub(crate) struct BlockFetcher {
 }
 
 impl BlockFetcher {
+    /// The block at `handle`, through the block cache at `pri`.
     pub(crate) fn fetch(
         &self,
         handle: BlockHandle,
         kind: BlockKind,
         pri: CachePriority,
     ) -> Result<Block> {
-        let key = CacheKey {
-            file: self.file_number,
-            offset: handle.offset,
-            kind: kind_tag(kind),
-        };
-        if let Some(cache) = &self.cache {
-            if let Some(b) = cache.get(&key) {
-                return Ok(b);
-            }
-        }
-        let payload = read_block(self.file.as_ref(), handle)?;
-        let block = Block::new(payload)?;
-        if let Some(cache) = &self.cache {
-            cache.insert(key, block.clone(), block.len(), pri);
-        }
-        Ok(block)
+        Block::new(self.payload(handle, kind, Some(pri))?)
     }
-}
 
-pub(crate) fn kind_tag(kind: BlockKind) -> u8 {
-    match kind {
-        BlockKind::Data => 0,
-        BlockKind::Index => 1,
-        BlockKind::KeyFile => 2,
+    /// The verified payload at `handle`, through the block cache (see
+    /// [`cached_read`] for `fill`).
+    pub(crate) fn payload(
+        &self,
+        handle: BlockHandle,
+        kind: BlockKind,
+        fill: Option<CachePriority>,
+    ) -> Result<Bytes> {
+        let key = CacheKey::new(self.file_number, handle.offset, kind);
+        cached_read(self.cache.as_deref(), key, fill, || {
+            read_block(self.file.as_ref(), handle)
+        })
     }
 }
 
@@ -317,6 +334,16 @@ impl BTableReader {
     /// `None` if the table has no such entry. The caller is responsible
     /// for checking that the user key matches.
     pub fn get(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Bytes)>> {
+        self.get_with(target, Some(CachePriority::Low))
+    }
+
+    /// [`get`](Self::get) with missed data blocks cached at `fill` (a
+    /// value file's at [`CachePriority::Bottom`]); `None` inserts nothing.
+    pub fn get_with(
+        &self,
+        target: &[u8],
+        fill: Option<CachePriority>,
+    ) -> Result<Option<(Vec<u8>, Bytes)>> {
         let ukey = match self.cmp {
             KeyCmp::Internal => extract_user_key(target),
             KeyCmp::Bytewise => target,
@@ -328,9 +355,7 @@ impl BTableReader {
         index_iter.seek(target);
         while index_iter.valid() {
             let handle = BlockHandle::decode_exact(&index_iter.value())?;
-            let block = self
-                .fetcher
-                .fetch(handle, BlockKind::Data, CachePriority::Low)?;
+            let block = Block::new(self.fetcher.payload(handle, BlockKind::Data, fill)?)?;
             let mut it = block.iter(self.cmp);
             it.seek(target);
             if it.valid() {

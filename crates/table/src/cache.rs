@@ -7,9 +7,17 @@
 //!
 //! Scavenger leans on the priority split (paper §III-B2): DTable KF blocks
 //! and RTable index partitions are inserted high-priority so GC-Lookups and
-//! Lazy Reads stay cache-resident while bulky value/data blocks churn
-//! through the low-priority pool.
+//! Lazy Reads stay cache-resident while key-SST data blocks churn through
+//! the low-priority pool.
+//!
+//! Separated values sit one tier lower still, at [`CachePriority::Bottom`]:
+//! a point read's value record (or value-file BTable block) enters at the
+//! low list's LRU end, is promoted like any entry on a hit, and is never
+//! admitted at the cost of a high-priority entry. Values fill a cache that
+//! has room; in a full one a new value mostly evicts the last one that
+//! was never hit again. Scans and GC read values around the cache.
 
+use crate::BlockKind;
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -21,8 +29,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum CachePriority {
     /// Evicted last (index / KF blocks).
     High,
-    /// Evicted first (data / record blocks).
+    /// Evicted first (key-SST data blocks).
     Low,
+    /// Below `Low` (separated values): inserted at the low list's LRU end,
+    /// so it is the next victim unless a hit promotes it to the low list's
+    /// MRU end first; not admitted if it could only fit by evicting a
+    /// `High` entry (an oversized one is simply not cached).
+    Bottom,
 }
 
 /// Cache key: `(file_id, block_offset, kind_tag)`.
@@ -35,6 +48,19 @@ pub struct CacheKey {
     pub offset: u64,
     /// Stream tag (data / index / KF) so different streams never collide.
     pub kind: u8,
+}
+
+impl CacheKey {
+    /// The key of `kind`'s block (or record) at `offset` of cache file id
+    /// `file`.
+    pub fn new(file: u64, offset: u64, kind: BlockKind) -> CacheKey {
+        let kind = match kind {
+            BlockKind::Data => 0,
+            BlockKind::Index => 1,
+            BlockKind::KeyFile => 2,
+        };
+        CacheKey { file, offset, kind }
+    }
 }
 
 /// Bits of [`CacheKey::file`] carrying the real file number; the bits
@@ -95,7 +121,7 @@ struct Shard<V> {
 fn list_index(p: CachePriority) -> usize {
     match p {
         CachePriority::High => 0,
-        CachePriority::Low => 1,
+        CachePriority::Low | CachePriority::Bottom => 1,
     }
 }
 
@@ -149,6 +175,26 @@ impl<V: Clone> Shard<V> {
         }
         if old_head != NIL {
             self.nodes[old_head as usize].as_mut().unwrap().prev = idx;
+        }
+    }
+
+    /// Link `idx` at the low list's LRU end (a [`CachePriority::Bottom`]
+    /// insert); from there on it is an ordinary low entry.
+    fn push_lru(&mut self, idx: u32) {
+        let list = &mut self.lists[list_index(CachePriority::Low)];
+        let old_tail = list.tail;
+        list.tail = idx;
+        if list.head == NIL {
+            list.head = idx;
+        }
+        {
+            let n = self.nodes[idx as usize].as_mut().unwrap();
+            n.pri = CachePriority::Low;
+            n.prev = old_tail;
+            n.next = NIL;
+        }
+        if old_tail != NIL {
+            self.nodes[old_tail as usize].as_mut().unwrap().next = idx;
         }
     }
 
@@ -216,7 +262,14 @@ impl<V: Clone> Shard<V> {
         evicted
     }
 
-    fn insert(&mut self, key: CacheKey, value: V, charge: usize, pri: CachePriority) {
+    /// Insert `key`; false when a [`CachePriority::Bottom`] entry is not
+    /// admitted.
+    fn insert(&mut self, key: CacheKey, value: V, charge: usize, pri: CachePriority) -> bool {
+        // Evicting the whole low list frees `capacity - high_usage` bytes
+        // at most; a Bottom entry that needs more would cost a High one.
+        if pri == CachePriority::Bottom && charge > self.capacity.saturating_sub(self.high_usage) {
+            return false;
+        }
         if let Some(&idx) = self.map.get(&key) {
             self.remove_node(idx);
         }
@@ -233,9 +286,13 @@ impl<V: Clone> Shard<V> {
         if pri == CachePriority::High {
             self.high_usage += charge;
         }
-        self.push_mru(idx, pri);
+        match pri {
+            CachePriority::Bottom => self.push_lru(idx),
+            _ => self.push_mru(idx, pri),
+        }
         self.maintain_pools();
         self.evict(idx);
+        true
     }
 
     fn get(&mut self, key: &CacheKey) -> Option<V> {
@@ -292,10 +349,13 @@ impl<V: Clone> LruCache<V> {
         &self.shards[i]
     }
 
-    /// Insert (or replace) an entry.
+    /// Insert (or replace) an entry. A [`CachePriority::Bottom`] entry
+    /// that is not admitted leaves the cache as it was and is not counted
+    /// as an insert.
     pub fn insert(&self, key: CacheKey, value: V, charge: usize, pri: CachePriority) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.shard_of(&key).lock().insert(key, value, charge, pri);
+        if self.shard_of(&key).lock().insert(key, value, charge, pri) {
+            self.inserts.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Look up an entry, promoting it to MRU on hit.
@@ -402,6 +462,73 @@ mod tests {
         c.insert(key(4), 4, 10, CachePriority::Low); // evicts 2 (LRU)
         assert_eq!(c.get(&key(2)), None);
         assert_eq!(c.get(&key(1)), Some(1));
+    }
+
+    #[test]
+    fn bottom_entry_is_evicted_before_any_low_entry() {
+        let c = single_shard(30, 0.0);
+        c.insert(key(1), 1, 10, CachePriority::Low);
+        c.insert(key(2), 2, 10, CachePriority::Bottom);
+        c.insert(key(3), 3, 10, CachePriority::Low);
+        // Full. Key 2 went in after key 1 but at the LRU end.
+        c.insert(key(4), 4, 10, CachePriority::Low);
+        assert_eq!(c.get(&key(2)), None);
+        assert_eq!(c.get(&key(1)), Some(1));
+        assert_eq!(c.get(&key(3)), Some(3));
+        assert_eq!(c.get(&key(4)), Some(4));
+    }
+
+    #[test]
+    fn bottom_entries_in_a_full_cache_evict_each_other() {
+        let c = single_shard(30, 0.0);
+        c.insert(key(1), 1, 10, CachePriority::Low);
+        c.insert(key(2), 2, 10, CachePriority::Low);
+        c.insert(key(3), 3, 10, CachePriority::Bottom);
+        c.insert(key(4), 4, 10, CachePriority::Bottom);
+        assert_eq!(c.get(&key(3)), None, "the un-hit Bottom entry goes");
+        assert_eq!(c.get(&key(1)), Some(1));
+        assert_eq!(c.get(&key(2)), Some(2));
+        assert_eq!(c.get(&key(4)), Some(4));
+    }
+
+    #[test]
+    fn bottom_hit_promotes_to_the_low_mru_end() {
+        let c = single_shard(30, 0.0);
+        c.insert(key(1), 1, 10, CachePriority::Bottom);
+        c.insert(key(2), 2, 10, CachePriority::Low);
+        c.insert(key(3), 3, 10, CachePriority::Low);
+        assert_eq!(c.get(&key(1)), Some(1)); // 1 becomes the low MRU
+        c.insert(key(4), 4, 10, CachePriority::Low); // evicts 2 (LRU)
+        c.insert(key(5), 5, 10, CachePriority::Bottom); // evicts 3
+        assert_eq!(c.get(&key(2)), None);
+        assert_eq!(c.get(&key(3)), None);
+        assert_eq!(c.get(&key(1)), Some(1));
+        assert_eq!(c.get(&key(4)), Some(4));
+        assert_eq!(c.get(&key(5)), Some(5));
+    }
+
+    #[test]
+    fn bottom_insert_is_not_admitted_at_the_cost_of_a_high_entry() {
+        let c = single_shard(40, 0.5);
+        c.insert(key(1), 1, 20, CachePriority::High);
+        c.insert(key(2), 2, 10, CachePriority::Low);
+        // Emptying the low list frees 20 bytes: 25 could only fit by
+        // evicting key 1.
+        c.insert(key(3), 3, 25, CachePriority::Bottom);
+        assert_eq!(c.usage(), 30);
+        assert_eq!(c.stats().2, 2, "a refused entry is not an insert");
+        assert_eq!(c.get(&key(3)), None);
+        assert_eq!(c.get(&key(1)), Some(1));
+        assert_eq!(c.get(&key(2)), Some(2));
+        // 20 fits by evicting the low entry alone.
+        c.insert(key(4), 4, 20, CachePriority::Bottom);
+        assert_eq!(c.get(&key(2)), None);
+        assert_eq!(c.get(&key(1)), Some(1));
+        assert_eq!(c.get(&key(4)), Some(4));
+        // An oversized entry is simply not cached.
+        c.insert(key(5), 5, 100, CachePriority::Bottom);
+        assert_eq!(c.get(&key(5)), None);
+        assert_eq!(c.usage(), 40);
     }
 
     #[test]

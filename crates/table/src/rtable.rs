@@ -328,9 +328,10 @@ impl RTableReader {
 
     /// Handle of the record stored under exactly `target`, reading no
     /// record bytes: one bloom probe, then one index-partition lookup
-    /// (through the block cache). The partition whose last key is the
-    /// first `>= target` is the only one that can hold it.
-    pub fn find_exact(&self, target: &[u8]) -> Result<Option<BlockHandle>> {
+    /// through the block cache (a miss is inserted at high priority only
+    /// when `fill_cache`). The partition whose last key is the first
+    /// `>= target` is the only one that can hold it.
+    pub fn find_exact(&self, target: &[u8], fill_cache: bool) -> Result<Option<BlockHandle>> {
         let ukey = match self.cmp {
             KeyCmp::Internal => extract_user_key(target),
             KeyCmp::Bytewise => target,
@@ -344,9 +345,8 @@ impl RTableReader {
             return Ok(None);
         }
         let part_handle = BlockHandle::decode_exact(&top.value())?;
-        let part = self
-            .fetcher
-            .fetch(part_handle, BlockKind::Index, CachePriority::High)?;
+        let pri = fill_cache.then_some(CachePriority::High);
+        let part = Block::new(self.fetcher.payload(part_handle, BlockKind::Index, pri)?)?;
         let mut it = part.iter(self.cmp);
         it.seek(target);
         if it.valid() && it.key() == target {
@@ -355,10 +355,14 @@ impl RTableReader {
         Ok(None)
     }
 
-    /// Read and decode the record at `handle`.
-    pub fn read_record(&self, handle: BlockHandle) -> Result<(Bytes, Bytes)> {
-        let payload = read_block(self.fetcher.file.as_ref(), handle)?;
-        decode_record(&payload)
+    /// Read and decode the record at `handle` — a point read, through the
+    /// block cache keyed by the record's offset: a hit is served, a miss
+    /// enters at [`CachePriority::Bottom`] once CRC-verified, when
+    /// `fill_cache`. Scans and GC read records around the cache with
+    /// [`read_records`](Self::read_records).
+    pub fn read_record(&self, handle: BlockHandle, fill_cache: bool) -> Result<(Bytes, Bytes)> {
+        let pri = fill_cache.then_some(CachePriority::Bottom);
+        decode_record(&self.fetcher.payload(handle, BlockKind::Data, pri)?)
     }
 
     /// **Lazy Read** (paper Fig. 8 step ①): return every key in the file
@@ -564,8 +568,8 @@ mod tests {
 
     /// Point lookup the way the value store does it: locate, then fetch.
     fn get(r: &RTableReader, key: &[u8]) -> Option<(Bytes, Bytes)> {
-        let handle = r.find_exact(key).unwrap()?;
-        Some(r.read_record(handle).unwrap())
+        let handle = r.find_exact(key, true).unwrap()?;
+        Some(r.read_record(handle, true).unwrap())
     }
 
     #[test]
@@ -615,7 +619,7 @@ mod tests {
         let r = open(&env, "v.vsst");
         let index = r.read_index().unwrap();
         for (i, (k, h)) in index.iter().enumerate() {
-            let (rk, rv) = r.read_record(*h).unwrap();
+            let (rk, rv) = r.read_record(*h, false).unwrap();
             assert_eq!(&rk, k);
             assert_eq!(&rv[..], es[i].1.as_slice());
         }
@@ -733,7 +737,7 @@ mod tests {
         let index = r.read_index().unwrap();
         // Corrupt the first record's payload.
         env.corrupt_byte("v.vsst", index[0].1.offset + 3).unwrap();
-        assert!(r.read_record(index[0].1).is_err());
+        assert!(r.read_record(index[0].1, false).is_err());
     }
 
     #[test]
@@ -799,12 +803,69 @@ mod tests {
         let r = open(&env, "v.vsst");
         let index = r.read_index().unwrap();
         for (k, h) in &index {
-            assert_eq!(r.find_exact(k).unwrap(), Some(*h));
+            assert_eq!(r.find_exact(k, true).unwrap(), Some(*h));
         }
         // Between two stored keys, before the first and past the last.
-        assert_eq!(r.find_exact(b"user0000505").unwrap(), None);
-        assert_eq!(r.find_exact(b"a").unwrap(), None);
-        assert_eq!(r.find_exact(b"zzzz").unwrap(), None);
+        assert_eq!(r.find_exact(b"user0000505", true).unwrap(), None);
+        assert_eq!(r.find_exact(b"a", true).unwrap(), None);
+        assert_eq!(r.find_exact(b"zzzz", true).unwrap(), None);
+    }
+
+    /// A point read caches its record at the bottom tier; a `fill_cache =
+    /// false` locate or read is served from the cache but inserts
+    /// nothing; `read_records` (scans, GC) reads around it.
+    #[test]
+    fn point_reads_cache_records_unless_told_not_to() {
+        let env = MemEnv::new();
+        let es = entries(50, 512);
+        build(&env, "v.vsst", &es);
+        let cache = Arc::new(BlockCache::with_capacity(1 << 20));
+        let file = env
+            .open_random_access("v.vsst", IoClass::FgValueRead)
+            .unwrap();
+        let r = RTableReader::open(file, 7, Some(cache.clone()), KeyCmp::Bytewise).unwrap();
+        let reads = |f: &dyn Fn()| {
+            let before = env.io_stats().snapshot();
+            f();
+            let d = env.io_stats().snapshot().delta(&before);
+            d.class(IoClass::FgValueRead).read_ops
+        };
+        let (key, value) = (es[10].0.as_slice(), es[10].1.as_slice());
+        let h = r.find_exact(key, false).unwrap().unwrap();
+        assert_eq!(cache.usage(), 0, "fill_cache = false inserts no partition");
+        assert_eq!(
+            reads(&|| assert_eq!(r.find_exact(key, true).unwrap(), Some(h))),
+            1
+        );
+        assert_eq!(
+            reads(&|| assert_eq!(r.find_exact(key, false).unwrap(), Some(h))),
+            0
+        );
+        let partitions = cache.usage();
+        assert_eq!(
+            reads(&|| assert_eq!(r.read_record(h, false).unwrap().1, value)),
+            1
+        );
+        assert_eq!(
+            cache.usage(),
+            partitions,
+            "fill_cache = false inserts no record"
+        );
+        assert_eq!(
+            reads(&|| assert_eq!(r.read_record(h, true).unwrap().1, value)),
+            1
+        );
+        assert!(cache.usage() > partitions);
+        for fill_cache in [true, false] {
+            assert_eq!(
+                reads(&|| assert_eq!(r.read_record(h, fill_cache).unwrap().1, value)),
+                0
+            );
+        }
+        assert_eq!(
+            reads(&|| drop(r.read_records(&[h], PER_RECORD).unwrap())),
+            1
+        );
     }
 
     /// The gap / span limits decide what shares an I/O: neighbours merge
@@ -903,8 +964,8 @@ mod tests {
             let file = env.open_random_access("p.vsst", IoClass::FgValueRead).unwrap();
             let r = RTableReader::open(file, 1, None, KeyCmp::Bytewise).unwrap();
             for (k, v) in &es {
-                let h = r.find_exact(k).unwrap().unwrap();
-                let (fk, fv) = r.read_record(h).unwrap();
+                let h = r.find_exact(k, true).unwrap().unwrap();
+                let (fk, fv) = r.read_record(h, true).unwrap();
                 proptest::prop_assert_eq!(&fk[..], k.as_slice());
                 proptest::prop_assert_eq!(&fv[..], v.as_slice());
             }

@@ -185,7 +185,7 @@ mod tests {
                 .is_some_and(|(k, _)| k == key),
             "d.sst" => DTableReader::open(f, 1, None)?.get(&key)?.is_some(),
             _ => RTableReader::open(f, 1, None, KeyCmp::Internal)?
-                .find_exact(&key)?
+                .find_exact(&key, true)?
                 .is_some(),
         })
     }

@@ -244,18 +244,42 @@ fn adjacent_rows_share_reads_up_to_the_span() {
     );
 }
 
+/// A point read's record enters the block cache; a scan's never does.
+/// `collect_n(n)` reads exactly the bytes of its rows' records — what `n`
+/// `fill_cache = false` gets read — in one I/O, even when every one of
+/// those records is cached.
 #[test]
 fn collect_n_reads_no_more_value_bytes_than_gets() {
     let db = adjacent_store(64, 1500);
-    for n in [1usize, 10] {
-        let (get_ops, get_bytes) = value_reads(&db, || {
-            for i in 20..20 + n {
-                db.get(key(i)).unwrap().unwrap();
-            }
-        });
-        assert_eq!(get_ops, n as u64, "a warm get is one record read");
+    let uncached = ReadOptions {
+        fill_cache: false,
+        ..ReadOptions::default()
+    };
+    for (lo, n) in [(20usize, 1usize), (30, 10)] {
+        let gets = |opts: &ReadOptions| {
+            value_reads(&db, || {
+                for i in lo..lo + n {
+                    db.get_with(opts, key(i)).unwrap().unwrap();
+                }
+            })
+        };
+        let (get_ops, get_bytes) = gets(&uncached);
+        assert_eq!(
+            get_ops, n as u64,
+            "a fill_cache = false get is one record read"
+        );
+        assert_eq!(
+            gets(&ReadOptions::default()),
+            (get_ops, get_bytes),
+            "it cached nothing: a first default get reads the record"
+        );
+        assert_eq!(
+            gets(&ReadOptions::default()).0,
+            0,
+            "a repeat get reads nothing"
+        );
         let (scan_ops, scan_bytes) = value_reads(&db, || {
-            let rows = db.scan(&key(20), None).unwrap().collect_n(n).unwrap();
+            let rows = db.scan(&key(lo), None).unwrap().collect_n(n).unwrap();
             assert_eq!(rows.len(), n);
         });
         assert_eq!(
@@ -270,7 +294,8 @@ fn collect_n_reads_no_more_value_bytes_than_gets() {
 /// 50-row window (the benchmark's `scan`) over rows spread across many
 /// value files issues exactly the value-file reads the single-engine
 /// iterator issued before the two handles became one — through
-/// `collect_n`, and through the `next()` ramp.
+/// `collect_n`, and through the `next()` ramp. Point reads caching every
+/// value first changes none of those reads: a scan reads around them.
 #[test]
 fn one_member_scan_issues_the_single_engine_reads() {
     let db = Db::open(small_opts(MemEnv::shared(), "exact", EngineMode::Scavenger)).unwrap();
@@ -292,11 +317,17 @@ fn one_member_scan_issues_the_single_engine_reads() {
         })
         .0
     };
-    let reads: Vec<u64> = [0, 97, 200]
-        .into_iter()
-        .flat_map(|lo| [window(lo, true), window(lo, false)])
-        .collect();
-    assert_eq!(reads, [4, 13, 6, 14, 4, 14]);
+    let reads = || -> Vec<u64> {
+        [0, 97, 200]
+            .into_iter()
+            .flat_map(|lo| [window(lo, true), window(lo, false)])
+            .collect()
+    };
+    assert_eq!(reads(), [4, 13, 6, 14, 4, 14]);
+    for i in 0..300 {
+        db.get(key(i)).unwrap().unwrap();
+    }
+    assert_eq!(reads(), [4, 13, 6, 14, 4, 14], "after a get of every key");
 }
 
 /// Keys `0..120` in three flushes of 40, so each third lives in its own

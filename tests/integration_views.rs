@@ -178,48 +178,56 @@ fn read_options_select_read_point_and_bounds() {
 }
 
 /// `fill_cache = false` reads return correct data without growing the
-/// block cache.
+/// block cache, in every mode: half the values are separated, and
+/// locating one inserts no index partition or value block, fetching it
+/// no record.
 #[test]
 fn read_options_fill_cache_false_bypasses_caches() {
-    let db = Db::open(small_opts(EngineMode::Rocks)).unwrap();
-    for i in 0..200 {
-        db.put(format!("key{i:03}"), value(i, 300)).unwrap();
-    }
-    db.flush().unwrap();
-    db.compact_all().unwrap();
+    let len = |i: usize| if i.is_multiple_of(2) { 300 } else { 1024 };
+    for mode in EngineMode::ALL {
+        let db = Db::open(small_opts(mode)).unwrap();
+        for i in 0..200 {
+            db.put(format!("key{i:03}"), value(i, len(i))).unwrap();
+        }
+        db.flush().unwrap();
+        db.compact_all().unwrap();
 
-    let cache = db.shard(0).lsm().block_cache();
-    let cold = ReadOptions {
-        fill_cache: false,
-        ..ReadOptions::default()
-    };
-    let usage_before = cache.usage();
-    for i in 0..200 {
+        let cache = db.shard(0).lsm().block_cache();
+        let cold = ReadOptions {
+            fill_cache: false,
+            ..ReadOptions::default()
+        };
+        let usage_before = cache.usage();
+        for i in 0..200 {
+            assert_eq!(
+                db.get_with(&cold, format!("key{i:03}")).unwrap().unwrap(),
+                value(i, len(i))
+            );
+        }
         assert_eq!(
-            db.get_with(&cold, format!("key{i:03}")).unwrap().unwrap(),
-            value(i, 300)
+            cache.usage(),
+            usage_before,
+            "{mode:?}: fill_cache=false reads must not populate the block cache"
+        );
+        // Scans too — including the L1+ levels the data compacted into.
+        let mut it = db.scan_with(&cold).unwrap();
+        let entries = it.collect_n(usize::MAX).unwrap();
+        assert_eq!(entries.len(), 200);
+        assert_eq!(
+            cache.usage(),
+            usage_before,
+            "{mode:?}: fill_cache=false scans must not populate the block cache at any level"
+        );
+
+        // The default path does warm the cache.
+        for i in 0..200 {
+            db.get(format!("key{i:03}")).unwrap().unwrap();
+        }
+        assert!(
+            cache.usage() > usage_before,
+            "{mode:?}: default reads fill the cache"
         );
     }
-    assert_eq!(
-        cache.usage(),
-        usage_before,
-        "fill_cache=false reads must not populate the block cache"
-    );
-    // Scans too — including the L1+ levels the data compacted into.
-    let mut it = db.scan_with(&cold).unwrap();
-    let entries = it.collect_n(usize::MAX).unwrap();
-    assert_eq!(entries.len(), 200);
-    assert_eq!(
-        cache.usage(),
-        usage_before,
-        "fill_cache=false scans must not populate the block cache at any level"
-    );
-
-    // The default path does warm the cache.
-    for i in 0..200 {
-        db.get(format!("key{i:03}")).unwrap().unwrap();
-    }
-    assert!(cache.usage() > usage_before, "default reads fill the cache");
 }
 
 /// `WriteOptions::disable_throttle` bypasses space-aware admission:
