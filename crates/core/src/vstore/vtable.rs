@@ -411,10 +411,7 @@ impl VReader {
             }
             VReader::B(_) => wants
                 .iter()
-                .map(|(at, _)| match at {
-                    ValueAt::Cached(v) => Ok(v.clone()),
-                    _ => Err(mismatch()),
-                })
+                .map(|(at, ikey)| self.fetch_one(at, ikey, false))
                 .collect(),
         }
     }
