@@ -17,6 +17,13 @@
 //!   blob file is deleted only once every record in it has been exposed
 //!   as garbage ([`exhausted`](crate::vstore::VsstMeta::is_exhausted)).
 //!
+//! Both standalone schemes run one job, `GcRunner::collect`. They differ
+//! in four places only: record identity (`(user_key, seq)` through
+//! inheritance, or Titan's `(file, offset)`), write order (internal-key
+//! order, or Titan's scan order, so its blob logs hold what Titan writes),
+//! the route (by hotness, or always cold) and the job's last step,
+//! **publish**: an inheritance edit, or Titan's Write-Index.
+//!
 //! Every phase is wall-clock timed into [`GcStats`], reproducing the
 //! paper's Figure 3 latency breakdown. Value-file I/O — steps ①, ③ and
 //! ④ — is charged to `IoClass::GcRead` / `IoClass::GcWrite` for Figure
@@ -27,18 +34,18 @@
 //!
 //! # The validation pipeline (GC-Lookup, Fig. 8 step ② / Fig. 10)
 //!
-//! A GC job moves through four phases, named after the paper's Fig. 8:
+//! A GC job moves through five phases, named after the paper's Fig. 8:
 //!
 //! | phase | Fig. 8 | what happens here |
 //! |---|---|---|
-//! | **Read**   | step ① | value-file keys (Lazy Read: one tail read to open the RTable, then its index partitions) or whole records (the file walked once in 256 KiB spans) are loaded into the pending batch; Titan's full-file scans fan out across the `gc_threads` pool |
+//! | **Read**   | step ① | value-file keys (Lazy Read: one tail read to open the RTable, then its index partitions, walked on the caller's thread) or whole records (each file walked once in 256 KiB spans, the files fanned out across the `gc_threads` pool) are loaded into the pending batch |
 //! | **GC-Lookup** | step ② | every pending record is validated against the index LSM-tree at each read point |
 //! | **Fetch** | step ③ | surviving values are fetched (lazy), survivors within [`GC_COALESCE`] of each other in one I/O; the per-file reads fan out across the `gc_threads` pool, merged in deterministic file order |
 //! | **Write** | step ④ | survivors are appended one by one to the job's `RouteWriters` (`vstore::route`), which routes hot/cold, rolls files at the size target and deletes its files if the job fails |
-//! | **Write-Index** | Titan only | new addresses are pushed back through the write path |
+//! | **Publish** | Titan: Write-Index | keyed schemes: one manifest edit retires the candidates and records inheritance. Titan: commit the new files, push the new addresses through the write path, queue the candidates for deletion behind a read-point barrier |
 //!
-//! Steps ②–④ of a no-writeback job *overlap* once the job is larger
-//! than one batch: the sorted pending set is split into contiguous
+//! Steps ②–④ of every job, Titan's included, *overlap* once the job is
+//! larger than one batch: the pending set is split into contiguous
 //! batches of `gc_exec::PIPELINE_BATCH` records and threaded through a
 //! bounded-channel executor (`gc_exec`), so batch *k+1* validates while
 //! batch *k* fetches and batch *k−1* writes. A job that fits in one batch
@@ -50,23 +57,22 @@
 //!
 //! The paper's Fig. 10 profiles GC-Lookup — one serial `get_at` point
 //! query per record per read point — as the dominant GC cost. Here the
-//! phase is one function, `GcRunner::validate_items`: the batch is
-//! sorted by user key (the fetch phase wants that order anyway) and
-//! resolved with **one co-sequential sweep of the pinned tree's index
-//! entries per read point** ([`scavenger_lsm::BatchSweep`]): memtables
-//! complete, a DTable as its KF stream alone (§III-B2), a BTable whole.
-//! A record `(ukey, seq)` is live at read point `pt` ⇔ the newest index
-//! entry `<= pt` is a reference that passes the scheme's identity check,
-//! **and** no inline version of `ukey` with `found_seq < s <= pt` exists
-//! in any KV stream of the pinned version — asked only after the first
-//! half passed, per key SST covering `ukey`, as one bloom-guarded point
-//! search of the KV stream. So a dead record costs KF entries out of
-//! high-priority-cached KF blocks and nothing else, and the inline small
-//! values are never paged through the block cache to be skipped. A read
-//! or checksum failure in either half fails the job. The paper's
-//! point-lookup loop survives only as the oracle of
-//! `tests/integration_gc_validation.rs`, which holds the sweep's
-//! verdicts to it.
+//! phase is one function, `GcRunner::validate`: the batch is sorted by
+//! user key and resolved with **one co-sequential sweep of the pinned
+//! tree's index entries per read point** ([`scavenger_lsm::BatchSweep`]):
+//! memtables complete, a DTable as its KF stream alone (§III-B2), a
+//! BTable whole. A record `(ukey, seq)` is live at read point `pt` ⇔ the
+//! newest index entry `<= pt` is a reference that passes the scheme's
+//! identity check, **and** no inline version of `ukey` with
+//! `found_seq < s <= pt` exists in any KV stream of the pinned version —
+//! asked only after the first half passed, per key SST covering `ukey`,
+//! as one bloom-guarded point search of the KV stream. So a dead record
+//! costs KF entries out of high-priority-cached KF blocks and nothing
+//! else, and the inline small values are never paged through the block
+//! cache to be skipped. A read or checksum failure in either half fails
+//! the job. The paper's point-lookup loop survives only as the oracle of
+//! `tests/integration_gc_validation.rs`, which holds the sweep's verdicts
+//! to it.
 
 use crate::dropcache::DropCache;
 use crate::gc_exec::{self, PIPELINE_BATCH};
@@ -75,11 +81,14 @@ use crate::stats::GcStats;
 use crate::vstore::fetch::{self, Want};
 use crate::vstore::route::{Route, RouteWriters};
 use crate::vstore::vtable::{parse_record_key, VReader, ValueAt};
-use crate::vstore::{ValueStore, GC_COALESCE};
+use crate::vstore::{ValueStore, VsstMeta, GC_COALESCE};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::IoClass;
-use scavenger_lsm::{BatchReader, GuardedWrite, Lsm, Precondition, ValueEditBundle, WriteBatch};
+use scavenger_lsm::{
+    BatchReader, GuardedWrite, Lsm, NewValueFile, Precondition, ValueEditBundle, WriteBatch,
+    WriteOptions,
+};
 use scavenger_table::btable::TableOptions;
 use scavenger_util::ikey::{cmp_internal, SeqNo, ValueRef};
 use scavenger_util::{Error, Result};
@@ -176,8 +185,8 @@ pub struct GcConfig {
     pub vsst_target: u64,
     /// Max candidate files merged per GC job.
     pub batch_files: usize,
-    /// Worker threads for parallel file I/O (Fetch fan-out, Titan Read
-    /// scans).
+    /// Worker threads for parallel file I/O (Fetch fan-out, whole-file
+    /// Read scans).
     pub threads: usize,
 }
 
@@ -192,7 +201,8 @@ pub struct GcRunner {
     /// Write-back (Titan) GC cannot preserve superseded versions through
     /// inheritance, so collected blob files are deleted *deferred*: only
     /// once no registered read point predates the job's write-back
-    /// barrier (see [`GcRunner::reap_deferred`]).
+    /// barrier (see [`GcRunner::reap_deferred`]). Empty under every
+    /// other scheme.
     deferred: Mutex<Vec<DeferredDeletion>>,
 }
 
@@ -205,42 +215,62 @@ struct DeferredDeletion {
     files: Vec<u64>,
 }
 
-/// A record awaiting validation.
+/// A record read from a candidate file (step ①), awaiting validation.
 struct Pending {
     ikey: Vec<u8>,
     source: u64,
+    /// Where the value sits in `source`: for a blob log, the address an
+    /// index reference carries — write-back's record identity.
+    offset: u64,
     loc: Loc,
 }
 
 enum Loc {
-    /// Value already in memory (full-file scan, TerarkDB-style Read).
+    /// Value already in memory (whole-file scan, TerarkDB-style Read).
     Inline(Bytes),
     /// Only the record's location is known (Lazy Read); the value is
     /// fetched after validation.
     Lazy(ValueAt),
 }
 
-/// What the Fetch stage hands the Write stage: `(internal key, value)`
-/// per survivor, and the record bytes it asked the source files for.
-type Fetched = (Vec<(Vec<u8>, Bytes)>, u64);
-
-/// One record's identity inside a validation batch.
-struct ValItem {
-    ukey: Vec<u8>,
-    seq: SeqNo,
+/// What step ① read from a job's candidate files.
+#[derive(Default)]
+struct ReadOut {
+    /// Every record, file by file in candidate order.
+    pending: Vec<Pending>,
+    /// The open readers of the Lazy-Read files, for step ③.
+    readers: HashMap<u64, VReader>,
+    /// Bytes asked of the files ([`GcOutcome::bytes_read`]).
+    bytes: u64,
 }
 
-/// Everything the GC-Lookup stage needs, pinned once per job and handed
-/// to whichever thread runs the stage (the caller for a one-batch job,
-/// the validate stage worker otherwise).
+/// What the Fetch stage hands the Write stage: each survivor with its
+/// value, and the record bytes it asked the source files for.
+type Fetched = (Vec<(Pending, Bytes)>, u64);
+
+/// A job's read points, pinned until it publishes, and the reader that
+/// validates against them — handed to whichever thread runs the
+/// GC-Lookup stage (the caller for a one-batch job, the validate stage
+/// worker otherwise).
 ///
-/// The [`BatchReader`] doubles as the job's read-point pin: it registers
-/// its sequence *before* [`Lsm::read_points`] scans the registry (see
-/// [`GcRunner::read_points`]), and materializes the memtable snapshots
-/// exactly once per job instead of once per validation call.
-struct ValidateCtx<'a> {
-    reader: &'a BatchReader,
-    read_points: &'a [SeqNo],
+/// The reader's view registers the latest sequence *before*
+/// [`Lsm::read_points`] scans the registry, so the point set is
+/// race-free: any reader registered after the scan observes a sequence
+/// at or above the view's, whose visible versions this GC preserves. The
+/// reader also materializes the memtable snapshots once per job.
+struct Pin {
+    reader: BatchReader,
+    points: Vec<SeqNo>,
+}
+
+impl Pin {
+    fn new(lsm: &Lsm) -> Pin {
+        let reader = lsm.batch_reader();
+        // User snapshots plus in-flight view pins — our own included, so
+        // the latest sequence is covered.
+        let points = lsm.read_points();
+        Pin { reader, points }
+    }
 }
 
 impl GcRunner {
@@ -270,88 +300,101 @@ impl GcRunner {
         self.reap_deferred(lsm)?;
         match self.features.gc {
             GcScheme::CompactionTriggered => Ok(None),
-            GcScheme::NoWriteback => self.gc_no_writeback(lsm, threshold),
-            GcScheme::Writeback => self.gc_writeback(lsm, threshold),
+            GcScheme::NoWriteback | GcScheme::Writeback => self.collect(lsm, threshold),
         }
     }
 
-    /// Count a committed job into the stats.
-    fn job_done(&self, job: GcOutcome) -> GcOutcome {
-        self.stats.add(|g| {
-            g.runs += 1;
-            g.files_collected += job.files_collected as u64;
-            g.reclaimed_bytes += job.bytes_reclaimed;
-            g.requested_bytes += job.io_bytes();
-        });
-        job
+    fn writeback(&self) -> bool {
+        self.features.gc == GcScheme::Writeback
     }
 
-    /// The job's output files (step ④ **Write**), charged to GC write I/O.
-    fn route_writers(&self, lsm: &Lsm) -> RouteWriters {
-        RouteWriters::new(
-            &self.vstore,
-            self.features,
-            self.table_opts.clone(),
-            self.cfg.vsst_target,
-            IoClass::GcWrite,
-            lsm.file_alloc(),
-            &self.dropcache,
-        )
+    /// Step ① **Read** over `files`. Lazy Read walks an RTable's dense
+    /// index on the caller's thread: its partitions come through the
+    /// block cache, whose state depends on their order. Every other file
+    /// is scanned whole, the scans fanned out across the `gc_threads`
+    /// pool and merged back in file order.
+    fn read(&self, files: &[Arc<VsstMeta>]) -> Result<ReadOut> {
+        // Write-back identity is `(file, offset)`, which the lazy index
+        // does not carry.
+        let lazy = |m: &VsstMeta| {
+            self.features.lazy_read && m.format == VFormat::RTable && !self.writeback()
+        };
+        let scanned: Vec<u64> = files.iter().filter(|m| !lazy(m)).map(|m| m.file).collect();
+        let mut scans =
+            gc_exec::parallel_map_ordered(&scanned, self.cfg.threads, &self.stats, |&file| {
+                self.vstore.gc_scan(file)
+            })?
+            .into_iter();
+        let mut out = ReadOut::default();
+        for meta in files {
+            let source = meta.file;
+            if lazy(meta) {
+                let reader = self.vstore.gc_reader(source)?;
+                out.bytes += reader.lazy_index_bytes()?;
+                for (ikey, handle) in reader.read_lazy_index()? {
+                    out.pending.push(Pending {
+                        ikey,
+                        source,
+                        offset: handle.offset,
+                        loc: Loc::Lazy(ValueAt::Record(handle)),
+                    });
+                }
+                out.readers.insert(source, reader);
+            } else {
+                out.bytes += meta.size;
+                for rec in scans.next().expect("one scan per scanned file") {
+                    out.pending.push(Pending {
+                        ikey: rec.ikey,
+                        source,
+                        offset: rec.value_offset,
+                        loc: Loc::Inline(rec.value),
+                    });
+                }
+            }
+        }
+        Ok(out)
     }
 
-    /// Read points for validity, pinned for the duration of the job.
-    ///
-    /// The returned reader's view registers the latest sequence *before*
-    /// the registry is scanned, so the point set is race-free: any reader
-    /// registered after the scan necessarily observes a sequence at or
-    /// above the view's — whose visible versions this GC preserves. The
-    /// caller must keep the reader alive until the job commits.
-    fn read_points(&self, lsm: &Lsm) -> (BatchReader, Vec<SeqNo>) {
-        let reader = lsm.batch_reader();
-        // All registered read points: user snapshots plus in-flight view
-        // pins (including our own, so the latest sequence is covered).
-        let pts = lsm.read_points();
-        (reader, pts)
-    }
-
-    /// The GC-Lookup phase: decide for every pending record whether any
-    /// read point still references it. The batch is visited in user-key
+    /// Step ② **GC-Lookup** over one batch: the records some read point
+    /// still references, in input order. The batch is visited in user-key
     /// order by one co-sequential sweep of the job's pinned
     /// [`BatchReader`] per read point; each verdict is the sweep's
     /// [`is_live`](scavenger_lsm::BatchSweep::is_live) under the scheme's
-    /// record identity.
+    /// record identity:
     ///
-    /// `require_seq_match` is true for keyed (no-writeback) schemes, where
-    /// record identity is `(user_key, seq)`. Address-based write-back GC
-    /// (Titan) must NOT match sequences: its write-back re-inserts index
-    /// entries under fresh sequence numbers while the relocated blob
-    /// record keeps the original one — there, `(file, offset)` is the
-    /// record's identity, which `check_ref` tests.
-    ///
-    /// Returns one bool per item, in input order.
-    fn validate_items(
-        &self,
-        cx: &ValidateCtx<'_>,
-        items: &[ValItem],
-        require_seq_match: bool,
-        check_ref: &dyn Fn(usize, &ValueRef) -> bool,
-    ) -> Result<Vec<bool>> {
-        if items.is_empty() {
-            return Ok(Vec::new());
+    /// * keyed (no write-back): the visible reference carries the
+    ///   record's `seq` and resolves, through inheritance, to its source
+    ///   file;
+    /// * write-back (Titan): the visible reference points at the record's
+    ///   exact `(file, offset)`. Sequences must NOT be matched: write-back
+    ///   re-inserts index entries under fresh sequence numbers while the
+    ///   relocated blob record keeps the original one.
+    fn validate(&self, pin: &Pin, batch: Vec<Pending>) -> Result<Vec<Pending>> {
+        if batch.is_empty() {
+            return Ok(batch);
         }
         self.stats.add(|g| g.validate_batches += 1);
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_by(|&a, &b| items[a].ukey.cmp(&items[b].ukey));
-        let mut valid = vec![false; items.len()];
-        for &pt in cx.read_points {
-            let mut sweep = cx.reader.sweep(pt)?;
+        let keys = batch
+            .iter()
+            .map(|rec| parse_record_key(&rec.ikey))
+            .collect::<Result<Vec<_>>>()?;
+        let mut order: Vec<usize> = (0..batch.len()).collect();
+        order.sort_by(|&a, &b| keys[a].0.cmp(keys[b].0));
+        let writeback = self.writeback();
+        let mut valid = vec![false; batch.len()];
+        for &pt in &pin.points {
+            let mut sweep = pin.reader.sweep(pt)?;
             for &i in &order {
                 if valid[i] {
                     continue;
                 }
-                let item = &items[i];
-                valid[i] = sweep.is_live(&item.ukey, &|seq, r| {
-                    (!require_seq_match || seq == item.seq) && check_ref(i, r)
+                let (rec, (ukey, seq)) = (&batch[i], keys[i]);
+                valid[i] = sweep.is_live(ukey, &|found_seq, r| {
+                    if writeback {
+                        r.file == rec.source && r.offset == rec.offset
+                    } else {
+                        found_seq == seq && self.vstore.resolves_to(r.file, rec.source)
+                    }
                 })?;
             }
             let s = sweep.stats();
@@ -361,130 +404,111 @@ impl GcRunner {
                 g.validate_sweep_seeks += s.seeks;
             });
         }
-        Ok(valid)
+        Ok(batch
+            .into_iter()
+            .zip(valid)
+            .filter_map(|(rec, ok)| ok.then_some(rec))
+            .collect())
     }
 
-    /// Dry-run the GC-Lookup phase over every record of value file `file`
+    /// Dry-run steps ① and ② over every record of value file `file`
     /// without moving any data: how many records are still live?
     pub fn validate_file(&self, lsm: &Lsm, file: u64) -> Result<GcValidationReport> {
         let meta = self
             .vstore
             .meta(file)
             .ok_or_else(|| Error::not_found(format!("value file {file}")))?;
-        let mut items: Vec<ValItem> = Vec::new();
-        let mut offsets: Vec<u64> = Vec::new();
-        // Write-back identity is `(file, offset)`, so its records must be
-        // materialized via a full scan (the lazy index carries no offsets).
-        let need_addresses = self.features.gc == GcScheme::Writeback;
-        if !need_addresses && self.features.lazy_read && meta.format == VFormat::RTable {
-            for (ikey, _) in self.vstore.gc_reader(file)?.read_lazy_index()? {
-                let (u, s) = parse_record_key(&ikey)?;
-                items.push(ValItem {
-                    ukey: u.to_vec(),
-                    seq: s,
-                });
-            }
-        } else {
-            for rec in self.vstore.gc_scan(file)? {
-                let (u, s) = parse_record_key(&rec.ikey)?;
-                items.push(ValItem {
-                    ukey: u.to_vec(),
-                    seq: s,
-                });
-                offsets.push(rec.value_offset);
-            }
-        }
-        let (reader, read_points) = self.read_points(lsm);
-        let cx = ValidateCtx {
-            reader: &reader,
-            read_points: &read_points,
-        };
-        // Record identity must mirror the scheme's own GC (see
-        // `validate_items`): keyed for no-writeback, `(file, offset)` for
-        // write-back, where rewritten index entries carry fresh seqs.
-        let keyed = |_i: usize, r: &ValueRef| self.vstore.resolves_to(r.file, file);
-        let addressed = |i: usize, r: &ValueRef| r.file == file && r.offset == offsets[i];
-        let verdicts = match self.features.gc {
-            GcScheme::Writeback => self.validate_items(&cx, &items, false, &addressed)?,
-            _ => self.validate_items(&cx, &items, true, &keyed)?,
-        };
+        let pending = self.read(&[meta])?.pending;
+        let records = pending.len() as u64;
         Ok(GcValidationReport {
-            records: items.len() as u64,
-            valid: verdicts.iter().filter(|&&v| v).count() as u64,
+            records,
+            valid: self.validate(&Pin::new(lsm), pending)?.len() as u64,
         })
     }
 
-    // ---------------- TerarkDB / Scavenger ----------------
-
-    fn gc_no_writeback(&self, lsm: &Lsm, threshold: f64) -> Result<Option<GcOutcome>> {
+    /// The one GC job: pick the candidates crossing `threshold`, then
+    /// steps ①–④, then the scheme's [`publish`](Self::publish) step.
+    fn collect(&self, lsm: &Lsm, threshold: f64) -> Result<Option<GcOutcome>> {
+        let writeback = self.writeback();
+        // Titan gates blob deletion on the oldest snapshot; we take the
+        // conservative equivalent and defer GC while snapshots exist.
+        if writeback && !lsm.snapshot_sequences().is_empty() {
+            return Ok(None);
+        }
+        // ---- Pick. Files already collected but awaiting barrier-gated
+        // deletion (write-back only) must not be re-picked: their records
+        // are dead in the index, so a second pass would churn without
+        // reclaiming anything ----
+        let in_flight: Vec<u64> = self
+            .deferred
+            .lock()
+            .iter()
+            .flat_map(|d| d.files.clone())
+            .collect();
         let candidates: Vec<_> = self
             .vstore
             .gc_candidates(threshold)
             .into_iter()
+            .filter(|m| !in_flight.contains(&m.file))
             .take(self.cfg.batch_files.max(1))
             .collect();
         if candidates.is_empty() {
             return Ok(None);
         }
-        let candidate_files: Vec<u64> = candidates.iter().map(|m| m.file).collect();
+        let sources: Vec<u64> = candidates.iter().map(|m| m.file).collect();
         let deleted_bytes: u64 = candidates.iter().map(|m| m.size).sum();
 
         // ---- Read (paper Fig. 8 step ① / §II-C "Read") ----
         let t_read = Instant::now();
-        let mut readers: HashMap<u64, VReader> = HashMap::new();
-        let mut pending: Vec<Pending> = Vec::new();
-        let mut bytes_read: u64 = 0;
-        for meta in &candidates {
-            if self.features.lazy_read && meta.format == VFormat::RTable {
-                let reader = self.vstore.gc_reader(meta.file)?;
-                bytes_read += reader.lazy_index_bytes()?;
-                for (ikey, handle) in reader.read_lazy_index()? {
-                    pending.push(Pending {
-                        ikey,
-                        source: meta.file,
-                        loc: Loc::Lazy(ValueAt::Record(handle)),
-                    });
-                }
-                readers.insert(meta.file, reader);
-            } else {
-                bytes_read += meta.size;
-                for rec in self.vstore.gc_scan(meta.file)? {
-                    pending.push(Pending {
-                        ikey: rec.ikey,
-                        source: meta.file,
-                        loc: Loc::Inline(rec.value),
-                    });
-                }
-            }
+        let ReadOut {
+            mut pending,
+            readers,
+            bytes: mut bytes_read,
+        } = self.read(&candidates)?;
+        // Keyed schemes sort the whole pending set by internal key up
+        // front: validation verdicts are order-independent, the Fetch
+        // phase and the table formats want this order, and the pipeline's
+        // batches must be contiguous sorted ranges so that records are
+        // written — and value files rolled — at boundaries the batch size
+        // cannot move. Titan's blob logs take the scan order.
+        if !writeback {
+            pending.sort_by(|a, b| cmp_internal(&a.ikey, &b.ikey));
         }
-        // Sort the whole pending set by internal key up front: validation
-        // verdicts are order-independent, the Fetch phase wants this
-        // order anyway, and the pipeline's batches must be contiguous
-        // sorted ranges so that records are written — and value files
-        // rolled — at boundaries the batch size cannot move.
-        pending.sort_by(|a, b| cmp_internal(&a.ikey, &b.ikey));
         self.stats.add(|g| {
             g.read_ns += t_read.elapsed().as_nanos() as u64;
             g.records_scanned += pending.len() as u64;
         });
 
         // ---- GC-Lookup / Fetch / Write (Fig. 8 steps ②–④) ----
-        // The reader pin stays alive until the job commits: every version
-        // it protects is either rewritten or reachable through
-        // inheritance.
-        let (reader, read_points) = self.read_points(lsm);
-        let cx = ValidateCtx {
-            reader: &reader,
-            read_points: &read_points,
+        // The reader pin stays alive until the job publishes: every
+        // version it protects is then rewritten, reachable through
+        // inheritance, or in a file whose deletion waits for it.
+        let pin = Pin::new(lsm);
+        // Relocated values are cold whatever their key's hotness.
+        let route = if writeback {
+            Route::Cold
+        } else {
+            Route::ByHotness
         };
-        let mut route_writers = self.route_writers(lsm);
+        let mut writers = RouteWriters::new(
+            &self.vstore,
+            self.features,
+            self.table_opts.clone(),
+            self.cfg.vsst_target,
+            IoClass::GcWrite,
+            lsm.file_alloc(),
+            &self.dropcache,
+        );
+        let mut guarded: Vec<GuardedWrite> = Vec::new();
         let mut rewritten: u64 = 0;
 
         let validate_stage = |batch: Vec<Pending>| -> Result<Vec<Pending>> {
             let t = Instant::now();
-            let out = self.validate_pending(&cx, batch);
-            self.stats
-                .add(|g| g.lookup_ns += t.elapsed().as_nanos() as u64);
+            let out = self.validate(&pin, batch);
+            self.stats.add(|g| {
+                g.lookup_ns += t.elapsed().as_nanos() as u64;
+                g.records_valid += out.as_ref().map_or(0, |v| v.len() as u64);
+            });
             out
         };
         let fetch_stage = |valid: Vec<Pending>| -> Result<Fetched> {
@@ -494,32 +518,42 @@ impl GcRunner {
                 .add(|g| g.read_ns += t.elapsed().as_nanos() as u64);
             out
         };
-        let route_writers_ref = &mut route_writers;
-        let rewritten_ref = &mut rewritten;
-        let bytes_read_ref = &mut bytes_read;
-        let write_stage = move |(materialized, fetched_bytes): Fetched| -> Result<()> {
+        let (writers_ref, guarded_ref) = (&mut writers, &mut guarded);
+        let (rewritten_ref, bytes_read_ref) = (&mut rewritten, &mut bytes_read);
+        let write_stage = move |(survivors, fetched_bytes): Fetched| -> Result<()> {
             let t = Instant::now();
-            *rewritten_ref += materialized.len() as u64;
+            *rewritten_ref += survivors.len() as u64;
             *bytes_read_ref += fetched_bytes;
-            let out = materialized.iter().try_for_each(|(ikey, value)| {
-                let (ukey, seq) = parse_record_key(ikey)?;
-                route_writers_ref.add(Route::ByHotness, ukey, seq, value)?;
+            let out = survivors.iter().try_for_each(|(rec, value)| {
+                let (ukey, seq) = parse_record_key(&rec.ikey)?;
+                let (file, w) = writers_ref.add(route, ukey, seq, value)?;
+                if writeback {
+                    guarded_ref.push(GuardedWrite {
+                        key: ukey.to_vec(),
+                        expected: ValueRef {
+                            file: rec.source,
+                            size: value.len() as u32,
+                            offset: rec.offset,
+                        },
+                        replacement: ValueRef {
+                            file,
+                            size: w.size,
+                            offset: w.offset,
+                        },
+                    });
+                }
                 Ok(())
             });
             self.stats
                 .add(|g| g.write_ns += t.elapsed().as_nanos() as u64);
             out
         };
-        let mut chunks: Vec<Vec<Pending>> =
-            Vec::with_capacity(pending.len().div_ceil(PIPELINE_BATCH));
-        let mut it = pending.into_iter();
-        loop {
-            let chunk: Vec<Pending> = it.by_ref().take(PIPELINE_BATCH).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk);
-        }
+        let mut it = pending.into_iter().peekable();
+        let chunks: Vec<Vec<Pending>> = std::iter::from_fn(|| {
+            it.peek()?;
+            Some(it.by_ref().take(PIPELINE_BATCH).collect())
+        })
+        .collect();
         gc_exec::run_overlapped(
             chunks,
             validate_stage,
@@ -527,63 +561,24 @@ impl GcRunner {
             write_stage,
             &self.stats,
         )?;
-        let outputs = route_writers.finish()?;
+        let new_files = writers.finish()?;
+        let new_bytes: u64 = new_files.iter().map(|f| f.size).sum();
+        self.publish(lsm, pin, &sources, new_files, guarded)?;
 
-        // ---- Commit: inheritance instead of index rewrites (§II-B) ----
-        let mut bundle = ValueEditBundle {
-            new_files: outputs,
-            deleted_files: candidate_files.clone(),
-            inherits: Vec::new(),
-            garbage: Vec::new(),
-        };
-        for old in &candidate_files {
-            for nf in &bundle.new_files {
-                bundle.inherits.push((*old, nf.file));
-            }
-        }
-        let new_bytes: u64 = bundle.new_files.iter().map(|f| f.size).sum();
-        lsm.apply_value_edit(bundle.clone())?;
-        let removed = self.vstore.apply_bundle(&bundle);
-        for (file, format) in removed {
-            self.vstore.delete_file(file, format);
-        }
-
-        Ok(Some(self.job_done(GcOutcome {
-            files_collected: candidate_files.len(),
+        let job = GcOutcome {
+            files_collected: sources.len(),
             records_rewritten: rewritten,
             bytes_reclaimed: deleted_bytes.saturating_sub(new_bytes),
             bytes_read,
             bytes_written: new_bytes,
-        })))
-    }
-
-    /// GC-Lookup (step ②) over one batch of pending records (keyed
-    /// identity): returns the subset still referenced from some read
-    /// point, preserving input order.
-    fn validate_pending(&self, cx: &ValidateCtx<'_>, batch: Vec<Pending>) -> Result<Vec<Pending>> {
-        if batch.is_empty() {
-            return Ok(batch);
-        }
-        let mut items = Vec::with_capacity(batch.len());
-        for rec in &batch {
-            let (u, s) = parse_record_key(&rec.ikey)?;
-            items.push(ValItem {
-                ukey: u.to_vec(),
-                seq: s,
-            });
-        }
-        let sources: Vec<u64> = batch.iter().map(|r| r.source).collect();
-        // Keyed identity: alive if some read point's visible reference
-        // resolves (through inheritance) to the record's source file.
-        let check = |i: usize, r: &ValueRef| self.vstore.resolves_to(r.file, sources[i]);
-        let verdicts = self.validate_items(cx, &items, true, &check)?;
-        let valid: Vec<Pending> = batch
-            .into_iter()
-            .zip(&verdicts)
-            .filter_map(|(rec, &ok)| ok.then_some(rec))
-            .collect();
-        self.stats.add(|g| g.records_valid += valid.len() as u64);
-        Ok(valid)
+        };
+        self.stats.add(|g| {
+            g.runs += 1;
+            g.files_collected += job.files_collected as u64;
+            g.reclaimed_bytes += job.bytes_reclaimed;
+            g.requested_bytes += job.io_bytes();
+        });
+        Ok(Some(job))
     }
 
     /// The Fetch phase (the lazy part of Lazy Read, step ③) for one batch
@@ -619,18 +614,94 @@ impl GcRunner {
         drop(wants);
         let records = valid
             .into_iter()
-            .map(|rec| match rec.loc {
-                Loc::Inline(value) => (rec.ikey, value),
-                Loc::Lazy(_) => (
-                    rec.ikey,
-                    fetched.next().expect("one fetched value per lazy record"),
-                ),
+            .map(|rec| {
+                let value = match &rec.loc {
+                    Loc::Inline(value) => value.clone(),
+                    Loc::Lazy(_) => fetched.next().expect("one fetched value per lazy record"),
+                };
+                (rec, value)
             })
             .collect();
         Ok((records, asked))
     }
 
-    // ---------------- Titan ----------------
+    /// The job's last step. Keyed schemes retire the candidates in one manifest edit that
+    /// records inheritance instead of rewriting index entries (§II-B).
+    /// Write-back publishes through Titan's Write-Index step.
+    fn publish(
+        &self,
+        lsm: &Lsm,
+        pin: Pin,
+        sources: &[u64],
+        new_files: Vec<NewValueFile>,
+        guarded: Vec<GuardedWrite>,
+    ) -> Result<()> {
+        if !self.writeback() {
+            let inherits = sources
+                .iter()
+                .flat_map(|&old| new_files.iter().map(move |nf| (old, nf.file)))
+                .collect();
+            return self.vstore.commit(
+                lsm,
+                &ValueEditBundle {
+                    new_files,
+                    deleted_files: sources.to_vec(),
+                    inherits,
+                    garbage: Vec::new(),
+                },
+            );
+        }
+        // ---- Commit the new files *before* writing back any address
+        // that points into them. The manifest edit is fsynced, so by the
+        // time a written-back reference can become durable (through the
+        // WAL) its target file is already registered. The reverse order
+        // has a crash window that recovers WAL records pointing at a
+        // file the manifest never heard of — open-time orphan cleanup
+        // unlinks the file and every recovered reference dangles. This
+        // way a crash between commit and write-back merely leaves an
+        // unreferenced file for a later GC pass to reclaim. (Same
+        // ordering also closes a live race under threaded background
+        // work: a reader must never observe a written-back address
+        // before the value store can resolve it.)
+        if !new_files.is_empty() {
+            let bundle = ValueEditBundle {
+                new_files,
+                ..Default::default()
+            };
+            self.vstore.commit(lsm, &bundle)?;
+        }
+
+        // ---- Write-Index: push the new addresses through the write path
+        // (Titan's extra step, ~38% of GC time in the paper's Fig. 3) ----
+        let t_wi = Instant::now();
+        if !guarded.is_empty() {
+            // Write-back is durability-critical (old value files are
+            // queued for deletion below), so the default synced options.
+            lsm.write_checked(
+                &WriteOptions::default(),
+                WriteBatch::new(),
+                Some(Precondition::Guarded(guarded)),
+            )?;
+        }
+        self.stats
+            .add(|g| g.write_index_ns += t_wi.elapsed().as_nanos() as u64);
+
+        // ---- Queue deletion ----
+        // The collected files are only *queued* for deletion behind a
+        // barrier at the write-back commit sequence. Write-back has no
+        // inheritance edges, so an in-flight reader pinned below the
+        // barrier still resolves through the old file — deleting it now
+        // would dangle that read.
+        self.deferred.lock().push(DeferredDeletion {
+            barrier: lsm.last_sequence(),
+            files: sources.to_vec(),
+        });
+        // Release the job's own read-point pin, then try to reap: in the
+        // quiet case (no other readers in flight) the files are deleted
+        // at once.
+        drop(pin);
+        self.reap_deferred(lsm)
+    }
 
     /// Delete deferred write-back candidates whose barrier has cleared:
     /// no registered read point predates the job's write-back commit, so
@@ -639,7 +710,7 @@ impl GcRunner {
     /// Entries that cannot be reaped — barrier not cleared, or the
     /// manifest write failed — go back on the queue; an error never
     /// drops the remaining entries (they would leak their disk files and
-    /// escape `gc_writeback`'s re-pick exclusion).
+    /// escape the job's re-pick exclusion).
     fn reap_deferred(&self, lsm: &Lsm) -> Result<()> {
         let mut pending = {
             let mut deferred = self.deferred.lock();
@@ -660,20 +731,12 @@ impl GcRunner {
                 deleted_files: d.files,
                 ..Default::default()
             };
-            match lsm.apply_value_edit(bundle.clone()) {
-                Ok(()) => {
-                    let removed = self.vstore.apply_bundle(&bundle);
-                    for (file, format) in removed {
-                        self.vstore.delete_file(file, format);
-                    }
-                }
-                Err(e) => {
-                    result = Err(e);
-                    kept.push(DeferredDeletion {
-                        barrier: d.barrier,
-                        files: bundle.deleted_files,
-                    });
-                }
+            if let Err(e) = self.vstore.commit(lsm, &bundle) {
+                result = Err(e);
+                kept.push(DeferredDeletion {
+                    barrier: d.barrier,
+                    files: bundle.deleted_files,
+                });
             }
         }
         if !kept.is_empty() {
@@ -682,187 +745,21 @@ impl GcRunner {
         result
     }
 
-    fn gc_writeback(&self, lsm: &Lsm, threshold: f64) -> Result<Option<GcOutcome>> {
-        // Titan gates blob deletion on the oldest snapshot; we take the
-        // conservative equivalent and defer GC while snapshots exist.
-        if !lsm.snapshot_sequences().is_empty() {
-            return Ok(None);
-        }
-        // Files already collected but awaiting barrier-gated deletion
-        // must not be re-picked: their records are dead in the index, so
-        // a second pass would churn without reclaiming anything.
-        let in_flight: Vec<u64> = {
-            let deferred = self.deferred.lock();
-            deferred
-                .iter()
-                .flat_map(|d| d.files.iter().copied())
-                .collect()
+    /// Bytes of collected write-back files whose deletion still waits on
+    /// a read point older than the job's barrier: space no GC round can
+    /// free until that reader is gone.
+    pub(crate) fn pinned_bytes(&self, lsm: &Lsm) -> u64 {
+        let Some(oldest) = lsm.oldest_read_point() else {
+            return 0;
         };
-        let candidates: Vec<_> = self
-            .vstore
-            .gc_candidates(threshold)
-            .into_iter()
-            .filter(|m| !in_flight.contains(&m.file))
-            .take(self.cfg.batch_files.max(1))
-            .collect();
-        if candidates.is_empty() {
-            return Ok(None);
-        }
-        let candidate_files: Vec<u64> = candidates.iter().map(|m| m.file).collect();
-        let deleted_bytes: u64 = candidates.iter().map(|m| m.size).sum();
-
-        // ---- Read: full scan of each blob file (step ①), fanned out
-        // across the `gc_threads` pool — one job per candidate file,
-        // results concatenated in candidate order so the record stream
-        // (and everything downstream) is deterministic ----
-        let t_read = Instant::now();
-        let scans = gc_exec::parallel_map_ordered(
-            &candidate_files,
-            self.cfg.threads,
-            &self.stats,
-            |&file| {
-                Ok(self
-                    .vstore
-                    .gc_scan(file)?
-                    .into_iter()
-                    .map(|rec| (file, rec))
-                    .collect::<Vec<_>>())
-            },
-        )?;
-        let mut records: Vec<(u64, crate::vstore::vtable::BlobRecord)> = Vec::new();
-        for scan in scans {
-            records.extend(scan);
-        }
-        self.stats.add(|g| {
-            g.read_ns += t_read.elapsed().as_nanos() as u64;
-            g.records_scanned += records.len() as u64;
-        });
-
-        // ---- GC-Lookup: validate the batch against the index ----
-        let t_lookup = Instant::now();
-        let (reader, read_points) = self.read_points(lsm);
-        let cx = ValidateCtx {
-            reader: &reader,
-            read_points: &read_points,
-        };
-        let mut items = Vec::with_capacity(records.len());
-        for (_, rec) in &records {
-            let (u, s) = parse_record_key(&rec.ikey)?;
-            items.push(ValItem {
-                ukey: u.to_vec(),
-                seq: s,
-            });
-        }
-        let addrs: Vec<(u64, u64)> = records
+        self.deferred
+            .lock()
             .iter()
-            .map(|(source, rec)| (*source, rec.value_offset))
-            .collect();
-        // Address identity (Titan): alive if some read point's visible
-        // reference still points at this exact `(file, offset)`.
-        let check = |i: usize, r: &ValueRef| r.file == addrs[i].0 && r.offset == addrs[i].1;
-        let verdicts = self.validate_items(&cx, &items, false, &check)?;
-        let valid: Vec<(u64, crate::vstore::vtable::BlobRecord)> = records
-            .into_iter()
-            .zip(&verdicts)
-            .filter_map(|(rec, &ok)| ok.then_some(rec))
-            .collect();
-        self.stats.add(|g| {
-            g.lookup_ns += t_lookup.elapsed().as_nanos() as u64;
-            g.records_valid += valid.len() as u64;
-        });
-
-        // ---- Write: rewrite valid values into fresh blob files (step
-        // ④, `features.vformat` being a blob log wherever write-back
-        // runs), always cold. Writers (and their file numbers) are
-        // allocated lazily, so an all-dead candidate set allocates
-        // nothing ----
-        let t_write = Instant::now();
-        let mut writers = self.route_writers(lsm);
-        let mut guarded: Vec<GuardedWrite> = Vec::with_capacity(valid.len());
-        for (source, rec) in &valid {
-            let (ukey, seq) = parse_record_key(&rec.ikey)?;
-            let (file, w) = writers.add(Route::Cold, ukey, seq, &rec.value)?;
-            guarded.push(GuardedWrite {
-                key: ukey.to_vec(),
-                expected: ValueRef {
-                    file: *source,
-                    size: rec.value.len() as u32,
-                    offset: rec.value_offset,
-                },
-                replacement: ValueRef {
-                    file,
-                    size: w.size,
-                    offset: w.offset,
-                },
-            });
-        }
-        let new_files = writers.finish()?;
-        self.stats
-            .add(|g| g.write_ns += t_write.elapsed().as_nanos() as u64);
-
-        // ---- Commit the new files *before* writing back any address
-        // that points into them. The manifest edit is fsynced, so by the
-        // time a written-back reference can become durable (through the
-        // WAL) its target file is already registered. The reverse order
-        // has a crash window that recovers WAL records pointing at a
-        // file the manifest never heard of — open-time orphan cleanup
-        // unlinks the file and every recovered reference dangles. This
-        // way a crash between commit and write-back merely leaves an
-        // unreferenced file for a later GC pass to reclaim. (Same
-        // ordering also closes a live race under threaded background
-        // work: a reader must never observe a written-back address
-        // before the value store can resolve it.)
-        let bundle = ValueEditBundle {
-            new_files,
-            deleted_files: Vec::new(),
-            inherits: Vec::new(),
-            garbage: Vec::new(),
-        };
-        let new_bytes: u64 = bundle.new_files.iter().map(|f| f.size).sum();
-        if !bundle.new_files.is_empty() {
-            lsm.apply_value_edit(bundle.clone())?;
-            self.vstore.apply_bundle(&bundle);
-        }
-
-        // ---- Write-Index: push the new addresses through the write path
-        // (Titan's extra step, ~38% of GC time in the paper's Fig. 3) ----
-        let t_wi = Instant::now();
-        let rewritten = guarded.len() as u64;
-        if !guarded.is_empty() {
-            // Write-back is durability-critical (old value files are
-            // queued for deletion below), so the default synced options.
-            lsm.write_checked(
-                &scavenger_lsm::WriteOptions::default(),
-                WriteBatch::new(),
-                Some(Precondition::Guarded(guarded)),
-            )?;
-        }
-        self.stats
-            .add(|g| g.write_index_ns += t_wi.elapsed().as_nanos() as u64);
-
-        // ---- Queue deletion ----
-        // The collected files are only *queued* for deletion behind a
-        // barrier at the write-back commit sequence. Write-back has no
-        // inheritance edges, so an in-flight reader pinned below the
-        // barrier still resolves through the old file — deleting it now
-        // would dangle that read.
-        self.deferred.lock().push(DeferredDeletion {
-            barrier: lsm.last_sequence(),
-            files: candidate_files.clone(),
-        });
-        // Release the job's own read-point pin, then try to reap: in the
-        // quiet case (no other readers in flight) the files are deleted
-        // immediately, matching the previous delete-at-commit behaviour.
-        drop(reader);
-        self.reap_deferred(lsm)?;
-
-        Ok(Some(self.job_done(GcOutcome {
-            files_collected: candidate_files.len(),
-            records_rewritten: rewritten,
-            bytes_reclaimed: deleted_bytes.saturating_sub(new_bytes),
-            bytes_read: deleted_bytes,
-            bytes_written: new_bytes,
-        })))
+            .filter(|d| oldest < d.barrier)
+            .flat_map(|d| &d.files)
+            .filter_map(|&file| self.vstore.meta(file))
+            .map(|m| m.size)
+            .sum()
     }
 }
 

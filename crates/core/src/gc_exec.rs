@@ -1,10 +1,11 @@
 //! The pipelined GC executor: stage orchestration for a GC job.
 //!
-//! A GC job is the paper's four-step pipeline (Fig. 8):
+//! A GC job — either standalone scheme's — is the paper's four-step
+//! pipeline (Fig. 8):
 //!
 //! | Fig. 8 | stage | infrastructure here |
 //! |---|---|---|
-//! | step ① **Read**      | load value-file keys (Lazy Read) or whole records | [`parallel_map_ordered`] fans per-file scans across the `gc_threads` pool |
+//! | step ① **Read**      | load value-file keys (Lazy Read) or whole records | [`parallel_map_ordered`] fans every whole-file scan across the `gc_threads` pool |
 //! | step ② **GC-Lookup** | validate every pending record against the index   | the *validate* stage of [`run_overlapped`] |
 //! | step ③ **Fetch**     | read the surviving values                         | the *fetch* stage; per-file coalesced reads fan out via [`parallel_map_ordered`] |
 //! | step ④ **Write**     | rewrite survivors, hot/cold routed                | the *write* stage; one [`RouteWriters::add`] per survivor |
@@ -15,7 +16,7 @@
 //!   per-file I/O jobs across scoped worker threads and returns results
 //!   in job order, so callers merge them deterministically regardless of
 //!   thread scheduling. Used by the Fetch phase (step ③, one job per
-//!   source value file) and by Titan's full-file Read phase (step ①).
+//!   source value file) and by every whole-file Read (step ①).
 //! * **Inter-stage overlap** — [`run_overlapped`] threads batches of
 //!   [`PIPELINE_BATCH`] records through the ② → ③ → ④ stages over
 //!   bounded channels, so batch *k+1* validates while batch *k* fetches
@@ -23,7 +24,8 @@
 //!   and runs the same stage closures inline on the caller's thread.
 //!
 //! Determinism rules the whole design: batches are contiguous ranges of
-//! the *globally sorted* pending set, channels deliver them in order, and
+//! the pending set in the job's write order (sorted for keyed schemes,
+//! Titan's scan order for write-back), channels deliver them in order, and
 //! a single write stage consumes them in order, appending record by
 //! record to the job's [`RouteWriters`] — so neither the batch size nor
 //! thread scheduling can change the bytes of a value file, the file

@@ -160,10 +160,7 @@ impl ValueHook for EngineHook {
                 return;
             }
         }
-        let removed = self.vstore.apply_bundle(bundle);
-        for (file, format) in removed {
-            self.vstore.delete_file(file, format);
-        }
+        self.vstore.apply_bundle(bundle);
     }
 }
 

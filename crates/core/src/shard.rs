@@ -153,18 +153,12 @@ impl Shard {
 
         // Restore the value store: manifest history first, then anything
         // committed during WAL recovery (buffered by the hook).
-        let apply = |bundle: &ValueEditBundle| {
-            let removed = vstore.apply_bundle(bundle);
-            for (file, format) in removed {
-                vstore.delete_file(file, format);
-            }
-        };
         for bundle in &replay {
-            apply(bundle);
+            vstore.apply_bundle(bundle);
         }
         if let Some(h) = &hook {
             for bundle in h.go_live() {
-                apply(&bundle);
+                vstore.apply_bundle(&bundle);
             }
         }
         vstore.delete_orphans()?;
@@ -233,14 +227,19 @@ impl Shard {
     }
 
     /// Bytes held only because something pins them: WAL history
-    /// retained for registered change-stream subscribers, plus (under
-    /// BlobDB's compaction-triggered scheme) exhausted value files
-    /// whose reaping is deferred while a read point is live. Reclaiming
-    /// cannot free these — the throttle discounts them when deciding
-    /// whether stalling writers can still help.
+    /// retained for registered change-stream subscribers, plus value
+    /// files whose deletion waits on a live read point — under BlobDB's
+    /// compaction-triggered scheme the exhausted files, under Titan's
+    /// write-back the collected files whose barrier the oldest read
+    /// point has not passed. Reclaiming cannot free these — the throttle
+    /// discounts them when deciding whether stalling writers can still
+    /// help.
     pub fn pinned_bytes(&self) -> u64 {
         let inner = &self.inner;
         let mut pinned = inner.lsm.change_log().pinned_bytes();
+        if let Some(gc) = &inner.gc {
+            pinned += gc.pinned_bytes(&inner.lsm);
+        }
         if inner.opts.features.gc == GcScheme::CompactionTriggered
             && inner.lsm.oldest_read_point().is_some()
         {
@@ -364,12 +363,7 @@ impl Shard {
             deleted_files: exhausted,
             ..Default::default()
         };
-        inner.lsm.apply_value_edit(bundle.clone())?;
-        let removed = inner.vstore.apply_bundle(&bundle);
-        for (file, format) in removed {
-            inner.vstore.delete_file(file, format);
-        }
-        Ok(())
+        inner.vstore.commit(&inner.lsm, &bundle)
     }
 
     // ---------------- reads ----------------

@@ -22,7 +22,7 @@ use fetch::Want;
 use inherit::InheritForest;
 use parking_lot::RwLock;
 use scavenger_env::{EnvRef, IoClass};
-use scavenger_lsm::{NewValueFile, ValueEditBundle};
+use scavenger_lsm::{Lsm, NewValueFile, ValueEditBundle};
 use scavenger_table::btable::BlockCache;
 use scavenger_table::props::TableType;
 use scavenger_table::rtable::{Coalesce, COALESCE_SPAN};
@@ -184,9 +184,10 @@ impl ValueStore {
         self
     }
 
-    /// Apply a committed bundle to in-memory state. Returns the `(file,
-    /// format)` pairs removed, whose disk files the caller should delete.
-    pub fn apply_bundle(&self, bundle: &ValueEditBundle) -> Vec<(u64, VFormat)> {
+    /// Apply a committed bundle: register its new files, record its
+    /// inheritance edges and garbage, and retire its deleted files —
+    /// their disk files included.
+    pub fn apply_bundle(&self, bundle: &ValueEditBundle) {
         for nf in &bundle.new_files {
             if let Ok(format) = tag_format(nf.format) {
                 self.files.write().insert(
@@ -213,14 +214,22 @@ impl ValueStore {
         for (file, bytes, entries) in &bundle.garbage {
             self.add_garbage(*file, *bytes, *entries);
         }
-        let mut removed = Vec::new();
         for file in &bundle.deleted_files {
             if let Some(meta) = self.files.write().remove(file) {
                 self.readers.write().remove(file);
-                removed.push((*file, meta.format));
+                let _ = self
+                    .env
+                    .remove_file(&vfile_path(&self.dir, *file, meta.format));
             }
         }
-        removed
+    }
+
+    /// Log `bundle` in `lsm`'s manifest, then [apply](Self::apply_bundle)
+    /// it: a value edit that changes no index entry (GC, reaping).
+    pub(crate) fn commit(&self, lsm: &Lsm, bundle: &ValueEditBundle) -> Result<()> {
+        lsm.apply_value_edit(bundle.clone())?;
+        self.apply_bundle(bundle);
+        Ok(())
     }
 
     /// Charge exposed garbage to `file`, resolving through the inheritance
@@ -504,11 +513,6 @@ impl ValueStore {
         loc.reader.fetch_one(&loc.at, &loc.ikey, fill_cache)
     }
 
-    /// Delete the disk file behind a removed value file.
-    pub fn delete_file(&self, file: u64, format: VFormat) {
-        let _ = self.env.remove_file(&vfile_path(&self.dir, file, format));
-    }
-
     /// Remove on-disk value files not present in the registry (crash
     /// leftovers). Returns how many were removed.
     pub fn delete_orphans(&self) -> Result<usize> {
@@ -683,16 +687,17 @@ mod tests {
             VWriter::create(&env, "db", 9, VFormat::RTable, topts, IoClass::GcWrite).unwrap();
         w.add(b"k", 7, b"the-value").unwrap();
         let info = w.finish().unwrap();
-        let removed = vs.apply_bundle(&ValueEditBundle {
+        assert!(env.file_exists("db/000005.vsst"));
+        vs.apply_bundle(&ValueEditBundle {
             new_files: vec![new_value_file_record(9, info, false, VFormat::RTable)],
             deleted_files: vec![5],
             inherits: vec![(5, 9)],
             ..Default::default()
         });
-        assert_eq!(removed, vec![(5, VFormat::RTable)]);
-        for (f, fmt) in removed {
-            vs.delete_file(f, fmt);
-        }
+        assert!(
+            !env.file_exists("db/000005.vsst"),
+            "applying the bundle deletes the files it removes"
+        );
         assert_eq!(
             &vs.read_ref(b"k", 7, &vref, true).unwrap()[..],
             b"the-value"

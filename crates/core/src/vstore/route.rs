@@ -84,7 +84,9 @@ impl RouteWriters {
     }
 
     /// Append one record, returning the file it went to and its address
-    /// there. Records of one route must arrive in internal-key order.
+    /// there. For a keyed format (RTable, BTable) the records of one
+    /// route must arrive in internal-key order; a blob log takes them in
+    /// any order (write-back GC appends in scan order).
     pub(crate) fn add(
         &mut self,
         route: Route,

@@ -20,8 +20,8 @@ use crate::options::{BackgroundMode, LsmOptions};
 use crate::tcache::{ktable_from_file, TableCache};
 use crate::version::{Manifest, ManifestLeader, Version, VersionEdit, VersionSet};
 use crate::view::{
-    latest_version_seq, read_superversion, scan_superversion, BatchReader, LsmView, ReadPointKind,
-    ReadPointRegistry, ScanIter, Snapshot, SuperVersion,
+    latest_version_seq, read_superversion, BatchReader, LsmView, ReadPointKind, ReadPointRegistry,
+    ScanIter, Snapshot, SuperVersion,
 };
 use crate::wal::LogWriter;
 use bytes::Bytes;
@@ -245,9 +245,9 @@ pub struct Lsm {
     bg_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
-// The GC's parallel validation mode shares `&Lsm` across scoped worker
-// threads; keep the engine `Sync` or that pipeline silently loses its
-// worker pool.
+// A shard set's maintenance fan-out runs each member's flush,
+// compaction and GC on scoped worker threads through `&Lsm`, and server
+// connections share the engine; keep it `Send + Sync`.
 #[allow(dead_code)]
 fn _assert_lsm_send_sync() {
     fn check<T: Send + Sync>() {}
@@ -1120,30 +1120,13 @@ impl Lsm {
         self.view().scan(lo, hi)
     }
 
-    /// Range scan at a specific read sequence over the current pinned
-    /// superversion. Like [`get_at`](Lsm::get_at), the sequence is not
-    /// registered — the caller must hold the [`Snapshot`] or [`LsmView`]
-    /// protecting it.
-    pub fn scan_at(&self, lo: &[u8], hi: Option<&[u8]>, read_seq: SeqNo) -> Result<ScanIter> {
-        scan_superversion(
-            self.superversion(),
-            &self.inner.tcache,
-            lo,
-            hi,
-            read_seq,
-            true,
-            None,
-        )
-    }
-
     // ---------------- background work ----------------
 
-    /// Run flushes and compactions until no work remains (inline mode);
-    /// also callable directly by tests/harnesses. Safe to call from
-    /// concurrent writer threads: the whole loop runs under `bg_work`,
-    /// so one thread drains the queue while latecomers wait and then
-    /// see an empty (or refilled) queue.
-    pub fn run_background_work(&self) -> Result<()> {
+    /// Run flushes and compactions until no work remains (inline mode).
+    /// Safe to call from concurrent writer threads: the whole loop runs
+    /// under `bg_work`, so one thread drains the queue while latecomers
+    /// wait and then see an empty (or refilled) queue.
+    fn run_background_work(&self) -> Result<()> {
         let _guard = self.inner.bg_work.lock();
         loop {
             let flushed = self.flush_one_imm()?;
@@ -1591,7 +1574,7 @@ impl Lsm {
 
     /// Delete key SSTs on disk that are not referenced by the live version
     /// (left over from a crash mid-compaction).
-    pub fn delete_obsolete_files(&self) -> Result<()> {
+    fn delete_obsolete_files(&self) -> Result<()> {
         self.purge_unreferenced_tables();
         let opts = &self.inner.opts;
         let version = self.current_version();

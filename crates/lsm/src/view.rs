@@ -323,12 +323,9 @@ impl LsmView {
 /// A read snapshot: an RAII handle owning a registered [`LsmView`].
 /// Dropping it unregisters the sequence and unpins the structures.
 ///
-/// This replaces the bare-`SeqNo` pattern of the previous API (take a
-/// `Snapshot`, then call `get_at`/`scan_at` with `snapshot.sequence()`):
-/// reads now go straight through the owned view —
+/// Reads go straight through the owned view —
 /// [`get`](Snapshot::get) / [`scan`](Snapshot::scan) — which both pins
-/// the structures and keeps the sequence registered. `sequence()` is
-/// still available for the legacy entry points.
+/// the structures and keeps the sequence registered.
 pub struct Snapshot {
     view: LsmView,
 }

@@ -25,8 +25,8 @@ fn opts(env: EnvRef, mode: EngineMode, threads: usize) -> Options {
 /// Options under which one GC job spans several pipeline batches:
 /// flushes happen only when asked, so the records sit in a few large
 /// value files, all of which one job may pick up.
-fn big_job_opts(env: EnvRef, threads: usize) -> Options {
-    let mut o = opts(env, EngineMode::Scavenger, threads);
+fn big_job_opts(env: EnvRef, mode: EngineMode, threads: usize) -> Options {
+    let mut o = opts(env, mode, threads);
     o.memtable_size = 64 << 20; // flush only when asked
     o.vsst_target_size = 1 << 20;
     o.ksst_target_size = 256 * 1024;
@@ -190,10 +190,11 @@ fn titan_executors_equivalent() {
 
 /// "Enabled" is decided per job from its size: a job that fits in one
 /// batch runs its stages inline and leaves the pipeline counters alone;
-/// a larger one flows through the overlapped executor, and still
-/// rewrites exactly the live records. Overlap itself is asserted only in
-/// the multi-core CI smoke below — on a single-core runner the scheduler
-/// may serialize the stage threads.
+/// a larger one flows through the overlapped executor — under every
+/// standalone scheme, Titan's write-back included — and still rewrites
+/// exactly the live records. Overlap itself is asserted only in the
+/// multi-core CI smoke below — on a single-core runner the scheduler may
+/// serialize the stage threads.
 #[test]
 fn pipeline_counters_move_only_when_enabled() {
     let small = Db::open(opts(MemEnv::shared(), EngineMode::Scavenger, 4)).unwrap();
@@ -218,30 +219,39 @@ fn pipeline_counters_move_only_when_enabled() {
     assert_eq!(gc.pipeline_batches, 0);
     assert_eq!(gc.pipeline_overlaps, 0);
 
-    let big = Db::open(big_job_opts(MemEnv::shared(), 4)).unwrap();
-    let n = 6_000;
-    load_big_job(&big, n, 3);
-    let out = big
-        .shard(0)
-        .run_gc_at(GC_THRESHOLD)
-        .unwrap()
-        .expect("garbage is exposed");
-    let gc = big.stats().gc;
-    assert_eq!(gc.pipeline_jobs, 1, "a multi-batch job must overlap");
-    assert!(
-        gc.pipeline_batches > 1,
-        "job must span several batches (got {})",
-        gc.pipeline_batches
-    );
-    assert_eq!(out.records_rewritten, gc.records_valid);
-    assert_eq!(gc.records_valid, gc.records_scanned - (n / 2) as u64);
-    for i in 0..n {
-        let tag = if i % 2 == 0 { 9000 + i } else { i };
+    for mode in [EngineMode::Scavenger, EngineMode::Terark, EngineMode::Titan] {
+        let big = Db::open(big_job_opts(MemEnv::shared(), mode, 4)).unwrap();
+        let n = 6_000;
+        load_big_job(&big, n, 3);
+        let out = big
+            .shard(0)
+            .run_gc_at(GC_THRESHOLD)
+            .unwrap()
+            .expect("garbage is exposed");
+        let gc = big.stats().gc;
         assert_eq!(
-            big.get(format!("key{i:06}")).unwrap().unwrap(),
-            bytes::Bytes::from(value(tag, 700)),
-            "key{i:06} after an overlapped job"
+            gc.pipeline_jobs, 1,
+            "{mode:?}: a multi-batch job must overlap"
         );
+        assert!(
+            gc.pipeline_batches > 1,
+            "{mode:?}: job must span several batches (got {})",
+            gc.pipeline_batches
+        );
+        assert_eq!(out.records_rewritten, gc.records_valid, "{mode:?}");
+        assert_eq!(
+            gc.records_valid,
+            gc.records_scanned - (n / 2) as u64,
+            "{mode:?}"
+        );
+        for i in 0..n {
+            let tag = if i % 2 == 0 { 9000 + i } else { i };
+            assert_eq!(
+                big.get(format!("key{i:06}")).unwrap().unwrap(),
+                bytes::Bytes::from(value(tag, 700)),
+                "{mode:?}: key{i:06} after an overlapped job"
+            );
+        }
     }
 }
 
@@ -253,7 +263,7 @@ fn pipeline_counters_move_only_when_enabled() {
 fn same_ops_yield_byte_identical_value_files() {
     let run = || {
         let env: EnvRef = MemEnv::shared();
-        let db = Db::open(big_job_opts(env.clone(), 4)).unwrap();
+        let db = Db::open(big_job_opts(env.clone(), EngineMode::Scavenger, 4)).unwrap();
         load_big_job(&db, 6_000, 3);
         db.run_gc_until_clean().unwrap();
         assert!(db.stats().gc.pipeline_jobs > 0, "overlapped path must run");
@@ -277,29 +287,32 @@ fn same_ops_yield_byte_identical_value_files() {
 }
 
 /// Multi-core CI smoke (run with `-- --ignored`): under `gc_threads = 4`
-/// on a multi-core runner, parallel fetch must dispatch workers and the
-/// pipelined executor must report actual stage overlap.
+/// on a multi-core runner, parallel file I/O — Lazy Read's fetch, Titan's
+/// whole-file scans — must dispatch workers and the pipelined executor
+/// must report actual stage overlap, write-back included.
 #[test]
 #[ignore = "needs a multi-core runner; exercised by the CI multicore job"]
 fn multicore_pipeline_overlap_smoke() {
-    let db = Db::open(big_job_opts(MemEnv::shared(), 4)).unwrap();
-    // Several source files, each left with a ~50% live mix, so one GC
-    // job spans many batches with real Fetch + Write work per stage.
-    load_big_job(&db, 12_000, 6);
-    db.run_gc_until_clean().unwrap();
-    let gc = db.stats().gc;
-    assert!(gc.pipeline_jobs > 0, "pipeline must run");
-    assert!(gc.pipeline_batches > 2, "job must span batches");
-    assert!(
-        gc.pipeline_overlaps > 0,
-        "stages must overlap on a multi-core runner (batches={}, backpressure={})",
-        gc.pipeline_batches,
-        gc.pipeline_backpressure
-    );
-    assert!(
-        gc.fetch_parallel_jobs > 0,
-        "parallel fetch must dispatch workers"
-    );
+    for mode in [EngineMode::Scavenger, EngineMode::Titan] {
+        let db = Db::open(big_job_opts(MemEnv::shared(), mode, 4)).unwrap();
+        // Several source files, each left with a ~50% live mix, so one GC
+        // job spans many batches with real Fetch + Write work per stage.
+        load_big_job(&db, 12_000, 6);
+        db.run_gc_until_clean().unwrap();
+        let gc = db.stats().gc;
+        assert!(gc.pipeline_jobs > 0, "{mode:?}: pipeline must run");
+        assert!(gc.pipeline_batches > 2, "{mode:?}: job must span batches");
+        assert!(
+            gc.pipeline_overlaps > 0,
+            "{mode:?}: stages must overlap on a multi-core runner (batches={}, backpressure={})",
+            gc.pipeline_batches,
+            gc.pipeline_backpressure
+        );
+        assert!(
+            gc.fetch_parallel_jobs > 0,
+            "{mode:?}: parallel file I/O must dispatch workers"
+        );
+    }
 }
 
 /// Regression (write-phase file allocation): a Titan GC whose candidates

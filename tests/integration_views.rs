@@ -361,6 +361,54 @@ fn blobdb_defers_exhausted_reaping_under_pinned_view() {
     }
 }
 
+/// Collected Titan files held back by a read point are *pinned* space —
+/// no GC round can free them while the reader lives — so they count in
+/// `pinned_bytes`, which the §III-D throttle discounts, as BlobDB's
+/// exhausted-but-deferred files do. Once the reader is gone they are
+/// reclaimable again and the count drops back to zero.
+#[test]
+fn titan_deferred_files_count_as_pinned_bytes() {
+    let db = Db::open(small_opts(EngineMode::Titan)).unwrap();
+    for i in 0..40 {
+        db.put(format!("key{i:02}"), value(i, 2048)).unwrap();
+    }
+    db.flush().unwrap();
+    for i in 10..40 {
+        db.put(format!("key{i:02}"), value(500 + i, 2048)).unwrap();
+    }
+    db.flush().unwrap();
+    db.compact_all().unwrap();
+    assert_eq!(db.stats().pinned_bytes, 0, "nothing pinned before GC");
+
+    let view = db.view();
+    assert!(db.run_gc_until_clean().unwrap() > 0, "GC must collect");
+    let vstore = db.shard(0).value_store();
+    let lingering: u64 = vstore
+        .all_files()
+        .iter()
+        .filter(|m| m.garbage_ratio() >= 0.2)
+        .map(|m| m.size)
+        .sum();
+    assert!(lingering > 0, "the view must hold collected files back");
+    assert_eq!(
+        db.stats().pinned_bytes,
+        lingering,
+        "files waiting on the view's read point are pinned"
+    );
+
+    drop(view);
+    assert_eq!(
+        db.stats().pinned_bytes,
+        0,
+        "with no read point left the deferred files are reclaimable"
+    );
+    db.run_gc_until_clean().unwrap();
+    assert!(
+        vstore.all_files().iter().all(|m| m.garbage_ratio() < 0.2),
+        "the next GC pass reaps them"
+    );
+}
+
 /// Titan (write-back GC) cannot preserve superseded versions through
 /// inheritance, so collected blob files are deleted *deferred*: a view
 /// pinned below the write-back barrier keeps reading relocated records
