@@ -1,7 +1,9 @@
 //! Paper Figure 3: GC latency breakdown of TerarkDB and Titan.
 //!
 //! Percent of GC time spent in Read / GC-Lookup / Write / Write-Index per
-//! workload, plus the index LSM-tree size.
+//! workload, plus the index LSM-tree size. The step total and the
+//! GC-Lookup sweep counters (forward steps, full re-seeks) give the
+//! absolute cost behind the percentages.
 //!
 //! Paper shape: Read dominates (>50%) everywhere except Pareto-1K where
 //! GC-Lookup takes over; Titan additionally pays ~38% in Write-Index.
@@ -30,14 +32,18 @@ fn main() {
         for (name, gen) in workloads() {
             let out = run_experiment(&spec, gen, 0.9, &scale, None, Phases::load_update())
                 .expect("experiment");
-            let (r, l, w, wi) = out.gc_update.percentages();
+            let gc = &out.gc_update;
+            let (r, l, w, wi) = gc.percentages();
             rows.push(vec![
                 name.to_string(),
                 f2(r),
                 f2(l),
                 f2(w),
                 f2(wi),
-                format!("{}", out.gc_update.runs),
+                format!("{}", gc.runs),
+                f2(gc.total_ns() as f64 / 1e6),
+                format!("{}", gc.validate_sweep_steps),
+                format!("{}", gc.validate_sweep_seeks),
                 mb(out.ksst_bytes),
             ]);
         }
@@ -50,6 +56,9 @@ fn main() {
                 "write%",
                 "write-index%",
                 "gc-runs",
+                "gc-ms",
+                "sweep-steps",
+                "sweep-seeks",
                 "index MB",
             ],
             &rows,

@@ -44,15 +44,18 @@
 //! | **Write** | step ④ | survivors are appended one by one to the job's `RouteWriters` (`vstore::route`), which routes hot/cold, rolls files at the size target and deletes its files if the job fails |
 //! | **Publish** | Titan: Write-Index | keyed schemes: one manifest edit retires the candidates and records inheritance. Titan: commit the new files, push the new addresses through the write path, queue the candidates for deletion behind a read-point barrier |
 //!
-//! Steps ②–④ of every job, Titan's included, *overlap* once the job is
-//! larger than one batch: the pending set is split into contiguous
-//! batches of `gc_exec::PIPELINE_BATCH` records and threaded through a
+//! Steps ②–④ of every job *overlap* once the job is larger than one
+//! batch: the pending set is split into contiguous batches of
+//! `gc_exec::PIPELINE_BATCH` records and threaded through a
 //! bounded-channel executor (`gc_exec`), so batch *k+1* validates while
-//! batch *k* fetches and batch *k−1* writes. A job that fits in one batch
-//! runs the same three stage closures inline. Batch boundaries never
-//! show in the output: value files, file numbers, and [`GcOutcome`]s are
-//! a function of the op sequence alone (asserted by
-//! `tests/integration_gc_pipeline.rs`), and per-stage queue/overlap
+//! batch *k* fetches and batch *k−1* writes. Titan's job runs through the
+//! same executor, but validates its whole pending set first: its batches
+//! keep scan order, where every candidate file spans the key range, so
+//! batch-by-batch validation would sweep the index once per file. A job
+//! that fits in one batch runs the same three stage closures inline.
+//! Batch boundaries never show in the output: value files, file numbers,
+//! and [`GcOutcome`]s are a function of the op sequence alone (asserted
+//! by `tests/integration_gc_pipeline.rs`), and per-stage queue/overlap
 //! counters land in [`GcStats`].
 //!
 //! The paper's Fig. 10 profiles GC-Lookup — one serial `get_at` point
@@ -502,7 +505,7 @@ impl GcRunner {
         let mut guarded: Vec<GuardedWrite> = Vec::new();
         let mut rewritten: u64 = 0;
 
-        let validate_stage = |batch: Vec<Pending>| -> Result<Vec<Pending>> {
+        let lookup = |batch: Vec<Pending>| -> Result<Vec<Pending>> {
             let t = Instant::now();
             let out = self.validate(&pin, batch);
             self.stats.add(|g| {
@@ -511,6 +514,16 @@ impl GcRunner {
             });
             out
         };
+        // Write-back batches keep scan order, and under random updates
+        // every candidate file spans the key range: validated batch by
+        // batch, the index would be swept once per candidate file. So
+        // write-back validates the whole set, one sorted sweep per read
+        // point, before it is cut into batches, and its batches pass the
+        // GC-Lookup stage as they are.
+        if writeback {
+            pending = lookup(pending)?;
+        }
+        let validate_stage = move |batch| if writeback { Ok(batch) } else { lookup(batch) };
         let fetch_stage = |valid: Vec<Pending>| -> Result<Fetched> {
             let t = Instant::now();
             let out = self.fetch_values(&readers, valid);
@@ -548,12 +561,16 @@ impl GcRunner {
                 .add(|g| g.write_ns += t.elapsed().as_nanos() as u64);
             out
         };
-        let mut it = pending.into_iter().peekable();
-        let chunks: Vec<Vec<Pending>> = std::iter::from_fn(|| {
-            it.peek()?;
-            Some(it.by_ref().take(PIPELINE_BATCH).collect())
-        })
-        .collect();
+        let mut chunks: Vec<Vec<Pending>> =
+            Vec::with_capacity(pending.len().div_ceil(PIPELINE_BATCH));
+        let mut it = pending.into_iter();
+        loop {
+            let chunk: Vec<Pending> = it.by_ref().take(PIPELINE_BATCH).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            chunks.push(chunk);
+        }
         gc_exec::run_overlapped(
             chunks,
             validate_stage,
@@ -745,18 +762,28 @@ impl GcRunner {
         result
     }
 
-    /// Bytes of collected write-back files whose deletion still waits on
-    /// a read point older than the job's barrier: space no GC round can
-    /// free until that reader is gone.
+    /// Bytes of value files whose deletion waits on a live read point:
+    /// space no reclamation can free until that reader is gone. Under
+    /// BlobDB's compaction-triggered scheme these are the exhausted
+    /// files (see `Shard::reap_exhausted`); under Titan's write-back, the
+    /// collected files whose barrier the oldest read point has not
+    /// passed.
     pub(crate) fn pinned_bytes(&self, lsm: &Lsm) -> u64 {
         let Some(oldest) = lsm.oldest_read_point() else {
             return 0;
         };
-        self.deferred
-            .lock()
+        let files = match self.features.gc {
+            GcScheme::CompactionTriggered => self.vstore.exhausted_files(),
+            GcScheme::NoWriteback | GcScheme::Writeback => self
+                .deferred
+                .lock()
+                .iter()
+                .filter(|d| oldest < d.barrier)
+                .flat_map(|d| d.files.clone())
+                .collect(),
+        };
+        files
             .iter()
-            .filter(|d| oldest < d.barrier)
-            .flat_map(|d| &d.files)
             .filter_map(|&file| self.vstore.meta(file))
             .map(|m| m.size)
             .sum()

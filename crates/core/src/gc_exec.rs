@@ -24,8 +24,10 @@
 //!   and runs the same stage closures inline on the caller's thread.
 //!
 //! Determinism rules the whole design: batches are contiguous ranges of
-//! the pending set in the job's write order (sorted for keyed schemes,
-//! Titan's scan order for write-back), channels deliver them in order, and
+//! the pending set in the job's write order (sorted for keyed schemes;
+//! for write-back, Titan's scan order, and only the survivors of a
+//! validation that ran before the batches were cut), channels deliver
+//! them in order, and
 //! a single write stage consumes them in order, appending record by
 //! record to the job's [`RouteWriters`] — so neither the batch size nor
 //! thread scheduling can change the bytes of a value file, the file

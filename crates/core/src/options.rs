@@ -202,7 +202,7 @@ pub struct Options {
     /// `run_gc` and throttle-driven GC are not paced.
     pub gc_bandwidth_factor: f64,
     /// Worker threads for fanning the GC Fetch phase's per-file coalesced
-    /// reads out across source files, for Titan's full-file Read scans,
+    /// reads out across source files, for every whole-file GC Read scan,
     /// and for [`DbShards`](crate::DbShards)' cross-shard maintenance
     /// fan-out. `1` disables the pool and makes maintenance fully
     /// sequential. GC outputs do not depend on it.

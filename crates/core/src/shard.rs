@@ -228,30 +228,17 @@ impl Shard {
 
     /// Bytes held only because something pins them: WAL history
     /// retained for registered change-stream subscribers, plus value
-    /// files whose deletion waits on a live read point — under BlobDB's
-    /// compaction-triggered scheme the exhausted files, under Titan's
-    /// write-back the collected files whose barrier the oldest read
-    /// point has not passed. Reclaiming cannot free these — the throttle
-    /// discounts them when deciding whether stalling writers can still
-    /// help.
+    /// files whose deletion waits on a live read point
+    /// (`GcRunner::pinned_bytes`). Reclaiming cannot free these — the
+    /// throttle discounts them when deciding whether stalling writers can
+    /// still help.
     pub fn pinned_bytes(&self) -> u64 {
         let inner = &self.inner;
-        let mut pinned = inner.lsm.change_log().pinned_bytes();
-        if let Some(gc) = &inner.gc {
-            pinned += gc.pinned_bytes(&inner.lsm);
-        }
-        if inner.opts.features.gc == GcScheme::CompactionTriggered
-            && inner.lsm.oldest_read_point().is_some()
-        {
-            pinned += inner
-                .vstore
-                .all_files()
-                .iter()
-                .filter(|m| m.is_exhausted())
-                .map(|m| m.size)
-                .sum::<u64>();
-        }
-        pinned
+        let gc = inner
+            .gc
+            .as_ref()
+            .map_or(0, |gc| gc.pinned_bytes(&inner.lsm));
+        inner.lsm.change_log().pinned_bytes() + gc
     }
 
     /// Space-aware throttling (paper §III-D): before admitting a write,

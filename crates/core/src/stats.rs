@@ -72,7 +72,7 @@ counter_struct! {
         /// Full merged re-seeks taken by merge sweeps.
         validate_sweep_seeks,
         /// Worker tasks dispatched by parallel GC file I/O (the Fetch
-        /// phase's per-file fan-out and Titan's full-file Read scans).
+        /// phase's per-file fan-out and every whole-file Read scan).
         fetch_parallel_jobs,
         /// GC jobs larger than one batch, whose stages ran overlapped.
         pipeline_jobs,

@@ -38,11 +38,18 @@ fn big_job_opts(env: EnvRef, mode: EngineMode, threads: usize) -> Options {
 /// Load `n` separated values across `slices` flushes, overwrite every
 /// other key, and push the garbage down so it is exposed: each source
 /// file is left with a ~50% live mix, and the first GC job covers more
-/// records than one pipeline batch holds.
-fn load_big_job(db: &Db, n: usize, slices: usize) {
+/// records than one pipeline batch holds. A slice is a contiguous key
+/// range, or, `interleaved`, every `slices`-th key, so that each source
+/// file spans the whole key range as random updates leave them.
+fn load_big_job(db: &Db, n: usize, slices: usize, interleaved: bool) {
     let per = n / slices;
     for s in 0..slices {
-        for i in (s * per)..(s + 1) * per {
+        let keys: Vec<usize> = if interleaved {
+            (s..n).step_by(slices).collect()
+        } else {
+            ((s * per)..(s + 1) * per).collect()
+        };
+        for i in keys {
             db.put(format!("key{i:06}"), value(i, 700)).unwrap();
         }
         db.flush().unwrap();
@@ -219,10 +226,18 @@ fn pipeline_counters_move_only_when_enabled() {
     assert_eq!(gc.pipeline_batches, 0);
     assert_eq!(gc.pipeline_overlaps, 0);
 
-    for mode in [EngineMode::Scavenger, EngineMode::Terark, EngineMode::Titan] {
+    // Titan also runs over interleaved slices: its batches keep scan
+    // order, so there every batch spans the key range, and a job that
+    // validated batch by batch would sweep the index once per file.
+    for (mode, interleaved) in [
+        (EngineMode::Scavenger, false),
+        (EngineMode::Terark, false),
+        (EngineMode::Titan, false),
+        (EngineMode::Titan, true),
+    ] {
         let big = Db::open(big_job_opts(MemEnv::shared(), mode, 4)).unwrap();
         let n = 6_000;
-        load_big_job(&big, n, 3);
+        load_big_job(&big, n, 3, interleaved);
         let out = big
             .shard(0)
             .run_gc_at(GC_THRESHOLD)
@@ -238,6 +253,11 @@ fn pipeline_counters_move_only_when_enabled() {
             "{mode:?}: job must span several batches (got {})",
             gc.pipeline_batches
         );
+        if mode == EngineMode::Titan {
+            // Titan validates its whole pending set, one sorted sweep
+            // per read point, before the batches are cut.
+            assert_eq!(gc.validate_batches, 1, "{mode:?}: one validation per job");
+        }
         assert_eq!(out.records_rewritten, gc.records_valid, "{mode:?}");
         assert_eq!(
             gc.records_valid,
@@ -264,7 +284,7 @@ fn same_ops_yield_byte_identical_value_files() {
     let run = || {
         let env: EnvRef = MemEnv::shared();
         let db = Db::open(big_job_opts(env.clone(), EngineMode::Scavenger, 4)).unwrap();
-        load_big_job(&db, 6_000, 3);
+        load_big_job(&db, 6_000, 3, false);
         db.run_gc_until_clean().unwrap();
         assert!(db.stats().gc.pipeline_jobs > 0, "overlapped path must run");
         let files: Vec<(String, Vec<u8>)> = env
@@ -297,7 +317,7 @@ fn multicore_pipeline_overlap_smoke() {
         let db = Db::open(big_job_opts(MemEnv::shared(), mode, 4)).unwrap();
         // Several source files, each left with a ~50% live mix, so one GC
         // job spans many batches with real Fetch + Write work per stage.
-        load_big_job(&db, 12_000, 6);
+        load_big_job(&db, 12_000, 6, false);
         db.run_gc_until_clean().unwrap();
         let gc = db.stats().gc;
         assert!(gc.pipeline_jobs > 0, "{mode:?}: pipeline must run");
