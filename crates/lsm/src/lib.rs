@@ -45,4 +45,4 @@ pub use hooks::{
 pub use iter::{BatchSweep, SweepStats};
 pub use options::{BackgroundMode, KTableFormat, LsmOptions};
 pub use version::{FileMetaData, Version, VersionEdit};
-pub use view::{BatchReader, LsmView, ReadPointGuard, ScanIter, Snapshot, SuperVersion};
+pub use view::{BatchReader, LsmView, ReadPointGuard, ScanIter, SuperVersion};

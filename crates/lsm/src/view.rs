@@ -1,11 +1,13 @@
 //! Pinned read views (RocksDB-style *superversions*).
 //!
-//! Every structural mutation of the tree — memtable rotation, flush,
-//! compaction apply, value-store edit — installs a fresh immutable
-//! [`SuperVersion`]: one `Arc` bundle of {active memtable, immutable
-//! memtables, SST [`Version`]}. A reader pins the bundle with **one**
-//! `Arc` clone and walks it without ever touching the live structures, so
-//! no interleaving of rotation/flush/compaction can tear a read.
+//! The tree's state is one immutable [`SuperVersion`]: an `Arc` bundle
+//! of {active memtable, immutable memtables, SST [`Version`]}. It is the
+//! only copy of the memtable list — the write path, flush and recovery
+//! read and change the list through it too. Every structural mutation —
+//! memtable rotation, flush, compaction apply, value-store edit —
+//! installs a changed copy. A reader pins the bundle with **one** `Arc`
+//! clone and walks it, so no interleaving of rotation/flush/compaction
+//! can tear a read.
 //!
 //! Pinning the structures is only half of consistency: a view also
 //! *registers* its visible sequence in the engine's read-point
@@ -49,11 +51,23 @@ use std::sync::Arc;
 /// shared `Arc`, but every insert carries a sequence above the reader's
 /// visible sequence at pin time, so visibility filtering makes the view
 /// immutable *as observed*.
+#[derive(Clone)]
 pub struct SuperVersion {
     pub(crate) mem: Arc<Memtable>,
     /// Immutable memtables, newest first.
-    pub(crate) imms: Vec<Arc<Memtable>>,
+    pub(crate) imms: Vec<Imm>,
     pub(crate) version: Arc<Version>,
+}
+
+/// A frozen memtable awaiting flush, with the WAL that covered it.
+#[derive(Clone)]
+pub(crate) struct Imm {
+    pub(crate) mem: Arc<Memtable>,
+    pub(crate) wal_number: u64,
+    /// The WAL covering this memtable was durable to its last record
+    /// when it was closed. False only after a WAL fault: then nothing
+    /// short of flushing this memtable makes its entries durable.
+    pub(crate) wal_durable: bool,
 }
 
 impl SuperVersion {
@@ -68,7 +82,7 @@ impl SuperVersion {
 }
 
 /// What a registered read point represents. Both kinds protect the
-/// versions visible at their sequence; only [`Snapshot`]s participate in
+/// versions visible at their sequence; only snapshots participate in
 /// policy decisions that specifically concern long-lived user snapshots
 /// (e.g. Titan's defer-GC-while-snapshots-exist gate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,8 +260,9 @@ impl Drop for ReadPointGuard {
 
 /// A pinned, registered, strictly-consistent read view of the tree.
 ///
-/// Obtained from [`Lsm::view`](crate::db::Lsm::view) (or through a
-/// [`Snapshot`]). All reads resolve against the pinned [`SuperVersion`]
+/// Obtained from [`Lsm::view`](crate::db::Lsm::view) or, registered as
+/// a snapshot, [`Lsm::snapshot_view`](crate::db::Lsm::snapshot_view).
+/// All reads resolve against the pinned [`SuperVersion`]
 /// at the view's sequence; concurrent writes, flushes, compactions, and
 /// GC jobs are never observed and can never invalidate the view.
 pub struct LsmView {
@@ -320,42 +335,6 @@ impl LsmView {
     }
 }
 
-/// A read snapshot: an RAII handle owning a registered [`LsmView`].
-/// Dropping it unregisters the sequence and unpins the structures.
-///
-/// Reads go straight through the owned view —
-/// [`get`](Snapshot::get) / [`scan`](Snapshot::scan) — which both pins
-/// the structures and keeps the sequence registered.
-pub struct Snapshot {
-    view: LsmView,
-}
-
-impl Snapshot {
-    pub(crate) fn new(view: LsmView) -> Snapshot {
-        Snapshot { view }
-    }
-
-    /// The snapshot's sequence number.
-    pub fn sequence(&self) -> SeqNo {
-        self.view.sequence()
-    }
-
-    /// The owned read view.
-    pub fn view(&self) -> &LsmView {
-        &self.view
-    }
-
-    /// Point lookup at the snapshot.
-    pub fn get(&self, key: &[u8]) -> Result<LsmReadResult> {
-        self.view.get(key)
-    }
-
-    /// Range scan at the snapshot.
-    pub fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<ScanIter> {
-        self.view.scan(lo, hi)
-    }
-}
-
 /// Walk a pinned superversion for the newest version of `key` visible at
 /// `read_seq`: active memtable, immutable memtables newest-first, then
 /// the SST levels.
@@ -374,7 +353,7 @@ pub(crate) fn read_superversion(
         MemGet::NotFound => {}
     }
     for imm in &sv.imms {
-        match imm.get(key, read_seq) {
+        match imm.mem.get(key, read_seq) {
             MemGet::Found { seq, vtype, value } => {
                 return Ok(LsmReadResult::Found { seq, vtype, value });
             }
@@ -409,7 +388,7 @@ pub(crate) fn latest_version_seq(
         MemGet::NotFound => {}
     }
     for imm in &sv.imms {
-        match imm.get(key, read_seq) {
+        match imm.mem.get(key, read_seq) {
             MemGet::Found { seq, .. } | MemGet::Deleted(seq) => return Ok(Some(seq)),
             MemGet::NotFound => {}
         }
@@ -481,7 +460,7 @@ pub(crate) fn scan_superversion(
     let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
     children.push(Box::new(VecIter::new(sv.mem.snapshot_range(lo, hi))));
     for imm in &sv.imms {
-        children.push(Box::new(VecIter::new(imm.snapshot_range(lo, hi))));
+        children.push(Box::new(VecIter::new(imm.mem.snapshot_range(lo, hi))));
     }
     for f in &sv.version.levels[0] {
         if f.user_range_overlaps(Some(lo), hi) {
@@ -596,7 +575,7 @@ impl BatchReader {
             .sv
             .imms
             .iter()
-            .map(|m| Arc::new(m.snapshot()))
+            .map(|imm| Arc::new(imm.mem.snapshot()))
             .collect();
         BatchReader { mem, imms, view }
     }
