@@ -330,8 +330,9 @@ impl Shard {
     /// address the exhausted file, and relocation happens inside
     /// compaction without advancing the sequence — so no sequence
     /// comparison can tell a safe reader from an endangered one. A
-    /// reader registered after this check pins the current (post-
-    /// relocation) superversion and is safe. Exhaustion is monotonic, so
+    /// compaction charges its relocation garbage only after it installs
+    /// its superversion, so a reader registered after this check pins the
+    /// current (post-relocation) superversion and is safe. Exhaustion is monotonic, so
     /// deferred files are reaped on a later quiet pass.
     fn reap_exhausted(&self) -> Result<()> {
         let inner = &self.inner;

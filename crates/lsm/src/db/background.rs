@@ -7,7 +7,7 @@ use crate::compaction::{
     compute_targets, level_units, pick_compaction, run_output_job, Compaction,
 };
 use crate::filename::{parse_path, table_path, FileKind};
-use crate::hooks::{JobKind, PassthroughSession, ValueSession};
+use crate::hooks::{JobKind, PassthroughSession, ValueEditBundle, ValueSession};
 use crate::iter::{InternalIterator, MergingIter, TableEntryIter, VecIter};
 use crate::options::BackgroundMode;
 use crate::tcache::ktable_from_file;
@@ -349,10 +349,9 @@ impl Lsm {
 
     /// Run one flush or compaction job and commit it: write `input`
     /// through a value session, log `edit` with the output files and the
-    /// value bundle, let the value store apply the bundle, and only then
-    /// install the new superversion — the current version plus `install`
-    /// — so no reader meets a reference to a value file the store does
-    /// not know yet.
+    /// value bundle, hand the value store the bundle's new files, install
+    /// the new superversion — the current version plus `install` — and
+    /// only then hand the store the rest of the bundle.
     fn run_job(
         &self,
         kind: JobKind,
@@ -391,13 +390,27 @@ impl Lsm {
             .extend(out.files.into_iter().map(|f| (output_level, f)));
         edit.value = out.bundle.clone();
         self.inner.manifest.log_and_apply(edit)?;
-        if let Some(h) = &self.inner.opts.value_hook {
-            h.on_committed(&out.bundle);
+        // The value store learns the new files before the install, so
+        // no reader meets a reference it cannot resolve, and is charged
+        // the garbage only after it, so a file exhausted by this job
+        // cannot be reaped while the installed version still points at
+        // it.
+        let mut rest = out.bundle;
+        let new_files = ValueEditBundle {
+            new_files: std::mem::take(&mut rest.new_files),
+            ..ValueEditBundle::default()
+        };
+        let hook = self.inner.opts.value_hook.as_ref();
+        if let Some(h) = hook {
+            h.on_committed(&new_files);
         }
         self.install(|sv| {
             install(sv);
             sv.version = self.current_version();
         });
+        if let Some(h) = hook {
+            h.on_committed(&rest);
+        }
         Ok(())
     }
 
@@ -506,24 +519,48 @@ mod tests {
     use super::super::tests::{open, put_ref, test_opts};
     use super::*;
     use crate::db::LsmReadResult;
-    use crate::hooks::{DropCause, FileNumAlloc, NewValueFile, ValueEditBundle, ValueHook};
+    use crate::hooks::{DropCause, FileNumAlloc, NewValueFile, ValueHook};
     use bytes::Bytes;
     use scavenger_util::ikey::{ValueRef, ValueType};
-    use std::collections::HashSet;
+    use std::collections::HashMap;
     use std::sync::atomic::AtomicUsize;
     use std::sync::{OnceLock, Weak};
 
     /// A BlobDB-style value store: every compaction relocates each
-    /// reference it writes into one new value file, which the store
-    /// learns of in `on_committed`. Before learning it, the store reads
-    /// every key back through the tree and counts the references to a
-    /// file it does not know — the reads a `get` would fail as dangling.
+    /// reference it writes into one new value file and charges the old
+    /// file the moved entry as garbage. The store keeps each known file's
+    /// live entries and, as BlobDB's reaper may, deletes a file the
+    /// moment its last entry is charged. Around applying each bundle it
+    /// reads every key back through the tree and counts the references to
+    /// a file it does not know — the reads a `get` would fail on.
     #[derive(Default)]
     struct Relocating {
         db: OnceLock<Weak<Lsm>>,
         keys: Vec<Vec<u8>>,
-        known: Mutex<HashSet<u64>>,
+        /// Known file → live entries.
+        live: Mutex<HashMap<u64, u64>>,
+        reaped: AtomicUsize,
         dangling: AtomicUsize,
+    }
+
+    impl Relocating {
+        fn count_dangling(&self, live: &HashMap<u64, u64>) {
+            let Some(db) = self.db.get().and_then(Weak::upgrade) else {
+                return;
+            };
+            for k in &self.keys {
+                if let LsmReadResult::Found {
+                    vtype: ValueType::ValueRef,
+                    value,
+                    ..
+                } = db.get(k).unwrap()
+                {
+                    if !live.contains_key(&ValueRef::decode(&value).unwrap().file) {
+                        self.dangling.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
     }
 
     struct RelocateSession {
@@ -531,6 +568,7 @@ mod tests {
         relocate: bool,
         file: Option<u64>,
         entries: u64,
+        garbage: HashMap<u64, u64>,
     }
 
     impl ValueSession for RelocateSession {
@@ -547,10 +585,9 @@ mod tests {
             let alloc = &self.alloc;
             let file = *self.file.get_or_insert_with(|| alloc.next_file_number());
             self.entries += 1;
-            let moved = ValueRef {
-                file,
-                ..ValueRef::decode(&value)?
-            };
+            let old = ValueRef::decode(&value)?;
+            *self.garbage.entry(old.file).or_default() += 1;
+            let moved = ValueRef { file, ..old };
             Ok((vtype, Bytes::from(moved.encode())))
         }
 
@@ -567,6 +604,7 @@ mod tests {
             });
             Ok(ValueEditBundle {
                 new_files: new_files.into_iter().collect(),
+                garbage: self.garbage.into_iter().map(|(f, n)| (f, 0, n)).collect(),
                 ..ValueEditBundle::default()
             })
         }
@@ -583,39 +621,38 @@ mod tests {
                 relocate: matches!(kind, JobKind::Compaction { .. }),
                 file: None,
                 entries: 0,
+                garbage: HashMap::new(),
             }))
         }
 
         fn on_committed(&self, bundle: &ValueEditBundle) {
-            let mut known = self.known.lock();
-            if let Some(db) = self.db.get().and_then(Weak::upgrade) {
-                for k in &self.keys {
-                    if let LsmReadResult::Found {
-                        vtype: ValueType::ValueRef,
-                        value,
-                        ..
-                    } = db.get(k).unwrap()
-                    {
-                        if !known.contains(&ValueRef::decode(&value).unwrap().file) {
-                            self.dangling.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+            let mut live = self.live.lock();
+            self.count_dangling(&live);
+            live.extend(bundle.new_files.iter().map(|f| (f.file, f.entries)));
+            for &(file, _, entries) in &bundle.garbage {
+                let left = live.get_mut(&file).unwrap();
+                *left -= entries;
+                if *left == 0 {
+                    live.remove(&file);
+                    self.reaped.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            known.extend(bundle.new_files.iter().map(|f| f.file));
+            self.count_dangling(&live);
         }
     }
 
-    /// A compaction that relocates values publishes its SSTs only after
-    /// the value store has applied the bundle naming their new file, as
-    /// a flush does: a `get` in between still reads the old references.
+    /// A relocating compaction publishes its SSTs only after the value
+    /// store knows the file they point at, and charges the old file its
+    /// garbage only after publishing them: a `get` at any point reads
+    /// references to a file the store still holds.
     #[test]
-    fn a_relocating_compaction_publishes_after_the_value_store_commits() {
+    fn a_relocating_compaction_publishes_between_new_files_and_garbage() {
+        let keys: Vec<_> = (0..240)
+            .map(|i| format!("key{i:03}").into_bytes())
+            .collect();
         let hook = Arc::new(Relocating {
-            keys: (0..240)
-                .map(|i| format!("key{i:03}").into_bytes())
-                .collect(),
-            known: Mutex::new(HashSet::from([7])),
+            live: Mutex::new(HashMap::from([(7, keys.len() as u64)])),
+            keys,
             ..Relocating::default()
         });
         let mut o = test_opts("db");
@@ -628,8 +665,7 @@ mod tests {
         db.flush().unwrap();
         while db.force_compact_once().unwrap() {}
         assert!(db.counters().compactions.load(Ordering::Relaxed) > 0);
+        assert!(hook.reaped.load(Ordering::Relaxed) > 0, "no file exhausted");
         assert_eq!(hook.dangling.load(Ordering::Relaxed), 0);
-        let relocated = hook.known.lock().len();
-        assert!(relocated > 1, "no compaction relocated a value");
     }
 }

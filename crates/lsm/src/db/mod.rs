@@ -130,8 +130,9 @@ struct Inner {
     /// [`Error::ReadOnlyMode`]; reads, scans, and pinned views keep
     /// working.
     degraded: AtomicBool,
-    /// Key-SST files replaced by compactions, awaiting deletion once no
-    /// in-flight reader's version references them.
+    /// Key-SST files replaced by compactions (or, at open, on disk but
+    /// not in the MANIFEST), awaiting deletion once no in-flight
+    /// reader's version references them.
     pending_deletions: Mutex<Vec<u64>>,
     /// Change-data-capture hub: publication ring, retained-WAL catalog,
     /// and subscriber registry (see [`crate::changelog`]).

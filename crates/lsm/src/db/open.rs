@@ -211,12 +211,14 @@ impl Lsm {
     /// from a crash mid-compaction), then obsolete WALs.
     fn delete_obsolete_files(&self) -> Result<()> {
         let opts = &self.inner.opts;
+        let live = self.inner.manifest.lock().log.referenced_files();
         let tables: Vec<u64> = opts
             .env
             .list_prefix(&format!("{}/", opts.dir))?
             .iter()
             .filter_map(|p| parse_path(&opts.dir, p))
             .filter_map(|(kind, n)| (kind == FileKind::Table).then_some(n))
+            .filter(|n| !live.contains(n))
             .collect();
         self.inner.pending_deletions.lock().extend(tables);
         self.purge_unreferenced_tables();
@@ -268,6 +270,10 @@ mod tests {
 
         let db = open(o);
         assert_eq!(tables(), live, "the stray SST is gone, the live ones stay");
+        assert!(
+            db.inner.pending_deletions.lock().is_empty(),
+            "open queued a live SST for deletion"
+        );
         let listed: HashSet<u64> = db
             .current_version()
             .levels

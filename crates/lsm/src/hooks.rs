@@ -135,7 +135,9 @@ pub trait ValueHook: Send + Sync {
 
     /// Called after a job's bundle has been durably committed to the
     /// manifest. The value store applies the bundle to its in-memory state
-    /// and may delete now-unreferenced value files.
+    /// and may delete now-unreferenced value files. A flush or compaction
+    /// calls it twice: with the bundle's `new_files` before its output is
+    /// visible to readers, then with the rest after.
     fn on_committed(&self, bundle: &ValueEditBundle) {
         let _ = bundle;
     }
