@@ -305,8 +305,7 @@ impl Db {
     /// the owning member, through a transient pinned view (see
     /// [`Shard::get`]).
     pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Option<Bytes>> {
-        let key = key.as_ref();
-        self.member(key).get(key)
+        self.get_with(&ReadOptions::default(), key)
     }
 
     /// The view `pin` names, `None` for the latest state. A pin taken
@@ -326,13 +325,13 @@ impl Db {
     }
 
     /// Value of `key` as seen by `opts`: through the view or snapshot in
-    /// [`ReadOptions::pin`], or without one on the owning member alone,
-    /// with per-call cache control.
+    /// [`ReadOptions::pin`], or without one on the owning member alone
+    /// through a transient pin, with per-call cache control.
     pub fn get_with(&self, opts: &ReadOptions<'_>, key: impl AsRef<[u8]>) -> Result<Option<Bytes>> {
         let key = key.as_ref();
         match self.pinned(opts.pin)? {
             Some(view) => view.get_opt(key, opts.fill_cache),
-            None => self.member(key).view().get_opt(key, opts.fill_cache),
+            None => self.member(key).get(key, opts.fill_cache),
         }
     }
 

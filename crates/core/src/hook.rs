@@ -20,13 +20,14 @@ use crate::dropcache::DropCache;
 use crate::options::{Features, GcScheme};
 use crate::stats::GcStats;
 use crate::vstore::route::{Route, RouteWriters};
-use crate::vstore::ValueStore;
+use crate::vstore::vtable::{VReader, ValueAt};
+use crate::vstore::{ValueStore, GC_COALESCE};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::IoClass;
 use scavenger_lsm::{DropCause, FileNumAlloc, JobKind, ValueEditBundle, ValueHook, ValueSession};
 use scavenger_table::btable::TableOptions;
-use scavenger_util::ikey::{SeqNo, ValueRef, ValueType};
+use scavenger_util::ikey::{make_internal_key, SeqNo, ValueRef, ValueType};
 use scavenger_util::Result;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,7 +177,7 @@ struct SeparationSession {
     /// file → (bytes, entries) exposed by drops in this job.
     garbage: HashMap<u64, (u64, u64)>,
     relocation_targets: HashSet<u64>,
-    relocation_readers: HashMap<u64, crate::vstore::vtable::VReader>,
+    relocation_readers: HashMap<u64, VReader>,
 }
 
 impl SeparationSession {
@@ -245,7 +246,11 @@ impl ValueSession for SeparationSession {
                     self.relocation_readers
                         .insert(old.file, self.vstore.gc_reader(old.file)?);
                 }
-                let old_value = self.relocation_readers[&old.file].read_at(old.offset, old.size)?;
+                let at = ValueAt::blob(user_key, &old)?;
+                let ikey = make_internal_key(user_key, seq, ValueType::Value);
+                let old_value = self.relocation_readers[&old.file]
+                    .fetch(&[(&at, &ikey)], GC_COALESCE)?
+                    .swap_remove(0);
                 let read_ns = t0.elapsed().as_nanos() as u64;
                 let t1 = Instant::now();
                 let (file, rec) = self.out.add(Route::Cold, user_key, seq, &old_value)?;

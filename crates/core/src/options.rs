@@ -242,13 +242,16 @@ pub struct Options {
     pub block_cache_bytes: usize,
     /// Run background work inline (deterministic) or on threads.
     pub inline_background: bool,
-    /// How many times a *transient* background failure (flush,
-    /// compaction, GC) is retried — with bounded exponential backoff —
-    /// before the engine degrades to read-only mode. Permanent failures
-    /// (corruption, invariant violations) degrade immediately. A
-    /// degraded engine serves reads, scans, and pinned views; writes
-    /// fail fast with `Error::ReadOnlyMode` until
-    /// [`Db::resume`](crate::Db::resume) clears the state.
+    /// How many times a *transient* failure of background work — flush,
+    /// compaction, and the reaping and paced GC that follow a write — is
+    /// retried, with bounded exponential backoff, before the engine
+    /// degrades to read-only mode. Permanent failures (corruption,
+    /// invariant violations) degrade immediately. A write that landed
+    /// before its maintenance failed still returns its receipt; the next
+    /// one fails fast with `Error::ReadOnlyMode`, as every write does
+    /// until [`Db::resume`](crate::Db::resume) clears the state. A
+    /// degraded engine serves reads, scans, and pinned views. Manual
+    /// `flush`, `compact_all` and `run_gc` return their errors.
     pub bg_retry_limit: usize,
     /// Base delay of the exponential backoff between background retries
     /// (`bg_retry_base * 2^attempt`).

@@ -203,7 +203,9 @@ impl Shard {
     /// and 2PC applies: throttle admission, the LSM's group-commit queue —
     /// whose leader checks a transaction's reads against the tree and the
     /// writes queued ahead of it — the batch's GC credit, then post-write
-    /// maintenance.
+    /// maintenance. Once the batch has landed its receipt is returned: a
+    /// maintenance failure degrades the member (the next write fails
+    /// fast with [`Error::ReadOnlyMode`]) rather than failing this write.
     pub(crate) fn commit(
         &self,
         opts: &WriteOptions,
@@ -222,7 +224,7 @@ impl Shard {
             // GC bandwidth.
             *c = (*c + credit).min(64 * 1024 * 1024);
         }
-        self.post_write_maintenance()?;
+        let _ = self.post_write_maintenance();
         Ok(receipt)
     }
 
@@ -293,12 +295,17 @@ impl Shard {
         Ok(())
     }
 
+    /// Reap exhausted blob files and run paced GC under the index tree's
+    /// retry / degrade rule ([`Lsm::run_with_retries`]), which flush and
+    /// compaction share.
     fn post_write_maintenance(&self) -> Result<()> {
-        self.reap_exhausted()?;
-        if self.inner.opts.auto_gc {
-            self.run_paced_gc()?;
-        }
-        Ok(())
+        self.inner.lsm.run_with_retries(|| {
+            self.reap_exhausted()?;
+            if self.inner.opts.auto_gc {
+                self.run_paced_gc()?;
+            }
+            Ok(())
+        })
     }
 
     /// Auto-GC under the bandwidth budget: run jobs while candidates exist
@@ -356,17 +363,18 @@ impl Shard {
 
     // ---------------- reads ----------------
 
-    /// Latest value of `key` in this member, or `None` if absent/deleted.
+    /// Latest value of `key` in this member, or `None` if absent/deleted,
+    /// through the caches as `fill_cache` says.
     ///
     /// Single-pass and strictly consistent: the read goes through a
     /// transient pinned view, so the index version it observes and the
     /// value it resolves belong to the same point in time even under
     /// concurrent flush/compaction/GC.
-    pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Option<Bytes>> {
+    pub fn get(&self, key: impl AsRef<[u8]>, fill_cache: bool) -> Result<Option<Bytes>> {
         let key = key.as_ref();
-        self.inner
-            .lsm
-            .get_resolved(key, |r| self.inner.resolve_read(key, r, true))
+        self.inner.lsm.get_resolved(key, fill_cache, |r| {
+            self.inner.resolve_read(key, r, fill_cache)
+        })
     }
 
     /// A pinned, registered view at the latest sequence.

@@ -505,7 +505,7 @@ mod tests {
         // invisible through routing.
         assert!(db
             .shard(db.shard_of("key005"))
-            .get("key005")
+            .get("key005", true)
             .unwrap()
             .is_none());
     }

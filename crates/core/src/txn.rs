@@ -355,16 +355,6 @@ impl Transaction {
         Ok(out)
     }
 
-    /// Number of distinct keys in the read set (validated at commit).
-    pub fn read_set_len(&self) -> usize {
-        self.reads.len()
-    }
-
-    /// Number of distinct keys in the write buffer.
-    pub fn write_set_len(&self) -> usize {
-        self.writes.len()
-    }
-
     /// Commit with default [`WriteOptions`]. See
     /// [`commit_with`](Self::commit_with).
     pub fn commit(self) -> Result<WriteReceipt> {

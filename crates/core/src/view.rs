@@ -233,16 +233,6 @@ impl<'a> ReadOptions<'a> {
             ..ReadOptions::default()
         }
     }
-
-    /// Options reading through `view`.
-    pub fn at_view(view: &'a ReadView) -> Self {
-        ReadOptions::pinned(view)
-    }
-
-    /// Options reading at `snapshot`.
-    pub fn at_snapshot(snapshot: &'a Snapshot) -> Self {
-        ReadOptions::pinned(snapshot)
-    }
 }
 
 /// Per-call write options for [`Db::put_with`](crate::db::Db::put_with),

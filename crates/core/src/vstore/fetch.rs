@@ -20,7 +20,7 @@ pub(crate) struct Want<'a> {
     pub reader: &'a VReader,
     /// Location inside the file.
     pub at: &'a ValueAt,
-    /// Exact internal key of the record (unused for blob addresses).
+    /// Internal key of the record (only its user key for a blob record).
     pub ikey: &'a [u8],
 }
 

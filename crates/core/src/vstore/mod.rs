@@ -147,7 +147,7 @@ pub struct ValueLoc {
     pub file: u64,
     reader: Arc<VReader>,
     at: ValueAt,
-    /// Exact internal key of the record (empty for blob addresses).
+    /// Internal key of the record (a blob record's user key is checked).
     ikey: Vec<u8>,
 }
 
@@ -406,7 +406,9 @@ impl ValueStore {
     /// inserted only when `fill_cache` (a `ReadOptions::fill_cache =
     /// false` read fills nothing).
     ///
-    /// * Address-based formats (blob logs) use `(offset, size)` as stored.
+    /// * Blob logs are addressed: the reference names the value's
+    ///   `(offset, size)`, from which [`ValueAt::blob`] derives its whole
+    ///   record's span.
     /// * Keyed formats try the referenced file, then the leaves of its
     ///   subtree in the inheritance forest; each candidate costs one
     ///   bloom probe and, if that passes, one cached index-partition
@@ -441,18 +443,15 @@ impl ValueStore {
             at,
             ikey,
         };
+        let ikey = make_internal_key(user_key, seq, ValueType::Value);
         // Fast path: the file is live (no GC touched it).
         let live = self.meta(vref.file);
         if let Some(meta) = &live {
             if meta.format == VFormat::BlobLog {
-                let at = ValueAt::Blob {
-                    offset: vref.offset,
-                    size: vref.size,
-                };
-                return Ok(loc(vref.file, self.reader(vref.file)?, at, Vec::new()));
+                let at = ValueAt::blob(user_key, vref)?;
+                return Ok(loc(vref.file, self.reader(vref.file)?, at, ikey));
             }
         }
-        let ikey = make_internal_key(user_key, seq, ValueType::Value);
         if live.is_some() {
             let reader = self.reader(vref.file)?;
             if let Some(at) = reader.locate(&ikey, fill_cache)? {
@@ -497,8 +496,8 @@ impl ValueStore {
 
     /// Resolve and read the value behind a reference — a point read:
     /// [`locate`](Self::locate) plus a fetch of one, with no batch
-    /// plumbing in between. The record (or blob value) is served from the
-    /// block cache, or read once — CRC-verified — and, with `fill_cache`,
+    /// plumbing in between. The record is served from the block cache, or
+    /// read once — CRC-verified — and, with `fill_cache`,
     /// inserted at [`CachePriority::Bottom`](scavenger_table::cache::CachePriority::Bottom),
     /// so a repeat read of the same key costs no value I/O. Its key is
     /// checked against `(user_key, seq)` on a hit too.

@@ -3,8 +3,8 @@
 //! * **BTable** — TerarkDB's sorted value SST (sparse index).
 //! * **RTable** — Scavenger's record-based table (dense partitioned index,
 //!   enabling Lazy Read).
-//! * **BlobLog** — BlobDB/Titan's append-ordered blob file; values are
-//!   addressed by `(offset, size)` and carry a per-record CRC:
+//! * **BlobLog** — BlobDB/Titan's append-ordered blob file; a reference
+//!   names a value's `(offset, size)` and every record carries a CRC:
 //!
 //! ```text
 //! record := varint32 klen | varint32 vlen | key | value | fixed32 crc
@@ -13,6 +13,14 @@
 //! Keys inside value files are full internal keys `(user_key, seq, Value)`,
 //! so multiple versions of a user key (kept alive by snapshots) never
 //! collide, and GC validity checks can compare exact sequence numbers.
+//!
+//! A value is read as a whole record in every format: an RTable record
+//! by its index handle, a blob-log record by the span [`ValueAt::blob`]
+//! derives from a reference (the value's offset less the header and the
+//! `user_key.len() + 8`-byte key, its size plus the CRC). Point reads,
+//! batch fetches, BlobDB relocation and GC scans all hand a blob record
+//! to one decoder, which checks its lengths, key and CRC before any
+//! value byte leaves this module.
 
 use crate::options::VFormat;
 use bytes::Bytes;
@@ -26,8 +34,8 @@ use scavenger_table::rtable::{
     read_coalesced, Coalesce, RTableBuilder, RTableReader, COALESCE_SPAN,
 };
 use scavenger_table::{BlockKind, KeyCmp};
-use scavenger_util::coding::{get_varint32, put_varint32};
-use scavenger_util::ikey::{extract_user_key, make_internal_key, SeqNo, ValueType};
+use scavenger_util::coding::{get_varint32, put_varint32, varint64_len};
+use scavenger_util::ikey::{extract_user_key, make_internal_key, SeqNo, ValueRef, ValueType};
 use scavenger_util::{crc32c, Error, Result};
 use std::sync::Arc;
 
@@ -217,17 +225,18 @@ pub struct BlobRecord {
 }
 
 /// Where one value sits inside its file, as [`VReader::locate`] (or a
-/// blob address, or a Lazy-Read index entry) found it.
+/// blob reference, or a Lazy-Read index entry) found it.
 #[derive(Debug, Clone)]
 pub enum ValueAt {
     /// An RTable record: read, CRC-verified and key-checked at fetch.
     Record(BlockHandle),
-    /// Value bytes inside a blob log.
-    Blob {
-        /// Offset of the value within the file.
+    /// A whole blob-log record (see [`ValueAt::blob`]): read,
+    /// CRC-verified and user-key-checked at fetch.
+    BlobRecord {
+        /// Offset of the record's first header byte.
         offset: u64,
-        /// Value size in bytes.
-        size: u32,
+        /// Record length: header, key, value and CRC.
+        len: u64,
     },
     /// A BTable value: its (sparse-indexed) data block came through the
     /// block cache during the lookup, so the value is already in hand.
@@ -235,11 +244,31 @@ pub enum ValueAt {
 }
 
 impl ValueAt {
+    /// The blob-log record that holds the value `vref` names for
+    /// `user_key`. The reference addresses the value bytes; the record
+    /// around them starts with the two length varints and the
+    /// `user_key.len() + 8`-byte internal key, and ends with the CRC, so
+    /// its span follows from the reference alone (RocksDB's blob reader
+    /// widens its read the same way to verify checksums).
+    pub fn blob(user_key: &[u8], vref: &ValueRef) -> Result<ValueAt> {
+        let klen = user_key.len() as u64 + 8;
+        let size = u64::from(vref.size);
+        let head = varint64_len(klen) as u64 + varint64_len(size) as u64 + klen;
+        let offset = vref
+            .offset
+            .checked_sub(head)
+            .ok_or_else(|| Error::corruption("blob reference points inside its record's header"))?;
+        Ok(ValueAt::BlobRecord {
+            offset,
+            len: head + size + BLOB_CRC_LEN as u64,
+        })
+    }
+
     /// File offset the fetch starts at — the sort key for coalescing.
     pub fn offset(&self) -> u64 {
         match self {
             ValueAt::Record(h) => h.offset,
-            ValueAt::Blob { offset, .. } => *offset,
+            ValueAt::BlobRecord { offset, .. } => *offset,
             ValueAt::Cached(_) => 0,
         }
     }
@@ -248,13 +277,14 @@ impl ValueAt {
     pub fn fetch_len(&self) -> u64 {
         match self {
             ValueAt::Record(h) => h.size.saturating_add(BLOCK_TRAILER_LEN as u64),
-            ValueAt::Blob { size, .. } => u64::from(*size),
+            ValueAt::BlobRecord { len, .. } => *len,
             ValueAt::Cached(_) => 0,
         }
     }
 }
 
-/// The value of a fetched record, once its key is the one asked for.
+/// The value of a fetched RTable record, once its key is the one asked
+/// for.
 fn record_value(ikey: &[u8], (key, value): (Bytes, Bytes)) -> Result<Bytes> {
     if key[..] != *ikey {
         return Err(Error::corruption(
@@ -264,14 +294,63 @@ fn record_value(ikey: &[u8], (key, value): (Bytes, Bytes)) -> Result<Bytes> {
     Ok(value)
 }
 
+/// Bytes of a blob record's trailing CRC.
+const BLOB_CRC_LEN: usize = 4;
+
+/// The two lengths at the front of a blob-log record, `head`:
+/// `(header bytes, key length, value length)`.
+fn blob_lens(head: &[u8]) -> Result<(usize, usize, usize)> {
+    let mut cur = head;
+    let klen = get_varint32(&mut cur)? as usize;
+    let vlen = get_varint32(&mut cur)? as usize;
+    Ok((head.len() - cur.len(), klen, vlen))
+}
+
+/// Decode one whole blob-log record — the layout
+/// [`BlobLogWriter::add`] writes — into its internal key and value
+/// (zero-copy slices of `rec`). Its two lengths must fill `rec` exactly,
+/// its key must carry `user_key` when one is given, and its CRC must
+/// match; anything else is [`Error::Corruption`]. Only the user key is
+/// compared: a Titan write-back re-indexes a record under a fresh
+/// sequence while the record keeps its own.
+fn decode_blob_record(rec: &Bytes, user_key: Option<&[u8]>) -> Result<(Bytes, Bytes)> {
+    let (head, klen, vlen) = blob_lens(rec)?;
+    if head + klen + vlen + BLOB_CRC_LEN != rec.len() {
+        return Err(Error::corruption(
+            "blob record lengths do not match its span",
+        ));
+    }
+    let ikey = rec.slice(head..head + klen);
+    let value = rec.slice(head + klen..head + klen + vlen);
+    if user_key.is_some_and(|want| klen < 8 || extract_user_key(&ikey) != want) {
+        return Err(Error::corruption(
+            "blob record key does not match its reference",
+        ));
+    }
+    let crc = rec[rec.len() - BLOB_CRC_LEN..].try_into();
+    let stored = u32::from_le_bytes(crc.expect("the lengths leave four CRC bytes"));
+    if stored != crc32c::extend(crc32c::value(&ikey), &value) {
+        return Err(Error::corruption("blob record checksum mismatch"));
+    }
+    Ok((ikey, value))
+}
+
 /// A value-file reader of any format.
 pub enum VReader {
     /// RecordBasedTable reader.
     R(RTableReader),
     /// BlockBasedTable reader.
     B(BTableReader),
-    /// Blob-log reader.
-    Blob(BlobLogReader),
+    /// Blob-log reader: point reads go through `cache` under `cache_id`
+    /// (the log's number under the store's namespace).
+    Blob {
+        /// The log.
+        file: Arc<dyn RandomAccessFile>,
+        /// Cache file id of the log.
+        cache_id: u64,
+        /// Block cache of point reads.
+        cache: Option<Arc<BlockCache>>,
+    },
 }
 
 impl VReader {
@@ -306,7 +385,11 @@ impl VReader {
             VFormat::BTable => {
                 VReader::B(BTableReader::open(f, cache_id, cache, KeyCmp::Internal)?)
             }
-            VFormat::BlobLog => VReader::Blob(BlobLogReader::new(f, cache_id, cache)),
+            VFormat::BlobLog => VReader::Blob {
+                file: f,
+                cache_id,
+                cache,
+            },
         })
     }
 
@@ -351,22 +434,40 @@ impl VReader {
                     _ => None,
                 },
             ),
-            VReader::Blob(_) => Err(Error::invalid_argument("keyed lookup on a blob log")),
+            VReader::Blob { .. } => Err(Error::invalid_argument("keyed lookup on a blob log")),
         }
     }
 
     /// **Fetch** one located value for a point read: served from the
-    /// block cache, or a single read (an RTable record CRC-verified) that
-    /// enters the cache at [`CachePriority::Bottom`] when `fill_cache`.
-    /// The record's key is checked against `ikey` on a hit too. Scans and
-    /// GC use [`fetch`](Self::fetch), which reads around the cache.
+    /// block cache, or a single read of its whole record, CRC-verified,
+    /// that enters the cache at [`CachePriority::Bottom`] when
+    /// `fill_cache`. The record's key is checked against `ikey` on a hit
+    /// too. Scans, GC and relocation use [`fetch`](Self::fetch), which
+    /// reads around the cache.
     pub fn fetch_one(&self, at: &ValueAt, ikey: &[u8], fill_cache: bool) -> Result<Bytes> {
         match (self, at) {
             (VReader::R(r), ValueAt::Record(h)) => {
                 record_value(ikey, r.read_record(*h, fill_cache)?)
             }
-            (VReader::Blob(r), ValueAt::Blob { offset, size }) => {
-                r.read_value(*offset, *size, fill_cache)
+            (
+                VReader::Blob {
+                    file,
+                    cache_id,
+                    cache,
+                },
+                &ValueAt::BlobRecord { offset, len },
+            ) => {
+                let ukey = Some(extract_user_key(ikey));
+                let key = CacheKey::new(*cache_id, offset, BlockKind::Data);
+                let fill = fill_cache.then_some(CachePriority::Bottom);
+                // Decoded before it may enter the cache, so the cache
+                // holds only verified records; decoded again to serve it.
+                let rec = cached_read(cache.as_deref(), key, fill, || {
+                    let rec = file.read_at(offset, len as usize)?;
+                    decode_blob_record(&rec, ukey)?;
+                    Ok(rec)
+                })?;
+                Ok(decode_blob_record(&rec, ukey)?.1)
             }
             (VReader::B(_), ValueAt::Cached(v)) => Ok(v.clone()),
             _ => Err(Error::internal(
@@ -376,12 +477,11 @@ impl VReader {
     }
 
     /// **Fetch** many located values of this file, returned in input
-    /// order. Neighbouring RTable records and blob values that `limits`
-    /// allows share one I/O ([`read_coalesced`]; pass them sorted by
-    /// [`ValueAt::offset`]); every RTable record is still CRC-verified and
-    /// key-checked on its own. Nothing here looks up or fills the block
-    /// cache; BTable values came through it at locate time and cost
-    /// nothing here.
+    /// order. Neighbouring records that `limits` allows share one I/O
+    /// ([`read_coalesced`]; pass them sorted by [`ValueAt::offset`]);
+    /// every record is still CRC-verified and key-checked on its own.
+    /// Nothing here looks up or fills the block cache; BTable values came
+    /// through it at locate time and cost nothing here.
     pub fn fetch(&self, wants: &[(&ValueAt, &[u8])], limits: Coalesce) -> Result<Vec<Bytes>> {
         let mismatch = || Error::internal("value location does not match its file format");
         match self {
@@ -399,15 +499,21 @@ impl VReader {
                     .map(|(rec, (_, ikey))| record_value(ikey, rec))
                     .collect()
             }
-            VReader::Blob(r) => {
+            VReader::Blob { file, .. } => {
                 let ranges = wants
                     .iter()
                     .map(|(at, _)| match at {
-                        ValueAt::Blob { offset, size } => Ok((*offset, u64::from(*size))),
+                        ValueAt::BlobRecord { offset, len } => Ok((*offset, *len)),
                         _ => Err(mismatch()),
                     })
                     .collect::<Result<Vec<(u64, u64)>>>()?;
-                read_coalesced(r.file.as_ref(), &ranges, limits)
+                read_coalesced(file.as_ref(), &ranges, limits)?
+                    .iter()
+                    .zip(wants)
+                    .map(|(rec, (_, ikey))| {
+                        Ok(decode_blob_record(rec, Some(extract_user_key(ikey)))?.1)
+                    })
+                    .collect()
             }
             VReader::B(_) => wants
                 .iter()
@@ -416,20 +522,12 @@ impl VReader {
         }
     }
 
-    /// Address-based value read (blob logs), around the block cache.
-    pub fn read_at(&self, offset: u64, size: u32) -> Result<Bytes> {
-        match self {
-            VReader::Blob(r) => r.file.read_at(offset, size as usize),
-            _ => Err(Error::invalid_argument("address read on a keyed table")),
-        }
-    }
-
     /// Every record with its value, in file order — the body of
     /// [`scan_file`](Self::scan_file), which opens the file the way this
     /// walk wants it read.
     fn scan_all(&self) -> Result<Vec<BlobRecord>> {
         match self {
-            VReader::Blob(r) => r.scan_all(),
+            VReader::Blob { file, .. } => scan_blob_log(file.as_ref()),
             VReader::B(r) => {
                 let mut out = Vec::new();
                 let mut it = r.iter();
@@ -483,94 +581,40 @@ impl VReader {
     }
 }
 
-/// Reader over a blob log.
-pub struct BlobLogReader {
-    file: Arc<dyn RandomAccessFile>,
-    /// Cache file id of the log (its number under the store's namespace).
-    cache_id: u64,
-    cache: Option<Arc<BlockCache>>,
-}
-
-impl BlobLogReader {
-    /// Wrap an open file whose point reads go through `cache` under
-    /// `cache_id`.
-    pub fn new(
-        file: Arc<dyn RandomAccessFile>,
-        cache_id: u64,
-        cache: Option<Arc<BlockCache>>,
-    ) -> Self {
-        BlobLogReader {
-            file,
-            cache_id,
-            cache,
+/// Parse a whole blob log, front to back (the GC "Read" step for
+/// BlobDB/Titan — this is the expensive full-file read the paper's Lazy
+/// Read eliminates). Each record is two reads of `file` — its lengths,
+/// then the whole record for the decoder — so the I/O size is the
+/// file's: [`VReader::scan_file`] opens the log behind a
+/// [`ReadaheadFile`], which serves both out of [`COALESCE_SPAN`] spans.
+fn scan_blob_log(file: &dyn RandomAccessFile) -> Result<Vec<BlobRecord>> {
+    /// Two max-length varint32s.
+    const MAX_HEADER: u64 = 10;
+    let len = file.len();
+    let mut out = Vec::new();
+    let mut off = 0u64;
+    while off < len {
+        let (head, klen, vlen) =
+            blob_lens(&file.read_at(off, MAX_HEADER.min(len - off) as usize)?)?;
+        let rec_len = (head + klen + vlen + BLOB_CRC_LEN) as u64;
+        if len - off < rec_len {
+            return Err(Error::corruption("truncated blob record"));
         }
+        let (ikey, value) = decode_blob_record(&file.read_at(off, rec_len as usize)?, None)?;
+        out.push(BlobRecord {
+            ikey: ikey.to_vec(),
+            value,
+            value_offset: off + (head + klen) as u64,
+        });
+        off += rec_len;
     }
-
-    /// Point read of the `size` value bytes at `offset`, through the
-    /// block cache (a miss enters at [`CachePriority::Bottom`] when
-    /// `fill_cache`).
-    fn read_value(&self, offset: u64, size: u32, fill_cache: bool) -> Result<Bytes> {
-        let key = CacheKey::new(self.cache_id, offset, BlockKind::Data);
-        let fill = fill_cache.then_some(CachePriority::Bottom);
-        cached_read(self.cache.as_deref(), key, fill, || {
-            self.file.read_at(offset, size as usize)
-        })
-    }
-
-    /// Sequentially parse the whole log (the GC "Read" step for
-    /// BlobDB/Titan — this is the expensive full-file read the paper's
-    /// Lazy Read eliminates). Each record is two reads of the file as
-    /// handed to [`new`](Self::new) — its length header, then key, value
-    /// and CRC — so the I/O size is the file's: [`VReader::scan_file`]
-    /// opens the log behind a [`ReadaheadFile`], which serves both out of
-    /// [`COALESCE_SPAN`] spans.
-    pub fn scan_all(&self) -> Result<Vec<BlobRecord>> {
-        /// Two max-length varint32s.
-        const MAX_HEADER: u64 = 10;
-        let len = self.file.len();
-        let mut out = Vec::new();
-        let mut off = 0u64;
-        while off < len {
-            let head = self.file.read_at(off, MAX_HEADER.min(len - off) as usize)?;
-            let mut cur = &head[..];
-            let klen = get_varint32(&mut cur)? as usize;
-            let vlen = get_varint32(&mut cur)? as usize;
-            let body_off = off + (head.len() - cur.len()) as u64;
-            let body_len = klen + vlen + 4;
-            if len - body_off < body_len as u64 {
-                return Err(Error::corruption("truncated blob record"));
-            }
-            let body = self.file.read_at(body_off, body_len)?;
-            if body.len() != body_len {
-                return Err(Error::corruption("short blob record read"));
-            }
-            let ikey = body[..klen].to_vec();
-            let value = body.slice(klen..klen + vlen);
-            let stored = u32::from_le_bytes(body[klen + vlen..].try_into().unwrap());
-            let actual = crc32c::extend(crc32c::value(&ikey), &value);
-            if stored != actual {
-                return Err(Error::corruption("blob record checksum mismatch"));
-            }
-            out.push(BlobRecord {
-                ikey,
-                value,
-                value_offset: body_off + klen as u64,
-            });
-            off = body_off + body_len as u64;
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 /// Extract `(user_key, seq)` from a value-file record key.
 pub fn parse_record_key(ikey: &[u8]) -> Result<(&[u8], SeqNo)> {
     let p = scavenger_util::ikey::parse_internal_key(ikey)?;
     Ok((p.user_key, p.seq))
-}
-
-/// The user-key portion of a record key.
-pub fn record_user_key(ikey: &[u8]) -> &[u8] {
-    extract_user_key(ikey)
 }
 
 #[cfg(test)]
@@ -585,9 +629,24 @@ mod tests {
         }
     }
 
+    fn is_corruption(got: Result<Bytes>) -> bool {
+        matches!(got, Err(Error::Corruption(_)))
+    }
+
+    /// Write 100 records, read each one through every value read path —
+    /// `fetch_one` (filling the cache, then served by it, and with
+    /// `fill_cache = false`), the batched `fetch` and the GC `scan_file`
+    /// — then flip one byte of one value: every read of that record is
+    /// `Corruption`, every other record still reads. One record per
+    /// BTable block, so a flip hits one record in every format.
     fn roundtrip(format: VFormat) {
-        let env: EnvRef = MemEnv::shared();
-        let mut w = VWriter::create(&env, "db", 9, format, table_opts(), IoClass::Flush).unwrap();
+        let env = MemEnv::shared();
+        let eref: EnvRef = env.clone();
+        let opts = TableOptions {
+            block_size: 1,
+            ..table_opts()
+        };
+        let mut w = VWriter::create(&eref, "db", 9, format, opts, IoClass::Flush).unwrap();
         let mut recs = Vec::new();
         for i in 0..100u64 {
             let key = format!("key{i:04}");
@@ -598,63 +657,99 @@ mod tests {
         let info = w.finish().unwrap();
         assert_eq!(info.entries, 100);
         assert!(info.value_bytes >= 100 * 200);
+        let ikeys: Vec<Vec<u8>> = recs
+            .iter()
+            .map(|(k, s, _, _)| make_internal_key(k.as_bytes(), *s, ValueType::Value))
+            .collect();
 
-        let r = VReader::open(&env, "db", 9, 0, format, None, IoClass::FgValueRead).unwrap();
-        match format {
-            VFormat::BlobLog => {
-                for (_, _, value, rec) in &recs {
-                    let got = r.read_at(rec.offset, rec.size).unwrap();
-                    assert_eq!(&got[..], value.as_slice());
-                }
-                let ats: Vec<ValueAt> = recs
-                    .iter()
-                    .map(|(_, _, _, rec)| ValueAt::Blob {
-                        offset: rec.offset,
+        let open = || {
+            let cache = Arc::new(BlockCache::with_capacity(1 << 20));
+            VReader::open(&eref, "db", 9, 0, format, Some(cache), IoClass::FgValueRead).unwrap()
+        };
+        // Where record `i` sits: a blob ref's record span, or a keyed
+        // lookup (which reads a BTable's value block).
+        let at = |r: &VReader, i: usize, fill_cache: bool| -> Result<ValueAt> {
+            let (key, _, _, rec) = &recs[i];
+            match format {
+                VFormat::BlobLog => {
+                    let vref = ValueRef {
+                        file: 9,
                         size: rec.size,
-                    })
-                    .collect();
-                let wants: Vec<(&ValueAt, &[u8])> = ats.iter().map(|a| (a, &[][..])).collect();
-                let batch = r.fetch(&wants, crate::vstore::GC_COALESCE).unwrap();
-                for (got, (_, _, value, _)) in batch.iter().zip(&recs) {
-                    assert_eq!(&got[..], value.as_slice());
+                        offset: rec.offset,
+                    };
+                    ValueAt::blob(key.as_bytes(), &vref)
                 }
+                _ => Ok(r.locate(&ikeys[i], fill_cache)?.expect("stored version")),
             }
-            _ => {
-                let ikeys: Vec<Vec<u8>> = recs
-                    .iter()
-                    .map(|(k, s, _, _)| make_internal_key(k.as_bytes(), *s, ValueType::Value))
-                    .collect();
-                let ats: Vec<ValueAt> = ikeys
-                    .iter()
-                    .map(|ik| r.locate(ik, true).unwrap().expect("stored version"))
-                    .collect();
-                for ((at, ik), (_, _, value, _)) in ats.iter().zip(&ikeys).zip(&recs) {
-                    assert_eq!(&r.fetch_one(at, ik, true).unwrap()[..], value.as_slice());
-                }
-                // The batched fetch returns the same values, in input order.
-                let wants: Vec<(&ValueAt, &[u8])> =
-                    ats.iter().zip(&ikeys).map(|(a, k)| (a, &k[..])).collect();
-                let batch = r.fetch(&wants, crate::vstore::GC_COALESCE).unwrap();
-                for (got, (_, _, value, _)) in batch.iter().zip(&recs) {
-                    assert_eq!(&got[..], value.as_slice());
-                }
-                // Wrong seq -> miss; a record fetched under the wrong key
-                // is rejected.
-                let wrong = make_internal_key(recs[0].0.as_bytes(), 1, ValueType::Value);
-                assert!(r.locate(&wrong, true).unwrap().is_none());
-                if format == VFormat::RTable {
-                    assert!(r.fetch_one(&ats[0], &wrong, true).is_err());
-                }
+        };
+        let point = |r: &VReader, i: usize, fill_cache: bool| {
+            r.fetch_one(&at(r, i, fill_cache)?, &ikeys[i], fill_cache)
+        };
+        let batch = |r: &VReader, picks: &[usize]| -> Result<Vec<Bytes>> {
+            let ats = picks
+                .iter()
+                .map(|&i| at(r, i, false))
+                .collect::<Result<Vec<_>>>()?;
+            let wants: Vec<(&ValueAt, &[u8])> = ats
+                .iter()
+                .zip(picks)
+                .map(|(a, &i)| (a, &ikeys[i][..]))
+                .collect();
+            r.fetch(&wants, crate::vstore::GC_COALESCE)
+        };
+        let scan = || VReader::scan_file(&eref, "db", 9, 0, format, None, IoClass::GcRead);
+
+        let r = open();
+        let all: Vec<usize> = (0..recs.len()).collect();
+        for fill_cache in [true, true, false] {
+            for (i, (_, _, value, _)) in recs.iter().enumerate() {
+                assert_eq!(&point(&r, i, fill_cache).unwrap()[..], value.as_slice());
             }
         }
+        // The batched fetch returns the same values, in input order.
+        for (got, (_, _, value, _)) in batch(&r, &all).unwrap().iter().zip(&recs) {
+            assert_eq!(&got[..], value.as_slice());
+        }
         // GC scan sees everything in order.
-        let scanned = r.scan_all().unwrap();
+        let scanned = scan().unwrap();
         assert_eq!(scanned.len(), 100);
         for (rec, (key, seq, value, _)) in scanned.iter().zip(recs.iter()) {
             let (uk, s) = parse_record_key(&rec.ikey).unwrap();
             assert_eq!(uk, key.as_bytes());
             assert_eq!(s, *seq);
             assert_eq!(&rec.value[..], value.as_slice());
+        }
+        // A record fetched for another key is rejected; a keyed table
+        // misses a version it does not hold.
+        if format != VFormat::BTable {
+            assert!(is_corruption(r.fetch_one(
+                &at(&r, 0, true).unwrap(),
+                &ikeys[1],
+                true
+            )));
+        }
+        if format != VFormat::BlobLog {
+            let wrong = make_internal_key(recs[0].0.as_bytes(), 1, ValueType::Value);
+            assert!(r.locate(&wrong, true).unwrap().is_none());
+        }
+
+        // Flip a byte inside record 37's value; read through a fresh
+        // cache, which never held the good bytes.
+        let bad = 37;
+        let path = vfile_path("db", 9, format);
+        env.corrupt_byte(&path, recs[bad].3.offset + 100).unwrap();
+        let r = open();
+        for fill_cache in [true, false] {
+            assert!(is_corruption(point(&r, bad, fill_cache)), "{format:?}");
+        }
+        assert!(is_corruption(batch(&r, &[bad]).map(|mut v| v.remove(0))));
+        assert!(matches!(scan(), Err(Error::Corruption(_))), "{format:?}");
+        let others: Vec<usize> = all.into_iter().filter(|&i| i != bad).collect();
+        for (got, &i) in batch(&r, &others).unwrap().iter().zip(&others) {
+            assert_eq!(&got[..], recs[i].2.as_slice());
+            for fill_cache in [true, false] {
+                assert_eq!(&point(&r, i, fill_cache).unwrap()[..], recs[i].2.as_slice());
+            }
         }
     }
 
@@ -691,7 +786,14 @@ mod tests {
         let r = VReader::open(&env, "db", 3, 0, VFormat::BlobLog, None, IoClass::GcRead).unwrap();
         let recs = r.scan_all().unwrap();
         for rec in recs {
-            let direct = r.read_at(rec.value_offset, rec.value.len() as u32).unwrap();
+            let vref = ValueRef {
+                file: 3,
+                size: rec.value.len() as u32,
+                offset: rec.value_offset,
+            };
+            let (ukey, _) = parse_record_key(&rec.ikey).unwrap();
+            let at = ValueAt::blob(ukey, &vref).unwrap();
+            let direct = r.fetch_one(&at, &rec.ikey, false).unwrap();
             assert_eq!(direct, rec.value);
         }
     }

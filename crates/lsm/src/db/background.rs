@@ -39,7 +39,7 @@ impl Lsm {
     /// on this thread, or by waking the background thread.
     pub(super) fn kick_background(&self) -> Result<()> {
         match self.inner.opts.background {
-            BackgroundMode::Inline => self.run_background_with_retries(),
+            BackgroundMode::Inline => self.run_with_retries(|| self.run_background_work()),
             BackgroundMode::Threaded => {
                 self.wake_background();
                 Ok(())
@@ -98,16 +98,18 @@ impl Lsm {
         self.inner.stall_cv.notify_all();
     }
 
-    /// Run background work, retrying transient failures with bounded
+    /// Run background `job`, retrying transient failures with bounded
     /// exponential backoff (`bg_retry_base * 2^attempt`, up to
     /// `bg_retry_limit` retries). A permanent failure — or exhausted
     /// retries — degrades the engine to read-only mode and returns the
-    /// error. Used by both the inline write path and the background
-    /// thread, so both execution modes share one error policy.
-    fn run_background_with_retries(&self) -> Result<()> {
+    /// error. Flush and compaction run through it on the inline write
+    /// path and on the background thread, and the engine above runs its
+    /// own post-write maintenance (value-file reaping, paced GC) through
+    /// it, so all of them share one error policy.
+    pub fn run_with_retries(&self, mut job: impl FnMut() -> Result<()>) -> Result<()> {
         let mut attempt = 0usize;
         loop {
-            match self.run_background_work() {
+            match job() {
                 Ok(()) => return Ok(()),
                 Err(e) => {
                     let retryable = Self::is_transient(&e)
@@ -491,7 +493,7 @@ impl Lsm {
                     // On permanent failure the helper has already moved
                     // the engine to degraded mode; stay alive so resume
                     // can restart work without respawning the thread.
-                    let _ = db.run_background_with_retries();
+                    let _ = db.run_with_retries(|| db.run_background_work());
                 }
             })
             .expect("spawn background thread");

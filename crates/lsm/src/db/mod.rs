@@ -282,13 +282,14 @@ impl Lsm {
     /// [`get_resolved`](Lsm::get_resolved) so the resolution happens
     /// while the read point is still registered.
     pub fn get(&self, key: &[u8]) -> Result<LsmReadResult> {
-        self.get_resolved(key, Ok)
+        self.get_resolved(key, true, Ok)
     }
 
     /// Latest visible version of `key`, with `resolve` invoked while the
     /// read's transient pin is still registered — the whole
     /// index-lookup-then-value-fetch sequence observes one point in
-    /// time. This is the engine-above's single-pass `get` path.
+    /// time. This is the engine-above's single-pass `get` path;
+    /// `fill_cache = false` opens tables without caching their readers.
     ///
     /// Hand-rolled instead of going through [`view`](Lsm::view): a
     /// borrowed pin plus one superversion grab keeps the hot path free
@@ -296,12 +297,13 @@ impl Lsm {
     pub fn get_resolved<T>(
         &self,
         key: &[u8],
+        fill_cache: bool,
         resolve: impl FnOnce(LsmReadResult) -> Result<T>,
     ) -> Result<T> {
         // Register before pinning the bundle, like `view()`.
         let pin = self.inner.read_points.pin_transient();
         let sv = self.superversion();
-        let r = read_superversion(&sv, &self.inner.tcache, key, pin.sequence(), true)?;
+        let r = read_superversion(&sv, &self.inner.tcache, key, pin.sequence(), fill_cache)?;
         resolve(r)
     }
 

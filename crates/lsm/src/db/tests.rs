@@ -370,15 +370,20 @@ fn closing_a_wal_makes_its_unsynced_tail_durable() {
     // SST: the frozen memtable exists nowhere but in the closed WAL.
     fault.add_rule(fault_rule(FaultOp::Open, ".sst", 1, FaultKind::Crash));
     let mut written = 0;
-    while put_nosync(&db, &format!("k{written:03}"), &"v".repeat(200)).is_ok() {
-        written += 1;
-    }
+    let refused = loop {
+        match put_nosync(&db, &format!("k{written:03}"), &"v".repeat(200)) {
+            Ok(_) => written += 1,
+            Err(e) => break e,
+        }
+    };
     assert!(fault.crashed() && written > 0);
+    // The put whose flush met the crash had landed, so it returned its
+    // receipt; the crash degraded the engine and refused the next one.
+    assert!(refused.is_read_only(), "{refused}");
     drop(db);
     fault.heal();
     let db = open(o);
-    // The put that observed the crash had landed too.
-    for i in 0..=written {
+    for i in 0..written {
         assert!(get_str(&db, &format!("k{i:03}")).is_some(), "k{i:03} lost");
     }
 }

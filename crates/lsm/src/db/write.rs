@@ -155,8 +155,10 @@ impl Lsm {
         if led && self.last_sequence() > before {
             // Only the leader runs background work for the group, and
             // only when the group wrote something; followers are already
-            // gone with their receipts.
-            self.kick_background()?;
+            // gone with their receipts. The group has landed, so a
+            // failure here degrades the engine — the next write fails
+            // fast — instead of failing the leader's write.
+            let _ = self.kick_background();
         }
         res?
     }

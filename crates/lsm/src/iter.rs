@@ -5,8 +5,7 @@ use crate::tcache::{KTableIter, TableCache};
 use crate::version::{FileMetaData, Version};
 use bytes::Bytes;
 use scavenger_util::ikey::{
-    cmp_internal, extract_user_key, make_internal_key, parse_internal_key, SeqNo, ValueRef,
-    ValueType,
+    cmp_internal, make_internal_key, parse_internal_key, SeqNo, ValueRef, ValueType,
 };
 use scavenger_util::{Error, Result};
 use std::cmp::Ordering;
@@ -454,11 +453,6 @@ impl DbIter {
     }
 }
 
-/// Convenience: the user-key portion of the current merged position.
-pub fn current_user_key(it: &dyn InternalIterator) -> &[u8] {
-    extract_user_key(it.key())
-}
-
 /// Per-sweep iterator statistics, merged into the caller's GC counters.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SweepStats {
@@ -617,7 +611,7 @@ impl BatchSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scavenger_util::ikey::make_internal_key;
+    use scavenger_util::ikey::extract_user_key;
 
     fn e(k: &str, seq: SeqNo, t: ValueType, v: &str) -> (Vec<u8>, Bytes) {
         (

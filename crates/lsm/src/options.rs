@@ -74,8 +74,10 @@ pub struct LsmOptions {
     /// Background execution mode.
     pub background: BackgroundMode,
     /// How many times a *transient* background-job failure (flush,
-    /// compaction) is retried before the engine degrades to read-only
-    /// mode. Permanent failures (e.g. corruption) degrade immediately.
+    /// compaction, or a job the engine above runs through
+    /// [`Lsm::run_with_retries`](crate::Lsm::run_with_retries)) is
+    /// retried before the engine degrades to read-only mode. Permanent
+    /// failures (e.g. corruption) degrade immediately.
     pub bg_retry_limit: usize,
     /// Base delay for the bounded exponential backoff between background
     /// retries (`base * 2^attempt`).

@@ -336,8 +336,48 @@ impl LsmView {
 }
 
 /// Walk a pinned superversion for the newest version of `key` visible at
-/// `read_seq`: active memtable, immutable memtables newest-first, then
-/// the SST levels.
+/// `read_seq` — a tombstone included, with its sequence: active
+/// memtable, immutable memtables newest-first, then the SST levels. A
+/// `fill_cache = false` walk opens tables without caching their readers.
+fn newest_version(
+    sv: &SuperVersion,
+    tcache: &Arc<TableCache>,
+    key: &[u8],
+    read_seq: SeqNo,
+    fill_cache: bool,
+) -> Result<MemGet> {
+    for mem in std::iter::once(&sv.mem).chain(sv.imms.iter().map(|imm| &imm.mem)) {
+        match mem.get(key, read_seq) {
+            MemGet::NotFound => {}
+            newest => return Ok(newest),
+        }
+    }
+    let target = make_internal_key(key, read_seq, ValueType::ValueRef);
+    for f in sv.version.files_covering(key) {
+        let table = if fill_cache {
+            tcache.get(f.file_number)?
+        } else {
+            tcache.get_detached(f.file_number)?
+        };
+        if let Some((ikey, value)) = table.get(&target)? {
+            let parsed = parse_internal_key(&ikey)?;
+            if parsed.user_key == key {
+                return Ok(match parsed.vtype {
+                    ValueType::Deletion => MemGet::Deleted(parsed.seq),
+                    vtype => MemGet::Found {
+                        seq: parsed.seq,
+                        vtype,
+                        value,
+                    },
+                });
+            }
+        }
+    }
+    Ok(MemGet::NotFound)
+}
+
+/// The version of `key` visible at `read_seq` in a pinned superversion,
+/// a tombstone folded into `Deleted`.
 pub(crate) fn read_superversion(
     sv: &SuperVersion,
     tcache: &Arc<TableCache>,
@@ -345,106 +385,29 @@ pub(crate) fn read_superversion(
     read_seq: SeqNo,
     fill_cache: bool,
 ) -> Result<LsmReadResult> {
-    match sv.mem.get(key, read_seq) {
-        MemGet::Found { seq, vtype, value } => {
-            return Ok(LsmReadResult::Found { seq, vtype, value });
-        }
-        MemGet::Deleted(_) => return Ok(LsmReadResult::Deleted),
-        MemGet::NotFound => {}
-    }
-    for imm in &sv.imms {
-        match imm.mem.get(key, read_seq) {
-            MemGet::Found { seq, vtype, value } => {
-                return Ok(LsmReadResult::Found { seq, vtype, value });
-            }
-            MemGet::Deleted(_) => return Ok(LsmReadResult::Deleted),
-            MemGet::NotFound => {}
-        }
-    }
-    let target = make_internal_key(key, read_seq, ValueType::ValueRef);
-    for f in sv.version.files_covering(key) {
-        if let Some(r) = table_get(tcache, f.file_number, &target, key, fill_cache)? {
-            return Ok(r);
-        }
-    }
-    Ok(LsmReadResult::NotFound)
+    Ok(
+        match newest_version(sv, tcache, key, read_seq, fill_cache)? {
+            MemGet::NotFound => LsmReadResult::NotFound,
+            MemGet::Deleted(_) => LsmReadResult::Deleted,
+            MemGet::Found { seq, vtype, value } => LsmReadResult::Found { seq, vtype, value },
+        },
+    )
 }
 
 /// Sequence of the newest version of `key` in a pinned superversion —
-/// **including tombstones**, which [`read_superversion`] folds into
-/// `Deleted` without a sequence. This is the read-set validation
-/// primitive for optimistic transactions: a key conflicts iff its newest
-/// version (write *or* delete) is newer than the transaction's read
-/// point, so the walk must not lose the tombstone's sequence. Returns
-/// `None` when no version of the key exists anywhere.
+/// **including tombstones**. This is the read-set validation primitive
+/// for optimistic transactions: a key conflicts iff its newest version
+/// (write *or* delete) is newer than the transaction's read point.
+/// Returns `None` when no version of the key exists anywhere.
 pub(crate) fn latest_version_seq(
     sv: &SuperVersion,
     tcache: &Arc<TableCache>,
     key: &[u8],
 ) -> Result<Option<SeqNo>> {
-    let read_seq = MAX_SEQNO;
-    match sv.mem.get(key, read_seq) {
-        MemGet::Found { seq, .. } | MemGet::Deleted(seq) => return Ok(Some(seq)),
-        MemGet::NotFound => {}
-    }
-    for imm in &sv.imms {
-        match imm.mem.get(key, read_seq) {
-            MemGet::Found { seq, .. } | MemGet::Deleted(seq) => return Ok(Some(seq)),
-            MemGet::NotFound => {}
-        }
-    }
-    let target = make_internal_key(key, read_seq, ValueType::ValueRef);
-    for f in sv.version.files_covering(key) {
-        if let Some(seq) = table_version_seq(tcache, f.file_number, &target, key)? {
-            return Ok(Some(seq));
-        }
-    }
-    Ok(None)
-}
-
-/// Sequence of the newest version (any type) of `key` in one table.
-fn table_version_seq(
-    tcache: &Arc<TableCache>,
-    file_number: u64,
-    target: &[u8],
-    key: &[u8],
-) -> Result<Option<SeqNo>> {
-    let table = tcache.get(file_number)?;
-    if let Some((ikey, _)) = table.get(target)? {
-        let parsed = parse_internal_key(&ikey)?;
-        if parsed.user_key == key {
-            return Ok(Some(parsed.seq));
-        }
-    }
-    Ok(None)
-}
-
-fn table_get(
-    tcache: &Arc<TableCache>,
-    file_number: u64,
-    target: &[u8],
-    key: &[u8],
-    fill_cache: bool,
-) -> Result<Option<LsmReadResult>> {
-    let table = if fill_cache {
-        tcache.get(file_number)?
-    } else {
-        tcache.get_detached(file_number)?
-    };
-    if let Some((ikey, value)) = table.get(target)? {
-        let parsed = parse_internal_key(&ikey)?;
-        if parsed.user_key == key {
-            return Ok(Some(match parsed.vtype {
-                ValueType::Deletion => LsmReadResult::Deleted,
-                t => LsmReadResult::Found {
-                    seq: parsed.seq,
-                    vtype: t,
-                    value,
-                },
-            }));
-        }
-    }
-    Ok(None)
+    Ok(match newest_version(sv, tcache, key, MAX_SEQNO, true)? {
+        MemGet::NotFound => None,
+        MemGet::Deleted(seq) | MemGet::Found { seq, .. } => Some(seq),
+    })
 }
 
 /// Build a merged scan over a pinned superversion.

@@ -31,7 +31,6 @@ const LAST: u8 = 4;
 pub struct LogWriter {
     file: Box<dyn WritableFile>,
     block_offset: usize,
-    syncs: u64,
     /// Bytes were appended since the last successful sync.
     dirty: bool,
 }
@@ -42,7 +41,6 @@ impl LogWriter {
         LogWriter {
             file,
             block_offset: 0,
-            syncs: 0,
             dirty: false,
         }
     }
@@ -99,16 +97,8 @@ impl LogWriter {
             return Ok(());
         }
         self.file.sync()?;
-        self.syncs += 1;
         self.dirty = false;
         Ok(())
-    }
-
-    /// Successful syncs issued on this log. Group commit amortizes one
-    /// fsync across every `sync = true` rider in a group; tests assert
-    /// the amortization through this counter.
-    pub fn sync_count(&self) -> u64 {
-        self.syncs
     }
 
     /// Bytes written so far.

@@ -142,11 +142,6 @@ impl ServerHandle {
         &self.metrics
     }
 
-    /// True once shutdown has been requested (wire or local).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Request shutdown and block until the drain completes: accept
     /// loop stopped, every connection joined, pin table dropped,
     /// engine flushed.

@@ -197,12 +197,6 @@ impl BlockIter {
             .slice(self.value_range.0..self.value_range.1)
     }
 
-    /// Byte offset of the current entry within the block (used by
-    /// two-level iterators for cache bookkeeping).
-    pub fn entry_offset(&self) -> usize {
-        self.offset
-    }
-
     /// Position at the first entry.
     pub fn seek_to_first(&mut self) {
         self.key.clear();

@@ -27,8 +27,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Shared block cache over CRC-verified payloads: blocks (parsed again on
-/// every hit, which costs a bounds check), RTable records and blob-log
-/// values.
+/// every hit, which costs a bounds check), RTable records and whole
+/// blob-log records (decoded, their CRC included, again on every hit).
 pub type BlockCache = LruCache<Bytes>;
 
 /// Serve `key` from `cache`, or `read` it and, when `fill` names a

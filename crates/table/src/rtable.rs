@@ -19,7 +19,7 @@
 //! in-block search.
 
 use crate::block::{Block, BlockBuilder};
-use crate::blockio::{read_block, verify_block, write_block, BLOCK_TRAILER_LEN};
+use crate::blockio::{verify_block, write_block, BLOCK_TRAILER_LEN};
 use crate::btable::{BlockCache, BlockFetcher, BuiltTable, PropsTracker, TableOptions};
 use crate::cache::CachePriority;
 use crate::filter::{BloomBuilder, BloomReader};
@@ -148,30 +148,6 @@ impl RTableBuilder {
     }
 }
 
-/// Walk all index partitions of an RTable and collect the dense index.
-fn read_dense_index(
-    fetcher: &BlockFetcher,
-    top_index: &Block,
-    cmp: KeyCmp,
-    size_hint: usize,
-) -> Result<Vec<(Vec<u8>, BlockHandle)>> {
-    let mut out = Vec::with_capacity(size_hint);
-    let mut top = top_index.iter(cmp);
-    top.seek_to_first();
-    while top.valid() {
-        let part_handle = BlockHandle::decode_exact(&top.value())?;
-        let part = fetcher.fetch(part_handle, BlockKind::Index, CachePriority::High)?;
-        let mut it = part.iter(cmp);
-        it.seek_to_first();
-        while it.valid() {
-            out.push((it.key().to_vec(), BlockHandle::decode_exact(&it.value())?));
-            it.next();
-        }
-        top.next();
-    }
-    Ok(out)
-}
-
 /// Decode a record payload into `(key, value)`, both zero-copy slices
 /// of `payload`.
 pub fn decode_record(payload: &Bytes) -> Result<(Bytes, Bytes)> {
@@ -209,7 +185,7 @@ pub const COALESCE_SPAN: u64 = 256 * 1024;
 
 /// Read the `(offset, len)` byte ranges of `file`, fetching neighbours
 /// that `limits` allows in one I/O — the one coalescing loop behind GC
-/// Lazy-Read fetches, scan look-ahead and blob-log value reads. Returns
+/// Lazy-Read fetches, scan look-ahead and blob-log record reads. Returns
 /// one buffer per range, in input order (zero-copy slices of the span
 /// they were read in). Ranges should arrive sorted by offset: one that
 /// starts before the current span simply opens a new span.
@@ -370,12 +346,23 @@ impl RTableReader {
     /// are inserted into the block cache with high priority so subsequent
     /// GC value fetches and foreground reads hit memory.
     pub fn read_index(&self) -> Result<Vec<(Vec<u8>, BlockHandle)>> {
-        read_dense_index(
-            &self.fetcher,
-            &self.top_index,
-            self.cmp,
-            self.props.num_entries as usize,
-        )
+        let mut out = Vec::with_capacity(self.props.num_entries as usize);
+        let mut top = self.top_index.iter(self.cmp);
+        top.seek_to_first();
+        while top.valid() {
+            let part_handle = BlockHandle::decode_exact(&top.value())?;
+            let part = self
+                .fetcher
+                .fetch(part_handle, BlockKind::Index, CachePriority::High)?;
+            let mut it = part.iter(self.cmp);
+            it.seek_to_first();
+            while it.valid() {
+                out.push((it.key().to_vec(), BlockHandle::decode_exact(&it.value())?));
+                it.next();
+            }
+            top.next();
+        }
+        Ok(out)
     }
 
     /// Bytes [`read_index`](Self::read_index) asks the file for: every
@@ -413,118 +400,6 @@ impl RTableReader {
             out.push(decode_record(&verify_block(raw, *h)?)?);
         }
         Ok(out)
-    }
-
-    /// Full scan in key order: the dense index is read on first use,
-    /// then one read per record. (A caller that wants the whole file,
-    /// like GC, reads the index and hands every handle to
-    /// [`read_records`](Self::read_records) instead.) The iterator owns
-    /// its fetcher, so it carries no lifetime.
-    pub fn iter(&self) -> RTableIter {
-        RTableIter {
-            fetcher: self.fetcher.clone(),
-            top_index: self.top_index.clone(),
-            cmp: self.cmp,
-            entries: None,
-            pos: 0,
-            current: None,
-            error: None,
-        }
-    }
-}
-
-/// Iterator over an RTable's records.
-pub struct RTableIter {
-    fetcher: BlockFetcher,
-    top_index: Block,
-    cmp: KeyCmp,
-    entries: Option<Vec<(Vec<u8>, BlockHandle)>>,
-    pos: usize,
-    current: Option<(Bytes, Bytes)>,
-    error: Option<Error>,
-}
-
-impl RTableIter {
-    fn ensure_index(&mut self) {
-        if self.entries.is_none() {
-            match read_dense_index(&self.fetcher, &self.top_index, self.cmp, 0) {
-                Ok(e) => self.entries = Some(e),
-                Err(e) => {
-                    self.error = Some(e);
-                    self.entries = Some(Vec::new());
-                }
-            }
-        }
-    }
-
-    fn fetch_current(&mut self) {
-        self.current = None;
-        let entries = self.entries.as_ref().unwrap();
-        if self.pos >= entries.len() {
-            return;
-        }
-        let (key, handle) = entries[self.pos].clone();
-        let payload = match read_block(self.fetcher.file.as_ref(), handle) {
-            Ok(p) => p,
-            Err(e) => {
-                self.error = Some(e);
-                return;
-            }
-        };
-        match decode_record(&payload) {
-            Ok((k, v)) => {
-                debug_assert_eq!(k[..], key[..]);
-                self.current = Some((k, v));
-            }
-            Err(e) => self.error = Some(e),
-        }
-    }
-
-    /// True if positioned on a record.
-    pub fn valid(&self) -> bool {
-        self.current.is_some()
-    }
-
-    /// Position on the first record.
-    pub fn seek_to_first(&mut self) {
-        self.ensure_index();
-        self.pos = 0;
-        self.fetch_current();
-    }
-
-    /// Position on the first record with key `>= target`.
-    pub fn seek(&mut self, target: &[u8]) {
-        self.ensure_index();
-        let entries = self.entries.as_ref().unwrap();
-        let cmp = self.cmp;
-        self.pos = entries.partition_point(|(k, _)| cmp.cmp(k, target).is_lt());
-        self.fetch_current();
-    }
-
-    /// Advance.
-    pub fn next(&mut self) {
-        if self.current.is_some() {
-            self.pos += 1;
-            self.fetch_current();
-        }
-    }
-
-    /// Current key.
-    pub fn key(&self) -> &[u8] {
-        &self.current.as_ref().unwrap().0
-    }
-
-    /// Current value.
-    pub fn value(&self) -> Bytes {
-        self.current.as_ref().unwrap().1.clone()
-    }
-
-    /// Any error hit while iterating.
-    pub fn status(&self) -> Result<()> {
-        match &self.error {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
     }
 }
 
@@ -655,77 +530,23 @@ mod tests {
         max_span: COALESCE_SPAN,
     };
 
-    /// The two ways to read a whole file — the iterator and the dense
-    /// index handed to `read_records` — yield the same records in order.
+    /// The dense index handed to `read_records` yields every record of
+    /// the file in order, one read per record or coalesced.
     #[test]
     fn iter_scans_in_order_both_modes() {
         let env = MemEnv::new();
         let es = entries(150, 512);
         build(&env, "v.vsst", &es);
         let r = open(&env, "v.vsst");
-        let mut it = r.iter();
-        it.seek_to_first();
-        for (k, v) in &es {
-            assert!(it.valid());
-            assert_eq!(it.key(), k.as_slice());
-            assert_eq!(&it.value()[..], v.as_slice());
-            it.next();
-        }
-        assert!(!it.valid());
-        it.status().unwrap();
-
         let handles: Vec<BlockHandle> = r.read_index().unwrap().iter().map(|(_, h)| *h).collect();
-        let batched = r.read_records(&handles, ANY_GAP).unwrap();
-        assert_eq!(batched.len(), es.len());
-        for ((k, v), (ek, ev)) in batched.iter().zip(&es) {
-            assert_eq!(&k[..], ek.as_slice());
-            assert_eq!(&v[..], ev.as_slice());
+        for limits in [PER_RECORD, ANY_GAP] {
+            let batched = r.read_records(&handles, limits).unwrap();
+            assert_eq!(batched.len(), es.len());
+            for ((k, v), (ek, ev)) in batched.iter().zip(&es) {
+                assert_eq!(&k[..], ek.as_slice());
+                assert_eq!(&v[..], ev.as_slice());
+            }
         }
-    }
-
-    /// Reading every record of a file through `read_records` costs a
-    /// fraction of the iterator's one read per record.
-    #[test]
-    fn coalesced_iteration_uses_fewer_read_ops() {
-        let env = MemEnv::new();
-        let es = entries(400, 256);
-        build(&env, "v.vsst", &es);
-        let r = open(&env, "v.vsst");
-
-        let before = env.io_stats().snapshot();
-        let mut it = r.iter();
-        it.seek_to_first();
-        while it.valid() {
-            it.next();
-        }
-        let per_record = env.io_stats().snapshot().delta(&before);
-
-        let before = env.io_stats().snapshot();
-        let handles: Vec<BlockHandle> = r.read_index().unwrap().iter().map(|(_, h)| *h).collect();
-        assert_eq!(r.read_records(&handles, ANY_GAP).unwrap().len(), 400);
-        let coalesced = env.io_stats().snapshot().delta(&before);
-
-        assert!(
-            coalesced.class(IoClass::FgValueRead).read_ops * 4
-                < per_record.class(IoClass::FgValueRead).read_ops,
-            "coalesced {} vs per-record {}",
-            coalesced.class(IoClass::FgValueRead).read_ops,
-            per_record.class(IoClass::FgValueRead).read_ops
-        );
-    }
-
-    #[test]
-    fn seek_in_iter() {
-        let env = MemEnv::new();
-        let es = entries(100, 32);
-        build(&env, "v.vsst", &es);
-        let r = open(&env, "v.vsst");
-        let mut it = r.iter();
-        it.seek(b"user000050");
-        assert!(it.valid());
-        assert_eq!(it.key(), b"user000050");
-        it.seek(b"user0000505");
-        assert_eq!(it.key(), b"user000051");
     }
 
     #[test]
@@ -981,8 +802,5 @@ mod tests {
         let r = open(&env, "v.vsst");
         assert!(r.read_index().unwrap().is_empty());
         assert!(get(&r, b"x").is_none());
-        let mut it = r.iter();
-        it.seek_to_first();
-        assert!(!it.valid());
     }
 }

@@ -23,17 +23,6 @@ pub struct PhaseReport {
     pub wall_secs: f64,
 }
 
-impl PhaseReport {
-    /// Wall-clock throughput in MB/s of user writes.
-    pub fn write_mbps_wall(&self) -> f64 {
-        if self.wall_secs == 0.0 {
-            0.0
-        } else {
-            self.user_write_bytes as f64 / 1e6 / self.wall_secs
-        }
-    }
-}
-
 /// Workload driver holding the per-key version/size ground truth.
 pub struct Runner {
     rng: StdRng,

@@ -187,7 +187,7 @@ fn snapshot_isolation_under_concurrent_churn() {
         let v = if n % 2 == 0 {
             snap.get(format!("k{i:03}")).unwrap().unwrap()
         } else {
-            db.get_with(&ReadOptions::at_snapshot(&snap), format!("k{i:03}"))
+            db.get_with(&ReadOptions::pinned(&snap), format!("k{i:03}"))
                 .unwrap()
                 .unwrap()
         };

@@ -364,6 +364,94 @@ fn degraded_mode_serves_reads_and_resume_restores_writes() {
     );
 }
 
+/// Puts `key(i)` for `i` from `from` on, each returning its receipt,
+/// until the maintenance after one of them fails and degrades the store.
+/// The next put fails fast with `ReadOnlyMode`; once `fault` clears, the
+/// degraded store reads the landed put's value. Returns the landed key.
+fn put_until_degraded(db: &Db, fault: &FaultEnv, from: u32, stamp: u64) -> u32 {
+    let landed = (from..from + 400)
+        .find(|&i| {
+            db.put(crash::key_bytes(i), crash::value_bytes(i, stamp, 700))
+                .unwrap_or_else(|e| panic!("put {i} failed: {e}"));
+            db.is_degraded()
+        })
+        .expect("the fault degrades the store");
+    let err = db
+        .put(crash::key_bytes(0), crash::value_bytes(0, stamp, 700))
+        .expect_err("the next write fails fast");
+    assert!(err.is_read_only(), "got {err}");
+    fault.clear_rules();
+    assert_eq!(
+        db.get(crash::key_bytes(landed)).unwrap().unwrap(),
+        bytes::Bytes::from(crash::value_bytes(landed, stamp, 700))
+    );
+    landed
+}
+
+/// A put whose paced GC fails after the put landed returns its receipt;
+/// the failure degrades the store, and `resume` restores writes once
+/// the fault clears.
+#[test]
+fn a_put_whose_gc_fails_lands_and_degrades_the_store() {
+    let fault = FaultEnv::wrap(MemEnv::shared(), 0xfee4);
+    let env: EnvRef = fault.clone();
+    let mut o = small_opts(env, EngineMode::Scavenger);
+    o.auto_gc = true;
+    let db = Db::open(o).unwrap();
+    for stamp in 1..=3 {
+        for i in 0..40u32 {
+            db.put(crash::key_bytes(i), crash::value_bytes(i, stamp, 700))
+                .unwrap();
+        }
+    }
+    fault.add_rule(FaultRule {
+        op: FaultOp::Read,
+        path_contains: Some(".vsst".to_string()),
+        trigger: Trigger::Always,
+        kind: FaultKind::Fail,
+        one_shot: false,
+    });
+    put_until_degraded(&db, &fault, 0, 4);
+    let cause = db.shard(0).background_error().unwrap().to_string();
+    assert!(cause.contains(".vsst"), "the GC read is the cause: {cause}");
+    db.resume().expect("resume after the fault cleared");
+    db.put(crash::key_bytes(0), crash::value_bytes(0, 5, 700))
+        .unwrap();
+    for i in 1..40u32 {
+        assert!(db.get(crash::key_bytes(i)).unwrap().is_some());
+    }
+}
+
+/// An inline flush that fails after the put that filled the memtable
+/// landed: the put returns its receipt, the store degrades, and `resume`
+/// restores writes once the fault clears.
+#[test]
+fn a_put_whose_inline_flush_fails_lands_and_degrades_the_store() {
+    let fault = FaultEnv::wrap(MemEnv::shared(), 0xfee5);
+    let env: EnvRef = fault.clone();
+    let db = open_single(env, EngineMode::Scavenger).unwrap();
+    for i in 0..40u32 {
+        db.put(crash::key_bytes(i), crash::value_bytes(i, 1, 700))
+            .unwrap();
+    }
+    db.flush().unwrap();
+    fault.add_rule(FaultRule {
+        op: FaultOp::Write,
+        path_contains: Some(".sst".to_string()),
+        trigger: Trigger::Always,
+        kind: FaultKind::Fail,
+        one_shot: false,
+    });
+    let landed = put_until_degraded(&db, &fault, 40, 1);
+    db.resume().expect("resume after the fault cleared");
+    db.put(crash::key_bytes(0), crash::value_bytes(0, 2, 700))
+        .unwrap();
+    db.flush().unwrap();
+    for i in 1..=landed {
+        assert!(db.get(crash::key_bytes(i)).unwrap().is_some(), "key {i}");
+    }
+}
+
 /// A failed MANIFEST sync fails the flush whose edit it carried and
 /// poisons the manifest; `resume()` then writes a fresh `MANIFEST-N`
 /// holding the full snapshot and value-store history, swings `CURRENT`

@@ -194,8 +194,10 @@ fn mostly_dead_file_costs_its_live_bytes() {
     }
 }
 
-/// BlobDB relocates inside compaction with one exact read per value: no
-/// tail (a blob log has none), no read-ahead.
+/// BlobDB relocates inside compaction with one exact read per value's
+/// whole record — the two length varints, the internal key, the value
+/// and the CRC, so the decoder can check it: no tail (a blob log has
+/// none), no read-ahead.
 #[test]
 fn blobdb_relocation_reads_exactly_the_values_it_moves() {
     let env = MemEnv::shared();
@@ -214,7 +216,11 @@ fn blobdb_relocation_reads_exactly_the_values_it_moves() {
     }
     let gc = env.io_stats().snapshot().class(IoClass::GcRead);
     assert!(gc.read_ops > 0, "the workload must relocate something");
-    assert_eq!(gc.read_bytes, gc.read_ops * VLEN as u64);
+    // `key(i)` is 9 bytes: a 17-byte internal key (1-byte varint) and a
+    // 16,000-byte value (2-byte varint).
+    let record = 1 + 2 + (key(0).len() + 8) + VLEN + 4;
+    assert_eq!(record, VLEN + 24);
+    assert_eq!(gc.read_bytes, gc.read_ops * record as u64);
 }
 
 /// The records of `file` GC will keep (`live`) and drop, by offset.

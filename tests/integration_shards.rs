@@ -297,7 +297,7 @@ fn shard_routing_stable_across_reopen() {
         }
         // The data actually lives on the routed shard.
         for i in (0..200).step_by(17) {
-            assert!(db.shard(placements[i]).get(key(i)).unwrap().is_some());
+            assert!(db.shard(placements[i]).get(key(i), true).unwrap().is_some());
         }
     }
 }

@@ -4,12 +4,22 @@
 //! * a `get` reads its value once, then serves repeats from the cache;
 //! * after GC (or BlobDB's relocation) moves a cached value, `get`
 //!   returns the same bytes, read once from the file that holds it now;
+//! * a flipped byte in a stored value is reported as `Corruption` by
+//!   `get`, an uncached `get` and `scan`, never served — and BlobDB's
+//!   relocation does not copy it into a new blob file under a fresh CRC;
 //! * (ignored, run by the multi-core CI job) gets against a tiny shared
 //!   cache while a threaded GC retires value files return the model's
 //!   bytes and never a dangling reference.
 
-use scavenger::{Db, DbShards, EngineMode, EnvRef, IoClass, MemEnv, Options, ShardedOptions};
+use scavenger::vstore::vtable::{parse_record_key, vfile_path, VReader};
+use scavenger::{
+    Bytes, Db, DbShards, EngineMode, Env, EnvRef, Error, IoClass, MemEnv, Options, ReadOptions,
+    Result, ShardedOptions, VFormat,
+};
+use scavenger_lsm::filename::{parse_path, FileKind};
+use scavenger_lsm::LsmReadResult;
 use scavenger_table::btable::BlockCache;
+use scavenger_util::ikey::{ValueRef, ValueType};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -62,8 +72,8 @@ fn get_costs(db: &Db, i: usize, want: &[u8], reads: u64, what: &str) {
 /// `N` keys in one value file; the even ones read once, which opens the
 /// file's reader and caches its index, so an odd key's first get pays
 /// for its own value alone.
-fn store(mode: EngineMode) -> Db {
-    let db = Db::open(opts(MemEnv::shared(), "vc", mode)).unwrap();
+fn store(env: Arc<MemEnv>, mode: EngineMode) -> Db {
+    let db = Db::open(opts(env, "vc", mode)).unwrap();
     for i in 0..N {
         db.put(key(i), value(i, 1)).unwrap();
     }
@@ -78,7 +88,7 @@ fn store(mode: EngineMode) -> Db {
 #[test]
 fn a_repeat_get_reads_no_value() {
     for mode in SEPARATED {
-        let db = store(mode);
+        let db = store(MemEnv::shared(), mode);
         for i in (1..N).step_by(2) {
             get_costs(&db, i, &value(i, 1), 1, &format!("{mode:?} first get"));
             get_costs(&db, i, &value(i, 1), 0, &format!("{mode:?} repeat get"));
@@ -108,7 +118,7 @@ fn move_out_of(db: &Db, mode: EngineMode, file: u64) {
 #[test]
 fn a_get_after_gc_reads_the_moved_value_from_its_new_file() {
     for mode in SEPARATED {
-        let db = store(mode);
+        let db = store(MemEnv::shared(), mode);
         let file = db.shard(0).value_store().all_files()[0].file;
         for i in 0..N {
             db.get(key(i)).unwrap().unwrap(); // every value cached
@@ -123,6 +133,122 @@ fn a_get_after_gc_reads_the_moved_value_from_its_new_file() {
         for &i in rest {
             get_costs(&db, i, &value(i, 1), 1, &format!("{mode:?} moved"));
             get_costs(&db, i, &value(i, 1), 0, &format!("{mode:?} moved, repeat"));
+        }
+    }
+}
+
+/// Flip one byte inside `key(i)`'s stored value. A blob reference names
+/// the value's first byte, an RTable's its record and a BTable's its
+/// block: 100 bytes on is inside the value in every format.
+fn flip_value_byte(db: &Db, env: &MemEnv, i: usize) {
+    let LsmReadResult::Found {
+        vtype: ValueType::ValueRef,
+        value,
+        ..
+    } = db.shard(0).lsm().get(&key(i)).unwrap()
+    else {
+        panic!("key {i} is separated");
+    };
+    let vref = ValueRef::decode(&value).unwrap();
+    let format = db.shard(0).value_store().meta(vref.file).unwrap().format;
+    let path = vfile_path("vc", vref.file, format);
+    env.corrupt_byte(&path, vref.offset + 100).unwrap();
+}
+
+fn is_corruption<T>(got: &Result<T>) -> bool {
+    matches!(got, Err(Error::Corruption(_)))
+}
+
+/// What a read returned, short enough for an assertion message.
+fn summary(got: &Result<Option<Bytes>>) -> String {
+    match got {
+        Ok(v) => format!("Ok({:?} bytes)", v.as_ref().map(|b| b.len())),
+        Err(e) => format!("Err({e})"),
+    }
+}
+
+/// A flipped value byte is `Corruption` to every foreground read of its
+/// key — a cached `get`, one with `fill_cache = false`, a scan over it —
+/// while every other key still reads.
+#[test]
+fn a_flipped_value_byte_is_reported_not_served() {
+    const BAD: usize = 5; // odd: `store` left it out of the cache
+    for mode in SEPARATED {
+        let env = MemEnv::shared();
+        let db = store(env.clone(), mode);
+        flip_value_byte(&db, &env, BAD);
+        let got = db.get(key(BAD));
+        assert!(is_corruption(&got), "{mode:?} get: {}", summary(&got));
+        let uncached = ReadOptions {
+            fill_cache: false,
+            ..ReadOptions::default()
+        };
+        let got = db.get_with(&uncached, key(BAD));
+        assert!(
+            is_corruption(&got),
+            "{mode:?} uncached get: {}",
+            summary(&got)
+        );
+        let scanned = db
+            .scan(b"", None)
+            .and_then(|it| it.collect::<Result<Vec<_>>>());
+        assert!(
+            is_corruption(&scanned),
+            "{mode:?} scan: {}",
+            match &scanned {
+                Ok(rows) => format!("Ok({} rows)", rows.len()),
+                Err(e) => format!("Err({e})"),
+            }
+        );
+        for i in (0..N).filter(|&i| i != BAD) {
+            assert_eq!(db.get(key(i)).unwrap().unwrap(), value(i, 1), "{mode:?}");
+        }
+    }
+}
+
+/// BlobDB relocates sampled values of its oldest blob file inside
+/// compaction. The compaction that reaches a corrupt record fails with
+/// `Corruption`, and no blob file on disk — registered or left behind
+/// by the failed job — holds a copy of that record.
+#[test]
+fn blobdb_relocation_does_not_copy_a_corrupt_record() {
+    const BAD: usize = 5;
+    let env = MemEnv::shared();
+    let db = store(env.clone(), EngineMode::BlobDb);
+    let file = db.shard(0).value_store().all_files()[0].file;
+    flip_value_byte(&db, &env, BAD);
+    // Overwrite other keys until a compaction samples the bad one.
+    let err = (2..64u8)
+        .find_map(|round| {
+            for i in (0..N).filter(|i| i % 4 == 0) {
+                db.put(key(i), value(i, round)).unwrap();
+            }
+            db.flush().and_then(|()| db.compact_all()).err()
+        })
+        .expect("a compaction relocates the corrupt record");
+    assert!(matches!(err, Error::Corruption(_)), "{err}");
+    let got = db.get(key(BAD));
+    assert!(
+        is_corruption(&got),
+        "get after relocation: {}",
+        summary(&got)
+    );
+    let eref: EnvRef = env.clone();
+    for path in env.list_prefix("vc/").unwrap() {
+        let Some((FileKind::BlobLog, n)) = parse_path("vc", &path) else {
+            continue;
+        };
+        if n == file {
+            continue;
+        }
+        let recs = VReader::scan_file(&eref, "vc", n, 0, VFormat::BlobLog, None, IoClass::GcRead);
+        for rec in recs.unwrap() {
+            let (ukey, _) = parse_record_key(&rec.ikey).unwrap();
+            assert_ne!(
+                ukey,
+                key(BAD),
+                "blob file {n} holds a copy of the corrupt record"
+            );
         }
     }
 }

@@ -150,13 +150,13 @@ fn read_options_select_read_point_and_bounds() {
         value(107, 600)
     );
     assert_eq!(
-        db.get_with(&ReadOptions::at_view(&view), "key07")
+        db.get_with(&ReadOptions::pinned(&view), "key07")
             .unwrap()
             .unwrap(),
         value(7, 600)
     );
     assert_eq!(
-        db.get_with(&ReadOptions::at_snapshot(&snap), "key07")
+        db.get_with(&ReadOptions::pinned(&snap), "key07")
             .unwrap()
             .unwrap(),
         value(7, 600)
@@ -166,7 +166,7 @@ fn read_options_select_read_point_and_bounds() {
     let opts = ReadOptions {
         lower_bound: Some(b"key10".to_vec()),
         upper_bound: Some(b"key20".to_vec()),
-        ..ReadOptions::at_snapshot(&snap)
+        ..ReadOptions::pinned(&snap)
     };
     let mut it = db.scan_with(&opts).unwrap();
     let entries = it.collect_n(usize::MAX).unwrap();
