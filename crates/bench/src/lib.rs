@@ -12,6 +12,8 @@
 //!   primary, hardware-independent metric);
 //! * `wall MB/s` — wall-clock, for reference.
 
+#![forbid(unsafe_code)]
+
 use scavenger::{Db, DeviceModel, EngineMode, Features, IoStatsSnapshot, Options};
 use scavenger_env::{EnvRef, MemEnv};
 use scavenger_util::Result;

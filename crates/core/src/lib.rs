@@ -61,6 +61,7 @@
 //! the benchmark baselines.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod changes;
 pub mod db;

@@ -28,6 +28,8 @@
 //! positional reads, whole-file reads, rename/remove/list) — exactly what
 //! an LSM-tree needs and nothing more.
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod fault;
 pub mod fs;

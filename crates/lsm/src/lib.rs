@@ -20,6 +20,8 @@
 //!   are how hidden garbage becomes **exposed garbage** (paper §II-D), and
 //!   dropped keys feed the DropCache's hotness signal (paper §III-B3).
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod changelog;
 pub mod compaction;

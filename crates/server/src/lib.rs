@@ -29,6 +29,7 @@
 //! - [`metrics`] — service-layer counters and Prometheus rendering.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 #[macro_use]

@@ -25,6 +25,8 @@
 //! `tail` (the metaindex / index / footer envelope all three formats end
 //! in, opened with one read of the file's last [`TAIL_PREFETCH`] bytes).
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod blockio;
 pub mod btable;

@@ -61,6 +61,10 @@ pub fn put_varint64(dst: &mut Vec<u8>, mut v: u64) {
 pub fn get_varint64(src: &mut &[u8]) -> Result<u64> {
     let mut result: u64 = 0;
     for (i, &byte) in src.iter().enumerate().take(10) {
+        // The 10th byte holds bit 63 alone; any higher bit would be lost.
+        if i == 9 && byte > 0x01 {
+            return Err(Error::corruption("varint64 overflows 64 bits"));
+        }
         result |= u64::from(byte & 0x7f) << (7 * i);
         if byte & 0x80 == 0 {
             *src = &src[i + 1..];
@@ -147,6 +151,25 @@ mod tests {
             let mut s = &buf[..cut];
             assert!(get_varint64(&mut s).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn varint64_rejects_a_tenth_byte_above_one() {
+        // Ten bytes carry 70 bits; only bit 63 may come from the last one.
+        let mut zero_with_bit_64 = vec![0x80; 9];
+        zero_with_bit_64.push(0x02);
+        let mut max_with_high_bits = vec![0xff; 9];
+        max_with_high_bits.push(0x7f);
+        for input in [zero_with_bit_64, max_with_high_bits] {
+            let mut s = input.as_slice();
+            assert!(
+                matches!(get_varint64(&mut s), Err(Error::Corruption(_))),
+                "{input:02x?}"
+            );
+        }
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        assert_eq!(get_varint64(&mut max.as_slice()).unwrap(), u64::MAX);
     }
 
     #[test]

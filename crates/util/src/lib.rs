@@ -5,8 +5,8 @@
 //!
 //! * [`coding`] — varint / fixed-width integer encoding used by every
 //!   on-disk format (blocks, WAL, manifest, footers).
-//! * [`crc32c`] — software CRC-32C (Castagnoli), the checksum guarding all
-//!   persistent records.
+//! * [`crc32c`] — CRC-32C (Castagnoli), the checksum guarding all
+//!   persistent records; its SSE4.2 kernel is the crate's only `unsafe`.
 //! * [`ikey`] — the internal-key model: user keys combined with sequence
 //!   numbers and value types, ordered user-key-ascending /
 //!   sequence-descending exactly like LevelDB/RocksDB.
@@ -14,6 +14,9 @@
 //! * [`error`] — the shared [`Error`] type.
 //! * [`iter`] — the shared fuse-on-error adapter behind every
 //!   user-facing scan iterator's `Iterator` impl.
+
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod coding;
 pub mod crc32c;

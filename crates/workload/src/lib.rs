@@ -13,6 +13,8 @@
 //! The [`runner`] drives any store implementing [`KvStore`] and tracks the
 //! logical dataset size (the denominator of space amplification) exactly.
 
+#![forbid(unsafe_code)]
+
 pub mod crash;
 pub mod dist;
 pub mod follower;

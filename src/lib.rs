@@ -7,4 +7,6 @@
 //! `ARCHITECTURE.md` (API layer, read path, GC pipeline, throttling,
 //! shard layer).
 
+#![forbid(unsafe_code)]
+
 pub use scavenger::*;
