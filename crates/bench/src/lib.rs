@@ -1,10 +1,12 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each `src/bin/figNN_*.rs` binary runs the corresponding experiment at a
-//! laptop-scale configuration (ARCHITECTURE.md "Configuration" has the
-//! paper→scaled mapping) and prints the same rows/series the paper reports. Pass
-//! `--scale F` to grow the dataset by `F×` and `--seed N` for a different
-//! deterministic seed.
+//! The `figures` binary (`src/bin/figures.rs`) holds every figure as one
+//! table of cells — engine × experiment point × metric — and runs each
+//! distinct experiment once, at a laptop-scale configuration
+//! (ARCHITECTURE.md "Configuration" has the paper→scaled mapping). This
+//! library is what it runs: [`run_experiment`] and [`run_ycsb`] on a fresh
+//! in-memory store per call, [`Scale`] for the dataset size, and
+//! [`print_table`].
 //!
 //! Throughput is reported two ways:
 //! * `sim MB/s` — user bytes over *simulated device seconds* from the
@@ -126,33 +128,15 @@ impl Default for Scale {
 }
 
 impl Scale {
-    /// Parse `--scale F` and `--seed N` from argv.
-    pub fn from_args() -> Scale {
-        let mut s = Scale::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    if let Some(f) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
-                        s.dataset_bytes = (s.dataset_bytes as f64 * f) as u64;
-                        s.read_ops = (s.read_ops as f64 * f) as u64;
-                        s.scan_ops = (s.scan_ops as f64 * f) as u64;
-                        s.ycsb_ops = (s.ycsb_ops as f64 * f) as u64;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
-                        s.seed = n;
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
+    /// Grow the dataset and every operation count by `f×` (`--scale F`).
+    pub fn times(self, f: f64) -> Scale {
+        Scale {
+            dataset_bytes: (self.dataset_bytes as f64 * f) as u64,
+            read_ops: (self.read_ops as f64 * f) as u64,
+            scan_ops: (self.scan_ops as f64 * f) as u64,
+            ycsb_ops: (self.ycsb_ops as f64 * f) as u64,
+            ..self
         }
-        s
     }
 
     /// Number of keys for a value generator averaging `mean` bytes.
@@ -279,7 +263,7 @@ impl RunOut {
 }
 
 /// Phases to run in [`run_experiment`].
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub struct Phases {
     /// Run the update phase.
     pub update: bool,
@@ -309,12 +293,31 @@ impl Phases {
     }
 }
 
+/// How [`run_experiment`] picks the keys its update, read and scan
+/// phases touch.
+#[derive(Debug, Clone, Copy)]
+pub enum Keys {
+    /// Scrambled Zipfian with constant θ (the paper's default is 0.9).
+    Zipf(f64),
+    /// Uniform over the loaded keys.
+    Uniform,
+}
+
+impl Keys {
+    fn dist(self, n: u64) -> KeyDist {
+        match self {
+            Keys::Zipf(theta) => KeyDist::zipfian(n, theta),
+            Keys::Uniform => KeyDist::uniform(n),
+        }
+    }
+}
+
 /// The standard experiment: load the dataset, apply updates (the paper's
 /// GC-stressing phase), optionally read and scan; measure everything.
 pub fn run_experiment(
     spec: &EngineSpec,
     value_gen: ValueGen,
-    key_theta: f64,
+    keys: Keys,
     scale: &Scale,
     space_limit_factor: Option<f64>,
     phases: Phases,
@@ -333,7 +336,7 @@ pub fn run_experiment(
     db.flush()?;
     let io1 = env.io_stats().snapshot();
 
-    let dist = KeyDist::zipfian(n, key_theta);
+    let dist = keys.dist(n);
     let gc0 = db.stats().gc;
     let update = if phases.update {
         let bytes = (scale.dataset_bytes as f64 * scale.update_factor) as u64;
@@ -502,7 +505,7 @@ mod tests {
             let out = run_experiment(
                 &spec,
                 ValueGen::fixed(2048),
-                0.9,
+                Keys::Zipf(0.9),
                 &scale,
                 None,
                 Phases::all(),

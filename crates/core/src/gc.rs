@@ -319,9 +319,7 @@ impl GcRunner {
     fn read(&self, files: &[Arc<VsstMeta>]) -> Result<ReadOut> {
         // Write-back identity is `(file, offset)`, which the lazy index
         // does not carry.
-        let lazy = |m: &VsstMeta| {
-            self.features.lazy_read && m.format == VFormat::RTable && !self.writeback()
-        };
+        let lazy = |m: &VsstMeta| m.format == VFormat::RTable && !self.writeback();
         let scanned: Vec<u64> = files.iter().filter(|m| !lazy(m)).map(|m| m.file).collect();
         let mut scans =
             gc_exec::parallel_map_ordered(&scanned, self.cfg.threads, &self.stats, |&file| {

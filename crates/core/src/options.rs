@@ -62,6 +62,8 @@ pub enum VFormat {
     /// Sorted value SST with a sparse index (TerarkDB's vSST).
     BTable,
     /// RecordBasedTable with a dense partitioned index (paper §III-B1).
+    /// Under a keyed GC scheme (no write-back) this is **R**, Lazy Read:
+    /// GC reads the dense index first and fetches only valid values.
     RTable,
     /// Append-ordered blob log, address-based (BlobDB/Titan).
     BlobLog,
@@ -96,9 +98,6 @@ pub struct Features {
     pub vformat: VFormat,
     /// GC scheme (ignored when `separate` is false).
     pub gc: GcScheme,
-    /// **R**: Lazy Read — GC reads the RTable's dense index first and
-    /// fetches only valid values (§III-B1). Requires `VFormat::RTable`.
-    pub lazy_read: bool,
     /// **L**: Index-record separation — key SSTs are DTables (§III-B2).
     /// A GC-Lookup iterates their KF streams only, through
     /// high-priority-cached KF blocks; it reads a KV block only to ask
@@ -120,7 +119,6 @@ impl Features {
                 separate: false,
                 vformat: VFormat::BTable,
                 gc: GcScheme::NoWriteback,
-                lazy_read: false,
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
@@ -129,7 +127,6 @@ impl Features {
                 separate: true,
                 vformat: VFormat::BlobLog,
                 gc: GcScheme::CompactionTriggered,
-                lazy_read: false,
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
@@ -138,7 +135,6 @@ impl Features {
                 separate: true,
                 vformat: VFormat::BlobLog,
                 gc: GcScheme::Writeback,
-                lazy_read: false,
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
@@ -147,7 +143,6 @@ impl Features {
                 separate: true,
                 vformat: VFormat::BTable,
                 gc: GcScheme::NoWriteback,
-                lazy_read: false,
                 dtable_index: false,
                 hotness: false,
                 compensated: false,
@@ -156,7 +151,6 @@ impl Features {
                 separate: true,
                 vformat: VFormat::RTable,
                 gc: GcScheme::NoWriteback,
-                lazy_read: true,
                 dtable_index: true,
                 hotness: true,
                 compensated: true,
@@ -356,15 +350,17 @@ mod tests {
         assert!(!k.compensated);
 
         let s = Features::for_mode(EngineMode::Scavenger);
-        assert_eq!(s.vformat, VFormat::RTable);
-        assert!(s.lazy_read && s.dtable_index && s.hotness && s.compensated);
+        // Lazy Read is the RTable format under a keyed scheme.
+        assert_eq!((s.vformat, s.gc), (VFormat::RTable, GcScheme::NoWriteback));
+        assert!(s.dtable_index && s.hotness && s.compensated);
     }
 
     #[test]
     fn tdb_c_is_terark_plus_compensation_only() {
         let f = Features::tdb_compensated();
         assert!(f.compensated);
-        assert!(!f.lazy_read && !f.dtable_index && !f.hotness);
+        assert!(!f.dtable_index && !f.hotness);
+        // No Lazy Read: a BTable has no dense index to read first.
         assert_eq!(f.vformat, VFormat::BTable);
     }
 

@@ -127,6 +127,7 @@ impl KeyDist {
 ///
 /// `X = mu + sigma * ((1-U)^(-xi) - 1) / xi`, clamped to `[min, max]`.
 /// With shape `xi < 1`, the mean is `mu + sigma / (1 - xi)`.
+#[derive(Debug, Clone, Copy)]
 pub struct GenPareto {
     mu: f64,
     sigma: f64,

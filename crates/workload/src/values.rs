@@ -4,6 +4,7 @@ use crate::dist::GenPareto;
 use rand::Rng;
 
 /// Value-size distribution.
+#[derive(Debug, Clone, Copy)]
 pub enum ValueGen {
     /// Every value is `len` bytes (Fixed-NK workloads).
     Fixed {
