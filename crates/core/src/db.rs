@@ -52,6 +52,7 @@ use crate::view::{ReadOptions, ReadPin, ReadView, Snapshot, WriteOptions, WriteR
 use crate::{EngineMode, Options};
 use bytes::Bytes;
 use parking_lot::Mutex;
+use scavenger_env::SpaceTracker;
 use scavenger_lsm::WriteBatch;
 use scavenger_table::btable::BlockCache;
 use scavenger_util::ikey::ValueType;
@@ -70,7 +71,7 @@ pub struct ScanEntry {
 
 pub(crate) struct DbInner {
     /// The caller's options; `dir` is the root, `env` the root's
-    /// usage-tracked env.
+    /// [`UsageEnv`](scavenger_env::UsageEnv).
     pub(crate) opts: Options,
     pub(crate) shards: Vec<Shard>,
     /// The routing-hash seed (unused by a set of one).
@@ -78,6 +79,10 @@ pub(crate) struct DbInner {
     /// Two-phase-commit log for multi-shard batches; `None` for a plain
     /// store, which has nothing to coordinate.
     pub(crate) coord: Option<Coordinator>,
+    /// The ledger of a set's root-level files (routing meta, coordinator
+    /// log); `None` for a plain store, whose member's ledger is the
+    /// root's.
+    pub(crate) root_space: Option<Arc<SpaceTracker>>,
     /// The keys of every transaction and multi-member batch between
     /// registration and the end of its apply. Its lock — the transaction
     /// lock — covers only the wait for overlapping keys, a spanning
@@ -520,8 +525,9 @@ impl Db {
         self.inner.opts.mode
     }
 
-    /// Per-member statistics, indexed by shard (each member of a set of
-    /// several counts its own I/O through a metered env).
+    /// Per-member statistics, indexed by shard (each member counts its
+    /// own I/O and files through its directory's
+    /// [`UsageEnv`](scavenger_env::UsageEnv)).
     pub fn shard_stats(&self) -> Vec<DbStats> {
         self.inner.shards.iter().map(Shard::stats).collect()
     }
@@ -533,7 +539,7 @@ impl Db {
     pub fn stats(&self) -> DbStats {
         let inner = &self.inner;
         let mut s = DbStats::merge(&self.shard_stats());
-        s.space.other_bytes += self.root_file_bytes();
+        s.space.other_bytes += inner.root_space.as_ref().map_or(0, |t| t.total());
         s.txn_commits += inner.txn_commits.load(Ordering::Relaxed);
         s.txn_conflicts += inner.txn_conflicts.load(Ordering::Relaxed);
         if let Some(coord) = &inner.coord {
@@ -551,21 +557,8 @@ impl Db {
         for s in &self.inner.shards {
             total.accumulate(&s.space());
         }
-        total.other_bytes += self.root_file_bytes();
+        total.other_bytes += self.inner.root_space.as_ref().map_or(0, |t| t.total());
         total
-    }
-
-    /// Bytes of the store-level files a sharded store keeps at its root
-    /// (the `SHARDS` routing meta and the 2PC coordinator log).
-    fn root_file_bytes(&self) -> u64 {
-        if self.inner.coord.is_none() {
-            return 0;
-        }
-        let (env, root) = (&self.inner.opts.env, &self.inner.opts.dir);
-        [crate::shards::META_FILE, crate::txn::COORD_LOG]
-            .iter()
-            .map(|f| env.file_size(&format!("{root}/{f}")).unwrap_or(0))
-            .sum()
     }
 }
 

@@ -20,6 +20,7 @@ use crate::view::{WriteOptions, WriteReceipt};
 use crate::vstore::ValueStore;
 use bytes::Bytes;
 use parking_lot::Mutex;
+use scavenger_env::SpaceTracker;
 use scavenger_lsm::filename::{parse_path, FileKind};
 use scavenger_lsm::{Lsm, LsmReadResult, LsmView, Precondition, ValueEditBundle, WriteBatch};
 use scavenger_table::btable::BlockCache;
@@ -32,12 +33,19 @@ use std::sync::Arc;
 /// member's own for a set of one, the sum over every member otherwise.
 pub(crate) type SpaceUsageFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 
-/// What the set hands a member at open so the §III-D limit is one
-/// budget: the set's throttle and usage source, and whether a 2PC
-/// coordinator may need the member's tombstones at recovery.
+/// What the set hands every member at open: its throttle and usage
+/// source, so the §III-D limit is one budget; its block cache, so one
+/// memory budget serves every member; and whether a 2PC coordinator may
+/// need the members' tombstones at recovery.
 pub(crate) struct Wiring {
     pub(crate) throttle: Arc<Throttle>,
     pub(crate) usage: SpaceUsageFn,
+    pub(crate) cache: Arc<BlockCache>,
+    /// Whether other stores read through `cache` too (the caller handed
+    /// it in, or the set has several members). They allocate file
+    /// numbers from 1 just as this one does, so each member namespaces
+    /// its cache keys and can never serve another's cached blocks.
+    pub(crate) shared_cache: bool,
     pub(crate) coordinated: bool,
 }
 
@@ -51,6 +59,9 @@ pub(crate) struct ShardInner {
     /// The set's throttle: one limit and one set of counters.
     pub(crate) throttle: Arc<Throttle>,
     usage: SpaceUsageFn,
+    /// The ledger of this member's directory: every file's size, kept
+    /// current by the member's env on each append.
+    space: Arc<SpaceTracker>,
     /// Serializes GC jobs and exhausted-file reaping.
     gc_lock: Mutex<()>,
     /// Byte credits for paced auto-GC (see `Options::gc_bandwidth_factor`).
@@ -101,17 +112,12 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Open (or recover) the member at `opts.dir`. `opts.env` already
-    /// carries the set's usage tracking (and metering, for a set of
-    /// several).
-    pub(crate) fn open(opts: Options, wiring: Wiring) -> Result<Shard> {
-        let cache = opts.block_cache.clone().unwrap_or_else(|| {
-            Arc::new(BlockCache::with_capacity(opts.block_cache_bytes.max(4096)))
-        });
-        // A shared cache means sibling stores whose file numbers collide
-        // (shards all allocate from 1): namespace this store's cache keys
-        // so one shard can never serve another's cached blocks.
-        let cache_ns = if opts.block_cache.is_some() {
+    /// Open (or recover) the member at `opts.dir`, whose `opts.env` is
+    /// the directory's [`UsageEnv`](scavenger_env::UsageEnv) keeping
+    /// `space`.
+    pub(crate) fn open(opts: Options, space: Arc<SpaceTracker>, wiring: &Wiring) -> Result<Shard> {
+        let cache = wiring.cache.clone();
+        let cache_ns = if wiring.shared_cache {
             scavenger_table::cache::new_cache_namespace()
         } else {
             0
@@ -188,8 +194,9 @@ impl Shard {
                 dropcache,
                 gc,
                 gc_stats,
-                throttle: wiring.throttle,
-                usage: wiring.usage,
+                throttle: wiring.throttle.clone(),
+                usage: wiring.usage.clone(),
+                space,
                 gc_lock: Mutex::new(()),
                 gc_credits: Mutex::new(0),
                 cache,
@@ -474,22 +481,21 @@ impl Shard {
         &self.inner.opts
     }
 
-    /// On-disk space breakdown of the member's directory.
+    /// On-disk space breakdown of the member's directory: its ledger's
+    /// files, classified by name.
     pub(crate) fn space(&self) -> SpaceBreakdown {
-        let opts = &self.inner.opts;
+        let dir = &self.inner.opts.dir;
         let mut s = SpaceBreakdown::default();
-        if let Ok(files) = opts.env.list_prefix(&format!("{}/", opts.dir)) {
-            for p in files {
-                let size = opts.env.file_size(&p).unwrap_or(0);
-                match parse_path(&opts.dir, &p) {
-                    Some((FileKind::Table, _)) => s.ksst_bytes += size,
-                    Some((FileKind::ValueTable | FileKind::BlobLog, _)) => s.value_bytes += size,
-                    Some((FileKind::Wal, _)) => s.wal_bytes += size,
-                    Some((FileKind::Manifest | FileKind::Current, _)) => s.manifest_bytes += size,
-                    None => s.other_bytes += size,
-                }
-            }
-        }
+        self.inner.space.for_each(|path, size| {
+            let bucket = match parse_path(dir, path) {
+                Some((FileKind::Table, _)) => &mut s.ksst_bytes,
+                Some((FileKind::ValueTable | FileKind::BlobLog, _)) => &mut s.value_bytes,
+                Some((FileKind::Wal, _)) => &mut s.wal_bytes,
+                Some((FileKind::Manifest | FileKind::Current, _)) => &mut s.manifest_bytes,
+                None => &mut s.other_bytes,
+            };
+            *bucket += size;
+        });
         s
     }
 

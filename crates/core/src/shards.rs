@@ -46,17 +46,23 @@
 //!   the store over budget reclaims locally (aggressive GC + forced
 //!   compaction) until the global total is back under.
 //!
+//! What stays **per directory** at every size is the ledger: the root
+//! and each `shard-NNN/` are opened through a [`UsageEnv`] of their own,
+//! which keeps the size of every file under it and charges every read
+//! and write through it. The throttle, `stats().space`, `/metrics` and a
+//! member's `stats().io` all read those ledgers; a plain store's member
+//! ledger is the root's.
+//!
 //! Multi-shard batch writes are **crash-atomic across shards** for one
 //! fsync through the two-phase-commit coordinator log at the root (see
 //! [`crate::txn`]); single-shard batches skip it entirely.
 
 use crate::db::{Db, DbInner};
 use crate::options::Options;
-use crate::shard::{Shard, SpaceUsageFn, Wiring};
+use crate::shard::{Shard, Wiring};
 use crate::throttle::Throttle;
 use crate::txn::{Coordinator, InFlight};
-use scavenger_env::usage::UsageEnv;
-use scavenger_env::{EnvRef, IoClass};
+use scavenger_env::{EnvRef, IoClass, SpaceTracker, UsageEnv};
 use scavenger_lsm::filename::current_path;
 use scavenger_table::btable::BlockCache;
 use scavenger_util::{Error, Result};
@@ -203,7 +209,7 @@ impl ShardedOptionsBuilder {
 pub type DbShards = Db;
 
 /// Name of the routing meta file at a sharded store's root.
-pub(crate) const META_FILE: &str = "SHARDS";
+const META_FILE: &str = "SHARDS";
 
 /// The persisted routing contract: shard count + hash seed, written to
 /// `<root>/SHARDS` at first open and authoritative from then on.
@@ -281,9 +287,17 @@ impl Db {
                 "num_shards must be in 1..=256, got {num_shards}"
             )));
         }
-        let env = base.env.clone();
+        let raw = base.env.clone();
         let root = base.dir.clone();
-        env.create_dir_all(&root)?;
+        raw.create_dir_all(&root)?;
+        // The root directory's ledger. A set's members keep their own,
+        // so it skips every `shard-NNN/`.
+        let (env, root_space) = UsageEnv::wrap(
+            raw.clone(),
+            &format!("{root}/"),
+            Some(format!("{root}/shard-")),
+        )?;
+        base.env = env.clone();
         let meta_path = format!("{root}/{META_FILE}");
         let stored = if env.file_exists(&meta_path) {
             Some(ShardMeta::decode(
@@ -306,26 +320,38 @@ impl Db {
             )));
         }
         let throttle = Arc::new(Throttle::new(base.space_limit));
-        let (shards, coord, seed) = match stored {
+        let cache = base.block_cache.clone().unwrap_or_else(|| {
+            Arc::new(BlockCache::with_capacity(base.block_cache_bytes.max(4096)))
+        });
+        let (shards, coord, seed, root_space) = match stored {
             None if num_shards == 1 => {
-                // A plain store: the one member at the root, metered by
-                // the env itself and usage-tracked over `dir/`.
-                let (env, tracker) = UsageEnv::wrap(env, &format!("{root}/"))?;
-                base.env = env;
+                // A plain store: the one member at the root, whose ledger
+                // is the root's.
+                let space = root_space.clone();
                 let wiring = Wiring {
                     throttle,
-                    usage: Arc::new(move || tracker.total()),
+                    usage: Arc::new(move || space.total()),
+                    cache,
+                    shared_cache: base.block_cache.is_some(),
                     coordinated: false,
                 };
-                (vec![Shard::open(base.clone(), wiring)?], None, route_seed)
+                let shard = Shard::open(base.clone(), root_space, &wiring)?;
+                (vec![shard], None, route_seed, None)
             }
             stored => {
                 let meta = match stored {
                     Some(meta) => meta,
                     None => create_meta(&env, &meta_path, num_shards, route_seed)?,
                 };
-                let (shards, coord) = open_set(&mut base, meta.shards, throttle)?;
-                (shards, Some(coord), meta.seed)
+                let (shards, coord) = open_set(
+                    &base,
+                    &raw,
+                    meta.shards,
+                    root_space.clone(),
+                    throttle,
+                    cache,
+                )?;
+                (shards, Some(coord), meta.seed, Some(root_space))
             }
         };
         Ok(Db {
@@ -334,6 +360,7 @@ impl Db {
                 shards,
                 seed,
                 coord,
+                root_space,
                 in_flight: InFlight::default(),
                 txn_commits: AtomicU64::new(0),
                 txn_conflicts: AtomicU64::new(0),
@@ -357,67 +384,58 @@ fn create_meta(env: &EnvRef, path: &str, shards: usize, seed: u64) -> Result<Sha
     Ok(meta)
 }
 
-/// Open the `n` members of a sharded store under `base.dir` (whose env
-/// becomes the root's usage-tracked env) and its coordinator.
+/// Open the `n` members of a sharded store under `base.dir` and its
+/// coordinator. Each member gets a [`UsageEnv`] of its own over `raw`,
+/// so its stats count only its own files and traffic; the coordinator
+/// writes through the root's (`base.env`), so its log bytes count toward
+/// the global budget.
 ///
 /// One block cache and one throttle serve the whole set; the usage
-/// source sums every shard's incremental space tracker plus a
-/// root-level tracker (routing meta, coordinator log), so the §III-D
-/// limit is a single global budget no matter which shard admits the
-/// write — and checking it is O(shards) atomic loads, not a directory
-/// walk.
+/// source sums every member's ledger plus the root's (routing meta,
+/// coordinator log), so the §III-D limit is a single global budget no
+/// matter which shard admits the write — and checking it is O(shards)
+/// atomic loads, not a directory walk.
 fn open_set(
-    base: &mut Options,
+    base: &Options,
+    raw: &EnvRef,
     n: usize,
+    root_space: Arc<SpaceTracker>,
     throttle: Arc<Throttle>,
+    cache: Arc<BlockCache>,
 ) -> Result<(Vec<Shard>, Coordinator)> {
-    let (env, root) = (base.env.clone(), base.dir.clone());
-    let cache = base
-        .block_cache
-        .clone()
-        .unwrap_or_else(|| Arc::new(BlockCache::with_capacity(base.block_cache_bytes.max(4096))));
-    let dirs: Vec<String> = (0..n).map(|i| format!("{root}/shard-{i:03}")).collect();
-    let prefixes = dirs.iter().map(|d| format!("{d}/")).collect();
-    let (root_env, root_tracker) =
-        UsageEnv::wrap_excluding(env.clone(), &format!("{root}/"), prefixes)?;
-
-    // Every shard's env layer comes first (metered, so its stats' `io`
-    // counts only that shard's traffic, and usage-tracked for space), so
-    // the usage closure closes over the complete tracker set before any
-    // shard opens.
-    let mut trackers = vec![root_tracker];
+    // Every member's ledger comes first, so the usage source closes over
+    // the complete set before any member opens.
+    let mut ledgers = vec![root_space];
     let mut members = Vec::with_capacity(n);
-    for dir in dirs {
-        let metered: EnvRef = Arc::new(scavenger_env::MeteredEnv::new(env.clone()));
-        let (shard_env, tracker) = UsageEnv::wrap(metered, &format!("{dir}/"))?;
-        trackers.push(tracker);
-        members.push(Options {
-            dir,
-            env: shard_env,
-            block_cache: Some(cache.clone()),
-            ..base.clone()
-        });
+    for i in 0..n {
+        let dir = format!("{}/shard-{i:03}", base.dir);
+        let (env, space) = UsageEnv::wrap(raw.clone(), &format!("{dir}/"), None)?;
+        ledgers.push(space.clone());
+        members.push((
+            Options {
+                dir,
+                env,
+                ..base.clone()
+            },
+            space,
+        ));
     }
-    let usage: SpaceUsageFn = Arc::new(move || trackers.iter().map(|t| t.total()).sum());
+    let wiring = Wiring {
+        throttle,
+        usage: Arc::new(move || ledgers.iter().map(|t| t.total()).sum()),
+        cache,
+        shared_cache: true,
+        coordinated: true,
+    };
     let shards = members
         .into_iter()
-        .map(|opts| {
-            let wiring = Wiring {
-                throttle: throttle.clone(),
-                usage: usage.clone(),
-                coordinated: true,
-            };
-            Shard::open(opts, wiring)
-        })
+        .map(|(opts, space)| Shard::open(opts, space, &wiring))
         .collect::<Result<Vec<_>>>()?;
 
-    // All shards are open: roll forward every multi-shard batch whose
-    // 2PC prepare is still in the coordinator log (a shard may have lost
-    // its unsynced apply), then start a fresh log. The coordinator writes
-    // through the root usage wrapper so its log bytes count toward the
-    // global budget.
-    let coord = Coordinator::open(&root_env, &root, &shards)?;
-    base.env = root_env;
+    // All members are open: roll forward every multi-shard batch whose
+    // 2PC prepare is still in the coordinator log (a member may have lost
+    // its unsynced apply), then start a fresh log.
+    let coord = Coordinator::open(&base.env, &base.dir, &shards)?;
     Ok((shards, coord))
 }
 

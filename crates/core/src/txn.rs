@@ -402,7 +402,7 @@ impl Transaction {
 
 /// File name of the coordinator log under a sharded store's root. The name
 /// is substring-targetable by fault-injection rules (`"COORD"`).
-pub(crate) const COORD_LOG: &str = "COORDLOG";
+const COORD_LOG: &str = "COORDLOG";
 
 /// The barrier cadence under load: once the coordinator log exceeds this
 /// size, the shards are synced and the log is replaced by an empty one as

@@ -177,7 +177,7 @@ impl IoStatsSnapshot {
     }
 
     /// Add `other`'s per-class counters into `self` — used by the
-    /// sharded engine to fold per-shard metered snapshots into one
+    /// sharded engine to fold per-shard snapshots into one
     /// set-wide view.
     pub fn accumulate(&mut self, other: &IoStatsSnapshot) {
         for i in 0..NUM_IO_CLASSES {

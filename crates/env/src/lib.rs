@@ -13,16 +13,16 @@
 //! * [`FaultEnv`] — a deterministic, seeded fault-injection wrapper over
 //!   any env: injected errors, torn appends, fsyncgate semantics, and
 //!   power-loss crash simulation for the recovery test harness.
-//! * [`MeteredEnv`] — a transparent wrapper charging all I/O through it
-//!   to a private counter set; the sharded engine uses one per shard so
-//!   I/O can be attributed shard-by-shard instead of env-globally.
 //! * [`ReadaheadFile`] — a wrapper over one open file, not an env: a
 //!   one-shot forward scan (a compaction input) reads it in device-sized
 //!   spans plus one tail read instead of block by block.
-//! * [`UsageEnv`] — a transparent wrapper maintaining a live
-//!   [`SpaceTracker`] byte counter per file prefix, so the §III-D space
-//!   throttle admits writes with one atomic load instead of an O(files)
-//!   directory walk.
+//! * [`UsageEnv`] — the one accounting wrapper a store directory gets:
+//!   a live [`SpaceTracker`] size map of the files under its prefix, so
+//!   the §III-D space throttle admits writes with one atomic load and
+//!   `stats().space` needs no directory walk, plus a private [`IoStats`]
+//!   charged with all I/O through it, so a store — and each shard of a
+//!   sharded one — reports its own traffic instead of the env-global
+//!   counters.
 //!
 //! The trait surface is deliberately small (append-only writable files,
 //! positional reads, whole-file reads, rename/remove/list) — exactly what
@@ -35,7 +35,6 @@ pub mod fault;
 pub mod fs;
 pub mod io_stats;
 pub mod mem;
-pub mod metered;
 pub mod readahead;
 pub mod usage;
 
@@ -48,7 +47,6 @@ pub use fault::{FaultEnv, FaultKind, FaultOp, FaultRule, Trigger};
 pub use fs::FsEnv;
 pub use io_stats::{IoClass, IoStats, IoStatsSnapshot};
 pub use mem::MemEnv;
-pub use metered::MeteredEnv;
 pub use readahead::ReadaheadFile;
 pub use usage::{SpaceTracker, UsageEnv};
 
