@@ -12,9 +12,9 @@ use scavenger_env::{EnvRef, IoClass, RandomAccessFile};
 use scavenger_table::btable::{BTableReader, BlockCache};
 use scavenger_table::cache::cache_file_id;
 use scavenger_table::dtable::{DTableIter, DTableReader};
-use scavenger_table::props::TableProps;
-use scavenger_table::KeyCmp;
-use scavenger_util::{Error, Result};
+use scavenger_table::props::{TableProps, TableType};
+use scavenger_table::{read_tail, KeyCmp};
+use scavenger_util::Result;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -165,20 +165,24 @@ pub fn open_ktable(
 }
 
 /// [`open_ktable`] over an already-open file (a compaction input behind
-/// its read-ahead wrapper).
+/// its read-ahead wrapper). One tail read serves both the format check
+/// and the open.
 pub fn ktable_from_file(
     file: Arc<dyn RandomAccessFile>,
     cache_id: u64,
     cache: Option<Arc<BlockCache>>,
 ) -> Result<KTable> {
-    // Try DTable first: its open validates the table type cheaply.
-    match DTableReader::open(file.clone(), cache_id, cache.clone()) {
-        Ok(t) => Ok(KTable::D(t)),
-        Err(Error::Corruption(msg)) if msg == "not a DTable file" => Ok(KTable::B(
-            BTableReader::open(file, cache_id, cache, KeyCmp::Internal)?,
-        )),
-        Err(e) => Err(e),
-    }
+    let tail = read_tail(file.as_ref())?;
+    Ok(match tail.props().table_type {
+        TableType::DTable => KTable::D(DTableReader::from_tail(file, tail, cache_id, cache)?),
+        _ => KTable::B(BTableReader::from_tail(
+            file,
+            tail,
+            cache_id,
+            cache,
+            KeyCmp::Internal,
+        )?),
+    })
 }
 
 /// Number of independent reader-map shards. Mirrors the block cache's
@@ -313,6 +317,22 @@ mod tests {
         assert!(t1.get(&target).unwrap().is_some());
         let target = make_internal_key(b"k2", 100, ValueType::ValueRef);
         assert!(t2.get(&target).unwrap().is_some());
+    }
+
+    /// A key SST's tail serves both the format check and the open: one
+    /// device read per open, whichever the format.
+    #[test]
+    fn opening_either_format_reads_its_tail_once() {
+        let env: EnvRef = MemEnv::shared();
+        write_btable(&env, "db", 1);
+        write_dtable(&env, "db", 2);
+        for (number, dtable) in [(1, false), (2, true)] {
+            let before = env.io_stats().snapshot();
+            let t = open_ktable(&env, "db", number, 0, None, IoClass::FgIndexRead).unwrap();
+            let d = env.io_stats().snapshot().delta(&before);
+            assert_eq!(matches!(t, KTable::D(_)), dtable);
+            assert_eq!(d.total_read_ops(), 1, "table {number}");
+        }
     }
 
     #[test]

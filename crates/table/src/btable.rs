@@ -17,7 +17,7 @@ use crate::cache::{CacheKey, CachePriority, LruCache};
 use crate::filter::{BloomBuilder, BloomReader};
 use crate::handle::BlockHandle;
 use crate::props::{meta_keys, TableProps, TableType, ValueDep};
-use crate::tail::{read_tail, write_tail};
+use crate::tail::{read_tail, write_tail, Tail};
 use crate::{BlockKind, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
@@ -302,7 +302,18 @@ impl BTableReader {
         cache: Option<Arc<BlockCache>>,
         cmp: KeyCmp,
     ) -> Result<BTableReader> {
-        let mut tail = read_tail(file.as_ref())?;
+        let tail = read_tail(file.as_ref())?;
+        BTableReader::from_tail(file, tail, file_number, cache, cmp)
+    }
+
+    /// [`open`](Self::open) with `file`'s tail already read.
+    pub fn from_tail(
+        file: Arc<dyn RandomAccessFile>,
+        mut tail: Tail,
+        file_number: u64,
+        cache: Option<Arc<BlockCache>>,
+        cmp: KeyCmp,
+    ) -> Result<BTableReader> {
         let filter = tail.meta_block(file.as_ref(), meta_keys::FILTER)?;
         Ok(BTableReader {
             fetcher: BlockFetcher {

@@ -29,7 +29,7 @@ use crate::btable::{
 use crate::cache::CachePriority;
 use crate::filter::{BloomBuilder, BloomReader};
 use crate::props::{meta_keys, TableProps, TableType};
-use crate::tail::{read_tail, write_tail};
+use crate::tail::{read_tail, write_tail, Tail};
 use crate::{BlockKind, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
@@ -194,7 +194,17 @@ impl DTableReader {
         file_number: u64,
         cache: Option<Arc<BlockCache>>,
     ) -> Result<DTableReader> {
-        let mut tail = read_tail(file.as_ref())?;
+        let tail = read_tail(file.as_ref())?;
+        DTableReader::from_tail(file, tail, file_number, cache)
+    }
+
+    /// [`open`](Self::open) with `file`'s tail already read.
+    pub fn from_tail(
+        file: Arc<dyn RandomAccessFile>,
+        mut tail: Tail,
+        file_number: u64,
+        cache: Option<Arc<BlockCache>>,
+    ) -> Result<DTableReader> {
         if tail.props.table_type != TableType::DTable {
             return Err(Error::corruption("not a DTable file"));
         }

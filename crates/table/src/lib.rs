@@ -38,7 +38,7 @@ pub mod props;
 pub mod rtable;
 mod tail;
 
-pub use tail::TAIL_PREFETCH;
+pub use tail::{read_tail, Tail, TAIL_PREFETCH};
 
 use std::cmp::Ordering;
 

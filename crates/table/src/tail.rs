@@ -58,7 +58,11 @@ pub const TAIL_PREFETCH: usize = 16 * 1024;
 /// properties, where its other meta blocks are — and the prefetched
 /// bytes they are served from, which go away with the `Tail` (every
 /// block handed out is a copy, so a reader never pins the prefetch).
-pub(crate) struct Tail {
+///
+/// Each reader opens from one (`from_tail`), so a caller that must look
+/// at the properties first — which format is this key SST? — reads the
+/// tail once, not once per guess.
+pub struct Tail {
     pub(crate) index: Block,
     pub(crate) props: TableProps,
     /// Bytes of the footer and of every block handed out so far, with
@@ -101,7 +105,7 @@ fn tail_block(
 /// metaindex → properties out of that buffer, each block checksummed as
 /// if it had been read on its own. A block the prefetch does not cover
 /// (the top index of a very large table) costs one exact read more.
-pub(crate) fn read_tail(file: &dyn RandomAccessFile) -> Result<Tail> {
+pub fn read_tail(file: &dyn RandomAccessFile) -> Result<Tail> {
     let len = file.len();
     if len < FOOTER_LEN as u64 {
         return Err(Error::corruption("file too small for footer"));
@@ -129,6 +133,11 @@ pub(crate) fn read_tail(file: &dyn RandomAccessFile) -> Result<Tail> {
 }
 
 impl Tail {
+    /// The table's properties.
+    pub fn props(&self) -> &TableProps {
+        &self.props
+    }
+
     /// The meta block stored under `name`, if the table has one.
     pub(crate) fn meta_block(
         &mut self,
