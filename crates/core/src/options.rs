@@ -306,7 +306,6 @@ impl Options {
         o.memtable_size = self.memtable_size;
         o.base_level_bytes = self.base_level_bytes;
         o.target_file_size = self.ksst_target_size;
-        o.block_cache_bytes = self.block_cache_bytes;
         o.compensated = self.features.compensated;
         o.ktable_format = if self.features.dtable_index {
             KTableFormat::DTable

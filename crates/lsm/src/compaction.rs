@@ -18,7 +18,7 @@
 use crate::filename::table_path;
 use crate::hooks::{DropCause, ValueEditBundle, ValueSession};
 use crate::iter::InternalIterator;
-use crate::options::{KTableFormat, LsmOptions};
+use crate::options::{KTableFormat, LsmOptions, NUM_LEVELS};
 use crate::version::{FileMetaData, Version};
 use bytes::Bytes;
 use scavenger_env::IoClass;
@@ -54,11 +54,10 @@ pub const LEVEL_MULTIPLIER: u64 = 10;
 
 /// Compute dynamic level targets from the bottommost level's actual size.
 pub fn compute_targets(version: &Version, opts: &LsmOptions) -> LevelTargets {
-    let num_levels = opts.num_levels;
-    let last = num_levels - 1;
+    let last = NUM_LEVELS - 1;
     let mult = LEVEL_MULTIPLIER;
     let base = opts.base_level_bytes.max(1);
-    let mut targets = vec![0u64; num_levels];
+    let mut targets = vec![0u64; NUM_LEVELS];
     // The last level's "target" is its actual size: it is never a
     // compaction source by score.
     let last_size = level_units(version, last, opts.compensated);
@@ -140,10 +139,10 @@ pub struct PickerState {
 }
 
 impl PickerState {
-    /// Create state for `num_levels` levels.
-    pub fn new(num_levels: usize) -> Self {
+    /// Create state for [`NUM_LEVELS`] levels.
+    pub fn new() -> Self {
         PickerState {
-            cursors: vec![Vec::new(); num_levels],
+            cursors: vec![Vec::new(); NUM_LEVELS],
         }
     }
 }
@@ -177,7 +176,7 @@ pub fn pick_compaction(
     state: &mut PickerState,
 ) -> Option<Compaction> {
     let targets = compute_targets(version, opts);
-    let last = opts.num_levels - 1;
+    let last = NUM_LEVELS - 1;
 
     // Score every candidate source level.
     let mut best: Option<(f64, usize)> = None;
@@ -794,18 +793,18 @@ mod tests {
         }
     }
 
-    fn version_with(files: Vec<(usize, FileMetaData)>, levels: usize) -> Version {
+    fn version_with(files: Vec<(usize, FileMetaData)>) -> Version {
         let edit = VersionEdit {
             added: files,
             ..VersionEdit::default()
         };
-        Version::empty(levels).apply(&edit).unwrap()
+        Version::empty().apply(&edit).unwrap()
     }
 
     #[test]
     fn targets_small_db_uses_last_level() {
         let o = opts();
-        let v = version_with(vec![(6, meta_sized(1, b"a", b"z", 1 << 20, 0))], 7);
+        let v = version_with(vec![(6, meta_sized(1, b"a", b"z", 1 << 20, 0))]);
         let t = compute_targets(&v, &o);
         assert_eq!(t.base_level, 6, "small DB: everything at the last level");
     }
@@ -816,7 +815,7 @@ mod tests {
         o.base_level_bytes = 1 << 20; // 1 MiB
                                       // Last level 200 MiB -> L5 target 20 MiB -> L4 target 2 MiB -> L3
                                       // would be 0.2 MiB < base, so base_level = 4.
-        let v = version_with(vec![(6, meta_sized(1, b"a", b"z", 200 << 20, 0))], 7);
+        let v = version_with(vec![(6, meta_sized(1, b"a", b"z", 200 << 20, 0))]);
         let t = compute_targets(&v, &o);
         assert_eq!(t.base_level, 4);
         assert_eq!(t.targets[5], 20 << 20);
@@ -832,7 +831,7 @@ mod tests {
             (6, meta_sized(2, b"g", b"m", 1 << 10, 100 << 20)),
             (6, meta_sized(3, b"n", b"z", 1 << 10, 100 << 20)),
         ];
-        let v = version_with(files, 7);
+        let v = version_with(files);
         let mut o = opts();
         o.base_level_bytes = 1 << 20;
         o.compensated = false;
@@ -848,9 +847,9 @@ mod tests {
         for i in 0..4 {
             files.push((0usize, meta_sized(10 + i, b"a", b"z", 1 << 10, 0)));
         }
-        let v = version_with(files, 7);
+        let v = version_with(files);
         let o = opts();
-        let mut st = PickerState::new(7);
+        let mut st = PickerState::new();
         let c = pick_compaction(&v, &o, &mut st).expect("L0 trigger");
         assert_eq!(c.level, 0);
         assert_eq!(c.inputs_lo.len(), 4);
@@ -860,9 +859,9 @@ mod tests {
 
     #[test]
     fn picker_quiet_below_trigger() {
-        let v = version_with(vec![(0, meta_sized(1, b"a", b"z", 1 << 10, 0))], 7);
+        let v = version_with(vec![(0, meta_sized(1, b"a", b"z", 1 << 10, 0))]);
         let o = opts();
-        let mut st = PickerState::new(7);
+        let mut st = PickerState::new();
         assert!(pick_compaction(&v, &o, &mut st).is_none());
     }
 
@@ -878,8 +877,8 @@ mod tests {
             (5, meta_sized(3, b"g", b"i", 1 << 10, 1 << 20)),
             (6, meta_sized(4, b"a", b"z", 1 << 20, 100 << 20)),
         ];
-        let v = version_with(files, 7);
-        let mut st = PickerState::new(7);
+        let v = version_with(files);
+        let mut st = PickerState::new();
         let c = pick_compaction(&v, &o, &mut st).expect("over target");
         assert_eq!(c.level, 5);
         assert_eq!(c.inputs_lo[0].file_number, 2, "densest file first");

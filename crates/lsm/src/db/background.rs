@@ -9,7 +9,7 @@ use crate::compaction::{
 use crate::filename::{parse_path, table_path, FileKind};
 use crate::hooks::{JobKind, PassthroughSession, ValueEditBundle, ValueSession};
 use crate::iter::{InternalIterator, MergingIter, TableEntryIter, VecIter};
-use crate::options::BackgroundMode;
+use crate::options::{BackgroundMode, NUM_LEVELS};
 use crate::tcache::ktable_from_file;
 use crate::version::{ManifestLeader, Version, VersionEdit};
 use crate::view::SuperVersion;
@@ -209,7 +209,7 @@ impl Lsm {
             Some(Compaction::new(&version, 0, output_level, inputs, 0.0))
         } else {
             // Densest non-bottom level.
-            (1..opts.num_levels - 1)
+            (1..NUM_LEVELS - 1)
                 .filter(|&l| !version.levels[l].is_empty())
                 .max_by_key(|&l| level_units(&version, l, opts.compensated))
                 .map(|level| {

@@ -26,7 +26,7 @@ impl Lsm {
     pub fn open(opts: LsmOptions) -> Result<(Lsm, Vec<crate::hooks::ValueEditBundle>)> {
         let env = opts.env.clone();
         env.create_dir_all(&opts.dir)?;
-        let recovered = VersionSet::open(env.clone(), &opts.dir, opts.num_levels)?;
+        let recovered = VersionSet::open(env.clone(), &opts.dir)?;
         let vset = recovered.vset;
         let value_replay = recovered.value_replay;
         let seq = vset.seq_counter();
@@ -50,12 +50,12 @@ impl Lsm {
             cdc,
             wal: GroupCommit::new(Default::default()),
             read_points: ReadPointRegistry::new(seq.clone()),
-            sv: RwLock::new(Arc::new(SuperVersion::empty(opts.num_levels))),
+            sv: RwLock::new(Arc::new(SuperVersion::empty())),
             sv_install: Mutex::new(()),
             bg_work: Mutex::new(()),
             seq,
             file_counter,
-            picker: Mutex::new(PickerState::new(opts.num_levels)),
+            picker: Mutex::new(PickerState::new()),
             counters: LsmCounters::default(),
             bg_signal: Mutex::new(Default::default()),
             bg_cv: Condvar::new(),

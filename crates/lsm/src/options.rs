@@ -32,6 +32,9 @@ pub enum BackgroundMode {
 /// (RocksDB's `level0_file_num_compaction_trigger`, which the paper's
 /// §IV-A setup leaves at 4).
 pub const L0_TRIGGER: usize = 4;
+/// Number of levels in the index tree (RocksDB's default, which the
+/// paper's §IV-A setup keeps).
+pub const NUM_LEVELS: usize = 7;
 /// Default key-SST data block size (paper §IV-A: 4 KB).
 pub const BLOCK_SIZE: usize = 4096;
 /// Bloom-filter bits per key for every key SST (paper §IV-A: 10).
@@ -51,8 +54,6 @@ pub struct LsmOptions {
     /// `max_bytes_for_level_base`: target size of the base level
     /// (interpreted in *compensated* units when `compensated` is set).
     pub base_level_bytes: u64,
-    /// Number of levels (RocksDB default: 7).
-    pub num_levels: usize,
     /// Target key-SST file size for compaction outputs.
     pub target_file_size: u64,
     /// Data block size for key SSTs.
@@ -117,7 +118,6 @@ impl LsmOptions {
             memtable_size: 256 * 1024,
             l0_trigger: L0_TRIGGER,
             base_level_bytes: 4 * 1024 * 1024,
-            num_levels: 7,
             target_file_size: 256 * 1024,
             block_size: BLOCK_SIZE,
             ktable_format: KTableFormat::BTable,
@@ -157,7 +157,7 @@ mod tests {
         let opts = LsmOptions::new(MemEnv::shared(), "db");
         assert_eq!(opts.memtable_size, 256 * 1024);
         assert_eq!(crate::compaction::LEVEL_MULTIPLIER, 10);
-        assert_eq!(opts.num_levels, 7);
+        assert_eq!(NUM_LEVELS, 7);
         assert_eq!((opts.l0_trigger, L0_TRIGGER), (4, 4));
         assert_eq!((opts.block_size, BLOCK_SIZE), (4096, 4096));
         assert_eq!(crate::db::MAX_IMM_MEMTABLES, 2);

@@ -15,6 +15,7 @@
 use crate::filename::{current_path, manifest_path};
 use crate::group::{GroupCommit, GroupLeader, Logged};
 use crate::hooks::{NewValueFile, ValueEditBundle};
+use crate::options::NUM_LEVELS;
 use crate::wal::{read_all_records, LogWriter};
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_table::props::ValueDep;
@@ -264,10 +265,10 @@ pub struct Version {
 }
 
 impl Version {
-    /// An empty version with `num_levels` levels.
-    pub fn empty(num_levels: usize) -> Version {
+    /// An empty version with [`NUM_LEVELS`] levels.
+    pub fn empty() -> Version {
         Version {
-            levels: vec![Vec::new(); num_levels],
+            levels: vec![Vec::new(); NUM_LEVELS],
         }
     }
 
@@ -406,7 +407,6 @@ impl Version {
 pub struct VersionSet {
     env: EnvRef,
     dir: String,
-    num_levels: usize,
     current: Arc<Version>,
     next_file: Arc<AtomicU64>,
     last_seq: Arc<AtomicU64>,
@@ -435,9 +435,9 @@ pub struct RecoveredState {
 
 impl VersionSet {
     /// Open or create the version set in `dir`.
-    pub fn open(env: EnvRef, dir: &str, num_levels: usize) -> Result<RecoveredState> {
+    pub fn open(env: EnvRef, dir: &str) -> Result<RecoveredState> {
         env.create_dir_all(dir)?;
-        let mut version = Version::empty(num_levels);
+        let mut version = Version::empty();
         let mut next_file: u64 = 1;
         let mut last_seq: SeqNo = 0;
         let mut log_number: u64 = 0;
@@ -493,7 +493,6 @@ impl VersionSet {
         let mut vset = VersionSet {
             env,
             dir: dir.to_string(),
-            num_levels,
             current,
             next_file: Arc::new(AtomicU64::new(next_file)),
             last_seq: Arc::new(AtomicU64::new(last_seq)),
@@ -510,11 +509,6 @@ impl VersionSet {
     /// The live version.
     pub fn current(&self) -> Arc<Version> {
         self.current.clone()
-    }
-
-    /// Number of configured levels.
-    pub fn num_levels(&self) -> usize {
-        self.num_levels
     }
 
     /// Shared next-file-number counter (for
@@ -601,7 +595,7 @@ impl VersionSet {
                 "manifest {mpath} has a corrupt record"
             )));
         }
-        let mut version = Version::empty(self.num_levels);
+        let mut version = Version::empty();
         for rec in records {
             let edit = VersionEdit::decode(&rec)?;
             version = version.apply(&edit)?;
@@ -785,7 +779,7 @@ mod tests {
 
     #[test]
     fn version_apply_adds_and_deletes() {
-        let v0 = Version::empty(7);
+        let v0 = Version::empty();
         let mut edit = VersionEdit::default();
         edit.added.push((0, meta(1, b"a", b"m")));
         edit.added.push((0, meta(2, b"n", b"z")));
@@ -807,7 +801,7 @@ mod tests {
 
     #[test]
     fn version_queries() {
-        let v0 = Version::empty(7);
+        let v0 = Version::empty();
         let mut edit = VersionEdit::default();
         edit.added.push((1, meta(1, b"a", b"f")));
         edit.added.push((1, meta(2, b"m", b"p")));
@@ -828,7 +822,7 @@ mod tests {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
         {
-            let rec = VersionSet::open(eref.clone(), "db", 7).unwrap();
+            let rec = VersionSet::open(eref.clone(), "db").unwrap();
             let vset = Manifest::new(rec.vset);
             assert!(rec.value_replay.is_empty());
             let n1 = vset.lock().log.new_file_number();
@@ -849,7 +843,7 @@ mod tests {
             vset.log_and_apply(edit2).unwrap();
         }
         // Reopen: file layout, counters, and value history must survive.
-        let rec = VersionSet::open(eref, "db", 7).unwrap();
+        let rec = VersionSet::open(eref, "db").unwrap();
         assert_eq!(rec.vset.current().num_files(0), 1);
         assert_eq!(rec.vset.last_sequence(), 500);
         assert_eq!(rec.value_replay.len(), 2);
@@ -864,7 +858,7 @@ mod tests {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
         {
-            let vset = Manifest::new(VersionSet::open(eref.clone(), "db", 7).unwrap().vset);
+            let vset = Manifest::new(VersionSet::open(eref.clone(), "db").unwrap().vset);
             let mut edit = VersionEdit::default();
             edit.value.new_files.push(NewValueFile {
                 file: 5,
@@ -877,7 +871,7 @@ mod tests {
             vset.log_and_apply(edit).unwrap();
         }
         for _ in 0..3 {
-            let rec = VersionSet::open(eref.clone(), "db", 7).unwrap();
+            let rec = VersionSet::open(eref.clone(), "db").unwrap();
             assert_eq!(rec.value_replay.len(), 1, "history must not duplicate");
         }
     }
@@ -886,7 +880,7 @@ mod tests {
     fn corrupt_current_is_reported() {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
-        let _ = VersionSet::open(eref.clone(), "db", 7).unwrap();
+        let _ = VersionSet::open(eref.clone(), "db").unwrap();
         // Overwrite CURRENT with garbage.
         {
             let mut w = eref
@@ -895,7 +889,7 @@ mod tests {
             w.append(b"not-a-manifest-name").unwrap();
             w.sync().unwrap();
         }
-        assert!(VersionSet::open(eref, "db", 7).is_err());
+        assert!(VersionSet::open(eref, "db").is_err());
     }
 
     #[test]
@@ -904,7 +898,7 @@ mod tests {
         let eref: EnvRef = env.clone();
         let manifest_path_str;
         {
-            let vset = Manifest::new(VersionSet::open(eref.clone(), "db", 7).unwrap().vset);
+            let vset = Manifest::new(VersionSet::open(eref.clone(), "db").unwrap().vset);
             manifest_path_str = manifest_path("db", vset.lock().log.manifest_number());
             let mut e1 = VersionEdit::default();
             e1.added
@@ -920,7 +914,7 @@ mod tests {
         env.truncate_file(&manifest_path_str, len - 3).unwrap();
         // Recovery keeps the intact prefix: at least the first add-file
         // edit survives; the torn one is dropped cleanly.
-        let rec = VersionSet::open(eref, "db", 7).unwrap();
+        let rec = VersionSet::open(eref, "db").unwrap();
         let files = rec.vset.current().num_files(0);
         assert!(files >= 1, "prefix edits recovered, got {files} files");
         assert!(files <= 2);
@@ -930,7 +924,7 @@ mod tests {
     fn current_pointer_is_atomic_swap() {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
-        let _ = VersionSet::open(eref.clone(), "db", 7).unwrap();
+        let _ = VersionSet::open(eref.clone(), "db").unwrap();
         let cur = eref
             .read_file(&current_path("db"), IoClass::Manifest)
             .unwrap();

@@ -72,11 +72,11 @@ pub(crate) struct Imm {
 
 impl SuperVersion {
     /// An empty superversion (fresh tree).
-    pub(crate) fn empty(num_levels: usize) -> SuperVersion {
+    pub(crate) fn empty() -> SuperVersion {
         SuperVersion {
             mem: Arc::new(Memtable::new()),
             imms: Vec::new(),
-            version: Arc::new(Version::empty(num_levels)),
+            version: Arc::new(Version::empty()),
         }
     }
 }
