@@ -51,13 +51,12 @@ use crate::txn::{Coordinator, InFlight};
 use crate::view::{ReadOptions, ReadPin, ReadView, Snapshot, WriteOptions, WriteReceipt};
 use crate::{EngineMode, Options};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use scavenger_env::SpaceTracker;
 use scavenger_lsm::WriteBatch;
 use scavenger_table::btable::BlockCache;
 use scavenger_util::ikey::ValueType;
 use scavenger_util::{Error, Result};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One entry produced by a range scan.
@@ -365,8 +364,8 @@ impl Db {
     }
 
     /// Take a consistent snapshot: an RAII handle owning a registered
-    /// view per member, which also gates snapshot-aware GC policy (e.g.
-    /// Titan's defer-while-snapshots-exist rule). Dropping it
+    /// view per member. It pins exactly what a [`view`](Db::view) pins
+    /// and is counted in [`DbStats::live_snapshots`]. Dropping it
     /// unregisters every member's read point.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -480,7 +479,8 @@ impl Db {
     }
 
     /// Run `f` over every member, fanning across up to
-    /// [`gc_threads`](crate::Options::gc_threads) scoped workers;
+    /// [`gc_threads`](crate::Options::gc_threads) scoped workers
+    /// ([`parallel_map_ordered`](crate::gc_exec::parallel_map_ordered));
     /// `gc_threads = 1` and a set of one degenerate to a sequential
     /// sweep. Results are returned in shard order; the first error wins.
     fn for_each_shard<R, F>(&self, f: F) -> Result<Vec<R>>
@@ -488,29 +488,7 @@ impl Db {
         R: Send,
         F: Fn(&Shard) -> Result<R> + Sync,
     {
-        let shards = &self.inner.shards;
-        let workers = self.inner.opts.gc_threads.clamp(1, shards.len());
-        if workers == 1 {
-            return shards.iter().map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<R>>>> =
-            shards.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= shards.len() {
-                        break;
-                    }
-                    *slots[i].lock() = Some(f(&shards[i]));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("worker filled every slot"))
-            .collect()
+        crate::gc_exec::parallel_map_ordered(&self.inner.shards, self.inner.opts.gc_threads, f)
     }
 
     // ---------------- introspection ----------------

@@ -42,7 +42,7 @@
 //! | **GC-Lookup** | step ② | every pending record is validated against the index LSM-tree at each read point |
 //! | **Fetch** | step ③ | surviving values are fetched (lazy), survivors within [`GC_COALESCE`] of each other in one I/O; the per-file reads fan out across the `gc_threads` pool, merged in deterministic file order |
 //! | **Write** | step ④ | survivors are appended one by one to the job's `RouteWriters` (`vstore::route`), which routes hot/cold, rolls files at the size target and deletes its files if the job fails |
-//! | **Publish** | Titan: Write-Index | keyed schemes: one manifest edit retires the candidates and records inheritance. Titan: commit the new files, push the new addresses through the write path, queue the candidates for deletion behind a read-point barrier |
+//! | **Publish** | Titan: Write-Index | keyed schemes: one manifest edit deletes the candidates and records inheritance. Titan: commit the new files, push the new addresses through the write path, retire the candidates (`ValueStore::retire`) behind a read-point barrier |
 //!
 //! Steps ②–④ of every job *overlap* once the job is larger than one
 //! batch: the pending set is split into contiguous batches of
@@ -86,7 +86,6 @@ use crate::vstore::route::{Route, RouteWriters};
 use crate::vstore::vtable::{parse_record_key, VReader, ValueAt};
 use crate::vstore::{ValueStore, VsstMeta, GC_COALESCE};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use scavenger_env::IoClass;
 use scavenger_lsm::{
     BatchReader, GuardedWrite, Lsm, NewValueFile, Precondition, ValueEditBundle, WriteBatch,
@@ -201,21 +200,6 @@ pub struct GcRunner {
     vstore: Arc<ValueStore>,
     dropcache: Arc<DropCache>,
     stats: Arc<GcStats>,
-    /// Write-back (Titan) GC cannot preserve superseded versions through
-    /// inheritance, so collected blob files are deleted *deferred*: only
-    /// once no registered read point predates the job's write-back
-    /// barrier (see [`GcRunner::reap_deferred`]). Empty under every
-    /// other scheme.
-    deferred: Mutex<Vec<DeferredDeletion>>,
-}
-
-/// Blob files awaiting deletion until every read point that could still
-/// address them has drained.
-struct DeferredDeletion {
-    /// Sequence of the GC job's write-back commit: readers at or above it
-    /// observe the relocated references.
-    barrier: SeqNo,
-    files: Vec<u64>,
 }
 
 /// A record read from a candidate file (step ①), awaiting validation.
@@ -293,14 +277,15 @@ impl GcRunner {
             vstore,
             dropcache,
             stats,
-            deferred: Mutex::new(Vec::new()),
         }
     }
 
-    /// Run one GC job if any file crosses `threshold`. Returns `None` when
-    /// there is nothing to collect (or the scheme has no standalone GC).
+    /// Reap what the read points have released (`ValueStore::reap`), then
+    /// run one GC job if any file crosses `threshold`. Returns `None`
+    /// when there is nothing to collect (or the scheme has no standalone
+    /// GC).
     pub fn run_once(&self, lsm: &Lsm, threshold: f64) -> Result<Option<GcOutcome>> {
-        self.reap_deferred(lsm)?;
+        self.vstore.reap(lsm)?;
         match self.features.gc {
             GcScheme::CompactionTriggered => Ok(None),
             GcScheme::NoWriteback | GcScheme::Writeback => self.collect(lsm, threshold),
@@ -309,6 +294,21 @@ impl GcRunner {
 
     fn writeback(&self) -> bool {
         self.features.gc == GcScheme::Writeback
+    }
+
+    /// [`gc_exec::parallel_map_ordered`] over the `gc_threads` pool,
+    /// counting the workers it dispatches into
+    /// [`GcStats::fetch_parallel_jobs`](crate::stats::GcStats).
+    fn fan_out<T, R>(&self, jobs: &[T], f: impl Fn(&T) -> Result<R> + Sync) -> Result<Vec<R>>
+    where
+        T: Sync,
+        R: Send,
+    {
+        let workers = gc_exec::workers(jobs.len(), self.cfg.threads);
+        if workers > 1 {
+            self.stats.add(|g| g.fetch_parallel_jobs += workers as u64);
+        }
+        gc_exec::parallel_map_ordered(jobs, self.cfg.threads, f)
     }
 
     /// Step ① **Read** over `files`. Lazy Read walks an RTable's dense
@@ -321,10 +321,8 @@ impl GcRunner {
         // does not carry.
         let lazy = |m: &VsstMeta| m.format == VFormat::RTable && !self.writeback();
         let scanned: Vec<u64> = files.iter().filter(|m| !lazy(m)).map(|m| m.file).collect();
-        let mut scans =
-            gc_exec::parallel_map_ordered(&scanned, self.cfg.threads, &self.stats, |&file| {
-                self.vstore.gc_scan(file)
-            })?
+        let mut scans = self
+            .fan_out(&scanned, |&file| self.vstore.gc_scan(file))?
             .into_iter();
         let mut out = ReadOut::default();
         for meta in files {
@@ -431,26 +429,11 @@ impl GcRunner {
     /// steps ①–④, then the scheme's [`publish`](Self::publish) step.
     fn collect(&self, lsm: &Lsm, threshold: f64) -> Result<Option<GcOutcome>> {
         let writeback = self.writeback();
-        // Titan gates blob deletion on the oldest snapshot; we take the
-        // conservative equivalent and defer GC while snapshots exist.
-        if writeback && !lsm.snapshot_sequences().is_empty() {
-            return Ok(None);
-        }
-        // ---- Pick. Files already collected but awaiting barrier-gated
-        // deletion (write-back only) must not be re-picked: their records
-        // are dead in the index, so a second pass would churn without
-        // reclaiming anything ----
-        let in_flight: Vec<u64> = self
-            .deferred
-            .lock()
-            .iter()
-            .flat_map(|d| d.files.clone())
-            .collect();
+        // ---- Pick ----
         let candidates: Vec<_> = self
             .vstore
             .gc_candidates(threshold)
             .into_iter()
-            .filter(|m| !in_flight.contains(&m.file))
             .take(self.cfg.batch_files.max(1))
             .collect();
         if candidates.is_empty() {
@@ -623,7 +606,7 @@ impl GcRunner {
         let asked: u64 = wants.iter().map(|w| w.at.fetch_len()).sum();
         let mut fetched = fetch::fetch(&wants, GC_COALESCE, &|n, run| {
             let jobs: Vec<usize> = (0..n).collect();
-            gc_exec::parallel_map_ordered(&jobs, self.cfg.threads, &self.stats, |&j| run(j))
+            self.fan_out(&jobs, |&j| run(j))
         })?
         .into_iter();
         drop(wants);
@@ -640,8 +623,9 @@ impl GcRunner {
         Ok((records, asked))
     }
 
-    /// The job's last step. Keyed schemes retire the candidates in one manifest edit that
-    /// records inheritance instead of rewriting index entries (§II-B).
+    /// The job's last step. Keyed schemes delete the candidates in one
+    /// manifest edit that records inheritance instead of rewriting index
+    /// entries (§II-B).
     /// Write-back publishes through Titan's Write-Index step.
     fn publish(
         &self,
@@ -690,8 +674,8 @@ impl GcRunner {
         // (Titan's extra step, ~38% of GC time in the paper's Fig. 3) ----
         let t_wi = Instant::now();
         if !guarded.is_empty() {
-            // Write-back is durability-critical (old value files are
-            // queued for deletion below), so the default synced options.
+            // Write-back is durability-critical (the old value files are
+            // retired below), so the default synced options.
             lsm.write_checked(
                 &WriteOptions::default(),
                 WriteBatch::new(),
@@ -701,90 +685,15 @@ impl GcRunner {
         self.stats
             .add(|g| g.write_index_ns += t_wi.elapsed().as_nanos() as u64);
 
-        // ---- Queue deletion ----
-        // The collected files are only *queued* for deletion behind a
-        // barrier at the write-back commit sequence. Write-back has no
-        // inheritance edges, so an in-flight reader pinned below the
-        // barrier still resolves through the old file — deleting it now
-        // would dangle that read.
-        self.deferred.lock().push(DeferredDeletion {
-            barrier: lsm.last_sequence(),
-            files: sources.to_vec(),
-        });
-        // Release the job's own read-point pin, then try to reap: in the
-        // quiet case (no other readers in flight) the files are deleted
-        // at once.
+        // ---- Retire ----
+        // Write-back has no inheritance edges, so a reader pinned below
+        // the write-back commit still resolves through the collected
+        // files: they are retired behind that barrier, not deleted. With
+        // the job's own pin released, the reap unlinks them at once
+        // unless another reader is in flight.
+        self.vstore.retire(lsm.last_sequence(), sources.to_vec());
         drop(pin);
-        self.reap_deferred(lsm)
-    }
-
-    /// Delete deferred write-back candidates whose barrier has cleared:
-    /// no registered read point predates the job's write-back commit, so
-    /// no in-flight reader can still hold a pre-relocation reference.
-    ///
-    /// Entries that cannot be reaped — barrier not cleared, or the
-    /// manifest write failed — go back on the queue; an error never
-    /// drops the remaining entries (they would leak their disk files and
-    /// escape the job's re-pick exclusion).
-    fn reap_deferred(&self, lsm: &Lsm) -> Result<()> {
-        let mut pending = {
-            let mut deferred = self.deferred.lock();
-            if deferred.is_empty() {
-                return Ok(());
-            }
-            std::mem::take(&mut *deferred)
-        };
-        let oldest = lsm.oldest_read_point();
-        let mut kept = Vec::new();
-        let mut result = Ok(());
-        for d in pending.drain(..) {
-            if result.is_err() || oldest.is_some_and(|o| o < d.barrier) {
-                kept.push(d);
-                continue;
-            }
-            let bundle = ValueEditBundle {
-                deleted_files: d.files,
-                ..Default::default()
-            };
-            if let Err(e) = self.vstore.commit(lsm, &bundle) {
-                result = Err(e);
-                kept.push(DeferredDeletion {
-                    barrier: d.barrier,
-                    files: bundle.deleted_files,
-                });
-            }
-        }
-        if !kept.is_empty() {
-            self.deferred.lock().extend(kept);
-        }
-        result
-    }
-
-    /// Bytes of value files whose deletion waits on a live read point:
-    /// space no reclamation can free until that reader is gone. Under
-    /// BlobDB's compaction-triggered scheme these are the exhausted
-    /// files (see `Shard::reap_exhausted`); under Titan's write-back, the
-    /// collected files whose barrier the oldest read point has not
-    /// passed.
-    pub(crate) fn pinned_bytes(&self, lsm: &Lsm) -> u64 {
-        let Some(oldest) = lsm.oldest_read_point() else {
-            return 0;
-        };
-        let files = match self.features.gc {
-            GcScheme::CompactionTriggered => self.vstore.exhausted_files(),
-            GcScheme::NoWriteback | GcScheme::Writeback => self
-                .deferred
-                .lock()
-                .iter()
-                .filter(|d| oldest < d.barrier)
-                .flat_map(|d| d.files.clone())
-                .collect(),
-        };
-        files
-            .iter()
-            .filter_map(|&file| self.vstore.meta(file))
-            .map(|m| m.size)
-            .sum()
+        self.vstore.reap(lsm)
     }
 }
 

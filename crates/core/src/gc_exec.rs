@@ -16,7 +16,8 @@
 //!   per-file I/O jobs across scoped worker threads and returns results
 //!   in job order, so callers merge them deterministically regardless of
 //!   thread scheduling. Used by the Fetch phase (step ③, one job per
-//!   source value file) and by every whole-file Read (step ①).
+//!   source value file), by every whole-file Read (step ①), and by
+//!   [`Db`](crate::Db)'s fan-out of maintenance across its members.
 //! * **Inter-stage overlap** — [`run_overlapped`] threads batches of
 //!   [`PIPELINE_BATCH`] records through the ② → ③ → ④ stages over
 //!   bounded channels, so batch *k+1* validates while batch *k* fetches
@@ -181,24 +182,27 @@ where
     }
 }
 
-/// Run one fallible job per input across up to `threads` scoped workers,
-/// returning results **in input order** (worker scheduling never leaks
-/// into the output). Falls back to an inline loop when parallelism
-/// cannot help; each parallel worker dispatched is counted into
-/// [`GcStats::fetch_parallel_jobs`].
-pub(crate) fn parallel_map_ordered<T, R, F>(
-    jobs: &[T],
-    threads: usize,
-    stats: &GcStats,
-    f: F,
-) -> Result<Vec<R>>
+/// Scoped workers [`parallel_map_ordered`] spawns for `jobs` inputs on
+/// `threads` threads: one per contiguous chunk, 1 when it runs inline.
+pub(crate) fn workers(jobs: usize, threads: usize) -> usize {
+    match threads.clamp(1, jobs.max(1)) {
+        1 => 1,
+        threads => jobs.div_ceil(jobs.div_ceil(threads)),
+    }
+}
+
+/// Run one fallible job per input across up to `threads` scoped workers
+/// — one contiguous chunk of inputs each — returning results **in input
+/// order** (worker scheduling never leaks into the output); the first
+/// error in input order wins. Falls back to an inline loop when
+/// parallelism cannot help.
+pub(crate) fn parallel_map_ordered<T, R, F>(jobs: &[T], threads: usize, f: F) -> Result<Vec<R>>
 where
     T: Sync,
     R: Send,
-    F: Fn(&T) -> Result<R> + Send + Sync,
+    F: Fn(&T) -> Result<R> + Sync,
 {
-    let threads = threads.clamp(1, jobs.len().max(1));
-    if threads == 1 || jobs.len() <= 1 {
+    if workers(jobs.len(), threads) == 1 {
         return jobs.iter().map(&f).collect();
     }
     let chunk = jobs.len().div_ceil(threads);
@@ -208,12 +212,11 @@ where
             .chunks(chunk)
             .map(|range| scope.spawn(move || range.iter().map(f).collect::<Result<Vec<R>>>()))
             .collect();
-        stats.add(|g| g.fetch_parallel_jobs += handles.len() as u64);
         handles
             .into_iter()
             .map(|h| {
                 h.join()
-                    .unwrap_or_else(|_| Err(Error::internal("GC worker panicked")))
+                    .unwrap_or_else(|_| Err(Error::internal("fan-out worker panicked")))
             })
             .collect()
     });
@@ -325,19 +328,21 @@ mod tests {
 
     #[test]
     fn parallel_map_matches_serial_order() {
-        let stats = GcStats::default();
         let jobs: Vec<u64> = (0..37).collect();
-        let serial = parallel_map_ordered(&jobs, 1, &stats, |&x| Ok(x * 3)).unwrap();
-        let parallel = parallel_map_ordered(&jobs, 4, &stats, |&x| Ok(x * 3)).unwrap();
+        let serial = parallel_map_ordered(&jobs, 1, |&x| Ok(x * 3)).unwrap();
+        let parallel = parallel_map_ordered(&jobs, 4, |&x| Ok(x * 3)).unwrap();
         assert_eq!(serial, parallel);
-        assert_eq!(stats.snapshot().fetch_parallel_jobs, 4);
+        assert_eq!(workers(37, 4), 4);
+        assert_eq!(workers(5, 4), 3, "chunks of two");
+        assert_eq!(workers(1, 4), 1);
+        assert_eq!(workers(0, 4), 1);
+        assert_eq!(workers(9, 1), 1);
     }
 
     #[test]
     fn parallel_map_surfaces_errors() {
-        let stats = GcStats::default();
         let jobs: Vec<u64> = (0..16).collect();
-        let err = parallel_map_ordered(&jobs, 4, &stats, |&x| {
+        let err = parallel_map_ordered(&jobs, 4, |&x| {
             if x == 11 {
                 Err(Error::internal("fetch boom"))
             } else {

@@ -22,7 +22,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::SpaceTracker;
 use scavenger_lsm::filename::{parse_path, FileKind};
-use scavenger_lsm::{Lsm, LsmReadResult, LsmView, Precondition, ValueEditBundle, WriteBatch};
+use scavenger_lsm::{Lsm, LsmReadResult, LsmView, Precondition, WriteBatch};
 use scavenger_table::btable::BlockCache;
 use scavenger_util::ikey::{SeqNo, ValueRef, ValueType};
 use scavenger_util::{Error, Result};
@@ -62,7 +62,7 @@ pub(crate) struct ShardInner {
     /// The ledger of this member's directory: every file's size, kept
     /// current by the member's env on each append.
     space: Arc<SpaceTracker>,
-    /// Serializes GC jobs and exhausted-file reaping.
+    /// Serializes GC jobs and value-file reaping.
     gc_lock: Mutex<()>,
     /// Byte credits for paced auto-GC (see `Options::gc_bandwidth_factor`).
     pub(crate) gc_credits: Mutex<i64>,
@@ -124,7 +124,8 @@ impl Shard {
         };
         let vstore = Arc::new(
             ValueStore::new(opts.env.clone(), opts.dir.clone(), cache.clone())
-                .with_cache_namespace(cache_ns),
+                .with_cache_namespace(cache_ns)
+                .retiring_exhausted(opts.features.gc == GcScheme::CompactionTriggered),
         );
         let dropcache = Arc::new(DropCache::new(DROPCACHE_KEYS));
         let gc_stats = Arc::new(GcStats::default());
@@ -236,18 +237,14 @@ impl Shard {
     }
 
     /// Bytes held only because something pins them: WAL history
-    /// retained for registered change-stream subscribers, plus value
-    /// files whose deletion waits on a live read point
-    /// (`GcRunner::pinned_bytes`). Reclaiming cannot free these — the
+    /// retained for registered change-stream subscribers, plus retired
+    /// value files a live read point holds on disk (the value store's
+    /// retirement queue). Reclaiming cannot free these — the
     /// throttle discounts them when deciding whether stalling writers can
     /// still help.
     pub fn pinned_bytes(&self) -> u64 {
         let inner = &self.inner;
-        let gc = inner
-            .gc
-            .as_ref()
-            .map_or(0, |gc| gc.pinned_bytes(&inner.lsm));
-        inner.lsm.change_log().pinned_bytes() + gc
+        inner.lsm.change_log().pinned_bytes() + inner.vstore.pinned_bytes(&inner.lsm)
     }
 
     /// Space-aware throttling (paper §III-D): before admitting a write,
@@ -260,8 +257,8 @@ impl Shard {
         if !inner.throttle.over_limit((inner.usage)()) {
             return Ok(());
         }
-        // Discount pinned bytes (CDC-retained WAL history, read-point-
-        // deferred blob files): reclamation cannot touch them, so when
+        // Discount pinned bytes (CDC-retained WAL history, retired value
+        // files a reader holds): reclamation cannot touch them, so when
         // the *reclaimable* footprint is under the limit, stalling
         // writers on GC rounds would burn I/O for nothing.
         let reclaimable = || (inner.usage)().saturating_sub(self.pinned_bytes());
@@ -282,7 +279,6 @@ impl Shard {
                     progressed = true;
                 }
             }
-            self.reap_exhausted()?;
             if !progressed {
                 // No GC candidate yet: force compaction to expose hidden
                 // garbage, then try again.
@@ -302,13 +298,19 @@ impl Shard {
         Ok(())
     }
 
-    /// Reap exhausted blob files and run paced GC under the index tree's
+    /// Reap retired value files and run paced GC under the index tree's
     /// retry / degrade rule ([`Lsm::run_with_retries`]), which flush and
     /// compaction share.
     fn post_write_maintenance(&self) -> Result<()> {
-        self.inner.lsm.run_with_retries(|| {
-            self.reap_exhausted()?;
-            if self.inner.opts.auto_gc {
+        let inner = &self.inner;
+        inner.lsm.run_with_retries(|| {
+            // With nothing retired — every write of the keyed schemes —
+            // this takes no lock beyond the queue's own.
+            if inner.vstore.has_retired() {
+                let _g = inner.gc_lock.lock();
+                inner.vstore.reap(&inner.lsm)?;
+            }
+            if inner.opts.auto_gc {
                 self.run_paced_gc()?;
             }
             Ok(())
@@ -336,38 +338,6 @@ impl Shard {
         }
     }
 
-    /// BlobDB reclamation: delete blob files whose every record has been
-    /// exposed ("exhausted through compaction", §II-C).
-    ///
-    /// Deferred while *any* read point is registered: an in-flight view
-    /// may hold a pre-relocation superversion whose index entries still
-    /// address the exhausted file, and relocation happens inside
-    /// compaction without advancing the sequence — so no sequence
-    /// comparison can tell a safe reader from an endangered one. A
-    /// compaction charges its relocation garbage only after it installs
-    /// its superversion, so a reader registered after this check pins the
-    /// current (post-relocation) superversion and is safe. Exhaustion is monotonic, so
-    /// deferred files are reaped on a later quiet pass.
-    fn reap_exhausted(&self) -> Result<()> {
-        let inner = &self.inner;
-        if inner.opts.features.gc != GcScheme::CompactionTriggered {
-            return Ok(());
-        }
-        let _g = inner.gc_lock.lock();
-        if inner.lsm.oldest_read_point().is_some() {
-            return Ok(());
-        }
-        let exhausted = inner.vstore.exhausted_files();
-        if exhausted.is_empty() {
-            return Ok(());
-        }
-        let bundle = ValueEditBundle {
-            deleted_files: exhausted,
-            ..Default::default()
-        };
-        inner.vstore.commit(&inner.lsm, &bundle)
-    }
-
     // ---------------- reads ----------------
 
     /// Latest value of `key` in this member, or `None` if absent/deleted,
@@ -392,7 +362,8 @@ impl Shard {
         }
     }
 
-    /// A view registered as a snapshot (Titan's GC gate sees it).
+    /// A view registered as a snapshot (the `live_snapshots` gauge
+    /// counts it).
     pub(crate) fn snapshot_view(&self) -> ShardView {
         ShardView {
             view: self.inner.lsm.snapshot_view(),

@@ -207,11 +207,12 @@ macro_rules! db_stats {
             /// The oldest registered read point (gauge), or `None` when
             /// no reader is in flight. Everything visible at this
             /// sequence is preserved: compaction keeps the pinned
-            /// versions, no-writeback GC validates against it, Titan's
-            /// write-back GC holds collected blob files in its deferred
-            /// queue until no read point predates the relocation, and
-            /// BlobDB defers exhausted-file reaping entirely while it is
-            /// `Some`. A value that stays old for a long time is the
+            /// versions, GC validates against it, and a retired value
+            /// file — Titan's collected blob files, retired at their
+            /// write-back commit; BlobDB's exhausted ones, retired at
+            /// `MAX_SEQNO` — stays on disk while this is below its
+            /// barrier (see [`pinned_bytes`](DbStats::pinned_bytes)).
+            /// A value that stays old for a long time is the
             /// signature of a leaked view/snapshot — space cannot be
             /// reclaimed past it, which space-aware throttling (§III-D)
             /// will eventually surface as activations that cannot get
@@ -313,8 +314,8 @@ db_stats! {
     /// validation readers.
     pinned_views: sum, "scavenger_pinned_views", "gauge", "Transient read views currently registered.";
     /// User [`Snapshot`](crate::Snapshot)s currently registered (gauge).
-    /// Beyond pinning versions like any read point, snapshots gate
-    /// Titan's whole-job GC deferral.
+    /// A snapshot is a read point like a view; only this gauge tells
+    /// them apart.
     live_snapshots: sum, "scavenger_live_snapshots", "gauge", "User snapshots currently registered.";
     /// Background jobs that exhausted their transient-failure retries (or
     /// failed permanently) and degraded the engine to read-only mode.
@@ -375,8 +376,8 @@ db_stats! {
     /// the ring and took the catch-up path.
     cdc_catchup_reads: sum, "scavenger_cdc_catchup_reads_total", "counter", "Cursor polls served from retained WAL segments.";
     /// Bytes the engine is currently holding *only* because something
-    /// pins them — WAL history retained for change streams plus value
-    /// files whose reclamation is deferred by read points (gauge).
+    /// pins them — WAL history retained for change streams plus retired
+    /// value files a read point below their barrier holds (gauge).
     /// Space-aware throttling (§III-D) discounts these: reclamation
     /// cannot get rid of them, so stalling writers on them is pointless.
     pinned_bytes: sum, "scavenger_pinned_bytes", "gauge", "Bytes held only because a subscriber or read point pins them.";

@@ -99,9 +99,9 @@ impl ReadView {
 /// registered [`ReadView`]. Dropping the snapshot unregisters its
 /// sequences and releases the pinned structures.
 ///
-/// Unlike a transient [`ReadView`], a snapshot also participates in
-/// snapshot-specific GC policy (e.g. Titan-style write-back GC defers
-/// whole jobs while snapshots exist).
+/// It holds exactly what a [`ReadView`] holds — GC runs under it and
+/// defers only the unlink of what it retires — and is counted in
+/// [`DbStats::live_snapshots`](crate::DbStats::live_snapshots).
 pub struct Snapshot {
     pub(crate) view: ReadView,
 }

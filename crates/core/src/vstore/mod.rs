@@ -10,6 +10,14 @@
 //! It is also the only place a value file is written: every producer
 //! (flush, BlobDB relocation, both GC schemes) appends through
 //! `route::RouteWriters`, the one caller of [`vtable::VWriter::create`].
+//!
+//! And the only place one is unlinked late. Where a scheme cannot let
+//! go of a file at once — Titan after its write-back, BlobDB once
+//! compaction has exhausted a blob file (§II-B, §II-C) — it
+//! retires the file behind a read-point barrier (`ValueStore::retire`);
+//! `ValueStore::reap` unlinks what the oldest read point has
+//! passed. The GC candidate list, the pinned-bytes gauge and the
+//! throttle's discount all read that one queue.
 
 pub(crate) mod fetch;
 pub mod inherit;
@@ -20,13 +28,13 @@ use crate::options::VFormat;
 use bytes::Bytes;
 use fetch::Want;
 use inherit::InheritForest;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_lsm::{Lsm, NewValueFile, ValueEditBundle};
 use scavenger_table::btable::BlockCache;
 use scavenger_table::props::TableType;
 use scavenger_table::rtable::{Coalesce, COALESCE_SPAN};
-use scavenger_util::ikey::{make_internal_key, SeqNo, ValueRef, ValueType};
+use scavenger_util::ikey::{make_internal_key, SeqNo, ValueRef, ValueType, MAX_SEQNO};
 use scavenger_util::{Error, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,6 +159,14 @@ pub struct ValueLoc {
     ikey: Vec<u8>,
 }
 
+/// Value files retired behind one barrier: no longer GC candidates,
+/// still registered and on disk while a read point below `barrier` may
+/// address them.
+struct Retired {
+    barrier: SeqNo,
+    files: Vec<u64>,
+}
+
 /// The value store.
 pub struct ValueStore {
     env: EnvRef,
@@ -160,6 +176,12 @@ pub struct ValueStore {
     files: RwLock<HashMap<u64, Arc<VsstMeta>>>,
     forest: RwLock<InheritForest>,
     readers: RwLock<HashMap<u64, Arc<VReader>>>,
+    /// Whether the garbage charge that exhausts a file retires it
+    /// (BlobDB's reclamation rule).
+    retire_exhausted: bool,
+    /// The retirement queue: every value file whose unlink waits on a
+    /// read point.
+    retired: Mutex<Vec<Retired>>,
 }
 
 impl ValueStore {
@@ -173,6 +195,8 @@ impl ValueStore {
             files: RwLock::new(HashMap::new()),
             forest: RwLock::new(InheritForest::new()),
             readers: RwLock::new(HashMap::new()),
+            retire_exhausted: false,
+            retired: Mutex::new(Vec::new()),
         }
     }
 
@@ -181,6 +205,16 @@ impl ValueStore {
     /// is shared with other stores whose file numbers collide (sharding).
     pub fn with_cache_namespace(mut self, cache_ns: u64) -> Self {
         self.cache_ns = cache_ns;
+        self
+    }
+
+    /// Retire each file at [`MAX_SEQNO`] when the garbage charge that
+    /// exhausts it lands (BlobDB, §II-C). Relocation moves records
+    /// inside compaction without advancing the sequence, so no sequence
+    /// tells a reader that may still address the file from one that
+    /// cannot: any read point holds it.
+    pub(crate) fn retiring_exhausted(mut self, on: bool) -> Self {
+        self.retire_exhausted = on;
         self
     }
 
@@ -222,6 +256,12 @@ impl ValueStore {
                     .remove_file(&vfile_path(&self.dir, *file, meta.format));
             }
         }
+        if !bundle.deleted_files.is_empty() {
+            self.retired.lock().retain_mut(|r| {
+                r.files.retain(|f| !bundle.deleted_files.contains(f));
+                !r.files.is_empty()
+            });
+        }
     }
 
     /// Log `bundle` in `lsm`'s manifest, then [apply](Self::apply_bundle)
@@ -232,27 +272,94 @@ impl ValueStore {
         Ok(())
     }
 
+    /// Retire `files` behind `barrier`: they stop being GC candidates now
+    /// and stay on disk until a [`reap`](Self::reap) finds no read point
+    /// below `barrier`. Titan's write-back retires its candidates at the
+    /// write-back commit sequence — a reader at or above it sees the
+    /// relocated references; an exhausted BlobDB file is retired at
+    /// [`MAX_SEQNO`] (see [`retiring_exhausted`](Self::retiring_exhausted)).
+    pub(crate) fn retire(&self, barrier: SeqNo, files: Vec<u64>) {
+        self.retired.lock().push(Retired { barrier, files });
+    }
+
+    /// Whether any retired file awaits its unlink — checked before
+    /// [`reap`](Self::reap), so a write with nothing to reap takes no
+    /// other lock.
+    pub(crate) fn has_retired(&self) -> bool {
+        !self.retired.lock().is_empty()
+    }
+
+    /// Unlink, in one manifest edit, every retired file whose barrier the
+    /// oldest read point has passed. The queue is read before the read
+    /// points: a reader that registers after that observes the state
+    /// every queued retirement left behind, which no longer addresses
+    /// the files. A failed edit leaves them queued for the next reap.
+    /// Callers serialize reaps with GC jobs, which retire files.
+    pub(crate) fn reap(&self, lsm: &Lsm) -> Result<()> {
+        let ripe: Vec<u64> = {
+            let queue = self.retired.lock();
+            if queue.is_empty() {
+                return Ok(());
+            }
+            let oldest = lsm.oldest_read_point();
+            queue
+                .iter()
+                .filter(|r| oldest.is_none_or(|o| o >= r.barrier))
+                .flat_map(|r| r.files.iter().copied())
+                .collect()
+        };
+        if ripe.is_empty() {
+            return Ok(());
+        }
+        let bundle = ValueEditBundle {
+            deleted_files: ripe,
+            ..Default::default()
+        };
+        self.commit(lsm, &bundle)
+    }
+
+    /// Bytes of retired files a live read point still holds on disk:
+    /// space no reclamation can free until that reader is gone.
+    pub(crate) fn pinned_bytes(&self, lsm: &Lsm) -> u64 {
+        let held: Vec<u64> = {
+            let queue = self.retired.lock();
+            let Some(oldest) = queue.first().and_then(|_| lsm.oldest_read_point()) else {
+                return 0;
+            };
+            queue
+                .iter()
+                .filter(|r| oldest < r.barrier)
+                .flat_map(|r| r.files.iter().copied())
+                .collect()
+        };
+        held.iter()
+            .filter_map(|&file| self.meta(file))
+            .map(|m| m.size)
+            .sum()
+    }
+
     /// Charge exposed garbage to `file`, resolving through the inheritance
     /// forest if the file was already collected. (Resolution at charge
     /// time may pick among several leaves; the first live one is charged —
     /// an approximation that only shifts *which* descendant is collected
-    /// first, never the total.)
+    /// first, never the total.) Under BlobDB the charge that exhausts a
+    /// file retires it.
     pub fn add_garbage(&self, file: u64, bytes: u64, entries: u64) {
-        let files = self.files.read();
-        if let Some(meta) = files.get(&file) {
+        let exhausted = {
+            let files = self.files.read();
+            let holder = files.get(&file).or_else(|| {
+                let leaves = self.forest.read().leaves(file);
+                leaves.iter().find_map(|leaf| files.get(leaf))
+            });
+            // The entire lineage is gone; nothing to charge.
+            let Some(meta) = holder else { return };
             meta.exposed_bytes.fetch_add(bytes, Ordering::Relaxed);
-            meta.exposed_entries.fetch_add(entries, Ordering::Relaxed);
-            return;
+            let before = meta.exposed_entries.fetch_add(entries, Ordering::Relaxed);
+            (before < meta.entries && before + entries >= meta.entries).then_some(meta.file)
+        };
+        if let Some(file) = exhausted.filter(|_| self.retire_exhausted) {
+            self.retire(MAX_SEQNO, vec![file]);
         }
-        let leaves = self.forest.read().leaves(file);
-        for leaf in leaves {
-            if let Some(meta) = files.get(&leaf) {
-                meta.exposed_bytes.fetch_add(bytes, Ordering::Relaxed);
-                meta.exposed_entries.fetch_add(entries, Ordering::Relaxed);
-                return;
-            }
-        }
-        // The entire lineage is gone; nothing to charge.
     }
 
     /// Metadata of a live file.
@@ -280,12 +387,20 @@ impl ValueStore {
     /// garbage ratios"). Equal ratios break by file number so candidate
     /// selection — and therefore the whole GC job sequence — is
     /// deterministic rather than following `HashMap` iteration order.
+    /// Retired files are not candidates: their records are dead in the
+    /// index, so collecting them again would reclaim nothing.
     pub fn gc_candidates(&self, threshold: f64) -> Vec<Arc<VsstMeta>> {
+        let retired: Vec<u64> = self
+            .retired
+            .lock()
+            .iter()
+            .flat_map(|r| r.files.iter().copied())
+            .collect();
         let mut v: Vec<Arc<VsstMeta>> = self
             .files
             .read()
             .values()
-            .filter(|m| m.garbage_ratio() >= threshold)
+            .filter(|m| m.garbage_ratio() >= threshold && !retired.contains(&m.file))
             .cloned()
             .collect();
         v.sort_by(|a, b| {
@@ -294,20 +409,6 @@ impl ValueStore {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.file.cmp(&b.file))
         });
-        v
-    }
-
-    /// Files whose every record is exposed garbage (BlobDB reclamation),
-    /// in file-number order (deterministic).
-    pub fn exhausted_files(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .files
-            .read()
-            .values()
-            .filter(|m| m.is_exhausted())
-            .map(|m| m.file)
-            .collect();
-        v.sort_unstable();
         v
     }
 
@@ -586,7 +687,31 @@ mod tests {
         assert!(!m.is_exhausted());
         vs.add_garbage(1, 750, 8);
         assert!(m.is_exhausted());
-        assert_eq!(vs.exhausted_files(), vec![1]);
+        assert!(!vs.has_retired(), "only BlobDB retires on exhaustion");
+        assert_eq!(vs.gc_candidates(0.2).len(), 1);
+    }
+
+    #[test]
+    fn the_exhausting_charge_retires_the_file_once() {
+        let vs = store().retiring_exhausted(true);
+        vs.apply_bundle(&ValueEditBundle {
+            new_files: vec![nf(1, 10, 1000), nf(2, 10, 1000)],
+            ..Default::default()
+        });
+        vs.add_garbage(1, 900, 9);
+        assert!(!vs.has_retired());
+        vs.add_garbage(1, 100, 1);
+        vs.add_garbage(1, 100, 1); // a late charge past exhaustion
+        vs.add_garbage(2, 500, 5);
+        assert_eq!(vs.retired.lock().len(), 1);
+        let files: Vec<u64> = vs.gc_candidates(0.2).iter().map(|m| m.file).collect();
+        assert_eq!(files, vec![2], "a retired file is no GC candidate");
+        // Unlinking the file takes it off the queue.
+        vs.apply_bundle(&ValueEditBundle {
+            deleted_files: vec![1],
+            ..Default::default()
+        });
+        assert!(!vs.has_retired());
     }
 
     #[test]

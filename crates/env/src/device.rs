@@ -42,17 +42,6 @@ impl DeviceModel {
         }
     }
 
-    /// A SATA-class SSD (for sensitivity studies): lower bandwidth, higher
-    /// per-op latency.
-    pub fn sata_ssd() -> Self {
-        DeviceModel {
-            read_bw: 0.5e9,
-            write_bw: 0.45e9,
-            read_lat: 120e-6,
-            write_lat: 60e-6,
-        }
-    }
-
     /// Simulated seconds consumed by the I/O in `snap`.
     pub fn simulated_seconds(&self, snap: &IoStatsSnapshot) -> f64 {
         let r_ops = snap.total_read_ops() as f64;
@@ -143,14 +132,5 @@ mod tests {
         let t_light = m.simulated_throughput(1 << 20, &light);
         let t_heavy = m.simulated_throughput(1 << 20, &heavy);
         assert!(t_light > t_heavy * 5.0);
-    }
-
-    #[test]
-    fn sata_is_slower_than_nvme() {
-        let snap = snap_with(&[(100, 100 << 20)], &[(100, 100 << 20)]);
-        assert!(
-            DeviceModel::sata_ssd().simulated_seconds(&snap)
-                > DeviceModel::nvme().simulated_seconds(&snap)
-        );
     }
 }

@@ -75,11 +75,6 @@ impl MemEnv {
         d[i] ^= 0xff;
         Ok(())
     }
-
-    /// Number of files currently stored.
-    pub fn file_count(&self) -> usize {
-        self.files.read().len()
-    }
 }
 
 /// Write-buffer size: appends accumulate and are charged to the device in

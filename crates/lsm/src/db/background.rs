@@ -170,7 +170,10 @@ impl Lsm {
         }
     }
 
-    /// Force-flush the active memtable and wait until the tree is quiet.
+    /// Force-flush the active memtable. Inline, the flush and every
+    /// compaction it leaves due have run when this returns. Threaded, it
+    /// returns once no immutable memtable is left; a compaction may still
+    /// be running.
     pub fn flush(&self) -> Result<()> {
         {
             let mut ws = self.inner.wal.lock();
@@ -531,8 +534,8 @@ mod tests {
     /// A BlobDB-style value store: every compaction relocates each
     /// reference it writes into one new value file and charges the old
     /// file the moved entry as garbage. The store keeps each known file's
-    /// live entries and, as BlobDB's reaper may, deletes a file the
-    /// moment its last entry is charged. Around applying each bundle it
+    /// live entries and, as BlobDB with no reader in flight may, deletes
+    /// a file the moment its last entry is charged. Around applying each bundle it
     /// reads every key back through the tree and counts the references to
     /// a file it does not know — the reads a `get` would fail on.
     #[derive(Default)]

@@ -334,21 +334,12 @@ impl Lsm {
         BatchReader::new(self.view())
     }
 
-    /// A registered view with snapshot semantics: beyond pinning its
-    /// versions, it participates in snapshot-gated policy (e.g. Titan's
-    /// write-back GC defers while snapshots exist). The engine above
-    /// wraps this in its own snapshot handle.
+    /// A registered view counted as a user snapshot: it pins its versions
+    /// as any view does, and the snapshot gauge of
+    /// [`read_point_counts`](Lsm::read_point_counts) counts it. The
+    /// engine above wraps this in its own snapshot handle.
     pub fn snapshot_view(&self) -> LsmView {
         self.registered_view(ReadPointKind::Snapshot)
-    }
-
-    /// Sequences of all live user snapshots (ascending). Policy gates
-    /// that specifically concern long-lived snapshots (e.g. Titan's
-    /// defer-GC rule) read this; version-preservation decisions must use
-    /// [`read_points`](Lsm::read_points) instead, which also covers
-    /// transient view pins.
-    pub fn snapshot_sequences(&self) -> Vec<SeqNo> {
-        self.inner.read_points.snapshot_seqs()
     }
 
     /// All registered read points — snapshots *and* transient view pins —
@@ -359,8 +350,8 @@ impl Lsm {
     }
 
     /// The oldest registered read point, or `None` when no reader is in
-    /// flight. Deferred-deletion barriers (Titan GC, BlobDB reaping)
-    /// compare against this.
+    /// flight. The engine's value-file retirement barriers compare
+    /// against this.
     pub fn oldest_read_point(&self) -> Option<SeqNo> {
         self.inner.read_points.oldest()
     }
@@ -368,7 +359,7 @@ impl Lsm {
     /// `(transient view pins, user snapshots)` currently registered.
     /// Gauges, not counters: a non-zero value means readers are in
     /// flight *right now*, holding back version retirement (and, in
-    /// Titan/BlobDB modes, deferred blob reaping).
+    /// Titan/BlobDB modes, the unlink of retired value files).
     pub fn read_point_counts(&self) -> (usize, usize) {
         self.inner.read_points.counts()
     }

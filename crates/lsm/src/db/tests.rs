@@ -831,14 +831,15 @@ fn read_point_registration_is_raii() {
     assert!(db.oldest_read_point().is_none());
     let view = db.view();
     assert_eq!(db.oldest_read_point(), Some(view.sequence()));
-    assert!(db.snapshot_sequences().is_empty());
+    assert_eq!(db.read_point_counts(), (1, 0));
     assert_eq!(db.read_points(), vec![view.sequence()]);
     let snap = db.snapshot_view();
-    assert_eq!(db.snapshot_sequences(), vec![snap.sequence()]);
+    assert_eq!(db.read_point_counts(), (1, 1));
     drop(view);
     drop(snap);
     assert!(db.oldest_read_point().is_none());
     assert!(db.read_points().is_empty());
+    assert_eq!(db.read_point_counts(), (0, 0));
 }
 
 /// The batch reader owns a registered view, so GC validation batches

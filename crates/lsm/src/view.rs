@@ -82,9 +82,8 @@ impl SuperVersion {
 }
 
 /// What a registered read point represents. Both kinds protect the
-/// versions visible at their sequence; only snapshots participate in
-/// policy decisions that specifically concern long-lived user snapshots
-/// (e.g. Titan's defer-GC-while-snapshots-exist gate).
+/// versions visible at their sequence alike; they differ only in which
+/// gauge of [`ReadPointRegistry::counts`] counts them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReadPointKind {
     /// A transient pin taken by an in-flight read or GC job.
@@ -148,14 +147,6 @@ impl ReadPointRegistry {
             kind,
             registry: self.clone(),
         }
-    }
-
-    /// Sequences of registered user snapshots only, ascending.
-    pub(crate) fn snapshot_seqs(&self) -> Vec<SeqNo> {
-        let inner = self.inner.lock();
-        let mut v = inner.snapshots.clone();
-        v.sort_unstable();
-        v
     }
 
     /// All registered read points (pins and snapshots), ascending and

@@ -121,9 +121,7 @@ fn run_workload(mode: EngineMode, threads: usize) -> (Vec<GcOutcome>, Vec<Surviv
         db.put(format!("key{i:03}"), value(i, 2048)).unwrap();
     }
     db.flush().unwrap();
-    // Titan defers GC entirely while snapshots exist, so only the
-    // no-writeback schemes hold one through the GC waves.
-    let snap = (mode != EngineMode::Titan).then(|| db.snapshot());
+    let snap = db.snapshot();
     for round in 1..=3 {
         for i in 0..60 {
             db.put(format!("key{i:03}"), value(round * 1000 + i, 2048))
@@ -152,7 +150,7 @@ fn run_workload(mode: EngineMode, threads: usize) -> (Vec<GcOutcome>, Vec<Surviv
         assert!(outcomes.len() < 256, "runaway GC");
     }
 
-    let survivors = surviving_records(&db, snap.as_ref());
+    let survivors = surviving_records(&db, Some(&snap));
     let files = value_file_set(&db);
     drop(snap);
     (outcomes, survivors, files)

@@ -94,19 +94,12 @@ fn gc_wave_against_oracle(db: &Db, threshold: f64) -> usize {
                 meta.file
             );
         }
-        // Titan defers the whole job while a snapshot exists.
-        let deferred =
-            db.mode() == EngineMode::Titan && !db.shard(0).lsm().snapshot_sequences().is_empty();
         let candidates: Vec<u64> = db
             .shard(0)
             .value_store()
             .gc_candidates(threshold)
             .iter()
-            .take(if deferred {
-                0
-            } else {
-                db.options().gc_batch_files
-            })
+            .take(db.options().gc_batch_files)
             .map(|m| m.file)
             .collect();
         let live: u64 = candidates
@@ -189,10 +182,8 @@ fn assert_gc_matches_oracle(mode: EngineMode) {
         put(&mut model, i, i, if i % 10 == 7 { INLINE } else { LARGE });
     }
     db.flush().unwrap();
-    // Snapshot pins the loaded versions. Titan defers GC entirely while
-    // snapshots exist, so only the no-writeback schemes hold one through
-    // the GC waves.
-    let snap = (mode != EngineMode::Titan).then(|| (db.snapshot(), model.clone()));
+    // Snapshot pins the loaded versions through the GC waves.
+    let snap = (db.snapshot(), model.clone());
     // Overwrites: hot head of the keyspace, several rounds.
     for round in 1..=3 {
         for i in 0..60 {
@@ -247,7 +238,7 @@ fn assert_gc_matches_oracle(mode: EngineMode) {
     let second = gc_wave_against_oracle(&db, 0.05);
     assert!(second > 0, "{mode:?}: second wave must collect GC outputs");
 
-    assert_reads_match(&db, &model, snap.as_ref());
+    assert_reads_match(&db, &model, Some(&snap));
 }
 
 /// "Modes" in the test names below are engine modes: validation in each

@@ -176,8 +176,7 @@ fn titan_deferred_deletion_queue_is_recovered_after_crash() {
         db.flush().unwrap();
         db.compact_all().unwrap();
         // Pin a view, then advance the sequence so the write-back
-        // barrier postdates the pin. (A *snapshot* would defer the
-        // whole GC job; a transient pin gates only the deletion.)
+        // barrier postdates the pin.
         let view = db.view();
         for i in 0..5u64 {
             db.put(format!("x{i:03}"), value(i, 2)).unwrap();

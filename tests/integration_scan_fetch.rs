@@ -104,7 +104,7 @@ fn assert_scan_equals_gets(db: &Db, pin: ReadPin<'_>, n_keys: usize, what: &str)
 
 /// Load → snapshot → overwrite (and delete a few) → compact → GC, then
 /// hold scans to gets at the snapshot and at the latest state; drop the
-/// snapshot, GC again (Titan defers jobs while one exists), re-check.
+/// snapshot, GC again (unlinking the files it held), re-check.
 fn check_scan_equivalence(db: &Db, what: &str) {
     const N: usize = 240;
     for i in 0..N {
