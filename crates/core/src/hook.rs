@@ -189,7 +189,8 @@ impl SeparationSession {
         } else {
             self.vstore
                 .resolve_leaves(vref.file)
-                .into_iter()
+                .iter()
+                .copied()
                 .find(|f| self.vstore.meta(*f).is_some())
                 .unwrap_or(vref.file)
         };

@@ -27,16 +27,16 @@ pub mod vtable;
 use crate::options::VFormat;
 use bytes::Bytes;
 use fetch::Want;
-use inherit::InheritForest;
+use inherit::{Files, InheritForest};
 use parking_lot::{Mutex, RwLock};
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_lsm::{Lsm, NewValueFile, ValueEditBundle};
 use scavenger_table::btable::BlockCache;
 use scavenger_table::props::TableType;
 use scavenger_table::rtable::{Coalesce, COALESCE_SPAN};
-use scavenger_util::ikey::{make_internal_key, SeqNo, ValueRef, ValueType, MAX_SEQNO};
+use scavenger_util::hash::IntMap;
+use scavenger_util::ikey::{lookup_key, KeyBuf, SeqNo, ValueRef, ValueType, MAX_SEQNO};
 use scavenger_util::{Error, Result};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vtable::{vfile_path, BlobRecord, VReader, ValueAt};
@@ -156,7 +156,7 @@ pub struct ValueLoc {
     reader: Arc<VReader>,
     at: ValueAt,
     /// Internal key of the record (a blob record's user key is checked).
-    ikey: Vec<u8>,
+    ikey: KeyBuf,
 }
 
 /// Value files retired behind one barrier: no longer GC candidates,
@@ -173,9 +173,9 @@ pub struct ValueStore {
     dir: String,
     cache: Arc<BlockCache>,
     cache_ns: u64,
-    files: RwLock<HashMap<u64, Arc<VsstMeta>>>,
+    files: RwLock<IntMap<u64, Arc<VsstMeta>>>,
     forest: RwLock<InheritForest>,
-    readers: RwLock<HashMap<u64, Arc<VReader>>>,
+    readers: RwLock<IntMap<u64, Arc<VReader>>>,
     /// Whether the garbage charge that exhausts a file retires it
     /// (BlobDB's reclamation rule).
     retire_exhausted: bool,
@@ -192,9 +192,9 @@ impl ValueStore {
             dir: dir.into(),
             cache,
             cache_ns: 0,
-            files: RwLock::new(HashMap::new()),
+            files: RwLock::new(IntMap::default()),
             forest: RwLock::new(InheritForest::new()),
-            readers: RwLock::new(HashMap::new()),
+            readers: RwLock::new(IntMap::default()),
             retire_exhausted: false,
             retired: Mutex::new(Vec::new()),
         }
@@ -432,8 +432,8 @@ impl ValueStore {
         self.files.read().values().map(|m| m.value_bytes).sum()
     }
 
-    /// Current holders of whatever survived from `file`.
-    pub fn resolve_leaves(&self, file: u64) -> Vec<u64> {
+    /// Current holders of whatever survived from `file`, ascending.
+    pub fn resolve_leaves(&self, file: u64) -> Files {
         self.forest.read().leaves(file)
     }
 
@@ -544,7 +544,7 @@ impl ValueStore {
             at,
             ikey,
         };
-        let ikey = make_internal_key(user_key, seq, ValueType::Value);
+        let ikey = lookup_key(user_key, seq, ValueType::Value);
         // Fast path: the file is live (no GC touched it).
         let live = self.meta(vref.file);
         if let Some(meta) = &live {
@@ -561,7 +561,7 @@ impl ValueStore {
             // Keyed file is live but lacks the record — fall through to
             // resolution (the file may predate a merged-GC output).
         }
-        for leaf in self.resolve_leaves(vref.file) {
+        for &leaf in self.resolve_leaves(vref.file).iter() {
             if self.meta(leaf).is_none() {
                 continue;
             }

@@ -430,7 +430,7 @@ impl VReader {
             VReader::R(r) => Ok(r.find_exact(ikey, fill_cache)?.map(ValueAt::Record)),
             VReader::B(r) => Ok(
                 match r.get_with(ikey, fill_cache.then_some(CachePriority::Bottom))? {
-                    Some((k, v)) if k == ikey => Some(ValueAt::Cached(v)),
+                    Some(e) if e.key() == ikey => Some(ValueAt::Cached(e.value())),
                     _ => None,
                 },
             ),

@@ -5,7 +5,7 @@ use crate::tcache::{KTableIter, TableCache};
 use crate::version::{FileMetaData, Version};
 use bytes::Bytes;
 use scavenger_util::ikey::{
-    cmp_internal, make_internal_key, parse_internal_key, SeqNo, ValueRef, ValueType,
+    cmp_internal, lookup_key, make_internal_key, parse_internal_key, SeqNo, ValueRef, ValueType,
 };
 use scavenger_util::{Error, Result};
 use std::cmp::Ordering;
@@ -547,7 +547,7 @@ impl BatchSweep {
             );
             self.last_key = ukey.to_vec();
         }
-        let target = make_internal_key(ukey, self.read_seq, ValueType::ValueRef);
+        let target = lookup_key(ukey, self.read_seq, ValueType::ValueRef);
         self.advance_to(&target);
         // An errored child reports !valid and the merge silently skips it,
         // which could surface a stale older version from another source as
@@ -569,8 +569,8 @@ impl BatchSweep {
         let above = found.seq;
         for f in self.version.files_covering(ukey) {
             let table = self.tcache.get(f.file_number)?;
-            if let Some((ikey, _)) = table.get_inline(&target)? {
-                let inline = parse_internal_key(&ikey)?;
+            if let Some(entry) = table.get_inline(&target)? {
+                let inline = parse_internal_key(entry.key())?;
                 if inline.user_key == ukey && inline.seq > above {
                     return Ok(false);
                 }

@@ -9,24 +9,27 @@
 use bytes::Bytes;
 use parking_lot::RwLock;
 use scavenger_util::ikey::{
-    cmp_internal, make_internal_key, parse_internal_key, SeqNo, ValueType, MAX_SEQNO,
+    cmp_internal, extract_user_key, make_internal_key, parse_internal_key, SeqNo, ValueType,
+    MAX_SEQNO,
 };
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
-/// Encoded internal key with internal-key ordering.
+/// Encoded internal key with internal-key ordering: owned by the map,
+/// borrowed by a point lookup's probe.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemKey(pub Vec<u8>);
+pub struct MemKey<'a>(pub Cow<'a, [u8]>);
 
-impl Ord for MemKey {
+impl Ord for MemKey<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
         cmp_internal(&self.0, &other.0)
     }
 }
 
-impl PartialOrd for MemKey {
+impl PartialOrd for MemKey<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -52,7 +55,7 @@ pub enum MemGet {
 
 /// The in-memory write buffer.
 pub struct Memtable {
-    map: RwLock<BTreeMap<MemKey, Bytes>>,
+    map: RwLock<BTreeMap<MemKey<'static>, Bytes>>,
     approx_size: AtomicUsize,
 }
 
@@ -75,20 +78,24 @@ impl Memtable {
     pub fn insert(&self, user_key: &[u8], seq: SeqNo, vtype: ValueType, value: Bytes) {
         let ikey = make_internal_key(user_key, seq, vtype);
         let charge = ikey.len() + value.len() + 32;
-        self.map.write().insert(MemKey(ikey), value);
+        self.map.write().insert(MemKey(Cow::Owned(ikey)), value);
         self.approx_size.fetch_add(charge, AtomicOrdering::Relaxed);
     }
 
-    /// Look up the newest version of `user_key` visible at `read_seq`.
-    pub fn get(&self, user_key: &[u8], read_seq: SeqNo) -> MemGet {
-        let target = MemKey(make_internal_key(user_key, read_seq, ValueType::ValueRef));
+    /// Look up the newest version of a user key visible at a read
+    /// sequence: `target` is the lookup key
+    /// [`lookup_key`](scavenger_util::ikey::lookup_key)`(user_key,
+    /// read_seq, ValueType::ValueRef)`.
+    pub fn get(&self, target: &[u8]) -> MemGet {
         let map = self.map.read();
-        if let Some((k, v)) = map
-            .range((Bound::Included(target), Bound::Unbounded))
-            .next()
-        {
+        // The map is covariant in its key type, so it can be searched as a
+        // map of keys borrowed for `target`'s lifetime: the probe borrows
+        // `target` instead of copying it into an owned key.
+        let map: &BTreeMap<MemKey<'_>, Bytes> = &map;
+        let probe = MemKey(Cow::Borrowed(target));
+        if let Some((k, v)) = map.range(&probe..).next() {
             let parsed = parse_internal_key(&k.0).expect("memtable key valid");
-            if parsed.user_key == user_key {
+            if parsed.user_key == extract_user_key(target) {
                 return match parsed.vtype {
                     ValueType::Deletion => MemGet::Deleted(parsed.seq),
                     t => MemGet::Found {
@@ -123,14 +130,18 @@ impl Memtable {
         self.map
             .read()
             .iter()
-            .map(|(k, v)| (k.0.clone(), v.clone()))
+            .map(|(k, v)| (k.0.to_vec(), v.clone()))
             .collect()
     }
 
     /// Sorted snapshot of entries whose *user key* lies in
     /// `[lo, hi)` (`hi = None` means unbounded).
     pub fn snapshot_range(&self, lo: &[u8], hi: Option<&[u8]>) -> Vec<(Vec<u8>, Bytes)> {
-        let start = MemKey(make_internal_key(lo, MAX_SEQNO, ValueType::ValueRef));
+        let start = MemKey(Cow::Owned(make_internal_key(
+            lo,
+            MAX_SEQNO,
+            ValueType::ValueRef,
+        )));
         self.map
             .read()
             .range((Bound::Included(start), Bound::Unbounded))
@@ -141,7 +152,7 @@ impl Memtable {
                 }
                 None => true,
             })
-            .map(|(k, v)| (k.0.clone(), v.clone()))
+            .map(|(k, v)| (k.0.to_vec(), v.clone()))
             .collect()
     }
 }
@@ -149,13 +160,18 @@ impl Memtable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scavenger_util::ikey::lookup_key;
+
+    fn get(m: &Memtable, user_key: &[u8], read_seq: SeqNo) -> MemGet {
+        m.get(&lookup_key(user_key, read_seq, ValueType::ValueRef))
+    }
 
     #[test]
     fn insert_then_get_latest() {
         let m = Memtable::new();
         m.insert(b"k", 1, ValueType::Value, Bytes::from_static(b"v1"));
         m.insert(b"k", 5, ValueType::Value, Bytes::from_static(b"v5"));
-        match m.get(b"k", MAX_SEQNO) {
+        match get(&m, b"k", MAX_SEQNO) {
             MemGet::Found { seq, value, .. } => {
                 assert_eq!(seq, 5);
                 assert_eq!(&value[..], b"v5");
@@ -169,14 +185,14 @@ mod tests {
         let m = Memtable::new();
         m.insert(b"k", 10, ValueType::Value, Bytes::from_static(b"new"));
         m.insert(b"k", 3, ValueType::Value, Bytes::from_static(b"old"));
-        match m.get(b"k", 5) {
+        match get(&m, b"k", 5) {
             MemGet::Found { seq, value, .. } => {
                 assert_eq!(seq, 3);
                 assert_eq!(&value[..], b"old");
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(m.get(b"k", 2), MemGet::NotFound);
+        assert_eq!(get(&m, b"k", 2), MemGet::NotFound);
     }
 
     #[test]
@@ -184,9 +200,9 @@ mod tests {
         let m = Memtable::new();
         m.insert(b"k", 1, ValueType::Value, Bytes::from_static(b"v"));
         m.insert(b"k", 2, ValueType::Deletion, Bytes::new());
-        assert_eq!(m.get(b"k", MAX_SEQNO), MemGet::Deleted(2));
+        assert_eq!(get(&m, b"k", MAX_SEQNO), MemGet::Deleted(2));
         // Older snapshot still sees the value.
-        assert!(matches!(m.get(b"k", 1), MemGet::Found { .. }));
+        assert!(matches!(get(&m, b"k", 1), MemGet::Found { .. }));
     }
 
     #[test]
@@ -194,7 +210,7 @@ mod tests {
         let m = Memtable::new();
         m.insert(b"a", 1, ValueType::Value, Bytes::from_static(b"va"));
         m.insert(b"c", 1, ValueType::Value, Bytes::from_static(b"vc"));
-        assert_eq!(m.get(b"b", MAX_SEQNO), MemGet::NotFound);
+        assert_eq!(get(&m, b"b", MAX_SEQNO), MemGet::NotFound);
     }
 
     #[test]

@@ -9,13 +9,14 @@ use crate::options::LsmOptions;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::{EnvRef, IoClass, RandomAccessFile};
+use scavenger_table::block::BlockEntry;
 use scavenger_table::btable::{BTableReader, BlockCache};
 use scavenger_table::cache::cache_file_id;
 use scavenger_table::dtable::{DTableIter, DTableReader};
 use scavenger_table::props::{TableProps, TableType};
 use scavenger_table::{read_tail, KeyCmp};
+use scavenger_util::hash::IntMap;
 use scavenger_util::Result;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An open key SST of either format.
@@ -27,8 +28,9 @@ pub enum KTable {
 }
 
 impl KTable {
-    /// Point lookup: first entry with internal key `>= target`.
-    pub fn get(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Bytes)>> {
+    /// Point lookup: first entry with internal key `>= target`, read in
+    /// place from its (cached) block.
+    pub fn get(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
         match self {
             KTable::B(t) => t.get(target),
             KTable::D(t) => t.get(target),
@@ -73,7 +75,7 @@ impl KTable {
     /// The first inline entry `>= target` that
     /// [`index_iter`](KTable::index_iter) does not show: a point search
     /// of a DTable's KV stream, `None` for a BTable.
-    pub fn get_inline(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Bytes)>> {
+    pub fn get_inline(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
         match self {
             KTable::B(_) => Ok(None),
             KTable::D(t) => t.get_inline(target),
@@ -197,7 +199,7 @@ pub struct TableCache {
     dir: String,
     block_cache: Arc<BlockCache>,
     cache_ns: u64,
-    shards: Vec<Mutex<HashMap<u64, Arc<KTable>>>>,
+    shards: Vec<Mutex<IntMap<u64, Arc<KTable>>>>,
 }
 
 impl TableCache {
@@ -209,12 +211,12 @@ impl TableCache {
             block_cache,
             cache_ns: opts.cache_namespace,
             shards: (0..TABLE_CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(IntMap::default()))
                 .collect(),
         }
     }
 
-    fn shard(&self, file_number: u64) -> &Mutex<HashMap<u64, Arc<KTable>>> {
+    fn shard(&self, file_number: u64) -> &Mutex<IntMap<u64, Arc<KTable>>> {
         // File numbers are sequential; mix them so neighbours land in
         // different shards.
         let h = file_number.wrapping_mul(0x9e37_79b9_7f4a_7c15);

@@ -37,7 +37,7 @@ use crate::tcache::TableCache;
 use crate::version::Version;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use scavenger_util::ikey::{make_internal_key, parse_internal_key, SeqNo, ValueType, MAX_SEQNO};
+use scavenger_util::ikey::{lookup_key, parse_internal_key, SeqNo, ValueType, MAX_SEQNO};
 use scavenger_util::Result;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -337,28 +337,28 @@ fn newest_version(
     read_seq: SeqNo,
     fill_cache: bool,
 ) -> Result<MemGet> {
+    let target = lookup_key(key, read_seq, ValueType::ValueRef);
     for mem in std::iter::once(&sv.mem).chain(sv.imms.iter().map(|imm| &imm.mem)) {
-        match mem.get(key, read_seq) {
+        match mem.get(&target) {
             MemGet::NotFound => {}
             newest => return Ok(newest),
         }
     }
-    let target = make_internal_key(key, read_seq, ValueType::ValueRef);
     for f in sv.version.files_covering(key) {
         let table = if fill_cache {
             tcache.get(f.file_number)?
         } else {
             tcache.get_detached(f.file_number)?
         };
-        if let Some((ikey, value)) = table.get(&target)? {
-            let parsed = parse_internal_key(&ikey)?;
+        if let Some(entry) = table.get(&target)? {
+            let parsed = parse_internal_key(entry.key())?;
             if parsed.user_key == key {
                 return Ok(match parsed.vtype {
                     ValueType::Deletion => MemGet::Deleted(parsed.seq),
                     vtype => MemGet::Found {
                         seq: parsed.seq,
                         vtype,
-                        value,
+                        value: entry.value(),
                     },
                 });
             }

@@ -15,6 +15,7 @@
 use crate::KeyCmp;
 use bytes::Bytes;
 use scavenger_util::coding::{get_varint32, put_fixed32, put_varint32};
+use scavenger_util::ikey::KeyBuf;
 use scavenger_util::{Error, Result};
 use std::cmp::Ordering;
 
@@ -150,31 +151,68 @@ impl Block {
         u32::from_le_bytes(self.data[off..off + 4].try_into().unwrap()) as usize
     }
 
+    /// Decode the header of the entry at `offset`: `(shared, non_shared,
+    /// value_len, header_len)`. `None` if a varint is malformed or the
+    /// entry runs past the entries area.
+    #[inline]
+    fn entry_header(&self, offset: usize) -> Option<(usize, usize, usize, usize)> {
+        let mut cur = self.data.get(offset..self.restarts_offset)?;
+        let before = cur.len();
+        let shared = get_varint32(&mut cur).ok()? as usize;
+        let non_shared = get_varint32(&mut cur).ok()? as usize;
+        let vlen = get_varint32(&mut cur).ok()? as usize;
+        if cur.len() < non_shared + vlen {
+            return None;
+        }
+        Some((shared, non_shared, vlen, before - cur.len()))
+    }
+
     /// Create an iterator over this block.
     pub fn iter(&self, cmp: KeyCmp) -> BlockIter {
         BlockIter {
             block: self.clone(),
             cmp,
-            offset: 0,
             next_offset: 0,
-            key: Vec::new(),
+            key: KeyAt::Block(0, 0),
+            buf: KeyBuf::new(),
             value_range: (0, 0),
             valid: false,
+            corrupt: None,
         }
     }
 }
 
+/// Where the current key of a [`BlockIter`] lives.
+#[derive(Clone, Copy)]
+enum KeyAt {
+    /// Stored whole in its entry (`shared == 0`: every restart point, and
+    /// every entry of an interval-1 index block): this byte range of the
+    /// block, read in place.
+    Block(usize, usize),
+    /// Reassembled from a shared prefix and its delta in the iterator's
+    /// buffer.
+    Buf,
+}
+
 /// Iterator over a [`Block`]'s entries.
+///
+/// Keys are compared where they lie: a restart key or any key stored
+/// whole is a slice of the block, and only a prefix-compressed key is
+/// reassembled, in a buffer that stays on the stack for keys up to 64
+/// bytes. A malformed entry ends the iteration with
+/// [`status`](Self::status) reporting [`Error::Corruption`], never as a
+/// silent end of block.
 pub struct BlockIter {
     block: Block,
     cmp: KeyCmp,
-    /// Offset of the current entry.
-    offset: usize,
     /// Offset just past the current entry (start of the next one).
     next_offset: usize,
-    key: Vec<u8>,
+    key: KeyAt,
+    buf: KeyBuf,
     value_range: (usize, usize),
     valid: bool,
+    /// Set by the first malformed entry seen; the iterator stays invalid.
+    corrupt: Option<&'static str>,
 }
 
 impl BlockIter {
@@ -186,7 +224,14 @@ impl BlockIter {
     /// Current key. Only meaningful while [`valid`](Self::valid).
     pub fn key(&self) -> &[u8] {
         debug_assert!(self.valid);
-        &self.key
+        self.current_key()
+    }
+
+    fn current_key(&self) -> &[u8] {
+        match self.key {
+            KeyAt::Block(start, end) => &self.block.data[start..end],
+            KeyAt::Buf => &self.buf,
+        }
     }
 
     /// Current value as a zero-copy slice of the block.
@@ -197,12 +242,17 @@ impl BlockIter {
             .slice(self.value_range.0..self.value_range.1)
     }
 
+    /// `Err(Corruption)` once a malformed entry has been met.
+    pub fn status(&self) -> Result<()> {
+        match self.corrupt {
+            Some(what) => Err(Error::corruption(what)),
+            None => Ok(()),
+        }
+    }
+
     /// Position at the first entry.
     pub fn seek_to_first(&mut self) {
-        self.key.clear();
-        self.next_offset = 0;
-        self.valid = false;
-        self.parse_next();
+        self.scan_from(0);
     }
 
     /// Position at the first entry whose key is `>= target` under the
@@ -212,27 +262,24 @@ impl BlockIter {
         let (mut lo, mut hi) = (0usize, self.block.num_restarts.saturating_sub(1));
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            let off = self.block.restart_point(mid);
-            match self.key_at_restart(off) {
-                Some(k) if self.cmp.cmp(&k, target) == Ordering::Less => lo = mid,
-                _ => hi = mid - 1,
+            let Some((start, end)) = self.restart_key(mid) else {
+                self.fail("malformed restart entry");
+                return;
+            };
+            if self.cmp.cmp(&self.block.data[start..end], target) == Ordering::Less {
+                lo = mid;
+            } else {
+                hi = mid - 1;
             }
         }
         // Linear scan from that restart.
-        self.key.clear();
-        self.next_offset = if self.block.num_restarts == 0 {
+        self.scan_from(if self.block.num_restarts == 0 {
             self.block.restarts_offset
         } else {
             self.block.restart_point(lo)
-        };
-        self.valid = false;
-        loop {
-            if !self.parse_next() {
-                return;
-            }
-            if self.cmp.cmp(&self.key, target) != Ordering::Less {
-                return;
-            }
+        });
+        while self.valid && self.cmp.cmp(self.current_key(), target) == Ordering::Less {
+            self.parse_next();
         }
     }
 
@@ -243,57 +290,125 @@ impl BlockIter {
         }
     }
 
-    fn key_at_restart(&self, offset: usize) -> Option<Vec<u8>> {
-        let data = &self.block.data[..self.block.restarts_offset];
-        let mut cur = &data[offset..];
-        let shared = get_varint32(&mut cur).ok()?;
-        if shared != 0 {
-            return None; // corrupt: restart entries must have shared == 0
+    /// The found entry, if the iterator is positioned on one.
+    pub(crate) fn into_entry(self) -> Option<BlockEntry> {
+        self.valid.then_some(BlockEntry(self))
+    }
+
+    /// Key range of restart `i`'s entry, which must store its key whole.
+    fn restart_key(&self, i: usize) -> Option<(usize, usize)> {
+        let offset = self.block.restart_point(i);
+        match self.block.entry_header(offset)? {
+            (0, non_shared, _, header) => Some((offset + header, offset + header + non_shared)),
+            _ => None,
         }
-        let non_shared = get_varint32(&mut cur).ok()? as usize;
-        let _vlen = get_varint32(&mut cur).ok()?;
-        if cur.len() < non_shared {
-            return None;
+    }
+
+    /// Start a scan at `offset` (a restart point) and parse its entry.
+    fn scan_from(&mut self, offset: usize) {
+        self.valid = false;
+        if self.corrupt.is_some() {
+            return;
         }
-        Some(cur[..non_shared].to_vec())
+        if offset > self.block.restarts_offset {
+            self.fail("restart point past the block's entries");
+            return;
+        }
+        self.next_offset = offset;
+        self.key = KeyAt::Block(0, 0);
+        self.parse_next();
+    }
+
+    fn fail(&mut self, what: &'static str) {
+        self.valid = false;
+        self.corrupt = Some(what);
     }
 
     /// Decode the entry at `next_offset` into the iterator state.
-    /// Returns false (and invalidates) at end of block or on corruption.
-    fn parse_next(&mut self) -> bool {
-        let limit = self.block.restarts_offset;
-        if self.next_offset >= limit {
+    /// Invalidates at end of block, and on corruption records it.
+    fn parse_next(&mut self) {
+        let offset = self.next_offset;
+        if offset >= self.block.restarts_offset {
             self.valid = false;
-            return false;
+            return;
         }
-        self.offset = self.next_offset;
-        let data = &self.block.data[..limit];
-        let mut cur = &data[self.next_offset..];
-        let before = cur.len();
-        let (shared, non_shared, vlen) = match (
-            get_varint32(&mut cur),
-            get_varint32(&mut cur),
-            get_varint32(&mut cur),
-        ) {
-            (Ok(a), Ok(b), Ok(c)) => (a as usize, b as usize, c as usize),
-            _ => {
-                self.valid = false;
-                return false;
-            }
+        let Some((shared, non_shared, vlen, header)) = self.block.entry_header(offset) else {
+            self.fail("malformed block entry");
+            return;
         };
-        let header = before - cur.len();
-        if shared > self.key.len() || cur.len() < non_shared + vlen {
-            self.valid = false;
-            return false;
+        let kstart = offset + header;
+        let vstart = kstart + non_shared;
+        if shared == 0 {
+            self.key = KeyAt::Block(kstart, vstart);
+        } else {
+            if shared > self.current_key().len() {
+                self.fail("block entry shares more than the previous key");
+                return;
+            }
+            let data = &self.block.data;
+            match self.key {
+                KeyAt::Block(start, _) => {
+                    self.buf.clear();
+                    self.buf.extend_from_slice(&data[start..start + shared]);
+                }
+                KeyAt::Buf => self.buf.truncate(shared),
+            }
+            self.buf.extend_from_slice(&data[kstart..vstart]);
+            self.key = KeyAt::Buf;
         }
-        self.key.truncate(shared);
-        self.key.extend_from_slice(&cur[..non_shared]);
-        let vstart = self.next_offset + header + non_shared;
         self.value_range = (vstart, vstart + vlen);
         self.next_offset = vstart + vlen;
         self.valid = true;
-        true
     }
+}
+
+/// The entry a point lookup found, read in place: it keeps its block
+/// referenced, so neither key nor value is copied out.
+pub struct BlockEntry(BlockIter);
+
+impl std::fmt::Debug for BlockEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BlockEntry")
+            .field("key", &self.key())
+            .field(
+                "value_len",
+                &self.0.value_range.1.saturating_sub(self.0.value_range.0),
+            )
+            .finish()
+    }
+}
+
+impl BlockEntry {
+    /// The entry's key.
+    pub fn key(&self) -> &[u8] {
+        self.0.key()
+    }
+
+    /// The entry's value as a zero-copy slice of the block.
+    pub fn value(&self) -> Bytes {
+        self.0.value()
+    }
+}
+
+/// Test fixture: the serialized block of 20 entries `k00..k19` (value:
+/// the entry's index) at restart interval 16, with entry 5's key length
+/// set past the end of the block's entries.
+#[cfg(test)]
+pub(crate) fn block_with_overrunning_entry() -> Vec<u8> {
+    let mut b = BlockBuilder::new(16);
+    for i in 0..20u8 {
+        b.add(format!("k{i:02}").as_bytes(), &[i]);
+    }
+    let mut data = b.finish();
+    let limit = data.len() - 4 * 3; // two restarts + their count
+                                    // Every varint here is one byte: walk to entry 5's header.
+    let mut fifth = 0;
+    for _ in 0..5 {
+        fifth += 3 + data[fifth + 1] as usize + data[fifth + 2] as usize;
+    }
+    assert!(limit - fifth < 0x7f);
+    data[fifth + 1] = 0x7f;
+    data
 }
 
 #[cfg(test)]
@@ -435,8 +550,174 @@ mod tests {
         assert_eq!(&it.value()[..], b"old");
     }
 
+    #[test]
+    fn a_malformed_entry_is_corruption_not_end_of_block() {
+        let block = Block::new(Bytes::from(block_with_overrunning_entry())).unwrap();
+        let mut it = block.iter(KeyCmp::Bytewise);
+        // A later key is not reported missing: the seek fails.
+        it.seek(b"k10");
+        assert!(!it.valid());
+        assert!(matches!(it.status(), Err(Error::Corruption(_))));
+        // Iteration stops at the bad entry and says why.
+        let mut it = block.iter(KeyCmp::Bytewise);
+        it.seek_to_first();
+        let mut seen = 0;
+        while it.valid() {
+            seen += 1;
+            it.next();
+        }
+        assert_eq!(seen, 5);
+        assert!(matches!(it.status(), Err(Error::Corruption(_))));
+        // Keys before the bad entry are still found.
+        let mut it = block.iter(KeyCmp::Bytewise);
+        it.seek(b"k03");
+        assert_eq!(it.key(), b"k03");
+        assert!(it.status().is_ok());
+    }
+
+    #[test]
+    fn a_restart_entry_with_a_shared_prefix_is_corruption() {
+        let mut b = BlockBuilder::new(4);
+        for i in 0..12 {
+            b.add(format!("k{i:02}").as_bytes(), b"v");
+        }
+        let mut data = b.finish();
+        let limit = data.len() - 4 * 4;
+        let second_restart = u32::from_le_bytes(data[limit + 4..limit + 8].try_into().unwrap());
+        data[second_restart as usize] = 1; // shared = 1
+        let block = Block::new(Bytes::from(data)).unwrap();
+        let mut it = block.iter(KeyCmp::Bytewise);
+        it.seek(b"k11");
+        assert!(!it.valid());
+        assert!(matches!(it.status(), Err(Error::Corruption(_))));
+    }
+
+    #[test]
+    fn a_restart_point_past_the_entries_is_corruption() {
+        let mut b = BlockBuilder::new(2);
+        for i in 0..6 {
+            b.add(format!("k{i}").as_bytes(), b"v");
+        }
+        let mut data = b.finish();
+        let limit = data.len() - 4 * 4;
+        data[limit + 8..limit + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let block = Block::new(Bytes::from(data)).unwrap();
+        let mut it = block.iter(KeyCmp::Bytewise);
+        it.seek(b"k5");
+        assert!(!it.valid());
+        assert!(matches!(it.status(), Err(Error::Corruption(_))));
+    }
+
+    /// Sorted, distinct keys under `cmp`: byte strings of 0 to 80 bytes
+    /// (across [`KeyBuf`]'s inline size) drawn from a few long shared
+    /// prefixes, so prefix compression and key reassembly get exercised;
+    /// under [`KeyCmp::Internal`] each is a user key plus a trailer, with
+    /// several versions of some user keys.
+    fn sorted_keys(cmp: KeyCmp, raw: &[(u8, u8, Vec<u8>, u64)]) -> Vec<Vec<u8>> {
+        let prefixes: [&[u8]; 4] = [b"", b"user/", &[b'p'; 40], &[b'q'; 70]];
+        let mut keys: Vec<Vec<u8>> = raw
+            .iter()
+            .map(|(p, cut, tail, seq)| {
+                let mut k = prefixes[*p as usize % 4].to_vec();
+                k.truncate(k.len().saturating_sub(*cut as usize % 8));
+                k.extend_from_slice(tail);
+                if cmp == KeyCmp::Internal {
+                    k.extend_from_slice(&((seq % 4) << 8 | 1).to_le_bytes());
+                }
+                k
+            })
+            .collect();
+        keys.sort_by(|a, b| cmp.cmp(a, b));
+        keys.dedup();
+        keys
+    }
+
+    /// The reference for `seek`: the first stored key `>= target`, by a
+    /// linear walk of the sorted list.
+    fn linear_seek(cmp: KeyCmp, keys: &[Vec<u8>], target: &[u8]) -> usize {
+        keys.iter()
+            .position(|k| cmp.cmp(k, target) != Ordering::Less)
+            .unwrap_or(keys.len())
+    }
+
+    /// Targets on every stored key, just before and after each (one
+    /// byte more or less, or a neighbouring trailer), before all and
+    /// past all.
+    fn targets(cmp: KeyCmp, keys: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let mut out = vec![Vec::new(), vec![0xff; 90]];
+        if cmp == KeyCmp::Internal {
+            out = vec![vec![0; 8], [vec![0xff; 90], vec![0; 8]].concat()];
+        }
+        for k in keys {
+            out.push(k.clone());
+            let mut longer = k.clone();
+            longer.push(0);
+            out.push(longer);
+            if let Some((last, init)) = k.split_last() {
+                out.push(init.to_vec());
+                out.push([init, &[last.wrapping_add(1)]].concat());
+            }
+            if cmp == KeyCmp::Internal {
+                let n = k.len() - 8;
+                for seq in [0u64, 2, 9] {
+                    out.push([&k[..n], &(seq << 8 | 1).to_le_bytes()[..]].concat());
+                }
+            }
+        }
+        if cmp == KeyCmp::Internal {
+            out.retain(|t| t.len() >= 8);
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `seek` and `next` over random blocks agree with a linear walk
+        /// of the sorted entries, for restart intervals 1, 8 and 16 and
+        /// both comparators.
+        #[test]
+        fn prop_seek_and_next_match_a_linear_reference(
+            raw in proptest::collection::vec(
+                (any::<u8>(), any::<u8>(), proptest::collection::vec(0u8..4, 0..12), any::<u64>()),
+                0..60,
+            ),
+        ) {
+            for cmp in [KeyCmp::Bytewise, KeyCmp::Internal] {
+                let keys = sorted_keys(cmp, &raw);
+                for interval in [1, 8, 16] {
+                    let mut b = BlockBuilder::new(interval);
+                    for (i, k) in keys.iter().enumerate() {
+                        b.add(k, &i.to_le_bytes());
+                    }
+                    let block = Block::new(Bytes::from(b.finish())).unwrap();
+                    let mut it = block.iter(cmp);
+                    it.seek_to_first();
+                    for (i, k) in keys.iter().enumerate() {
+                        prop_assert!(it.valid());
+                        prop_assert_eq!(it.key(), k.as_slice());
+                        prop_assert_eq!(&it.value()[..], &i.to_le_bytes()[..]);
+                        it.next();
+                    }
+                    prop_assert!(!it.valid());
+                    for target in targets(cmp, &keys) {
+                        let want = linear_seek(cmp, &keys, &target);
+                        it.seek(&target);
+                        // The landing entry and the two after it.
+                        for k in keys.iter().skip(want).take(3) {
+                            prop_assert!(it.valid(), "{:?} at interval {}", cmp, interval);
+                            prop_assert_eq!(it.key(), k.as_slice());
+                            it.next();
+                        }
+                        if want + 3 >= keys.len() {
+                            prop_assert!(!it.valid());
+                        }
+                        prop_assert!(it.status().is_ok());
+                    }
+                }
+            }
+        }
+
         #[test]
         fn prop_block_roundtrip(
             mut keys in proptest::collection::btree_set(

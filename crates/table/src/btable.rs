@@ -11,7 +11,7 @@
 //! property that makes GC reads expensive and motivates the RTable's dense
 //! index, paper §III-B1).
 
-use crate::block::{Block, BlockBuilder, BlockIter};
+use crate::block::{Block, BlockBuilder, BlockEntry, BlockIter};
 use crate::blockio::{read_block, write_block};
 use crate::cache::{CacheKey, CachePriority, LruCache};
 use crate::filter::{BloomBuilder, BloomReader};
@@ -26,9 +26,11 @@ use scavenger_util::{Error, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Shared block cache over CRC-verified payloads: blocks (parsed again on
-/// every hit, which costs a bounds check), RTable records and whole
-/// blob-log records (decoded, their CRC included, again on every hit).
+/// Shared block cache over CRC-verified payloads: blocks, RTable records
+/// and whole blob-log records (decoded, their CRC included, again on
+/// every hit). A block hit costs a trailer bounds check to wrap the
+/// bytes, then a search in place: restart keys and whole-stored keys are
+/// compared where they lie, and nothing is copied to the heap.
 pub type BlockCache = LruCache<Bytes>;
 
 /// Serve `key` from `cache`, or `read` it and, when `fill` names a
@@ -344,7 +346,7 @@ impl BTableReader {
     /// Point lookup: returns the first entry with key `>= target`, or
     /// `None` if the table has no such entry. The caller is responsible
     /// for checking that the user key matches.
-    pub fn get(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Bytes)>> {
+    pub fn get(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
         self.get_with(target, Some(CachePriority::Low))
     }
 
@@ -354,7 +356,7 @@ impl BTableReader {
         &self,
         target: &[u8],
         fill: Option<CachePriority>,
-    ) -> Result<Option<(Vec<u8>, Bytes)>> {
+    ) -> Result<Option<BlockEntry>> {
         let ukey = match self.cmp {
             KeyCmp::Internal => extract_user_key(target),
             KeyCmp::Bytewise => target,
@@ -362,19 +364,9 @@ impl BTableReader {
         if !self.may_contain(ukey) {
             return Ok(None);
         }
-        let mut index_iter = self.index.iter(self.cmp);
-        index_iter.seek(target);
-        while index_iter.valid() {
-            let handle = BlockHandle::decode_exact(&index_iter.value())?;
-            let block = Block::new(self.fetcher.payload(handle, BlockKind::Data, fill)?)?;
-            let mut it = block.iter(self.cmp);
-            it.seek(target);
-            if it.valid() {
-                return Ok(Some((it.key().to_vec(), it.value())));
-            }
-            index_iter.next();
-        }
-        Ok(None)
+        search(&self.index, self.cmp, target, |handle| {
+            Block::new(self.fetcher.payload(handle, BlockKind::Data, fill)?)
+        })
     }
 
     /// Iterate the whole table in key order. The iterator is self-contained
@@ -388,6 +380,31 @@ impl BTableReader {
             CachePriority::Low,
         )
     }
+}
+
+/// Point search of a two-level stream: the first entry `>= target` under
+/// `cmp`, in the data block `index` points it to (or a later one, when
+/// that block holds nothing `>= target`), fetched by `block`. A malformed
+/// index or data block is [`Error::Corruption`], never "not found".
+pub(crate) fn search(
+    index: &Block,
+    cmp: KeyCmp,
+    target: &[u8],
+    block: impl Fn(BlockHandle) -> Result<Block>,
+) -> Result<Option<BlockEntry>> {
+    let mut index_iter = index.iter(cmp);
+    index_iter.seek(target);
+    while index_iter.valid() {
+        let mut it = block(BlockHandle::decode_exact(&index_iter.value())?)?.iter(cmp);
+        it.seek(target);
+        it.status()?;
+        if it.valid() {
+            return Ok(it.into_entry());
+        }
+        index_iter.next();
+    }
+    index_iter.status()?;
+    Ok(None)
 }
 
 /// Two-level iterator over a [`BTableReader`].
@@ -447,8 +464,16 @@ impl TwoLevelIter {
 
     fn skip_empty_blocks_forward(&mut self) {
         loop {
-            if self.data_iter.as_ref().map(|d| d.valid()).unwrap_or(false) {
-                return;
+            if let Some(d) = &self.data_iter {
+                if d.valid() {
+                    return;
+                }
+                if let Err(e) = d.status() {
+                    self.error.get_or_insert(e);
+                }
+            }
+            if let Err(e) = self.index_iter.status() {
+                self.error.get_or_insert(e);
             }
             if self.error.is_some() || !self.index_iter.valid() {
                 self.data_iter = None;
@@ -520,6 +545,10 @@ mod tests {
     use scavenger_env::{Env, IoClass, MemEnv};
     use scavenger_util::ikey::make_internal_key;
 
+    fn kv(e: BlockEntry) -> (Vec<u8>, Bytes) {
+        (e.key().to_vec(), e.value())
+    }
+
     fn build_table(
         env: &MemEnv,
         path: &str,
@@ -569,7 +598,7 @@ mod tests {
 
         let reader = open(&env, "t.sst", KeyCmp::Bytewise);
         for (k, v) in &entries {
-            let (fk, fv) = reader.get(k).unwrap().expect("found");
+            let (fk, fv) = reader.get(k).unwrap().map(kv).expect("found");
             assert_eq!(&fk, k);
             assert_eq!(&fv[..], v.as_slice());
         }
@@ -582,7 +611,7 @@ mod tests {
         build_table(&env, "t.sst", &entries, bytewise_opts());
         let reader = open(&env, "t.sst", KeyCmp::Bytewise);
         // Key between key00010 and key00011.
-        let got = reader.get(b"key000105").unwrap();
+        let got = reader.get(b"key000105").unwrap().map(kv);
         if let Some((k, _)) = got {
             assert_eq!(k, b"key00011".to_vec());
         }
@@ -729,13 +758,13 @@ mod tests {
 
         // Snapshot at seq 100 sees v9.
         let t = make_internal_key(b"k", 100, ValueType::ValueRef);
-        let (k, v) = reader.get(&t).unwrap().unwrap();
+        let (k, v) = reader.get(&t).unwrap().map(kv).unwrap();
         assert_eq!(parse_internal_key(&k).unwrap().seq, 9);
         assert_eq!(&v[..], b"v9");
 
         // Snapshot at seq 7 sees v5.
         let t = make_internal_key(b"k", 7, ValueType::ValueRef);
-        let (k, v) = reader.get(&t).unwrap().unwrap();
+        let (k, v) = reader.get(&t).unwrap().map(kv).unwrap();
         assert_eq!(parse_internal_key(&k).unwrap().seq, 5);
         assert_eq!(&v[..], b"v5");
     }
@@ -776,6 +805,56 @@ mod tests {
         let reader = BTableReader::open(file, 1, None, KeyCmp::Bytewise).unwrap();
         let err = reader.get(b"key00000").unwrap_err();
         assert!(matches!(err, Error::Corruption(_)));
+    }
+
+    #[test]
+    fn a_malformed_data_block_fails_lookups_and_scans() {
+        // One checksummed data block whose 6th entry overruns, and an
+        // index pointing at it: the CRC is fine, the entries are not.
+        let env = MemEnv::new();
+        let mut f = env.new_writable("bad.sst", IoClass::Flush).unwrap();
+        let handle =
+            write_block(f.as_mut(), &crate::block::block_with_overrunning_entry()).unwrap();
+        f.sync().unwrap();
+        let mut index = BlockBuilder::new(1);
+        index.add(b"k19", &handle.encode());
+        let index = Block::new(Bytes::from(index.finish())).unwrap();
+        let fetcher = BlockFetcher {
+            file: env
+                .open_random_access("bad.sst", IoClass::FgIndexRead)
+                .unwrap(),
+            cache: None,
+            file_number: 1,
+        };
+        let corrupt = |got: Result<()>| matches!(got, Err(Error::Corruption(_)));
+
+        let found = search(&index, KeyCmp::Bytewise, b"k10", |h| {
+            fetcher.fetch(h, BlockKind::Data, CachePriority::Low)
+        });
+        assert!(corrupt(found.map(|_| ())));
+        let found = search(&index, KeyCmp::Bytewise, b"k02", |h| {
+            fetcher.fetch(h, BlockKind::Data, CachePriority::Low)
+        });
+        assert_eq!(found.unwrap().unwrap().key(), b"k02");
+
+        let mut it = TwoLevelIter::new(
+            fetcher,
+            index,
+            KeyCmp::Bytewise,
+            BlockKind::Data,
+            CachePriority::Low,
+        );
+        it.seek(b"k10");
+        assert!(!it.valid());
+        assert!(corrupt(it.status()));
+        it.seek_to_first();
+        let mut rows = 0;
+        while it.valid() {
+            rows += 1;
+            it.next();
+        }
+        assert_eq!(rows, 5);
+        assert!(corrupt(it.status()));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 
 use crate::BlockKind;
 use parking_lot::Mutex;
+use scavenger_util::hash::IntMap;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -108,7 +108,9 @@ struct ListEnds {
 }
 
 struct Shard<V> {
-    map: HashMap<CacheKey, u32>,
+    /// Keys are engine-chosen `(file, offset, kind)` triples, so the
+    /// in-shard map uses the cheap [`IntMap`] hasher.
+    map: IntMap<CacheKey, u32>,
     nodes: Vec<Option<Node<V>>>,
     free: Vec<u32>,
     lists: [ListEnds; 2], // [high, low]
@@ -128,7 +130,7 @@ fn list_index(p: CachePriority) -> usize {
 impl<V: Clone> Shard<V> {
     fn new(capacity: usize, high_ratio: f64) -> Self {
         Shard {
-            map: HashMap::new(),
+            map: IntMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             lists: [ListEnds {
@@ -342,6 +344,9 @@ impl<V: Clone> LruCache<V> {
         Self::new(capacity, 16, 0.5)
     }
 
+    /// The shard holding `key`. The mapping decides which entries share
+    /// an LRU list, so it is part of every eviction (and hence every I/O
+    /// count): keep it bit-for-bit.
     fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard<V>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);

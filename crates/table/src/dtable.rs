@@ -21,13 +21,13 @@
 //! smaller candidate under the internal-key order, so lookups remain exact
 //! even when a key alternates between inline and separated values.
 
-use crate::block::Block;
+use crate::block::{Block, BlockEntry};
 use crate::blockio::write_block;
 use crate::btable::{
-    BlockCache, BlockFetcher, BuiltTable, PropsTracker, TableOptions, TwoLevelIter,
+    search, BlockCache, BlockFetcher, BuiltTable, PropsTracker, TableOptions, TwoLevelIter,
 };
 use crate::cache::CachePriority;
-use crate::filter::{BloomBuilder, BloomReader};
+use crate::filter::{bloom_hash, BloomBuilder, BloomReader};
 use crate::props::{meta_keys, TableProps, TableType};
 use crate::tail::{read_tail, write_tail, Tail};
 use crate::{BlockKind, KeyCmp};
@@ -39,7 +39,6 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::block::BlockBuilder;
-use crate::handle::BlockHandle;
 
 /// One entry stream under construction (kv or kf).
 struct StreamBuilder {
@@ -253,44 +252,35 @@ impl DTableReader {
         kind: BlockKind,
         pri: CachePriority,
         target: &[u8],
-        ukey: &[u8],
-    ) -> Result<Option<(Vec<u8>, Bytes)>> {
+        ukey_hash: u32,
+    ) -> Result<Option<BlockEntry>> {
         if let Some(f) = filter {
-            if !BloomReader::new(f).may_contain(ukey) {
+            if !BloomReader::new(f).may_contain_hash(ukey_hash) {
                 return Ok(None);
             }
         }
-        let mut index_iter = index.iter(KeyCmp::Internal);
-        index_iter.seek(target);
-        while index_iter.valid() {
-            let handle = BlockHandle::decode_exact(&index_iter.value())?;
-            let block = self.fetcher.fetch(handle, kind, pri)?;
-            let mut it = block.iter(KeyCmp::Internal);
-            it.seek(target);
-            if it.valid() {
-                return Ok(Some((it.key().to_vec(), it.value())));
-            }
-            index_iter.next();
-        }
-        Ok(None)
+        search(index, KeyCmp::Internal, target, |handle| {
+            self.fetcher.fetch(handle, kind, pri)
+        })
     }
 
     /// Point lookup: first entry (across both streams) with internal key
-    /// `>= target`. KF blocks are fetched with high cache priority.
-    pub fn get(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Bytes)>> {
-        let ukey = extract_user_key(target);
+    /// `>= target`. KF blocks are fetched with high cache priority; the
+    /// user key is hashed once for both streams' blooms.
+    pub fn get(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
+        let ukey_hash = bloom_hash(extract_user_key(target));
         let kf = self.search_stream(
             &self.kf_index,
             &self.kf_filter,
             BlockKind::KeyFile,
             CachePriority::High,
             target,
-            ukey,
+            ukey_hash,
         )?;
-        let kv = self.get_inline(target)?;
+        let kv = self.search_inline(target, ukey_hash)?;
         Ok(match (kf, kv) {
             (Some(a), Some(b)) => {
-                if KeyCmp::Internal.cmp(&a.0, &b.0) == Ordering::Greater {
+                if KeyCmp::Internal.cmp(a.key(), b.key()) == Ordering::Greater {
                     Some(b)
                 } else {
                     Some(a)
@@ -305,14 +295,18 @@ impl DTableReader {
     /// fetched at low cache priority. This is the "is the reference
     /// shadowed by a newer inline version?" half of a GC-Lookup, whose
     /// sweep iterates [`kf_iter`](DTableReader::kf_iter) only.
-    pub fn get_inline(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Bytes)>> {
+    pub fn get_inline(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
+        self.search_inline(target, bloom_hash(extract_user_key(target)))
+    }
+
+    fn search_inline(&self, target: &[u8], ukey_hash: u32) -> Result<Option<BlockEntry>> {
         self.search_stream(
             &self.kv_index,
             &self.kv_filter,
             BlockKind::Data,
             CachePriority::Low,
             target,
-            extract_user_key(target),
+            ukey_hash,
         )
     }
 
@@ -422,6 +416,10 @@ mod tests {
     use scavenger_env::{Env, IoClass, MemEnv};
     use scavenger_util::ikey::{make_internal_key, ValueRef};
 
+    fn kv(e: BlockEntry) -> (Vec<u8>, Bytes) {
+        (e.key().to_vec(), e.value())
+    }
+
     fn opts() -> TableOptions {
         TableOptions {
             block_size: 512,
@@ -483,7 +481,7 @@ mod tests {
 
         let r = open(&env, "d.sst", None);
         for (k, v, _) in &es {
-            let (fk, fv) = r.get(k).unwrap().expect("entry");
+            let (fk, fv) = r.get(k).unwrap().map(kv).expect("entry");
             assert_eq!(&fk, k);
             assert_eq!(&fv[..], v.as_slice());
         }
@@ -559,7 +557,7 @@ mod tests {
 
         let r = open(&env, "d.sst", None);
         let t = make_internal_key(b"a", 100, ValueType::ValueRef);
-        let (k, _) = r.get(&t).unwrap().unwrap();
+        let (k, _) = r.get(&t).unwrap().map(kv).unwrap();
         let p = parse_internal_key(&k).unwrap();
         assert_eq!(p.user_key, b"a");
         assert_eq!(p.vtype, ValueType::Deletion);
@@ -588,7 +586,7 @@ mod tests {
 
         let r = open(&env, "d.sst", None);
         let t = make_internal_key(b"k", 100, ValueType::ValueRef);
-        let (k, v) = r.get(&t).unwrap().unwrap();
+        let (k, v) = r.get(&t).unwrap().map(kv).unwrap();
         let p = parse_internal_key(&k).unwrap();
         assert_eq!(p.seq, 9);
         assert_eq!(p.vtype, ValueType::Value);
@@ -596,7 +594,7 @@ mod tests {
 
         // At snapshot seq 6, the ref version is visible instead.
         let t = make_internal_key(b"k", 6, ValueType::ValueRef);
-        let (k, _) = r.get(&t).unwrap().unwrap();
+        let (k, _) = r.get(&t).unwrap().map(kv).unwrap();
         assert_eq!(parse_internal_key(&k).unwrap().seq, 5);
     }
 
@@ -708,7 +706,7 @@ mod tests {
             let r = DTableReader::open(file, 1, None).unwrap();
             // Exact point lookups across all three entry kinds.
             for (k, v) in &entries {
-                let (fk, fv) = r.get(k).unwrap().unwrap();
+                let (fk, fv) = r.get(k).unwrap().map(kv).unwrap();
                 proptest::prop_assert_eq!(&fk, k);
                 proptest::prop_assert_eq!(&fv[..], v.as_slice());
             }
@@ -736,6 +734,7 @@ mod tests {
             assert!(!r
                 .get(&t)
                 .unwrap()
+                .map(kv)
                 .map(|(k, _)| {
                     parse_internal_key(&k)
                         .unwrap()

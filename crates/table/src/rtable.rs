@@ -317,6 +317,7 @@ impl RTableReader {
         }
         let mut top = self.top_index.iter(self.cmp);
         top.seek(target);
+        top.status()?;
         if !top.valid() {
             return Ok(None);
         }
@@ -325,6 +326,7 @@ impl RTableReader {
         let part = Block::new(self.fetcher.payload(part_handle, BlockKind::Index, pri)?)?;
         let mut it = part.iter(self.cmp);
         it.seek(target);
+        it.status()?;
         if it.valid() && it.key() == target {
             return BlockHandle::decode_exact(&it.value()).map(Some);
         }
@@ -360,8 +362,10 @@ impl RTableReader {
                 out.push((it.key().to_vec(), BlockHandle::decode_exact(&it.value())?));
                 it.next();
             }
+            it.status()?;
             top.next();
         }
+        top.status()?;
         Ok(out)
     }
 
@@ -377,6 +381,7 @@ impl RTableReader {
             total = total.saturating_add(part.size.saturating_add(BLOCK_TRAILER_LEN as u64));
             top.next();
         }
+        top.status()?;
         Ok(total)
     }
 

@@ -191,7 +191,7 @@ mod tests {
         Ok(match path {
             "b.sst" => BTableReader::open(f, 1, None, KeyCmp::Internal)?
                 .get(&key)?
-                .is_some_and(|(k, _)| k == key),
+                .is_some_and(|e| e.key() == key),
             "d.sst" => DTableReader::open(f, 1, None)?.get(&key)?.is_some(),
             _ => RTableReader::open(f, 1, None, KeyCmp::Internal)?
                 .find_exact(&key, true)?

@@ -58,7 +58,39 @@ pub fn put_varint64(dst: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Decode a varint `u64` from the front of `src`, advancing it.
+///
+/// A one-byte value (every length and offset below 128) is decoded
+/// inline; anything longer, and every error, takes the out-of-line full
+/// decoder.
+#[inline]
 pub fn get_varint64(src: &mut &[u8]) -> Result<u64> {
+    match src.split_first() {
+        Some((&byte, rest)) if byte < 0x80 => {
+            *src = rest;
+            Ok(u64::from(byte))
+        }
+        _ => varint64_full(src),
+    }
+}
+
+/// Decode a varint `u32` from the front of `src`, advancing it.
+#[inline]
+pub fn get_varint32(src: &mut &[u8]) -> Result<u32> {
+    match src.split_first() {
+        Some((&byte, rest)) if byte < 0x80 => {
+            *src = rest;
+            Ok(u32::from(byte))
+        }
+        _ => varint32_full(src),
+    }
+}
+
+/// The whole varint `u64` decoder: any length, every check. The inline
+/// one-byte paths of [`get_varint64`] / [`get_varint32`] must agree with
+/// it on every input.
+#[cold]
+#[inline(never)]
+fn varint64_full(src: &mut &[u8]) -> Result<u64> {
     let mut result: u64 = 0;
     for (i, &byte) in src.iter().enumerate().take(10) {
         // The 10th byte holds bit 63 alone; any higher bit would be lost.
@@ -74,9 +106,11 @@ pub fn get_varint64(src: &mut &[u8]) -> Result<u64> {
     Err(Error::corruption("malformed or truncated varint64"))
 }
 
-/// Decode a varint `u32` from the front of `src`, advancing it.
-pub fn get_varint32(src: &mut &[u8]) -> Result<u32> {
-    let v = get_varint64(src)?;
+/// [`varint64_full`] narrowed to `u32`.
+#[cold]
+#[inline(never)]
+fn varint32_full(src: &mut &[u8]) -> Result<u32> {
+    let v = varint64_full(src)?;
     u32::try_from(v).map_err(|_| Error::corruption("varint32 overflow"))
 }
 
@@ -201,7 +235,59 @@ mod tests {
         assert!(get_length_prefixed_slice(&mut s).is_err());
     }
 
+    /// The inline one-byte paths and the full decoders reach the same
+    /// verdict on `input`: the same value (or a corruption error) with
+    /// the same bytes left over.
+    fn assert_fast_path_agrees(input: &[u8]) {
+        let (mut fast, mut full) = (input, input);
+        let (a, b) = (get_varint64(&mut fast), varint64_full(&mut full));
+        assert_eq!(a, b, "varint64 {input:02x?}");
+        assert!(a.is_ok() || matches!(a, Err(Error::Corruption(_))));
+        if a.is_ok() {
+            assert_eq!(fast, full, "varint64 rest {input:02x?}");
+        }
+        let (mut fast, mut full) = (input, input);
+        let (a, b) = (get_varint32(&mut fast), varint32_full(&mut full));
+        assert_eq!(a, b, "varint32 {input:02x?}");
+        if a.is_ok() {
+            assert_eq!(fast, full, "varint32 rest {input:02x?}");
+        }
+    }
+
+    #[test]
+    fn varint_fast_path_agrees_on_every_first_byte() {
+        let tails: [&[u8]; 5] = [&[], &[0x00], &[0x7f, 0x01], &[0x80; 12], &[0xff; 9]];
+        for first in 0..=u8::MAX {
+            for tail in tails {
+                let mut input = vec![first];
+                input.extend_from_slice(tail);
+                assert_fast_path_agrees(&input);
+            }
+        }
+        assert_fast_path_agrees(&[]);
+    }
+
     proptest! {
+        /// Every 1- to 10-byte encoding — a 10th byte above 1 included,
+        /// which overflows 64 bits — whole, followed by more bytes, and
+        /// cut short.
+        #[test]
+        fn prop_varint_fast_path_agrees_with_the_full_decoder(
+            len in 1usize..=10,
+            body in proptest::collection::vec(any::<u8>(), 10..11),
+            tail in proptest::collection::vec(any::<u8>(), 0..4),
+            cut in 0usize..=10,
+        ) {
+            let mut input: Vec<u8> = body[..len]
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| if i + 1 < len { b | 0x80 } else { b & 0x7f })
+                .collect();
+            assert_fast_path_agrees(&input[..cut.min(len)]);
+            input.extend_from_slice(&tail);
+            assert_fast_path_agrees(&input);
+        }
+
         #[test]
         fn prop_varint64_roundtrip(v: u64) {
             let mut buf = Vec::new();

@@ -14,6 +14,7 @@
 
 use crate::coding::{get_varint32, get_varint64, put_varint32, put_varint64};
 use crate::error::{Error, Result};
+use crate::inline_vec::InlineVec;
 use std::cmp::Ordering;
 
 /// Sequence number (56 usable bits).
@@ -64,6 +65,19 @@ pub fn make_internal_key(user_key: &[u8], seq: SeqNo, t: ValueType) -> Vec<u8> {
     let mut v = Vec::with_capacity(user_key.len() + 8);
     append_internal_key(&mut v, user_key, seq, t);
     v
+}
+
+/// An encoded key that stays on the stack up to 64 bytes: a point
+/// lookup's target, or a key reassembled from a prefix-compressed block.
+pub type KeyBuf = InlineVec<u8, 64>;
+
+/// The internal key of a point lookup, built once per read and without
+/// an allocation for user keys up to 56 bytes.
+pub fn lookup_key(user_key: &[u8], seq: SeqNo, t: ValueType) -> KeyBuf {
+    let mut k = KeyBuf::new();
+    k.extend_from_slice(user_key);
+    k.extend_from_slice(&pack_trailer(seq, t).to_le_bytes());
+    k
 }
 
 /// A borrowed, decoded view of an internal key.
@@ -177,6 +191,15 @@ mod tests {
         assert_eq!(p.seq, 42);
         assert_eq!(p.vtype, ValueType::Value);
         assert_eq!(extract_user_key(&k), b"abc");
+    }
+
+    #[test]
+    fn lookup_key_encodes_like_make_internal_key() {
+        for len in [0, 1, 55, 56, 57, 200] {
+            let ukey = vec![b'u'; len];
+            let k = lookup_key(&ukey, 42, ValueType::ValueRef);
+            assert_eq!(&k[..], make_internal_key(&ukey, 42, ValueType::ValueRef));
+        }
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!   numbers and value types, ordered user-key-ascending /
 //!   sequence-descending exactly like LevelDB/RocksDB.
 //! * [`hist`] — a fixed-bucket histogram used for GC latency breakdowns.
+//! * [`inline_vec`] — a small vector kept on the stack up to a fixed
+//!   length, for the short keys and file lists of a point read.
+//! * [`hash`] — a cheap hasher for maps keyed by engine-internal
+//!   integers (file numbers, block-cache keys).
 //! * [`error`] — the shared [`Error`] type.
 //! * [`iter`] — the shared fuse-on-error adapter behind every
 //!   user-facing scan iterator's `Iterator` impl.
@@ -21,8 +25,10 @@
 pub mod coding;
 pub mod crc32c;
 pub mod error;
+pub mod hash;
 pub mod hist;
 pub mod ikey;
+pub mod inline_vec;
 pub mod iter;
 
 pub use error::{Error, Result};
