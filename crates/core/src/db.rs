@@ -8,8 +8,9 @@
 //!   commits through that member unchanged; one that spans members goes
 //!   through the two-phase-commit coordinator (see [`crate::txn`]).
 //! * **Reads** route too: [`get`](Db::get) asks the owning member, a
-//!   [`ReadView`] / [`Snapshot`] pins one registered view per member,
-//!   and [`DbScanIter`] merges the members' scans in key order.
+//!   [`ReadView`] / [`Snapshot`] pins one registered view per member and
+//!   reads through the same `get` / `scan` pair, and [`DbScanIter`]
+//!   merges the members' scans in key order.
 //! * **Maintenance** fans out across members on up to
 //!   [`gc_threads`](crate::Options::gc_threads) workers, and
 //!   [`stats`](Db::stats) folds the members' snapshots.
@@ -48,7 +49,7 @@ use crate::shard::{Shard, ShardScan};
 use crate::stats::{DbStats, SpaceBreakdown};
 use crate::throttle::Throttle;
 use crate::txn::{Coordinator, InFlight};
-use crate::view::{ReadOptions, ReadPin, ReadView, Snapshot, WriteOptions, WriteReceipt};
+use crate::view::{ReadView, Snapshot, WriteOptions, WriteReceipt};
 use crate::{EngineMode, Options};
 use bytes::Bytes;
 use scavenger_env::SpaceTracker;
@@ -309,34 +310,8 @@ impl Db {
     /// the owning member, through a transient pinned view (see
     /// [`Shard::get`]).
     pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Option<Bytes>> {
-        self.get_with(&ReadOptions::default(), key)
-    }
-
-    /// The view `pin` names, `None` for the latest state. A pin taken
-    /// from another handle is refused: it would read that other store.
-    fn pinned<'p>(&self, pin: ReadPin<'p>) -> Result<Option<&'p ReadView>> {
-        let view = match pin {
-            ReadPin::Latest => return Ok(None),
-            ReadPin::View(v) => v,
-            ReadPin::Snapshot(s) => &s.view,
-        };
-        if !Arc::ptr_eq(&view.db.inner, &self.inner) {
-            return Err(Error::invalid_argument(
-                "the pin was taken from another handle",
-            ));
-        }
-        Ok(Some(view))
-    }
-
-    /// Value of `key` as seen by `opts`: through the view or snapshot in
-    /// [`ReadOptions::pin`], or without one on the owning member alone
-    /// through a transient pin, with per-call cache control.
-    pub fn get_with(&self, opts: &ReadOptions<'_>, key: impl AsRef<[u8]>) -> Result<Option<Bytes>> {
         let key = key.as_ref();
-        match self.pinned(opts.pin)? {
-            Some(view) => view.get_opt(key, opts.fill_cache),
-            None => self.member(key).get(key, opts.fill_cache),
-        }
+        self.member(key).get(key)
     }
 
     /// Take a pinned, registered [`ReadView`] at the latest state: one
@@ -381,7 +356,7 @@ impl Db {
     /// iterator owns the pin).
     ///
     /// ```
-    /// use scavenger::{Db, EngineMode, MemEnv, Options, ReadOptions};
+    /// use scavenger::{Db, EngineMode, MemEnv, Options};
     ///
     /// let db = Db::open(Options::new(MemEnv::shared(), "scan-doc", EngineMode::Scavenger)).unwrap();
     /// db.put("a", vec![1u8; 600]).unwrap();
@@ -389,23 +364,10 @@ impl Db {
     /// db.put("b", vec![2u8; 600]).unwrap();
     /// assert_eq!(view.scan(b"", None).unwrap().count(), 1);
     /// assert_eq!(db.scan(b"", None).unwrap().count(), 2);
-    /// assert!(db.get_with(&ReadOptions::default(), b"missing").unwrap().is_none());
+    /// assert!(db.get(b"missing").unwrap().is_none());
     /// ```
     pub fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<DbScanIter> {
         self.view().scan(lo, hi)
-    }
-
-    /// Range scan as seen by `opts`: bounds come from
-    /// [`lower_bound`](ReadOptions::lower_bound) /
-    /// [`upper_bound`](ReadOptions::upper_bound), the read point from
-    /// [`ReadOptions::pin`] (latest otherwise).
-    pub fn scan_with(&self, opts: &ReadOptions<'_>) -> Result<DbScanIter> {
-        let lo = opts.lower_bound.as_deref().unwrap_or(b"");
-        let hi = opts.upper_bound.as_deref();
-        match self.pinned(opts.pin)? {
-            Some(view) => view.scan_opt(lo, hi, opts.fill_cache),
-            None => self.view().scan_opt(lo, hi, opts.fill_cache),
-        }
     }
 
     // ---------------- maintenance ----------------
@@ -1026,12 +988,7 @@ mod tests {
         db.run_gc_until_clean().unwrap();
         // The snapshot's version was rewritten by GC but must remain
         // reachable through inheritance.
-        assert_eq!(
-            db.get_with(&crate::view::ReadOptions::pinned(&snap), "k")
-                .unwrap()
-                .unwrap(),
-            Bytes::from(value(1, 4096))
-        );
+        assert_eq!(snap.get("k").unwrap().unwrap(), Bytes::from(value(1, 4096)));
         assert_eq!(db.get("k").unwrap().unwrap(), Bytes::from(value(103, 4096)));
         drop(snap);
     }

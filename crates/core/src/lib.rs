@@ -37,12 +37,12 @@
 //!
 //! [`Db`] is the only handle and the engine surface is its methods:
 //! reads and writes, maintenance, [`Db::subscribe_changes`], and
-//! [`Transactional::begin`]. The pinned read surfaces are [`ReadView`]
-//! and [`Snapshot`], scans yield a [`DbScanIter`], change streams are a
-//! [`DbChangeStream`] and transactions a [`Transaction`]. Per-call
-//! options are shared: one [`ReadOptions`] (its [`ReadPin`] names a
-//! view or snapshot), one [`WriteOptions`], and a [`GcReport`] with one
-//! GC outcome per member.
+//! [`Transactional::begin`]. A read is [`Db::get`] / [`Db::scan`] at the
+//! latest state, or the same two methods on a pinned [`ReadView`] or
+//! [`Snapshot`]; scans yield a [`DbScanIter`], change streams are a
+//! [`DbChangeStream`] and transactions a [`Transaction`]. Writes share
+//! one [`WriteOptions`], and GC returns a [`GcReport`] with one outcome
+//! per member.
 //!
 //! ## Scaling out
 //!
@@ -52,7 +52,7 @@
 //! across N members behind the same API — one shared block cache, one
 //! global space budget, per-shard GC/compaction fanned across threads.
 //! Strict per-shard read consistency comes from the pinned-view
-//! machinery ([`Db::view`], [`Snapshot`], [`ReadOptions`]).
+//! machinery ([`Db::view`], [`Db::snapshot`]).
 //!
 //! The repository-level `ARCHITECTURE.md` walks the full design: the
 //! API layer, the superversion read path and its
@@ -88,7 +88,7 @@ pub use shards::{DbShards, ShardedOptions, ShardedOptionsBuilder};
 pub use stats::{DbStats, GcStats, GcStepTimes, SpaceBreakdown};
 pub use throttle::Throttle;
 pub use txn::{Transaction, Transactional};
-pub use view::{ReadOptions, ReadPin, ReadView, Snapshot, WriteOptions, WriteReceipt};
+pub use view::{ReadView, Snapshot, WriteOptions, WriteReceipt};
 
 // Re-export the write-batch type (and the byte buffer it carries) so
 // `Db::write(WriteBatch)` is callable from the crate root alone, with

@@ -250,10 +250,11 @@ pub struct Options {
     /// Base delay of the exponential backoff between background retries
     /// (`bg_retry_base * 2^attempt`).
     pub bg_retry_base: std::time::Duration,
-    /// Share this block cache instead of creating one per engine.
-    /// [`DbShards`](crate::DbShards) hands every shard the same
-    /// (16-way-sharded) cache so one memory budget covers the whole
-    /// sharded store; standalone engines leave it `None`.
+    /// A block cache the caller supplies, e.g. to size it apart from the
+    /// store or to share it between stores. When `None`,
+    /// [`Db::open`](crate::Db::open) builds one of
+    /// [`block_cache_bytes`](Self::block_cache_bytes). Either way that
+    /// one cache serves every member of the set.
     pub block_cache: Option<Arc<BlockCache>>,
     /// Change-data-capture WAL retention budget, in bytes. Closed WAL
     /// segments are kept on disk for change-stream catch-up instead of

@@ -72,14 +72,8 @@ pub(crate) struct ShardInner {
 
 impl ShardInner {
     /// Resolve an index read result into the user value, fetching
-    /// separated values through the value store — and through the block
-    /// cache as `fill_cache` says.
-    fn resolve_read(
-        &self,
-        key: &[u8],
-        r: LsmReadResult,
-        fill_cache: bool,
-    ) -> Result<Option<Bytes>> {
+    /// separated values through the value store and the block cache.
+    fn resolve_read(&self, key: &[u8], r: LsmReadResult) -> Result<Option<Bytes>> {
         match r {
             LsmReadResult::NotFound | LsmReadResult::Deleted => Ok(None),
             LsmReadResult::Found {
@@ -93,7 +87,7 @@ impl ShardInner {
                 value,
             } => {
                 let vref = ValueRef::decode(&value)?;
-                Ok(Some(self.vstore.read_ref(key, seq, &vref, fill_cache)?))
+                Ok(Some(self.vstore.read_ref(key, seq, &vref)?))
             }
             LsmReadResult::Found {
                 vtype: ValueType::Deletion,
@@ -340,18 +334,17 @@ impl Shard {
 
     // ---------------- reads ----------------
 
-    /// Latest value of `key` in this member, or `None` if absent/deleted,
-    /// through the caches as `fill_cache` says.
+    /// Latest value of `key` in this member, or `None` if absent/deleted.
     ///
     /// Single-pass and strictly consistent: the read goes through a
     /// transient pinned view, so the index version it observes and the
     /// value it resolves belong to the same point in time even under
     /// concurrent flush/compaction/GC.
-    pub fn get(&self, key: impl AsRef<[u8]>, fill_cache: bool) -> Result<Option<Bytes>> {
+    pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Option<Bytes>> {
         let key = key.as_ref();
-        self.inner.lsm.get_resolved(key, fill_cache, |r| {
-            self.inner.resolve_read(key, r, fill_cache)
-        })
+        self.inner
+            .lsm
+            .get_resolved(key, |r| self.inner.resolve_read(key, r))
     }
 
     /// A pinned, registered view at the latest sequence.
@@ -546,22 +539,13 @@ impl ShardView {
         self.view.sequence()
     }
 
-    pub(crate) fn get_opt(&self, key: &[u8], fill_cache: bool) -> Result<Option<Bytes>> {
-        let r = self.view.get_opt(key, fill_cache)?;
-        self.shard.resolve_read(key, r, fill_cache)
+    pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
+        let r = self.view.get(key)?;
+        self.shard.resolve_read(key, r)
     }
 
-    pub(crate) fn scan_opt(
-        &self,
-        lo: &[u8],
-        hi: Option<&[u8]>,
-        fill_cache: bool,
-    ) -> Result<ShardScan> {
-        Ok(ShardScan::new(
-            self.view.scan_opt(lo, hi, fill_cache)?,
-            self.shard.clone(),
-            fill_cache,
-        ))
+    pub(crate) fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<ShardScan> {
+        Ok(ShardScan::new(self.view.scan(lo, hi)?, self.shard.clone()))
     }
 }
 
@@ -580,9 +564,6 @@ pub const SCAN_BATCH_BYTES: u64 = 1 << 20;
 pub(crate) struct ShardScan {
     inner: scavenger_lsm::ScanIter,
     shard: Arc<ShardInner>,
-    /// Whether locating a value inserts what it misses into the block
-    /// cache (value records are read around it either way).
-    fill_cache: bool,
     /// The current look-ahead batch: resolved rows not yet yielded.
     ready: std::vec::IntoIter<ScanEntry>,
     /// What ended the look-ahead; surfaces once `ready` has drained.
@@ -597,11 +578,10 @@ pub(crate) struct ShardScan {
 }
 
 impl ShardScan {
-    fn new(inner: scavenger_lsm::ScanIter, shard: Arc<ShardInner>, fill_cache: bool) -> ShardScan {
+    fn new(inner: scavenger_lsm::ScanIter, shard: Arc<ShardInner>) -> ShardScan {
         ShardScan {
             inner,
             shard,
-            fill_cache,
             ready: Vec::new().into_iter(),
             failed: None,
             ramp: 1,
@@ -682,9 +662,7 @@ impl ShardScan {
         if separated.len() > 1 {
             let fetched = separated
                 .iter()
-                .map(|(row, seq, vref)| {
-                    vstore.locate(&batch[*row].key, *seq, vref, self.fill_cache)
-                })
+                .map(|(row, seq, vref)| vstore.locate(&batch[*row].key, *seq, vref))
                 .collect::<Result<Vec<_>>>()
                 .and_then(|locs| vstore.fetch(&locs));
             if let Ok(values) = fetched {
@@ -696,7 +674,7 @@ impl ShardScan {
         }
         for (row, seq, vref) in separated {
             let fetched = vstore
-                .locate(&batch[*row].key, *seq, vref, self.fill_cache)
+                .locate(&batch[*row].key, *seq, vref)
                 .and_then(|loc| vstore.fetch(std::slice::from_ref(&loc)));
             match fetched {
                 Ok(mut value) => batch[*row].value = value.remove(0),

@@ -523,7 +523,7 @@ mod tests {
         // invisible through routing.
         assert!(db
             .shard(db.shard_of("key005"))
-            .get("key005", true)
+            .get("key005")
             .unwrap()
             .is_none());
     }

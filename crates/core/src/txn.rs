@@ -303,6 +303,9 @@ impl Transaction {
     /// into the range by other writers after begin are not tracked
     /// (no phantom protection).
     pub fn scan(&mut self, lo: &[u8], hi: Option<&[u8]>) -> Result<Vec<ScanEntry>> {
+        if hi.is_some_and(|h| h <= lo) {
+            return Ok(Vec::new());
+        }
         let base: Vec<ScanEntry> = self.view.scan(lo, hi)?.collect::<Result<Vec<_>>>()?;
         let hi_bound = match hi {
             Some(h) => Bound::Excluded(h),
@@ -883,6 +886,31 @@ mod tests {
         bad[last] ^= 0xff;
         let err = decode_prepare(&bad).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)), "got {err}");
+    }
+
+    /// A range whose end is not past its start is empty, as on
+    /// `Db::scan`: no rows, no reads, and the commit still lands.
+    #[test]
+    fn a_scan_whose_hi_is_below_lo_is_empty() {
+        use crate::{EngineMode, MemEnv, Options};
+        let db = Db::open(Options::new(
+            MemEnv::shared(),
+            "txn-rev",
+            EngineMode::Scavenger,
+        ))
+        .unwrap();
+        for k in ["a", "b", "c", "d"] {
+            db.put(k, &b"v"[..]).unwrap();
+        }
+        assert_eq!(db.scan(b"c", Some(b"b")).unwrap().count(), 0);
+        let mut txn = db.begin();
+        txn.put("bb", &b"w"[..]);
+        assert!(txn.scan(b"c", Some(b"b")).unwrap().is_empty());
+        assert!(txn.scan(b"b", Some(b"b")).unwrap().is_empty());
+        assert!(txn.reads.is_empty());
+        assert_eq!(txn.scan(b"b", Some(b"c")).unwrap().len(), 2);
+        txn.commit().unwrap();
+        assert_eq!(db.get("bb").unwrap().unwrap().as_ref(), b"w");
     }
 
     #[test]

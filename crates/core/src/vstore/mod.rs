@@ -503,9 +503,8 @@ impl ValueStore {
     /// **Locate**: resolve a reference to the live file and in-file
     /// location that hold its value right now, reading no record bytes
     /// (BTables excepted — see [`ValueAt::Cached`]). Index partitions (and
-    /// BTable value blocks) come through the block cache; what misses is
-    /// inserted only when `fill_cache` (a `ReadOptions::fill_cache =
-    /// false` read fills nothing).
+    /// BTable value blocks) come through the block cache, which keeps
+    /// what misses.
     ///
     /// * Blob logs are addressed: the reference names the value's
     ///   `(offset, size)`, from which [`ValueAt::blob`] derives its whole
@@ -518,26 +517,14 @@ impl ValueStore {
     /// A concurrent GC can retire a file between the resolution and the
     /// reader open; on that narrow race the resolution runs once more
     /// (the forest already knows the file's heirs).
-    pub fn locate(
-        &self,
-        user_key: &[u8],
-        seq: SeqNo,
-        vref: &ValueRef,
-        fill_cache: bool,
-    ) -> Result<ValueLoc> {
-        match self.locate_once(user_key, seq, vref, fill_cache) {
-            Err(Error::NotFound(_)) => self.locate_once(user_key, seq, vref, fill_cache),
+    pub fn locate(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<ValueLoc> {
+        match self.locate_once(user_key, seq, vref) {
+            Err(Error::NotFound(_)) => self.locate_once(user_key, seq, vref),
             other => other,
         }
     }
 
-    fn locate_once(
-        &self,
-        user_key: &[u8],
-        seq: SeqNo,
-        vref: &ValueRef,
-        fill_cache: bool,
-    ) -> Result<ValueLoc> {
+    fn locate_once(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<ValueLoc> {
         let loc = |file, reader, at, ikey| ValueLoc {
             file,
             reader,
@@ -555,7 +542,7 @@ impl ValueStore {
         }
         if live.is_some() {
             let reader = self.reader(vref.file)?;
-            if let Some(at) = reader.locate(&ikey, fill_cache)? {
+            if let Some(at) = reader.locate(&ikey)? {
                 return Ok(loc(vref.file, reader, at, ikey));
             }
             // Keyed file is live but lacks the record — fall through to
@@ -566,7 +553,7 @@ impl ValueStore {
                 continue;
             }
             let reader = self.reader(leaf)?;
-            if let Some(at) = reader.locate(&ikey, fill_cache)? {
+            if let Some(at) = reader.locate(&ikey)? {
                 return Ok(loc(leaf, reader, at, ikey));
             }
         }
@@ -598,19 +585,12 @@ impl ValueStore {
     /// Resolve and read the value behind a reference — a point read:
     /// [`locate`](Self::locate) plus a fetch of one, with no batch
     /// plumbing in between. The record is served from the block cache, or
-    /// read once — CRC-verified — and, with `fill_cache`,
-    /// inserted at [`CachePriority::Bottom`](scavenger_table::cache::CachePriority::Bottom),
+    /// read once — CRC-verified — and inserted at [`CachePriority::Bottom`](scavenger_table::cache::CachePriority::Bottom),
     /// so a repeat read of the same key costs no value I/O. Its key is
     /// checked against `(user_key, seq)` on a hit too.
-    pub fn read_ref(
-        &self,
-        user_key: &[u8],
-        seq: SeqNo,
-        vref: &ValueRef,
-        fill_cache: bool,
-    ) -> Result<Bytes> {
-        let loc = self.locate(user_key, seq, vref, fill_cache)?;
-        loc.reader.fetch_one(&loc.at, &loc.ikey, fill_cache)
+    pub fn read_ref(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<Bytes> {
+        let loc = self.locate(user_key, seq, vref)?;
+        loc.reader.fetch_one(&loc.at, &loc.ikey)
     }
 
     /// Remove on-disk value files not present in the registry (crash
@@ -801,10 +781,7 @@ mod tests {
             size: rec.size,
             offset: rec.offset,
         };
-        assert_eq!(
-            &vs.read_ref(b"k", 7, &vref, true).unwrap()[..],
-            b"the-value"
-        );
+        assert_eq!(&vs.read_ref(b"k", 7, &vref).unwrap()[..], b"the-value");
 
         // GC moves contents to file 9; the stale ref still resolves.
         let mut w =
@@ -822,17 +799,14 @@ mod tests {
             !env.file_exists("db/000005.vsst"),
             "applying the bundle deletes the files it removes"
         );
-        assert_eq!(
-            &vs.read_ref(b"k", 7, &vref, true).unwrap()[..],
-            b"the-value"
-        );
+        assert_eq!(&vs.read_ref(b"k", 7, &vref).unwrap()[..], b"the-value");
         // A key that never existed: dangling.
         let bad = ValueRef {
             file: 5,
             size: 3,
             offset: 0,
         };
-        assert!(vs.read_ref(b"zz", 1, &bad, true).is_err());
+        assert!(vs.read_ref(b"zz", 1, &bad).is_err());
     }
 
     #[test]

@@ -422,33 +422,29 @@ impl VReader {
 
     /// **Locate** the exact version `ikey` in a keyed table without
     /// reading its record: one bloom probe, then one index lookup through
-    /// the block cache, whose misses are inserted only when `fill_cache`.
-    /// `None` when this file does not hold it. A BTable's data block holds
-    /// values, so it is inserted at [`CachePriority::Bottom`].
-    pub fn locate(&self, ikey: &[u8], fill_cache: bool) -> Result<Option<ValueAt>> {
+    /// the block cache, which keeps what misses. `None` when this file
+    /// does not hold it. A BTable's data block holds values, so it is
+    /// inserted at [`CachePriority::Bottom`].
+    pub fn locate(&self, ikey: &[u8]) -> Result<Option<ValueAt>> {
         match self {
-            VReader::R(r) => Ok(r.find_exact(ikey, fill_cache)?.map(ValueAt::Record)),
-            VReader::B(r) => Ok(
-                match r.get_with(ikey, fill_cache.then_some(CachePriority::Bottom))? {
-                    Some(e) if e.key() == ikey => Some(ValueAt::Cached(e.value())),
-                    _ => None,
-                },
-            ),
+            VReader::R(r) => Ok(r.find_exact(ikey)?.map(ValueAt::Record)),
+            VReader::B(r) => Ok(match r.get_cached_at(ikey, CachePriority::Bottom)? {
+                Some(e) if e.key() == ikey => Some(ValueAt::Cached(e.value())),
+                _ => None,
+            }),
             VReader::Blob { .. } => Err(Error::invalid_argument("keyed lookup on a blob log")),
         }
     }
 
     /// **Fetch** one located value for a point read: served from the
     /// block cache, or a single read of its whole record, CRC-verified,
-    /// that enters the cache at [`CachePriority::Bottom`] when
-    /// `fill_cache`. The record's key is checked against `ikey` on a hit
-    /// too. Scans, GC and relocation use [`fetch`](Self::fetch), which
-    /// reads around the cache.
-    pub fn fetch_one(&self, at: &ValueAt, ikey: &[u8], fill_cache: bool) -> Result<Bytes> {
+    /// that enters the cache at [`CachePriority::Bottom`]. The record's
+    /// key is checked against `ikey` on a hit too. Scans, GC and
+    /// relocation use [`fetch`](Self::fetch), which reads around the
+    /// cache.
+    pub fn fetch_one(&self, at: &ValueAt, ikey: &[u8]) -> Result<Bytes> {
         match (self, at) {
-            (VReader::R(r), ValueAt::Record(h)) => {
-                record_value(ikey, r.read_record(*h, fill_cache)?)
-            }
+            (VReader::R(r), ValueAt::Record(h)) => record_value(ikey, r.read_record(*h)?),
             (
                 VReader::Blob {
                     file,
@@ -459,10 +455,9 @@ impl VReader {
             ) => {
                 let ukey = Some(extract_user_key(ikey));
                 let key = CacheKey::new(*cache_id, offset, BlockKind::Data);
-                let fill = fill_cache.then_some(CachePriority::Bottom);
                 // Decoded before it may enter the cache, so the cache
                 // holds only verified records; decoded again to serve it.
-                let rec = cached_read(cache.as_deref(), key, fill, || {
+                let rec = cached_read(cache.as_deref(), key, CachePriority::Bottom, || {
                     let rec = file.read_at(offset, len as usize)?;
                     decode_blob_record(&rec, ukey)?;
                     Ok(rec)
@@ -517,7 +512,7 @@ impl VReader {
             }
             VReader::B(_) => wants
                 .iter()
-                .map(|(at, ikey)| self.fetch_one(at, ikey, false))
+                .map(|(at, ikey)| self.fetch_one(at, ikey))
                 .collect(),
         }
     }
@@ -634,8 +629,8 @@ mod tests {
     }
 
     /// Write 100 records, read each one through every value read path —
-    /// `fetch_one` (filling the cache, then served by it, and with
-    /// `fill_cache = false`), the batched `fetch` and the GC `scan_file`
+    /// `fetch_one` (filling the cache, then served by it), the batched
+    /// `fetch` and the GC `scan_file`
     /// — then flip one byte of one value: every read of that record is
     /// `Corruption`, every other record still reads. One record per
     /// BTable block, so a flip hits one record in every format.
@@ -668,7 +663,7 @@ mod tests {
         };
         // Where record `i` sits: a blob ref's record span, or a keyed
         // lookup (which reads a BTable's value block).
-        let at = |r: &VReader, i: usize, fill_cache: bool| -> Result<ValueAt> {
+        let at = |r: &VReader, i: usize| -> Result<ValueAt> {
             let (key, _, _, rec) = &recs[i];
             match format {
                 VFormat::BlobLog => {
@@ -679,16 +674,14 @@ mod tests {
                     };
                     ValueAt::blob(key.as_bytes(), &vref)
                 }
-                _ => Ok(r.locate(&ikeys[i], fill_cache)?.expect("stored version")),
+                _ => Ok(r.locate(&ikeys[i])?.expect("stored version")),
             }
         };
-        let point = |r: &VReader, i: usize, fill_cache: bool| {
-            r.fetch_one(&at(r, i, fill_cache)?, &ikeys[i], fill_cache)
-        };
+        let point = |r: &VReader, i: usize| r.fetch_one(&at(r, i)?, &ikeys[i]);
         let batch = |r: &VReader, picks: &[usize]| -> Result<Vec<Bytes>> {
             let ats = picks
                 .iter()
-                .map(|&i| at(r, i, false))
+                .map(|&i| at(r, i))
                 .collect::<Result<Vec<_>>>()?;
             let wants: Vec<(&ValueAt, &[u8])> = ats
                 .iter()
@@ -701,9 +694,9 @@ mod tests {
 
         let r = open();
         let all: Vec<usize> = (0..recs.len()).collect();
-        for fill_cache in [true, true, false] {
+        for _ in 0..2 {
             for (i, (_, _, value, _)) in recs.iter().enumerate() {
-                assert_eq!(&point(&r, i, fill_cache).unwrap()[..], value.as_slice());
+                assert_eq!(&point(&r, i).unwrap()[..], value.as_slice());
             }
         }
         // The batched fetch returns the same values, in input order.
@@ -722,15 +715,11 @@ mod tests {
         // A record fetched for another key is rejected; a keyed table
         // misses a version it does not hold.
         if format != VFormat::BTable {
-            assert!(is_corruption(r.fetch_one(
-                &at(&r, 0, true).unwrap(),
-                &ikeys[1],
-                true
-            )));
+            assert!(is_corruption(r.fetch_one(&at(&r, 0).unwrap(), &ikeys[1])));
         }
         if format != VFormat::BlobLog {
             let wrong = make_internal_key(recs[0].0.as_bytes(), 1, ValueType::Value);
-            assert!(r.locate(&wrong, true).unwrap().is_none());
+            assert!(r.locate(&wrong).unwrap().is_none());
         }
 
         // Flip a byte inside record 37's value; read through a fresh
@@ -739,17 +728,13 @@ mod tests {
         let path = vfile_path("db", 9, format);
         env.corrupt_byte(&path, recs[bad].3.offset + 100).unwrap();
         let r = open();
-        for fill_cache in [true, false] {
-            assert!(is_corruption(point(&r, bad, fill_cache)), "{format:?}");
-        }
+        assert!(is_corruption(point(&r, bad)), "{format:?}");
         assert!(is_corruption(batch(&r, &[bad]).map(|mut v| v.remove(0))));
         assert!(matches!(scan(), Err(Error::Corruption(_))), "{format:?}");
         let others: Vec<usize> = all.into_iter().filter(|&i| i != bad).collect();
         for (got, &i) in batch(&r, &others).unwrap().iter().zip(&others) {
             assert_eq!(&got[..], recs[i].2.as_slice());
-            for fill_cache in [true, false] {
-                assert_eq!(&point(&r, i, fill_cache).unwrap()[..], recs[i].2.as_slice());
-            }
+            assert_eq!(&point(&r, i).unwrap()[..], recs[i].2.as_slice());
         }
     }
 
@@ -793,7 +778,7 @@ mod tests {
             };
             let (ukey, _) = parse_record_key(&rec.ikey).unwrap();
             let at = ValueAt::blob(ukey, &vref).unwrap();
-            let direct = r.fetch_one(&at, &rec.ikey, false).unwrap();
+            let direct = r.fetch_one(&at, &rec.ikey).unwrap();
             assert_eq!(direct, rec.value);
         }
     }
@@ -834,9 +819,7 @@ mod tests {
         assert_eq!(idx.len(), 1);
         let (uk, seq) = parse_record_key(&idx[0].0).unwrap();
         assert_eq!((uk, seq), (b"k".as_slice(), 1));
-        let v = r
-            .fetch_one(&ValueAt::Record(idx[0].1), &idx[0].0, true)
-            .unwrap();
+        let v = r.fetch_one(&ValueAt::Record(idx[0].1), &idx[0].0).unwrap();
         assert_eq!(v.len(), 4096);
     }
 

@@ -402,18 +402,27 @@ impl ChangeLog {
                 }
             };
             let Some((path, end_seq)) = plan else { break };
+            let start = next;
             let served = self.replay_file(&path, &mut next, end_seq, head, max, &mut events);
-            match served {
-                Ok(true) => {
-                    if events.len() >= max {
-                        break;
-                    }
+            // A closed segment holds every sequence below its end, and
+            // this subscriber's own cursor pins the file: a failed read
+            // or a replay that stops short is a damaged WAL, not a race.
+            if end_seq != SeqNo::MAX {
+                served?;
+                let want = end_seq.min(head.saturating_add(1));
+                if events.len() < max && next < want {
+                    return Err(Error::corruption(format!(
+                        "CDC catch-up: WAL {path} stops at sequence {next}, short of {want}"
+                    )));
                 }
-                // The file made no progress: either the history is not
-                // yet visible (unsynced live-WAL tail) or the file
-                // vanished in a rotation race. Serve what we have; the
-                // next poll re-plans from the fresh catalog.
-                Ok(false) | Err(_) => break,
+            } else if served.is_err() {
+                // The live WAL vanished in a rotation race: serve what
+                // we have; the next poll re-plans from the fresh catalog.
+                break;
+            }
+            // No progress on the live WAL: its tail is not yet synced.
+            if next == start || events.len() >= max {
+                break;
             }
         }
 
@@ -483,8 +492,8 @@ impl ChangeLog {
     }
 
     /// Replay one WAL file, appending events in `[next, end_seq)` with
-    /// `seq <= head`, up to `max` total. Returns whether the cursor
-    /// advanced.
+    /// `seq <= head`, up to `max` total, advancing `next` past each. It
+    /// stops early at a damaged record or a gap in the sequence.
     fn replay_file(
         &self,
         path: &str,
@@ -493,11 +502,10 @@ impl ChangeLog {
         head: SeqNo,
         max: usize,
         events: &mut Vec<ChangeEvent>,
-    ) -> Result<bool> {
+    ) -> Result<()> {
         let data = self.env.read_file(path, IoClass::Wal)?;
         self.catchup_reads.fetch_add(1, Ordering::Relaxed);
         let (records, _corrupt) = crate::wal::read_all_records(data);
-        let start = *next;
         for rec in records {
             let Ok((base, batch)) = WriteBatch::decode(&rec) else {
                 break;
@@ -507,13 +515,10 @@ impl ChangeLog {
                 if seq < *next {
                     continue;
                 }
-                if seq >= end_seq || seq > head {
-                    return Ok(*next != start);
-                }
-                if seq != *next {
-                    // A gap inside a file would mean lost history;
-                    // stop rather than serve out of order.
-                    return Ok(*next != start);
+                // A gap inside a file would mean lost history; stop
+                // rather than serve out of order.
+                if seq >= end_seq || seq > head || seq != *next {
+                    return Ok(());
                 }
                 events.push(ChangeEvent {
                     seq,
@@ -524,11 +529,11 @@ impl ChangeLog {
                 });
                 *next = seq + 1;
                 if events.len() >= max {
-                    return Ok(true);
+                    return Ok(());
                 }
             }
         }
-        Ok(*next != start)
+        Ok(())
     }
 
     /// Drop retained segments past the retention budget — but never a
@@ -734,6 +739,41 @@ mod tests {
         assert_eq!(events[0].key, b"key0000");
         assert_eq!(events[119].key, b"key0119");
         assert!(log.stats().catchup_reads > 0, "served from WAL replay");
+    }
+
+    /// A damaged or missing closed segment fails the catch-up poll with
+    /// a typed error instead of serving empty polls forever.
+    #[test]
+    fn catchup_over_a_damaged_closed_segment_is_an_error() {
+        use scavenger_env::Env;
+        let env = MemEnv::shared();
+        let mut opts = small_opts(env.clone(), "db");
+        opts.cdc_retention = 64 * 1024 * 1024;
+        opts.cdc_ring_bytes = 1;
+        let db = Lsm::open(opts).unwrap().0;
+        for i in 0..120 {
+            put(&db, &format!("key{i:04}"), &[b'v'; 128]);
+        }
+        let log = db.change_log();
+        let path = {
+            let inner = log.inner.lock();
+            wal_path(
+                "db",
+                inner.segments.front().expect("a closed segment").number,
+            )
+        };
+        env.corrupt_byte(&path, 200).unwrap();
+        let mut cur = log.subscribe_oldest().unwrap();
+        let err = (0..50)
+            .find_map(|_| cur.poll(7).err())
+            .expect("the damaged segment fails a poll");
+        assert!(
+            matches!(&err, Error::Corruption(m) if m.contains(&path)),
+            "{err}"
+        );
+        assert!(cur.poll(7).is_err(), "the error repeats, it is not skipped");
+        env.remove_file(&path).unwrap();
+        assert!(cur.poll(7).is_err(), "a missing segment is an error too");
     }
 
     #[test]

@@ -299,8 +299,8 @@ impl Lsm {
 
     fn run_compaction(&self, version: &Arc<Version>, c: &Compaction) -> Result<()> {
         // Open compaction-class readers (bypassing the table cache so
-        // foreground I/O accounting stays clean; compaction reads do not
-        // pollute the block cache, like RocksDB's fill_cache=false). Each
+        // foreground I/O accounting stays clean; they open without a
+        // block cache, so compaction reads do not pollute it). Each
         // input is walked once, front to back, so it is read in
         // device-sized ops: one tail read at open, then forward spans.
         let opts = &self.inner.opts;

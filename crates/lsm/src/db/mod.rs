@@ -282,14 +282,13 @@ impl Lsm {
     /// [`get_resolved`](Lsm::get_resolved) so the resolution happens
     /// while the read point is still registered.
     pub fn get(&self, key: &[u8]) -> Result<LsmReadResult> {
-        self.get_resolved(key, true, Ok)
+        self.get_resolved(key, Ok)
     }
 
     /// Latest visible version of `key`, with `resolve` invoked while the
     /// read's transient pin is still registered — the whole
     /// index-lookup-then-value-fetch sequence observes one point in
-    /// time. This is the engine-above's single-pass `get` path;
-    /// `fill_cache = false` opens tables without caching their readers.
+    /// time. This is the engine-above's single-pass `get` path.
     ///
     /// Hand-rolled instead of going through [`view`](Lsm::view): a
     /// borrowed pin plus one superversion grab keeps the hot path free
@@ -297,13 +296,12 @@ impl Lsm {
     pub fn get_resolved<T>(
         &self,
         key: &[u8],
-        fill_cache: bool,
         resolve: impl FnOnce(LsmReadResult) -> Result<T>,
     ) -> Result<T> {
         // Register before pinning the bundle, like `view()`.
         let pin = self.inner.read_points.pin_transient();
         let sv = self.superversion();
-        let r = read_superversion(&sv, &self.inner.tcache, key, pin.sequence(), fill_cache)?;
+        let r = read_superversion(&sv, &self.inner.tcache, key, pin.sequence())?;
         resolve(r)
     }
 
@@ -315,13 +313,7 @@ impl Lsm {
     /// sequence registered — prefer reading through those
     /// handles directly.
     pub fn get_at(&self, key: &[u8], read_seq: SeqNo) -> Result<LsmReadResult> {
-        read_superversion(
-            &self.superversion(),
-            &self.inner.tcache,
-            key,
-            read_seq,
-            true,
-        )
+        read_superversion(&self.superversion(), &self.inner.tcache, key, read_seq)
     }
 
     /// Pin the current state into a reusable [`BatchReader`] for batched,

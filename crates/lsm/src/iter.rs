@@ -143,9 +143,6 @@ impl InternalIterator for TableEntryIter {
 pub struct LevelIter {
     files: Vec<Arc<FileMetaData>>,
     tcache: Arc<TableCache>,
-    /// When `false`, files are opened detached (one-shot readers that
-    /// bypass the reader and block caches — `fill_cache = false` scans).
-    fill_cache: bool,
     /// When `true`, each file shows only its index entries
     /// ([`TableEntryIter::index_only`]) — the GC-Lookup sweep.
     index_only: bool,
@@ -158,19 +155,9 @@ impl LevelIter {
     /// Iterate over `files`, which must be sorted by smallest key and
     /// non-overlapping (levels ≥ 1).
     pub fn new(files: Vec<Arc<FileMetaData>>, tcache: Arc<TableCache>) -> Self {
-        Self::with_fill_cache(files, tcache, true)
-    }
-
-    /// Like [`new`](LevelIter::new), with explicit cache behaviour.
-    pub fn with_fill_cache(
-        files: Vec<Arc<FileMetaData>>,
-        tcache: Arc<TableCache>,
-        fill_cache: bool,
-    ) -> Self {
         LevelIter {
             files,
             tcache,
-            fill_cache,
             index_only: false,
             file_idx: 0,
             cur: None,
@@ -192,13 +179,7 @@ impl LevelIter {
         if idx >= self.files.len() {
             return;
         }
-        let file_number = self.files[idx].file_number;
-        let table = if self.fill_cache {
-            self.tcache.get(file_number)
-        } else {
-            self.tcache.get_detached(file_number)
-        };
-        match table {
+        match self.tcache.get(self.files[idx].file_number) {
             Ok(t) if self.index_only => self.cur = Some(TableEntryIter::index_only(t)),
             Ok(t) => self.cur = Some(TableEntryIter::new(t)),
             Err(e) => self.error = Some(e),

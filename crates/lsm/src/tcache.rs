@@ -242,20 +242,6 @@ impl TableCache {
         Ok(table)
     }
 
-    /// Open a one-shot reader for `file_number` that bypasses both the
-    /// reader cache and the block cache (`ReadOptions::fill_cache =
-    /// false` reads must not pollute either).
-    pub fn get_detached(&self, file_number: u64) -> Result<Arc<KTable>> {
-        Ok(Arc::new(open_ktable(
-            &self.env,
-            &self.dir,
-            file_number,
-            self.cache_ns,
-            None,
-            IoClass::FgIndexRead,
-        )?))
-    }
-
     /// Drop the cached reader for a deleted file.
     pub fn evict(&self, file_number: u64) {
         self.shard(file_number).lock().remove(&file_number);

@@ -285,14 +285,7 @@ impl LsmView {
 
     /// Point lookup at the view's sequence.
     pub fn get(&self, key: &[u8]) -> Result<LsmReadResult> {
-        self.get_opt(key, true)
-    }
-
-    /// Point lookup with cache control: `fill_cache = false` bypasses the
-    /// table-handle and block caches entirely (one-shot readers), so the
-    /// lookup does not pollute them.
-    pub fn get_opt(&self, key: &[u8], fill_cache: bool) -> Result<LsmReadResult> {
-        read_superversion(&self.sv, &self.tcache, key, self.seq, fill_cache)
+        read_superversion(&self.sv, &self.tcache, key, self.seq)
     }
 
     /// Point lookup at an earlier sequence than the view's own (e.g. a
@@ -300,7 +293,7 @@ impl LsmView {
     /// the pinned structures contain, which may be stale — pass only
     /// sequences `<=` [`sequence`](LsmView::sequence).
     pub fn get_at(&self, key: &[u8], read_seq: SeqNo) -> Result<LsmReadResult> {
-        read_superversion(&self.sv, &self.tcache, key, read_seq, true)
+        read_superversion(&self.sv, &self.tcache, key, read_seq)
     }
 
     /// Range scan of visible entries with `lo <= user_key < hi`
@@ -308,34 +301,19 @@ impl LsmView {
     /// iterator carries its own pin, so it stays strict even if the view
     /// is dropped first.
     pub fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<ScanIter> {
-        self.scan_opt(lo, hi, true)
-    }
-
-    /// Range scan with cache control (see [`get_opt`](LsmView::get_opt)).
-    pub fn scan_opt(&self, lo: &[u8], hi: Option<&[u8]>, fill_cache: bool) -> Result<ScanIter> {
         let pin = self.pin.registry.register_at(self.seq, ReadPointKind::Pin);
-        scan_superversion(
-            self.sv.clone(),
-            &self.tcache,
-            lo,
-            hi,
-            self.seq,
-            fill_cache,
-            Some(pin),
-        )
+        scan_superversion(self.sv.clone(), &self.tcache, lo, hi, self.seq, pin)
     }
 }
 
 /// Walk a pinned superversion for the newest version of `key` visible at
 /// `read_seq` — a tombstone included, with its sequence: active
-/// memtable, immutable memtables newest-first, then the SST levels. A
-/// `fill_cache = false` walk opens tables without caching their readers.
+/// memtable, immutable memtables newest-first, then the SST levels.
 fn newest_version(
     sv: &SuperVersion,
     tcache: &Arc<TableCache>,
     key: &[u8],
     read_seq: SeqNo,
-    fill_cache: bool,
 ) -> Result<MemGet> {
     let target = lookup_key(key, read_seq, ValueType::ValueRef);
     for mem in std::iter::once(&sv.mem).chain(sv.imms.iter().map(|imm| &imm.mem)) {
@@ -345,12 +323,7 @@ fn newest_version(
         }
     }
     for f in sv.version.files_covering(key) {
-        let table = if fill_cache {
-            tcache.get(f.file_number)?
-        } else {
-            tcache.get_detached(f.file_number)?
-        };
-        if let Some(entry) = table.get(&target)? {
+        if let Some(entry) = tcache.get(f.file_number)?.get(&target)? {
             let parsed = parse_internal_key(entry.key())?;
             if parsed.user_key == key {
                 return Ok(match parsed.vtype {
@@ -374,15 +347,12 @@ pub(crate) fn read_superversion(
     tcache: &Arc<TableCache>,
     key: &[u8],
     read_seq: SeqNo,
-    fill_cache: bool,
 ) -> Result<LsmReadResult> {
-    Ok(
-        match newest_version(sv, tcache, key, read_seq, fill_cache)? {
-            MemGet::NotFound => LsmReadResult::NotFound,
-            MemGet::Deleted(_) => LsmReadResult::Deleted,
-            MemGet::Found { seq, vtype, value } => LsmReadResult::Found { seq, vtype, value },
-        },
-    )
+    Ok(match newest_version(sv, tcache, key, read_seq)? {
+        MemGet::NotFound => LsmReadResult::NotFound,
+        MemGet::Deleted(_) => LsmReadResult::Deleted,
+        MemGet::Found { seq, vtype, value } => LsmReadResult::Found { seq, vtype, value },
+    })
 }
 
 /// Sequence of the newest version of `key` in a pinned superversion —
@@ -395,7 +365,7 @@ pub(crate) fn latest_version_seq(
     tcache: &Arc<TableCache>,
     key: &[u8],
 ) -> Result<Option<SeqNo>> {
-    Ok(match newest_version(sv, tcache, key, MAX_SEQNO, true)? {
+    Ok(match newest_version(sv, tcache, key, MAX_SEQNO)? {
         MemGet::NotFound => None,
         MemGet::Deleted(seq) | MemGet::Found { seq, .. } => Some(seq),
     })
@@ -408,8 +378,7 @@ pub(crate) fn scan_superversion(
     lo: &[u8],
     hi: Option<&[u8]>,
     read_seq: SeqNo,
-    fill_cache: bool,
-    pin: Option<ReadPointGuard>,
+    pin: ReadPointGuard,
 ) -> Result<ScanIter> {
     let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
     children.push(Box::new(VecIter::new(sv.mem.snapshot_range(lo, hi))));
@@ -418,22 +387,13 @@ pub(crate) fn scan_superversion(
     }
     for f in &sv.version.levels[0] {
         if f.user_range_overlaps(Some(lo), hi) {
-            let table = if fill_cache {
-                tcache.get(f.file_number)?
-            } else {
-                tcache.get_detached(f.file_number)?
-            };
-            children.push(Box::new(TableEntryIter::new(table)));
+            children.push(Box::new(TableEntryIter::new(tcache.get(f.file_number)?)));
         }
     }
     for level in 1..sv.version.levels.len() {
         let files = sv.version.overlapping_files(level, Some(lo), hi);
         if !files.is_empty() {
-            children.push(Box::new(LevelIter::with_fill_cache(
-                files,
-                tcache.clone(),
-                fill_cache,
-            )));
+            children.push(Box::new(LevelIter::new(files, tcache.clone())));
         }
     }
     let mut it = DbIter::new(MergingIter::new(children), read_seq);
@@ -449,7 +409,7 @@ pub(crate) fn scan_superversion(
 
 /// User-facing scan iterator with an exclusive upper bound. Holds the
 /// superversion it iterates (so lazily-opened table files cannot be
-/// purged mid-scan) and, when opened from a view, its own read-point pin.
+/// purged mid-scan) and its own read-point pin.
 ///
 /// Also implements [`Iterator`] over `Result<UserEntry>` (fusing after
 /// the first error or end-of-range), mirroring the engine-level scan
@@ -459,7 +419,7 @@ pub struct ScanIter {
     hi: Option<Vec<u8>>,
     done: bool,
     _sv: Arc<SuperVersion>,
-    _pin: Option<ReadPointGuard>,
+    _pin: ReadPointGuard,
 }
 
 impl ScanIter {

@@ -33,14 +33,13 @@ use std::sync::Arc;
 /// compared where they lie, and nothing is copied to the heap.
 pub type BlockCache = LruCache<Bytes>;
 
-/// Serve `key` from `cache`, or `read` it and, when `fill` names a
-/// priority, insert it there — the one cache path of every block, record
-/// and value read. `fill = None` is a `fill_cache = false` read: a hit is
-/// served, a miss inserts nothing.
+/// Serve `key` from `cache`, or `read` it and insert it at `pri` — the
+/// one cache path of every block, record and value read. Without a cache
+/// (compaction and GC readers) it is a plain `read`.
 pub fn cached_read(
     cache: Option<&BlockCache>,
     key: CacheKey,
-    fill: Option<CachePriority>,
+    pri: CachePriority,
     read: impl FnOnce() -> Result<Bytes>,
 ) -> Result<Bytes> {
     let Some(cache) = cache else {
@@ -50,9 +49,7 @@ pub fn cached_read(
         return Ok(hit);
     }
     let payload = read()?;
-    if let Some(pri) = fill {
-        cache.insert(key, payload.clone(), payload.len(), pri);
-    }
+    cache.insert(key, payload.clone(), payload.len(), pri);
     Ok(payload)
 }
 
@@ -268,19 +265,18 @@ impl BlockFetcher {
         kind: BlockKind,
         pri: CachePriority,
     ) -> Result<Block> {
-        Block::new(self.payload(handle, kind, Some(pri))?)
+        Block::new(self.payload(handle, kind, pri)?)
     }
 
-    /// The verified payload at `handle`, through the block cache (see
-    /// [`cached_read`] for `fill`).
+    /// The verified payload at `handle`, through the block cache at `pri`.
     pub(crate) fn payload(
         &self,
         handle: BlockHandle,
         kind: BlockKind,
-        fill: Option<CachePriority>,
+        pri: CachePriority,
     ) -> Result<Bytes> {
         let key = CacheKey::new(self.file_number, handle.offset, kind);
-        cached_read(self.cache.as_deref(), key, fill, || {
+        cached_read(self.cache.as_deref(), key, pri, || {
             read_block(self.file.as_ref(), handle)
         })
     }
@@ -347,16 +343,12 @@ impl BTableReader {
     /// `None` if the table has no such entry. The caller is responsible
     /// for checking that the user key matches.
     pub fn get(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
-        self.get_with(target, Some(CachePriority::Low))
+        self.get_cached_at(target, CachePriority::Low)
     }
 
-    /// [`get`](Self::get) with missed data blocks cached at `fill` (a
-    /// value file's at [`CachePriority::Bottom`]); `None` inserts nothing.
-    pub fn get_with(
-        &self,
-        target: &[u8],
-        fill: Option<CachePriority>,
-    ) -> Result<Option<BlockEntry>> {
+    /// [`get`](Self::get) with missed data blocks cached at `pri` (a value
+    /// file's at [`CachePriority::Bottom`]).
+    pub fn get_cached_at(&self, target: &[u8], pri: CachePriority) -> Result<Option<BlockEntry>> {
         let ukey = match self.cmp {
             KeyCmp::Internal => extract_user_key(target),
             KeyCmp::Bytewise => target,
@@ -365,7 +357,7 @@ impl BTableReader {
             return Ok(None);
         }
         search(&self.index, self.cmp, target, |handle| {
-            Block::new(self.fetcher.payload(handle, BlockKind::Data, fill)?)
+            self.fetcher.fetch(handle, BlockKind::Data, pri)
         })
     }
 

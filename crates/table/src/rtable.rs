@@ -304,10 +304,10 @@ impl RTableReader {
 
     /// Handle of the record stored under exactly `target`, reading no
     /// record bytes: one bloom probe, then one index-partition lookup
-    /// through the block cache (a miss is inserted at high priority only
-    /// when `fill_cache`). The partition whose last key is the first
-    /// `>= target` is the only one that can hold it.
-    pub fn find_exact(&self, target: &[u8], fill_cache: bool) -> Result<Option<BlockHandle>> {
+    /// through the block cache (a miss is inserted at high priority). The
+    /// partition whose last key is the first `>= target` is the only one
+    /// that can hold it.
+    pub fn find_exact(&self, target: &[u8]) -> Result<Option<BlockHandle>> {
         let ukey = match self.cmp {
             KeyCmp::Internal => extract_user_key(target),
             KeyCmp::Bytewise => target,
@@ -322,8 +322,9 @@ impl RTableReader {
             return Ok(None);
         }
         let part_handle = BlockHandle::decode_exact(&top.value())?;
-        let pri = fill_cache.then_some(CachePriority::High);
-        let part = Block::new(self.fetcher.payload(part_handle, BlockKind::Index, pri)?)?;
+        let part = self
+            .fetcher
+            .fetch(part_handle, BlockKind::Index, CachePriority::High)?;
         let mut it = part.iter(self.cmp);
         it.seek(target);
         it.status()?;
@@ -335,12 +336,15 @@ impl RTableReader {
 
     /// Read and decode the record at `handle` — a point read, through the
     /// block cache keyed by the record's offset: a hit is served, a miss
-    /// enters at [`CachePriority::Bottom`] once CRC-verified, when
-    /// `fill_cache`. Scans and GC read records around the cache with
+    /// enters at [`CachePriority::Bottom`] once CRC-verified. Scans and GC
+    /// read records around the cache with
     /// [`read_records`](Self::read_records).
-    pub fn read_record(&self, handle: BlockHandle, fill_cache: bool) -> Result<(Bytes, Bytes)> {
-        let pri = fill_cache.then_some(CachePriority::Bottom);
-        decode_record(&self.fetcher.payload(handle, BlockKind::Data, pri)?)
+    pub fn read_record(&self, handle: BlockHandle) -> Result<(Bytes, Bytes)> {
+        decode_record(
+            &self
+                .fetcher
+                .payload(handle, BlockKind::Data, CachePriority::Bottom)?,
+        )
     }
 
     /// **Lazy Read** (paper Fig. 8 step ①): return every key in the file
@@ -448,8 +452,8 @@ mod tests {
 
     /// Point lookup the way the value store does it: locate, then fetch.
     fn get(r: &RTableReader, key: &[u8]) -> Option<(Bytes, Bytes)> {
-        let handle = r.find_exact(key, true).unwrap()?;
-        Some(r.read_record(handle, true).unwrap())
+        let handle = r.find_exact(key).unwrap()?;
+        Some(r.read_record(handle).unwrap())
     }
 
     #[test]
@@ -499,7 +503,7 @@ mod tests {
         let r = open(&env, "v.vsst");
         let index = r.read_index().unwrap();
         for (i, (k, h)) in index.iter().enumerate() {
-            let (rk, rv) = r.read_record(*h, false).unwrap();
+            let (rk, rv) = r.read_record(*h).unwrap();
             assert_eq!(&rk, k);
             assert_eq!(&rv[..], es[i].1.as_slice());
         }
@@ -563,7 +567,7 @@ mod tests {
         let index = r.read_index().unwrap();
         // Corrupt the first record's payload.
         env.corrupt_byte("v.vsst", index[0].1.offset + 3).unwrap();
-        assert!(r.read_record(index[0].1, false).is_err());
+        assert!(r.read_record(index[0].1).is_err());
     }
 
     #[test]
@@ -629,17 +633,17 @@ mod tests {
         let r = open(&env, "v.vsst");
         let index = r.read_index().unwrap();
         for (k, h) in &index {
-            assert_eq!(r.find_exact(k, true).unwrap(), Some(*h));
+            assert_eq!(r.find_exact(k).unwrap(), Some(*h));
         }
         // Between two stored keys, before the first and past the last.
-        assert_eq!(r.find_exact(b"user0000505", true).unwrap(), None);
-        assert_eq!(r.find_exact(b"a", true).unwrap(), None);
-        assert_eq!(r.find_exact(b"zzzz", true).unwrap(), None);
+        assert_eq!(r.find_exact(b"user0000505").unwrap(), None);
+        assert_eq!(r.find_exact(b"a").unwrap(), None);
+        assert_eq!(r.find_exact(b"zzzz").unwrap(), None);
     }
 
-    /// A point read caches its record at the bottom tier; a `fill_cache =
-    /// false` locate or read is served from the cache but inserts
-    /// nothing; `read_records` (scans, GC) reads around it.
+    /// A point read caches its index partition and its record (at the
+    /// bottom tier), so a repeat costs no I/O; told not to — through
+    /// `read_records` (scans, GC) — it reads around the cache.
     #[test]
     fn point_reads_cache_records_unless_told_not_to() {
         let env = MemEnv::new();
@@ -657,37 +661,18 @@ mod tests {
             d.class(IoClass::FgValueRead).read_ops
         };
         let (key, value) = (es[10].0.as_slice(), es[10].1.as_slice());
-        let h = r.find_exact(key, false).unwrap().unwrap();
-        assert_eq!(cache.usage(), 0, "fill_cache = false inserts no partition");
+        let found = std::cell::Cell::new(None);
+        assert_eq!(reads(&|| found.set(r.find_exact(key).unwrap())), 1);
+        let h = found.get().unwrap();
+        let partitions = cache.usage();
+        assert!(partitions > 0, "the partition is cached");
         assert_eq!(
-            reads(&|| assert_eq!(r.find_exact(key, true).unwrap(), Some(h))),
-            1
-        );
-        assert_eq!(
-            reads(&|| assert_eq!(r.find_exact(key, false).unwrap(), Some(h))),
+            reads(&|| assert_eq!(r.find_exact(key).unwrap(), Some(h))),
             0
         );
-        let partitions = cache.usage();
-        assert_eq!(
-            reads(&|| assert_eq!(r.read_record(h, false).unwrap().1, value)),
-            1
-        );
-        assert_eq!(
-            cache.usage(),
-            partitions,
-            "fill_cache = false inserts no record"
-        );
-        assert_eq!(
-            reads(&|| assert_eq!(r.read_record(h, true).unwrap().1, value)),
-            1
-        );
+        assert_eq!(reads(&|| assert_eq!(r.read_record(h).unwrap().1, value)), 1);
         assert!(cache.usage() > partitions);
-        for fill_cache in [true, false] {
-            assert_eq!(
-                reads(&|| assert_eq!(r.read_record(h, fill_cache).unwrap().1, value)),
-                0
-            );
-        }
+        assert_eq!(reads(&|| assert_eq!(r.read_record(h).unwrap().1, value)), 0);
         assert_eq!(
             reads(&|| drop(r.read_records(&[h], PER_RECORD).unwrap())),
             1
@@ -790,8 +775,8 @@ mod tests {
             let file = env.open_random_access("p.vsst", IoClass::FgValueRead).unwrap();
             let r = RTableReader::open(file, 1, None, KeyCmp::Bytewise).unwrap();
             for (k, v) in &es {
-                let h = r.find_exact(k, true).unwrap().unwrap();
-                let (fk, fv) = r.read_record(h, true).unwrap();
+                let h = r.find_exact(k).unwrap().unwrap();
+                let (fk, fv) = r.read_record(h).unwrap();
                 proptest::prop_assert_eq!(&fk[..], k.as_slice());
                 proptest::prop_assert_eq!(&fv[..], v.as_slice());
             }

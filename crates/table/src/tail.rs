@@ -194,7 +194,7 @@ mod tests {
                 .is_some_and(|e| e.key() == key),
             "d.sst" => DTableReader::open(f, 1, None)?.get(&key)?.is_some(),
             _ => RTableReader::open(f, 1, None, KeyCmp::Internal)?
-                .find_exact(&key, true)?
+                .find_exact(&key)?
                 .is_some(),
         })
     }

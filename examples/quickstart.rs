@@ -6,9 +6,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use scavenger::{
-    Db, DbShards, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, WriteOptions,
-};
+use scavenger::{Db, DbShards, EngineMode, MemEnv, Options, ShardedOptions, WriteOptions};
 
 /// Written once; works on a `Db` of any size.
 fn tour(db: &Db, label: &str) -> scavenger::Result<()> {
@@ -63,18 +61,14 @@ fn tour(db: &Db, label: &str) -> scavenger::Result<()> {
     );
     drop(snapshot); // unregisters the read point
 
-    // Per-call read options: a cold analytical scan that must not evict
-    // the hot working set from the block cache. Scan iterators are real
-    // `Iterator`s over `Result<ScanEntry>`.
-    let cold_scan = ReadOptions {
-        fill_cache: false,
-        lower_bound: Some(b"blob:".to_vec()),
-        ..ReadOptions::default()
-    };
-    for entry in db.scan_with(&cold_scan)? {
+    // A range scan over `[lo, hi)`: here every `blob:` key. Scans read
+    // values around the block cache, so they do not evict the hot
+    // working set. Scan iterators are real `Iterator`s over
+    // `Result<ScanEntry>`.
+    for entry in db.scan(b"blob:", Some(b"blob;"))? {
         let entry = entry?;
         println!(
-            "cold scan: {} -> {} bytes",
+            "range scan: {} -> {} bytes",
             String::from_utf8_lossy(&entry.key),
             entry.value.len()
         );

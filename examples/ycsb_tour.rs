@@ -5,17 +5,14 @@
 //!
 //! Run with: `cargo run --release --example ycsb_tour`
 
-use scavenger::{
-    Db, DbShards, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, WriteOptions,
-};
+use scavenger::{Db, DbShards, EngineMode, MemEnv, Options, ShardedOptions, WriteOptions};
 use scavenger_env::EnvRef;
 
 // The workload crate drives any KvStore; examples implement the adapter
 // inline to show the full integration surface. Written against `Db`,
-// it serves a store of any size unchanged. Every operation routes through the
+// it serves a store of any size unchanged. Writes route through the
 // explicit-options entry points: YCSB writes skip the per-write WAL
-// fsync (the benchmark measures engine throughput, not fsync latency)
-// and scans read through per-call options.
+// fsync (the benchmark measures engine throughput, not fsync latency).
 struct Adapter<'a>(&'a Db, WriteOptions);
 
 impl<'a> Adapter<'a> {
@@ -46,13 +43,9 @@ impl KvStore for Adapter<'_> {
         self.0.delete_with(&self.1, key).map(|_| ())
     }
     fn scan(&self, start: &[u8], limit: usize) -> scavenger::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let opts = ReadOptions {
-            lower_bound: Some(start.to_vec()),
-            ..ReadOptions::default()
-        };
         // Scan iterators are plain `Iterator`s over Result<ScanEntry>.
         self.0
-            .scan_with(&opts)?
+            .scan(start, None)?
             .take(limit)
             .map(|e| e.map(|e| (e.key, e.value.to_vec())))
             .collect()

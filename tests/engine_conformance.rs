@@ -2,12 +2,11 @@
 //! plain [`Db`] and a 4-shard one ([`DbShards`] names the same type)
 //! across the Scavenger, Titan, and Terark modes. Both sizes must
 //! produce identical observable results — gets, pinned (view/snapshot)
-//! reads through the unified [`ReadOptions`], merged scan order and
-//! contents, and post-GC state.
+//! reads, merged scan order and contents, and post-GC state.
 
 use scavenger::{
-    Db, DbShards, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, Transactional,
-    WriteBatch, WriteOptions,
+    Db, DbShards, EngineMode, MemEnv, Options, ReadView, ShardedOptions, Transactional, WriteBatch,
+    WriteOptions,
 };
 
 fn key(i: usize) -> String {
@@ -43,19 +42,19 @@ fn sharded(dir: &str, mode: EngineMode) -> DbShards {
 }
 
 /// Everything the generic driver can observe about an engine: latest
-/// values, pinned-epoch values (three read paths each for the view and
-/// the snapshot), scans, and post-GC latest state.
+/// values, pinned-epoch values (a point get and a one-row scan each for
+/// the view and the snapshot), scans, and post-GC latest state.
 #[derive(Debug, PartialEq, Eq)]
 struct Observation {
     latest_gets: Vec<(String, Option<Vec<u8>>)>,
     view_gets: Vec<Option<Vec<u8>>>,
-    view_gets_with: Vec<Option<Vec<u8>>>,
+    view_row_scans: Vec<Option<Vec<u8>>>,
     snap_gets: Vec<Option<Vec<u8>>>,
-    snap_gets_with: Vec<Option<Vec<u8>>>,
+    snap_row_scans: Vec<Option<Vec<u8>>>,
     view_scan: Vec<(Vec<u8>, Vec<u8>)>,
     full_scan: Vec<(Vec<u8>, Vec<u8>)>,
     bounded_scan: Vec<(Vec<u8>, Vec<u8>)>,
-    cold_scan: Vec<(Vec<u8>, Vec<u8>)>,
+    tail_scan: Vec<(Vec<u8>, Vec<u8>)>,
     post_gc_gets: Vec<(String, Option<Vec<u8>>)>,
 }
 
@@ -117,28 +116,27 @@ fn drive(db: &Db) -> Observation {
     assert_eq!(report.ran(), report.jobs() > 0);
     db.run_gc_until_clean().unwrap();
 
-    // The pinned epoch, read two ways per pin: directly through the
-    // view or snapshot, and via `get_with` through the `ReadPin`.
+    // The pinned epoch, read two ways per pin: a point get, and a scan
+    // of the one-key range `[k, k\0)`.
+    let row_scans = |pin: &ReadView| -> Vec<Option<Vec<u8>>> {
+        (0..80)
+            .map(|i| {
+                let lo = key(i).into_bytes();
+                let hi = [lo.as_slice(), b"\0"].concat();
+                let mut row = drain(pin.scan(&lo, Some(&hi)).unwrap());
+                assert!(row.len() <= 1);
+                row.pop().map(|(_, v)| v)
+            })
+            .collect()
+    };
     let view_gets = (0..80)
         .map(|i| view.get(key(i).as_bytes()).unwrap().map(|b| b.to_vec()))
         .collect();
-    let view_gets_with = (0..80)
-        .map(|i| {
-            db.get_with(&ReadOptions::pinned(&view), key(i).as_bytes())
-                .unwrap()
-                .map(|b| b.to_vec())
-        })
-        .collect();
+    let view_row_scans = row_scans(&view);
     let snap_gets = (0..80)
         .map(|i| snap.get(key(i).as_bytes()).unwrap().map(|b| b.to_vec()))
         .collect();
-    let snap_gets_with = (0..80)
-        .map(|i| {
-            db.get_with(&ReadOptions::pinned(&snap), key(i).as_bytes())
-                .unwrap()
-                .map(|b| b.to_vec())
-        })
-        .collect();
+    let snap_row_scans = row_scans(snap.view());
     let view_scan = drain(view.scan(b"key0000", Some(b"key0010")).unwrap());
 
     // Release the pins: the next GC pass unlinks what they held.
@@ -156,21 +154,10 @@ fn drive(db: &Db) -> Observation {
         .collect();
     let full_scan = drain(db.scan(b"", None).unwrap());
     let bounded_scan = drain(
-        db.scan_with(&ReadOptions {
-            lower_bound: Some(key(40).into_bytes()),
-            upper_bound: Some(key(60).into_bytes()),
-            ..ReadOptions::default()
-        })
-        .unwrap(),
+        db.scan(key(40).as_bytes(), Some(key(60).as_bytes()))
+            .unwrap(),
     );
-    let cold_scan = drain(
-        db.scan_with(&ReadOptions {
-            lower_bound: Some(key(200).into_bytes()),
-            fill_cache: false,
-            ..ReadOptions::default()
-        })
-        .unwrap(),
-    );
+    let tail_scan = drain(db.scan(key(200).as_bytes(), None).unwrap());
     let post_gc_gets = (200..217)
         .map(|i| {
             (
@@ -189,13 +176,13 @@ fn drive(db: &Db) -> Observation {
     Observation {
         latest_gets,
         view_gets,
-        view_gets_with,
+        view_row_scans,
         snap_gets,
-        snap_gets_with,
+        snap_row_scans,
         view_scan,
         full_scan,
         bounded_scan,
-        cold_scan,
+        tail_scan,
         post_gc_gets,
     }
 }
@@ -214,13 +201,13 @@ fn conformance_db_and_4shard_dbshards_match() {
         );
         assert_eq!(s.view_gets, m.view_gets, "{mode:?}: view gets diverged");
         assert_eq!(
-            s.view_gets_with, m.view_gets_with,
-            "{mode:?}: view get_with diverged"
+            s.view_row_scans, m.view_row_scans,
+            "{mode:?}: view row scans diverged"
         );
         assert_eq!(s.snap_gets, m.snap_gets, "{mode:?}: snapshot gets diverged");
         assert_eq!(
-            s.snap_gets_with, m.snap_gets_with,
-            "{mode:?}: snapshot get_with diverged"
+            s.snap_row_scans, m.snap_row_scans,
+            "{mode:?}: snapshot row scans diverged"
         );
         assert_eq!(s.view_scan, m.view_scan, "{mode:?}: view scan diverged");
         assert_eq!(s.full_scan, m.full_scan, "{mode:?}: full scan diverged");
@@ -228,16 +215,16 @@ fn conformance_db_and_4shard_dbshards_match() {
             s.bounded_scan, m.bounded_scan,
             "{mode:?}: bounded scan diverged"
         );
-        assert_eq!(s.cold_scan, m.cold_scan, "{mode:?}: cold scan diverged");
+        assert_eq!(s.tail_scan, m.tail_scan, "{mode:?}: tail scan diverged");
         assert_eq!(
             s.post_gc_gets, m.post_gc_gets,
             "{mode:?}: post-GC gets diverged"
         );
 
         // Within each handle, every read path over the same pin agrees.
-        assert_eq!(s.view_gets, s.view_gets_with);
+        assert_eq!(s.view_gets, s.view_row_scans);
         assert_eq!(s.view_gets, s.snap_gets);
-        assert_eq!(s.snap_gets, s.snap_gets_with);
+        assert_eq!(s.snap_gets, s.snap_row_scans);
         // The pinned epoch is epoch 0, fully intact.
         for (i, got) in s.view_gets.iter().enumerate() {
             assert_eq!(
@@ -247,40 +234,6 @@ fn conformance_db_and_4shard_dbshards_match() {
                 key(i)
             );
         }
-    }
-}
-
-/// A pin belongs to the handle it was taken from: handing it to any
-/// other handle — same size or not — is an error, never a silent read of
-/// the other store.
-#[test]
-fn foreign_pins_are_rejected() {
-    let db = single("foreignpin-single", EngineMode::Scavenger);
-    let other = single("foreignpin-other", EngineMode::Scavenger);
-    let shards = sharded("foreignpin-sharded", EngineMode::Scavenger);
-    for h in [&db, &other, &shards] {
-        h.put("k", b"v".to_vec()).unwrap();
-    }
-    for (owner, stranger) in [(&db, &other), (&db, &shards), (&shards, &db)] {
-        let view = owner.view();
-        let snap = owner.snapshot();
-        assert!(stranger.get_with(&ReadOptions::pinned(&view), "k").is_err());
-        assert!(stranger.get_with(&ReadOptions::pinned(&snap), "k").is_err());
-        assert!(stranger.scan_with(&ReadOptions::pinned(&view)).is_err());
-        assert!(stranger.scan_with(&ReadOptions::pinned(&snap)).is_err());
-        // The owner reads through its own pins, and so does a clone.
-        let clone = owner.clone();
-        assert!(clone
-            .get_with(&ReadOptions::pinned(&view), "k")
-            .unwrap()
-            .is_some());
-        assert_eq!(
-            clone
-                .scan_with(&ReadOptions::pinned(&snap))
-                .unwrap()
-                .count(),
-            1
-        );
     }
 }
 

@@ -7,7 +7,7 @@
 //! paper over a lost version — any inconsistency fails the test
 //! immediately.
 
-use scavenger::{Db, EngineMode, MemEnv, Options, ReadOptions};
+use scavenger::{Db, EngineMode, MemEnv, Options};
 use scavenger_env::EnvRef;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -187,21 +187,15 @@ fn snapshot_isolation_under_concurrent_churn() {
         let v = if n % 2 == 0 {
             snap.get(format!("k{i:03}")).unwrap().unwrap()
         } else {
-            db.get_with(&ReadOptions::pinned(&snap), format!("k{i:03}"))
-                .unwrap()
-                .unwrap()
+            snap.view().get(format!("k{i:03}")).unwrap().unwrap()
         };
         assert_eq!(decode(&v), (i, 0));
     }
     churn.join().unwrap();
     let v = snap.get("k037").unwrap().unwrap();
     assert_eq!(decode(&v), (37, 0));
-    // The pinned-options entry point agrees with the snapshot's own
-    // read surface.
-    let v = db
-        .get_with(&ReadOptions::pinned(&snap), "k037")
-        .unwrap()
-        .unwrap();
+    // The snapshot's owned view agrees with the snapshot itself.
+    let v = snap.view().get("k037").unwrap().unwrap();
     assert_eq!(decode(&v), (37, 0));
     drop(snap);
 }

@@ -87,9 +87,7 @@ fn surviving_records(db: &Db, snap: Option<&scavenger::Snapshot>) -> Vec<Survivo
         // the latest state (nothing writes concurrently here, so that
         // is the same epoch the scan observed).
         let snap_view = match snap {
-            Some(s) => db
-                .get_with(&scavenger::ReadOptions::pinned(s), &e.key)
-                .unwrap(),
+            Some(s) => s.get(&e.key).unwrap(),
             None => db.get(&e.key).unwrap(),
         }
         .map(|b| b.to_vec());

@@ -10,7 +10,7 @@
 //! a fault in its one KV-stream read fails the job, not the data.
 
 use scavenger::vstore::vtable::parse_record_key;
-use scavenger::{Db, EngineMode, GcValidationReport, MemEnv, Options, ReadOptions, Snapshot};
+use scavenger::{Db, EngineMode, GcValidationReport, MemEnv, Options, Snapshot};
 use scavenger_env::{Env, EnvRef, FaultEnv, FaultOp, FaultRule, IoClass};
 use scavenger_lsm::filename::table_path;
 use scavenger_lsm::LsmReadResult;
@@ -141,7 +141,7 @@ fn assert_reads_match(
     assert_eq!(&scanned, latest, "{:?}: latest state diverged", db.mode());
     if let Some((snap, model)) = pinned {
         for (k, v) in model {
-            let got = db.get_with(&ReadOptions::pinned(snap), k).unwrap();
+            let got = snap.get(k).unwrap();
             assert_eq!(
                 got.as_deref(),
                 Some(v.as_slice()),
@@ -280,9 +280,7 @@ fn snapshot_pinned_records_survive_in_all_modes() {
         db.compact_all().unwrap();
         gc_wave_against_oracle(&db, scavenger::gc::GC_THRESHOLD);
         assert_eq!(
-            db.get_with(&ReadOptions::pinned(&snap), "pinned")
-                .unwrap()
-                .unwrap(),
+            snap.get("pinned").unwrap().unwrap(),
             bytes::Bytes::from(value(1, 4096)),
             "{mode:?}: snapshot version lost"
         );

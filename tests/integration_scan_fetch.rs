@@ -15,8 +15,8 @@
 use scavenger::vstore::vtable::vfile_path;
 use scavenger::vstore::SCAN_COALESCE;
 use scavenger::{
-    Bytes, Db, DbShards, EngineMode, EnvRef, IoClass, MemEnv, Options, ReadOptions, ReadPin,
-    Result, ScanEntry, ShardedOptions,
+    Bytes, Db, DbShards, EngineMode, EnvRef, IoClass, MemEnv, Options, Result, ScanEntry,
+    ShardedOptions, Snapshot,
 };
 use scavenger_env::fault::{FaultEnv, FaultOp, FaultRule};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,25 +50,27 @@ fn small_opts(env: EnvRef, dir: &str, mode: EngineMode) -> Options {
     o
 }
 
-/// An unbounded scan from `lo` at `pin` must equal `[get(k)]` at `pin`
-/// for the keys `lo..`, row for row, under every way of consuming the
-/// iterator.
-fn assert_scan_equals_gets(db: &Db, pin: ReadPin<'_>, n_keys: usize, what: &str) {
+/// An unbounded scan from `lo` at `snap` (the latest state when `None`)
+/// must equal `[get(k)]` there for the keys `lo..`, row for row, under
+/// every way of consuming the iterator.
+fn assert_scan_equals_gets(db: &Db, snap: Option<&Snapshot>, n_keys: usize, what: &str) {
     for lo in [0, n_keys / 3] {
         let expected: Vec<ScanEntry> = (lo..n_keys)
             .filter_map(|i| {
-                db.get_with(&ReadOptions::pinned(pin), key(i))
-                    .unwrap()
-                    .map(|value| ScanEntry { key: key(i), value })
+                let got = match snap {
+                    Some(s) => s.get(key(i)),
+                    None => db.get(key(i)),
+                };
+                got.unwrap().map(|value| ScanEntry { key: key(i), value })
             })
             .collect();
         assert!(expected.len() > 60, "{what}: setup left too few rows");
         let scan = || {
-            let from_lo = ReadOptions {
-                lower_bound: Some(key(lo)),
-                ..ReadOptions::pinned(pin)
-            };
-            db.scan_with(&from_lo).unwrap()
+            match snap {
+                Some(s) => s.scan(&key(lo), None),
+                None => db.scan(&key(lo), None),
+            }
+            .unwrap()
         };
 
         // One `next()` at a time, to the end.
@@ -127,16 +129,11 @@ fn check_scan_equivalence(db: &Db, what: &str) {
 
     assert_scan_equals_gets(
         db,
-        ReadPin::Snapshot(&snap),
+        Some(&snap),
         N,
         &format!("{what} @snapshot ({jobs} GC jobs)"),
     );
-    assert_scan_equals_gets(
-        db,
-        ReadPin::Latest,
-        N,
-        &format!("{what} @latest ({jobs} GC jobs)"),
-    );
+    assert_scan_equals_gets(db, None, N, &format!("{what} @latest ({jobs} GC jobs)"));
     for i in (0..N).step_by(11) {
         assert_eq!(
             snap.get(key(i)).unwrap().unwrap(),
@@ -147,12 +144,7 @@ fn check_scan_equivalence(db: &Db, what: &str) {
     drop(snap);
     db.compact_all().unwrap();
     db.run_gc_until_clean().unwrap();
-    assert_scan_equals_gets(
-        db,
-        ReadPin::Latest,
-        N,
-        &format!("{what} @latest after snapshot drop"),
-    );
+    assert_scan_equals_gets(db, None, N, &format!("{what} @latest after snapshot drop"));
 }
 
 #[test]
@@ -246,38 +238,22 @@ fn adjacent_rows_share_reads_up_to_the_span() {
 
 /// A point read's record enters the block cache; a scan's never does.
 /// `collect_n(n)` reads exactly the bytes of its rows' records — what `n`
-/// `fill_cache = false` gets read — in one I/O, even when every one of
-/// those records is cached.
+/// first gets read — in one I/O, even when every one of those records
+/// is cached.
 #[test]
 fn collect_n_reads_no_more_value_bytes_than_gets() {
     let db = adjacent_store(64, 1500);
-    let uncached = ReadOptions {
-        fill_cache: false,
-        ..ReadOptions::default()
-    };
     for (lo, n) in [(20usize, 1usize), (30, 10)] {
-        let gets = |opts: &ReadOptions| {
+        let gets = || {
             value_reads(&db, || {
                 for i in lo..lo + n {
-                    db.get_with(opts, key(i)).unwrap().unwrap();
+                    db.get(key(i)).unwrap().unwrap();
                 }
             })
         };
-        let (get_ops, get_bytes) = gets(&uncached);
-        assert_eq!(
-            get_ops, n as u64,
-            "a fill_cache = false get is one record read"
-        );
-        assert_eq!(
-            gets(&ReadOptions::default()),
-            (get_ops, get_bytes),
-            "it cached nothing: a first default get reads the record"
-        );
-        assert_eq!(
-            gets(&ReadOptions::default()).0,
-            0,
-            "a repeat get reads nothing"
-        );
+        let (get_ops, get_bytes) = gets();
+        assert_eq!(get_ops, n as u64, "a first get is one record read");
+        assert_eq!(gets().0, 0, "a repeat get reads nothing");
         let (scan_ops, scan_bytes) = value_reads(&db, || {
             let rows = db.scan(&key(lo), None).unwrap().collect_n(n).unwrap();
             assert_eq!(rows.len(), n);

@@ -10,9 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scavenger::{
-    Db, DbShards, EngineMode, MemEnv, Options, ReadOptions, ShardedOptions, WriteOptions,
-};
+use scavenger::{Db, DbShards, EngineMode, MemEnv, Options, ShardedOptions, WriteOptions};
 use scavenger_env::EnvRef;
 
 fn single_opts(env: EnvRef, dir: &str, mode: EngineMode) -> Options {
@@ -164,7 +162,7 @@ fn four_shards_match_single_db_under_random_ops() {
 /// Cross-shard scan ordering at bound edges: bounds exactly on keys,
 /// bounds between keys, empty ranges, a range owned entirely by one
 /// shard (every other shard's iterator is empty — "reverse-empty"), and
-/// `lower/upper_bound` through the unified `ReadOptions`.
+/// bounds on a pinned view set.
 #[test]
 fn cross_shard_scan_bound_edges() {
     let db = DbShards::open(sharded_opts(
@@ -234,27 +232,23 @@ fn cross_shard_scan_bound_edges() {
     assert_eq!(got[0].key, b"key0042");
     assert_eq!(got[0].value, bytes::Bytes::from(value(42, 600)));
 
-    // Bounds through the unified ReadOptions (and fill_cache=false path).
-    let ro = ReadOptions {
-        lower_bound: Some(b"key0095".to_vec()),
-        upper_bound: None,
-        fill_cache: false,
-        ..ReadOptions::default()
-    };
-    let got = db.scan_with(&ro).unwrap().collect_n(usize::MAX).unwrap();
+    // A lower bound alone.
+    let got = db
+        .scan(b"key0095", None)
+        .unwrap()
+        .collect_n(usize::MAX)
+        .unwrap();
     assert_eq!(got.len(), 5);
     assert!(got.windows(2).all(|w| w[0].key < w[1].key));
 
     // Bounded scan through a pinned view set: later writes invisible.
-    // The sharded view pins through the same ReadOptions type.
     let view = db.view();
     db.put("key0011", b"overwritten".to_vec()).unwrap();
-    let ro = ReadOptions {
-        lower_bound: Some(b"key0010".to_vec()),
-        upper_bound: Some(b"key0012".to_vec()),
-        ..ReadOptions::pinned(&view)
-    };
-    let got = db.scan_with(&ro).unwrap().collect_n(usize::MAX).unwrap();
+    let got = view
+        .scan(b"key0010", Some(b"key0012"))
+        .unwrap()
+        .collect_n(usize::MAX)
+        .unwrap();
     assert_eq!(got.len(), 2);
     assert_eq!(got[1].value, bytes::Bytes::from(value(11, 600)));
 }
@@ -297,7 +291,7 @@ fn shard_routing_stable_across_reopen() {
         }
         // The data actually lives on the routed shard.
         for i in (0..200).step_by(17) {
-            assert!(db.shard(placements[i]).get(key(i), true).unwrap().is_some());
+            assert!(db.shard(placements[i]).get(key(i)).unwrap().is_some());
         }
     }
 }

@@ -5,7 +5,7 @@
 //! * after GC (or BlobDB's relocation) moves a cached value, `get`
 //!   returns the same bytes, read once from the file that holds it now;
 //! * a flipped byte in a stored value is reported as `Corruption` by
-//!   `get`, an uncached `get` and `scan`, never served — and BlobDB's
+//!   `get`, a repeat `get` and `scan`, never served — and BlobDB's
 //!   relocation does not copy it into a new blob file under a fresh CRC;
 //! * (ignored, run by the multi-core CI job) gets against a tiny shared
 //!   cache while a threaded GC retires value files return the model's
@@ -13,8 +13,8 @@
 
 use scavenger::vstore::vtable::{parse_record_key, vfile_path, VReader};
 use scavenger::{
-    Bytes, Db, DbShards, EngineMode, Env, EnvRef, Error, IoClass, MemEnv, Options, ReadOptions,
-    Result, ShardedOptions, VFormat,
+    Bytes, Db, DbShards, EngineMode, Env, EnvRef, Error, IoClass, MemEnv, Options, Result,
+    ShardedOptions, VFormat,
 };
 use scavenger_lsm::filename::{parse_path, FileKind};
 use scavenger_lsm::LsmReadResult;
@@ -168,8 +168,8 @@ fn summary(got: &Result<Option<Bytes>>) -> String {
 }
 
 /// A flipped value byte is `Corruption` to every foreground read of its
-/// key — a cached `get`, one with `fill_cache = false`, a scan over it —
-/// while every other key still reads.
+/// key — a `get`, a repeat of it, a scan over it — while every other
+/// key still reads.
 #[test]
 fn a_flipped_value_byte_is_reported_not_served() {
     const BAD: usize = 5; // odd: `store` left it out of the cache
@@ -179,14 +179,11 @@ fn a_flipped_value_byte_is_reported_not_served() {
         flip_value_byte(&db, &env, BAD);
         let got = db.get(key(BAD));
         assert!(is_corruption(&got), "{mode:?} get: {}", summary(&got));
-        let uncached = ReadOptions {
-            fill_cache: false,
-            ..ReadOptions::default()
-        };
-        let got = db.get_with(&uncached, key(BAD));
+        // The failed read cached nothing: a repeat fails the same way.
+        let got = db.get(key(BAD));
         assert!(
             is_corruption(&got),
-            "{mode:?} uncached get: {}",
+            "{mode:?} repeat get: {}",
             summary(&got)
         );
         let scanned = db

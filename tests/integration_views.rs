@@ -1,9 +1,9 @@
 //! Pinned `ReadView` / RAII `Snapshot` integration: a view outlives
 //! flush + compaction + GC and still reads its epoch; snapshots register
-//! and unregister their read points; per-call `ReadOptions` /
-//! `WriteOptions` behave as documented.
+//! and unregister their read points; the read point is the handle read
+//! through; per-call `WriteOptions` behave as documented.
 
-use scavenger::{Db, EngineMode, MemEnv, Options, ReadOptions, WriteOptions};
+use scavenger::{Db, EngineMode, MemEnv, Options, WriteOptions};
 
 fn small_opts(mode: EngineMode) -> Options {
     let mut o = Options::new(MemEnv::shared(), "db", mode);
@@ -124,9 +124,10 @@ fn view_pins_register_as_read_points() {
     assert!(db.shard(0).lsm().oldest_read_point().is_none());
 }
 
-/// `ReadOptions`: view/snapshot selection and scan bounds.
+/// The read point is the handle read through: latest, view or snapshot;
+/// scan bounds are `[lo, hi)` on any of them.
 #[test]
-fn read_options_select_read_point_and_bounds() {
+fn pins_select_the_read_point_and_scans_take_bounds() {
     let db = Db::open(small_opts(EngineMode::Scavenger)).unwrap();
     for i in 0..30 {
         db.put(format!("key{i:02}"), value(i, 600)).unwrap();
@@ -139,91 +140,28 @@ fn read_options_select_read_point_and_bounds() {
     db.flush().unwrap();
 
     // Latest, at-view, and at-snapshot reads of the same key.
-    assert_eq!(
-        db.get_with(&ReadOptions::default(), "key07")
-            .unwrap()
-            .unwrap(),
-        value(107, 600)
-    );
-    assert_eq!(
-        db.get_with(&ReadOptions::pinned(&view), "key07")
-            .unwrap()
-            .unwrap(),
-        value(7, 600)
-    );
-    assert_eq!(
-        db.get_with(&ReadOptions::pinned(&snap), "key07")
-            .unwrap()
-            .unwrap(),
-        value(7, 600)
-    );
+    assert_eq!(db.get("key07").unwrap().unwrap(), value(107, 600));
+    assert_eq!(view.get("key07").unwrap().unwrap(), value(7, 600));
+    assert_eq!(snap.get("key07").unwrap().unwrap(), value(7, 600));
 
-    // Bounded scan through the snapshot (the pin rides in `ReadPin`).
-    let opts = ReadOptions {
-        lower_bound: Some(b"key10".to_vec()),
-        upper_bound: Some(b"key20".to_vec()),
-        ..ReadOptions::pinned(&snap)
-    };
-    let mut it = db.scan_with(&opts).unwrap();
-    let entries = it.collect_n(usize::MAX).unwrap();
+    // Bounded scans through the snapshot and at the latest state.
+    let entries = snap
+        .scan(b"key10", Some(b"key20"))
+        .unwrap()
+        .collect_n(usize::MAX)
+        .unwrap();
     assert_eq!(entries.len(), 10);
     for (j, e) in entries.iter().enumerate() {
         assert_eq!(e.key, format!("key{:02}", j + 10).into_bytes());
         assert_eq!(e.value, bytes::Bytes::from(value(j + 10, 600)));
     }
-}
-
-/// `fill_cache = false` reads return correct data without growing the
-/// block cache, in every mode: half the values are separated, and
-/// locating one inserts no index partition or value block, fetching it
-/// no record.
-#[test]
-fn read_options_fill_cache_false_bypasses_caches() {
-    let len = |i: usize| if i.is_multiple_of(2) { 300 } else { 1024 };
-    for mode in EngineMode::ALL {
-        let db = Db::open(small_opts(mode)).unwrap();
-        for i in 0..200 {
-            db.put(format!("key{i:03}"), value(i, len(i))).unwrap();
-        }
-        db.flush().unwrap();
-        db.compact_all().unwrap();
-
-        let cache = db.shard(0).lsm().block_cache();
-        let cold = ReadOptions {
-            fill_cache: false,
-            ..ReadOptions::default()
-        };
-        let usage_before = cache.usage();
-        for i in 0..200 {
-            assert_eq!(
-                db.get_with(&cold, format!("key{i:03}")).unwrap().unwrap(),
-                value(i, len(i))
-            );
-        }
-        assert_eq!(
-            cache.usage(),
-            usage_before,
-            "{mode:?}: fill_cache=false reads must not populate the block cache"
-        );
-        // Scans too — including the L1+ levels the data compacted into.
-        let mut it = db.scan_with(&cold).unwrap();
-        let entries = it.collect_n(usize::MAX).unwrap();
-        assert_eq!(entries.len(), 200);
-        assert_eq!(
-            cache.usage(),
-            usage_before,
-            "{mode:?}: fill_cache=false scans must not populate the block cache at any level"
-        );
-
-        // The default path does warm the cache.
-        for i in 0..200 {
-            db.get(format!("key{i:03}")).unwrap().unwrap();
-        }
-        assert!(
-            cache.usage() > usage_before,
-            "{mode:?}: default reads fill the cache"
-        );
-    }
+    let latest = db
+        .scan(b"key10", Some(b"key20"))
+        .unwrap()
+        .collect_n(usize::MAX)
+        .unwrap();
+    assert_eq!(latest.len(), 10);
+    assert_eq!(latest[0].value, bytes::Bytes::from(value(110, 600)));
 }
 
 /// `WriteOptions::disable_throttle` bypasses space-aware admission:

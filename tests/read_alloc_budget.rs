@@ -6,13 +6,15 @@
 //! key is built on the stack, and the inheritance forest is walked
 //! without a set. Each case warms the read, then counts the allocations
 //! of one more `get` of the same key on this thread (a thread-local
-//! counter, so tests running in parallel do not bleed in).
+//! counter, so tests running in parallel do not bleed in) — at the
+//! latest state through `Db::get`, and at a pinned one through a
+//! `ReadView` and a `Snapshot`, which share the budget.
 //!
 //! Three reads: an inline value, a separated value in a live RTable, and
 //! a separated value whose reference names a value file that GC has
 //! since collected, so the read resolves it through the forest.
 
-use scavenger::{Db, EngineMode, MemEnv, Options};
+use scavenger::{Bytes, Db, EngineMode, MemEnv, Options, Result};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -88,32 +90,46 @@ fn store() -> Db {
     db
 }
 
-/// Allocations of one `get` of `key(i)` after two warming reads; the
-/// value read is checked against `want`.
-fn warm_get_allocs(db: &Db, i: usize, want: &[u8]) -> u64 {
+/// A point read at some read point.
+type Get<'a> = &'a dyn Fn(&[u8]) -> Result<Option<Bytes>>;
+
+/// Assert that one `get` of `key(i)` after two warming reads allocates
+/// at most [`BUDGET`] times, through the handle, a view and a snapshot;
+/// the value read is checked against `want`.
+fn assert_warm_gets_within_budget(db: &Db, i: usize, want: &[u8]) {
+    let view = db.view();
+    let snap = db.snapshot();
+    let reads: [(&str, Get<'_>); 3] = [
+        ("Db::get", &|k| db.get(k)),
+        ("ReadView::get", &|k| view.get(k)),
+        ("Snapshot::get", &|k| snap.get(k)),
+    ];
     let k = key(i);
-    for _ in 0..2 {
-        assert_eq!(db.get(&k).unwrap().unwrap(), want, "key {i}");
+    for (what, get) in reads {
+        for _ in 0..2 {
+            assert_eq!(get(&k).unwrap().unwrap(), want, "{what} key {i}");
+        }
+        let before = ALLOCS.with(Cell::get);
+        let got = get(&k);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(got.unwrap().unwrap(), want, "{what} key {i}");
+        assert!(
+            allocs <= BUDGET,
+            "{what}: {allocs} allocations (budget {BUDGET})"
+        );
     }
-    let before = ALLOCS.with(Cell::get);
-    let got = db.get(&k);
-    let allocs = ALLOCS.with(Cell::get) - before;
-    assert_eq!(got.unwrap().unwrap(), want, "key {i}");
-    allocs
 }
 
 #[test]
 fn a_warm_get_of_an_inline_value_stays_within_budget() {
     let db = store();
-    let allocs = warm_get_allocs(&db, 10, &value(10, SMALL, 1));
-    assert!(allocs <= BUDGET, "{allocs} allocations (budget {BUDGET})");
+    assert_warm_gets_within_budget(&db, 10, &value(10, SMALL, 1));
 }
 
 #[test]
 fn a_warm_get_of_a_separated_value_stays_within_budget() {
     let db = store();
-    let allocs = warm_get_allocs(&db, 11, &value(11, LARGE, 1));
-    assert!(allocs <= BUDGET, "{allocs} allocations (budget {BUDGET})");
+    assert_warm_gets_within_budget(&db, 11, &value(11, LARGE, 1));
 }
 
 #[test]
@@ -141,6 +157,5 @@ fn a_warm_get_through_the_inheritance_forest_stays_within_budget() {
     let heirs = vstore.resolve_leaves(file);
     assert!(!heirs.is_empty() && !heirs.contains(&file), "{heirs:?}");
     // Key 3 was never overwritten: its reference still names `file`.
-    let allocs = warm_get_allocs(&db, 3, &value(3, LARGE, 1));
-    assert!(allocs <= BUDGET, "{allocs} allocations (budget {BUDGET})");
+    assert_warm_gets_within_budget(&db, 3, &value(3, LARGE, 1));
 }
