@@ -38,7 +38,7 @@
 //!
 //! | phase | Fig. 8 | what happens here |
 //! |---|---|---|
-//! | **Read**   | step ① | value-file keys (Lazy Read: one tail read to open the RTable, then its index partitions, walked on the caller's thread) or whole records (each file walked once in 256 KiB spans, the files fanned out across the `gc_threads` pool) are loaded into the pending batch |
+//! | **Read**   | step ① | value-file keys (Lazy Read: one tail read to open the RTable, then its index partitions, walked on the caller's thread — every partition that tail read already holds is taken out of it, CRC-checked, so a file whose index sits in its last 16 KiB costs that one read) or whole records (each file walked once in 256 KiB spans, the files fanned out across the `gc_threads` pool) are loaded into the pending batch |
 //! | **GC-Lookup** | step ② | every pending record is validated against the index LSM-tree at each read point |
 //! | **Fetch** | step ③ | surviving values are fetched (lazy), survivors within [`GC_COALESCE`] of each other in one I/O; the per-file reads fan out across the `gc_threads` pool, merged in deterministic file order |
 //! | **Write** | step ④ | survivors are appended one by one to the job's `RouteWriters` (`vstore::route`), which routes hot/cold, rolls files at the size target and deletes its files if the job fails |
@@ -69,10 +69,14 @@
 //! identity check, **and** no inline version of `ukey` with
 //! `found_seq < s <= pt` exists in any KV stream of the pinned version —
 //! asked only after the first half passed, per key SST covering `ukey`,
-//! as one bloom-guarded point search of the KV stream. So a dead record
-//! costs KF entries out of high-priority-cached KF blocks and nothing
-//! else, and the inline small values are never paged through the block
-//! cache to be skipped. A read or checksum failure in either half fails
+//! as one bloom-guarded point search of the KV stream, and only of the
+//! key SSTs no older than the one the reference came from (none when it
+//! came from a memtable): an older file holds only older versions of the
+//! key, the order a point lookup relies on. So a dead record costs KF
+//! entries out of high-priority-cached KF blocks and nothing else, a live
+//! one a KV-block read only where a newer file may shadow it, and the
+//! inline small values are never paged through the block cache to be
+//! skipped. A read or checksum failure in either half fails
 //! the job. The paper's point-lookup loop survives only as the oracle of
 //! `tests/integration_gc_validation.rs`, which holds the sweep's verdicts
 //! to it.

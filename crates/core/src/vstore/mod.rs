@@ -470,10 +470,12 @@ impl ValueStore {
 
     /// Open a *GC-class* reader (separate from the foreground reader so
     /// I/O is accounted as GC read): Lazy Read's index walk and record
-    /// fetches, BlobDB's relocation reads.
+    /// fetches, BlobDB's relocation reads. It lives for one job, so an
+    /// RTable's reader keeps its tail prefetch for the index walk
+    /// (`VReader::open_for_walk`).
     pub fn gc_reader(&self, file: u64) -> Result<VReader> {
         let format = self.format_of(file)?;
-        VReader::open(
+        VReader::open_for_walk(
             &self.env,
             &self.dir,
             file,

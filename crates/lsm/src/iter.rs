@@ -186,10 +186,14 @@ impl LevelIter {
         }
     }
 
+    /// Move on to the next file while the current one is exhausted. A
+    /// file that stopped on an error is not exhausted: the error ends the
+    /// walk, so the files after it are never read past it.
     fn skip_exhausted(&mut self) {
         while self.error.is_none() {
             match &self.cur {
                 Some(c) if c.valid() => return,
+                Some(c) if c.status().is_err() => self.error = c.status().err(),
                 _ => {
                     if self.file_idx + 1 >= self.files.len() {
                         self.cur = None;
@@ -270,9 +274,15 @@ impl InternalIterator for LevelIter {
 /// N-way merge of internal iterators. With the small fan-in of an LSM read
 /// (memtables + L0 files + one iterator per level), a linear minimum scan
 /// beats heap bookkeeping.
+///
+/// A child that turns invalid with an error stops the merge there: the
+/// merged iterator turns invalid and [`status`](InternalIterator::status)
+/// reports the error from then on. Merging on without that child would
+/// surface the older versions it was shadowing as the visible ones.
 pub struct MergingIter {
     children: Vec<Box<dyn InternalIterator>>,
     current: Option<usize>,
+    error: Option<Error>,
 }
 
 impl MergingIter {
@@ -281,10 +291,29 @@ impl MergingIter {
         MergingIter {
             children,
             current: None,
+            error: None,
+        }
+    }
+
+    /// Index (in construction order) of the child the merged iterator is
+    /// positioned on — among equal keys, the earliest child.
+    pub(crate) fn current_child(&self) -> Option<usize> {
+        self.current
+    }
+
+    /// Latch the error of child `i` if it turned invalid with one.
+    fn check_child(&mut self, i: usize) {
+        let c = &self.children[i];
+        if self.error.is_none() && !c.valid() {
+            self.error = c.status().err();
         }
     }
 
     fn find_smallest(&mut self) {
+        if self.error.is_some() {
+            self.current = None;
+            return;
+        }
         let mut best: Option<usize> = None;
         for (i, c) in self.children.iter().enumerate() {
             if !c.valid() {
@@ -313,15 +342,17 @@ impl InternalIterator for MergingIter {
     }
 
     fn seek_to_first(&mut self) {
-        for c in &mut self.children {
-            c.seek_to_first();
+        for i in 0..self.children.len() {
+            self.children[i].seek_to_first();
+            self.check_child(i);
         }
         self.find_smallest();
     }
 
     fn seek(&mut self, target: &[u8]) {
-        for c in &mut self.children {
-            c.seek(target);
+        for i in 0..self.children.len() {
+            self.children[i].seek(target);
+            self.check_child(i);
         }
         self.find_smallest();
     }
@@ -329,6 +360,7 @@ impl InternalIterator for MergingIter {
     fn next(&mut self) {
         if let Some(i) = self.current {
             self.children[i].next();
+            self.check_child(i);
             self.find_smallest();
         }
     }
@@ -342,6 +374,9 @@ impl InternalIterator for MergingIter {
     }
 
     fn status(&self) -> Result<()> {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
         for c in &self.children {
             c.status()?;
         }
@@ -443,6 +478,16 @@ pub struct SweepStats {
     pub seeks: u64,
 }
 
+/// The part of a pinned tree no older than one [`BatchSweep`] child: the
+/// newest `l0_files` L0 files and the levels `1..=level`. A memtable's
+/// horizon is empty, an L0 file's ends at itself, and a deeper level's
+/// holds all of L0 and every level down to its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Horizon {
+    pub(crate) l0_files: usize,
+    pub(crate) level: usize,
+}
+
 /// How many forward `next()` steps a sweep takes toward the next target
 /// before falling back to a full merged seek. A step moves one child over
 /// one index entry — in a DTable a KF entry out of a cached KF block — and
@@ -467,15 +512,25 @@ const SWEEP_STEP_LIMIT: usize = 16;
 /// > **and** no inline version of `ukey` with `found_seq < s <= pt` exists
 /// > in any KV stream of the pinned version.
 ///
-/// The second half is asked only after the first passed: per file whose
-/// user-key range covers `ukey`, one bloom-guarded point search of the KV
-/// stream ([`KTable::get_inline`](crate::tcache::KTable::get_inline)).
+/// The second half is asked only after the first passed, and only of the
+/// files no older than the reference's source (its `Horizon`): none when
+/// the reference came from a memtable (the sweep sees memtables whole),
+/// the L0 files up to and including its own when it came from L0, and
+/// all of L0 plus the levels down to its own when it came from a deeper
+/// level. A file older than the source holds only older versions of the
+/// key — the order a point lookup relies on when it stops at the first
+/// file that has one — so no `s > found_seq` can sit there. Per file left
+/// whose user-key range covers `ukey`, the check is one bloom-guarded
+/// point search of the KV stream
+/// ([`KTable::get_inline`](crate::tcache::KTable::get_inline)).
 ///
 /// Callers present user keys in **ascending order**; the sweep advances
 /// forward only, stepping when the next target is near and seeking when
 /// it is far, so an entire batch is resolved in one logical pass.
 pub struct BatchSweep {
     iter: MergingIter,
+    /// Per child of `iter`, the part of the tree no older than it.
+    horizons: Vec<Horizon>,
     /// The pinned file layout and its readers, for the inline check.
     version: Arc<Version>,
     tcache: Arc<TableCache>,
@@ -488,15 +543,18 @@ pub struct BatchSweep {
 
 impl BatchSweep {
     /// Sweep `children` — the memtables and the index entries of every
-    /// file of `version`, newest source first — capped at `read_seq`.
+    /// file of `version`, newest source first, each with its horizon —
+    /// capped at `read_seq`.
     pub(crate) fn new(
-        children: Vec<Box<dyn InternalIterator>>,
+        children: Vec<(Box<dyn InternalIterator>, Horizon)>,
         version: Arc<Version>,
         tcache: Arc<TableCache>,
         read_seq: SeqNo,
     ) -> Self {
+        let (children, horizons) = children.into_iter().unzip();
         BatchSweep {
             iter: MergingIter::new(children),
+            horizons,
             version,
             tcache,
             read_seq,
@@ -548,7 +606,15 @@ impl BatchSweep {
         // The found entry's seq, not the record's: under address identity
         // (Titan) a written-back entry carries a fresh one.
         let above = found.seq;
-        for f in self.version.files_covering(ukey) {
+        let child = self
+            .iter
+            .current_child()
+            .expect("a valid merge has a child");
+        let horizon = self.horizons[child];
+        for f in self
+            .version
+            .files_covering_within(ukey, horizon.l0_files, horizon.level)
+        {
             let table = self.tcache.get(f.file_number)?;
             if let Some(entry) = table.get_inline(&target)? {
                 let inline = parse_internal_key(entry.key())?;

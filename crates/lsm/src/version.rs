@@ -363,7 +363,21 @@ impl Version {
         &'a self,
         ukey: &'a [u8],
     ) -> impl Iterator<Item = &'a Arc<FileMetaData>> + 'a {
+        self.files_covering_within(ukey, usize::MAX, usize::MAX)
+    }
+
+    /// [`files_covering`](Version::files_covering) cut to the newest
+    /// `l0_files` L0 files and the levels `1..=last_level`: the part of
+    /// the tree no older than a given source of `ukey`.
+    pub(crate) fn files_covering_within<'a>(
+        &'a self,
+        ukey: &'a [u8],
+        l0_files: usize,
+        last_level: usize,
+    ) -> impl Iterator<Item = &'a Arc<FileMetaData>> + 'a {
         let (l0, deeper) = self.levels.split_first().expect("a version has levels");
+        let l0 = &l0[..l0_files.min(l0.len())];
+        let deeper = &deeper[..last_level.min(deeper.len())];
         let deeper = deeper.iter().filter_map(move |files| {
             let idx = files.partition_point(|f| extract_user_key(&f.largest) < ukey);
             files.get(idx)

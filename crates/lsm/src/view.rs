@@ -29,8 +29,8 @@
 
 use crate::db::LsmReadResult;
 use crate::iter::{
-    BatchSweep, DbIter, InternalIterator, LevelIter, MergingIter, TableEntryIter, UserEntry,
-    VecIter,
+    BatchSweep, DbIter, Horizon, InternalIterator, LevelIter, MergingIter, TableEntryIter,
+    UserEntry, VecIter,
 };
 use crate::memtable::{MemGet, Memtable};
 use crate::tcache::TableCache;
@@ -497,26 +497,37 @@ impl BatchReader {
     /// Open a GC-Lookup sweep of the pinned view at `read_seq`. Children
     /// are built newest-source-first so merged ties resolve like a point
     /// lookup: the memtables complete, every key SST as its index entries
-    /// only (see [`BatchSweep`] for what that leaves to the inline check).
+    /// only (see [`BatchSweep`] for what that leaves to the inline check),
+    /// each with the `Horizon` of files no older than it.
     pub fn sweep(&self, read_seq: SeqNo) -> Result<BatchSweep> {
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        children.push(Box::new(VecIter::from_shared(self.mem.clone())));
+        type Child = (Box<dyn InternalIterator>, Horizon);
+        let memtable = Horizon {
+            l0_files: 0,
+            level: 0,
+        };
+        let mut children: Vec<Child> = Vec::new();
+        children.push((Box::new(VecIter::from_shared(self.mem.clone())), memtable));
         for imm in &self.imms {
-            children.push(Box::new(VecIter::from_shared(imm.clone())));
+            children.push((Box::new(VecIter::from_shared(imm.clone())), memtable));
         }
         let version = &self.view.sv.version;
-        for f in &version.levels[0] {
-            children.push(Box::new(TableEntryIter::index_only(
-                self.view.tcache.get(f.file_number)?,
-            )));
+        for (pos, f) in version.levels[0].iter().enumerate() {
+            let table = self.view.tcache.get(f.file_number)?;
+            let horizon = Horizon {
+                l0_files: pos + 1,
+                level: 0,
+            };
+            children.push((Box::new(TableEntryIter::index_only(table)), horizon));
         }
         for level in 1..version.levels.len() {
             let files = &version.levels[level];
             if !files.is_empty() {
-                children.push(Box::new(LevelIter::index_only(
-                    files.clone(),
-                    self.view.tcache.clone(),
-                )));
+                let iter = LevelIter::index_only(files.clone(), self.view.tcache.clone());
+                let horizon = Horizon {
+                    l0_files: version.levels[0].len(),
+                    level,
+                };
+                children.push((Box::new(iter), horizon));
             }
         }
         Ok(BatchSweep::new(

@@ -12,12 +12,12 @@
 //! index, paper §III-B1).
 
 use crate::block::{Block, BlockBuilder, BlockEntry, BlockIter};
-use crate::blockio::{read_block, write_block};
+use crate::blockio::write_block;
 use crate::cache::{CacheKey, CachePriority, LruCache};
 use crate::filter::{BloomBuilder, BloomReader};
 use crate::handle::BlockHandle;
 use crate::props::{meta_keys, TableProps, TableType, ValueDep};
-use crate::tail::{read_tail, write_tail, Tail};
+use crate::tail::{read_block_via, read_tail, write_tail, Prefetch, Tail};
 use crate::{BlockKind, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
@@ -275,9 +275,22 @@ impl BlockFetcher {
         kind: BlockKind,
         pri: CachePriority,
     ) -> Result<Bytes> {
+        self.payload_via(None, handle, kind, pri)
+    }
+
+    /// [`payload`](Self::payload), a miss served out of `prefetch` when
+    /// it covers the block ([`read_block_via`]): the same verified bytes
+    /// enter the cache either way.
+    pub(crate) fn payload_via(
+        &self,
+        prefetch: Option<&Prefetch>,
+        handle: BlockHandle,
+        kind: BlockKind,
+        pri: CachePriority,
+    ) -> Result<Bytes> {
         let key = CacheKey::new(self.file_number, handle.offset, kind);
         cached_read(self.cache.as_deref(), key, pri, || {
-            read_block(self.file.as_ref(), handle)
+            read_block_via(self.file.as_ref(), prefetch, handle)
         })
     }
 }

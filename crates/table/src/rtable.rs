@@ -25,7 +25,7 @@ use crate::cache::CachePriority;
 use crate::filter::{BloomBuilder, BloomReader};
 use crate::handle::BlockHandle;
 use crate::props::{meta_keys, TableProps, TableType};
-use crate::tail::{read_tail, write_tail};
+use crate::tail::{read_tail, write_tail, Prefetch};
 use crate::{BlockKind, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
@@ -253,6 +253,9 @@ pub struct RTableReader {
     props: TableProps,
     cmp: KeyCmp,
     open_bytes: u64,
+    /// The open's tail prefetch, kept by [`open_for_walk`](Self::open_for_walk)
+    /// only.
+    prefetch: Option<Prefetch>,
 }
 
 impl RTableReader {
@@ -262,6 +265,32 @@ impl RTableReader {
         file_number: u64,
         cache: Option<Arc<BlockCache>>,
         cmp: KeyCmp,
+    ) -> Result<RTableReader> {
+        Self::open_keeping(file, file_number, cache, cmp, false)
+    }
+
+    /// [`open`](Self::open) for one walk of the dense index
+    /// ([`read_index`](Self::read_index), GC's Lazy Read): the reader
+    /// keeps the bytes its open's tail read fetched, up to
+    /// [`TAIL_PREFETCH`](crate::TAIL_PREFETCH), and serves every index
+    /// partition they cover out of them instead of reading it again. A
+    /// long-lived reader would pin them for nothing, so only a one-shot
+    /// reader opens this way.
+    pub fn open_for_walk(
+        file: Arc<dyn RandomAccessFile>,
+        file_number: u64,
+        cache: Option<Arc<BlockCache>>,
+        cmp: KeyCmp,
+    ) -> Result<RTableReader> {
+        Self::open_keeping(file, file_number, cache, cmp, true)
+    }
+
+    fn open_keeping(
+        file: Arc<dyn RandomAccessFile>,
+        file_number: u64,
+        cache: Option<Arc<BlockCache>>,
+        cmp: KeyCmp,
+        keep_prefetch: bool,
     ) -> Result<RTableReader> {
         let mut tail = read_tail(file.as_ref())?;
         let filter = tail.meta_block(file.as_ref(), meta_keys::FILTER)?;
@@ -279,6 +308,7 @@ impl RTableReader {
             props: tail.props,
             cmp,
             open_bytes: tail.asked,
+            prefetch: keep_prefetch.then_some(tail.prefetch),
         })
     }
 
@@ -349,17 +379,20 @@ impl RTableReader {
 
     /// **Lazy Read** (paper Fig. 8 step ①): return every key in the file
     /// with its record handle, reading only index partitions. Partitions
-    /// are inserted into the block cache with high priority so subsequent
-    /// GC value fetches and foreground reads hit memory.
+    /// come through the block cache and a miss is inserted with high
+    /// priority, so subsequent GC value fetches and foreground reads hit
+    /// memory. A reader opened with [`open_for_walk`](Self::open_for_walk)
+    /// serves a miss the tail prefetch covers out of it, CRC-checked like
+    /// any read.
     pub fn read_index(&self) -> Result<Vec<(Vec<u8>, BlockHandle)>> {
         let mut out = Vec::with_capacity(self.props.num_entries as usize);
-        let mut top = self.top_index.iter(self.cmp);
-        top.seek_to_first();
-        while top.valid() {
-            let part_handle = BlockHandle::decode_exact(&top.value())?;
-            let part = self
-                .fetcher
-                .fetch(part_handle, BlockKind::Index, CachePriority::High)?;
+        for part_handle in self.partitions()? {
+            let part = Block::new(self.fetcher.payload_via(
+                self.prefetch.as_ref(),
+                part_handle,
+                BlockKind::Index,
+                CachePriority::High,
+            )?)?;
             let mut it = part.iter(self.cmp);
             it.seek_to_first();
             while it.valid() {
@@ -367,6 +400,18 @@ impl RTableReader {
                 it.next();
             }
             it.status()?;
+        }
+        Ok(out)
+    }
+
+    /// The handles of the index partitions, in file order, out of the
+    /// pinned top index: costs no I/O.
+    pub fn partitions(&self) -> Result<Vec<BlockHandle>> {
+        let mut out = Vec::new();
+        let mut top = self.top_index.iter(self.cmp);
+        top.seek_to_first();
+        while top.valid() {
+            out.push(BlockHandle::decode_exact(&top.value())?);
             top.next();
         }
         top.status()?;
@@ -374,19 +419,12 @@ impl RTableReader {
     }
 
     /// Bytes [`read_index`](Self::read_index) asks the file for: every
-    /// index partition with its trailer. Costs no I/O (the top index is
-    /// pinned); GC's pacing charge uses it.
+    /// index partition with its trailer, wherever it is served from.
+    /// Costs no I/O; GC's pacing charge uses it.
     pub fn index_bytes(&self) -> Result<u64> {
-        let mut total = 0u64;
-        let mut top = self.top_index.iter(self.cmp);
-        top.seek_to_first();
-        while top.valid() {
-            let part = BlockHandle::decode_exact(&top.value())?;
-            total = total.saturating_add(part.size.saturating_add(BLOCK_TRAILER_LEN as u64));
-            top.next();
-        }
-        top.status()?;
-        Ok(total)
+        Ok(self.partitions()?.iter().fold(0u64, |total, part| {
+            total.saturating_add(part.size.saturating_add(BLOCK_TRAILER_LEN as u64))
+        }))
     }
 
     /// Fetch many records by handle through [`read_coalesced`]: handles
@@ -677,6 +715,66 @@ mod tests {
             reads(&|| drop(r.read_records(&[h], PER_RECORD).unwrap())),
             1
         );
+    }
+
+    /// A reader opened for a walk takes the partitions its tail read
+    /// covers out of that buffer: the same index, the same cache
+    /// contents, fewer reads — and a flipped byte in such a partition is
+    /// still that partition's checksum error.
+    #[test]
+    fn a_walk_reader_serves_partitions_inside_its_tail_read() {
+        let env = MemEnv::new();
+        let es = entries(300, 64);
+        build(&env, "v.vsst", &es);
+        let len = env.file_size("v.vsst").unwrap();
+        assert!(
+            len > crate::TAIL_PREFETCH as u64,
+            "some partitions lie outside"
+        );
+        let reader = |cache: &Arc<BlockCache>, walk: bool| {
+            let file = env
+                .open_random_access("v.vsst", IoClass::FgValueRead)
+                .unwrap();
+            let open = if walk {
+                RTableReader::open_for_walk
+            } else {
+                RTableReader::open
+            };
+            open(file, 7, Some(cache.clone()), KeyCmp::Bytewise).unwrap()
+        };
+        let walk_reads = |r: &RTableReader| {
+            let before = env.io_stats().snapshot();
+            let index = r.read_index();
+            let d = env.io_stats().snapshot().delta(&before);
+            (index, d.class(IoClass::FgValueRead).read_ops)
+        };
+        let (plain_cache, walk_cache) = (
+            Arc::new(BlockCache::with_capacity(1 << 20)),
+            Arc::new(BlockCache::with_capacity(1 << 20)),
+        );
+        let plain = reader(&plain_cache, false);
+        let partitions = plain.partitions().unwrap();
+        let outside = partitions
+            .iter()
+            .filter(|h| h.offset < len - crate::TAIL_PREFETCH as u64)
+            .count() as u64;
+        assert!(outside > 0 && outside < partitions.len() as u64);
+        let (index, reads) = walk_reads(&plain);
+        assert_eq!(reads, partitions.len() as u64);
+
+        let walk = reader(&walk_cache, true);
+        let (walked, reads) = walk_reads(&walk);
+        assert_eq!(reads, outside);
+        assert_eq!(walked.unwrap(), index.unwrap());
+        assert_eq!(walk_cache.usage(), plain_cache.usage());
+        assert_eq!(walk_reads(&reader(&walk_cache, true)).1, 0, "cached");
+
+        let last = *partitions.last().unwrap();
+        env.corrupt_byte("v.vsst", last.offset + 1).unwrap();
+        let fresh = Arc::new(BlockCache::with_capacity(1 << 20));
+        let err = reader(&fresh, true).read_index().unwrap_err();
+        let at = format!("block checksum mismatch at offset {}", last.offset);
+        assert!(matches!(&err, Error::Corruption(m) if *m == at), "{err}");
     }
 
     /// The gap / span limits decide what shares an I/O: neighbours merge

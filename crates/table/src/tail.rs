@@ -56,8 +56,12 @@ pub const TAIL_PREFETCH: usize = 16 * 1024;
 
 /// What [`read_tail`] learned of an open table: its index block, its
 /// properties, where its other meta blocks are — and the prefetched
-/// bytes they are served from, which go away with the `Tail` (every
-/// block handed out is a copy, so a reader never pins the prefetch).
+/// bytes they are served from. Every block handed out is a copy, so the
+/// prefetch goes away with the `Tail`, with one exception: an RTable
+/// reader opened for one walk of its dense index
+/// ([`RTableReader::open_for_walk`](crate::rtable::RTableReader::open_for_walk),
+/// GC's Lazy Read) keeps it until that reader is dropped, to serve the
+/// index partitions it covers.
 ///
 /// Each reader opens from one (`from_tail`), so a caller that must look
 /// at the properties first — which format is this key SST? — reads the
@@ -70,32 +74,44 @@ pub struct Tail {
     /// bytes the prefetch moved.
     pub(crate) asked: u64,
     metas: Vec<(String, BlockHandle)>,
-    prefetch: Prefetch,
+    pub(crate) prefetch: Prefetch,
 }
 
 /// The file's last bytes: `(offset of the first, bytes)`.
-type Prefetch = (u64, Bytes);
+pub(crate) type Prefetch = (u64, Bytes);
 
-/// Read and verify the tail block at `handle`: out of `prefetch` when it
-/// covers the block and its trailer, else with an exact read. `asked`
-/// grows by the block's size on disk.
-fn tail_block(
+/// Read and verify the block at `handle`: out of `prefetch` when it
+/// covers the block and its trailer — a copy, so the block does not pin
+/// the buffer — else with an exact read.
+pub(crate) fn read_block_via(
     file: &dyn RandomAccessFile,
-    (start, buf): &Prefetch,
+    prefetch: Option<&Prefetch>,
     handle: BlockHandle,
-    asked: &mut u64,
 ) -> Result<Bytes> {
     let end = handle
         .size
         .checked_add(BLOCK_TRAILER_LEN as u64)
         .and_then(|n| handle.offset.checked_add(n));
-    let block = match end {
-        Some(end) if handle.offset >= *start && end <= start + buf.len() as u64 => {
+    match (prefetch, end) {
+        (Some((start, buf)), Some(end))
+            if handle.offset >= *start && end <= start + buf.len() as u64 =>
+        {
             let raw = buf.slice((handle.offset - start) as usize..(end - start) as usize);
-            Bytes::copy_from_slice(&verify_block(&raw, handle)?)
+            Ok(Bytes::copy_from_slice(&verify_block(&raw, handle)?))
         }
-        _ => read_block(file, handle)?,
-    };
+        _ => read_block(file, handle),
+    }
+}
+
+/// Read and verify the tail block at `handle` ([`read_block_via`] over
+/// the open's prefetch). `asked` grows by the block's size on disk.
+fn tail_block(
+    file: &dyn RandomAccessFile,
+    prefetch: &Prefetch,
+    handle: BlockHandle,
+    asked: &mut u64,
+) -> Result<Bytes> {
+    let block = read_block_via(file, Some(prefetch), handle)?;
     *asked += (block.len() + BLOCK_TRAILER_LEN) as u64;
     Ok(block)
 }

@@ -306,3 +306,134 @@ fn errored_shards_iterator_yields_err_then_fuses() {
         }
     }
 }
+
+/// A corrupt block in the newest key SST stops a scan with
+/// `Error::Corruption`; it never lets the older versions the block was
+/// shadowing through. Two thousand keys live in a deeper level; all of
+/// them are rewritten into one newer L0 file, and a byte a third of the
+/// way into that file is flipped. Every row a scan yields before the
+/// error must be a new version, through `collect_n` and `Iterator` alike,
+/// in every engine mode.
+#[test]
+fn corrupt_newer_block_mid_scan_fails_instead_of_serving_older_versions() {
+    const KEYS: usize = 2000;
+    const VLEN: usize = 24; // inline in every mode
+    for mode in EngineMode::ALL {
+        let mem = MemEnv::shared();
+        let env: EnvRef = mem.clone();
+        let mut o = Options::new(env.clone(), "iter-corrupt", mode);
+        o.memtable_size = 4 << 20;
+        o.ksst_target_size = 4 << 20;
+        o.auto_gc = false;
+        let old = |i: usize| value(i, VLEN);
+        let new = |i: usize| {
+            let mut v = value(i, VLEN);
+            v[VLEN - 1] ^= 0xff;
+            v
+        };
+        let path = {
+            let db = Db::open(o.clone()).unwrap();
+            for i in 0..KEYS {
+                db.put(key(i), old(i)).unwrap();
+            }
+            db.flush().unwrap();
+            while db.shard(0).lsm().force_compact_once().unwrap() {}
+            for i in 0..KEYS {
+                db.put(key(i), new(i)).unwrap();
+            }
+            db.flush().unwrap();
+            let version = db.shard(0).lsm().current_version();
+            assert_eq!(version.levels[0].len(), 1, "{mode:?}: one newer L0 file");
+            let f = &version.levels[0][0];
+            assert!(
+                version.levels[1..].iter().flatten().count() > 0,
+                "{mode:?}: the old versions sit below it"
+            );
+            let path = scavenger_lsm::filename::table_path("iter-corrupt", f.file_number);
+            mem.corrupt_byte(&path, f.file_size / 3).unwrap();
+            path
+        };
+        // Reopened: no cached block hides the flip.
+        let db = Db::open(o).unwrap();
+        let is_new = |e: &ScanEntry| {
+            let i: usize = std::str::from_utf8(&e.key[3..]).unwrap().parse().unwrap();
+            e.value[..] == new(i)[..]
+        };
+
+        match db.scan(b"", None).unwrap().collect_n(KEYS) {
+            Err(err) => assert!(
+                matches!(err, scavenger::Error::Corruption(_)),
+                "{mode:?}: {err}"
+            ),
+            Ok(rows) => panic!(
+                "{mode:?}: collect_n returned {} rows, {} of them stale",
+                rows.len(),
+                rows.iter().filter(|e| !is_new(e)).count()
+            ),
+        }
+
+        let mut rows = 0;
+        let mut failed = None;
+        for item in db.scan(b"", None).unwrap() {
+            match item {
+                Ok(e) => {
+                    assert!(is_new(&e), "{mode:?}: stale row {:?}", e.key);
+                    rows += 1;
+                }
+                Err(e) => failed = Some(e),
+            }
+        }
+        assert!(
+            matches!(failed, Some(scavenger::Error::Corruption(_))),
+            "{mode:?}: {path} scanned to the end ({rows} rows) without the error: {failed:?}"
+        );
+        assert!(rows < KEYS, "{mode:?}: the error must stop the scan");
+    }
+}
+
+/// A corrupt block inside one file of a sorted level stops a scan with
+/// `Error::Corruption`; the level's iterator does not move on to the
+/// next file as if the broken one had ended.
+#[test]
+fn corrupt_block_in_a_level_fails_the_scan_instead_of_skipping_the_file() {
+    const KEYS: usize = 2000;
+    for mode in EngineMode::ALL {
+        let mem = MemEnv::shared();
+        let env: EnvRef = mem.clone();
+        let mut o = Options::new(env.clone(), "iter-level", mode);
+        o.memtable_size = 4 << 20;
+        o.ksst_target_size = 16 * 1024;
+        o.auto_gc = false;
+        {
+            let db = Db::open(o.clone()).unwrap();
+            for i in 0..KEYS {
+                db.put(key(i), value(i, 24)).unwrap();
+            }
+            db.flush().unwrap();
+            while db.shard(0).lsm().force_compact_once().unwrap() {}
+            let version = db.shard(0).lsm().current_version();
+            let level = version
+                .levels
+                .iter()
+                .find(|files| files.len() > 2)
+                .expect("one level of several files");
+            let f = &level[level.len() / 2];
+            let path = scavenger_lsm::filename::table_path("iter-level", f.file_number);
+            mem.corrupt_byte(&path, f.file_size / 3).unwrap();
+        }
+        let db = Db::open(o).unwrap();
+        let mut rows = 0;
+        let mut failed = None;
+        for item in db.scan(b"", None).unwrap() {
+            match item {
+                Ok(_) => rows += 1,
+                Err(e) => failed = Some(e),
+            }
+        }
+        assert!(
+            matches!(failed, Some(scavenger::Error::Corruption(_))),
+            "{mode:?}: scanned {rows} rows without the error: {failed:?}"
+        );
+        assert!(rows < KEYS, "{mode:?}");
+    }
+}

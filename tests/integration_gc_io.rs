@@ -99,6 +99,35 @@ fn dense_index(env: &EnvRef, file: u64) -> (Vec<(Vec<u8>, BlockHandle)>, u64, u6
     (index, c.read_ops, reader.lazy_index_bytes().unwrap())
 }
 
+/// How many index partitions of RTable `file` lie outside the last
+/// [`TAIL_PREFETCH`] bytes — the ones a GC reader, which serves the rest
+/// out of its open's tail read, still reads on its own.
+fn partitions_outside_prefetch(env: &EnvRef, file: u64) -> u64 {
+    let prefetch_start = env
+        .file_size(&vfile_path("db", file, VFormat::RTable))
+        .unwrap()
+        .saturating_sub(TAIL_PREFETCH as u64);
+    let reader = VReader::open(
+        env,
+        "db",
+        file,
+        0,
+        VFormat::RTable,
+        None,
+        IoClass::FgValueRead,
+    )
+    .unwrap();
+    let VReader::R(r) = &reader else {
+        panic!("file {file} is not an RTable")
+    };
+    let partitions = r.partitions().unwrap();
+    assert!(!partitions.is_empty());
+    partitions
+        .iter()
+        .filter(|h| h.offset < prefetch_start)
+        .count() as u64
+}
+
 /// A 2 MiB file with every other record live: each mode reads it in
 /// device-sized ops — 1 tail read, the index partitions (Lazy Read
 /// only), and one read per 256 KiB of file.
@@ -179,17 +208,51 @@ fn mostly_dead_file_costs_its_live_bytes() {
         let db = Db::open(opts(eref.clone(), EngineMode::Scavenger, threads)).unwrap();
         let file = load(&db, N, dead);
         let (index, partitions, index_bytes) = dense_index(&eref, file);
+        let outside = partitions_outside_prefetch(&eref, file);
+        assert!(outside < partitions, "the last partition rides in the tail");
         let record = index[40].1.size + 5;
 
         let (outcome, io) = gc_job(&db, &env);
         assert_eq!(outcome.records_rewritten, 1);
-        assert_eq!(io.read_ops, 1 + partitions + 1, "tail, index, one record");
+        assert_eq!(
+            io.read_ops,
+            1 + outside + 1,
+            "tail, the index outside it, one record"
+        );
         assert!(
             io.read_bytes < 2 * (TAIL_PREFETCH as u64 + index_bytes + record),
             "{} bytes read for one {record}-byte record",
             io.read_bytes
         );
         assert_eq!(outcome.bytes_read, index_bytes + record);
+        check_values(&db, N, dead);
+    }
+}
+
+/// A file whose whole dense index sits in its last [`TAIL_PREFETCH`]
+/// bytes costs Lazy Read one tail read and its fetch spans: the open's
+/// read serves every partition, checksummed, where a plain reader reads
+/// each again. The job still reports the bytes it asked for.
+#[test]
+fn index_inside_the_tail_prefetch_costs_no_partition_read() {
+    const N: usize = 20;
+    // Two survivors more than `GC_COALESCE.max_gap` apart: two spans.
+    let dead = |i: usize| i != 2 && i != 15;
+    for threads in [1, 4] {
+        let env = MemEnv::shared();
+        let eref: EnvRef = env.clone();
+        let db = Db::open(opts(eref.clone(), EngineMode::Scavenger, threads)).unwrap();
+        let file = load(&db, N, dead);
+        let (index, partitions, index_bytes) = dense_index(&eref, file);
+        assert!(partitions >= 1, "a plain reader reads the index");
+        assert_eq!(partitions_outside_prefetch(&eref, file), 0);
+        let (a, b) = (index[2].1, index[15].1);
+        assert!(b.offset - (a.offset + a.size + 5) > GC_COALESCE.max_gap);
+
+        let (outcome, io) = gc_job(&db, &env);
+        assert_eq!(outcome.records_rewritten, 2);
+        assert_eq!(io.read_ops, 1 + 2, "one tail read, two spans");
+        assert_eq!(outcome.bytes_read, index_bytes + a.size + 5 + b.size + 5);
         check_values(&db, N, dead);
     }
 }
