@@ -27,7 +27,10 @@
 //! Every phase is wall-clock timed into [`GcStats`], reproducing the
 //! paper's Figure 3 latency breakdown. Value-file I/O — steps ①, ③ and
 //! ④ — is charged to `IoClass::GcRead` / `IoClass::GcWrite` for Figure
-//! 12(c). Step ② is not: GC-Lookup reads the index through the table
+//! 12(c): the writes by their handles, the reads by the
+//! [`reads_charged_to`] scope GC enters where it issues them, since a
+//! value file has one reader that GC borrows from the value store. Step
+//! ② is not: GC-Lookup reads the index through the table
 //! cache's shared readers, whose handles are opened as
 //! `IoClass::FgIndexRead`, so its key-SST reads are counted there (on a
 //! workload with no foreground reads, all of `FgIndexRead` is GC-Lookup).
@@ -38,7 +41,7 @@
 //!
 //! | phase | Fig. 8 | what happens here |
 //! |---|---|---|
-//! | **Read**   | step ① | value-file keys (Lazy Read: one tail read to open the RTable, then its index partitions, walked on the caller's thread — every partition that tail read already holds is taken out of it, CRC-checked, so a file whose index sits in its last 16 KiB costs that one read) or whole records (each file walked once in 256 KiB spans, the files fanned out across the `gc_threads` pool) are loaded into the pending batch |
+//! | **Read**   | step ① | value-file keys (Lazy Read: the file's one reader, `ValueStore::reader`, borrowed — one tail read if no `get` opened it first, which caches every index partition that read holds — then the partitions outside it, walked on the caller's thread, so a file whose index sits in its last 16 KiB costs at most that one read) or whole records (each file walked once in 256 KiB spans, the files fanned out across the `gc_threads` pool) are loaded into the pending batch |
 //! | **GC-Lookup** | step ② | every pending record is validated against the index LSM-tree at each read point |
 //! | **Fetch** | step ③ | surviving values are fetched (lazy), survivors within [`GC_COALESCE`] of each other in one I/O; the per-file reads fan out across the `gc_threads` pool, merged in deterministic file order |
 //! | **Write** | step ④ | survivors are appended one by one to the job's `RouteWriters` (`vstore::route`), which routes hot/cold, rolls files at the size target and deletes its files if the job fails |
@@ -90,7 +93,7 @@ use crate::vstore::route::{Route, RouteWriters};
 use crate::vstore::vtable::{parse_record_key, VReader, ValueAt};
 use crate::vstore::{ValueStore, VsstMeta, GC_COALESCE};
 use bytes::Bytes;
-use scavenger_env::IoClass;
+use scavenger_env::{reads_charged_to, IoClass};
 use scavenger_lsm::{
     BatchReader, GuardedWrite, Lsm, NewValueFile, Precondition, ValueEditBundle, WriteBatch,
     WriteOptions,
@@ -129,9 +132,9 @@ pub struct GcOutcome {
     /// Bytes freed: deleted file sizes minus new file sizes.
     pub bytes_reclaimed: u64,
     /// Bytes the job *asked* its candidate files for: per file Lazy Read
-    /// opened, its tail blocks, the index partitions walked and the
-    /// surviving records fetched; the whole size of a file that was
-    /// scanned. Not in it: what rode along — the rest of a tail
+    /// walked, its tail blocks (whoever opened the reader), the index
+    /// partitions and the surviving records fetched; the whole size of a
+    /// file that was scanned. Not in it: what rode along — the rest of a tail
     /// prefetch, the dead records a coalesced fetch reads through. How
     /// reads are batched is the device's business, what the job needed
     /// is the policy's.
@@ -229,8 +232,8 @@ enum Loc {
 struct ReadOut {
     /// Every record, file by file in candidate order.
     pending: Vec<Pending>,
-    /// The open readers of the Lazy-Read files, for step ③.
-    readers: HashMap<u64, VReader>,
+    /// The readers of the Lazy-Read files, for step ③.
+    readers: HashMap<u64, Arc<VReader>>,
     /// Bytes asked of the files ([`GcOutcome::bytes_read`]).
     bytes: u64,
 }
@@ -332,9 +335,13 @@ impl GcRunner {
         for meta in files {
             let source = meta.file;
             if lazy(meta) {
-                let reader = self.vstore.gc_reader(source)?;
+                let (reader, index) = reads_charged_to(IoClass::GcRead, || {
+                    let reader = self.vstore.reader(source)?;
+                    let index = reader.read_lazy_index()?;
+                    Ok::<_, Error>((reader, index))
+                })?;
                 out.bytes += reader.lazy_index_bytes()?;
-                for (ikey, handle) in reader.read_lazy_index()? {
+                for (ikey, handle) in index {
                     out.pending.push(Pending {
                         ikey,
                         source,
@@ -592,7 +599,7 @@ impl GcRunner {
     /// file order.
     fn fetch_values(
         &self,
-        readers: &HashMap<u64, VReader>,
+        readers: &HashMap<u64, Arc<VReader>>,
         valid: Vec<Pending>,
     ) -> Result<Fetched> {
         let wants: Vec<Want<'_>> = valid
@@ -610,7 +617,7 @@ impl GcRunner {
         let asked: u64 = wants.iter().map(|w| w.at.fetch_len()).sum();
         let mut fetched = fetch::fetch(&wants, GC_COALESCE, &|n, run| {
             let jobs: Vec<usize> = (0..n).collect();
-            self.fan_out(&jobs, |&j| run(j))
+            self.fan_out(&jobs, |&j| reads_charged_to(IoClass::GcRead, || run(j)))
         })?
         .into_iter();
         drop(wants);

@@ -20,11 +20,11 @@ use crate::dropcache::DropCache;
 use crate::options::{Features, GcScheme};
 use crate::stats::GcStats;
 use crate::vstore::route::{Route, RouteWriters};
-use crate::vstore::vtable::{VReader, ValueAt};
+use crate::vstore::vtable::ValueAt;
 use crate::vstore::{ValueStore, GC_COALESCE};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use scavenger_env::IoClass;
+use scavenger_env::{reads_charged_to, IoClass};
 use scavenger_lsm::{DropCause, FileNumAlloc, JobKind, ValueEditBundle, ValueHook, ValueSession};
 use scavenger_table::btable::TableOptions;
 use scavenger_util::ikey::{make_internal_key, SeqNo, ValueRef, ValueType};
@@ -149,7 +149,6 @@ impl ValueHook for EngineHook {
             gc_stats: self.gc_stats.clone(),
             garbage: HashMap::new(),
             relocation_targets,
-            relocation_readers: HashMap::new(),
         }))
     }
 
@@ -177,7 +176,6 @@ struct SeparationSession {
     /// file → (bytes, entries) exposed by drops in this job.
     garbage: HashMap<u64, (u64, u64)>,
     relocation_targets: HashSet<u64>,
-    relocation_readers: HashMap<u64, VReader>,
 }
 
 impl SeparationSession {
@@ -243,15 +241,14 @@ impl ValueSession for SeparationSession {
                 // Relocate: read the old value (GC read), append to a new
                 // blob (GC write), expose the old slot as garbage.
                 let t0 = Instant::now();
-                if !self.relocation_readers.contains_key(&old.file) {
-                    self.relocation_readers
-                        .insert(old.file, self.vstore.gc_reader(old.file)?);
-                }
                 let at = ValueAt::blob(user_key, &old)?;
                 let ikey = make_internal_key(user_key, seq, ValueType::Value);
-                let old_value = self.relocation_readers[&old.file]
-                    .fetch(&[(&at, &ikey)], GC_COALESCE)?
-                    .swap_remove(0);
+                let old_value = reads_charged_to(IoClass::GcRead, || {
+                    self.vstore
+                        .reader(old.file)?
+                        .fetch(&[(&at, &ikey)], GC_COALESCE)
+                })?
+                .swap_remove(0);
                 let read_ns = t0.elapsed().as_nanos() as u64;
                 let t1 = Instant::now();
                 let (file, rec) = self.out.add(Route::Cold, user_key, seq, &old_value)?;

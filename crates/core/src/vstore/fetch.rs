@@ -16,7 +16,7 @@ use scavenger_util::Result;
 pub(crate) struct Want<'a> {
     /// File number (the grouping key).
     pub file: u64,
-    /// Reader charged with the I/O (foreground- or GC-class).
+    /// The file's reader; the caller's read scope names the I/O class.
     pub reader: &'a VReader,
     /// Location inside the file.
     pub at: &'a ValueAt,

@@ -146,7 +146,7 @@ pub const GC_COALESCE: Coalesce = Coalesce {
 };
 
 /// A value reference resolved by [`ValueStore::locate`]: the live file
-/// that holds the value now, an open foreground reader for it, and where
+/// that holds the value now, the file's reader, and where
 /// in the file the value sits. Holding the reader keeps the file's bytes
 /// reachable even if a GC retires it before the fetch.
 pub struct ValueLoc {
@@ -249,6 +249,8 @@ impl ValueStore {
             self.add_garbage(*file, *bytes, *entries);
         }
         for file in &bundle.deleted_files {
+            // The `files` guard lives through the body: a reader opened
+            // meanwhile is either dropped here or never kept (`reader`).
             if let Some(meta) = self.files.write().remove(file) {
                 self.readers.write().remove(file);
                 let _ = self
@@ -449,7 +451,14 @@ impl ValueStore {
             .ok_or_else(|| Error::not_found(format!("value file {file}")))
     }
 
-    /// Cached foreground reader for `file`.
+    /// The reader of `file`: one per live value file, opened by whoever
+    /// reads it first and shared by every later read — foreground gets,
+    /// scans, GC's Lazy Read and BlobDB relocation alike. Its handle is
+    /// opened as `FgValueRead`; a job charges its own reads to another
+    /// class with [`reads_charged_to`](scavenger_env::reads_charged_to).
+    /// A reader opened while a GC commit removed the file still serves
+    /// its caller, but is not kept: the commit has already dropped the
+    /// file's entry, and nothing would drop a later one.
     pub fn reader(&self, file: u64) -> Result<Arc<VReader>> {
         if let Some(r) = self.readers.read().get(&file) {
             return Ok(r.clone());
@@ -464,26 +473,12 @@ impl ValueStore {
             Some(self.cache.clone()),
             IoClass::FgValueRead,
         )?);
-        self.readers.write().insert(file, reader.clone());
-        Ok(reader)
-    }
-
-    /// Open a *GC-class* reader (separate from the foreground reader so
-    /// I/O is accounted as GC read): Lazy Read's index walk and record
-    /// fetches, BlobDB's relocation reads. It lives for one job, so an
-    /// RTable's reader keeps its tail prefetch for the index walk
-    /// (`VReader::open_for_walk`).
-    pub fn gc_reader(&self, file: u64) -> Result<VReader> {
-        let format = self.format_of(file)?;
-        VReader::open_for_walk(
-            &self.env,
-            &self.dir,
-            file,
-            self.cache_ns,
-            format,
-            Some(self.cache.clone()),
-            IoClass::GcRead,
-        )
+        // Lock order files → readers, as in `apply_bundle`.
+        let files = self.files.read();
+        if !files.contains_key(&file) {
+            return Ok(reader);
+        }
+        Ok(self.readers.write().entry(file).or_insert(reader).clone())
     }
 
     /// GC full scan of `file`, accounted as GC read: every record with
@@ -809,6 +804,113 @@ mod tests {
             offset: 0,
         };
         assert!(vs.read_ref(b"zz", 1, &bad).is_err());
+    }
+
+    /// `MemEnv` whose next `open_random_access` opens the file, then
+    /// meets the test at `gate` twice before it returns the handle.
+    struct GatedEnv {
+        inner: EnvRef,
+        gate: Mutex<Option<Arc<std::sync::Barrier>>>,
+    }
+
+    impl scavenger_env::Env for GatedEnv {
+        fn new_writable(
+            &self,
+            path: &str,
+            class: IoClass,
+        ) -> Result<Box<dyn scavenger_env::WritableFile>> {
+            self.inner.new_writable(path, class)
+        }
+        fn open_random_access(
+            &self,
+            path: &str,
+            class: IoClass,
+        ) -> Result<Arc<dyn scavenger_env::RandomAccessFile>> {
+            let f = self.inner.open_random_access(path, class)?;
+            if let Some(gate) = self.gate.lock().take() {
+                gate.wait();
+                gate.wait();
+            }
+            Ok(f)
+        }
+        fn read_file(&self, path: &str, class: IoClass) -> Result<Bytes> {
+            self.inner.read_file(path, class)
+        }
+        fn remove_file(&self, path: &str) -> Result<()> {
+            self.inner.remove_file(path)
+        }
+        fn rename(&self, from: &str, to: &str) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn file_exists(&self, path: &str) -> bool {
+            self.inner.file_exists(path)
+        }
+        fn file_size(&self, path: &str) -> Result<u64> {
+            self.inner.file_size(path)
+        }
+        fn list_prefix(&self, prefix: &str) -> Result<Vec<String>> {
+            self.inner.list_prefix(prefix)
+        }
+        fn create_dir_all(&self, path: &str) -> Result<()> {
+            self.inner.create_dir_all(path)
+        }
+        fn io_stats(&self) -> Arc<scavenger_env::IoStats> {
+            self.inner.io_stats()
+        }
+    }
+
+    /// A get that opens a file while a GC commit removes it still reads
+    /// through the reader it opened, but the store does not keep that
+    /// reader: file numbers are never reused, so nothing would drop it,
+    /// and it would pin the removed file's bytes (an fd to an unlinked
+    /// file on a real filesystem) for the life of the store.
+    #[test]
+    fn a_reader_opened_across_its_files_removal_is_not_kept() {
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let mem: EnvRef = MemEnv::shared();
+        let gated = Arc::new(GatedEnv {
+            inner: mem.clone(),
+            gate: Mutex::new(None),
+        });
+        let env: EnvRef = gated.clone();
+        let vs = Arc::new(ValueStore::new(
+            env.clone(),
+            "db",
+            Arc::new(BlockCache::with_capacity(1 << 20)),
+        ));
+        let topts = TableOptions {
+            cmp: KeyCmp::Internal,
+            ..TableOptions::default()
+        };
+        let mut w = VWriter::create(&env, "db", 5, VFormat::RTable, topts, IoClass::Flush).unwrap();
+        w.add(b"k", 7, b"the-value").unwrap();
+        let info = w.finish().unwrap();
+        vs.apply_bundle(&ValueEditBundle {
+            new_files: vec![new_value_file_record(5, info, false, VFormat::RTable)],
+            ..Default::default()
+        });
+
+        *gated.gate.lock() = Some(gate.clone());
+        let get = std::thread::spawn({
+            let vs = vs.clone();
+            move || {
+                vs.reader(5)
+                    .and_then(|r| r.locate(&lookup_key(b"k", 7, ValueType::Value)))
+            }
+        });
+        gate.wait(); // the get has the file open
+        vs.apply_bundle(&ValueEditBundle {
+            deleted_files: vec![5],
+            ..Default::default()
+        });
+        assert!(!mem.file_exists("db/000005.vsst"));
+        gate.wait();
+        assert!(get.join().unwrap().unwrap().is_some(), "the get is served");
+        assert!(
+            vs.readers.read().is_empty(),
+            "the removed file's reader is kept"
+        );
+        assert!(vs.reader(5).is_err(), "the file is gone");
     }
 
     #[test]

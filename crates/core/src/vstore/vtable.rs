@@ -367,25 +367,7 @@ impl VReader {
         class: IoClass,
     ) -> Result<VReader> {
         let f = env.open_random_access(&vfile_path(dir, file, format), class)?;
-        Self::from_file(f, file, cache_ns, format, cache, false)
-    }
-
-    /// [`open`](Self::open) for one walk of an RTable's dense index
-    /// ([`read_lazy_index`](Self::read_lazy_index)): the reader keeps its
-    /// open's tail prefetch and serves the index partitions it covers
-    /// from it ([`RTableReader::open_for_walk`]). Other formats open as
-    /// [`open`](Self::open) does.
-    pub(crate) fn open_for_walk(
-        env: &EnvRef,
-        dir: &str,
-        file: u64,
-        cache_ns: u64,
-        format: VFormat,
-        cache: Option<Arc<BlockCache>>,
-        class: IoClass,
-    ) -> Result<VReader> {
-        let f = env.open_random_access(&vfile_path(dir, file, format), class)?;
-        Self::from_file(f, file, cache_ns, format, cache, true)
+        Self::from_file(f, file, cache_ns, format, cache)
     }
 
     fn from_file(
@@ -394,16 +376,9 @@ impl VReader {
         cache_ns: u64,
         format: VFormat,
         cache: Option<Arc<BlockCache>>,
-        walk: bool,
     ) -> Result<VReader> {
         let cache_id = scavenger_table::cache::cache_file_id(cache_ns, file);
         Ok(match format {
-            VFormat::RTable if walk => VReader::R(RTableReader::open_for_walk(
-                f,
-                cache_id,
-                cache,
-                KeyCmp::Internal,
-            )?),
             VFormat::RTable => {
                 VReader::R(RTableReader::open(f, cache_id, cache, KeyCmp::Internal)?)
             }
@@ -442,7 +417,7 @@ impl VReader {
             f = Arc::new(ReadaheadFile::open(f, COALESCE_SPAN as usize)?);
             cache = None;
         }
-        Self::from_file(f, file, cache_ns, format, cache, false)?.scan_all()
+        Self::from_file(f, file, cache_ns, format, cache)?.scan_all()
     }
 
     /// **Locate** the exact version `ikey` in a keyed table without

@@ -1,11 +1,15 @@
 //! Per-class I/O accounting.
 //!
 //! Every file handle is opened under an [`IoClass`]; all bytes and
-//! operations through that handle are charged to the class. The classes
-//! mirror the paper's instrumentation: foreground reads, WAL, flush,
-//! compaction (read/write), and — the stars of Figure 12(c) — GC read and
-//! GC write.
+//! operations through that handle are charged to the class — except the
+//! reads a thread issues inside [`reads_charged_to`], which go to the
+//! class the scope names, whatever handle they pass through. So a job
+//! names the kind of a read where it issues it, and a file needs only one
+//! open handle whoever reads it. The classes mirror the paper's
+//! instrumentation: foreground reads, WAL, flush, compaction
+//! (read/write), and — the stars of Figure 12(c) — GC read and GC write.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a piece of I/O was performed for.
@@ -18,11 +22,15 @@ pub enum IoClass {
     Flush = 1,
     /// Index LSM-tree compaction reads and writes.
     Compaction = 2,
-    /// Garbage-collection reads (vSST scans / lazy index reads / value fetch).
+    /// Garbage-collection reads (vSST scans / lazy index reads / value
+    /// fetch): charged by GC's [`reads_charged_to`] scope, whichever
+    /// handle the read goes through.
     GcRead = 3,
     /// Garbage-collection writes (rewriting valid values).
     GcWrite = 4,
-    /// Foreground point/range reads of index SSTs.
+    /// Reads of key SSTs through the table cache's shared handles:
+    /// foreground point and range reads, table-cache opens, and
+    /// GC-Lookup's sweeps of the index (step ②).
     FgIndexRead = 5,
     /// Foreground value fetches from the value store.
     FgValueRead = 6,
@@ -65,6 +73,26 @@ impl IoClass {
     }
 }
 
+thread_local! {
+    /// The class [`reads_charged_to`] set on this thread, if any.
+    static READ_CLASS: Cell<Option<IoClass>> = const { Cell::new(None) };
+}
+
+/// Run `f` with every read this thread issues charged to `class` instead
+/// of the class its handle was opened under; the outer class comes back
+/// when `f` returns, returns early or panics. Threads `f` starts do not
+/// inherit the scope — a worker enters its own.
+pub fn reads_charged_to<R>(class: IoClass, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<IoClass>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            READ_CLASS.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(READ_CLASS.with(|c| c.replace(Some(class))));
+    f()
+}
+
 #[derive(Default)]
 struct ClassCounters {
     read_bytes: AtomicU64,
@@ -86,8 +114,10 @@ impl IoStats {
         Self::default()
     }
 
-    /// Charge a read of `bytes` to `class`.
+    /// Charge a read of `bytes` to `class`, or to the class of the
+    /// [`reads_charged_to`] scope the calling thread is in.
     pub fn record_read(&self, class: IoClass, bytes: u64) {
+        let class = READ_CLASS.with(Cell::get).unwrap_or(class);
         let c = &self.classes[class as usize];
         c.read_bytes.fetch_add(bytes, Ordering::Relaxed);
         c.read_ops.fetch_add(1, Ordering::Relaxed);
@@ -225,6 +255,7 @@ impl IoStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn records_accumulate_per_class() {
@@ -281,6 +312,96 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(s.snapshot().class(IoClass::FgValueRead).read_ops, 8000);
+    }
+
+    fn read_ops(s: &IoStats, class: IoClass) -> u64 {
+        s.snapshot().class(class).read_ops
+    }
+
+    /// A scope charges the reads inside it, a nested scope only its own,
+    /// and each exit — normal or by panic — restores the outer class.
+    #[test]
+    fn scopes_nest_and_restore_the_outer_class() {
+        let s = IoStats::new();
+        let inner = reads_charged_to(IoClass::GcRead, || {
+            s.record_read(IoClass::FgValueRead, 1);
+            let inner = reads_charged_to(IoClass::Compaction, || {
+                s.record_read(IoClass::FgValueRead, 1);
+                7
+            });
+            s.record_read(IoClass::FgValueRead, 1);
+            inner
+        });
+        assert_eq!(inner, 7, "the scope returns what its closure does");
+        assert_eq!(read_ops(&s, IoClass::GcRead), 2);
+        assert_eq!(read_ops(&s, IoClass::Compaction), 1);
+        s.record_read(IoClass::FgValueRead, 1);
+        assert_eq!(read_ops(&s, IoClass::FgValueRead), 1, "outside any scope");
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reads_charged_to(IoClass::GcRead, || panic!("inside the scope"))
+        }));
+        assert!(unwound.is_err());
+        s.record_read(IoClass::FgValueRead, 1);
+        assert_eq!(
+            read_ops(&s, IoClass::FgValueRead),
+            2,
+            "restored by the unwind"
+        );
+    }
+
+    /// A thread started inside a scope begins outside it.
+    #[test]
+    fn threads_do_not_inherit_the_scope() {
+        let s = IoStats::new();
+        reads_charged_to(IoClass::GcRead, || {
+            std::thread::scope(|t| {
+                t.spawn(|| s.record_read(IoClass::FgValueRead, 1));
+            });
+        });
+        assert_eq!(read_ops(&s, IoClass::FgValueRead), 1);
+        assert_eq!(read_ops(&s, IoClass::GcRead), 0);
+    }
+
+    /// The scope is honoured wherever a read is charged: a handle opened
+    /// as `FgValueRead` and read inside a `GcRead` scope is charged
+    /// `GcRead` by `MemEnv`, `FsEnv` and `UsageEnv` (in its own ledger and
+    /// in the env's it wraps) alike, whole-file reads too; outside the
+    /// scope the handle's class holds.
+    #[test]
+    fn every_env_charges_the_scope_class() {
+        use crate::{EnvRef, FsEnv, MemEnv, UsageEnv};
+        let dir = std::env::temp_dir().join(format!("scavenger-readscope-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs: EnvRef = Arc::new(FsEnv::new(&dir).unwrap());
+        let mem: EnvRef = MemEnv::shared();
+        let (usage, _) = UsageEnv::wrap(mem.clone(), "db", None).unwrap();
+        for (name, env, ledgers) in [
+            ("mem", mem.clone(), vec![mem.clone()]),
+            ("fs", fs.clone(), vec![fs.clone()]),
+            ("usage", usage.clone(), vec![usage.clone(), mem.clone()]),
+        ] {
+            let path = format!("db/{name}.vsst");
+            let mut w = env.new_writable(&path, IoClass::Flush).unwrap();
+            w.append(&[5u8; 100]).unwrap();
+            w.sync().unwrap();
+            let before: Vec<_> = ledgers.iter().map(|e| e.io_stats().snapshot()).collect();
+            let f = env.open_random_access(&path, IoClass::FgValueRead).unwrap();
+            reads_charged_to(IoClass::GcRead, || {
+                assert_eq!(f.read_at(10, 30).unwrap().len(), 30);
+                env.read_file(&path, IoClass::FgIndexRead).unwrap();
+            });
+            f.read_at(0, 20).unwrap();
+            for (ledger, before) in ledgers.iter().zip(&before) {
+                let d = ledger.io_stats().snapshot().delta(before);
+                let gc = d.class(IoClass::GcRead);
+                assert_eq!((gc.read_ops, gc.read_bytes), (2, 130), "{name}");
+                let fg = d.class(IoClass::FgValueRead);
+                assert_eq!((fg.read_ops, fg.read_bytes), (1, 20), "{name}");
+                assert_eq!(d.class(IoClass::FgIndexRead).read_ops, 0, "{name}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

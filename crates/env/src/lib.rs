@@ -45,7 +45,7 @@ use std::sync::Arc;
 pub use device::DeviceModel;
 pub use fault::{FaultEnv, FaultKind, FaultOp, FaultRule, Trigger};
 pub use fs::FsEnv;
-pub use io_stats::{IoClass, IoStats, IoStatsSnapshot};
+pub use io_stats::{reads_charged_to, IoClass, IoStats, IoStatsSnapshot};
 pub use mem::MemEnv;
 pub use readahead::ReadaheadFile;
 pub use usage::{SpaceTracker, UsageEnv};

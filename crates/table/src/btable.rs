@@ -12,12 +12,12 @@
 //! index, paper §III-B1).
 
 use crate::block::{Block, BlockBuilder, BlockEntry, BlockIter};
-use crate::blockio::write_block;
+use crate::blockio::{read_block, write_block};
 use crate::cache::{CacheKey, CachePriority, LruCache};
 use crate::filter::{BloomBuilder, BloomReader};
 use crate::handle::BlockHandle;
 use crate::props::{meta_keys, TableProps, TableType, ValueDep};
-use crate::tail::{read_block_via, read_tail, write_tail, Prefetch, Tail};
+use crate::tail::{read_tail, write_tail, Tail};
 use crate::{BlockKind, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
@@ -35,7 +35,7 @@ pub type BlockCache = LruCache<Bytes>;
 
 /// Serve `key` from `cache`, or `read` it and insert it at `pri` — the
 /// one cache path of every block, record and value read. Without a cache
-/// (compaction and GC readers) it is a plain `read`.
+/// (compaction inputs, GC's whole-file scans) it is a plain `read`.
 pub fn cached_read(
     cache: Option<&BlockCache>,
     key: CacheKey,
@@ -275,22 +275,9 @@ impl BlockFetcher {
         kind: BlockKind,
         pri: CachePriority,
     ) -> Result<Bytes> {
-        self.payload_via(None, handle, kind, pri)
-    }
-
-    /// [`payload`](Self::payload), a miss served out of `prefetch` when
-    /// it covers the block ([`read_block_via`]): the same verified bytes
-    /// enter the cache either way.
-    pub(crate) fn payload_via(
-        &self,
-        prefetch: Option<&Prefetch>,
-        handle: BlockHandle,
-        kind: BlockKind,
-        pri: CachePriority,
-    ) -> Result<Bytes> {
         let key = CacheKey::new(self.file_number, handle.offset, kind);
         cached_read(self.cache.as_deref(), key, pri, || {
-            read_block_via(self.file.as_ref(), prefetch, handle)
+            read_block(self.file.as_ref(), handle)
         })
     }
 }

@@ -21,11 +21,11 @@
 use crate::block::{Block, BlockBuilder};
 use crate::blockio::{verify_block, write_block, BLOCK_TRAILER_LEN};
 use crate::btable::{BlockCache, BlockFetcher, BuiltTable, PropsTracker, TableOptions};
-use crate::cache::CachePriority;
+use crate::cache::{CacheKey, CachePriority};
 use crate::filter::{BloomBuilder, BloomReader};
 use crate::handle::BlockHandle;
 use crate::props::{meta_keys, TableProps, TableType};
-use crate::tail::{read_tail, write_tail, Prefetch};
+use crate::tail::{read_tail, write_tail};
 use crate::{BlockKind, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
@@ -245,6 +245,19 @@ pub fn read_coalesced(
     Ok(out)
 }
 
+/// The index-partition handles a top index lists, in file order.
+fn partitions(top_index: &Block, cmp: KeyCmp) -> Result<Vec<BlockHandle>> {
+    let mut out = Vec::new();
+    let mut top = top_index.iter(cmp);
+    top.seek_to_first();
+    while top.valid() {
+        out.push(BlockHandle::decode_exact(&top.value())?);
+        top.next();
+    }
+    top.status()?;
+    Ok(out)
+}
+
 /// An open RecordBasedTable.
 pub struct RTableReader {
     fetcher: BlockFetcher,
@@ -253,49 +266,34 @@ pub struct RTableReader {
     props: TableProps,
     cmp: KeyCmp,
     open_bytes: u64,
-    /// The open's tail prefetch, kept by [`open_for_walk`](Self::open_for_walk)
-    /// only.
-    prefetch: Option<Prefetch>,
 }
 
 impl RTableReader {
     /// Open an RTable file; top index, filter, and props are pinned.
+    /// Every index partition the open's tail read already holds enters
+    /// the block cache at high priority, checksummed, so no walk or
+    /// lookup reads it again and no reader keeps the buffer — RocksDB's
+    /// partitioned index is cached from its open-time prefetch the same
+    /// way. Best effort: a covered partition that fails its checksum is
+    /// left out, and the read that needs it reports the corruption.
     pub fn open(
         file: Arc<dyn RandomAccessFile>,
         file_number: u64,
         cache: Option<Arc<BlockCache>>,
         cmp: KeyCmp,
     ) -> Result<RTableReader> {
-        Self::open_keeping(file, file_number, cache, cmp, false)
-    }
-
-    /// [`open`](Self::open) for one walk of the dense index
-    /// ([`read_index`](Self::read_index), GC's Lazy Read): the reader
-    /// keeps the bytes its open's tail read fetched, up to
-    /// [`TAIL_PREFETCH`](crate::TAIL_PREFETCH), and serves every index
-    /// partition they cover out of them instead of reading it again. A
-    /// long-lived reader would pin them for nothing, so only a one-shot
-    /// reader opens this way.
-    pub fn open_for_walk(
-        file: Arc<dyn RandomAccessFile>,
-        file_number: u64,
-        cache: Option<Arc<BlockCache>>,
-        cmp: KeyCmp,
-    ) -> Result<RTableReader> {
-        Self::open_keeping(file, file_number, cache, cmp, true)
-    }
-
-    fn open_keeping(
-        file: Arc<dyn RandomAccessFile>,
-        file_number: u64,
-        cache: Option<Arc<BlockCache>>,
-        cmp: KeyCmp,
-        keep_prefetch: bool,
-    ) -> Result<RTableReader> {
         let mut tail = read_tail(file.as_ref())?;
         let filter = tail.meta_block(file.as_ref(), meta_keys::FILTER)?;
         if tail.props.table_type != TableType::RTable {
             return Err(Error::corruption("not an RTable file"));
+        }
+        if let (Some(cache), Ok(parts)) = (&cache, partitions(&tail.index, cmp)) {
+            for h in parts {
+                if let Some(Ok(part)) = tail.prefetched(h) {
+                    let key = CacheKey::new(file_number, h.offset, BlockKind::Index);
+                    cache.insert(key, part.clone(), part.len(), CachePriority::High);
+                }
+            }
         }
         Ok(RTableReader {
             fetcher: BlockFetcher {
@@ -308,7 +306,6 @@ impl RTableReader {
             props: tail.props,
             cmp,
             open_bytes: tail.asked,
-            prefetch: keep_prefetch.then_some(tail.prefetch),
         })
     }
 
@@ -379,20 +376,15 @@ impl RTableReader {
 
     /// **Lazy Read** (paper Fig. 8 step ①): return every key in the file
     /// with its record handle, reading only index partitions. Partitions
-    /// come through the block cache and a miss is inserted with high
-    /// priority, so subsequent GC value fetches and foreground reads hit
-    /// memory. A reader opened with [`open_for_walk`](Self::open_for_walk)
-    /// serves a miss the tail prefetch covers out of it, CRC-checked like
-    /// any read.
+    /// come through the block cache — those the open's tail read held are
+    /// already there — and a miss is inserted with high priority, so
+    /// subsequent GC value fetches and foreground reads hit memory.
     pub fn read_index(&self) -> Result<Vec<(Vec<u8>, BlockHandle)>> {
         let mut out = Vec::with_capacity(self.props.num_entries as usize);
         for part_handle in self.partitions()? {
-            let part = Block::new(self.fetcher.payload_via(
-                self.prefetch.as_ref(),
-                part_handle,
-                BlockKind::Index,
-                CachePriority::High,
-            )?)?;
+            let part = self
+                .fetcher
+                .fetch(part_handle, BlockKind::Index, CachePriority::High)?;
             let mut it = part.iter(self.cmp);
             it.seek_to_first();
             while it.valid() {
@@ -407,15 +399,7 @@ impl RTableReader {
     /// The handles of the index partitions, in file order, out of the
     /// pinned top index: costs no I/O.
     pub fn partitions(&self) -> Result<Vec<BlockHandle>> {
-        let mut out = Vec::new();
-        let mut top = self.top_index.iter(self.cmp);
-        top.seek_to_first();
-        while top.valid() {
-            out.push(BlockHandle::decode_exact(&top.value())?);
-            top.next();
-        }
-        top.status()?;
-        Ok(out)
+        partitions(&self.top_index, self.cmp)
     }
 
     /// Bytes [`read_index`](Self::read_index) asks the file for: every
@@ -679,8 +663,9 @@ mod tests {
         assert_eq!(r.find_exact(b"zzzz").unwrap(), None);
     }
 
-    /// A point read caches its index partition and its record (at the
-    /// bottom tier), so a repeat costs no I/O; told not to — through
+    /// A point read finds its index partition cached (the file's one
+    /// partition rode in the open's tail read) and caches its record (at
+    /// the bottom tier), so a repeat costs no I/O; told not to — through
     /// `read_records` (scans, GC) — it reads around the cache.
     #[test]
     fn point_reads_cache_records_unless_told_not_to() {
@@ -700,10 +685,10 @@ mod tests {
         };
         let (key, value) = (es[10].0.as_slice(), es[10].1.as_slice());
         let found = std::cell::Cell::new(None);
-        assert_eq!(reads(&|| found.set(r.find_exact(key).unwrap())), 1);
-        let h = found.get().unwrap();
         let partitions = cache.usage();
-        assert!(partitions > 0, "the partition is cached");
+        assert!(partitions > 0, "the open cached the partition");
+        assert_eq!(reads(&|| found.set(r.find_exact(key).unwrap())), 0);
+        let h = found.get().unwrap();
         assert_eq!(
             reads(&|| assert_eq!(r.find_exact(key).unwrap(), Some(h))),
             0
@@ -717,62 +702,57 @@ mod tests {
         );
     }
 
-    /// A reader opened for a walk takes the partitions its tail read
-    /// covers out of that buffer: the same index, the same cache
-    /// contents, fewer reads — and a flipped byte in such a partition is
-    /// still that partition's checksum error.
+    /// Opening a reader caches, checksummed, the index partitions its tail
+    /// read covers: a walk then reads only the ones outside it and yields
+    /// the index an uncached reader reads whole. A flipped byte in a
+    /// covered partition keeps it out of the cache without failing the
+    /// open, and is that partition's checksum error at the walk.
     #[test]
-    fn a_walk_reader_serves_partitions_inside_its_tail_read() {
+    fn open_caches_the_partitions_its_tail_read_covered() {
         let env = MemEnv::new();
         let es = entries(300, 64);
         build(&env, "v.vsst", &es);
         let len = env.file_size("v.vsst").unwrap();
-        assert!(
-            len > crate::TAIL_PREFETCH as u64,
-            "some partitions lie outside"
-        );
-        let reader = |cache: &Arc<BlockCache>, walk: bool| {
+        let start = len
+            .checked_sub(crate::TAIL_PREFETCH as u64)
+            .expect("some partitions lie outside the tail read");
+        let reads = |f: &dyn Fn()| {
+            let before = env.io_stats().snapshot();
+            f();
+            env.io_stats().snapshot().delta(&before).total_read_ops()
+        };
+        let reader = |cache: &Arc<BlockCache>| {
             let file = env
                 .open_random_access("v.vsst", IoClass::FgValueRead)
                 .unwrap();
-            let open = if walk {
-                RTableReader::open_for_walk
-            } else {
-                RTableReader::open
-            };
-            open(file, 7, Some(cache.clone()), KeyCmp::Bytewise).unwrap()
+            RTableReader::open(file, 7, Some(cache.clone()), KeyCmp::Bytewise).unwrap()
         };
-        let walk_reads = |r: &RTableReader| {
-            let before = env.io_stats().snapshot();
-            let index = r.read_index();
-            let d = env.io_stats().snapshot().delta(&before);
-            (index, d.class(IoClass::FgValueRead).read_ops)
-        };
-        let (plain_cache, walk_cache) = (
-            Arc::new(BlockCache::with_capacity(1 << 20)),
-            Arc::new(BlockCache::with_capacity(1 << 20)),
-        );
-        let plain = reader(&plain_cache, false);
+        let plain = open(&env, "v.vsst");
         let partitions = plain.partitions().unwrap();
-        let outside = partitions
-            .iter()
-            .filter(|h| h.offset < len - crate::TAIL_PREFETCH as u64)
-            .count() as u64;
-        assert!(outside > 0 && outside < partitions.len() as u64);
-        let (index, reads) = walk_reads(&plain);
-        assert_eq!(reads, partitions.len() as u64);
+        let index = plain.read_index().unwrap();
+        let (outside, covered): (Vec<BlockHandle>, Vec<BlockHandle>) =
+            partitions.iter().partition(|h| h.offset < start);
+        assert!(!outside.is_empty() && !covered.is_empty());
+        let bytes = |hs: &[BlockHandle]| hs.iter().map(|h| h.size as usize).sum::<usize>();
 
-        let walk = reader(&walk_cache, true);
-        let (walked, reads) = walk_reads(&walk);
-        assert_eq!(reads, outside);
-        assert_eq!(walked.unwrap(), index.unwrap());
-        assert_eq!(walk_cache.usage(), plain_cache.usage());
-        assert_eq!(walk_reads(&reader(&walk_cache, true)).1, 0, "cached");
+        let cache = Arc::new(BlockCache::with_capacity(1 << 20));
+        let r = std::cell::OnceCell::new();
+        assert_eq!(reads(&|| drop(r.set(reader(&cache)))), 1, "one tail read");
+        let r = r.get().unwrap();
+        assert_eq!(cache.usage(), bytes(&covered));
+        let walked = std::cell::OnceCell::new();
+        let n = reads(&|| drop(walked.set(r.read_index().unwrap())));
+        assert_eq!(n, outside.len() as u64);
+        assert_eq!(walked.get().unwrap(), &index);
+        assert_eq!(cache.usage(), bytes(&partitions));
+        assert_eq!(reads(&|| drop(r.read_index().unwrap())), 0, "cached");
 
-        let last = *partitions.last().unwrap();
+        let last = *covered.last().unwrap();
         env.corrupt_byte("v.vsst", last.offset + 1).unwrap();
         let fresh = Arc::new(BlockCache::with_capacity(1 << 20));
-        let err = reader(&fresh, true).read_index().unwrap_err();
+        let r = reader(&fresh);
+        assert_eq!(fresh.usage(), bytes(&covered) - last.size as usize);
+        let err = r.read_index().unwrap_err();
         let at = format!("block checksum mismatch at offset {}", last.offset);
         assert!(matches!(&err, Error::Corruption(m) if *m == at), "{err}");
     }

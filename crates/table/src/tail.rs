@@ -57,11 +57,9 @@ pub const TAIL_PREFETCH: usize = 16 * 1024;
 /// What [`read_tail`] learned of an open table: its index block, its
 /// properties, where its other meta blocks are — and the prefetched
 /// bytes they are served from. Every block handed out is a copy, so the
-/// prefetch goes away with the `Tail`, with one exception: an RTable
-/// reader opened for one walk of its dense index
-/// ([`RTableReader::open_for_walk`](crate::rtable::RTableReader::open_for_walk),
-/// GC's Lazy Read) keeps it until that reader is dropped, to serve the
-/// index partitions it covers.
+/// prefetch goes away with the `Tail`; an RTable's open first puts the
+/// index partitions it covers into the block cache
+/// (`Tail::prefetched`), so no reader keeps the buffer.
 ///
 /// Each reader opens from one (`from_tail`), so a caller that must look
 /// at the properties first — which format is this key SST? — reads the
@@ -74,44 +72,36 @@ pub struct Tail {
     /// bytes the prefetch moved.
     pub(crate) asked: u64,
     metas: Vec<(String, BlockHandle)>,
-    pub(crate) prefetch: Prefetch,
+    prefetch: Prefetch,
 }
 
 /// The file's last bytes: `(offset of the first, bytes)`.
-pub(crate) type Prefetch = (u64, Bytes);
+type Prefetch = (u64, Bytes);
 
-/// Read and verify the block at `handle`: out of `prefetch` when it
-/// covers the block and its trailer — a copy, so the block does not pin
-/// the buffer — else with an exact read.
-pub(crate) fn read_block_via(
-    file: &dyn RandomAccessFile,
-    prefetch: Option<&Prefetch>,
-    handle: BlockHandle,
-) -> Result<Bytes> {
+/// The verified block at `handle` out of `prefetch` — a copy, so the
+/// block does not pin the buffer — or `None` when the prefetch does not
+/// cover the block and its trailer.
+fn from_prefetch((start, buf): &Prefetch, handle: BlockHandle) -> Option<Result<Bytes>> {
     let end = handle
         .size
         .checked_add(BLOCK_TRAILER_LEN as u64)
-        .and_then(|n| handle.offset.checked_add(n));
-    match (prefetch, end) {
-        (Some((start, buf)), Some(end))
-            if handle.offset >= *start && end <= start + buf.len() as u64 =>
-        {
-            let raw = buf.slice((handle.offset - start) as usize..(end - start) as usize);
-            Ok(Bytes::copy_from_slice(&verify_block(&raw, handle)?))
-        }
-        _ => read_block(file, handle),
-    }
+        .and_then(|n| handle.offset.checked_add(n))?;
+    (handle.offset >= *start && end <= start + buf.len() as u64).then(|| {
+        let raw = buf.slice((handle.offset - start) as usize..(end - start) as usize);
+        Ok(Bytes::copy_from_slice(&verify_block(&raw, handle)?))
+    })
 }
 
-/// Read and verify the tail block at `handle` ([`read_block_via`] over
-/// the open's prefetch). `asked` grows by the block's size on disk.
+/// Read and verify the tail block at `handle`: out of the open's
+/// prefetch when it covers the block, else with an exact read. `asked`
+/// grows by the block's size on disk.
 fn tail_block(
     file: &dyn RandomAccessFile,
     prefetch: &Prefetch,
     handle: BlockHandle,
     asked: &mut u64,
 ) -> Result<Bytes> {
-    let block = read_block_via(file, Some(prefetch), handle)?;
+    let block = from_prefetch(prefetch, handle).unwrap_or_else(|| read_block(file, handle))?;
     *asked += (block.len() + BLOCK_TRAILER_LEN) as u64;
     Ok(block)
 }
@@ -152,6 +142,13 @@ impl Tail {
     /// The table's properties.
     pub fn props(&self) -> &TableProps {
         &self.props
+    }
+
+    /// The block at `handle` if the open's tail read holds it, verified:
+    /// what an open can cache without another read. `None` when the
+    /// block lies outside it.
+    pub(crate) fn prefetched(&self, handle: BlockHandle) -> Option<Result<Bytes>> {
+        from_prefetch(&self.prefetch, handle)
     }
 
     /// The meta block stored under `name`, if the table has one.

@@ -11,7 +11,7 @@ use scavenger::vstore::vtable::{vfile_path, VReader};
 use scavenger::vstore::GC_COALESCE;
 use scavenger::{Db, EngineMode, Env, Error, GcOutcome, IoClass, MemEnv, Options, VFormat};
 use scavenger_env::io_stats::ClassSnapshot;
-use scavenger_env::EnvRef;
+use scavenger_env::{EnvRef, FaultEnv, FaultOp, FaultRule};
 use scavenger_table::handle::BlockHandle;
 use scavenger_table::TAIL_PREFETCH;
 
@@ -74,8 +74,8 @@ fn gc_job(db: &Db, env: &MemEnv) -> (GcOutcome, ClassSnapshot) {
 }
 
 /// The dense index of RTable `file`, the number of reads (= index
-/// partitions) an uncached reader pays for it, and the bytes opening the
-/// table and walking the index ask for.
+/// partitions) a reader without a block cache pays for it, and the bytes
+/// opening the table and walking the index ask for.
 fn dense_index(env: &EnvRef, file: u64) -> (Vec<(Vec<u8>, BlockHandle)>, u64, u64) {
     let reader = VReader::open(
         env,
@@ -100,8 +100,8 @@ fn dense_index(env: &EnvRef, file: u64) -> (Vec<(Vec<u8>, BlockHandle)>, u64, u6
 }
 
 /// How many index partitions of RTable `file` lie outside the last
-/// [`TAIL_PREFETCH`] bytes — the ones a GC reader, which serves the rest
-/// out of its open's tail read, still reads on its own.
+/// [`TAIL_PREFETCH`] bytes — the ones Lazy Read still reads on its own:
+/// opening the file's reader caches the rest out of its tail read.
 fn partitions_outside_prefetch(env: &EnvRef, file: u64) -> u64 {
     let prefetch_start = env
         .file_size(&vfile_path("db", file, VFormat::RTable))
@@ -230,15 +230,17 @@ fn mostly_dead_file_costs_its_live_bytes() {
 }
 
 /// A file whose whole dense index sits in its last [`TAIL_PREFETCH`]
-/// bytes costs Lazy Read one tail read and its fetch spans: the open's
-/// read serves every partition, checksummed, where a plain reader reads
-/// each again. The job still reports the bytes it asked for.
+/// bytes costs Lazy Read one tail read and its fetch spans: the open
+/// caches every partition out of that read, checksummed, where a reader
+/// without a cache reads each again. After a `get` opened the file it
+/// costs the spans alone: a value file has one reader, and GC borrows
+/// it. The job still reports the bytes it asked for.
 #[test]
 fn index_inside_the_tail_prefetch_costs_no_partition_read() {
     const N: usize = 20;
     // Two survivors more than `GC_COALESCE.max_gap` apart: two spans.
     let dead = |i: usize| i != 2 && i != 15;
-    for threads in [1, 4] {
+    for (threads, get_first) in [(1, false), (4, false), (1, true), (4, true)] {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
         let db = Db::open(opts(eref.clone(), EngineMode::Scavenger, threads)).unwrap();
@@ -248,12 +250,75 @@ fn index_inside_the_tail_prefetch_costs_no_partition_read() {
         assert_eq!(partitions_outside_prefetch(&eref, file), 0);
         let (a, b) = (index[2].1, index[15].1);
         assert!(b.offset - (a.offset + a.size + 5) > GC_COALESCE.max_gap);
+        let before = env.io_stats().snapshot();
+        if get_first {
+            assert_eq!(db.get(key(2)).unwrap().unwrap(), value(2, 1));
+        }
+        let get = env.io_stats().snapshot().delta(&before);
 
         let (outcome, io) = gc_job(&db, &env);
         assert_eq!(outcome.records_rewritten, 2);
-        assert_eq!(io.read_ops, 1 + 2, "one tail read, two spans");
+        let tail = u64::from(!get_first);
+        assert_eq!(
+            io.read_ops,
+            tail + 2,
+            "{threads}/{get_first}: tail, two spans"
+        );
         assert_eq!(outcome.bytes_read, index_bytes + a.size + 5 + b.size + 5);
+        // The get paid the tail, whose open cached the index, and the
+        // record, all of it `FgValueRead`.
+        let (fg, gc) = (get.class(IoClass::FgValueRead), get.class(IoClass::GcRead));
+        assert_eq!((fg.read_ops, gc.read_ops), (2 - 2 * tail, 0));
         check_values(&db, N, dead);
+    }
+}
+
+/// BlobDB relocation borrows the reader a `get` opened too: once gets
+/// have opened every blob log, no relocation opens one again — every
+/// open of those logs fails from then on, and compaction still relocates,
+/// charging each record's exact read to `GcRead`.
+#[test]
+fn blobdb_relocation_borrows_the_reader_a_get_opened() {
+    for threads in [1, 4] {
+        let mem = MemEnv::shared();
+        let fault = FaultEnv::wrap(mem.clone(), 7);
+        let mut o = opts(fault.clone(), EngineMode::BlobDb, threads);
+        o.memtable_size = 256 * 1024;
+        o.base_level_bytes = 256 * 1024;
+        let db = Db::open(o).unwrap();
+        let round = |stamp: u8| {
+            for i in (0..200).filter(|i| stamp == 0 || i % 3 != 0) {
+                db.put(key(i), value(i, stamp)).unwrap();
+            }
+            db.flush().unwrap();
+            db.compact_all().unwrap();
+        };
+        (0..3).for_each(round);
+        for i in 0..200 {
+            assert!(db.get(key(i)).unwrap().is_some());
+        }
+        for file in db.shard(0).value_store().live_file_numbers() {
+            fault.add_rule(FaultRule {
+                path_contains: Some(vfile_path("db", file, VFormat::BlobLog)),
+                ..FaultRule::fail(FaultOp::Open)
+            });
+        }
+        let before = mem.io_stats().snapshot().class(IoClass::GcRead);
+        (3..6).for_each(round);
+        let gc = mem.io_stats().snapshot().class(IoClass::GcRead);
+        let (ops, bytes) = (
+            gc.read_ops - before.read_ops,
+            gc.read_bytes - before.read_bytes,
+        );
+        assert!(
+            ops > 0,
+            "{threads} threads: the rounds must relocate something"
+        );
+        assert_eq!(bytes, ops * (VLEN + 24) as u64);
+        for i in 0..200 {
+            let stamp = if i % 3 == 0 { 0 } else { 5 };
+            assert_eq!(db.get(key(i)).unwrap().unwrap(), value(i, stamp), "key {i}");
+        }
     }
 }
 

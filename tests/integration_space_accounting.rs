@@ -491,6 +491,49 @@ fn a_plain_stores_io_is_its_envs() {
     assert_eq!(db.stats().io, global);
 }
 
+/// Gets and GC on the same value files share each file's one reader: the
+/// gets open it as `FgValueRead`, GC charges its reads through it to
+/// `GcRead` with a per-thread scope, on the caller's thread and on each
+/// of the 4 fetch workers. The store's ledger (a wrapper over the env)
+/// and the env's own still agree class by class.
+#[test]
+fn gets_and_gc_on_shared_readers_charge_the_store_as_the_env() {
+    let scratch = ScratchDir::new("io-shared");
+    let env = scratch.env();
+    let mut o = opts(env.clone(), EngineMode::Scavenger);
+    o.auto_gc = false;
+    o.gc_threads = 4;
+    let before = env.io_stats().snapshot();
+    let db = Db::open(o).unwrap();
+    let (mut gc_ops, mut fg_ops) = (0, 0);
+    churn(&db, 96, 1, 1500);
+    for round in 0..4u64 {
+        // A third of the keys keep their value: GC has survivors to fetch.
+        for i in (0..96u64).filter(|i| i % 3 != round % 3) {
+            db.put(format!("k{i:04}"), vec![round as u8; 1500 + i as usize])
+                .unwrap();
+        }
+        db.flush().unwrap();
+        for i in (0..96u64).filter(|i| i % 2 == round % 2) {
+            assert!(db.get(format!("k{i:04}")).unwrap().is_some());
+        }
+        db.compact_all().unwrap();
+        let io = env.io_stats().snapshot();
+        db.run_gc_until_clean().unwrap();
+        for i in 0..96u64 {
+            assert!(db.get(format!("k{i:04}")).unwrap().is_some());
+        }
+        let d = env.io_stats().snapshot().delta(&io);
+        gc_ops += d.class(IoClass::GcRead).read_ops;
+        fg_ops += d.class(IoClass::FgValueRead).read_ops;
+    }
+    assert!(
+        gc_ops > 0 && fg_ops > 0,
+        "GC read {gc_ops}, gets read {fg_ops}"
+    );
+    assert_eq!(db.stats().io, env.io_stats().snapshot().delta(&before));
+}
+
 /// In a 4-shard set every byte and op the env counts is charged to
 /// exactly one ledger: a member's (`shard_stats()[i].io`, whose fold is
 /// `stats().io`) or the root's (routing meta, coordinator log), class by
