@@ -245,7 +245,8 @@ pub struct Options {
     /// one fails fast with `Error::ReadOnlyMode`, as every write does
     /// until [`Db::resume`](crate::Db::resume) clears the state. A
     /// degraded engine serves reads, scans, and pinned views. Manual
-    /// `flush`, `compact_all` and `run_gc` return their errors.
+    /// `flush` and `compact_all` fall under this rule too, and with
+    /// `run_gc` return their errors.
     pub bg_retry_limit: usize,
     /// Base delay of the exponential backoff between background retries
     /// (`bg_retry_base * 2^attempt`).

@@ -1,6 +1,7 @@
 //! Background work: flush, compaction, obsolete-file purge, and the
-//! retry / degrade / resume policy around them — run inline on the
-//! writer's thread or on the background thread.
+//! retry / degrade / resume policy around them — one drain, run under
+//! one lock on the writer's thread (inline), on the background thread,
+//! or on the thread that asks for a flush or a compaction.
 
 use super::Lsm;
 use crate::compaction::{
@@ -13,7 +14,7 @@ use crate::options::{BackgroundMode, NUM_LEVELS};
 use crate::tcache::ktable_from_file;
 use crate::version::{ManifestLeader, Version, VersionEdit};
 use crate::view::SuperVersion;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use scavenger_env::{IoClass, ReadaheadFile};
 use scavenger_table::cache::cache_file_id;
 use scavenger_util::ikey::SeqNo;
@@ -35,21 +36,17 @@ pub(super) struct BgSignal {
 }
 
 impl Lsm {
-    /// Run background work after a write, a flush or a resume: inline,
-    /// on this thread, or by waking the background thread.
+    /// Run background work after a write or a resume: inline, on this
+    /// thread, or by waking the background thread.
     pub(super) fn kick_background(&self) -> Result<()> {
         match self.inner.opts.background {
-            BackgroundMode::Inline => self.run_with_retries(|| self.run_background_work()),
+            BackgroundMode::Inline => self.run_background_work(),
             BackgroundMode::Threaded => {
-                self.wake_background();
+                self.inner.bg_signal.lock().work_pending = true;
+                self.inner.bg_cv.notify_all();
                 Ok(())
             }
         }
-    }
-
-    fn wake_background(&self) {
-        self.inner.bg_signal.lock().work_pending = true;
-        self.inner.bg_cv.notify_all();
     }
 
     pub(super) fn check_bg_error(&self) -> Result<()> {
@@ -102,10 +99,12 @@ impl Lsm {
     /// exponential backoff (`bg_retry_base * 2^attempt`, up to
     /// `bg_retry_limit` retries). A permanent failure — or exhausted
     /// retries — degrades the engine to read-only mode and returns the
-    /// error. Flush and compaction run through it on the inline write
-    /// path and on the background thread, and the engine above runs its
-    /// own post-write maintenance (value-file reaping, paced GC) through
-    /// it, so all of them share one error policy.
+    /// error. Every drain of flushes and compactions runs through it
+    /// (background, inline, [`flush`](Lsm::flush) and
+    /// [`compact_until_stable`](Lsm::compact_until_stable)), and the
+    /// engine above runs its own post-write maintenance (value-file
+    /// reaping, paced GC) through it, so all of them share one error
+    /// policy.
     pub fn run_with_retries(&self, mut job: impl FnMut() -> Result<()>) -> Result<()> {
         let mut attempt = 0usize;
         loop {
@@ -152,58 +151,54 @@ impl Lsm {
         self.kick_background()
     }
 
-    /// Run flushes and compactions until no work remains (inline mode).
-    /// Safe to call from concurrent writer threads: the whole loop runs
-    /// under `bg_work`, so one thread drains the queue while latecomers
-    /// wait and then see an empty (or refilled) queue.
+    /// Take `bg_work`, the lock every flush and compaction runs under:
+    /// the one place it is taken.
+    fn lock_bg_work(&self) -> MutexGuard<'_, ()> {
+        self.inner.bg_work.lock()
+    }
+
+    /// The one maintenance path: flush every immutable memtable and run
+    /// due compactions until none is left, under `bg_work` and the
+    /// retry / degrade rule. A caller that finds another thread draining
+    /// waits for it, then drains what is left.
     fn run_background_work(&self) -> Result<()> {
-        let _guard = self.inner.bg_work.lock();
-        loop {
-            let flushed = self.flush_one_imm()?;
-            let compacted = self.maybe_compact_once()?;
-            if !flushed && !compacted {
-                // All job-held version handles are gone now; retired files
-                // queued during the loop can be removed.
-                self.purge_unreferenced_tables();
-                return Ok(());
+        self.run_with_retries(|| {
+            let _guard = self.lock_bg_work();
+            loop {
+                let flushed = self.flush_one_imm()?;
+                let compacted = self.maybe_compact_once()?;
+                if !flushed && !compacted {
+                    // All job-held version handles are gone now; retired
+                    // files queued during the loop can be removed.
+                    self.purge_unreferenced_tables();
+                    return Ok(());
+                }
             }
-        }
+        })
     }
 
-    /// Force-flush the active memtable. Inline, the flush and every
-    /// compaction it leaves due have run when this returns. Threaded, it
-    /// returns once no immutable memtable is left; a compaction may still
-    /// be running.
+    /// Force-flush the active memtable, then drain background work: in
+    /// both modes the flush and every compaction it leaves due have run
+    /// when this returns, and no job is left running.
     pub fn flush(&self) -> Result<()> {
-        {
-            let mut ws = self.inner.wal.lock();
-            self.rotate_memtable(&mut ws)?;
-        }
-        self.kick_background()?;
-        if self.inner.opts.background == BackgroundMode::Threaded {
-            // Wait for the background thread to drain.
-            while !self.inner.sv.read().imms.is_empty() {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                self.check_bg_error()?;
-                // Re-signal in case the drain raced with our rotate.
-                self.wake_background();
-            }
-        }
-        Ok(())
+        self.rotate_memtable(&mut self.inner.wal.lock())?;
+        self.run_background_work()
     }
 
-    /// Run compactions until every level score is below 1.
+    /// Run compactions until every level score is below 1: the drain
+    /// [`flush`](Lsm::flush) runs, under its retry / degrade rule.
     pub fn compact_until_stable(&self) -> Result<()> {
-        while self.maybe_compact_once()? {}
-        Ok(())
+        self.run_background_work()
     }
 
     /// Force one compaction even when all scores are below 1 — used by
     /// space-aware throttling (paper §III-D) to convert hidden garbage
     /// into exposed garbage when space runs out. Picks L0 if non-empty,
     /// otherwise the upper level carrying the most (compensated) bytes.
+    /// The pick and the run hold `bg_work`, as every compaction does.
     /// Returns false if only the bottommost level holds data.
     pub fn force_compact_once(&self) -> Result<bool> {
+        let _guard = self.lock_bg_work();
         let version = self.current_version();
         let opts = &self.inner.opts;
         let pick = if version.num_files(0) > 0 {
@@ -496,7 +491,7 @@ impl Lsm {
                     // On permanent failure the helper has already moved
                     // the engine to degraded mode; stay alive so resume
                     // can restart work without respawning the thread.
-                    let _ = db.run_with_retries(|| db.run_background_work());
+                    let _ = db.run_background_work();
                 }
             })
             .expect("spawn background thread");

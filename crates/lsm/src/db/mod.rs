@@ -3,8 +3,8 @@
 //! * `write` — the write path: group commit onto the WAL, memtable
 //!   rotation, admission and stalls;
 //! * `background` — flush, compaction, obsolete-file purge and the
-//!   retry / degrade / resume policy around them, run inline or on the
-//!   background thread;
+//!   retry / degrade / resume policy around them: one drain under one
+//!   lock, run inline, on the background thread or by `flush`;
 //! * `open` — open and recovery: WAL replay, the first WAL, the
 //!   obsolete-file sweep;
 //! * this module — the engine's state, its superversion installs and its
@@ -112,10 +112,10 @@ struct Inner {
     /// Serializes installs so a slow installer cannot overwrite a newer
     /// bundle with a stale one.
     sv_install: Mutex<()>,
-    /// Serializes [`Lsm::run_background_work`]: in inline mode every
-    /// writer thread runs flushes/compactions on its own stack, and two
-    /// threads picking the same imm to flush would double-flush it. Held
-    /// for the whole flush-until-quiet loop.
+    /// Held by every flush and compaction for its whole pick-and-run
+    /// (taken only by `Lsm::lock_bg_work`), so no two jobs pick the same
+    /// memtable or input files. Lock order: the engine's GC lock →
+    /// `bg_work` → the writer and MANIFEST locks.
     bg_work: Mutex<()>,
     counters: LsmCounters,
     bg_signal: Mutex<BgSignal>,

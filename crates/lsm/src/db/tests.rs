@@ -7,7 +7,7 @@ use crate::batch::{WriteBatch, WriteOptions};
 use crate::filename::{parse_path, FileKind};
 use crate::iter::BatchSweep;
 use crate::options::{BackgroundMode, KTableFormat};
-use scavenger_env::{Env, IoClass, MemEnv};
+use scavenger_env::{Env, EnvRef, IoClass, MemEnv};
 use scavenger_util::ikey::ValueRef;
 use std::collections::HashSet;
 
@@ -561,15 +561,20 @@ fn guarded_write_applies_only_when_ref_matches() {
     assert_eq!(get_str(&db, "k2"), Some("user-update".into()));
 }
 
+/// Threaded `flush()` keeps inline's contract: when it returns, the
+/// flush and every compaction it leaves due have run and their inputs
+/// are off the disk.
 #[test]
 fn threaded_mode_round_trip() {
     let mut o = test_opts("db");
     o.background = BackgroundMode::Threaded;
+    let env = o.env.clone();
     let db = open(o);
     for i in 0..2000 {
         put(&db, &format!("key{i:05}"), &format!("value-{i}"));
     }
     db.flush().unwrap();
+    assert_disk_holds_the_live_version(&db, &env);
     for i in (0..2000).step_by(97) {
         assert_eq!(
             get_str(&db, &format!("key{i:05}")),
@@ -590,9 +595,14 @@ fn obsolete_files_deleted_after_compaction() {
         }
         db.flush().unwrap();
     }
-    // On-disk .sst files must match the live version exactly.
-    let version = db.current_version();
-    let live: HashSet<u64> = version
+    assert_disk_holds_the_live_version(&db, &env);
+}
+
+/// The key SSTs on disk are exactly the live version's files.
+#[track_caller]
+fn assert_disk_holds_the_live_version(db: &Lsm, env: &EnvRef) {
+    let live: HashSet<u64> = db
+        .current_version()
         .levels
         .iter()
         .flatten()
@@ -607,6 +617,122 @@ fn obsolete_files_deleted_after_compaction() {
         .map(|(_, n)| n)
         .collect();
     assert_eq!(live, on_disk);
+}
+
+/// `MemEnv` whose first compaction-class open after the gate is armed
+/// meets the test at the gate twice before it returns the handle, and
+/// which names every other compaction-class open made while `witness`
+/// is set.
+struct ParkedCompactionEnv {
+    inner: EnvRef,
+    gate: Mutex<Option<Arc<std::sync::Barrier>>>,
+    witness: Mutex<Option<std::sync::mpsc::Sender<String>>>,
+}
+
+impl Env for ParkedCompactionEnv {
+    fn new_writable(
+        &self,
+        path: &str,
+        class: IoClass,
+    ) -> Result<Box<dyn scavenger_env::WritableFile>> {
+        self.inner.new_writable(path, class)
+    }
+    fn open_random_access(
+        &self,
+        path: &str,
+        class: IoClass,
+    ) -> Result<Arc<dyn scavenger_env::RandomAccessFile>> {
+        let f = self.inner.open_random_access(path, class)?;
+        if class == IoClass::Compaction {
+            let gate = self.gate.lock().take();
+            if let Some(gate) = gate {
+                gate.wait();
+                gate.wait();
+            } else if let Some(tx) = &*self.witness.lock() {
+                let _ = tx.send(path.to_string());
+            }
+        }
+        Ok(f)
+    }
+    fn read_file(&self, path: &str, class: IoClass) -> Result<Bytes> {
+        self.inner.read_file(path, class)
+    }
+    fn remove_file(&self, path: &str) -> Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn file_exists(&self, path: &str) -> bool {
+        self.inner.file_exists(path)
+    }
+    fn file_size(&self, path: &str) -> Result<u64> {
+        self.inner.file_size(path)
+    }
+    fn list_prefix(&self, prefix: &str) -> Result<Vec<String>> {
+        self.inner.list_prefix(prefix)
+    }
+    fn create_dir_all(&self, path: &str) -> Result<()> {
+        self.inner.create_dir_all(path)
+    }
+    fn io_stats(&self) -> Arc<scavenger_env::IoStats> {
+        self.inner.io_stats()
+    }
+}
+
+/// A foreground `compact_until_stable` waits for the background
+/// compaction already running instead of picking the same L0 inputs
+/// beside it: two edits deleting the same files would fail the second
+/// in `Version::apply` and degrade the engine.
+#[test]
+fn a_foreground_compaction_waits_for_the_background_one() {
+    let env = Arc::new(ParkedCompactionEnv {
+        inner: MemEnv::shared(),
+        gate: Mutex::new(None),
+        witness: Mutex::new(None),
+    });
+    let mut o = test_opts("db");
+    o.env = env.clone();
+    o.background = BackgroundMode::Threaded;
+    o.l0_trigger = 2;
+    let db = Arc::new(open(o));
+    let value = "v".repeat(100);
+    for i in 0..20 {
+        put(&db, &format!("key{i:03}"), &value);
+    }
+    db.flush().unwrap();
+    assert_eq!(db.current_version().num_files(0), 1);
+
+    // Write until a rotation: the background thread flushes the second
+    // L0 file, picks the L0 compaction and parks opening its inputs.
+    let gate = Arc::new(std::sync::Barrier::new(2));
+    let (tx, rx) = std::sync::mpsc::channel();
+    *env.witness.lock() = Some(tx);
+    *env.gate.lock() = Some(gate.clone());
+    for i in 0.. {
+        put(&db, &format!("key{:03}", i % 20), &value);
+        if db.superversion().mem.is_empty() {
+            break;
+        }
+    }
+    gate.wait();
+    let foreground = std::thread::spawn({
+        let db = db.clone();
+        move || db.compact_until_stable()
+    });
+    let second = rx.recv_timeout(std::time::Duration::from_millis(200));
+    *env.witness.lock() = None;
+    gate.wait();
+    let foreground = foreground.join().unwrap();
+    assert!(
+        second.is_err(),
+        "a second compaction opened {second:?} while the first was parked"
+    );
+    foreground.unwrap();
+    assert!(!db.is_degraded(), "{:?}", db.background_error());
+    for i in 0..20 {
+        assert_eq!(get_str(&db, &format!("key{i:03}")), Some(value.clone()));
+    }
 }
 
 #[test]

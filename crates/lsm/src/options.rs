@@ -23,8 +23,9 @@ pub enum BackgroundMode {
     /// deterministic; used by the experiment harness so I/O accounting is
     /// exactly reproducible.
     Inline,
-    /// Flush/compaction run on background threads (with write stalls when
-    /// the immutable-memtable backlog grows), like a production engine.
+    /// Flush/compaction after a write run on a background thread (with
+    /// write stalls when the immutable-memtable backlog grows), like a
+    /// production engine. `flush` still returns only once its work is done.
     Threaded,
 }
 

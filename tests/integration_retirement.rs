@@ -311,16 +311,9 @@ fn retirement_under_background_work_and_concurrent_readers() {
         db.flush().unwrap();
         db.compact_all().unwrap();
         db.run_gc_until_clean().unwrap();
+        // The flush drains the background work the compaction and GC
+        // left due, and its maintenance reaps what they retired.
         db.flush().unwrap();
-        // Background compactions may still retire files: let the tree
-        // settle, then reap once more.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while (db.stats().pinned_bytes > 0 || walked_space(&env, &db) != db.stats().space)
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            db.flush().unwrap();
-        }
         assert_eq!(
             db.stats().pinned_bytes,
             0,

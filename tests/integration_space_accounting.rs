@@ -371,28 +371,10 @@ fn the_ledger_equals_a_directory_walk_after_every_step() {
     }
 }
 
-/// [`assert_ledger`] once background work has drained. `flush()` waits
-/// only until no memtable awaits flushing, so a compaction may still be
-/// creating and deleting files when it returns: wait until the walk has
-/// read the same for three samples 20 ms apart, then assert. A lost or
-/// phantom ledger entry outlives any wait.
-#[track_caller]
-fn assert_ledger_settles(env: &EnvRef, db: &Db, step: &str) {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let (mut last, mut quiet) = (None, 0);
-    while quiet < 3 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let walked = Some(walked_space(env, db));
-        quiet = if walked == last { quiet + 1 } else { 0 };
-        last = walked;
-    }
-    assert_ledger(env, db, step);
-}
-
 /// The ledger under concurrency: four writers against a 4-shard set whose
 /// flushes and compactions run on background threads and whose GC runs
-/// after writes, compared at quiescent points (writers joined, `flush()`,
-/// background work drained).
+/// after writes, compared at quiescent points: writers joined, then one
+/// `flush()`, which returns once the background work it left due has run.
 #[test]
 #[ignore = "threaded; run with --include-ignored"]
 fn the_ledger_equals_a_directory_walk_under_background_work() {
@@ -420,12 +402,12 @@ fn the_ledger_equals_a_directory_walk_under_background_work() {
                 }
             });
             db.flush().unwrap();
-            assert_ledger_settles(&env, &db, &format!("{mode:?}: phase {phase}"));
+            assert_ledger(&env, &db, &format!("{mode:?}: phase {phase}"));
         }
         db.compact_all().unwrap();
         db.run_gc_until_clean().unwrap();
         db.flush().unwrap();
-        assert_ledger_settles(&env, &db, &format!("{mode:?}: after compact + GC"));
+        assert_ledger(&env, &db, &format!("{mode:?}: after compact + GC"));
     }
 }
 
