@@ -8,7 +8,8 @@
 //!   commits through that member unchanged; one that spans members goes
 //!   through the two-phase-commit coordinator (see [`crate::txn`]).
 //! * **Reads** route too: [`get`](Db::get) asks the owning member, a
-//!   [`ReadView`] / [`Snapshot`] pins one registered view per member and
+//!   [`ReadView`] (from [`view`](Db::view) or
+//!   [`snapshot`](Db::snapshot)) pins one registered view per member and
 //!   reads through the same `get` / `scan` pair, and [`DbScanIter`]
 //!   merges the members' scans in key order.
 //! * **Maintenance** fans out across members on up to
@@ -49,7 +50,7 @@ use crate::shard::{Shard, ShardScan};
 use crate::stats::{DbStats, SpaceBreakdown};
 use crate::throttle::Throttle;
 use crate::txn::{Coordinator, InFlight};
-use crate::view::{ReadView, Snapshot, WriteOptions, WriteReceipt};
+use crate::view::{ReadView, WriteOptions, WriteReceipt};
 use crate::{EngineMode, Options};
 use bytes::Bytes;
 use scavenger_env::SpaceTracker;
@@ -338,16 +339,14 @@ impl Db {
         }
     }
 
-    /// Take a consistent snapshot: an RAII handle owning a registered
-    /// view per member. It pins exactly what a [`view`](Db::view) pins
-    /// and is counted in [`DbStats::live_snapshots`]. Dropping it
-    /// unregisters every member's read point.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            view: ReadView {
-                members: self.inner.shards.iter().map(Shard::snapshot_view).collect(),
-                db: self.clone(),
-            },
+    /// Take a consistent snapshot: a [`ReadView`] that pins exactly what
+    /// a [`view`](Db::view) pins and is counted in
+    /// [`DbStats::live_snapshots`]. Dropping it unregisters every
+    /// member's read point.
+    pub fn snapshot(&self) -> ReadView {
+        ReadView {
+            members: self.inner.shards.iter().map(Shard::snapshot_view).collect(),
+            db: self.clone(),
         }
     }
 
@@ -1161,7 +1160,6 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send_sync::<Db>();
         assert_send_sync::<ReadView>();
-        assert_send_sync::<Snapshot>();
         assert_send_sync::<GcReport>();
         assert_send::<DbScanIter>();
         assert_send::<crate::Transaction>();

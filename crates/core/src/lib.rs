@@ -38,8 +38,9 @@
 //! [`Db`] is the only handle and the engine surface is its methods:
 //! reads and writes, maintenance, [`Db::subscribe_changes`], and
 //! [`Transactional::begin`]. A read is [`Db::get`] / [`Db::scan`] at the
-//! latest state, or the same two methods on a pinned [`ReadView`] or
-//! [`Snapshot`]; scans yield a [`DbScanIter`], change streams are a
+//! latest state, or the same two methods on a pinned [`ReadView`]
+//! ([`Db::view`], or [`Db::snapshot`] for one counted as a snapshot);
+//! scans yield a [`DbScanIter`], change streams are a
 //! [`DbChangeStream`] and transactions a [`Transaction`]. Writes share
 //! one [`WriteOptions`], and GC returns a [`GcReport`] with one outcome
 //! per member.
@@ -88,7 +89,7 @@ pub use shards::{DbShards, ShardedOptions, ShardedOptionsBuilder};
 pub use stats::{DbStats, GcStats, GcStepTimes, SpaceBreakdown};
 pub use throttle::Throttle;
 pub use txn::{Transaction, Transactional};
-pub use view::{ReadView, Snapshot, WriteOptions, WriteReceipt};
+pub use view::{ReadView, WriteOptions, WriteReceipt};
 
 // Re-export the write-batch type (and the byte buffer it carries) so
 // `Db::write(WriteBatch)` is callable from the crate root alone, with

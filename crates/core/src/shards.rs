@@ -567,7 +567,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DbShards>();
         assert_send_sync::<crate::ReadView>();
-        assert_send_sync::<crate::Snapshot>();
         let db = DbShards::open(small_sharded("shards-clone", 2)).unwrap();
         let db2 = db.clone();
         db.put("k", Bytes::from_static(b"v")).unwrap();

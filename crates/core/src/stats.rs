@@ -313,9 +313,9 @@ db_stats! {
     /// `get`s/scans, live [`ReadView`](crate::ReadView)s, and GC
     /// validation readers.
     pinned_views: sum, "scavenger_pinned_views", "gauge", "Transient read views currently registered.";
-    /// User [`Snapshot`](crate::Snapshot)s currently registered (gauge).
-    /// A snapshot is a read point like a view; only this gauge tells
-    /// them apart.
+    /// User snapshots ([`Db::snapshot`](crate::Db::snapshot)) currently
+    /// registered (gauge). A snapshot is a read point like a view; only
+    /// this gauge tells them apart.
     live_snapshots: sum, "scavenger_live_snapshots", "gauge", "User snapshots currently registered.";
     /// Background jobs that exhausted their transient-failure retries (or
     /// failed permanently) and degraded the engine to read-only mode.

@@ -11,10 +11,12 @@
 //! * [`Db::view`](crate::db::Db::view) returns a [`ReadView`] — one
 //!   atomically pinned superversion per member (memtables, SST version
 //!   and visible sequence) whose reads are strictly consistent for the
-//!   view's whole lifetime.
-//! * [`Snapshot`] is an RAII handle *owning* a registered view. The
-//!   handle *is* the read point, and holding it is what keeps every
-//!   version it can see resolvable.
+//!   view's whole lifetime. The view *is* the read point: holding it is
+//!   what keeps every version it can see resolvable, and dropping it
+//!   unregisters that point.
+//! * [`Db::snapshot`](crate::db::Db::snapshot) returns the same
+//!   [`ReadView`], registered as a snapshot, so it is counted in
+//!   [`DbStats::live_snapshots`](crate::DbStats::live_snapshots).
 //!
 //! A pin reads the store it was taken from by construction: it carries
 //! that store's handle, so no call can point it at another.
@@ -33,10 +35,11 @@ use scavenger_util::Result;
 
 /// A pinned, strictly-consistent read view of the database.
 ///
-/// Created by [`Db::view`](crate::db::Db::view): one pinned view per
-/// member, taken at that call. Each pins one superversion of its
-/// member's index tree and registers its sequence as a read point, so
-/// for as long as the view lives:
+/// Created by [`Db::view`](crate::db::Db::view) or, counted as a
+/// snapshot, by [`Db::snapshot`](crate::db::Db::snapshot): one pinned
+/// view per member, taken at that call. Each pins one superversion of
+/// its member's index tree and registers its sequence as a read point,
+/// so for as long as the view lives:
 ///
 /// * every read resolves against the same point-in-time state — writes,
 ///   flushes, and compactions committed after creation are invisible;
@@ -84,41 +87,6 @@ impl ReadView {
                 .map(|m| m.scan(lo, hi))
                 .collect::<Result<_>>()?,
         ))
-    }
-}
-
-/// A consistent point-in-time snapshot: an RAII handle owning a
-/// registered [`ReadView`]. Dropping the snapshot unregisters its
-/// sequences and releases the pinned structures.
-///
-/// It holds exactly what a [`ReadView`] holds — GC runs under it and
-/// defers only the unlink of what it retires — and is counted in
-/// [`DbStats::live_snapshots`](crate::DbStats::live_snapshots).
-pub struct Snapshot {
-    pub(crate) view: ReadView,
-}
-
-impl Snapshot {
-    /// The snapshot's sequence number (diagnostics and ordering
-    /// comparisons — reads go through the snapshot itself, which is the
-    /// registered pin).
-    pub fn sequence(&self) -> SeqNo {
-        self.view.sequence()
-    }
-
-    /// The owned read view.
-    pub fn view(&self) -> &ReadView {
-        &self.view
-    }
-
-    /// Value of `key` at the snapshot.
-    pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Option<Bytes>> {
-        self.view.get(key)
-    }
-
-    /// Range scan at the snapshot.
-    pub fn scan(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<DbScanIter> {
-        self.view.scan(lo, hi)
     }
 }
 

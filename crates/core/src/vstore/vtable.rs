@@ -33,7 +33,7 @@ use scavenger_table::handle::BlockHandle;
 use scavenger_table::rtable::{
     read_coalesced, Coalesce, RTableBuilder, RTableReader, COALESCE_SPAN,
 };
-use scavenger_table::{BlockKind, KeyCmp};
+use scavenger_table::{BlockKind, InternalIterator, KeyCmp};
 use scavenger_util::coding::{get_varint32, put_varint32, varint64_len};
 use scavenger_util::ikey::{extract_user_key, make_internal_key, SeqNo, ValueRef, ValueType};
 use scavenger_util::{crc32c, Error, Result};

@@ -17,13 +17,13 @@
 
 use crate::filename::table_path;
 use crate::hooks::{DropCause, ValueEditBundle, ValueSession};
-use crate::iter::InternalIterator;
 use crate::options::{KTableFormat, LsmOptions, NUM_LEVELS};
 use crate::version::{FileMetaData, Version};
 use bytes::Bytes;
 use scavenger_env::IoClass;
 use scavenger_table::btable::{BTableBuilder, BuiltTable, TableOptions};
 use scavenger_table::dtable::DTableBuilder;
+use scavenger_table::InternalIterator;
 use scavenger_util::ikey::{make_internal_key, parse_internal_key, SeqNo, ValueType};
 use scavenger_util::Result;
 use std::sync::Arc;
@@ -286,18 +286,24 @@ impl AnyBuilder {
 
 /// Writes merge output, rolling files at the target size (only at user-key
 /// group boundaries, preserving the per-level disjointness invariant).
-pub struct OutputWriter<'a> {
+///
+/// Every file it creates is removed when it drops unless
+/// [`into_files`](OutputWriter::into_files) handed it to the job's edit
+/// first, so a job that fails — or is retried — leaves no key SST behind.
+struct OutputWriter<'a> {
     opts: &'a LsmOptions,
     table_opts: TableOptions,
     io_class: IoClass,
     alloc: &'a dyn Fn() -> u64,
     builder: Option<(u64, AnyBuilder)>,
     files: Vec<FileMetaData>,
+    /// Numbers of the files created and not yet handed over.
+    created: Vec<u64>,
 }
 
 impl<'a> OutputWriter<'a> {
     /// Create an output writer allocating file numbers via `alloc`.
-    pub fn new(opts: &'a LsmOptions, io_class: IoClass, alloc: &'a dyn Fn() -> u64) -> Self {
+    fn new(opts: &'a LsmOptions, io_class: IoClass, alloc: &'a dyn Fn() -> u64) -> Self {
         OutputWriter {
             opts,
             table_opts: opts.table_options(),
@@ -305,12 +311,21 @@ impl<'a> OutputWriter<'a> {
             alloc,
             builder: None,
             files: Vec::new(),
+            created: Vec::new(),
         }
+    }
+
+    fn remove(&self, number: u64) {
+        let _ = self
+            .opts
+            .env
+            .remove_file(&table_path(&self.opts.dir, number));
     }
 
     fn ensure_builder(&mut self) -> Result<&mut AnyBuilder> {
         if self.builder.is_none() {
             let number = (self.alloc)();
+            self.created.push(number);
             let file = self
                 .opts
                 .env
@@ -329,32 +344,32 @@ impl<'a> OutputWriter<'a> {
     }
 
     /// Append an entry to the current output file.
-    pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+    fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         self.ensure_builder()?.add(key, value)
     }
 
     /// Called at user-key group boundaries: roll the output file if it
     /// reached the target size.
-    pub fn maybe_roll(&mut self) -> Result<()> {
+    fn maybe_roll(&mut self) -> Result<()> {
         let should = self
             .builder
             .as_ref()
             .map(|(_, b)| b.estimated_size() >= self.opts.target_file_size)
             .unwrap_or(false);
         if should {
-            self.finish_current()?;
+            self.finish()?;
         }
         Ok(())
     }
 
-    fn finish_current(&mut self) -> Result<()> {
+    /// Finish the current output file, if any.
+    fn finish(&mut self) -> Result<()> {
         if let Some((number, b)) = self.builder.take() {
             if b.num_entries() == 0 {
                 // Nothing written: remove the empty file.
-                let _ = self
-                    .opts
-                    .env
-                    .remove_file(&table_path(&self.opts.dir, number));
+                drop(b);
+                self.created.pop();
+                self.remove(number);
                 return Ok(());
             }
             let built = b.finish()?;
@@ -371,10 +386,21 @@ impl<'a> OutputWriter<'a> {
         Ok(())
     }
 
-    /// Finish all output files and return their metadata.
-    pub fn finish(mut self) -> Result<Vec<FileMetaData>> {
-        self.finish_current()?;
-        Ok(self.files)
+    /// Hand the finished files to the caller, who names them in the
+    /// job's edit; from here recovery owns them.
+    fn into_files(mut self) -> Vec<FileMetaData> {
+        self.created.clear();
+        std::mem::take(&mut self.files)
+    }
+}
+
+impl Drop for OutputWriter<'_> {
+    fn drop(&mut self) {
+        // Close the file in progress before removing it.
+        self.builder = None;
+        for &number in &self.created {
+            self.remove(number);
+        }
     }
 }
 
@@ -508,10 +534,10 @@ pub fn run_output_job(
         &mut stats,
     )?;
 
-    let files = writer.finish()?;
+    writer.finish()?;
     let bundle = session.finish()?;
     Ok(JobOutput {
-        files,
+        files: writer.into_files(),
         bundle,
         stats,
     })

@@ -9,7 +9,7 @@ use crate::compaction::{
 };
 use crate::filename::{parse_path, table_path, FileKind};
 use crate::hooks::{JobKind, PassthroughSession, ValueEditBundle, ValueSession};
-use crate::iter::{InternalIterator, MergingIter, TableEntryIter, VecIter};
+use crate::iter::{MergingIter, VecIter};
 use crate::options::{BackgroundMode, NUM_LEVELS};
 use crate::tcache::ktable_from_file;
 use crate::version::{ManifestLeader, Version, VersionEdit};
@@ -17,6 +17,7 @@ use crate::view::SuperVersion;
 use parking_lot::{Mutex, MutexGuard};
 use scavenger_env::{IoClass, ReadaheadFile};
 use scavenger_table::cache::cache_file_id;
+use scavenger_table::InternalIterator;
 use scavenger_util::ikey::SeqNo;
 use scavenger_util::{Error, Result};
 use std::sync::atomic::Ordering;
@@ -305,12 +306,12 @@ impl Lsm {
             let file = opts
                 .env
                 .open_random_access(&table_path(&opts.dir, f.file_number), IoClass::Compaction)?;
-            let t = Arc::new(ktable_from_file(
+            let t = ktable_from_file(
                 Arc::new(ReadaheadFile::open(file, COMPACTION_READAHEAD)?),
                 cache_file_id(opts.cache_namespace, f.file_number),
                 None,
-            )?);
-            children.push(Box::new(TableEntryIter::new(t)));
+            )?;
+            children.push(t.iter());
         }
         let output_level = c.output_level;
         let may_exist_below = |ukey: &[u8]| version.key_may_exist_below(output_level, ukey);

@@ -4,7 +4,7 @@
 use super::background::COMPACTION_READAHEAD;
 use super::*;
 use crate::batch::{WriteBatch, WriteOptions};
-use crate::filename::{parse_path, FileKind};
+use crate::filename::{parse_path, table_path, FileKind};
 use crate::iter::BatchSweep;
 use crate::options::{BackgroundMode, KTableFormat};
 use scavenger_env::{Env, EnvRef, IoClass, MemEnv};
@@ -1052,6 +1052,103 @@ fn compaction_reads_inputs_in_spans_not_blocks() {
             );
         }
     }
+}
+
+/// A compaction whose input read fails mid-merge, then succeeds on
+/// its retry, leaves no key SST of the failed attempt on disk: neither
+/// the outputs it had finished nor the one it was writing.
+#[test]
+fn a_failed_compaction_removes_the_outputs_it_wrote() {
+    use scavenger_env::{FaultKind, FaultOp};
+    let (fault, mut o) = fault_rig();
+    o.memtable_size = 4 << 20;
+    o.target_file_size = 4 << 20;
+    o.bg_retry_limit = 1;
+    let env: EnvRef = fault.clone();
+    let fill = |db: &Lsm, round: usize, keys: usize| {
+        for i in 0..keys {
+            put(
+                db,
+                &format!("key{i:05}"),
+                &format!("{round}-{i}-").repeat(30),
+            );
+        }
+        db.flush().unwrap();
+    };
+    // One input of several read-ahead spans, written whole.
+    let big = {
+        let db = open(o.clone());
+        fill(&db, 0, 6000);
+        let version = db.current_version();
+        let files: Vec<_> = version.levels.iter().flatten().collect();
+        assert_eq!(files.len(), 1);
+        files[0].file_number
+    };
+    // Small outputs, so the merge has finished some of them by the time
+    // it reads the big input's second span — its third read — and fails.
+    o.target_file_size = 64 * 1024;
+    let db = open(o);
+    let name = table_path("db", big);
+    fault.add_rule(fault_rule(FaultOp::Read, &name, 3, FaultKind::Fail));
+    for round in 1..4 {
+        fill(&db, round, 100);
+    }
+    let counters = db.counters();
+    let retries = counters.bg_retries.load(Ordering::Relaxed);
+    assert_eq!(
+        (retries, counters.compactions.load(Ordering::Relaxed)),
+        (1, 1)
+    );
+    assert_disk_holds_the_live_version(&db, &env);
+    assert_eq!(get_str(&db, "key05999"), Some("0-5999-".repeat(30)));
+}
+
+/// A DTable's KF stream fails in a block that holds the tombstones of
+/// keys whose older inline values sit one level down. A scan returns
+/// the error; it never serves one of those values.
+#[test]
+fn a_scan_stops_at_a_corrupt_kf_block_instead_of_serving_what_it_shadowed() {
+    let mem = MemEnv::shared();
+    let mut o = LsmOptions::new(mem.clone(), "db");
+    o.ktable_format = KTableFormat::DTable;
+    o.memtable_size = 1 << 20;
+    o.block_size = 256;
+    let key = |i: usize| format!("key{i:04}");
+    let path = {
+        let db = open(o.clone());
+        for i in 0..200 {
+            put(&db, &key(i), "old");
+        }
+        db.flush().unwrap();
+        while db.force_compact_once().unwrap() {}
+        // Tombstones (the KF stream) for the first half, newer inline
+        // values (the KV stream) for the rest: the file opens with a KF
+        // block.
+        for i in 0..200 {
+            if i < 100 {
+                del(&db, &key(i));
+            } else {
+                put(&db, &key(i), "new");
+            }
+        }
+        db.flush().unwrap();
+        let version = db.current_version();
+        assert_eq!(version.levels[0].len(), 1);
+        assert!(version.levels[1..].iter().flatten().count() > 0);
+        table_path("db", version.levels[0][0].file_number)
+    };
+    mem.corrupt_byte(&path, 1).unwrap();
+
+    let db = open(o);
+    let mut it = db.view().scan(b"", None).unwrap();
+    let err = loop {
+        match it.next_entry() {
+            Ok(Some(e)) => assert_eq!(&e.value[..], b"new", "{:?}", e.user_key),
+            Ok(None) => panic!("the scan ended without the error"),
+            Err(e) => break e,
+        }
+    };
+    assert!(matches!(err, Error::Corruption(_)), "{err}");
 }
 
 /// Opening the fresh WAL behind a full memtable used to fail the group

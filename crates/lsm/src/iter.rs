@@ -1,34 +1,22 @@
 //! Internal iterators: memtable/vector iterators, per-level concatenation,
-//! N-way merging, and the user-facing visibility iterator.
+//! N-way merging, the user-facing visibility iterator and the GC-Lookup
+//! sweep.
+//!
+//! They implement [`InternalIterator`], the trait `scavenger-table`'s
+//! own iterators implement, so a key SST's iterator ([`KTable::iter`] /
+//! [`index_iter`](KTable::index_iter)) is a merge child as it is, with
+//! no adapter between the two crates.
 
-use crate::tcache::{KTableIter, TableCache};
+use crate::tcache::{KTable, TableCache};
 use crate::version::{FileMetaData, Version};
 use bytes::Bytes;
+use scavenger_table::InternalIterator;
 use scavenger_util::ikey::{
     cmp_internal, lookup_key, make_internal_key, parse_internal_key, SeqNo, ValueRef, ValueType,
 };
 use scavenger_util::{Error, Result};
 use std::cmp::Ordering;
 use std::sync::Arc;
-
-/// Common interface for iterators over `(internal key, value)` entries in
-/// internal-key order.
-pub trait InternalIterator: Send {
-    /// True if positioned on an entry.
-    fn valid(&self) -> bool;
-    /// Position on the first entry.
-    fn seek_to_first(&mut self);
-    /// Position on the first entry `>= target` (internal-key order).
-    fn seek(&mut self, target: &[u8]);
-    /// Advance to the next entry.
-    fn next(&mut self);
-    /// Current internal key.
-    fn key(&self) -> &[u8];
-    /// Current value.
-    fn value(&self) -> Bytes;
-    /// Deferred error, if any.
-    fn status(&self) -> Result<()>;
-}
 
 /// Iterator over an owned, sorted vector of entries (memtable snapshots).
 pub struct VecIter {
@@ -88,88 +76,33 @@ impl InternalIterator for VecIter {
     }
 }
 
-/// Adapter: a [`KTableIter`] plus the `Arc` of its reader (kept alive).
-pub struct TableEntryIter {
-    _table: Arc<crate::tcache::KTable>,
-    iter: KTableIter,
-}
-
-impl TableEntryIter {
-    /// Iterate every entry of a cached table reader.
-    pub fn new(table: Arc<crate::tcache::KTable>) -> Self {
-        let iter = table.iter();
-        TableEntryIter {
-            _table: table,
-            iter,
-        }
-    }
-
-    /// Iterate only the table's index entries
-    /// ([`KTable::index_iter`](crate::tcache::KTable::index_iter)).
-    pub fn index_only(table: Arc<crate::tcache::KTable>) -> Self {
-        let iter = table.index_iter();
-        TableEntryIter {
-            _table: table,
-            iter,
-        }
-    }
-}
-
-impl InternalIterator for TableEntryIter {
-    fn valid(&self) -> bool {
-        self.iter.valid()
-    }
-    fn seek_to_first(&mut self) {
-        self.iter.seek_to_first();
-    }
-    fn seek(&mut self, target: &[u8]) {
-        self.iter.seek(target);
-    }
-    fn next(&mut self) {
-        self.iter.next();
-    }
-    fn key(&self) -> &[u8] {
-        self.iter.key()
-    }
-    fn value(&self) -> Bytes {
-        self.iter.value()
-    }
-    fn status(&self) -> Result<()> {
-        self.iter.status()
-    }
-}
-
 /// Concatenating iterator over the (disjoint, sorted) files of one level.
 pub struct LevelIter {
     files: Vec<Arc<FileMetaData>>,
     tcache: Arc<TableCache>,
-    /// When `true`, each file shows only its index entries
-    /// ([`TableEntryIter::index_only`]) — the GC-Lookup sweep.
-    index_only: bool,
+    /// Which of a file's iterators the level shows: [`KTable::iter`], or
+    /// [`KTable::index_iter`] for the GC-Lookup sweep.
+    open: fn(&KTable) -> Box<dyn InternalIterator>,
     file_idx: usize,
-    cur: Option<TableEntryIter>,
+    cur: Option<Box<dyn InternalIterator>>,
     error: Option<Error>,
 }
 
 impl LevelIter {
     /// Iterate over `files`, which must be sorted by smallest key and
-    /// non-overlapping (levels ≥ 1).
-    pub fn new(files: Vec<Arc<FileMetaData>>, tcache: Arc<TableCache>) -> Self {
+    /// non-overlapping (levels ≥ 1), each shown through `open`.
+    pub fn new(
+        files: Vec<Arc<FileMetaData>>,
+        tcache: Arc<TableCache>,
+        open: fn(&KTable) -> Box<dyn InternalIterator>,
+    ) -> Self {
         LevelIter {
             files,
             tcache,
-            index_only: false,
+            open,
             file_idx: 0,
             cur: None,
             error: None,
-        }
-    }
-
-    /// Like [`new`](LevelIter::new), over the files' index entries only.
-    pub fn index_only(files: Vec<Arc<FileMetaData>>, tcache: Arc<TableCache>) -> Self {
-        LevelIter {
-            index_only: true,
-            ..Self::new(files, tcache)
         }
     }
 
@@ -180,8 +113,7 @@ impl LevelIter {
             return;
         }
         match self.tcache.get(self.files[idx].file_number) {
-            Ok(t) if self.index_only => self.cur = Some(TableEntryIter::index_only(t)),
-            Ok(t) => self.cur = Some(TableEntryIter::new(t)),
+            Ok(t) => self.cur = Some((self.open)(&t)),
             Err(e) => self.error = Some(e),
         }
     }
@@ -500,7 +432,7 @@ const SWEEP_STEP_LIMIT: usize = 16;
 /// pinned tree at a fixed read point (paper Fig. 10, batched; §III-B2).
 ///
 /// The merged iterator holds the memtables complete and, per key SST,
-/// only what [`KTable::index_iter`](crate::tcache::KTable::index_iter)
+/// only what [`KTable::index_iter`]
 /// shows: a DTable contributes its KF stream (references and tombstones),
 /// so the sweep never pages inline small values through the block cache.
 /// It therefore does **not** answer "what does `get_at` return"; it
@@ -522,7 +454,7 @@ const SWEEP_STEP_LIMIT: usize = 16;
 /// file that has one — so no `s > found_seq` can sit there. Per file left
 /// whose user-key range covers `ukey`, the check is one bloom-guarded
 /// point search of the KV stream
-/// ([`KTable::get_inline`](crate::tcache::KTable::get_inline)).
+/// ([`KTable::get_inline`]).
 ///
 /// Callers present user keys in **ascending order**; the sweep advances
 /// forward only, stepping when the next target is near and seeking when

@@ -6,15 +6,14 @@
 
 use crate::filename::table_path;
 use crate::options::LsmOptions;
-use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::{EnvRef, IoClass, RandomAccessFile};
 use scavenger_table::block::BlockEntry;
 use scavenger_table::btable::{BTableReader, BlockCache};
 use scavenger_table::cache::cache_file_id;
-use scavenger_table::dtable::{DTableIter, DTableReader};
-use scavenger_table::props::{TableProps, TableType};
-use scavenger_table::{read_tail, KeyCmp};
+use scavenger_table::dtable::DTableReader;
+use scavenger_table::props::TableType;
+use scavenger_table::{read_tail, InternalIterator, KeyCmp};
 use scavenger_util::hash::IntMap;
 use scavenger_util::Result;
 use std::sync::Arc;
@@ -37,27 +36,13 @@ impl KTable {
         }
     }
 
-    /// Bloom check on a user key.
-    pub fn may_contain(&self, ukey: &[u8]) -> bool {
+    /// Iterate all entries in internal-key order: a DTable's two streams
+    /// merged. The iterator owns its fetcher and file, so it outlives the
+    /// reader.
+    pub fn iter(&self) -> Box<dyn InternalIterator> {
         match self {
-            KTable::B(t) => t.may_contain(ukey),
-            KTable::D(t) => t.may_contain(ukey),
-        }
-    }
-
-    /// Table properties.
-    pub fn props(&self) -> &TableProps {
-        match self {
-            KTable::B(t) => t.props(),
-            KTable::D(t) => t.props(),
-        }
-    }
-
-    /// Iterate all entries in internal-key order.
-    pub fn iter(&self) -> KTableIter {
-        match self {
-            KTable::B(t) => KTableIter::B(t.iter()),
-            KTable::D(t) => KTableIter::D(t.iter()),
+            KTable::B(t) => Box::new(t.iter()),
+            KTable::D(t) => Box::new(t.iter()),
         }
     }
 
@@ -65,10 +50,10 @@ impl KTable {
     /// — in internal-key order: a DTable's KF stream alone. A BTable has
     /// one stream, so its inline entries come along and
     /// [`get_inline`](KTable::get_inline) has nothing left to add.
-    pub fn index_iter(&self) -> KTableIter {
+    pub fn index_iter(&self) -> Box<dyn InternalIterator> {
         match self {
-            KTable::B(t) => KTableIter::B(t.iter()),
-            KTable::D(t) => KTableIter::B(t.kf_iter()),
+            KTable::B(t) => Box::new(t.iter()),
+            KTable::D(t) => Box::new(t.kf_iter()),
         }
     }
 
@@ -79,73 +64,6 @@ impl KTable {
         match self {
             KTable::B(_) => Ok(None),
             KTable::D(t) => t.get_inline(target),
-        }
-    }
-}
-
-/// Iterator over a [`KTable`].
-#[allow(clippy::large_enum_variant)]
-pub enum KTableIter {
-    /// One two-level stream: a whole BTable, or a DTable's KF stream.
-    B(scavenger_table::btable::TwoLevelIter),
-    /// DTable merged-stream iterator.
-    D(DTableIter),
-}
-
-impl KTableIter {
-    /// True if positioned on an entry.
-    pub fn valid(&self) -> bool {
-        match self {
-            KTableIter::B(i) => i.valid(),
-            KTableIter::D(i) => i.valid(),
-        }
-    }
-
-    /// Position on the first entry.
-    pub fn seek_to_first(&mut self) {
-        match self {
-            KTableIter::B(i) => i.seek_to_first(),
-            KTableIter::D(i) => i.seek_to_first(),
-        }
-    }
-
-    /// Position on the first entry `>= target`.
-    pub fn seek(&mut self, target: &[u8]) {
-        match self {
-            KTableIter::B(i) => i.seek(target),
-            KTableIter::D(i) => i.seek(target),
-        }
-    }
-
-    /// Advance.
-    pub fn next(&mut self) {
-        match self {
-            KTableIter::B(i) => i.next(),
-            KTableIter::D(i) => i.next(),
-        }
-    }
-
-    /// Current key.
-    pub fn key(&self) -> &[u8] {
-        match self {
-            KTableIter::B(i) => i.key(),
-            KTableIter::D(i) => i.key(),
-        }
-    }
-
-    /// Current value.
-    pub fn value(&self) -> Bytes {
-        match self {
-            KTableIter::B(i) => i.value(),
-            KTableIter::D(i) => i.value(),
-        }
-    }
-
-    /// Any error hit while iterating.
-    pub fn status(&self) -> Result<()> {
-        match self {
-            KTableIter::B(i) => i.status(),
-            KTableIter::D(i) => i.status(),
         }
     }
 }
@@ -269,15 +187,37 @@ mod tests {
     use scavenger_env::MemEnv;
     use scavenger_table::btable::{BTableBuilder, TableOptions};
     use scavenger_table::dtable::DTableBuilder;
-    use scavenger_util::ikey::{make_internal_key, ValueType};
+    use scavenger_util::ikey::{
+        extract_user_key, make_internal_key, ValueRef, ValueType, MAX_SEQNO,
+    };
+
+    /// One entry of each kind a key SST holds: inline values (a DTable's
+    /// KV stream), a reference and a tombstone (its KF stream).
+    fn entries() -> Vec<(Vec<u8>, Vec<u8>)> {
+        let vref = ValueRef {
+            file: 9,
+            size: 4096,
+            offset: 0,
+        };
+        vec![
+            (make_internal_key(b"a", 4, ValueType::Value), b"va".to_vec()),
+            (
+                make_internal_key(b"b", 3, ValueType::ValueRef),
+                vref.encode(),
+            ),
+            (make_internal_key(b"c", 2, ValueType::Deletion), Vec::new()),
+            (make_internal_key(b"d", 1, ValueType::Value), b"vd".to_vec()),
+        ]
+    }
 
     fn write_btable(env: &EnvRef, dir: &str, number: u64) {
         let f = env
             .new_writable(&table_path(dir, number), IoClass::Flush)
             .unwrap();
         let mut b = BTableBuilder::new(f, TableOptions::default());
-        b.add(&make_internal_key(b"k1", 1, ValueType::Value), b"v1")
-            .unwrap();
+        for (k, v) in entries() {
+            b.add(&k, &v).unwrap();
+        }
         b.finish().unwrap();
     }
 
@@ -286,8 +226,9 @@ mod tests {
             .new_writable(&table_path(dir, number), IoClass::Flush)
             .unwrap();
         let mut b = DTableBuilder::new(f, TableOptions::default());
-        b.add(&make_internal_key(b"k2", 1, ValueType::Value), b"v2")
-            .unwrap();
+        for (k, v) in entries() {
+            b.add(&k, &v).unwrap();
+        }
         b.finish().unwrap();
     }
 
@@ -301,10 +242,13 @@ mod tests {
         assert!(matches!(t1, KTable::B(_)));
         assert!(matches!(t2, KTable::D(_)));
         // Unified lookup API works across formats.
-        let target = make_internal_key(b"k1", 100, ValueType::ValueRef);
-        assert!(t1.get(&target).unwrap().is_some());
-        let target = make_internal_key(b"k2", 100, ValueType::ValueRef);
-        assert!(t2.get(&target).unwrap().is_some());
+        for t in [&t1, &t2] {
+            for ukey in [b"a", b"b"] {
+                let target = make_internal_key(ukey, 100, ValueType::ValueRef);
+                let found = t.get(&target).unwrap().unwrap();
+                assert_eq!(extract_user_key(found.key()), ukey);
+            }
+        }
     }
 
     /// A key SST's tail serves both the format check and the open: one
@@ -345,19 +289,38 @@ mod tests {
         assert!(tc.get(42).is_err());
     }
 
+    /// The user keys `it` yields from `from` (the first entry when
+    /// `None`) to its end, driven through the trait object alone.
+    fn walk(it: &mut dyn InternalIterator, from: Option<&[u8]>) -> Vec<u8> {
+        match from {
+            Some(ukey) => it.seek(&make_internal_key(ukey, MAX_SEQNO, ValueType::ValueRef)),
+            None => it.seek_to_first(),
+        }
+        let mut keys = Vec::new();
+        while it.valid() {
+            keys.extend_from_slice(extract_user_key(it.key()));
+            it.next();
+        }
+        it.status().unwrap();
+        keys
+    }
+
+    /// `iter` shows every entry of either format; `index_iter` shows a
+    /// BTable's one stream whole and a DTable's KF stream alone — its
+    /// reference and tombstone, none of its inline values.
     #[test]
     fn unified_iter_walks_both_formats() {
         let env: EnvRef = MemEnv::shared();
         write_btable(&env, "db", 1);
         write_dtable(&env, "db", 2);
-        for n in [1u64, 2] {
+        for (n, index, index_from_c) in [(1u64, &b"abcd"[..], &b"cd"[..]), (2, b"bc", b"c")] {
             let t = open_ktable(&env, "db", n, 0, None, IoClass::FgIndexRead).unwrap();
-            let mut it = t.iter();
-            it.seek_to_first();
-            assert!(it.valid());
-            it.next();
-            assert!(!it.valid());
-            it.status().unwrap();
+            assert_eq!(walk(t.iter().as_mut(), None), b"abcd", "table {n}");
+            assert_eq!(walk(t.iter().as_mut(), Some(b"b")), b"bcd", "table {n}");
+            assert_eq!(walk(t.index_iter().as_mut(), None), index, "table {n}");
+            let from_c = walk(t.index_iter().as_mut(), Some(b"c"));
+            assert_eq!(from_c, index_from_c, "table {n}");
+            assert!(walk(t.index_iter().as_mut(), Some(b"e")).is_empty());
         }
     }
 }

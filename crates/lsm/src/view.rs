@@ -28,15 +28,13 @@
 //! newest read point.
 
 use crate::db::LsmReadResult;
-use crate::iter::{
-    BatchSweep, DbIter, Horizon, InternalIterator, LevelIter, MergingIter, TableEntryIter,
-    UserEntry, VecIter,
-};
+use crate::iter::{BatchSweep, DbIter, Horizon, LevelIter, MergingIter, UserEntry, VecIter};
 use crate::memtable::{MemGet, Memtable};
-use crate::tcache::TableCache;
+use crate::tcache::{KTable, TableCache};
 use crate::version::Version;
 use bytes::Bytes;
 use parking_lot::Mutex;
+use scavenger_table::InternalIterator;
 use scavenger_util::ikey::{lookup_key, parse_internal_key, SeqNo, ValueType, MAX_SEQNO};
 use scavenger_util::Result;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -387,13 +385,17 @@ pub(crate) fn scan_superversion(
     }
     for f in &sv.version.levels[0] {
         if f.user_range_overlaps(Some(lo), hi) {
-            children.push(Box::new(TableEntryIter::new(tcache.get(f.file_number)?)));
+            children.push(tcache.get(f.file_number)?.iter());
         }
     }
     for level in 1..sv.version.levels.len() {
         let files = sv.version.overlapping_files(level, Some(lo), hi);
         if !files.is_empty() {
-            children.push(Box::new(LevelIter::new(files, tcache.clone())));
+            children.push(Box::new(LevelIter::new(
+                files,
+                tcache.clone(),
+                KTable::iter,
+            )));
         }
     }
     let mut it = DbIter::new(MergingIter::new(children), read_seq);
@@ -517,12 +519,13 @@ impl BatchReader {
                 l0_files: pos + 1,
                 level: 0,
             };
-            children.push((Box::new(TableEntryIter::index_only(table)), horizon));
+            children.push((table.index_iter(), horizon));
         }
         for level in 1..version.levels.len() {
             let files = &version.levels[level];
             if !files.is_empty() {
-                let iter = LevelIter::index_only(files.clone(), self.view.tcache.clone());
+                let iter =
+                    LevelIter::new(files.clone(), self.view.tcache.clone(), KTable::index_iter);
                 let horizon = Horizon {
                     l0_files: version.levels[0].len(),
                     level,

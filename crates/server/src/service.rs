@@ -34,7 +34,7 @@ use crate::protocol::{
 use crate::rate_limit::TokenBucket;
 use parking_lot::Mutex;
 use scavenger::{
-    Bytes, ChangeOp, ChangeRecord, Db, DbChangeStream, DbScanIter, ResumeToken, Snapshot,
+    Bytes, ChangeOp, ChangeRecord, Db, DbChangeStream, DbScanIter, ReadView, ResumeToken,
     SubscribeFrom, Transaction, Transactional, WriteBatch, WriteOptions, WriteReceipt,
 };
 use scavenger_util::{Error, Result};
@@ -99,7 +99,8 @@ struct Shared {
     engine: Db,
     cfg: ServerConfig,
     metrics: Arc<ServerMetrics>,
-    pins: PinTable<Snapshot>,
+    /// Snapshots ([`Db::snapshot`]) the clients opened, by wire id.
+    pins: PinTable<ReadView>,
     /// Server-side transactions, keyed like snapshots (clients cannot
     /// hold a [`Transaction`] across the network, so the server does).
     /// The inner `Option` lets commit/rollback *take* the transaction

@@ -18,7 +18,7 @@ use crate::filter::{BloomBuilder, BloomReader};
 use crate::handle::BlockHandle;
 use crate::props::{meta_keys, TableProps, TableType, ValueDep};
 use crate::tail::{read_tail, write_tail, Tail};
-use crate::{BlockKind, KeyCmp};
+use crate::{BlockKind, InternalIterator, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
 use scavenger_util::ikey::{extract_user_key, parse_internal_key, ValueRef, ValueType};
@@ -363,7 +363,7 @@ impl BTableReader {
 
     /// Iterate the whole table in key order. The iterator is self-contained
     /// (owns its fetcher), so it can outlive the reader borrow.
-    pub fn iter(&self) -> BTableIter {
+    pub fn iter(&self) -> TwoLevelIter {
         TwoLevelIter::new(
             self.fetcher.clone(),
             self.index.clone(),
@@ -398,9 +398,6 @@ pub(crate) fn search(
     index_iter.status()?;
     Ok(None)
 }
-
-/// Two-level iterator over a [`BTableReader`].
-pub type BTableIter = TwoLevelIter;
 
 /// Generic two-level iterator: an index block whose values are handles of
 /// data blocks, fetched lazily through the block cache. Shared by BTable
@@ -478,14 +475,14 @@ impl TwoLevelIter {
             }
         }
     }
+}
 
-    /// True if positioned on an entry.
-    pub fn valid(&self) -> bool {
+impl InternalIterator for TwoLevelIter {
+    fn valid(&self) -> bool {
         self.data_iter.as_ref().map(|d| d.valid()).unwrap_or(false)
     }
 
-    /// Position on the first entry.
-    pub fn seek_to_first(&mut self) {
+    fn seek_to_first(&mut self) {
         self.index_iter.seek_to_first();
         self.load_data_block();
         if let Some(d) = self.data_iter.as_mut() {
@@ -494,8 +491,7 @@ impl TwoLevelIter {
         self.skip_empty_blocks_forward();
     }
 
-    /// Position on the first entry `>= target`.
-    pub fn seek(&mut self, target: &[u8]) {
+    fn seek(&mut self, target: &[u8]) {
         self.index_iter.seek(target);
         self.load_data_block();
         if let Some(d) = self.data_iter.as_mut() {
@@ -504,26 +500,22 @@ impl TwoLevelIter {
         self.skip_empty_blocks_forward();
     }
 
-    /// Advance.
-    pub fn next(&mut self) {
+    fn next(&mut self) {
         if let Some(d) = self.data_iter.as_mut() {
             d.next();
         }
         self.skip_empty_blocks_forward();
     }
 
-    /// Current key.
-    pub fn key(&self) -> &[u8] {
+    fn key(&self) -> &[u8] {
         self.data_iter.as_ref().unwrap().key()
     }
 
-    /// Current value (zero-copy).
-    pub fn value(&self) -> Bytes {
+    fn value(&self) -> Bytes {
         self.data_iter.as_ref().unwrap().value()
     }
 
-    /// Any I/O / corruption error hit during iteration.
-    pub fn status(&self) -> Result<()> {
+    fn status(&self) -> Result<()> {
         match &self.error {
             Some(e) => Err(e.clone()),
             None => Ok(()),

@@ -30,7 +30,7 @@ use crate::cache::CachePriority;
 use crate::filter::{bloom_hash, BloomBuilder, BloomReader};
 use crate::props::{meta_keys, TableProps, TableType};
 use crate::tail::{read_tail, write_tail, Tail};
-use crate::{BlockKind, KeyCmp};
+use crate::{BlockKind, InternalIterator, KeyCmp};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
 use scavenger_util::ikey::{extract_user_key, parse_internal_key, ValueType};
@@ -229,22 +229,6 @@ impl DTableReader {
         &self.props
     }
 
-    /// Bloom check across both streams.
-    pub fn may_contain(&self, user_key: &[u8]) -> bool {
-        let kf = self
-            .kf_filter
-            .as_ref()
-            .map(|f| BloomReader::new(f).may_contain(user_key))
-            .unwrap_or(true);
-        if kf {
-            return true;
-        }
-        self.kv_filter
-            .as_ref()
-            .map(|f| BloomReader::new(f).may_contain(user_key))
-            .unwrap_or(true)
-    }
-
     fn search_stream(
         &self,
         index: &Block,
@@ -336,47 +320,55 @@ impl DTableReader {
                 CachePriority::Low,
             ),
             on_kf: true,
+            error: None,
         }
     }
 }
 
 /// Merged iterator over a DTable's KF and KV streams.
+///
+/// The first error either stream meets stops the merge: the iterator
+/// turns invalid and [`status`](InternalIterator::status) reports it.
+/// Going on with the other stream alone would serve the entries after a
+/// lost reference or tombstone as if it were not there.
 pub struct DTableIter {
     kf: TwoLevelIter,
     kv: TwoLevelIter,
     on_kf: bool,
+    error: Option<Error>,
 }
 
 impl DTableIter {
     fn pick(&mut self) {
+        if self.error.is_none() {
+            self.error = self.kf.status().and(self.kv.status()).err();
+        }
         self.on_kf = match (self.kf.valid(), self.kv.valid()) {
             (true, true) => KeyCmp::Internal.cmp(self.kf.key(), self.kv.key()) != Ordering::Greater,
             (true, false) => true,
             _ => false,
         };
     }
+}
 
-    /// True if positioned on an entry.
-    pub fn valid(&self) -> bool {
-        self.kf.valid() || self.kv.valid()
+impl InternalIterator for DTableIter {
+    fn valid(&self) -> bool {
+        self.error.is_none() && (self.kf.valid() || self.kv.valid())
     }
 
-    /// Position on the first entry.
-    pub fn seek_to_first(&mut self) {
+    fn seek_to_first(&mut self) {
         self.kf.seek_to_first();
         self.kv.seek_to_first();
         self.pick();
     }
 
-    /// Position on the first entry `>= target`.
-    pub fn seek(&mut self, target: &[u8]) {
+    fn seek(&mut self, target: &[u8]) {
         self.kf.seek(target);
         self.kv.seek(target);
         self.pick();
     }
 
-    /// Advance.
-    pub fn next(&mut self) {
+    fn next(&mut self) {
         if self.on_kf {
             self.kf.next();
         } else {
@@ -385,8 +377,7 @@ impl DTableIter {
         self.pick();
     }
 
-    /// Current key.
-    pub fn key(&self) -> &[u8] {
+    fn key(&self) -> &[u8] {
         if self.on_kf {
             self.kf.key()
         } else {
@@ -394,8 +385,7 @@ impl DTableIter {
         }
     }
 
-    /// Current value.
-    pub fn value(&self) -> Bytes {
+    fn value(&self) -> Bytes {
         if self.on_kf {
             self.kf.value()
         } else {
@@ -403,10 +393,11 @@ impl DTableIter {
         }
     }
 
-    /// Any error from either stream.
-    pub fn status(&self) -> Result<()> {
-        self.kf.status()?;
-        self.kv.status()
+    fn status(&self) -> Result<()> {
+        match &self.error {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
     }
 }
 
@@ -614,6 +605,45 @@ mod tests {
         }
         assert!(!it.valid());
         it.status().unwrap();
+    }
+
+    /// A flipped byte in the second KF block stops the merged iterator
+    /// there with `Corruption`: no KV entry after the block is served as
+    /// if the references and tombstones it held were not there.
+    #[test]
+    fn a_corrupt_kf_block_stops_the_merged_iterator() {
+        let env = MemEnv::new();
+        let es = mixed_entries(400);
+        build(&env, "d.sst", &es);
+        let r = open(&env, "d.sst", None);
+        let mut blocks = r.kf_index.iter(KeyCmp::Internal);
+        blocks.seek_to_first();
+        let first_block_last = blocks.key().to_vec();
+        blocks.next();
+        let second = crate::handle::BlockHandle::decode_exact(&blocks.value()).unwrap();
+        env.corrupt_byte("d.sst", second.offset + 1).unwrap();
+        let is_corruption = |it: &DTableIter| matches!(it.status(), Err(Error::Corruption(_)));
+
+        let mut it = r.iter();
+        it.seek_to_first();
+        let mut served = 0;
+        while it.valid() {
+            assert!(
+                KeyCmp::Internal.cmp(it.key(), &first_block_last) != Ordering::Greater,
+                "entry {served} comes after the corrupt KF block"
+            );
+            served += 1;
+            it.next();
+        }
+        assert!(served > 0 && is_corruption(&it), "{:?}", it.status());
+
+        // A seek into the broken block stops there too.
+        let mut it = r.iter();
+        let past = es
+            .iter()
+            .find(|(k, _, _)| KeyCmp::Internal.cmp(k, &first_block_last) == Ordering::Greater);
+        it.seek(&past.unwrap().0);
+        assert!(!it.valid() && is_corruption(&it), "{:?}", it.status());
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //! compensated-size compaction), [`blockio`] (checksummed block I/O), and
 //! `tail` (the metaindex / index / footer envelope all three formats end
 //! in, opened with one read of the file's last [`TAIL_PREFETCH`] bytes).
+//!
+//! Every table iterator implements [`InternalIterator`], the one
+//! iterator trait of the read stack, so the LSM merges a key SST's
+//! iterator with no adapter in between.
 
 #![forbid(unsafe_code)]
 
@@ -40,7 +44,33 @@ mod tail;
 
 pub use tail::{read_tail, Tail, TAIL_PREFETCH};
 
+use bytes::Bytes;
+use scavenger_util::Result;
 use std::cmp::Ordering;
+
+/// Common interface for iterators over `(key, value)` entries in key
+/// order: a key SST's [`TwoLevelIter`](btable::TwoLevelIter) streams and
+/// [`DTableIter`](dtable::DTableIter), and the LSM's memtable, level and
+/// merging iterators above them.
+///
+/// An iterator that meets a read or corruption error turns invalid and
+/// stays so; [`status`](InternalIterator::status) reports the error.
+pub trait InternalIterator: Send {
+    /// True if positioned on an entry.
+    fn valid(&self) -> bool;
+    /// Position on the first entry.
+    fn seek_to_first(&mut self);
+    /// Position on the first entry `>= target`.
+    fn seek(&mut self, target: &[u8]);
+    /// Advance to the next entry.
+    fn next(&mut self);
+    /// Current key.
+    fn key(&self) -> &[u8];
+    /// Current value (zero-copy).
+    fn value(&self) -> Bytes;
+    /// Deferred error, if any.
+    fn status(&self) -> Result<()>;
+}
 
 /// How keys inside a table are compared.
 ///

@@ -136,7 +136,7 @@ fn drive(db: &Db) -> Observation {
     let snap_gets = (0..80)
         .map(|i| snap.get(key(i).as_bytes()).unwrap().map(|b| b.to_vec()))
         .collect();
-    let snap_row_scans = row_scans(snap.view());
+    let snap_row_scans = row_scans(&snap);
     let view_scan = drain(view.scan(b"key0000", Some(b"key0010")).unwrap());
 
     // Release the pins: the next GC pass unlinks what they held.

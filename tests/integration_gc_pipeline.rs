@@ -79,7 +79,7 @@ type Survivor = (Vec<u8>, Vec<u8>, Option<Vec<u8>>);
 /// observable result of hot/cold routing and write batching.
 type FileSet = Vec<(u64, bool, u64, u64)>;
 
-fn surviving_records(db: &Db, snap: Option<&scavenger::Snapshot>) -> Vec<Survivor> {
+fn surviving_records(db: &Db, snap: Option<&scavenger::ReadView>) -> Vec<Survivor> {
     let mut out = Vec::new();
     let mut it = db.scan(b"", None).unwrap();
     while let Some(e) = it.next_entry().unwrap() {

@@ -10,7 +10,7 @@
 //! a fault in its one KV-stream read fails the job, not the data.
 
 use scavenger::vstore::vtable::parse_record_key;
-use scavenger::{Db, EngineMode, GcValidationReport, MemEnv, Options, Snapshot};
+use scavenger::{Db, EngineMode, GcValidationReport, MemEnv, Options, ReadView};
 use scavenger_env::{Env, EnvRef, FaultEnv, FaultOp, FaultRule, IoClass};
 use scavenger_lsm::filename::table_path;
 use scavenger_lsm::LsmReadResult;
@@ -131,7 +131,7 @@ fn gc_wave_against_oracle(db: &Db, threshold: f64) -> usize {
 fn assert_reads_match(
     db: &Db,
     latest: &BTreeMap<String, Vec<u8>>,
-    pinned: Option<&(Snapshot, BTreeMap<String, Vec<u8>>)>,
+    pinned: Option<&(ReadView, BTreeMap<String, Vec<u8>>)>,
 ) {
     let mut scanned = BTreeMap::new();
     let mut it = db.scan(b"", None).unwrap();

@@ -5,9 +5,7 @@
 //! snapshot or a view, alike — holds the files on disk and readable; the
 //! first maintenance after it drops unlinks them.
 
-use scavenger::{
-    Bytes, Db, EngineMode, FsEnv, Options, ReadView, ShardedOptions, Snapshot, SpaceBreakdown,
-};
+use scavenger::{Bytes, Db, EngineMode, FsEnv, Options, ReadView, ShardedOptions, SpaceBreakdown};
 use scavenger_env::EnvRef;
 use scavenger_lsm::filename::{parse_path, FileKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -104,26 +102,11 @@ fn key(i: usize) -> String {
 }
 
 /// A read point of either kind: retirement treats them alike.
-enum Pin {
-    Snapshot(Snapshot),
-    View(ReadView),
-}
-
-impl Pin {
-    fn take(db: &Db, snapshot: bool) -> Pin {
-        if snapshot {
-            Pin::Snapshot(db.snapshot())
-        } else {
-            Pin::View(db.view())
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<Bytes> {
-        match self {
-            Pin::Snapshot(s) => s.get(key),
-            Pin::View(v) => v.get(key),
-        }
-        .unwrap()
+fn take_pin(db: &Db, snapshot: bool) -> ReadView {
+    if snapshot {
+        db.snapshot()
+    } else {
+        db.view()
     }
 }
 
@@ -181,7 +164,7 @@ fn retired_files_wait_for_the_read_point_then_go() {
                 overwrite(&db, &mut model, 20, 1);
                 assert_ledger(&env, &db, &format!("{ctx}: load"));
 
-                let pin = Pin::take(&db, snapshot);
+                let pin = take_pin(&db, snapshot);
                 let pinned = model.clone();
                 let mut titan_candidates = vec![BTreeSet::new(); shards];
                 for round in 2..=13 {
@@ -202,7 +185,11 @@ fn retired_files_wait_for_the_read_point_then_go() {
                 let held = retired(&db, &titan_candidates);
                 assert!(held.iter().any(|f| !f.is_empty()), "{ctx}: nothing retired");
                 for (k, v) in &pinned {
-                    assert_eq!(pin.get(k).as_deref(), Some(v.as_slice()), "{ctx}: {k}");
+                    assert_eq!(
+                        pin.get(k).unwrap().as_deref(),
+                        Some(v.as_slice()),
+                        "{ctx}: {k}"
+                    );
                 }
                 let mut held_bytes = 0;
                 for (s, files) in held.iter().enumerate() {
@@ -289,9 +276,9 @@ fn retirement_under_background_work_and_concurrent_readers() {
                 let db = &db;
                 s.spawn(move || {
                     for n in 0..40 {
-                        let pin = Pin::take(db, (r + n) % 2 == 0);
+                        let pin = take_pin(db, (r + n) % 2 == 0);
                         let first: Vec<Option<Bytes>> =
-                            (0..KEYS).map(|i| pin.get(&key(i))).collect();
+                            (0..KEYS).map(|i| pin.get(key(i)).unwrap()).collect();
                         std::thread::sleep(std::time::Duration::from_millis(2));
                         for (i, v) in first.iter().enumerate() {
                             let v = v
@@ -299,7 +286,7 @@ fn retirement_under_background_work_and_concurrent_readers() {
                                 .unwrap_or_else(|| panic!("{mode:?}: key {i} lost"));
                             assert!(v.starts_with(format!("key{i:03}@").as_bytes()), "{mode:?}");
                             assert_eq!(
-                                pin.get(&key(i)).as_ref(),
+                                pin.get(key(i)).unwrap().as_ref(),
                                 Some(v),
                                 "{mode:?}: key {i} moved"
                             );

@@ -15,8 +15,8 @@
 use scavenger::vstore::vtable::vfile_path;
 use scavenger::vstore::SCAN_COALESCE;
 use scavenger::{
-    Bytes, Db, DbShards, EngineMode, EnvRef, IoClass, MemEnv, Options, Result, ScanEntry,
-    ShardedOptions, Snapshot,
+    Bytes, Db, DbShards, EngineMode, EnvRef, IoClass, MemEnv, Options, ReadView, Result, ScanEntry,
+    ShardedOptions,
 };
 use scavenger_env::fault::{FaultEnv, FaultOp, FaultRule};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,7 +53,7 @@ fn small_opts(env: EnvRef, dir: &str, mode: EngineMode) -> Options {
 /// An unbounded scan from `lo` at `snap` (the latest state when `None`)
 /// must equal `[get(k)]` there for the keys `lo..`, row for row, under
 /// every way of consuming the iterator.
-fn assert_scan_equals_gets(db: &Db, snap: Option<&Snapshot>, n_keys: usize, what: &str) {
+fn assert_scan_equals_gets(db: &Db, snap: Option<&ReadView>, n_keys: usize, what: &str) {
     for lo in [0, n_keys / 3] {
         let expected: Vec<ScanEntry> = (lo..n_keys)
             .filter_map(|i| {

@@ -1,4 +1,4 @@
-//! Pinned `ReadView` / RAII `Snapshot` integration: a view outlives
+//! Pinned `ReadView` integration (`Db::view` and `Db::snapshot`): a view outlives
 //! flush + compaction + GC and still reads its epoch; snapshots register
 //! and unregister their read points; the read point is the handle read
 //! through; per-call `WriteOptions` behave as documented.

@@ -8,7 +8,7 @@
 //! of one more `get` of the same key on this thread (a thread-local
 //! counter, so tests running in parallel do not bleed in) — at the
 //! latest state through `Db::get`, and at a pinned one through a
-//! `ReadView` and a `Snapshot`, which share the budget.
+//! view and a snapshot (both a `ReadView`), which share the budget.
 //!
 //! Three reads: an inline value, a separated value in a live RTable, and
 //! a separated value whose reference names a value file that GC has
@@ -102,7 +102,7 @@ fn assert_warm_gets_within_budget(db: &Db, i: usize, want: &[u8]) {
     let reads: [(&str, Get<'_>); 3] = [
         ("Db::get", &|k| db.get(k)),
         ("ReadView::get", &|k| view.get(k)),
-        ("Snapshot::get", &|k| snap.get(k)),
+        ("Db::snapshot get", &|k| snap.get(k)),
     ];
     let k = key(i);
     for (what, get) in reads {
