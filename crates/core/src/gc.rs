@@ -98,7 +98,6 @@ use scavenger_lsm::{
     BatchReader, GuardedWrite, Lsm, NewValueFile, Precondition, ValueEditBundle, WriteBatch,
     WriteOptions,
 };
-use scavenger_table::btable::TableOptions;
 use scavenger_util::ikey::{cmp_internal, SeqNo, ValueRef};
 use scavenger_util::{Error, Result};
 use std::collections::HashMap;
@@ -203,7 +202,6 @@ pub struct GcConfig {
 pub struct GcRunner {
     features: Features,
     cfg: GcConfig,
-    table_opts: TableOptions,
     vstore: Arc<ValueStore>,
     dropcache: Arc<DropCache>,
     stats: Arc<GcStats>,
@@ -272,7 +270,6 @@ impl GcRunner {
     pub fn new(
         features: Features,
         cfg: GcConfig,
-        table_opts: TableOptions,
         vstore: Arc<ValueStore>,
         dropcache: Arc<DropCache>,
         stats: Arc<GcStats>,
@@ -280,7 +277,6 @@ impl GcRunner {
         GcRunner {
             features,
             cfg,
-            table_opts,
             vstore,
             dropcache,
             stats,
@@ -488,7 +484,6 @@ impl GcRunner {
         let mut writers = RouteWriters::new(
             &self.vstore,
             self.features,
-            self.table_opts.clone(),
             self.cfg.vsst_target,
             IoClass::GcWrite,
             lsm.file_alloc(),

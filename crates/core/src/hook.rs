@@ -26,7 +26,6 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::{reads_charged_to, IoClass};
 use scavenger_lsm::{DropCause, FileNumAlloc, JobKind, ValueEditBundle, ValueHook, ValueSession};
-use scavenger_table::btable::TableOptions;
 use scavenger_util::ikey::{make_internal_key, SeqNo, ValueRef, ValueType};
 use scavenger_util::Result;
 use std::collections::{HashMap, HashSet};
@@ -65,8 +64,6 @@ pub struct HookConfig {
     pub features: Features,
     /// Target value-file size.
     pub vsst_target: u64,
-    /// Table options for value tables.
-    pub table_opts: TableOptions,
 }
 
 /// The engine hook (see module docs).
@@ -138,7 +135,6 @@ impl ValueHook for EngineHook {
             out: RouteWriters::new(
                 &self.vstore,
                 self.cfg.features,
-                self.cfg.table_opts.clone(),
                 self.cfg.vsst_target,
                 class,
                 alloc,
@@ -332,7 +328,6 @@ mod tests {
             HookConfig {
                 features,
                 vsst_target: 1 << 20,
-                table_opts: TableOptions::default(),
             },
             vstore.clone(),
             dropcache.clone(),
@@ -566,7 +561,6 @@ mod tests {
             HookConfig {
                 features: scavenger_features(),
                 vsst_target: 1 << 20,
-                table_opts: TableOptions::default(),
             },
             vstore.clone(),
             Arc::new(DropCache::new(16)),

@@ -6,10 +6,13 @@
 //! to the code that reads them: [`SEP_THRESHOLD`](crate::hook::SEP_THRESHOLD),
 //! [`GC_THRESHOLD`](crate::gc::GC_THRESHOLD),
 //! [`DROPCACHE_KEYS`](crate::dropcache::DROPCACHE_KEYS),
-//! [`THROTTLE_GC_FACTOR`](crate::throttle::THROTTLE_GC_FACTOR), and in
-//! the index tree `L0_TRIGGER`, `BLOCK_SIZE`, `BLOOM_BITS_PER_KEY`
-//! ([`scavenger_lsm::options`]) and `LEVEL_MULTIPLIER`
-//! ([`scavenger_lsm::compaction`]).
+//! [`THROTTLE_GC_FACTOR`](crate::throttle::THROTTLE_GC_FACTOR), in the
+//! index tree `L0_TRIGGER` ([`scavenger_lsm::options`]) and
+//! `LEVEL_MULTIPLIER` ([`scavenger_lsm::compaction`]), and in the table
+//! formats [`BLOCK_SIZE`](scavenger_table::BLOCK_SIZE),
+//! [`RESTART_INTERVAL`](scavenger_table::RESTART_INTERVAL),
+//! [`BLOOM_BITS_PER_KEY`](scavenger_table::BLOOM_BITS_PER_KEY) and
+//! [`INDEX_PARTITION_SIZE`](scavenger_table::INDEX_PARTITION_SIZE).
 
 use scavenger_env::EnvRef;
 use scavenger_lsm::KTableFormat;
@@ -375,7 +378,7 @@ mod tests {
         let o = Options::new(MemEnv::shared(), "db", EngineMode::Scavenger);
         let l = o.lsm_options();
         assert_eq!((l.l0_trigger, l.block_size), (4, 4096));
-        assert_eq!(l.table_options().bloom_bits_per_key, 10);
+        assert_eq!(scavenger_table::BLOOM_BITS_PER_KEY, 10);
         assert!(o.space_limit.is_none());
         assert!(o.gc_threads >= 1);
     }

@@ -138,7 +138,6 @@ impl Shard {
                 HookConfig {
                     features: opts.features,
                     vsst_target: opts.vsst_target_size,
-                    table_opts: lsm_opts.table_options(),
                 },
                 vstore.clone(),
                 dropcache.clone(),
@@ -172,7 +171,6 @@ impl Shard {
                     batch_files: opts.gc_batch_files,
                     threads: opts.gc_threads,
                 },
-                opts.lsm_options().table_options(),
                 vstore.clone(),
                 dropcache.clone(),
                 gc_stats.clone(),

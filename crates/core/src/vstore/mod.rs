@@ -628,8 +628,6 @@ mod tests {
     use super::vtable::{VFileInfo, VWriter};
     use super::*;
     use scavenger_env::MemEnv;
-    use scavenger_table::btable::TableOptions;
-    use scavenger_table::KeyCmp;
 
     fn store() -> ValueStore {
         let env: EnvRef = MemEnv::shared();
@@ -752,21 +750,9 @@ mod tests {
             "db",
             Arc::new(BlockCache::with_capacity(1 << 20)),
         );
-        let topts = TableOptions {
-            cmp: KeyCmp::Internal,
-            ..TableOptions::default()
-        };
 
         // Original file 5 holds k@7.
-        let mut w = VWriter::create(
-            &env,
-            "db",
-            5,
-            VFormat::RTable,
-            topts.clone(),
-            IoClass::Flush,
-        )
-        .unwrap();
+        let mut w = VWriter::create(&env, "db", 5, VFormat::RTable, IoClass::Flush).unwrap();
         let rec = w.add(b"k", 7, b"the-value").unwrap();
         let info = w.finish().unwrap();
         vs.apply_bundle(&ValueEditBundle {
@@ -781,8 +767,7 @@ mod tests {
         assert_eq!(&vs.read_ref(b"k", 7, &vref).unwrap()[..], b"the-value");
 
         // GC moves contents to file 9; the stale ref still resolves.
-        let mut w =
-            VWriter::create(&env, "db", 9, VFormat::RTable, topts, IoClass::GcWrite).unwrap();
+        let mut w = VWriter::create(&env, "db", 9, VFormat::RTable, IoClass::GcWrite).unwrap();
         w.add(b"k", 7, b"the-value").unwrap();
         let info = w.finish().unwrap();
         assert!(env.file_exists("db/000005.vsst"));
@@ -878,11 +863,7 @@ mod tests {
             "db",
             Arc::new(BlockCache::with_capacity(1 << 20)),
         ));
-        let topts = TableOptions {
-            cmp: KeyCmp::Internal,
-            ..TableOptions::default()
-        };
-        let mut w = VWriter::create(&env, "db", 5, VFormat::RTable, topts, IoClass::Flush).unwrap();
+        let mut w = VWriter::create(&env, "db", 5, VFormat::RTable, IoClass::Flush).unwrap();
         w.add(b"k", 7, b"the-value").unwrap();
         let info = w.finish().unwrap();
         vs.apply_bundle(&ValueEditBundle {
@@ -922,12 +903,7 @@ mod tests {
             "db",
             Arc::new(BlockCache::with_capacity(1024)),
         );
-        let topts = TableOptions {
-            cmp: KeyCmp::Internal,
-            ..TableOptions::default()
-        };
-        let mut w =
-            VWriter::create(&eref, "db", 3, VFormat::RTable, topts, IoClass::Flush).unwrap();
+        let mut w = VWriter::create(&eref, "db", 3, VFormat::RTable, IoClass::Flush).unwrap();
         w.add(b"k", 1, b"v").unwrap();
         w.finish().unwrap();
         assert!(eref.file_exists("db/000003.vsst"));

@@ -8,8 +8,6 @@ use crate::dropcache::DropCache;
 use crate::options::{Features, VFormat};
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_lsm::{FileNumAlloc, NewValueFile};
-use scavenger_table::btable::TableOptions;
-use scavenger_table::KeyCmp;
 use scavenger_util::ikey::SeqNo;
 use scavenger_util::Result;
 use std::sync::Arc;
@@ -41,7 +39,6 @@ pub(crate) struct RouteWriters {
     env: EnvRef,
     dir: String,
     format: VFormat,
-    table_opts: TableOptions,
     target: u64,
     class: IoClass,
     alloc: Arc<dyn FileNumAlloc>,
@@ -59,7 +56,6 @@ impl RouteWriters {
     pub(crate) fn new(
         vstore: &ValueStore,
         features: Features,
-        table_opts: TableOptions,
         target: u64,
         class: IoClass,
         alloc: Arc<dyn FileNumAlloc>,
@@ -69,10 +65,6 @@ impl RouteWriters {
             env: vstore.env().clone(),
             dir: vstore.dir().to_string(),
             format: features.vformat,
-            table_opts: TableOptions {
-                cmp: KeyCmp::Internal,
-                ..table_opts
-            },
             target: target.max(1),
             class,
             alloc,
@@ -100,14 +92,7 @@ impl RouteWriters {
         if self.writers[slot].is_none() {
             let file = self.alloc.next_file_number();
             self.created.push(file);
-            let w = VWriter::create(
-                &self.env,
-                &self.dir,
-                file,
-                self.format,
-                self.table_opts.clone(),
-                self.class,
-            )?;
+            let w = VWriter::create(&self.env, &self.dir, file, self.format, self.class)?;
             self.writers[slot] = Some((file, w));
         }
         let (file, w) = self.writers[slot].as_mut().expect("writer just ensured");
@@ -206,7 +191,6 @@ mod tests {
             RouteWriters::new(
                 &self.vstore,
                 Features::for_mode(EngineMode::Scavenger),
-                TableOptions::default(),
                 target,
                 IoClass::GcWrite,
                 self.alloc.clone(),

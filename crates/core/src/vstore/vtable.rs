@@ -27,13 +27,13 @@ use bytes::Bytes;
 use scavenger_env::{EnvRef, IoClass, RandomAccessFile, ReadaheadFile, WritableFile};
 use scavenger_lsm::filename::{blob_path, value_table_path};
 use scavenger_table::blockio::BLOCK_TRAILER_LEN;
-use scavenger_table::btable::{cached_read, BTableBuilder, BTableReader, BlockCache, TableOptions};
+use scavenger_table::btable::{cached_read, BlockCache, KTable, KTableBuilder, KTableFormat};
 use scavenger_table::cache::{CacheKey, CachePriority};
 use scavenger_table::handle::BlockHandle;
 use scavenger_table::rtable::{
     read_coalesced, Coalesce, RTableBuilder, RTableReader, COALESCE_SPAN,
 };
-use scavenger_table::{BlockKind, InternalIterator, KeyCmp};
+use scavenger_table::{BlockKind, BLOCK_SIZE};
 use scavenger_util::coding::{get_varint32, put_varint32, varint64_len};
 use scavenger_util::ikey::{extract_user_key, make_internal_key, SeqNo, ValueRef, ValueType};
 use scavenger_util::{crc32c, Error, Result};
@@ -69,11 +69,14 @@ pub struct VFileInfo {
 }
 
 /// A value-file writer of any format.
+// A job holds at most one live writer per route; the size gap between
+// formats is fine.
+#[allow(clippy::large_enum_variant)]
 pub enum VWriter {
     /// RecordBasedTable writer (Scavenger).
     R(RTableBuilder),
     /// BlockBasedTable writer (TerarkDB).
-    B(BTableBuilder),
+    B(KTableBuilder),
     /// Blob-log writer (BlobDB/Titan).
     Blob(BlobLogWriter),
 }
@@ -85,14 +88,13 @@ impl VWriter {
         dir: &str,
         file: u64,
         format: VFormat,
-        table_opts: TableOptions,
         class: IoClass,
     ) -> Result<VWriter> {
         let path = vfile_path(dir, file, format);
         let w = env.new_writable(&path, class)?;
         Ok(match format {
-            VFormat::RTable => VWriter::R(RTableBuilder::new(w, table_opts)),
-            VFormat::BTable => VWriter::B(BTableBuilder::new(w, table_opts)),
+            VFormat::RTable => VWriter::R(RTableBuilder::new(w)),
+            VFormat::BTable => VWriter::B(KTableBuilder::new(w, KTableFormat::BTable, BLOCK_SIZE)),
             VFormat::BlobLog => VWriter::Blob(BlobLogWriter::new(w)),
         })
     }
@@ -340,7 +342,7 @@ pub enum VReader {
     /// RecordBasedTable reader.
     R(RTableReader),
     /// BlockBasedTable reader.
-    B(BTableReader),
+    B(KTable),
     /// Blob-log reader: point reads go through `cache` under `cache_id`
     /// (the log's number under the store's namespace).
     Blob {
@@ -379,12 +381,8 @@ impl VReader {
     ) -> Result<VReader> {
         let cache_id = scavenger_table::cache::cache_file_id(cache_ns, file);
         Ok(match format {
-            VFormat::RTable => {
-                VReader::R(RTableReader::open(f, cache_id, cache, KeyCmp::Internal)?)
-            }
-            VFormat::BTable => {
-                VReader::B(BTableReader::open(f, cache_id, cache, KeyCmp::Internal)?)
-            }
+            VFormat::RTable => VReader::R(RTableReader::open(f, cache_id, cache)?),
+            VFormat::BTable => VReader::B(KTable::open(f, cache_id, cache)?),
             VFormat::BlobLog => VReader::Blob {
                 file: f,
                 cache_id,
@@ -617,13 +615,6 @@ mod tests {
     use super::*;
     use scavenger_env::MemEnv;
 
-    fn table_opts() -> TableOptions {
-        TableOptions {
-            cmp: KeyCmp::Internal,
-            ..TableOptions::default()
-        }
-    }
-
     fn is_corruption(got: Result<Bytes>) -> bool {
         matches!(got, Err(Error::Corruption(_)))
     }
@@ -632,26 +623,22 @@ mod tests {
     /// `fetch_one` (filling the cache, then served by it), the batched
     /// `fetch` and the GC `scan_file`
     /// — then flip one byte of one value: every read of that record is
-    /// `Corruption`, every other record still reads. One record per
-    /// BTable block, so a flip hits one record in every format.
+    /// `Corruption`, every other record still reads. Every value fills
+    /// a BTable data block, so a flip hits one record in every format.
     fn roundtrip(format: VFormat) {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
-        let opts = TableOptions {
-            block_size: 1,
-            ..table_opts()
-        };
-        let mut w = VWriter::create(&eref, "db", 9, format, opts, IoClass::Flush).unwrap();
+        let mut w = VWriter::create(&eref, "db", 9, format, IoClass::Flush).unwrap();
         let mut recs = Vec::new();
         for i in 0..100u64 {
             let key = format!("key{i:04}");
-            let value = vec![(i % 251) as u8; 200 + (i as usize % 64)];
+            let value = vec![(i % 251) as u8; BLOCK_SIZE + (i as usize % 64)];
             let r = w.add(key.as_bytes(), 1000 + i, &value).unwrap();
             recs.push((key, 1000 + i, value, r));
         }
         let info = w.finish().unwrap();
         assert_eq!(info.entries, 100);
-        assert!(info.value_bytes >= 100 * 200);
+        assert!(info.value_bytes >= 100 * BLOCK_SIZE as u64);
         let ikeys: Vec<Vec<u8>> = recs
             .iter()
             .map(|(k, s, _, _)| make_internal_key(k.as_bytes(), *s, ValueType::Value))
@@ -756,15 +743,7 @@ mod tests {
     #[test]
     fn bloblog_scan_offsets_are_addressable() {
         let env: EnvRef = MemEnv::shared();
-        let mut w = VWriter::create(
-            &env,
-            "db",
-            3,
-            VFormat::BlobLog,
-            table_opts(),
-            IoClass::Flush,
-        )
-        .unwrap();
+        let mut w = VWriter::create(&env, "db", 3, VFormat::BlobLog, IoClass::Flush).unwrap();
         w.add(b"a", 1, b"valueA").unwrap();
         w.add(b"b", 2, b"valueB").unwrap();
         w.finish().unwrap();
@@ -787,15 +766,7 @@ mod tests {
     fn bloblog_corruption_detected_on_scan() {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
-        let mut w = VWriter::create(
-            &eref,
-            "db",
-            4,
-            VFormat::BlobLog,
-            table_opts(),
-            IoClass::Flush,
-        )
-        .unwrap();
+        let mut w = VWriter::create(&eref, "db", 4, VFormat::BlobLog, IoClass::Flush).unwrap();
         w.add(b"k", 5, &vec![9u8; 500]).unwrap();
         w.finish().unwrap();
         env.corrupt_byte("db/000004.blob", 50).unwrap();
@@ -807,8 +778,7 @@ mod tests {
     fn lazy_index_only_for_rtable() {
         let env: EnvRef = MemEnv::shared();
         for (file, format) in [(1u64, VFormat::BTable), (2, VFormat::RTable)] {
-            let mut w =
-                VWriter::create(&env, "db", file, format, table_opts(), IoClass::Flush).unwrap();
+            let mut w = VWriter::create(&env, "db", file, format, IoClass::Flush).unwrap();
             w.add(b"k", 1, &vec![1u8; 4096]).unwrap();
             w.finish().unwrap();
         }

@@ -17,12 +17,11 @@
 
 use crate::filename::table_path;
 use crate::hooks::{DropCause, ValueEditBundle, ValueSession};
-use crate::options::{KTableFormat, LsmOptions, NUM_LEVELS};
+use crate::options::{LsmOptions, NUM_LEVELS};
 use crate::version::{FileMetaData, Version};
 use bytes::Bytes;
 use scavenger_env::IoClass;
-use scavenger_table::btable::{BTableBuilder, BuiltTable, TableOptions};
-use scavenger_table::dtable::DTableBuilder;
+use scavenger_table::btable::KTableBuilder;
 use scavenger_table::InternalIterator;
 use scavenger_util::ikey::{make_internal_key, parse_internal_key, SeqNo, ValueType};
 use scavenger_util::Result;
@@ -247,43 +246,6 @@ pub fn pick_compaction(
     ))
 }
 
-// One live builder per output job; the size gap between formats is fine.
-#[allow(clippy::large_enum_variant)]
-enum AnyBuilder {
-    B(BTableBuilder),
-    D(DTableBuilder),
-}
-
-impl AnyBuilder {
-    fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        match self {
-            AnyBuilder::B(b) => b.add(key, value),
-            AnyBuilder::D(b) => b.add(key, value),
-        }
-    }
-
-    fn estimated_size(&self) -> u64 {
-        match self {
-            AnyBuilder::B(b) => b.estimated_size(),
-            AnyBuilder::D(b) => b.estimated_size(),
-        }
-    }
-
-    fn num_entries(&self) -> u64 {
-        match self {
-            AnyBuilder::B(b) => b.num_entries(),
-            AnyBuilder::D(b) => b.num_entries(),
-        }
-    }
-
-    fn finish(self) -> Result<BuiltTable> {
-        match self {
-            AnyBuilder::B(b) => b.finish(),
-            AnyBuilder::D(b) => b.finish(),
-        }
-    }
-}
-
 /// Writes merge output, rolling files at the target size (only at user-key
 /// group boundaries, preserving the per-level disjointness invariant).
 ///
@@ -292,10 +254,9 @@ impl AnyBuilder {
 /// first, so a job that fails — or is retried — leaves no key SST behind.
 struct OutputWriter<'a> {
     opts: &'a LsmOptions,
-    table_opts: TableOptions,
     io_class: IoClass,
     alloc: &'a dyn Fn() -> u64,
-    builder: Option<(u64, AnyBuilder)>,
+    builder: Option<(u64, KTableBuilder)>,
     files: Vec<FileMetaData>,
     /// Numbers of the files created and not yet handed over.
     created: Vec<u64>,
@@ -306,7 +267,6 @@ impl<'a> OutputWriter<'a> {
     fn new(opts: &'a LsmOptions, io_class: IoClass, alloc: &'a dyn Fn() -> u64) -> Self {
         OutputWriter {
             opts,
-            table_opts: opts.table_options(),
             io_class,
             alloc,
             builder: None,
@@ -322,7 +282,7 @@ impl<'a> OutputWriter<'a> {
             .remove_file(&table_path(&self.opts.dir, number));
     }
 
-    fn ensure_builder(&mut self) -> Result<&mut AnyBuilder> {
+    fn ensure_builder(&mut self) -> Result<&mut KTableBuilder> {
         if self.builder.is_none() {
             let number = (self.alloc)();
             self.created.push(number);
@@ -330,14 +290,7 @@ impl<'a> OutputWriter<'a> {
                 .opts
                 .env
                 .new_writable(&table_path(&self.opts.dir, number), self.io_class)?;
-            let b = match self.opts.ktable_format {
-                KTableFormat::BTable => {
-                    AnyBuilder::B(BTableBuilder::new(file, self.table_opts.clone()))
-                }
-                KTableFormat::DTable => {
-                    AnyBuilder::D(DTableBuilder::new(file, self.table_opts.clone()))
-                }
-            };
+            let b = KTableBuilder::new(file, self.opts.ktable_format, self.opts.block_size);
             self.builder = Some((number, b));
         }
         Ok(&mut self.builder.as_mut().unwrap().1)

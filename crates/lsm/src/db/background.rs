@@ -11,11 +11,11 @@ use crate::filename::{parse_path, table_path, FileKind};
 use crate::hooks::{JobKind, PassthroughSession, ValueEditBundle, ValueSession};
 use crate::iter::{MergingIter, VecIter};
 use crate::options::{BackgroundMode, NUM_LEVELS};
-use crate::tcache::ktable_from_file;
 use crate::version::{ManifestLeader, Version, VersionEdit};
 use crate::view::SuperVersion;
 use parking_lot::{Mutex, MutexGuard};
 use scavenger_env::{IoClass, ReadaheadFile};
+use scavenger_table::btable::KTable;
 use scavenger_table::cache::cache_file_id;
 use scavenger_table::InternalIterator;
 use scavenger_util::ikey::SeqNo;
@@ -306,7 +306,7 @@ impl Lsm {
             let file = opts
                 .env
                 .open_random_access(&table_path(&opts.dir, f.file_number), IoClass::Compaction)?;
-            let t = ktable_from_file(
+            let t = KTable::open(
                 Arc::new(ReadaheadFile::open(file, COMPACTION_READAHEAD)?),
                 cache_file_id(opts.cache_namespace, f.file_number),
                 None,

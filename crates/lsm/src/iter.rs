@@ -7,9 +7,10 @@
 //! [`index_iter`](KTable::index_iter)) is a merge child as it is, with
 //! no adapter between the two crates.
 
-use crate::tcache::{KTable, TableCache};
+use crate::tcache::TableCache;
 use crate::version::{FileMetaData, Version};
 use bytes::Bytes;
+use scavenger_table::btable::KTable;
 use scavenger_table::InternalIterator;
 use scavenger_util::ikey::{
     cmp_internal, lookup_key, make_internal_key, parse_internal_key, SeqNo, ValueRef, ValueType,

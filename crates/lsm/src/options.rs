@@ -3,17 +3,10 @@
 use crate::hooks::ValueHook;
 use scavenger_env::EnvRef;
 use scavenger_table::btable::BlockCache;
+pub use scavenger_table::btable::KTableFormat;
+use scavenger_table::BLOCK_SIZE;
 use scavenger_util::ikey::{SeqNo, MAX_SEQNO};
 use std::sync::Arc;
-
-/// Format used for key SSTs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KTableFormat {
-    /// RocksDB-style BlockBasedTable (baselines).
-    BTable,
-    /// Scavenger's IndexDecoupledTable (paper §III-B2).
-    DTable,
-}
 
 /// Whether background work runs inline on the writer thread or on
 /// background threads.
@@ -36,10 +29,6 @@ pub const L0_TRIGGER: usize = 4;
 /// Number of levels in the index tree (RocksDB's default, which the
 /// paper's §IV-A setup keeps).
 pub const NUM_LEVELS: usize = 7;
-/// Default key-SST data block size (paper §IV-A: 4 KB).
-pub const BLOCK_SIZE: usize = 4096;
-/// Bloom-filter bits per key for every key SST (paper §IV-A: 10).
-pub const BLOOM_BITS_PER_KEY: usize = 10;
 
 /// Options for opening an [`Lsm`](crate::db::Lsm).
 #[derive(Clone)]
@@ -57,7 +46,8 @@ pub struct LsmOptions {
     pub base_level_bytes: u64,
     /// Target key-SST file size for compaction outputs.
     pub target_file_size: u64,
-    /// Data block size for key SSTs.
+    /// Data block size for key SSTs ([`scavenger_table::BLOCK_SIZE`]
+    /// but in the unit tests that want many blocks).
     pub block_size: usize,
     /// Key SST format.
     pub ktable_format: KTableFormat,
@@ -135,17 +125,6 @@ impl LsmOptions {
             tombstone_hold: MAX_SEQNO,
         }
     }
-
-    /// Table-format options derived from these LSM options.
-    pub fn table_options(&self) -> scavenger_table::btable::TableOptions {
-        scavenger_table::btable::TableOptions {
-            block_size: self.block_size,
-            restart_interval: 16,
-            bloom_bits_per_key: BLOOM_BITS_PER_KEY,
-            cmp: scavenger_table::KeyCmp::Internal,
-            index_partition_size: 2048,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,6 +142,6 @@ mod tests {
         assert_eq!((opts.block_size, BLOCK_SIZE), (4096, 4096));
         assert_eq!(crate::db::MAX_IMM_MEMTABLES, 2);
         assert_eq!(opts.background, BackgroundMode::Inline);
-        assert_eq!(opts.table_options().bloom_bits_per_key, 10);
+        assert_eq!(scavenger_table::BLOOM_BITS_PER_KEY, 10);
     }
 }

@@ -1,77 +1,22 @@
 //! Table cache: open key-SST readers, kept while their file is live.
 //!
-//! The reader type is detected from the file's properties block, so BTable
+//! A reader's format is read from the file's properties block, so BTable
 //! and DTable files can coexist in one tree (e.g. after switching formats
 //! mid-life, or during ablation experiments).
 
 use crate::filename::table_path;
 use crate::options::LsmOptions;
 use parking_lot::Mutex;
-use scavenger_env::{EnvRef, IoClass, RandomAccessFile};
-use scavenger_table::block::BlockEntry;
-use scavenger_table::btable::{BTableReader, BlockCache};
+use scavenger_env::{EnvRef, IoClass};
+use scavenger_table::btable::{BlockCache, KTable};
 use scavenger_table::cache::cache_file_id;
-use scavenger_table::dtable::DTableReader;
-use scavenger_table::props::TableType;
-use scavenger_table::{read_tail, InternalIterator, KeyCmp};
 use scavenger_util::hash::IntMap;
 use scavenger_util::Result;
 use std::sync::Arc;
 
-/// An open key SST of either format.
-pub enum KTable {
-    /// BlockBasedTable reader.
-    B(BTableReader),
-    /// IndexDecoupledTable reader.
-    D(DTableReader),
-}
-
-impl KTable {
-    /// Point lookup: first entry with internal key `>= target`, read in
-    /// place from its (cached) block.
-    pub fn get(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
-        match self {
-            KTable::B(t) => t.get(target),
-            KTable::D(t) => t.get(target),
-        }
-    }
-
-    /// Iterate all entries in internal-key order: a DTable's two streams
-    /// merged. The iterator owns its fetcher and file, so it outlives the
-    /// reader.
-    pub fn iter(&self) -> Box<dyn InternalIterator> {
-        match self {
-            KTable::B(t) => Box::new(t.iter()),
-            KTable::D(t) => Box::new(t.iter()),
-        }
-    }
-
-    /// Iterate the table's **index entries** — references and tombstones
-    /// — in internal-key order: a DTable's KF stream alone. A BTable has
-    /// one stream, so its inline entries come along and
-    /// [`get_inline`](KTable::get_inline) has nothing left to add.
-    pub fn index_iter(&self) -> Box<dyn InternalIterator> {
-        match self {
-            KTable::B(t) => Box::new(t.iter()),
-            KTable::D(t) => Box::new(t.kf_iter()),
-        }
-    }
-
-    /// The first inline entry `>= target` that
-    /// [`index_iter`](KTable::index_iter) does not show: a point search
-    /// of a DTable's KV stream, `None` for a BTable.
-    pub fn get_inline(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
-        match self {
-            KTable::B(_) => Ok(None),
-            KTable::D(t) => t.get_inline(target),
-        }
-    }
-}
-
-/// Open a key SST, dispatching on its on-disk table type. `cache_ns` is
-/// the store's cache namespace (see
-/// [`scavenger_table::cache::cache_file_id`]); pass `0` for a private
-/// block cache.
+/// Open a key SST of either format. `cache_ns` is the store's cache
+/// namespace (see [`scavenger_table::cache::cache_file_id`]); pass `0`
+/// for a private block cache.
 pub fn open_ktable(
     env: &EnvRef,
     dir: &str,
@@ -81,28 +26,7 @@ pub fn open_ktable(
     class: IoClass,
 ) -> Result<KTable> {
     let file = env.open_random_access(&table_path(dir, file_number), class)?;
-    ktable_from_file(file, cache_file_id(cache_ns, file_number), cache)
-}
-
-/// [`open_ktable`] over an already-open file (a compaction input behind
-/// its read-ahead wrapper). One tail read serves both the format check
-/// and the open.
-pub fn ktable_from_file(
-    file: Arc<dyn RandomAccessFile>,
-    cache_id: u64,
-    cache: Option<Arc<BlockCache>>,
-) -> Result<KTable> {
-    let tail = read_tail(file.as_ref())?;
-    Ok(match tail.props().table_type {
-        TableType::DTable => KTable::D(DTableReader::from_tail(file, tail, cache_id, cache)?),
-        _ => KTable::B(BTableReader::from_tail(
-            file,
-            tail,
-            cache_id,
-            cache,
-            KeyCmp::Internal,
-        )?),
-    })
+    KTable::open(file, cache_file_id(cache_ns, file_number), cache)
 }
 
 /// Number of independent reader-map shards. Mirrors the block cache's
@@ -185,14 +109,16 @@ impl TableCache {
 mod tests {
     use super::*;
     use scavenger_env::MemEnv;
-    use scavenger_table::btable::{BTableBuilder, TableOptions};
-    use scavenger_table::dtable::DTableBuilder;
+    use scavenger_table::btable::{KTableBuilder, KTableFormat};
+    use scavenger_table::props::TableType;
+    use scavenger_table::InternalIterator;
     use scavenger_util::ikey::{
-        extract_user_key, make_internal_key, ValueRef, ValueType, MAX_SEQNO,
+        extract_user_key, make_internal_key, parse_internal_key, ValueRef, ValueType, MAX_SEQNO,
     };
 
-    /// One entry of each kind a key SST holds: inline values (a DTable's
-    /// KV stream), a reference and a tombstone (its KF stream).
+    /// One entry of each kind a key SST holds — inline values (a DTable's
+    /// KV stream), a reference and a tombstone (its KF stream) — and a
+    /// user key, `b`, with both an inline and an older separated version.
     fn entries() -> Vec<(Vec<u8>, Vec<u8>)> {
         let vref = ValueRef {
             file: 9,
@@ -201,6 +127,7 @@ mod tests {
         };
         vec![
             (make_internal_key(b"a", 4, ValueType::Value), b"va".to_vec()),
+            (make_internal_key(b"b", 5, ValueType::Value), b"vb".to_vec()),
             (
                 make_internal_key(b"b", 3, ValueType::ValueRef),
                 vref.encode(),
@@ -210,26 +137,23 @@ mod tests {
         ]
     }
 
-    fn write_btable(env: &EnvRef, dir: &str, number: u64) {
+    fn write_table(env: &EnvRef, dir: &str, number: u64, format: KTableFormat) {
         let f = env
             .new_writable(&table_path(dir, number), IoClass::Flush)
             .unwrap();
-        let mut b = BTableBuilder::new(f, TableOptions::default());
+        let mut b = KTableBuilder::new(f, format, scavenger_table::BLOCK_SIZE);
         for (k, v) in entries() {
             b.add(&k, &v).unwrap();
         }
         b.finish().unwrap();
     }
 
+    fn write_btable(env: &EnvRef, dir: &str, number: u64) {
+        write_table(env, dir, number, KTableFormat::BTable);
+    }
+
     fn write_dtable(env: &EnvRef, dir: &str, number: u64) {
-        let f = env
-            .new_writable(&table_path(dir, number), IoClass::Flush)
-            .unwrap();
-        let mut b = DTableBuilder::new(f, TableOptions::default());
-        for (k, v) in entries() {
-            b.add(&k, &v).unwrap();
-        }
-        b.finish().unwrap();
+        write_table(env, dir, number, KTableFormat::DTable);
     }
 
     #[test]
@@ -239,8 +163,8 @@ mod tests {
         write_dtable(&env, "db", 2);
         let t1 = open_ktable(&env, "db", 1, 0, None, IoClass::FgIndexRead).unwrap();
         let t2 = open_ktable(&env, "db", 2, 0, None, IoClass::FgIndexRead).unwrap();
-        assert!(matches!(t1, KTable::B(_)));
-        assert!(matches!(t2, KTable::D(_)));
+        assert_eq!(t1.props().table_type, TableType::BTable);
+        assert_eq!(t2.props().table_type, TableType::DTable);
         // Unified lookup API works across formats.
         for t in [&t1, &t2] {
             for ukey in [b"a", b"b"] {
@@ -262,7 +186,7 @@ mod tests {
             let before = env.io_stats().snapshot();
             let t = open_ktable(&env, "db", number, 0, None, IoClass::FgIndexRead).unwrap();
             let d = env.io_stats().snapshot().delta(&before);
-            assert_eq!(matches!(t, KTable::D(_)), dtable);
+            assert_eq!(t.props().table_type == TableType::DTable, dtable);
             assert_eq!(d.total_read_ops(), 1, "table {number}");
         }
     }
@@ -307,20 +231,53 @@ mod tests {
 
     /// `iter` shows every entry of either format; `index_iter` shows a
     /// BTable's one stream whole and a DTable's KF stream alone — its
-    /// reference and tombstone, none of its inline values.
+    /// reference and tombstone, none of its inline values. Both formats
+    /// answer `get` at every key with that entry, and at a read point
+    /// between `b`'s two versions with the older one. `get_inline` finds
+    /// a DTable's inline version of the key's user key at or after it
+    /// (`b`'s reference has none), and nothing for a BTable, whose
+    /// `index_iter` already showed it.
     #[test]
     fn unified_iter_walks_both_formats() {
         let env: EnvRef = MemEnv::shared();
         write_btable(&env, "db", 1);
         write_dtable(&env, "db", 2);
-        for (n, index, index_from_c) in [(1u64, &b"abcd"[..], &b"cd"[..]), (2, b"bc", b"c")] {
+        let es = entries();
+        for (n, index, index_from_c) in [(1u64, &b"abbcd"[..], &b"cd"[..]), (2, b"bc", b"c")] {
             let t = open_ktable(&env, "db", n, 0, None, IoClass::FgIndexRead).unwrap();
-            assert_eq!(walk(t.iter().as_mut(), None), b"abcd", "table {n}");
-            assert_eq!(walk(t.iter().as_mut(), Some(b"b")), b"bcd", "table {n}");
+            assert_eq!(walk(t.iter().as_mut(), None), b"abbcd", "table {n}");
+            assert_eq!(walk(t.iter().as_mut(), Some(b"b")), b"bbcd", "table {n}");
             assert_eq!(walk(t.index_iter().as_mut(), None), index, "table {n}");
             let from_c = walk(t.index_iter().as_mut(), Some(b"c"));
             assert_eq!(from_c, index_from_c, "table {n}");
             assert!(walk(t.index_iter().as_mut(), Some(b"e")).is_empty());
+
+            for (i, (k, v)) in es.iter().enumerate() {
+                let found = t.get(k).unwrap().expect("every key is found");
+                assert_eq!(
+                    (found.key(), &found.value()[..]),
+                    (&k[..], &v[..]),
+                    "table {n}"
+                );
+                let ukey = extract_user_key(k);
+                let inline = es[i..]
+                    .iter()
+                    .take_while(|(k, _)| extract_user_key(k) == ukey)
+                    .find(|(k, _)| parse_internal_key(k).unwrap().vtype == ValueType::Value)
+                    .filter(|_| n == 2);
+                let got = t.get_inline(k).unwrap();
+                assert_eq!(
+                    got.as_ref()
+                        .filter(|e| extract_user_key(e.key()) == ukey)
+                        .map(|e| (e.key(), e.value())),
+                    inline.map(|(k, v)| (&k[..], bytes::Bytes::from(v.clone()))),
+                    "table {n}"
+                );
+            }
+            let newest = t.get(&make_internal_key(b"b", MAX_SEQNO, ValueType::ValueRef));
+            assert_eq!(newest.unwrap().unwrap().key(), &es[1].0[..], "table {n}");
+            let older = t.get(&make_internal_key(b"b", 4, ValueType::ValueRef));
+            assert_eq!(older.unwrap().unwrap().key(), &es[2].0[..], "table {n}");
         }
     }
 }

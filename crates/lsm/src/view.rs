@@ -30,10 +30,11 @@
 use crate::db::LsmReadResult;
 use crate::iter::{BatchSweep, DbIter, Horizon, LevelIter, MergingIter, UserEntry, VecIter};
 use crate::memtable::{MemGet, Memtable};
-use crate::tcache::{KTable, TableCache};
+use crate::tcache::TableCache;
 use crate::version::Version;
 use bytes::Bytes;
 use parking_lot::Mutex;
+use scavenger_table::btable::KTable;
 use scavenger_table::InternalIterator;
 use scavenger_util::ikey::{lookup_key, parse_internal_key, SeqNo, ValueType, MAX_SEQNO};
 use scavenger_util::Result;

@@ -10,12 +10,12 @@
 //!
 //! Every `restart_interval` entries the shared prefix resets to zero, and
 //! the entry's offset is recorded in the restart array, enabling binary
-//! search by key without decoding the whole block.
+//! search by key without decoding the whole block. Keys are internal keys,
+//! searched under [`cmp_internal`].
 
-use crate::KeyCmp;
 use bytes::Bytes;
 use scavenger_util::coding::{get_varint32, put_fixed32, put_varint32};
-use scavenger_util::ikey::KeyBuf;
+use scavenger_util::ikey::{cmp_internal, KeyBuf};
 use scavenger_util::{Error, Result};
 use std::cmp::Ordering;
 
@@ -43,9 +43,8 @@ impl BlockBuilder {
         }
     }
 
-    /// Append an entry. Keys must arrive in increasing order (the caller's
-    /// comparator); this is debug-asserted bytewise at restart boundaries
-    /// only, since ordering is the caller's contract.
+    /// Append an entry. Keys must arrive in increasing internal-key order;
+    /// the block does not check it — the table builders do.
     pub fn add(&mut self, key: &[u8], value: &[u8]) {
         let shared = if self.count_since_restart < self.restart_interval {
             common_prefix_len(&self.last_key, key)
@@ -168,10 +167,9 @@ impl Block {
     }
 
     /// Create an iterator over this block.
-    pub fn iter(&self, cmp: KeyCmp) -> BlockIter {
+    pub fn iter(&self) -> BlockIter {
         BlockIter {
             block: self.clone(),
-            cmp,
             next_offset: 0,
             key: KeyAt::Block(0, 0),
             buf: KeyBuf::new(),
@@ -204,7 +202,6 @@ enum KeyAt {
 /// silent end of block.
 pub struct BlockIter {
     block: Block,
-    cmp: KeyCmp,
     /// Offset just past the current entry (start of the next one).
     next_offset: usize,
     key: KeyAt,
@@ -255,8 +252,7 @@ impl BlockIter {
         self.scan_from(0);
     }
 
-    /// Position at the first entry whose key is `>= target` under the
-    /// iterator's comparator.
+    /// Position at the first entry whose key is `>= target`.
     pub fn seek(&mut self, target: &[u8]) {
         // Binary search restart points for the last restart with key < target.
         let (mut lo, mut hi) = (0usize, self.block.num_restarts.saturating_sub(1));
@@ -266,7 +262,7 @@ impl BlockIter {
                 self.fail("malformed restart entry");
                 return;
             };
-            if self.cmp.cmp(&self.block.data[start..end], target) == Ordering::Less {
+            if cmp_internal(&self.block.data[start..end], target) == Ordering::Less {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -278,7 +274,7 @@ impl BlockIter {
         } else {
             self.block.restart_point(lo)
         });
-        while self.valid && self.cmp.cmp(self.current_key(), target) == Ordering::Less {
+        while self.valid && cmp_internal(self.current_key(), target) == Ordering::Less {
             self.parse_next();
         }
     }
@@ -390,14 +386,25 @@ impl BlockEntry {
     }
 }
 
-/// Test fixture: the serialized block of 20 entries `k00..k19` (value:
-/// the entry's index) at restart interval 16, with entry 5's key length
-/// set past the end of the block's entries.
+/// Test helper: `user_key` at seq 1 as an inline value's internal key.
+#[cfg(test)]
+pub(crate) fn ikey(user_key: &str) -> Vec<u8> {
+    scavenger_util::ikey::make_internal_key(
+        user_key.as_bytes(),
+        1,
+        scavenger_util::ikey::ValueType::Value,
+    )
+}
+
+/// Test fixture: the serialized block of 20 entries `k00..k19` (internal
+/// keys from [`ikey`]; value: the entry's index) at restart interval 16,
+/// with entry 5's key and value lengths set past the end of the block's
+/// entries.
 #[cfg(test)]
 pub(crate) fn block_with_overrunning_entry() -> Vec<u8> {
     let mut b = BlockBuilder::new(16);
     for i in 0..20u8 {
-        b.add(format!("k{i:02}").as_bytes(), &[i]);
+        b.add(&ikey(&format!("k{i:02}")), &[i]);
     }
     let mut data = b.finish();
     let limit = data.len() - 4 * 3; // two restarts + their count
@@ -406,8 +413,9 @@ pub(crate) fn block_with_overrunning_entry() -> Vec<u8> {
     for _ in 0..5 {
         fifth += 3 + data[fifth + 1] as usize + data[fifth + 2] as usize;
     }
-    assert!(limit - fifth < 0x7f);
+    assert!(limit - (fifth + 3) < 2 * 0x7f);
     data[fifth + 1] = 0x7f;
+    data[fifth + 2] = 0x7f;
     data
 }
 
@@ -416,7 +424,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn build(entries: &[(&[u8], &[u8])], interval: usize) -> Block {
+    fn build(entries: &[(Vec<u8>, Vec<u8>)], interval: usize) -> Block {
         let mut b = BlockBuilder::new(interval);
         for (k, v) in entries {
             b.add(k, v);
@@ -427,30 +435,21 @@ mod tests {
     #[test]
     fn empty_block_iterates_nothing() {
         let block = build(&[], 16);
-        let mut it = block.iter(KeyCmp::Bytewise);
+        let mut it = block.iter();
         it.seek_to_first();
         assert!(!it.valid());
-        it.seek(b"anything");
+        it.seek(&ikey("anything"));
         assert!(!it.valid());
     }
 
     #[test]
     fn iterate_in_order() {
         let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..100)
-            .map(|i| {
-                (
-                    format!("key{i:04}").into_bytes(),
-                    format!("val{i}").into_bytes(),
-                )
-            })
-            .collect();
-        let refs: Vec<(&[u8], &[u8])> = entries
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
+            .map(|i| (ikey(&format!("key{i:04}")), format!("val{i}").into_bytes()))
             .collect();
         for interval in [1, 2, 16, 1000] {
-            let block = build(&refs, interval);
-            let mut it = block.iter(KeyCmp::Bytewise);
+            let block = build(&entries, interval);
+            let mut it = block.iter();
             it.seek_to_first();
             for (k, v) in &entries {
                 assert!(it.valid(), "interval {interval}");
@@ -464,44 +463,31 @@ mod tests {
 
     #[test]
     fn seek_finds_exact_and_successor() {
-        let refs: Vec<(Vec<u8>, Vec<u8>)> = (0..50)
-            .map(|i| (format!("k{:03}", i * 2).into_bytes(), vec![i as u8]))
-            .collect();
-        let entries: Vec<(&[u8], &[u8])> = refs
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..50)
+            .map(|i| (ikey(&format!("k{:03}", i * 2)), vec![i as u8]))
             .collect();
         let block = build(&entries, 4);
-        let mut it = block.iter(KeyCmp::Bytewise);
+        let mut it = block.iter();
 
-        it.seek(b"k010");
+        it.seek(&ikey("k010"));
         assert!(it.valid());
-        assert_eq!(it.key(), b"k010");
+        assert_eq!(it.key(), ikey("k010"));
 
-        it.seek(b"k011"); // between entries -> successor k012
+        it.seek(&ikey("k011")); // between entries -> successor k012
         assert!(it.valid());
-        assert_eq!(it.key(), b"k012");
+        assert_eq!(it.key(), ikey("k012"));
 
-        it.seek(b"k000");
-        assert_eq!(it.key(), b"k000");
+        it.seek(&ikey("k000"));
+        assert_eq!(it.key(), ikey("k000"));
 
-        it.seek(b"zzz");
+        it.seek(&ikey("zzz"));
         assert!(!it.valid());
     }
 
     #[test]
     fn prefix_compression_shrinks_blocks() {
-        let long_prefix: Vec<(Vec<u8>, Vec<u8>)> = (0..64)
-            .map(|i| {
-                (
-                    format!("common/long/prefix/{i:04}").into_bytes(),
-                    vec![0u8; 4],
-                )
-            })
-            .collect();
-        let entries: Vec<(&[u8], &[u8])> = long_prefix
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..64)
+            .map(|i| (ikey(&format!("common/long/prefix/{i:04}")), vec![0u8; 4]))
             .collect();
         let compressed = build(&entries, 16);
         let uncompressed = build(&entries, 1);
@@ -510,8 +496,8 @@ mod tests {
 
     #[test]
     fn value_is_zero_copy_slice() {
-        let block = build(&[(b"a", b"hello")], 16);
-        let mut it = block.iter(KeyCmp::Bytewise);
+        let block = build(&[(ikey("a"), b"hello".to_vec())], 16);
+        let mut it = block.iter();
         it.seek_to_first();
         let v = it.value();
         assert_eq!(&v[..], b"hello");
@@ -520,7 +506,7 @@ mod tests {
     #[test]
     fn corrupt_restart_count_is_rejected() {
         let mut b = BlockBuilder::new(16);
-        b.add(b"a", b"1");
+        b.add(&ikey("a"), b"1");
         let mut data = b.finish();
         let n = data.len();
         data[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -537,7 +523,7 @@ mod tests {
         b.add(&k_new, b"new");
         b.add(&k_old, b"old");
         let block = Block::new(Bytes::from(b.finish())).unwrap();
-        let mut it = block.iter(KeyCmp::Internal);
+        let mut it = block.iter();
         // Seek to seq 100 (higher than anything) -> lands on seq 9 entry.
         let target = make_internal_key(b"k", 100, ValueType::Value);
         it.seek(&target);
@@ -553,13 +539,13 @@ mod tests {
     #[test]
     fn a_malformed_entry_is_corruption_not_end_of_block() {
         let block = Block::new(Bytes::from(block_with_overrunning_entry())).unwrap();
-        let mut it = block.iter(KeyCmp::Bytewise);
+        let mut it = block.iter();
         // A later key is not reported missing: the seek fails.
-        it.seek(b"k10");
+        it.seek(&ikey("k10"));
         assert!(!it.valid());
         assert!(matches!(it.status(), Err(Error::Corruption(_))));
         // Iteration stops at the bad entry and says why.
-        let mut it = block.iter(KeyCmp::Bytewise);
+        let mut it = block.iter();
         it.seek_to_first();
         let mut seen = 0;
         while it.valid() {
@@ -569,9 +555,9 @@ mod tests {
         assert_eq!(seen, 5);
         assert!(matches!(it.status(), Err(Error::Corruption(_))));
         // Keys before the bad entry are still found.
-        let mut it = block.iter(KeyCmp::Bytewise);
-        it.seek(b"k03");
-        assert_eq!(it.key(), b"k03");
+        let mut it = block.iter();
+        it.seek(&ikey("k03"));
+        assert_eq!(it.key(), ikey("k03"));
         assert!(it.status().is_ok());
     }
 
@@ -579,15 +565,15 @@ mod tests {
     fn a_restart_entry_with_a_shared_prefix_is_corruption() {
         let mut b = BlockBuilder::new(4);
         for i in 0..12 {
-            b.add(format!("k{i:02}").as_bytes(), b"v");
+            b.add(&ikey(&format!("k{i:02}")), b"v");
         }
         let mut data = b.finish();
         let limit = data.len() - 4 * 4;
         let second_restart = u32::from_le_bytes(data[limit + 4..limit + 8].try_into().unwrap());
         data[second_restart as usize] = 1; // shared = 1
         let block = Block::new(Bytes::from(data)).unwrap();
-        let mut it = block.iter(KeyCmp::Bytewise);
-        it.seek(b"k11");
+        let mut it = block.iter();
+        it.seek(&ikey("k11"));
         assert!(!it.valid());
         assert!(matches!(it.status(), Err(Error::Corruption(_))));
     }
@@ -596,24 +582,23 @@ mod tests {
     fn a_restart_point_past_the_entries_is_corruption() {
         let mut b = BlockBuilder::new(2);
         for i in 0..6 {
-            b.add(format!("k{i}").as_bytes(), b"v");
+            b.add(&ikey(&format!("k{i}")), b"v");
         }
         let mut data = b.finish();
         let limit = data.len() - 4 * 4;
         data[limit + 8..limit + 12].copy_from_slice(&u32::MAX.to_le_bytes());
         let block = Block::new(Bytes::from(data)).unwrap();
-        let mut it = block.iter(KeyCmp::Bytewise);
-        it.seek(b"k5");
+        let mut it = block.iter();
+        it.seek(&ikey("k5"));
         assert!(!it.valid());
         assert!(matches!(it.status(), Err(Error::Corruption(_))));
     }
 
-    /// Sorted, distinct keys under `cmp`: byte strings of 0 to 80 bytes
-    /// (across [`KeyBuf`]'s inline size) drawn from a few long shared
-    /// prefixes, so prefix compression and key reassembly get exercised;
-    /// under [`KeyCmp::Internal`] each is a user key plus a trailer, with
-    /// several versions of some user keys.
-    fn sorted_keys(cmp: KeyCmp, raw: &[(u8, u8, Vec<u8>, u64)]) -> Vec<Vec<u8>> {
+    /// Sorted, distinct internal keys: user keys of 0 to 80 bytes (across
+    /// [`KeyBuf`]'s inline size) drawn from a few long shared prefixes, so
+    /// prefix compression and key reassembly get exercised, each with a
+    /// trailer, and several versions of some user keys.
+    fn sorted_keys(raw: &[(u8, u8, Vec<u8>, u64)]) -> Vec<Vec<u8>> {
         let prefixes: [&[u8]; 4] = [b"", b"user/", &[b'p'; 40], &[b'q'; 70]];
         let mut keys: Vec<Vec<u8>> = raw
             .iter()
@@ -621,33 +606,28 @@ mod tests {
                 let mut k = prefixes[*p as usize % 4].to_vec();
                 k.truncate(k.len().saturating_sub(*cut as usize % 8));
                 k.extend_from_slice(tail);
-                if cmp == KeyCmp::Internal {
-                    k.extend_from_slice(&((seq % 4) << 8 | 1).to_le_bytes());
-                }
+                k.extend_from_slice(&((seq % 4) << 8 | 1).to_le_bytes());
                 k
             })
             .collect();
-        keys.sort_by(|a, b| cmp.cmp(a, b));
+        keys.sort_by(|a, b| cmp_internal(a, b));
         keys.dedup();
         keys
     }
 
     /// The reference for `seek`: the first stored key `>= target`, by a
     /// linear walk of the sorted list.
-    fn linear_seek(cmp: KeyCmp, keys: &[Vec<u8>], target: &[u8]) -> usize {
+    fn linear_seek(keys: &[Vec<u8>], target: &[u8]) -> usize {
         keys.iter()
-            .position(|k| cmp.cmp(k, target) != Ordering::Less)
+            .position(|k| cmp_internal(k, target) != Ordering::Less)
             .unwrap_or(keys.len())
     }
 
     /// Targets on every stored key, just before and after each (one
     /// byte more or less, or a neighbouring trailer), before all and
-    /// past all.
-    fn targets(cmp: KeyCmp, keys: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let mut out = vec![Vec::new(), vec![0xff; 90]];
-        if cmp == KeyCmp::Internal {
-            out = vec![vec![0; 8], [vec![0xff; 90], vec![0; 8]].concat()];
-        }
+    /// past all; every target at least a trailer long.
+    fn targets(keys: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let mut out = vec![vec![0; 8], [vec![0xff; 90], vec![0; 8]].concat()];
         for k in keys {
             out.push(k.clone());
             let mut longer = k.clone();
@@ -657,16 +637,12 @@ mod tests {
                 out.push(init.to_vec());
                 out.push([init, &[last.wrapping_add(1)]].concat());
             }
-            if cmp == KeyCmp::Internal {
-                let n = k.len() - 8;
-                for seq in [0u64, 2, 9] {
-                    out.push([&k[..n], &(seq << 8 | 1).to_le_bytes()[..]].concat());
-                }
+            let n = k.len() - 8;
+            for seq in [0u64, 2, 9] {
+                out.push([&k[..n], &(seq << 8 | 1).to_le_bytes()[..]].concat());
             }
         }
-        if cmp == KeyCmp::Internal {
-            out.retain(|t| t.len() >= 8);
-        }
+        out.retain(|t| t.len() >= 8);
         out
     }
 
@@ -674,8 +650,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// `seek` and `next` over random blocks agree with a linear walk
-        /// of the sorted entries, for restart intervals 1, 8 and 16 and
-        /// both comparators.
+        /// of the sorted entries, for restart intervals 1, 8 and 16.
         #[test]
         fn prop_seek_and_next_match_a_linear_reference(
             raw in proptest::collection::vec(
@@ -683,54 +658,60 @@ mod tests {
                 0..60,
             ),
         ) {
-            for cmp in [KeyCmp::Bytewise, KeyCmp::Internal] {
-                let keys = sorted_keys(cmp, &raw);
-                for interval in [1, 8, 16] {
-                    let mut b = BlockBuilder::new(interval);
-                    for (i, k) in keys.iter().enumerate() {
-                        b.add(k, &i.to_le_bytes());
-                    }
-                    let block = Block::new(Bytes::from(b.finish())).unwrap();
-                    let mut it = block.iter(cmp);
-                    it.seek_to_first();
-                    for (i, k) in keys.iter().enumerate() {
-                        prop_assert!(it.valid());
+            let keys = sorted_keys(&raw);
+            for interval in [1, 8, 16] {
+                let mut b = BlockBuilder::new(interval);
+                for (i, k) in keys.iter().enumerate() {
+                    b.add(k, &i.to_le_bytes());
+                }
+                let block = Block::new(Bytes::from(b.finish())).unwrap();
+                let mut it = block.iter();
+                it.seek_to_first();
+                for (i, k) in keys.iter().enumerate() {
+                    prop_assert!(it.valid());
+                    prop_assert_eq!(it.key(), k.as_slice());
+                    prop_assert_eq!(&it.value()[..], &i.to_le_bytes()[..]);
+                    it.next();
+                }
+                prop_assert!(!it.valid());
+                for target in targets(&keys) {
+                    let want = linear_seek(&keys, &target);
+                    it.seek(&target);
+                    // The landing entry and the two after it.
+                    for k in keys.iter().skip(want).take(3) {
+                        prop_assert!(it.valid(), "interval {}", interval);
                         prop_assert_eq!(it.key(), k.as_slice());
-                        prop_assert_eq!(&it.value()[..], &i.to_le_bytes()[..]);
                         it.next();
                     }
-                    prop_assert!(!it.valid());
-                    for target in targets(cmp, &keys) {
-                        let want = linear_seek(cmp, &keys, &target);
-                        it.seek(&target);
-                        // The landing entry and the two after it.
-                        for k in keys.iter().skip(want).take(3) {
-                            prop_assert!(it.valid(), "{:?} at interval {}", cmp, interval);
-                            prop_assert_eq!(it.key(), k.as_slice());
-                            it.next();
-                        }
-                        if want + 3 >= keys.len() {
-                            prop_assert!(!it.valid());
-                        }
-                        prop_assert!(it.status().is_ok());
+                    if want + 3 >= keys.len() {
+                        prop_assert!(!it.valid());
                     }
+                    prop_assert!(it.status().is_ok());
                 }
             }
         }
 
         #[test]
         fn prop_block_roundtrip(
-            mut keys in proptest::collection::btree_set(
+            mut user_keys in proptest::collection::btree_set(
                 proptest::collection::vec(any::<u8>(), 1..24), 1..120),
             interval in 1usize..32,
         ) {
-            let keys: Vec<Vec<u8>> = std::mem::take(&mut keys).into_iter().collect();
+            // A bytewise-sorted set of distinct user keys at one seq is
+            // sorted under the internal order too.
+            let keys: Vec<Vec<u8>> = std::mem::take(&mut user_keys)
+                .into_iter()
+                .map(|mut k| {
+                    k.extend_from_slice(&(1u64 << 8 | 1).to_le_bytes());
+                    k
+                })
+                .collect();
             let mut b = BlockBuilder::new(interval);
             for (i, k) in keys.iter().enumerate() {
                 b.add(k, &i.to_le_bytes());
             }
             let block = Block::new(Bytes::from(b.finish())).unwrap();
-            let mut it = block.iter(KeyCmp::Bytewise);
+            let mut it = block.iter();
             it.seek_to_first();
             for (i, k) in keys.iter().enumerate() {
                 prop_assert!(it.valid());

@@ -1,29 +1,38 @@
-//! BlockBasedTable: the RocksDB-style SST format used by baseline engines.
+//! Block-based tables: the key SSTs of every engine and TerarkDB's value
+//! SSTs, one table type ([`KTable`], built by [`KTableBuilder`]) over one
+//! or two *streams*.
 //!
-//! Layout:
+//! A stream is data blocks, an index block mapping the *last key* of each
+//! data block to its handle (a sparse index — which is precisely the
+//! property that makes GC reads expensive and motivates the RTable's dense
+//! index, paper §III-B1), and a bloom filter over its user keys. A BTable
+//! is one stream:
 //!
 //! ```text
 //! [data block]*  [filter block]  [props block]  [metaindex]  [index block]  [footer]
 //! ```
 //!
-//! Data blocks hold many entries; the index block maps the *last key* of
-//! each data block to its handle (a sparse index — which is precisely the
-//! property that makes GC reads expensive and motivates the RTable's dense
-//! index, paper §III-B1).
+//! A DTable is two, a KF and a KV stream ([`dtable`](crate::dtable) has
+//! its layout). One `TwoLevelBuilder` writes a stream, `TwoLevel::get`
+//! searches it and [`TwoLevelIter`] walks it.
+//!
+//! The block cache every table reads through, [`BlockCache`] with its one
+//! read path [`cached_read`], lives here too.
 
 use crate::block::{Block, BlockBuilder, BlockEntry, BlockIter};
 use crate::blockio::{read_block, write_block};
 use crate::cache::{CacheKey, CachePriority, LruCache};
-use crate::filter::{BloomBuilder, BloomReader};
+use crate::dtable::DTableIter;
+use crate::filter::{bloom_hash, BloomBuilder, BloomReader};
 use crate::handle::BlockHandle;
-use crate::props::{meta_keys, TableProps, TableType, ValueDep};
+use crate::props::{meta_keys, PropsTracker, TableProps, TableType};
 use crate::tail::{read_tail, write_tail, Tail};
-use crate::{BlockKind, InternalIterator, KeyCmp};
+use crate::{BlockKind, InternalIterator, BLOOM_BITS_PER_KEY, RESTART_INTERVAL};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
-use scavenger_util::ikey::{extract_user_key, parse_internal_key, ValueRef, ValueType};
+use scavenger_util::ikey::{cmp_internal, extract_user_key, parse_internal_key, ValueType};
 use scavenger_util::{Error, Result};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Shared block cache over CRC-verified payloads: blocks, RTable records
@@ -53,101 +62,6 @@ pub fn cached_read(
     Ok(payload)
 }
 
-/// Build-time options common to all table formats.
-#[derive(Debug, Clone)]
-pub struct TableOptions {
-    /// Target uncompressed data-block size.
-    pub block_size: usize,
-    /// Restart interval for data blocks.
-    pub restart_interval: usize,
-    /// Bloom filter bits per key (0 disables the filter).
-    pub bloom_bits_per_key: usize,
-    /// Key ordering.
-    pub cmp: KeyCmp,
-    /// RTable: target size of one index partition.
-    pub index_partition_size: usize,
-}
-
-impl Default for TableOptions {
-    fn default() -> Self {
-        TableOptions {
-            block_size: 4096,
-            restart_interval: 16,
-            bloom_bits_per_key: 10,
-            cmp: KeyCmp::Internal,
-            index_partition_size: 2048,
-        }
-    }
-}
-
-/// Tracks [`TableProps`] as entries stream through a builder.
-pub(crate) struct PropsTracker {
-    props: TableProps,
-    deps: BTreeMap<u64, (u64, u64)>,
-    cmp: KeyCmp,
-}
-
-impl PropsTracker {
-    pub(crate) fn new(table_type: TableType, cmp: KeyCmp) -> Self {
-        PropsTracker {
-            props: TableProps {
-                table_type,
-                ..TableProps::default()
-            },
-            deps: BTreeMap::new(),
-            cmp,
-        }
-    }
-
-    pub(crate) fn observe(&mut self, key: &[u8], value: &[u8]) {
-        self.props.num_entries += 1;
-        self.props.raw_key_bytes += key.len() as u64;
-        self.props.raw_value_bytes += value.len() as u64;
-        if self.cmp == KeyCmp::Internal {
-            if let Ok(parsed) = parse_internal_key(key) {
-                match parsed.vtype {
-                    ValueType::Deletion => self.props.num_deletions += 1,
-                    ValueType::Value => self.props.num_inline += 1,
-                    ValueType::ValueRef => {
-                        self.props.num_refs += 1;
-                        if let Ok(r) = ValueRef::decode(value) {
-                            let e = self.deps.entry(r.file).or_insert((0, 0));
-                            e.0 += 1;
-                            e.1 += u64::from(r.size);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    pub(crate) fn finish(mut self) -> TableProps {
-        self.props.deps = self
-            .deps
-            .into_iter()
-            .map(|(file, (entries, ref_bytes))| ValueDep {
-                file,
-                entries,
-                ref_bytes,
-            })
-            .collect();
-        self.props
-    }
-}
-
-/// Streaming builder for a BlockBasedTable.
-pub struct BTableBuilder {
-    file: Box<dyn WritableFile>,
-    opts: TableOptions,
-    data: BlockBuilder,
-    index: BlockBuilder,
-    bloom: BloomBuilder,
-    tracker: PropsTracker,
-    smallest: Option<Vec<u8>>,
-    largest: Vec<u8>,
-    num_entries: u64,
-}
-
 /// Result of finishing a table build.
 #[derive(Debug, Clone)]
 pub struct BuiltTable {
@@ -161,89 +75,63 @@ pub struct BuiltTable {
     pub props: TableProps,
 }
 
-impl BTableBuilder {
-    /// Start building into `file`.
-    pub fn new(file: Box<dyn WritableFile>, opts: TableOptions) -> Self {
-        let restart = opts.restart_interval;
-        let bits = opts.bloom_bits_per_key;
-        let cmp = opts.cmp;
-        BTableBuilder {
-            file,
-            opts,
-            data: BlockBuilder::new(restart),
+/// One stream under construction, appending its data blocks to the
+/// table's file as they fill.
+pub(crate) struct TwoLevelBuilder {
+    data: BlockBuilder,
+    index: BlockBuilder,
+    bloom: BloomBuilder,
+    block_size: usize,
+}
+
+impl TwoLevelBuilder {
+    /// A stream whose data blocks close at `block_size` bytes.
+    pub(crate) fn new(block_size: usize) -> Self {
+        TwoLevelBuilder {
+            data: BlockBuilder::new(RESTART_INTERVAL),
             index: BlockBuilder::new(1),
-            bloom: BloomBuilder::new(bits.max(1)),
-            tracker: PropsTracker::new(TableType::BTable, cmp),
-            smallest: None,
-            largest: Vec::new(),
-            num_entries: 0,
+            bloom: BloomBuilder::new(BLOOM_BITS_PER_KEY),
+            block_size,
         }
     }
 
-    fn user_key<'k>(&self, key: &'k [u8]) -> &'k [u8] {
-        match self.opts.cmp {
-            KeyCmp::Internal => extract_user_key(key),
-            KeyCmp::Bytewise => key,
-        }
-    }
-
-    /// Append an entry; keys must arrive in `opts.cmp` order.
-    pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        debug_assert!(
-            self.data.is_empty() || self.opts.cmp.cmp(self.data.last_key(), key).is_lt(),
-            "keys must be added in strictly increasing order"
-        );
-        if self.smallest.is_none() {
-            self.smallest = Some(key.to_vec());
-        }
-        self.largest.clear();
-        self.largest.extend_from_slice(key);
-        self.bloom.add_key(self.user_key(key));
-        self.tracker.observe(key, value);
+    /// Append `key` (whose user key is `user_key`; the table checks the
+    /// order), writing the data block out once it reaches the block size.
+    pub(crate) fn add(
+        &mut self,
+        file: &mut dyn WritableFile,
+        key: &[u8],
+        value: &[u8],
+        user_key: &[u8],
+    ) -> Result<()> {
+        self.bloom.add_key(user_key);
         self.data.add(key, value);
-        self.num_entries += 1;
-        if self.data.size_estimate() >= self.opts.block_size {
-            self.flush_data_block()?;
+        if self.data.size_estimate() >= self.block_size {
+            self.flush(file)?;
         }
         Ok(())
     }
 
-    fn flush_data_block(&mut self) -> Result<()> {
+    /// Bytes of the data block not yet written out.
+    pub(crate) fn buffered(&self) -> usize {
+        self.data.size_estimate()
+    }
+
+    fn flush(&mut self, file: &mut dyn WritableFile) -> Result<()> {
         if self.data.is_empty() {
             return Ok(());
         }
         let last_key = self.data.last_key().to_vec();
-        let handle = write_block(self.file.as_mut(), &self.data.finish())?;
+        let handle = write_block(file, &self.data.finish())?;
         self.index.add(&last_key, &handle.encode());
         Ok(())
     }
 
-    /// Number of entries added so far.
-    pub fn num_entries(&self) -> u64 {
-        self.num_entries
-    }
-
-    /// Bytes written to the file so far (lower bound on final size).
-    pub fn estimated_size(&self) -> u64 {
-        self.file.len() + self.data.size_estimate() as u64
-    }
-
-    /// Finish the table: flush blocks, write filter / props / metaindex /
-    /// index / footer.
-    pub fn finish(mut self) -> Result<BuiltTable> {
-        self.flush_data_block()?;
-        let props = self.tracker.finish();
-        write_tail(
-            self.file,
-            &[
-                (meta_keys::FILTER, self.bloom.finish()),
-                (meta_keys::PROPS, props.encode()),
-            ],
-            &self.index.finish(),
-            props,
-            self.smallest,
-            self.largest,
-        )
+    /// Write out the last data block; returns the stream's serialized
+    /// bloom filter and index block, for the table's tail.
+    pub(crate) fn finish(mut self, file: &mut dyn WritableFile) -> Result<(Vec<u8>, Vec<u8>)> {
+        self.flush(file)?;
+        Ok((self.bloom.finish(), self.index.finish()))
     }
 }
 
@@ -282,129 +170,69 @@ impl BlockFetcher {
     }
 }
 
-/// An open BlockBasedTable.
-pub struct BTableReader {
-    fetcher: BlockFetcher,
-    index: Block,
+/// One stream of an open table: its index block and bloom filter, pinned
+/// for the life of the reader, and the [`BlockKind`] its data blocks are
+/// cached under.
+pub(crate) struct TwoLevel {
+    pub(crate) index: Block,
     filter: Option<Bytes>,
-    props: TableProps,
-    cmp: KeyCmp,
+    kind: BlockKind,
 }
 
-impl BTableReader {
-    /// Open a table file. The index block, filter and props are read
-    /// eagerly and pinned for the life of the reader.
-    pub fn open(
-        file: Arc<dyn RandomAccessFile>,
-        file_number: u64,
-        cache: Option<Arc<BlockCache>>,
-        cmp: KeyCmp,
-    ) -> Result<BTableReader> {
-        let tail = read_tail(file.as_ref())?;
-        BTableReader::from_tail(file, tail, file_number, cache, cmp)
-    }
-
-    /// [`open`](Self::open) with `file`'s tail already read.
-    pub fn from_tail(
-        file: Arc<dyn RandomAccessFile>,
-        mut tail: Tail,
-        file_number: u64,
-        cache: Option<Arc<BlockCache>>,
-        cmp: KeyCmp,
-    ) -> Result<BTableReader> {
-        let filter = tail.meta_block(file.as_ref(), meta_keys::FILTER)?;
-        Ok(BTableReader {
-            fetcher: BlockFetcher {
-                file,
-                cache,
-                file_number,
-            },
-            index: tail.index,
-            filter,
-            props: tail.props,
-            cmp,
-        })
-    }
-
-    /// Table properties.
-    pub fn props(&self) -> &TableProps {
-        &self.props
-    }
-
-    /// Bloom check on a user key. True means "maybe present".
-    pub fn may_contain(&self, user_key: &[u8]) -> bool {
-        match &self.filter {
-            Some(f) => BloomReader::new(f).may_contain(user_key),
-            None => true,
+impl TwoLevel {
+    /// Point search: the first entry `>= target`, in the data block the
+    /// index points it to (or a later one, when that block holds nothing
+    /// `>= target`), with missed blocks cached at `pri`. `None` without a
+    /// read when the bloom filter rules out `target`'s user key, whose
+    /// [`bloom_hash`](crate::filter::bloom_hash) is `ukey_hash`. A
+    /// malformed index or data block is [`Error::Corruption`], never "not
+    /// found".
+    pub(crate) fn get(
+        &self,
+        fetcher: &BlockFetcher,
+        target: &[u8],
+        ukey_hash: u32,
+        pri: CachePriority,
+    ) -> Result<Option<BlockEntry>> {
+        if let Some(f) = &self.filter {
+            if !BloomReader::new(f).may_contain_hash(ukey_hash) {
+                return Ok(None);
+            }
         }
-    }
-
-    /// Point lookup: returns the first entry with key `>= target`, or
-    /// `None` if the table has no such entry. The caller is responsible
-    /// for checking that the user key matches.
-    pub fn get(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
-        self.get_cached_at(target, CachePriority::Low)
-    }
-
-    /// [`get`](Self::get) with missed data blocks cached at `pri` (a value
-    /// file's at [`CachePriority::Bottom`]).
-    pub fn get_cached_at(&self, target: &[u8], pri: CachePriority) -> Result<Option<BlockEntry>> {
-        let ukey = match self.cmp {
-            KeyCmp::Internal => extract_user_key(target),
-            KeyCmp::Bytewise => target,
-        };
-        if !self.may_contain(ukey) {
-            return Ok(None);
+        let mut index_iter = self.index.iter();
+        index_iter.seek(target);
+        while index_iter.valid() {
+            let handle = BlockHandle::decode_exact(&index_iter.value())?;
+            let mut it = fetcher.fetch(handle, self.kind, pri)?.iter();
+            it.seek(target);
+            it.status()?;
+            if it.valid() {
+                return Ok(it.into_entry());
+            }
+            index_iter.next();
         }
-        search(&self.index, self.cmp, target, |handle| {
-            self.fetcher.fetch(handle, BlockKind::Data, pri)
-        })
+        index_iter.status()?;
+        Ok(None)
     }
 
-    /// Iterate the whole table in key order. The iterator is self-contained
-    /// (owns its fetcher), so it can outlive the reader borrow.
-    pub fn iter(&self) -> TwoLevelIter {
-        TwoLevelIter::new(
-            self.fetcher.clone(),
-            self.index.clone(),
-            self.cmp,
-            BlockKind::Data,
-            CachePriority::Low,
-        )
+    /// Walk the stream in key order with blocks cached at `pri`. The
+    /// iterator owns its fetcher, so it outlives the reader borrow.
+    pub(crate) fn iter(&self, fetcher: &BlockFetcher, pri: CachePriority) -> TwoLevelIter {
+        TwoLevelIter {
+            fetcher: fetcher.clone(),
+            kind: self.kind,
+            pri,
+            index_iter: self.index.iter(),
+            data_iter: None,
+            error: None,
+        }
     }
 }
 
-/// Point search of a two-level stream: the first entry `>= target` under
-/// `cmp`, in the data block `index` points it to (or a later one, when
-/// that block holds nothing `>= target`), fetched by `block`. A malformed
-/// index or data block is [`Error::Corruption`], never "not found".
-pub(crate) fn search(
-    index: &Block,
-    cmp: KeyCmp,
-    target: &[u8],
-    block: impl Fn(BlockHandle) -> Result<Block>,
-) -> Result<Option<BlockEntry>> {
-    let mut index_iter = index.iter(cmp);
-    index_iter.seek(target);
-    while index_iter.valid() {
-        let mut it = block(BlockHandle::decode_exact(&index_iter.value())?)?.iter(cmp);
-        it.seek(target);
-        it.status()?;
-        if it.valid() {
-            return Ok(it.into_entry());
-        }
-        index_iter.next();
-    }
-    index_iter.status()?;
-    Ok(None)
-}
-
-/// Generic two-level iterator: an index block whose values are handles of
-/// data blocks, fetched lazily through the block cache. Shared by BTable
-/// and both DTable streams.
+/// Iterator over one stream: its index block's entries are handles of
+/// data blocks, fetched lazily through the block cache.
 pub struct TwoLevelIter {
     fetcher: BlockFetcher,
-    cmp: KeyCmp,
     kind: BlockKind,
     pri: CachePriority,
     index_iter: BlockIter,
@@ -413,24 +241,6 @@ pub struct TwoLevelIter {
 }
 
 impl TwoLevelIter {
-    pub(crate) fn new(
-        fetcher: BlockFetcher,
-        index: Block,
-        cmp: KeyCmp,
-        kind: BlockKind,
-        pri: CachePriority,
-    ) -> Self {
-        TwoLevelIter {
-            fetcher,
-            cmp,
-            kind,
-            pri,
-            index_iter: index.iter(cmp),
-            data_iter: None,
-            error: None,
-        }
-    }
-
     fn load_data_block(&mut self) {
         self.data_iter = None;
         if !self.index_iter.valid() {
@@ -445,7 +255,7 @@ impl TwoLevelIter {
         };
         match self.fetcher.fetch(handle, self.kind, self.pri) {
             Ok(b) => {
-                self.data_iter = Some(b.iter(self.cmp));
+                self.data_iter = Some(b.iter());
             }
             Err(e) => self.error = Some(e),
         }
@@ -523,48 +333,282 @@ impl InternalIterator for TwoLevelIter {
     }
 }
 
+/// Which key-SST format a [`KTableBuilder`] writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KTableFormat {
+    /// RocksDB-style BlockBasedTable: one stream (baselines).
+    BTable,
+    /// Scavenger's IndexDecoupledTable: a KF and a KV stream (paper
+    /// §III-B2).
+    DTable,
+}
+
+/// Streaming builder of a [`KTable`].
+pub struct KTableBuilder {
+    file: Box<dyn WritableFile>,
+    /// A BTable's one stream; a DTable's KV stream (inline values).
+    main: TwoLevelBuilder,
+    /// A DTable's KF stream: references and tombstones.
+    kf: Option<TwoLevelBuilder>,
+    tracker: PropsTracker,
+    smallest: Option<Vec<u8>>,
+    largest: Vec<u8>,
+}
+
+impl KTableBuilder {
+    /// Start building a `format` table into `file`, closing data blocks
+    /// at `block_size` bytes: the index tree's `LsmOptions::block_size`,
+    /// [`BLOCK_SIZE`](crate::BLOCK_SIZE) for a value BTable.
+    pub fn new(file: Box<dyn WritableFile>, format: KTableFormat, block_size: usize) -> Self {
+        let (table_type, kf) = match format {
+            KTableFormat::BTable => (TableType::BTable, None),
+            KTableFormat::DTable => (TableType::DTable, Some(TwoLevelBuilder::new(block_size))),
+        };
+        KTableBuilder {
+            file,
+            main: TwoLevelBuilder::new(block_size),
+            kf,
+            tracker: PropsTracker::new(table_type),
+            smallest: None,
+            largest: Vec::new(),
+        }
+    }
+
+    /// Append an entry; internal keys must arrive in increasing order. A
+    /// DTable routes `ValueRef` and `Deletion` entries to its KF stream
+    /// and inline `Value` entries to its KV stream.
+    pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        debug_assert!(
+            self.smallest.is_none() || cmp_internal(&self.largest, key).is_lt(),
+            "keys must be added in strictly increasing order"
+        );
+        let parsed = parse_internal_key(key)?;
+        if self.smallest.is_none() {
+            self.smallest = Some(key.to_vec());
+        }
+        self.largest.clear();
+        self.largest.extend_from_slice(key);
+        self.tracker.observe(key, value);
+        let stream = match &mut self.kf {
+            Some(kf) if parsed.vtype != ValueType::Value => kf,
+            _ => &mut self.main,
+        };
+        stream.add(self.file.as_mut(), key, value, parsed.user_key)
+    }
+
+    /// Number of entries added so far.
+    pub fn num_entries(&self) -> u64 {
+        self.tracker.num_entries()
+    }
+
+    /// Bytes written so far plus the open data blocks (a lower bound on
+    /// the final size).
+    pub fn estimated_size(&self) -> u64 {
+        let kf = self.kf.as_ref().map_or(0, TwoLevelBuilder::buffered);
+        self.file.len() + (self.main.buffered() + kf) as u64
+    }
+
+    /// Finish the table: write the last data blocks, then the filters,
+    /// props, metaindex, index blocks and footer.
+    pub fn finish(mut self) -> Result<BuiltTable> {
+        let (filter, index) = self.main.finish(self.file.as_mut())?;
+        let kf = match self.kf {
+            Some(kf) => Some(kf.finish(self.file.as_mut())?),
+            None => None,
+        };
+        let props = self.tracker.finish();
+        let metas = match kf {
+            None => vec![
+                (meta_keys::FILTER, filter),
+                (meta_keys::PROPS, props.encode()),
+            ],
+            Some((kf_filter, kf_index)) => vec![
+                (meta_keys::FILTER_KV, filter),
+                (meta_keys::FILTER_KF, kf_filter),
+                (meta_keys::PROPS, props.encode()),
+                (meta_keys::KF_INDEX, kf_index),
+            ],
+        };
+        write_tail(
+            self.file,
+            &metas,
+            &index,
+            props,
+            self.smallest,
+            self.largest,
+        )
+    }
+}
+
+/// An open BTable or DTable: its indexes, filters and props are read at
+/// open and pinned for the life of the reader.
+pub struct KTable {
+    fetcher: BlockFetcher,
+    /// A BTable's one stream; a DTable's KV stream.
+    main: TwoLevel,
+    /// A DTable's KF stream, whose blocks are cached at high priority so
+    /// validation traffic stays resident.
+    pub(crate) kf: Option<TwoLevel>,
+    props: TableProps,
+}
+
+impl KTable {
+    /// Open a BTable or DTable file, the format read from its properties.
+    pub fn open(
+        file: Arc<dyn RandomAccessFile>,
+        file_number: u64,
+        cache: Option<Arc<BlockCache>>,
+    ) -> Result<KTable> {
+        let tail = read_tail(file.as_ref())?;
+        KTable::from_tail(file, tail, file_number, cache)
+    }
+
+    /// [`open`](Self::open) with `file`'s tail already read.
+    pub fn from_tail(
+        file: Arc<dyn RandomAccessFile>,
+        mut tail: Tail,
+        file_number: u64,
+        cache: Option<Arc<BlockCache>>,
+    ) -> Result<KTable> {
+        let f = file.as_ref();
+        let (filter, kf) = match tail.props.table_type {
+            TableType::BTable => (tail.meta_block(f, meta_keys::FILTER)?, None),
+            TableType::DTable => {
+                let kf_index = tail
+                    .meta_block(f, meta_keys::KF_INDEX)?
+                    .ok_or_else(|| Error::corruption("missing kf index"))?;
+                let kv_filter = tail.meta_block(f, meta_keys::FILTER_KV)?;
+                let kf = TwoLevel {
+                    index: Block::new(kf_index)?,
+                    filter: tail.meta_block(f, meta_keys::FILTER_KF)?,
+                    kind: BlockKind::KeyFile,
+                };
+                (kv_filter, Some(kf))
+            }
+            other => {
+                return Err(Error::corruption(format!(
+                    "{other:?} file is not a key SST"
+                )))
+            }
+        };
+        Ok(KTable {
+            main: TwoLevel {
+                index: tail.index,
+                filter,
+                kind: BlockKind::Data,
+            },
+            kf,
+            props: tail.props,
+            fetcher: BlockFetcher {
+                file,
+                cache,
+                file_number,
+            },
+        })
+    }
+
+    /// Table properties.
+    pub fn props(&self) -> &TableProps {
+        &self.props
+    }
+
+    /// Point lookup: the first entry with internal key `>= target`, read
+    /// in place from its (cached) block, or `None` if the table has no
+    /// such entry. The caller checks that the user key matches. A DTable
+    /// searches both streams, bloom-guarded, and returns the smaller
+    /// candidate, so a key that alternates between inline and separated
+    /// values is still found exactly.
+    pub fn get(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
+        self.get_cached_at(target, CachePriority::Low)
+    }
+
+    /// [`get`](Self::get) with missed data blocks cached at `pri` (a value
+    /// BTable's at [`CachePriority::Bottom`]); a DTable's KF blocks always
+    /// go in at high priority.
+    pub fn get_cached_at(&self, target: &[u8], pri: CachePriority) -> Result<Option<BlockEntry>> {
+        let ukey_hash = bloom_hash(extract_user_key(target));
+        let kf = match &self.kf {
+            Some(kf) => kf.get(&self.fetcher, target, ukey_hash, CachePriority::High)?,
+            None => None,
+        };
+        let main = self.main.get(&self.fetcher, target, ukey_hash, pri)?;
+        Ok(match (kf, main) {
+            (Some(a), Some(b)) if cmp_internal(a.key(), b.key()) == Ordering::Greater => Some(b),
+            (a, b) => a.or(b),
+        })
+    }
+
+    /// The first inline entry `>= target` that
+    /// [`index_iter`](Self::index_iter) does not show: a point search of
+    /// a DTable's KV stream, `None` for a BTable. This is the "is the
+    /// reference shadowed by a newer inline version?" half of a
+    /// GC-Lookup.
+    pub fn get_inline(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
+        if self.kf.is_none() {
+            return Ok(None);
+        }
+        let ukey_hash = bloom_hash(extract_user_key(target));
+        self.main
+            .get(&self.fetcher, target, ukey_hash, CachePriority::Low)
+    }
+
+    /// Iterate all entries in internal-key order: a DTable's two streams
+    /// merged. The iterator owns its fetcher and file, so it outlives the
+    /// reader.
+    pub fn iter(&self) -> Box<dyn InternalIterator> {
+        let main = self.main.iter(&self.fetcher, CachePriority::Low);
+        match &self.kf {
+            Some(kf) => Box::new(DTableIter::new(
+                kf.iter(&self.fetcher, CachePriority::High),
+                main,
+            )),
+            None => Box::new(main),
+        }
+    }
+
+    /// Iterate the table's **index entries** — references and tombstones
+    /// — in internal-key order: a DTable's KF stream alone, no KV block
+    /// touched. A BTable has one stream, so its inline entries come along
+    /// and [`get_inline`](Self::get_inline) has nothing left to add.
+    pub fn index_iter(&self) -> Box<dyn InternalIterator> {
+        match &self.kf {
+            Some(kf) => Box::new(kf.iter(&self.fetcher, CachePriority::High)),
+            None => Box::new(self.main.iter(&self.fetcher, CachePriority::Low)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::ikey;
     use scavenger_env::{Env, IoClass, MemEnv};
-    use scavenger_util::ikey::make_internal_key;
+    use scavenger_util::ikey::{make_internal_key, ValueRef};
 
     fn kv(e: BlockEntry) -> (Vec<u8>, Bytes) {
         (e.key().to_vec(), e.value())
     }
 
-    fn build_table(
-        env: &MemEnv,
-        path: &str,
-        entries: &[(Vec<u8>, Vec<u8>)],
-        opts: TableOptions,
-    ) -> BuiltTable {
+    /// A BTable of `entries` with 256-byte data blocks.
+    fn build_table(env: &MemEnv, path: &str, entries: &[(Vec<u8>, Vec<u8>)]) -> BuiltTable {
         let f = env.new_writable(path, IoClass::Flush).unwrap();
-        let mut b = BTableBuilder::new(f, opts);
+        let mut b = KTableBuilder::new(f, KTableFormat::BTable, 256);
         for (k, v) in entries {
             b.add(k, v).unwrap();
         }
         b.finish().unwrap()
     }
 
-    fn open(env: &MemEnv, path: &str, cmp: KeyCmp) -> BTableReader {
+    fn open(env: &MemEnv, path: &str) -> KTable {
         let file = env.open_random_access(path, IoClass::FgIndexRead).unwrap();
-        BTableReader::open(file, 1, None, cmp).unwrap()
-    }
-
-    fn bytewise_opts() -> TableOptions {
-        TableOptions {
-            cmp: KeyCmp::Bytewise,
-            block_size: 256,
-            ..TableOptions::default()
-        }
+        KTable::open(file, 1, None).unwrap()
     }
 
     fn sample_entries(n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         (0..n)
             .map(|i| {
                 (
-                    format!("key{i:05}").into_bytes(),
+                    ikey(&format!("key{i:05}")),
                     format!("value-{i}").repeat(3).into_bytes(),
                 )
             })
@@ -575,12 +619,12 @@ mod tests {
     fn build_and_get_every_key() {
         let env = MemEnv::new();
         let entries = sample_entries(500);
-        let built = build_table(&env, "t.sst", &entries, bytewise_opts());
+        let built = build_table(&env, "t.sst", &entries);
         assert_eq!(built.props.num_entries, 500);
-        assert_eq!(built.smallest, b"key00000".to_vec());
-        assert_eq!(built.largest, b"key00499".to_vec());
+        assert_eq!(built.smallest, ikey("key00000"));
+        assert_eq!(built.largest, ikey("key00499"));
 
-        let reader = open(&env, "t.sst", KeyCmp::Bytewise);
+        let reader = open(&env, "t.sst");
         for (k, v) in &entries {
             let (fk, fv) = reader.get(k).unwrap().map(kv).expect("found");
             assert_eq!(&fk, k);
@@ -592,31 +636,27 @@ mod tests {
     fn get_missing_key_returns_successor_or_none() {
         let env = MemEnv::new();
         let entries = sample_entries(100);
-        build_table(&env, "t.sst", &entries, bytewise_opts());
-        let reader = open(&env, "t.sst", KeyCmp::Bytewise);
+        build_table(&env, "t.sst", &entries);
+        let reader = open(&env, "t.sst");
         // Key between key00010 and key00011.
-        let got = reader.get(b"key000105").unwrap().map(kv);
+        let got = reader.get(&ikey("key000105")).unwrap().map(kv);
         if let Some((k, _)) = got {
-            assert_eq!(k, b"key00011".to_vec());
+            assert_eq!(k, ikey("key00011"));
         }
         // Past the end.
-        assert!(reader.get(b"zzz").unwrap().is_none());
+        assert!(reader.get(&ikey("zzz")).unwrap().is_none());
     }
 
     #[test]
     fn bloom_filter_blocks_absent_keys_without_io() {
         let env = MemEnv::new();
         let entries = sample_entries(1000);
-        build_table(&env, "t.sst", &entries, bytewise_opts());
-        let reader = open(&env, "t.sst", KeyCmp::Bytewise);
+        build_table(&env, "t.sst", &entries);
+        let reader = open(&env, "t.sst");
         let before = env.io_stats().snapshot();
         let mut found = 0;
         for i in 0..200 {
-            if reader
-                .get(format!("absent{i}").as_bytes())
-                .unwrap()
-                .is_some()
-            {
+            if reader.get(&ikey(&format!("absent{i}"))).unwrap().is_some() {
                 found += 1;
             }
         }
@@ -636,8 +676,8 @@ mod tests {
     fn iterator_sees_all_entries_in_order() {
         let env = MemEnv::new();
         let entries = sample_entries(321);
-        build_table(&env, "t.sst", &entries, bytewise_opts());
-        let reader = open(&env, "t.sst", KeyCmp::Bytewise);
+        build_table(&env, "t.sst", &entries);
+        let reader = open(&env, "t.sst");
         let mut it = reader.iter();
         it.seek_to_first();
         for (k, v) in &entries {
@@ -654,16 +694,16 @@ mod tests {
     fn iterator_seek_lands_on_successor() {
         let env = MemEnv::new();
         let entries = sample_entries(100);
-        build_table(&env, "t.sst", &entries, bytewise_opts());
-        let reader = open(&env, "t.sst", KeyCmp::Bytewise);
+        build_table(&env, "t.sst", &entries);
+        let reader = open(&env, "t.sst");
         let mut it = reader.iter();
-        it.seek(b"key00050");
+        it.seek(&ikey("key00050"));
         assert!(it.valid());
-        assert_eq!(it.key(), b"key00050");
-        it.seek(b"key000505");
+        assert_eq!(it.key(), ikey("key00050"));
+        it.seek(&ikey("key000505"));
         assert!(it.valid());
-        assert_eq!(it.key(), b"key00051");
-        it.seek(b"zzzz");
+        assert_eq!(it.key(), ikey("key00051"));
+        it.seek(&ikey("zzzz"));
         assert!(!it.valid());
     }
 
@@ -671,7 +711,7 @@ mod tests {
     fn internal_keys_track_props_and_deps() {
         let env = MemEnv::new();
         let f = env.new_writable("t.sst", IoClass::Flush).unwrap();
-        let mut b = BTableBuilder::new(f, TableOptions::default());
+        let mut b = KTableBuilder::new(f, KTableFormat::BTable, crate::BLOCK_SIZE);
         let r1 = ValueRef {
             file: 9,
             size: 4096,
@@ -718,10 +758,7 @@ mod tests {
         assert_eq!(built.props.total_ref_bytes(), 4096 + 8192 + 100);
 
         // Reader sees the same props.
-        let file = env
-            .open_random_access("t.sst", IoClass::FgIndexRead)
-            .unwrap();
-        let reader = BTableReader::open(file, 1, None, KeyCmp::Internal).unwrap();
+        let reader = open(&env, "t.sst");
         assert_eq!(reader.props().total_ref_bytes(), 4096 + 8192 + 100);
     }
 
@@ -729,16 +766,13 @@ mod tests {
     fn internal_key_get_finds_visible_version() {
         let env = MemEnv::new();
         let f = env.new_writable("t.sst", IoClass::Flush).unwrap();
-        let mut b = BTableBuilder::new(f, TableOptions::default());
+        let mut b = KTableBuilder::new(f, KTableFormat::BTable, crate::BLOCK_SIZE);
         b.add(&make_internal_key(b"k", 9, ValueType::Value), b"v9")
             .unwrap();
         b.add(&make_internal_key(b"k", 5, ValueType::Value), b"v5")
             .unwrap();
         b.finish().unwrap();
-        let file = env
-            .open_random_access("t.sst", IoClass::FgIndexRead)
-            .unwrap();
-        let reader = BTableReader::open(file, 1, None, KeyCmp::Internal).unwrap();
+        let reader = open(&env, "t.sst");
 
         // Snapshot at seq 100 sees v9.
         let t = make_internal_key(b"k", 100, ValueType::ValueRef);
@@ -757,16 +791,16 @@ mod tests {
     fn cache_serves_repeat_reads() {
         let env = MemEnv::new();
         let entries = sample_entries(2000);
-        build_table(&env, "t.sst", &entries, bytewise_opts());
+        build_table(&env, "t.sst", &entries);
         let cache = Arc::new(BlockCache::with_capacity(1 << 20));
         let file = env
             .open_random_access("t.sst", IoClass::FgIndexRead)
             .unwrap();
-        let reader = BTableReader::open(file, 42, Some(cache.clone()), KeyCmp::Bytewise).unwrap();
+        let reader = KTable::open(file, 42, Some(cache.clone())).unwrap();
 
-        reader.get(b"key00100").unwrap().unwrap();
+        reader.get(&ikey("key00100")).unwrap().unwrap();
         let before = env.io_stats().snapshot();
-        reader.get(b"key00100").unwrap().unwrap();
+        reader.get(&ikey("key00100")).unwrap().unwrap();
         let d = env.io_stats().snapshot().delta(&before);
         assert_eq!(
             d.class(IoClass::FgIndexRead).read_ops,
@@ -781,13 +815,10 @@ mod tests {
     fn corrupted_data_block_reported() {
         let env = MemEnv::new();
         let entries = sample_entries(50);
-        build_table(&env, "t.sst", &entries, bytewise_opts());
+        build_table(&env, "t.sst", &entries);
         env.corrupt_byte("t.sst", 10).unwrap();
-        let file = env
-            .open_random_access("t.sst", IoClass::FgIndexRead)
-            .unwrap();
-        let reader = BTableReader::open(file, 1, None, KeyCmp::Bytewise).unwrap();
-        let err = reader.get(b"key00000").unwrap_err();
+        let reader = open(&env, "t.sst");
+        let err = reader.get(&ikey("key00000")).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)));
     }
 
@@ -801,8 +832,12 @@ mod tests {
             write_block(f.as_mut(), &crate::block::block_with_overrunning_entry()).unwrap();
         f.sync().unwrap();
         let mut index = BlockBuilder::new(1);
-        index.add(b"k19", &handle.encode());
-        let index = Block::new(Bytes::from(index.finish())).unwrap();
+        index.add(&ikey("k19"), &handle.encode());
+        let stream = TwoLevel {
+            index: Block::new(Bytes::from(index.finish())).unwrap(),
+            filter: None,
+            kind: BlockKind::Data,
+        };
         let fetcher = BlockFetcher {
             file: env
                 .open_random_access("bad.sst", IoClass::FgIndexRead)
@@ -811,24 +846,16 @@ mod tests {
             file_number: 1,
         };
         let corrupt = |got: Result<()>| matches!(got, Err(Error::Corruption(_)));
+        let get = |key: &str| {
+            let hash = bloom_hash(key.as_bytes());
+            stream.get(&fetcher, &ikey(key), hash, CachePriority::Low)
+        };
 
-        let found = search(&index, KeyCmp::Bytewise, b"k10", |h| {
-            fetcher.fetch(h, BlockKind::Data, CachePriority::Low)
-        });
-        assert!(corrupt(found.map(|_| ())));
-        let found = search(&index, KeyCmp::Bytewise, b"k02", |h| {
-            fetcher.fetch(h, BlockKind::Data, CachePriority::Low)
-        });
-        assert_eq!(found.unwrap().unwrap().key(), b"k02");
+        assert!(corrupt(get("k10").map(|_| ())));
+        assert_eq!(get("k02").unwrap().unwrap().key(), ikey("k02"));
 
-        let mut it = TwoLevelIter::new(
-            fetcher,
-            index,
-            KeyCmp::Bytewise,
-            BlockKind::Data,
-            CachePriority::Low,
-        );
-        it.seek(b"k10");
+        let mut it = stream.iter(&fetcher, CachePriority::Low);
+        it.seek(&ikey("k10"));
         assert!(!it.valid());
         assert!(corrupt(it.status()));
         it.seek_to_first();
@@ -841,13 +868,28 @@ mod tests {
         assert!(corrupt(it.status()));
     }
 
+    /// The order check compares against the table's last key, which
+    /// outlives the data block it went into: a key below the previous
+    /// block's last key is caught at the first key of the next block.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn a_key_below_the_previous_blocks_last_key_is_refused() {
+        let env = MemEnv::new();
+        let f = env.new_writable("t.sst", IoClass::Flush).unwrap();
+        // Every entry fills its data block.
+        let mut b = KTableBuilder::new(f, KTableFormat::BTable, 1);
+        b.add(&ikey("b"), b"v").unwrap();
+        let _ = b.add(&ikey("a"), b"v");
+    }
+
     #[test]
     fn empty_table_roundtrip() {
         let env = MemEnv::new();
-        let built = build_table(&env, "t.sst", &[], bytewise_opts());
+        let built = build_table(&env, "t.sst", &[]);
         assert_eq!(built.props.num_entries, 0);
-        let reader = open(&env, "t.sst", KeyCmp::Bytewise);
-        assert!(reader.get(b"anything").unwrap().is_none());
+        let reader = open(&env, "t.sst");
+        assert!(reader.get(&ikey("anything")).unwrap().is_none());
         let mut it = reader.iter();
         it.seek_to_first();
         assert!(!it.valid());

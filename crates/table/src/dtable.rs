@@ -7,323 +7,29 @@
 //! payload — wasting I/O and cache space (the paper measured a 22% cache
 //! hit-ratio drop under Mixed-8K).
 //!
-//! The DTable physically segregates the two classes:
+//! The DTable splits the BTable's one stream in two, each with its own
+//! index and bloom filter:
 //!
 //! ```text
 //! [kv block | kf block]*  [filter.kv] [filter.kf] [props] [kf index]
 //!                         [metaindex] [kv index] [footer]
 //! ```
 //!
-//! Each stream has its own index and bloom filter. KF blocks are fetched
+//! Both are one table type, [`KTable`](crate::btable::KTable), built by
+//! [`KTableBuilder`](crate::btable::KTableBuilder). KF blocks are fetched
 //! with **high cache priority** so validation traffic stays resident.
-//! Tombstones travel in the KF stream (they are index-only entries).
-//! A point lookup consults both streams (bloom-guarded) and returns the
+//! Tombstones travel in the KF stream (they are index-only entries). A
+//! point lookup consults both streams (bloom-guarded) and returns the
 //! smaller candidate under the internal-key order, so lookups remain exact
-//! even when a key alternates between inline and separated values.
+//! even when a key alternates between inline and separated values; a walk
+//! merges the two streams with [`DTableIter`].
 
-use crate::block::{Block, BlockEntry};
-use crate::blockio::write_block;
-use crate::btable::{
-    search, BlockCache, BlockFetcher, BuiltTable, PropsTracker, TableOptions, TwoLevelIter,
-};
-use crate::cache::CachePriority;
-use crate::filter::{bloom_hash, BloomBuilder, BloomReader};
-use crate::props::{meta_keys, TableProps, TableType};
-use crate::tail::{read_tail, write_tail, Tail};
-use crate::{BlockKind, InternalIterator, KeyCmp};
+use crate::btable::TwoLevelIter;
+use crate::InternalIterator;
 use bytes::Bytes;
-use scavenger_env::{RandomAccessFile, WritableFile};
-use scavenger_util::ikey::{extract_user_key, parse_internal_key, ValueType};
+use scavenger_util::ikey::cmp_internal;
 use scavenger_util::{Error, Result};
 use std::cmp::Ordering;
-use std::sync::Arc;
-
-use crate::block::BlockBuilder;
-
-/// One entry stream under construction (kv or kf).
-struct StreamBuilder {
-    data: BlockBuilder,
-    index: BlockBuilder,
-    bloom: BloomBuilder,
-    block_size: usize,
-}
-
-impl StreamBuilder {
-    fn new(block_size: usize, restart: usize, bloom_bits: usize) -> Self {
-        StreamBuilder {
-            data: BlockBuilder::new(restart),
-            index: BlockBuilder::new(1),
-            bloom: BloomBuilder::new(bloom_bits.max(1)),
-            block_size,
-        }
-    }
-
-    fn add(
-        &mut self,
-        file: &mut dyn WritableFile,
-        key: &[u8],
-        value: &[u8],
-        ukey: &[u8],
-    ) -> Result<()> {
-        self.bloom.add_key(ukey);
-        self.data.add(key, value);
-        if self.data.size_estimate() >= self.block_size {
-            self.flush(file)?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self, file: &mut dyn WritableFile) -> Result<()> {
-        if self.data.is_empty() {
-            return Ok(());
-        }
-        let last_key = self.data.last_key().to_vec();
-        let payload = self.data.finish();
-        let handle = write_block(file, &payload)?;
-        self.index.add(&last_key, &handle.encode());
-        Ok(())
-    }
-}
-
-/// Streaming builder for an IndexDecoupledTable.
-pub struct DTableBuilder {
-    file: Box<dyn WritableFile>,
-    kv: StreamBuilder,
-    kf: StreamBuilder,
-    tracker: PropsTracker,
-    smallest: Option<Vec<u8>>,
-    largest: Vec<u8>,
-    last_key: Vec<u8>,
-    num_entries: u64,
-}
-
-impl DTableBuilder {
-    /// Start building into `file`. DTables always use internal-key order
-    /// (routing depends on the internal key's value type).
-    pub fn new(file: Box<dyn WritableFile>, opts: TableOptions) -> Self {
-        let bs = opts.block_size;
-        let ri = opts.restart_interval;
-        let bits = opts.bloom_bits_per_key;
-        let _ = opts;
-        DTableBuilder {
-            file,
-            kv: StreamBuilder::new(bs, ri, bits),
-            // KF entries are tiny; smaller blocks keep point validation
-            // reads cheap while still batching well.
-            kf: StreamBuilder::new(bs, ri, bits),
-            tracker: PropsTracker::new(TableType::DTable, KeyCmp::Internal),
-            smallest: None,
-            largest: Vec::new(),
-            last_key: Vec::new(),
-            num_entries: 0,
-        }
-    }
-
-    /// Append an entry in internal-key order. Routing: `ValueRef` and
-    /// `Deletion` entries go to the KF stream, inline `Value` entries to
-    /// the KV stream.
-    pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        debug_assert!(
-            self.last_key.is_empty() || KeyCmp::Internal.cmp(&self.last_key, key).is_lt(),
-            "keys must be added in strictly increasing order"
-        );
-        let parsed = parse_internal_key(key)?;
-        if self.smallest.is_none() {
-            self.smallest = Some(key.to_vec());
-        }
-        self.largest.clear();
-        self.largest.extend_from_slice(key);
-        self.last_key.clear();
-        self.last_key.extend_from_slice(key);
-        self.tracker.observe(key, value);
-        self.num_entries += 1;
-        match parsed.vtype {
-            ValueType::Value => self.kv.add(self.file.as_mut(), key, value, parsed.user_key),
-            ValueType::ValueRef | ValueType::Deletion => {
-                self.kf.add(self.file.as_mut(), key, value, parsed.user_key)
-            }
-        }
-    }
-
-    /// Number of entries added so far.
-    pub fn num_entries(&self) -> u64 {
-        self.num_entries
-    }
-
-    /// Bytes written so far (lower bound on final size).
-    pub fn estimated_size(&self) -> u64 {
-        self.file.len() + (self.kv.data.size_estimate() + self.kf.data.size_estimate()) as u64
-    }
-
-    /// Finish the table.
-    pub fn finish(mut self) -> Result<BuiltTable> {
-        self.kv.flush(self.file.as_mut())?;
-        self.kf.flush(self.file.as_mut())?;
-        let props = self.tracker.finish();
-        write_tail(
-            self.file,
-            &[
-                (meta_keys::FILTER_KV, self.kv.bloom.finish()),
-                (meta_keys::FILTER_KF, self.kf.bloom.finish()),
-                (meta_keys::PROPS, props.encode()),
-                (meta_keys::KF_INDEX, self.kf.index.finish()),
-            ],
-            &self.kv.index.finish(),
-            props,
-            self.smallest,
-            self.largest,
-        )
-    }
-}
-
-/// An open IndexDecoupledTable.
-pub struct DTableReader {
-    fetcher: BlockFetcher,
-    kv_index: Block,
-    kf_index: Block,
-    kv_filter: Option<Bytes>,
-    kf_filter: Option<Bytes>,
-    props: TableProps,
-}
-
-impl DTableReader {
-    /// Open a DTable file; indexes, filters, and props are pinned.
-    pub fn open(
-        file: Arc<dyn RandomAccessFile>,
-        file_number: u64,
-        cache: Option<Arc<BlockCache>>,
-    ) -> Result<DTableReader> {
-        let tail = read_tail(file.as_ref())?;
-        DTableReader::from_tail(file, tail, file_number, cache)
-    }
-
-    /// [`open`](Self::open) with `file`'s tail already read.
-    pub fn from_tail(
-        file: Arc<dyn RandomAccessFile>,
-        mut tail: Tail,
-        file_number: u64,
-        cache: Option<Arc<BlockCache>>,
-    ) -> Result<DTableReader> {
-        if tail.props.table_type != TableType::DTable {
-            return Err(Error::corruption("not a DTable file"));
-        }
-        let kf_index = tail
-            .meta_block(file.as_ref(), meta_keys::KF_INDEX)?
-            .ok_or_else(|| Error::corruption("missing kf index"))?;
-        Ok(DTableReader {
-            kf_index: Block::new(kf_index)?,
-            kv_filter: tail.meta_block(file.as_ref(), meta_keys::FILTER_KV)?,
-            kf_filter: tail.meta_block(file.as_ref(), meta_keys::FILTER_KF)?,
-            kv_index: tail.index,
-            props: tail.props,
-            fetcher: BlockFetcher {
-                file,
-                cache,
-                file_number,
-            },
-        })
-    }
-
-    /// Table properties.
-    pub fn props(&self) -> &TableProps {
-        &self.props
-    }
-
-    fn search_stream(
-        &self,
-        index: &Block,
-        filter: &Option<Bytes>,
-        kind: BlockKind,
-        pri: CachePriority,
-        target: &[u8],
-        ukey_hash: u32,
-    ) -> Result<Option<BlockEntry>> {
-        if let Some(f) = filter {
-            if !BloomReader::new(f).may_contain_hash(ukey_hash) {
-                return Ok(None);
-            }
-        }
-        search(index, KeyCmp::Internal, target, |handle| {
-            self.fetcher.fetch(handle, kind, pri)
-        })
-    }
-
-    /// Point lookup: first entry (across both streams) with internal key
-    /// `>= target`. KF blocks are fetched with high cache priority; the
-    /// user key is hashed once for both streams' blooms.
-    pub fn get(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
-        let ukey_hash = bloom_hash(extract_user_key(target));
-        let kf = self.search_stream(
-            &self.kf_index,
-            &self.kf_filter,
-            BlockKind::KeyFile,
-            CachePriority::High,
-            target,
-            ukey_hash,
-        )?;
-        let kv = self.search_inline(target, ukey_hash)?;
-        Ok(match (kf, kv) {
-            (Some(a), Some(b)) => {
-                if KeyCmp::Internal.cmp(a.key(), b.key()) == Ordering::Greater {
-                    Some(b)
-                } else {
-                    Some(a)
-                }
-            }
-            (a, b) => a.or(b),
-        })
-    }
-
-    /// Point search of the KV stream alone: the first **inline** entry
-    /// with internal key `>= target`, bloom-guarded (`FILTER_KV`) and
-    /// fetched at low cache priority. This is the "is the reference
-    /// shadowed by a newer inline version?" half of a GC-Lookup, whose
-    /// sweep iterates [`kf_iter`](DTableReader::kf_iter) only.
-    pub fn get_inline(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
-        self.search_inline(target, bloom_hash(extract_user_key(target)))
-    }
-
-    fn search_inline(&self, target: &[u8], ukey_hash: u32) -> Result<Option<BlockEntry>> {
-        self.search_stream(
-            &self.kv_index,
-            &self.kv_filter,
-            BlockKind::Data,
-            CachePriority::Low,
-            target,
-            ukey_hash,
-        )
-    }
-
-    /// Iterate the KF stream alone — references and tombstones, the
-    /// table's *index entries* — through high-priority-cached KF blocks.
-    /// No KV block is touched.
-    pub fn kf_iter(&self) -> TwoLevelIter {
-        TwoLevelIter::new(
-            self.fetcher.clone(),
-            self.kf_index.clone(),
-            KeyCmp::Internal,
-            BlockKind::KeyFile,
-            CachePriority::High,
-        )
-    }
-
-    /// Iterate both streams merged in internal-key order. The iterator is
-    /// self-contained (owns its fetchers).
-    pub fn iter(&self) -> DTableIter {
-        DTableIter {
-            kf: self.kf_iter(),
-            kv: TwoLevelIter::new(
-                self.fetcher.clone(),
-                self.kv_index.clone(),
-                KeyCmp::Internal,
-                BlockKind::Data,
-                CachePriority::Low,
-            ),
-            on_kf: true,
-            error: None,
-        }
-    }
-}
 
 /// Merged iterator over a DTable's KF and KV streams.
 ///
@@ -339,12 +45,23 @@ pub struct DTableIter {
 }
 
 impl DTableIter {
+    /// Merge a DTable's KF and KV stream iterators; position it with a
+    /// seek before use.
+    pub(crate) fn new(kf: TwoLevelIter, kv: TwoLevelIter) -> Self {
+        DTableIter {
+            kf,
+            kv,
+            on_kf: true,
+            error: None,
+        }
+    }
+
     fn pick(&mut self) {
         if self.error.is_none() {
             self.error = self.kf.status().and(self.kv.status()).err();
         }
         self.on_kf = match (self.kf.valid(), self.kv.valid()) {
-            (true, true) => KeyCmp::Internal.cmp(self.kf.key(), self.kv.key()) != Ordering::Greater,
+            (true, true) => cmp_internal(self.kf.key(), self.kv.key()) != Ordering::Greater,
             (true, false) => true,
             _ => false,
         };
@@ -404,18 +121,21 @@ impl InternalIterator for DTableIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockEntry;
+    use crate::btable::{BlockCache, BuiltTable, KTable, KTableBuilder, KTableFormat};
+    use crate::props::TableType;
     use scavenger_env::{Env, IoClass, MemEnv};
-    use scavenger_util::ikey::{make_internal_key, ValueRef};
+    use scavenger_util::ikey::{make_internal_key, parse_internal_key, ValueRef, ValueType};
+    use std::sync::Arc;
 
     fn kv(e: BlockEntry) -> (Vec<u8>, Bytes) {
         (e.key().to_vec(), e.value())
     }
 
-    fn opts() -> TableOptions {
-        TableOptions {
-            block_size: 512,
-            ..TableOptions::default()
-        }
+    /// A DTable builder with 512-byte data blocks.
+    fn builder(env: &MemEnv, path: &str) -> KTableBuilder {
+        let f = env.new_writable(path, IoClass::Flush).unwrap();
+        KTableBuilder::new(f, KTableFormat::DTable, 512)
     }
 
     /// Build a table mixing inline small values and refs, like a
@@ -448,17 +168,16 @@ mod tests {
     }
 
     fn build(env: &MemEnv, path: &str, es: &[(Vec<u8>, Vec<u8>, ValueType)]) -> BuiltTable {
-        let f = env.new_writable(path, IoClass::Flush).unwrap();
-        let mut b = DTableBuilder::new(f, opts());
+        let mut b = builder(env, path);
         for (k, v, _) in es {
             b.add(k, v).unwrap();
         }
         b.finish().unwrap()
     }
 
-    fn open(env: &MemEnv, path: &str, cache: Option<Arc<BlockCache>>) -> DTableReader {
+    fn open(env: &MemEnv, path: &str, cache: Option<Arc<BlockCache>>) -> KTable {
         let file = env.open_random_access(path, IoClass::FgIndexRead).unwrap();
-        DTableReader::open(file, 5, cache).unwrap()
+        KTable::open(file, 5, cache).unwrap()
     }
 
     #[test]
@@ -500,13 +219,7 @@ mod tests {
 
         // Compare against an equivalent BTable where streams interleave.
         let f = env.new_writable("b.sst", IoClass::Flush).unwrap();
-        let mut bb = crate::btable::BTableBuilder::new(
-            f,
-            TableOptions {
-                block_size: 512,
-                ..TableOptions::default()
-            },
-        );
+        let mut bb = KTableBuilder::new(f, KTableFormat::BTable, 512);
         for (k, v, _) in &es {
             bb.add(k, v).unwrap();
         }
@@ -515,8 +228,7 @@ mod tests {
             .open_random_access("b.sst", IoClass::FgIndexRead)
             .unwrap();
         let cache2 = Arc::new(BlockCache::with_capacity(4 << 20));
-        let br =
-            crate::btable::BTableReader::open(bfile, 6, Some(cache2), KeyCmp::Internal).unwrap();
+        let br = KTable::open(bfile, 6, Some(cache2)).unwrap();
         let before = env.io_stats().snapshot();
         for (k, _, _t) in es
             .iter()
@@ -537,8 +249,7 @@ mod tests {
     #[test]
     fn tombstones_live_in_kf_stream_and_are_found() {
         let env = MemEnv::new();
-        let f = env.new_writable("d.sst", IoClass::Flush).unwrap();
-        let mut b = DTableBuilder::new(f, opts());
+        let mut b = builder(&env, "d.sst");
         b.add(&make_internal_key(b"a", 5, ValueType::Deletion), b"")
             .unwrap();
         b.add(&make_internal_key(b"b", 4, ValueType::Value), b"small")
@@ -558,8 +269,7 @@ mod tests {
     fn newest_version_wins_across_streams() {
         // Key flip-flops: old separated value (seq 5), newer inline (seq 9).
         let env = MemEnv::new();
-        let f = env.new_writable("d.sst", IoClass::Flush).unwrap();
-        let mut b = DTableBuilder::new(f, opts());
+        let mut b = builder(&env, "d.sst");
         let r9 = make_internal_key(b"k", 9, ValueType::Value);
         let r5 = make_internal_key(b"k", 5, ValueType::ValueRef);
         b.add(&r9, b"new-inline").unwrap();
@@ -616,34 +326,43 @@ mod tests {
         let es = mixed_entries(400);
         build(&env, "d.sst", &es);
         let r = open(&env, "d.sst", None);
-        let mut blocks = r.kf_index.iter(KeyCmp::Internal);
+        let mut blocks = r.kf.as_ref().unwrap().index.iter();
         blocks.seek_to_first();
         let first_block_last = blocks.key().to_vec();
         blocks.next();
         let second = crate::handle::BlockHandle::decode_exact(&blocks.value()).unwrap();
         env.corrupt_byte("d.sst", second.offset + 1).unwrap();
-        let is_corruption = |it: &DTableIter| matches!(it.status(), Err(Error::Corruption(_)));
+        let is_corruption =
+            |it: &dyn InternalIterator| matches!(it.status(), Err(Error::Corruption(_)));
 
         let mut it = r.iter();
         it.seek_to_first();
         let mut served = 0;
         while it.valid() {
             assert!(
-                KeyCmp::Internal.cmp(it.key(), &first_block_last) != Ordering::Greater,
+                cmp_internal(it.key(), &first_block_last) != Ordering::Greater,
                 "entry {served} comes after the corrupt KF block"
             );
             served += 1;
             it.next();
         }
-        assert!(served > 0 && is_corruption(&it), "{:?}", it.status());
+        assert!(
+            served > 0 && is_corruption(it.as_ref()),
+            "{:?}",
+            it.status()
+        );
 
         // A seek into the broken block stops there too.
         let mut it = r.iter();
         let past = es
             .iter()
-            .find(|(k, _, _)| KeyCmp::Internal.cmp(k, &first_block_last) == Ordering::Greater);
+            .find(|(k, _, _)| cmp_internal(k, &first_block_last) == Ordering::Greater);
         it.seek(&past.unwrap().0);
-        assert!(!it.valid() && is_corruption(&it), "{:?}", it.status());
+        assert!(
+            !it.valid() && is_corruption(it.as_ref()),
+            "{:?}",
+            it.status()
+        );
     }
 
     #[test]
@@ -666,8 +385,7 @@ mod tests {
         // A DTable holding only refs (pure large-value workload) behaves
         // like a compact KF-only table.
         let env = MemEnv::new();
-        let f = env.new_writable("d.sst", IoClass::Flush).unwrap();
-        let mut b = DTableBuilder::new(f, opts());
+        let mut b = builder(&env, "d.sst");
         let mut keys = Vec::new();
         for i in 0..100 {
             let k = make_internal_key(format!("k{i:03}").as_bytes(), i, ValueType::ValueRef);
@@ -726,14 +444,13 @@ mod tests {
                     }
                 })
                 .collect();
-            let f = env.new_writable("p.sst", IoClass::Flush).unwrap();
-            let mut b = DTableBuilder::new(f, opts());
+            let mut b = builder(&env, "p.sst");
             for (k, v) in &entries {
                 b.add(k, v).unwrap();
             }
             b.finish().unwrap();
             let file = env.open_random_access("p.sst", IoClass::FgIndexRead).unwrap();
-            let r = DTableReader::open(file, 1, None).unwrap();
+            let r = KTable::open(file, 1, None).unwrap();
             // Exact point lookups across all three entry kinds.
             for (k, v) in &entries {
                 let (fk, fv) = r.get(k).unwrap().map(kv).unwrap();

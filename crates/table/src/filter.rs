@@ -1,4 +1,5 @@
-//! Bloom filter (LevelDB-style double hashing), 10 bits/key by default.
+//! Bloom filter (LevelDB-style double hashing); every table builds its
+//! filters at [`BLOOM_BITS_PER_KEY`](crate::BLOOM_BITS_PER_KEY).
 //!
 //! One filter per table (or per DTable stream) over *user keys*, so point
 //! lookups and GC-Lookups can skip files — and, for the DTable, skip whole

@@ -1,21 +1,28 @@
 //! SSTable formats for the Scavenger key-value store.
 //!
-//! Three on-disk table formats live here, all sharing the same block,
-//! filter, footer, and cache machinery:
+//! Every table stores internal keys (user key + seq/type trailer) and
+//! orders them with [`cmp_internal`](scavenger_util::ikey::cmp_internal).
+//! Three on-disk formats live here, all sharing the same block, filter,
+//! footer, and cache machinery:
 //!
-//! * [`btable`] — **BlockBasedTable**: the RocksDB-style format used by the
-//!   baseline engines for both key SSTs and value SSTs. Data blocks hold
-//!   multiple entries; a sparse index maps the last key of each block to its
-//!   handle.
+//! * **BlockBasedTable** (BTable): the RocksDB-style format the baseline
+//!   engines use for key SSTs and TerarkDB uses for value SSTs. It is one
+//!   [`btable`] *stream*: data blocks, an index block mapping the last key
+//!   of each block to its handle (a sparse index), and a bloom filter.
+//! * **IndexDecoupledTable** (DTable, paper §III-B2): the Scavenger key
+//!   SST — the BTable's stream split in two. Value references and
+//!   tombstones (KF entries) and inline small values (KV records) go to
+//!   separate streams, each with its own index and bloom filter, so
+//!   GC-Lookup reads only tiny, hot-cacheable KF blocks.
+//!
+//!   Both are one table type, [`btable::KTable`]: one stream or two,
+//!   picked on write from [`KTableFormat`](btable::KTableFormat) and on
+//!   open from the properties' [`TableType`](props::TableType); [`dtable`]
+//!   holds the layout and the iterator that merges the two streams.
 //! * [`rtable`] — **RecordBasedTable** (paper §III-B1): the Scavenger value
 //!   SST. Every record gets a *dense* index entry `(key → record handle)`,
 //!   organised as a partitioned two-level index, so GC can read all keys of
 //!   a file ("Lazy Read") without touching a single value byte.
-//! * [`dtable`] — **IndexDecoupledTable** (paper §III-B2): the Scavenger key
-//!   SST. Value references (KF entries) and inline small values (KV
-//!   records) are physically segregated into separate block streams with
-//!   separate indexes and bloom filters, so GC-Lookup reads only tiny,
-//!   hot-cacheable KF blocks.
 //!
 //! Supporting modules: [`block`] (prefix-compressed blocks with restart
 //! points), [`filter`] (bloom), [`handle`] (handles + footer), [`cache`]
@@ -46,7 +53,17 @@ pub use tail::{read_tail, Tail, TAIL_PREFETCH};
 
 use bytes::Bytes;
 use scavenger_util::Result;
-use std::cmp::Ordering;
+
+/// Target size of a key SST's data block (paper §IV-A: 4 KB, RocksDB's
+/// default). The index tree's builders take `LsmOptions::block_size`,
+/// whose default this is; value BTables always use it.
+pub const BLOCK_SIZE: usize = 4096;
+/// Entries between restart points in a data block (RocksDB's default).
+pub const RESTART_INTERVAL: usize = 16;
+/// Bloom-filter bits per key of every table (paper §IV-A: 10).
+pub const BLOOM_BITS_PER_KEY: usize = 10;
+/// Target size of one RTable index partition.
+pub const INDEX_PARTITION_SIZE: usize = 2048;
 
 /// Common interface for iterators over `(key, value)` entries in key
 /// order: a key SST's [`TwoLevelIter`](btable::TwoLevelIter) streams and
@@ -70,30 +87,6 @@ pub trait InternalIterator: Send {
     fn value(&self) -> Bytes;
     /// Deferred error, if any.
     fn status(&self) -> Result<()>;
-}
-
-/// How keys inside a table are compared.
-///
-/// Key SSTs store *internal keys* (user key + seq/type trailer) and need
-/// the internal ordering; value SSTs in this workspace also use internal
-/// keys, but generic tooling and tests can use plain bytewise tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyCmp {
-    /// Plain `memcmp` ordering.
-    Bytewise,
-    /// Internal-key ordering: user key ascending, then seq/type descending.
-    Internal,
-}
-
-impl KeyCmp {
-    /// Compare two encoded keys under this ordering.
-    #[inline]
-    pub fn cmp(self, a: &[u8], b: &[u8]) -> Ordering {
-        match self {
-            KeyCmp::Bytewise => a.cmp(b),
-            KeyCmp::Internal => scavenger_util::ikey::cmp_internal(a, b),
-        }
-    }
 }
 
 /// Identifies which logical stream of a table a block belongs to.

@@ -11,7 +11,9 @@ use scavenger_util::coding::{
     get_length_prefixed_slice, get_varint32, get_varint64, put_length_prefixed_slice, put_varint32,
     put_varint64,
 };
+use scavenger_util::ikey::{parse_internal_key, ValueRef, ValueType};
 use scavenger_util::{Error, Result};
+use std::collections::BTreeMap;
 
 /// What kind of table a file is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,6 +149,63 @@ impl TableProps {
             raw_value_bytes,
             deps,
         })
+    }
+}
+
+/// Tracks [`TableProps`] as entries stream through a builder.
+pub(crate) struct PropsTracker {
+    props: TableProps,
+    deps: BTreeMap<u64, (u64, u64)>,
+}
+
+impl PropsTracker {
+    pub(crate) fn new(table_type: TableType) -> Self {
+        PropsTracker {
+            props: TableProps {
+                table_type,
+                ..TableProps::default()
+            },
+            deps: BTreeMap::new(),
+        }
+    }
+
+    /// Count the entry under internal key `key`.
+    pub(crate) fn observe(&mut self, key: &[u8], value: &[u8]) {
+        self.props.num_entries += 1;
+        self.props.raw_key_bytes += key.len() as u64;
+        self.props.raw_value_bytes += value.len() as u64;
+        if let Ok(parsed) = parse_internal_key(key) {
+            match parsed.vtype {
+                ValueType::Deletion => self.props.num_deletions += 1,
+                ValueType::Value => self.props.num_inline += 1,
+                ValueType::ValueRef => {
+                    self.props.num_refs += 1;
+                    if let Ok(r) = ValueRef::decode(value) {
+                        let e = self.deps.entry(r.file).or_insert((0, 0));
+                        e.0 += 1;
+                        e.1 += u64::from(r.size);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Entries observed so far.
+    pub(crate) fn num_entries(&self) -> u64 {
+        self.props.num_entries
+    }
+
+    pub(crate) fn finish(mut self) -> TableProps {
+        self.props.deps = self
+            .deps
+            .into_iter()
+            .map(|(file, (entries, ref_bytes))| ValueDep {
+                file,
+                entries,
+                ref_bytes,
+            })
+            .collect();
+        self.props
     }
 }
 

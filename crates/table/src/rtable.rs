@@ -20,65 +20,52 @@
 
 use crate::block::{Block, BlockBuilder};
 use crate::blockio::{verify_block, write_block, BLOCK_TRAILER_LEN};
-use crate::btable::{BlockCache, BlockFetcher, BuiltTable, PropsTracker, TableOptions};
+use crate::btable::{BlockCache, BlockFetcher, BuiltTable};
 use crate::cache::{CacheKey, CachePriority};
 use crate::filter::{BloomBuilder, BloomReader};
 use crate::handle::BlockHandle;
-use crate::props::{meta_keys, TableProps, TableType};
+use crate::props::{meta_keys, PropsTracker, TableProps, TableType};
 use crate::tail::{read_tail, write_tail};
-use crate::{BlockKind, KeyCmp};
+use crate::{BlockKind, BLOOM_BITS_PER_KEY, INDEX_PARTITION_SIZE};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
 use scavenger_util::coding::{get_length_prefixed_slice, put_length_prefixed_slice};
-use scavenger_util::ikey::extract_user_key;
+use scavenger_util::ikey::{cmp_internal, extract_user_key};
 use scavenger_util::{Error, Result};
 use std::sync::Arc;
 
 /// Streaming builder for a RecordBasedTable.
 pub struct RTableBuilder {
     file: Box<dyn WritableFile>,
-    opts: TableOptions,
     partition: BlockBuilder,
     top_index: BlockBuilder,
     bloom: BloomBuilder,
     tracker: PropsTracker,
     smallest: Option<Vec<u8>>,
     largest: Vec<u8>,
-    num_entries: u64,
     index_bytes: u64,
 }
 
 impl RTableBuilder {
     /// Start building into `file`.
-    pub fn new(file: Box<dyn WritableFile>, opts: TableOptions) -> Self {
-        let bits = opts.bloom_bits_per_key;
-        let cmp = opts.cmp;
+    pub fn new(file: Box<dyn WritableFile>) -> Self {
         RTableBuilder {
             file,
-            opts,
             partition: BlockBuilder::new(8),
             top_index: BlockBuilder::new(1),
-            bloom: BloomBuilder::new(bits.max(1)),
-            tracker: PropsTracker::new(TableType::RTable, cmp),
+            bloom: BloomBuilder::new(BLOOM_BITS_PER_KEY),
+            tracker: PropsTracker::new(TableType::RTable),
             smallest: None,
             largest: Vec::new(),
-            num_entries: 0,
             index_bytes: 0,
         }
     }
 
-    fn user_key<'k>(&self, key: &'k [u8]) -> &'k [u8] {
-        match self.opts.cmp {
-            KeyCmp::Internal => extract_user_key(key),
-            KeyCmp::Bytewise => key,
-        }
-    }
-
-    /// Append a record; keys must arrive in `opts.cmp` order.
+    /// Append a record; internal keys must arrive in increasing order.
     /// Returns the record's handle (useful for address-based callers).
     pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<BlockHandle> {
         debug_assert!(
-            self.partition.is_empty() || self.opts.cmp.cmp(self.partition.last_key(), key).is_lt(),
+            self.smallest.is_none() || cmp_internal(&self.largest, key).is_lt(),
             "keys must be added in strictly increasing order"
         );
         if self.smallest.is_none() {
@@ -86,7 +73,7 @@ impl RTableBuilder {
         }
         self.largest.clear();
         self.largest.extend_from_slice(key);
-        self.bloom.add_key(self.user_key(key));
+        self.bloom.add_key(extract_user_key(key));
         self.tracker.observe(key, value);
 
         let mut record = Vec::with_capacity(key.len() + value.len() + 8);
@@ -95,8 +82,7 @@ impl RTableBuilder {
         let handle = write_block(self.file.as_mut(), &record)?;
 
         self.partition.add(key, &handle.encode());
-        self.num_entries += 1;
-        if self.partition.size_estimate() >= self.opts.index_partition_size {
+        if self.partition.size_estimate() >= INDEX_PARTITION_SIZE {
             self.flush_partition()?;
         }
         Ok(handle)
@@ -116,7 +102,7 @@ impl RTableBuilder {
 
     /// Number of records added so far.
     pub fn num_entries(&self) -> u64 {
-        self.num_entries
+        self.tracker.num_entries()
     }
 
     /// Bytes written so far (lower bound on final size).
@@ -246,9 +232,9 @@ pub fn read_coalesced(
 }
 
 /// The index-partition handles a top index lists, in file order.
-fn partitions(top_index: &Block, cmp: KeyCmp) -> Result<Vec<BlockHandle>> {
+fn partitions(top_index: &Block) -> Result<Vec<BlockHandle>> {
     let mut out = Vec::new();
-    let mut top = top_index.iter(cmp);
+    let mut top = top_index.iter();
     top.seek_to_first();
     while top.valid() {
         out.push(BlockHandle::decode_exact(&top.value())?);
@@ -264,7 +250,6 @@ pub struct RTableReader {
     top_index: Block,
     filter: Option<Bytes>,
     props: TableProps,
-    cmp: KeyCmp,
     open_bytes: u64,
 }
 
@@ -280,14 +265,13 @@ impl RTableReader {
         file: Arc<dyn RandomAccessFile>,
         file_number: u64,
         cache: Option<Arc<BlockCache>>,
-        cmp: KeyCmp,
     ) -> Result<RTableReader> {
         let mut tail = read_tail(file.as_ref())?;
         let filter = tail.meta_block(file.as_ref(), meta_keys::FILTER)?;
         if tail.props.table_type != TableType::RTable {
             return Err(Error::corruption("not an RTable file"));
         }
-        if let (Some(cache), Ok(parts)) = (&cache, partitions(&tail.index, cmp)) {
+        if let (Some(cache), Ok(parts)) = (&cache, partitions(&tail.index)) {
             for h in parts {
                 if let Some(Ok(part)) = tail.prefetched(h) {
                     let key = CacheKey::new(file_number, h.offset, BlockKind::Index);
@@ -304,7 +288,6 @@ impl RTableReader {
             top_index: tail.index,
             filter,
             props: tail.props,
-            cmp,
             open_bytes: tail.asked,
         })
     }
@@ -335,14 +318,10 @@ impl RTableReader {
     /// partition whose last key is the first `>= target` is the only one
     /// that can hold it.
     pub fn find_exact(&self, target: &[u8]) -> Result<Option<BlockHandle>> {
-        let ukey = match self.cmp {
-            KeyCmp::Internal => extract_user_key(target),
-            KeyCmp::Bytewise => target,
-        };
-        if !self.may_contain(ukey) {
+        if !self.may_contain(extract_user_key(target)) {
             return Ok(None);
         }
-        let mut top = self.top_index.iter(self.cmp);
+        let mut top = self.top_index.iter();
         top.seek(target);
         top.status()?;
         if !top.valid() {
@@ -352,7 +331,7 @@ impl RTableReader {
         let part = self
             .fetcher
             .fetch(part_handle, BlockKind::Index, CachePriority::High)?;
-        let mut it = part.iter(self.cmp);
+        let mut it = part.iter();
         it.seek(target);
         it.status()?;
         if it.valid() && it.key() == target {
@@ -385,7 +364,7 @@ impl RTableReader {
             let part = self
                 .fetcher
                 .fetch(part_handle, BlockKind::Index, CachePriority::High)?;
-            let mut it = part.iter(self.cmp);
+            let mut it = part.iter();
             it.seek_to_first();
             while it.valid() {
                 out.push((it.key().to_vec(), BlockHandle::decode_exact(&it.value())?));
@@ -399,7 +378,7 @@ impl RTableReader {
     /// The handles of the index partitions, in file order, out of the
     /// pinned top index: costs no I/O.
     pub fn partitions(&self) -> Result<Vec<BlockHandle>> {
-        partitions(&self.top_index, self.cmp)
+        partitions(&self.top_index)
     }
 
     /// Bytes [`read_index`](Self::read_index) asks the file for: every
@@ -437,30 +416,18 @@ impl RTableReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::ikey;
     use scavenger_env::{Env, IoClass, MemEnv};
-
-    fn opts() -> TableOptions {
-        TableOptions {
-            cmp: KeyCmp::Bytewise,
-            index_partition_size: 256,
-            ..TableOptions::default()
-        }
-    }
 
     fn entries(n: usize, vlen: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         (0..n)
-            .map(|i| {
-                (
-                    format!("user{i:06}").into_bytes(),
-                    vec![(i % 251) as u8; vlen],
-                )
-            })
+            .map(|i| (ikey(&format!("user{i:06}")), vec![(i % 251) as u8; vlen]))
             .collect()
     }
 
     fn build(env: &MemEnv, path: &str, es: &[(Vec<u8>, Vec<u8>)]) -> BuiltTable {
         let f = env.new_writable(path, IoClass::Flush).unwrap();
-        let mut b = RTableBuilder::new(f, opts());
+        let mut b = RTableBuilder::new(f);
         for (k, v) in es {
             b.add(k, v).unwrap();
         }
@@ -469,7 +436,7 @@ mod tests {
 
     fn open(env: &MemEnv, path: &str) -> RTableReader {
         let file = env.open_random_access(path, IoClass::FgValueRead).unwrap();
-        RTableReader::open(file, 7, None, KeyCmp::Bytewise).unwrap()
+        RTableReader::open(file, 7, None).unwrap()
     }
 
     /// Point lookup the way the value store does it: locate, then fetch.
@@ -491,7 +458,7 @@ mod tests {
             assert_eq!(&fk[..], k.as_slice());
             assert_eq!(&fv[..], v.as_slice());
         }
-        assert!(get(&r, b"zzzz").is_none());
+        assert!(get(&r, &ikey("zzzz")).is_none());
     }
 
     #[test]
@@ -536,7 +503,7 @@ mod tests {
         let env = MemEnv::new();
         let es = entries(100, 16 * 1024);
         let f = env.new_writable("v.vsst", IoClass::Flush).unwrap();
-        let mut b = RTableBuilder::new(f, opts());
+        let mut b = RTableBuilder::new(f);
         for (k, v) in &es {
             b.add(k, v).unwrap();
         }
@@ -600,19 +567,17 @@ mod tests {
         // RTableReader::open on a proper RTable works; a BTable opened as
         // RTable must be rejected via the props type check.
         let f = env.new_writable("b.sst", IoClass::Flush).unwrap();
-        let mut b = crate::btable::BTableBuilder::new(
+        let mut b = crate::btable::KTableBuilder::new(
             f,
-            TableOptions {
-                cmp: KeyCmp::Bytewise,
-                ..TableOptions::default()
-            },
+            crate::btable::KTableFormat::BTable,
+            crate::BLOCK_SIZE,
         );
-        b.add(b"a", b"1").unwrap();
+        b.add(&ikey("a"), b"1").unwrap();
         b.finish().unwrap();
         let file = env
             .open_random_access("b.sst", IoClass::FgValueRead)
             .unwrap();
-        assert!(RTableReader::open(file, 1, None, KeyCmp::Bytewise).is_err());
+        assert!(RTableReader::open(file, 1, None).is_err());
     }
 
     #[test]
@@ -658,9 +623,9 @@ mod tests {
             assert_eq!(r.find_exact(k).unwrap(), Some(*h));
         }
         // Between two stored keys, before the first and past the last.
-        assert_eq!(r.find_exact(b"user0000505").unwrap(), None);
-        assert_eq!(r.find_exact(b"a").unwrap(), None);
-        assert_eq!(r.find_exact(b"zzzz").unwrap(), None);
+        assert_eq!(r.find_exact(&ikey("user0000505")).unwrap(), None);
+        assert_eq!(r.find_exact(&ikey("a")).unwrap(), None);
+        assert_eq!(r.find_exact(&ikey("zzzz")).unwrap(), None);
     }
 
     /// A point read finds its index partition cached (the file's one
@@ -676,7 +641,7 @@ mod tests {
         let file = env
             .open_random_access("v.vsst", IoClass::FgValueRead)
             .unwrap();
-        let r = RTableReader::open(file, 7, Some(cache.clone()), KeyCmp::Bytewise).unwrap();
+        let r = RTableReader::open(file, 7, Some(cache.clone())).unwrap();
         let reads = |f: &dyn Fn()| {
             let before = env.io_stats().snapshot();
             f();
@@ -725,7 +690,7 @@ mod tests {
             let file = env
                 .open_random_access("v.vsst", IoClass::FgValueRead)
                 .unwrap();
-            RTableReader::open(file, 7, Some(cache.clone()), KeyCmp::Bytewise).unwrap()
+            RTableReader::open(file, 7, Some(cache.clone())).unwrap()
         };
         let plain = open(&env, "v.vsst");
         let partitions = plain.partitions().unwrap();
@@ -841,17 +806,17 @@ mod tests {
             let es: Vec<(Vec<u8>, Vec<u8>)> = lens
                 .iter()
                 .enumerate()
-                .map(|(i, l)| (format!("user{i:06}").into_bytes(), vec![(i % 251) as u8; *l]))
+                .map(|(i, l)| (ikey(&format!("user{i:06}")), vec![(i % 251) as u8; *l]))
                 .collect();
             let f = env.new_writable("p.vsst", IoClass::Flush).unwrap();
-            let mut b = RTableBuilder::new(f, opts());
+            let mut b = RTableBuilder::new(f);
             for (k, v) in &es {
                 b.add(k, v).unwrap();
             }
             let built = b.finish().unwrap();
             proptest::prop_assert_eq!(built.props.num_entries as usize, es.len());
             let file = env.open_random_access("p.vsst", IoClass::FgValueRead).unwrap();
-            let r = RTableReader::open(file, 1, None, KeyCmp::Bytewise).unwrap();
+            let r = RTableReader::open(file, 1, None).unwrap();
             for (k, v) in &es {
                 let h = r.find_exact(k).unwrap().unwrap();
                 let (fk, fv) = r.read_record(h).unwrap();
@@ -869,6 +834,6 @@ mod tests {
         build(&env, "v.vsst", &[]);
         let r = open(&env, "v.vsst");
         assert!(r.read_index().unwrap().is_empty());
-        assert!(get(&r, b"x").is_none());
+        assert!(get(&r, &ikey("x")).is_none());
     }
 }

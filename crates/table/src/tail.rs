@@ -166,10 +166,9 @@ impl Tail {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::btable::{BTableBuilder, BTableReader, TableOptions};
-    use crate::dtable::{DTableBuilder, DTableReader};
+    use crate::btable::{KTable, KTableBuilder, KTableFormat};
     use crate::rtable::{RTableBuilder, RTableReader};
-    use crate::KeyCmp;
+    use crate::BLOCK_SIZE;
     use scavenger_env::{Env, EnvRef, FaultEnv, FaultOp, FaultRule, IoClass, MemEnv};
     use scavenger_util::ikey::{make_internal_key, ValueType};
     use std::sync::Arc;
@@ -183,9 +182,9 @@ mod tests {
     /// One table of each format holding `n` inline entries of `vlen` bytes.
     fn build_all(env: &dyn Env, n: usize, vlen: usize) {
         let file = |path| env.new_writable(path, IoClass::Flush).unwrap();
-        let mut b = BTableBuilder::new(file("b.sst"), TableOptions::default());
-        let mut d = DTableBuilder::new(file("d.sst"), TableOptions::default());
-        let mut r = RTableBuilder::new(file("r.vsst"), TableOptions::default());
+        let mut b = KTableBuilder::new(file("b.sst"), KTableFormat::BTable, BLOCK_SIZE);
+        let mut d = KTableBuilder::new(file("d.sst"), KTableFormat::DTable, BLOCK_SIZE);
+        let mut r = RTableBuilder::new(file("r.vsst"));
         for i in 0..n {
             let (k, v) = (ikey(i), vec![(i % 251) as u8; vlen]);
             b.add(&k, &v).unwrap();
@@ -202,13 +201,10 @@ mod tests {
         let f = env.open_random_access(path, IoClass::FgIndexRead)?;
         let key = ikey(probe);
         Ok(match path {
-            "b.sst" => BTableReader::open(f, 1, None, KeyCmp::Internal)?
+            "b.sst" | "d.sst" => KTable::open(f, 1, None)?
                 .get(&key)?
                 .is_some_and(|e| e.key() == key),
-            "d.sst" => DTableReader::open(f, 1, None)?.get(&key)?.is_some(),
-            _ => RTableReader::open(f, 1, None, KeyCmp::Internal)?
-                .find_exact(&key)?
-                .is_some(),
+            _ => RTableReader::open(f, 1, None)?.find_exact(&key)?.is_some(),
         })
     }
 
@@ -216,9 +212,8 @@ mod tests {
         let f = env.open_random_access(path, IoClass::FgIndexRead).unwrap();
         let before = env.io_stats().snapshot();
         match path {
-            "b.sst" => drop(BTableReader::open(f, 1, None, KeyCmp::Internal).unwrap()),
-            "d.sst" => drop(DTableReader::open(f, 1, None).unwrap()),
-            _ => drop(RTableReader::open(f, 1, None, KeyCmp::Internal).unwrap()),
+            "b.sst" | "d.sst" => drop(KTable::open(f, 1, None).unwrap()),
+            _ => drop(RTableReader::open(f, 1, None).unwrap()),
         }
         env.io_stats().snapshot().delta(&before).total_read_ops()
     }
