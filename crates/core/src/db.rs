@@ -55,7 +55,6 @@ use crate::{EngineMode, Options};
 use bytes::Bytes;
 use scavenger_env::SpaceTracker;
 use scavenger_lsm::WriteBatch;
-use scavenger_table::btable::BlockCache;
 use scavenger_util::ikey::ValueType;
 use scavenger_util::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,11 +193,6 @@ impl Db {
 
     fn member(&self, key: &[u8]) -> &Shard {
         &self.inner.shards[self.inner.shard_of(key)]
-    }
-
-    /// The block cache every member reads through.
-    pub fn block_cache(&self) -> &Arc<BlockCache> {
-        &self.inner.shards[0].inner.cache
     }
 
     /// The space throttle every member admits writes through (global

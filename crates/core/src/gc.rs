@@ -486,7 +486,7 @@ impl GcRunner {
             self.features,
             self.cfg.vsst_target,
             IoClass::GcWrite,
-            lsm.file_alloc(),
+            lsm.file_numbers(),
             &self.dropcache,
         );
         let mut guarded: Vec<GuardedWrite> = Vec::new();

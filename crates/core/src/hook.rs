@@ -25,7 +25,7 @@ use crate::vstore::{ValueStore, GC_COALESCE};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::{reads_charged_to, IoClass};
-use scavenger_lsm::{DropCause, FileNumAlloc, JobKind, ValueEditBundle, ValueHook, ValueSession};
+use scavenger_lsm::{DropCause, FileNumbers, JobKind, ValueEditBundle, ValueHook, ValueSession};
 use scavenger_util::ikey::{make_internal_key, SeqNo, ValueRef, ValueType};
 use scavenger_util::Result;
 use std::collections::{HashMap, HashSet};
@@ -106,11 +106,7 @@ impl EngineHook {
 }
 
 impl ValueHook for EngineHook {
-    fn session(
-        &self,
-        kind: JobKind,
-        alloc: Arc<dyn FileNumAlloc>,
-    ) -> Result<Box<dyn ValueSession>> {
+    fn session(&self, kind: JobKind, numbers: FileNumbers) -> Result<Box<dyn ValueSession>> {
         // BlobDB relocation targets: the oldest 25% of live blob files,
         // frozen at session start.
         let relocation_targets = if self.cfg.features.gc == GcScheme::CompactionTriggered
@@ -137,7 +133,7 @@ impl ValueHook for EngineHook {
                 self.cfg.features,
                 self.cfg.vsst_target,
                 class,
-                alloc,
+                numbers,
                 &self.dropcache,
             ),
             vstore: self.vstore.clone(),
@@ -307,22 +303,15 @@ mod tests {
     use super::*;
     use scavenger_env::{EnvRef, MemEnv};
     use scavenger_table::btable::BlockCache;
-    use std::sync::atomic::AtomicU64;
+    use scavenger_table::cache::StoreCache;
 
-    struct SeqAlloc(AtomicU64);
-    impl FileNumAlloc for SeqAlloc {
-        fn next_file_number(&self) -> u64 {
-            self.0.fetch_add(1, Ordering::SeqCst)
-        }
+    fn cache(bytes: usize) -> StoreCache {
+        StoreCache::new(Arc::new(BlockCache::with_capacity(bytes)), false)
     }
 
     fn setup(features: Features) -> (EngineHook, Arc<ValueStore>, Arc<DropCache>) {
         let env: EnvRef = MemEnv::shared();
-        let vstore = Arc::new(ValueStore::new(
-            env.clone(),
-            "db",
-            Arc::new(BlockCache::with_capacity(1 << 20)),
-        ));
+        let vstore = Arc::new(ValueStore::new(env.clone(), "db", cache(1 << 20)));
         let dropcache = Arc::new(DropCache::new(1024));
         let hook = EngineHook::new(
             HookConfig {
@@ -344,8 +333,8 @@ mod tests {
     #[test]
     fn flush_session_separates_large_values_only() {
         let (hook, _, _) = setup(scavenger_features());
-        let alloc = Arc::new(SeqAlloc(AtomicU64::new(100)));
-        let mut s = hook.session(JobKind::Flush, alloc).unwrap();
+        let numbers = FileNumbers::new(100);
+        let mut s = hook.session(JobKind::Flush, numbers).unwrap();
 
         let (t, v) = s
             .entry(b"small", 1, ValueType::Value, Bytes::from(vec![1u8; 100]))
@@ -372,8 +361,8 @@ mod tests {
     fn hot_keys_route_to_hot_files() {
         let (hook, _, dropcache) = setup(scavenger_features());
         dropcache.insert(b"hotkey");
-        let alloc = Arc::new(SeqAlloc(AtomicU64::new(10)));
-        let mut s = hook.session(JobKind::Flush, alloc).unwrap();
+        let numbers = FileNumbers::new(10);
+        let mut s = hook.session(JobKind::Flush, numbers).unwrap();
         s.entry(
             b"coldkey",
             1,
@@ -393,8 +382,8 @@ mod tests {
     fn hotness_disabled_uses_single_route() {
         let (hook, _, dropcache) = setup(Features::for_mode(crate::options::EngineMode::Terark));
         dropcache.insert(b"hotkey"); // present but unused
-        let alloc = Arc::new(SeqAlloc(AtomicU64::new(10)));
-        let mut s = hook.session(JobKind::Flush, alloc).unwrap();
+        let numbers = FileNumbers::new(10);
+        let mut s = hook.session(JobKind::Flush, numbers).unwrap();
         s.entry(
             b"coldkey",
             1,
@@ -423,8 +412,8 @@ mod tests {
             }],
             ..Default::default()
         });
-        let alloc = Arc::new(SeqAlloc(AtomicU64::new(50)));
-        let mut s = hook.session(JobKind::Flush, alloc).unwrap();
+        let numbers = FileNumbers::new(50);
+        let mut s = hook.session(JobKind::Flush, numbers).unwrap();
         let vref = ValueRef {
             file: 7,
             size: 900,
@@ -457,8 +446,8 @@ mod tests {
     #[test]
     fn rolls_files_at_target_size() {
         let (hook, _, _) = setup(scavenger_features());
-        let alloc = Arc::new(SeqAlloc(AtomicU64::new(1)));
-        let mut s = hook.session(JobKind::Flush, alloc).unwrap();
+        let numbers = FileNumbers::new(1);
+        let mut s = hook.session(JobKind::Flush, numbers).unwrap();
         // vsst_target is 1 MiB; write ~3 MiB of values.
         for i in 0..300 {
             let key = format!("key{i:04}");
@@ -484,10 +473,10 @@ mod tests {
     fn blobdb_compaction_relocates_sampled_entries() {
         let features = Features::for_mode(crate::options::EngineMode::BlobDb);
         let (hook, vstore, _) = setup(features);
-        let alloc = Arc::new(SeqAlloc(AtomicU64::new(100)));
+        let numbers = FileNumbers::new(100);
 
         // Create a real blob file with many entries via a flush session.
-        let mut s = hook.session(JobKind::Flush, alloc.clone()).unwrap();
+        let mut s = hook.session(JobKind::Flush, numbers.clone()).unwrap();
         let mut refs = Vec::new();
         for i in 0..32u64 {
             let key = format!("key{i:02}");
@@ -516,7 +505,7 @@ mod tests {
                     output_level: 6,
                     bottommost: true,
                 },
-                alloc,
+                numbers,
             )
             .unwrap();
         let mut relocated = 0;
@@ -552,11 +541,7 @@ mod tests {
     #[test]
     fn replay_buffer_defers_application() {
         let env: EnvRef = MemEnv::shared();
-        let vstore = Arc::new(ValueStore::new(
-            env.clone(),
-            "db",
-            Arc::new(BlockCache::with_capacity(1024)),
-        ));
+        let vstore = Arc::new(ValueStore::new(env.clone(), "db", cache(1024)));
         let hook = EngineHook::new(
             HookConfig {
                 features: scavenger_features(),

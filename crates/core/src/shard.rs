@@ -24,6 +24,7 @@ use scavenger_env::SpaceTracker;
 use scavenger_lsm::filename::{parse_path, FileKind};
 use scavenger_lsm::{Lsm, LsmReadResult, LsmView, Precondition, WriteBatch};
 use scavenger_table::btable::BlockCache;
+use scavenger_table::cache::StoreCache;
 use scavenger_util::ikey::{SeqNo, ValueRef, ValueType};
 use scavenger_util::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,9 +43,8 @@ pub(crate) struct Wiring {
     pub(crate) usage: SpaceUsageFn,
     pub(crate) cache: Arc<BlockCache>,
     /// Whether other stores read through `cache` too (the caller handed
-    /// it in, or the set has several members). They allocate file
-    /// numbers from 1 just as this one does, so each member namespaces
-    /// its cache keys and can never serve another's cached blocks.
+    /// it in, or the set has several members), so the member's
+    /// [`StoreCache`] takes a namespace of its own.
     pub(crate) shared_cache: bool,
     pub(crate) coordinated: bool,
 }
@@ -66,8 +66,9 @@ pub(crate) struct ShardInner {
     gc_lock: Mutex<()>,
     /// Byte credits for paced auto-GC (see `Options::gc_bandwidth_factor`).
     pub(crate) gc_credits: Mutex<i64>,
-    /// One cache is shared by every member of a set.
-    pub(crate) cache: Arc<BlockCache>,
+    /// The member's handle on the set's one block cache, which its
+    /// index tree and value store read through.
+    pub(crate) cache: StoreCache,
 }
 
 impl ShardInner {
@@ -110,23 +111,16 @@ impl Shard {
     /// the directory's [`UsageEnv`](scavenger_env::UsageEnv) keeping
     /// `space`.
     pub(crate) fn open(opts: Options, space: Arc<SpaceTracker>, wiring: &Wiring) -> Result<Shard> {
-        let cache = wiring.cache.clone();
-        let cache_ns = if wiring.shared_cache {
-            scavenger_table::cache::new_cache_namespace()
-        } else {
-            0
-        };
+        let cache = StoreCache::new(wiring.cache.clone(), wiring.shared_cache);
         let vstore = Arc::new(
             ValueStore::new(opts.env.clone(), opts.dir.clone(), cache.clone())
-                .with_cache_namespace(cache_ns)
                 .retiring_exhausted(opts.features.gc == GcScheme::CompactionTriggered),
         );
         let dropcache = Arc::new(DropCache::new(DROPCACHE_KEYS));
         let gc_stats = Arc::new(GcStats::default());
 
         let mut lsm_opts = opts.lsm_options();
-        lsm_opts.block_cache = Some(cache.clone());
-        lsm_opts.cache_namespace = cache_ns;
+        lsm_opts.cache = Some(cache.clone());
         if wiring.coordinated {
             // A coordinated member elides no tombstone — not even in the
             // WAL-recovery flush inside `Lsm::open` — until the set's 2PC
@@ -478,7 +472,7 @@ impl Shard {
             exposed_garbage_bytes: inner.vstore.total_exposed_bytes(),
             value_store_bytes: inner.vstore.total_bytes(),
             value_files: inner.vstore.all_files().len() as u64,
-            cache_hit_ratio: inner.cache.hit_ratio(),
+            cache_hit_ratio: inner.cache.blocks().hit_ratio(),
             flushes: load(&counters.flushes),
             compactions: load(&counters.compactions),
             merge_drops: load(&counters.merge_drops),

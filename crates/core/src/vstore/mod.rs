@@ -9,7 +9,13 @@
 //!
 //! It is also the only place a value file is written: every producer
 //! (flush, BlobDB relocation, both GC schemes) appends through
-//! `route::RouteWriters`, the one caller of [`vtable::VWriter::create`].
+//! `route::RouteWriters`, the one caller of [`vtable::VWriter::create`],
+//! which numbers each file from the index tree's
+//! [`FileNumbers`](scavenger_lsm::FileNumbers). And the only place one is
+//! opened: [`ValueStore::reader`] keeps one reader per live file in a
+//! [`ReaderMap`] — the map the index tree keeps its key SSTs in — and
+//! reads through the member's [`StoreCache`], which names the file's
+//! cached blocks.
 //!
 //! And the only place one is unlinked late. Where a scheme cannot let
 //! go of a file at once — Titan after its write-back, BlobDB once
@@ -31,7 +37,7 @@ use inherit::{Files, InheritForest};
 use parking_lot::{Mutex, RwLock};
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_lsm::{Lsm, NewValueFile, ValueEditBundle};
-use scavenger_table::btable::BlockCache;
+use scavenger_table::cache::{ReaderMap, StoreCache};
 use scavenger_table::props::TableType;
 use scavenger_table::rtable::{Coalesce, COALESCE_SPAN};
 use scavenger_util::hash::IntMap;
@@ -171,11 +177,10 @@ struct Retired {
 pub struct ValueStore {
     env: EnvRef,
     dir: String,
-    cache: Arc<BlockCache>,
-    cache_ns: u64,
+    cache: StoreCache,
     files: RwLock<IntMap<u64, Arc<VsstMeta>>>,
     forest: RwLock<InheritForest>,
-    readers: RwLock<IntMap<u64, Arc<VReader>>>,
+    readers: ReaderMap<VReader>,
     /// Whether the garbage charge that exhausts a file retires it
     /// (BlobDB's reclamation rule).
     retire_exhausted: bool,
@@ -185,27 +190,19 @@ pub struct ValueStore {
 }
 
 impl ValueStore {
-    /// Create an empty value store rooted at `dir`.
-    pub fn new(env: EnvRef, dir: impl Into<String>, cache: Arc<BlockCache>) -> Self {
+    /// Create an empty value store rooted at `dir`, reading through the
+    /// store's `cache`.
+    pub fn new(env: EnvRef, dir: impl Into<String>, cache: StoreCache) -> Self {
         ValueStore {
             env,
             dir: dir.into(),
             cache,
-            cache_ns: 0,
             files: RwLock::new(IntMap::default()),
             forest: RwLock::new(InheritForest::new()),
-            readers: RwLock::new(IntMap::default()),
+            readers: ReaderMap::default(),
             retire_exhausted: false,
             retired: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Set the cache namespace mixed into block-cache keys (see
-    /// [`scavenger_table::cache::cache_file_id`]). Required when `cache`
-    /// is shared with other stores whose file numbers collide (sharding).
-    pub fn with_cache_namespace(mut self, cache_ns: u64) -> Self {
-        self.cache_ns = cache_ns;
-        self
     }
 
     /// Retire each file at [`MAX_SEQNO`] when the garbage charge that
@@ -249,10 +246,11 @@ impl ValueStore {
             self.add_garbage(*file, *bytes, *entries);
         }
         for file in &bundle.deleted_files {
-            // The `files` guard lives through the body: a reader opened
-            // meanwhile is either dropped here or never kept (`reader`).
-            if let Some(meta) = self.files.write().remove(file) {
-                self.readers.write().remove(file);
+            // Out of `files` before out of `readers`: a reader inserted
+            // after this eviction is evicted by `reader` itself.
+            let removed = self.files.write().remove(file);
+            if let Some(meta) = removed {
+                self.readers.evict(*file);
                 let _ = self
                     .env
                     .remove_file(&vfile_path(&self.dir, *file, meta.format));
@@ -457,28 +455,27 @@ impl ValueStore {
     /// opened as `FgValueRead`; a job charges its own reads to another
     /// class with [`reads_charged_to`](scavenger_env::reads_charged_to).
     /// A reader opened while a GC commit removed the file still serves
-    /// its caller, but is not kept: the commit has already dropped the
-    /// file's entry, and nothing would drop a later one.
+    /// its caller, but is not kept: the commit drops the file from
+    /// `files` before it evicts the reader, so the opener, which inserts
+    /// before it looks at `files`, evicts a reader the commit missed.
     pub fn reader(&self, file: u64) -> Result<Arc<VReader>> {
-        if let Some(r) = self.readers.read().get(&file) {
-            return Ok(r.clone());
+        let mut opened = false;
+        let reader = self.readers.get_or_open(file, || {
+            opened = true;
+            let format = self.format_of(file)?;
+            VReader::open(
+                &self.env,
+                &self.dir,
+                file,
+                format,
+                Some(&self.cache),
+                IoClass::FgValueRead,
+            )
+        })?;
+        if opened && !self.files.read().contains_key(&file) {
+            self.readers.evict(file);
         }
-        let format = self.format_of(file)?;
-        let reader = Arc::new(VReader::open(
-            &self.env,
-            &self.dir,
-            file,
-            self.cache_ns,
-            format,
-            Some(self.cache.clone()),
-            IoClass::FgValueRead,
-        )?);
-        // Lock order files → readers, as in `apply_bundle`.
-        let files = self.files.read();
-        if !files.contains_key(&file) {
-            return Ok(reader);
-        }
-        Ok(self.readers.write().entry(file).or_insert(reader).clone())
+        Ok(reader)
     }
 
     /// GC full scan of `file`, accounted as GC read: every record with
@@ -486,15 +483,8 @@ impl ValueStore {
     /// ([`VReader::scan_file`]).
     pub fn gc_scan(&self, file: u64) -> Result<Vec<BlobRecord>> {
         let format = self.format_of(file)?;
-        VReader::scan_file(
-            &self.env,
-            &self.dir,
-            file,
-            self.cache_ns,
-            format,
-            Some(self.cache.clone()),
-            IoClass::GcRead,
-        )
+        let cache = Some(&self.cache);
+        VReader::scan_file(&self.env, &self.dir, file, format, cache, IoClass::GcRead)
     }
 
     /// **Locate**: resolve a reference to the live file and in-file
@@ -616,11 +606,6 @@ impl ValueStore {
     pub fn dir(&self) -> &str {
         &self.dir
     }
-
-    /// Shared block cache.
-    pub fn cache(&self) -> Arc<BlockCache> {
-        self.cache.clone()
-    }
 }
 
 #[cfg(test)]
@@ -628,10 +613,15 @@ mod tests {
     use super::vtable::{VFileInfo, VWriter};
     use super::*;
     use scavenger_env::MemEnv;
+    use scavenger_table::btable::BlockCache;
+
+    fn cache(bytes: usize) -> StoreCache {
+        StoreCache::new(Arc::new(BlockCache::with_capacity(bytes)), false)
+    }
 
     fn store() -> ValueStore {
         let env: EnvRef = MemEnv::shared();
-        ValueStore::new(env, "db", Arc::new(BlockCache::with_capacity(1 << 20)))
+        ValueStore::new(env, "db", cache(1 << 20))
     }
 
     fn nf(file: u64, entries: u64, value_bytes: u64) -> NewValueFile {
@@ -745,11 +735,7 @@ mod tests {
     #[test]
     fn read_ref_resolves_through_gc_moves() {
         let env: EnvRef = MemEnv::shared();
-        let vs = ValueStore::new(
-            env.clone(),
-            "db",
-            Arc::new(BlockCache::with_capacity(1 << 20)),
-        );
+        let vs = ValueStore::new(env.clone(), "db", cache(1 << 20));
 
         // Original file 5 holds k@7.
         let mut w = VWriter::create(&env, "db", 5, VFormat::RTable, IoClass::Flush).unwrap();
@@ -858,11 +844,7 @@ mod tests {
             gate: Mutex::new(None),
         });
         let env: EnvRef = gated.clone();
-        let vs = Arc::new(ValueStore::new(
-            env.clone(),
-            "db",
-            Arc::new(BlockCache::with_capacity(1 << 20)),
-        ));
+        let vs = Arc::new(ValueStore::new(env.clone(), "db", cache(1 << 20)));
         let mut w = VWriter::create(&env, "db", 5, VFormat::RTable, IoClass::Flush).unwrap();
         w.add(b"k", 7, b"the-value").unwrap();
         let info = w.finish().unwrap();
@@ -887,10 +869,7 @@ mod tests {
         assert!(!mem.file_exists("db/000005.vsst"));
         gate.wait();
         assert!(get.join().unwrap().unwrap().is_some(), "the get is served");
-        assert!(
-            vs.readers.read().is_empty(),
-            "the removed file's reader is kept"
-        );
+        assert!(vs.readers.is_empty(), "the removed file's reader is kept");
         assert!(vs.reader(5).is_err(), "the file is gone");
     }
 
@@ -898,11 +877,7 @@ mod tests {
     fn orphan_cleanup_removes_unregistered_files() {
         let env = MemEnv::shared();
         let eref: EnvRef = env.clone();
-        let vs = ValueStore::new(
-            eref.clone(),
-            "db",
-            Arc::new(BlockCache::with_capacity(1024)),
-        );
+        let vs = ValueStore::new(eref.clone(), "db", cache(1024));
         let mut w = VWriter::create(&eref, "db", 3, VFormat::RTable, IoClass::Flush).unwrap();
         w.add(b"k", 1, b"v").unwrap();
         w.finish().unwrap();

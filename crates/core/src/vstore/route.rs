@@ -7,7 +7,7 @@ use super::{new_value_file_record, ValueStore};
 use crate::dropcache::DropCache;
 use crate::options::{Features, VFormat};
 use scavenger_env::{EnvRef, IoClass};
-use scavenger_lsm::{FileNumAlloc, NewValueFile};
+use scavenger_lsm::{FileNumbers, NewValueFile};
 use scavenger_util::ikey::SeqNo;
 use scavenger_util::Result;
 use std::sync::Arc;
@@ -41,7 +41,7 @@ pub(crate) struct RouteWriters {
     format: VFormat,
     target: u64,
     class: IoClass,
-    alloc: Arc<dyn FileNumAlloc>,
+    numbers: FileNumbers,
     /// `Some` when hotness-aware writing is on.
     dropcache: Option<Arc<DropCache>>,
     /// Open writers: `[cold, hot]`.
@@ -58,7 +58,7 @@ impl RouteWriters {
         features: Features,
         target: u64,
         class: IoClass,
-        alloc: Arc<dyn FileNumAlloc>,
+        numbers: FileNumbers,
         dropcache: &Arc<DropCache>,
     ) -> Self {
         RouteWriters {
@@ -67,7 +67,7 @@ impl RouteWriters {
             format: features.vformat,
             target: target.max(1),
             class,
-            alloc,
+            numbers,
             dropcache: features.hotness.then(|| dropcache.clone()),
             writers: [None, None],
             outputs: Vec::new(),
@@ -90,7 +90,7 @@ impl RouteWriters {
             && matches!(&self.dropcache, Some(dropcache) if dropcache.contains(user_key));
         let slot = if hot { HOT } else { COLD };
         if self.writers[slot].is_none() {
-            let file = self.alloc.next_file_number();
+            let file = self.numbers.next();
             self.created.push(file);
             let w = VWriter::create(&self.env, &self.dir, file, self.format, self.class)?;
             self.writers[slot] = Some((file, w));
@@ -155,19 +155,11 @@ mod tests {
     use crate::options::EngineMode;
     use scavenger_env::MemEnv;
     use scavenger_table::btable::BlockCache;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    struct CountingAlloc(AtomicU64);
-
-    impl FileNumAlloc for CountingAlloc {
-        fn next_file_number(&self) -> u64 {
-            self.0.fetch_add(1, Ordering::SeqCst) + 1
-        }
-    }
+    use scavenger_table::cache::StoreCache;
 
     struct Fixture {
         env: EnvRef,
-        alloc: Arc<CountingAlloc>,
+        numbers: FileNumbers,
         dropcache: Arc<DropCache>,
         vstore: ValueStore,
     }
@@ -179,10 +171,10 @@ mod tests {
                 vstore: ValueStore::new(
                     env.clone(),
                     "db",
-                    Arc::new(BlockCache::with_capacity(1024)),
+                    StoreCache::new(Arc::new(BlockCache::with_capacity(1024)), false),
                 ),
                 env,
-                alloc: Arc::new(CountingAlloc(AtomicU64::new(0))),
+                numbers: FileNumbers::new(1),
                 dropcache: Arc::new(DropCache::new(64)),
             }
         }
@@ -193,13 +185,14 @@ mod tests {
                 Features::for_mode(EngineMode::Scavenger),
                 target,
                 IoClass::GcWrite,
-                self.alloc.clone(),
+                self.numbers.clone(),
                 &self.dropcache,
             )
         }
 
+        /// File numbers handed out so far (taking one more to tell).
         fn allocated(&self) -> u64 {
-            self.alloc.0.load(Ordering::SeqCst)
+            self.numbers.next() - 1
         }
     }
 

@@ -28,7 +28,7 @@ use scavenger_env::{EnvRef, IoClass, RandomAccessFile, ReadaheadFile, WritableFi
 use scavenger_lsm::filename::{blob_path, value_table_path};
 use scavenger_table::blockio::BLOCK_TRAILER_LEN;
 use scavenger_table::btable::{cached_read, BlockCache, KTable, KTableBuilder, KTableFormat};
-use scavenger_table::cache::{CacheKey, CachePriority};
+use scavenger_table::cache::{CacheKey, CachePriority, StoreCache};
 use scavenger_table::handle::BlockHandle;
 use scavenger_table::rtable::{
     read_coalesced, Coalesce, RTableBuilder, RTableReader, COALESCE_SPAN,
@@ -357,29 +357,27 @@ pub enum VReader {
 
 impl VReader {
     /// Open `file` in `dir` for the given format; cached reads go through
-    /// `cache`, keyed under the store's `cache_ns` namespace (`0` for a
-    /// private cache).
+    /// the store's `cache`.
     pub fn open(
         env: &EnvRef,
         dir: &str,
         file: u64,
-        cache_ns: u64,
         format: VFormat,
-        cache: Option<Arc<BlockCache>>,
+        cache: Option<&StoreCache>,
         class: IoClass,
     ) -> Result<VReader> {
         let f = env.open_random_access(&vfile_path(dir, file, format), class)?;
-        Self::from_file(f, file, cache_ns, format, cache)
+        Self::from_file(f, file, format, cache)
     }
 
     fn from_file(
         f: Arc<dyn RandomAccessFile>,
         file: u64,
-        cache_ns: u64,
         format: VFormat,
-        cache: Option<Arc<BlockCache>>,
+        cache: Option<&StoreCache>,
     ) -> Result<VReader> {
-        let cache_id = scavenger_table::cache::cache_file_id(cache_ns, file);
+        let cache_id = cache.map_or(file, |c| c.file_id(file));
+        let cache = cache.map(|c| c.blocks().clone());
         Ok(match format {
             VFormat::RTable => VReader::R(RTableReader::open(f, cache_id, cache)?),
             VFormat::BTable => VReader::B(KTable::open(f, cache_id, cache)?),
@@ -405,9 +403,8 @@ impl VReader {
         env: &EnvRef,
         dir: &str,
         file: u64,
-        cache_ns: u64,
         format: VFormat,
-        mut cache: Option<Arc<BlockCache>>,
+        mut cache: Option<&StoreCache>,
         class: IoClass,
     ) -> Result<Vec<BlobRecord>> {
         let mut f = env.open_random_access(&vfile_path(dir, file, format), class)?;
@@ -415,7 +412,7 @@ impl VReader {
             f = Arc::new(ReadaheadFile::open(f, COALESCE_SPAN as usize)?);
             cache = None;
         }
-        Self::from_file(f, file, cache_ns, format, cache)?.scan_all()
+        Self::from_file(f, file, format, cache)?.scan_all()
     }
 
     /// **Locate** the exact version `ikey` in a keyed table without
@@ -645,8 +642,8 @@ mod tests {
             .collect();
 
         let open = || {
-            let cache = Arc::new(BlockCache::with_capacity(1 << 20));
-            VReader::open(&eref, "db", 9, 0, format, Some(cache), IoClass::FgValueRead).unwrap()
+            let cache = StoreCache::new(Arc::new(BlockCache::with_capacity(1 << 20)), false);
+            VReader::open(&eref, "db", 9, format, Some(&cache), IoClass::FgValueRead).unwrap()
         };
         // Where record `i` sits: a blob ref's record span, or a keyed
         // lookup (which reads a BTable's value block).
@@ -677,7 +674,7 @@ mod tests {
                 .collect();
             r.fetch(&wants, crate::vstore::GC_COALESCE)
         };
-        let scan = || VReader::scan_file(&eref, "db", 9, 0, format, None, IoClass::GcRead);
+        let scan = || VReader::scan_file(&eref, "db", 9, format, None, IoClass::GcRead);
 
         let r = open();
         let all: Vec<usize> = (0..recs.len()).collect();
@@ -747,7 +744,7 @@ mod tests {
         w.add(b"a", 1, b"valueA").unwrap();
         w.add(b"b", 2, b"valueB").unwrap();
         w.finish().unwrap();
-        let r = VReader::open(&env, "db", 3, 0, VFormat::BlobLog, None, IoClass::GcRead).unwrap();
+        let r = VReader::open(&env, "db", 3, VFormat::BlobLog, None, IoClass::GcRead).unwrap();
         let recs = r.scan_all().unwrap();
         for rec in recs {
             let vref = ValueRef {
@@ -770,7 +767,7 @@ mod tests {
         w.add(b"k", 5, &vec![9u8; 500]).unwrap();
         w.finish().unwrap();
         env.corrupt_byte("db/000004.blob", 50).unwrap();
-        let r = VReader::open(&eref, "db", 4, 0, VFormat::BlobLog, None, IoClass::GcRead).unwrap();
+        let r = VReader::open(&eref, "db", 4, VFormat::BlobLog, None, IoClass::GcRead).unwrap();
         assert!(r.scan_all().is_err());
     }
 
@@ -782,9 +779,9 @@ mod tests {
             w.add(b"k", 1, &vec![1u8; 4096]).unwrap();
             w.finish().unwrap();
         }
-        let b = VReader::open(&env, "db", 1, 0, VFormat::BTable, None, IoClass::GcRead).unwrap();
+        let b = VReader::open(&env, "db", 1, VFormat::BTable, None, IoClass::GcRead).unwrap();
         assert!(b.read_lazy_index().is_err());
-        let r = VReader::open(&env, "db", 2, 0, VFormat::RTable, None, IoClass::GcRead).unwrap();
+        let r = VReader::open(&env, "db", 2, VFormat::RTable, None, IoClass::GcRead).unwrap();
         let idx = r.read_lazy_index().unwrap();
         assert_eq!(idx.len(), 1);
         let (uk, seq) = parse_record_key(&idx[0].0).unwrap();

@@ -18,7 +18,7 @@
 use crate::filename::table_path;
 use crate::hooks::{DropCause, ValueEditBundle, ValueSession};
 use crate::options::{LsmOptions, NUM_LEVELS};
-use crate::version::{FileMetaData, Version};
+use crate::version::{FileMetaData, FileNumbers, Version};
 use bytes::Bytes;
 use scavenger_env::IoClass;
 use scavenger_table::btable::KTableBuilder;
@@ -255,7 +255,7 @@ pub fn pick_compaction(
 struct OutputWriter<'a> {
     opts: &'a LsmOptions,
     io_class: IoClass,
-    alloc: &'a dyn Fn() -> u64,
+    numbers: &'a FileNumbers,
     builder: Option<(u64, KTableBuilder)>,
     files: Vec<FileMetaData>,
     /// Numbers of the files created and not yet handed over.
@@ -263,12 +263,12 @@ struct OutputWriter<'a> {
 }
 
 impl<'a> OutputWriter<'a> {
-    /// Create an output writer allocating file numbers via `alloc`.
-    fn new(opts: &'a LsmOptions, io_class: IoClass, alloc: &'a dyn Fn() -> u64) -> Self {
+    /// Create an output writer numbering its files from `numbers`.
+    fn new(opts: &'a LsmOptions, io_class: IoClass, numbers: &'a FileNumbers) -> Self {
         OutputWriter {
             opts,
             io_class,
-            alloc,
+            numbers,
             builder: None,
             files: Vec::new(),
             created: Vec::new(),
@@ -284,7 +284,7 @@ impl<'a> OutputWriter<'a> {
 
     fn ensure_builder(&mut self) -> Result<&mut KTableBuilder> {
         if self.builder.is_none() {
-            let number = (self.alloc)();
+            let number = self.numbers.next();
             self.created.push(number);
             let file = self
                 .opts
@@ -331,9 +331,7 @@ impl<'a> OutputWriter<'a> {
                 file_size: built.file_size,
                 smallest: built.smallest,
                 largest: built.largest,
-                num_entries: built.props.num_entries,
                 ref_bytes: built.props.total_ref_bytes(),
-                deps: built.props.deps,
             });
         }
         Ok(())
@@ -395,10 +393,10 @@ pub fn run_output_job(
     elide_upto: Option<SeqNo>,
     may_exist_below: &dyn Fn(&[u8]) -> bool,
     mut session: Box<dyn ValueSession>,
-    alloc: &dyn Fn() -> u64,
+    numbers: &FileNumbers,
     io_class: IoClass,
 ) -> Result<JobOutput> {
-    let mut writer = OutputWriter::new(opts, io_class, alloc);
+    let mut writer = OutputWriter::new(opts, io_class, numbers);
     let mut stats = JobStats::default();
 
     // Buffered versions of the current user key (newest first).
@@ -504,7 +502,6 @@ mod tests {
     use crate::version::VersionEdit;
     use scavenger_env::MemEnv;
     use scavenger_util::ikey::MAX_SEQNO;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn opts() -> LsmOptions {
         let mut o = LsmOptions::new(MemEnv::shared(), "db");
@@ -534,8 +531,6 @@ mod tests {
         snapshots: &[SeqNo],
         elide_upto: Option<SeqNo>,
     ) -> JobOutput {
-        let counter = AtomicU64::new(1);
-        let alloc = || counter.fetch_add(1, Ordering::SeqCst);
         let mut input = VecIter::new(entries);
         run_output_job(
             o,
@@ -544,7 +539,7 @@ mod tests {
             elide_upto,
             &|_| false,
             Box::new(PassthroughSession),
-            &alloc,
+            &FileNumbers::new(1),
             IoClass::Compaction,
         )
         .unwrap()
@@ -555,7 +550,6 @@ mod tests {
             &o.env,
             &o.dir,
             file.file_number,
-            0,
             None,
             IoClass::FgIndexRead,
         )
@@ -693,7 +687,7 @@ mod tests {
             use scavenger_util::ikey::extract_user_key;
             assert!(extract_user_key(&w[0].largest) < extract_user_key(&w[1].smallest));
         }
-        let total: u64 = out.files.iter().map(|f| f.num_entries).sum();
+        let total: usize = out.files.iter().map(|f| read_all(&o, f).len()).sum();
         assert_eq!(total, 200);
     }
 
@@ -729,8 +723,6 @@ mod tests {
         }
         let drops = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
         let o = opts();
-        let counter = AtomicU64::new(1);
-        let alloc = || counter.fetch_add(1, Ordering::SeqCst);
         let mut input = VecIter::new(vec![
             e("a", 9, ValueType::Value, "new"),
             e("a", 5, ValueType::Value, "old"),
@@ -746,7 +738,7 @@ mod tests {
             Box::new(Recorder {
                 drops: drops.clone(),
             }),
-            &alloc,
+            &FileNumbers::new(1),
             IoClass::Compaction,
         )
         .unwrap();
@@ -766,9 +758,7 @@ mod tests {
             file_size: size,
             smallest: make_internal_key(lo, MAX_SEQNO, ValueType::Value),
             largest: make_internal_key(hi, 0, ValueType::Value),
-            num_entries: 1,
             ref_bytes: refs,
-            deps: vec![],
         }
     }
 

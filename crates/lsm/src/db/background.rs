@@ -16,7 +16,6 @@ use crate::view::SuperVersion;
 use parking_lot::{Mutex, MutexGuard};
 use scavenger_env::{IoClass, ReadaheadFile};
 use scavenger_table::btable::KTable;
-use scavenger_table::cache::cache_file_id;
 use scavenger_table::InternalIterator;
 use scavenger_util::ikey::SeqNo;
 use scavenger_util::{Error, Result};
@@ -306,11 +305,8 @@ impl Lsm {
             let file = opts
                 .env
                 .open_random_access(&table_path(&opts.dir, f.file_number), IoClass::Compaction)?;
-            let t = KTable::open(
-                Arc::new(ReadaheadFile::open(file, COMPACTION_READAHEAD)?),
-                cache_file_id(opts.cache_namespace, f.file_number),
-                None,
-            )?;
+            let file = Arc::new(ReadaheadFile::open(file, COMPACTION_READAHEAD)?);
+            let t = KTable::open(file, f.file_number, None)?;
             children.push(t.iter());
         }
         let output_level = c.output_level;
@@ -367,12 +363,10 @@ impl Lsm {
             JobKind::Compaction { output_level, .. } => (output_level, IoClass::Compaction),
         };
         let session: Box<dyn ValueSession> = match &self.inner.opts.value_hook {
-            Some(h) => h.session(kind, self.file_alloc())?,
+            Some(h) => h.session(kind, self.file_numbers())?,
             None => Box::new(PassthroughSession),
         };
         let snapshots = self.read_points();
-        let counter = self.inner.file_counter.clone();
-        let alloc = move || counter.fetch_add(1, Ordering::SeqCst);
         let out = run_output_job(
             &self.inner.opts,
             input,
@@ -380,7 +374,7 @@ impl Lsm {
             elide_upto,
             may_exist_below,
             session,
-            &alloc,
+            &self.inner.file_numbers,
             io_class,
         )?;
         self.inner
@@ -423,7 +417,7 @@ impl Lsm {
             if referenced.contains(n) {
                 true
             } else {
-                self.inner.tcache.evict(*n);
+                self.inner.tcache.readers.evict(*n);
                 let _ = self
                     .inner
                     .opts
@@ -520,7 +514,8 @@ mod tests {
     use super::super::tests::{open, put_ref, test_opts};
     use super::*;
     use crate::db::LsmReadResult;
-    use crate::hooks::{DropCause, FileNumAlloc, NewValueFile, ValueHook};
+    use crate::hooks::{DropCause, NewValueFile, ValueHook};
+    use crate::version::FileNumbers;
     use bytes::Bytes;
     use scavenger_util::ikey::{ValueRef, ValueType};
     use std::collections::HashMap;
@@ -565,7 +560,7 @@ mod tests {
     }
 
     struct RelocateSession {
-        alloc: Arc<dyn FileNumAlloc>,
+        numbers: FileNumbers,
         relocate: bool,
         file: Option<u64>,
         entries: u64,
@@ -583,8 +578,8 @@ mod tests {
             if !self.relocate || vtype != ValueType::ValueRef {
                 return Ok((vtype, value));
             }
-            let alloc = &self.alloc;
-            let file = *self.file.get_or_insert_with(|| alloc.next_file_number());
+            let numbers = &self.numbers;
+            let file = *self.file.get_or_insert_with(|| numbers.next());
             self.entries += 1;
             let old = ValueRef::decode(&value)?;
             *self.garbage.entry(old.file).or_default() += 1;
@@ -612,13 +607,9 @@ mod tests {
     }
 
     impl ValueHook for Relocating {
-        fn session(
-            &self,
-            kind: JobKind,
-            alloc: Arc<dyn FileNumAlloc>,
-        ) -> Result<Box<dyn ValueSession>> {
+        fn session(&self, kind: JobKind, numbers: FileNumbers) -> Result<Box<dyn ValueSession>> {
             Ok(Box::new(RelocateSession {
-                alloc,
+                numbers,
                 relocate: matches!(kind, JobKind::Compaction { .. }),
                 file: None,
                 entries: 0,

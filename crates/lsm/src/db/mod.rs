@@ -24,10 +24,9 @@ pub use write::{GuardedWrite, Precondition, MAX_IMM_MEMTABLES};
 use crate::batch::WriteReceipt;
 use crate::compaction::PickerState;
 use crate::group::GroupCommit;
-use crate::hooks::FileNumAlloc;
 use crate::options::LsmOptions;
 use crate::tcache::TableCache;
-use crate::version::{Manifest, Version};
+use crate::version::{FileNumbers, Manifest, Version};
 use crate::view::{
     latest_version_seq, read_superversion, BatchReader, LsmView, ReadPointKind, ReadPointRegistry,
     SuperVersion,
@@ -35,7 +34,6 @@ use crate::view::{
 use background::BgSignal;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
-use scavenger_table::btable::BlockCache;
 use scavenger_util::ikey::{SeqNo, ValueType};
 use scavenger_util::{Error, Result};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -103,7 +101,7 @@ struct Inner {
     /// The version set behind the MANIFEST's commit queue.
     manifest: Manifest,
     seq: Arc<AtomicU64>,
-    file_counter: Arc<AtomicU64>,
+    file_numbers: FileNumbers,
     picker: Mutex<PickerState>,
     read_points: Arc<ReadPointRegistry>,
     /// The tree's state: the memtables and the SST version. Replaced,
@@ -143,15 +141,6 @@ struct Inner {
     tombstone_hold: AtomicU64,
 }
 
-/// Allocates file numbers from the shared counter.
-struct CounterAlloc(Arc<AtomicU64>);
-
-impl FileNumAlloc for CounterAlloc {
-    fn next_file_number(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::SeqCst)
-    }
-}
-
 /// The index LSM-tree.
 pub struct Lsm {
     inner: Arc<Inner>,
@@ -175,14 +164,10 @@ impl Lsm {
         self.inner.cdc.clone()
     }
 
-    /// Shared block cache.
-    pub fn block_cache(&self) -> Arc<BlockCache> {
-        self.inner.tcache.block_cache()
-    }
-
-    /// A file-number allocator backed by the engine's global counter.
-    pub fn file_alloc(&self) -> Arc<dyn FileNumAlloc> {
-        Arc::new(CounterAlloc(self.inner.file_counter.clone()))
+    /// The store's file-number counter, which the value files above the
+    /// tree number themselves from too.
+    pub fn file_numbers(&self) -> FileNumbers {
+        self.inner.file_numbers.clone()
     }
 
     /// Engine counters.

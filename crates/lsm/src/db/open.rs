@@ -7,13 +7,14 @@ use crate::compaction::PickerState;
 use crate::filename::{parse_path, wal_path, FileKind};
 use crate::group::GroupCommit;
 use crate::memtable::Memtable;
-use crate::options::{BackgroundMode, LsmOptions};
+use crate::options::{BackgroundMode, LsmOptions, CACHE_BYTES};
 use crate::tcache::TableCache;
 use crate::version::{Manifest, VersionEdit, VersionSet};
 use crate::view::{Imm, ReadPointRegistry, SuperVersion};
 use parking_lot::{Condvar, Mutex, RwLock};
 use scavenger_env::IoClass;
 use scavenger_table::btable::BlockCache;
+use scavenger_table::cache::StoreCache;
 use scavenger_util::ikey::SeqNo;
 use scavenger_util::Result;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,12 +31,11 @@ impl Lsm {
         let vset = recovered.vset;
         let value_replay = recovered.value_replay;
         let seq = vset.seq_counter();
-        let file_counter = vset.file_counter();
-        let block_cache = opts
-            .block_cache
-            .clone()
-            .unwrap_or_else(|| Arc::new(BlockCache::with_capacity(opts.block_cache_bytes)));
-        let tcache = Arc::new(TableCache::new(&opts, block_cache));
+        let file_numbers = vset.file_numbers();
+        let cache = opts.cache.clone().unwrap_or_else(|| {
+            StoreCache::new(Arc::new(BlockCache::with_capacity(CACHE_BYTES)), false)
+        });
+        let tcache = Arc::new(TableCache::new(&opts, cache));
 
         let cdc = crate::changelog::ChangeLog::new(
             env.clone(),
@@ -54,7 +54,7 @@ impl Lsm {
             sv_install: Mutex::new(()),
             bg_work: Mutex::new(()),
             seq,
-            file_counter,
+            file_numbers,
             picker: Mutex::new(PickerState::new()),
             counters: LsmCounters::default(),
             bg_signal: Mutex::new(Default::default()),

@@ -387,7 +387,7 @@ impl Lsm {
             .wal
             .as_ref()
             .map(|w| (ws.log.wal_number, w.len(), ws.poisoned));
-        let n = self.inner.file_counter.fetch_add(1, Ordering::SeqCst);
+        let n = self.inner.file_numbers.next();
         let f = self
             .inner
             .opts

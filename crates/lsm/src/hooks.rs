@@ -14,10 +14,10 @@
 //! * returns a [`ValueEditBundle`] folded into the job's version edit, so
 //!   value-store state changes commit atomically with the index change.
 
+use crate::version::FileNumbers;
 use bytes::Bytes;
 use scavenger_util::ikey::{SeqNo, ValueType};
 use scavenger_util::Result;
-use std::sync::Arc;
 
 /// Why the merge dropped an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +47,7 @@ pub enum JobKind {
 /// A value file created by a session (registered in the version edit).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NewValueFile {
-    /// File number (allocated through [`FileNumAlloc`]).
+    /// File number (taken from the store's [`FileNumbers`]).
     pub file: u64,
     /// On-disk size in bytes.
     pub size: u64,
@@ -93,12 +93,6 @@ impl ValueEditBundle {
     }
 }
 
-/// Allocates file numbers from the engine's global counter.
-pub trait FileNumAlloc: Send + Sync {
-    /// Return a fresh, unique file number.
-    fn next_file_number(&self) -> u64;
-}
-
 /// Per-job session; see module docs.
 pub trait ValueSession: Send {
     /// Transform an entry about to be written to the output table.
@@ -128,10 +122,9 @@ pub trait ValueSession: Send {
 
 /// Factory for [`ValueSession`]s.
 pub trait ValueHook: Send + Sync {
-    /// Open a session for one flush/compaction job. `alloc` hands out
-    /// engine-unique file numbers for any value files the session creates.
-    fn session(&self, kind: JobKind, alloc: Arc<dyn FileNumAlloc>)
-        -> Result<Box<dyn ValueSession>>;
+    /// Open a session for one flush/compaction job. Any value file the
+    /// session creates takes its number from `numbers`.
+    fn session(&self, kind: JobKind, numbers: FileNumbers) -> Result<Box<dyn ValueSession>>;
 
     /// Called after a job's bundle has been durably committed to the
     /// manifest. The value store applies the bundle to its in-memory state

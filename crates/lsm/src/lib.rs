@@ -41,10 +41,8 @@ pub use batch::{WriteBatch, WriteOptions, WriteReceipt};
 pub use changelog::{ChangeCursor, ChangeEvent, ChangeLog, ChangeLogStats};
 pub use db::{GuardedWrite, Lsm, LsmReadResult, Precondition};
 pub use group::{GroupCommit, GroupLeader, Logged};
-pub use hooks::{
-    DropCause, FileNumAlloc, JobKind, NewValueFile, ValueEditBundle, ValueHook, ValueSession,
-};
+pub use hooks::{DropCause, JobKind, NewValueFile, ValueEditBundle, ValueHook, ValueSession};
 pub use iter::{BatchSweep, SweepStats};
 pub use options::{BackgroundMode, KTableFormat, LsmOptions};
-pub use version::{FileMetaData, Version, VersionEdit};
+pub use version::{FileMetaData, FileNumbers, Version, VersionEdit};
 pub use view::{BatchReader, LsmView, ReadPointGuard, ScanIter, SuperVersion};

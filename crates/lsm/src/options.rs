@@ -1,9 +1,15 @@
 //! Configuration for the index LSM-tree.
+//!
+//! The tree reads its key SSTs through [`LsmOptions::cache`], the
+//! store's [`StoreCache`]: the block cache its value files share (and, in
+//! a shard set, every member) with the namespace the store's cache keys
+//! carry. The options size no cache: a tree opened without one reads
+//! through a private cache of [`CACHE_BYTES`].
 
 use crate::hooks::ValueHook;
 use scavenger_env::EnvRef;
-use scavenger_table::btable::BlockCache;
 pub use scavenger_table::btable::KTableFormat;
+use scavenger_table::cache::StoreCache;
 use scavenger_table::BLOCK_SIZE;
 use scavenger_util::ikey::{SeqNo, MAX_SEQNO};
 use std::sync::Arc;
@@ -29,6 +35,9 @@ pub const L0_TRIGGER: usize = 4;
 /// Number of levels in the index tree (RocksDB's default, which the
 /// paper's §IV-A setup keeps).
 pub const NUM_LEVELS: usize = 7;
+/// Capacity of the private block cache a tree opened without
+/// [`LsmOptions::cache`] reads through.
+pub const CACHE_BYTES: usize = 1024 * 1024;
 
 /// Options for opening an [`Lsm`](crate::db::Lsm).
 #[derive(Clone)]
@@ -54,15 +63,9 @@ pub struct LsmOptions {
     /// Score compaction by compensated size (paper §III-C) instead of raw
     /// file size.
     pub compensated: bool,
-    /// Shared block cache (created if `None`).
-    pub block_cache: Option<Arc<BlockCache>>,
-    /// Cache namespace mixed into block-cache file ids (see
-    /// [`scavenger_table::cache::cache_file_id`]). Must be unique per
-    /// store when `block_cache` is shared across stores whose file
-    /// numbers collide; `0` for a private cache.
-    pub cache_namespace: u64,
-    /// Block cache capacity when `block_cache` is `None`.
-    pub block_cache_bytes: usize,
+    /// The store's block cache and namespace. `None` opens a private
+    /// cache of [`CACHE_BYTES`]; the engine above always passes one.
+    pub cache: Option<StoreCache>,
     /// Background execution mode.
     pub background: BackgroundMode,
     /// How many times a *transient* background-job failure (flush,
@@ -113,9 +116,7 @@ impl LsmOptions {
             block_size: BLOCK_SIZE,
             ktable_format: KTableFormat::BTable,
             compensated: false,
-            block_cache: None,
-            cache_namespace: 0,
-            block_cache_bytes: 1024 * 1024,
+            cache: None,
             background: BackgroundMode::Inline,
             bg_retry_limit: 3,
             bg_retry_base: std::time::Duration::from_millis(10),

@@ -6,102 +6,60 @@
 
 use crate::filename::table_path;
 use crate::options::LsmOptions;
-use parking_lot::Mutex;
 use scavenger_env::{EnvRef, IoClass};
-use scavenger_table::btable::{BlockCache, KTable};
-use scavenger_table::cache::cache_file_id;
-use scavenger_util::hash::IntMap;
+use scavenger_table::btable::KTable;
+use scavenger_table::cache::{ReaderMap, StoreCache};
 use scavenger_util::Result;
 use std::sync::Arc;
 
-/// Open a key SST of either format. `cache_ns` is the store's cache
-/// namespace (see [`scavenger_table::cache::cache_file_id`]); pass `0`
-/// for a private block cache.
+/// Open a key SST of either format, reading through `cache` when given.
 pub fn open_ktable(
     env: &EnvRef,
     dir: &str,
     file_number: u64,
-    cache_ns: u64,
-    cache: Option<Arc<BlockCache>>,
+    cache: Option<&StoreCache>,
     class: IoClass,
 ) -> Result<KTable> {
     let file = env.open_random_access(&table_path(dir, file_number), class)?;
-    KTable::open(file, cache_file_id(cache_ns, file_number), cache)
+    match cache {
+        Some(c) => KTable::open(file, c.file_id(file_number), Some(c.blocks().clone())),
+        None => KTable::open(file, file_number, None),
+    }
 }
 
-/// Number of independent reader-map shards. Mirrors the block cache's
-/// sharding (16): concurrent readers — GC validation workers above all —
-/// hash to different shards instead of serializing on one mutex.
-const TABLE_CACHE_SHARDS: usize = 16;
-
-/// Caches open readers keyed by file number, sharded by a mixed hash of
-/// the file number so parallel lookups rarely contend.
+/// The tree's key-SST readers, each opened on its first lookup and read
+/// through the store's block cache.
 pub struct TableCache {
     env: EnvRef,
     dir: String,
-    block_cache: Arc<BlockCache>,
-    cache_ns: u64,
-    shards: Vec<Mutex<IntMap<u64, Arc<KTable>>>>,
+    cache: StoreCache,
+    /// The open readers; the tree evicts a file's when it deletes it.
+    pub(crate) readers: ReaderMap<KTable>,
 }
 
 impl TableCache {
-    /// Create a table cache for `dir`.
-    pub fn new(opts: &LsmOptions, block_cache: Arc<BlockCache>) -> Self {
+    /// Create a table cache for `dir`, reading through `cache`.
+    pub fn new(opts: &LsmOptions, cache: StoreCache) -> Self {
         TableCache {
             env: opts.env.clone(),
             dir: opts.dir.clone(),
-            block_cache,
-            cache_ns: opts.cache_namespace,
-            shards: (0..TABLE_CACHE_SHARDS)
-                .map(|_| Mutex::new(IntMap::default()))
-                .collect(),
+            cache,
+            readers: ReaderMap::default(),
         }
-    }
-
-    fn shard(&self, file_number: u64) -> &Mutex<IntMap<u64, Arc<KTable>>> {
-        // File numbers are sequential; mix them so neighbours land in
-        // different shards.
-        let h = file_number.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(h >> 32) as usize % self.shards.len()]
     }
 
     /// Get (or open) the reader for `file_number`. Reads are accounted as
     /// foreground index reads.
     pub fn get(&self, file_number: u64) -> Result<Arc<KTable>> {
-        let shard = self.shard(file_number);
-        if let Some(t) = shard.lock().get(&file_number) {
-            return Ok(t.clone());
-        }
-        let table = Arc::new(open_ktable(
-            &self.env,
-            &self.dir,
-            file_number,
-            self.cache_ns,
-            Some(self.block_cache.clone()),
-            IoClass::FgIndexRead,
-        )?);
-        shard.lock().insert(file_number, table.clone());
-        Ok(table)
-    }
-
-    /// Drop the cached reader for a deleted file.
-    pub fn evict(&self, file_number: u64) {
-        self.shard(file_number).lock().remove(&file_number);
-    }
-
-    /// The shared block cache.
-    pub fn block_cache(&self) -> Arc<BlockCache> {
-        self.block_cache.clone()
-    }
-
-    /// Number of cached readers.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// True if no readers are cached.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
+        self.readers.get_or_open(file_number, || {
+            open_ktable(
+                &self.env,
+                &self.dir,
+                file_number,
+                Some(&self.cache),
+                IoClass::FgIndexRead,
+            )
+        })
     }
 }
 
@@ -109,7 +67,7 @@ impl TableCache {
 mod tests {
     use super::*;
     use scavenger_env::MemEnv;
-    use scavenger_table::btable::{KTableBuilder, KTableFormat};
+    use scavenger_table::btable::{BlockCache, KTableBuilder, KTableFormat};
     use scavenger_table::props::TableType;
     use scavenger_table::InternalIterator;
     use scavenger_util::ikey::{
@@ -148,6 +106,10 @@ mod tests {
         b.finish().unwrap();
     }
 
+    fn cache() -> StoreCache {
+        StoreCache::new(Arc::new(BlockCache::with_capacity(1 << 20)), false)
+    }
+
     fn write_btable(env: &EnvRef, dir: &str, number: u64) {
         write_table(env, dir, number, KTableFormat::BTable);
     }
@@ -161,8 +123,8 @@ mod tests {
         let env: EnvRef = MemEnv::shared();
         write_btable(&env, "db", 1);
         write_dtable(&env, "db", 2);
-        let t1 = open_ktable(&env, "db", 1, 0, None, IoClass::FgIndexRead).unwrap();
-        let t2 = open_ktable(&env, "db", 2, 0, None, IoClass::FgIndexRead).unwrap();
+        let t1 = open_ktable(&env, "db", 1, None, IoClass::FgIndexRead).unwrap();
+        let t2 = open_ktable(&env, "db", 2, None, IoClass::FgIndexRead).unwrap();
         assert_eq!(t1.props().table_type, TableType::BTable);
         assert_eq!(t2.props().table_type, TableType::DTable);
         // Unified lookup API works across formats.
@@ -184,7 +146,7 @@ mod tests {
         write_dtable(&env, "db", 2);
         for (number, dtable) in [(1, false), (2, true)] {
             let before = env.io_stats().snapshot();
-            let t = open_ktable(&env, "db", number, 0, None, IoClass::FgIndexRead).unwrap();
+            let t = open_ktable(&env, "db", number, None, IoClass::FgIndexRead).unwrap();
             let d = env.io_stats().snapshot().delta(&before);
             assert_eq!(t.props().table_type == TableType::DTable, dtable);
             assert_eq!(d.total_read_ops(), 1, "table {number}");
@@ -196,20 +158,95 @@ mod tests {
         let env: EnvRef = MemEnv::shared();
         write_btable(&env, "db", 3);
         let opts = LsmOptions::new(env, "db");
-        let tc = TableCache::new(&opts, Arc::new(BlockCache::with_capacity(1 << 20)));
+        let tc = TableCache::new(&opts, cache());
         let a = tc.get(3).unwrap();
         let b = tc.get(3).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(tc.len(), 1);
-        tc.evict(3);
-        assert!(tc.is_empty());
+        assert_eq!(tc.readers.len(), 1);
+        tc.readers.evict(3);
+        assert!(tc.readers.is_empty());
+    }
+
+    /// `MemEnv` whose `open_random_access` of a key SST opens the file,
+    /// then waits at `gate` until a second open of one has too.
+    struct GatedEnv {
+        inner: EnvRef,
+        gate: std::sync::Barrier,
+    }
+
+    impl scavenger_env::Env for GatedEnv {
+        fn new_writable(
+            &self,
+            path: &str,
+            class: IoClass,
+        ) -> Result<Box<dyn scavenger_env::WritableFile>> {
+            self.inner.new_writable(path, class)
+        }
+        fn open_random_access(
+            &self,
+            path: &str,
+            class: IoClass,
+        ) -> Result<Arc<dyn scavenger_env::RandomAccessFile>> {
+            let f = self.inner.open_random_access(path, class)?;
+            if path.ends_with(".sst") {
+                self.gate.wait();
+            }
+            Ok(f)
+        }
+        fn read_file(&self, path: &str, class: IoClass) -> Result<bytes::Bytes> {
+            self.inner.read_file(path, class)
+        }
+        fn remove_file(&self, path: &str) -> Result<()> {
+            self.inner.remove_file(path)
+        }
+        fn rename(&self, from: &str, to: &str) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn file_exists(&self, path: &str) -> bool {
+            self.inner.file_exists(path)
+        }
+        fn file_size(&self, path: &str) -> Result<u64> {
+            self.inner.file_size(path)
+        }
+        fn list_prefix(&self, prefix: &str) -> Result<Vec<String>> {
+            self.inner.list_prefix(prefix)
+        }
+        fn create_dir_all(&self, path: &str) -> Result<()> {
+            self.inner.create_dir_all(path)
+        }
+        fn io_stats(&self) -> Arc<scavenger_env::IoStats> {
+            self.inner.io_stats()
+        }
+    }
+
+    /// Two first lookups of one file that race — both open it before
+    /// either keeps its reader — share one reader: the first insert wins.
+    #[test]
+    fn racing_first_opens_keep_one_reader() {
+        let mem: EnvRef = MemEnv::shared();
+        write_btable(&mem, "db", 3);
+        let env: EnvRef = Arc::new(GatedEnv {
+            inner: mem,
+            gate: std::sync::Barrier::new(2),
+        });
+        let tc = TableCache::new(&LsmOptions::new(env, "db"), cache());
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| tc.get(3).unwrap());
+            let b = s.spawn(|| tc.get(3).unwrap());
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "each racing caller kept its own reader"
+        );
+        assert!(Arc::ptr_eq(&a, &tc.get(3).unwrap()));
     }
 
     #[test]
     fn missing_file_is_not_found() {
         let env: EnvRef = MemEnv::shared();
         let opts = LsmOptions::new(env, "db");
-        let tc = TableCache::new(&opts, Arc::new(BlockCache::with_capacity(1 << 20)));
+        let tc = TableCache::new(&opts, cache());
         assert!(tc.get(42).is_err());
     }
 
@@ -244,7 +281,7 @@ mod tests {
         write_dtable(&env, "db", 2);
         let es = entries();
         for (n, index, index_from_c) in [(1u64, &b"abbcd"[..], &b"cd"[..]), (2, b"bc", b"c")] {
-            let t = open_ktable(&env, "db", n, 0, None, IoClass::FgIndexRead).unwrap();
+            let t = open_ktable(&env, "db", n, None, IoClass::FgIndexRead).unwrap();
             assert_eq!(walk(t.iter().as_mut(), None), b"abbcd", "table {n}");
             assert_eq!(walk(t.iter().as_mut(), Some(b"b")), b"bbcd", "table {n}");
             assert_eq!(walk(t.index_iter().as_mut(), None), index, "table {n}");

@@ -18,7 +18,6 @@ use crate::hooks::{NewValueFile, ValueEditBundle};
 use crate::options::NUM_LEVELS;
 use crate::wal::{read_all_records, LogWriter};
 use scavenger_env::{EnvRef, IoClass};
-use scavenger_table::props::ValueDep;
 use scavenger_util::coding::{
     get_length_prefixed_slice, get_varint32, get_varint64, put_length_prefixed_slice, put_varint32,
     put_varint64,
@@ -27,6 +26,24 @@ use scavenger_util::ikey::{cmp_internal, extract_user_key, SeqNo};
 use scavenger_util::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+
+/// A store's file-number counter, recovered from the MANIFEST: every
+/// WAL, MANIFEST, key SST and value file of the store takes its number
+/// here, so no two share one. Clones share the counter.
+#[derive(Debug, Clone)]
+pub struct FileNumbers(Arc<AtomicU64>);
+
+impl FileNumbers {
+    /// A counter whose first number is `first`.
+    pub fn new(first: u64) -> Self {
+        FileNumbers(Arc::new(AtomicU64::new(first)))
+    }
+
+    /// A fresh, unique file number.
+    pub fn next(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::SeqCst)
+    }
+}
 
 /// Metadata for one key SST.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,13 +56,9 @@ pub struct FileMetaData {
     pub smallest: Vec<u8>,
     /// Largest internal key in the file.
     pub largest: Vec<u8>,
-    /// Number of entries.
-    pub num_entries: u64,
     /// Total bytes of separated values referenced by this file — the
     /// *compensation* term of the paper's compensated size (§III-C).
     pub ref_bytes: u64,
-    /// Per-value-file dependency stats.
-    pub deps: Vec<ValueDep>,
 }
 
 impl FileMetaData {
@@ -129,14 +142,7 @@ impl VersionEdit {
             put_varint64(&mut v, f.file_size);
             put_length_prefixed_slice(&mut v, &f.smallest);
             put_length_prefixed_slice(&mut v, &f.largest);
-            put_varint64(&mut v, f.num_entries);
             put_varint64(&mut v, f.ref_bytes);
-            put_varint32(&mut v, f.deps.len() as u32);
-            for d in &f.deps {
-                put_varint64(&mut v, d.file);
-                put_varint64(&mut v, d.entries);
-                put_varint64(&mut v, d.ref_bytes);
-            }
         }
         for (level, file) in &self.deleted {
             v.push(5);
@@ -186,17 +192,7 @@ impl VersionEdit {
                     let file_size = get_varint64(&mut src)?;
                     let smallest = get_length_prefixed_slice(&mut src)?.to_vec();
                     let largest = get_length_prefixed_slice(&mut src)?.to_vec();
-                    let num_entries = get_varint64(&mut src)?;
                     let ref_bytes = get_varint64(&mut src)?;
-                    let ndeps = get_varint32(&mut src)? as usize;
-                    let mut deps = Vec::with_capacity(ndeps.min(1024));
-                    for _ in 0..ndeps {
-                        deps.push(ValueDep {
-                            file: get_varint64(&mut src)?,
-                            entries: get_varint64(&mut src)?,
-                            ref_bytes: get_varint64(&mut src)?,
-                        });
-                    }
                     edit.added.push((
                         level,
                         FileMetaData {
@@ -204,9 +200,7 @@ impl VersionEdit {
                             file_size,
                             smallest,
                             largest,
-                            num_entries,
                             ref_bytes,
-                            deps,
                         },
                     ));
                 }
@@ -422,7 +416,7 @@ pub struct VersionSet {
     env: EnvRef,
     dir: String,
     current: Arc<Version>,
-    next_file: Arc<AtomicU64>,
+    next_file: FileNumbers,
     last_seq: Arc<AtomicU64>,
     /// WALs numbered below this are obsolete.
     pub log_number: u64,
@@ -508,7 +502,7 @@ impl VersionSet {
             env,
             dir: dir.to_string(),
             current,
-            next_file: Arc::new(AtomicU64::new(next_file)),
+            next_file: FileNumbers::new(next_file),
             last_seq: Arc::new(AtomicU64::new(last_seq)),
             log_number,
             manifest: None,
@@ -525,20 +519,14 @@ impl VersionSet {
         self.current.clone()
     }
 
-    /// Shared next-file-number counter (for
-    /// [`FileNumAlloc`](crate::hooks::FileNumAlloc)).
-    pub fn file_counter(&self) -> Arc<AtomicU64> {
+    /// The store's file-number counter.
+    pub fn file_numbers(&self) -> FileNumbers {
         self.next_file.clone()
     }
 
     /// Shared last-sequence counter.
     pub fn seq_counter(&self) -> Arc<AtomicU64> {
         self.last_seq.clone()
-    }
-
-    /// Allocate a fresh file number.
-    pub fn new_file_number(&self) -> u64 {
-        self.next_file.fetch_add(1, Ordering::SeqCst)
     }
 
     /// Current last sequence.
@@ -553,11 +541,11 @@ impl VersionSet {
     /// a poisoned one, which is never fsynced again: a lying retried fsync
     /// can't silently commit its tail.
     fn rotate(&mut self) -> Result<()> {
-        let number = self.new_file_number();
+        let number = self.next_file.next();
         let mpath = manifest_path(&self.dir, number);
         let mut manifest = LogWriter::new(self.env.new_writable(&mpath, IoClass::Manifest)?);
         let mut snapshot = VersionEdit {
-            next_file_number: Some(self.next_file.load(Ordering::SeqCst)),
+            next_file_number: Some(self.next_file.0.load(Ordering::SeqCst)),
             last_sequence: Some(self.last_sequence()),
             log_number: Some(self.log_number),
             ..VersionEdit::default()
@@ -687,7 +675,7 @@ impl GroupLeader<VersionSet, VersionEdit, Result<()>> for ManifestLeader {
         let mut applied = Vec::with_capacity(edits.len());
         let mut outcomes = Vec::with_capacity(edits.len());
         for mut edit in edits {
-            edit.next_file_number = Some(vs.next_file.load(Ordering::SeqCst));
+            edit.next_file_number = Some(vs.next_file.0.load(Ordering::SeqCst));
             edit.last_sequence = Some(vs.last_seq.load(Ordering::SeqCst));
             match next.apply(&edit) {
                 Ok(version) => {
@@ -739,9 +727,7 @@ mod tests {
             file_size: 1000,
             smallest: make_internal_key(lo, 100, ValueType::Value),
             largest: make_internal_key(hi, 1, ValueType::Value),
-            num_entries: 10,
             ref_bytes: 0,
-            deps: vec![],
         }
     }
 
@@ -758,13 +744,7 @@ mod tests {
                     file_size: 4096,
                     smallest: b"aaa\x01\x00\x00\x00\x00\x00\x00\x01".to_vec(),
                     largest: b"zzz\x01\x00\x00\x00\x00\x00\x00\x01".to_vec(),
-                    num_entries: 55,
                     ref_bytes: 123456,
-                    deps: vec![ValueDep {
-                        file: 3,
-                        entries: 10,
-                        ref_bytes: 100000,
-                    }],
                 },
             )],
             deleted: vec![(0, 5), (0, 6)],
@@ -839,7 +819,7 @@ mod tests {
             let rec = VersionSet::open(eref.clone(), "db").unwrap();
             let vset = Manifest::new(rec.vset);
             assert!(rec.value_replay.is_empty());
-            let n1 = vset.lock().log.new_file_number();
+            let n1 = vset.lock().log.file_numbers().next();
             let mut edit = VersionEdit::default();
             edit.added.push((0, meta(n1, b"a", b"z")));
             edit.value.new_files.push(NewValueFile {
@@ -864,7 +844,7 @@ mod tests {
         assert_eq!(rec.value_replay[0].new_files[0].file, 99);
         assert_eq!(rec.value_replay[1].garbage[0], (99, 3, 1));
         // File numbers keep increasing.
-        assert!(rec.vset.new_file_number() > 1);
+        assert!(rec.vset.file_numbers().next() > 1);
     }
 
     #[test]
@@ -916,11 +896,11 @@ mod tests {
             manifest_path_str = manifest_path("db", vset.lock().log.manifest_number());
             let mut e1 = VersionEdit::default();
             e1.added
-                .push((0, meta(vset.lock().log.new_file_number(), b"a", b"m")));
+                .push((0, meta(vset.lock().log.file_numbers().next(), b"a", b"m")));
             vset.log_and_apply(e1).unwrap();
             let mut e2 = VersionEdit::default();
             e2.added
-                .push((0, meta(vset.lock().log.new_file_number(), b"n", b"z")));
+                .push((0, meta(vset.lock().log.file_numbers().next(), b"n", b"z")));
             vset.log_and_apply(e2).unwrap();
         }
         // Tear the last few bytes of the manifest (crash mid-append).

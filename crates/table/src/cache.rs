@@ -16,13 +16,20 @@
 //! admitted at the cost of a high-priority entry. Values fill a cache that
 //! has room; in a full one a new value mostly evicts the last one that
 //! was never hit again. Scans and GC read values around the cache.
+//!
+//! A store reads through the cache as a [`StoreCache`], which names its
+//! files' blocks under the store's namespace, and keeps its open readers
+//! in [`ReaderMap`]s: one for its key SSTs, one for its value files.
 
+use crate::btable::BlockCache;
 use crate::BlockKind;
 use parking_lot::Mutex;
 use scavenger_util::hash::IntMap;
+use scavenger_util::Result;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Priority class of a cache entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +48,8 @@ pub enum CachePriority {
 /// Cache key: `(file_id, block_offset, kind_tag)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Owning file id: the file number, optionally namespaced with
-    /// [`cache_file_id`] when several stores share one cache.
+    /// Owning file id: the file number under the store's namespace
+    /// ([`StoreCache::file_id`]).
     pub file: u64,
     /// Block offset within the file.
     pub offset: u64,
@@ -69,25 +76,101 @@ const CACHE_FILE_BITS: u32 = 40;
 
 static NAMESPACES: AtomicU64 = AtomicU64::new(1);
 
-/// Allocate a process-unique cache namespace. Stores that share one
-/// [`LruCache`] (e.g. the shards of a `DbShards`) each take a namespace
-/// and open their readers with [`cache_file_id`]-mixed ids; without it,
-/// two stores' file numbers collide (both allocate from 1) and one
-/// store would serve the other's cached blocks.
-pub fn new_cache_namespace() -> u64 {
-    NAMESPACES.fetch_add(1, Ordering::Relaxed) << CACHE_FILE_BITS
+/// A store's identity in the block cache: the cache it reads through and
+/// the namespace its cache keys carry. The one place a file number
+/// becomes a [`CacheKey::file`] id ([`file_id`](Self::file_id)).
+#[derive(Clone)]
+pub struct StoreCache {
+    blocks: Arc<BlockCache>,
+    namespace: u64,
 }
 
-/// Mix a store's cache `namespace` into `file_number`, yielding the
-/// [`CacheKey::file`] id. Namespace `0` (the default for a store with a
-/// private cache) leaves the number unchanged.
-pub fn cache_file_id(namespace: u64, file_number: u64) -> u64 {
-    debug_assert_eq!(
-        file_number >> CACHE_FILE_BITS,
-        0,
-        "file number overflows the cache-id namespace split"
-    );
-    namespace | file_number
+impl StoreCache {
+    /// A store's handle on `blocks`. When the cache is `shared` — other
+    /// stores read through it too: the shards of a set, or stores opened
+    /// on one caller-supplied cache — they number their files from 1 just
+    /// as this one does, so the store takes a process-unique namespace
+    /// and never serves another's blocks. A private cache's namespace is
+    /// 0: a file's cache id is its number.
+    pub fn new(blocks: Arc<BlockCache>, shared: bool) -> Self {
+        let namespace = match shared {
+            true => NAMESPACES.fetch_add(1, Ordering::Relaxed) << CACHE_FILE_BITS,
+            false => 0,
+        };
+        StoreCache { blocks, namespace }
+    }
+
+    /// The block cache.
+    pub fn blocks(&self) -> &Arc<BlockCache> {
+        &self.blocks
+    }
+
+    /// The [`CacheKey::file`] id of the store's file `file_number`.
+    pub fn file_id(&self, file_number: u64) -> u64 {
+        debug_assert_eq!(
+            file_number >> CACHE_FILE_BITS,
+            0,
+            "file number overflows the cache-id namespace split"
+        );
+        self.namespace | file_number
+    }
+}
+
+/// Reader-map shards: as many as the block cache has (16), so parallel
+/// lookups — GC validation workers above all — rarely share a mutex.
+const READER_SHARDS: usize = 16;
+
+/// A store's open readers of one kind — key SSTs or value files — keyed
+/// by file number. A miss opens the reader outside any lock; when two
+/// first lookups race, the first insert wins and both callers share it.
+/// The owner evicts a file's reader when it deletes the file.
+pub struct ReaderMap<R> {
+    shards: [Mutex<IntMap<u64, Arc<R>>>; READER_SHARDS],
+}
+
+impl<R> Default for ReaderMap<R> {
+    fn default() -> Self {
+        let shards = std::array::from_fn(|_| Mutex::default());
+        ReaderMap { shards }
+    }
+}
+
+impl<R> ReaderMap<R> {
+    fn shard(&self, file_number: u64) -> &Mutex<IntMap<u64, Arc<R>>> {
+        // File numbers are sequential; mix them so neighbours land in
+        // different shards.
+        let h = file_number.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        &self.shards[(h >> 32) as usize % READER_SHARDS]
+    }
+
+    /// The reader of `file_number`, opened with `open` on a miss.
+    pub fn get_or_open(
+        &self,
+        file_number: u64,
+        open: impl FnOnce() -> Result<R>,
+    ) -> Result<Arc<R>> {
+        let shard = self.shard(file_number);
+        if let Some(r) = shard.lock().get(&file_number) {
+            return Ok(r.clone());
+        }
+        let reader = Arc::new(open()?);
+        Ok(shard.lock().entry(file_number).or_insert(reader).clone())
+    }
+
+    /// Drop the reader of `file_number`, if one is kept.
+    pub fn evict(&self, file_number: u64) {
+        self.shard(file_number).lock().remove(&file_number);
+    }
+
+    /// Number of kept readers.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().len()).sum()
+    }
+
+    /// True if no reader is kept.
+    pub fn is_empty(&self) -> bool {
+        self.shards.iter().all(|s| s.lock().is_empty())
+    }
 }
 
 const NIL: u32 = u32::MAX;
@@ -304,15 +387,6 @@ impl<V: Clone> Shard<V> {
         self.push_mru(idx, pri);
         Some(self.nodes[idx as usize].as_ref().unwrap().value.clone())
     }
-
-    fn erase(&mut self, key: &CacheKey) -> bool {
-        if let Some(&idx) = self.map.get(key) {
-            self.remove_node(idx);
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// A sharded LRU cache with high/low priority pools and hit/miss counters.
@@ -372,11 +446,6 @@ impl<V: Clone> LruCache<V> {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
         got
-    }
-
-    /// Remove an entry if present.
-    pub fn erase(&self, key: &CacheKey) -> bool {
-        self.shard_of(key).lock().erase(key)
     }
 
     /// Current total charged bytes.
@@ -563,16 +632,6 @@ mod tests {
         assert_eq!(c.get(&key(1)), Some(100));
         assert_eq!(c.usage(), 10);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn erase_removes() {
-        let c = single_shard(100, 0.5);
-        c.insert(key(1), 1, 10, CachePriority::Low);
-        assert!(c.erase(&key(1)));
-        assert!(!c.erase(&key(1)));
-        assert_eq!(c.get(&key(1)), None);
-        assert_eq!(c.usage(), 0);
     }
 
     #[test]

@@ -77,16 +77,8 @@ fn gc_job(db: &Db, env: &MemEnv) -> (GcOutcome, ClassSnapshot) {
 /// partitions) a reader without a block cache pays for it, and the bytes
 /// opening the table and walking the index ask for.
 fn dense_index(env: &EnvRef, file: u64) -> (Vec<(Vec<u8>, BlockHandle)>, u64, u64) {
-    let reader = VReader::open(
-        env,
-        "db",
-        file,
-        0,
-        VFormat::RTable,
-        None,
-        IoClass::FgValueRead,
-    )
-    .unwrap();
+    let reader =
+        VReader::open(env, "db", file, VFormat::RTable, None, IoClass::FgValueRead).unwrap();
     let VReader::R(r) = &reader else {
         panic!("file {file} is not an RTable")
     };
@@ -107,16 +99,8 @@ fn partitions_outside_prefetch(env: &EnvRef, file: u64) -> u64 {
         .file_size(&vfile_path("db", file, VFormat::RTable))
         .unwrap()
         .saturating_sub(TAIL_PREFETCH as u64);
-    let reader = VReader::open(
-        env,
-        "db",
-        file,
-        0,
-        VFormat::RTable,
-        None,
-        IoClass::FgValueRead,
-    )
-    .unwrap();
+    let reader =
+        VReader::open(env, "db", file, VFormat::RTable, None, IoClass::FgValueRead).unwrap();
     let VReader::R(r) = &reader else {
         panic!("file {file} is not an RTable")
     };

@@ -13,7 +13,8 @@ use scavenger::vstore::vtable::parse_record_key;
 use scavenger::{Db, EngineMode, GcValidationReport, MemEnv, Options, ReadView};
 use scavenger_env::{Env, EnvRef, FaultEnv, FaultOp, FaultRule, IoClass};
 use scavenger_lsm::filename::table_path;
-use scavenger_lsm::LsmReadResult;
+use scavenger_lsm::tcache::open_ktable;
+use scavenger_lsm::{FileMetaData, LsmReadResult};
 use scavenger_util::ikey::{ValueRef, ValueType};
 use scavenger_util::Error;
 use std::collections::BTreeMap;
@@ -397,6 +398,13 @@ fn dry_run_uses_address_identity_for_writeback() {
 /// `FgIndexRead` traffic of a dry-run GC-Lookup over every value file of
 /// a store opened cold (empty table cache, empty block cache), and the
 /// live records it found.
+/// The number of entries in key SST `f`, from its properties block.
+fn entries(env: &Arc<MemEnv>, f: &FileMetaData) -> u64 {
+    let env: EnvRef = env.clone();
+    let t = open_ktable(&env, "db", f.file_number, None, IoClass::Other).unwrap();
+    t.props().num_entries
+}
+
 fn cold_lookup(env: &Arc<MemEnv>, o: &Options) -> (scavenger_env::io_stats::ClassSnapshot, u64) {
     let db = Db::open(o.clone()).unwrap();
     let before = env.io_stats().snapshot();
@@ -536,7 +544,9 @@ fn fault_in_inline_check_fails_the_job_not_the_data() {
             .levels
             .iter()
             .flatten()
-            .find(|f| f.num_entries == SHADOWED.len() as u64 && f.user_range_contains(b"key1080"))
+            .find(|f| {
+                entries(&mem, f) == SHADOWED.len() as u64 && f.user_range_contains(b"key1080")
+            })
             .expect("the flush of the inline versions is a file of its own");
         let inline_path = table_path("db", inline_file.file_number);
         // Open that file's reader without caching any of its blocks (an
@@ -621,7 +631,7 @@ fn gc_lookup_reads_no_kv_block_older_than_the_reference() {
         assert_eq!(version.levels[0].len(), 1, "the references' own L0 file");
         let deeper: Vec<_> = version.levels[1..].iter().flatten().collect();
         assert!(deeper.len() > 2, "the inline versions span several files");
-        assert!(deeper.iter().all(|f| f.num_entries > 0));
+        assert!(deeper.iter().all(|f| entries(&env, f) > 0));
         version.levels.iter().flatten().count() as u64
     };
     let (lookup, live) = cold_lookup(&env, &o);

@@ -4,6 +4,8 @@
 //! * a `get` reads its value once, then serves repeats from the cache;
 //! * after GC (or BlobDB's relocation) moves a cached value, `get`
 //!   returns the same bytes, read once from the file that holds it now;
+//! * two stores on one caller-supplied cache, whose file numbers
+//!   collide, each read their own values;
 //! * a flipped byte in a stored value is reported as `Corruption` by
 //!   `get`, a repeat `get` and `scan`, never served — and BlobDB's
 //!   relocation does not copy it into a new blob file under a fresh CRC;
@@ -137,6 +139,83 @@ fn a_get_after_gc_reads_the_moved_value_from_its_new_file() {
     }
 }
 
+/// Two plain stores opened on one caller-supplied cache number their
+/// files alike — both count from 1 — so only the namespace each store
+/// takes on a shared cache keeps their cached blocks apart. Under the
+/// same keys, same-sized values and the same operations, every `get` and
+/// `scan` of either store returns its own values: after a flush, and
+/// after overwrites, compaction and GC have moved them.
+#[test]
+fn two_stores_on_one_cache_read_their_own_values() {
+    for mode in SEPARATED {
+        let env = MemEnv::shared();
+        let cache = Arc::new(BlockCache::with_capacity(8 << 20));
+        let stores: Vec<(Db, u8)> = [("a", 1), ("b", 101)]
+            .into_iter()
+            .map(|(dir, tag)| {
+                let mut o = opts(env.clone(), dir, mode);
+                o.block_cache = Some(cache.clone());
+                (Db::open(o).unwrap(), tag)
+            })
+            .collect();
+        // Keys `i % 4 == 0` hold their store's `tag + round`, the rest `tag`.
+        let check = |round: u8| {
+            let files: Vec<Vec<u64>> = stores
+                .iter()
+                .map(|(db, _)| db.shard(0).value_store().live_file_numbers())
+                .collect();
+            assert_eq!(
+                files[0], files[1],
+                "{mode:?} round {round}: the numbers collide"
+            );
+            for (db, tag) in &stores {
+                let want = |i: usize| value(i, tag + if i.is_multiple_of(4) { round } else { 0 });
+                for i in 0..N {
+                    let got = db.get(key(i)).unwrap().unwrap();
+                    assert_eq!(got, want(i), "{mode:?} round {round}: store {tag} get {i}");
+                }
+                let rows: Vec<_> = db.scan(b"", None).unwrap().map(|r| r.unwrap()).collect();
+                assert_eq!(rows.len(), N, "{mode:?} round {round}: store {tag}");
+                for (i, row) in rows.iter().enumerate() {
+                    assert_eq!(
+                        row.value,
+                        want(i),
+                        "{mode:?} round {round}: store {tag} scan {i}"
+                    );
+                }
+            }
+        };
+        for (db, tag) in &stores {
+            for i in 0..N {
+                db.put(key(i), value(i, *tag)).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        check(0);
+        // Overwrite rounds until GC has moved values in both stores
+        // (BlobDB: until compaction has relocated some).
+        for round in 1..=8 {
+            for (db, tag) in &stores {
+                for i in (0..N).filter(|i| i % 4 == 0) {
+                    db.put(key(i), value(i, tag + round)).unwrap();
+                }
+                db.flush().unwrap();
+                db.compact_all().unwrap();
+                db.run_gc_until_clean().unwrap();
+            }
+            check(round);
+            let moved = |db: &Db| match mode {
+                EngineMode::BlobDb => db.stats().compactions > 0,
+                _ => db.stats().gc.runs > 0,
+            };
+            if stores.iter().all(|(db, _)| moved(db)) {
+                break;
+            }
+            assert!(round < 8, "{mode:?}: no value moved");
+        }
+    }
+}
+
 /// Flip one byte inside `key(i)`'s stored value. A blob reference names
 /// the value's first byte, an RTable's its record and a BTable's its
 /// block: 100 bytes on is inside the value in every format.
@@ -238,7 +317,7 @@ fn blobdb_relocation_does_not_copy_a_corrupt_record() {
         if n == file {
             continue;
         }
-        let recs = VReader::scan_file(&eref, "vc", n, 0, VFormat::BlobLog, None, IoClass::GcRead);
+        let recs = VReader::scan_file(&eref, "vc", n, VFormat::BlobLog, None, IoClass::GcRead);
         for rec in recs.unwrap() {
             let (ukey, _) = parse_record_key(&rec.ikey).unwrap();
             assert_ne!(
