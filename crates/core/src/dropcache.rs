@@ -140,8 +140,9 @@ impl DropCache {
     }
 
     /// Total lazy-expiration queue entries across shards (bounded at
-    /// `2 × capacity + 1` per shard; exposed for tests/diagnostics).
-    pub fn queue_len(&self) -> usize {
+    /// `2 × capacity + 1` per shard, which the tests check).
+    #[cfg(test)]
+    fn queue_len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().queue.len()).sum()
     }
 

@@ -91,7 +91,7 @@ use crate::stats::GcStats;
 use crate::vstore::fetch::{self, Want};
 use crate::vstore::route::{Route, RouteWriters};
 use crate::vstore::vtable::{parse_record_key, VReader, ValueAt};
-use crate::vstore::{ValueStore, VsstMeta, GC_COALESCE};
+use crate::vstore::{BornTails, ValueStore, VsstMeta, GC_COALESCE};
 use bytes::Bytes;
 use scavenger_env::{reads_charged_to, IoClass};
 use scavenger_lsm::{
@@ -565,9 +565,9 @@ impl GcRunner {
             write_stage,
             &self.stats,
         )?;
-        let new_files = writers.finish()?;
+        let (new_files, born) = writers.finish()?;
         let new_bytes: u64 = new_files.iter().map(|f| f.size).sum();
-        self.publish(lsm, pin, &sources, new_files, guarded)?;
+        self.publish(lsm, pin, &sources, new_files, born, guarded)?;
 
         let job = GcOutcome {
             files_collected: sources.len(),
@@ -631,7 +631,8 @@ impl GcRunner {
 
     /// The job's last step. Keyed schemes delete the candidates in one
     /// manifest edit that records inheritance instead of rewriting index
-    /// entries (§II-B).
+    /// entries (§II-B). The new files' readers are born from `born` once
+    /// the edit registering them commits.
     /// Write-back publishes through Titan's Write-Index step.
     fn publish(
         &self,
@@ -639,6 +640,7 @@ impl GcRunner {
         pin: Pin,
         sources: &[u64],
         new_files: Vec<NewValueFile>,
+        born: BornTails,
         guarded: Vec<GuardedWrite>,
     ) -> Result<()> {
         if !self.writeback() {
@@ -654,6 +656,7 @@ impl GcRunner {
                     inherits,
                     garbage: Vec::new(),
                 },
+                born,
             );
         }
         // ---- Commit the new files *before* writing back any address
@@ -673,7 +676,7 @@ impl GcRunner {
                 new_files,
                 ..Default::default()
             };
-            self.vstore.commit(lsm, &bundle)?;
+            self.vstore.commit(lsm, &bundle, born)?;
         }
 
         // ---- Write-Index: push the new addresses through the write path

@@ -21,7 +21,7 @@ use crate::options::{Features, GcScheme};
 use crate::stats::GcStats;
 use crate::vstore::route::{Route, RouteWriters};
 use crate::vstore::vtable::ValueAt;
-use crate::vstore::{ValueStore, GC_COALESCE};
+use crate::vstore::{BornTails, ValueStore, GC_COALESCE};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::{reads_charged_to, IoClass};
@@ -136,6 +136,7 @@ impl ValueHook for EngineHook {
                 numbers,
                 &self.dropcache,
             ),
+            born: Vec::new(),
             vstore: self.vstore.clone(),
             dropcache: self.dropcache.clone(),
             gc_stats: self.gc_stats.clone(),
@@ -162,6 +163,9 @@ struct SeparationSession {
     kind: JobKind,
     /// The job's value files (flush separation, BlobDB relocation).
     out: RouteWriters,
+    /// The born tails of the files `finish` closed, adopted by the value
+    /// store once the job has committed.
+    born: BornTails,
     vstore: Arc<ValueStore>,
     dropcache: Arc<DropCache>,
     gc_stats: Arc<GcStats>,
@@ -279,13 +283,14 @@ impl ValueSession for SeparationSession {
         }
     }
 
-    fn finish(self: Box<Self>) -> Result<ValueEditBundle> {
-        let SeparationSession { out, garbage, .. } = *self;
-        let new_files = out.finish()?;
+    fn finish(&mut self) -> Result<ValueEditBundle> {
+        let (new_files, born) = self.out.finish()?;
+        self.born = born;
         // Deterministic bundle: `HashMap` drain order would reshuffle the
         // manifest record (and every downstream charge order) per run.
-        let mut garbage: Vec<(u64, u64, u64)> = garbage
-            .into_iter()
+        let mut garbage: Vec<(u64, u64, u64)> = self
+            .garbage
+            .drain()
             .map(|(file, (bytes, entries))| (file, bytes, entries))
             .collect();
         garbage.sort_unstable_by_key(|(file, _, _)| *file);
@@ -295,6 +300,10 @@ impl ValueSession for SeparationSession {
             inherits: Vec::new(),
             garbage,
         })
+    }
+
+    fn committed(self: Box<Self>) {
+        self.vstore.adopt(self.born);
     }
 }
 

@@ -12,10 +12,13 @@
 //! `route::RouteWriters`, the one caller of [`vtable::VWriter::create`],
 //! which numbers each file from the index tree's
 //! [`FileNumbers`](scavenger_lsm::FileNumbers). And the only place one is
-//! opened: [`ValueStore::reader`] keeps one reader per live file in a
-//! [`ReaderMap`] — the map the index tree keeps its key SSTs in — and
-//! reads through the member's [`StoreCache`], which names the file's
-//! cached blocks.
+//! opened: the store keeps one reader per live file in a [`ReaderMap`] —
+//! the map the index tree keeps its key SSTs in — and reads through the
+//! member's [`StoreCache`], which names the file's cached blocks. A file
+//! a job of this process wrote gets its reader born, built from the tail
+//! its writer held once the job has committed (`ValueStore::adopt`);
+//! any other file's is opened by its first lookup
+//! ([`ValueStore::reader`]).
 //!
 //! And the only place one is unlinked late. Where a scheme cannot let
 //! go of a file at once — Titan after its write-back, BlobDB once
@@ -40,6 +43,7 @@ use scavenger_lsm::{Lsm, NewValueFile, ValueEditBundle};
 use scavenger_table::cache::{ReaderMap, StoreCache};
 use scavenger_table::props::TableType;
 use scavenger_table::rtable::{Coalesce, COALESCE_SPAN};
+use scavenger_table::Tail;
 use scavenger_util::hash::IntMap;
 use scavenger_util::ikey::{lookup_key, KeyBuf, SeqNo, ValueRef, ValueType, MAX_SEQNO};
 use scavenger_util::{Error, Result};
@@ -150,6 +154,11 @@ pub const GC_COALESCE: Coalesce = Coalesce {
     max_gap: 64 * 1024,
     max_span: COALESCE_SPAN,
 };
+
+/// The born tails of a job's new value files, by file number: what
+/// [`ValueStore::adopt`] builds their readers from. Blob logs have none —
+/// opening one reads nothing.
+pub(crate) type BornTails = Vec<(u64, Tail)>;
 
 /// A value reference resolved by [`ValueStore::locate`]: the live file
 /// that holds the value now, the file's reader, and where
@@ -265,11 +274,37 @@ impl ValueStore {
     }
 
     /// Log `bundle` in `lsm`'s manifest, then [apply](Self::apply_bundle)
-    /// it: a value edit that changes no index entry (GC, reaping).
-    pub(crate) fn commit(&self, lsm: &Lsm, bundle: &ValueEditBundle) -> Result<()> {
+    /// it and [adopt](Self::adopt) the readers `born` makes for its new
+    /// files: a value edit that changes no index entry (GC, reaping). A
+    /// failed edit applies nothing and drops `born`.
+    pub(crate) fn commit(
+        &self,
+        lsm: &Lsm,
+        bundle: &ValueEditBundle,
+        born: BornTails,
+    ) -> Result<()> {
         lsm.apply_value_edit(bundle.clone())?;
         self.apply_bundle(bundle);
+        self.adopt(born);
         Ok(())
+    }
+
+    /// Keep, for each registered file in `born`, the reader built from
+    /// the tail its writer held: the files' bundle has committed and been
+    /// applied, and the build reads nothing. A file the store has not
+    /// registered (a bundle buffered during manifest replay) gets none,
+    /// and a reader whose file a commit removed meanwhile is evicted
+    /// again, as in [`reader`](Self::reader). Best effort: a failed
+    /// build leaves the file to its first lookup.
+    pub(crate) fn adopt(&self, born: BornTails) {
+        for (file, tail) in born {
+            if let Ok(reader) = self.open_reader(file, Some(tail)) {
+                self.readers.insert(file, reader);
+                if !self.files.read().contains_key(&file) {
+                    self.readers.evict(file);
+                }
+            }
+        }
     }
 
     /// Retire `files` behind `barrier`: they stop being GC candidates now
@@ -315,7 +350,7 @@ impl ValueStore {
             deleted_files: ripe,
             ..Default::default()
         };
-        self.commit(lsm, &bundle)
+        self.commit(lsm, &bundle, Vec::new())
     }
 
     /// Bytes of retired files a live read point still holds on disk:
@@ -427,11 +462,6 @@ impl ValueStore {
             .sum()
     }
 
-    /// Total value bytes across live files.
-    pub fn total_value_bytes(&self) -> u64 {
-        self.files.read().values().map(|m| m.value_bytes).sum()
-    }
-
     /// Current holders of whatever survived from `file`, ascending.
     pub fn resolve_leaves(&self, file: u64) -> Files {
         self.forest.read().leaves(file)
@@ -449,8 +479,9 @@ impl ValueStore {
             .ok_or_else(|| Error::not_found(format!("value file {file}")))
     }
 
-    /// The reader of `file`: one per live value file, opened by whoever
-    /// reads it first and shared by every later read — foreground gets,
+    /// The reader of `file`: one per live value file, born with it
+    /// (`ValueStore::adopt`) or opened by whoever reads it first, and
+    /// shared by every later read — foreground gets,
     /// scans, GC's Lazy Read and BlobDB relocation alike. Its handle is
     /// opened as `FgValueRead`; a job charges its own reads to another
     /// class with [`reads_charged_to`](scavenger_env::reads_charged_to).
@@ -462,20 +493,35 @@ impl ValueStore {
         let mut opened = false;
         let reader = self.readers.get_or_open(file, || {
             opened = true;
-            let format = self.format_of(file)?;
-            VReader::open(
-                &self.env,
-                &self.dir,
-                file,
-                format,
-                Some(&self.cache),
-                IoClass::FgValueRead,
-            )
+            self.open_reader(file, None)
         })?;
         if opened && !self.files.read().contains_key(&file) {
             self.readers.evict(file);
         }
         Ok(reader)
+    }
+
+    /// Open live file `file`'s reader, as `FgValueRead`, through the
+    /// store's cache: built from `tail` when its writer handed one over,
+    /// else from one tail read.
+    fn open_reader(&self, file: u64, tail: Option<Tail>) -> Result<VReader> {
+        let format = self.format_of(file)?;
+        let cache = Some(&self.cache);
+        VReader::open(
+            &self.env,
+            &self.dir,
+            file,
+            format,
+            tail,
+            cache,
+            IoClass::FgValueRead,
+        )
+    }
+
+    /// Numbers of the value files whose reader the store keeps,
+    /// ascending.
+    pub fn reader_files(&self) -> Vec<u64> {
+        self.readers.file_numbers()
     }
 
     /// GC full scan of `file`, accounted as GC read: every record with
@@ -722,13 +768,13 @@ mod tests {
             ..Default::default()
         });
         vs.add_garbage(1, 100, 1);
-        assert_eq!(vs.total_value_bytes(), 3000);
+        assert_eq!(vs.total_bytes(), 3200);
         assert_eq!(vs.total_exposed_bytes(), 100);
         vs.apply_bundle(&ValueEditBundle {
             deleted_files: vec![1],
             ..Default::default()
         });
-        assert_eq!(vs.total_value_bytes(), 2000);
+        assert_eq!(vs.total_bytes(), 2100);
         assert_eq!(vs.total_exposed_bytes(), 0);
     }
 
@@ -740,7 +786,7 @@ mod tests {
         // Original file 5 holds k@7.
         let mut w = VWriter::create(&env, "db", 5, VFormat::RTable, IoClass::Flush).unwrap();
         let rec = w.add(b"k", 7, b"the-value").unwrap();
-        let info = w.finish().unwrap();
+        let (info, _) = w.finish().unwrap();
         vs.apply_bundle(&ValueEditBundle {
             new_files: vec![new_value_file_record(5, info, false, VFormat::RTable)],
             ..Default::default()
@@ -755,7 +801,7 @@ mod tests {
         // GC moves contents to file 9; the stale ref still resolves.
         let mut w = VWriter::create(&env, "db", 9, VFormat::RTable, IoClass::GcWrite).unwrap();
         w.add(b"k", 7, b"the-value").unwrap();
-        let info = w.finish().unwrap();
+        let (info, _) = w.finish().unwrap();
         assert!(env.file_exists("db/000005.vsst"));
         vs.apply_bundle(&ValueEditBundle {
             new_files: vec![new_value_file_record(9, info, false, VFormat::RTable)],
@@ -847,7 +893,7 @@ mod tests {
         let vs = Arc::new(ValueStore::new(env.clone(), "db", cache(1 << 20)));
         let mut w = VWriter::create(&env, "db", 5, VFormat::RTable, IoClass::Flush).unwrap();
         w.add(b"k", 7, b"the-value").unwrap();
-        let info = w.finish().unwrap();
+        let (info, _) = w.finish().unwrap();
         vs.apply_bundle(&ValueEditBundle {
             new_files: vec![new_value_file_record(5, info, false, VFormat::RTable)],
             ..Default::default()

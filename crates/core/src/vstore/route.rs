@@ -3,7 +3,7 @@
 //! [`RouteWriters`], which creates, routes, rolls and finishes the files.
 
 use super::vtable::{vfile_path, VWriter, WrittenRecord};
-use super::{new_value_file_record, ValueStore};
+use super::{new_value_file_record, BornTails, ValueStore};
 use crate::dropcache::DropCache;
 use crate::options::{Features, VFormat};
 use scavenger_env::{EnvRef, IoClass};
@@ -47,6 +47,8 @@ pub(crate) struct RouteWriters {
     /// Open writers: `[cold, hot]`.
     writers: [Option<(u64, VWriter)>; 2],
     outputs: Vec<NewValueFile>,
+    /// The born tails of the finished table files.
+    born: BornTails,
     /// Files created and not yet handed over.
     created: Vec<u64>,
 }
@@ -71,6 +73,7 @@ impl RouteWriters {
             dropcache: features.hotness.then(|| dropcache.clone()),
             writers: [None, None],
             outputs: Vec::new(),
+            born: Vec::new(),
             created: Vec::new(),
         }
     }
@@ -116,19 +119,25 @@ impl RouteWriters {
             self.remove(file);
             return Ok(());
         }
-        let info = w.finish()?;
+        let (info, tail) = w.finish()?;
         self.outputs
             .push(new_value_file_record(file, info, slot == HOT, self.format));
+        self.born.extend(tail.map(|tail| (file, tail)));
         Ok(())
     }
 
-    /// Finish both writers and hand every file over, in write order: from
-    /// here on they belong to the caller's manifest edit.
-    pub(crate) fn finish(mut self) -> Result<Vec<NewValueFile>> {
+    /// Finish both writers and hand every file over, in write order, with
+    /// the born tails of the table files: from here on the files belong
+    /// to the caller's manifest edit, and the tails to
+    /// [`ValueStore::adopt`] once that edit has committed.
+    pub(crate) fn finish(&mut self) -> Result<(Vec<NewValueFile>, BornTails)> {
         self.roll(COLD)?;
         self.roll(HOT)?;
         self.created.clear();
-        Ok(std::mem::take(&mut self.outputs))
+        Ok((
+            std::mem::take(&mut self.outputs),
+            std::mem::take(&mut self.born),
+        ))
     }
 
     fn remove(&self, file: u64) {
@@ -199,7 +208,7 @@ mod tests {
     #[test]
     fn route_writers_allocate_nothing_without_records() {
         let fx = Fixture::new();
-        let outputs = fx.writers(1 << 20).finish().unwrap();
+        let (outputs, _) = fx.writers(1 << 20).finish().unwrap();
         assert!(outputs.is_empty());
         assert_eq!(
             fx.allocated(),
@@ -220,7 +229,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let outputs = rw.finish().unwrap();
+        let (outputs, _) = rw.finish().unwrap();
         assert!(outputs.len() > 1, "rollover must split the records");
         assert!(
             outputs.iter().all(|f| f.entries > 0),
@@ -246,7 +255,7 @@ mod tests {
         let mut rw = fx.writers(1 << 20);
         rw.add(Route::ByHotness, b"cold", 1, &[1u8; 64]).unwrap();
         rw.add(Route::ByHotness, b"hot", 2, &[2u8; 64]).unwrap();
-        let outputs = rw.finish().unwrap();
+        let (outputs, _) = rw.finish().unwrap();
         assert_eq!(outputs.len(), 2);
         assert!(!outputs[0].hot && outputs[1].hot);
         assert!(outputs.iter().all(|f| f.entries == 1));
@@ -260,7 +269,7 @@ mod tests {
         fx.dropcache.insert(b"hot");
         let mut rw = fx.writers(1 << 20);
         rw.add(Route::Cold, b"hot", 1, &[1u8; 64]).unwrap();
-        let outputs = rw.finish().unwrap();
+        let (outputs, _) = rw.finish().unwrap();
         assert_eq!(outputs.len(), 1);
         assert!(!outputs[0].hot);
     }

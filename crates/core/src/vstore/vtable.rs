@@ -33,7 +33,7 @@ use scavenger_table::handle::BlockHandle;
 use scavenger_table::rtable::{
     read_coalesced, Coalesce, RTableBuilder, RTableReader, COALESCE_SPAN,
 };
-use scavenger_table::{BlockKind, BLOCK_SIZE};
+use scavenger_table::{read_tail, BlockKind, Tail, BLOCK_SIZE};
 use scavenger_util::coding::{get_varint32, put_varint32, varint64_len};
 use scavenger_util::ikey::{extract_user_key, make_internal_key, SeqNo, ValueRef, ValueType};
 use scavenger_util::{crc32c, Error, Result};
@@ -141,18 +141,21 @@ impl VWriter {
         }
     }
 
-    /// Finish the file.
-    pub fn finish(self) -> Result<VFileInfo> {
+    /// Finish the file. A table also returns its born tail, from which
+    /// [`VReader::open`] builds its reader without a read; a blob log
+    /// has none — opening one reads nothing.
+    pub fn finish(self) -> Result<(VFileInfo, Option<Tail>)> {
         let built = match self {
             VWriter::R(b) => b.finish()?,
             VWriter::B(b) => b.finish()?,
-            VWriter::Blob(b) => return b.finish(),
+            VWriter::Blob(b) => return Ok((b.finish()?, None)),
         };
-        Ok(VFileInfo {
+        let info = VFileInfo {
             size: built.file_size,
             entries: built.props.num_entries,
             value_bytes: built.props.raw_value_bytes,
-        })
+        };
+        Ok((info, Some(built.born)))
     }
 }
 
@@ -357,35 +360,45 @@ pub enum VReader {
 
 impl VReader {
     /// Open `file` in `dir` for the given format; cached reads go through
-    /// the store's `cache`.
+    /// the store's `cache`. A table is built from `tail` when its writer
+    /// handed one over (the reader is born: no read), else from one read
+    /// of its tail.
     pub fn open(
         env: &EnvRef,
         dir: &str,
         file: u64,
         format: VFormat,
+        tail: Option<Tail>,
         cache: Option<&StoreCache>,
         class: IoClass,
     ) -> Result<VReader> {
         let f = env.open_random_access(&vfile_path(dir, file, format), class)?;
-        Self::from_file(f, file, format, cache)
+        Self::from_file(f, file, format, tail, cache)
     }
 
     fn from_file(
         f: Arc<dyn RandomAccessFile>,
         file: u64,
         format: VFormat,
+        tail: Option<Tail>,
         cache: Option<&StoreCache>,
     ) -> Result<VReader> {
         let cache_id = cache.map_or(file, |c| c.file_id(file));
         let cache = cache.map(|c| c.blocks().clone());
-        Ok(match format {
-            VFormat::RTable => VReader::R(RTableReader::open(f, cache_id, cache)?),
-            VFormat::BTable => VReader::B(KTable::open(f, cache_id, cache)?),
-            VFormat::BlobLog => VReader::Blob {
+        if format == VFormat::BlobLog {
+            return Ok(VReader::Blob {
                 file: f,
                 cache_id,
                 cache,
-            },
+            });
+        }
+        let tail = match tail {
+            Some(tail) => tail,
+            None => read_tail(f.as_ref())?,
+        };
+        Ok(match format {
+            VFormat::RTable => VReader::R(RTableReader::from_tail(f, tail, cache_id, cache)?),
+            _ => VReader::B(KTable::from_tail(f, tail, cache_id, cache)?),
         })
     }
 
@@ -412,7 +425,7 @@ impl VReader {
             f = Arc::new(ReadaheadFile::open(f, COALESCE_SPAN as usize)?);
             cache = None;
         }
-        Self::from_file(f, file, format, cache)?.scan_all()
+        Self::from_file(f, file, format, None, cache)?.scan_all()
     }
 
     /// **Locate** the exact version `ikey` in a keyed table without
@@ -633,7 +646,7 @@ mod tests {
             let r = w.add(key.as_bytes(), 1000 + i, &value).unwrap();
             recs.push((key, 1000 + i, value, r));
         }
-        let info = w.finish().unwrap();
+        let (info, _) = w.finish().unwrap();
         assert_eq!(info.entries, 100);
         assert!(info.value_bytes >= 100 * BLOCK_SIZE as u64);
         let ikeys: Vec<Vec<u8>> = recs
@@ -643,7 +656,16 @@ mod tests {
 
         let open = || {
             let cache = StoreCache::new(Arc::new(BlockCache::with_capacity(1 << 20)), false);
-            VReader::open(&eref, "db", 9, format, Some(&cache), IoClass::FgValueRead).unwrap()
+            VReader::open(
+                &eref,
+                "db",
+                9,
+                format,
+                None,
+                Some(&cache),
+                IoClass::FgValueRead,
+            )
+            .unwrap()
         };
         // Where record `i` sits: a blob ref's record span, or a keyed
         // lookup (which reads a BTable's value block).
@@ -744,7 +766,8 @@ mod tests {
         w.add(b"a", 1, b"valueA").unwrap();
         w.add(b"b", 2, b"valueB").unwrap();
         w.finish().unwrap();
-        let r = VReader::open(&env, "db", 3, VFormat::BlobLog, None, IoClass::GcRead).unwrap();
+        let r =
+            VReader::open(&env, "db", 3, VFormat::BlobLog, None, None, IoClass::GcRead).unwrap();
         let recs = r.scan_all().unwrap();
         for rec in recs {
             let vref = ValueRef {
@@ -767,7 +790,16 @@ mod tests {
         w.add(b"k", 5, &vec![9u8; 500]).unwrap();
         w.finish().unwrap();
         env.corrupt_byte("db/000004.blob", 50).unwrap();
-        let r = VReader::open(&eref, "db", 4, VFormat::BlobLog, None, IoClass::GcRead).unwrap();
+        let r = VReader::open(
+            &eref,
+            "db",
+            4,
+            VFormat::BlobLog,
+            None,
+            None,
+            IoClass::GcRead,
+        )
+        .unwrap();
         assert!(r.scan_all().is_err());
     }
 
@@ -779,9 +811,9 @@ mod tests {
             w.add(b"k", 1, &vec![1u8; 4096]).unwrap();
             w.finish().unwrap();
         }
-        let b = VReader::open(&env, "db", 1, VFormat::BTable, None, IoClass::GcRead).unwrap();
+        let b = VReader::open(&env, "db", 1, VFormat::BTable, None, None, IoClass::GcRead).unwrap();
         assert!(b.read_lazy_index().is_err());
-        let r = VReader::open(&env, "db", 2, VFormat::RTable, None, IoClass::GcRead).unwrap();
+        let r = VReader::open(&env, "db", 2, VFormat::RTable, None, None, IoClass::GcRead).unwrap();
         let idx = r.read_lazy_index().unwrap();
         assert_eq!(idx.len(), 1);
         let (uk, seq) = parse_record_key(&idx[0].0).unwrap();

@@ -22,7 +22,7 @@ use crate::version::{FileMetaData, FileNumbers, Version};
 use bytes::Bytes;
 use scavenger_env::IoClass;
 use scavenger_table::btable::KTableBuilder;
-use scavenger_table::InternalIterator;
+use scavenger_table::{InternalIterator, Tail};
 use scavenger_util::ikey::{make_internal_key, parse_internal_key, SeqNo, ValueType};
 use scavenger_util::Result;
 use std::sync::Arc;
@@ -258,6 +258,8 @@ struct OutputWriter<'a> {
     numbers: &'a FileNumbers,
     builder: Option<(u64, KTableBuilder)>,
     files: Vec<FileMetaData>,
+    /// Each finished file's born tail, by number.
+    born: Vec<(u64, Tail)>,
     /// Numbers of the files created and not yet handed over.
     created: Vec<u64>,
 }
@@ -271,6 +273,7 @@ impl<'a> OutputWriter<'a> {
             numbers,
             builder: None,
             files: Vec::new(),
+            born: Vec::new(),
             created: Vec::new(),
         }
     }
@@ -333,15 +336,19 @@ impl<'a> OutputWriter<'a> {
                 largest: built.largest,
                 ref_bytes: built.props.total_ref_bytes(),
             });
+            self.born.push((number, built.born));
         }
         Ok(())
     }
 
-    /// Hand the finished files to the caller, who names them in the
-    /// job's edit; from here recovery owns them.
-    fn into_files(mut self) -> Vec<FileMetaData> {
+    /// Hand the finished files and their born tails to the caller, who
+    /// names the files in the job's edit; from here recovery owns them.
+    fn into_files(mut self) -> (Vec<FileMetaData>, Vec<(u64, Tail)>) {
         self.created.clear();
-        std::mem::take(&mut self.files)
+        (
+            std::mem::take(&mut self.files),
+            std::mem::take(&mut self.born),
+        )
     }
 }
 
@@ -370,8 +377,13 @@ pub struct JobStats {
 pub struct JobOutput {
     /// Key SSTs created.
     pub files: Vec<FileMetaData>,
+    /// Each new key SST's born tail, by file number: its reader, built
+    /// without a read once the job's edit commits.
+    pub born: Vec<(u64, Tail)>,
     /// Value-store changes from the session.
     pub bundle: ValueEditBundle,
+    /// The finished session, told when the job's edit has committed.
+    pub session: Box<dyn ValueSession>,
     /// Merge statistics.
     pub stats: JobStats,
 }
@@ -487,9 +499,12 @@ pub fn run_output_job(
 
     writer.finish()?;
     let bundle = session.finish()?;
+    let (files, born) = writer.into_files();
     Ok(JobOutput {
-        files: writer.into_files(),
+        files,
+        born,
         bundle,
+        session,
         stats,
     })
 }
@@ -717,7 +732,7 @@ mod tests {
             ) {
                 self.drops.lock().push((u.to_vec(), cause));
             }
-            fn finish(self: Box<Self>) -> Result<ValueEditBundle> {
+            fn finish(&mut self) -> Result<ValueEditBundle> {
                 Ok(ValueEditBundle::default())
             }
         }

@@ -346,9 +346,13 @@ impl Lsm {
 
     /// Run one flush or compaction job and commit it: write `input`
     /// through a value session, log `edit` with the output files and the
-    /// value bundle, hand the value store the bundle's new files, install
-    /// the new superversion — the current version plus `install` — and
-    /// only then hand the store the rest of the bundle.
+    /// value bundle, keep the new key SSTs' born readers, hand the value
+    /// store the bundle's new files (and the session their born
+    /// readers), install the new superversion — the current version plus
+    /// `install` — and only then hand the store the rest of the bundle.
+    /// A job whose edit fails keeps no reader, and queues its key SSTs
+    /// for the purge, which removes them once a rewritten manifest can
+    /// no longer hold the edit.
     fn run_job(
         &self,
         kind: JobKind,
@@ -381,10 +385,17 @@ impl Lsm {
             .counters
             .merge_drops
             .fetch_add(out.stats.entries_dropped, Ordering::Relaxed);
+        let numbers: Vec<u64> = out.files.iter().map(|f| f.file_number).collect();
         edit.added
             .extend(out.files.into_iter().map(|f| (output_level, f)));
         edit.value = out.bundle.clone();
-        self.inner.manifest.log_and_apply(edit)?;
+        if let Err(e) = self.inner.manifest.log_and_apply(edit) {
+            self.inner.pending_deletions.lock().extend(numbers);
+            return Err(e);
+        }
+        for (number, tail) in out.born {
+            self.inner.tcache.adopt(number, tail);
+        }
         // The value store learns the new files before the install, so
         // no reader meets a reference it cannot resolve, and is charged
         // the garbage only after it, so a file exhausted by this job
@@ -399,6 +410,7 @@ impl Lsm {
         if let Some(h) = hook {
             h.on_committed(&new_files);
         }
+        out.session.committed();
         self.install(|sv| {
             install(sv);
             sv.version = self.current_version();
@@ -410,8 +422,17 @@ impl Lsm {
     }
 
     /// Delete queued obsolete key SSTs that no live version references.
+    /// Nothing is deleted while a failed commit has poisoned the
+    /// manifest: the failed edit, which may name queued outputs, can sit
+    /// in it on disk until the next commit rewrites it.
     pub(super) fn purge_unreferenced_tables(&self) {
-        let referenced = self.inner.manifest.lock().log.referenced_files();
+        let referenced = {
+            let manifest = self.inner.manifest.lock();
+            if manifest.poisoned {
+                return;
+            }
+            manifest.log.referenced_files()
+        };
         let mut pending = self.inner.pending_deletions.lock();
         pending.retain(|n| {
             if referenced.contains(n) {
@@ -589,7 +610,7 @@ mod tests {
 
         fn drop_entry(&mut self, _: &[u8], _: SeqNo, _: ValueType, _: &[u8], _: DropCause) {}
 
-        fn finish(self: Box<Self>) -> Result<ValueEditBundle> {
+        fn finish(&mut self) -> Result<ValueEditBundle> {
             let new_files = self.file.map(|file| NewValueFile {
                 file,
                 size: 0,
@@ -600,7 +621,7 @@ mod tests {
             });
             Ok(ValueEditBundle {
                 new_files: new_files.into_iter().collect(),
-                garbage: self.garbage.into_iter().map(|(f, n)| (f, 0, n)).collect(),
+                garbage: self.garbage.drain().map(|(f, n)| (f, 0, n)).collect(),
                 ..ValueEditBundle::default()
             })
         }

@@ -199,6 +199,12 @@ impl Lsm {
         self.inner.tombstone_hold.load(Ordering::SeqCst)
     }
 
+    /// Numbers of the key SSTs whose reader the table cache keeps,
+    /// ascending.
+    pub fn table_readers(&self) -> Vec<u64> {
+        self.inner.tcache.readers.file_numbers()
+    }
+
     /// The live version (file layout).
     pub fn current_version(&self) -> Arc<Version> {
         self.inner.manifest.lock().log.current()

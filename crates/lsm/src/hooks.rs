@@ -12,7 +12,10 @@
 //!   *exposed garbage* (§II-D), and a dropped key is a hotness signal for
 //!   the DropCache (§III-B3);
 //! * returns a [`ValueEditBundle`] folded into the job's version edit, so
-//!   value-store state changes commit atomically with the index change.
+//!   value-store state changes commit atomically with the index change;
+//! * is told once that edit has committed, and hands the store the
+//!   readers its writers built for the new value files (a failed job
+//!   drops the session, and them with it).
 
 use crate::version::FileNumbers;
 use bytes::Bytes;
@@ -83,14 +86,6 @@ impl ValueEditBundle {
             && self.inherits.is_empty()
             && self.garbage.is_empty()
     }
-
-    /// Merge another bundle into this one.
-    pub fn merge(&mut self, other: ValueEditBundle) {
-        self.new_files.extend(other.new_files);
-        self.deleted_files.extend(other.deleted_files);
-        self.inherits.extend(other.inherits);
-        self.garbage.extend(other.garbage);
-    }
 }
 
 /// Per-job session; see module docs.
@@ -117,7 +112,13 @@ pub trait ValueSession: Send {
     );
 
     /// Close any open value files and return the state changes.
-    fn finish(self: Box<Self>) -> Result<ValueEditBundle>;
+    fn finish(&mut self) -> Result<ValueEditBundle>;
+
+    /// The job's edit has committed and the hook has applied the
+    /// bundle's new files ([`ValueHook::on_committed`]): hand over what
+    /// the session kept for them. A job whose edit fails drops the
+    /// session instead.
+    fn committed(self: Box<Self>) {}
 }
 
 /// Factory for [`ValueSession`]s.
@@ -161,7 +162,7 @@ impl ValueSession for PassthroughSession {
     ) {
     }
 
-    fn finish(self: Box<Self>) -> Result<ValueEditBundle> {
+    fn finish(&mut self) -> Result<ValueEditBundle> {
         Ok(ValueEditBundle::default())
     }
 }
@@ -171,33 +172,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bundle_merge_concatenates() {
-        let mut a = ValueEditBundle {
-            new_files: vec![NewValueFile {
-                file: 1,
-                size: 10,
-                entries: 1,
-                value_bytes: 5,
-                hot: false,
-                format: 1,
-            }],
-            deleted_files: vec![2],
-            inherits: vec![(2, 1)],
-            garbage: vec![(3, 100, 1)],
-        };
-        let b = ValueEditBundle {
-            new_files: vec![],
-            deleted_files: vec![4],
-            inherits: vec![],
-            garbage: vec![(3, 50, 1)],
-        };
-        assert!(!a.is_empty());
-        a.merge(b);
-        assert_eq!(a.deleted_files, vec![2, 4]);
-        assert_eq!(a.garbage.len(), 2);
-    }
-
-    #[test]
     fn passthrough_session_is_identity() {
         let mut s = PassthroughSession;
         let (t, v) = s
@@ -205,7 +179,7 @@ mod tests {
             .unwrap();
         assert_eq!(t, ValueType::Value);
         assert_eq!(&v[..], b"v");
-        let out = Box::new(s).finish().unwrap();
+        let out = s.finish().unwrap();
         assert!(out.is_empty());
     }
 }

@@ -9,6 +9,7 @@ use crate::options::LsmOptions;
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_table::btable::KTable;
 use scavenger_table::cache::{ReaderMap, StoreCache};
+use scavenger_table::Tail;
 use scavenger_util::Result;
 use std::sync::Arc;
 
@@ -27,8 +28,10 @@ pub fn open_ktable(
     }
 }
 
-/// The tree's key-SST readers, each opened on its first lookup and read
-/// through the store's block cache.
+/// The tree's key-SST readers, read through the store's block cache:
+/// each born with its file — built from the tail its writer held once
+/// the flush or compaction that wrote it has committed — or, for a file
+/// this process did not write, opened on its first lookup.
 pub struct TableCache {
     env: EnvRef,
     dir: String,
@@ -60,6 +63,22 @@ impl TableCache {
                 IoClass::FgIndexRead,
             )
         })
+    }
+
+    /// Keep the reader of the new key SST `file_number` built from
+    /// `tail`, the [`born`](scavenger_table::btable::BuiltTable::born)
+    /// tail of its writer: opening its handle reads nothing. Best effort:
+    /// a handle that fails to open leaves the file to its first lookup.
+    pub(crate) fn adopt(&self, file_number: u64, tail: Tail) {
+        let path = table_path(&self.dir, file_number);
+        let Ok(file) = self.env.open_random_access(&path, IoClass::FgIndexRead) else {
+            return;
+        };
+        let blocks = Some(self.cache.blocks().clone());
+        let id = self.cache.file_id(file_number);
+        if let Ok(reader) = KTable::from_tail(file, tail, id, blocks) {
+            self.readers.insert(file_number, reader);
+        }
     }
 }
 

@@ -63,7 +63,6 @@ pub fn cached_read(
 }
 
 /// Result of finishing a table build.
-#[derive(Debug, Clone)]
 pub struct BuiltTable {
     /// Final file size in bytes.
     pub file_size: u64,
@@ -73,6 +72,10 @@ pub struct BuiltTable {
     pub largest: Vec<u8>,
     /// Properties as written to the props block.
     pub props: TableProps,
+    /// The tail an open of the file would read, made from the blocks the
+    /// builder still held: the file's reader, built from it with the
+    /// format's `from_tail`, costs no read.
+    pub born: Tail,
 }
 
 /// One stream under construction, appending its data blocks to the
@@ -431,8 +434,9 @@ impl KTableBuilder {
         };
         write_tail(
             self.file,
-            &metas,
-            &index,
+            metas,
+            index,
+            Vec::new(),
             props,
             self.smallest,
             self.largest,
@@ -463,7 +467,8 @@ impl KTable {
         KTable::from_tail(file, tail, file_number, cache)
     }
 
-    /// [`open`](Self::open) with `file`'s tail already read.
+    /// [`open`](Self::open) with `file`'s tail already read — or born:
+    /// the [`BuiltTable::born`] tail of the builder that wrote `file`.
     pub fn from_tail(
         file: Arc<dyn RandomAccessFile>,
         mut tail: Tail,

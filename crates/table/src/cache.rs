@@ -8,7 +8,9 @@
 //! Scavenger leans on the priority split (paper §III-B2): DTable KF blocks
 //! and RTable index partitions are inserted high-priority so GC-Lookups and
 //! Lazy Reads stay cache-resident while key-SST data blocks churn through
-//! the low-priority pool.
+//! the low-priority pool. The partitions an RTable's tail holds never
+//! enter the cache: its reader pins them (`RTableReader::from_tail`), so
+//! none is evicted between the file's creation and the GC that walks it.
 //!
 //! Separated values sit one tier lower still, at [`CachePriority::Bottom`]:
 //! a point read's value record (or value-file BTable block) enters at the
@@ -121,9 +123,12 @@ impl StoreCache {
 const READER_SHARDS: usize = 16;
 
 /// A store's open readers of one kind — key SSTs or value files — keyed
-/// by file number. A miss opens the reader outside any lock; when two
-/// first lookups race, the first insert wins and both callers share it.
-/// The owner evicts a file's reader when it deletes the file.
+/// by file number. A reader enters on a file's first lookup, opened
+/// outside any lock ([`get_or_open`](Self::get_or_open)), or born: built
+/// by the job that wrote the file from the bytes its writer held, once
+/// the job's edit has committed ([`insert`](Self::insert)). When two
+/// entries race, the first wins and every caller shares it. The owner
+/// evicts a file's reader when it deletes the file.
 pub struct ReaderMap<R> {
     shards: [Mutex<IntMap<u64, Arc<R>>>; READER_SHARDS],
 }
@@ -157,9 +162,28 @@ impl<R> ReaderMap<R> {
         Ok(shard.lock().entry(file_number).or_insert(reader).clone())
     }
 
+    /// Keep `reader` as `file_number`'s — the reader the file's writer
+    /// built as it finished it — unless a first lookup opened one
+    /// already, which stays.
+    pub fn insert(&self, file_number: u64, reader: R) {
+        let mut shard = self.shard(file_number).lock();
+        shard.entry(file_number).or_insert_with(|| Arc::new(reader));
+    }
+
     /// Drop the reader of `file_number`, if one is kept.
     pub fn evict(&self, file_number: u64) {
         self.shard(file_number).lock().remove(&file_number);
+    }
+
+    /// Numbers of the files whose reader is kept, ascending.
+    pub fn file_numbers(&self) -> Vec<u64> {
+        let mut numbers: Vec<u64> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.lock().keys().copied().collect::<Vec<u64>>())
+            .collect();
+        numbers.sort_unstable();
+        numbers
     }
 
     /// Number of kept readers.
@@ -644,6 +668,19 @@ mod tests {
         c.insert(key(2), 2, 5, CachePriority::Low);
         assert_eq!(c.get(&key(1)), None);
         assert_eq!(c.get(&key(2)), Some(2));
+    }
+
+    #[test]
+    fn a_born_reader_is_kept_unless_a_lookup_opened_one_first() {
+        let map = ReaderMap::<u32>::default();
+        map.insert(1, 10);
+        let born = map.get_or_open(1, || panic!("a born reader needs no open"));
+        assert_eq!(*born.unwrap(), 10);
+        let opened = map.get_or_open(2, || Ok(20)).unwrap();
+        map.insert(2, 21);
+        let again = map.get_or_open(2, || Ok(22)).unwrap();
+        assert!(Arc::ptr_eq(&opened, &again));
+        assert_eq!(map.file_numbers(), vec![1, 2]);
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //! (table properties incl. the value-dependency list that powers
 //! compensated-size compaction), [`blockio`] (checksummed block I/O), and
 //! `tail` (the metaindex / index / footer envelope all three formats end
-//! in, opened with one read of the file's last [`TAIL_PREFETCH`] bytes).
+//! in, opened with one read of the file's last [`TAIL_PREFETCH`] bytes —
+//! or with none, from the bytes the file's builder held).
 //!
 //! Every table iterator implements [`InternalIterator`], the one
 //! iterator trait of the read stack, so the LSM merges a key SST's

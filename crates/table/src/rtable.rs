@@ -21,12 +21,12 @@
 use crate::block::{Block, BlockBuilder};
 use crate::blockio::{verify_block, write_block, BLOCK_TRAILER_LEN};
 use crate::btable::{BlockCache, BlockFetcher, BuiltTable};
-use crate::cache::{CacheKey, CachePriority};
+use crate::cache::CachePriority;
 use crate::filter::{BloomBuilder, BloomReader};
 use crate::handle::BlockHandle;
 use crate::props::{meta_keys, PropsTracker, TableProps, TableType};
-use crate::tail::{read_tail, write_tail};
-use crate::{BlockKind, BLOOM_BITS_PER_KEY, INDEX_PARTITION_SIZE};
+use crate::tail::{read_tail, write_tail, Tail};
+use crate::{BlockKind, BLOOM_BITS_PER_KEY, INDEX_PARTITION_SIZE, TAIL_PREFETCH};
 use bytes::Bytes;
 use scavenger_env::{RandomAccessFile, WritableFile};
 use scavenger_util::coding::{get_length_prefixed_slice, put_length_prefixed_slice};
@@ -44,6 +44,9 @@ pub struct RTableBuilder {
     smallest: Option<Vec<u8>>,
     largest: Vec<u8>,
     index_bytes: u64,
+    /// The last index partitions written, with their payloads: those an
+    /// open's tail read may still cover, which the born tail keeps.
+    recent: Vec<(BlockHandle, Bytes)>,
 }
 
 impl RTableBuilder {
@@ -58,6 +61,7 @@ impl RTableBuilder {
             smallest: None,
             largest: Vec::new(),
             index_bytes: 0,
+            recent: Vec::new(),
         }
     }
 
@@ -93,10 +97,15 @@ impl RTableBuilder {
             return Ok(());
         }
         let last_key = self.partition.last_key().to_vec();
-        let payload = self.partition.finish();
+        let payload = Bytes::from(self.partition.finish());
         self.index_bytes += (payload.len() + BLOCK_TRAILER_LEN) as u64;
+        // The file only grows, so a partition more than the prefetch
+        // before its end now lies outside every tail read to come.
+        let floor = self.file.len().saturating_sub(TAIL_PREFETCH as u64);
+        self.recent.retain(|(h, _)| h.offset >= floor);
         let handle = write_block(self.file.as_mut(), &payload)?;
         self.top_index.add(&last_key, &handle.encode());
+        self.recent.push((handle, payload));
         Ok(())
     }
 
@@ -110,17 +119,20 @@ impl RTableBuilder {
         self.file.len() + self.partition.size_estimate() as u64
     }
 
-    /// Finish the table.
+    /// Finish the table. Its born tail holds the index partitions inside
+    /// the file's last [`TAIL_PREFETCH`] bytes, which the reader built
+    /// from it pins, as an open's would.
     pub fn finish(mut self) -> Result<BuiltTable> {
         self.flush_partition()?;
         let props = self.tracker.finish();
         write_tail(
             self.file,
-            &[
+            vec![
                 (meta_keys::FILTER, self.bloom.finish()),
                 (meta_keys::PROPS, props.encode()),
             ],
-            &self.top_index.finish(),
+            self.top_index.finish(),
+            self.recent,
             props,
             self.smallest,
             self.largest,
@@ -251,34 +263,50 @@ pub struct RTableReader {
     filter: Option<Bytes>,
     props: TableProps,
     open_bytes: u64,
+    /// The index partitions the tail held, pinned for the life of the
+    /// reader: at most the file's last [`TAIL_PREFETCH`] bytes' worth.
+    pinned: Vec<(BlockHandle, Block)>,
 }
 
 impl RTableReader {
-    /// Open an RTable file; top index, filter, and props are pinned.
-    /// Every index partition the open's tail read already holds enters
-    /// the block cache at high priority, checksummed, so no walk or
-    /// lookup reads it again and no reader keeps the buffer — RocksDB's
-    /// partitioned index is cached from its open-time prefetch the same
-    /// way. Best effort: a covered partition that fails its checksum is
-    /// left out, and the read that needs it reports the corruption.
+    /// Open an RTable file: one tail read, then
+    /// [`from_tail`](Self::from_tail).
     pub fn open(
         file: Arc<dyn RandomAccessFile>,
         file_number: u64,
         cache: Option<Arc<BlockCache>>,
     ) -> Result<RTableReader> {
-        let mut tail = read_tail(file.as_ref())?;
+        let tail = read_tail(file.as_ref())?;
+        RTableReader::from_tail(file, tail, file_number, cache)
+    }
+
+    /// The reader of `file` built from its tail — read by
+    /// [`open`](Self::open), or born: the [`BuiltTable::born`] tail of the
+    /// builder that wrote it. Top index, filter and props are pinned, and
+    /// so is every index partition the tail holds, checksummed: no walk
+    /// or lookup reads those again, and none waits on the block cache to
+    /// keep them — RocksDB pins a partitioned index's partitions from its
+    /// open-time prefetch the same way. Best effort: a covered partition
+    /// that fails its checksum is left out, and the read that needs it
+    /// reports the corruption.
+    pub fn from_tail(
+        file: Arc<dyn RandomAccessFile>,
+        mut tail: Tail,
+        file_number: u64,
+        cache: Option<Arc<BlockCache>>,
+    ) -> Result<RTableReader> {
         let filter = tail.meta_block(file.as_ref(), meta_keys::FILTER)?;
         if tail.props.table_type != TableType::RTable {
             return Err(Error::corruption("not an RTable file"));
         }
-        if let (Some(cache), Ok(parts)) = (&cache, partitions(&tail.index)) {
-            for h in parts {
-                if let Some(Ok(part)) = tail.prefetched(h) {
-                    let key = CacheKey::new(file_number, h.offset, BlockKind::Index);
-                    cache.insert(key, part.clone(), part.len(), CachePriority::High);
-                }
-            }
-        }
+        let pinned = partitions(&tail.index)
+            .unwrap_or_default()
+            .into_iter()
+            .filter_map(|h| {
+                let part = tail.prefetched(h)?.ok()?;
+                Some((h, Block::new(part).ok()?))
+            })
+            .collect();
         Ok(RTableReader {
             fetcher: BlockFetcher {
                 file,
@@ -289,14 +317,33 @@ impl RTableReader {
             filter,
             props: tail.props,
             open_bytes: tail.asked,
+            pinned,
         })
     }
 
-    /// Bytes [`open`](Self::open) asked the file for — footer, top
+    /// Bytes [`open`](Self::open) asks the file for — footer, top
     /// index, metaindex, properties and filter with their trailers —
-    /// however many the tail prefetch moved to serve them.
+    /// however many the tail prefetch moved to serve them; a born reader
+    /// counts the same bytes.
     pub fn open_bytes(&self) -> u64 {
         self.open_bytes
+    }
+
+    /// Offsets of the pinned index partitions, in file order.
+    #[cfg(test)]
+    pub(crate) fn pinned_partitions(&self) -> Vec<u64> {
+        self.pinned.iter().map(|(h, _)| h.offset).collect()
+    }
+
+    /// The index partition at `handle`: pinned, or through the block
+    /// cache, where a miss is inserted at high priority.
+    fn partition(&self, handle: BlockHandle) -> Result<Block> {
+        match self.pinned.iter().find(|(h, _)| *h == handle) {
+            Some((_, part)) => Ok(part.clone()),
+            None => self
+                .fetcher
+                .fetch(handle, BlockKind::Index, CachePriority::High),
+        }
     }
 
     /// Table properties.
@@ -313,10 +360,10 @@ impl RTableReader {
     }
 
     /// Handle of the record stored under exactly `target`, reading no
-    /// record bytes: one bloom probe, then one index-partition lookup
-    /// through the block cache (a miss is inserted at high priority). The
-    /// partition whose last key is the first `>= target` is the only one
-    /// that can hold it.
+    /// record bytes: one bloom probe, then one lookup in an index
+    /// partition, pinned or through the block cache (a miss is inserted
+    /// at high priority). The partition whose last key is the first
+    /// `>= target` is the only one that can hold it.
     pub fn find_exact(&self, target: &[u8]) -> Result<Option<BlockHandle>> {
         if !self.may_contain(extract_user_key(target)) {
             return Ok(None);
@@ -327,10 +374,7 @@ impl RTableReader {
         if !top.valid() {
             return Ok(None);
         }
-        let part_handle = BlockHandle::decode_exact(&top.value())?;
-        let part = self
-            .fetcher
-            .fetch(part_handle, BlockKind::Index, CachePriority::High)?;
+        let part = self.partition(BlockHandle::decode_exact(&top.value())?)?;
         let mut it = part.iter();
         it.seek(target);
         it.status()?;
@@ -354,16 +398,14 @@ impl RTableReader {
     }
 
     /// **Lazy Read** (paper Fig. 8 step ①): return every key in the file
-    /// with its record handle, reading only index partitions. Partitions
-    /// come through the block cache — those the open's tail read held are
-    /// already there — and a miss is inserted with high priority, so
-    /// subsequent GC value fetches and foreground reads hit memory.
+    /// with its record handle, reading only index partitions: the pinned
+    /// ones cost nothing, the rest come through the block cache, where a
+    /// miss is inserted with high priority, so subsequent GC value
+    /// fetches and foreground reads hit memory.
     pub fn read_index(&self) -> Result<Vec<(Vec<u8>, BlockHandle)>> {
         let mut out = Vec::with_capacity(self.props.num_entries as usize);
         for part_handle in self.partitions()? {
-            let part = self
-                .fetcher
-                .fetch(part_handle, BlockKind::Index, CachePriority::High)?;
+            let part = self.partition(part_handle)?;
             let mut it = part.iter();
             it.seek_to_first();
             while it.valid() {
@@ -628,7 +670,7 @@ mod tests {
         assert_eq!(r.find_exact(&ikey("zzzz")).unwrap(), None);
     }
 
-    /// A point read finds its index partition cached (the file's one
+    /// A point read finds its index partition pinned (the file's one
     /// partition rode in the open's tail read) and caches its record (at
     /// the bottom tier), so a repeat costs no I/O; told not to — through
     /// `read_records` (scans, GC) — it reads around the cache.
@@ -650,8 +692,12 @@ mod tests {
         };
         let (key, value) = (es[10].0.as_slice(), es[10].1.as_slice());
         let found = std::cell::Cell::new(None);
-        let partitions = cache.usage();
-        assert!(partitions > 0, "the open cached the partition");
+        assert_eq!(
+            r.pinned_partitions().len(),
+            1,
+            "the open pinned the partition"
+        );
+        assert_eq!(cache.usage(), 0, "and cached nothing");
         assert_eq!(reads(&|| found.set(r.find_exact(key).unwrap())), 0);
         let h = found.get().unwrap();
         assert_eq!(
@@ -659,7 +705,7 @@ mod tests {
             0
         );
         assert_eq!(reads(&|| assert_eq!(r.read_record(h).unwrap().1, value)), 1);
-        assert!(cache.usage() > partitions);
+        assert!(cache.usage() > 0);
         assert_eq!(reads(&|| assert_eq!(r.read_record(h).unwrap().1, value)), 0);
         assert_eq!(
             reads(&|| drop(r.read_records(&[h], PER_RECORD).unwrap())),
@@ -667,13 +713,14 @@ mod tests {
         );
     }
 
-    /// Opening a reader caches, checksummed, the index partitions its tail
-    /// read covers: a walk then reads only the ones outside it and yields
-    /// the index an uncached reader reads whole. A flipped byte in a
-    /// covered partition keeps it out of the cache without failing the
-    /// open, and is that partition's checksum error at the walk.
+    /// Opening a reader pins, checksummed, the index partitions its tail
+    /// read covers, and puts none in the block cache: a walk then reads
+    /// only the ones outside it, through the cache, and yields the index
+    /// an uncached reader reads. A flipped byte in a covered partition
+    /// keeps it unpinned without failing the open, and is that
+    /// partition's checksum error at the walk.
     #[test]
-    fn open_caches_the_partitions_its_tail_read_covered() {
+    fn open_pins_the_partitions_its_tail_read_covered() {
         let env = MemEnv::new();
         let es = entries(300, 64);
         build(&env, "v.vsst", &es);
@@ -700,23 +747,30 @@ mod tests {
         assert!(!outside.is_empty() && !covered.is_empty());
         let bytes = |hs: &[BlockHandle]| hs.iter().map(|h| h.size as usize).sum::<usize>();
 
+        let offsets = |hs: &[BlockHandle]| hs.iter().map(|h| h.offset).collect::<Vec<u64>>();
         let cache = Arc::new(BlockCache::with_capacity(1 << 20));
         let r = std::cell::OnceCell::new();
         assert_eq!(reads(&|| drop(r.set(reader(&cache)))), 1, "one tail read");
         let r = r.get().unwrap();
-        assert_eq!(cache.usage(), bytes(&covered));
+        assert_eq!(r.pinned_partitions(), offsets(&covered));
+        assert_eq!(cache.usage(), 0);
         let walked = std::cell::OnceCell::new();
         let n = reads(&|| drop(walked.set(r.read_index().unwrap())));
         assert_eq!(n, outside.len() as u64);
         assert_eq!(walked.get().unwrap(), &index);
-        assert_eq!(cache.usage(), bytes(&partitions));
-        assert_eq!(reads(&|| drop(r.read_index().unwrap())), 0, "cached");
+        assert_eq!(cache.usage(), bytes(&outside));
+        assert_eq!(
+            reads(&|| drop(r.read_index().unwrap())),
+            0,
+            "pinned or cached"
+        );
 
         let last = *covered.last().unwrap();
         env.corrupt_byte("v.vsst", last.offset + 1).unwrap();
         let fresh = Arc::new(BlockCache::with_capacity(1 << 20));
         let r = reader(&fresh);
-        assert_eq!(fresh.usage(), bytes(&covered) - last.size as usize);
+        let kept = &covered[..covered.len() - 1];
+        assert_eq!(r.pinned_partitions(), offsets(kept));
         let err = r.read_index().unwrap_err();
         let at = format!("block checksum mismatch at offset {}", last.offset);
         assert!(matches!(&err, Error::Corruption(m) if *m == at), "{err}");

@@ -8,6 +8,13 @@
 //! written in the order the format lists them and found again by name
 //! through the metaindex; the footer points at the metaindex and at the
 //! format's (top-level) index block.
+//!
+//! A reader is built from a [`Tail`], which comes from one of two places
+//! and is parsed the same way from both: [`read_tail`], one read of the
+//! file's last [`TAIL_PREFETCH`] bytes, or the builder that wrote the
+//! file, which still holds every tail block in memory ([`write_tail`]
+//! hands them over as [`BuiltTable::born`]) — a new file's reader is
+//! born warm, without a read.
 
 use crate::block::Block;
 use crate::blockio::{read_block, verify_block, write_block, BLOCK_TRAILER_LEN};
@@ -21,27 +28,43 @@ use scavenger_util::{Error, Result};
 /// Finish a table whose data is already in `file`: write `metas` (which
 /// include the encoded `props`, at the position the format keeps them),
 /// the metaindex naming them, the index block and the footer, then sync.
+/// `recent` are blocks the format wrote before its tail that an open's
+/// prefetch may cover (an RTable's last index partitions); the
+/// [`BuiltTable::born`] tail keeps those the prefetch would cover, beside
+/// every block written here.
 pub(crate) fn write_tail(
     mut file: Box<dyn WritableFile>,
-    metas: &[(&str, Vec<u8>)],
-    index_payload: &[u8],
+    metas: Vec<(&str, Vec<u8>)>,
+    index_payload: Vec<u8>,
+    recent: Vec<(BlockHandle, Bytes)>,
     props: TableProps,
     smallest: Option<Vec<u8>>,
     largest: Vec<u8>,
 ) -> Result<BuiltTable> {
+    let mut blocks = Vec::new();
     let mut handles = Vec::with_capacity(metas.len());
+    let mut write = |file: &mut dyn WritableFile, payload: Vec<u8>| {
+        let handle = write_block(file, &payload)?;
+        blocks.push((handle, Bytes::from(payload)));
+        Ok::<_, Error>(handle)
+    };
     for (name, payload) in metas {
-        handles.push((*name, write_block(file.as_mut(), payload)?));
+        handles.push((name, write(file.as_mut(), payload)?));
     }
-    let metaindex = write_block(file.as_mut(), &metaindex::encode(&handles))?;
-    let index = write_block(file.as_mut(), index_payload)?;
-    file.append(&Footer { metaindex, index }.encode())?;
+    let metaindex = write(file.as_mut(), metaindex::encode(&handles))?;
+    let index = write(file.as_mut(), index_payload)?;
+    let footer = Footer { metaindex, index };
+    file.append(&footer.encode())?;
     file.sync()?;
+    let len = file.len();
+    let start = len - len.min(TAIL_PREFETCH as u64);
+    blocks.extend(recent.into_iter().filter(|(h, _)| covers(start, len, *h)));
     Ok(BuiltTable {
-        file_size: file.len(),
+        file_size: len,
         smallest: smallest.unwrap_or_default(),
         largest,
         props,
+        born: Tail::parse(footer, Held::Built(blocks), None)?,
     })
 }
 
@@ -50,67 +73,84 @@ pub(crate) fn write_tail(
 /// thousand keys) its filters sit in its last few KiB, so opening costs
 /// one device op instead of one per block — RocksDB's tail prefetch. A
 /// constant: a larger prefetch buys nothing for the value files and
-/// freshly flushed key SSTs that dominate opens, and the blocks a bigger
-/// table keeps outside it are read exactly, as before.
+/// key SSTs that are opened from disk (a reopened store's, a compaction's
+/// inputs), and the blocks a bigger table keeps outside it are read
+/// exactly, as before. It also bounds what an RTable reader pins: the
+/// index partitions inside these bytes.
 pub const TAIL_PREFETCH: usize = 16 * 1024;
 
-/// What [`read_tail`] learned of an open table: its index block, its
-/// properties, where its other meta blocks are — and the prefetched
-/// bytes they are served from. Every block handed out is a copy, so the
-/// prefetch goes away with the `Tail`; an RTable's open first puts the
-/// index partitions it covers into the block cache
-/// (`Tail::prefetched`), so no reader keeps the buffer.
+/// What a reader is built from: a table's index block, its properties,
+/// where its other meta blocks are — and the blocks held in memory that
+/// serve them. Every block handed out from an open's prefetch is a copy,
+/// so the prefetch goes away with the `Tail`, and an RTable reader pins
+/// the index partitions it covers (`Tail::prefetched`) as copies too.
 ///
-/// Each reader opens from one (`from_tail`), so a caller that must look
-/// at the properties first — which format is this key SST? — reads the
-/// tail once, not once per guess.
+/// [`read_tail`] makes one from a file, a builder from the blocks it
+/// just wrote ([`BuiltTable::born`]); both run the same parse, and a
+/// reader built from either is the same. Each reader opens from one
+/// (`from_tail`), so a caller that must look at the properties first —
+/// which format is this key SST? — reads the tail once, not once per
+/// guess.
 pub struct Tail {
     pub(crate) index: Block,
     pub(crate) props: TableProps,
     /// Bytes of the footer and of every block handed out so far, with
-    /// their trailers: what the open *asked* the file for, however many
-    /// bytes the prefetch moved.
+    /// their trailers: what an open *asks* the file for, however many
+    /// bytes the prefetch moved — and the same count for a born tail,
+    /// which moved none.
     pub(crate) asked: u64,
     metas: Vec<(String, BlockHandle)>,
-    prefetch: Prefetch,
+    held: Held,
 }
 
-/// The file's last bytes: `(offset of the first, bytes)`.
-type Prefetch = (u64, Bytes);
+/// The blocks a [`Tail`] serves without a read.
+enum Held {
+    /// The file's last bytes, `(offset of the first, bytes)`: the one
+    /// read of an open.
+    Prefetch(u64, Bytes),
+    /// Verified payloads by handle, from the builder that wrote them:
+    /// every tail block, and the earlier blocks an open's prefetch
+    /// would cover.
+    Built(Vec<(BlockHandle, Bytes)>),
+}
 
-/// The verified block at `handle` out of `prefetch` — a copy, so the
-/// block does not pin the buffer — or `None` when the prefetch does not
-/// cover the block and its trailer.
-fn from_prefetch((start, buf): &Prefetch, handle: BlockHandle) -> Option<Result<Bytes>> {
-    let end = handle
+/// Whether the bytes `[start, end)` hold the block at `handle` and its
+/// trailer.
+fn covers(start: u64, end: u64, handle: BlockHandle) -> bool {
+    handle
         .size
         .checked_add(BLOCK_TRAILER_LEN as u64)
-        .and_then(|n| handle.offset.checked_add(n))?;
-    (handle.offset >= *start && end <= start + buf.len() as u64).then(|| {
-        let raw = buf.slice((handle.offset - start) as usize..(end - start) as usize);
-        Ok(Bytes::copy_from_slice(&verify_block(&raw, handle)?))
-    })
+        .and_then(|n| handle.offset.checked_add(n))
+        .is_some_and(|block_end| handle.offset >= start && block_end <= end)
 }
 
-/// Read and verify the tail block at `handle`: out of the open's
-/// prefetch when it covers the block, else with an exact read. `asked`
-/// grows by the block's size on disk.
-fn tail_block(
-    file: &dyn RandomAccessFile,
-    prefetch: &Prefetch,
-    handle: BlockHandle,
-    asked: &mut u64,
-) -> Result<Bytes> {
-    let block = from_prefetch(prefetch, handle).unwrap_or_else(|| read_block(file, handle))?;
-    *asked += (block.len() + BLOCK_TRAILER_LEN) as u64;
-    Ok(block)
+impl Held {
+    /// The verified payload at `handle`, or `None` when it is not held.
+    /// Out of a prefetch it is a copy, so the block does not pin the
+    /// buffer.
+    fn block(&self, handle: BlockHandle) -> Option<Result<Bytes>> {
+        match self {
+            Held::Prefetch(start, buf) => {
+                covers(*start, start + buf.len() as u64, handle).then(|| {
+                    let at = (handle.offset - start) as usize;
+                    let raw = buf.slice(at..at + handle.size as usize + BLOCK_TRAILER_LEN);
+                    Ok(Bytes::copy_from_slice(&verify_block(&raw, handle)?))
+                })
+            }
+            Held::Built(blocks) => blocks
+                .iter()
+                .find(|(h, _)| *h == handle)
+                .map(|(_, payload)| Ok(payload.clone())),
+        }
+    }
 }
 
 /// Open any table file: one read of its last [`TAIL_PREFETCH`] bytes
-/// (the whole file when it is shorter), then footer → index block →
-/// metaindex → properties out of that buffer, each block checksummed as
-/// if it had been read on its own. A block the prefetch does not cover
-/// (the top index of a very large table) costs one exact read more.
+/// (the whole file when it is shorter), then the parse a born tail runs
+/// — footer → index block → metaindex → properties out of that buffer,
+/// each block checksummed as if it had been read on its own. A block the
+/// prefetch does not cover (the top index of a very large table) costs
+/// one exact read more.
 pub fn read_tail(file: &dyn RandomAccessFile) -> Result<Tail> {
     let len = file.len();
     if len < FOOTER_LEN as u64 {
@@ -122,33 +162,57 @@ pub fn read_tail(file: &dyn RandomAccessFile) -> Result<Tail> {
         return Err(Error::corruption("short tail read"));
     }
     let footer = Footer::decode(&buf[buf.len() - FOOTER_LEN..])?;
-    let prefetch = (len - n, buf);
-    let mut asked = FOOTER_LEN as u64;
-    let index = Block::new(tail_block(file, &prefetch, footer.index, &mut asked)?)?;
-    let metas = metaindex::decode(&tail_block(file, &prefetch, footer.metaindex, &mut asked)?)?;
-    let props_handle = metaindex::find(&metas, meta_keys::PROPS)
-        .ok_or_else(|| Error::corruption("missing props block"))?;
-    let props = TableProps::decode(&tail_block(file, &prefetch, props_handle, &mut asked)?)?;
-    Ok(Tail {
-        index,
-        props,
-        asked,
-        metas,
-        prefetch,
-    })
+    Tail::parse(footer, Held::Prefetch(len - n, buf), Some(file))
+}
+
+/// The verified block at `handle`: out of `held` when it holds it, else
+/// with an exact read of `file`. `asked` grows by the block's size on
+/// disk.
+fn tail_block(
+    file: Option<&dyn RandomAccessFile>,
+    held: &Held,
+    handle: BlockHandle,
+    asked: &mut u64,
+) -> Result<Bytes> {
+    let block = match (held.block(handle), file) {
+        (Some(block), _) => block,
+        (None, Some(file)) => read_block(file, handle),
+        (None, None) => Err(Error::internal("a born tail lacks one of its blocks")),
+    }?;
+    *asked += (block.len() + BLOCK_TRAILER_LEN) as u64;
+    Ok(block)
 }
 
 impl Tail {
+    /// Footer → index block → metaindex → properties, each block out of
+    /// `held` or read exactly from `file`: the one parse of an open and
+    /// of a born tail.
+    fn parse(footer: Footer, held: Held, file: Option<&dyn RandomAccessFile>) -> Result<Tail> {
+        let mut asked = FOOTER_LEN as u64;
+        let index = Block::new(tail_block(file, &held, footer.index, &mut asked)?)?;
+        let metas = metaindex::decode(&tail_block(file, &held, footer.metaindex, &mut asked)?)?;
+        let props_handle = metaindex::find(&metas, meta_keys::PROPS)
+            .ok_or_else(|| Error::corruption("missing props block"))?;
+        let props = TableProps::decode(&tail_block(file, &held, props_handle, &mut asked)?)?;
+        Ok(Tail {
+            index,
+            props,
+            asked,
+            metas,
+            held,
+        })
+    }
+
     /// The table's properties.
     pub fn props(&self) -> &TableProps {
         &self.props
     }
 
-    /// The block at `handle` if the open's tail read holds it, verified:
-    /// what an open can cache without another read. `None` when the
-    /// block lies outside it.
+    /// The block at `handle` if the tail holds it, verified: what a
+    /// reader can pin without another read. `None` when the block lies
+    /// outside it.
     pub(crate) fn prefetched(&self, handle: BlockHandle) -> Option<Result<Bytes>> {
-        from_prefetch(&self.prefetch, handle)
+        self.held.block(handle)
     }
 
     /// The meta block stored under `name`, if the table has one.
@@ -158,7 +222,7 @@ impl Tail {
         name: &str,
     ) -> Result<Option<Bytes>> {
         metaindex::find(&self.metas, name)
-            .map(|h| tail_block(file, &self.prefetch, h, &mut self.asked))
+            .map(|h| tail_block(Some(file), &self.held, h, &mut self.asked))
             .transpose()
     }
 }
@@ -166,11 +230,13 @@ impl Tail {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btable::BuiltTable;
     use crate::btable::{KTable, KTableBuilder, KTableFormat};
     use crate::rtable::{RTableBuilder, RTableReader};
+    use crate::InternalIterator;
     use crate::BLOCK_SIZE;
     use scavenger_env::{Env, EnvRef, FaultEnv, FaultOp, FaultRule, IoClass, MemEnv};
-    use scavenger_util::ikey::{make_internal_key, ValueType};
+    use scavenger_util::ikey::{extract_user_key, make_internal_key, ValueRef, ValueType};
     use std::sync::Arc;
 
     const FORMATS: [&str; 3] = ["b.sst", "d.sst", "r.vsst"];
@@ -179,8 +245,10 @@ mod tests {
         make_internal_key(format!("key{i:06}").as_bytes(), 7, ValueType::Value)
     }
 
-    /// One table of each format holding `n` inline entries of `vlen` bytes.
-    fn build_all(env: &dyn Env, n: usize, vlen: usize) {
+    /// One table of each format holding `n` entries of `vlen` bytes, in
+    /// [`FORMATS`] order. Every third key of the DTable (the second of
+    /// each three) is a reference, so both its streams hold entries.
+    fn build_all(env: &dyn Env, n: usize, vlen: usize) -> [BuiltTable; 3] {
         let file = |path| env.new_writable(path, IoClass::Flush).unwrap();
         let mut b = KTableBuilder::new(file("b.sst"), KTableFormat::BTable, BLOCK_SIZE);
         let mut d = KTableBuilder::new(file("d.sst"), KTableFormat::DTable, BLOCK_SIZE);
@@ -188,12 +256,32 @@ mod tests {
         for i in 0..n {
             let (k, v) = (ikey(i), vec![(i % 251) as u8; vlen]);
             b.add(&k, &v).unwrap();
-            d.add(&k, &v).unwrap();
+            match i % 3 {
+                1 => d.add(&vref_key(i), &vref(vlen)).unwrap(),
+                _ => d.add(&k, &v).unwrap(),
+            }
             r.add(&k, &v).unwrap();
         }
-        b.finish().unwrap();
-        d.finish().unwrap();
-        r.finish().unwrap();
+        [
+            b.finish().unwrap(),
+            d.finish().unwrap(),
+            r.finish().unwrap(),
+        ]
+    }
+
+    /// `ikey(i)` as a value reference: a DTable's KF-stream entry.
+    fn vref_key(i: usize) -> Vec<u8> {
+        make_internal_key(format!("key{i:06}").as_bytes(), 7, ValueType::ValueRef)
+    }
+
+    fn vref(vlen: usize) -> Vec<u8> {
+        let size = vlen as u32;
+        ValueRef {
+            file: 9,
+            size,
+            offset: 0,
+        }
+        .encode()
     }
 
     /// Open `path` as its format and look `probe` up; `Ok(found)`.
@@ -202,8 +290,8 @@ mod tests {
         let key = ikey(probe);
         Ok(match path {
             "b.sst" | "d.sst" => KTable::open(f, 1, None)?
-                .get(&key)?
-                .is_some_and(|e| e.key() == key),
+                .get(&vref_key(probe))?
+                .is_some_and(|e| extract_user_key(e.key()) == extract_user_key(&key)),
             _ => RTableReader::open(f, 1, None)?.find_exact(&key)?.is_some(),
         })
     }
@@ -335,9 +423,109 @@ mod tests {
             .meta_block(f.as_ref(), meta_keys::FILTER)
             .unwrap()
             .unwrap();
-        let (start, buf) = &tail.prefetch;
+        let Held::Prefetch(start, buf) = &tail.held else {
+            panic!("an open's tail holds its prefetch");
+        };
         let inside = |b: &[u8]| buf.as_ptr_range().contains(&b.as_ptr());
         assert_eq!(start + buf.len() as u64, f.len());
         assert!(!inside(&filter), "filter is a slice of the prefetch");
+    }
+
+    /// Every entry of a key SST, walked in order.
+    fn walk(it: &mut dyn InternalIterator) -> Vec<(Vec<u8>, Bytes)> {
+        let mut out = Vec::new();
+        it.seek_to_first();
+        while it.valid() {
+            out.push((it.key().to_vec(), it.value()));
+            it.next();
+        }
+        it.status().unwrap();
+        out
+    }
+
+    /// The reader a builder's born tail makes is the one an open of the
+    /// file makes: same props, same tail bytes asked for, same pinned
+    /// index partitions, the same answer to every lookup and the same
+    /// walk. Building it costs no read, where an open costs one tail read
+    /// — two when the filter outgrows the prefetch (20,000 keys), and
+    /// whether or not the RTable's partitions do (2,000 × 700 bytes).
+    #[test]
+    fn a_born_reader_equals_an_opened_one() {
+        for (n, vlen) in [(1, 10), (300, 64), (2000, 700), (20_000, 8)] {
+            let env = MemEnv::new();
+            let built = build_all(&env, n, vlen);
+            let probes: Vec<usize> = (0..=n).collect();
+            for (path, built) in FORMATS.into_iter().zip(built) {
+                let BuiltTable { born, props, .. } = built;
+                let f: Arc<dyn RandomAccessFile> =
+                    env.open_random_access(path, IoClass::FgIndexRead).unwrap();
+                let before = env.io_stats().snapshot();
+                let what = format!("{path} with {n} × {vlen}");
+                if path == "r.vsst" {
+                    let born = RTableReader::from_tail(f.clone(), born, 1, None).unwrap();
+                    assert_eq!(env.io_stats().snapshot().delta(&before).total_read_ops(), 0);
+                    let opened = RTableReader::open(f, 1, None).unwrap();
+                    assert_eq!(born.props(), &props, "{what}");
+                    assert_eq!(opened.props(), &props, "{what}");
+                    assert_eq!(born.open_bytes(), opened.open_bytes(), "{what}");
+                    // 20,000 keys' filter pushes every partition out of
+                    // the tail; otherwise the last one rides in it.
+                    let pinned = born.pinned_partitions();
+                    assert_eq!(pinned.is_empty(), n == 20_000, "{what}");
+                    assert_eq!(pinned, opened.pinned_partitions(), "{what}");
+                    if (n, vlen) == (2000, 700) {
+                        let all = born.partitions().unwrap().len();
+                        assert!(pinned.len() < all, "{what}: partitions outgrow the tail");
+                    }
+                    for &i in &probes {
+                        let key = ikey(i);
+                        assert_eq!(
+                            born.find_exact(&key).unwrap(),
+                            opened.find_exact(&key).unwrap()
+                        );
+                    }
+                    let index = born.read_index().unwrap();
+                    assert_eq!(index, opened.read_index().unwrap(), "{what}");
+                    assert_eq!(index.len(), n);
+                    let handles: Vec<BlockHandle> = index.iter().map(|(_, h)| *h).collect();
+                    let limits = crate::rtable::Coalesce {
+                        max_gap: u64::MAX,
+                        max_span: crate::rtable::COALESCE_SPAN,
+                    };
+                    assert_eq!(
+                        born.read_records(&handles, limits).unwrap(),
+                        opened.read_records(&handles, limits).unwrap()
+                    );
+                } else {
+                    let born = KTable::from_tail(f.clone(), born, 1, None).unwrap();
+                    assert_eq!(env.io_stats().snapshot().delta(&before).total_read_ops(), 0);
+                    let opened = KTable::open(f, 1, None).unwrap();
+                    assert_eq!(born.props(), &props, "{what}");
+                    assert_eq!(opened.props(), &props, "{what}");
+                    let entry = |e: Option<crate::block::BlockEntry>| {
+                        e.map(|e| (e.key().to_vec(), e.value()))
+                    };
+                    for &i in &probes {
+                        for key in [ikey(i), vref_key(i)] {
+                            assert_eq!(
+                                entry(born.get(&key).unwrap()),
+                                entry(opened.get(&key).unwrap())
+                            );
+                            assert_eq!(
+                                entry(born.get_inline(&key).unwrap()),
+                                entry(opened.get_inline(&key).unwrap())
+                            );
+                        }
+                    }
+                    let all = walk(born.iter().as_mut());
+                    assert_eq!(all.len(), n, "{what}");
+                    assert_eq!(all, walk(opened.iter().as_mut()), "{what}");
+                    assert_eq!(
+                        walk(born.index_iter().as_mut()),
+                        walk(opened.index_iter().as_mut())
+                    );
+                }
+            }
+        }
     }
 }

@@ -9,6 +9,8 @@ use scavenger::{
     Db, DbScanIter, DbShards, EngineMode, EnvRef, MemEnv, Options, Result, ScanEntry,
     ShardedOptions,
 };
+use scavenger_env::{FaultEnv, FaultOp, FaultRule};
+use std::sync::Arc;
 
 fn key(i: usize) -> String {
     format!("key{i:04}")
@@ -141,29 +143,43 @@ fn iterator_contract_on_db_shards() {
     check_iterator_contract(&sharded(MemEnv::shared(), "iter-shards"));
 }
 
-/// Delete every value file behind the engine's back so the first
-/// separated-value resolve fails, then assert the error contract:
-/// `Some(Err)` exactly once, `None` (fused) forever after.
-fn delete_value_files(env: &EnvRef, root: &str) {
-    let files = env.list_prefix(&format!("{root}/")).unwrap();
-    let mut removed = 0;
+/// A `MemEnv` behind a [`FaultEnv`], and the store's env on it.
+fn faulty() -> (Arc<FaultEnv>, EnvRef) {
+    let fault = FaultEnv::wrap(MemEnv::shared(), 0x17e2);
+    let env: EnvRef = fault.clone();
+    (fault, env)
+}
+
+/// Fail every read of `files` from now on, behind the engine's back —
+/// the readers the store built as it wrote them included — so the first
+/// separated-value resolve that reads one fails.
+fn fail_reads_of(fault: &FaultEnv, files: &[String]) {
+    assert!(!files.is_empty(), "setup must have created value files");
     for f in files {
-        if f.ends_with(".vsst") || f.ends_with(".blob") {
-            env.remove_file(&f).unwrap();
-            removed += 1;
-        }
+        fault.add_rule(FaultRule {
+            path_contains: Some(f.clone()),
+            ..FaultRule::fail(FaultOp::Read)
+        });
     }
-    assert!(removed > 0, "setup must have created value files");
+}
+
+/// The value files under `root`.
+fn value_files(env: &EnvRef, root: &str) -> Vec<String> {
+    let files = env.list_prefix(&format!("{root}/")).unwrap();
+    files
+        .into_iter()
+        .filter(|f| f.ends_with(".vsst") || f.ends_with(".blob"))
+        .collect()
 }
 
 #[test]
 fn errored_db_iterator_yields_err_then_fuses() {
-    let env: EnvRef = MemEnv::shared();
+    let (fault, env) = faulty();
     let db = single(env.clone(), "iter-err-db");
-    // Written and flushed but never read: the value files are not yet in
-    // any table-reader cache, so the scan must open them — and fail.
+    // Written and flushed, then every value-file read fails: the scan's
+    // first resolve must surface the error.
     load(&db, 20);
-    delete_value_files(&env, "iter-err-db");
+    fail_reads_of(&fault, &value_files(&env, "iter-err-db"));
 
     let mut it = db.scan(b"", None).unwrap();
     let first = it.next();
@@ -183,31 +199,23 @@ fn errored_db_iterator_yields_err_then_fuses() {
 }
 
 /// Value look-ahead never resolves past what the caller asked for.
-/// Rows 0..10 live in intact value files; every file behind rows 10..
-/// is deleted. `collect_n(10)` and ten `next()`s must not notice; the
+/// Rows 0..10 live in intact value files; every read of a file behind
+/// rows 10.. fails. `collect_n(10)` and ten `next()`s must not notice; the
 /// error waits for row 10, and the rows before it in the failing batch
 /// are still delivered.
 #[test]
 fn lookahead_never_resolves_past_the_requested_rows() {
-    let env: EnvRef = MemEnv::shared();
+    let (fault, env) = faulty();
     let db = single(env.clone(), "iter-lookahead");
     load(&db, 10);
-    let intact = env.list_prefix("iter-lookahead/").unwrap();
+    let intact = value_files(&env, "iter-lookahead");
     for i in 10..40 {
         db.put(key(i).as_bytes(), value(i, 1024)).unwrap();
     }
     db.flush().unwrap();
-    let mut removed = 0;
-    for f in env.list_prefix("iter-lookahead/").unwrap() {
-        if f.ends_with(".vsst") && !intact.contains(&f) {
-            env.remove_file(&f).unwrap();
-            removed += 1;
-        }
-    }
-    assert!(
-        removed > 0,
-        "the second flush must have created value files"
-    );
+    let mut broken = value_files(&env, "iter-lookahead");
+    broken.retain(|f| !intact.contains(f));
+    fail_reads_of(&fault, &broken);
 
     let ten = db.scan(b"", None).unwrap().collect_n(10).unwrap();
     assert_eq!(ten.len(), 10);
@@ -239,13 +247,13 @@ fn lookahead_never_resolves_past_the_requested_rows() {
 /// `Db`, which yields every resolved entry before the error.
 #[test]
 fn merge_refill_error_does_not_drop_resolved_entry() {
-    let env: EnvRef = MemEnv::shared();
+    let (fault, env) = faulty();
     let db = sharded(env.clone(), "iter-err-refill");
 
     // One shard is the "broken" one: its first entry in key order is a
     // small (inline, never fails) value that sorts before everything
-    // else globally, followed by separated values whose files we
-    // delete. All other shards hold only inline values.
+    // else globally, followed by separated values whose files fail
+    // every read. All other shards hold only inline values.
     let broken = db.shard_of("z-000");
     let afirst = (0..1000)
         .map(|i| format!("a-{i:03}"))
@@ -269,7 +277,8 @@ fn merge_refill_error_does_not_drop_resolved_entry() {
         db.put(f.as_bytes(), b"inline-too".to_vec()).unwrap();
     }
     db.flush().unwrap();
-    delete_value_files(&env, &format!("iter-err-refill/shard-{broken:03}"));
+    let root = format!("iter-err-refill/shard-{broken:03}");
+    fail_reads_of(&fault, &value_files(&env, &root));
 
     // Priming succeeds (the broken shard's head is the inline `afirst`).
     let mut it = db.scan(b"", None).unwrap();
@@ -288,10 +297,10 @@ fn merge_refill_error_does_not_drop_resolved_entry() {
 
 #[test]
 fn errored_shards_iterator_yields_err_then_fuses() {
-    let env: EnvRef = MemEnv::shared();
+    let (fault, env) = faulty();
     let db = sharded(env.clone(), "iter-err-shards");
     load(&db, 30);
-    delete_value_files(&env, "iter-err-shards");
+    fail_reads_of(&fault, &value_files(&env, "iter-err-shards"));
 
     // The merge iterator primes one head per shard on its first pull,
     // so with every shard broken the error surfaces there (an error at

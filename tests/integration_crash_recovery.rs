@@ -806,3 +806,153 @@ fn writer_stalled_when_engine_degrades_fails_fast() {
     );
     writer.join().unwrap();
 }
+
+/// Which job's MANIFEST append fails in
+/// [`a_failed_commit_keeps_no_reader_and_its_outputs_go`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FailedCommit {
+    Flush,
+    Compaction,
+    GcPublish,
+}
+
+/// The numbers of the key SSTs and of the value files in `db/`.
+fn files_on_disk(env: &EnvRef) -> (Vec<u64>, Vec<u64>) {
+    let (mut ssts, mut values) = (Vec::new(), Vec::new());
+    for path in env.list_prefix("db/").unwrap() {
+        let name = path.strip_prefix("db/").unwrap();
+        if let Some(n) = name.strip_suffix(".sst") {
+            ssts.push(n.parse().unwrap());
+        } else if let Some(n) = name.strip_suffix(".vsst") {
+            values.push(n.parse().unwrap());
+        }
+    }
+    ssts.sort_unstable();
+    values.sort_unstable();
+    (ssts, values)
+}
+
+/// The key SSTs and value files `db` lists as live.
+fn live_files(db: &Db) -> (Vec<u64>, Vec<u64>) {
+    let version = db.shard(0).lsm().current_version();
+    let mut ssts: Vec<u64> = version
+        .levels
+        .iter()
+        .flatten()
+        .map(|f| f.file_number)
+        .collect();
+    ssts.sort_unstable();
+    (ssts, db.shard(0).value_store().live_file_numbers())
+}
+
+/// A flush, a compaction or a GC publish whose MANIFEST append fails
+/// after the job built its files keeps no reader of them: the readers a
+/// job builds from its writers' bytes enter the table cache and the value
+/// store only once its edit has committed. `resume` removes the outputs
+/// (not before: until the manifest is rewritten, the failed edit may sit
+/// in it), and a reopen opens every file from disk and reads the same
+/// values.
+#[test]
+fn a_failed_commit_keeps_no_reader_and_its_outputs_go() {
+    let check = |db: &Db, ctx: &str| {
+        for i in 0..200u32 {
+            let stamp = if i % 2 == 0 { 2 } else { 1 };
+            assert_eq!(
+                db.get(crash::key_bytes(i)).unwrap().unwrap(),
+                bytes::Bytes::from(crash::value_bytes(i, stamp, 2048)),
+                "{ctx}: key {i}"
+            );
+        }
+    };
+    for job in [
+        FailedCommit::Flush,
+        FailedCommit::Compaction,
+        FailedCommit::GcPublish,
+    ] {
+        let fault = FaultEnv::wrap(MemEnv::shared(), 0x1eb1);
+        let env: EnvRef = fault.clone();
+        let mut o = one_flush_opts(env.clone());
+        o.bg_retry_limit = 0;
+        let db = Db::open(o.clone()).unwrap();
+        for i in 0..200u32 {
+            db.put(crash::key_bytes(i), crash::value_bytes(i, 1, 2048))
+                .unwrap();
+        }
+        db.flush().unwrap();
+        for i in (0..200u32).step_by(2) {
+            db.put(crash::key_bytes(i), crash::value_bytes(i, 2, 2048))
+                .unwrap();
+        }
+        if job != FailedCommit::Flush {
+            db.flush().unwrap();
+        }
+        if job == FailedCommit::GcPublish {
+            while db.shard(0).lsm().force_compact_once().unwrap() {}
+        }
+        let before = files_on_disk(&env);
+        fault.add_rule(FaultRule {
+            op: FaultOp::Write,
+            path_contains: Some("MANIFEST".to_string()),
+            trigger: Trigger::Nth(1),
+            kind: FaultKind::Fail,
+            one_shot: true,
+        });
+        let failed = match job {
+            FailedCommit::Flush => db.flush().map(|_| ()),
+            FailedCommit::Compaction => db.shard(0).lsm().force_compact_once().map(|_| ()),
+            FailedCommit::GcPublish => db.run_gc().map(|_| ()),
+        };
+        assert!(failed.is_err(), "{job:?}: the commit fails");
+
+        let (disk, live) = (files_on_disk(&env), live_files(&db));
+        let outputs = |disk: &[u64], before: &[u64]| -> Vec<u64> {
+            disk.iter()
+                .copied()
+                .filter(|n| !before.contains(n))
+                .collect()
+        };
+        let sst_outputs = outputs(&disk.0, &before.0);
+        let value_outputs = outputs(&disk.1, &before.1);
+        let built = match job {
+            FailedCommit::Flush => !sst_outputs.is_empty() && !value_outputs.is_empty(),
+            FailedCommit::Compaction => !sst_outputs.is_empty() && value_outputs.is_empty(),
+            FailedCommit::GcPublish => sst_outputs.is_empty() && !value_outputs.is_empty(),
+        };
+        assert!(
+            built,
+            "{job:?}: the job built {sst_outputs:?} / {value_outputs:?}"
+        );
+        let tables = db.shard(0).lsm().table_readers();
+        let values = db.shard(0).value_store().reader_files();
+        assert!(
+            tables.iter().all(|n| !sst_outputs.contains(n)),
+            "{job:?}: {tables:?}"
+        );
+        assert!(
+            values.iter().all(|n| !value_outputs.contains(n)),
+            "{job:?}: {values:?}"
+        );
+        assert!(
+            values.iter().all(|n| live.1.contains(n)),
+            "{job:?}: {values:?}"
+        );
+
+        db.resume().unwrap();
+        db.flush().unwrap();
+        let (disk, live) = (files_on_disk(&env), live_files(&db));
+        assert_eq!(disk, live, "{job:?}: only live files stay on disk");
+        assert!(
+            sst_outputs.iter().all(|n| !disk.0.contains(n))
+                && value_outputs.iter().all(|n| !disk.1.contains(n)),
+            "{job:?}: the failed job's outputs are removed"
+        );
+        check(&db, &format!("{job:?}"));
+
+        drop(db);
+        let db = Db::open(o).unwrap();
+        assert!(db.shard(0).lsm().table_readers().is_empty());
+        assert!(db.shard(0).value_store().reader_files().is_empty());
+        check(&db, &format!("{job:?} after a reopen"));
+        assert_eq!(files_on_disk(&env), live_files(&db));
+    }
+}

@@ -1,5 +1,6 @@
-//! Exact device I/O of a GC job, on `MemEnv`: one tail read per file
-//! opened, survivors fetched in spans ([`GC_COALESCE`]) or whole files
+//! Exact device I/O of a GC job, on `MemEnv`: no tail read for a file
+//! this store wrote (its reader was born with it) and one per file opened
+//! from disk, survivors fetched in spans ([`GC_COALESCE`]) or whole files
 //! walked in spans (`ReadaheadFile`), Lazy Read still paying only for
 //! what lives — and the faults that can hide inside the bigger reads.
 //!
@@ -73,12 +74,21 @@ fn gc_job(db: &Db, env: &MemEnv) -> (GcOutcome, ClassSnapshot) {
     (outcome, d.class(IoClass::GcRead))
 }
 
-/// The dense index of RTable `file`, the number of reads (= index
-/// partitions) a reader without a block cache pays for it, and the bytes
-/// opening the table and walking the index ask for.
+/// The dense index of RTable `file`, its number of index partitions, and
+/// the bytes opening the table and walking the index ask for. A reader
+/// opened without a block cache reads exactly the partitions outside its
+/// tail: it pins the others out of its tail read.
 fn dense_index(env: &EnvRef, file: u64) -> (Vec<(Vec<u8>, BlockHandle)>, u64, u64) {
-    let reader =
-        VReader::open(env, "db", file, VFormat::RTable, None, IoClass::FgValueRead).unwrap();
+    let reader = VReader::open(
+        env,
+        "db",
+        file,
+        VFormat::RTable,
+        None,
+        None,
+        IoClass::FgValueRead,
+    )
+    .unwrap();
     let VReader::R(r) = &reader else {
         panic!("file {file} is not an RTable")
     };
@@ -86,21 +96,31 @@ fn dense_index(env: &EnvRef, file: u64) -> (Vec<(Vec<u8>, BlockHandle)>, u64, u6
     let index = r.read_index().unwrap();
     let d = env.io_stats().snapshot().delta(&before);
     let c = d.class(IoClass::FgValueRead);
-    assert_eq!(c.read_bytes, r.index_bytes().unwrap());
+    assert_eq!(c.read_ops, partitions_outside_prefetch(env, file));
+    assert!(c.read_bytes <= r.index_bytes().unwrap());
     assert!(r.open_bytes() > 48 && r.open_bytes() < TAIL_PREFETCH as u64);
-    (index, c.read_ops, reader.lazy_index_bytes().unwrap())
+    let partitions = r.partitions().unwrap().len() as u64;
+    (index, partitions, reader.lazy_index_bytes().unwrap())
 }
 
 /// How many index partitions of RTable `file` lie outside the last
 /// [`TAIL_PREFETCH`] bytes — the ones Lazy Read still reads on its own:
-/// opening the file's reader caches the rest out of its tail read.
+/// the file's reader, born with it or opened, pins the rest.
 fn partitions_outside_prefetch(env: &EnvRef, file: u64) -> u64 {
     let prefetch_start = env
         .file_size(&vfile_path("db", file, VFormat::RTable))
         .unwrap()
         .saturating_sub(TAIL_PREFETCH as u64);
-    let reader =
-        VReader::open(env, "db", file, VFormat::RTable, None, IoClass::FgValueRead).unwrap();
+    let reader = VReader::open(
+        env,
+        "db",
+        file,
+        VFormat::RTable,
+        None,
+        None,
+        IoClass::FgValueRead,
+    )
+    .unwrap();
     let VReader::R(r) = &reader else {
         panic!("file {file} is not an RTable")
     };
@@ -113,8 +133,9 @@ fn partitions_outside_prefetch(env: &EnvRef, file: u64) -> u64 {
 }
 
 /// A 2 MiB file with every other record live: each mode reads it in
-/// device-sized ops — 1 tail read, the index partitions (Lazy Read
-/// only), and one read per 256 KiB of file.
+/// device-sized ops — the index partitions outside the tail (Lazy Read,
+/// whose reader was born with the file: no tail read) or 1 tail read (a
+/// whole-file walk opens its own), and one read per 256 KiB of file.
 #[test]
 fn half_live_file_is_read_in_spans_in_every_mode() {
     const N: usize = 128;
@@ -129,12 +150,12 @@ fn half_live_file_is_read_in_spans_in_every_mode() {
             let meta = db.shard(0).value_store().meta(file).unwrap();
             assert!(meta.size > 2_000_000 && meta.size < (2 << 20) + 65_536);
             let spans = meta.size.div_ceil(GC_COALESCE.max_span);
-            let (partitions, index_bytes) = match mode {
+            let (tail, partitions, index_bytes) = match mode {
                 EngineMode::Scavenger => {
-                    let (_, partitions, asked) = dense_index(&eref, file);
-                    (partitions, asked)
+                    let (_, _, asked) = dense_index(&eref, file);
+                    (0, partitions_outside_prefetch(&eref, file), asked)
                 }
-                _ => (0, 0),
+                _ => (1, 0, 0),
             };
 
             let before = db.shard(0).value_store().live_file_numbers();
@@ -142,8 +163,8 @@ fn half_live_file_is_read_in_spans_in_every_mode() {
             assert_eq!(outcome.files_collected, 1, "{mode:?}");
             assert_eq!(outcome.records_rewritten, (N / 2) as u64, "{mode:?}");
             assert!(
-                io.read_ops <= 1 + partitions + spans,
-                "{mode:?}/{threads}: {} GcRead ops for 1 tail + {partitions} partitions + {spans} spans",
+                io.read_ops <= tail + partitions + spans,
+                "{mode:?}/{threads}: {} GcRead ops for {tail} tail + {partitions} partitions + {spans} spans",
                 io.read_ops
             );
             // What the job reports is what it needed, not what the
@@ -181,7 +202,8 @@ fn half_live_file_is_read_in_spans_in_every_mode() {
 }
 
 /// Lazy Read's point survives the coalescing: one live record of 100
-/// costs the tail, the index and about that record — not the file.
+/// costs the index outside the tail and about that record — not the
+/// file, and no tail read: the file's reader was born with it.
 #[test]
 fn mostly_dead_file_costs_its_live_bytes() {
     const N: usize = 100;
@@ -200,8 +222,8 @@ fn mostly_dead_file_costs_its_live_bytes() {
         assert_eq!(outcome.records_rewritten, 1);
         assert_eq!(
             io.read_ops,
-            1 + outside + 1,
-            "tail, the index outside it, one record"
+            outside + 1,
+            "the index outside the tail, one record"
         );
         assert!(
             io.read_bytes < 2 * (TAIL_PREFETCH as u64 + index_bytes + record),
@@ -213,47 +235,144 @@ fn mostly_dead_file_costs_its_live_bytes() {
     }
 }
 
+/// The `FgIndexRead` and `GcRead` traffic of the first GC read of a
+/// value file of 400 records, one of them live: a dry-run GC-Lookup right
+/// after the flush that wrote it (`dry`), or the job that collects it
+/// once a second flush and a compaction exposed its garbage — on the
+/// store that wrote the files, or after a reopen. Also returns how many
+/// key SSTs the GC-Lookup sweeps and how many of the value file's index
+/// partitions lie outside its tail.
+fn first_gc_reads(
+    threads: usize,
+    dry: bool,
+    reopen: bool,
+) -> (ClassSnapshot, ClassSnapshot, u64, u64) {
+    const N: usize = 400;
+    let dead = |i: usize| i != 40;
+    let env = MemEnv::shared();
+    let eref: EnvRef = env.clone();
+    let o = opts(eref.clone(), EngineMode::Scavenger, threads);
+    let mut db = Db::open(o.clone()).unwrap();
+    let file = if dry {
+        for i in 0..N {
+            db.put(key(i), value(i, 1)).unwrap();
+        }
+        db.flush().unwrap();
+        db.shard(0).value_store().live_file_numbers()[0]
+    } else {
+        load(&db, N, dead)
+    };
+    if reopen {
+        drop(db);
+        db = Db::open(o).unwrap();
+    }
+    let version = db.shard(0).lsm().current_version();
+    let kssts = version.levels.iter().flatten().count() as u64;
+    let outside = partitions_outside_prefetch(&eref, file);
+    let before = env.io_stats().snapshot();
+    if dry {
+        let report = db.shard(0).gc_validate_file(file).unwrap();
+        assert_eq!(report.valid, N as u64);
+    } else {
+        let (outcome, _) = gc_job(&db, &env);
+        assert_eq!(outcome.records_rewritten, 1);
+    }
+    let d = env.io_stats().snapshot().delta(&before);
+    check_values(&db, N, |i| !dry && dead(i));
+    (
+        d.class(IoClass::FgIndexRead),
+        d.class(IoClass::GcRead),
+        kssts,
+        outside,
+    )
+}
+
+/// The first GC read of files this store wrote opens none of them: the
+/// key SSTs a flush or a compaction wrote, which GC-Lookup sweeps, cost
+/// no tail read, and the value file's Lazy Read costs exactly its index
+/// partitions outside the tail plus its fetch spans. After a reopen the
+/// same reads open every file from disk: one tail read per key SST the
+/// sweep meets (`FgIndexRead`) and one for the value file (`GcRead`).
+#[test]
+fn the_first_gc_of_files_this_store_wrote_reads_no_tail() {
+    for threads in [1, 4] {
+        for dry in [true, false] {
+            let what = format!("{threads} threads, dry run {dry}");
+            let (fg, gc, kssts, outside) = first_gc_reads(threads, dry, false);
+            let (cold_fg, cold_gc, cold_kssts, _) = first_gc_reads(threads, dry, true);
+            assert!(
+                outside > 0,
+                "{what}: an index partition lies outside the tail"
+            );
+            assert!(kssts > 0 && kssts == cold_kssts, "{what}");
+            let spans = u64::from(!dry);
+            assert_eq!(gc.read_ops, outside + spans, "{what}");
+            assert_eq!(cold_gc.read_ops, 1 + outside + spans, "{what}");
+            assert_eq!(cold_fg.read_ops, fg.read_ops + kssts, "{what}");
+        }
+    }
+}
+
+/// How a file's reader came to be before its GC job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FirstReader {
+    /// Born as the flush wrote the file.
+    Born,
+    /// Born, then used by a `get`.
+    Get,
+    /// Opened from disk by the job, after a reopen of the store.
+    Reopen,
+}
+
 /// A file whose whole dense index sits in its last [`TAIL_PREFETCH`]
-/// bytes costs Lazy Read one tail read and its fetch spans: the open
-/// caches every partition out of that read, checksummed, where a reader
-/// without a cache reads each again. After a `get` opened the file it
-/// costs the spans alone: a value file has one reader, and GC borrows
-/// it. The job still reports the bytes it asked for.
+/// bytes costs Lazy Read its fetch spans alone: the reader built as the
+/// flush wrote the file pins every partition, and costs no tail read. A
+/// `get` before the job shares that reader (a value file has one, and
+/// GC borrows it) and pays just its record. After a reopen the job opens
+/// the file from disk — one tail read, which pins every partition too,
+/// where a reader without a block cache reads each again. The job
+/// reports the bytes it asked for every way.
 #[test]
 fn index_inside_the_tail_prefetch_costs_no_partition_read() {
     const N: usize = 20;
     // Two survivors more than `GC_COALESCE.max_gap` apart: two spans.
     let dead = |i: usize| i != 2 && i != 15;
-    for (threads, get_first) in [(1, false), (4, false), (1, true), (4, true)] {
-        let env = MemEnv::shared();
-        let eref: EnvRef = env.clone();
-        let db = Db::open(opts(eref.clone(), EngineMode::Scavenger, threads)).unwrap();
-        let file = load(&db, N, dead);
-        let (index, partitions, index_bytes) = dense_index(&eref, file);
-        assert!(partitions >= 1, "a plain reader reads the index");
-        assert_eq!(partitions_outside_prefetch(&eref, file), 0);
-        let (a, b) = (index[2].1, index[15].1);
-        assert!(b.offset - (a.offset + a.size + 5) > GC_COALESCE.max_gap);
-        let before = env.io_stats().snapshot();
-        if get_first {
-            assert_eq!(db.get(key(2)).unwrap().unwrap(), value(2, 1));
-        }
-        let get = env.io_stats().snapshot().delta(&before);
+    for first in [FirstReader::Born, FirstReader::Get, FirstReader::Reopen] {
+        for threads in [1, 4] {
+            let env = MemEnv::shared();
+            let eref: EnvRef = env.clone();
+            let mut db = Db::open(opts(eref.clone(), EngineMode::Scavenger, threads)).unwrap();
+            let file = load(&db, N, dead);
+            let (index, partitions, index_bytes) = dense_index(&eref, file);
+            assert!(partitions >= 1);
+            assert_eq!(partitions_outside_prefetch(&eref, file), 0);
+            let (a, b) = (index[2].1, index[15].1);
+            assert!(b.offset - (a.offset + a.size + 5) > GC_COALESCE.max_gap);
+            if first == FirstReader::Reopen {
+                drop(db);
+                db = Db::open(opts(eref.clone(), EngineMode::Scavenger, threads)).unwrap();
+            }
+            let before = env.io_stats().snapshot();
+            if first == FirstReader::Get {
+                assert_eq!(db.get(key(2)).unwrap().unwrap(), value(2, 1));
+            }
+            let get = env.io_stats().snapshot().delta(&before);
 
-        let (outcome, io) = gc_job(&db, &env);
-        assert_eq!(outcome.records_rewritten, 2);
-        let tail = u64::from(!get_first);
-        assert_eq!(
-            io.read_ops,
-            tail + 2,
-            "{threads}/{get_first}: tail, two spans"
-        );
-        assert_eq!(outcome.bytes_read, index_bytes + a.size + 5 + b.size + 5);
-        // The get paid the tail, whose open cached the index, and the
-        // record, all of it `FgValueRead`.
-        let (fg, gc) = (get.class(IoClass::FgValueRead), get.class(IoClass::GcRead));
-        assert_eq!((fg.read_ops, gc.read_ops), (2 - 2 * tail, 0));
-        check_values(&db, N, dead);
+            let (outcome, io) = gc_job(&db, &env);
+            assert_eq!(outcome.records_rewritten, 2);
+            let tail = u64::from(first == FirstReader::Reopen);
+            assert_eq!(
+                io.read_ops,
+                tail + 2,
+                "{first:?}/{threads}: {tail} tail, two spans"
+            );
+            assert_eq!(outcome.bytes_read, index_bytes + a.size + 5 + b.size + 5);
+            // The get paid the record alone, `FgValueRead`.
+            let (fg, gc) = (get.class(IoClass::FgValueRead), get.class(IoClass::GcRead));
+            let record = u64::from(first == FirstReader::Get);
+            assert_eq!((fg.read_ops, gc.read_ops), (record, 0));
+            check_values(&db, N, dead);
+        }
     }
 }
 
