@@ -91,12 +91,12 @@ use crate::stats::GcStats;
 use crate::vstore::fetch::{self, Want};
 use crate::vstore::route::{Route, RouteWriters};
 use crate::vstore::vtable::{parse_record_key, VReader, ValueAt};
-use crate::vstore::{BornTails, ValueStore, VsstMeta, GC_COALESCE};
+use crate::vstore::{ValueStore, VsstMeta, GC_COALESCE};
 use bytes::Bytes;
 use scavenger_env::{reads_charged_to, IoClass};
 use scavenger_lsm::{
-    BatchReader, GuardedWrite, Lsm, NewValueFile, Precondition, ValueEditBundle, WriteBatch,
-    WriteOptions,
+    BatchReader, BornTails, GuardedWrite, Lsm, NewValueFile, Precondition, ValueEditBundle,
+    WriteBatch, WriteOptions,
 };
 use scavenger_util::ikey::{cmp_internal, SeqNo, ValueRef};
 use scavenger_util::{Error, Result};
@@ -648,9 +648,8 @@ impl GcRunner {
                 .iter()
                 .flat_map(|&old| new_files.iter().map(move |nf| (old, nf.file)))
                 .collect();
-            return self.vstore.commit(
-                lsm,
-                &ValueEditBundle {
+            return lsm.apply_value_edit(
+                ValueEditBundle {
                     new_files,
                     deleted_files: sources.to_vec(),
                     inherits,
@@ -676,7 +675,7 @@ impl GcRunner {
                 new_files,
                 ..Default::default()
             };
-            self.vstore.commit(lsm, &bundle, born)?;
+            lsm.apply_value_edit(bundle, born)?;
         }
 
         // ---- Write-Index: push the new addresses through the write path

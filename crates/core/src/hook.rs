@@ -21,11 +21,12 @@ use crate::options::{Features, GcScheme};
 use crate::stats::GcStats;
 use crate::vstore::route::{Route, RouteWriters};
 use crate::vstore::vtable::ValueAt;
-use crate::vstore::{BornTails, ValueStore, GC_COALESCE};
+use crate::vstore::{ValueStore, GC_COALESCE};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use scavenger_env::{reads_charged_to, IoClass};
-use scavenger_lsm::{DropCause, FileNumbers, JobKind, ValueEditBundle, ValueHook, ValueSession};
+use scavenger_lsm::{
+    BornTails, DropCause, FileNumbers, JobKind, ValueEditBundle, ValueHook, ValueSession,
+};
 use scavenger_util::ikey::{make_internal_key, SeqNo, ValueRef, ValueType};
 use scavenger_util::Result;
 use std::collections::{HashMap, HashSet};
@@ -72,17 +73,13 @@ pub struct EngineHook {
     vstore: Arc<ValueStore>,
     dropcache: Arc<DropCache>,
     gc_stats: Arc<GcStats>,
-    /// `Some(buffer)` while the engine is replaying its manifest: bundles
-    /// committed during WAL recovery are buffered and applied (in order)
-    /// after the historical state is restored.
-    replay_buffer: Mutex<Option<Vec<ValueEditBundle>>>,
     /// Rotating salt so each compaction session relocates a different
     /// sample of eligible blob entries.
     session_counter: AtomicU64,
 }
 
 impl EngineHook {
-    /// Create a hook in *replay* phase.
+    /// Create a hook over `vstore`.
     pub fn new(
         cfg: HookConfig,
         vstore: Arc<ValueStore>,
@@ -94,14 +91,8 @@ impl EngineHook {
             vstore,
             dropcache,
             gc_stats,
-            replay_buffer: Mutex::new(Some(Vec::new())),
             session_counter: AtomicU64::new(0),
         }
-    }
-
-    /// Leave replay phase, returning bundles committed during recovery.
-    pub fn go_live(&self) -> Vec<ValueEditBundle> {
-        self.replay_buffer.lock().take().unwrap_or_default()
     }
 }
 
@@ -136,7 +127,6 @@ impl ValueHook for EngineHook {
                 numbers,
                 &self.dropcache,
             ),
-            born: Vec::new(),
             vstore: self.vstore.clone(),
             dropcache: self.dropcache.clone(),
             gc_stats: self.gc_stats.clone(),
@@ -145,15 +135,9 @@ impl ValueHook for EngineHook {
         }))
     }
 
-    fn on_committed(&self, bundle: &ValueEditBundle) {
-        {
-            let mut buf = self.replay_buffer.lock();
-            if let Some(b) = buf.as_mut() {
-                b.push(bundle.clone());
-                return;
-            }
-        }
+    fn on_committed(&self, bundle: &ValueEditBundle, born: BornTails) {
         self.vstore.apply_bundle(bundle);
+        self.vstore.adopt(born);
     }
 }
 
@@ -163,9 +147,6 @@ struct SeparationSession {
     kind: JobKind,
     /// The job's value files (flush separation, BlobDB relocation).
     out: RouteWriters,
-    /// The born tails of the files `finish` closed, adopted by the value
-    /// store once the job has committed.
-    born: BornTails,
     vstore: Arc<ValueStore>,
     dropcache: Arc<DropCache>,
     gc_stats: Arc<GcStats>,
@@ -283,9 +264,8 @@ impl ValueSession for SeparationSession {
         }
     }
 
-    fn finish(&mut self) -> Result<ValueEditBundle> {
+    fn finish(&mut self) -> Result<(ValueEditBundle, BornTails)> {
         let (new_files, born) = self.out.finish()?;
-        self.born = born;
         // Deterministic bundle: `HashMap` drain order would reshuffle the
         // manifest record (and every downstream charge order) per run.
         let mut garbage: Vec<(u64, u64, u64)> = self
@@ -294,16 +274,13 @@ impl ValueSession for SeparationSession {
             .map(|(file, (bytes, entries))| (file, bytes, entries))
             .collect();
         garbage.sort_unstable_by_key(|(file, _, _)| *file);
-        Ok(ValueEditBundle {
+        let bundle = ValueEditBundle {
             new_files,
             deleted_files: Vec::new(),
             inherits: Vec::new(),
             garbage,
-        })
-    }
-
-    fn committed(self: Box<Self>) {
-        self.vstore.adopt(self.born);
+        };
+        Ok((bundle, born))
     }
 }
 
@@ -331,7 +308,6 @@ mod tests {
             dropcache.clone(),
             Arc::new(GcStats::default()),
         );
-        hook.go_live();
         (hook, vstore, dropcache)
     }
 
@@ -359,7 +335,7 @@ mod tests {
         assert_eq!(r.size, 4096);
         assert_eq!(r.file, 100);
 
-        let bundle = s.finish().unwrap();
+        let (bundle, _) = s.finish().unwrap();
         assert_eq!(bundle.new_files.len(), 1);
         assert_eq!(bundle.new_files[0].entries, 1);
         assert_eq!(bundle.new_files[0].value_bytes, 4096);
@@ -381,7 +357,7 @@ mod tests {
         .unwrap();
         s.entry(b"hotkey", 2, ValueType::Value, Bytes::from(vec![1u8; 2048]))
             .unwrap();
-        let bundle = s.finish().unwrap();
+        let (bundle, _) = s.finish().unwrap();
         assert_eq!(bundle.new_files.len(), 2, "hot and cold outputs");
         let hot: Vec<bool> = bundle.new_files.iter().map(|f| f.hot).collect();
         assert!(hot.contains(&true) && hot.contains(&false));
@@ -402,7 +378,7 @@ mod tests {
         .unwrap();
         s.entry(b"hotkey", 2, ValueType::Value, Bytes::from(vec![1u8; 2048]))
             .unwrap();
-        let bundle = s.finish().unwrap();
+        let (bundle, _) = s.finish().unwrap();
         assert_eq!(bundle.new_files.len(), 1);
     }
 
@@ -442,13 +418,13 @@ mod tests {
             &vref.encode(),
             DropCause::Tombstoned,
         );
-        let bundle = s.finish().unwrap();
+        let (bundle, _) = s.finish().unwrap();
         assert_eq!(bundle.garbage, vec![(7, 1800, 2)]);
         // Hot-write keys recorded.
         assert!(dropcache.contains(b"k1"));
         assert!(dropcache.contains(b"k2"));
         // Commit-side application updates the meta.
-        hook.on_committed(&bundle);
+        hook.on_committed(&bundle, BornTails::new());
         assert!((vstore.meta(7).unwrap().garbage_ratio() - 0.2).abs() < 1e-9);
     }
 
@@ -468,7 +444,7 @@ mod tests {
             )
             .unwrap();
         }
-        let bundle = s.finish().unwrap();
+        let (bundle, _) = s.finish().unwrap();
         assert!(
             bundle.new_files.len() >= 3,
             "expected multiple rolled files, got {}",
@@ -501,8 +477,8 @@ mod tests {
             refs.push((key, i, ValueRef::decode(&enc).unwrap()));
         }
         let old_file = refs[0].2.file;
-        let bundle = s.finish().unwrap();
-        hook.on_committed(&bundle);
+        let (bundle, _) = s.finish().unwrap();
+        hook.on_committed(&bundle, BornTails::new());
         assert!(vstore.meta(old_file).is_some());
 
         // Compaction session: the only blob file is in the oldest 25%, but
@@ -534,7 +510,7 @@ mod tests {
         }
         assert!(relocated > 0, "some entries must relocate");
         assert!(relocated < refs.len(), "but not all in one pass (sampled)");
-        let bundle = s.finish().unwrap();
+        let (bundle, _) = s.finish().unwrap();
         assert_eq!(bundle.new_files.len(), 1);
         // Relocated slots exposed as garbage on the old file.
         let g = bundle
@@ -543,34 +519,7 @@ mod tests {
             .find(|(f, _, _)| *f == old_file)
             .unwrap();
         assert_eq!(g.1, relocated as u64 * 2000);
-        hook.on_committed(&bundle);
+        hook.on_committed(&bundle, BornTails::new());
         assert!(!vstore.meta(old_file).unwrap().is_exhausted());
-    }
-
-    #[test]
-    fn replay_buffer_defers_application() {
-        let env: EnvRef = MemEnv::shared();
-        let vstore = Arc::new(ValueStore::new(env.clone(), "db", cache(1024)));
-        let hook = EngineHook::new(
-            HookConfig {
-                features: scavenger_features(),
-                vsst_target: 1 << 20,
-            },
-            vstore.clone(),
-            Arc::new(DropCache::new(16)),
-            Arc::new(GcStats::default()),
-        );
-        // Still replaying: committed bundles buffer instead of applying.
-        let bundle = ValueEditBundle {
-            garbage: vec![(1, 2, 3)],
-            ..Default::default()
-        };
-        hook.on_committed(&bundle);
-        assert_eq!(vstore.total_exposed_bytes(), 0);
-        let buffered = hook.go_live();
-        assert_eq!(buffered.len(), 1);
-        assert_eq!(buffered[0].garbage, vec![(1, 2, 3)]);
-        // Live now: applies immediately.
-        hook.on_committed(&ValueEditBundle::default());
     }
 }

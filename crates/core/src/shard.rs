@@ -127,8 +127,8 @@ impl Shard {
             // roll-forward has judged every prepare against this shard.
             lsm_opts.tombstone_hold = 0;
         }
-        let hook = if opts.features.separate {
-            let h = Arc::new(EngineHook::new(
+        if opts.features.separate {
+            lsm_opts.value_hook = Some(Arc::new(EngineHook::new(
                 HookConfig {
                     features: opts.features,
                     vsst_target: opts.vsst_target_size,
@@ -136,26 +136,16 @@ impl Shard {
                 vstore.clone(),
                 dropcache.clone(),
                 gc_stats.clone(),
-            ));
-            lsm_opts.value_hook = Some(h.clone());
-            Some(h)
-        } else {
-            None
-        };
-
-        let (lsm, replay) = Lsm::open(lsm_opts)?;
-
-        // Restore the value store: manifest history first, then anything
-        // committed during WAL recovery (buffered by the hook).
-        for bundle in &replay {
-            vstore.apply_bundle(bundle);
+            )));
         }
-        if let Some(h) = &hook {
-            for bundle in h.go_live() {
-                vstore.apply_bundle(&bundle);
-            }
+
+        // `Lsm::open` hands the hook the MANIFEST's value history; the
+        // WAL-recovery flush then commits through it like any other.
+        let (lsm, _) = Lsm::open(lsm_opts)?;
+        // The backstop after a crash: finished value files no edit named.
+        if opts.features.separate {
+            vstore.delete_orphans()?;
         }
-        vstore.delete_orphans()?;
 
         let gc = if opts.features.separate {
             Some(GcRunner::new(
@@ -411,13 +401,11 @@ impl Shard {
     }
 
     /// Recover from read-only degraded mode: re-verify (and if needed
-    /// rewrite) the manifest, delete orphan value files left behind by a
-    /// crashed GC write stage, clear the stored background error, and
-    /// re-enable writes.
+    /// rewrite) the manifest, clear the stored background error, and
+    /// re-enable writes. No value-file sweep: a failed edit's files wait
+    /// in the tree's purge queue, and a resumed job's are its own.
     pub(crate) fn resume(&self) -> Result<()> {
-        self.inner.lsm.resume()?;
-        self.inner.vstore.delete_orphans()?;
-        Ok(())
+        self.inner.lsm.resume()
     }
 
     /// True while the member is in read-only degraded mode.

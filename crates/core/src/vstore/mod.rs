@@ -20,6 +20,12 @@
 //! any other file's is opened by its first lookup
 //! ([`ValueStore::reader`]).
 //!
+//! The store learns every committed value edit one way: the engine's
+//! [`ValueHook`](scavenger_lsm::ValueHook), whose `on_committed` the
+//! index tree calls for a flush's, a compaction's and a GC's edit, and
+//! for each bundle its MANIFEST replays at open. It applies the bundle
+//! ([`ValueStore::apply_bundle`]) and adopts the born readers.
+//!
 //! And the only place one is unlinked late. Where a scheme cannot let
 //! go of a file at once — Titan after its write-back, BlobDB once
 //! compaction has exhausted a blob file (§II-B, §II-C) — it
@@ -39,7 +45,7 @@ use fetch::Want;
 use inherit::{Files, InheritForest};
 use parking_lot::{Mutex, RwLock};
 use scavenger_env::{EnvRef, IoClass};
-use scavenger_lsm::{Lsm, NewValueFile, ValueEditBundle};
+use scavenger_lsm::{BornTails, Lsm, NewValueFile, ValueEditBundle};
 use scavenger_table::cache::{ReaderMap, StoreCache};
 use scavenger_table::props::TableType;
 use scavenger_table::rtable::{Coalesce, COALESCE_SPAN};
@@ -155,11 +161,6 @@ pub const GC_COALESCE: Coalesce = Coalesce {
     max_span: COALESCE_SPAN,
 };
 
-/// The born tails of a job's new value files, by file number: what
-/// [`ValueStore::adopt`] builds their readers from. Blob logs have none —
-/// opening one reads nothing.
-pub(crate) type BornTails = Vec<(u64, Tail)>;
-
 /// A value reference resolved by [`ValueStore::locate`]: the live file
 /// that holds the value now, the file's reader, and where
 /// in the file the value sits. Holding the reader keeps the file's bytes
@@ -273,29 +274,11 @@ impl ValueStore {
         }
     }
 
-    /// Log `bundle` in `lsm`'s manifest, then [apply](Self::apply_bundle)
-    /// it and [adopt](Self::adopt) the readers `born` makes for its new
-    /// files: a value edit that changes no index entry (GC, reaping). A
-    /// failed edit applies nothing and drops `born`.
-    pub(crate) fn commit(
-        &self,
-        lsm: &Lsm,
-        bundle: &ValueEditBundle,
-        born: BornTails,
-    ) -> Result<()> {
-        lsm.apply_value_edit(bundle.clone())?;
-        self.apply_bundle(bundle);
-        self.adopt(born);
-        Ok(())
-    }
-
     /// Keep, for each registered file in `born`, the reader built from
     /// the tail its writer held: the files' bundle has committed and been
-    /// applied, and the build reads nothing. A file the store has not
-    /// registered (a bundle buffered during manifest replay) gets none,
-    /// and a reader whose file a commit removed meanwhile is evicted
-    /// again, as in [`reader`](Self::reader). Best effort: a failed
-    /// build leaves the file to its first lookup.
+    /// applied, and the build reads nothing. A reader whose file a commit
+    /// removed meanwhile is evicted again, as in [`reader`](Self::reader).
+    /// Best effort: a failed build leaves the file to its first lookup.
     pub(crate) fn adopt(&self, born: BornTails) {
         for (file, tail) in born {
             if let Ok(reader) = self.open_reader(file, Some(tail)) {
@@ -328,8 +311,10 @@ impl ValueStore {
     /// oldest read point has passed. The queue is read before the read
     /// points: a reader that registers after that observes the state
     /// every queued retirement left behind, which no longer addresses
-    /// the files. A failed edit leaves them queued for the next reap.
-    /// Callers serialize reaps with GC jobs, which retire files.
+    /// the files. The edit commits through the index tree
+    /// ([`Lsm::apply_value_edit`]), whose hook applies it; a failed edit
+    /// leaves them queued for the next reap. Callers serialize reaps with
+    /// GC jobs, which retire files.
     pub(crate) fn reap(&self, lsm: &Lsm) -> Result<()> {
         let ripe: Vec<u64> = {
             let queue = self.retired.lock();
@@ -350,7 +335,7 @@ impl ValueStore {
             deleted_files: ripe,
             ..Default::default()
         };
-        self.commit(lsm, &bundle, Vec::new())
+        lsm.apply_value_edit(bundle, BornTails::new())
     }
 
     /// Bytes of retired files a live read point still holds on disk:

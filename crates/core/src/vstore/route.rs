@@ -3,11 +3,11 @@
 //! [`RouteWriters`], which creates, routes, rolls and finishes the files.
 
 use super::vtable::{vfile_path, VWriter, WrittenRecord};
-use super::{new_value_file_record, BornTails, ValueStore};
+use super::{new_value_file_record, ValueStore};
 use crate::dropcache::DropCache;
 use crate::options::{Features, VFormat};
 use scavenger_env::{EnvRef, IoClass};
-use scavenger_lsm::{FileNumbers, NewValueFile};
+use scavenger_lsm::{BornTails, FileNumbers, NewValueFile};
 use scavenger_util::ikey::SeqNo;
 use scavenger_util::Result;
 use std::sync::Arc;

@@ -25,7 +25,7 @@
 use crate::options::VFormat;
 use bytes::Bytes;
 use scavenger_env::{EnvRef, IoClass, RandomAccessFile, ReadaheadFile, WritableFile};
-use scavenger_lsm::filename::{blob_path, value_table_path};
+use scavenger_lsm::filename::value_file_path;
 use scavenger_table::blockio::BLOCK_TRAILER_LEN;
 use scavenger_table::btable::{cached_read, BlockCache, KTable, KTableBuilder, KTableFormat};
 use scavenger_table::cache::{CacheKey, CachePriority, StoreCache};
@@ -41,10 +41,7 @@ use std::sync::Arc;
 
 /// Path of a value file for the given format.
 pub fn vfile_path(dir: &str, file: u64, format: VFormat) -> String {
-    match format {
-        VFormat::BlobLog => blob_path(dir, file),
-        _ => value_table_path(dir, file),
-    }
+    value_file_path(dir, file, super::format_tag(format))
 }
 
 /// Location of a record produced by a writer.

@@ -16,13 +16,13 @@
 //!   swiftly"), which exposes hidden garbage sooner for the GC.
 
 use crate::filename::table_path;
-use crate::hooks::{DropCause, ValueEditBundle, ValueSession};
+use crate::hooks::{BornTails, DropCause, ValueEditBundle, ValueSession};
 use crate::options::{LsmOptions, NUM_LEVELS};
 use crate::version::{FileMetaData, FileNumbers, Version};
 use bytes::Bytes;
 use scavenger_env::IoClass;
 use scavenger_table::btable::KTableBuilder;
-use scavenger_table::{InternalIterator, Tail};
+use scavenger_table::InternalIterator;
 use scavenger_util::ikey::{make_internal_key, parse_internal_key, SeqNo, ValueType};
 use scavenger_util::Result;
 use std::sync::Arc;
@@ -259,7 +259,7 @@ struct OutputWriter<'a> {
     builder: Option<(u64, KTableBuilder)>,
     files: Vec<FileMetaData>,
     /// Each finished file's born tail, by number.
-    born: Vec<(u64, Tail)>,
+    born: BornTails,
     /// Numbers of the files created and not yet handed over.
     created: Vec<u64>,
 }
@@ -343,7 +343,7 @@ impl<'a> OutputWriter<'a> {
 
     /// Hand the finished files and their born tails to the caller, who
     /// names the files in the job's edit; from here recovery owns them.
-    fn into_files(mut self) -> (Vec<FileMetaData>, Vec<(u64, Tail)>) {
+    fn into_files(mut self) -> (Vec<FileMetaData>, BornTails) {
         self.created.clear();
         (
             std::mem::take(&mut self.files),
@@ -379,11 +379,11 @@ pub struct JobOutput {
     pub files: Vec<FileMetaData>,
     /// Each new key SST's born tail, by file number: its reader, built
     /// without a read once the job's edit commits.
-    pub born: Vec<(u64, Tail)>,
+    pub born: BornTails,
     /// Value-store changes from the session.
     pub bundle: ValueEditBundle,
-    /// The finished session, told when the job's edit has committed.
-    pub session: Box<dyn ValueSession>,
+    /// The born tails of the bundle's new value files.
+    pub value_born: BornTails,
     /// Merge statistics.
     pub stats: JobStats,
 }
@@ -498,13 +498,13 @@ pub fn run_output_job(
     )?;
 
     writer.finish()?;
-    let bundle = session.finish()?;
+    let (bundle, value_born) = session.finish()?;
     let (files, born) = writer.into_files();
     Ok(JobOutput {
         files,
         born,
         bundle,
-        session,
+        value_born,
         stats,
     })
 }
@@ -732,8 +732,8 @@ mod tests {
             ) {
                 self.drops.lock().push((u.to_vec(), cause));
             }
-            fn finish(&mut self) -> Result<ValueEditBundle> {
-                Ok(ValueEditBundle::default())
+            fn finish(&mut self) -> Result<(ValueEditBundle, BornTails)> {
+                Ok((ValueEditBundle::default(), BornTails::new()))
             }
         }
         let drops = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));

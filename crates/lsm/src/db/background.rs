@@ -7,8 +7,8 @@ use super::Lsm;
 use crate::compaction::{
     compute_targets, level_units, pick_compaction, run_output_job, Compaction,
 };
-use crate::filename::{parse_path, table_path, FileKind};
-use crate::hooks::{JobKind, PassthroughSession, ValueEditBundle, ValueSession};
+use crate::filename::{parse_path, table_path, value_file_path, FileKind};
+use crate::hooks::{BornTails, JobKind, PassthroughSession, ValueEditBundle, ValueSession};
 use crate::iter::{MergingIter, VecIter};
 use crate::options::{BackgroundMode, NUM_LEVELS};
 use crate::version::{ManifestLeader, Version, VersionEdit};
@@ -219,38 +219,39 @@ impl Lsm {
                     Compaction::new(&version, level, level + 1, vec![victim], 0.0)
                 })
         };
-        self.compact(&version, pick)
+        self.compact(version, pick)
     }
 
-    /// One score-driven compaction, if any level scores at least 1; then
-    /// purge the key SSTs no reader still sees.
+    /// One score-driven compaction, if any level scores at least 1.
     fn maybe_compact_once(&self) -> Result<bool> {
         let version = self.current_version();
         let pick = pick_compaction(&version, &self.inner.opts, &mut self.inner.picker.lock());
-        let compacted = self.compact(&version, pick)?;
+        self.compact(version, pick)
+    }
+
+    /// Run a picked compaction of `version` (a trivial move or a merge),
+    /// then let go of `version` and purge the key SSTs no reader still
+    /// sees, the merge's inputs among them. False when nothing was picked.
+    fn compact(&self, version: Arc<Version>, pick: Option<Compaction>) -> Result<bool> {
+        let compacted = match pick {
+            None => false,
+            Some(c) if c.is_trivial_move() => {
+                let f = &c.inputs_lo[0];
+                let mut edit = VersionEdit::default();
+                edit.deleted.push((c.level, f.file_number));
+                edit.added.push((c.output_level, (**f).clone()));
+                self.inner.manifest.log_and_apply(edit)?;
+                self.install_version();
+                true
+            }
+            Some(c) => {
+                self.run_compaction(&version, &c)?;
+                true
+            }
+        };
         drop(version);
         self.purge_unreferenced_tables();
         Ok(compacted)
-    }
-
-    /// Run a picked compaction of `version`: a trivial move changes one
-    /// file's level, anything else merges its inputs. False when nothing
-    /// was picked.
-    fn compact(&self, version: &Arc<Version>, pick: Option<Compaction>) -> Result<bool> {
-        let Some(c) = pick else {
-            return Ok(false);
-        };
-        if c.is_trivial_move() {
-            let f = &c.inputs_lo[0];
-            let mut edit = VersionEdit::default();
-            edit.deleted.push((c.level, f.file_number));
-            edit.added.push((c.output_level, (**f).clone()));
-            self.inner.manifest.log_and_apply(edit)?;
-            self.install_version();
-        } else {
-            self.run_compaction(version, &c)?;
-        }
-        Ok(true)
     }
 
     /// Flush the oldest immutable memtable to L0, if there is one.
@@ -332,11 +333,11 @@ impl Lsm {
         )?;
         // Queue input files for deletion; they are removed once no
         // in-flight reader's version can still see them.
+        let dir = &opts.dir;
         self.inner
             .pending_deletions
             .lock()
-            .extend(inputs().map(|f| f.file_number));
-        self.purge_unreferenced_tables();
+            .extend(inputs().map(|f| table_path(dir, f.file_number)));
         self.inner
             .counters
             .compactions
@@ -344,15 +345,9 @@ impl Lsm {
         Ok(())
     }
 
-    /// Run one flush or compaction job and commit it: write `input`
-    /// through a value session, log `edit` with the output files and the
-    /// value bundle, keep the new key SSTs' born readers, hand the value
-    /// store the bundle's new files (and the session their born
-    /// readers), install the new superversion — the current version plus
-    /// `install` — and only then hand the store the rest of the bundle.
-    /// A job whose edit fails keeps no reader, and queues its key SSTs
-    /// for the purge, which removes them once a rewritten manifest can
-    /// no longer hold the edit.
+    /// Run one flush or compaction job: write `input` through a value
+    /// session into new key SSTs, and [commit](Self::commit_edit) `edit`
+    /// with them and the session's value bundle.
     fn run_job(
         &self,
         kind: JobKind,
@@ -385,46 +380,71 @@ impl Lsm {
             .counters
             .merge_drops
             .fetch_add(out.stats.entries_dropped, Ordering::Relaxed);
-        let numbers: Vec<u64> = out.files.iter().map(|f| f.file_number).collect();
         edit.added
             .extend(out.files.into_iter().map(|f| (output_level, f)));
-        edit.value = out.bundle.clone();
+        edit.value = out.bundle;
+        self.commit_edit(edit, out.born, out.value_born, install)
+    }
+
+    /// The one commit of an edit that carries a value bundle (a flush's,
+    /// a compaction's, GC's): log `edit`, keep its key SSTs' born readers,
+    /// hand the hook the bundle's new files with `value_born`, install
+    /// the current version plus `install`, and only then hand the hook the
+    /// rest — so no reader meets a reference the store cannot resolve, and
+    /// no file this edit exhausts is reaped while the installed version
+    /// points at it. A failed edit keeps no reader and queues its key SSTs
+    /// and value files for the purge, which removes them once a rewritten
+    /// manifest can no longer hold the edit.
+    fn commit_edit(
+        &self,
+        edit: VersionEdit,
+        born: BornTails,
+        value_born: BornTails,
+        install: impl FnOnce(&mut SuperVersion),
+    ) -> Result<()> {
+        let dir = &self.inner.opts.dir;
+        let outputs: Vec<String> = edit
+            .added
+            .iter()
+            .map(|(_, f)| table_path(dir, f.file_number))
+            .chain(
+                edit.value
+                    .new_files
+                    .iter()
+                    .map(|f| value_file_path(dir, f.file, f.format)),
+            )
+            .collect();
+        let mut rest = edit.value.clone();
         if let Err(e) = self.inner.manifest.log_and_apply(edit) {
-            self.inner.pending_deletions.lock().extend(numbers);
+            self.inner.pending_deletions.lock().extend(outputs);
             return Err(e);
         }
-        for (number, tail) in out.born {
+        for (number, tail) in born {
             self.inner.tcache.adopt(number, tail);
         }
-        // The value store learns the new files before the install, so
-        // no reader meets a reference it cannot resolve, and is charged
-        // the garbage only after it, so a file exhausted by this job
-        // cannot be reaped while the installed version still points at
-        // it.
-        let mut rest = out.bundle;
         let new_files = ValueEditBundle {
             new_files: std::mem::take(&mut rest.new_files),
             ..ValueEditBundle::default()
         };
         let hook = self.inner.opts.value_hook.as_ref();
         if let Some(h) = hook {
-            h.on_committed(&new_files);
+            h.on_committed(&new_files, value_born);
         }
-        out.session.committed();
         self.install(|sv| {
             install(sv);
             sv.version = self.current_version();
         });
         if let Some(h) = hook {
-            h.on_committed(&rest);
+            h.on_committed(&rest, BornTails::new());
         }
         Ok(())
     }
 
-    /// Delete queued obsolete key SSTs that no live version references.
-    /// Nothing is deleted while a failed commit has poisoned the
-    /// manifest: the failed edit, which may name queued outputs, can sit
-    /// in it on disk until the next commit rewrites it.
+    /// Delete the queued files — replaced key SSTs, and the outputs of
+    /// failed edits — that no live version references. Nothing is
+    /// deleted while a failed commit has poisoned the manifest: the
+    /// failed edit, which may name queued outputs, can sit in it on disk
+    /// until the next commit rewrites it.
     pub(super) fn purge_unreferenced_tables(&self) {
         let referenced = {
             let manifest = self.inner.manifest.lock();
@@ -433,31 +453,31 @@ impl Lsm {
             }
             manifest.log.referenced_files()
         };
+        let opts = &self.inner.opts;
         let mut pending = self.inner.pending_deletions.lock();
-        pending.retain(|n| {
-            if referenced.contains(n) {
-                true
-            } else {
-                self.inner.tcache.readers.evict(*n);
-                let _ = self
-                    .inner
-                    .opts
-                    .env
-                    .remove_file(&table_path(&self.inner.opts.dir, *n));
-                false
+        pending.retain(|path| {
+            if let Some((FileKind::Table, n)) = parse_path(&opts.dir, path) {
+                if referenced.contains(&n) {
+                    return true;
+                }
+                self.inner.tcache.readers.evict(n);
             }
+            let _ = opts.env.remove_file(path);
+            false
         });
     }
 
-    /// Log a value-store-only edit (used by the GC, which changes value
-    /// files without touching the index layout).
-    pub fn apply_value_edit(&self, bundle: crate::hooks::ValueEditBundle) -> Result<()> {
+    /// Commit a value-only edit (GC's publish and reaping) through the one
+    /// commit function; `born` holds the born tails of its new files. It
+    /// runs outside the drain, so it purges itself: its commit may have
+    /// rewritten a manifest that held a failed edit's outputs back.
+    pub fn apply_value_edit(&self, bundle: ValueEditBundle, born: BornTails) -> Result<()> {
         let edit = VersionEdit {
             value: bundle,
             ..VersionEdit::default()
         };
-        self.inner.manifest.log_and_apply(edit)?;
-        self.install_version();
+        self.commit_edit(edit, BornTails::new(), born, |_| {})?;
+        self.purge_unreferenced_tables();
         Ok(())
     }
 
@@ -532,7 +552,7 @@ impl Drop for Lsm {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{open, put_ref, test_opts};
+    use super::super::tests::{open, put, put_ref, test_opts};
     use super::*;
     use crate::db::LsmReadResult;
     use crate::hooks::{DropCause, NewValueFile, ValueHook};
@@ -610,7 +630,7 @@ mod tests {
 
         fn drop_entry(&mut self, _: &[u8], _: SeqNo, _: ValueType, _: &[u8], _: DropCause) {}
 
-        fn finish(&mut self) -> Result<ValueEditBundle> {
+        fn finish(&mut self) -> Result<(ValueEditBundle, BornTails)> {
             let new_files = self.file.map(|file| NewValueFile {
                 file,
                 size: 0,
@@ -619,11 +639,12 @@ mod tests {
                 hot: false,
                 format: 0,
             });
-            Ok(ValueEditBundle {
+            let bundle = ValueEditBundle {
                 new_files: new_files.into_iter().collect(),
                 garbage: self.garbage.drain().map(|(f, n)| (f, 0, n)).collect(),
                 ..ValueEditBundle::default()
-            })
+            };
+            Ok((bundle, BornTails::new()))
         }
     }
 
@@ -638,7 +659,7 @@ mod tests {
             }))
         }
 
-        fn on_committed(&self, bundle: &ValueEditBundle) {
+        fn on_committed(&self, bundle: &ValueEditBundle, _born: BornTails) {
             let mut live = self.live.lock();
             self.count_dangling(&live);
             live.extend(bundle.new_files.iter().map(|f| (f.file, f.entries)));
@@ -680,5 +701,51 @@ mod tests {
         assert!(db.counters().compactions.load(Ordering::Relaxed) > 0);
         assert!(hook.reaped.load(Ordering::Relaxed) > 0, "no file exhausted");
         assert_eq!(hook.dangling.load(Ordering::Relaxed), 0);
+    }
+
+    /// A forced compaction lets go of the version it picked from before
+    /// it purges: its merged inputs leave the disk and the table cache
+    /// when it returns, not at a later drain.
+    #[test]
+    fn a_forced_compaction_removes_its_inputs() {
+        let o = test_opts("db");
+        let env = o.env.clone();
+        let db = open(o);
+        for round in 0..2 {
+            for i in 0..300 {
+                let value = format!("value-{i}-{round}-").repeat(10);
+                put(&db, &format!("key{i:03}"), &value);
+            }
+            db.flush().unwrap();
+        }
+        // One L0 file over the bottom level: the forced pick merges.
+        for i in (0..300).step_by(30) {
+            put(&db, &format!("key{i:03}"), "new");
+        }
+        db.flush().unwrap();
+        for i in 0..300 {
+            db.get(format!("key{i:03}").as_bytes()).unwrap();
+        }
+        let files = |db: &Lsm| -> Vec<u64> {
+            let version = db.current_version();
+            version
+                .levels
+                .iter()
+                .flatten()
+                .map(|f| f.file_number)
+                .collect()
+        };
+        let before = files(&db);
+        let cached = db.table_readers();
+        assert!(db.force_compact_once().unwrap());
+        let after = files(&db);
+        let inputs: Vec<u64> = before.into_iter().filter(|n| !after.contains(n)).collect();
+        assert!(inputs.len() > 1, "a merge, not a trivial move: {inputs:?}");
+        assert!(inputs.iter().all(|n| cached.contains(n)), "{cached:?}");
+        let readers = db.table_readers();
+        for n in &inputs {
+            assert!(!env.file_exists(&table_path("db", *n)), "input {n} on disk");
+            assert!(!readers.contains(n), "input {n} in the table cache");
+        }
     }
 }

@@ -128,10 +128,10 @@ struct Inner {
     /// [`Error::ReadOnlyMode`]; reads, scans, and pinned views keep
     /// working.
     degraded: AtomicBool,
-    /// Key-SST files replaced by compactions (or, at open, on disk but
-    /// not in the MANIFEST), awaiting deletion once no in-flight
-    /// reader's version references them.
-    pending_deletions: Mutex<Vec<u64>>,
+    /// Paths of files awaiting deletion once no live version references
+    /// them: key SSTs replaced by compactions or unlisted at open, and
+    /// the key SSTs and value files of failed edits.
+    pending_deletions: Mutex<Vec<String>>,
     /// Change-data-capture hub: publication ring, retained-WAL catalog,
     /// and subscriber registry (see [`crate::changelog`]).
     cdc: Arc<crate::changelog::ChangeLog>,

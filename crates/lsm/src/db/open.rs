@@ -21,9 +21,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 impl Lsm {
-    /// Open (or create) the tree, recovering manifest and WALs. Returns the
-    /// engine and the value-store edit history for replay by the layer
-    /// above.
+    /// Open (or create) the tree, recovering manifest and WALs; the value
+    /// hook receives each bundle the MANIFEST replays before WAL recovery
+    /// flushes. Returns the engine and that history, kept for callers
+    /// that open a tree without a hook.
     pub fn open(opts: LsmOptions) -> Result<(Lsm, Vec<crate::hooks::ValueEditBundle>)> {
         let env = opts.env.clone();
         env.create_dir_all(&opts.dir)?;
@@ -74,6 +75,11 @@ impl Lsm {
             inner,
             bg_thread: Mutex::new(None),
         };
+        if let Some(h) = &db.inner.opts.value_hook {
+            for bundle in &value_replay {
+                h.on_committed(bundle, Vec::new());
+            }
+        }
         db.recover_wals()?;
         db.start_fresh_wal()?;
         db.install_version();
@@ -212,13 +218,13 @@ impl Lsm {
     fn delete_obsolete_files(&self) -> Result<()> {
         let opts = &self.inner.opts;
         let live = self.inner.manifest.lock().log.referenced_files();
-        let tables: Vec<u64> = opts
+        let tables: Vec<String> = opts
             .env
             .list_prefix(&format!("{}/", opts.dir))?
-            .iter()
-            .filter_map(|p| parse_path(&opts.dir, p))
-            .filter_map(|(kind, n)| (kind == FileKind::Table).then_some(n))
-            .filter(|n| !live.contains(n))
+            .into_iter()
+            .filter(|p| {
+                matches!(parse_path(&opts.dir, p), Some((FileKind::Table, n)) if !live.contains(&n))
+            })
             .collect();
         self.inner.pending_deletions.lock().extend(tables);
         self.purge_unreferenced_tables();

@@ -43,6 +43,16 @@ pub fn blob_path(dir: &str, number: u64) -> String {
     format!("{dir}/{number:06}.blob")
 }
 
+/// Path of a value file whose format tag (a
+/// `scavenger_table::props::TableType`) is `format`.
+pub fn value_file_path(dir: &str, number: u64, format: u8) -> String {
+    if format == scavenger_table::props::TableType::BlobLog as u8 {
+        blob_path(dir, number)
+    } else {
+        value_table_path(dir, number)
+    }
+}
+
 /// Path of a WAL file.
 pub fn wal_path(dir: &str, number: u64) -> String {
     format!("{dir}/{number:06}.log")

@@ -12,13 +12,14 @@
 //!   *exposed garbage* (§II-D), and a dropped key is a hotness signal for
 //!   the DropCache (§III-B3);
 //! * returns a [`ValueEditBundle`] folded into the job's version edit, so
-//!   value-store state changes commit atomically with the index change;
-//! * is told once that edit has committed, and hands the store the
-//!   readers its writers built for the new value files (a failed job
-//!   drops the session, and them with it).
+//!   value-store state changes commit atomically with the index change.
+//!
+//! The store learns every committed value edit, the MANIFEST's replayed
+//! history included, through one call: [`ValueHook::on_committed`].
 
 use crate::version::FileNumbers;
 use bytes::Bytes;
+use scavenger_table::Tail;
 use scavenger_util::ikey::{SeqNo, ValueType};
 use scavenger_util::Result;
 
@@ -63,6 +64,10 @@ pub struct NewValueFile {
     /// Format tag (mirrors `scavenger_table::props::TableType`).
     pub format: u8,
 }
+
+/// The born tails of a job's new files, by number: their readers, built
+/// without a read once the edit commits (a blob log needs none).
+pub type BornTails = Vec<(u64, Tail)>;
 
 /// Value-store state changes produced by one job, committed atomically
 /// with the index version edit.
@@ -111,14 +116,9 @@ pub trait ValueSession: Send {
         cause: DropCause,
     );
 
-    /// Close any open value files and return the state changes.
-    fn finish(&mut self) -> Result<ValueEditBundle>;
-
-    /// The job's edit has committed and the hook has applied the
-    /// bundle's new files ([`ValueHook::on_committed`]): hand over what
-    /// the session kept for them. A job whose edit fails drops the
-    /// session instead.
-    fn committed(self: Box<Self>) {}
+    /// Close any open value files and return the state changes, with the
+    /// born tails of the new value files.
+    fn finish(&mut self) -> Result<(ValueEditBundle, BornTails)>;
 }
 
 /// Factory for [`ValueSession`]s.
@@ -127,14 +127,13 @@ pub trait ValueHook: Send + Sync {
     /// session creates takes its number from `numbers`.
     fn session(&self, kind: JobKind, numbers: FileNumbers) -> Result<Box<dyn ValueSession>>;
 
-    /// Called after a job's bundle has been durably committed to the
-    /// manifest. The value store applies the bundle to its in-memory state
-    /// and may delete now-unreferenced value files. A flush or compaction
-    /// calls it twice: with the bundle's `new_files` before its output is
-    /// visible to readers, then with the rest after.
-    fn on_committed(&self, bundle: &ValueEditBundle) {
-        let _ = bundle;
-    }
+    /// The one way the value store learns a committed value edit: it
+    /// applies `bundle`, may delete now-unreferenced value files, and
+    /// keeps the readers `born` makes for the new ones. A committed edit
+    /// calls it twice — with the bundle's `new_files` and their tails
+    /// before readers can see the edit, then with the rest — and open
+    /// once per bundle the MANIFEST replays, before WAL recovery.
+    fn on_committed(&self, bundle: &ValueEditBundle, born: BornTails);
 }
 
 /// A session that writes entries through unchanged and reports nothing —
@@ -162,8 +161,8 @@ impl ValueSession for PassthroughSession {
     ) {
     }
 
-    fn finish(&mut self) -> Result<ValueEditBundle> {
-        Ok(ValueEditBundle::default())
+    fn finish(&mut self) -> Result<(ValueEditBundle, BornTails)> {
+        Ok((ValueEditBundle::default(), BornTails::new()))
     }
 }
 
@@ -179,7 +178,7 @@ mod tests {
             .unwrap();
         assert_eq!(t, ValueType::Value);
         assert_eq!(&v[..], b"v");
-        let out = s.finish().unwrap();
-        assert!(out.is_empty());
+        let (out, born) = s.finish().unwrap();
+        assert!(out.is_empty() && born.is_empty());
     }
 }

@@ -41,7 +41,9 @@ pub use batch::{WriteBatch, WriteOptions, WriteReceipt};
 pub use changelog::{ChangeCursor, ChangeEvent, ChangeLog, ChangeLogStats};
 pub use db::{GuardedWrite, Lsm, LsmReadResult, Precondition};
 pub use group::{GroupCommit, GroupLeader, Logged};
-pub use hooks::{DropCause, JobKind, NewValueFile, ValueEditBundle, ValueHook, ValueSession};
+pub use hooks::{
+    BornTails, DropCause, JobKind, NewValueFile, ValueEditBundle, ValueHook, ValueSession,
+};
 pub use iter::{BatchSweep, SweepStats};
 pub use options::{BackgroundMode, KTableFormat, LsmOptions};
 pub use version::{FileMetaData, FileNumbers, Version, VersionEdit};

@@ -845,13 +845,31 @@ fn live_files(db: &Db) -> (Vec<u64>, Vec<u64>) {
     (ssts, db.shard(0).value_store().live_file_numbers())
 }
 
+/// The bytes of every file in `db/`, and of its value files: what a
+/// directory walk finds.
+fn walked_bytes(env: &EnvRef) -> (u64, u64) {
+    let (mut total, mut values) = (0, 0);
+    for path in env.list_prefix("db/").unwrap() {
+        let size = env.file_size(&path).unwrap();
+        total += size;
+        if path.ends_with(".vsst") {
+            values += size;
+        }
+    }
+    (total, values)
+}
+
 /// A flush, a compaction or a GC publish whose MANIFEST append fails
 /// after the job built its files keeps no reader of them: the readers a
 /// job builds from its writers' bytes enter the table cache and the value
-/// store only once its edit has committed. `resume` removes the outputs
-/// (not before: until the manifest is rewritten, the failed edit may sit
-/// in it), and a reopen opens every file from disk and reads the same
-/// values.
+/// store only once its edit has committed. Its outputs, key SSTs and
+/// value files alike, wait in the purge queue until the manifest is
+/// rewritten (until then the failed edit may sit in it): with no retry
+/// the store degrades and `resume` rewrites it; with the default retries
+/// the flush's second attempt or the next write's commit does, and no
+/// `resume` is needed. Either way only live files stay on disk, the space
+/// ledger matches the directory, and a reopen opens every file from disk
+/// and reads the same values.
 #[test]
 fn a_failed_commit_keeps_no_reader_and_its_outputs_go() {
     let check = |db: &Db, ctx: &str| {
@@ -864,95 +882,336 @@ fn a_failed_commit_keeps_no_reader_and_its_outputs_go() {
             );
         }
     };
-    for job in [
-        FailedCommit::Flush,
-        FailedCommit::Compaction,
-        FailedCommit::GcPublish,
-    ] {
-        let fault = FaultEnv::wrap(MemEnv::shared(), 0x1eb1);
-        let env: EnvRef = fault.clone();
-        let mut o = one_flush_opts(env.clone());
-        o.bg_retry_limit = 0;
-        let db = Db::open(o.clone()).unwrap();
-        for i in 0..200u32 {
-            db.put(crash::key_bytes(i), crash::value_bytes(i, 1, 2048))
-                .unwrap();
-        }
-        db.flush().unwrap();
-        for i in (0..200u32).step_by(2) {
-            db.put(crash::key_bytes(i), crash::value_bytes(i, 2, 2048))
-                .unwrap();
-        }
-        if job != FailedCommit::Flush {
+    for retried in [false, true] {
+        for job in [
+            FailedCommit::Flush,
+            FailedCommit::Compaction,
+            FailedCommit::GcPublish,
+        ] {
+            let ctx = format!("{job:?}{}", if retried { ", retried" } else { "" });
+            let fault = FaultEnv::wrap(MemEnv::shared(), 0x1eb1);
+            let env: EnvRef = fault.clone();
+            let mut o = one_flush_opts(env.clone());
+            if !retried {
+                o.bg_retry_limit = 0;
+            }
+            let db = Db::open(o.clone()).unwrap();
+            for i in 0..200u32 {
+                db.put(crash::key_bytes(i), crash::value_bytes(i, 1, 2048))
+                    .unwrap();
+            }
             db.flush().unwrap();
+            for i in (0..200u32).step_by(2) {
+                db.put(crash::key_bytes(i), crash::value_bytes(i, 2, 2048))
+                    .unwrap();
+            }
+            if job != FailedCommit::Flush {
+                db.flush().unwrap();
+            }
+            if job == FailedCommit::GcPublish {
+                while db.shard(0).lsm().force_compact_once().unwrap() {}
+            }
+            let before = files_on_disk(&env);
+            fault.add_rule(FaultRule {
+                op: FaultOp::Write,
+                path_contains: Some("MANIFEST".to_string()),
+                trigger: Trigger::Nth(1),
+                kind: FaultKind::Fail,
+                one_shot: true,
+            });
+            let failed = match job {
+                FailedCommit::Flush => db.flush().map(|_| ()),
+                FailedCommit::Compaction => db.shard(0).lsm().force_compact_once().map(|_| ()),
+                FailedCommit::GcPublish => db.run_gc().map(|_| ()),
+            };
+
+            let mut outputs = (Vec::new(), Vec::new());
+            if retried {
+                // Only the flush runs under the retry rule; the forced
+                // compaction and the GC job fail without degrading.
+                assert_eq!(failed.is_ok(), job == FailedCommit::Flush, "{ctx}");
+                if job == FailedCommit::Flush {
+                    assert!(db.stats().bg_retries >= 1, "{ctx}: the first attempt fails");
+                }
+                assert!(!db.is_degraded(), "{ctx}");
+                if job == FailedCommit::GcPublish {
+                    // The next GC job's commit rewrites the poisoned
+                    // manifest and purges the failed job's outputs.
+                    assert!(db.run_gc_until_clean().unwrap() > 0, "{ctx}");
+                    assert_eq!(files_on_disk(&env), live_files(&db), "{ctx}: after GC");
+                }
+                // A write whose flush commits rewrites a manifest the
+                // failed edit poisoned.
+                db.put(crash::key_bytes(200), crash::value_bytes(200, 1, 2048))
+                    .unwrap();
+            } else {
+                assert!(failed.is_err(), "{ctx}: the commit fails");
+                let (disk, live) = (files_on_disk(&env), live_files(&db));
+                let new = |disk: &[u64], before: &[u64]| -> Vec<u64> {
+                    disk.iter()
+                        .copied()
+                        .filter(|n| !before.contains(n))
+                        .collect()
+                };
+                let sst_outputs = new(&disk.0, &before.0);
+                let value_outputs = new(&disk.1, &before.1);
+                let built = match job {
+                    FailedCommit::Flush => !sst_outputs.is_empty() && !value_outputs.is_empty(),
+                    FailedCommit::Compaction => !sst_outputs.is_empty() && value_outputs.is_empty(),
+                    FailedCommit::GcPublish => sst_outputs.is_empty() && !value_outputs.is_empty(),
+                };
+                assert!(
+                    built,
+                    "{ctx}: the job built {sst_outputs:?} / {value_outputs:?}"
+                );
+                let tables = db.shard(0).lsm().table_readers();
+                let values = db.shard(0).value_store().reader_files();
+                assert!(
+                    tables.iter().all(|n| !sst_outputs.contains(n)),
+                    "{ctx}: {tables:?}"
+                );
+                assert!(
+                    values.iter().all(|n| !value_outputs.contains(n)),
+                    "{ctx}: {values:?}"
+                );
+                assert!(
+                    values.iter().all(|n| live.1.contains(n)),
+                    "{ctx}: {values:?}"
+                );
+                db.resume().unwrap();
+                outputs = (sst_outputs, value_outputs);
+            }
+            db.flush().unwrap();
+            let (disk, live) = (files_on_disk(&env), live_files(&db));
+            assert_eq!(disk, live, "{ctx}: only live files stay on disk");
+            assert!(
+                outputs.0.iter().all(|n| !disk.0.contains(n))
+                    && outputs.1.iter().all(|n| !disk.1.contains(n)),
+                "{ctx}: the failed job's outputs are removed"
+            );
+            let (total, values) = walked_bytes(&env);
+            let ledger = db.space();
+            assert_eq!(
+                (ledger.total(), ledger.value_bytes),
+                (total, values),
+                "{ctx}: ledger"
+            );
+            check(&db, &ctx);
+
+            drop(db);
+            let db = Db::open(o).unwrap();
+            assert!(db.shard(0).lsm().table_readers().is_empty());
+            assert!(db.shard(0).value_store().reader_files().is_empty());
+            check(&db, &format!("{ctx} after a reopen"));
+            assert_eq!(files_on_disk(&env), live_files(&db));
         }
-        if job == FailedCommit::GcPublish {
-            while db.shard(0).lsm().force_compact_once().unwrap() {}
+    }
+}
+
+/// What [`ParkEnv`] has seen: armed, the background thread parked, the
+/// gate opened.
+#[derive(Default)]
+struct ParkState {
+    armed: bool,
+    parked: bool,
+    open: bool,
+}
+
+#[derive(Default)]
+struct Park {
+    state: std::sync::Mutex<ParkState>,
+    changed: std::sync::Condvar,
+}
+
+impl Park {
+    fn on_background_thread() -> bool {
+        std::thread::current().name() == Some("scavenger-bg")
+    }
+
+    /// Park the background thread's first MANIFEST append once armed.
+    fn append(&self, path: &str) {
+        if !path.contains("MANIFEST") || !Self::on_background_thread() {
+            return;
         }
-        let before = files_on_disk(&env);
-        fault.add_rule(FaultRule {
-            op: FaultOp::Write,
-            path_contains: Some("MANIFEST".to_string()),
-            trigger: Trigger::Nth(1),
-            kind: FaultKind::Fail,
-            one_shot: true,
-        });
-        let failed = match job {
-            FailedCommit::Flush => db.flush().map(|_| ()),
-            FailedCommit::Compaction => db.shard(0).lsm().force_compact_once().map(|_| ()),
-            FailedCommit::GcPublish => db.run_gc().map(|_| ()),
-        };
-        assert!(failed.is_err(), "{job:?}: the commit fails");
+        let mut st = self.state.lock().unwrap();
+        if !st.armed || st.parked {
+            return;
+        }
+        st.parked = true;
+        self.changed.notify_all();
+        while !st.open {
+            st = self.changed.wait(st).unwrap();
+        }
+    }
 
-        let (disk, live) = (files_on_disk(&env), live_files(&db));
-        let outputs = |disk: &[u64], before: &[u64]| -> Vec<u64> {
-            disk.iter()
-                .copied()
-                .filter(|n| !before.contains(n))
-                .collect()
-        };
-        let sst_outputs = outputs(&disk.0, &before.0);
-        let value_outputs = outputs(&disk.1, &before.1);
-        let built = match job {
-            FailedCommit::Flush => !sst_outputs.is_empty() && !value_outputs.is_empty(),
-            FailedCommit::Compaction => !sst_outputs.is_empty() && value_outputs.is_empty(),
-            FailedCommit::GcPublish => sst_outputs.is_empty() && !value_outputs.is_empty(),
-        };
-        assert!(
-            built,
-            "{job:?}: the job built {sst_outputs:?} / {value_outputs:?}"
-        );
-        let tables = db.shard(0).lsm().table_readers();
-        let values = db.shard(0).value_store().reader_files();
-        assert!(
-            tables.iter().all(|n| !sst_outputs.contains(n)),
-            "{job:?}: {tables:?}"
-        );
-        assert!(
-            values.iter().all(|n| !value_outputs.contains(n)),
-            "{job:?}: {values:?}"
-        );
-        assert!(
-            values.iter().all(|n| live.1.contains(n)),
-            "{job:?}: {values:?}"
-        );
+    /// Hold a listing on any other thread, while armed, until the
+    /// background thread has parked (or ten seconds have passed).
+    fn list(&self) {
+        if Self::on_background_thread() {
+            return;
+        }
+        let st = self.state.lock().unwrap();
+        if st.armed {
+            let limit = std::time::Duration::from_secs(10);
+            let _ = self.changed.wait_timeout_while(st, limit, |st| !st.parked);
+        }
+    }
+}
 
-        db.resume().unwrap();
-        db.flush().unwrap();
-        let (disk, live) = (files_on_disk(&env), live_files(&db));
-        assert_eq!(disk, live, "{job:?}: only live files stay on disk");
-        assert!(
-            sst_outputs.iter().all(|n| !disk.0.contains(n))
-                && value_outputs.iter().all(|n| !disk.1.contains(n)),
-            "{job:?}: the failed job's outputs are removed"
-        );
-        check(&db, &format!("{job:?}"));
+/// An env whose gate, once armed, parks the background thread inside its
+/// next MANIFEST append and holds every directory listing of another
+/// thread until it has: a sweep that lists the directory beside the
+/// parked job sees the files that job finished.
+struct ParkEnv {
+    inner: EnvRef,
+    park: Arc<Park>,
+}
 
-        drop(db);
-        let db = Db::open(o).unwrap();
-        assert!(db.shard(0).lsm().table_readers().is_empty());
-        assert!(db.shard(0).value_store().reader_files().is_empty());
-        check(&db, &format!("{job:?} after a reopen"));
-        assert_eq!(files_on_disk(&env), live_files(&db));
+impl ParkEnv {
+    fn arm(&self) {
+        self.park.state.lock().unwrap().armed = true;
+    }
+
+    fn wait_parked(&self) {
+        let st = self.park.state.lock().unwrap();
+        let limit = std::time::Duration::from_secs(10);
+        let (st, _) = self
+            .park
+            .changed
+            .wait_timeout_while(st, limit, |st| !st.parked)
+            .unwrap();
+        assert!(st.parked, "the resumed flush never reached the MANIFEST");
+    }
+
+    fn open(&self) {
+        self.park.state.lock().unwrap().open = true;
+        self.park.changed.notify_all();
+    }
+}
+
+struct ParkFile {
+    inner: Box<dyn scavenger_env::WritableFile>,
+    path: String,
+    park: Arc<Park>,
+}
+
+impl scavenger_env::WritableFile for ParkFile {
+    fn append(&mut self, data: &[u8]) -> scavenger::Result<()> {
+        self.park.append(&self.path);
+        self.inner.append(data)
+    }
+    fn sync(&mut self) -> scavenger::Result<()> {
+        self.inner.sync()
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+}
+
+impl Env for ParkEnv {
+    fn new_writable(
+        &self,
+        path: &str,
+        class: IoClass,
+    ) -> scavenger::Result<Box<dyn scavenger_env::WritableFile>> {
+        Ok(Box::new(ParkFile {
+            inner: self.inner.new_writable(path, class)?,
+            path: path.to_string(),
+            park: self.park.clone(),
+        }))
+    }
+    fn open_random_access(
+        &self,
+        path: &str,
+        class: IoClass,
+    ) -> scavenger::Result<Arc<dyn scavenger_env::RandomAccessFile>> {
+        self.inner.open_random_access(path, class)
+    }
+    fn read_file(&self, path: &str, class: IoClass) -> scavenger::Result<bytes::Bytes> {
+        self.inner.read_file(path, class)
+    }
+    fn remove_file(&self, path: &str) -> scavenger::Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn rename(&self, from: &str, to: &str) -> scavenger::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn file_exists(&self, path: &str) -> bool {
+        self.inner.file_exists(path)
+    }
+    fn file_size(&self, path: &str) -> scavenger::Result<u64> {
+        self.inner.file_size(path)
+    }
+    fn list_prefix(&self, prefix: &str) -> scavenger::Result<Vec<String>> {
+        self.park.list();
+        self.inner.list_prefix(prefix)
+    }
+    fn create_dir_all(&self, path: &str) -> scavenger::Result<()> {
+        self.inner.create_dir_all(path)
+    }
+    fn io_stats(&self) -> Arc<scavenger_env::IoStats> {
+        self.inner.io_stats()
+    }
+}
+
+/// `resume` restarts the background drain and returns; it must not sweep
+/// the directory for value files the store has not registered, because
+/// the flush it restarted has finished its value files and not yet
+/// committed them. The background flush is parked inside its MANIFEST
+/// append until `resume` has returned (a listing beside it waits for
+/// the park, so a sweep would see those files), then released: every
+/// key whose put landed reads back.
+#[test]
+fn resume_leaves_a_resumed_flushs_value_files_alone() {
+    let fault = FaultEnv::wrap(MemEnv::shared(), 0x7e5e);
+    let park = Arc::new(ParkEnv {
+        inner: fault.clone(),
+        park: Arc::default(),
+    });
+    let env: EnvRef = park.clone();
+    let mut o = one_flush_opts(env);
+    o.memtable_size = 64 * 1024;
+    o.inline_background = false;
+    o.bg_retry_limit = 0;
+    let db = Db::open(o).unwrap();
+    fault.add_rule(FaultRule {
+        op: FaultOp::Write,
+        path_contains: Some("MANIFEST".to_string()),
+        trigger: Trigger::Nth(1),
+        kind: FaultKind::Fail,
+        one_shot: true,
+    });
+    let mut landed = 0;
+    for i in 0..400u32 {
+        match db.put(crash::key_bytes(i), crash::value_bytes(i, 1, 2048)) {
+            Ok(_) => landed = i + 1,
+            Err(e) => {
+                assert!(e.is_read_only(), "got {e}");
+                break;
+            }
+        }
+    }
+    let start = std::time::Instant::now();
+    while !db.is_degraded() {
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(10),
+            "the failed flush never degraded the store"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    // The failed flush's memtable, at least, waits for the resumed one.
+    assert!(landed > 0, "no put landed");
+
+    park.arm();
+    db.resume().unwrap();
+    park.wait_parked();
+    park.open();
+    db.flush().unwrap();
+    for i in 0..landed {
+        assert_eq!(
+            db.get(crash::key_bytes(i)).unwrap().unwrap(),
+            bytes::Bytes::from(crash::value_bytes(i, 1, 2048)),
+            "key {i}"
+        );
     }
 }

@@ -2,7 +2,8 @@
 //! reconstruction, and fault injection (torn WAL tails).
 
 use scavenger::{Db, EngineMode, MemEnv, Options};
-use scavenger_env::{Env, EnvRef};
+use scavenger_env::{Env, EnvRef, IoClass};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn opts(env: EnvRef, mode: EngineMode) -> Options {
@@ -326,4 +327,79 @@ fn orphan_value_files_are_cleaned_on_open() {
         "orphan removed during open"
     );
     assert_eq!(db.get("k").unwrap().unwrap().len(), 4096);
+}
+
+/// A reopened store whose WAL overwrites keys whose values GC already
+/// moved. `Lsm::open` hands the value store the MANIFEST's history before
+/// it recovers the WAL, so the recovery flush commits into a live store:
+/// its value file keeps the reader built from its writer's bytes (the
+/// first `get` of a recovered key reads the record alone, no tail), and
+/// the references the overwrites drop charge the GC heir that holds
+/// their values now.
+#[test]
+fn a_recovery_flush_keeps_its_born_readers() {
+    const N: u64 = 60;
+    let key = |i: u64| format!("k{i:04}");
+    let env = MemEnv::shared();
+    let mut o = opts(env.clone(), EngineMode::Scavenger);
+    o.memtable_size = 4 << 20;
+    o.vsst_target_size = 4 << 20;
+    o.auto_gc = false;
+    let (heir, before) = {
+        let db = Db::open(o.clone()).unwrap();
+        let vs = db.shard(0).value_store();
+        for i in 0..N {
+            db.put(key(i), value(i, 0)).unwrap();
+        }
+        db.flush().unwrap();
+        let source = vs.live_file_numbers();
+        assert_eq!(source.len(), 1);
+        for i in (0..N).step_by(2) {
+            db.put(key(i), value(i, 1)).unwrap();
+        }
+        db.flush().unwrap();
+        while db.shard(0).lsm().force_compact_once().unwrap() {}
+        assert!(db.run_gc_until_clean().unwrap() > 0);
+        assert!(vs.meta(source[0]).is_none(), "GC collected the source");
+        let heirs: Vec<u64> = vs.resolve_leaves(source[0]).iter().copied().collect();
+        assert_eq!(heirs.len(), 1, "{heirs:?}");
+        // In the WAL only: the keys whose values GC moved to the heir.
+        for i in (1..N).step_by(2) {
+            db.put(key(i), value(i, 2)).unwrap();
+        }
+        (heirs[0], vs.live_file_numbers())
+    };
+
+    let db = Db::open(o).unwrap();
+    let vs = db.shard(0).value_store();
+    let recovered: Vec<u64> = vs
+        .live_file_numbers()
+        .into_iter()
+        .filter(|f| !before.contains(f))
+        .collect();
+    assert_eq!(recovered.len(), 1, "the recovery flush's value file");
+    assert!(
+        vs.reader_files().contains(&recovered[0]),
+        "the recovery flush's value file keeps its born reader"
+    );
+    while db.shard(0).lsm().force_compact_once().unwrap() {}
+    let exposed = vs.meta(heir).unwrap().exposed_bytes.load(Ordering::Relaxed);
+    assert_eq!(
+        exposed,
+        N / 2 * value(0, 0).len() as u64,
+        "the heir's charge"
+    );
+
+    let io = db.options().env.io_stats();
+    let start = io.snapshot();
+    assert_eq!(
+        db.get(key(1)).unwrap().unwrap(),
+        bytes::Bytes::from(value(1, 2))
+    );
+    let reads = io
+        .snapshot()
+        .delta(&start)
+        .class(IoClass::FgValueRead)
+        .read_ops;
+    assert_eq!(reads, 1, "the first get reads its record and no tail");
 }
