@@ -504,6 +504,13 @@ impl Shard {
     pub fn drop_cache(&self) -> &Arc<DropCache> {
         &self.inner.dropcache
     }
+
+    /// Numbers of the member's files — key SSTs and value files — with a
+    /// block in the block cache, ascending (exposed for tests: the cache
+    /// holds live files only).
+    pub fn cached_files(&self) -> Vec<u64> {
+        self.inner.cache.resident_files()
+    }
 }
 
 /// One member's pinned view: an index-tree view plus the member that

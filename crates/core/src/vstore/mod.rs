@@ -227,7 +227,7 @@ impl ValueStore {
 
     /// Apply a committed bundle: register its new files, record its
     /// inheritance edges and garbage, and retire its deleted files —
-    /// their disk files included.
+    /// their readers, cached blocks and disk files included.
     pub fn apply_bundle(&self, bundle: &ValueEditBundle) {
         for nf in &bundle.new_files {
             if let Ok(format) = tag_format(nf.format) {
@@ -260,7 +260,7 @@ impl ValueStore {
             // after this eviction is evicted by `reader` itself.
             let removed = self.files.write().remove(file);
             if let Some(meta) = removed {
-                self.readers.evict(*file);
+                self.forget(*file);
                 let _ = self
                     .env
                     .remove_file(&vfile_path(&self.dir, *file, meta.format));
@@ -284,7 +284,7 @@ impl ValueStore {
             if let Ok(reader) = self.open_reader(file, Some(tail)) {
                 self.readers.insert(file, reader);
                 if !self.files.read().contains_key(&file) {
-                    self.readers.evict(file);
+                    self.forget(file);
                 }
             }
         }
@@ -481,9 +481,16 @@ impl ValueStore {
             self.open_reader(file, None)
         })?;
         if opened && !self.files.read().contains_key(&file) {
-            self.readers.evict(file);
+            self.forget(file);
         }
         Ok(reader)
+    }
+
+    /// Let go of `file`, which a commit removed: its reader and its
+    /// blocks in the cache leave together.
+    fn forget(&self, file: u64) {
+        self.readers.evict(file);
+        self.cache.erase(file);
     }
 
     /// Open live file `file`'s reader, as `FgValueRead`, through the

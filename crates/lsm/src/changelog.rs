@@ -260,10 +260,9 @@ impl ChangeLog {
 
     /// Lower a recovered segment's exclusive end to `max_end`,
     /// removing the segment entirely when nothing remains. Recovery
-    /// registers each WAL before replaying it (replay may trigger the
-    /// obsolete-file sweep, which must already see the file protected)
-    /// and clamps afterwards, once the successor's first sequence is
-    /// known, to excise never-acknowledged records from poisoned tails.
+    /// registers each WAL as it reads it and clamps afterwards, once
+    /// the successor's first sequence is known, to excise
+    /// never-acknowledged records from poisoned tails.
     pub(crate) fn clamp_segment(&self, number: u64, max_end: SeqNo) {
         let mut inner = self.inner.lock();
         if let Some(pos) = inner.segments.iter().position(|s| s.number == number) {

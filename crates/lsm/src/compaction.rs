@@ -22,7 +22,7 @@ use crate::version::{FileMetaData, FileNumbers, Version};
 use bytes::Bytes;
 use scavenger_env::IoClass;
 use scavenger_table::btable::KTableBuilder;
-use scavenger_table::InternalIterator;
+use scavenger_table::{InternalIterator, Tail};
 use scavenger_util::ikey::{make_internal_key, parse_internal_key, SeqNo, ValueType};
 use scavenger_util::Result;
 use std::sync::Arc;
@@ -258,8 +258,8 @@ struct OutputWriter<'a> {
     numbers: &'a FileNumbers,
     builder: Option<(u64, KTableBuilder)>,
     files: Vec<FileMetaData>,
-    /// Each finished file's born tail, by number.
-    born: BornTails,
+    /// What each finished file was born with.
+    born: Vec<BornTable>,
     /// Numbers of the files created and not yet handed over.
     created: Vec<u64>,
 }
@@ -336,14 +336,19 @@ impl<'a> OutputWriter<'a> {
                 largest: built.largest,
                 ref_bytes: built.props.total_ref_bytes(),
             });
-            self.born.push((number, built.born));
+            self.born.push(BornTable {
+                number,
+                tail: built.born,
+                kf_blocks: built.kf_blocks,
+            });
         }
         Ok(())
     }
 
-    /// Hand the finished files and their born tails to the caller, who
-    /// names the files in the job's edit; from here recovery owns them.
-    fn into_files(mut self) -> (Vec<FileMetaData>, BornTails) {
+    /// Hand the finished files and what they were born with to the
+    /// caller, who names the files in the job's edit; from here recovery
+    /// owns them.
+    fn into_files(mut self) -> (Vec<FileMetaData>, Vec<BornTable>) {
         self.created.clear();
         (
             std::mem::take(&mut self.files),
@@ -362,6 +367,20 @@ impl Drop for OutputWriter<'_> {
     }
 }
 
+/// What a new key SST is born with, kept until its job's edit commits:
+/// the tail its reader is built from and, for a DTable, the KF blocks the
+/// block cache starts with ([`BuiltTable::kf_blocks`]).
+///
+/// [`BuiltTable::kf_blocks`]: scavenger_table::btable::BuiltTable::kf_blocks
+pub struct BornTable {
+    /// The file's number.
+    pub number: u64,
+    /// The tail its writer held.
+    pub tail: Tail,
+    /// A DTable's KF data blocks, `(offset, payload)`; empty for a BTable.
+    pub kf_blocks: Vec<(u64, Bytes)>,
+}
+
 /// Statistics from one merge/output job.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobStats {
@@ -377,9 +396,9 @@ pub struct JobStats {
 pub struct JobOutput {
     /// Key SSTs created.
     pub files: Vec<FileMetaData>,
-    /// Each new key SST's born tail, by file number: its reader, built
-    /// without a read once the job's edit commits.
-    pub born: BornTails,
+    /// What each new key SST was born with: its reader, built without a
+    /// read, and its KF blocks in the cache, once the job's edit commits.
+    pub born: Vec<BornTable>,
     /// Value-store changes from the session.
     pub bundle: ValueEditBundle,
     /// The born tails of the bundle's new value files.

@@ -5,9 +5,9 @@
 
 use super::Lsm;
 use crate::compaction::{
-    compute_targets, level_units, pick_compaction, run_output_job, Compaction,
+    compute_targets, level_units, pick_compaction, run_output_job, BornTable, Compaction,
 };
-use crate::filename::{parse_path, table_path, value_file_path, FileKind};
+use crate::filename::{parse_path, table_path, value_file_path, wal_path, FileKind};
 use crate::hooks::{BornTails, JobKind, PassthroughSession, ValueEditBundle, ValueSession};
 use crate::iter::{MergingIter, VecIter};
 use crate::options::{BackgroundMode, NUM_LEVELS};
@@ -287,7 +287,7 @@ impl Lsm {
             },
             |sv| sv.imms.retain(|i| !Arc::ptr_eq(&i.mem, &imm.mem)),
         )?;
-        self.delete_obsolete_wals()?;
+        self.delete_obsolete_wals();
         self.inner.counters.flushes.fetch_add(1, Ordering::Relaxed);
         self.inner.stall_cv.notify_all();
         Ok(true)
@@ -387,8 +387,9 @@ impl Lsm {
     }
 
     /// The one commit of an edit that carries a value bundle (a flush's,
-    /// a compaction's, GC's): log `edit`, keep its key SSTs' born readers,
-    /// hand the hook the bundle's new files with `value_born`, install
+    /// a compaction's, GC's): log `edit`, keep its key SSTs' born readers
+    /// and put their KF blocks in the block cache, hand the hook the
+    /// bundle's new files with `value_born`, install
     /// the current version plus `install`, and only then hand the hook the
     /// rest — so no reader meets a reference the store cannot resolve, and
     /// no file this edit exhausts is reaped while the installed version
@@ -398,7 +399,7 @@ impl Lsm {
     fn commit_edit(
         &self,
         edit: VersionEdit,
-        born: BornTails,
+        born: Vec<BornTable>,
         value_born: BornTails,
         install: impl FnOnce(&mut SuperVersion),
     ) -> Result<()> {
@@ -419,8 +420,8 @@ impl Lsm {
             self.inner.pending_deletions.lock().extend(outputs);
             return Err(e);
         }
-        for (number, tail) in born {
-            self.inner.tcache.adopt(number, tail);
+        for table in born {
+            self.inner.tcache.adopt(table);
         }
         let new_files = ValueEditBundle {
             new_files: std::mem::take(&mut rest.new_files),
@@ -441,11 +442,16 @@ impl Lsm {
     }
 
     /// Delete the queued files — replaced key SSTs, and the outputs of
-    /// failed edits — that no live version references. Nothing is
-    /// deleted while a failed commit has poisoned the manifest: the
+    /// failed edits — that no live version references; a key SST's reader
+    /// and cached blocks leave with it. An empty queue returns before the
+    /// MANIFEST lock. Nothing is deleted while a failed commit has
+    /// poisoned the manifest: the
     /// failed edit, which may name queued outputs, can sit in it on disk
     /// until the next commit rewrites it.
     pub(super) fn purge_unreferenced_tables(&self) {
+        if self.inner.pending_deletions.lock().is_empty() {
+            return;
+        }
         let referenced = {
             let manifest = self.inner.manifest.lock();
             if manifest.poisoned {
@@ -460,7 +466,7 @@ impl Lsm {
                 if referenced.contains(&n) {
                     return true;
                 }
-                self.inner.tcache.readers.evict(n);
+                self.inner.tcache.forget(n);
             }
             let _ = opts.env.remove_file(path);
             false
@@ -476,26 +482,25 @@ impl Lsm {
             value: bundle,
             ..VersionEdit::default()
         };
-        self.commit_edit(edit, BornTails::new(), born, |_| {})?;
+        self.commit_edit(edit, Vec::new(), born, |_| {})?;
         self.purge_unreferenced_tables();
         Ok(())
     }
 
-    pub(super) fn delete_obsolete_wals(&self) -> Result<()> {
+    /// Remove the closed WALs below the recovery floor. One there may
+    /// still be a retained change-stream segment: the catalog pins it
+    /// (for a registered subscriber or within the retention budget), and
+    /// it stays listed until a flush after the change log releases it.
+    pub(super) fn delete_obsolete_wals(&self) {
         let opts = &self.inner.opts;
         let min_log = self.inner.manifest.lock().log.log_number;
-        for p in opts.env.list_prefix(&format!("{}/", opts.dir))? {
-            if let Some((FileKind::Wal, n)) = parse_path(&opts.dir, &p) {
-                // A WAL below the recovery floor may still be a
-                // retained change-stream segment: the catalog pins it
-                // (for a registered subscriber or within the retention
-                // budget) until the change log releases it.
-                if n < min_log && !self.inner.cdc.protects(n) {
-                    let _ = opts.env.remove_file(&p);
-                }
+        self.inner.closed_wals.lock().retain(|&n| {
+            if n >= min_log || self.inner.cdc.protects(n) {
+                return true;
             }
-        }
-        Ok(())
+            let _ = opts.env.remove_file(&wal_path(&opts.dir, n));
+            false
+        });
     }
 
     pub(super) fn spawn_bg_thread(&self) {

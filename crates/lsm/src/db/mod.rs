@@ -132,6 +132,11 @@ struct Inner {
     /// them: key SSTs replaced by compactions or unlisted at open, and
     /// the key SSTs and value files of failed edits.
     pending_deletions: Mutex<Vec<String>>,
+    /// Numbers of the closed WALs still on disk: the writer adds each as
+    /// it rotates away from it, open's sweep those it finds below the
+    /// recovery floor, and a flush removes those the floor has passed and
+    /// the change log no longer protects.
+    closed_wals: Mutex<Vec<u64>>,
     /// Change-data-capture hub: publication ring, retained-WAL catalog,
     /// and subscriber registry (see [`crate::changelog`]).
     cdc: Arc<crate::changelog::ChangeLog>,

@@ -65,6 +65,7 @@ impl Lsm {
             bg_error: Mutex::new(None),
             degraded: AtomicBool::new(false),
             pending_deletions: Mutex::new(Vec::new()),
+            closed_wals: Mutex::new(Vec::new()),
             closed: AtomicBool::new(false),
             tombstone_hold: AtomicU64::new(opts.tombstone_hold),
             manifest: Manifest::new(vset),
@@ -152,10 +153,8 @@ impl Lsm {
                 }
             }
             // Retained history stays on disk as a catch-up segment so
-            // resumed subscribers can replay across the restart.
-            // Register it *before* replaying: the flush below runs the
-            // obsolete-WAL sweep, which must already see the file
-            // protected.
+            // resumed subscribers can replay across the restart: open's
+            // obsolete-file sweep keeps a WAL the catalog protects.
             match first_seq {
                 Some(first) if retain => {
                     self.inner
@@ -214,21 +213,29 @@ impl Lsm {
     }
 
     /// Delete key SSTs on disk that no version references (left over
-    /// from a crash mid-compaction), then obsolete WALs.
+    /// from a crash mid-compaction), then obsolete WALs: every WAL the
+    /// listing finds below the recovery floor is closed, and one the
+    /// change log still protects stays listed for a later flush.
     fn delete_obsolete_files(&self) -> Result<()> {
         let opts = &self.inner.opts;
-        let live = self.inner.manifest.lock().log.referenced_files();
-        let tables: Vec<String> = opts
-            .env
-            .list_prefix(&format!("{}/", opts.dir))?
-            .into_iter()
-            .filter(|p| {
-                matches!(parse_path(&opts.dir, p), Some((FileKind::Table, n)) if !live.contains(&n))
-            })
-            .collect();
+        let (live, min_log) = {
+            let manifest = self.inner.manifest.lock();
+            (manifest.log.referenced_files(), manifest.log.log_number)
+        };
+        let mut tables = Vec::new();
+        let mut wals = Vec::new();
+        for p in opts.env.list_prefix(&format!("{}/", opts.dir))? {
+            match parse_path(&opts.dir, &p) {
+                Some((FileKind::Table, n)) if !live.contains(&n) => tables.push(p),
+                Some((FileKind::Wal, n)) if n < min_log => wals.push(n),
+                _ => {}
+            }
+        }
         self.inner.pending_deletions.lock().extend(tables);
         self.purge_unreferenced_tables();
-        self.delete_obsolete_wals()
+        self.inner.closed_wals.lock().extend(wals);
+        self.delete_obsolete_wals();
+        Ok(())
     }
 }
 

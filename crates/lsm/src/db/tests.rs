@@ -619,6 +619,70 @@ fn assert_disk_holds_the_live_version(db: &Lsm, env: &EnvRef) {
     assert_eq!(live, on_disk);
 }
 
+/// After every flush the WALs on disk are exactly the live WAL, the
+/// unflushed memtables' WALs and the segments the change log protects —
+/// with retention off and on, while a subscriber pins segments, once it
+/// lets go (the next flush removes what the change log released), and
+/// across a reopen, whose sweep finds the protected WALs by listing.
+#[test]
+fn the_wals_on_disk_are_the_live_the_unflushed_and_the_protected() {
+    for retention in [0, 12 * 1024] {
+        let mut o = test_opts("db");
+        o.cdc_retention = retention;
+        let env = o.env.clone();
+        let mut seen = HashSet::new();
+        let mut check = |db: &Lsm, when: &str| {
+            let on_disk: HashSet<u64> = env
+                .list_prefix("db/")
+                .unwrap()
+                .iter()
+                .filter_map(|p| parse_path("db", p))
+                .filter(|(k, _)| *k == FileKind::Wal)
+                .map(|(_, n)| n)
+                .collect();
+            seen.extend(on_disk.iter().copied());
+            let live = db.inner.wal.lock().log.wal_number;
+            let unflushed: Vec<u64> = db
+                .superversion()
+                .imms
+                .iter()
+                .map(|i| i.wal_number)
+                .collect();
+            let want: HashSet<u64> = seen
+                .iter()
+                .copied()
+                .filter(|&n| n == live || unflushed.contains(&n) || db.inner.cdc.protects(n))
+                .collect();
+            assert_eq!(on_disk, want, "retention {retention}, {when}");
+        };
+        let mut db = open(o.clone());
+        let mut cursor = Some(db.change_log().subscribe_oldest().unwrap());
+        for round in 0..6 {
+            if round == 2 {
+                // Released at the next rotation's trim, removed by the
+                // flush that follows it.
+                cursor = None;
+            }
+            if round == 4 {
+                drop(db);
+                db = open(o.clone());
+                check(&db, "after the reopen");
+            }
+            for i in 0..150 {
+                let flushes = db.counters().flushes.load(Ordering::Relaxed);
+                put(&db, &format!("key{i:03}"), &format!("value-{round}-{i}"));
+                if db.counters().flushes.load(Ordering::Relaxed) > flushes {
+                    check(&db, &format!("round {round} put {i}"));
+                }
+            }
+            db.flush().unwrap();
+            check(&db, &format!("round {round} flush"));
+        }
+        assert!(cursor.is_none());
+        assert!(seen.len() > 10, "{} WALs", seen.len());
+    }
+}
+
 /// `MemEnv` whose first compaction-class open after the gate is armed
 /// meets the test at the gate twice before it returns the handle, and
 /// which names every other compaction-class open made while `witness`

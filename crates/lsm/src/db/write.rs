@@ -396,6 +396,9 @@ impl Lsm {
         ws.log.wal = Some(LogWriter::new(f));
         ws.log.wal_number = n;
         ws.poisoned = false;
+        if let Some((closed, ..)) = closed {
+            self.inner.closed_wals.lock().push(closed);
+        }
         // The old WAL becomes a retained catch-up segment (or is
         // released for deletion, per retention policy and subscribers).
         self.inner

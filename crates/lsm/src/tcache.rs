@@ -4,12 +4,13 @@
 //! and DTable files can coexist in one tree (e.g. after switching formats
 //! mid-life, or during ablation experiments).
 
+use crate::compaction::BornTable;
 use crate::filename::table_path;
 use crate::options::LsmOptions;
 use scavenger_env::{EnvRef, IoClass};
 use scavenger_table::btable::KTable;
-use scavenger_table::cache::{ReaderMap, StoreCache};
-use scavenger_table::Tail;
+use scavenger_table::cache::{CacheKey, CachePriority, ReaderMap, StoreCache};
+use scavenger_table::BlockKind;
 use scavenger_util::Result;
 use std::sync::Arc;
 
@@ -36,7 +37,8 @@ pub struct TableCache {
     env: EnvRef,
     dir: String,
     cache: StoreCache,
-    /// The open readers; the tree evicts a file's when it deletes it.
+    /// The open readers; the tree drops a file's, and its cached blocks,
+    /// when it deletes it ([`forget`](Self::forget)).
     pub(crate) readers: ReaderMap<KTable>,
 }
 
@@ -65,20 +67,42 @@ impl TableCache {
         })
     }
 
-    /// Keep the reader of the new key SST `file_number` built from
-    /// `tail`, the [`born`](scavenger_table::btable::BuiltTable::born)
-    /// tail of its writer: opening its handle reads nothing. Best effort:
-    /// a handle that fails to open leaves the file to its first lookup.
-    pub(crate) fn adopt(&self, file_number: u64, tail: Tail) {
-        let path = table_path(&self.dir, file_number);
+    /// Take in a new key SST, once the edit that adds it has been
+    /// logged: keep the reader built from the tail its writer held
+    /// (opening its handle reads nothing), and insert a DTable's KF blocks
+    /// into the block cache at [`CachePriority::Bottom`] under the file's
+    /// own cache id, so GC-Lookup's first sweep of the file reads none of
+    /// them. At `Bottom` a born block is never admitted at the cost of a
+    /// `High` entry, and is the next victim unless that sweep hits it
+    /// first. Best effort: a handle that fails to open leaves the file to
+    /// its first lookup.
+    pub(crate) fn adopt(&self, table: BornTable) {
+        let BornTable {
+            number,
+            tail,
+            kf_blocks,
+        } = table;
+        let id = self.cache.file_id(number);
+        let blocks = self.cache.blocks();
+        for (offset, payload) in kf_blocks {
+            let key = CacheKey::new(id, offset, BlockKind::KeyFile);
+            let charge = payload.len();
+            blocks.insert(key, payload, charge, CachePriority::Bottom);
+        }
+        let path = table_path(&self.dir, number);
         let Ok(file) = self.env.open_random_access(&path, IoClass::FgIndexRead) else {
             return;
         };
-        let blocks = Some(self.cache.blocks().clone());
-        let id = self.cache.file_id(file_number);
-        if let Ok(reader) = KTable::from_tail(file, tail, id, blocks) {
-            self.readers.insert(file_number, reader);
+        if let Ok(reader) = KTable::from_tail(file, tail, id, Some(blocks.clone())) {
+            self.readers.insert(number, reader);
         }
+    }
+
+    /// Let go of the deleted key SST `file_number`: its reader and its
+    /// blocks in the cache leave together.
+    pub(crate) fn forget(&self, file_number: u64) {
+        self.readers.evict(file_number);
+        self.cache.erase(file_number);
     }
 }
 
@@ -182,7 +206,7 @@ mod tests {
         let b = tc.get(3).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(tc.readers.len(), 1);
-        tc.readers.evict(3);
+        tc.forget(3);
         assert!(tc.readers.is_empty());
     }
 

@@ -76,6 +76,11 @@ pub struct BuiltTable {
     /// builder still held: the file's reader, built from it with the
     /// format's `from_tail`, costs no read.
     pub born: Tail,
+    /// A DTable's KF data blocks as written, `(offset, payload)`: each
+    /// payload is what [`read_block`] of its handle returns, so the block
+    /// cache can hold them before anything reads the file. Empty for
+    /// every other table.
+    pub kf_blocks: Vec<(u64, Bytes)>,
 }
 
 /// One stream under construction, appending its data blocks to the
@@ -85,16 +90,21 @@ pub(crate) struct TwoLevelBuilder {
     index: BlockBuilder,
     bloom: BloomBuilder,
     block_size: usize,
+    /// The data blocks written so far, `(offset, payload)`, when the
+    /// stream keeps them (a DTable's KF stream).
+    kept: Option<Vec<(u64, Bytes)>>,
 }
 
 impl TwoLevelBuilder {
-    /// A stream whose data blocks close at `block_size` bytes.
-    pub(crate) fn new(block_size: usize) -> Self {
+    /// A stream whose data blocks close at `block_size` bytes; with
+    /// `keep`, it keeps each data block it writes.
+    pub(crate) fn new(block_size: usize, keep: bool) -> Self {
         TwoLevelBuilder {
             data: BlockBuilder::new(RESTART_INTERVAL),
             index: BlockBuilder::new(1),
             bloom: BloomBuilder::new(BLOOM_BITS_PER_KEY),
             block_size,
+            kept: keep.then(Vec::new),
         }
     }
 
@@ -125,17 +135,36 @@ impl TwoLevelBuilder {
             return Ok(());
         }
         let last_key = self.data.last_key().to_vec();
-        let handle = write_block(file, &self.data.finish())?;
+        let block = Bytes::from(self.data.finish());
+        let handle = write_block(file, &block)?;
         self.index.add(&last_key, &handle.encode());
+        if let Some(kept) = &mut self.kept {
+            kept.push((handle.offset, block));
+        }
         Ok(())
     }
 
     /// Write out the last data block; returns the stream's serialized
-    /// bloom filter and index block, for the table's tail.
-    pub(crate) fn finish(mut self, file: &mut dyn WritableFile) -> Result<(Vec<u8>, Vec<u8>)> {
+    /// bloom filter and index block, for the table's tail, and the data
+    /// blocks it kept.
+    pub(crate) fn finish(mut self, file: &mut dyn WritableFile) -> Result<FinishedStream> {
         self.flush(file)?;
-        Ok((self.bloom.finish(), self.index.finish()))
+        Ok(FinishedStream {
+            filter: self.bloom.finish(),
+            index: self.index.finish(),
+            kept: self.kept.unwrap_or_default(),
+        })
     }
+}
+
+/// What a finished stream leaves for its table's tail and its reader.
+pub(crate) struct FinishedStream {
+    /// The serialized bloom filter.
+    pub(crate) filter: Vec<u8>,
+    /// The serialized index block.
+    pub(crate) index: Vec<u8>,
+    /// The data blocks the stream kept, `(offset, payload)`.
+    pub(crate) kept: Vec<(u64, Bytes)>,
 }
 
 /// Fetches blocks through the (optional) block cache. Cloning is cheap
@@ -365,11 +394,14 @@ impl KTableBuilder {
     pub fn new(file: Box<dyn WritableFile>, format: KTableFormat, block_size: usize) -> Self {
         let (table_type, kf) = match format {
             KTableFormat::BTable => (TableType::BTable, None),
-            KTableFormat::DTable => (TableType::DTable, Some(TwoLevelBuilder::new(block_size))),
+            KTableFormat::DTable => (
+                TableType::DTable,
+                Some(TwoLevelBuilder::new(block_size, true)),
+            ),
         };
         KTableBuilder {
             file,
-            main: TwoLevelBuilder::new(block_size),
+            main: TwoLevelBuilder::new(block_size, false),
             kf,
             tracker: PropsTracker::new(table_type),
             smallest: None,
@@ -412,35 +444,43 @@ impl KTableBuilder {
     }
 
     /// Finish the table: write the last data blocks, then the filters,
-    /// props, metaindex, index blocks and footer.
+    /// props, metaindex, index blocks and footer. A DTable's
+    /// [`BuiltTable::kf_blocks`] hold its KF data blocks.
     pub fn finish(mut self) -> Result<BuiltTable> {
-        let (filter, index) = self.main.finish(self.file.as_mut())?;
+        let main = self.main.finish(self.file.as_mut())?;
         let kf = match self.kf {
             Some(kf) => Some(kf.finish(self.file.as_mut())?),
             None => None,
         };
         let props = self.tracker.finish();
-        let metas = match kf {
-            None => vec![
-                (meta_keys::FILTER, filter),
-                (meta_keys::PROPS, props.encode()),
-            ],
-            Some((kf_filter, kf_index)) => vec![
-                (meta_keys::FILTER_KV, filter),
-                (meta_keys::FILTER_KF, kf_filter),
-                (meta_keys::PROPS, props.encode()),
-                (meta_keys::KF_INDEX, kf_index),
-            ],
+        let (metas, kf_blocks) = match kf {
+            None => (
+                vec![
+                    (meta_keys::FILTER, main.filter),
+                    (meta_keys::PROPS, props.encode()),
+                ],
+                Vec::new(),
+            ),
+            Some(kf) => (
+                vec![
+                    (meta_keys::FILTER_KV, main.filter),
+                    (meta_keys::FILTER_KF, kf.filter),
+                    (meta_keys::PROPS, props.encode()),
+                    (meta_keys::KF_INDEX, kf.index),
+                ],
+                kf.kept,
+            ),
         };
-        write_tail(
+        let built = write_tail(
             self.file,
             metas,
-            index,
+            main.index,
             Vec::new(),
             props,
             self.smallest,
             self.largest,
-        )
+        )?;
+        Ok(BuiltTable { kf_blocks, ..built })
     }
 }
 
@@ -450,8 +490,9 @@ pub struct KTable {
     fetcher: BlockFetcher,
     /// A BTable's one stream; a DTable's KV stream.
     main: TwoLevel,
-    /// A DTable's KF stream, whose blocks are cached at high priority so
-    /// validation traffic stays resident.
+    /// A DTable's KF stream, whose missed blocks are cached at high
+    /// priority so validation traffic stays resident. A table this
+    /// process wrote starts with them cached ([`BuiltTable::kf_blocks`]).
     pub(crate) kf: Option<TwoLevel>,
     props: TableProps,
 }

@@ -19,6 +19,21 @@
 //! has room; in a full one a new value mostly evicts the last one that
 //! was never hit again. Scans and GC read values around the cache.
 //!
+//! A new DTable's KF blocks are born in the cache at `Bottom` too: its
+//! writer kept them, and the table cache inserts them once the job's edit
+//! has committed, so GC-Lookup's first sweep of the file reads none — and
+//! if that sweep does not hit one first, it is the next victim, never a
+//! `High` entry.
+//!
+//! The cache holds live files only. A store that deletes a file erases
+//! its entries with it ([`StoreCache::erase`]), in the one place each
+//! layer deletes files, where it also drops the file's reader: a dead
+//! file's `High` blocks would otherwise keep their share of the cache
+//! until the whole low list had been evicted. Each shard indexes its
+//! entries by file id, so an erase costs that file's entries. A read
+//! already in flight may re-insert a block of a file just erased; that
+//! entry ages out as any other does.
+//!
 //! A store reads through the cache as a [`StoreCache`], which names its
 //! files' blocks under the store's namespace, and keeps its open readers
 //! in [`ReaderMap`]s: one for its key SSTs, one for its value files.
@@ -116,6 +131,24 @@ impl StoreCache {
         );
         self.namespace | file_number
     }
+
+    /// Drop every cached block of the store's file `file_number`, which
+    /// the store has deleted.
+    pub fn erase(&self, file_number: u64) {
+        self.blocks.erase_file(self.file_id(file_number));
+    }
+
+    /// Numbers of the store's files with a block in the cache, ascending
+    /// (a check that the cache holds live files only).
+    pub fn resident_files(&self) -> Vec<u64> {
+        let mask = (1u64 << CACHE_FILE_BITS) - 1;
+        self.blocks
+            .file_ids()
+            .into_iter()
+            .filter(|id| id & !mask == self.namespace)
+            .map(|id| id & mask)
+            .collect()
+    }
 }
 
 /// Reader-map shards: as many as the block cache has (16), so parallel
@@ -206,6 +239,9 @@ struct Node<V> {
     pri: CachePriority,
     prev: u32,
     next: u32,
+    /// Neighbours in the shard's list of `key.file`'s nodes.
+    file_prev: u32,
+    file_next: u32,
 }
 
 #[derive(Clone, Copy, Default)]
@@ -218,6 +254,10 @@ struct Shard<V> {
     /// Keys are engine-chosen `(file, offset, kind)` triples, so the
     /// in-shard map uses the cheap [`IntMap`] hasher.
     map: IntMap<CacheKey, u32>,
+    /// File id → the first of that file's nodes, which link to the rest
+    /// through `file_prev` / `file_next`: erasing a file visits its own
+    /// entries only.
+    files: IntMap<u64, u32>,
     nodes: Vec<Option<Node<V>>>,
     free: Vec<u32>,
     lists: [ListEnds; 2], // [high, low]
@@ -238,6 +278,7 @@ impl<V: Clone> Shard<V> {
     fn new(capacity: usize, high_ratio: f64) -> Self {
         Shard {
             map: IntMap::default(),
+            files: IntMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             lists: [ListEnds {
@@ -307,8 +348,38 @@ impl<V: Clone> Shard<V> {
         }
     }
 
+    /// Link `idx` at the head of its file's list.
+    fn link_file(&mut self, idx: u32) {
+        let file = self.nodes[idx as usize].as_ref().unwrap().key.file;
+        let old_head = self.files.insert(file, idx).unwrap_or(NIL);
+        let n = self.nodes[idx as usize].as_mut().unwrap();
+        n.file_prev = NIL;
+        n.file_next = old_head;
+        if old_head != NIL {
+            self.nodes[old_head as usize].as_mut().unwrap().file_prev = idx;
+        }
+    }
+
+    fn unlink_file(&mut self, idx: u32) {
+        let (file, prev, next) = {
+            let n = self.nodes[idx as usize].as_ref().unwrap();
+            (n.key.file, n.file_prev, n.file_next)
+        };
+        if prev != NIL {
+            self.nodes[prev as usize].as_mut().unwrap().file_next = next;
+        } else if next != NIL {
+            self.files.insert(file, next);
+        } else {
+            self.files.remove(&file);
+        }
+        if next != NIL {
+            self.nodes[next as usize].as_mut().unwrap().file_prev = prev;
+        }
+    }
+
     fn remove_node(&mut self, idx: u32) -> Node<V> {
         self.unlink(idx);
+        self.unlink_file(idx);
         let node = self.nodes[idx as usize].take().unwrap();
         self.free.push(idx);
         self.map.remove(&node.key);
@@ -389,8 +460,11 @@ impl<V: Clone> Shard<V> {
             pri,
             prev: NIL,
             next: NIL,
+            file_prev: NIL,
+            file_next: NIL,
         });
         self.map.insert(key, idx);
+        self.link_file(idx);
         self.usage += charge;
         if pri == CachePriority::High {
             self.high_usage += charge;
@@ -410,6 +484,16 @@ impl<V: Clone> Shard<V> {
         self.unlink(idx);
         self.push_mru(idx, pri);
         Some(self.nodes[idx as usize].as_ref().unwrap().value.clone())
+    }
+
+    /// Remove every entry of file id `file`; returns how many there were.
+    fn erase_file(&mut self, file: u64) -> usize {
+        let mut erased = 0;
+        while let Some(&idx) = self.files.get(&file) {
+            self.remove_node(idx);
+            erased += 1;
+        }
+        erased
     }
 }
 
@@ -472,6 +556,25 @@ impl<V: Clone> LruCache<V> {
         got
     }
 
+    /// Remove every entry of cache file id `file` (a [`CacheKey::file`])
+    /// from all shards, at a cost of that file's entries; returns how many
+    /// there were. The rest keep their order in the LRU lists.
+    pub fn erase_file(&self, file: u64) -> usize {
+        self.shards.iter().map(|s| s.lock().erase_file(file)).sum()
+    }
+
+    /// The cache file ids with at least one resident entry, ascending.
+    pub fn file_ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.lock().files.keys().copied().collect::<Vec<u64>>())
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
     /// Current total charged bytes.
     pub fn usage(&self) -> usize {
         self.shards.iter().map(|s| s.lock().usage).sum()
@@ -511,6 +614,7 @@ impl<V: Clone> LruCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(i: u64) -> CacheKey {
         CacheKey {
@@ -731,6 +835,233 @@ mod tests {
             })
             .count();
         assert!(hits > 50, "expected most recent keys cached, got {hits}");
+    }
+
+    /// A resident entry: its key, value and charge.
+    type Entry = (CacheKey, u64, usize);
+
+    /// One shard's `(high, low)` lists, MRU first, and its `(usage,
+    /// high_usage)`.
+    type ShardState = (Vec<Entry>, Vec<Entry>, usize, usize);
+
+    fn shard_state(c: &LruCache<u64>, i: usize) -> ShardState {
+        let s = c.shards[i].lock();
+        let walk = |list: usize| {
+            let mut out = Vec::new();
+            let mut idx = s.lists[list].head;
+            while idx != NIL {
+                let n = s.nodes[idx as usize].as_ref().unwrap();
+                out.push((n.key, n.value, n.charge));
+                idx = n.next;
+            }
+            out
+        };
+        (walk(0), walk(1), s.usage, s.high_usage)
+    }
+
+    fn file_key(file: u64, offset: u64) -> CacheKey {
+        CacheKey {
+            file,
+            offset,
+            kind: 0,
+        }
+    }
+
+    /// An erase removes every entry of its file id from all 16 shards and
+    /// nothing else: the rest keep their order in both lists, and
+    /// `usage` / `high_usage` equal the charges that remain.
+    #[test]
+    fn erase_removes_one_file_from_every_shard_and_keeps_the_rest_in_order() {
+        let c: LruCache<u64> = LruCache::new(1 << 20, 16, 0.5);
+        let pris = [
+            CachePriority::High,
+            CachePriority::Low,
+            CachePriority::Bottom,
+        ];
+        for i in 0..600u64 {
+            let pri = pris[(i % 3) as usize];
+            c.insert(file_key(i % 5, i), i, 10 + (i % 7) as usize, pri);
+            if i % 4 == 0 {
+                c.get(&file_key((i / 2) % 5, i / 2));
+            }
+        }
+        let before: Vec<ShardState> = (0..16).map(|i| shard_state(&c, i)).collect();
+        assert!(
+            before
+                .iter()
+                .all(|(h, l, ..)| h.iter().chain(l).any(|e| e.0.file == 3)),
+            "file 3 has entries in every shard"
+        );
+        let held = c.len();
+        let erased = c.erase_file(3);
+        assert_eq!(erased, 120);
+        assert_eq!(c.len(), held - erased);
+        assert_eq!(c.erase_file(3), 0, "a second erase finds nothing");
+        for (i, (high, low, ..)) in before.into_iter().enumerate() {
+            let keep =
+                |l: Vec<Entry>| -> Vec<_> { l.into_iter().filter(|e| e.0.file != 3).collect() };
+            let (high, low) = (keep(high), keep(low));
+            let usage = high.iter().chain(&low).map(|e| e.2).sum::<usize>();
+            let high_usage = high.iter().map(|e| e.2).sum::<usize>();
+            assert_eq!(
+                shard_state(&c, i),
+                (high, low, usage, high_usage),
+                "shard {i}"
+            );
+        }
+        assert_eq!(c.file_ids(), vec![0, 1, 2, 4]);
+        for i in 0..600u64 {
+            assert_eq!(c.get(&file_key(i % 5, i)).is_some(), i % 5 != 3, "key {i}");
+        }
+    }
+
+    /// A store erases its own file only: another store on the same cache
+    /// numbers a file alike, under another namespace.
+    #[test]
+    fn a_store_erases_only_its_own_file() {
+        let blocks = Arc::new(BlockCache::with_capacity(1 << 20));
+        let (a, b) = (
+            StoreCache::new(blocks.clone(), true),
+            StoreCache::new(blocks.clone(), true),
+        );
+        for store in [&a, &b] {
+            for n in [4, 5] {
+                let key = CacheKey::new(store.file_id(n), 0, BlockKind::Data);
+                blocks.insert(key, bytes::Bytes::from_static(b"x"), 1, CachePriority::Low);
+            }
+        }
+        a.erase(4);
+        assert_eq!(a.resident_files(), vec![5]);
+        assert_eq!(b.resident_files(), vec![4, 5]);
+        assert_eq!(blocks.len(), 3);
+    }
+
+    /// The LRU semantics of one shard, written plainly: each list a
+    /// vector, MRU first.
+    struct Model {
+        high: Vec<Entry>,
+        low: Vec<Entry>,
+        capacity: usize,
+        high_capacity: usize,
+    }
+
+    impl Model {
+        fn usage(&self) -> usize {
+            self.high.iter().chain(&self.low).map(|e| e.2).sum()
+        }
+
+        fn high_usage(&self) -> usize {
+            self.high.iter().map(|e| e.2).sum()
+        }
+
+        fn take(&mut self, key: CacheKey) -> Option<(Entry, bool)> {
+            if let Some(i) = self.high.iter().position(|e| e.0 == key) {
+                return Some((self.high.remove(i), true));
+            }
+            let i = self.low.iter().position(|e| e.0 == key)?;
+            Some((self.low.remove(i), false))
+        }
+
+        fn insert(&mut self, key: CacheKey, value: u64, charge: usize, pri: CachePriority) {
+            let room = self.capacity.saturating_sub(self.high_usage());
+            if pri == CachePriority::Bottom && charge > room {
+                return;
+            }
+            self.take(key);
+            let entry = (key, value, charge);
+            match pri {
+                CachePriority::High => self.high.insert(0, entry),
+                CachePriority::Low => self.low.insert(0, entry),
+                CachePriority::Bottom => self.low.push(entry),
+            }
+            while self.high_usage() > self.high_capacity {
+                let demoted = self.high.pop().unwrap();
+                self.low.insert(0, demoted);
+            }
+            while self.usage() > self.capacity {
+                // The LRU end of the low list, then of the high list,
+                // passing over the entry just inserted.
+                let victim = |l: &Vec<Entry>| l.iter().rposition(|e| e.0 != key);
+                if let Some(i) = victim(&self.low) {
+                    self.low.remove(i);
+                } else if let Some(i) = victim(&self.high) {
+                    self.high.remove(i);
+                } else {
+                    break;
+                }
+            }
+        }
+
+        fn get(&mut self, key: CacheKey) -> Option<u64> {
+            let (entry, high) = self.take(key)?;
+            let list = if high { &mut self.high } else { &mut self.low };
+            list.insert(0, entry);
+            Some(entry.1)
+        }
+
+        fn erase_file(&mut self, file: u64) -> usize {
+            let n = self.high.len() + self.low.len();
+            self.high.retain(|e| e.0.file != file);
+            self.low.retain(|e| e.0.file != file);
+            n - self.high.len() - self.low.len()
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Insert(u64, u64, usize, u8),
+        Get(u64, u64),
+        Erase(u64),
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Random inserts, gets and erases on one shard keep the cache
+        /// equal to the model: the same entries in the same order in each
+        /// list, the same usages, and the same answers.
+        #[test]
+        fn prop_cache_matches_the_model(
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    6 => (0u64..4, 0u64..8, 1usize..24, 0u8..3)
+                        .prop_map(|(f, o, c, p)| Op::Insert(f, o, c, p)),
+                    4 => (0u64..4, 0u64..8).prop_map(|(f, o)| Op::Get(f, o)),
+                    1 => (0u64..5).prop_map(Op::Erase),
+                ],
+                1..300,
+            ),
+            high_ratio in prop_oneof![Just(0.0f64), Just(0.5), Just(1.0)],
+        ) {
+            let c = single_shard(100, high_ratio);
+            let mut m = Model {
+                high: Vec::new(),
+                low: Vec::new(),
+                capacity: 100,
+                high_capacity: (100.0 * high_ratio) as usize,
+            };
+            let pris = [CachePriority::High, CachePriority::Low, CachePriority::Bottom];
+            for op in ops {
+                match op {
+                    Op::Insert(f, o, charge, p) => {
+                        let value = f * 100 + o;
+                        c.insert(file_key(f, o), value, charge, pris[p as usize]);
+                        m.insert(file_key(f, o), value, charge, pris[p as usize]);
+                    }
+                    Op::Get(f, o) => {
+                        prop_assert_eq!(c.get(&file_key(f, o)), m.get(file_key(f, o)));
+                    }
+                    Op::Erase(f) => {
+                        prop_assert_eq!(c.erase_file(f), m.erase_file(f));
+                    }
+                }
+                let want = (m.high.clone(), m.low.clone(), m.usage(), m.high_usage());
+                prop_assert_eq!(shard_state(&c, 0), want, "after {:?}", op);
+                let mut files: Vec<u64> = m.high.iter().chain(&m.low).map(|e| e.0.file).collect();
+                files.sort_unstable();
+                files.dedup();
+                prop_assert_eq!(c.file_ids(), files);
+            }
+        }
     }
 
     #[test]

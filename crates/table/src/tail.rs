@@ -65,6 +65,7 @@ pub(crate) fn write_tail(
         largest,
         props,
         born: Tail::parse(footer, Held::Built(blocks), None)?,
+        kf_blocks: Vec::new(),
     })
 }
 
@@ -441,6 +442,51 @@ mod tests {
         }
         it.status().unwrap();
         out
+    }
+
+    /// A DTable's builder keeps each KF block it writes, at its offset,
+    /// as exactly the payload `read_block` of the KF index's handle
+    /// returns; no other table keeps any. Inserted into a block cache
+    /// under the file's id, they serve a full walk of the KF stream
+    /// without a read.
+    #[test]
+    fn born_kf_blocks_equal_the_blocks_on_disk() {
+        for (n, vlen) in [(1, 10), (300, 64), (2000, 700), (20_000, 8)] {
+            let env = MemEnv::new();
+            let [b, d, r] = build_all(&env, n, vlen);
+            assert!(b.kf_blocks.is_empty() && r.kf_blocks.is_empty());
+            let what = format!("{n} × {vlen}");
+            let f = env
+                .open_random_access("d.sst", IoClass::FgIndexRead)
+                .unwrap();
+            let opened = KTable::open(f.clone(), 1, None).unwrap();
+            let mut index = opened.kf.as_ref().unwrap().index.iter();
+            index.seek_to_first();
+            let mut handles = Vec::new();
+            while index.valid() {
+                handles.push(BlockHandle::decode_exact(&index.value()).unwrap());
+                index.next();
+            }
+            assert_eq!(handles.is_empty(), n == 1, "{what}");
+            let offsets: Vec<u64> = d.kf_blocks.iter().map(|(o, _)| *o).collect();
+            let want: Vec<u64> = handles.iter().map(|h| h.offset).collect();
+            assert_eq!(offsets, want, "{what}");
+            for ((_, payload), h) in d.kf_blocks.iter().zip(&handles) {
+                assert_eq!(payload, &read_block(f.as_ref(), *h).unwrap(), "{what}");
+            }
+
+            let cache = Arc::new(crate::btable::BlockCache::with_capacity(64 << 20));
+            for (offset, payload) in &d.kf_blocks {
+                let key = crate::cache::CacheKey::new(1, *offset, crate::BlockKind::KeyFile);
+                let pri = crate::cache::CachePriority::Bottom;
+                cache.insert(key, payload.clone(), payload.len(), pri);
+            }
+            let t = KTable::from_tail(f, d.born, 1, Some(cache)).unwrap();
+            let before = env.io_stats().snapshot();
+            assert_eq!(walk(t.index_iter().as_mut()).len(), (n + 1) / 3, "{what}");
+            let reads = env.io_stats().snapshot().delta(&before).total_read_ops();
+            assert_eq!(reads, 0, "{what}");
+        }
     }
 
     /// The reader a builder's born tail makes is the one an open of the

@@ -13,6 +13,7 @@ use scavenger::vstore::GC_COALESCE;
 use scavenger::{Db, EngineMode, Env, Error, GcOutcome, IoClass, MemEnv, Options, VFormat};
 use scavenger_env::io_stats::ClassSnapshot;
 use scavenger_env::{EnvRef, FaultEnv, FaultOp, FaultRule};
+use scavenger_table::btable::KTable;
 use scavenger_table::handle::BlockHandle;
 use scavenger_table::TAIL_PREFETCH;
 
@@ -240,13 +241,13 @@ fn mostly_dead_file_costs_its_live_bytes() {
 /// after the flush that wrote it (`dry`), or the job that collects it
 /// once a second flush and a compaction exposed its garbage — on the
 /// store that wrote the files, or after a reopen. Also returns how many
-/// key SSTs the GC-Lookup sweeps and how many of the value file's index
-/// partitions lie outside its tail.
+/// key SSTs the GC-Lookup sweeps, how many KF blocks they hold, and how
+/// many of the value file's index partitions lie outside its tail.
 fn first_gc_reads(
     threads: usize,
     dry: bool,
     reopen: bool,
-) -> (ClassSnapshot, ClassSnapshot, u64, u64) {
+) -> (ClassSnapshot, ClassSnapshot, u64, u64, u64) {
     const N: usize = 400;
     let dead = |i: usize| i != 40;
     let env = MemEnv::shared();
@@ -268,6 +269,12 @@ fn first_gc_reads(
     }
     let version = db.shard(0).lsm().current_version();
     let kssts = version.levels.iter().flatten().count() as u64;
+    let kf_blocks = version
+        .levels
+        .iter()
+        .flatten()
+        .map(|f| kf_blocks(&eref, f.file_number))
+        .sum();
     let outside = partitions_outside_prefetch(&eref, file);
     let before = env.io_stats().snapshot();
     if dry {
@@ -283,8 +290,25 @@ fn first_gc_reads(
         d.class(IoClass::FgIndexRead),
         d.class(IoClass::GcRead),
         kssts,
+        kf_blocks,
         outside,
     )
+}
+
+/// How many KF blocks DTable `number` holds: the reads a walk of its KF
+/// stream costs a reader without a block cache.
+fn kf_blocks(env: &EnvRef, number: u64) -> u64 {
+    let path = scavenger_lsm::filename::table_path("db", number);
+    let file = env.open_random_access(&path, IoClass::Other).unwrap();
+    let table = KTable::open(file, number, None).unwrap();
+    let before = env.io_stats().snapshot();
+    let mut it = table.index_iter();
+    it.seek_to_first();
+    while it.valid() {
+        it.next();
+    }
+    it.status().unwrap();
+    env.io_stats().snapshot().delta(&before).total_read_ops()
 }
 
 /// The first GC read of files this store wrote opens none of them: the
@@ -292,23 +316,41 @@ fn first_gc_reads(
 /// no tail read, and the value file's Lazy Read costs exactly its index
 /// partitions outside the tail plus its fetch spans. After a reopen the
 /// same reads open every file from disk: one tail read per key SST the
-/// sweep meets (`FgIndexRead`) and one for the value file (`GcRead`).
+/// sweep meets and each of its KF blocks, which a DTable this store
+/// wrote was born with in the cache (`FgIndexRead`), and one tail read
+/// for the value file (`GcRead`).
 #[test]
 fn the_first_gc_of_files_this_store_wrote_reads_no_tail() {
     for threads in [1, 4] {
         for dry in [true, false] {
             let what = format!("{threads} threads, dry run {dry}");
-            let (fg, gc, kssts, outside) = first_gc_reads(threads, dry, false);
-            let (cold_fg, cold_gc, cold_kssts, _) = first_gc_reads(threads, dry, true);
+            let (fg, gc, kssts, kf, outside) = first_gc_reads(threads, dry, false);
+            let (cold_fg, cold_gc, cold_kssts, cold_kf, _) = first_gc_reads(threads, dry, true);
             assert!(
                 outside > 0,
                 "{what}: an index partition lies outside the tail"
             );
             assert!(kssts > 0 && kssts == cold_kssts, "{what}");
+            assert!(kf > 0 && kf == cold_kf, "{what}");
             let spans = u64::from(!dry);
             assert_eq!(gc.read_ops, outside + spans, "{what}");
             assert_eq!(cold_gc.read_ops, 1 + outside + spans, "{what}");
-            assert_eq!(cold_fg.read_ops, fg.read_ops + kssts, "{what}");
+            assert_eq!(cold_fg.read_ops, fg.read_ops + kssts + kf, "{what}");
+        }
+    }
+}
+
+/// A DTable is born with its KF blocks in the block cache: the first
+/// GC-Lookup of the value file a flush just wrote sweeps the flush's key
+/// SST — and the one after a compaction, the compaction's — without one
+/// `FgIndexRead`, at either thread count.
+#[test]
+fn the_first_gc_lookup_of_a_new_dtable_reads_no_kf_block() {
+    for threads in [1, 4] {
+        for dry in [true, false] {
+            let (fg, _, kssts, kf, _) = first_gc_reads(threads, dry, false);
+            assert!(kssts > 0 && kf >= kssts);
+            assert_eq!(fg.read_ops, 0, "{threads} threads, dry run {dry}");
         }
     }
 }

@@ -416,3 +416,103 @@ fn gets_through_a_tiny_cache_survive_concurrent_gc() {
         assert!(cache.stats().0 > 0, "{mode:?}: some gets must have hit");
     }
 }
+
+/// The cache holds live files only. Gets read every file through the
+/// cache, then flush, compaction and GC delete some of those files;
+/// after each round no resident entry names a key SST outside the live
+/// version or a value file outside the value store.
+#[test]
+fn no_cached_block_outlives_its_file() {
+    for mode in SEPARATED {
+        let db = Db::open(opts(MemEnv::shared(), "vc", mode)).unwrap();
+        let shard = db.shard(0);
+        let mut seen = std::collections::BTreeSet::new();
+        let mut dead = 0;
+        for round in 1..=8u8 {
+            for i in (0..N).filter(|i| round == 1 || i % 4 == 0) {
+                db.put(key(i), value(i, round)).unwrap();
+            }
+            db.flush().unwrap();
+            for i in 0..N {
+                db.get(key(i)).unwrap().unwrap();
+            }
+            let cached = shard.cached_files();
+            db.compact_all().unwrap();
+            db.run_gc_until_clean().unwrap();
+            let mut live = shard.value_store().live_file_numbers();
+            let version = shard.lsm().current_version();
+            live.extend(version.levels.iter().flatten().map(|f| f.file_number));
+            seen.extend(cached);
+            dead = seen.iter().filter(|f| !live.contains(f)).count();
+            let stale: Vec<u64> = shard
+                .cached_files()
+                .into_iter()
+                .filter(|f| !live.contains(f))
+                .collect();
+            assert!(
+                stale.is_empty(),
+                "{mode:?} round {round}: deleted files {stale:?} still cached"
+            );
+        }
+        assert!(dead > 0, "{mode:?}: no cached file was deleted");
+    }
+}
+
+/// Splitmix64: the deterministic stream the aged store below draws from.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A store aged as the benchmark's read set-up ages one — a load, then
+/// one skewed overwrite pass while GC runs, then a flush — with a cache
+/// larger than its live data: after a first read of every key, a second
+/// reads no value. Each deleted file's blocks leave the cache with it;
+/// kept, their high-priority blocks crowded 34 values out.
+#[test]
+fn an_aged_store_whose_cache_fits_its_live_data_reads_each_value_once() {
+    const KEYS: u64 = 4096;
+    let size = |id: u64, version: u64| 100 + (mix(id ^ (version << 32)) % 1900) as usize;
+    let val = |id: u64, version: u64| {
+        let mut v = vec![version as u8; size(id, version)];
+        v[..8].copy_from_slice(&id.to_le_bytes());
+        v
+    };
+    let live: u64 = (0..KEYS).map(|id| size(id, 1) as u64).sum();
+    let env = MemEnv::shared();
+    let mut o = Options::new(env, "aged", EngineMode::Scavenger);
+    o.memtable_size = 256 << 10;
+    o.ksst_target_size = 128 << 10;
+    o.vsst_target_size = 512 << 10;
+    o.base_level_bytes = live / 32;
+    // 1.2x the live values: room for them and the index blocks that
+    // find them, none for the index blocks of deleted files.
+    o.block_cache = Some(Arc::new(BlockCache::with_capacity((live * 6 / 5) as usize)));
+    let db = Db::open(o).unwrap();
+    let mut versions = vec![1u64; KEYS as usize];
+    for id in 0..KEYS {
+        db.put(key(id as usize), val(id, 1)).unwrap();
+    }
+    for n in 0..KEYS {
+        // Skewed toward low ids: a square of a uniform draw.
+        let u = mix(n ^ 0xa9ed) % KEYS;
+        let id = u * u / KEYS;
+        versions[id as usize] += 1;
+        db.put(key(id as usize), val(id, versions[id as usize]))
+            .unwrap();
+    }
+    db.flush().unwrap();
+    let pass = || {
+        value_reads(&db, || {
+            for id in 0..KEYS {
+                let got = db.get(key(id as usize)).unwrap().unwrap();
+                assert_eq!(got, val(id, versions[id as usize]), "key {id}");
+            }
+        })
+    };
+    let first = pass();
+    assert!(first > 0);
+    assert_eq!(pass(), 0, "the second pass (the first read {first} values)");
+}
