@@ -833,8 +833,8 @@ mod tests {
         // Lazy read: GC read bytes must be far below the bytes of the
         // collected files (which are mostly garbage values we skip).
         // Each collected file was written by this store, so its reader
-        // was born with the index partitions in its tail pinned: the job
-        // asks for the dense index (and no survivor) and reads nothing.
+        // was born holding its whole index: the job asks for the dense
+        // index (and no survivor) and reads nothing.
         assert_eq!(out.records_rewritten, 0);
         assert!(out.bytes_read > 0);
         assert_eq!(gc_read, 0);

@@ -41,7 +41,7 @@
 //!
 //! | phase | Fig. 8 | what happens here |
 //! |---|---|---|
-//! | **Read**   | step ① | value-file keys (Lazy Read: the file's one reader, `ValueStore::reader`, borrowed — one tail read if no `get` opened it first, which caches every index partition that read holds — then the partitions outside it, walked on the caller's thread, so a file whose index sits in its last 16 KiB costs at most that one read) or whole records (each file walked once in 256 KiB spans, the files fanned out across the `gc_threads` pool) are loaded into the pending batch |
+//! | **Read**   | step ① | value-file keys (Lazy Read: the file's one reader, `ValueStore::reader`, borrowed, which holds the file's whole index — a born reader from the start, an opened one after one tail read and one read of each partition outside that tail on its first use — walked on the caller's thread, so a file this process wrote costs no read) or whole records (each file walked once in 256 KiB spans, the files fanned out across the `gc_threads` pool) are loaded into the pending batch |
 //! | **GC-Lookup** | step ② | every pending record is validated against the index LSM-tree at each read point |
 //! | **Fetch** | step ③ | surviving values are fetched (lazy), survivors within [`GC_COALESCE`] of each other in one I/O; the per-file reads fan out across the `gc_threads` pool, merged in deterministic file order |
 //! | **Write** | step ④ | survivors are appended one by one to the job's `RouteWriters` (`vstore::route`), which routes hot/cold, rolls files at the size target and deletes its files if the job fails |
@@ -315,10 +315,9 @@ impl GcRunner {
     }
 
     /// Step ① **Read** over `files`. Lazy Read walks an RTable's dense
-    /// index on the caller's thread: its partitions come through the
-    /// block cache, whose state depends on their order. Every other file
-    /// is scanned whole, the scans fanned out across the `gc_threads`
-    /// pool and merged back in file order.
+    /// index, which its reader holds, on the caller's thread. Every other
+    /// file is scanned whole, the scans fanned out across the
+    /// `gc_threads` pool and merged back in file order.
     fn read(&self, files: &[Arc<VsstMeta>]) -> Result<ReadOut> {
         // Write-back identity is `(file, offset)`, which the lazy index
         // does not carry.

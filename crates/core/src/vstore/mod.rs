@@ -120,6 +120,15 @@ fn tag_format(tag: u8) -> Result<VFormat> {
     }
 }
 
+/// A reference whose value no live file holds.
+fn dangling(user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Error {
+    Error::corruption(format!(
+        "dangling value reference: file {} (user key {} bytes, seq {seq})",
+        vref.file,
+        user_key.len()
+    ))
+}
+
 /// Build the manifest record for a new value file.
 pub fn new_value_file_record(
     file: u64,
@@ -521,23 +530,25 @@ impl ValueStore {
     /// ([`VReader::scan_file`]).
     pub fn gc_scan(&self, file: u64) -> Result<Vec<BlobRecord>> {
         let format = self.format_of(file)?;
-        let cache = Some(&self.cache);
-        VReader::scan_file(&self.env, &self.dir, file, format, cache, IoClass::GcRead)
+        VReader::scan_file(&self.env, &self.dir, file, format, IoClass::GcRead)
     }
 
     /// **Locate**: resolve a reference to the live file and in-file
     /// location that hold its value right now, reading no record bytes
-    /// (BTables excepted — see [`ValueAt::Cached`]). Index partitions (and
-    /// BTable value blocks) come through the block cache, which keeps
-    /// what misses.
+    /// (BTables excepted — see [`ValueAt::Cached`]). The reference's
+    /// offset is load-bearing, not informational: a live file is read at
+    /// it.
     ///
-    /// * Blob logs are addressed: the reference names the value's
-    ///   `(offset, size)`, from which [`ValueAt::blob`] derives its whole
-    ///   record's span.
-    /// * Keyed formats try the referenced file, then the leaves of its
-    ///   subtree in the inheritance forest; each candidate costs one
-    ///   bloom probe and, if that passes, one cached index-partition
-    ///   lookup for the exact `(user_key, seq)` version.
+    /// * A live RTable or blob log is addressed: the reference was
+    ///   written by the file's own writer (file numbers are never
+    ///   reused), so [`ValueAt::record`] / [`ValueAt::blob`] derive the
+    ///   whole record's span from it — no bloom probe, no index search.
+    /// * A live BTable is looked up by key: one bloom probe and one index
+    ///   lookup, its value block through the block cache.
+    /// * A reference to a file GC collected resolves through the leaves
+    ///   of its subtree in the inheritance forest; each candidate costs
+    ///   one bloom probe and, if that passes, one lookup in the reader's
+    ///   own index for the exact `(user_key, seq)` version.
     ///
     /// A concurrent GC can retire a file between the resolution and the
     /// reader open; on that narrow race the resolution runs once more
@@ -558,20 +569,17 @@ impl ValueStore {
         };
         let ikey = lookup_key(user_key, seq, ValueType::Value);
         // Fast path: the file is live (no GC touched it).
-        let live = self.meta(vref.file);
-        if let Some(meta) = &live {
-            if meta.format == VFormat::BlobLog {
-                let at = ValueAt::blob(user_key, vref)?;
-                return Ok(loc(vref.file, self.reader(vref.file)?, at, ikey));
-            }
-        }
-        if live.is_some() {
+        if let Some(meta) = self.meta(vref.file) {
             let reader = self.reader(vref.file)?;
-            if let Some(at) = reader.locate(&ikey)? {
-                return Ok(loc(vref.file, reader, at, ikey));
-            }
-            // Keyed file is live but lacks the record — fall through to
-            // resolution (the file may predate a merged-GC output).
+            let at = match meta.format {
+                VFormat::RTable => Some(ValueAt::record(user_key, vref)),
+                VFormat::BlobLog => Some(ValueAt::blob(user_key, vref)?),
+                VFormat::BTable => reader.locate(&ikey)?,
+            };
+            return match at {
+                Some(at) => Ok(loc(vref.file, reader, at, ikey)),
+                None => Err(dangling(user_key, seq, vref)),
+            };
         }
         for &leaf in self.resolve_leaves(vref.file).iter() {
             if self.meta(leaf).is_none() {
@@ -582,11 +590,7 @@ impl ValueStore {
                 return Ok(loc(leaf, reader, at, ikey));
             }
         }
-        Err(Error::corruption(format!(
-            "dangling value reference: file {} (user key {} bytes, seq {seq})",
-            vref.file,
-            user_key.len()
-        )))
+        Err(dangling(user_key, seq, vref))
     }
 
     /// **Fetch** a batch of located values, returned in input order:
@@ -612,7 +616,8 @@ impl ValueStore {
     /// plumbing in between. The record is served from the block cache, or
     /// read once — CRC-verified — and inserted at [`CachePriority::Bottom`](scavenger_table::cache::CachePriority::Bottom),
     /// so a repeat read of the same key costs no value I/O. Its key is
-    /// checked against `(user_key, seq)` on a hit too.
+    /// checked against `(user_key, seq)` on a hit too. A cold read of a
+    /// live RTable or blob log costs that one read and nothing else.
     pub fn read_ref(&self, user_key: &[u8], seq: SeqNo, vref: &ValueRef) -> Result<Bytes> {
         let loc = self.locate(user_key, seq, vref)?;
         loc.reader.fetch_one(&loc.at, &loc.ikey)

@@ -15,12 +15,13 @@
 //! collide, and GC validity checks can compare exact sequence numbers.
 //!
 //! A value is read as a whole record in every format: an RTable record
-//! by its index handle, a blob-log record by the span [`ValueAt::blob`]
-//! derives from a reference (the value's offset less the header and the
-//! `user_key.len() + 8`-byte key, its size plus the CRC). Point reads,
-//! batch fetches, BlobDB relocation and GC scans all hand a blob record
-//! to one decoder, which checks its lengths, key and CRC before any
-//! value byte leaves this module.
+//! by its handle (derived from a reference to a live file by
+//! [`ValueAt::record`], else found in the file's index), a blob-log record
+//! by the span [`ValueAt::blob`] derives from a reference (the value's
+//! offset less the header and the `user_key.len() + 8`-byte key, its size
+//! plus the CRC). Point reads, batch fetches, BlobDB relocation and GC
+//! scans all hand a blob record to one decoder, which checks its lengths,
+//! key and CRC before any value byte leaves this module.
 
 use crate::options::VFormat;
 use bytes::Bytes;
@@ -44,11 +45,16 @@ pub fn vfile_path(dir: &str, file: u64, format: VFormat) -> String {
     value_file_path(dir, file, super::format_tag(format))
 }
 
-/// Location of a record produced by a writer.
+/// Location of a record produced by a writer. Its offset goes into the
+/// value reference, and a live RTable or blob log is read at it: it is
+/// load-bearing, not informational.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WrittenRecord {
-    /// For `BlobLog`: byte offset of the *value* within the file.
-    /// For table formats: offset of the record (informational).
+    /// For `BlobLog`: byte offset of the *value* within the file, which
+    /// [`ValueAt::blob`] widens to the record's span. For an RTable: offset
+    /// of the record, which [`ValueAt::record`] reads at. For a BTable:
+    /// the file's size before the record (informational: a BTable value
+    /// is found by key).
     pub offset: u64,
     /// Value size in bytes.
     pub size: u32,
@@ -227,7 +233,8 @@ pub struct BlobRecord {
 }
 
 /// Where one value sits inside its file, as [`VReader::locate`] (or a
-/// blob reference, or a Lazy-Read index entry) found it.
+/// reference to the file that wrote it, or a Lazy-Read index entry)
+/// found it.
 #[derive(Debug, Clone)]
 pub enum ValueAt {
     /// An RTable record: read, CRC-verified and key-checked at fetch.
@@ -264,6 +271,20 @@ impl ValueAt {
             offset,
             len: head + size + BLOB_CRC_LEN as u64,
         })
+    }
+
+    /// The RTable record that holds the value `vref` names for
+    /// `user_key` in the live file `vref` names: the file's own writer
+    /// wrote the reference, and file numbers are never reused. The
+    /// reference's offset is the record's, and the record is the
+    /// length-prefixed `user_key.len() + 8`-byte internal key and the
+    /// length-prefixed value, so its handle follows from the reference
+    /// alone. The fetch still checks its CRC and its whole internal key.
+    pub fn record(user_key: &[u8], vref: &ValueRef) -> ValueAt {
+        let klen = user_key.len() as u64 + 8;
+        let size = u64::from(vref.size);
+        let len = varint64_len(klen) as u64 + klen + varint64_len(size) as u64 + size;
+        ValueAt::Record(BlockHandle::new(vref.offset, len))
     }
 
     /// File offset the fetch starts at — the sort key for coalescing.
@@ -401,35 +422,33 @@ impl VReader {
 
     /// GC full scan (the "Read" step of every scheme but Lazy Read):
     /// every record of `file` with its value, charging the whole file in
-    /// device-sized reads. A BTable or blob log is walked once, front to
+    /// device-sized reads, around the block cache: GC never looks up or
+    /// fills cached values. A BTable or blob log is walked once, front to
     /// back, so it is opened behind a [`ReadaheadFile`] (one tail read,
-    /// then [`COALESCE_SPAN`] spans) and around the block cache: GC never
-    /// looks up or fills cached values. An RTable's index partitions sit
+    /// then [`COALESCE_SPAN`] spans). An RTable's index partitions sit
     /// *between* its records — walking them first would leave that
     /// forward window at the end of the file — so it takes the dense
-    /// index (through `cache`) and then every record through
-    /// [`read_coalesced`], which comes to the same span-sized reads.
+    /// index and then every record through [`read_coalesced`], which
+    /// comes to the same span-sized reads.
     pub fn scan_file(
         env: &EnvRef,
         dir: &str,
         file: u64,
         format: VFormat,
-        mut cache: Option<&StoreCache>,
         class: IoClass,
     ) -> Result<Vec<BlobRecord>> {
         let mut f = env.open_random_access(&vfile_path(dir, file, format), class)?;
         if format != VFormat::RTable {
             f = Arc::new(ReadaheadFile::open(f, COALESCE_SPAN as usize)?);
-            cache = None;
         }
-        Self::from_file(f, file, format, None, cache)?.scan_all()
+        Self::from_file(f, file, format, None, None)?.scan_all()
     }
 
     /// **Locate** the exact version `ikey` in a keyed table without
-    /// reading its record: one bloom probe, then one index lookup through
-    /// the block cache, which keeps what misses. `None` when this file
-    /// does not hold it. A BTable's data block holds values, so it is
-    /// inserted at [`CachePriority::Bottom`].
+    /// reading its record: one bloom probe, then one index lookup — in the
+    /// RTable reader's own index, or through the block cache for a
+    /// BTable, whose data block holds values and so is inserted at
+    /// [`CachePriority::Bottom`]. `None` when this file does not hold it.
     pub fn locate(&self, ikey: &[u8]) -> Result<Option<ValueAt>> {
         match self {
             VReader::R(r) => Ok(r.find_exact(ikey)?.map(ValueAt::Record)),
@@ -575,7 +594,7 @@ impl VReader {
     /// table's tail blocks and its index partitions. RTables only.
     pub fn lazy_index_bytes(&self) -> Result<u64> {
         match self {
-            VReader::R(r) => Ok(r.open_bytes() + r.index_bytes()?),
+            VReader::R(r) => Ok(r.open_bytes() + r.index_bytes()),
             _ => Err(Error::invalid_argument("lazy read requires an RTable")),
         }
     }
@@ -693,7 +712,7 @@ mod tests {
                 .collect();
             r.fetch(&wants, crate::vstore::GC_COALESCE)
         };
-        let scan = || VReader::scan_file(&eref, "db", 9, format, None, IoClass::GcRead);
+        let scan = || VReader::scan_file(&eref, "db", 9, format, IoClass::GcRead);
 
         let r = open();
         let all: Vec<usize> = (0..recs.len()).collect();

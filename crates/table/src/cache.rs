@@ -6,11 +6,13 @@
 //! the low list when it exceeds its share of capacity.
 //!
 //! Scavenger leans on the priority split (paper §III-B2): DTable KF blocks
-//! and RTable index partitions are inserted high-priority so GC-Lookups and
-//! Lazy Reads stay cache-resident while key-SST data blocks churn through
-//! the low-priority pool. The partitions an RTable's tail holds never
-//! enter the cache: its reader pins them (`RTableReader::from_tail`), so
-//! none is evicted between the file's creation and the GC that walks it.
+//! are inserted high-priority so GC-Lookups stay cache-resident while
+//! key-SST data blocks churn through the low-priority pool. They are the
+//! only `High` entries. An RTable's index partitions never enter the
+//! cache: its reader holds every one for its lifetime
+//! (`RTableReader::from_tail`), as a key SST's reader holds its index and
+//! filter, so neither Lazy Read nor a point read waits on the cache for
+//! them.
 //!
 //! Separated values sit one tier lower still, at [`CachePriority::Bottom`]:
 //! a point read's value record (or value-file BTable block) enters at the
@@ -51,7 +53,7 @@ use std::sync::Arc;
 /// Priority class of a cache entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachePriority {
-    /// Evicted last (index / KF blocks).
+    /// Evicted last (DTable KF blocks).
     High,
     /// Evicted first (key-SST data blocks).
     Low,
@@ -70,7 +72,7 @@ pub struct CacheKey {
     pub file: u64,
     /// Block offset within the file.
     pub offset: u64,
-    /// Stream tag (data / index / KF) so different streams never collide.
+    /// Stream tag (data / KF) so different streams never collide.
     pub kind: u8,
 }
 
@@ -78,9 +80,10 @@ impl CacheKey {
     /// The key of `kind`'s block (or record) at `offset` of cache file id
     /// `file`.
     pub fn new(file: u64, offset: u64, kind: BlockKind) -> CacheKey {
+        // A key's shard hashes this tag, so KF blocks keep tag 2: a new
+        // tag would move every KF block to another shard.
         let kind = match kind {
             BlockKind::Data => 0,
-            BlockKind::Index => 1,
             BlockKind::KeyFile => 2,
         };
         CacheKey { file, offset, kind }

@@ -96,8 +96,6 @@ pub trait InternalIterator: Send {
 pub enum BlockKind {
     /// Ordinary data / record block.
     Data,
-    /// Index block or index partition.
-    Index,
     /// DTable KF (key-file index entry) block.
     KeyFile,
 }

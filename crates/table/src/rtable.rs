@@ -14,25 +14,26 @@
 //! This buys the GC's **Lazy Read**: reading *only* the index partitions
 //! yields every key in the file plus the exact location of its value, so
 //! validity checks (GC-Lookup) run before a single value byte is fetched,
-//! and only surviving values are ever read. Foreground point reads also
-//! benefit: the dense index points directly at the record, so there is no
-//! in-block search.
+//! and only surviving values are ever read. A reader keeps the whole index
+//! in memory for its lifetime, outside the block cache: the Table I
+//! dense-index bytes, as a key SST's reader keeps its index and filter.
 
 use crate::block::{Block, BlockBuilder};
-use crate::blockio::{verify_block, write_block, BLOCK_TRAILER_LEN};
+use crate::blockio::{read_block, verify_block, write_block, BLOCK_TRAILER_LEN};
 use crate::btable::{BlockCache, BlockFetcher, BuiltTable};
 use crate::cache::CachePriority;
 use crate::filter::{BloomBuilder, BloomReader};
 use crate::handle::BlockHandle;
 use crate::props::{meta_keys, PropsTracker, TableProps, TableType};
 use crate::tail::{read_tail, write_tail, Tail};
-use crate::{BlockKind, BLOOM_BITS_PER_KEY, INDEX_PARTITION_SIZE, TAIL_PREFETCH};
+use crate::{BlockKind, BLOOM_BITS_PER_KEY, INDEX_PARTITION_SIZE};
 use bytes::Bytes;
+use parking_lot::Mutex;
 use scavenger_env::{RandomAccessFile, WritableFile};
 use scavenger_util::coding::{get_length_prefixed_slice, put_length_prefixed_slice};
 use scavenger_util::ikey::{cmp_internal, extract_user_key};
 use scavenger_util::{Error, Result};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Streaming builder for a RecordBasedTable.
 pub struct RTableBuilder {
@@ -44,9 +45,9 @@ pub struct RTableBuilder {
     smallest: Option<Vec<u8>>,
     largest: Vec<u8>,
     index_bytes: u64,
-    /// The last index partitions written, with their payloads: those an
-    /// open's tail read may still cover, which the born tail keeps.
-    recent: Vec<(BlockHandle, Bytes)>,
+    /// Every index partition written, with its payload, in file order:
+    /// the born tail hands them to the file's reader.
+    partitions: Vec<(BlockHandle, Bytes)>,
 }
 
 impl RTableBuilder {
@@ -61,7 +62,7 @@ impl RTableBuilder {
             smallest: None,
             largest: Vec::new(),
             index_bytes: 0,
-            recent: Vec::new(),
+            partitions: Vec::new(),
         }
     }
 
@@ -99,13 +100,9 @@ impl RTableBuilder {
         let last_key = self.partition.last_key().to_vec();
         let payload = Bytes::from(self.partition.finish());
         self.index_bytes += (payload.len() + BLOCK_TRAILER_LEN) as u64;
-        // The file only grows, so a partition more than the prefetch
-        // before its end now lies outside every tail read to come.
-        let floor = self.file.len().saturating_sub(TAIL_PREFETCH as u64);
-        self.recent.retain(|(h, _)| h.offset >= floor);
         let handle = write_block(self.file.as_mut(), &payload)?;
         self.top_index.add(&last_key, &handle.encode());
-        self.recent.push((handle, payload));
+        self.partitions.push((handle, payload));
         Ok(())
     }
 
@@ -119,9 +116,8 @@ impl RTableBuilder {
         self.file.len() + self.partition.size_estimate() as u64
     }
 
-    /// Finish the table. Its born tail holds the index partitions inside
-    /// the file's last [`TAIL_PREFETCH`] bytes, which the reader built
-    /// from it pins, as an open's would.
+    /// Finish the table. Its born tail holds every index partition, so
+    /// the reader built from it holds the whole index without a read.
     pub fn finish(mut self) -> Result<BuiltTable> {
         self.flush_partition()?;
         let props = self.tracker.finish();
@@ -132,7 +128,7 @@ impl RTableBuilder {
                 (meta_keys::PROPS, props.encode()),
             ],
             self.top_index.finish(),
-            self.recent,
+            self.partitions,
             props,
             self.smallest,
             self.largest,
@@ -243,13 +239,27 @@ pub fn read_coalesced(
     Ok(out)
 }
 
-/// The index-partition handles a top index lists, in file order.
-fn partitions(top_index: &Block) -> Result<Vec<BlockHandle>> {
+/// One index partition of an open RTable: the top index's entry for it
+/// and, once the reader holds it, the partition itself.
+struct Partition {
+    /// The last key the partition holds.
+    last_key: Box<[u8]>,
+    handle: BlockHandle,
+    block: OnceLock<Block>,
+}
+
+/// The partitions a top index lists, in its order (which is file order),
+/// none of them held yet.
+fn partitions(top_index: &Block) -> Result<Vec<Partition>> {
     let mut out = Vec::new();
     let mut top = top_index.iter();
     top.seek_to_first();
     while top.valid() {
-        out.push(BlockHandle::decode_exact(&top.value())?);
+        out.push(Partition {
+            last_key: top.key().into(),
+            handle: BlockHandle::decode_exact(&top.value())?,
+            block: OnceLock::new(),
+        });
         top.next();
     }
     top.status()?;
@@ -259,13 +269,16 @@ fn partitions(top_index: &Block) -> Result<Vec<BlockHandle>> {
 /// An open RecordBasedTable.
 pub struct RTableReader {
     fetcher: BlockFetcher,
-    top_index: Block,
     filter: Option<Bytes>,
     props: TableProps,
     open_bytes: u64,
-    /// The index partitions the tail held, pinned for the life of the
-    /// reader: at most the file's last [`TAIL_PREFETCH`] bytes' worth.
-    pinned: Vec<(BlockHandle, Block)>,
+    /// Every index partition, indexed by its ordinal in the top index;
+    /// each is held for the reader's lifetime from the moment the reader
+    /// has it.
+    parts: Vec<Partition>,
+    /// Taken to read a partition the reader does not hold yet, so that
+    /// racing first uses read it once.
+    fill: Mutex<()>,
 }
 
 impl RTableReader {
@@ -282,13 +295,14 @@ impl RTableReader {
 
     /// The reader of `file` built from its tail — read by
     /// [`open`](Self::open), or born: the [`BuiltTable::born`] tail of the
-    /// builder that wrote it. Top index, filter and props are pinned, and
-    /// so is every index partition the tail holds, checksummed: no walk
-    /// or lookup reads those again, and none waits on the block cache to
-    /// keep them — RocksDB pins a partitioned index's partitions from its
-    /// open-time prefetch the same way. Best effort: a covered partition
-    /// that fails its checksum is left out, and the read that needs it
-    /// reports the corruption.
+    /// builder that wrote it. Filter, props and the top index are held
+    /// for the reader's lifetime, and so is every index partition: a
+    /// born tail holds them all, an opened one those inside its
+    /// [`TAIL_PREFETCH`](crate::TAIL_PREFETCH) bytes, CRC-checked, and the
+    /// reader reads each other one once, on its first use. No partition
+    /// enters the block cache. A partition that fails its checksum is
+    /// never kept: every read that needs it reads it again and reports
+    /// the corruption.
     pub fn from_tail(
         file: Arc<dyn RandomAccessFile>,
         mut tail: Tail,
@@ -299,25 +313,26 @@ impl RTableReader {
         if tail.props.table_type != TableType::RTable {
             return Err(Error::corruption("not an RTable file"));
         }
-        let pinned = partitions(&tail.index)
-            .unwrap_or_default()
-            .into_iter()
-            .filter_map(|h| {
-                let part = tail.prefetched(h)?.ok()?;
-                Some((h, Block::new(part).ok()?))
-            })
-            .collect();
+        let parts = partitions(&tail.index)?;
+        for part in &parts {
+            // One that fails its checksum is left to its first use.
+            if let Some(Ok(payload)) = tail.prefetched(part.handle) {
+                if let Ok(block) = Block::new(payload) {
+                    let _ = part.block.set(block);
+                }
+            }
+        }
         Ok(RTableReader {
             fetcher: BlockFetcher {
                 file,
                 cache,
                 file_number,
             },
-            top_index: tail.index,
             filter,
             props: tail.props,
             open_bytes: tail.asked,
-            pinned,
+            parts,
+            fill: Mutex::new(()),
         })
     }
 
@@ -329,21 +344,29 @@ impl RTableReader {
         self.open_bytes
     }
 
-    /// Offsets of the pinned index partitions, in file order.
+    /// Offsets of the index partitions the reader holds, in file order.
     #[cfg(test)]
     pub(crate) fn pinned_partitions(&self) -> Vec<u64> {
-        self.pinned.iter().map(|(h, _)| h.offset).collect()
+        self.parts
+            .iter()
+            .filter(|p| p.block.get().is_some())
+            .map(|p| p.handle.offset)
+            .collect()
     }
 
-    /// The index partition at `handle`: pinned, or through the block
-    /// cache, where a miss is inserted at high priority.
-    fn partition(&self, handle: BlockHandle) -> Result<Block> {
-        match self.pinned.iter().find(|(h, _)| *h == handle) {
-            Some((_, part)) => Ok(part.clone()),
-            None => self
-                .fetcher
-                .fetch(handle, BlockKind::Index, CachePriority::High),
+    /// Index partition `i`: held, or read once — CRC-checked — and held
+    /// from then on.
+    fn partition(&self, i: usize) -> Result<&Block> {
+        let part = &self.parts[i];
+        if let Some(block) = part.block.get() {
+            return Ok(block);
         }
+        let _first = self.fill.lock();
+        if let Some(block) = part.block.get() {
+            return Ok(block);
+        }
+        let block = Block::new(read_block(self.fetcher.file.as_ref(), part.handle)?)?;
+        Ok(part.block.get_or_init(|| block))
     }
 
     /// Table properties.
@@ -360,22 +383,21 @@ impl RTableReader {
     }
 
     /// Handle of the record stored under exactly `target`, reading no
-    /// record bytes: one bloom probe, then one lookup in an index
-    /// partition, pinned or through the block cache (a miss is inserted
-    /// at high priority). The partition whose last key is the first
-    /// `>= target` is the only one that can hold it.
+    /// record bytes: one bloom probe, then one lookup in the index
+    /// partition whose last key is the first `>= target` — the only one
+    /// that can hold it — which costs a read only the first time an
+    /// opened reader uses a partition outside its tail.
     pub fn find_exact(&self, target: &[u8]) -> Result<Option<BlockHandle>> {
         if !self.may_contain(extract_user_key(target)) {
             return Ok(None);
         }
-        let mut top = self.top_index.iter();
-        top.seek(target);
-        top.status()?;
-        if !top.valid() {
+        let i = self
+            .parts
+            .partition_point(|p| cmp_internal(&p.last_key, target).is_lt());
+        if i == self.parts.len() {
             return Ok(None);
         }
-        let part = self.partition(BlockHandle::decode_exact(&top.value())?)?;
-        let mut it = part.iter();
+        let mut it = self.partition(i)?.iter();
         it.seek(target);
         it.status()?;
         if it.valid() && it.key() == target {
@@ -398,15 +420,13 @@ impl RTableReader {
     }
 
     /// **Lazy Read** (paper Fig. 8 step ①): return every key in the file
-    /// with its record handle, reading only index partitions: the pinned
-    /// ones cost nothing, the rest come through the block cache, where a
-    /// miss is inserted with high priority, so subsequent GC value
-    /// fetches and foreground reads hit memory.
+    /// with its record handle, reading no record: a partition the reader
+    /// holds costs nothing, and an opened reader reads each other one
+    /// once.
     pub fn read_index(&self) -> Result<Vec<(Vec<u8>, BlockHandle)>> {
         let mut out = Vec::with_capacity(self.props.num_entries as usize);
-        for part_handle in self.partitions()? {
-            let part = self.partition(part_handle)?;
-            let mut it = part.iter();
+        for i in 0..self.parts.len() {
+            let mut it = self.partition(i)?.iter();
             it.seek_to_first();
             while it.valid() {
                 out.push((it.key().to_vec(), BlockHandle::decode_exact(&it.value())?));
@@ -417,19 +437,18 @@ impl RTableReader {
         Ok(out)
     }
 
-    /// The handles of the index partitions, in file order, out of the
-    /// pinned top index: costs no I/O.
-    pub fn partitions(&self) -> Result<Vec<BlockHandle>> {
-        partitions(&self.top_index)
+    /// The handles of the index partitions, in file order: costs no I/O.
+    pub fn partitions(&self) -> Vec<BlockHandle> {
+        self.parts.iter().map(|p| p.handle).collect()
     }
 
     /// Bytes [`read_index`](Self::read_index) asks the file for: every
     /// index partition with its trailer, wherever it is served from.
     /// Costs no I/O; GC's pacing charge uses it.
-    pub fn index_bytes(&self) -> Result<u64> {
-        Ok(self.partitions()?.iter().fold(0u64, |total, part| {
-            total.saturating_add(part.size.saturating_add(BLOCK_TRAILER_LEN as u64))
-        }))
+    pub fn index_bytes(&self) -> u64 {
+        self.parts.iter().fold(0u64, |total, p| {
+            total.saturating_add(p.handle.size.saturating_add(BLOCK_TRAILER_LEN as u64))
+        })
     }
 
     /// Fetch many records by handle through [`read_coalesced`]: handles
@@ -713,67 +732,163 @@ mod tests {
         );
     }
 
-    /// Opening a reader pins, checksummed, the index partitions its tail
+    /// A multi-partition file some of whose partitions lie outside the
+    /// tail an open reads: its built table, the partitions' handles, and
+    /// which of them that tail covers.
+    fn multi_partition(env: &MemEnv, path: &str) -> (BuiltTable, Vec<BlockHandle>, Vec<bool>) {
+        let built = build(env, path, &entries(300, 64));
+        let start = env
+            .file_size(path)
+            .unwrap()
+            .checked_sub(crate::TAIL_PREFETCH as u64)
+            .expect("some partitions lie outside the tail read");
+        let partitions = open(env, path).partitions();
+        let covered: Vec<bool> = partitions.iter().map(|h| h.offset >= start).collect();
+        assert!(covered.contains(&true) && covered.contains(&false));
+        (built, partitions, covered)
+    }
+
+    /// Read ops `f` costs.
+    fn reads(env: &MemEnv, f: impl FnOnce()) -> u64 {
+        let before = env.io_stats().snapshot();
+        f();
+        env.io_stats().snapshot().delta(&before).total_read_ops()
+    }
+
+    /// Opening a reader holds, checksummed, the index partitions its tail
     /// read covers, and puts none in the block cache: a walk then reads
-    /// only the ones outside it, through the cache, and yields the index
-    /// an uncached reader reads. A flipped byte in a covered partition
-    /// keeps it unpinned without failing the open, and is that
-    /// partition's checksum error at the walk.
+    /// only the ones outside it, once, into the reader — never into the
+    /// cache — and yields the index an uncached reader reads.
     #[test]
     fn open_pins_the_partitions_its_tail_read_covered() {
         let env = MemEnv::new();
-        let es = entries(300, 64);
-        build(&env, "v.vsst", &es);
-        let len = env.file_size("v.vsst").unwrap();
-        let start = len
-            .checked_sub(crate::TAIL_PREFETCH as u64)
-            .expect("some partitions lie outside the tail read");
-        let reads = |f: &dyn Fn()| {
-            let before = env.io_stats().snapshot();
-            f();
-            env.io_stats().snapshot().delta(&before).total_read_ops()
+        let (_, partitions, covered) = multi_partition(&env, "v.vsst");
+        let index = open(&env, "v.vsst").read_index().unwrap();
+        let offsets = |want: bool| -> Vec<u64> {
+            partitions
+                .iter()
+                .zip(&covered)
+                .filter(|(_, &c)| c == want)
+                .map(|(h, _)| h.offset)
+                .collect()
         };
-        let reader = |cache: &Arc<BlockCache>| {
-            let file = env
-                .open_random_access("v.vsst", IoClass::FgValueRead)
-                .unwrap();
-            RTableReader::open(file, 7, Some(cache.clone())).unwrap()
-        };
-        let plain = open(&env, "v.vsst");
-        let partitions = plain.partitions().unwrap();
-        let index = plain.read_index().unwrap();
-        let (outside, covered): (Vec<BlockHandle>, Vec<BlockHandle>) =
-            partitions.iter().partition(|h| h.offset < start);
-        assert!(!outside.is_empty() && !covered.is_empty());
-        let bytes = |hs: &[BlockHandle]| hs.iter().map(|h| h.size as usize).sum::<usize>();
-
-        let offsets = |hs: &[BlockHandle]| hs.iter().map(|h| h.offset).collect::<Vec<u64>>();
         let cache = Arc::new(BlockCache::with_capacity(1 << 20));
+        let file = env
+            .open_random_access("v.vsst", IoClass::FgValueRead)
+            .unwrap();
         let r = std::cell::OnceCell::new();
-        assert_eq!(reads(&|| drop(r.set(reader(&cache)))), 1, "one tail read");
+        let n = reads(&env, || {
+            drop(r.set(RTableReader::open(file, 7, Some(cache.clone())).unwrap()))
+        });
+        assert_eq!(n, 1, "one tail read");
         let r = r.get().unwrap();
-        assert_eq!(r.pinned_partitions(), offsets(&covered));
-        assert_eq!(cache.usage(), 0);
+        assert_eq!(r.pinned_partitions(), offsets(true));
         let walked = std::cell::OnceCell::new();
-        let n = reads(&|| drop(walked.set(r.read_index().unwrap())));
-        assert_eq!(n, outside.len() as u64);
+        let n = reads(&env, || drop(walked.set(r.read_index().unwrap())));
+        assert_eq!(n, offsets(false).len() as u64);
         assert_eq!(walked.get().unwrap(), &index);
-        assert_eq!(cache.usage(), bytes(&outside));
         assert_eq!(
-            reads(&|| drop(r.read_index().unwrap())),
-            0,
-            "pinned or cached"
+            r.pinned_partitions(),
+            r.partitions().iter().map(|h| h.offset).collect::<Vec<_>>()
         );
+        assert_eq!(reads(&env, || drop(r.read_index().unwrap())), 0);
+        assert_eq!(
+            (cache.len(), cache.usage()),
+            (0, 0),
+            "no partition is cached"
+        );
+    }
 
-        let last = *covered.last().unwrap();
-        env.corrupt_byte("v.vsst", last.offset + 1).unwrap();
-        let fresh = Arc::new(BlockCache::with_capacity(1 << 20));
-        let r = reader(&fresh);
-        let kept = &covered[..covered.len() - 1];
-        assert_eq!(r.pinned_partitions(), offsets(kept));
-        let err = r.read_index().unwrap_err();
-        let at = format!("block checksum mismatch at offset {}", last.offset);
-        assert!(matches!(&err, Error::Corruption(m) if *m == at), "{err}");
+    /// A born reader holds every partition its builder wrote: a lookup of
+    /// every key, a miss and a walk cost no read.
+    #[test]
+    fn a_born_reader_answers_every_lookup_without_a_read() {
+        let env = MemEnv::new();
+        let (built, partitions, _) = multi_partition(&env, "v.vsst");
+        let file = env
+            .open_random_access("v.vsst", IoClass::FgValueRead)
+            .unwrap();
+        let r = RTableReader::from_tail(file, built.born, 7, None).unwrap();
+        let all: Vec<u64> = partitions.iter().map(|h| h.offset).collect();
+        assert_eq!(r.pinned_partitions(), all);
+        let index = open(&env, "v.vsst").read_index().unwrap();
+        let n = reads(&env, || {
+            for (k, h) in &index {
+                assert_eq!(r.find_exact(k).unwrap(), Some(*h));
+            }
+            assert_eq!(r.find_exact(&ikey("user0000505")).unwrap(), None);
+            assert_eq!(r.read_index().unwrap(), index);
+        });
+        assert_eq!(n, 0);
+    }
+
+    /// An opened reader reads each partition outside its tail once, on
+    /// the first lookup that needs it, however often lookups come back to
+    /// it, and the block cache never sees one.
+    #[test]
+    fn an_opened_reader_reads_each_partition_outside_its_tail_once() {
+        let env = MemEnv::new();
+        let (_, _, covered) = multi_partition(&env, "v.vsst");
+        let outside = covered.iter().filter(|&&c| !c).count() as u64;
+        let index = open(&env, "v.vsst").read_index().unwrap();
+        let cache = Arc::new(BlockCache::with_capacity(1 << 20));
+        let file = env
+            .open_random_access("v.vsst", IoClass::FgValueRead)
+            .unwrap();
+        let r = RTableReader::open(file, 7, Some(cache.clone())).unwrap();
+        let lookups = || {
+            for (k, h) in &index {
+                assert_eq!(r.find_exact(k).unwrap(), Some(*h));
+            }
+        };
+        assert_eq!(reads(&env, lookups), outside);
+        for _ in 0..3 {
+            assert_eq!(reads(&env, lookups), 0);
+        }
+        assert_eq!(reads(&env, || drop(r.read_index().unwrap())), 0);
+        assert_eq!(cache.len(), 0);
+    }
+
+    /// A partition that fails its checksum — one the open's tail covered
+    /// or one outside it — is never kept: every lookup that needs it reads
+    /// it again and reports the corruption, and every other key is still
+    /// found.
+    #[test]
+    fn a_partition_that_fails_its_checksum_is_never_kept() {
+        let env = MemEnv::new();
+        let (_, partitions, covered) = multi_partition(&env, "v.vsst");
+        let index = open(&env, "v.vsst").read_index().unwrap();
+        let in_tail = covered.iter().position(|&c| c).unwrap();
+        let outside = covered.iter().position(|&c| !c).unwrap();
+        for bad in [in_tail, outside] {
+            let path = format!("v{bad}.vsst");
+            build(&env, &path, &entries(300, 64));
+            let h = partitions[bad];
+            env.corrupt_byte(&path, h.offset + 1).unwrap();
+            let file = env.open_random_access(&path, IoClass::FgValueRead).unwrap();
+            let r = RTableReader::open(file, 7, None).unwrap();
+            assert!(!r.pinned_partitions().contains(&h.offset));
+            // A record's index entry sits in the first partition after it.
+            let owner = |rec: &BlockHandle| partitions.iter().position(|p| rec.offset < p.offset);
+            let key = &index
+                .iter()
+                .find(|(_, rec)| owner(rec) == Some(bad))
+                .unwrap()
+                .0;
+            let at = format!("block checksum mismatch at offset {}", h.offset);
+            for _ in 0..3 {
+                let mut got = None;
+                assert_eq!(reads(&env, || got = Some(r.find_exact(key))), 1);
+                let err = got.unwrap().unwrap_err();
+                assert!(matches!(&err, Error::Corruption(m) if *m == at), "{err}");
+            }
+            assert!(!r.pinned_partitions().contains(&h.offset));
+            for (k, rec) in &index {
+                if owner(rec) != Some(bad) {
+                    assert_eq!(r.find_exact(k).unwrap(), Some(*rec));
+                }
+            }
+        }
     }
 
     /// The gap / span limits decide what shares an I/O: neighbours merge

@@ -28,20 +28,19 @@ use scavenger_util::{Error, Result};
 /// Finish a table whose data is already in `file`: write `metas` (which
 /// include the encoded `props`, at the position the format keeps them),
 /// the metaindex naming them, the index block and the footer, then sync.
-/// `recent` are blocks the format wrote before its tail that an open's
-/// prefetch may cover (an RTable's last index partitions); the
-/// [`BuiltTable::born`] tail keeps those the prefetch would cover, beside
-/// every block written here.
+/// `kept` are blocks the format wrote before its tail, in file order, that
+/// its reader keeps (an RTable's index partitions); the
+/// [`BuiltTable::born`] tail holds them beside every block written here.
 pub(crate) fn write_tail(
     mut file: Box<dyn WritableFile>,
     metas: Vec<(&str, Vec<u8>)>,
     index_payload: Vec<u8>,
-    recent: Vec<(BlockHandle, Bytes)>,
+    kept: Vec<(BlockHandle, Bytes)>,
     props: TableProps,
     smallest: Option<Vec<u8>>,
     largest: Vec<u8>,
 ) -> Result<BuiltTable> {
-    let mut blocks = Vec::new();
+    let mut blocks = kept;
     let mut handles = Vec::with_capacity(metas.len());
     let mut write = |file: &mut dyn WritableFile, payload: Vec<u8>| {
         let handle = write_block(file, &payload)?;
@@ -56,11 +55,8 @@ pub(crate) fn write_tail(
     let footer = Footer { metaindex, index };
     file.append(&footer.encode())?;
     file.sync()?;
-    let len = file.len();
-    let start = len - len.min(TAIL_PREFETCH as u64);
-    blocks.extend(recent.into_iter().filter(|(h, _)| covers(start, len, *h)));
     Ok(BuiltTable {
-        file_size: len,
+        file_size: file.len(),
         smallest: smallest.unwrap_or_default(),
         largest,
         props,
@@ -76,14 +72,15 @@ pub(crate) fn write_tail(
 /// constant: a larger prefetch buys nothing for the value files and
 /// key SSTs that are opened from disk (a reopened store's, a compaction's
 /// inputs), and the blocks a bigger table keeps outside it are read
-/// exactly, as before. It also bounds what an RTable reader pins: the
-/// index partitions inside these bytes.
+/// exactly, as before. An RTable reader opened from disk keeps the index
+/// partitions inside these bytes from the open and reads each other one
+/// on its first use; a born one holds them all from the start.
 pub const TAIL_PREFETCH: usize = 16 * 1024;
 
 /// What a reader is built from: a table's index block, its properties,
 /// where its other meta blocks are — and the blocks held in memory that
 /// serve them. Every block handed out from an open's prefetch is a copy,
-/// so the prefetch goes away with the `Tail`, and an RTable reader pins
+/// so the prefetch goes away with the `Tail`, and an RTable reader keeps
 /// the index partitions it covers (`Tail::prefetched`) as copies too.
 ///
 /// [`read_tail`] makes one from a file, a builder from the blocks it
@@ -109,9 +106,9 @@ enum Held {
     /// The file's last bytes, `(offset of the first, bytes)`: the one
     /// read of an open.
     Prefetch(u64, Bytes),
-    /// Verified payloads by handle, from the builder that wrote them:
-    /// every tail block, and the earlier blocks an open's prefetch
-    /// would cover.
+    /// Verified payloads by handle, in file order, from the builder that
+    /// wrote them: every tail block, and the earlier blocks its reader
+    /// keeps.
     Built(Vec<(BlockHandle, Bytes)>),
 }
 
@@ -139,9 +136,10 @@ impl Held {
                 })
             }
             Held::Built(blocks) => blocks
-                .iter()
-                .find(|(h, _)| *h == handle)
-                .map(|(_, payload)| Ok(payload.clone())),
+                .binary_search_by_key(&handle.offset, |(h, _)| h.offset)
+                .ok()
+                .filter(|&i| blocks[i].0 == handle)
+                .map(|i| Ok(blocks[i].1.clone())),
         }
     }
 }
@@ -210,7 +208,7 @@ impl Tail {
     }
 
     /// The block at `handle` if the tail holds it, verified: what a
-    /// reader can pin without another read. `None` when the block lies
+    /// reader can keep without another read. `None` when the block lies
     /// outside it.
     pub(crate) fn prefetched(&self, handle: BlockHandle) -> Option<Result<Bytes>> {
         self.held.block(handle)
@@ -490,11 +488,13 @@ mod tests {
     }
 
     /// The reader a builder's born tail makes is the one an open of the
-    /// file makes: same props, same tail bytes asked for, same pinned
-    /// index partitions, the same answer to every lookup and the same
-    /// walk. Building it costs no read, where an open costs one tail read
-    /// — two when the filter outgrows the prefetch (20,000 keys), and
-    /// whether or not the RTable's partitions do (2,000 × 700 bytes).
+    /// file makes: same props, same tail bytes asked for, the same answer
+    /// to every lookup and the same walk. Building it costs no read, where
+    /// an open costs one tail read — two when the filter outgrows the
+    /// prefetch (20,000 keys), and whether or not the RTable's partitions
+    /// do (2,000 × 700 bytes). A born RTable reader holds every index
+    /// partition; an opened one those its tail covers, and reads each
+    /// other one once, on the first lookup that needs it.
     #[test]
     fn a_born_reader_equals_an_opened_one() {
         for (n, vlen) in [(1, 10), (300, 64), (2000, 700), (20_000, 8)] {
@@ -514,15 +514,21 @@ mod tests {
                     assert_eq!(born.props(), &props, "{what}");
                     assert_eq!(opened.props(), &props, "{what}");
                     assert_eq!(born.open_bytes(), opened.open_bytes(), "{what}");
-                    // 20,000 keys' filter pushes every partition out of
-                    // the tail; otherwise the last one rides in it.
-                    let pinned = born.pinned_partitions();
-                    assert_eq!(pinned.is_empty(), n == 20_000, "{what}");
-                    assert_eq!(pinned, opened.pinned_partitions(), "{what}");
-                    if (n, vlen) == (2000, 700) {
-                        let all = born.partitions().unwrap().len();
-                        assert!(pinned.len() < all, "{what}: partitions outgrow the tail");
-                    }
+                    let all: Vec<u64> = born.partitions().iter().map(|h| h.offset).collect();
+                    assert_eq!(born.pinned_partitions(), all, "{what}");
+                    // The whole file fits the tail (1 × 10), all but its
+                    // first partition (300 × 64), its last one only
+                    // (2,000 × 700), or none: 20,000 keys' filter pushes
+                    // every partition out.
+                    let covered = opened.pinned_partitions();
+                    let want = match n {
+                        1 => &all[..],
+                        300 => &all[1..],
+                        2000 => &all[all.len() - 1..],
+                        _ => &all[..0],
+                    };
+                    assert_eq!(covered, want, "{what}");
+                    let before = env.io_stats().snapshot();
                     for &i in &probes {
                         let key = ikey(i);
                         assert_eq!(
@@ -530,6 +536,9 @@ mod tests {
                             opened.find_exact(&key).unwrap()
                         );
                     }
+                    let reads = env.io_stats().snapshot().delta(&before).total_read_ops();
+                    assert_eq!(reads, (all.len() - covered.len()) as u64, "{what}");
+                    assert_eq!(opened.pinned_partitions(), all, "{what}");
                     let index = born.read_index().unwrap();
                     assert_eq!(index, opened.read_index().unwrap(), "{what}");
                     assert_eq!(index.len(), n);

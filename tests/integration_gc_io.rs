@@ -8,7 +8,7 @@
 //! jobs fan out over the pool, the I/O they issue must not depend on it.
 
 use scavenger::gc::GC_THRESHOLD;
-use scavenger::vstore::vtable::{vfile_path, VReader};
+use scavenger::vstore::vtable::{parse_record_key, vfile_path, VReader};
 use scavenger::vstore::GC_COALESCE;
 use scavenger::{Db, EngineMode, Env, Error, GcOutcome, IoClass, MemEnv, Options, VFormat};
 use scavenger_env::io_stats::ClassSnapshot;
@@ -98,15 +98,16 @@ fn dense_index(env: &EnvRef, file: u64) -> (Vec<(Vec<u8>, BlockHandle)>, u64, u6
     let d = env.io_stats().snapshot().delta(&before);
     let c = d.class(IoClass::FgValueRead);
     assert_eq!(c.read_ops, partitions_outside_prefetch(env, file));
-    assert!(c.read_bytes <= r.index_bytes().unwrap());
+    assert!(c.read_bytes <= r.index_bytes());
     assert!(r.open_bytes() > 48 && r.open_bytes() < TAIL_PREFETCH as u64);
-    let partitions = r.partitions().unwrap().len() as u64;
+    let partitions = r.partitions().len() as u64;
     (index, partitions, reader.lazy_index_bytes().unwrap())
 }
 
 /// How many index partitions of RTable `file` lie outside the last
-/// [`TAIL_PREFETCH`] bytes — the ones Lazy Read still reads on its own:
-/// the file's reader, born with it or opened, pins the rest.
+/// [`TAIL_PREFETCH`] bytes — the ones a reader opened from disk reads on
+/// their first use: it holds the rest from its tail read, and a reader
+/// born with the file holds them all.
 fn partitions_outside_prefetch(env: &EnvRef, file: u64) -> u64 {
     let prefetch_start = env
         .file_size(&vfile_path("db", file, VFormat::RTable))
@@ -125,7 +126,7 @@ fn partitions_outside_prefetch(env: &EnvRef, file: u64) -> u64 {
     let VReader::R(r) = &reader else {
         panic!("file {file} is not an RTable")
     };
-    let partitions = r.partitions().unwrap();
+    let partitions = r.partitions();
     assert!(!partitions.is_empty());
     partitions
         .iter()
@@ -134,9 +135,10 @@ fn partitions_outside_prefetch(env: &EnvRef, file: u64) -> u64 {
 }
 
 /// A 2 MiB file with every other record live: each mode reads it in
-/// device-sized ops — the index partitions outside the tail (Lazy Read,
-/// whose reader was born with the file: no tail read) or 1 tail read (a
-/// whole-file walk opens its own), and one read per 256 KiB of file.
+/// device-sized ops — no index partition and no tail read (Lazy Read,
+/// whose reader was born with the file and holds its whole index) or 1
+/// tail read (a whole-file walk opens its own), and one read per 256 KiB
+/// of file.
 #[test]
 fn half_live_file_is_read_in_spans_in_every_mode() {
     const N: usize = 128;
@@ -151,12 +153,12 @@ fn half_live_file_is_read_in_spans_in_every_mode() {
             let meta = db.shard(0).value_store().meta(file).unwrap();
             assert!(meta.size > 2_000_000 && meta.size < (2 << 20) + 65_536);
             let spans = meta.size.div_ceil(GC_COALESCE.max_span);
-            let (tail, partitions, index_bytes) = match mode {
+            let (tail, index_bytes) = match mode {
                 EngineMode::Scavenger => {
-                    let (_, _, asked) = dense_index(&eref, file);
-                    (0, partitions_outside_prefetch(&eref, file), asked)
+                    assert!(partitions_outside_prefetch(&eref, file) > 0);
+                    (0, dense_index(&eref, file).2)
                 }
-                _ => (1, 0, 0),
+                _ => (1, 0),
             };
 
             let before = db.shard(0).value_store().live_file_numbers();
@@ -164,8 +166,8 @@ fn half_live_file_is_read_in_spans_in_every_mode() {
             assert_eq!(outcome.files_collected, 1, "{mode:?}");
             assert_eq!(outcome.records_rewritten, (N / 2) as u64, "{mode:?}");
             assert!(
-                io.read_ops <= tail + partitions + spans,
-                "{mode:?}/{threads}: {} GcRead ops for {tail} tail + {partitions} partitions + {spans} spans",
+                io.read_ops <= tail + spans,
+                "{mode:?}/{threads}: {} GcRead ops for {tail} tail + {spans} spans",
                 io.read_ops
             );
             // What the job reports is what it needed, not what the
@@ -313,12 +315,13 @@ fn kf_blocks(env: &EnvRef, number: u64) -> u64 {
 
 /// The first GC read of files this store wrote opens none of them: the
 /// key SSTs a flush or a compaction wrote, which GC-Lookup sweeps, cost
-/// no tail read, and the value file's Lazy Read costs exactly its index
-/// partitions outside the tail plus its fetch spans. After a reopen the
-/// same reads open every file from disk: one tail read per key SST the
-/// sweep meets and each of its KF blocks, which a DTable this store
+/// no tail read, and the value file's Lazy Read costs exactly its fetch
+/// spans — its born reader holds every index partition. After a reopen
+/// the same reads open every file from disk: one tail read per key SST
+/// the sweep meets and each of its KF blocks, which a DTable this store
 /// wrote was born with in the cache (`FgIndexRead`), and one tail read
-/// for the value file (`GcRead`).
+/// for the value file plus each index partition outside that tail
+/// (`GcRead`).
 #[test]
 fn the_first_gc_of_files_this_store_wrote_reads_no_tail() {
     for threads in [1, 4] {
@@ -333,7 +336,7 @@ fn the_first_gc_of_files_this_store_wrote_reads_no_tail() {
             assert!(kssts > 0 && kssts == cold_kssts, "{what}");
             assert!(kf > 0 && kf == cold_kf, "{what}");
             let spans = u64::from(!dry);
-            assert_eq!(gc.read_ops, outside + spans, "{what}");
+            assert_eq!(gc.read_ops, spans, "{what}");
             assert_eq!(cold_gc.read_ops, 1 + outside + spans, "{what}");
             assert_eq!(cold_fg.read_ops, fg.read_ops + kssts + kf, "{what}");
         }
@@ -415,6 +418,103 @@ fn index_inside_the_tail_prefetch_costs_no_partition_read() {
             assert_eq!((fg.read_ops, gc.read_ops), (record, 0));
             check_values(&db, N, dead);
         }
+    }
+}
+
+/// After GC, with a block cache too small to keep a record, every `get`
+/// is cold and costs its record alone: one `FgValueRead` for a reference
+/// to a live file, read at the offset the reference names, and one
+/// through the inheritance forest to the file GC wrote, whose born
+/// reader holds every index partition. After a reopen a file's first
+/// `get` also pays its tail read, and the first that needs an index
+/// partition outside that tail pays the partition, once.
+#[test]
+fn a_cold_get_reads_its_record_and_nothing_else() {
+    const N: usize = 400;
+    let dead = |i: usize| i % 2 == 1;
+    for threads in [1, 4] {
+        let env = MemEnv::shared();
+        let eref: EnvRef = env.clone();
+        let mut o = opts(eref.clone(), EngineMode::Scavenger, threads);
+        o.block_cache_bytes = 4 << 10;
+        let mut db = Db::open(o.clone()).unwrap();
+        let collected = load(&db, N, dead);
+        let live = db.shard(0).value_store().live_file_numbers();
+        let (outcome, _) = gc_job(&db, &env);
+        assert_eq!(outcome.files_collected, 1);
+        assert_eq!(outcome.records_rewritten, (N / 2) as u64);
+        let files = db.shard(0).value_store().live_file_numbers();
+        assert!(!files.contains(&collected));
+        let heir: Vec<u64> = files.into_iter().filter(|f| !live.contains(f)).collect();
+        let [heir] = heir[..] else {
+            panic!("one file holds the survivors: {heir:?}")
+        };
+
+        // The index partition of the heir each survivor's entry sits in,
+        // and whether an open's tail read covers it.
+        let size = env
+            .file_size(&vfile_path("db", heir, VFormat::RTable))
+            .unwrap();
+        let (index, _, _) = dense_index(&eref, heir);
+        let reader = VReader::open(
+            &eref,
+            "db",
+            heir,
+            VFormat::RTable,
+            None,
+            None,
+            IoClass::Other,
+        );
+        let VReader::R(r) = reader.unwrap() else {
+            panic!("file {heir} is not an RTable")
+        };
+        let partitions = r.partitions();
+        let outside: Vec<bool> = partitions
+            .iter()
+            .map(|p| p.offset + (TAIL_PREFETCH as u64) < size)
+            .collect();
+        assert!(outside.contains(&true) && outside.contains(&false));
+        let mut partition_of = vec![None; N];
+        for (ikey, h) in &index {
+            let (ukey, _) = parse_record_key(ikey).unwrap();
+            let i: usize = std::str::from_utf8(&ukey[3..]).unwrap().parse().unwrap();
+            partition_of[i] = partitions.iter().position(|p| h.offset < p.offset);
+        }
+        assert!((0..N).all(|i| partition_of[i].is_some() != dead(i)));
+
+        let get = |db: &Db, i: usize, reads: u64, what: &str| {
+            let before = env.io_stats().snapshot();
+            let stamp = if dead(i) { 2 } else { 1 };
+            assert_eq!(db.get(key(i)).unwrap().unwrap(), value(i, stamp));
+            let d = env.io_stats().snapshot().delta(&before);
+            let fg = d.class(IoClass::FgValueRead).read_ops;
+            assert_eq!(fg, reads, "{threads} threads, {what}: key {i}");
+        };
+        for round in 0..2 {
+            for i in 0..N {
+                let what = if dead(i) { "live file" } else { "forest" };
+                get(&db, i, 1, &format!("{what}, round {round}"));
+            }
+        }
+
+        drop(db);
+        db = Db::open(o.clone()).unwrap();
+        let (mut opened_live, mut opened_heir) = (false, false);
+        let mut held = vec![false; partitions.len()];
+        for round in 0..2 {
+            for (i, partition) in partition_of.iter().enumerate() {
+                let mut reads = 1;
+                match *partition {
+                    None => reads += u64::from(!std::mem::replace(&mut opened_live, true)),
+                    Some(p) => {
+                        reads += u64::from(!std::mem::replace(&mut opened_heir, true));
+                        reads += u64::from(outside[p] && !std::mem::replace(&mut held[p], true));
+                    }
+                }
+                get(&db, i, reads, &format!("reopened, round {round}"));
+            }
+        }
+        assert!(held.iter().zip(&outside).all(|(h, o)| h == o));
     }
 }
 

@@ -317,7 +317,7 @@ fn blobdb_relocation_does_not_copy_a_corrupt_record() {
         if n == file {
             continue;
         }
-        let recs = VReader::scan_file(&eref, "vc", n, VFormat::BlobLog, None, IoClass::GcRead);
+        let recs = VReader::scan_file(&eref, "vc", n, VFormat::BlobLog, IoClass::GcRead);
         for rec in recs.unwrap() {
             let (ukey, _) = parse_record_key(&rec.ikey).unwrap();
             assert_ne!(
