@@ -416,7 +416,7 @@ impl VReader {
         };
         Ok(match format {
             VFormat::RTable => VReader::R(RTableReader::from_tail(f, tail, cache_id, cache)?),
-            _ => VReader::B(KTable::from_tail(f, tail, cache_id, cache)?),
+            _ => VReader::B(KTable::from_tail(f, tail, cache_id, cache)?.holding_values()),
         })
     }
 
@@ -452,7 +452,7 @@ impl VReader {
     pub fn locate(&self, ikey: &[u8]) -> Result<Option<ValueAt>> {
         match self {
             VReader::R(r) => Ok(r.find_exact(ikey)?.map(ValueAt::Record)),
-            VReader::B(r) => Ok(match r.get_cached_at(ikey, CachePriority::Bottom)? {
+            VReader::B(r) => Ok(match r.get(ikey)? {
                 Some(e) if e.key() == ikey => Some(ValueAt::Cached(e.value())),
                 _ => None,
             }),

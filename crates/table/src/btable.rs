@@ -203,28 +203,30 @@ impl BlockFetcher {
 }
 
 /// One stream of an open table: its index block and bloom filter, pinned
-/// for the life of the reader, and the [`BlockKind`] its data blocks are
-/// cached under.
+/// for the life of the reader, and the [`BlockKind`] and tier its data
+/// blocks are cached under — `High` for a DTable's KF stream, `Low` for
+/// a key SST's data blocks (a BTable's one stream, a DTable's KV stream),
+/// `Bottom` for a value BTable's.
 pub(crate) struct TwoLevel {
     pub(crate) index: Block,
     filter: Option<Bytes>,
     kind: BlockKind,
+    pri: CachePriority,
 }
 
 impl TwoLevel {
     /// Point search: the first entry `>= target`, in the data block the
     /// index points it to (or a later one, when that block holds nothing
-    /// `>= target`), with missed blocks cached at `pri`. `None` without a
-    /// read when the bloom filter rules out `target`'s user key, whose
-    /// [`bloom_hash`](crate::filter::bloom_hash) is `ukey_hash`. A
-    /// malformed index or data block is [`Error::Corruption`], never "not
-    /// found".
+    /// `>= target`), with missed blocks cached at the stream's tier.
+    /// `None` without a read when the bloom filter rules out `target`'s
+    /// user key, whose [`bloom_hash`](crate::filter::bloom_hash) is
+    /// `ukey_hash`. A malformed index or data block is
+    /// [`Error::Corruption`], never "not found".
     pub(crate) fn get(
         &self,
         fetcher: &BlockFetcher,
         target: &[u8],
         ukey_hash: u32,
-        pri: CachePriority,
     ) -> Result<Option<BlockEntry>> {
         if let Some(f) = &self.filter {
             if !BloomReader::new(f).may_contain_hash(ukey_hash) {
@@ -235,7 +237,7 @@ impl TwoLevel {
         index_iter.seek(target);
         while index_iter.valid() {
             let handle = BlockHandle::decode_exact(&index_iter.value())?;
-            let mut it = fetcher.fetch(handle, self.kind, pri)?.iter();
+            let mut it = fetcher.fetch(handle, self.kind, self.pri)?.iter();
             it.seek(target);
             it.status()?;
             if it.valid() {
@@ -247,13 +249,14 @@ impl TwoLevel {
         Ok(None)
     }
 
-    /// Walk the stream in key order with blocks cached at `pri`. The
-    /// iterator owns its fetcher, so it outlives the reader borrow.
-    pub(crate) fn iter(&self, fetcher: &BlockFetcher, pri: CachePriority) -> TwoLevelIter {
+    /// Walk the stream in key order with blocks cached at the stream's
+    /// tier. The iterator owns its fetcher, so it outlives the reader
+    /// borrow.
+    pub(crate) fn iter(&self, fetcher: &BlockFetcher) -> TwoLevelIter {
         TwoLevelIter {
             fetcher: fetcher.clone(),
             kind: self.kind,
-            pri,
+            pri: self.pri,
             index_iter: self.index.iter(),
             data_iter: None,
             error: None,
@@ -528,6 +531,7 @@ impl KTable {
                     index: Block::new(kf_index)?,
                     filter: tail.meta_block(f, meta_keys::FILTER_KF)?,
                     kind: BlockKind::KeyFile,
+                    pri: CachePriority::High,
                 };
                 (kv_filter, Some(kf))
             }
@@ -542,6 +546,7 @@ impl KTable {
                 index: tail.index,
                 filter,
                 kind: BlockKind::Data,
+                pri: CachePriority::Low,
             },
             kf,
             props: tail.props,
@@ -551,6 +556,14 @@ impl KTable {
                 file_number,
             },
         })
+    }
+
+    /// This table as a value file (a value BTable): its one stream holds
+    /// separated values, so its blocks enter the cache at
+    /// [`CachePriority::Bottom`], below every key SST's.
+    pub fn holding_values(mut self) -> KTable {
+        self.main.pri = CachePriority::Bottom;
+        self
     }
 
     /// Table properties.
@@ -565,19 +578,12 @@ impl KTable {
     /// candidate, so a key that alternates between inline and separated
     /// values is still found exactly.
     pub fn get(&self, target: &[u8]) -> Result<Option<BlockEntry>> {
-        self.get_cached_at(target, CachePriority::Low)
-    }
-
-    /// [`get`](Self::get) with missed data blocks cached at `pri` (a value
-    /// BTable's at [`CachePriority::Bottom`]); a DTable's KF blocks always
-    /// go in at high priority.
-    pub fn get_cached_at(&self, target: &[u8], pri: CachePriority) -> Result<Option<BlockEntry>> {
         let ukey_hash = bloom_hash(extract_user_key(target));
         let kf = match &self.kf {
-            Some(kf) => kf.get(&self.fetcher, target, ukey_hash, CachePriority::High)?,
+            Some(kf) => kf.get(&self.fetcher, target, ukey_hash)?,
             None => None,
         };
-        let main = self.main.get(&self.fetcher, target, ukey_hash, pri)?;
+        let main = self.main.get(&self.fetcher, target, ukey_hash)?;
         Ok(match (kf, main) {
             (Some(a), Some(b)) if cmp_internal(a.key(), b.key()) == Ordering::Greater => Some(b),
             (a, b) => a.or(b),
@@ -594,20 +600,16 @@ impl KTable {
             return Ok(None);
         }
         let ukey_hash = bloom_hash(extract_user_key(target));
-        self.main
-            .get(&self.fetcher, target, ukey_hash, CachePriority::Low)
+        self.main.get(&self.fetcher, target, ukey_hash)
     }
 
     /// Iterate all entries in internal-key order: a DTable's two streams
     /// merged. The iterator owns its fetcher and file, so it outlives the
     /// reader.
     pub fn iter(&self) -> Box<dyn InternalIterator> {
-        let main = self.main.iter(&self.fetcher, CachePriority::Low);
+        let main = self.main.iter(&self.fetcher);
         match &self.kf {
-            Some(kf) => Box::new(DTableIter::new(
-                kf.iter(&self.fetcher, CachePriority::High),
-                main,
-            )),
+            Some(kf) => Box::new(DTableIter::new(kf.iter(&self.fetcher), main)),
             None => Box::new(main),
         }
     }
@@ -618,8 +620,8 @@ impl KTable {
     /// and [`get_inline`](Self::get_inline) has nothing left to add.
     pub fn index_iter(&self) -> Box<dyn InternalIterator> {
         match &self.kf {
-            Some(kf) => Box::new(kf.iter(&self.fetcher, CachePriority::High)),
-            None => Box::new(self.main.iter(&self.fetcher, CachePriority::Low)),
+            Some(kf) => Box::new(kf.iter(&self.fetcher)),
+            None => Box::new(self.main.iter(&self.fetcher)),
         }
     }
 }
@@ -883,6 +885,7 @@ mod tests {
             index: Block::new(Bytes::from(index.finish())).unwrap(),
             filter: None,
             kind: BlockKind::Data,
+            pri: CachePriority::Low,
         };
         let fetcher = BlockFetcher {
             file: env
@@ -894,13 +897,13 @@ mod tests {
         let corrupt = |got: Result<()>| matches!(got, Err(Error::Corruption(_)));
         let get = |key: &str| {
             let hash = bloom_hash(key.as_bytes());
-            stream.get(&fetcher, &ikey(key), hash, CachePriority::Low)
+            stream.get(&fetcher, &ikey(key), hash)
         };
 
         assert!(corrupt(get("k10").map(|_| ())));
         assert_eq!(get("k02").unwrap().unwrap().key(), ikey("k02"));
 
-        let mut it = stream.iter(&fetcher, CachePriority::Low);
+        let mut it = stream.iter(&fetcher);
         it.seek(&ikey("k10"));
         assert!(!it.valid());
         assert!(corrupt(it.status()));

@@ -6,20 +6,23 @@
 //! the low list when it exceeds its share of capacity.
 //!
 //! Scavenger leans on the priority split (paper §III-B2): DTable KF blocks
-//! are inserted high-priority so GC-Lookups stay cache-resident while
-//! key-SST data blocks churn through the low-priority pool. They are the
-//! only `High` entries. An RTable's index partitions never enter the
-//! cache: its reader holds every one for its lifetime
-//! (`RTableReader::from_tail`), as a key SST's reader holds its index and
-//! filter, so neither Lazy Read nor a point read waits on the cache for
-//! them.
+//! are inserted high-priority so GC-Lookups and point reads find the
+//! index in the cache, while key-SST data blocks (a BTable's, a DTable's
+//! KV stream of inline values) churn through the low-priority pool. They
+//! are the only `High` entries. An RTable's index
+//! partitions never enter the cache: its reader holds every one for its
+//! lifetime (`RTableReader::from_tail`), as a key SST's reader holds its
+//! index and filter, so neither Lazy Read nor a point read waits on the
+//! cache for them.
 //!
 //! Separated values sit one tier lower still, at [`CachePriority::Bottom`]:
 //! a point read's value record (or value-file BTable block) enters at the
 //! low list's LRU end, is promoted like any entry on a hit, and is never
 //! admitted at the cost of a high-priority entry. Values fill a cache that
 //! has room; in a full one a new value mostly evicts the last one that
-//! was never hit again. Scans and GC read values around the cache.
+//! was never hit again. Scans and GC read values around the cache. A
+//! table stream's tier is fixed when the table is opened
+//! (`btable::TwoLevel`), not chosen per read.
 //!
 //! A new DTable's KF blocks are born in the cache at `Bottom` too: its
 //! writer kept them, and the table cache inserts them once the job's edit
@@ -35,6 +38,13 @@
 //! entries by file id, so an erase costs that file's entries. A read
 //! already in flight may re-insert a block of a file just erased; that
 //! entry ages out as any other does.
+//!
+//! A cache is split into shards, each its own LRU lists under its own
+//! mutex, by RocksDB's `GetDefaultCacheShardBits` rule ([`shard_count`]):
+//! a power of two, none smaller than [`MIN_SHARD_BYTES`], at most
+//! [`MAX_SHARDS`]. A small cache is one shard, so its whole capacity
+//! serves whichever blocks are hot; sliced finer, a hot shard evicts
+//! while the rest of the cache stands empty.
 //!
 //! A store reads through the cache as a [`StoreCache`], which names its
 //! files' blocks under the store's namespace, and keeps its open readers
@@ -55,12 +65,15 @@ use std::sync::Arc;
 pub enum CachePriority {
     /// Evicted last (DTable KF blocks).
     High,
-    /// Evicted first (key-SST data blocks).
+    /// Evicted before `High` (key-SST data blocks: a BTable's, and a
+    /// DTable's KV stream of inline values).
     Low,
-    /// Below `Low` (separated values): inserted at the low list's LRU end,
-    /// so it is the next victim unless a hit promotes it to the low list's
-    /// MRU end first; not admitted if it could only fit by evicting a
-    /// `High` entry (an oversized one is simply not cached).
+    /// Below `Low` (separated values — value records, value-file BTable
+    /// blocks — and the KF blocks a new DTable is born with): inserted at
+    /// the low list's LRU end, so it is the next victim unless a hit
+    /// promotes it to the low list's MRU end first; not admitted if it
+    /// could only fit by evicting a `High` entry (an oversized one is
+    /// simply not cached).
     Bottom,
 }
 
@@ -154,9 +167,30 @@ impl StoreCache {
     }
 }
 
-/// Reader-map shards: as many as the block cache has (16), so parallel
-/// lookups — GC validation workers above all — rarely share a mutex.
-const READER_SHARDS: usize = 16;
+/// Reader-map shards: as many as the largest block cache has
+/// ([`MAX_SHARDS`]), so parallel lookups — GC validation workers above
+/// all — rarely share a mutex.
+const READER_SHARDS: usize = MAX_SHARDS;
+
+/// No block-cache shard is smaller than this (RocksDB's
+/// `GetDefaultCacheShardBits` minimum): a cache below twice this size is
+/// one shard.
+pub const MIN_SHARD_BYTES: usize = 512 << 10;
+
+/// Most shards a block cache has: a cache of `MAX_SHARDS *
+/// MIN_SHARD_BYTES` (8 MiB) or more has exactly this many.
+pub const MAX_SHARDS: usize = 16;
+
+/// Shards of a `capacity`-byte cache ([`LruCache::with_capacity`]): the
+/// largest power of two up to [`MAX_SHARDS`] that leaves every shard at
+/// least [`MIN_SHARD_BYTES`], or 1.
+pub fn shard_count(capacity: usize) -> usize {
+    let mut shards = 1;
+    while shards < MAX_SHARDS && capacity / (shards * 2) >= MIN_SHARD_BYTES {
+        shards *= 2;
+    }
+    shards
+}
 
 /// A store's open readers of one kind — key SSTs or value files — keyed
 /// by file number. A reader enters on a file's first lookup, opened
@@ -524,15 +558,21 @@ impl<V: Clone> LruCache<V> {
         }
     }
 
-    /// Create with RocksDB-ish defaults: 16 shards, 50% high-pri pool.
+    /// Create with RocksDB's defaults: [`shard_count`]`(capacity)` shards
+    /// (one for a cache under 1 MiB, [`MAX_SHARDS`] from 8 MiB up), 50 %
+    /// high-pri pool.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::new(capacity, 16, 0.5)
+        Self::new(capacity, shard_count(capacity), 0.5)
     }
 
     /// The shard holding `key`. The mapping decides which entries share
     /// an LRU list, so it is part of every eviction (and hence every I/O
-    /// count): keep it bit-for-bit.
+    /// count): keep it bit-for-bit. A one-shard cache has no choice to
+    /// make and hashes nothing.
     fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard<V>> {
+        if self.shards.len() == 1 {
+            return &self.shards[0];
+        }
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         let i = (h.finish() as usize) % self.shards.len();
@@ -838,6 +878,47 @@ mod tests {
             })
             .count();
         assert!(hits > 50, "expected most recent keys cached, got {hits}");
+    }
+
+    #[test]
+    fn shard_count_follows_capacity() {
+        let shards = |capacity| LruCache::<u64>::with_capacity(capacity).shards.len();
+        let kib = 1 << 10;
+        let mib = 1 << 20;
+        for (capacity, want) in [
+            (0, 1),
+            (256 * kib, 1),
+            (340_000, 1),
+            (mib - 1, 1),
+            (mib, 2),
+            (1_360_000, 2),
+            (2 * mib - 1, 2),
+            (2 * mib, 4),
+            (4 * mib, 8),
+            (8 * mib - 1, 8),
+            (8 * mib, 16),
+            (34_000_000, 16),
+            (1 << 30, 16),
+        ] {
+            assert_eq!(shards(capacity), want, "{capacity} bytes");
+        }
+    }
+
+    /// Ninety 4 KiB blocks fit a 0.4 MB cache, so none is evicted: the
+    /// cache is one shard. Cut into sixteen of five or six blocks each,
+    /// a shard that draws more than its share evicts while the cache
+    /// stands mostly empty.
+    #[test]
+    fn a_small_cache_keeps_every_block_that_fits() {
+        let c = LruCache::<u64>::with_capacity(400_000);
+        let block = |i| CacheKey::new(7, i * 4096, BlockKind::KeyFile);
+        for i in 0..90 {
+            c.insert(block(i), i, 4096, CachePriority::High);
+        }
+        assert_eq!(c.len(), 90);
+        for i in 0..90 {
+            assert_eq!(c.get(&block(i)), Some(i), "block {i}");
+        }
     }
 
     /// A resident entry: its key, value and charge.

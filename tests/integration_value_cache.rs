@@ -9,6 +9,9 @@
 //! * a flipped byte in a stored value is reported as `Corruption` by
 //!   `get`, a repeat `get` and `scan`, never served — and BlobDB's
 //!   relocation does not copy it into a new blob file under a fresh CRC;
+//! * a Scavenger cache whose high pool holds its KF stream keeps that
+//!   stream under inline and separated gets: each costs exactly its KV
+//!   block or its record;
 //! * (ignored, run by the multi-core CI job) gets against a tiny shared
 //!   cache while a threaded GC retires value files return the model's
 //!   bytes and never a dangling reference.
@@ -515,4 +518,90 @@ fn an_aged_store_whose_cache_fits_its_live_data_reads_each_value_once() {
     let first = pass();
     assert!(first > 0);
     assert_eq!(pass(), 0, "the second pass (the first read {first} values)");
+}
+
+/// A Scavenger store on a one-shard cache whose high pool holds its KF
+/// stream, with a few blocks to spare, but not its values: after a warm
+/// pass every separated `get` reads its record and nothing else, and
+/// every inline `get` its KV block and nothing else. The store is
+/// reopened on a fresh cache, so a `get` reads each KF block into the
+/// high pool; inline KV blocks (`Low`) and records (`Bottom`) churn
+/// through the low list and never evict one. Cut into 16 shards, the
+/// same cache gives each a high pool of about one block, and the KF
+/// blocks a shard cannot hold there are evicted by the values. Inline
+/// keys sort before separated ones, so a get's search of the other
+/// stream ends at that stream's index (a bloom false positive included).
+#[test]
+fn a_cache_whose_high_pool_fits_the_kf_stream_keeps_it_under_inline_and_separated_gets() {
+    const PAIRS: usize = 4000;
+    const INLINE_LEN: usize = 400;
+    const SEPARATED_LEN: usize = 1000;
+    let inline = |i: usize| format!("a{i:05}").into_bytes();
+    let separated = |i: usize| format!("b{i:05}").into_bytes();
+    let val = |i: usize, len: usize| {
+        let mut v = vec![(i % 251) as u8; len];
+        v[..8].copy_from_slice(&(i as u64).to_le_bytes());
+        v
+    };
+    let open = |env: EnvRef, cache: usize, threads: usize| {
+        let mut o = Options::new(env, "kf", EngineMode::Scavenger);
+        o.memtable_size = 64 << 20; // flush only when asked
+        o.vsst_target_size = 8 << 20; // one value file per flush
+        o.ksst_target_size = 8 << 20; // and one key SST
+        o.auto_gc = false;
+        o.gc_threads = threads;
+        let blocks = Arc::new(BlockCache::with_capacity(cache));
+        o.block_cache = Some(blocks.clone());
+        (Db::open(o).unwrap(), blocks)
+    };
+    let reads = |db: &Db, f: &dyn Fn()| {
+        let before = db.options().env.io_stats().snapshot();
+        f();
+        let d = db.options().env.io_stats().snapshot().delta(&before);
+        let ops = |class| d.class(class).read_ops;
+        (ops(IoClass::FgIndexRead), ops(IoClass::FgValueRead))
+    };
+    for threads in [1, 4] {
+        let env: EnvRef = MemEnv::shared();
+        // Written through an 8 MiB cache, which the new DTable's KF
+        // stream is born into: its size.
+        let (db, blocks) = open(env.clone(), 8 << 20, threads);
+        for i in 0..PAIRS {
+            db.put(inline(i), val(i, INLINE_LEN)).unwrap();
+            db.put(separated(i), val(i, SEPARATED_LEN)).unwrap();
+        }
+        db.flush().unwrap();
+        let kf_bytes = blocks.usage();
+        assert!(kf_bytes > 10 * 4096, "{kf_bytes} bytes of KF blocks");
+        drop(db);
+
+        // A high pool of the KF stream and two 4 KiB blocks; the values
+        // take ≈ 5.6 MB.
+        let (db, blocks) = open(env, 2 * kf_bytes + (16 << 10), threads);
+        assert_eq!(blocks.usage(), 0, "{threads} threads: a fresh cache");
+        // Warm: the even separated keys, which reach every KF block.
+        for i in (0..PAIRS).step_by(2) {
+            assert_eq!(
+                db.get(separated(i)).unwrap().unwrap(),
+                val(i, SEPARATED_LEN)
+            );
+        }
+        // Interleaved: an odd separated key, never read before, then an
+        // inline key from a KV block never read before (a block holds
+        // about ten values, never twenty).
+        for n in 0..PAIRS / 40 {
+            let i = 40 * n + 1;
+            let got = reads(&db, &|| {
+                let v = db.get(separated(i)).unwrap().unwrap();
+                assert_eq!(v, val(i, SEPARATED_LEN), "separated key {i}");
+            });
+            assert_eq!(got, (0, 1), "{threads} threads, get {n}: separated key {i}");
+            let j = 20 * n;
+            let got = reads(&db, &|| {
+                let v = db.get(inline(j)).unwrap().unwrap();
+                assert_eq!(v, val(j, INLINE_LEN), "inline key {j}");
+            });
+            assert_eq!(got, (1, 0), "{threads} threads, get {n}: inline key {j}");
+        }
+    }
 }
