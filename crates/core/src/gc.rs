@@ -41,9 +41,9 @@
 //!
 //! | phase | Fig. 8 | what happens here |
 //! |---|---|---|
-//! | **Read**   | step ① | value-file keys (Lazy Read: the file's one reader, `ValueStore::reader`, borrowed, which holds the file's whole index — a born reader from the start, an opened one after one tail read and one read of each partition outside that tail on its first use — walked on the caller's thread, so a file this process wrote costs no read) or whole records (each file walked once in 256 KiB spans, the files fanned out across the `gc_threads` pool) are loaded into the pending batch |
+//! | **Read**   | step ① | value-file keys (Lazy Read: the file's one reader, `ValueStore::reader`, borrowed, which holds the file's whole index — a born reader from the start, an opened one after one tail read and one read of each partition outside that tail on its first use — walked on the caller's thread, so a file this process wrote costs no read) or whole records (each file walked once in [`READ_SIZE`](scavenger_env::READ_SIZE) spans, the files fanned out across the `gc_threads` pool) are loaded into the pending batch |
 //! | **GC-Lookup** | step ② | every pending record is validated against the index LSM-tree at each read point |
-//! | **Fetch** | step ③ | surviving values are fetched (lazy), survivors within [`GC_COALESCE`] of each other in one I/O; the per-file reads fan out across the `gc_threads` pool, merged in deterministic file order |
+//! | **Fetch** | step ③ | surviving values are fetched (lazy), survivors within [`READ_SIZE`](scavenger_env::READ_SIZE) of each other in one I/O; the per-file reads fan out across the `gc_threads` pool, merged in deterministic file order |
 //! | **Write** | step ④ | survivors are appended one by one to the job's `RouteWriters` (`vstore::route`), which routes hot/cold, rolls files at the size target and deletes its files if the job fails |
 //! | **Publish** | Titan: Write-Index | keyed schemes: one manifest edit deletes the candidates and records inheritance. Titan: commit the new files, push the new addresses through the write path, retire the candidates (`ValueStore::retire`) behind a read-point barrier |
 //!
@@ -91,7 +91,7 @@ use crate::stats::GcStats;
 use crate::vstore::fetch::{self, Want};
 use crate::vstore::route::{Route, RouteWriters};
 use crate::vstore::vtable::{parse_record_key, VReader, ValueAt};
-use crate::vstore::{ValueStore, VsstMeta, GC_COALESCE};
+use crate::vstore::{ValueStore, VsstMeta};
 use bytes::Bytes;
 use scavenger_env::{reads_charged_to, IoClass};
 use scavenger_lsm::{
@@ -588,9 +588,9 @@ impl GcRunner {
     /// of surviving records: inline values pass through; Lazy-Read
     /// handles go to the value store's shared [`fetch`](fetch::fetch) —
     /// grouped per source file, sorted by offset, survivors within
-    /// [`GC_COALESCE`] of each other sharing one I/O — with the per-file
-    /// jobs fanned out across the `gc_threads` pool and merged back in
-    /// file order.
+    /// [`READ_SIZE`](scavenger_env::READ_SIZE) of each other sharing one
+    /// I/O — with the per-file jobs fanned out across the `gc_threads`
+    /// pool and merged back in file order.
     fn fetch_values(
         &self,
         readers: &HashMap<u64, Arc<VReader>>,
@@ -609,7 +609,7 @@ impl GcRunner {
             })
             .collect();
         let asked: u64 = wants.iter().map(|w| w.at.fetch_len()).sum();
-        let mut fetched = fetch::fetch(&wants, GC_COALESCE, &|n, run| {
+        let mut fetched = fetch::fetch(&wants, &|n, run| {
             let jobs: Vec<usize> = (0..n).collect();
             self.fan_out(&jobs, |&j| reads_charged_to(IoClass::GcRead, || run(j)))
         })?

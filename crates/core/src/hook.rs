@@ -21,7 +21,7 @@ use crate::options::{Features, GcScheme};
 use crate::stats::GcStats;
 use crate::vstore::route::{Route, RouteWriters};
 use crate::vstore::vtable::ValueAt;
-use crate::vstore::{ValueStore, GC_COALESCE};
+use crate::vstore::ValueStore;
 use bytes::Bytes;
 use scavenger_env::{reads_charged_to, IoClass};
 use scavenger_lsm::{
@@ -221,9 +221,7 @@ impl ValueSession for SeparationSession {
                 let at = ValueAt::blob(user_key, &old)?;
                 let ikey = make_internal_key(user_key, seq, ValueType::Value);
                 let old_value = reads_charged_to(IoClass::GcRead, || {
-                    self.vstore
-                        .reader(old.file)?
-                        .fetch(&[(&at, &ikey)], GC_COALESCE)
+                    self.vstore.reader(old.file)?.fetch(&[(&at, &ikey)])
                 })?
                 .swap_remove(0);
                 let read_ns = t0.elapsed().as_nanos() as u64;

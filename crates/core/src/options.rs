@@ -87,11 +87,10 @@ pub enum GcScheme {
 }
 
 /// Individual design features; ablation experiments (paper Fig. 16/17)
-/// toggle these directly. How GC *batches* its reads is not one of them:
-/// every mode fetches survivors under
-/// [`GC_COALESCE`](crate::vstore::GC_COALESCE) and walks whole files in
-/// [`COALESCE_SPAN`](scavenger_table::rtable::COALESCE_SPAN) spans (the
-/// paper's S-RH, §IV-A, for all — an engine-fair device-sized I/O).
+/// toggle these directly. How GC *sizes* its reads is not one of them:
+/// every mode fetches survivors and walks whole files under the one rule
+/// [`READ_SIZE`](scavenger_env::READ_SIZE), set from the device model
+/// (the paper's S-RH, §IV-A, for all — an engine-fair device-sized I/O).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Features {
     /// Separate values ≥ [`SEP_THRESHOLD`](crate::hook::SEP_THRESHOLD)

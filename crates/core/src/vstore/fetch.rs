@@ -8,7 +8,6 @@
 
 use super::vtable::{VReader, ValueAt};
 use bytes::Bytes;
-use scavenger_table::rtable::Coalesce;
 use scavenger_util::Result;
 
 /// One value to fetch: the open reader of the file that holds it, where
@@ -41,14 +40,10 @@ pub(crate) fn inline(
 ///
 /// Wants are grouped per file in ascending file number, each group sorted
 /// by offset (stable), and each group is one job: a single
-/// [`VReader::fetch`] call under `limits`. Job order and every job's read
+/// [`VReader::fetch`] call. Job order and every job's read
 /// sequence are a function of `wants` alone, so the I/O trace does not
 /// depend on how `map_files` schedules them.
-pub(crate) fn fetch(
-    wants: &[Want<'_>],
-    limits: Coalesce,
-    map_files: MapFiles<'_>,
-) -> Result<Vec<Bytes>> {
+pub(crate) fn fetch(wants: &[Want<'_>], map_files: MapFiles<'_>) -> Result<Vec<Bytes>> {
     let mut order: Vec<usize> = (0..wants.len()).collect();
     order.sort_by_key(|&i| (wants[i].file, wants[i].at.offset()));
     let jobs: Vec<&[usize]> = order
@@ -58,7 +53,7 @@ pub(crate) fn fetch(
         let job = jobs[j];
         let pairs: Vec<(&ValueAt, &[u8])> =
             job.iter().map(|&i| (wants[i].at, wants[i].ikey)).collect();
-        wants[job[0]].reader.fetch(&pairs, limits)
+        wants[job[0]].reader.fetch(&pairs)
     };
     let fills = map_files(jobs.len(), &run)?;
     let mut out = vec![Bytes::new(); wants.len()];

@@ -48,7 +48,6 @@ use scavenger_env::{EnvRef, IoClass};
 use scavenger_lsm::{BornTails, Lsm, NewValueFile, ValueEditBundle};
 use scavenger_table::cache::{ReaderMap, StoreCache};
 use scavenger_table::props::TableType;
-use scavenger_table::rtable::{Coalesce, COALESCE_SPAN};
 use scavenger_table::Tail;
 use scavenger_util::hash::IntMap;
 use scavenger_util::ikey::{lookup_key, KeyBuf, SeqNo, ValueRef, ValueType, MAX_SEQNO};
@@ -145,30 +144,6 @@ pub fn new_value_file_record(
         format: format_tag(format),
     }
 }
-
-/// What a foreground scan lets share one value-file I/O: records that
-/// are adjacent or separated by at most a few dead neighbours (GC
-/// rewrites survivors in key order, so a key range's rows sit nearly
-/// side by side in each file). The gap is small on purpose — read bytes
-/// stay flat — where [`GC_COALESCE`] reads through a few dead records.
-pub const SCAN_COALESCE: Coalesce = Coalesce {
-    max_gap: 4 * 1024,
-    max_span: COALESCE_SPAN,
-};
-
-/// What GC step ③ lets share one I/O, in every mode: survivors up to
-/// 64 KiB apart (a few dead records of the 8–16 KiB values separation is
-/// for) ride in one span of at most [`COALESCE_SPAN`]. A longer dead run
-/// ends the span, so a mostly-dead file still costs about its live bytes
-/// — Lazy Read's point (§III-B1) — while a half-live one is read in
-/// device-sized ops instead of one per record. Reading through *any*
-/// gap inside the span (the paper's S-RH, §IV-A) saved 0.045 s of 6.14 s
-/// modelled device time on the `update_gc` benchmark (seed 7) for
-/// 166 MB more read; a constant, not an option.
-pub const GC_COALESCE: Coalesce = Coalesce {
-    max_gap: 64 * 1024,
-    max_span: COALESCE_SPAN,
-};
 
 /// A value reference resolved by [`ValueStore::locate`]: the live file
 /// that holds the value now, the file's reader, and where
@@ -595,9 +570,9 @@ impl ValueStore {
 
     /// **Fetch** a batch of located values, returned in input order:
     /// grouped per file, sorted by offset, neighbours under
-    /// [`SCAN_COALESCE`] read in one I/O, around the block cache — the
-    /// scan iterator's look-ahead. (GC step ③ runs the same grouping and
-    /// coalescing loop over its Lazy-Read handles, under its own limits.)
+    /// [`READ_SIZE`](scavenger_env::READ_SIZE) read in one I/O, around the
+    /// block cache — the scan iterator's look-ahead. (GC step ③ runs the
+    /// same grouping and coalescing loop over its Lazy-Read handles.)
     pub fn fetch(&self, locs: &[ValueLoc]) -> Result<Vec<Bytes>> {
         let wants: Vec<Want<'_>> = locs
             .iter()
@@ -608,7 +583,7 @@ impl ValueStore {
                 ikey: &l.ikey,
             })
             .collect();
-        fetch::fetch(&wants, SCAN_COALESCE, &fetch::inline)
+        fetch::fetch(&wants, &fetch::inline)
     }
 
     /// Resolve and read the value behind a reference — a point read:

@@ -25,15 +25,13 @@
 
 use crate::options::VFormat;
 use bytes::Bytes;
-use scavenger_env::{EnvRef, IoClass, RandomAccessFile, ReadaheadFile, WritableFile};
+use scavenger_env::{EnvRef, IoClass, RandomAccessFile, ReadaheadFile, WritableFile, READ_SIZE};
 use scavenger_lsm::filename::value_file_path;
 use scavenger_table::blockio::BLOCK_TRAILER_LEN;
 use scavenger_table::btable::{cached_read, BlockCache, KTable, KTableBuilder, KTableFormat};
 use scavenger_table::cache::{CacheKey, CachePriority, StoreCache};
 use scavenger_table::handle::BlockHandle;
-use scavenger_table::rtable::{
-    read_coalesced, Coalesce, RTableBuilder, RTableReader, COALESCE_SPAN,
-};
+use scavenger_table::rtable::{read_coalesced, RTableBuilder, RTableReader};
 use scavenger_table::{read_tail, BlockKind, Tail, BLOCK_SIZE};
 use scavenger_util::coding::{get_varint32, put_varint32, varint64_len};
 use scavenger_util::ikey::{extract_user_key, make_internal_key, SeqNo, ValueRef, ValueType};
@@ -425,7 +423,7 @@ impl VReader {
     /// device-sized reads, around the block cache: GC never looks up or
     /// fills cached values. A BTable or blob log is walked once, front to
     /// back, so it is opened behind a [`ReadaheadFile`] (one tail read,
-    /// then [`COALESCE_SPAN`] spans). An RTable's index partitions sit
+    /// then [`READ_SIZE`] spans). An RTable's index partitions sit
     /// *between* its records — walking them first would leave that
     /// forward window at the end of the file — so it takes the dense
     /// index and then every record through [`read_coalesced`], which
@@ -439,7 +437,7 @@ impl VReader {
     ) -> Result<Vec<BlobRecord>> {
         let mut f = env.open_random_access(&vfile_path(dir, file, format), class)?;
         if format != VFormat::RTable {
-            f = Arc::new(ReadaheadFile::open(f, COALESCE_SPAN as usize)?);
+            f = Arc::new(ReadaheadFile::open(f, READ_SIZE.max_span)?);
         }
         Self::from_file(f, file, format, None, None)?.scan_all()
     }
@@ -496,12 +494,12 @@ impl VReader {
     }
 
     /// **Fetch** many located values of this file, returned in input
-    /// order. Neighbouring records that `limits` allows share one I/O
-    /// ([`read_coalesced`]; pass them sorted by [`ValueAt::offset`]);
+    /// order. Neighbouring records that [`READ_SIZE`] allows share one
+    /// I/O ([`read_coalesced`]; pass them sorted by [`ValueAt::offset`]);
     /// every record is still CRC-verified and key-checked on its own.
     /// Nothing here looks up or fills the block cache; BTable values came
     /// through it at locate time and cost nothing here.
-    pub fn fetch(&self, wants: &[(&ValueAt, &[u8])], limits: Coalesce) -> Result<Vec<Bytes>> {
+    pub fn fetch(&self, wants: &[(&ValueAt, &[u8])]) -> Result<Vec<Bytes>> {
         let mismatch = || Error::internal("value location does not match its file format");
         match self {
             VReader::R(r) => {
@@ -512,7 +510,7 @@ impl VReader {
                         _ => Err(mismatch()),
                     })
                     .collect::<Result<Vec<BlockHandle>>>()?;
-                r.read_records(&handles, limits)?
+                r.read_records(&handles, READ_SIZE)?
                     .into_iter()
                     .zip(wants)
                     .map(|(rec, (_, ikey))| record_value(ikey, rec))
@@ -526,7 +524,7 @@ impl VReader {
                         _ => Err(mismatch()),
                     })
                     .collect::<Result<Vec<(u64, u64)>>>()?;
-                read_coalesced(file.as_ref(), &ranges, limits)?
+                read_coalesced(file.as_ref(), &ranges, READ_SIZE)?
                     .iter()
                     .zip(wants)
                     .map(|(rec, (_, ikey))| {
@@ -564,7 +562,7 @@ impl VReader {
             }
             VReader::R(r) => {
                 let (ikeys, handles): (Vec<_>, Vec<_>) = r.read_index()?.into_iter().unzip();
-                let records = r.read_records(&handles, super::GC_COALESCE)?;
+                let records = r.read_records(&handles, READ_SIZE)?;
                 ikeys
                     .into_iter()
                     .zip(records)
@@ -605,7 +603,7 @@ impl VReader {
 /// Read eliminates). Each record is two reads of `file` — its lengths,
 /// then the whole record for the decoder — so the I/O size is the
 /// file's: [`VReader::scan_file`] opens the log behind a
-/// [`ReadaheadFile`], which serves both out of [`COALESCE_SPAN`] spans.
+/// [`ReadaheadFile`], which serves both out of [`READ_SIZE`] spans.
 fn scan_blob_log(file: &dyn RandomAccessFile) -> Result<Vec<BlobRecord>> {
     /// Two max-length varint32s.
     const MAX_HEADER: u64 = 10;
@@ -710,7 +708,7 @@ mod tests {
                 .zip(picks)
                 .map(|(a, &i)| (a, &ikeys[i][..]))
                 .collect();
-            r.fetch(&wants, crate::vstore::GC_COALESCE)
+            r.fetch(&wants)
         };
         let scan = || VReader::scan_file(&eref, "db", 9, format, IoClass::GcRead);
 

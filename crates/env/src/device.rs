@@ -13,8 +13,33 @@
 //! large sequential transfers (flush, compaction, full-file GC reads with
 //! readahead) are dominated by the bandwidth term — exactly the trade-off
 //! the paper's GC analysis (§II-C) revolves around.
+//!
+//! The same two read terms set how large every GC, compaction and scan
+//! read is: [`READ_SIZE`], the one read-size rule.
 
 use crate::io_stats::IoStatsSnapshot;
+
+/// How far apart two wanted byte ranges of a file may sit and still
+/// share one read, and how many bytes one read fetches. Build it with
+/// [`DeviceModel::read_size`]; every engine read follows [`READ_SIZE`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Coalesce {
+    /// Most unwanted bytes a read passes through to reach the next range.
+    pub max_gap: u64,
+    /// Most bytes one read fetches (a single range larger than this is
+    /// still read whole).
+    pub max_span: u64,
+}
+
+/// A span is this many gaps: its one per-op cost is then at most a tenth
+/// of its transfer time.
+const GAPS_PER_SPAN: u64 = 10;
+
+/// The one read-size rule, from [`DeviceModel::nvme`]: a 240,000 B gap
+/// and a 2.4 MB span. GC step ③ in every mode, whole-file GC walks,
+/// BlobDB relocation, foreground scans and compaction inputs all read
+/// this way, so a 2 MiB value file or a key SST is one read.
+pub const READ_SIZE: Coalesce = DeviceModel::nvme().read_size();
 
 /// Cost parameters for a storage device.
 #[derive(Debug, Clone, Copy)]
@@ -33,12 +58,24 @@ impl DeviceModel {
     /// A datacenter NVMe SSD roughly calibrated to the paper's testbed
     /// (KIOXIA 500 GB NVMe): ~3 GB/s reads, ~2 GB/s writes, ~80 µs random
     /// read, ~20 µs submission overhead per write.
-    pub fn nvme() -> Self {
+    pub const fn nvme() -> Self {
         DeviceModel {
             read_bw: 3.0e9,
             write_bw: 2.0e9,
             read_lat: 80e-6,
             write_lat: 20e-6,
+        }
+    }
+
+    /// The read sizes this device favours. **Gap** = `read_lat ×
+    /// read_bw`: reading through fewer dead bytes than that costs less
+    /// than a second operation. **Span** = ten gaps: one operation adds
+    /// at most 10 % to a full span's transfer time.
+    pub const fn read_size(&self) -> Coalesce {
+        let gap = (self.read_lat * self.read_bw).round() as u64;
+        Coalesce {
+            max_gap: gap,
+            max_span: GAPS_PER_SPAN * gap,
         }
     }
 
@@ -91,6 +128,24 @@ mod tests {
             }
         }
         s.snapshot()
+    }
+
+    /// The rule is the NVMe model's: 80 µs of latency moves 240,000 B at
+    /// 3 GB/s, and a span is ten of those.
+    #[test]
+    fn the_read_size_rule_is_the_nvme_models() {
+        let want = Coalesce {
+            max_gap: 240_000,
+            max_span: 2_400_000,
+        };
+        assert_eq!(READ_SIZE, want);
+        assert_eq!(DeviceModel::nvme().read_size(), want);
+        let m = DeviceModel::nvme();
+        let op = m.read_lat;
+        let gap = READ_SIZE.max_gap as f64 / m.read_bw;
+        assert!((op - gap).abs() < 1e-12, "one op costs one gap's transfer");
+        let span = READ_SIZE.max_span as f64 / m.read_bw;
+        assert!(op <= 0.1 * span + 1e-12);
     }
 
     #[test]

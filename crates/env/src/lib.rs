@@ -14,8 +14,8 @@
 //!   any env: injected errors, torn appends, fsyncgate semantics, and
 //!   power-loss crash simulation for the recovery test harness.
 //! * [`ReadaheadFile`] — a wrapper over one open file, not an env: a
-//!   one-shot forward scan (a compaction input) reads it in device-sized
-//!   spans plus one tail read instead of block by block.
+//!   one-shot forward scan (a compaction input) reads it in
+//!   [`READ_SIZE`] spans plus one tail read instead of block by block.
 //! * [`UsageEnv`] — the one accounting wrapper a store directory gets:
 //!   a live [`SpaceTracker`] size map of the files under its prefix, so
 //!   the §III-D space throttle admits writes with one atomic load and
@@ -42,7 +42,7 @@ use bytes::Bytes;
 use scavenger_util::Result;
 use std::sync::Arc;
 
-pub use device::DeviceModel;
+pub use device::{Coalesce, DeviceModel, READ_SIZE};
 pub use fault::{FaultEnv, FaultKind, FaultOp, FaultRule, Trigger};
 pub use fs::FsEnv;
 pub use io_stats::{reads_charged_to, IoClass, IoStats, IoStatsSnapshot};

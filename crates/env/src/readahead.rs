@@ -50,10 +50,11 @@ pub struct ReadaheadFile {
 
 impl ReadaheadFile {
     /// Wrap `inner`, reading its tail now and the rest on demand in
-    /// forward spans of `span` bytes.
-    pub fn open(inner: Arc<dyn RandomAccessFile>, span: usize) -> Result<ReadaheadFile> {
+    /// forward spans of `span` bytes ([`READ_SIZE`](crate::READ_SIZE)'s
+    /// span outside tests).
+    pub fn open(inner: Arc<dyn RandomAccessFile>, span: u64) -> Result<ReadaheadFile> {
         let len = inner.len();
-        let span = span.max(1) as u64;
+        let span = span.max(1);
         let tail_len = if len <= span {
             len
         } else {
@@ -155,7 +156,7 @@ mod tests {
 
     fn open(env: &dyn Env) -> ReadaheadFile {
         let f = env.open_random_access("f", IoClass::Compaction).unwrap();
-        ReadaheadFile::open(f, SPAN).unwrap()
+        ReadaheadFile::open(f, SPAN as u64).unwrap()
     }
 
     fn reads(env: &MemEnv) -> (u64, u64) {

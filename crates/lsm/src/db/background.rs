@@ -14,20 +14,13 @@ use crate::options::{BackgroundMode, NUM_LEVELS};
 use crate::version::{ManifestLeader, Version, VersionEdit};
 use crate::view::SuperVersion;
 use parking_lot::{Mutex, MutexGuard};
-use scavenger_env::{IoClass, ReadaheadFile};
+use scavenger_env::{IoClass, ReadaheadFile, READ_SIZE};
 use scavenger_table::btable::KTable;
 use scavenger_table::InternalIterator;
 use scavenger_util::ikey::SeqNo;
 use scavenger_util::{Error, Result};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Forward read-ahead span of a compaction input (RocksDB's
-/// `compaction_readahead_size`): large enough that the device model's
-/// per-op cost stops dominating a sequential scan, small next to a
-/// compaction's other buffers. A constant, not an option — nothing
-/// varies it.
-pub(super) const COMPACTION_READAHEAD: usize = 256 * 1024;
 
 #[derive(Default)]
 pub(super) struct BgSignal {
@@ -298,7 +291,8 @@ impl Lsm {
         // foreground I/O accounting stays clean; they open without a
         // block cache, so compaction reads do not pollute it). Each
         // input is walked once, front to back, so it is read in
-        // device-sized ops: one tail read at open, then forward spans.
+        // `READ_SIZE` ops: one tail read at open, then forward spans (an
+        // input no larger than a span is that one read).
         let opts = &self.inner.opts;
         let inputs = || c.inputs_lo.iter().chain(c.inputs_hi.iter());
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
@@ -306,7 +300,7 @@ impl Lsm {
             let file = opts
                 .env
                 .open_random_access(&table_path(&opts.dir, f.file_number), IoClass::Compaction)?;
-            let file = Arc::new(ReadaheadFile::open(file, COMPACTION_READAHEAD)?);
+            let file = Arc::new(ReadaheadFile::open(file, READ_SIZE.max_span)?);
             let t = KTable::open(file, f.file_number, None)?;
             children.push(t.iter());
         }
@@ -387,7 +381,8 @@ impl Lsm {
     }
 
     /// The one commit of an edit that carries a value bundle (a flush's,
-    /// a compaction's, GC's): log `edit`, keep its key SSTs' born readers
+    /// a compaction's, GC's): log `edit`, drop the readers and cached
+    /// blocks of the key SSTs it deletes, keep its key SSTs' born readers
     /// and put their KF blocks in the block cache, hand the hook the
     /// bundle's new files with `value_born`, install
     /// the current version plus `install`, and only then hand the hook the
@@ -416,9 +411,16 @@ impl Lsm {
             )
             .collect();
         let mut rest = edit.value.clone();
+        let dead: Vec<u64> = edit.deleted.iter().map(|&(_, n)| n).collect();
         if let Err(e) = self.inner.manifest.log_and_apply(edit) {
             self.inner.pending_deletions.lock().extend(outputs);
             return Err(e);
+        }
+        // The key SSTs this edit deletes leave the cache before the born
+        // ones enter it, so a cache too small for both keeps the born
+        // blocks; the files themselves wait for the purge.
+        for n in dead {
+            self.inner.tcache.forget(n);
         }
         for table in born {
             self.inner.tcache.adopt(table);

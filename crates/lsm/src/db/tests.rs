@@ -1,13 +1,12 @@
 //! Tests of the engine through its public surface: reads, writes, flush,
 //! compaction and recovery together.
 
-use super::background::COMPACTION_READAHEAD;
 use super::*;
 use crate::batch::{WriteBatch, WriteOptions};
 use crate::filename::{parse_path, table_path, FileKind};
 use crate::iter::BatchSweep;
 use crate::options::{BackgroundMode, KTableFormat};
-use scavenger_env::{Env, EnvRef, IoClass, MemEnv};
+use scavenger_env::{Env, EnvRef, IoClass, MemEnv, READ_SIZE};
 use scavenger_util::ikey::ValueRef;
 use std::collections::HashSet;
 
@@ -1073,14 +1072,14 @@ fn compaction_reads_inputs_in_spans_not_blocks() {
         let env = MemEnv::shared();
         let mut o = LsmOptions::new(env.clone(), "db");
         o.ktable_format = format;
-        o.memtable_size = 4 << 20;
-        o.target_file_size = 4 << 20;
+        o.memtable_size = 16 << 20;
+        o.target_file_size = 16 << 20;
         let db = open(o);
         // One input of several spans, then small ones up to the L0
         // trigger; a third of the entries are references.
         let mut input_bytes = 0;
         let mut max_reads = 0;
-        for (round, keys) in [6000u64, 100, 100, 100].into_iter().enumerate() {
+        for (round, keys) in [40_000u64, 100, 100, 100].into_iter().enumerate() {
             for i in 0..keys {
                 let k = format!("key{i:05}");
                 if i % 3 == 0 {
@@ -1094,13 +1093,13 @@ fn compaction_reads_inputs_in_spans_not_blocks() {
             let d = env.io_stats().snapshot().delta(&before);
             let size = d.class(IoClass::Flush).write_bytes;
             input_bytes += size;
-            max_reads += 1 + size.div_ceil(COMPACTION_READAHEAD as u64);
+            max_reads += 1 + size.div_ceil(READ_SIZE.max_span);
             let compacted = d.class(IoClass::Compaction);
             if round < 3 {
                 assert_eq!(compacted.read_ops, 0, "{format:?}: compacted early");
                 continue;
             }
-            assert!(input_bytes > 2 * COMPACTION_READAHEAD as u64);
+            assert!(input_bytes > 2 * READ_SIZE.max_span);
             assert_eq!(compacted.read_bytes, input_bytes, "{format:?}");
             assert!(
                 compacted.read_ops <= max_reads,
@@ -1108,12 +1107,56 @@ fn compaction_reads_inputs_in_spans_not_blocks() {
                 compacted.read_ops
             );
         }
-        for i in (0..6000).step_by(97) {
+        for i in (0..40_000).step_by(97) {
             let got = db.get(format!("key{i:05}").as_bytes()).unwrap();
             assert!(
                 matches!(got, LsmReadResult::Found { .. }),
                 "{format:?} key {i}"
             );
+        }
+    }
+}
+
+/// A compaction input no larger than `READ_SIZE`'s span is one read —
+/// its tail read is the whole file — in either table format.
+#[test]
+fn a_compaction_input_within_one_span_is_one_read() {
+    for format in [KTableFormat::BTable, KTableFormat::DTable] {
+        let env = MemEnv::shared();
+        let mut o = LsmOptions::new(env.clone(), "db");
+        o.ktable_format = format;
+        o.memtable_size = 4 << 20;
+        o.target_file_size = 4 << 20;
+        let db = open(o);
+        // One input per flush; the fourth reaches the L0 trigger.
+        let mut sizes = Vec::new();
+        for round in 0..4 {
+            for i in 0..3000u64 {
+                let k = format!("key{i:05}");
+                if i % 3 == 0 {
+                    put_ref(&db, &k, i);
+                } else {
+                    put(&db, &k, &format!("{round}-{i}-").repeat(30));
+                }
+            }
+            let before = env.io_stats().snapshot();
+            db.flush().unwrap();
+            let d = env.io_stats().snapshot().delta(&before);
+            sizes.push(d.class(IoClass::Flush).write_bytes);
+            let compacted = d.class(IoClass::Compaction);
+            if round < 3 {
+                assert_eq!(compacted.read_ops, 0, "{format:?}: compacted early");
+            } else {
+                let inputs: u64 = sizes.iter().sum();
+                assert!(sizes
+                    .iter()
+                    .all(|&n| n > 256 << 10 && n <= READ_SIZE.max_span));
+                assert_eq!(
+                    (compacted.read_ops, compacted.read_bytes),
+                    (4, inputs),
+                    "{format:?}: inputs {sizes:?}"
+                );
+            }
         }
     }
 }
@@ -1125,8 +1168,8 @@ fn compaction_reads_inputs_in_spans_not_blocks() {
 fn a_failed_compaction_removes_the_outputs_it_wrote() {
     use scavenger_env::{FaultKind, FaultOp};
     let (fault, mut o) = fault_rig();
-    o.memtable_size = 4 << 20;
-    o.target_file_size = 4 << 20;
+    o.memtable_size = 16 << 20;
+    o.target_file_size = 16 << 20;
     o.bg_retry_limit = 1;
     let env: EnvRef = fault.clone();
     let fill = |db: &Lsm, round: usize, keys: usize| {
@@ -1142,10 +1185,11 @@ fn a_failed_compaction_removes_the_outputs_it_wrote() {
     // One input of several read-ahead spans, written whole.
     let big = {
         let db = open(o.clone());
-        fill(&db, 0, 6000);
+        fill(&db, 0, 24_000);
         let version = db.current_version();
         let files: Vec<_> = version.levels.iter().flatten().collect();
         assert_eq!(files.len(), 1);
+        assert!(files[0].file_size > 2 * READ_SIZE.max_span);
         files[0].file_number
     };
     // Small outputs, so the merge has finished some of them by the time
@@ -1164,7 +1208,7 @@ fn a_failed_compaction_removes_the_outputs_it_wrote() {
         (1, 1)
     );
     assert_disk_holds_the_live_version(&db, &env);
-    assert_eq!(get_str(&db, "key05999"), Some("0-5999-".repeat(30)));
+    assert_eq!(get_str(&db, "key23999"), Some("0-23999-".repeat(30)));
 }
 
 /// A DTable's KF stream fails in a block that holds the tombstones of

@@ -29,7 +29,7 @@ use crate::tail::{read_tail, write_tail, Tail};
 use crate::{BlockKind, BLOOM_BITS_PER_KEY, INDEX_PARTITION_SIZE};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use scavenger_env::{RandomAccessFile, WritableFile};
+use scavenger_env::{Coalesce, RandomAccessFile, WritableFile};
 use scavenger_util::coding::{get_length_prefixed_slice, put_length_prefixed_slice};
 use scavenger_util::ikey::{cmp_internal, extract_user_key};
 use scavenger_util::{Error, Result};
@@ -161,25 +161,10 @@ pub fn decode_record(payload: &Bytes) -> Result<(Bytes, Bytes)> {
     ))
 }
 
-/// How far apart two wanted byte ranges may sit and still share one I/O
-/// in [`read_coalesced`]. The caller states its policy: GC step ③ reads
-/// through a few dead records to reach the next survivor, a foreground
-/// scan merges only neighbours so its read bytes stay flat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Coalesce {
-    /// Most unwanted bytes a span reads through to reach the next range.
-    pub max_gap: u64,
-    /// Most bytes one I/O fetches (a single range larger than this is
-    /// still read whole).
-    pub max_span: u64,
-}
-
-/// Max bytes fetched per coalesced I/O (the paper's S-RH span).
-pub const COALESCE_SPAN: u64 = 256 * 1024;
-
 /// Read the `(offset, len)` byte ranges of `file`, fetching neighbours
 /// that `limits` allows in one I/O — the one coalescing loop behind GC
-/// Lazy-Read fetches, scan look-ahead and blob-log record reads. Returns
+/// Lazy-Read fetches, scan look-ahead and blob-log record reads, all of
+/// which pass [`READ_SIZE`](scavenger_env::READ_SIZE). Returns
 /// one buffer per range, in input order (zero-copy slices of the span
 /// they were read in). Ranges should arrive sorted by offset: one that
 /// starts before the current span simply opens a new span.
@@ -586,7 +571,7 @@ mod tests {
     };
     const ANY_GAP: Coalesce = Coalesce {
         max_gap: u64::MAX,
-        max_span: COALESCE_SPAN,
+        max_span: scavenger_env::READ_SIZE.max_span,
     };
 
     /// The dense index handed to `read_records` yields every record of
@@ -914,7 +899,7 @@ mod tests {
         };
         let near = Coalesce {
             max_gap: 2048,
-            max_span: COALESCE_SPAN,
+            max_span: scavenger_env::READ_SIZE.max_span,
         };
         // 0,1,2 are adjacent; 4 sits one record (~1 KiB) further; 40 is far.
         let (ops, bytes) = read_ops(&[0, 1, 2, 4, 40], near);

@@ -543,10 +543,7 @@ mod tests {
                     assert_eq!(index, opened.read_index().unwrap(), "{what}");
                     assert_eq!(index.len(), n);
                     let handles: Vec<BlockHandle> = index.iter().map(|(_, h)| *h).collect();
-                    let limits = crate::rtable::Coalesce {
-                        max_gap: u64::MAX,
-                        max_span: crate::rtable::COALESCE_SPAN,
-                    };
+                    let limits = scavenger_env::READ_SIZE;
                     assert_eq!(
                         born.read_records(&handles, limits).unwrap(),
                         opened.read_records(&handles, limits).unwrap()

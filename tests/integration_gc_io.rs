@@ -1,6 +1,6 @@
 //! Exact device I/O of a GC job, on `MemEnv`: no tail read for a file
 //! this store wrote (its reader was born with it) and one per file opened
-//! from disk, survivors fetched in spans ([`GC_COALESCE`]) or whole files
+//! from disk, survivors fetched in spans ([`READ_SIZE`]) or whole files
 //! walked in spans (`ReadaheadFile`), Lazy Read still paying only for
 //! what lives — and the faults that can hide inside the bigger reads.
 //!
@@ -9,10 +9,9 @@
 
 use scavenger::gc::GC_THRESHOLD;
 use scavenger::vstore::vtable::{parse_record_key, vfile_path, VReader};
-use scavenger::vstore::GC_COALESCE;
 use scavenger::{Db, EngineMode, Env, Error, GcOutcome, IoClass, MemEnv, Options, VFormat};
 use scavenger_env::io_stats::ClassSnapshot;
-use scavenger_env::{EnvRef, FaultEnv, FaultOp, FaultRule};
+use scavenger_env::{EnvRef, FaultEnv, FaultOp, FaultRule, READ_SIZE};
 use scavenger_table::btable::KTable;
 use scavenger_table::handle::BlockHandle;
 use scavenger_table::TAIL_PREFETCH;
@@ -134,11 +133,11 @@ fn partitions_outside_prefetch(env: &EnvRef, file: u64) -> u64 {
         .count() as u64
 }
 
-/// A 2 MiB file with every other record live: each mode reads it in
-/// device-sized ops — no index partition and no tail read (Lazy Read,
-/// whose reader was born with the file and holds its whole index) or 1
-/// tail read (a whole-file walk opens its own), and one read per 256 KiB
-/// of file.
+/// A 2 MiB file with every other record live is one [`READ_SIZE`] span,
+/// so each mode reads it in exactly one op: Lazy Read's survivors sit a
+/// record apart, well inside the gap, and its reader was born with the
+/// file and holds its whole index; a whole-file walk's one tail read is
+/// the whole file.
 #[test]
 fn half_live_file_is_read_in_spans_in_every_mode() {
     const N: usize = 128;
@@ -152,24 +151,20 @@ fn half_live_file_is_read_in_spans_in_every_mode() {
             let file = load(&db, N, dead);
             let meta = db.shard(0).value_store().meta(file).unwrap();
             assert!(meta.size > 2_000_000 && meta.size < (2 << 20) + 65_536);
-            let spans = meta.size.div_ceil(GC_COALESCE.max_span);
-            let (tail, index_bytes) = match mode {
+            assert!(meta.size <= READ_SIZE.max_span);
+            let index_bytes = match mode {
                 EngineMode::Scavenger => {
                     assert!(partitions_outside_prefetch(&eref, file) > 0);
-                    (0, dense_index(&eref, file).2)
+                    dense_index(&eref, file).2
                 }
-                _ => (1, 0),
+                _ => 0,
             };
 
             let before = db.shard(0).value_store().live_file_numbers();
             let (outcome, io) = gc_job(&db, &env);
             assert_eq!(outcome.files_collected, 1, "{mode:?}");
             assert_eq!(outcome.records_rewritten, (N / 2) as u64, "{mode:?}");
-            assert!(
-                io.read_ops <= tail + spans,
-                "{mode:?}/{threads}: {} GcRead ops for {tail} tail + {spans} spans",
-                io.read_ops
-            );
+            assert_eq!(io.read_ops, 1, "{mode:?}/{threads}: one span");
             // What the job reports is what it needed, not what the
             // device moved: Lazy Read asked for the tail blocks, the
             // index and the live half, a full scan for the file.
@@ -379,9 +374,9 @@ enum FirstReader {
 /// reports the bytes it asked for every way.
 #[test]
 fn index_inside_the_tail_prefetch_costs_no_partition_read() {
-    const N: usize = 20;
-    // Two survivors more than `GC_COALESCE.max_gap` apart: two spans.
-    let dead = |i: usize| i != 2 && i != 15;
+    const N: usize = 40;
+    // Two survivors more than `READ_SIZE.max_gap` apart: two spans.
+    let dead = |i: usize| i != 2 && i != 30;
     for first in [FirstReader::Born, FirstReader::Get, FirstReader::Reopen] {
         for threads in [1, 4] {
             let env = MemEnv::shared();
@@ -391,8 +386,8 @@ fn index_inside_the_tail_prefetch_costs_no_partition_read() {
             let (index, partitions, index_bytes) = dense_index(&eref, file);
             assert!(partitions >= 1);
             assert_eq!(partitions_outside_prefetch(&eref, file), 0);
-            let (a, b) = (index[2].1, index[15].1);
-            assert!(b.offset - (a.offset + a.size + 5) > GC_COALESCE.max_gap);
+            let (a, b) = (index[2].1, index[30].1);
+            assert!(b.offset - (a.offset + a.size + 5) > READ_SIZE.max_gap);
             if first == FirstReader::Reopen {
                 drop(db);
                 db = Db::open(opts(eref.clone(), EngineMode::Scavenger, threads)).unwrap();

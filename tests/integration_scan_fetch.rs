@@ -12,13 +12,14 @@
 //! * (ignored, run by the multi-core CI job) scans racing a threaded GC
 //!   never see a retired file or a dangling reference.
 
+use scavenger::shard::SCAN_BATCH_BYTES;
 use scavenger::vstore::vtable::vfile_path;
-use scavenger::vstore::SCAN_COALESCE;
 use scavenger::{
     Bytes, Db, DbShards, EngineMode, EnvRef, IoClass, MemEnv, Options, ReadView, Result, ScanEntry,
     ShardedOptions,
 };
 use scavenger_env::fault::{FaultEnv, FaultOp, FaultRule};
+use scavenger_env::READ_SIZE;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -178,7 +179,7 @@ fn scan_equals_gets_on_four_shards() {
 /// index partitions cached) so the counted reads are record reads only.
 fn adjacent_store(n: usize, len: usize) -> Db {
     let mut o = small_opts(MemEnv::shared(), "adj", EngineMode::Scavenger);
-    o.memtable_size = 4 << 20;
+    o.memtable_size = 16 << 20;
     o.vsst_target_size = 8 << 20;
     o.block_cache_bytes = 8 << 20;
     let db = Db::open(o).unwrap();
@@ -204,26 +205,30 @@ fn value_reads(db: &Db, f: impl FnOnce()) -> (u64, u64) {
     (c.read_ops, c.read_bytes)
 }
 
+/// Adjacent rows share one read per look-ahead batch: a batch stops
+/// after [`SCAN_BATCH_BYTES`] of separated values, well inside one
+/// [`READ_SIZE`] span, so no span edge splits it.
 #[test]
 fn adjacent_rows_share_reads_up_to_the_span() {
     const K: usize = 200;
-    const LEN: usize = 2000;
+    const LEN: usize = 16_000;
     let db = adjacent_store(K, LEN);
     let file = &db.shard(0).value_store().all_files()[0];
     // Mean on-disk record (key, lengths, value, CRC trailer): the file
     // minus its index and footer is a lower bound, the file an upper one.
     let record = file.size / K as u64;
-    let span = SCAN_COALESCE.max_span;
-    let bound = (K as u64 * record).div_ceil(span);
-    assert_eq!(bound, 2, "test sized for two spans");
+    let batch_rows = SCAN_BATCH_BYTES.div_ceil(LEN as u64);
+    assert!(
+        batch_rows * record < READ_SIZE.max_span,
+        "a batch fits a span"
+    );
+    let batches = (K as u64).div_ceil(batch_rows);
+    assert_eq!(batches, 4, "test sized for four batches");
 
     let (ops, _) = value_reads(&db, || {
         assert_eq!(db.scan(b"", None).unwrap().collect_n(K).unwrap().len(), K);
     });
-    assert!(
-        ops <= bound,
-        "collect_n({K}) took {ops} reads, bound {bound}"
-    );
+    assert_eq!(ops, batches, "collect_n({K}): one read per batch");
 
     // Row-at-a-time consumption climbs the ramp (1, 2, 4 …): a read per
     // batch, still an order of magnitude under a read per row.

@@ -605,3 +605,32 @@ fn a_cache_whose_high_pool_fits_the_kf_stream_keeps_it_under_inline_and_separate
         }
     }
 }
+
+/// A compaction's born KF blocks enter a cache the inputs' blocks have
+/// already left: after one flush into 7 key SSTs and the compaction that
+/// rewrites them into 7, a cache with room for the outputs' KF stream and
+/// 16 KiB more — not for the inputs' too — holds every born block, as an
+/// 8 MiB cache does.
+#[test]
+fn a_compactions_born_kf_blocks_fit_a_cache_sized_for_them() {
+    let resident = |capacity: usize| {
+        let cache = Arc::new(BlockCache::with_capacity(capacity));
+        let mut o = opts(MemEnv::shared(), "kf", EngineMode::Scavenger);
+        o.ksst_target_size = 80 << 10;
+        o.block_cache = Some(cache.clone());
+        let db = Db::open(o).unwrap();
+        for i in 0..8000 {
+            let len = if i % 2 == 0 { 100 } else { 600 };
+            db.put(key(i), vec![i as u8; len]).unwrap();
+        }
+        db.flush().unwrap();
+        let flushed = db.shard(0).lsm().current_version().total_files();
+        db.compact_all().unwrap();
+        let version = db.shard(0).lsm().current_version();
+        (flushed, version.total_files(), cache.usage())
+    };
+    let (flushed, outputs, kf) = resident(8 << 20);
+    assert_eq!((flushed, outputs), (7, 7), "one flush and its compaction");
+    assert!(kf > 16 << 10, "{kf} KF bytes");
+    assert_eq!(resident(kf + (16 << 10)), (7, 7, kf));
+}
