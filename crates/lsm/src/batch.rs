@@ -115,7 +115,9 @@ impl WriteBatch {
         Self::default()
     }
 
-    /// Queue a put of an inline value.
+    /// Queue a put of an inline value. A `Vec` value is adopted, not
+    /// copied, and trimmed to its length, so what the batch holds is what
+    /// [`byte_size`](Self::byte_size) charges the memtable for.
     pub fn put(&mut self, key: impl AsRef<[u8]>, value: impl Into<Bytes>) {
         let key = key.as_ref().to_vec();
         let value = value.into();
@@ -176,7 +178,12 @@ impl WriteBatch {
     /// this before encoding, so the whole group becomes one WAL record.
     pub fn append(&mut self, other: WriteBatch) {
         self.byte_size += other.byte_size;
-        self.entries.extend(other.entries);
+        if self.entries.is_empty() {
+            // A group's first batch lends the group its buffer.
+            self.entries = other.entries;
+        } else {
+            self.entries.extend(other.entries);
+        }
     }
 
     /// Serialize with the given base sequence number.

@@ -166,8 +166,8 @@ impl<L, E, R> GroupCommit<L, E, R> {
             self.wake.wait(&mut q);
         }
         q.leader_active = true;
-        let (entries, slots): (Vec<E>, Vec<Slot<R>>) =
-            std::mem::take(&mut q.waiting).into_iter().unzip();
+        // Drained, not taken: the queue keeps its buffer for the next group.
+        let (entries, slots): (Vec<E>, Vec<Slot<R>>) = q.waiting.drain(..).unzip();
         drop(q);
 
         let step_down = StepDown {

@@ -13,19 +13,24 @@ pub const BLOCK_TRAILER_LEN: usize = 5;
 /// the byte exists so compression can be added without a format break.
 pub const BLOCK_TYPE_RAW: u8 = 0;
 
-/// Append a block (`payload ++ trailer`) to `file` in one write,
-/// returning its handle.
-pub fn write_block(file: &mut dyn WritableFile, payload: &[u8]) -> Result<BlockHandle> {
-    let handle = BlockHandle::new(file.len(), payload.len() as u64);
-    let mut trailer = [0u8; BLOCK_TRAILER_LEN];
-    trailer[0] = BLOCK_TYPE_RAW;
-    let crc = crc32c::extend(crc32c::value(payload), &trailer[..1]);
-    trailer[1..].copy_from_slice(&crc32c::mask(crc).to_le_bytes());
-    let mut buf = Vec::with_capacity(payload.len() + BLOCK_TRAILER_LEN);
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&trailer);
-    file.append(&buf)?;
-    Ok(handle)
+/// Append a block (`payload ++ trailer`) to `file` in one write, sealing
+/// it in place: the trailer is pushed onto `payload`'s own buffer, so the
+/// payload is not copied on its way to the file. Returns the block's
+/// handle and the payload, trailer taken off again, for a caller that
+/// keeps it.
+pub fn write_block(
+    file: &mut dyn WritableFile,
+    mut payload: Vec<u8>,
+) -> Result<(BlockHandle, Vec<u8>)> {
+    let n = payload.len();
+    let handle = BlockHandle::new(file.len(), n as u64);
+    let crc = crc32c::extend(crc32c::value(&payload), &[BLOCK_TYPE_RAW]);
+    payload.reserve_exact(BLOCK_TRAILER_LEN);
+    payload.push(BLOCK_TYPE_RAW);
+    payload.extend_from_slice(&crc32c::mask(crc).to_le_bytes());
+    file.append(&payload)?;
+    payload.truncate(n);
+    Ok((handle, payload))
 }
 
 /// Read and verify the block at `handle`.
@@ -66,8 +71,9 @@ mod tests {
     fn write_read_roundtrip() {
         let env = MemEnv::new();
         let mut w = env.new_writable("f", IoClass::Flush).unwrap();
-        let h1 = write_block(w.as_mut(), b"first block").unwrap();
-        let h2 = write_block(w.as_mut(), b"second").unwrap();
+        let (h1, p1) = write_block(w.as_mut(), b"first block".to_vec()).unwrap();
+        let (h2, _) = write_block(w.as_mut(), b"second".to_vec()).unwrap();
+        assert_eq!(p1, b"first block");
         drop(w);
         let r = env.open_random_access("f", IoClass::FgIndexRead).unwrap();
         assert_eq!(&read_block(r.as_ref(), h1).unwrap()[..], b"first block");
@@ -79,7 +85,9 @@ mod tests {
     fn corruption_detected() {
         let env = MemEnv::new();
         let mut w = env.new_writable("f", IoClass::Flush).unwrap();
-        let h = write_block(w.as_mut(), b"data to protect").unwrap();
+        let h = write_block(w.as_mut(), b"data to protect".to_vec())
+            .unwrap()
+            .0;
         drop(w);
         env.corrupt_byte("f", 3).unwrap();
         let r = env.open_random_access("f", IoClass::FgIndexRead).unwrap();
@@ -91,7 +99,7 @@ mod tests {
     fn corrupted_crc_itself_detected() {
         let env = MemEnv::new();
         let mut w = env.new_writable("f", IoClass::Flush).unwrap();
-        let h = write_block(w.as_mut(), b"payload").unwrap();
+        let h = write_block(w.as_mut(), b"payload".to_vec()).unwrap().0;
         drop(w);
         env.corrupt_byte("f", h.size + 2).unwrap(); // inside the crc field
         let r = env.open_random_access("f", IoClass::FgIndexRead).unwrap();
@@ -102,7 +110,7 @@ mod tests {
     fn empty_block_roundtrip() {
         let env = MemEnv::new();
         let mut w = env.new_writable("f", IoClass::Flush).unwrap();
-        let h = write_block(w.as_mut(), b"").unwrap();
+        let h = write_block(w.as_mut(), Vec::new()).unwrap().0;
         drop(w);
         let r = env.open_random_access("f", IoClass::FgIndexRead).unwrap();
         assert_eq!(read_block(r.as_ref(), h).unwrap().len(), 0);

@@ -135,11 +135,10 @@ impl TwoLevelBuilder {
             return Ok(());
         }
         let last_key = self.data.last_key().to_vec();
-        let block = Bytes::from(self.data.finish());
-        let handle = write_block(file, &block)?;
+        let (handle, block) = write_block(file, self.data.finish())?;
         self.index.add(&last_key, &handle.encode());
         if let Some(kept) = &mut self.kept {
-            kept.push((handle.offset, block));
+            kept.push((handle.offset, Bytes::from(block)));
         }
         Ok(())
     }
@@ -876,8 +875,8 @@ mod tests {
         // index pointing at it: the CRC is fine, the entries are not.
         let env = MemEnv::new();
         let mut f = env.new_writable("bad.sst", IoClass::Flush).unwrap();
-        let handle =
-            write_block(f.as_mut(), &crate::block::block_with_overrunning_entry()).unwrap();
+        let (handle, _) =
+            write_block(f.as_mut(), crate::block::block_with_overrunning_entry()).unwrap();
         f.sync().unwrap();
         let mut index = BlockBuilder::new(1);
         index.add(&ikey("k19"), &handle.encode());

@@ -30,7 +30,7 @@ use crate::{BlockKind, BLOOM_BITS_PER_KEY, INDEX_PARTITION_SIZE};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scavenger_env::{Coalesce, RandomAccessFile, WritableFile};
-use scavenger_util::coding::{get_length_prefixed_slice, put_length_prefixed_slice};
+use scavenger_util::coding::{get_length_prefixed_slice, put_length_prefixed_slice, varint64_len};
 use scavenger_util::ikey::{cmp_internal, extract_user_key};
 use scavenger_util::{Error, Result};
 use std::sync::{Arc, OnceLock};
@@ -48,6 +48,8 @@ pub struct RTableBuilder {
     /// Every index partition written, with its payload, in file order:
     /// the born tail hands them to the file's reader.
     partitions: Vec<(BlockHandle, Bytes)>,
+    /// A record's encoded handle, reused from one `add` to the next.
+    encoded: Vec<u8>,
 }
 
 impl RTableBuilder {
@@ -63,6 +65,7 @@ impl RTableBuilder {
             largest: Vec::new(),
             index_bytes: 0,
             partitions: Vec::new(),
+            encoded: Vec::new(),
         }
     }
 
@@ -81,12 +84,20 @@ impl RTableBuilder {
         self.bloom.add_key(extract_user_key(key));
         self.tracker.observe(key, value);
 
-        let mut record = Vec::with_capacity(key.len() + value.len() + 8);
+        // Exactly the record and the trailer `write_block` seals it with:
+        // one buffer, one copy of the value.
+        let len = varint64_len(key.len() as u64)
+            + key.len()
+            + varint64_len(value.len() as u64)
+            + value.len();
+        let mut record = Vec::with_capacity(len + BLOCK_TRAILER_LEN);
         put_length_prefixed_slice(&mut record, key);
         put_length_prefixed_slice(&mut record, value);
-        let handle = write_block(self.file.as_mut(), &record)?;
+        let (handle, _) = write_block(self.file.as_mut(), record)?;
 
-        self.partition.add(key, &handle.encode());
+        self.encoded.clear();
+        handle.encode_to(&mut self.encoded);
+        self.partition.add(key, &self.encoded);
         if self.partition.size_estimate() >= INDEX_PARTITION_SIZE {
             self.flush_partition()?;
         }
@@ -98,11 +109,10 @@ impl RTableBuilder {
             return Ok(());
         }
         let last_key = self.partition.last_key().to_vec();
-        let payload = Bytes::from(self.partition.finish());
-        self.index_bytes += (payload.len() + BLOCK_TRAILER_LEN) as u64;
-        let handle = write_block(self.file.as_mut(), &payload)?;
+        let (handle, payload) = write_block(self.file.as_mut(), self.partition.finish())?;
+        self.index_bytes += handle.size + BLOCK_TRAILER_LEN as u64;
         self.top_index.add(&last_key, &handle.encode());
-        self.partitions.push((handle, payload));
+        self.partitions.push((handle, Bytes::from(payload)));
         Ok(())
     }
 

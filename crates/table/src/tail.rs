@@ -43,7 +43,7 @@ pub(crate) fn write_tail(
     let mut blocks = kept;
     let mut handles = Vec::with_capacity(metas.len());
     let mut write = |file: &mut dyn WritableFile, payload: Vec<u8>| {
-        let handle = write_block(file, &payload)?;
+        let (handle, payload) = write_block(file, payload)?;
         blocks.push((handle, Bytes::from(payload)));
         Ok::<_, Error>(handle)
     };
